@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench benchsmoke benchguard soak
+.PHONY: build test vet race check bench benchsmoke benchguard soak benchtest ladder
 
 build:
 	$(GO) build ./...
@@ -16,7 +16,25 @@ vet:
 race:
 	$(GO) test -race ./...
 
-check: vet test race benchsmoke benchguard
+check: vet test race benchsmoke benchguard benchtest
+
+# benchtest runs the tests of the end-to-end ladder's driver. bench/ is its
+# own Go module (it replaces micco with the checkout around it), so the
+# root `go test ./...` never reaches it.
+benchtest:
+	$(GO) test -C bench ./...
+
+# ladder runs the end-to-end benchmark of BENCHMARK.json, one workload
+# after another, the way the recorded comparison runs it: ten timed
+# seconds each at seed 2022, tracing off. Each run prints its six
+# end-to-end metrics and exits non-zero if any job's outcome differs from
+# bench/golden.json. For the per-layer budget of one workload run
+# `bash bench/run.sh --workload W --seed 2022 --seconds 10 --trace 1`.
+LADDER_WORKLOADS = deck_numeric sched_scale observed_run deck_plan report_build
+ladder:
+	@for w in $(LADDER_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seed 2022 --seconds 10 --trace 0 || exit 1; \
+	done
 
 # benchsmoke compiles and runs every benchmark once — including the
 # scheduler-overhead suite in internal/sched — so check catches bit-rot
@@ -27,7 +45,8 @@ benchsmoke:
 # benchguard checks the recorded performance numbers. Scheduler: any
 # BenchmarkSchedulerAssign* entry in BENCH_sched.json (obs-on variants
 # excepted) must report 0 allocs/op and stay within 2x the _baseline/
-# ns/op merged into the same document. Kernels: every BenchmarkContraction*
+# ns/op merged into the same document — including the "/cold" rows, the
+# only ones in which MICCO's step III and its rng tie-break run. Kernels: every BenchmarkContraction*
 # entry in BENCH_kernel.json must stay within 2.5x its baseline ns/op
 # (allocation check off — kernel benchmarks legitimately allocate; the
 # wider tolerance absorbs machine throttling on shared runners). Re-run

@@ -102,16 +102,21 @@ func (s *Scheduler) BeginStage(ctx *sched.Context) {
 }
 
 // Assign implements sched.Scheduler with Algorithm 1: classify the pair's
-// local reuse pattern, fill candiQueue with available GPUs under the
-// pattern's reuse bound, then let Algorithm 2 pick the final device.
+// local reuse pattern, find the available GPUs under the pattern's reuse
+// bound, then let Algorithm 2 pick the final device.
 //
-// Residency is read through the cluster's constant-time index: two mask
-// probes answer every holder question, candidate filling iterates set bits,
-// and all scratch space (candiQueue, the min-filter buffer) is reused
-// across calls — the whole placement path performs zero allocations when
-// observability is off. Candidate order matches the former per-device scan
-// (ascending device ID; step II lists A-holders before B-only holders), so
-// random tie-breaks draw identically to the scan-path reference.
+// No step looks at the whole cluster. Steps I and II read residency through
+// the cluster's constant-time index — two mask probes answer every holder
+// question — and fill candiQueue by iterating set bits, O(holders). Step III,
+// where any GPU under reuse bound 3 qualifies, keeps no queue at all: it
+// asks the context's availability index (sched.AvailIndex), which already
+// summarizes that set in both Algorithm 2 orders, so the step costs
+// O(log NumGPU) however many thousand devices qualify. All scratch space is
+// reused across calls — the whole placement path performs zero allocations
+// when observability is off. Candidate order matches the former per-device
+// scan (ascending device ID; step II lists A-holders before B-only
+// holders), so random tie-breaks draw identically to the scan-path
+// reference kept in sched's crosscheck test.
 func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 	s.candi = s.candi[:0]
 	ma := ctx.HoldersMask(p.A.ID)
@@ -159,18 +164,14 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 	}
 
 	// Step III (lines 15-18): twoNew, or nothing available above — any live
-	// GPU under reuse bound 3. Steps I and II need no down-device filter:
-	// a failed device's residency is dropped the moment it fails, so it can
-	// never appear in a holder mask.
+	// GPU under reuse bound 3, straight from the availability index. Steps
+	// I and II need no down-device filter: a failed device's residency is
+	// dropped the moment it fails, so it can never appear in a holder mask.
 	if len(s.candi) == 0 {
-		lim := s.bounds[2] + ctx.BalanceNum
-		for it := 0; it < ctx.NumGPU; it++ {
-			if ctx.StageLoad[it] < lim && !ctx.Down.Has(it) {
-				s.candi = append(s.candi, it)
-			}
-		}
-		if len(s.candi) > 0 {
-			boundIdx = 2
+		ix := ctx.Avail(s.bounds[2] + ctx.BalanceNum)
+		if ix.Ties(sched.ByCompute) > 0 {
+			s.recordBound(ctx, 2)
+			return s.assignFromIndex(p, ctx, ix, ma, mb)
 		}
 	}
 
@@ -195,13 +196,75 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 		s.candi = append(s.candi, best)
 	}
 
+	s.recordBound(ctx, boundIdx)
+	return s.assignFromQueue(p, ctx, ma, mb)
+}
+
+// recordBound publishes which reuse bound gated the candidate set (-1: the
+// defensive fallback) into the in-flight decision record, if there is one.
+func (s *Scheduler) recordBound(ctx *sched.Context, boundIdx int) {
 	if rec := ctx.Decision; rec != nil {
 		rec.BoundIndex = boundIdx
 		if boundIdx >= 0 {
 			rec.Bound = s.bounds[boundIdx]
 		}
 	}
-	return s.assignFromQueue(p, ctx, ma, mb)
+}
+
+// assignFromIndex is Algorithm 2 over step III's candidate set — every
+// device the availability index holds — without walking it. A device
+// holding neither operand projects MemUsed plus the same need bytes, so the
+// index's MemUsed summaries stand for projected memory; a holder projects
+// less and is lifted into the index under its own figure for this query.
+// Holders can only be eligible here when reuse bound 3 exceeds bound 2:
+// step II just found each of them at or past bound 2's limit.
+//
+// The decision is the scan's, draw for draw: the same oversubscription
+// verdict, the same tie set in the same ascending-ID order, one rng.Intn
+// over its size when it has more than one member.
+func (s *Scheduler) assignFromIndex(p workload.Pair, ctx *sched.Context, ix *sched.AvailIndex, ma, mb gpusim.DevSet) int {
+	need := p.A.Bytes() + p.Out.Bytes()
+	if p.B.ID != p.A.ID {
+		need += p.B.Bytes()
+	}
+	if s.bounds[2] > s.bounds[1] {
+		for it := ma.First(); it >= 0; it = ma.NextFrom(it + 1) {
+			ix.Lift(it, ctx.ProjectedMemMasked(it, p, ma, mb)-need)
+		}
+		for it := mb.First(); it >= 0; it = mb.NextFrom(it + 1) {
+			if !ma.Has(it) {
+				ix.Lift(it, ctx.ProjectedMemMasked(it, p, ma, mb)-need)
+			}
+		}
+	}
+	order, policy := sched.ByCompute, "compute-centric"
+	if ix.Oversubscribes(need) {
+		order, policy = sched.ByMemory, "memory-eviction"
+		s.evictionPolicyUses++
+	}
+	if rec := ctx.Decision; rec != nil {
+		// The one place step III enumerates its candidates: the decision
+		// record lists each with its primary score.
+		rec.Policy = policy
+		lim := s.bounds[2] + ctx.BalanceNum
+		for it := 0; it < ctx.NumGPU; it++ {
+			if ctx.StageLoad[it] >= lim || ctx.Down.Has(it) {
+				continue
+			}
+			score := ctx.Cluster.Device(it).Clock()
+			if order == sched.ByMemory {
+				score = float64(ctx.ProjectedMemMasked(it, p, ma, mb))
+			}
+			rec.Candidates = append(rec.Candidates, obs.CandidateScore{Device: it, Score: score})
+		}
+	}
+	k := 0
+	if ties := ix.Ties(order); ties > 1 {
+		k = s.rng.Intn(ties)
+	}
+	dev := ix.Select(order, k)
+	ix.Unlift()
+	return dev
 }
 
 // assignFromQueue is Algorithm 2: detect projected oversubscription among

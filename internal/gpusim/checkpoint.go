@@ -221,6 +221,8 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 			b.readyAt = bs.ReadyAt
 		}
 		// Overwrite what install perturbed, then the rest of the state.
+		// (Reset above left the whole cluster marked dirty, which covers
+		// these direct key writes.)
 		d.clock = ds.Clock
 		d.copyClock = ds.CopyClock
 		d.memPeak = ds.MemPeak

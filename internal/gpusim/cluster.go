@@ -53,6 +53,11 @@ type Cluster struct {
 	// maintained by the devices at every install and drop so residency
 	// queries cost one map probe instead of a device scan.
 	index *residencyIndex
+	// dirty collects the devices whose scheduler-visible keys changed
+	// since the last DrainDirty (see dirtySet).
+	dirty *dirtySet
+	// holderScratch is Discard's reusable copy of a holder set.
+	holderScratch []int
 	// bwFactor scales all transfer bandwidths under fault-injected link
 	// degradation; zero means no degradation (factor 1).
 	bwFactor float64
@@ -71,6 +76,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		cfg:          cfg,
 		hostResident: make(map[uint64]tensor.Desc),
 		index:        newResidencyIndex(cfg.NumDevices),
+		dirty:        newDirtySet(cfg.NumDevices),
 		linkClocks:   make([]float64, nn),
 		p2pClocks:    make([]float64, nn),
 		numNodes:     nn,
@@ -82,7 +88,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	for i := 0; i < cfg.NumDevices; i++ {
-		c.devices = append(c.devices, newDevice(i, &c.cfg, c.index))
+		c.devices = append(c.devices, newDevice(i, &c.cfg, c.index, c.dirty))
 	}
 	return c, nil
 }
@@ -321,6 +327,7 @@ func (c *Cluster) hostTransfer(d *Device, dur float64) {
 // behalf of d's transfer queue and returns the elapsed queue time
 // including any stall waiting for the link.
 func (c *Cluster) hostLinkOccupy(d *Device, dur float64) float64 {
+	d.markDirty()
 	queue := d.clock
 	if d.cfg.AsyncCopy {
 		queue = d.copyClock
@@ -411,6 +418,7 @@ func (c *Cluster) ExecContraction(dev int, a, b, out tensor.Desc) (int64, error)
 		d.clock = start
 	}
 	kt := d.prof.KernelLaunch + float64(flops)/d.prof.FLOPS
+	d.markDirty()
 	d.clock += kt
 	d.stats.KernelTime += kt
 	d.stats.Kernels++
@@ -433,11 +441,7 @@ func (c *Cluster) unpin(d *Device, id uint64) {
 // Discard drops tensor id from every device without write-back and forgets
 // any host copy. Used when an intermediate's last consumer has run.
 func (c *Cluster) Discard(id uint64) {
-	for _, d := range c.devices {
-		if b, ok := d.resident[id]; ok {
-			d.drop(b)
-		}
-	}
+	c.DiscardDeviceCopies(id)
 	delete(c.hostResident, id)
 	if c.hostNodes != nil {
 		delete(c.hostNodes, id)
@@ -448,6 +452,7 @@ func (c *Cluster) Discard(id uint64) {
 // stage boundary between dependency-partitioned vectors.
 func (c *Cluster) Barrier() {
 	m := c.Makespan()
+	c.dirty.markAll()
 	for _, d := range c.devices {
 		d.clock = m
 		d.copyClock = m
@@ -508,6 +513,7 @@ func (c *Cluster) Reset() {
 	// Devices skip per-tensor index updates during reset; one bulk clear
 	// replaces what would be a map delete per resident tensor.
 	c.index.clearAll()
+	c.dirty.markAll()
 	for n := range c.linkClocks {
 		c.linkClocks[n] = 0
 		c.p2pClocks[n] = 0
@@ -549,6 +555,7 @@ func (c *Cluster) ChargeExternalTransfer(dev int, seconds float64) error {
 // BarrierAt raises every device queue (and the host links) to at least t,
 // implementing barriers that span multiple clusters.
 func (c *Cluster) BarrierAt(t float64) {
+	c.dirty.markAll()
 	for _, d := range c.devices {
 		if d.clock < t {
 			d.clock = t

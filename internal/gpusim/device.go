@@ -102,6 +102,9 @@ type Device struct {
 	// index is the cluster's shared reverse residency map; install and
 	// drop keep it exact so it can never drift from resident.
 	index *residencyIndex
+	// dirty is the cluster's shared dirty-device set; every write to clock,
+	// memUsed, capOverride or failed marks the device there.
+	dirty *dirtySet
 	// failed marks the device as removed by fault injection
 	// (Cluster.FailDevice); operations issued to it return ErrDeviceLost.
 	failed bool
@@ -110,7 +113,7 @@ type Device struct {
 	capOverride int64
 }
 
-func newDevice(id int, cfg *Config, index *residencyIndex) *Device {
+func newDevice(id int, cfg *Config, index *residencyIndex, dirty *dirtySet) *Device {
 	return &Device{
 		id:       id,
 		cfg:      cfg,
@@ -118,8 +121,13 @@ func newDevice(id int, cfg *Config, index *residencyIndex) *Device {
 		node:     cfg.NodeOf(id),
 		resident: make(map[uint64]*block),
 		index:    index,
+		dirty:    dirty,
 	}
 }
+
+// markDirty records that one of the device's scheduler-visible keys (clock,
+// memUsed, capacity, failed) is about to change; see dirtySet.
+func (d *Device) markDirty() { d.dirty.mark(d.id) }
 
 // ID returns the device index within its cluster.
 func (d *Device) ID() int { return d.id }
@@ -238,6 +246,7 @@ func (d *Device) install(desc tensor.Desc, dirty bool) *block {
 	d.lruPushBack(b)
 	d.resident[desc.ID] = b
 	d.index.set(desc.ID, d.id)
+	d.markDirty()
 	d.memUsed += desc.Bytes()
 	if d.memUsed > d.memPeak {
 		d.memPeak = d.memUsed
@@ -252,6 +261,7 @@ func (d *Device) drop(b *block) {
 	d.lruRemove(b)
 	delete(d.resident, b.desc.ID)
 	d.index.unset(b.desc.ID, d.id)
+	d.markDirty()
 	d.memUsed -= b.desc.Bytes()
 	b.next = d.free
 	d.free = b
@@ -304,6 +314,7 @@ func (d *Device) oldestUnpinned() *block {
 // advanceTransferQueue adds dur to the queue transfers run on: the copy
 // engine when asynchronous, the compute queue otherwise.
 func (d *Device) advanceTransferQueue(dur float64) {
+	d.markDirty()
 	if d.cfg.AsyncCopy {
 		d.copyClock += dur
 	} else {
@@ -314,8 +325,9 @@ func (d *Device) advanceTransferQueue(dur float64) {
 // reset clears all state, returning the device to time zero with an empty
 // pool. Maps keep their capacity and every block is recycled, so the next
 // run's installs allocate nothing.
-// The residency index is NOT touched here: reset is only reachable from
-// Cluster.Reset, which bulk-clears the index once for all devices.
+// The residency index and the dirty set are NOT touched here: reset is only
+// reachable from Cluster.Reset, which bulk-clears the index and marks the
+// whole cluster dirty once for all devices.
 func (d *Device) reset() {
 	for b := d.lruHead; b != nil; {
 		next := b.next

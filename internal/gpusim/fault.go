@@ -27,6 +27,7 @@ func (c *Cluster) FailDevice(dev int) error {
 		d.drop(b)
 		b = next
 	}
+	d.markDirty()
 	d.failed = true
 	if c.observing() {
 		t := c.Makespan()
@@ -46,6 +47,7 @@ func (c *Cluster) RestoreDevice(dev int) error {
 	if !d.failed {
 		return nil
 	}
+	d.markDirty()
 	d.failed = false
 	m := c.Makespan()
 	d.clock = m
@@ -133,6 +135,7 @@ func (c *Cluster) SetMemoryCapacity(dev int, capacity int64) error {
 	if capacity <= 0 {
 		return fmt.Errorf("gpusim: capacity %d for device %d must be positive", capacity, dev)
 	}
+	d.markDirty()
 	d.capOverride = capacity
 	if c.observing() {
 		t := c.Makespan()
@@ -171,10 +174,14 @@ func (c *Cluster) TransientFailuresLeft() int { return c.transientLeft }
 // any host copy. The engine uses it instead of Discard while a fault plan
 // is active: the host copy (when one exists) remains the recovery source
 // should a device loss destroy downstream results.
+//
+// Only the tensor's holders are visited — the residency index names them —
+// through a scratch copy of the holder set, because each drop edits the
+// index entry being walked.
 func (c *Cluster) DiscardDeviceCopies(id uint64) {
-	for _, d := range c.devices {
-		if b, ok := d.resident[id]; ok {
-			d.drop(b)
-		}
+	c.holderScratch = c.index.of(id).AppendTo(c.holderScratch[:0])
+	for _, dev := range c.holderScratch {
+		d := c.devices[dev]
+		d.drop(d.resident[id])
 	}
 }

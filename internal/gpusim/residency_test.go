@@ -179,3 +179,75 @@ func TestResidencyIndexInvariant(t *testing.T) {
 		}
 	}
 }
+
+// scanDiscard is Discard as it was before it consulted the residency
+// index: a residency-map probe on every device.
+func scanDiscard(c *Cluster, id uint64) {
+	for _, d := range c.devices {
+		if b, ok := d.resident[id]; ok {
+			d.drop(b)
+		}
+	}
+	delete(c.hostResident, id)
+	if c.hostNodes != nil {
+		delete(c.hostNodes, id)
+	}
+}
+
+// TestDiscardWalksHoldersOnly runs the same seeded contraction-and-discard
+// stream on two 256-device clusters, one discarding through the holder set
+// the index names and one through the former every-device probe, and
+// requires identical per-device stats, memory and makespan — with the
+// residency invariant checked on the live cluster along the way.
+// Peer fetch spreads copies so discarded tensors have several holders on
+// both sides of the DevSet word seam.
+func TestDiscardWalksHoldersOnly(t *testing.T) {
+	const devs = 256
+	cfg := MI100Nodes(4, 64)
+	cfg.PeerFetch = true
+	desc := func(id uint64) tensor.Desc {
+		return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 8, Batch: 1}
+	}
+	cfg.MemoryBytes = 8 * desc(1).Bytes()
+	run := func(discard func(*Cluster, uint64), check bool) *Cluster {
+		c, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(256))
+		var ids []uint64
+		for id := uint64(1); id <= 32; id++ {
+			ids = append(ids, id)
+			c.RegisterHostTensor(desc(id))
+		}
+		for step := 0; step < 3000; step++ {
+			if rng.Intn(4) > 0 {
+				out := uint64(1000 + step)
+				a, b := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+				if _, err := c.ExecContraction(rng.Intn(devs), desc(a), desc(b), desc(out)); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				ids = append(ids, out)
+				continue
+			}
+			id := ids[rng.Intn(len(ids))]
+			discard(c, id)
+			c.RegisterHostTensor(desc(id))
+			if check && step%16 == 0 { // the check is O(tensors × devices)
+				checkIndex(t, c, ids)
+			}
+		}
+		return c
+	}
+	live := run((*Cluster).Discard, true)
+	ref := run(scanDiscard, false)
+	if live.Makespan() != ref.Makespan() {
+		t.Errorf("makespan %g != every-device-probe reference %g", live.Makespan(), ref.Makespan())
+	}
+	for i := 0; i < devs; i++ {
+		l, r := live.Device(i), ref.Device(i)
+		if l.Stats() != r.Stats() || l.MemUsed() != r.MemUsed() || l.MemPeak() != r.MemPeak() || l.ResidentCount() != r.ResidentCount() {
+			t.Fatalf("device %d diverges from reference:\n %+v mem %d\n %+v mem %d", i, l.Stats(), l.MemUsed(), r.Stats(), r.MemUsed())
+		}
+	}
+}

@@ -285,12 +285,7 @@ func Run(ctx context.Context, w *workload.Workload, mc *Cluster) (*Result, error
 		} else {
 			devScheds[i] = core.NewFixed(mc.cfg.DeviceBounds)
 		}
-		ctxs[i] = &sched.Context{
-			Cluster:   mc.nodes[i],
-			NumGPU:    perNodeGPU,
-			StageLoad: make([]int, perNodeGPU),
-			Comp:      make([]float64, perNodeGPU),
-		}
+		ctxs[i] = sched.NewContext(mc.nodes[i])
 	}
 	res := &Result{Workload: w.Name, PairsPerNode: make([]int, nNodes)}
 	var totalFLOPs int64
@@ -308,9 +303,7 @@ func Run(ctx context.Context, w *workload.Workload, mc *Cluster) (*Result, error
 		for i := range ctxs {
 			ctxs[i].StageIndex = si
 			ctxs[i].BalanceNum = (st.NumTensors()/nNodes + perNodeGPU - 1) / perNodeGPU
-			for j := range ctxs[i].StageLoad {
-				ctxs[i].StageLoad[j] = 0
-			}
+			ctxs[i].ResetLoad()
 			ctxs[i].Features = w.StageFeatures(si)
 			devScheds[i].BeginStage(ctxs[i])
 		}
@@ -338,7 +331,7 @@ func Run(ctx context.Context, w *workload.Workload, mc *Cluster) (*Result, error
 				return nil, fmt.Errorf("multinode: stage %d: %w", si, err)
 			}
 			totalFLOPs += flops
-			ctxs[node].StageLoad[dev] += 2
+			ctxs[node].AddLoad(dev, 2)
 			ctxs[node].Comp[dev] += float64(flops) / mc.cfg.Node.FLOPS
 		}
 		// Global stage barrier across all nodes.

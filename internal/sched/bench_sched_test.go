@@ -93,18 +93,67 @@ func newAssignFixtureOn(b testing.TB, s sched.Scheduler, cfg gpusim.Config) *ass
 		b.Fatal(err)
 	}
 	n := c.NumDevices()
-	fx := &assignFixture{ctx: &sched.Context{
-		Cluster:    c,
-		NumGPU:     n,
-		BalanceNum: (w.Stages[0].NumTensors() + n - 1) / n,
-		StageLoad:  make([]int, n),
-		Comp:       make([]float64, n),
-	}}
+	fx := &assignFixture{ctx: sched.NewContext(c)}
+	fx.ctx.BalanceNum = (w.Stages[0].NumTensors() + n - 1) / n
 	for si := range w.Stages {
 		fx.pairs = append(fx.pairs, w.Stages[si].Pairs...)
 	}
 	s.BeginStage(fx.ctx)
 	return fx
+}
+
+// coldFixture is the placement loop as a cold stage presents it: every pair
+// is twoNew (operands resident nowhere), so Algorithm 1 falls through to
+// step III, whose candidate set is every device still under the stage's
+// balance point, and Algorithm 2 breaks the resulting tie — thousands of
+// devices on one barrier clock at stage start — with the scheduler's rng.
+// After each decision the fixture does the engine's bookkeeping for it:
+// two tensor slots of load on the chosen device and simulated time on its
+// queue. BalanceNum is 2, one pair per device per stage under a zero reuse
+// bound; when the stage is full the cluster barriers and loads reset. The
+// warm fixture above measures none of this: its pairs all find holders and
+// stop at steps I/II.
+type coldFixture struct {
+	c        *gpusim.Cluster
+	ctx      *sched.Context
+	pair     workload.Pair
+	inStage  int
+	perStage int
+}
+
+func newColdFixture(b testing.TB, s sched.Scheduler, cfg gpusim.Config) *coldFixture {
+	b.Helper()
+	c, err := gpusim.NewCluster(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	desc := func(id uint64) tensor.Desc {
+		return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 128, Batch: 4}
+	}
+	fx := &coldFixture{
+		c:        c,
+		ctx:      sched.NewContext(c),
+		pair:     workload.Pair{A: desc(1), B: desc(2), Out: desc(3)},
+		perStage: c.NumDevices(),
+	}
+	fx.ctx.BalanceNum = 2
+	s.BeginStage(fx.ctx)
+	return fx
+}
+
+// place is one op: the scheduler's decision plus the bookkeeping that makes
+// the next decision see a moved cluster.
+func (fx *coldFixture) place(b testing.TB, s sched.Scheduler) {
+	dev := s.Assign(fx.pair, fx.ctx)
+	fx.ctx.AddLoad(dev, 2)
+	if err := fx.c.ChargeExternalTransfer(dev, 1e-3); err != nil {
+		b.Fatal(err)
+	}
+	if fx.inStage++; fx.inStage == fx.perStage {
+		fx.inStage = 0
+		fx.c.Barrier()
+		fx.ctx.ResetLoad()
+	}
 }
 
 // BenchmarkSchedulerAssign measures one placement decision per op for each
@@ -159,6 +208,17 @@ func TestAssignZeroAllocsAllSchedulers(t *testing.T) {
 			}
 		})
 	}
+	// The cold path at scale: step III through the availability index,
+	// with its per-placement refreshes and a per-stage rebuild inside the
+	// measured window (6000 placements cross a 4096-device stage boundary).
+	t.Run("MICCO/devs=4096/cold", func(t *testing.T) {
+		s := core.NewFixed(core.Bounds{0, 2, 0})
+		fx := newColdFixture(t, s, gpusim.MI100Nodes(64, 64))
+		avg := testing.AllocsPerRun(6000, func() { fx.place(t, s) })
+		if avg != 0 {
+			t.Errorf("%g allocs per cold placement at 4096 devices, want 0", avg)
+		}
+	})
 }
 
 // TestObsOnRunAllocsPerPair pins the observed engine's allocation budget:
@@ -238,7 +298,11 @@ func BenchmarkNumericPipeline(b *testing.B) {
 // two-level hier scheduler. The interesting read is how ns/op grows with
 // device count: hier's placement is O(holders + nodes + nodeSize) per
 // pair, so its per-decision cost must degrade sub-linearly in cluster
-// size. Recorded into BENCH_sched.json by `make bench`.
+// size. These warm rows never reach step III — every pair finds holders —
+// so for MICCO they price steps I/II only; the "/cold" rows run the
+// coldFixture loop, where every decision is a step-III pick with an rng
+// tie-break, and are the ones that show what a placement costs as the
+// cluster grows. Recorded into BENCH_sched.json by `make bench`.
 func BenchmarkSchedulerAssignLarge(b *testing.B) {
 	for _, devs := range []int{256, 1024, 4096} {
 		cfg := gpusim.MI100Nodes(devs/64, 64)
@@ -260,6 +324,15 @@ func BenchmarkSchedulerAssignLarge(b *testing.B) {
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("MICCO/devs=%d/cold", devs), func(b *testing.B) {
+			s := core.NewFixed(core.Bounds{0, 2, 0})
+			fx := newColdFixture(b, s, cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fx.place(b, s)
+			}
+		})
 	}
 }
 

@@ -25,6 +25,10 @@ import (
 // the residency index: holder slices from Context.Holders, linear
 // contains/appendUnique candidate filling, and an allocating filterMin.
 // Its rng seeding matches core.NewFixed so tie-breaks draw identically.
+// It is also the oracle for the availability index (availcheck_test.go):
+// step III and Algorithm 2 here walk every device, every time. The one
+// addition since the port is the Down filter in step III and the fallback,
+// which fault-free runs never exercise (Down is then empty).
 type refMICCO struct {
 	bounds             core.Bounds
 	rng                *rand.Rand
@@ -139,7 +143,7 @@ func (s *refMICCO) Assign(p workload.Pair, ctx *sched.Context) int {
 	if len(s.candi) == 0 {
 		lim := limit(2)
 		for it := 0; it < ctx.NumGPU; it++ {
-			if ctx.StageLoad[it] < lim {
+			if ctx.StageLoad[it] < lim && !ctx.Down.Has(it) {
 				s.candi = append(s.candi, it)
 			}
 		}
@@ -148,11 +152,14 @@ func (s *refMICCO) Assign(p workload.Pair, ctx *sched.Context) int {
 		}
 	}
 
-	// Defensive fallback: least-loaded GPU.
+	// Defensive fallback: least-loaded live GPU.
 	if len(s.candi) == 0 {
-		best := 0
-		for it := 1; it < ctx.NumGPU; it++ {
-			if ctx.StageLoad[it] < ctx.StageLoad[best] {
+		best := -1
+		for it := 0; it < ctx.NumGPU; it++ {
+			if ctx.Down.Has(it) {
+				continue
+			}
+			if best < 0 || ctx.StageLoad[it] < ctx.StageLoad[best] {
 				best = it
 			}
 		}

@@ -63,6 +63,50 @@ type Context struct {
 	// Decision != nil before touching it — the nil check is what keeps
 	// the placement hot path allocation-free when observability is off.
 	Decision *obs.DecisionRecord
+	// avail is the availability index (see Avail), created on first use.
+	// tracked marks a Context from NewContext, whose index is maintained
+	// incrementally.
+	avail   *AvailIndex
+	tracked bool
+}
+
+// NewContext returns the scheduler context for a run on cluster c, with
+// zeroed per-device load and compute books and Down taken from the
+// cluster. Its availability index (Avail) is maintained incrementally from
+// the cluster's dirty-device set, which holds the caller to two rules:
+// StageLoad changes only through AddLoad and ResetLoad, and Down is
+// reassigned only from Cluster.FailedMask after the cluster changed a
+// device's failed state. A Context built as a struct literal is under no
+// such rules and pays for it with an index rebuild per Avail call.
+func NewContext(c *gpusim.Cluster) *Context {
+	n := c.NumDevices()
+	return &Context{
+		Cluster:   c,
+		NumGPU:    n,
+		StageLoad: make([]int, n),
+		Comp:      make([]float64, n),
+		Down:      c.FailedMask(),
+		tracked:   true,
+	}
+}
+
+// AddLoad adds slots tensor slots to device dev's StageLoad, telling the
+// availability index when that moves the device across its eligibility
+// limit.
+func (c *Context) AddLoad(dev, slots int) {
+	old := c.StageLoad[dev]
+	c.StageLoad[dev] = old + slots
+	if ix := c.avail; ix != nil && ix.built && (old < ix.lim) != (old+slots < ix.lim) {
+		ix.loadDirty = append(ix.loadDirty, dev)
+	}
+}
+
+// ResetLoad zeroes every device's StageLoad at a stage boundary.
+func (c *Context) ResetLoad() {
+	clear(c.StageLoad)
+	if ix := c.avail; ix != nil {
+		ix.built = false
+	}
 }
 
 // Holders returns the devices on which tensor id is currently resident.
@@ -525,7 +569,7 @@ func (e *engine) placePair(si, pi int, p workload.Pair, recovery bool) error {
 		e.ob.patterns[rec.Pattern].Inc()
 		e.ob.reg.RecordDecision(rec)
 	}
-	sctx.StageLoad[dev] += 2
+	sctx.AddLoad(dev, 2)
 	sctx.Comp[dev] += float64(flops) / c.Device(dev).Profile().FLOPS
 	if e.opts.DiscardDeadInputs {
 		if p.LastUse[0] {
@@ -632,14 +676,8 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 		// outlives the run (idempotent; finish() on success already did).
 		defer store.shutdown()
 	}
-	sctx := &Context{
-		Cluster:   c,
-		NumGPU:    n,
-		StageLoad: make([]int, n),
-		Comp:      make([]float64, n),
-		Obs:       opts.Obs,
-		Down:      c.FailedMask(),
-	}
+	sctx := NewContext(c)
+	sctx.Obs = opts.Obs
 	res := &Result{Scheduler: s.Name(), Workload: w.Name}
 	e := &engine{ctx: ctx, w: w, s: s, c: c, opts: opts, ob: ob, sctx: sctx, store: store, res: res, n: n, clock0: time.Now()}
 	e.prog = opts.Progress
@@ -700,9 +738,7 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 		st := &w.Stages[si]
 		sctx.StageIndex = si
 		sctx.BalanceNum = (st.NumTensors() + n - 1) / n
-		for i := range sctx.StageLoad {
-			sctx.StageLoad[i] = 0
-		}
+		sctx.ResetLoad()
 		sctx.Features = w.StageFeatures(si)
 		var stageSpan *obs.ActiveSpan
 		var simStart float64
