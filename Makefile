@@ -49,12 +49,19 @@ benchsmoke:
 # only ones in which MICCO's step III and its rng tie-break run. Kernels: every BenchmarkContraction*
 # entry in BENCH_kernel.json must stay within 2.5x its baseline ns/op
 # (allocation check off — kernel benchmarks legitimately allocate; the
-# wider tolerance absorbs machine throttling on shared runners). Re-run
-# `make bench` to refresh the recordings before the guard.
+# wider tolerance absorbs machine throttling on shared runners). Report:
+# every BenchmarkCriticalPath* and BenchmarkReportRenderJSON entry in
+# BENCH_report.json must stay within 2x its baseline ns/op, the baseline
+# being the quadratic walk and the reflection encoder they replaced; that
+# the walk is linear is read off the recorded ns/event column, which stays
+# flat from events=5k to events=80k. Re-run `make bench` to refresh the
+# recordings before the guard.
 benchguard:
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 2.0
 	$(GO) run ./cmd/benchjson -guard BENCH_kernel.json -guard-tol 2.5 \
 		-guard-prefix BenchmarkContraction -guard-max-allocs -1
+	$(GO) run ./cmd/benchjson -guard BENCH_report.json -guard-tol 2.0 \
+		-guard-prefix Benchmark -guard-max-allocs -1
 
 # soak runs the chaos harness: seeded random fault plans × random
 # kill-points (process death simulated by dropping all in-memory state and
@@ -74,9 +81,14 @@ soak:
 # output through), then the scheduler-overhead suite — per-placement
 # cost, obs on/off, the parallel numeric pipeline and the reclaim-arena
 # contention probe — as BENCH_sched.json with the pre-change baseline
-# numbers merged in for comparison.
+# numbers merged in for comparison, then the report layer — the critical
+# path at 5k/20k/80k events and on the nested shape, and the JSON
+# rendering — as BENCH_report.json against the numbers of the walk and
+# the encoder they replaced.
 bench:
 	$(GO) test -run '^$$' -bench 'Contraction' -benchmem . \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_kernel_baseline.json -o BENCH_kernel.json
 	$(GO) test -run '^$$' -bench 'SchedulerAssign|RunScheduleOnly|NumericPipeline|ArenaContention' -benchmem ./internal/sched \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_sched_baseline.json -o BENCH_sched.json
+	$(GO) test -run '^$$' -bench 'CriticalPath|ReportRenderJSON' -benchmem ./internal/report \
+		| $(GO) run ./cmd/benchjson -baseline BENCH_report_baseline.json -o BENCH_report.json

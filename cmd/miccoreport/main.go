@@ -20,6 +20,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -81,7 +82,11 @@ func run(ctx context.Context, cfg reportConfig, out io.Writer) error {
 	if cfg.out != "" {
 		return obsfile.Write(cfg.out, "report", os.Stderr, render)
 	}
-	return render(out)
+	bw := bufio.NewWriter(out)
+	if err := render(bw); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // pickMode validates the flag combination and returns the render function

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,6 +64,27 @@ func TestJSONReportParses(t *testing.T) {
 	}
 	if len(rep.Stages) == 0 {
 		t.Error("JSON report missing stage waterfall")
+	}
+}
+
+// failWriter stands in for a closed pipe or a full disk behind stdout.
+type failWriter struct{ err error }
+
+func (f failWriter) Write([]byte) (int, error) { return 0, f.err }
+
+// TestStdoutErrorIsReturned renders the deck report, text and JSON, to a
+// writer that fails: run buffers stdout, so the error may only appear at
+// the final flush, and it must still come back.
+func TestStdoutErrorIsReturned(t *testing.T) {
+	boom := errors.New("boom")
+	for _, jsonOut := range []bool{false, true} {
+		cfg := reportConfig{
+			deck: filepath.Join("testdata", "f0d2.deck.json"), scheduler: "micco",
+			bounds: "0,2,0", gpus: 4, jsonOut: jsonOut,
+		}
+		if err := run(context.Background(), cfg, failWriter{boom}); !errors.Is(err, boom) {
+			t.Errorf("json=%v: run returned %v, want %v", jsonOut, err, boom)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@
 package obsfile
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,13 +17,20 @@ import (
 )
 
 // Write creates path, hands it to write, and on success notes what landed
-// there on logw (stderr in the CLIs; io.Discard silences it).
+// there on logw (stderr in the CLIs; io.Discard silences it). The file is
+// buffered: the Chrome trace writer prints one event at a time, which
+// would otherwise be one write(2) each.
 func Write(path, what string, logw io.Writer, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}

@@ -1,0 +1,136 @@
+package obsfile
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"syscall"
+	"testing"
+
+	"micco/internal/core"
+	"micco/internal/gpusim"
+	"micco/internal/obs"
+	"micco/internal/sched"
+	"micco/internal/tensor"
+	"micco/internal/workload"
+)
+
+// writeUnbuffered is Write as it was before the file was buffered: the
+// artifact writer gets the *os.File itself.
+func writeUnbuffered(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// TestArtifactsUnchangedByBuffering records a run under memory pressure and
+// writes each artifact both ways: the files must be the same bytes.
+func TestArtifactsUnchangedByBuffering(t *testing.T) {
+	w, err := workload.Generate(workload.Config{
+		Seed: 5, Stages: 3, VectorSize: 24, TensorDim: 64, Batch: 2,
+		Rank: tensor.RankMeson, RepeatRate: 0.6, Dist: workload.Uniform,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := gpusim.MI100(4)
+	cfg.MemoryBytes = w.TotalUniqueBytes() / 8
+	c, err := gpusim.NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	reg.SetFlightRecorder(obs.NewFlightRecorder(obs.FlightConfig{}))
+	c.StartTrace()
+	res, err := sched.Run(context.Background(), w, core.NewFixed(core.Bounds{0, 2, 0}), c, sched.Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, decisions, flight := c.StopTrace(), reg.Decisions(), reg.FlightRecorder().Snapshot()
+	if len(events) == 0 || len(decisions) == 0 || len(flight.Events) == 0 {
+		t.Fatalf("the run left %d events, %d decisions, %d flight events", len(events), len(decisions), len(flight.Events))
+	}
+
+	dir := t.TempDir()
+	for _, a := range []struct {
+		name     string
+		buffered func(path string) error
+		direct   func(io.Writer) error
+	}{
+		{"metrics.json",
+			func(p string) error { return WriteMetrics(p, io.Discard, res.Metrics) },
+			func(w io.Writer) error {
+				enc := json.NewEncoder(w)
+				enc.SetIndent("", "  ")
+				return enc.Encode(res.Metrics)
+			}},
+		{"trace.json",
+			func(p string) error { return WriteTrace(p, io.Discard, events, decisions) },
+			func(w io.Writer) error { return gpusim.WriteChromeTraceMerged(w, events, decisions) }},
+		{"decisions.ndjson",
+			func(p string) error { return WriteDecisions(p, io.Discard, decisions) },
+			func(w io.Writer) error { return obs.WriteDecisionsNDJSON(w, decisions) }},
+		{"flight.json",
+			func(p string) error { return WriteFlight(p, io.Discard, flight) },
+			flight.WriteJSON},
+	} {
+		buffered, direct := filepath.Join(dir, a.name), filepath.Join(dir, "direct-"+a.name)
+		if err := a.buffered(buffered); err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		if err := writeUnbuffered(direct, a.direct); err != nil {
+			t.Fatalf("%s, unbuffered: %v", a.name, err)
+		}
+		got, err := os.ReadFile(buffered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(direct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes buffered, %d bytes written directly, and they differ or are empty", a.name, len(got), len(want))
+		}
+	}
+}
+
+// TestWriteReturnsErrors checks the three ways Write can fail after the
+// file exists: the artifact writer's own error, a write error the buffer
+// holds back until Flush, and one that surfaces while the writer runs.
+func TestWriteReturnsErrors(t *testing.T) {
+	boom := errors.New("boom")
+	path := filepath.Join(t.TempDir(), "out")
+	var logged bytes.Buffer
+	err := Write(path, "artifact", &logged, func(w io.Writer) error {
+		io.WriteString(w, "partial")
+		return boom
+	})
+	if !errors.Is(err, boom) || logged.Len() != 0 {
+		t.Errorf("failing writer: Write returned %v and logged %q, want %v and nothing", err, logged.String(), boom)
+	}
+
+	// /dev/full accepts the open and fails every write with ENOSPC.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full here")
+	}
+	for _, size := range []int{10, 1 << 20} { // held in the buffer; larger than it
+		err := Write("/dev/full", "artifact", &logged, func(w io.Writer) error {
+			_, err := w.Write(make([]byte, size))
+			return err
+		})
+		if !errors.Is(err, syscall.ENOSPC) || logged.Len() != 0 {
+			t.Errorf("%d bytes to /dev/full: Write returned %v and logged %q, want ENOSPC and nothing", size, err, logged.String())
+		}
+	}
+}

@@ -1,7 +1,11 @@
 package report
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
+	"strconv"
 
 	"micco/internal/gpusim"
 )
@@ -72,49 +76,63 @@ func resourceOf(kind string) string {
 	}
 }
 
+// cand is what the walk reads of an event.
+type cand struct {
+	start, end float64
+	tensor     uint64
+	device     int
+	kind       gpusim.EventKind
+}
+
 // CriticalPathOf chains backward from makespan through events. At each
 // step it selects, among events beginning strictly before the cursor, the
 // one reaching closest to the cursor (clipped at it); a shortfall becomes
 // an idle segment. Ties break deterministically: later start, then lower
 // device, then kind name, then tensor ID — so identical inputs always
-// produce the identical path. Fault events and zero-duration events are
-// ignored. The returned segments exactly partition [0, makespan]:
-// consecutive boundaries are equal as floats, not merely close.
+// produce the identical path. Fault events, zero-duration events and events
+// with a non-finite start or end are ignored, and a non-finite makespan has
+// no path. The returned segments exactly partition [0, makespan]:
+// consecutive boundaries are equal as floats, not merely close. The cost is
+// one sort and then O(n) over all steps together (DESIGN.md §13).
 func CriticalPathOf(events []gpusim.Event, makespan float64) *CriticalPath {
 	cp := &CriticalPath{Makespan: makespan}
-	// Candidates sorted by start so each step only scans events that can
-	// still be selected as the cursor walks toward 0.
-	cand := make([]gpusim.Event, 0, len(events))
+	cs := make([]cand, 0, len(events))
 	for _, e := range events {
-		if e.Kind == gpusim.EventFault || e.Duration() <= 0 || e.Start >= makespan {
+		// A NaN bound would pass the ordered comparisons and poison the cursor.
+		if e.Kind == gpusim.EventFault || !finite(e.Start) || !finite(e.End) || e.Duration() <= 0 || e.Start >= makespan {
 			continue
 		}
-		cand = append(cand, e)
+		cs = append(cs, cand{e.Start, e.End, e.Tensor, e.Device, e.Kind})
 	}
-	sort.Slice(cand, func(i, j int) bool {
-		a, b := cand[i], cand[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+	// By start, and by end within a start, is all the order the steps rely
+	// on; laterChain separates the rest where a step has to choose.
+	slices.SortFunc(cs, func(a, b cand) int {
+		if a.start != b.start {
+			return cmp.Compare(a.start, b.start)
 		}
-		if a.End != b.End {
-			return a.End < b.End
-		}
-		if a.Device != b.Device {
-			return a.Device < b.Device
-		}
-		if a.Kind != b.Kind {
-			return a.Kind.String() < b.Kind.String()
-		}
-		return a.Tensor < b.Tensor
+		return cmp.Compare(a.end, b.end)
 	})
+	// reach[i] is the candidate of cs[0..i] that ends latest, ties broken by
+	// laterChain (what it cannot separate is one event twice): what a step
+	// selects when nothing before the cursor is still running at it.
+	reach := make([]int, len(cs))
+	for i := 1; i < len(cs); i++ {
+		reach[i] = reach[i-1]
+		if b := cs[reach[i]]; cs[i].end > b.end || (cs[i].end == b.end && laterChain(cs[i], b)) {
+			reach[i] = i
+		}
+	}
 
 	cursor := makespan
-	// limit is the number of candidates with Start < cursor; it only
+	if !finite(makespan) {
+		cursor = 0 // no path
+	}
+	// limit is the number of candidates with start < cursor; it only
 	// shrinks as the cursor walks backward.
-	limit := len(cand)
+	limit := len(cs)
 	var segs []Segment // built newest-first
 	for cursor > 0 {
-		for limit > 0 && cand[limit-1].Start >= cursor {
+		for limit > 0 && cs[limit-1].start >= cursor {
 			limit--
 		}
 		if limit == 0 {
@@ -127,34 +145,37 @@ func CriticalPathOf(events []gpusim.Event, makespan float64) *CriticalPath {
 			segs = append(segs, Segment{Start: 0, End: cursor, Kind: "idle", Device: dev})
 			break
 		}
-		best, bestTop := -1, 0.0
-		for i := 0; i < limit; i++ {
-			top := cand[i].End
-			if top > cursor {
-				top = cursor
+		best := reach[limit-1]
+		top := cs[best].end
+		if top >= cursor {
+			// Whatever still runs at the cursor clips to it, so the tie goes
+			// to the latest start: the last candidate reaching the cursor, or
+			// one of the same start that laterChain prefers, which sits
+			// directly below it. All that this scan passes over starts at or
+			// after the next cursor and leaves the prefix with it, so the
+			// scans of all steps together pass over each candidate once.
+			top, best = cursor, limit-1
+			for cs[best].end < cursor {
+				best--
 			}
-			if best < 0 || top > bestTop || (top == bestTop && laterChain(cand[i], cand[best])) {
-				best, bestTop = i, top
+			for i := best - 1; i >= 0 && cs[i].start == cs[best].start && cs[i].end >= cursor; i-- {
+				if laterChain(cs[i], cs[best]) {
+					best = i
+				}
 			}
 		}
-		e := cand[best]
-		if bestTop < cursor {
+		e := cs[best]
+		if top < cursor {
 			// Gap between this event's reach and the segment above it: the
 			// successor (the segment just emitted) was waiting.
-			dev := e.Device
+			dev := e.device
 			if len(segs) > 0 {
 				dev = segs[len(segs)-1].Device
 			}
-			segs = append(segs, Segment{Start: bestTop, End: cursor, Kind: "idle", Device: dev})
+			segs = append(segs, Segment{Start: top, End: cursor, Kind: "idle", Device: dev})
 		}
-		segs = append(segs, Segment{
-			Start:  e.Start,
-			End:    bestTop,
-			Kind:   e.Kind.String(),
-			Device: e.Device,
-			Tensor: e.Tensor,
-		})
-		cursor = e.Start
+		segs = append(segs, Segment{Start: e.start, End: top, Kind: e.kind.String(), Device: e.device, Tensor: e.tensor})
+		cursor = e.start
 	}
 	// Reverse into chronological order.
 	for i, j := 0, len(segs)-1; i < j; i, j = i+1, j-1 {
@@ -167,49 +188,28 @@ func CriticalPathOf(events []gpusim.Event, makespan float64) *CriticalPath {
 	return cp
 }
 
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // laterChain orders tie-broken candidates: prefer the later-starting event
 // (shortest backward hop), then lower device, kind name, tensor.
-func laterChain(a, b gpusim.Event) bool {
-	if a.Start != b.Start {
-		return a.Start > b.Start
+func laterChain(a, b cand) bool {
+	if a.start != b.start {
+		return a.start > b.start
 	}
-	if a.Device != b.Device {
-		return a.Device < b.Device
+	if a.device != b.device {
+		return a.device < b.device
 	}
-	if a.Kind != b.Kind {
-		return a.Kind.String() < b.Kind.String()
+	if a.kind != b.kind {
+		return a.kind.String() < b.kind.String()
 	}
-	return a.Tensor < b.Tensor
+	return a.tensor < b.tensor
 }
 
 func deviceKey(d int) string {
 	if d < 0 {
 		return "none"
 	}
-	return "device " + itoa(d)
-}
-
-// itoa avoids importing strconv into every file for one-digit device IDs.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return "device " + strconv.Itoa(d)
 }
 
 // shares aggregates segment durations by key, sorted by descending

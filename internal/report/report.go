@@ -82,9 +82,6 @@ func Build(in Input) *Report {
 	return r
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
-
 // WriteText renders the report as a fixed-layout text document.
 func (r *Report) WriteText(w io.Writer) error {
 	tw := &tw{w: w}

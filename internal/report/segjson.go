@@ -1,0 +1,94 @@
+package report
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"strconv"
+)
+
+// segmentsNull is how encoding/json renders a critical path without
+// segments in an indented report. A JSON string cannot hold a raw newline,
+// so in a document these bytes are that key and nothing else.
+const segmentsNull = "\n    \"segments\": null"
+
+// WriteJSON renders the report as indented JSON. The critical path's
+// segments are nearly all of the document, so they alone bypass
+// encoding/json's reflection and its indenting second pass: the rest is
+// marshalled without them and writeSegments fills them in, byte for byte
+// as encoding/json would have written them.
+func (r *Report) WriteJSON(w io.Writer) error {
+	if r.CriticalPath == nil || len(r.CriticalPath.Segments) == 0 {
+		return writeJSON(w, r)
+	}
+	rest, cp := *r, *r.CriticalPath
+	cp.Segments, rest.CriticalPath = nil, &cp
+	doc, err := json.MarshalIndent(&rest, "", "  ")
+	if err != nil {
+		return err
+	}
+	head, tail, _ := bytes.Cut(doc, []byte(segmentsNull))
+	bw := bufio.NewWriter(w)
+	bw.Write(head)
+	if err := writeSegments(bw, r.CriticalPath.Segments); err != nil {
+		return err
+	}
+	bw.Write(tail)
+	bw.WriteByte('\n')
+	return bw.Flush() // reports the first failed write, if any
+}
+
+// writeSegments writes the report's "segments" key and its non-empty value.
+func writeSegments(bw *bufio.Writer, segs []Segment) error {
+	bw.WriteString("\n    \"segments\": [")
+	var buf []byte
+	for i, s := range segs {
+		if !finite(s.Start) || !finite(s.End) {
+			return fmt.Errorf("report: segment %d: [%v, %v] has no JSON form", i, s.Start, s.End)
+		}
+		buf = buf[:0]
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendFloat(append(buf, "\n      {\n        \"start\": "...), s.Start)
+		buf = appendFloat(append(buf, ",\n        \"end\": "...), s.End)
+		buf = appendString(append(buf, ",\n        \"kind\": "...), s.Kind)
+		buf = strconv.AppendInt(append(buf, ",\n        \"device\": "...), int64(s.Device), 10)
+		if s.Tensor != 0 {
+			buf = strconv.AppendUint(append(buf, ",\n        \"tensor\": "...), s.Tensor, 10)
+		}
+		bw.Write(append(buf, "\n      }"...))
+	}
+	bw.WriteString("\n    ]")
+	return nil
+}
+
+// appendFloat appends a finite f in encoding/json's number format.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	// e-09 becomes e-9, as in encoding/json.
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendString appends s as a JSON string. Event kind names are plain
+// ASCII; anything encoding/json would escape is left to encoding/json.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
