@@ -54,14 +54,22 @@ benchsmoke:
 # BENCH_report.json must stay within 2x its baseline ns/op, the baseline
 # being the quadratic walk and the reflection encoder they replaced; that
 # the walk is linear is read off the recorded ns/event column, which stays
-# flat from events=5k to events=80k. Re-run `make bench` to refresh the
-# recordings before the guard.
+# flat from events=5k to events=80k. Front end: every BenchmarkBuildPlan*
+# and BenchmarkExpand* entry in BENCH_frontend.json must stay within 2x its
+# baseline ns/op — the baseline being the per-call enumeration and string
+# signatures they replaced — and a warm Expand, which stamps a template it
+# already holds, may allocate at most 8 objects however many graphs it
+# returns. Re-run `make bench` to refresh the recordings before the guard.
 benchguard:
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 2.0
 	$(GO) run ./cmd/benchjson -guard BENCH_kernel.json -guard-tol 2.5 \
 		-guard-prefix BenchmarkContraction -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_report.json -guard-tol 2.0 \
 		-guard-prefix Benchmark -guard-max-allocs -1
+	$(GO) run ./cmd/benchjson -guard BENCH_frontend.json -guard-tol 2.0 \
+		-guard-prefix Benchmark -guard-max-allocs -1
+	$(GO) run ./cmd/benchjson -guard BENCH_frontend.json -guard-tol 2.0 \
+		-guard-prefix BenchmarkExpand/warm -guard-max-allocs 8
 
 # soak runs the chaos harness: seeded random fault plans × random
 # kill-points (process death simulated by dropping all in-memory state and
@@ -84,7 +92,10 @@ soak:
 # numbers merged in for comparison, then the report layer — the critical
 # path at 5k/20k/80k events and on the nested shape, and the JSON
 # rendering — as BENCH_report.json against the numbers of the walk and
-# the encoder they replaced.
+# the encoder they replaced, then the front end — BuildPlan on the three
+# Table VI correlators (f0d4 at the ladder's 64 time slices) and one
+# Expand call cold and warm — as BENCH_frontend.json against the same
+# benchmark file run on the commit before expansion was templated.
 bench:
 	$(GO) test -run '^$$' -bench 'Contraction' -benchmem . \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_kernel_baseline.json -o BENCH_kernel.json
@@ -92,3 +103,5 @@ bench:
 		| $(GO) run ./cmd/benchjson -baseline BENCH_sched_baseline.json -o BENCH_sched.json
 	$(GO) test -run '^$$' -bench 'CriticalPath|ReportRenderJSON' -benchmem ./internal/report \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_report_baseline.json -o BENCH_report.json
+	$(GO) test -run '^$$' -bench 'BuildPlan|Expand' -benchmem ./internal/redstar ./internal/wick \
+		| $(GO) run ./cmd/benchjson -baseline BENCH_frontend_baseline.json -o BENCH_frontend.json

@@ -8,12 +8,18 @@
 // Redstar: dependency analysis across many graphs that partitions all
 // hadron contractions into sequential stages of mutually independent
 // pairs, with identical sub-contractions deduplicated so that shared
-// hadron nodes and shared intermediates appear exactly once.
+// hadron nodes and shared intermediates appear exactly once. Whole graphs
+// are deduplicated on an integer canonical form (sorted node tensor IDs,
+// sorted edge ID pairs); Signature renders the same form as text.
 package graph
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"micco/internal/tensor"
 )
@@ -71,68 +77,124 @@ func (g *Graph) Validate() error {
 
 // Connected reports whether the graph is a single connected component
 // (required for a contraction to reduce it to a single product chain).
+// It is a union-find over the node indices; graphs of up to 16 nodes —
+// every correlator here has at most a handful — stay on the stack.
 func (g *Graph) Connected() bool {
 	if len(g.Nodes) == 0 {
 		return false
 	}
-	adj := make([][]int, len(g.Nodes))
-	for _, e := range g.Edges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
+	var buf [16]int
+	parent := buf[:0]
+	for i := range g.Nodes {
+		parent = append(parent, i)
 	}
-	seen := make([]bool, len(g.Nodes))
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				count++
-				stack = append(stack, v)
-			}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	components := len(parent)
+	for _, e := range g.Edges {
+		if u, v := find(e.U), find(e.V); u != v {
+			parent[u] = v
+			components--
 		}
 	}
-	return count == len(g.Nodes)
+	return components == 1
 }
 
-// Signature returns a canonical string identifying the graph up to node
-// relabeling by tensor identity: the sorted multiset of edge tensor-ID
-// pairs plus the sorted multiset of node tensor IDs. Two graphs with equal
-// signatures perform identical contractions, so the Wick front end uses it
-// to deduplicate ("unique contraction graphs").
-func (g *Graph) Signature() string {
-	edges := make([]string, 0, len(g.Edges))
-	for _, e := range g.Edges {
-		a := g.Nodes[e.U].Tensor.ID
-		b := g.Nodes[e.V].Tensor.ID
-		if a > b {
-			a, b = b, a
-		}
-		edges = append(edges, fmt.Sprintf("%d-%d", a, b))
-	}
-	sort.Strings(edges)
-	nodes := make([]uint64, 0, len(g.Nodes))
+// appendCanonical appends g's canonical form to key: the graph up to node
+// relabeling by tensor identity, as integers. It is the node count, the
+// node tensor IDs in ascending order, then the edges as (lo, hi) tensor-ID
+// pairs in ascending (lo, hi) order, every number a uvarint. The count
+// makes the encoding injective: two graphs get equal keys exactly when
+// their node multisets and edge multisets agree.
+func (g *Graph) appendCanonical(key []byte) []byte {
+	var nbuf [16]uint64
+	nodes := nbuf[:0]
 	for _, n := range g.Nodes {
 		nodes = append(nodes, n.Tensor.ID)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return fmt.Sprintf("n%v|e%v", nodes, edges)
+	slices.Sort(nodes)
+	var ebuf [16][2]uint64
+	edges := ebuf[:0]
+	for _, e := range g.Edges {
+		a, b := g.Nodes[e.U].Tensor.ID, g.Nodes[e.V].Tensor.ID
+		if a > b {
+			a, b = b, a
+		}
+		edges = append(edges, [2]uint64{a, b})
+	}
+	slices.SortFunc(edges, func(x, y [2]uint64) int {
+		if c := cmp.Compare(x[0], y[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x[1], y[1])
+	})
+	key = binary.AppendUvarint(key, uint64(len(nodes)))
+	for _, id := range nodes {
+		key = binary.AppendUvarint(key, id)
+	}
+	for _, e := range edges {
+		key = binary.AppendUvarint(key, e[0])
+		key = binary.AppendUvarint(key, e[1])
+	}
+	return key
 }
 
-// Dedup returns the unique graphs of gs by Signature, preserving first-seen
-// order.
+// Signature renders the graph's canonical form — the one Dedup keys on —
+// as text: "n[1 2 3]|e[1-2 2-3]", node tensor IDs ascending, then the
+// edges as lo-hi tensor-ID pairs in ascending numeric order. Two graphs
+// with equal signatures perform identical contractions. It is for tests
+// and diagnostics; nothing on the planning path formats it.
+func (g *Graph) Signature() string {
+	key := g.appendCanonical(nil)
+	next := func() uint64 {
+		v, n := binary.Uvarint(key)
+		key = key[n:]
+		return v
+	}
+	var sb strings.Builder
+	sb.WriteString("n[")
+	for i, n := 0, int(next()); i < n; i++ {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(strconv.FormatUint(next(), 10))
+	}
+	sb.WriteString("]|e[")
+	for i := 0; len(key) > 0; i++ {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(strconv.FormatUint(next(), 10))
+		sb.WriteByte('-')
+		sb.WriteString(strconv.FormatUint(next(), 10))
+	}
+	sb.WriteString("]")
+	return sb.String()
+}
+
+// Dedup returns the unique graphs of gs, preserving first-seen order. Two
+// graphs are duplicates when their canonical forms agree: the same
+// multiset of node tensors joined by the same multiset of edges, whatever
+// the node numbering ("unique contraction graphs"). The key is built from
+// integers in one reused buffer; only a first-seen graph's key is kept.
 func Dedup(gs []*Graph) []*Graph {
-	seen := make(map[string]bool, len(gs))
-	var out []*Graph
+	if len(gs) == 0 {
+		return nil
+	}
+	seen := make(map[string]struct{}, len(gs))
+	out := make([]*Graph, 0, len(gs))
+	var key []byte
 	for _, g := range gs {
-		sig := g.Signature()
-		if seen[sig] {
+		key = g.appendCanonical(key[:0])
+		if _, dup := seen[string(key)]; dup {
 			continue
 		}
-		seen[sig] = true
+		seen[string(key)] = struct{}{}
 		out = append(out, g)
 	}
 	return out

@@ -30,13 +30,19 @@ type Plan struct {
 	SharedOps int
 }
 
-// planner carries the cross-graph memoization state.
+// planner carries the cross-graph memoization state and the scratch
+// buffers reduce reuses from graph to graph.
 type planner struct {
 	plan   *Plan
-	memo   map[[2]uint64]tensor.Desc // ordered operand IDs -> output
-	depth  map[uint64]int            // tensor ID -> earliest stage+1 it exists
-	inputs map[uint64]bool
-	nextID uint64
+	memo   map[[2]uint64]int // ordered operand IDs -> index of the op
+	inputs map[uint64]struct{}
+	// firstID is the ID of Ops[0].Out; intermediates are numbered from it
+	// in op order, so a tensor's stage is read off the op that made it.
+	firstID, nextID uint64
+
+	tensors     []tensor.Desc
+	edges, next []Edge
+	matched     []bool
 }
 
 // BuildPlan compiles graphs into a staged plan. Fresh intermediate tensor
@@ -44,12 +50,18 @@ type planner struct {
 // tensor ID). Every graph must be valid and connected.
 func BuildPlan(graphs []*Graph, nextID uint64) (*Plan, error) {
 	p := &planner{
-		plan:   &Plan{Finals: make(map[int]tensor.Desc)},
-		memo:   make(map[[2]uint64]tensor.Desc),
-		depth:  make(map[uint64]int),
-		inputs: make(map[uint64]bool),
-		nextID: nextID,
+		plan:    &Plan{Finals: make(map[int]tensor.Desc, len(graphs))},
+		memo:    make(map[[2]uint64]int, len(graphs)),
+		inputs:  make(map[uint64]struct{}),
+		firstID: nextID,
+		nextID:  nextID,
 	}
+	// A graph of n nodes adds at most n-1 ops; sharing only lowers that.
+	maxOps := 0
+	for _, g := range graphs {
+		maxOps += max(len(g.Nodes)-1, 0)
+	}
+	p.plan.Ops = make([]Op, 0, maxOps)
 	for _, g := range graphs {
 		if err := g.Validate(); err != nil {
 			return nil, err
@@ -62,8 +74,8 @@ func BuildPlan(graphs []*Graph, nextID uint64) (*Plan, error) {
 				return nil, fmt.Errorf("graph %d: leaf tensor ID %d >= nextID %d",
 					g.ID, n.Tensor.ID, nextID)
 			}
-			if !p.inputs[n.Tensor.ID] {
-				p.inputs[n.Tensor.ID] = true
+			if _, ok := p.inputs[n.Tensor.ID]; !ok {
+				p.inputs[n.Tensor.ID] = struct{}{}
 				p.plan.Inputs = append(p.plan.Inputs, n.Tensor)
 			}
 		}
@@ -73,14 +85,19 @@ func BuildPlan(graphs []*Graph, nextID uint64) (*Plan, error) {
 		}
 		p.plan.Finals[g.ID] = final
 	}
-	// Index ops by stage.
-	maxStage := -1
+	// Index ops by stage: count, carve one backing array, fill.
+	var perStage []int
 	for _, op := range p.plan.Ops {
-		if op.Stage > maxStage {
-			maxStage = op.Stage
+		for op.Stage >= len(perStage) {
+			perStage = append(perStage, 0)
 		}
+		perStage[op.Stage]++
 	}
-	p.plan.StageOps = make([][]int, maxStage+1)
+	p.plan.StageOps = make([][]int, len(perStage))
+	index := make([]int, len(p.plan.Ops))
+	for s, n := range perStage {
+		p.plan.StageOps[s], index = index[:0:n], index[n:]
+	}
 	for i, op := range p.plan.Ops {
 		p.plan.StageOps[op.Stage] = append(p.plan.StageOps[op.Stage], i)
 	}
@@ -91,19 +108,25 @@ func BuildPlan(graphs []*Graph, nextID uint64) (*Plan, error) {
 // (independent edges contract concurrently), memoizing each contraction.
 func (p *planner) reduce(g *Graph) (tensor.Desc, error) {
 	// live tensors per node; merged nodes alias a representative.
-	tensors := make([]tensor.Desc, len(g.Nodes))
-	for i, n := range g.Nodes {
-		tensors[i] = n.Tensor
+	tensors := p.tensors[:0]
+	for _, n := range g.Nodes {
+		tensors = append(tensors, n.Tensor)
 	}
-	edges := append([]Edge(nil), g.Edges...)
+	p.tensors = tensors
+	edges := append(p.edges[:0], g.Edges...)
+	nextEdges := p.next[:0]
+	if cap(p.matched) < len(g.Nodes) {
+		p.matched = make([]bool, len(g.Nodes))
+	}
+	matched := p.matched[:len(g.Nodes)]
 	alive := len(g.Nodes)
 	for alive > 1 {
 		if len(edges) == 0 {
 			return tensor.Desc{}, fmt.Errorf("graph %d: ran out of edges with %d nodes left", g.ID, alive)
 		}
-		matched := make(map[int]bool)
+		clear(matched)
 		contractedAny := false
-		var nextEdges []Edge
+		nextEdges = nextEdges[:0]
 		for _, e := range edges {
 			if e.U == e.V {
 				continue // self-loop created by an earlier merge this round
@@ -145,20 +168,32 @@ func (p *planner) reduce(g *Graph) (tensor.Desc, error) {
 		if !contractedAny {
 			return tensor.Desc{}, fmt.Errorf("graph %d: no contractible edge among %d", g.ID, len(edges))
 		}
-		// Drop self-loops produced by merges.
-		edges = nextEdges[:0]
+		// Drop self-loops produced by merges; the survivors are the next
+		// round's edges and this round's buffer becomes its scratch.
+		kept := nextEdges[:0]
 		for _, e := range nextEdges {
 			if e.U != e.V {
-				edges = append(edges, e)
+				kept = append(kept, e)
 			}
 		}
+		edges, nextEdges = kept, edges
 	}
+	p.edges, p.next = edges, nextEdges
 	for _, t := range tensors {
 		if t.Valid() {
 			return t, nil
 		}
 	}
 	return tensor.Desc{}, fmt.Errorf("graph %d: no final tensor", g.ID)
+}
+
+// stageOf returns the earliest stage in which tensor id exists as an
+// operand: 0 for a leaf, one past its producing op's stage otherwise.
+func (p *planner) stageOf(id uint64) int {
+	if id < p.firstID {
+		return 0
+	}
+	return p.plan.Ops[id-p.firstID].Stage + 1
 }
 
 // emit returns the output of contracting a with b, reusing a planned op
@@ -170,21 +205,17 @@ func (p *planner) emit(a, b tensor.Desc) (tensor.Desc, error) {
 		a, b = b, a
 	}
 	key := [2]uint64{a.ID, b.ID}
-	if out, ok := p.memo[key]; ok {
+	if i, ok := p.memo[key]; ok {
 		p.plan.SharedOps++
-		return out, nil
+		return p.plan.Ops[i].Out, nil
 	}
-	stage := p.depth[a.ID]
-	if d := p.depth[b.ID]; d > stage {
-		stage = d
-	}
+	stage := max(p.stageOf(a.ID), p.stageOf(b.ID))
 	out, err := tensor.ContractOut(a, b, p.nextID)
 	if err != nil {
 		return tensor.Desc{}, err
 	}
 	p.nextID++
-	p.memo[key] = out
-	p.depth[out.ID] = stage + 1
+	p.memo[key] = len(p.plan.Ops)
 	p.plan.Ops = append(p.plan.Ops, Op{A: a, B: b, Out: out, Stage: stage})
 	return out, nil
 }

@@ -52,12 +52,17 @@ type DeckQuark struct {
 }
 
 // LoadDeck parses a JSON deck and converts it into a validated Correlator.
+// The input must be exactly one deck: anything but whitespace after it is
+// an error.
 func LoadDeck(r io.Reader) (*Correlator, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var d Deck
 	if err := dec.Decode(&d); err != nil {
 		return nil, fmt.Errorf("redstar: parse deck: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("redstar: parse deck: unexpected data after the deck")
 	}
 	return d.Correlator()
 }

@@ -49,11 +49,22 @@ func TestLoadDeckErrors(t *testing.T) {
 		   {"name": "a", "ops": [{"name": "a", "quarks": [{"flavor": "u"}]}]},
 		   {"name": "b", "ops": [{"name": "b", "quarks": [{"flavor": "d"}]}]}],
 		  "momenta": 1, "timeSlices": 1, "tensorDim": 4, "batch": 1}`,
+		// One deck per input: a second value or stray text after it.
+		rhoDeck + ` {"garbage":1} trailing`,
+		rhoDeck + rhoDeck,
+		rhoDeck + "\n]",
 	}
 	for i, deck := range cases {
 		if _, err := LoadDeck(strings.NewReader(deck)); err == nil {
 			t.Errorf("deck %d should fail", i)
 		}
+	}
+	_, err := LoadDeck(strings.NewReader(rhoDeck + ` {"garbage":1} trailing`))
+	if err == nil || !strings.HasPrefix(err.Error(), "redstar: parse deck:") {
+		t.Errorf("trailing data: error %v, want a redstar: parse deck: error", err)
+	}
+	if _, err := LoadDeck(strings.NewReader(rhoDeck + " \n\t\r\n")); err != nil {
+		t.Errorf("trailing whitespace must stay legal: %v", err)
 	}
 }
 

@@ -31,6 +31,7 @@ func FuzzParseDeck(f *testing.F) {
 	f.Add(`[]`)
 	f.Add(`null`)
 	f.Add(``)
+	f.Add(`{"name":"rho2pt","constructions":[{"name":"rho","ops":[{"name":"rho","quarks":[{"flavor":"u"},{"flavor":"d","bar":true}]}]}],"momenta":1,"timeSlices":1,"tensorDim":4,"batch":1} {"garbage":1} trailing`)
 
 	f.Fuzz(func(t *testing.T, deck string) {
 		c, err := LoadDeck(strings.NewReader(deck))

@@ -11,6 +11,7 @@ package redstar
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"micco/internal/graph"
@@ -82,62 +83,88 @@ func conjugate(op wick.Operator) wick.Operator {
 
 // Validate checks the correlator is buildable.
 func (c *Correlator) Validate() error {
+	_, err := c.specs()
+	return err
+}
+
+// specs validates the correlator and returns the Wick specification of
+// every (source, sink) construction pair, sources outermost — the order
+// BuildPlan expands them in at each sink time.
+func (c *Correlator) specs() ([]wick.Spec, error) {
 	if len(c.Constructions) == 0 {
-		return fmt.Errorf("redstar: %s: no constructions", c.Name)
+		return nil, fmt.Errorf("redstar: %s: no constructions", c.Name)
 	}
 	if c.TimeSlices <= 0 {
-		return fmt.Errorf("redstar: %s: TimeSlices must be positive", c.Name)
+		return nil, fmt.Errorf("redstar: %s: TimeSlices must be positive", c.Name)
 	}
-	for _, src := range c.Constructions {
-		for _, snk := range c.Constructions {
-			spec := c.specFor(src, snk)
-			if err := spec.Validate(); err != nil {
-				return fmt.Errorf("redstar: %s: %s x %s: %w", c.Name, src.Name, snk.Name, err)
+	// A hadron block is keyed by operator name, so one name must mean one
+	// quark content throughout the basis.
+	type firstUse struct {
+		construction string
+		quarks       []wick.Quark
+	}
+	byName := map[string]firstUse{}
+	for _, con := range c.Constructions {
+		for _, op := range con.Ops {
+			first, seen := byName[op.Name]
+			if !seen {
+				byName[op.Name] = firstUse{con.Name, op.Quarks}
+			} else if !slices.Equal(first.quarks, op.Quarks) {
+				return nil, fmt.Errorf("redstar: %s: operator %q has different quark content in constructions %s and %s",
+					c.Name, op.Name, first.construction, con.Name)
 			}
 		}
 	}
-	return nil
-}
-
-func (c *Correlator) specFor(src, snk Construction) wick.Spec {
-	sink := make([]wick.Operator, 0, len(snk.Ops))
-	for _, op := range snk.Ops {
-		sink = append(sink, conjugate(op))
+	sinks := make([][]wick.Operator, len(c.Constructions))
+	for i, snk := range c.Constructions {
+		for _, op := range snk.Ops {
+			sinks[i] = append(sinks[i], conjugate(op))
+		}
 	}
-	return wick.Spec{
-		Name:      fmt.Sprintf("%s:%s->%s", c.Name, src.Name, snk.Name),
-		Source:    src.Ops,
-		Sink:      sink,
-		Momenta:   c.Momenta,
-		TensorDim: c.TensorDim,
-		Batch:     c.Batch,
+	specs := make([]wick.Spec, 0, len(c.Constructions)*len(c.Constructions))
+	for _, src := range c.Constructions {
+		for i, snk := range c.Constructions {
+			spec := wick.Spec{
+				Name:      fmt.Sprintf("%s:%s->%s", c.Name, src.Name, snk.Name),
+				Source:    src.Ops,
+				Sink:      sinks[i],
+				Momenta:   c.Momenta,
+				TensorDim: c.TensorDim,
+				Batch:     c.Batch,
+			}
+			if err := spec.Validate(); err != nil {
+				return nil, fmt.Errorf("redstar: %s: %s x %s: %w", c.Name, src.Name, snk.Name, err)
+			}
+			specs = append(specs, spec)
+		}
 	}
+	return specs, nil
 }
 
 // BuildPlan expands, deduplicates and stages the correlator.
 func (c *Correlator) BuildPlan() (*Build, error) {
-	if err := c.Validate(); err != nil {
+	specs, err := c.specs()
+	if err != nil {
 		return nil, err
 	}
 	bt := wick.NewBlockTableWithRank(c.TensorDim, c.Batch, c.blockRank())
 	var all []*graph.Graph
-	graphTime := make(map[int]int) // graph ID -> sink time
+	// idEnd[t-1] is the first graph ID past sink time t: IDs are issued in
+	// expansion order, so they rise with the sink time.
+	idEnd := make([]int, 0, c.TimeSlices)
 	var gid int
 	for t := 1; t <= c.TimeSlices; t++ {
-		for _, src := range c.Constructions {
-			for _, snk := range c.Constructions {
-				spec := c.specFor(src, snk)
-				gs, err := wick.Expand(spec, 0, t, bt, &gid)
-				if err != nil {
-					return nil, err
-				}
-				for _, g := range gs {
-					graphTime[g.ID] = t
-				}
-				all = append(all, gs...)
+		for _, spec := range specs {
+			gs, err := wick.Expand(spec, 0, t, bt, &gid)
+			if err != nil {
+				return nil, err
 			}
+			all = append(all, gs...)
 		}
+		idEnd = append(idEnd, gid)
 	}
+	// Expand deduplicates within one spec and time; this pass catches a
+	// graph that two construction pairs both produce.
 	all = graph.Dedup(all)
 	plan, err := graph.BuildPlan(all, bt.NextID())
 	if err != nil {
@@ -148,11 +175,24 @@ func (c *Correlator) BuildPlan() (*Build, error) {
 		Plan:         plan,
 		NumGraphs:    len(all),
 		Blocks:       bt.Len(),
-		FinalsByTime: make(map[int][]tensor.Desc),
-		InputsByID:   make(map[uint64]tensor.Desc),
+		FinalsByTime: make(map[int][]tensor.Desc, c.TimeSlices),
+		InputsByID:   make(map[uint64]tensor.Desc, len(plan.Inputs)),
 	}
-	for _, g := range all {
-		b.FinalsByTime[graphTime[g.ID]] = append(b.FinalsByTime[graphTime[g.ID]], plan.Finals[g.ID])
+	// all is in ID order, so each sink time's finals are one run of it,
+	// carved from a single backing array.
+	finals := make([]tensor.Desc, len(all))
+	for i, g := range all {
+		finals[i] = plan.Finals[g.ID]
+	}
+	for t, lo := 1, 0; t <= c.TimeSlices; t++ {
+		hi := lo
+		for hi < len(all) && all[hi].ID < idEnd[t-1] {
+			hi++
+		}
+		if hi > lo {
+			b.FinalsByTime[t] = finals[lo:hi:hi]
+		}
+		lo = hi
 	}
 	for _, d := range plan.Inputs {
 		b.InputsByID[d.ID] = d

@@ -3,6 +3,7 @@ package redstar
 import (
 	"context"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"micco/internal/baseline"
@@ -71,6 +72,56 @@ func TestValidateRejectsBadCorrelator(t *testing.T) {
 	}
 	if _, err := unbalanced.BuildPlan(); err == nil {
 		t.Error("BuildPlan on invalid correlator: want error")
+	}
+}
+
+// TestValidateOperatorNames: a hadron block is keyed by operator name, so
+// one name with two quark contents would alias two hadrons to one tensor.
+func TestValidateOperatorNames(t *testing.T) {
+	// Every operator is flavor-neutral, so each basis balances and only the
+	// naming can be at fault.
+	basis := func(second wick.Operator) *Correlator {
+		return &Correlator{
+			Name: "names",
+			Constructions: []Construction{
+				{Name: "one", Ops: []wick.Operator{wick.Meson("eta", "u", "u")}},
+				{Name: "two", Ops: []wick.Operator{wick.Meson("rho0", "d", "d"), second}},
+			},
+			Momenta: 1, TimeSlices: 2, TensorDim: 4, Batch: 1,
+		}
+	}
+	cases := []struct {
+		name   string
+		second wick.Operator
+		ok     bool
+	}{
+		{"same name, same content", wick.Meson("eta", "u", "u"), true},
+		{"another name", wick.Meson("eta'", "d", "d"), true},
+		{"same name, other flavor", wick.Meson("eta", "d", "d"), false},
+		{"same name, antiquark first", wick.Operator{Name: "eta", Quarks: []wick.Quark{wick.Qbar("u"), wick.Q("u")}}, false},
+		{"same name, more quarks", wick.Operator{Name: "eta", Quarks: []wick.Quark{
+			wick.Q("u"), wick.Qbar("u"), wick.Q("d"), wick.Qbar("d")}}, false},
+	}
+	for _, tc := range cases {
+		err := basis(tc.second).Validate()
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		for _, want := range []string{`"eta"`, "one", "two"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %s", tc.name, err, want)
+			}
+		}
+		if _, err := basis(tc.second).BuildPlan(); err == nil {
+			t.Errorf("%s: BuildPlan accepted", tc.name)
+		}
 	}
 }
 

@@ -7,9 +7,15 @@
 // Graphs that are disconnected (or contain self-contractions) are dropped,
 // and isomorphic duplicates are deduplicated, yielding the paper's "unique
 // contraction graphs".
+//
+// The enumeration of a spec does not depend on the time slices — they only
+// name the blocks — so a block table keeps it as a template, built on the
+// first Expand of that spec content and stamped onto the requested blocks
+// on every call (DESIGN.md §17).
 package wick
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -74,18 +80,20 @@ func (s Spec) Validate() error {
 		return errors.New("wick: TensorDim and Batch must be positive")
 	}
 	counts := map[string]int{}
-	for _, op := range append(append([]Operator{}, s.Source...), s.Sink...) {
-		if len(op.Quarks) == 0 {
-			return fmt.Errorf("wick: operator %q has no quarks", op.Name)
-		}
-		for _, q := range op.Quarks {
-			if q.Flavor == "" {
-				return fmt.Errorf("wick: operator %q has a quark with empty flavor", op.Name)
+	for _, ops := range [2][]Operator{s.Source, s.Sink} {
+		for _, op := range ops {
+			if len(op.Quarks) == 0 {
+				return fmt.Errorf("wick: operator %q has no quarks", op.Name)
 			}
-			if q.Bar {
-				counts[q.Flavor]--
-			} else {
-				counts[q.Flavor]++
+			for _, q := range op.Quarks {
+				if q.Flavor == "" {
+					return fmt.Errorf("wick: operator %q has a quark with empty flavor", op.Name)
+				}
+				if q.Bar {
+					counts[q.Flavor]--
+				} else {
+					counts[q.Flavor]++
+				}
 			}
 		}
 	}
@@ -106,12 +114,17 @@ type BlockKey struct {
 }
 
 // BlockTable assigns stable tensor identities to hadron blocks so that the
-// same block is the same tensor across graphs, momenta and time slices.
+// same block is the same tensor across graphs, momenta and time slices. It
+// also owns the expansion templates of the specs expanded against it (see
+// Expand), so they live exactly as long as the table.
 type BlockTable struct {
 	dim, batch, rank int
 	blocks           map[BlockKey]tensor.Desc
 	order            []BlockKey
 	next             uint64
+
+	templates map[string]*template
+	specKey   []byte // reused buffer for the template lookup
 }
 
 // NewBlockTable creates a table of rank-2 (meson) blocks issuing tensor
@@ -125,7 +138,8 @@ func NewBlockTable(dim, batch int) *BlockTable {
 // systems (batched rank-3 hadron blocks).
 func NewBlockTableWithRank(dim, batch, rank int) *BlockTable {
 	return &BlockTable{dim: dim, batch: batch, rank: rank,
-		blocks: make(map[BlockKey]tensor.Desc), next: 1}
+		blocks: make(map[BlockKey]tensor.Desc), next: 1,
+		templates: make(map[string]*template)}
 }
 
 // Get returns the tensor for key, creating it on first use.
@@ -155,102 +169,210 @@ func (bt *BlockTable) NextID() uint64 { return bt.next }
 // Len returns the number of issued blocks.
 func (bt *BlockTable) Len() int { return len(bt.order) }
 
-// quarkSlot locates one quark field: which operator (global index over
-// source then sink) it belongs to.
-type quarkSlot struct {
-	opIdx int
+// template is what Expand's result has in common over every pair of times
+// with the same srcTime == snkTime answer. Two nodes share a block exactly
+// when operator name, momentum and time agree, so which pairings are
+// connected, which of those survive deduplication, their edges and their
+// rank among the connected ones follow from the spec's operators and
+// momenta alone; the times only choose which blocks the nodes are.
+type template struct {
+	// connected counts the connected pairings over all momentum
+	// assignments, deduplicated or not: each takes one graph ID.
+	connected int
+	graphs    []templateGraph // the survivors, in emission order
+	edges     []graph.Edge    // their edge lists, back to back
+}
+
+// templateGraph is one surviving graph: the momentum assignment whose
+// nodes it sits on (in enumeration order), its rank among the connected
+// pairings (its ID past the call's first), and its share of the edges.
+type templateGraph struct {
+	assignment, ordinal int
+	edgeLo, edgeHi      int
+}
+
+// appendSpecKey appends what a template depends on: the operators' names
+// and quark content, source and sink kept apart, the momentum count, and
+// whether source and sink times coincide. Strings are length-prefixed, so
+// different specs cannot produce the same key. The spec's Name is left
+// out: it labels the spec and changes nothing about its graphs.
+func appendSpecKey(key []byte, spec Spec, sameTime bool) []byte {
+	str := func(s string) {
+		key = binary.AppendUvarint(key, uint64(len(s)))
+		key = append(key, s...)
+	}
+	ops := func(ops []Operator) {
+		key = binary.AppendUvarint(key, uint64(len(ops)))
+		for _, op := range ops {
+			str(op.Name)
+			key = binary.AppendUvarint(key, uint64(len(op.Quarks)))
+			for _, q := range op.Quarks {
+				str(q.Flavor)
+				if q.Bar {
+					key = append(key, 1)
+				} else {
+					key = append(key, 0)
+				}
+			}
+		}
+	}
+	ops(spec.Source)
+	ops(spec.Sink)
+	key = binary.AppendUvarint(key, uint64(spec.Momenta))
+	if sameTime {
+		return append(key, 1)
+	}
+	return append(key, 0)
 }
 
 // Expand enumerates the unique contraction graphs of spec for one source
 // time (srcTime) and one sink time (snkTime), issuing hadron blocks from
-// bt and graph IDs from *nextGraphID (advanced as graphs are emitted).
+// bt and graph IDs from *nextGraphID: every connected pairing takes one ID
+// in enumeration order, and the survivors of deduplication keep theirs.
 // Pairings that self-contract within one operator or leave the diagram
 // disconnected are dropped; isomorphic graphs are deduplicated.
+//
+// The pairings are enumerated once per block table and spec content
+// (operators, quarks, momenta — not the spec's Name) and per answer to
+// srcTime == snkTime; the result is kept on bt as a template. Every call,
+// the first included, then requests the blocks of each momentum
+// assignment from bt in enumeration order and stamps the template's
+// graphs onto them, so a repeated spec costs a few allocations however
+// many graphs it has. Graphs of one momentum assignment share their Nodes
+// backing array; no two graphs share Edges.
 func Expand(spec Spec, srcTime, snkTime int, bt *BlockTable, nextGraphID *int) ([]*graph.Graph, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	ops := append(append([]Operator{}, spec.Source...), spec.Sink...)
-	numSrc := len(spec.Source)
-
-	// Collect quark and antiquark slots per flavor.
-	quarks := map[string][]quarkSlot{}
-	antis := map[string][]quarkSlot{}
-	var flavors []string
-	for i, op := range ops {
-		for _, q := range op.Quarks {
-			m := quarks
-			if q.Bar {
-				m = antis
-			}
-			if _, ok := m[q.Flavor]; !ok && len(quarks[q.Flavor]) == 0 && len(antis[q.Flavor]) == 0 {
-				flavors = append(flavors, q.Flavor)
-			}
-			m[q.Flavor] = append(m[q.Flavor], quarkSlot{opIdx: i})
-		}
+	sameTime := srcTime == snkTime
+	bt.specKey = appendSpecKey(bt.specKey[:0], spec, sameTime)
+	tpl, ok := bt.templates[string(bt.specKey)]
+	if !ok {
+		tpl = buildTemplate(spec, sameTime)
+		bt.templates[string(bt.specKey)] = tpl
 	}
 
-	// Enumerate momentum assignments for sink operators (sources fixed at
-	// momentum 0).
-	var all []*graph.Graph
-	momenta := make([]int, len(spec.Sink))
-	var emitMomentum func(pos int) error
-	emitMomentum = func(pos int) error {
-		if pos == len(spec.Sink) {
-			gs, err := expandPairings(spec, ops, numSrc, flavors, quarks, antis,
-				srcTime, snkTime, momenta, bt, nextGraphID)
-			if err != nil {
-				return err
-			}
-			all = append(all, gs...)
-			return nil
-		}
-		for m := 0; m < spec.Momenta; m++ {
-			momenta[pos] = m
-			if err := emitMomentum(pos + 1); err != nil {
-				return err
-			}
-		}
-		return nil
+	numOps := len(spec.Source) + len(spec.Sink)
+	nodes := requestBlocks(spec, srcTime, snkTime, bt)
+
+	base := *nextGraphID
+	*nextGraphID += tpl.connected
+	if len(tpl.graphs) == 0 {
+		return nil, nil
 	}
-	if err := emitMomentum(0); err != nil {
-		return nil, err
+	edges := append([]graph.Edge(nil), tpl.edges...)
+	slab := make([]graph.Graph, len(tpl.graphs))
+	out := make([]*graph.Graph, len(tpl.graphs))
+	for i, tg := range tpl.graphs {
+		lo, hi := tg.assignment*numOps, (tg.assignment+1)*numOps
+		slab[i] = graph.Graph{
+			ID:    base + tg.ordinal,
+			Nodes: nodes[lo:hi:hi],
+			Edges: edges[tg.edgeLo:tg.edgeHi:tg.edgeHi],
+		}
+		out[i] = &slab[i]
 	}
-	return graph.Dedup(all), nil
+	return out, nil
 }
 
-// expandPairings enumerates flavor-preserving bijections and emits one
-// graph per connected, self-contraction-free pairing.
-func expandPairings(spec Spec, ops []Operator, numSrc int, flavors []string,
-	quarks, antis map[string][]quarkSlot, srcTime, snkTime int, momenta []int,
-	bt *BlockTable, nextGraphID *int) ([]*graph.Graph, error) {
-
-	// Node tensors for this momentum/time instantiation.
-	nodes := make([]graph.Node, len(ops))
-	for i, op := range ops {
-		key := BlockKey{Op: op.Name, Momentum: 0, Time: srcTime}
-		if i >= numSrc {
-			key.Momentum = momenta[i-numSrc]
-			key.Time = snkTime
+// requestBlocks asks bt for the blocks of every momentum assignment of
+// spec's sink operators, in enumeration order (last sink fastest), and
+// returns them as rows of one node slab: row a holds assignment a's nodes,
+// sources (momentum 0, srcTime) first, then sinks (their momentum,
+// snkTime). The order of the requests is part of Expand's contract: a
+// first request issues a tensor ID.
+func requestBlocks(spec Spec, srcTime, snkTime int, bt *BlockTable) []graph.Node {
+	numSrc := len(spec.Source)
+	numOps := numSrc + len(spec.Sink)
+	assignments := 1
+	for range spec.Sink {
+		assignments *= spec.Momenta
+	}
+	nodes := make([]graph.Node, assignments*numOps)
+	momenta := make([]int, len(spec.Sink))
+	for row := nodes; len(row) > 0; row = row[numOps:] {
+		for i, op := range spec.Source {
+			row[i] = graph.Node{ID: i, Tensor: bt.Get(BlockKey{Op: op.Name, Time: srcTime})}
 		}
-		nodes[i] = graph.Node{ID: i, Tensor: bt.Get(key)}
+		for i, op := range spec.Sink {
+			row[numSrc+i] = graph.Node{ID: numSrc + i,
+				Tensor: bt.Get(BlockKey{Op: op.Name, Momentum: momenta[i], Time: snkTime})}
+		}
+		for pos := len(momenta) - 1; pos >= 0; pos-- {
+			if momenta[pos]++; momenta[pos] < spec.Momenta {
+				break
+			}
+			momenta[pos] = 0
+		}
+	}
+	return nodes
+}
+
+// buildTemplate enumerates the pairings of a valid spec — once: they do
+// not depend on the momenta — lays them over every momentum assignment of
+// a private block table (source time 0, sink time 0 or 1, so that tensor
+// identity there stands for block identity anywhere), and deduplicates.
+func buildTemplate(spec Spec, sameTime bool) *template {
+	// Collect quark and antiquark slots per flavor: which operator (global
+	// index over source then sink) each field belongs to.
+	quarks := map[string][]int{}
+	antis := map[string][]int{}
+	var flavors []string
+	numOps := 0
+	for _, ops := range [2][]Operator{spec.Source, spec.Sink} {
+		for _, op := range ops {
+			for _, q := range op.Quarks {
+				m := quarks
+				if q.Bar {
+					m = antis
+				}
+				if len(quarks[q.Flavor]) == 0 && len(antis[q.Flavor]) == 0 {
+					flavors = append(flavors, q.Flavor)
+				}
+				m[q.Flavor] = append(m[q.Flavor], numOps)
+			}
+			numOps++
+		}
+	}
+	pairings := connectedPairings(numOps, flavors, quarks, antis)
+
+	snkTime := 1
+	if sameTime {
+		snkTime = 0
+	}
+	nodes := requestBlocks(spec, 0, snkTime, NewBlockTable(1, 1))
+	var all []*graph.Graph
+	for ; len(nodes) > 0; nodes = nodes[numOps:] {
+		for _, edges := range pairings {
+			all = append(all, &graph.Graph{ID: len(all), Nodes: nodes[:numOps], Edges: edges})
+		}
 	}
 
-	var out []*graph.Graph
+	tpl := &template{connected: len(all)}
+	for _, g := range graph.Dedup(all) {
+		lo := len(tpl.edges)
+		tpl.edges = append(tpl.edges, g.Edges...)
+		tpl.graphs = append(tpl.graphs, templateGraph{
+			assignment: g.ID / len(pairings), ordinal: g.ID, edgeLo: lo, edgeHi: len(tpl.edges)})
+	}
+	return tpl
+}
+
+// connectedPairings enumerates the flavor-preserving bijections of quarks
+// onto antiquarks over numOps operators and returns the edge list of every
+// pairing that is connected and free of self-contractions, in enumeration
+// order.
+func connectedPairings(numOps int, flavors []string, quarks, antis map[string][]int) [][]graph.Edge {
+	nodes := make([]graph.Node, numOps)
+	var out [][]graph.Edge
 	edges := []graph.Edge{}
 	var recurse func(fi int)
-	var emit func()
-	emit = func() {
-		g := &graph.Graph{ID: *nextGraphID, Nodes: nodes, Edges: append([]graph.Edge(nil), edges...)}
-		if !g.Connected() {
-			return
-		}
-		*nextGraphID++
-		out = append(out, g)
-	}
 	recurse = func(fi int) {
 		if fi == len(flavors) {
-			emit()
+			g := graph.Graph{Nodes: nodes, Edges: edges}
+			if g.Connected() {
+				out = append(out, append([]graph.Edge(nil), edges...))
+			}
 			return
 		}
 		f := flavors[fi]
@@ -265,7 +387,7 @@ func expandPairings(spec Spec, ops []Operator, numSrc int, flavors []string,
 				added := 0
 				ok := true
 				for qi, ai := range perm[:len(qs)] {
-					u, v := qs[qi].opIdx, as[ai].opIdx
+					u, v := qs[qi], as[ai]
 					if u == v {
 						ok = false // self-contraction within one operator
 						break
@@ -292,5 +414,5 @@ func expandPairings(spec Spec, ops []Operator, numSrc int, flavors []string,
 		permute(0)
 	}
 	recurse(0)
-	return out, nil
+	return out
 }

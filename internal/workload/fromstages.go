@@ -20,40 +20,50 @@ func FromStages(name string, stages [][]Pair, inputs []tensor.Desc) (*Workload, 
 	if len(stages) == 0 {
 		return nil, errors.New("workload: no stages")
 	}
-	known := make(map[uint64]bool, len(inputs))
-	w := &Workload{Name: name}
+	numPairs := 0
+	for _, pairs := range stages {
+		numPairs += len(pairs)
+	}
+	// seen holds every tensor that exists so far — inputs and earlier
+	// outputs — and says whether it has appeared in the pair stream yet.
+	seen := make(map[uint64]bool, len(inputs)+numPairs)
+	w := &Workload{
+		Name:    name,
+		Stages:  make([]Stage, 0, len(stages)),
+		Inputs:  make([]tensor.Desc, 0, len(inputs)),
+		Outputs: make([]tensor.Desc, 0, numPairs),
+	}
 	for _, d := range inputs {
 		if !d.Valid() {
 			return nil, fmt.Errorf("workload: invalid input tensor %v", d)
 		}
-		if known[d.ID] {
+		if _, dup := seen[d.ID]; dup {
 			return nil, fmt.Errorf("workload: duplicate input tensor %d", d.ID)
 		}
-		known[d.ID] = true
+		seen[d.ID] = false
 		w.Inputs = append(w.Inputs, d)
 	}
-	seen := make(map[uint64]bool)
 	maxVec, dim := 0, 0
 	for si, pairs := range stages {
 		if len(pairs) == 0 {
 			return nil, fmt.Errorf("workload: stage %d is empty", si)
 		}
-		st := Stage{Index: si}
+		st := Stage{Index: si, Pairs: make([]Pair, 0, len(pairs))}
 		repeats := 0
 		for _, p := range pairs {
-			for _, op := range []tensor.Desc{p.A, p.B} {
-				if !known[op.ID] {
-					return nil, fmt.Errorf("workload: stage %d operand t%d unknown", si, op.ID)
+			for _, id := range [2]uint64{p.A.ID, p.B.ID} {
+				repeated, known := seen[id]
+				if !known {
+					return nil, fmt.Errorf("workload: stage %d operand t%d unknown", si, id)
 				}
-				if seen[op.ID] {
+				if repeated {
 					repeats++
 				}
-				seen[op.ID] = true
+				seen[id] = true
 			}
-			if known[p.Out.ID] {
+			if _, exists := seen[p.Out.ID]; exists {
 				return nil, fmt.Errorf("workload: stage %d output t%d already exists", si, p.Out.ID)
 			}
-			known[p.Out.ID] = true
 			seen[p.Out.ID] = true
 			w.Outputs = append(w.Outputs, p.Out)
 			st.Pairs = append(st.Pairs, p)

@@ -214,17 +214,16 @@ func pickIndex(rng *rand.Rand, d Distribution, n int) int {
 // markLastUses sets Pair.LastUse on the final consumer of every input
 // tensor, enabling engines to discard dead tensors.
 func markLastUses(w *Workload) {
-	type use struct{ stage, pair, slot int }
-	last := make(map[uint64]use)
+	last := make(map[uint64]*bool, len(w.Inputs)+len(w.Outputs))
 	for si := range w.Stages {
 		for pi := range w.Stages[si].Pairs {
 			p := &w.Stages[si].Pairs[pi]
-			last[p.A.ID] = use{si, pi, 0}
-			last[p.B.ID] = use{si, pi, 1}
+			last[p.A.ID] = &p.LastUse[0]
+			last[p.B.ID] = &p.LastUse[1]
 		}
 	}
-	for _, u := range last {
-		w.Stages[u.stage].Pairs[u.pair].LastUse[u.slot] = true
+	for _, flag := range last {
+		*flag = true
 	}
 }
 
