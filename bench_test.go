@@ -340,6 +340,37 @@ func BenchmarkContractionStage(b *testing.B) {
 	}
 }
 
+// BenchmarkNumericRun measures the numeric engine on the job the ladder's
+// deck_numeric workload times: al_rhopi at 4 time slices and batch 2
+// (tensor size 128), scheduled by fixed-bound MICCO on 8 devices and
+// contracted with reclamation on at the default pool width. ns/op is the
+// schedule-plus-contract time of one job; B/op is what the engine
+// allocates for it, which is what bounded-width level execution keeps
+// near the live set (make benchguard gates both).
+func BenchmarkNumericRun(b *testing.B) {
+	b.Run("al_rhopi_t4", func(b *testing.B) {
+		c := micco.A1RhoPi()
+		c.TimeSlices, c.Batch = 4, 2
+		build, err := c.BuildPlan()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cluster, err := micco.NewCluster(micco.MI100(8))
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := micco.RunOptions{Numeric: true, NumericSeed: 2022, NumericReclaim: true}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s := micco.NewMICCOFixed(micco.Bounds{0, 2, 0})
+			if _, err := micco.Run(context.Background(), build.Workload, s, cluster, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkWickExpansion measures the Wick-contraction front end compiling
 // the bundled al_rhopi correlator into a staged plan.
 func BenchmarkWickExpansion(b *testing.B) {

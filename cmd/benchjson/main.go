@@ -16,18 +16,22 @@
 // With -guard, benchjson runs as a checker instead of a recorder: it reads
 // the named document (stdin is ignored) and fails when a guarded benchmark
 // regressed — any entry matching -guard-prefix (observability-on "/obs"
-// variants excepted) reporting allocs/op above -guard-max-allocs, or ns/op
-// beyond -guard-tol times its "_baseline/" entry in the same document:
+// variants excepted) reporting allocs/op above -guard-max-allocs, B/op
+// above -guard-max-bytes, or ns/op beyond -guard-tol times its
+// "_baseline/" entry in the same document:
 //
 //	benchjson -guard BENCH_sched.json -guard-tol 2.0
 //	benchjson -guard BENCH_kernel.json -guard-prefix BenchmarkContraction \
 //	    -guard-max-allocs -1 -guard-tol 2.5
+//	benchjson -guard BENCH_kernel.json -guard-prefix BenchmarkNumericRun \
+//	    -guard-max-allocs -1 -guard-max-bytes 100e6
 //
 // The defaults guard the scheduler placement hot path
 // (BenchmarkSchedulerAssign*, zero allocations). A negative
 // -guard-max-allocs disables the allocation check, leaving only the
 // ns/op-versus-baseline comparison — the right setting for kernel
-// throughput documents whose benchmarks legitimately allocate. Entries
+// throughput documents whose benchmarks legitimately allocate; a negative
+// -guard-max-bytes (the default) likewise disables the B/op check. Entries
 // without a baseline are reported and skipped (first recording of a new
 // benchmark); a guard run that finds no entries to check fails.
 package main
@@ -56,10 +60,11 @@ func main() {
 	guardTol := flag.Float64("guard-tol", 2.0, "with -guard, the allowed ns/op growth factor over the document's _baseline entries")
 	guardPre := flag.String("guard-prefix", defaultGuardPrefix, "with -guard, the benchmark name prefix selecting the guarded entries")
 	guardAllocs := flag.Float64("guard-max-allocs", 0, "with -guard, the allowed allocs/op per guarded entry (negative disables the allocation check)")
+	guardBytes := flag.Float64("guard-max-bytes", -1, "with -guard, the allowed B/op per guarded entry (negative disables the check)")
 	flag.Parse()
 
 	if *guard != "" {
-		if err := runGuard(os.Stderr, *guard, *guardTol, *guardPre, *guardAllocs); err != nil {
+		if err := runGuard(os.Stderr, *guard, *guardTol, *guardPre, *guardAllocs, *guardBytes); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
@@ -76,13 +81,13 @@ func main() {
 const defaultGuardPrefix = "BenchmarkSchedulerAssign"
 
 // runGuard checks the recorded benchmarks matching prefix in the document
-// at path: at most maxAllocs allocations per op (negative disables the
-// check), and ns/op within tol times the document's own "_baseline/"
-// entry. Observability-on variants (names containing "/obs") are exempt
+// at path: at most maxAllocs allocations and maxBytes bytes per op (a
+// negative bound disables its check), and ns/op within tol times the
+// document's own "_baseline/" entry. Observability-on variants (names containing "/obs") are exempt
 // from the allocation check — a live DecisionRecord legitimately
 // allocates. Entries without a baseline are noted on w and skipped; zero
 // checkable entries is itself an error (the guard would be vacuous).
-func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs float64) error {
+func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs, maxBytes float64) error {
 	doc, err := loadBaseline(path) // same shape; baseline-prefix pruning is harmless here
 	if err != nil {
 		return err
@@ -110,6 +115,9 @@ func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs fl
 		checked++
 		if a := m["allocs/op"]; maxAllocs >= 0 && a > maxAllocs {
 			failures = append(failures, fmt.Sprintf("%s: %g allocs/op, want <= %g (guarded hot path)", name, a, maxAllocs))
+		}
+		if b := m["B/op"]; maxBytes >= 0 && b > maxBytes {
+			failures = append(failures, fmt.Sprintf("%s: %g B/op, want <= %g", name, b, maxBytes))
 		}
 		base, ok := full["_baseline/"+name]
 		if !ok {

@@ -227,7 +227,7 @@ func TestGuardPasses(t *testing.T) {
   "_baseline/BenchmarkSchedulerAssignLarge/Hier/devs=4096": {"ns/op": 600}
 }`)
 	var w strings.Builder
-	if err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0); err != nil {
+	if err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0, -1); err != nil {
 		t.Fatalf("clean document failed the guard: %v\n%s", err, w.String())
 	}
 	// The /obs variant (allocates by design) and non-Assign benchmarks must
@@ -243,7 +243,7 @@ func TestGuardFailsOnAllocs(t *testing.T) {
   "_baseline/BenchmarkSchedulerAssign/MICCO(0,2,0)": {"ns/op": 140}
 }`)
 	var w strings.Builder
-	err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0)
+	err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0, -1)
 	if err == nil {
 		t.Fatal("allocating hot path passed the guard")
 	}
@@ -258,12 +258,12 @@ func TestGuardFailsOnSlowdown(t *testing.T) {
   "_baseline/BenchmarkSchedulerAssign/MICCO(0,2,0)": {"ns/op": 140}
 }`)
 	var w strings.Builder
-	if err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0); err == nil {
+	if err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0, -1); err == nil {
 		t.Fatal("3.6x slowdown passed a 2x guard")
 	}
 	// The same numbers under a forgiving tolerance must pass.
 	w.Reset()
-	if err := runGuard(&w, path, 4.0, defaultGuardPrefix, 0); err != nil {
+	if err := runGuard(&w, path, 4.0, defaultGuardPrefix, 0, -1); err != nil {
 		t.Fatalf("3.6x slowdown failed a 4x guard: %v", err)
 	}
 }
@@ -273,7 +273,7 @@ func TestGuardMissingBaselineWarnsAndSkips(t *testing.T) {
   "BenchmarkSchedulerAssign/NewScheduler": {"ns/op": 9e9, "allocs/op": 0}
 }`)
 	var w strings.Builder
-	if err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0); err != nil {
+	if err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0, -1); err != nil {
 		t.Fatalf("entry without baseline must pass (first recording): %v", err)
 	}
 	if !strings.Contains(w.String(), "no _baseline entry") {
@@ -294,7 +294,7 @@ func TestGuardKernelPrefix(t *testing.T) {
   "_baseline/BenchmarkContractionKernelFast": {"ns/op": 1.5e6}
 }`)
 	var w strings.Builder
-	if err := runGuard(&w, path, 2.5, "BenchmarkContraction", -1); err != nil {
+	if err := runGuard(&w, path, 2.5, "BenchmarkContraction", -1, -1); err != nil {
 		t.Fatalf("healthy kernel document failed the guard: %v\n%s", err, w.String())
 	}
 	if !strings.Contains(w.String(), "2 BenchmarkContraction* entries") {
@@ -302,7 +302,7 @@ func TestGuardKernelPrefix(t *testing.T) {
 	}
 	// With the allocation check on, the same document must fail.
 	w.Reset()
-	if err := runGuard(&w, path, 2.5, "BenchmarkContraction", 0); err == nil {
+	if err := runGuard(&w, path, 2.5, "BenchmarkContraction", 0, -1); err == nil {
 		t.Fatal("allocating kernel entries passed a zero-alloc guard")
 	}
 	// A kernel slowdown beyond tolerance must fail even with allocs off.
@@ -310,32 +310,55 @@ func TestGuardKernelPrefix(t *testing.T) {
   "BenchmarkContractionKernel": {"ns/op": 9e6, "allocs/op": 2},
   "_baseline/BenchmarkContractionKernel": {"ns/op": 3.2e6}
 }`)
-	if err := runGuard(io.Discard, slow, 2.5, "BenchmarkContraction", -1); err == nil {
+	if err := runGuard(io.Discard, slow, 2.5, "BenchmarkContraction", -1, -1); err == nil {
 		t.Fatal("2.8x kernel slowdown passed a 2.5x guard")
+	}
+}
+
+// TestGuardMaxBytes: -guard-max-bytes caps B/op per guarded entry, the
+// way the numeric engine's per-job allocation is held near its live set;
+// negative leaves B/op unchecked.
+func TestGuardMaxBytes(t *testing.T) {
+	path := writeGuardDoc(t, `{
+  "BenchmarkNumericRun/al_rhopi_t4": {"ns/op": 1.9e8, "B/op": 7.5e7, "allocs/op": 1100},
+  "_baseline/BenchmarkNumericRun/al_rhopi_t4": {"ns/op": 2.6e8, "B/op": 1.6e8}
+}`)
+	if err := runGuard(io.Discard, path, 2.5, "BenchmarkNumericRun", -1, 100e6); err != nil {
+		t.Fatalf("75 MB/op failed a 100 MB cap: %v", err)
+	}
+	var w strings.Builder
+	if err := runGuard(&w, path, 2.5, "BenchmarkNumericRun", -1, 50e6); err == nil {
+		t.Fatal("75 MB/op passed a 50 MB cap")
+	}
+	if !strings.Contains(w.String(), "B/op") {
+		t.Errorf("failure output = %q, want the B/op line", w.String())
+	}
+	if err := runGuard(io.Discard, path, 2.5, "BenchmarkNumericRun", -1, -1); err != nil {
+		t.Fatalf("B/op check off: %v", err)
 	}
 }
 
 func TestGuardErrors(t *testing.T) {
 	t.Run("no-entries", func(t *testing.T) {
 		path := writeGuardDoc(t, `{"BenchmarkContractionKernel": {"ns/op": 1, "allocs/op": 0}}`)
-		if err := runGuard(io.Discard, path, 2.0, defaultGuardPrefix, 0); err == nil {
+		if err := runGuard(io.Discard, path, 2.0, defaultGuardPrefix, 0, -1); err == nil {
 			t.Error("document without scheduler entries passed a vacuous guard")
 		}
 	})
 	t.Run("missing-file", func(t *testing.T) {
-		if err := runGuard(io.Discard, filepath.Join(t.TempDir(), "missing.json"), 2.0, defaultGuardPrefix, 0); err == nil {
+		if err := runGuard(io.Discard, filepath.Join(t.TempDir(), "missing.json"), 2.0, defaultGuardPrefix, 0, -1); err == nil {
 			t.Error("missing document: want error")
 		}
 	})
 	t.Run("malformed", func(t *testing.T) {
 		path := writeGuardDoc(t, "not json")
-		if err := runGuard(io.Discard, path, 2.0, defaultGuardPrefix, 0); err == nil {
+		if err := runGuard(io.Discard, path, 2.0, defaultGuardPrefix, 0, -1); err == nil {
 			t.Error("malformed document: want error")
 		}
 	})
 	t.Run("bad-tolerance", func(t *testing.T) {
 		path := writeGuardDoc(t, `{"BenchmarkSchedulerAssign/X": {"ns/op": 1, "allocs/op": 0}}`)
-		if err := runGuard(io.Discard, path, 0, defaultGuardPrefix, 0); err == nil {
+		if err := runGuard(io.Discard, path, 0, defaultGuardPrefix, 0, -1); err == nil {
 			t.Error("zero tolerance: want error")
 		}
 	})

@@ -1,7 +1,5 @@
 package sched
 
-import "sync"
-
 // Recycled numeric tensor storage.
 //
 // bufArena is the free list of dead tensors' buffers, keyed by exact
@@ -9,105 +7,38 @@ import "sync"
 // steady-state numeric run holds only the live working set instead of
 // every tensor the stream ever produced.
 //
-// The single global mutex the arena used to carry became the one shared
-// lock on the reclamation fan-out path, so it is now two-tier:
-// per-worker private free lists absorb each worker's own churn with no
-// synchronization at all, and overflow (or a miss) falls through to
-// capacity-sharded mutex-protected pools. A worker's private list is
-// bounded (arenaLocalDepth buffers per size class), so at most
-// workers x depth x classes buffers can sit stranded on workers that
-// only ever release storage; everything past that bound lands in the
-// shared shards where any worker can draw it.
-
-const (
-	// arenaShards is the shard count of the shared fallback pools.
-	arenaShards = 8
-	// arenaLocalDepth bounds each worker's private free list per size
-	// class; overflow spills to the shared shards.
-	arenaLocalDepth = 4
-)
-
-// arenaLocal is one worker's private free list. Padded to a cache line
-// so neighbouring workers' map headers never share one.
-type arenaLocal struct {
-	free map[int][][]complex128
-	_    [56]byte
-}
-
-// arenaShard is one mutex-protected slice of the shared fallback pool.
-type arenaShard struct {
-	mu   sync.Mutex
-	free map[int][][]complex128
-	_    [40]byte
-}
-
-// bufArena is the two-tier buffer recycler. Worker indices address the
-// private lists; index 0 is the coordinator (and the whole serial
-// engine).
+// It has one owner: the goroutine that runs the levels (the engine in
+// serial mode, the pipeline coordinator in concurrent mode) draws every
+// destination and returns every dead buffer, so there is no lock and no
+// per-worker tier — a buffer put back is the next one drawn, while it is
+// still warm in cache.
 type bufArena struct {
-	local  []arenaLocal
-	shards [arenaShards]arenaShard
+	free   map[int][][]complex128
+	misses int // draws the free list could not serve
 }
 
-// newBufArena builds an arena with one private free list per worker.
-func newBufArena(workers int) *bufArena {
-	if workers < 1 {
-		workers = 1
-	}
-	a := &bufArena{local: make([]arenaLocal, workers)}
-	for i := range a.local {
-		a.local[i].free = make(map[int][][]complex128)
-	}
-	for i := range a.shards {
-		a.shards[i].free = make(map[int][][]complex128)
-	}
-	return a
+func newBufArena() *bufArena {
+	return &bufArena{free: make(map[int][][]complex128)}
 }
 
-// arenaShardFor spreads size classes across the shared shards
-// (multiplicative hash: consecutive classes land on different shards).
-func arenaShardFor(elems int) int {
-	return int((uint32(elems) * 2654435761) >> (32 - 3))
-}
-
-// get pops a recycled buffer of exactly the given capacity — worker w's
-// private list first, then the shared shard — or returns nil (the
-// kernel then allocates fresh storage). Buffer identity never affects
-// results: outputs are fully overwritten.
-func (a *bufArena) get(w, elems int) []complex128 {
-	if l := a.local[w].free[elems]; len(l) > 0 {
-		buf := l[len(l)-1]
-		l[len(l)-1] = nil
-		a.local[w].free[elems] = l[:len(l)-1]
-		return buf
-	}
-	sh := &a.shards[arenaShardFor(elems)]
-	sh.mu.Lock()
-	l := sh.free[elems]
+// get pops the most recently recycled buffer of exactly the given
+// capacity, or returns nil (the kernel then allocates fresh storage).
+// Buffer identity never affects results: outputs are fully overwritten.
+func (a *bufArena) get(elems int) []complex128 {
+	l := a.free[elems]
 	if len(l) == 0 {
-		sh.mu.Unlock()
+		a.misses++
 		return nil
 	}
 	buf := l[len(l)-1]
 	l[len(l)-1] = nil
-	sh.free[elems] = l[:len(l)-1]
-	sh.mu.Unlock()
+	a.free[elems] = l[:len(l)-1]
 	return buf
 }
 
-// put recycles a dead tensor's storage through worker w's private list,
-// spilling to the shared shards once the private list is full.
-func (a *bufArena) put(w int, buf []complex128) {
-	c := cap(buf)
-	if c == 0 {
-		return
+// put recycles a dead tensor's storage.
+func (a *bufArena) put(buf []complex128) {
+	if c := cap(buf); c > 0 {
+		a.free[c] = append(a.free[c], buf)
 	}
-	if l := a.local[w].free[c]; len(l) < arenaLocalDepth {
-		a.local[w].free[c] = append(l, buf)
-		return
-	}
-	sh := &a.shards[arenaShardFor(c)]
-	sh.mu.Lock()
-	sh.free[c] = append(sh.free[c], buf)
-	sh.mu.Unlock()
 }

@@ -1,0 +1,234 @@
+package sched
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"micco/internal/tensor"
+	"micco/internal/workload"
+)
+
+// Bounded-width level execution (levelWidth pairs per fused batch) must
+// be invisible in the results: the tests below drive the numeric store
+// over hand-built streams whose dependency levels sit on every side of
+// the sub-batch seam and compare it against a pairwise oracle.
+
+const levelDim = 16 // smallest dimension the AVX-512 block kernel takes
+
+func levelDesc(id uint64) tensor.Desc {
+	return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: levelDim, Batch: 1}
+}
+
+// levelStream builds a stream of one or two stages, each a single
+// dependency level: stage 0 contracts pairs of the five inputs into first
+// intermediates (IDs 100+i), stage 1 — when second > 0 — contracts pairs
+// of intermediates into second finals (IDs 10000+j) that nothing reads.
+// Assembled by hand, like TestBuildLivenessExclusions' stream, so the
+// error cases can plant pairs FromStages would reject.
+func levelStream(first, second int) *workload.Workload {
+	w := &workload.Workload{Name: fmt.Sprintf("levels-%d-%d", first, second)}
+	for id := uint64(1); id <= 5; id++ {
+		w.Inputs = append(w.Inputs, levelDesc(id))
+	}
+	st := workload.Stage{Index: 0}
+	for i := 0; i < first; i++ {
+		st.Pairs = append(st.Pairs, workload.Pair{
+			A: levelDesc(uint64(1 + i%5)), B: levelDesc(uint64(1 + (3*i+1)%5)), Out: levelDesc(uint64(100 + i)),
+		})
+	}
+	w.Stages = append(w.Stages, st)
+	if second > 0 {
+		st = workload.Stage{Index: 1}
+		for j := 0; j < second; j++ {
+			st.Pairs = append(st.Pairs, workload.Pair{
+				A: levelDesc(uint64(100 + j%first)), B: levelDesc(uint64(100 + (7*j+3)%first)), Out: levelDesc(uint64(10000 + j)),
+			})
+		}
+		w.Stages = append(w.Stages, st)
+	}
+	return w
+}
+
+// levelRun is what one numeric-store run over a stream leaves behind.
+type levelRun struct {
+	fp     float64
+	norms  map[uint64]float64 // every tensor of the run, resident or reclaimed
+	misses int                // arena draws served by a fresh allocation
+	err    error              // first error, nil on a clean run
+}
+
+// runLevels drives the store the way the engine does: queue a stage's
+// pairs, flush at the boundary, finish at the end.
+func runLevels(t *testing.T, w *workload.Workload, pool int, reclaim bool) levelRun {
+	t.Helper()
+	s, err := newNumericStore(context.Background(), w, Options{
+		Numeric: true, NumericSeed: 5, Parallelism: pool, NumericReclaim: reclaim,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.shutdown()
+	var r levelRun
+	for _, st := range w.Stages {
+		for _, p := range st.Pairs {
+			if err := s.exec(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r.err = s.flushStage(); r.err != nil {
+			break
+		}
+	}
+	if err := s.finish(); r.err == nil {
+		r.err = err
+	}
+	if r.err != nil {
+		return r
+	}
+	r.fp = s.fingerprint()
+	r.norms = make(map[uint64]float64)
+	for i := range s.shards {
+		for id, x := range s.shards[i].m {
+			r.norms[id] = x.Norm()
+		}
+	}
+	for id, n := range s.norms {
+		r.norms[id] = n
+	}
+	if reclaim {
+		r.misses = s.arena.misses
+	}
+	return r
+}
+
+// pairwiseOracle evaluates the stream one contraction at a time, in
+// stream order, with no store, levels, batches or arena.
+func pairwiseOracle(t *testing.T, w *workload.Workload) levelRun {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	ts := make(map[uint64]*tensor.Tensor)
+	for _, d := range w.Inputs {
+		x, err := tensor.NewRandom(d, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts[d.ID] = x
+	}
+	for _, st := range w.Stages {
+		for _, p := range st.Pairs {
+			out, err := tensor.Contract(ts[p.A.ID], ts[p.B.ID], p.Out.ID, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts[p.Out.ID] = out
+		}
+	}
+	r := levelRun{norms: make(map[uint64]float64)}
+	ids := make([]uint64, 0, len(ts))
+	for id, x := range ts {
+		ids = append(ids, id)
+		r.norms[id] = x.Norm()
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		r.fp += r.norms[id]
+	}
+	return r
+}
+
+var levelConfigs = []struct {
+	pool    int
+	reclaim bool
+}{{1, false}, {1, true}, {2, false}, {2, true}, {8, false}, {8, true}}
+
+// TestLevelWidthInvisible: with both levels of the stream 1, W-1, W, W+1
+// and 10*W pairs wide, the fingerprint and every tensor's norm equal the
+// pairwise oracle's bit for bit at pool 1, 2 and 8 with reclamation off
+// and on.
+func TestLevelWidthInvisible(t *testing.T) {
+	for _, width := range []int{1, levelWidth - 1, levelWidth, levelWidth + 1, 10 * levelWidth} {
+		w := levelStream(width, width)
+		want := pairwiseOracle(t, w)
+		for _, c := range levelConfigs {
+			label := fmt.Sprintf("width=%d pool=%d reclaim=%v", width, c.pool, c.reclaim)
+			got := runLevels(t, w, c.pool, c.reclaim)
+			if got.err != nil {
+				t.Fatalf("%s: %v", label, got.err)
+			}
+			if math.Float64bits(got.fp) != math.Float64bits(want.fp) {
+				t.Errorf("%s: fingerprint %x, want %x", label, got.fp, want.fp)
+			}
+			if len(got.norms) != len(want.norms) {
+				t.Errorf("%s: %d tensors, want %d", label, len(got.norms), len(want.norms))
+			}
+			for id, n := range want.norms {
+				if g, ok := got.norms[id]; !ok || math.Float64bits(g) != math.Float64bits(n) {
+					t.Errorf("%s: norm of t%d = %x (present %v), want %x", label, id, g, ok, n)
+				}
+			}
+		}
+	}
+}
+
+// TestLevelFirstError: a level's operands are resolved before any of its
+// sub-batches runs, so a missing operand late in a wide level is reported
+// ahead of a shape mismatch early in it, and of two mismatches the one
+// earlier in the stream wins — the same error at every pool size, with
+// reclamation off and on.
+func TestLevelFirstError(t *testing.T) {
+	odd := tensor.Desc{ID: 6, Rank: tensor.RankMeson, Dim: levelDim / 2, Batch: 1}
+	for _, c := range []struct {
+		name  string
+		plant func(pairs []workload.Pair)
+		want  string
+	}{
+		{"missing-beats-earlier-mismatch", func(pairs []workload.Pair) {
+			pairs[5].B = odd
+			pairs[levelWidth+3].A = levelDesc(999)
+		}, "numeric operand t999 missing"},
+		{"first-mismatch-in-stream-order", func(pairs []workload.Pair) {
+			pairs[levelWidth+1].B = odd
+			pairs[2*levelWidth+5].A = odd
+		}, fmt.Sprintf("shape mismatch %v vs %v", levelDesc(uint64(1+(levelWidth+1)%5)), odd)},
+	} {
+		w := levelStream(10*levelWidth, 0)
+		w.Inputs = append(w.Inputs, odd)
+		c.plant(w.Stages[0].Pairs)
+		for _, cfg := range levelConfigs {
+			got := runLevels(t, w, cfg.pool, cfg.reclaim)
+			if got.err == nil || !strings.Contains(got.err.Error(), c.want) {
+				t.Errorf("%s pool=%d reclaim=%v: error %v, want one containing %q", c.name, cfg.pool, cfg.reclaim, got.err, c.want)
+			}
+		}
+	}
+}
+
+// TestLevelRecyclesOwnBuffers: outputs that are dead on production cycle
+// through the sub-batch's buffers, so a wide final level costs at most
+// levelWidth fresh allocations on top of the intermediates still live
+// when it starts — not one per pair.
+func TestLevelRecyclesOwnBuffers(t *testing.T) {
+	for _, c := range []struct{ live, finals int }{
+		{0, 10 * levelWidth},              // finals straight from the inputs
+		{3 * levelWidth, 10 * levelWidth}, // a live level feeding a wide final one
+	} {
+		w := levelStream(c.finals, 0)
+		if c.live > 0 {
+			w = levelStream(c.live, c.finals)
+		}
+		for _, pool := range []int{1, 8} {
+			got := runLevels(t, w, pool, true)
+			if got.err != nil {
+				t.Fatal(got.err)
+			}
+			if bound := c.live + levelWidth; got.misses > bound {
+				t.Errorf("live=%d finals=%d pool=%d: %d arena misses, want <= %d", c.live, c.finals, pool, got.misses, bound)
+			}
+		}
+	}
+}

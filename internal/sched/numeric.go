@@ -43,9 +43,9 @@ const levelQueueDepth = 4
 // p's output (write-after-write) and the previous readers of p's output
 // (write-after-read). Pairs within one level are mutually independent —
 // no output duplicated, no operand produced or overwritten by a peer —
-// so each level is safe to run as one fused tensor.ContractBatch; levels
+// so each level is safe to run as fused tensor.ContractBatch calls; levels
 // execute in order. A stage both front ends emit is entirely level 0 and
-// fuses whole, exactly like the old independence classifier; hand-built
+// fuses freely, exactly like the old independence classifier; hand-built
 // FromStages chains split into as many levels as their longest chain.
 // All scratch (maps, buckets, the level-sorted order) is reused across
 // stages, so steady-state partitioning allocates nothing.
@@ -148,8 +148,9 @@ func (l *levelizer) partition(pairs []workload.Pair) [][]workload.Pair {
 //
 // exec queues each placed pair; flushStage, called by the engine at every
 // stage boundary, partitions the queued stream into dependency levels and
-// executes each level as one fused tensor.ContractBatch — every unique
-// operand packed once, shared across all its readers. With a pool size of
+// executes each level as fused tensor.ContractBatch calls of levelWidth
+// pairs — every unique operand of a batch packed once, shared across all
+// its readers there. With a pool size of
 // one this happens inline on the engine goroutine. With a larger pool the
 // levels are handed over a bounded channel to a pipeline coordinator that
 // runs them on a persistent cooperative worker pool
@@ -234,7 +235,7 @@ func newNumericStore(ctx context.Context, w *workload.Workload, opts Options) (*
 	if opts.NumericReclaim {
 		s.reclaim = true
 		s.readsLeft = buildLiveness(w)
-		s.arena = newBufArena(pool)
+		s.arena = newBufArena()
 		s.norms = make(map[uint64]float64)
 		// Inputs the stream never reads are dead on arrival.
 		for _, d := range w.Inputs {
@@ -273,7 +274,7 @@ func (s *numericStore) exec(p workload.Pair) error {
 
 // flushStage executes the pairs queued since the last stage boundary,
 // partitioned into dependency levels. Serial mode runs each level inline
-// as one fused batch; concurrent mode copies each level into a recycled
+// (execLevel); concurrent mode copies each level into a recycled
 // buffer and hands it to the pipeline coordinator over the bounded batch
 // queue, returning as soon as the stage is enqueued — that is the
 // pipelining: the engine schedules and simulates stage s+1 while the
@@ -374,12 +375,32 @@ func (s *numericStore) guardExecLevel(pairs []workload.Pair, workers int, bp *te
 	return s.execLevel(pairs, workers, bp)
 }
 
-// execLevel runs one dependency level as a single fused batch: resolve
-// operands, draw destination buffers, contract (cooperatively on the
-// pipeline when bp is non-nil, otherwise via a one-shot ContractBatch),
-// install outputs, settle reclamation.
+// levelWidth is how many pairs of a dependency level run as one fused
+// batch. A level's pairs are independent, so cutting it into consecutive
+// sub-batches changes no result; what it changes is when storage comes
+// back: reclamation settles after every sub-batch, so outputs that are
+// dead on production (every final of a correlator's last level) cycle
+// through levelWidth cache-warm buffers instead of one fresh zeroed
+// allocation per pair. Narrower loses shared-operand packing and pool
+// balance, wider loses the recycling; DESIGN.md §14 has the sweep.
+const levelWidth = 16
+
+// execLevel runs one dependency level as consecutive fused batches of at
+// most levelWidth pairs in stream order: resolve every operand up front
+// (so a missing one is reported before anything runs, whatever its
+// position), then per sub-batch draw destination buffers, contract
+// (cooperatively on the pipeline when bp is non-nil, otherwise via a
+// one-shot ContractBatch), install outputs and settle reclamation. An
+// operand keeps readsLeft > 0 — and so its storage — until the sub-batch
+// of its last reader has settled.
 func (s *numericStore) execLevel(pairs []workload.Pair, workers int, bp *tensor.BatchPipeline) error {
 	ops := s.batchOps[:0]
+	defer func() {
+		for i := range ops {
+			ops[i] = tensor.BatchOp{} // drop tensor references
+		}
+		s.batchOps = ops[:0]
+	}()
 	for _, p := range pairs {
 		a, ok := s.get(p.A.ID)
 		if !ok {
@@ -389,44 +410,46 @@ func (s *numericStore) execLevel(pairs []workload.Pair, workers int, bp *tensor.
 		if !ok {
 			return fmt.Errorf("sched: numeric operand t%d missing", p.B.ID)
 		}
-		dst := &tensor.Tensor{}
+		ops = append(ops, tensor.BatchOp{A: a, B: b, OutID: p.Out.ID})
+	}
+	for lo := 0; lo < len(ops); lo += levelWidth {
+		hi := min(lo+levelWidth, len(ops))
+		sub, subPairs := ops[lo:hi], pairs[lo:hi]
+		for i, p := range subPairs {
+			sub[i].Dst = &tensor.Tensor{}
+			if s.reclaim {
+				sub[i].Dst.Data = s.arena.get(int(p.Out.Elems()))
+			}
+		}
+		var err error
+		if bp != nil {
+			err = bp.Run(sub, s.mode)
+		} else {
+			err = tensor.ContractBatch(sub, workers, s.mode)
+		}
+		if err != nil {
+			return fmt.Errorf("sched: numeric contraction: %w", err)
+		}
+		for i, p := range subPairs {
+			s.put(p.Out.ID, sub[i].Dst)
+		}
 		if s.reclaim {
-			dst.Data = s.arena.get(0, int(p.Out.Elems()))
-		}
-		ops = append(ops, tensor.BatchOp{Dst: dst, A: a, B: b, OutID: p.Out.ID})
-	}
-	var err error
-	if bp != nil {
-		err = bp.Run(ops, s.mode)
-	} else {
-		err = tensor.ContractBatch(ops, workers, s.mode)
-	}
-	if err != nil {
-		err = fmt.Errorf("sched: numeric contraction: %w", err)
-	} else {
-		for i, p := range pairs {
-			s.put(p.Out.ID, ops[i].Dst)
-		}
-		if s.reclaim {
-			err = s.settleReclaim(pairs, bp)
+			if err := s.settleReclaim(subPairs, bp); err != nil {
+				return err
+			}
 		}
 	}
-	for i := range ops {
-		ops[i] = tensor.BatchOp{} // drop tensor references
-	}
-	s.batchOps = ops[:0]
-	return err
+	return nil
 }
 
-// settleReclaim settles the level's operand reads and reclaims every
+// settleReclaim settles a sub-batch's operand reads and reclaims every
 // tensor that died: the coordinator removes them from the store (it is
-// the single owner of the shard maps), then norms and arena returns fan
-// out across the pipeline workers — each recycling into its own private
-// free list — or run inline in serial mode. Norms are computed per dead
-// tensor over identical data regardless of fan-out, so the fingerprint
-// is unaffected.
+// the single owner of the shard maps and of the arena), the norms fan out
+// across the pipeline workers — or run inline in serial mode — and the
+// coordinator recycles the buffers. Norms are computed per dead tensor
+// over identical data regardless of fan-out, so the fingerprint is
+// unaffected.
 func (s *numericStore) settleReclaim(pairs []workload.Pair, bp *tensor.BatchPipeline) error {
-	var err error
 	dead := s.deadT[:0]
 	ids := s.deadIDs[:0]
 	grab := func(id uint64) {
@@ -449,34 +472,30 @@ func (s *numericStore) settleReclaim(pairs []workload.Pair, bp *tensor.BatchPipe
 			grab(p.Out.ID)
 		}
 	}
-	if n := len(dead); n > 0 {
-		if cap(s.deadNorm) < n {
-			s.deadNorm = make([]float64, n)
+	defer func() {
+		clear(dead)
+		s.deadT = dead[:0]
+		s.deadIDs = ids[:0]
+	}()
+	n := len(dead)
+	if cap(s.deadNorm) < n {
+		s.deadNorm = make([]float64, n)
+	}
+	norms := s.deadNorm[:n]
+	if bp != nil && n > 1 {
+		if err := bp.Do(n, func(_, i int) { norms[i] = dead[i].Norm() }); err != nil {
+			return err
 		}
-		norms := s.deadNorm[:n]
-		if bp != nil && n > 1 {
-			err = bp.Do(n, func(w, i int) {
-				norms[i] = dead[i].Norm()
-				s.arena.put(w, dead[i].Data)
-			})
-		} else {
-			for i, t := range dead {
-				norms[i] = t.Norm()
-				s.arena.put(0, t.Data)
-			}
-		}
-		if err == nil {
-			for i, id := range ids {
-				s.norms[id] = norms[i]
-			}
+	} else {
+		for i, t := range dead {
+			norms[i] = t.Norm()
 		}
 	}
-	for i := range dead {
-		dead[i] = nil
+	for i, id := range ids {
+		s.norms[id] = norms[i]
+		s.arena.put(dead[i].Data)
 	}
-	s.deadT = dead[:0]
-	s.deadIDs = ids[:0]
-	return err
+	return nil
 }
 
 // buildLiveness counts, per tensor ID, how many operand reads the stream
@@ -534,7 +553,7 @@ func (s *numericStore) reclaimTensor(id uint64) {
 	}
 	delete(sh.m, id)
 	s.norms[id] = t.Norm()
-	s.arena.put(0, t.Data)
+	s.arena.put(t.Data)
 }
 
 func (s *numericStore) get(id uint64) (*tensor.Tensor, bool) {

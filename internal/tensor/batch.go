@@ -26,9 +26,8 @@ import (
 // still pack, instead of idling at a full barrier.
 //
 // In ModeExact the fused path is bit-identical to running ContractInto
-// per op by construction: packing is pure data movement, and the per-row
-// compute consumes exactly the values contractGroupSoA would have packed
-// itself.
+// per op by construction: packing is pure data movement, and both paths
+// hand the packed panels to the same routine, mulPackedExact.
 
 // BatchOp is one contraction of a stage batch: Dst = A x B with output
 // identity OutID. Dst follows ContractInto's destination contract and
@@ -306,19 +305,7 @@ func (st *batchState) compute(it fusedItem, buf *packBuf) {
 		unpackMerge(dst, buf.cRe, buf.cIm)
 		return
 	}
-	// Exact compute: the same per-row kernels contractGroupSoA runs,
-	// fed the same packed values — bit-identical to the pairwise path.
-	buf.cRe = growf(buf.cRe, n)
-	buf.cIm = growf(buf.cIm, n)
-	for i := 0; i < n; i++ {
-		lo := 0
-		if useAVX2 && !forceScalarKernel && n >= 8 {
-			lo = n &^ 7
-			rowKernelAVX2(&buf.cRe[0], &buf.cIm[0], &aRe[i*n], &aIm[i*n], &bRe[0], &bIm[0], n)
-		}
-		rowKernelScalar(buf.cRe, buf.cIm, aRe[i*n:i*n+n], aIm[i*n:i*n+n], bRe, bIm, n, lo)
-		unpackMerge(dst[i*n:i*n+n], buf.cRe, buf.cIm)
-	}
+	mulPackedExact(dst, aRe, aIm, bRe, bIm, n, buf)
 }
 
 // release returns the state's panels and the state itself to their

@@ -6,7 +6,8 @@ import "micco/internal/cpu"
 //
 // Two orthogonal axes select the micro-kernel that executes a group
 // product. The KernelMode is the caller's accuracy contract: Exact
-// reproduces today's bit-identical scalar/AVX2 arithmetic, Fast permits
+// reproduces the scalar kernel's arithmetic bit for bit on every tier
+// (non-FMA vector kernels on AVX2 and AVX-512), Fast permits
 // fused multiply-add tiers that round once per multiply-add and stay
 // within the ULP bound documented in DESIGN.md §12. The kernel tier is
 // what the machine (and the MICCO_KERNEL override) allows: the highest
@@ -19,8 +20,9 @@ type KernelMode int
 
 const (
 	// ModeExact is the default: results are bit-identical across worker
-	// counts, dispatch tiers, and architectures. Uses at most the AVX2
-	// non-FMA kernel.
+	// counts, dispatch tiers, and architectures. Its vector kernels (the
+	// AVX-512 4x16 block kernel, the AVX2 1x8 row kernel) multiply, add
+	// and subtract separately — never FMA.
 	ModeExact KernelMode = iota
 	// ModeFast permits FMA3/AVX-512 fused kernels. Results are
 	// deterministic for a fixed machine and override setting, but differ
@@ -64,9 +66,9 @@ func (t kernelTier) String() string {
 // contraction.
 var (
 	kernelCap kernelTier // upper bound from MICCO_KERNEL, tierAVX512 if unset
-	useAVX2   bool       // exact-tier vector kernel available
+	useAVX2   bool       // exact tier: 1x8 row kernel on YMM
 	useFMA    bool       // fast tier: FMA3 on YMM
-	useAVX512 bool       // fast tier: FMA on ZMM
+	useAVX512 bool       // exact tier: 4x16 block kernel; fast tier: FMA on ZMM
 )
 
 func init() { resolveDispatch() }
@@ -110,7 +112,9 @@ func fastTierFor(n int) kernelTier {
 // mode resolves to, for surfacing in benchmarks and CLIs.
 func KernelInfo() string {
 	exact := tierScalar
-	if useAVX2 {
+	if useAVX512 {
+		exact = tierAVX512
+	} else if useAVX2 {
 		exact = tierAVX2
 	}
 	fast := fastTierFor(1 << 30)

@@ -72,10 +72,8 @@ func ContractIntoMode(dst *Tensor, a, b *Tensor, outID uint64, workers int, mode
 // element is written. Callers must check fastTierFor(n) != tierScalar
 // first.
 func contractGroupFast(dst, a, b []complex128, n int, buf *packBuf) {
-	// The fast path holds full split panels of all three matrices; the
-	// exact path only needs single A/C rows, so grow on demand here.
-	buf.aRe = growf(buf.aRe, n*n)
-	buf.aIm = growf(buf.aIm, n*n)
+	// The fast path accumulates into a full split C panel; the exact path
+	// only keeps four C rows in flight, so grow on demand here.
 	buf.cRe = growf(buf.cRe, n*n)
 	buf.cIm = growf(buf.cIm, n*n)
 	packSplit(buf.bRe, buf.bIm, b)

@@ -250,20 +250,34 @@ func TestDispatchOverrideFlags(t *testing.T) {
 	})
 }
 
-// TestKernelInfo sanity-checks the human-readable dispatch summary.
+// TestKernelInfo checks the human-readable dispatch summary under every
+// MICCO_KERNEL value: the exact tier it names must be the kernel exact
+// mode actually runs — the AVX-512 block kernel when the cap allows it,
+// the AVX2 row kernel under avx2/fma (exact mode never uses FMA), scalar
+// under scalar — each degraded to what the hardware has.
 func TestKernelInfo(t *testing.T) {
 	if s := KernelInfo(); s == "" {
 		t.Fatal("KernelInfo() empty")
 	}
-	withKernelEnv(t, "scalar", func() {
-		s := KernelInfo()
-		if want := "exact: scalar"; !containsStr(s, want) {
-			t.Errorf("KernelInfo() = %q, want substring %q", s, want)
+	caps := map[string]kernelTier{"scalar": tierScalar, "avx2": tierAVX2, "fma": tierFMA, "avx512": tierAVX512}
+	for env, cap := range caps {
+		exact := tierScalar
+		switch {
+		case hwAVX512 && cap >= tierAVX512:
+			exact = tierAVX512
+		case hwAVX2 && cap >= tierAVX2:
+			exact = tierAVX2
 		}
-		if want := cpu.EnvKernel + "=scalar"; !containsStr(s, want) {
-			t.Errorf("KernelInfo() = %q, want substring %q", s, want)
-		}
-	})
+		withKernelEnv(t, env, func() {
+			s := KernelInfo()
+			if want := "exact: " + exact.String() + ";"; !containsStr(s, want) {
+				t.Errorf("MICCO_KERNEL=%s: KernelInfo() = %q, want substring %q", env, s, want)
+			}
+			if want := cpu.EnvKernel + "=" + env; !containsStr(s, want) {
+				t.Errorf("MICCO_KERNEL=%s: KernelInfo() = %q, want substring %q", env, s, want)
+			}
+		})
+	}
 }
 
 func containsStr(s, sub string) bool {

@@ -18,10 +18,22 @@ var (
 // accumulating k in ascending order per column tile held in YMM registers.
 // It uses VMULPD/VADDPD/VSUBPD only (no FMA), so every lane rounds exactly
 // like the scalar kernel. Columns >= n&^7 are left untouched for the
-// scalar tail. This is the Exact-tier vector kernel.
+// scalar tail. This is the Exact-tier vector kernel on machines without
+// AVX-512, and the row-remainder kernel on machines with it.
 //
 //go:noescape
 func rowKernelAVX2(cRe, cIm, aRe, aIm, bRe, bIm *float64, n int)
+
+// blockKernelAVX512 computes output columns [0, n&^15) of four
+// consecutive C rows in split form, holding the 4x16 block in ZMM
+// accumulators across the whole k loop. aRe/aIm point at the first of
+// the four split A rows, cRe/cIm at a four-row scratch block; every row
+// has stride n. Like rowKernelAVX2 it uses VMULPD/VADDPD/VSUBPD only, so
+// each element's chain is the scalar kernel's. Requires n >= 16; columns
+// >= n&^15 are left untouched for the scalar tail.
+//
+//go:noescape
+func blockKernelAVX512(cRe, cIm, aRe, aIm, bRe, bIm *float64, n int)
 
 // rowKernelFMA accumulates kn rank-1 updates into output columns
 // [0, n&^7) of one C row using FMA3: per k, cRe = fnma(ai, bi,

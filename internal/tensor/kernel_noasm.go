@@ -18,6 +18,11 @@ func rowKernelAVX2(cRe, cIm, aRe, aIm, bRe, bIm *float64, n int) {
 	panic("tensor: AVX2 micro-kernel dispatched on a non-amd64 build (kernel routing bug)")
 }
 
+// blockKernelAVX512 is never called when hwAVX512 is false.
+func blockKernelAVX512(cRe, cIm, aRe, aIm, bRe, bIm *float64, n int) {
+	panic("tensor: AVX-512 block micro-kernel dispatched on a non-amd64 build (kernel routing bug)")
+}
+
 // rowKernelFMA is never called when hwFMA is false.
 func rowKernelFMA(cRe, cIm, aRe, aIm, bRe, bIm *float64, n, kn, acc int) {
 	panic("tensor: FMA micro-kernel dispatched on a non-amd64 build (kernel routing bug)")

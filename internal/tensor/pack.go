@@ -3,13 +3,14 @@ package tensor
 import "sync"
 
 // packBuf holds the split-complex (structure-of-arrays) scratch panels of
-// one contraction worker: the full B panel of the current group plus one
-// row each of A and C. Buffers are recycled through packPool so
-// steady-state contractions allocate nothing.
+// one contraction worker: the full A and B panels of the current group
+// plus the C rows in flight (the kernels grow C on demand: four rows in
+// exact mode, the whole panel in fast mode). Buffers are recycled through
+// packPool so steady-state contractions allocate nothing.
 type packBuf struct {
 	bRe, bIm []float64    // full n*n B panel, row-major: bRe[k*n+j]
-	aRe, aIm []float64    // current A row: aRe[k]
-	cRe, cIm []float64    // current C row accumulator: cRe[j]
+	aRe, aIm []float64    // full n*n A panel, row-major: aRe[i*n+k]
+	cRe, cIm []float64    // C accumulator rows: cRe[r*n+j]
 	tmp      []complex128 // fallback-kernel output block, so dst may alias a/b
 }
 
@@ -21,10 +22,8 @@ func getPackBuf(n int) *packBuf {
 	b := packPool.Get().(*packBuf)
 	b.bRe = growf(b.bRe, n*n)
 	b.bIm = growf(b.bIm, n*n)
-	b.aRe = growf(b.aRe, n)
-	b.aIm = growf(b.aIm, n)
-	b.cRe = growf(b.cRe, n)
-	b.cIm = growf(b.cIm, n)
+	b.aRe = growf(b.aRe, n*n)
+	b.aIm = growf(b.aIm, n*n)
 	return b
 }
 
