@@ -84,7 +84,7 @@ benchguard:
 # soak runs the chaos harness: seeded random fault plans × random
 # kill-points (process death simulated by dropping all in-memory state and
 # resuming from the durable checkpoint file alone) × every registered
-# scheduler × serial/parallel numeric execution × reclaim on/off, each
+# scheduler × numeric pool widths 1 and 4 × reclaim on/off, each
 # iteration asserting the bit-identical exact-mode fingerprint of the
 # fault-free run and probing the checkpoint file with seeded corruption.
 # MICCO_SOAK_SEEDS scales the run (default 3 seeds, a few seconds;
@@ -93,14 +93,18 @@ soak:
 	$(GO) test -count=1 -v -run TestChaosSoak ./internal/chaos
 
 # bench measures the contraction-kernel component benchmarks — exact and
-# fast tiers, pairwise, stage-fused and pipeline-parallel — and one whole
-# numeric job (the ladder's deck_numeric) with allocation stats and
-# records them as BENCH_kernel.json with the baseline merged in (via
-# cmd/benchjson, which tees the raw output through) — the same benchmarks
-# run on the commit before the exact tier got its AVX-512 block kernel —
-# then the scheduler-overhead suite — per-placement cost, obs on/off and
-# the parallel numeric pipeline — as BENCH_sched.json with the pre-change baseline
-# numbers merged in for comparison, then the report layer — the critical
+# fast tiers, pairwise, stage-fused through a per-call pipeline and
+# through a persistent one — and one whole numeric job (the ladder's
+# deck_numeric) with allocation stats and records them as
+# BENCH_kernel.json with the baseline merged in (via cmd/benchjson, which
+# tees the raw output through) — the kernel and job rows run on the commit
+# before the exact tier got its AVX-512 block kernel, the stage rows on
+# the commit before ContractBatch became one run of a pipeline — then the
+# scheduler-overhead suite — per-placement cost, obs on/off and whole
+# numeric runs at pool widths 1, 2 and 8 — as BENCH_sched.json with the
+# pre-change baseline numbers merged in for comparison (the numeric runs'
+# from the commit that still had the coordinator goroutine), then the
+# report layer — the critical
 # path at 5k/20k/80k events and on the nested shape, and the JSON
 # rendering — as BENCH_report.json against the numbers of the walk and
 # the encoder they replaced, then the front end — BuildPlan on the three

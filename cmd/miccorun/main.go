@@ -66,7 +66,7 @@ func main() {
 	flag.StringVar(&cfg.faultsIn, "faults", "", "fault-injection plan JSON: replay device loss, link degradation and transient failures into the run")
 	flag.BoolVar(&cfg.numeric, "numeric", false, "execute every contraction with real complex128 arithmetic alongside the simulation and report the numeric fingerprint (expensive; small workloads)")
 	flag.Int64Var(&cfg.numericSeed, "numeric-seed", 1, "seed for the numeric input data")
-	flag.IntVar(&cfg.numericPar, "numeric-parallel", 0, "with -numeric, worker-pool size for the parallel fused pipeline: 1 = serial fused engine, >1 = dependency-level batches across that many cooperative workers (0 = GOMAXPROCS); the exact-tier fingerprint is identical at every size")
+	flag.IntVar(&cfg.numericPar, "numeric-parallel", 0, "with -numeric, width of the worker pool that runs each stage's dependency-level batches, the engine goroutine included: N > 1 = N workers, 0 and 1 = GOMAXPROCS; the exact-tier fingerprint is identical at every width")
 	flag.BoolVar(&cfg.fastKernels, "fast-kernels", false, "with -numeric, run the FMA/AVX-512 fast kernel tier (ULP-bounded, not bit-identical to exact-mode fingerprints)")
 	flag.StringVar(&cfg.serveAddr, "serve", "", "serve live observability HTTP on this address (e.g. :9090): /metrics, /metrics.json, /decisions, /trace, /flight, /healthz, /debug/pprof; keeps serving after the run until interrupted")
 	flag.StringVar(&cfg.ckptDir, "checkpoint-dir", "", "persist durable stage-boundary checkpoints in this directory (atomic write + fsync); a run interrupted or killed resumes from the file on the next -supervise invocation")

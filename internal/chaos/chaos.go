@@ -1,7 +1,6 @@
 // Package chaos is the soak harness of the robustness layer: seeded
 // random fault plans crossed with random kill points, every registered
-// scheduler, serial and pooled numeric execution, and reclamation on and
-// off. A "kill" simulates process death — every piece of in-memory state
+// scheduler, two numeric pool widths, and reclamation on and off. A "kill" simulates process death — every piece of in-memory state
 // (scheduler, cluster, engine, checkpoint handle) is dropped and the run
 // resumes from the durable checkpoint file alone. Each iteration must end
 // with the exact-mode numeric fingerprint of the fault-free baseline, bit
@@ -39,7 +38,7 @@ type Config struct {
 	// Schedulers are registry names (default: every registered scheduler).
 	Schedulers []string
 	// Pools are the numeric Parallelism settings to cross (default {1, 4}:
-	// the serial engine and a 4-worker pool).
+	// a GOMAXPROCS-wide pool and a 4-wide one).
 	Pools []int
 	// Reclaim are the NumericReclaim settings to cross (default {false, true}).
 	Reclaim []bool

@@ -30,7 +30,7 @@ func soakSeeds(t *testing.T) []int64 {
 }
 
 // TestChaosSoak is the acceptance soak: every registered scheduler,
-// serial and 4-worker numeric execution, reclamation off and on, each
+// numeric pool widths 1 and 4 (Parallelism), reclamation off and on, each
 // iteration killed up to twice at seeded-random pair boundaries and
 // resumed from the durable checkpoint file alone, landing on the
 // fault-free exact-mode fingerprint bit for bit. Each kill's checkpoint

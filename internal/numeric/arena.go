@@ -1,4 +1,4 @@
-package sched
+package numeric
 
 // Recycled numeric tensor storage.
 //
@@ -7,11 +7,10 @@ package sched
 // steady-state numeric run holds only the live working set instead of
 // every tensor the stream ever produced.
 //
-// It has one owner: the goroutine that runs the levels (the engine in
-// serial mode, the pipeline coordinator in concurrent mode) draws every
-// destination and returns every dead buffer, so there is no lock and no
-// per-worker tier — a buffer put back is the next one drawn, while it is
-// still warm in cache.
+// It has one owner: the executor's goroutine draws every destination and
+// returns every dead buffer, so there is no lock and no per-worker tier —
+// a buffer put back is the next one drawn, while it is still warm in
+// cache.
 type bufArena struct {
 	free   map[int][][]complex128
 	misses int // draws the free list could not serve

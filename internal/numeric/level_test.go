@@ -1,7 +1,8 @@
-package sched
+package numeric
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,9 +15,9 @@ import (
 )
 
 // Bounded-width level execution (levelWidth pairs per fused batch) must
-// be invisible in the results: the tests below drive the numeric store
-// over hand-built streams whose dependency levels sit on every side of
-// the sub-batch seam and compare it against a pairwise oracle.
+// be invisible in the results: the tests below drive the executor over
+// hand-built streams whose dependency levels sit on every side of the
+// sub-batch seam and compare it against a pairwise oracle.
 
 const levelDim = 16 // smallest dimension the AVX-512 block kernel takes
 
@@ -54,7 +55,7 @@ func levelStream(first, second int) *workload.Workload {
 	return w
 }
 
-// levelRun is what one numeric-store run over a stream leaves behind.
+// levelRun is what one executor run over a stream leaves behind.
 type levelRun struct {
 	fp     float64
 	norms  map[uint64]float64 // every tensor of the run, resident or reclaimed
@@ -62,46 +63,31 @@ type levelRun struct {
 	err    error              // first error, nil on a clean run
 }
 
-// runLevels drives the store the way the engine does: queue a stage's
-// pairs, flush at the boundary, finish at the end.
+// runLevels drives the executor the way its callers do: one RunStage per
+// stage, in order.
 func runLevels(t *testing.T, w *workload.Workload, pool int, reclaim bool) levelRun {
 	t.Helper()
-	s, err := newNumericStore(context.Background(), w, Options{
-		Numeric: true, NumericSeed: 5, Parallelism: pool, NumericReclaim: reclaim,
-	})
+	x, err := New(w, Config{Seed: 5, Workers: pool, Reclaim: reclaim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.shutdown()
+	defer x.Close()
 	var r levelRun
 	for _, st := range w.Stages {
-		for _, p := range st.Pairs {
-			if err := s.exec(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if r.err = s.flushStage(); r.err != nil {
-			break
+		if r.err = x.RunStage(context.Background(), st.Pairs); r.err != nil {
+			return r
 		}
 	}
-	if err := s.finish(); r.err == nil {
-		r.err = err
-	}
-	if r.err != nil {
-		return r
-	}
-	r.fp = s.fingerprint()
+	r.fp = x.Fingerprint()
 	r.norms = make(map[uint64]float64)
-	for i := range s.shards {
-		for id, x := range s.shards[i].m {
-			r.norms[id] = x.Norm()
-		}
+	for id, t := range x.tensors {
+		r.norms[id] = t.Norm()
 	}
-	for id, n := range s.norms {
+	for id, n := range x.norms {
 		r.norms[id] = n
 	}
 	if reclaim {
-		r.misses = s.arena.misses
+		r.misses = x.arena.misses
 	}
 	return r
 }
@@ -190,7 +176,7 @@ func TestLevelFirstError(t *testing.T) {
 		{"missing-beats-earlier-mismatch", func(pairs []workload.Pair) {
 			pairs[5].B = odd
 			pairs[levelWidth+3].A = levelDesc(999)
-		}, "numeric operand t999 missing"},
+		}, "numeric: operand t999 missing"},
 		{"first-mismatch-in-stream-order", func(pairs []workload.Pair) {
 			pairs[levelWidth+1].B = odd
 			pairs[2*levelWidth+5].A = odd
@@ -204,6 +190,44 @@ func TestLevelFirstError(t *testing.T) {
 			if got.err == nil || !strings.Contains(got.err.Error(), c.want) {
 				t.Errorf("%s pool=%d reclaim=%v: error %v, want one containing %q", c.name, cfg.pool, cfg.reclaim, got.err, c.want)
 			}
+		}
+	}
+}
+
+// cancelAfter is a context that reports cancellation from its n-th Err
+// call on, which places a cancel between two chosen sub-batches.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestLevelCancelBetweenBatches: a cancel that lands while a wide level
+// runs is seen before the next sub-batch starts, at every pool width, with
+// reclamation off and on — the level's remaining pairs never run.
+func TestLevelCancelBetweenBatches(t *testing.T) {
+	w := levelStream(10*levelWidth, 0)
+	for _, c := range levelConfigs {
+		for _, done := range []int{0, 3, 9} {
+			x, err := New(w, Config{Seed: 5, Workers: c.pool, Reclaim: c.reclaim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = x.RunStage(&cancelAfter{context.Background(), done}, w.Stages[0].Pairs)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("pool=%d reclaim=%v: err = %v after %d sub-batches, want context.Canceled", c.pool, c.reclaim, err, done)
+			}
+			produced := len(x.tensors) + len(x.norms) - len(w.Inputs)
+			if produced != done*levelWidth {
+				t.Errorf("pool=%d reclaim=%v: %d outputs produced, want %d (%d sub-batches)", c.pool, c.reclaim, produced, done*levelWidth, done)
+			}
+			x.Close()
 		}
 	}
 }
@@ -230,5 +254,51 @@ func TestLevelRecyclesOwnBuffers(t *testing.T) {
 				t.Errorf("live=%d finals=%d pool=%d: %d arena misses, want <= %d", c.live, c.finals, pool, got.misses, bound)
 			}
 		}
+	}
+}
+
+// TestLevelPartition pins the level partitioner on the edge shapes it
+// guards: independent stages fuse whole, and RAW/WAW/WAR hazards each
+// force a level split that keeps every level internally independent.
+func TestLevelPartition(t *testing.T) {
+	d := func(id uint64) tensor.Desc { return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 8, Batch: 1} }
+	var lv levelizer
+	shared := []workload.Pair{
+		{A: d(1), B: d(2), Out: d(10)},
+		{A: d(1), B: d(3), Out: d(11)}, // shared input is fine
+	}
+	if levels := lv.partition(shared); len(levels) != 1 || len(levels[0]) != 2 {
+		t.Errorf("shared-input stage split into %d levels, want one level of 2", len(levels))
+	}
+	raw := []workload.Pair{
+		{A: d(1), B: d(2), Out: d(10)},
+		{A: d(10), B: d(2), Out: d(11)}, // reads same-stage output 10
+		{A: d(1), B: d(11), Out: d(12)}, // chains further
+	}
+	if levels := lv.partition(raw); len(levels) != 3 {
+		t.Errorf("chained stage split into %d levels, want 3", len(levels))
+	}
+	waw := []workload.Pair{
+		{A: d(1), B: d(2), Out: d(10)},
+		{A: d(3), B: d(4), Out: d(10)}, // duplicate output
+	}
+	if levels := lv.partition(waw); len(levels) != 2 {
+		t.Errorf("duplicate-output stage split into %d levels, want 2", len(levels))
+	}
+	war := []workload.Pair{
+		{A: d(10), B: d(2), Out: d(11)}, // reads an ID a later pair overwrites
+		{A: d(1), B: d(2), Out: d(10)},
+	}
+	levels := lv.partition(war)
+	if len(levels) != 2 {
+		t.Fatalf("write-after-read stage split into %d levels, want 2", len(levels))
+	}
+	if levels[0][0].Out.ID != 11 || levels[1][0].Out.ID != 10 {
+		t.Errorf("write-after-read levels out of order: %d then %d, want 11 then 10",
+			levels[0][0].Out.ID, levels[1][0].Out.ID)
+	}
+	// Reuse across calls must not leak floors between stages.
+	if again := lv.partition(shared); len(again) != 1 {
+		t.Errorf("levelizer reuse split independent stage into %d levels", len(again))
 	}
 }

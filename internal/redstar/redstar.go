@@ -9,12 +9,12 @@
 package redstar
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
 	"slices"
-	"sort"
 
 	"micco/internal/graph"
+	"micco/internal/numeric"
 	"micco/internal/tensor"
 	"micco/internal/wick"
 	"micco/internal/workload"
@@ -225,159 +225,42 @@ func (b *Build) EvaluateNumeric(seed int64, workers int) (map[int]complex128, er
 	return b.EvaluateNumericMode(seed, workers, tensor.ModeExact)
 }
 
-// stageOpsIndependent reports whether a plan stage's ops are mutually
-// independent: unique outputs, and no op reading a tensor another op of
-// the same stage produces. BuildPlan stages by dependency depth, so this
-// holds for every plan it emits; the check keeps hand-altered plans
-// correct by falling back to sequential execution.
-func stageOpsIndependent(plan *graph.Plan, stage []int) bool {
-	outs := make(map[uint64]struct{}, len(stage))
-	for _, oi := range stage {
-		op := plan.Ops[oi]
-		if _, dup := outs[op.Out.ID]; dup {
-			return false
-		}
-		outs[op.Out.ID] = struct{}{}
-	}
-	for _, oi := range stage {
-		op := plan.Ops[oi]
-		if _, ok := outs[op.A.ID]; ok {
-			return false
-		}
-		if _, ok := outs[op.B.ID]; ok {
-			return false
-		}
-	}
-	return true
-}
-
 // EvaluateNumericMode is EvaluateNumeric with an explicit kernel tier:
 // tensor.ModeExact reproduces the golden values bit for bit, while
 // tensor.ModeFast permits the FMA/AVX-512 fused kernels, accurate to the
 // ULP bound documented in DESIGN.md §12.
 //
-// Evaluation walks the plan stage by stage, executing each stage's ops as
-// one tensor.ContractBatch: every unique hadron block or intermediate is
-// packed into split-complex form once per stage, however many same-stage
-// contractions read it. A free-list arena recycles every tensor's storage
-// as soon as its last reader has run (liveness is exact, counted over the
-// op stream, with each final pinned until its trace is taken), so peak
-// memory is bounded by the live working set rather than the full plan.
-// Neither batching nor recycling perturbs numerics: in exact mode the
+// Evaluation hands b.Workload — the plan's own stream — stage by stage to
+// the numeric executor the scheduling engine uses (internal/numeric), on
+// a pool of workers goroutines (<= 0 selects GOMAXPROCS): each stage runs
+// as dependency levels of fused batches, every tensor's storage is
+// recycled once its last reader has run, and the finals are pinned until
+// their traces are taken. None of that perturbs numerics: in exact mode a
 // fused batch is bit-identical to op-at-a-time evaluation, and the kernel
 // overwrites every destination element.
 func (b *Build) EvaluateNumericMode(seed int64, workers int, mode tensor.KernelMode) (map[int]complex128, error) {
-	rng := rand.New(rand.NewSource(seed))
-	store := make(map[uint64]*tensor.Tensor, len(b.Plan.Inputs))
-	for _, d := range b.Plan.Inputs {
-		t, err := tensor.NewRandom(d, rng)
-		if err != nil {
-			return nil, err
-		}
-		store[d.ID] = t
-	}
-	// Exact read counts: operand uses in the op stream, plus one per final
-	// for the trace. BuildPlan guarantees unique outputs, so a count
-	// reaching zero really is the tensor's last use.
-	reads := make(map[uint64]int, len(b.Plan.Ops))
-	for _, op := range b.Plan.Ops {
-		reads[op.A.ID]++
-		reads[op.B.ID]++
-	}
-	for _, finals := range b.FinalsByTime {
-		for _, fd := range finals {
-			reads[fd.ID]++
+	var finals []uint64
+	for _, fds := range b.FinalsByTime {
+		for _, fd := range fds {
+			finals = append(finals, fd.ID)
 		}
 	}
-	// Free list keyed by capacity; dead buffers feed later ContractInto
-	// destinations of the same size.
-	free := make(map[int][][]complex128)
-	release := func(id uint64) {
-		n, ok := reads[id]
-		if !ok {
-			return
-		}
-		n--
-		reads[id] = n
-		if n > 0 {
-			return
-		}
-		if t := store[id]; t != nil && t.Data != nil {
-			c := cap(t.Data)
-			free[c] = append(free[c], t.Data[:0])
-		}
-		delete(store, id)
+	x, err := numeric.New(b.Workload, numeric.Config{Seed: seed, Workers: workers, Mode: mode, Reclaim: true, Pin: finals})
+	if err != nil {
+		return nil, fmt.Errorf("redstar: %w", err)
 	}
-	draw := func(elems int) []complex128 {
-		if l := free[elems]; len(l) > 0 {
-			buf := l[len(l)-1]
-			free[elems] = l[:len(l)-1]
-			return buf
-		}
-		return nil
-	}
-	var batch []tensor.BatchOp
-	for si, stage := range b.Plan.StageOps {
-		if !stageOpsIndependent(b.Plan, stage) {
-			// Dependent stage (hand-altered plan): op-at-a-time, in order.
-			for _, oi := range stage {
-				op := b.Plan.Ops[oi]
-				a, ok := store[op.A.ID]
-				if !ok {
-					return nil, fmt.Errorf("redstar: operand t%d missing", op.A.ID)
-				}
-				bb, ok := store[op.B.ID]
-				if !ok {
-					return nil, fmt.Errorf("redstar: operand t%d missing", op.B.ID)
-				}
-				out := &tensor.Tensor{Data: draw(int(op.Out.Elems()))}
-				if err := tensor.ContractIntoMode(out, a, bb, op.Out.ID, workers, mode); err != nil {
-					return nil, err
-				}
-				store[op.Out.ID] = out
-				release(op.A.ID)
-				release(op.B.ID)
-			}
-			continue
-		}
-		batch = batch[:0]
-		for _, oi := range stage {
-			op := b.Plan.Ops[oi]
-			a, ok := store[op.A.ID]
-			if !ok {
-				return nil, fmt.Errorf("redstar: operand t%d missing", op.A.ID)
-			}
-			bb, ok := store[op.B.ID]
-			if !ok {
-				return nil, fmt.Errorf("redstar: operand t%d missing", op.B.ID)
-			}
-			batch = append(batch, tensor.BatchOp{
-				Dst:   &tensor.Tensor{Data: draw(int(op.Out.Elems()))},
-				A:     a,
-				B:     bb,
-				OutID: op.Out.ID,
-			})
-		}
-		if err := tensor.ContractBatch(batch, workers, mode); err != nil {
+	defer x.Close()
+	for si, st := range b.Workload.Stages {
+		// The kept signature supplies no context.
+		if err := x.RunStage(context.TODO(), st.Pairs); err != nil {
 			return nil, fmt.Errorf("redstar: stage %d: %w", si, err)
-		}
-		for k, oi := range stage {
-			op := b.Plan.Ops[oi]
-			store[op.Out.ID] = batch[k].Dst
-			release(op.A.ID)
-			release(op.B.ID)
 		}
 	}
 	corr := make(map[int]complex128, len(b.FinalsByTime))
-	times := make([]int, 0, len(b.FinalsByTime))
-	for t := range b.FinalsByTime {
-		times = append(times, t)
-	}
-	sort.Ints(times)
-	for _, t := range times {
+	for t, fds := range b.FinalsByTime {
 		var sum complex128
-		for _, fd := range b.FinalsByTime[t] {
-			ft, ok := store[fd.ID]
+		for _, fd := range fds {
+			ft, ok := x.Tensor(fd.ID)
 			if !ok {
 				return nil, fmt.Errorf("redstar: final t%d missing", fd.ID)
 			}
@@ -386,7 +269,6 @@ func (b *Build) EvaluateNumericMode(seed int64, workers int, mode tensor.KernelM
 				return nil, err
 			}
 			sum += tr
-			release(fd.ID)
 		}
 		corr[t] = sum
 	}

@@ -246,14 +246,14 @@ func TestObsOnRunAllocsPerPair(t *testing.T) {
 	}
 }
 
-// BenchmarkNumericPipeline measures the parallel fused numeric pipeline
-// end to end — dependency-level batching, cooperative ContractBatch
-// across the worker pool, scheduling pipelined against numerics — on a
-// chained operand-sharing deck at pool sizes 1 (serial fused baseline), 2
-// (the benchsmoke contract: one parked worker plus the coordinator) and
-// 8. Exact mode; every iteration's fingerprint is checked against the
-// serial engine, so the smoke run in `make check` doubles as a
-// correctness probe. Recorded into BENCH_sched.json by `make bench`.
+// BenchmarkNumericPipeline measures a numeric run end to end — placement,
+// then each stage's dependency levels as fused batches on the worker pool
+// — on a chained operand-sharing deck of dim-24 tensors, small enough for
+// the pool's per-batch hand-off to show, at Parallelism 1 (GOMAXPROCS
+// wide), 2 (the engine plus one parked worker) and 8. Exact mode; every
+// iteration's fingerprint is checked against the first run's, so the
+// smoke run in `make check` doubles as a correctness probe. Recorded into
+// BENCH_sched.json by `make bench`.
 func BenchmarkNumericPipeline(b *testing.B) {
 	w, err := workload.Generate(workload.Config{
 		Seed: 29, Stages: 4, VectorSize: 8, TensorDim: 24, Batch: 2,
@@ -276,7 +276,7 @@ func BenchmarkNumericPipeline(b *testing.B) {
 	}
 	want := run(1)
 	if want == 0 {
-		b.Fatal("serial reference produced a zero fingerprint")
+		b.Fatal("reference run produced a zero fingerprint")
 	}
 	for _, pool := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("fused/exact/pool=%d", pool), func(b *testing.B) {
@@ -284,7 +284,7 @@ func BenchmarkNumericPipeline(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if got := run(pool); got != want {
-					b.Fatalf("pool %d: fingerprint %x != serial %x", pool, got, want)
+					b.Fatalf("pool %d: fingerprint %x != reference %x", pool, got, want)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*pairs), "ns/pair")

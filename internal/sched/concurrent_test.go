@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"micco/internal/gpusim"
+	"micco/internal/tensor"
 	"micco/internal/workload"
 )
 
@@ -30,9 +33,9 @@ func (c *cancelOnAssign) Assign(p workload.Pair, ctx *Context) int {
 }
 
 // TestConcurrentEngineMatchesSerial is the determinism contract of the
-// concurrent numeric engine: every Result field except the real wall-clock
-// SchedOverhead must be bit-identical between the serial engine
-// (Parallelism 1) and pools of several sizes.
+// numeric engine across pool widths: every Result field except the real
+// wall-clock SchedOverhead must be bit-identical between Parallelism 1 and
+// pools of several sizes.
 func TestConcurrentEngineMatchesSerial(t *testing.T) {
 	w := smallWorkload(t, 4, 8)
 	run := func(parallelism int) *Result {
@@ -50,21 +53,21 @@ func TestConcurrentEngineMatchesSerial(t *testing.T) {
 		res.SchedOverhead = 0 // real host time, legitimately varies
 		return res
 	}
-	serial := run(1)
-	if serial.NumericFingerprint == 0 {
-		t.Fatal("serial engine produced a zero fingerprint")
+	want := run(1)
+	if want.NumericFingerprint == 0 {
+		t.Fatal("Parallelism 1 produced a zero fingerprint")
 	}
 	for _, par := range []int{0, 2, 8} {
 		got := run(par)
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("parallelism %d result diverges from serial:\n got %+v\nwant %+v", par, got, serial)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism %d result diverges from parallelism 1:\n got %+v\nwant %+v", par, got, want)
 		}
 	}
 }
 
 // TestConcurrentEngineChainedWorkload exercises the dependency graph: a
 // chained workload (stage outputs feed later stages) must produce the
-// serial fingerprint at every pool size.
+// same fingerprint at every pool width.
 func TestConcurrentEngineChainedWorkload(t *testing.T) {
 	w := smallWorkload(t, 5, 6)
 	fingerprint := func(parallelism int) float64 {
@@ -154,11 +157,52 @@ func TestRunOutOfMemoryTyped(t *testing.T) {
 	}
 }
 
+// TestPoolSizeResolution pins the pool width every Parallelism value
+// resolves to: N for N > 1, GOMAXPROCS for 0 and — as it always has, the
+// old inline mode having fanned each batch over GOMAXPROCS goroutines —
+// for 1. The ladder's deck_numeric set-up runs a Parallelism 1 cross-check
+// whose cost depends on it.
 func TestPoolSizeResolution(t *testing.T) {
-	if got := (Options{Parallelism: 3}).PoolSize(); got != 3 {
-		t.Errorf("PoolSize() = %d, want 3", got)
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ parallelism, want int }{{0, procs}, {1, procs}, {3, 3}} {
+		if got := (Options{Parallelism: c.parallelism}).PoolSize(); got != c.want {
+			t.Errorf("Parallelism %d: PoolSize() = %d, want %d", c.parallelism, got, c.want)
+		}
 	}
-	if got := (Options{}).PoolSize(); got < 1 {
-		t.Errorf("default PoolSize() = %d, want >= 1", got)
+}
+
+// TestNumericErrorCarriesCheckpoint: a contraction that fails in the
+// numeric executor ends the run like any other mid-run failure — at every
+// pool width, with Checkpoint set, Run returns the partial Result carrying
+// the last stage-boundary checkpoint next to the error, which names the
+// stage. The stream is hand-built so that only the numerics can object:
+// stage 1 describes input t3 with the shape the simulator expects of an
+// operand, while the tensor the executor drew for it is the smaller one
+// the input list declares.
+func TestNumericErrorCarriesCheckpoint(t *testing.T) {
+	d := func(id uint64, dim int) tensor.Desc {
+		return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: dim, Batch: 1}
+	}
+	w := &workload.Workload{
+		Name:   "numeric-error",
+		Inputs: []tensor.Desc{d(1, 16), d(2, 16), d(3, 8)},
+		Stages: []workload.Stage{
+			{Index: 0, Pairs: []workload.Pair{{A: d(1, 16), B: d(2, 16), Out: d(10, 16)}}},
+			{Index: 1, Pairs: []workload.Pair{{A: d(10, 16), B: d(3, 16), Out: d(11, 16)}}},
+		},
+	}
+	for _, par := range []int{0, 1, 2, 8} {
+		res, err := Run(context.Background(), w, &spreadScheduler{}, cluster(t, 2), Options{
+			Numeric: true, NumericSeed: 1, Parallelism: par, Checkpoint: true,
+		})
+		if err == nil || !strings.Contains(err.Error(), "stage 1") || !strings.Contains(err.Error(), "shape mismatch") {
+			t.Fatalf("parallelism %d: err = %v, want stage 1's shape mismatch", par, err)
+		}
+		if res == nil || res.Checkpoint == nil {
+			t.Fatalf("parallelism %d: numeric failure dropped the partial result and its checkpoint", par)
+		}
+		if got := res.Checkpoint.NextStage(); got != 1 {
+			t.Errorf("parallelism %d: checkpoint at stage %d, want 1 (the last boundary before the failure)", par, got)
+		}
 	}
 }

@@ -3,7 +3,7 @@ package sched_test
 // Large-cluster coverage for topology API v2: schedulers must work beyond
 // the former 64-device ceiling, the mask path must still match the
 // scan-path reference when holder sets spill past one word, and numeric
-// fingerprints must stay bit-identical across serial, parallel and
+// fingerprints must stay bit-identical across pool widths and
 // reclaiming execution modes on a multi-node cluster.
 
 import (
@@ -35,7 +35,7 @@ func largeRoster() map[string]func() sched.Scheduler {
 
 // TestLargeClusterAllSchedulers schedules a workload on 256 devices across
 // 4 nodes under every scheduler family, and checks each run works and its
-// numeric fingerprint is bit-identical across serial, parallel and
+// numeric fingerprint is bit-identical across pool widths and
 // reclaiming numeric modes.
 func TestLargeClusterAllSchedulers(t *testing.T) {
 	w, err := workload.Generate(workload.Config{

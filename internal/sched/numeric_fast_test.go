@@ -54,9 +54,9 @@ func TestFastKernelsFingerprint(t *testing.T) {
 }
 
 // TestFusedStageDependentFallback: a hand-built stage whose second pair
-// reads the first pair's output is not independent; the level
-// partitioner must split the chain into one level per link, and the
-// engine must match the serial result bit for bit at any pool size.
+// reads the first pair's output is not independent; the executor splits
+// the chain into one level per link (numeric.TestLevelPartition), and the
+// engine must produce the same bits at every pool width.
 func TestFusedStageDependentFallback(t *testing.T) {
 	d := func(id uint64) tensor.Desc { return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 12, Batch: 2} }
 	w := &workload.Workload{
@@ -70,10 +70,6 @@ func TestFusedStageDependentFallback(t *testing.T) {
 			}},
 		},
 	}
-	var lv levelizer
-	if levels := lv.partition(w.Stages[0].Pairs); len(levels) != 3 {
-		t.Fatalf("chained stage split into %d levels, want 3", len(levels))
-	}
 	fp := func(par int) float64 {
 		t.Helper()
 		c := cluster(t, 2)
@@ -85,49 +81,11 @@ func TestFusedStageDependentFallback(t *testing.T) {
 		}
 		return res.NumericFingerprint
 	}
-	serial := fp(1)
-	if serial == 0 {
+	want := fp(1)
+	if want == 0 {
 		t.Fatal("zero fingerprint")
 	}
-	if pool := fp(8); math.Float64bits(pool) != math.Float64bits(serial) {
-		t.Errorf("pool fingerprint %x, want serial %x", pool, serial)
-	}
-}
-
-// TestLevelPartition pins the level partitioner on the edge shapes it
-// guards: independent stages fuse whole, and RAW/WAW/WAR hazards each
-// force a level split that keeps every level internally independent.
-func TestLevelPartition(t *testing.T) {
-	d := func(id uint64) tensor.Desc { return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 8, Batch: 1} }
-	var lv levelizer
-	shared := []workload.Pair{
-		{A: d(1), B: d(2), Out: d(10)},
-		{A: d(1), B: d(3), Out: d(11)}, // shared input is fine
-	}
-	if levels := lv.partition(shared); len(levels) != 1 || len(levels[0]) != 2 {
-		t.Errorf("shared-input stage split into %d levels, want one level of 2", len(levels))
-	}
-	waw := []workload.Pair{
-		{A: d(1), B: d(2), Out: d(10)},
-		{A: d(3), B: d(4), Out: d(10)}, // duplicate output
-	}
-	if levels := lv.partition(waw); len(levels) != 2 {
-		t.Errorf("duplicate-output stage split into %d levels, want 2", len(levels))
-	}
-	war := []workload.Pair{
-		{A: d(10), B: d(2), Out: d(11)}, // reads an ID a later pair overwrites
-		{A: d(1), B: d(2), Out: d(10)},
-	}
-	levels := lv.partition(war)
-	if len(levels) != 2 {
-		t.Fatalf("write-after-read stage split into %d levels, want 2", len(levels))
-	}
-	if levels[0][0].Out.ID != 11 || levels[1][0].Out.ID != 10 {
-		t.Errorf("write-after-read levels out of order: %d then %d, want 11 then 10",
-			levels[0][0].Out.ID, levels[1][0].Out.ID)
-	}
-	// Reuse across calls must not leak floors between stages.
-	if again := lv.partition(shared); len(again) != 1 {
-		t.Errorf("levelizer reuse split independent stage into %d levels", len(again))
+	if got := fp(8); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("width-8 fingerprint %x, want %x", got, want)
 	}
 }

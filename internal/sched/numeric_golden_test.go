@@ -83,65 +83,3 @@ func TestNumericReclaimMatchesKeep(t *testing.T) {
 		}
 	}
 }
-
-// TestNumericReclaimFreesDeadTensors asserts the arena actually reclaims:
-// after a chained run with reclamation, the store must hold strictly fewer
-// resident tensors than the total the stream produced.
-func TestNumericReclaimFreesDeadTensors(t *testing.T) {
-	w := smallWorkload(t, 5, 8)
-	ctx := context.Background()
-	s, err := newNumericStore(ctx, w, Options{Numeric: true, NumericSeed: 3, Parallelism: 1, NumericReclaim: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range w.Stages {
-		for _, p := range st.Pairs {
-			if err := s.exec(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.flushStage(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resident := 0
-	for i := range s.shards {
-		resident += len(s.shards[i].m)
-	}
-	if len(s.norms) == 0 {
-		t.Fatal("reclamation never fired on a chained workload")
-	}
-	total := resident + len(s.norms)
-	if resident >= total {
-		t.Errorf("resident = %d of %d tensors; want strictly fewer", resident, total)
-	}
-	t.Logf("resident %d / produced+inputs %d (reclaimed %d)", resident, total, len(s.norms))
-}
-
-// TestBuildLivenessExclusions: IDs written twice, or used as both input
-// and output, must not be tracked for reclamation. FromStages rejects
-// such streams outright, so the workload is assembled by hand — the same
-// defensive stance the level partitioner takes for its
-// write-after-write chains.
-func TestBuildLivenessExclusions(t *testing.T) {
-	d := func(id uint64) tensor.Desc { return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 4, Batch: 1} }
-	w := &workload.Workload{
-		Name:   "waw",
-		Inputs: []tensor.Desc{d(1), d(2)},
-		Stages: []workload.Stage{
-			{Index: 0, Pairs: []workload.Pair{{A: d(1), B: d(2), Out: d(10)}}},
-			{Index: 1, Pairs: []workload.Pair{{A: d(10), B: d(2), Out: d(10)}}}, // rewrites 10
-			{Index: 2, Pairs: []workload.Pair{{A: d(10), B: d(1), Out: d(1)}}},  // output collides with input 1
-		},
-	}
-	m := buildLiveness(w)
-	if _, ok := m[10]; ok {
-		t.Error("ID 10 written twice: must be excluded from reclamation")
-	}
-	if _, ok := m[1]; ok {
-		t.Error("ID 1 is both input and output: must be excluded from reclamation")
-	}
-	if rl, ok := m[2]; !ok || rl.Load() != 2 {
-		t.Errorf("ID 2: want tracked with 2 reads, got %v", m[2])
-	}
-}

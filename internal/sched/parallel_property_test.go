@@ -31,8 +31,8 @@ func (s *liveSpread) Assign(_ workload.Pair, ctx *Context) int {
 // propertyWorkload is a chained, operand-sharing deck: ChainRate feeds
 // stage outputs into later stages (multi-level dependency partitions) and
 // RepeatRate shares operands within a stage (fused packing actually
-// shared), so the parallel pipeline's batching, barriers and reclaim paths
-// are all load-bearing for the fingerprint.
+// shared), so the executor's level batching and reclaim paths are all
+// load-bearing for the fingerprint.
 func propertyWorkload(t *testing.T) *workload.Workload {
 	t.Helper()
 	w, err := workload.Generate(workload.Config{
@@ -45,14 +45,14 @@ func propertyWorkload(t *testing.T) *workload.Workload {
 	return w
 }
 
-// TestParallelFusedBitIdentical is the exactness property of the parallel
-// fused pipeline: in KernelExact mode the numeric fingerprint must be
-// bit-identical to the serial engine at every pool size, with and without
-// dead-tensor reclamation, and across a mid-run device loss whose
-// recovery re-places already-executed pairs. Run under -race by `make
-// check`, this also validates the pipeline's happens-before edges (level
-// hand-off, two-phase pack/compute barrier, coordinator-owned shard
-// installs, per-worker arena free lists).
+// TestParallelFusedBitIdentical is the exactness property of fused level
+// execution across pool widths: in KernelExact mode the numeric
+// fingerprint must be bit-identical to the default-width run at every
+// width, with and without dead-tensor reclamation, and across a mid-run
+// device loss whose recovery re-places already-executed pairs. Run under
+// -race by `make check`, this also validates the pool's happens-before
+// edges (job hand-off to parked workers, two-phase pack/compute hand-over,
+// the reclamation fan-out).
 func TestParallelFusedBitIdentical(t *testing.T) {
 	w := propertyWorkload(t)
 	base := Options{Numeric: true, NumericSeed: 17}
@@ -87,7 +87,7 @@ func TestParallelFusedBitIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					if res.NumericFingerprint != ref.NumericFingerprint {
-						t.Errorf("fingerprint %x diverges from serial reference %x",
+						t.Errorf("fingerprint %x diverges from reference %x",
 							res.NumericFingerprint, ref.NumericFingerprint)
 					}
 				})
@@ -97,11 +97,11 @@ func TestParallelFusedBitIdentical(t *testing.T) {
 }
 
 // TestParallelFusedResumeReplay drives the checkpoint/resume path through
-// the parallel pipeline: a fatal cluster loss mid-run leaves a
-// stage-boundary checkpoint; resuming on a fresh cluster replays the
-// completed numeric prefix (flushed stage-by-stage, exactly as the
-// original run flushed it) and must land on the uninterrupted
-// fingerprint at every pool size and reclaim mode.
+// numeric mode: a fatal cluster loss mid-run leaves a stage-boundary
+// checkpoint; resuming on a fresh cluster replays the completed numeric
+// prefix (stage by stage, exactly as the original run executed it) and
+// must land on the uninterrupted fingerprint at every pool width and
+// reclaim mode.
 func TestParallelFusedResumeReplay(t *testing.T) {
 	w := propertyWorkload(t)
 	base := Options{Numeric: true, NumericSeed: 17}

@@ -1,6 +1,5 @@
-// Robustness-layer guards for the parallel numeric pipeline: cancellation
-// at randomized points drains every pipeline goroutine and surfaces a
-// clean context.Canceled, and the checkpoint-off, supervisor-off hot path
+// Robustness-layer guards for numeric runs: cancellation at randomized
+// points stops every pool goroutine and surfaces a clean context.Canceled, and the checkpoint-off, supervisor-off hot path
 // allocates exactly what it did before the durability layer existed.
 package sched_test
 
@@ -33,44 +32,46 @@ func (c *cancelScheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 	return c.Scheduler.Assign(p, ctx)
 }
 
-// TestPipelineCancelDrainsCleanly cancels parallel numeric runs at
-// randomized pair positions: every cancelled run must return
-// context.Canceled (with its checkpoint when enabled), and after all
-// trials the process must settle back to its starting goroutine count —
-// no parked worker, coordinator or watchdog goroutine may leak.
+// TestPipelineCancelDrainsCleanly cancels numeric runs at randomized pair
+// positions at every pool width — Parallelism 1 included: every width
+// owns parked workers that Run must stop on every exit path. Each width
+// also gets one trial whose cancel lands on the last placement of a stage,
+// so the numeric executor, not the pair loop, is what notices it — which
+// is also why no trial can outrun its cancel. Every run must return
+// context.Canceled with its checkpoint, and after all trials the process
+// must settle back to its starting goroutine count — no parked worker or
+// watchdog goroutine may leak.
 func TestPipelineCancelDrainsCleanly(t *testing.T) {
 	w := numericWorkload(t, 31)
 	rng := rand.New(rand.NewSource(31))
 	before := runtime.NumGoroutine()
+	stageEnd := len(w.Stages[0].Pairs) + len(w.Stages[1].Pairs)
 
-	cancelled := 0
-	for trial := 0; trial < 16; trial++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		s := &cancelScheduler{
-			Scheduler: baseline.NewRoundRobin(),
-			at:        1 + rng.Intn(w.NumPairs()),
-			cancel:    cancel,
-		}
-		res, err := sched.Run(ctx, w, s, newClusterT(t, 4),
-			sched.Options{Numeric: true, NumericSeed: 31, Parallelism: 4, Checkpoint: true})
-		cancel()
-		switch {
-		case err == nil:
-			// Trip landed on the last placement; the run beat the cancel.
-		case errors.Is(err, context.Canceled):
-			cancelled++
-			if res == nil || res.Checkpoint == nil {
-				t.Fatalf("trial %d: cancelled run carried no checkpoint", trial)
+	for _, width := range []int{1, 2, 4, 8} {
+		for trial := 0; trial < 8; trial++ {
+			at := 1 + rng.Intn(w.NumPairs())
+			if trial == 0 {
+				at = stageEnd
 			}
-		default:
-			t.Fatalf("trial %d (cancel at %d): err = %v, want context.Canceled", trial, s.at, err)
+			ctx, cancel := context.WithCancel(context.Background())
+			s := &cancelScheduler{Scheduler: baseline.NewRoundRobin(), at: at, cancel: cancel}
+			res, err := sched.Run(ctx, w, s, newClusterT(t, 4),
+				sched.Options{Numeric: true, NumericSeed: 31, Parallelism: width, Checkpoint: true})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("width %d trial %d (cancel at %d): err = %v, want context.Canceled", width, trial, at, err)
+			}
+			if res == nil || res.Checkpoint == nil {
+				t.Fatalf("width %d trial %d: cancelled run carried no checkpoint", width, trial)
+			}
+			if at == stageEnd && res.Checkpoint.NextStage() != 1 {
+				t.Errorf("width %d: cancel on the last placement of stage 1 left a checkpoint at stage %d, want 1: that stage's numerics must not have run",
+					width, res.Checkpoint.NextStage())
+			}
 		}
 	}
-	if cancelled == 0 {
-		t.Fatal("no trial was actually cancelled mid-run; the test exercised nothing")
-	}
 
-	// Settle loop: pipeline workers exit asynchronously after Run returns.
+	// Settle loop: pool workers exit asynchronously after Run returns.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()

@@ -17,6 +17,7 @@ import (
 
 	"micco/internal/fault"
 	"micco/internal/gpusim"
+	"micco/internal/numeric"
 	"micco/internal/obs"
 	"micco/internal/workload"
 )
@@ -200,11 +201,6 @@ type Options struct {
 	Numeric bool
 	// NumericSeed seeds the random input data in numeric mode.
 	NumericSeed int64
-	// NumericWorkers bounds kernel parallelism within one contraction in
-	// serial numeric mode (<=0 selects GOMAXPROCS). When Parallelism
-	// resolves to more than one, the pool supplies the parallelism and
-	// each contraction runs single-threaded.
-	NumericWorkers int
 	// FastKernels runs numeric contractions in the fast kernel tier
 	// (tensor.ModeFast): FMA/AVX-512 fused micro-kernels selected by
 	// runtime CPU detection, accurate to the documented ULP bound of the
@@ -233,14 +229,17 @@ type Options struct {
 	// end of the run. Nil (the default) disables observability entirely;
 	// the placement hot path then performs no extra allocations.
 	Obs *obs.Registry
-	// Parallelism bounds the numeric-validation worker pool. Scheduler
-	// decisions and the timing simulation always replay sequentially (the
-	// paper's Algorithms 1-2 are order-dependent), but the real CPU
-	// contractions of numeric mode run on a dependency-aware pool that
-	// overlaps them with scheduling: a contraction starts as soon as its
-	// operand tensors exist. 0 selects runtime.GOMAXPROCS(0); 1 executes
-	// every contraction inline on the engine goroutine (the serial
-	// engine). Results are bit-for-bit identical at any setting.
+	// Parallelism sets the width of numeric mode's worker pool (PoolSize).
+	// Scheduler decisions and the timing simulation always replay
+	// sequentially (the paper's Algorithms 1-2 are order-dependent); at
+	// each stage boundary the engine goroutine runs the stage's real CPU
+	// contractions as dependency levels of fused batches, working alongside
+	// the pool's parked goroutines. N > 1 is a pool of N; 0 and 1 both
+	// select runtime.GOMAXPROCS(0). 1 is not one thread: there is a single
+	// numeric path, it always fans a batch over the machine, and the
+	// ladder's deck_numeric set-up runs a Parallelism 1 job whose cost is
+	// bounded on that basis. Results are bit-for-bit identical at any
+	// setting.
 	Parallelism int
 	// RecordAssignments retains the per-pair device choices in the result.
 	RecordAssignments bool
@@ -281,9 +280,10 @@ type Options struct {
 	Progress *Progress
 }
 
-// PoolSize resolves Parallelism to the effective worker count.
+// PoolSize resolves Parallelism to the width of the numeric worker pool,
+// the engine goroutine included: N for N > 1, GOMAXPROCS for 0 and for 1.
 func (o Options) PoolSize() int {
-	if o.Parallelism > 0 {
+	if o.Parallelism > 1 {
 		return o.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
@@ -332,7 +332,7 @@ type obsRun struct {
 	patterns [obs.NumReusePatterns]*obs.Counter
 	schedule *obs.Counter // wall seconds inside scheduler calls
 	simulate *obs.Counter // wall seconds inside the timing simulator
-	numeric  *obs.Counter // wall seconds in inline numeric contractions
+	numeric  *obs.Counter // wall seconds in numeric contractions
 }
 
 // patternSeries pre-builds the reuse-pattern counter names so per-run
@@ -391,24 +391,26 @@ func (o *obsRun) finish(res *Result, c *gpusim.Cluster) {
 // Run call; its hot-path fields are read through one pointer, keeping the
 // fault-free per-pair loop free of allocations.
 type engine struct {
-	ctx   context.Context
-	w     *workload.Workload
-	s     Scheduler
-	c     *gpusim.Cluster
-	opts  Options
-	ob    *obsRun
-	sctx  *Context
-	store *numericStore
-	res   *Result
+	ctx  context.Context
+	w    *workload.Workload
+	s    Scheduler
+	c    *gpusim.Cluster
+	opts Options
+	ob   *obsRun
+	sctx *Context
+	// num is the run's numeric executor, nil unless Options.Numeric.
+	num *numeric.Executor
+	res *Result
 	// fr is the live fault-injection state, nil without a fault plan (the
 	// per-pair cost of the feature is then a single nil check).
 	fr *faultRun
 	n  int
 	// overhead is cumulative scheduler wall time; scheduleW/simulateW/
 	// numericW are the current stage's wall-time attribution (zeroed at
-	// each stage start).
+	// each stage start); numericTotal is the run's wall time in numerics.
 	overhead                       time.Duration
 	scheduleW, simulateW, numericW time.Duration
+	numericTotal                   time.Duration
 	// assignAll is the flat stage-major device-per-pair record, indexed
 	// through stageOffsets so recovery re-placements of earlier pairs
 	// update in place (nil unless RecordAssignments).
@@ -505,10 +507,11 @@ func (e *engine) execSim(si, dev int, p workload.Pair) (int64, error) {
 // placePair runs one pair through the full placement path: decision-record
 // setup, scheduler Assign (timed), device validation, simulated execution
 // (with transient retry), decision actuals, per-stage load accounting,
-// dead-input discard and numeric execution. recovery marks a re-placement
-// by the failure-recovery path: the decision record is tagged, and the
-// numeric contraction is NOT repeated (the CPU-side result already
-// exists), which keeps fingerprints bit-identical to a fault-free run.
+// and dead-input discard. recovery marks a re-placement by the
+// failure-recovery path: the decision record is tagged. Numerics are not
+// part of placement — the engine contracts each stage's pairs once, at its
+// boundary, however often recovery re-places them — which keeps
+// fingerprints bit-identical to a fault-free run.
 func (e *engine) placePair(si, pi int, p workload.Pair, recovery bool) error {
 	sctx, c := e.sctx, e.c
 	var rec *obs.DecisionRecord
@@ -579,18 +582,6 @@ func (e *engine) placePair(si, pi int, p workload.Pair, recovery bool) error {
 			e.discard(p.B.ID)
 		}
 	}
-	if !recovery && e.store != nil {
-		var tN time.Duration
-		if e.ob != nil {
-			tN = time.Since(e.clock0)
-		}
-		if err := e.store.exec(p); err != nil {
-			return err
-		}
-		if e.ob != nil {
-			e.numericW += time.Since(e.clock0) - tN
-		}
-	}
 	if e.assignAll != nil {
 		e.assignAll[e.stageOffsets[si]+pi] = dev
 	}
@@ -605,9 +596,10 @@ func (e *engine) placePair(si, pi int, p workload.Pair, recovery bool) error {
 // independent and deterministic.
 //
 // Scheduler decisions and the timing simulation replay sequentially; in
-// numeric mode the real CPU contractions run on a dependency-aware worker
-// pool sized by Options.Parallelism, overlapping with scheduling. ctx
-// cancels the run: Run returns ctx.Err() promptly, checked at every pair.
+// numeric mode the engine then runs each stage's real CPU contractions at
+// the stage boundary, on a worker pool sized by Options.Parallelism. ctx
+// cancels the run: Run returns ctx.Err() promptly, checked at every pair
+// and between numeric batches.
 //
 // When Options.Obs is set the engine additionally records, into that
 // registry: one DecisionRecord per placement, per-stage spans with
@@ -665,21 +657,21 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 		c.SetObserver(opts.Obs)
 		defer c.SetObserver(nil)
 	}
-	var store *numericStore
+	var num *numeric.Executor
 	if opts.Numeric {
 		var err error
-		store, err = newNumericStore(ctx, w, opts)
+		num, err = newNumeric(w, opts)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("sched: %w", err)
 		}
-		// Shut the worker pool down on every exit path so no goroutine
-		// outlives the run (idempotent; finish() on success already did).
-		defer store.shutdown()
+		// Every pool width owns parked workers: stop them on every exit
+		// path so no goroutine outlives the run.
+		defer num.Close()
 	}
 	sctx := NewContext(c)
 	sctx.Obs = opts.Obs
 	res := &Result{Scheduler: s.Name(), Workload: w.Name}
-	e := &engine{ctx: ctx, w: w, s: s, c: c, opts: opts, ob: ob, sctx: sctx, store: store, res: res, n: n, clock0: time.Now()}
+	e := &engine{ctx: ctx, w: w, s: s, c: c, opts: opts, ob: ob, sctx: sctx, num: num, res: res, n: n, clock0: time.Now()}
 	e.prog = opts.Progress
 	if opts.CheckpointDir != "" {
 		e.ckptWrites = opts.Obs.Counter("micco_checkpoint_writes_total")
@@ -712,19 +704,12 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 		// Replay the completed prefix numerically: numeric state is a pure
 		// function of the seed and the stream order, so re-executing it is
 		// exactly equivalent to having checkpointed it, without snapshotting
-		// tensor storage. (With a concurrent pool, exec is a queue no-op and
-		// the pool re-runs the full stream on its own.) Stage boundaries are
-		// flushed exactly as the original run flushed them, so the fused
-		// serial engine replays the identical batched stream.
-		if store != nil {
+		// tensor storage. Stage by stage, as the original run executed it,
+		// so the replay is the identical batched stream.
+		if num != nil {
 			for si := 0; si < startStage; si++ {
-				for _, p := range w.Stages[si].Pairs {
-					if err := store.exec(p); err != nil {
-						return nil, err
-					}
-				}
-				if err := store.flushStage(); err != nil {
-					return nil, err
+				if err := e.runNumeric(w.Stages[si].Pairs); err != nil {
+					return nil, fmt.Errorf("sched: stage %d: %w", si, err)
 				}
 			}
 		}
@@ -769,15 +754,12 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 				return e.fail(err)
 			}
 		}
-		if store != nil {
-			// Fused serial engine: the stage's queued contractions execute
-			// here as one batched call (shared operands packed once). A
-			// no-op on the concurrent pool and when the stage queued nothing.
-			t0 = time.Now()
-			if err := store.flushStage(); err != nil {
-				return e.fail(err)
+		if num != nil {
+			// Every pair of the stage is placed: contract them, in stream
+			// order, before the next stage reads their outputs.
+			if err := e.runNumeric(st.Pairs); err != nil {
+				return e.fail(fmt.Errorf("sched: stage %d: %w", si, err))
 			}
-			e.numericW += time.Since(t0)
 		}
 		c.Barrier()
 		if ob != nil {
@@ -823,20 +805,11 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 			res.Assignments[si] = e.assignAll[e.stageOffsets[si]:e.stageOffsets[si+1]:e.stageOffsets[si+1]]
 		}
 	}
-	if store != nil {
-		var t0 time.Time
+	if num != nil {
+		res.NumericFingerprint = num.Fingerprint()
 		if ob != nil {
-			t0 = time.Now()
+			publishWorkerGauges(ob.reg, num.WorkerBusy(), e.numericTotal)
 		}
-		if err := store.finish(); err != nil {
-			return nil, err
-		}
-		if ob != nil {
-			// Drain time: how long the engine waited for the numeric pool
-			// after the last pair was scheduled (queue-wait tail).
-			ob.reg.Counter("micco_engine_numeric_drain_seconds_total").Add(time.Since(t0).Seconds())
-		}
-		res.NumericFingerprint = store.fingerprint()
 	}
 	if opts.Checkpoint {
 		res.Checkpoint = e.lastCP

@@ -13,9 +13,9 @@ import (
 // same operand tensor commonly feeds several of them (one propagator
 // against many sink interpolators, say). Executed pairwise, every
 // contraction re-packs its operands into split-complex panels — the
-// shared operand is converted once per pair. ContractBatch fuses the
-// stage: each unique operand tensor is packed exactly once into a pooled
-// split arena, and all (op, group) work items stream through the
+// shared operand is converted once per pair. A fused batch
+// (BatchPipeline.Run) packs each unique operand tensor exactly once into
+// a pooled split arena, and all (op, group) work items stream through the
 // micro-kernels and unpack once into their destinations.
 //
 // Pack and compute overlap through a two-phase work list: a single atomic
@@ -32,8 +32,8 @@ import (
 // BatchOp is one contraction of a stage batch: Dst = A x B with output
 // identity OutID. Dst follows ContractInto's destination contract and
 // may alias A or B of the SAME op; it must not alias another op's
-// operand or destination (the scheduler's level partitioning enforces
-// this before fusing a batch).
+// operand or destination (the numeric executor's level partitioning
+// enforces this before fusing a batch).
 type BatchOp struct {
 	Dst, A, B *Tensor
 	OutID     uint64
@@ -140,8 +140,7 @@ func (st *batchState) waitPanel(p *splitPanel) bool {
 	return true
 }
 
-// statePool recycles batch states across ContractBatch and BatchPipeline
-// calls.
+// statePool recycles batch states across BatchPipeline.Run calls.
 var statePool = sync.Pool{New: func() any {
 	return &batchState{panels: make(map[*Tensor]*splitPanel)}
 }}
@@ -160,14 +159,10 @@ func planBatch(ops []BatchOp, workers int, mode KernelMode) (*batchState, error)
 			st.abort()
 			return nil, fmt.Errorf("tensor: ContractBatch op %d with nil destination", i)
 		}
-		od, err := ContractOut(op.A.Desc, op.B.Desc, op.OutID)
+		od, err := contractOperands(op.A, op.B, op.OutID)
 		if err != nil {
 			st.abort()
 			return nil, fmt.Errorf("tensor: ContractBatch op %d: %w", i, err)
-		}
-		if len(op.A.Data) == 0 || len(op.B.Data) == 0 {
-			st.abort()
-			return nil, fmt.Errorf("tensor: ContractBatch op %d on metadata-only tensor %v", i, op.A.Desc)
 		}
 		groups := od.Batch
 		if od.Rank == RankBaryon {
@@ -336,14 +331,12 @@ func (st *batchState) abort() {
 }
 
 // ContractBatch executes all ops of a stage, packing each unique operand
-// tensor once. Work is parallelized across workers goroutines (<=0
-// selects GOMAXPROCS) at group granularity, like ContractInto, with the
-// pack and compute phases overlapped. Every op is validated before any
-// destination is sized, so on error no op has been executed. Ops too
-// small for the packed kernel (or forced to the fallback) run through
-// the pairwise path instead; they produce the same bits either way.
-// Plans, panels and work lists are pooled: steady-state fused batches
-// allocate nothing.
+// tensor once: one BatchPipeline.Run on a pipeline of workers goroutines
+// (<=0 selects GOMAXPROCS) that lives for the call. Every op is validated
+// before any destination is sized, so on error no op has been executed.
+// Ops too small for the packed kernel (or forced to the fallback) run
+// through the pairwise path instead; they produce the same bits either
+// way. A caller with a stream of batches should hold a BatchPipeline.
 func ContractBatch(ops []BatchOp, workers int, mode KernelMode) error {
 	if len(ops) == 0 {
 		return nil
@@ -351,65 +344,7 @@ func ContractBatch(ops []BatchOp, workers int, mode KernelMode) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	st, err := planBatch(ops, workers, mode)
-	if st == nil || err != nil {
-		return err
-	}
-	if n := st.workItems(); workers > n {
-		workers = n
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		for w := 1; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				buf := getPackBuf(st.maxN)
-				st.guardWork(w, buf)
-				putPackBuf(buf)
-			}(w)
-		}
-		buf := getPackBuf(st.maxN)
-		st.guardWork(0, buf)
-		putPackBuf(buf)
-		wg.Wait()
-	} else {
-		buf := getPackBuf(st.maxN)
-		st.guardWork(0, buf)
-		putPackBuf(buf)
-	}
-	err = st.takePanic()
-	st.release()
-	return err
-}
-
-// parallelItems runs fn(worker, item) for every item in [0, items),
-// fanning out across at most workers goroutines through a shared atomic
-// counter. A single worker runs inline with no synchronization.
-func parallelItems(workers, items int, fn func(w, item int)) {
-	if workers > items {
-		workers = items
-	}
-	if workers <= 1 {
-		for i := 0; i < items; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= items {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
+	p := NewBatchPipeline(workers)
+	defer p.Close()
+	return p.Run(ops, mode)
 }

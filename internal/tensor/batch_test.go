@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -124,6 +126,60 @@ func TestContractBatchValidation(t *testing.T) {
 	}
 	if err := ContractBatch(nil, 4, ModeFast); err != nil {
 		t.Fatalf("empty batch: %v", err)
+	}
+}
+
+// TestOperandValidation: an operand that is absent, or whose data does not
+// hold exactly the elements its description promises, is an error naming
+// the fault — not a nil dereference on the caller's goroutine, not a read
+// past len(Data) into spare capacity, not a contained slice-bounds panic —
+// at ContractInto, ContractBatch and BatchPipeline.Run alike, and before
+// any destination is sized.
+func TestOperandValidation(t *testing.T) {
+	rng := rand.New(rand.NewSource(805))
+	d := Desc{ID: 1, Rank: RankMeson, Dim: 16, Batch: 2}
+	a, _ := NewRandom(d, rng)
+	b, _ := NewRandom(Desc{ID: 2, Rank: RankMeson, Dim: 16, Batch: 2}, rng)
+	short := &Tensor{Desc: d, Data: a.Data[:len(a.Data)-1]} // the missing element sits in spare capacity
+	long := &Tensor{Desc: Desc{ID: 3, Rank: RankMeson, Dim: 16, Batch: 1}, Data: a.Data}
+	p := NewBatchPipeline(2)
+	defer p.Close()
+	for _, c := range []struct {
+		name string
+		a, b *Tensor
+		want string
+	}{
+		{"nil A", nil, b, "nil operand"},
+		{"nil B", a, nil, "nil operand"},
+		{"short A", short, b, "holds 511 elements, want 512"},
+		{"short B", a, short, "holds 511 elements, want 512"},
+		{"long A", long, long, "holds 512 elements, want 256"},
+	} {
+		entries := []struct {
+			name string
+			run  func(dst *Tensor) error
+		}{
+			{"ContractInto", func(dst *Tensor) error { return ContractInto(dst, c.a, c.b, 9, 2) }},
+			{"ContractBatch", func(dst *Tensor) error {
+				return ContractBatch([]BatchOp{{Dst: &Tensor{}, A: a, B: b, OutID: 8}, {Dst: dst, A: c.a, B: c.b, OutID: 9}}, 2, ModeExact)
+			}},
+			{"BatchPipeline.Run", func(dst *Tensor) error {
+				return p.Run([]BatchOp{{Dst: dst, A: c.a, B: c.b, OutID: 9}}, ModeFast)
+			}},
+		}
+		for _, e := range entries {
+			dst := &Tensor{}
+			err := e.run(dst)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s %s: err = %v, want one containing %q", e.name, c.name, err, c.want)
+			}
+			if errors.Is(err, ErrWorkerPanic) {
+				t.Errorf("%s %s: surfaced as a contained panic: %v", e.name, c.name, err)
+			}
+			if dst.Data != nil || dst.Desc != (Desc{}) {
+				t.Errorf("%s %s: destination sized despite the error", e.name, c.name)
+			}
+		}
 	}
 }
 

@@ -36,12 +36,9 @@ func ContractIntoMode(dst *Tensor, a, b *Tensor, outID uint64, workers int, mode
 	if dst == nil {
 		return fmt.Errorf("tensor: ContractInto with nil destination")
 	}
-	od, err := ContractOut(a.Desc, b.Desc, outID)
+	od, err := contractOperands(a, b, outID)
 	if err != nil {
 		return err
-	}
-	if len(a.Data) == 0 || len(b.Data) == 0 {
-		return fmt.Errorf("tensor: contract on metadata-only tensor %v", a.Desc)
 	}
 	elems := int(od.Elems())
 	if cap(dst.Data) >= elems {
@@ -64,6 +61,29 @@ func ContractIntoMode(dst *Tensor, a, b *Tensor, outID uint64, workers int, mode
 		return fmt.Errorf("tensor: unsupported rank %d", a.Rank)
 	}
 	return nil
+}
+
+// contractOperands validates the operands of one contraction — present,
+// contractible, and each holding exactly the data its description
+// promises, since the kernels index Data by the description alone — and
+// returns the output description.
+func contractOperands(a, b *Tensor, outID uint64) (Desc, error) {
+	if a == nil || b == nil {
+		return Desc{}, fmt.Errorf("tensor: contract with nil operand")
+	}
+	od, err := ContractOut(a.Desc, b.Desc, outID)
+	if err != nil {
+		return Desc{}, err
+	}
+	for _, t := range [2]*Tensor{a, b} {
+		if len(t.Data) == 0 {
+			return Desc{}, fmt.Errorf("tensor: contract on metadata-only tensor %v", t.Desc)
+		}
+		if int64(len(t.Data)) != t.Elems() {
+			return Desc{}, fmt.Errorf("tensor: operand %v holds %d elements, want %d", t.Desc, len(t.Data), t.Elems())
+		}
+	}
+	return od, nil
 }
 
 // contractGroupFast multiplies one n x n group through the fused-kernel

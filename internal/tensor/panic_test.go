@@ -6,34 +6,32 @@ import (
 	"testing"
 )
 
-// poisonedOps builds a stage batch in which one op's operands lie about
-// their shape: the Descs claim 4096 groups of a 16-dim meson but the
-// backing data holds barely one, so a late compute item slices far past
-// the packed panel — beyond any capacity the panel pool could plausibly
-// hold — and panics inside a worker. planBatch cannot catch it (it only
-// rejects empty data), which makes it the right vector for proving panic
-// containment.
-func poisonedOps(rng *rand.Rand) []BatchOp {
-	a, _ := NewRandom(Desc{ID: 1, Rank: RankMeson, Dim: 16, Batch: 2}, rng)
-	b, _ := NewRandom(Desc{ID: 2, Rank: RankMeson, Dim: 16, Batch: 2}, rng)
-	good, _ := NewRandom(Desc{ID: 3, Rank: RankMeson, Dim: 16, Batch: 2}, rng)
-	lie := Desc{ID: 9, Rank: RankMeson, Dim: 16, Batch: 4096} // claims 1M elems
-	badA := &Tensor{Desc: lie, Data: a.Data[:300]}
-	badB := &Tensor{Desc: lie, Data: b.Data[:300]}
-	return []BatchOp{
-		{Dst: &Tensor{}, A: good, B: b, OutID: 100},
-		{Dst: &Tensor{}, A: badA, B: badB, OutID: 101},
+// runPoisoned plans a healthy stage batch and then pulls one op's
+// destination out from under the plan, so the compute item that unpacks
+// into it slices past an empty buffer and panics inside whichever
+// participant drew it. Operands that lie about their shape — the obvious
+// vector — are rejected by validation before anything runs
+// (TestOperandValidation), so the fault is planted behind it.
+func runPoisoned(t *testing.T, p *BatchPipeline, rng *rand.Rand) error {
+	t.Helper()
+	st, err := planBatch(stageOps(rng), p.workers, ModeExact)
+	if err != nil || st == nil {
+		t.Fatalf("planBatch: state %v, err %v", st, err)
 	}
+	st.ops[1].Dst.Data = nil
+	return p.runPlanned(st)
 }
 
 // TestContractBatchPanicContained: a panicking batch op must surface as a
 // typed *WorkerPanicError with a stack — never crash the test binary or
-// hang peers spinning on panels — and the machinery must stay usable for
-// the next (clean) batch.
+// hang peers spinning on panels — at width 1 (the caller alone) and 4, and
+// the pooled machinery must stay usable for the next (clean) batch.
 func TestContractBatchPanicContained(t *testing.T) {
 	rng := rand.New(rand.NewSource(901))
 	for _, workers := range []int{1, 4} {
-		err := ContractBatch(poisonedOps(rng), workers, ModeExact)
+		p := NewBatchPipeline(workers)
+		err := runPoisoned(t, p, rng)
+		p.Close()
 		if err == nil {
 			t.Fatalf("workers=%d: poisoned batch succeeded", workers)
 		}
@@ -66,8 +64,7 @@ func TestBatchPipelinePanicContained(t *testing.T) {
 	rng := rand.New(rand.NewSource(902))
 	p := NewBatchPipeline(4)
 	defer p.Close()
-	err := p.Run(poisonedOps(rng), ModeExact)
-	if !errors.Is(err, ErrWorkerPanic) {
+	if err := runPoisoned(t, p, rng); !errors.Is(err, ErrWorkerPanic) {
 		t.Fatalf("pipeline err = %v, want ErrWorkerPanic", err)
 	}
 	// Same pool, clean batch: bit-identical to the pairwise reference.

@@ -7,17 +7,18 @@ import (
 )
 
 // BatchPipeline is a persistent cooperative worker pool for stage-batched
-// contractions. Where ContractBatch spins up (and tears down) goroutines
-// per call, a pipeline parks its workers between batches and reuses each
+// contractions, and the only code that hands fused work items to
+// goroutines: it parks its workers between batches and reuses each
 // worker's pack scratch across every batch it ever runs — the right shape
-// for a numeric engine that feeds one dependency level after another.
+// for a numeric executor that feeds one dependency level after another.
+// ContractBatch is one Run on a pipeline that lives for the call.
 //
 // The calling goroutine participates as worker 0 of every Run and Do
 // call; the pipeline owns workers-1 parked goroutines. Run and Do must
 // not be called concurrently with themselves or each other (the numeric
-// engine's level stream is strictly sequential, which is the point).
-// Exact-mode batches are bit-identical to ContractBatch and to the
-// pairwise path at any worker count.
+// executor's level stream is strictly sequential, which is the point).
+// Exact-mode batches are bit-identical to the pairwise path at any worker
+// count.
 //
 // Panic containment: a panic inside a batch op or a Do body never unwinds
 // past the pool. Workers recover per job (so jobWG.Done always runs and a
@@ -169,11 +170,14 @@ func (p *BatchPipeline) takeDoPanic() error {
 	return e
 }
 
-// Run executes one batch of ops cooperatively across the pool, with the
-// same semantics, pooling and bit-exactness as ContractBatch. The caller
-// computes alongside the parked workers and returns when the batch is
-// fully unpacked into its destinations. A panic inside any op surfaces
-// as a *WorkerPanicError (destinations then hold unspecified data).
+// Run executes one batch of ops cooperatively across the pool, packing
+// each unique operand tensor once, with the pack and compute phases
+// overlapped. Every op is validated before any destination is sized, so
+// on error no op has been executed. The caller computes alongside the
+// parked workers and returns when the batch is fully unpacked into its
+// destinations. Plans, panels and work lists are pooled: steady-state
+// batches allocate nothing. A panic inside any op surfaces as a
+// *WorkerPanicError (destinations then hold unspecified data).
 func (p *BatchPipeline) Run(ops []BatchOp, mode KernelMode) error {
 	if len(ops) == 0 {
 		return nil
@@ -182,6 +186,12 @@ func (p *BatchPipeline) Run(ops []BatchOp, mode KernelMode) error {
 	if st == nil || err != nil {
 		return err
 	}
+	return p.runPlanned(st)
+}
+
+// runPlanned drains a planned batch's work list across the pool and
+// releases the state.
+func (p *BatchPipeline) runPlanned(st *batchState) error {
 	nw := p.workers
 	if n := st.workItems(); nw > n {
 		nw = n
@@ -203,14 +213,14 @@ func (p *BatchPipeline) Run(ops []BatchOp, mode KernelMode) error {
 		p.busyNS[0].Add(int64(time.Since(t0)))
 	}
 	p.jobWG.Wait()
-	err = st.takePanic()
+	err := st.takePanic()
 	st.release()
 	return err
 }
 
 // Do runs fn(worker, item) for every item in [0, items) across the pool
-// — the pipeline's generic parallel-for, used by the numeric engine to
-// fan out reclamation work (norms, arena returns) onto the same workers
+// — the pipeline's generic parallel-for, used by the numeric executor to
+// fan out reclamation work (norms of dead tensors) onto the same workers
 // that just computed the batch. fn must be safe for concurrent calls
 // with distinct items; the worker index is stable within one Do and
 // suitable for per-worker arena handles. A panic inside fn abandons the

@@ -302,9 +302,10 @@ func NewHier(nodeBound int, b Bounds) Scheduler { return hier.New(nodeBound, b) 
 func ClassifyPair(p Pair, ctx *SchedContext) ReusePattern { return core.Classify(p, ctx) }
 
 // Run replays workload w through scheduler s on cluster c. Scheduler
-// decisions replay sequentially; in numeric mode the real contractions run
-// on a dependency-aware worker pool sized by RunOptions.Parallelism with
-// bit-identical results at any setting. ctx cancels the run promptly.
+// decisions replay sequentially; in numeric mode the real contractions of
+// each stage then run as dependency levels of fused batches on a worker
+// pool sized by RunOptions.Parallelism, with bit-identical results at any
+// setting. ctx cancels the run promptly.
 func Run(ctx context.Context, w *Workload, s Scheduler, c *Cluster, opts RunOptions) (*Result, error) {
 	return sched.Run(ctx, w, s, c, opts)
 }
@@ -391,8 +392,8 @@ var (
 	// ErrCheckpointVersion marks a durable checkpoint written by a format
 	// version this build does not understand.
 	ErrCheckpointVersion = sched.ErrCheckpointVersion
-	// ErrWorkerPanic marks a panic contained in a numeric pipeline worker
-	// or coordinator; the wrapped WorkerPanicError carries the stack.
+	// ErrWorkerPanic marks a panic contained in a numeric pool worker or
+	// the level executor; the wrapped WorkerPanicError carries the stack.
 	ErrWorkerPanic = tensor.ErrWorkerPanic
 	// ErrRunStalled marks a supervised run whose final attempt was
 	// cancelled by the progress watchdog.
@@ -508,17 +509,18 @@ func ContractIntoMode(dst, a, b *Tensor, outID uint64, workers int, mode KernelM
 // form exactly once, shared across every op that reads it. In KernelExact
 // mode the result is bit-identical to running ContractInto per op. Ops
 // must be mutually independent: no destination may alias another op's
-// operand or destination.
+// operand or destination. It is one BatchPipeline.Run on a pipeline that
+// lives for the call; hold a BatchPipeline for a stream of batches.
 func ContractBatch(ops []BatchOp, workers int, mode KernelMode) error {
 	return tensor.ContractBatch(ops, workers, mode)
 }
 
 // BatchPipeline is a persistent cooperative worker pool for running many
-// fused batches (ContractBatch calls) without re-spawning goroutines per
-// call: workers park on a channel between batches and the caller's
-// goroutine participates as a worker. The scheduler's numeric pool runs
-// every dependency level through one of these. Not safe for concurrent
-// Run/Do calls; Close releases the workers.
+// fused batches without re-spawning goroutines per call: workers park on a
+// channel between batches and the caller's goroutine participates as a
+// worker. Every numeric contraction of a Run or a correlator evaluation
+// goes through one of these. Not safe for concurrent Run/Do calls; Close
+// releases the workers.
 type BatchPipeline = tensor.BatchPipeline
 
 // NewBatchPipeline returns a pipeline of the given width (minimum 1; the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -164,36 +165,46 @@ func TestMICCOBoundAttribution(t *testing.T) {
 	}
 }
 
-// TestNumericWorkerGauges checks that a concurrent numeric run publishes
-// one busy/wait/utilization gauge triple per pool worker.
+// TestNumericWorkerGauges checks that a numeric run publishes one
+// busy/wait/utilization gauge triple per pool worker, worker 0 being the
+// engine goroutine — at an explicit width and at Parallelism 1, whose pool
+// is GOMAXPROCS wide.
 func TestNumericWorkerGauges(t *testing.T) {
 	w := obsWorkload(t)
-	cluster := obsCluster(t, w, 2)
-	reg := micco.NewMetricsRegistry()
-	res, err := micco.Run(context.Background(), w, micco.NewMICCONaive(), cluster,
-		micco.RunOptions{Obs: reg, Numeric: true, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumericFingerprint == 0 {
-		t.Error("numeric run produced no fingerprint")
-	}
-	snap := reg.Snapshot()
-	for worker := 0; worker < 2; worker++ {
-		for _, metric := range []string{"busy_seconds", "wait_seconds", "utilization"} {
-			name := fmt.Sprintf("micco_numeric_worker_%s{worker=\"%d\"}", metric, worker)
-			v, ok := snap.Gauges[name]
-			if !ok {
-				t.Errorf("gauge %s missing", name)
-				continue
+	for _, c := range []struct{ parallelism, width int }{{2, 2}, {1, runtime.GOMAXPROCS(0)}} {
+		cluster := obsCluster(t, w, 2)
+		reg := micco.NewMetricsRegistry()
+		res, err := micco.Run(context.Background(), w, micco.NewMICCONaive(), cluster,
+			micco.RunOptions{Obs: reg, Numeric: true, Parallelism: c.parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumericFingerprint == 0 {
+			t.Error("numeric run produced no fingerprint")
+		}
+		snap := reg.Snapshot()
+		for worker := 0; worker < c.width; worker++ {
+			for _, metric := range []string{"busy_seconds", "wait_seconds", "utilization"} {
+				name := fmt.Sprintf("micco_numeric_worker_%s{worker=\"%d\"}", metric, worker)
+				v, ok := snap.Gauges[name]
+				if !ok {
+					t.Errorf("parallelism %d: gauge %s missing", c.parallelism, name)
+					continue
+				}
+				if v < 0 {
+					t.Errorf("parallelism %d: gauge %s = %v, want >= 0", c.parallelism, name, v)
+				}
 			}
-			if v < 0 {
-				t.Errorf("gauge %s = %v, want >= 0", name, v)
+			util := snap.Gauges[fmt.Sprintf("micco_numeric_worker_utilization{worker=\"%d\"}", worker)]
+			if util > 1 {
+				t.Errorf("parallelism %d: worker %d utilization %v > 1", c.parallelism, worker, util)
 			}
 		}
-		util := snap.Gauges[fmt.Sprintf("micco_numeric_worker_utilization{worker=\"%d\"}", worker)]
-		if util > 1 {
-			t.Errorf("worker %d utilization %v > 1", worker, util)
+		if _, ok := snap.Gauges[fmt.Sprintf("micco_numeric_worker_busy_seconds{worker=\"%d\"}", c.width)]; ok {
+			t.Errorf("parallelism %d: a gauge was published for worker %d, past the pool's width", c.parallelism, c.width)
+		}
+		if busy := snap.Gauges[`micco_numeric_worker_busy_seconds{worker="0"}`]; busy <= 0 {
+			t.Errorf("parallelism %d: the engine goroutine contracted nothing (busy %v)", c.parallelism, busy)
 		}
 	}
 }
