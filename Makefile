@@ -50,7 +50,7 @@ benchsmoke:
 # entry in BENCH_kernel.json must stay within 2.5x its baseline ns/op
 # (allocation check off — kernel benchmarks legitimately allocate; the
 # wider tolerance absorbs machine throttling on shared runners). The
-# baseline is the 1x8 AVX2 row kernel's run, so the pooled exact kernel is
+# baseline is the 1x8 AVX2 row kernel's run, so the pooled kernel is
 # held to 0.8x of it besides: under 1.25x faster, the 4x16 block kernel is
 # not what ran (re-recording on a machine without AVX-512 trips this).
 # BenchmarkNumericRun, one deck_numeric job, may allocate at most 100 MB
@@ -85,20 +85,20 @@ benchguard:
 # kill-points (process death simulated by dropping all in-memory state and
 # resuming from the durable checkpoint file alone) × every registered
 # scheduler × numeric pool widths 1 and 4 × reclaim on/off, each
-# iteration asserting the bit-identical exact-mode fingerprint of the
+# iteration asserting the bit-identical fingerprint of the
 # fault-free run and probing the checkpoint file with seeded corruption.
 # MICCO_SOAK_SEEDS scales the run (default 3 seeds, a few seconds;
 # CI uses 8).
 soak:
 	$(GO) test -count=1 -v -run TestChaosSoak ./internal/chaos
 
-# bench measures the contraction-kernel component benchmarks — exact and
-# fast tiers, pairwise, stage-fused through a per-call pipeline and
-# through a persistent one — and one whole numeric job (the ladder's
+# bench measures the contraction-kernel component benchmarks —
+# pairwise, stage-fused through a per-call pipeline and through a
+# persistent one — and one whole numeric job (the ladder's
 # deck_numeric) with allocation stats and records them as
 # BENCH_kernel.json with the baseline merged in (via cmd/benchjson, which
 # tees the raw output through) — the kernel and job rows run on the commit
-# before the exact tier got its AVX-512 block kernel, the stage rows on
+# before the AVX-512 block kernel existed, the stage rows on
 # the commit before ContractBatch became one run of a pipeline — then the
 # scheduler-overhead suite — per-placement cost, obs on/off and whole
 # numeric runs at pool widths 1, 2 and 8 — as BENCH_sched.json with the

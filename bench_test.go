@@ -234,36 +234,10 @@ func BenchmarkContractionKernelInto(b *testing.B) {
 	}
 }
 
-// BenchmarkContractionKernelFast is BenchmarkContractionKernelInto in the
-// fast kernel tier: same shape and pooled destination, FMA/AVX-512 fused
-// micro-kernels (DESIGN.md §12). The ratio to BenchmarkContractionKernel
-// is the fast tier's speedup on this machine.
-func BenchmarkContractionKernelFast(b *testing.B) {
-	x, err := micco.NewRandomTensor(micco.TensorDesc{ID: 1, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y, err := micco.NewRandomTensor(micco.TensorDesc{ID: 2, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := &micco.Tensor{}
-	if err := micco.ContractIntoMode(dst, x, y, 3, 0, micco.KernelFast); err != nil { // warm dst + pool + tuner
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := micco.ContractIntoMode(dst, x, y, 3, 0, micco.KernelFast); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkContractionStage measures a stage-shaped fan-out — one shared
 // operand feeding several contractions — pairwise versus fused through
-// ContractBatch, in both kernel tiers. Fusion packs the shared operand
-// once per stage instead of once per pair.
+// ContractBatch. Fusion packs the shared operand once per stage instead of
+// once per pair.
 func BenchmarkContractionStage(b *testing.B) {
 	const fanOut = 4
 	shared, err := micco.NewRandomTensor(micco.TensorDesc{ID: 1, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 1)
@@ -287,57 +261,54 @@ func BenchmarkContractionStage(b *testing.B) {
 	for i := range ops {
 		ops[i] = micco.BatchOp{Dst: dsts[i], A: shared, B: rhs[i], OutID: uint64(100 + i)}
 	}
-	for _, tier := range []struct {
-		name string
-		mode micco.KernelMode
-	}{{"exact", micco.KernelExact}, {"fast", micco.KernelFast}} {
-		b.Run("pairwise/"+tier.name, func(b *testing.B) {
-			for i := range dsts { // warm destinations + pools
-				if err := micco.ContractIntoMode(dsts[i], shared, rhs[i], uint64(100+i), 0, tier.mode); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				for i := range dsts {
-					if err := micco.ContractIntoMode(dsts[i], shared, rhs[i], uint64(100+i), 0, tier.mode); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run("fused/"+tier.name, func(b *testing.B) {
-			if err := micco.ContractBatch(ops, 0, tier.mode); err != nil { // warm
+	// The sub-benchmark names keep their "/exact" suffix: BENCH_kernel.json
+	// and its baseline record them under it.
+	b.Run("pairwise/exact", func(b *testing.B) {
+		for i := range dsts { // warm destinations + pools
+			if err := micco.ContractInto(dsts[i], shared, rhs[i], uint64(100+i), 0); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				if err := micco.ContractBatch(ops, 0, tier.mode); err != nil {
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			for i := range dsts {
+				if err := micco.ContractInto(dsts[i], shared, rhs[i], uint64(100+i), 0); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-		b.Run("parallel/fused/"+tier.name, func(b *testing.B) {
-			// The cooperative pipeline at the paper's 8-worker pool width.
-			// On multi-core hosts the fan-out's pack and compute work
-			// spread across the pool; a single-CPU host (GOMAXPROCS=1)
-			// degenerates to the serial fused path plus handoff overhead.
-			p := micco.NewBatchPipeline(8)
-			defer p.Close()
-			if err := p.Run(ops, tier.mode); err != nil { // warm
+		}
+	})
+	b.Run("fused/exact", func(b *testing.B) {
+		if err := micco.ContractBatch(ops, 0); err != nil { // warm
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			if err := micco.ContractBatch(ops, 0); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				if err := p.Run(ops, tier.mode); err != nil {
-					b.Fatal(err)
-				}
+		}
+	})
+	b.Run("parallel/fused/exact", func(b *testing.B) {
+		// The cooperative pipeline at the paper's 8-worker pool width.
+		// On multi-core hosts the fan-out's pack and compute work
+		// spread across the pool; a single-CPU host (GOMAXPROCS=1)
+		// degenerates to the serial fused path plus handoff overhead.
+		p := micco.NewBatchPipeline(8)
+		defer p.Close()
+		if err := p.Run(ops); err != nil { // warm
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			if err := p.Run(ops); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkNumericRun measures the numeric engine on the job the ladder's

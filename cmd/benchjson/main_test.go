@@ -288,10 +288,10 @@ func TestGuardMissingBaselineWarnsAndSkips(t *testing.T) {
 func TestGuardKernelPrefix(t *testing.T) {
 	path := writeGuardDoc(t, `{
   "BenchmarkContractionKernel": {"ns/op": 3.3e6, "allocs/op": 2},
-  "BenchmarkContractionKernelFast": {"ns/op": 1.6e6, "allocs/op": 2},
+  "BenchmarkContractionKernelInto": {"ns/op": 1.6e6, "allocs/op": 2},
   "BenchmarkSchedulerAssign/MICCO": {"ns/op": 9e9, "allocs/op": 99},
   "_baseline/BenchmarkContractionKernel": {"ns/op": 3.2e6},
-  "_baseline/BenchmarkContractionKernelFast": {"ns/op": 1.5e6}
+  "_baseline/BenchmarkContractionKernelInto": {"ns/op": 1.5e6}
 }`)
 	var w strings.Builder
 	if err := runGuard(&w, path, 2.5, "BenchmarkContraction", -1, -1); err != nil {

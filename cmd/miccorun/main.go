@@ -9,7 +9,7 @@
 //	miccorun -workload w.json -scheduler groute -compare
 //	miccorun -workload w.json -metrics m.json -decisions d.ndjson
 //	miccorun -workload w.json -faults plan.json
-//	miccorun -workload w.json -numeric -fast-kernels
+//	miccorun -workload w.json -numeric
 //	miccorun -workload w.json -serve :9090
 //	miccorun -workload w.json -checkpoint-dir ckpt -supervise -stall-budget 30s
 package main
@@ -44,7 +44,6 @@ type runConfig struct {
 	numeric      bool
 	numericSeed  int64
 	numericPar   int
-	fastKernels  bool
 	serveAddr    string
 	ckptDir      string
 	ckptEvery    int
@@ -67,7 +66,6 @@ func main() {
 	flag.BoolVar(&cfg.numeric, "numeric", false, "execute every contraction with real complex128 arithmetic alongside the simulation and report the numeric fingerprint (expensive; small workloads)")
 	flag.Int64Var(&cfg.numericSeed, "numeric-seed", 1, "seed for the numeric input data")
 	flag.IntVar(&cfg.numericPar, "numeric-parallel", 0, "with -numeric, width of the worker pool that runs each stage's dependency-level batches, the engine goroutine included: N > 1 = N workers, 0 and 1 = GOMAXPROCS; the exact-tier fingerprint is identical at every width")
-	flag.BoolVar(&cfg.fastKernels, "fast-kernels", false, "with -numeric, run the FMA/AVX-512 fast kernel tier (ULP-bounded, not bit-identical to exact-mode fingerprints)")
 	flag.StringVar(&cfg.serveAddr, "serve", "", "serve live observability HTTP on this address (e.g. :9090): /metrics, /metrics.json, /decisions, /trace, /flight, /healthz, /debug/pprof; keeps serving after the run until interrupted")
 	flag.StringVar(&cfg.ckptDir, "checkpoint-dir", "", "persist durable stage-boundary checkpoints in this directory (atomic write + fsync); a run interrupted or killed resumes from the file on the next -supervise invocation")
 	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 0, "with -checkpoint-dir, write the durable file only at every Nth stage boundary plus the final one (<=1 = every boundary)")
@@ -159,15 +157,11 @@ func run(ctx context.Context, rc runConfig) error {
 
 	var reg *micco.MetricsRegistry
 	opts := micco.RunOptions{FaultPlan: plan}
-	if rc.fastKernels && !rc.numeric {
-		return fmt.Errorf("-fast-kernels requires -numeric")
-	}
 	if rc.numeric {
 		opts.Numeric = true
 		opts.NumericSeed = rc.numericSeed
 		opts.NumericReclaim = true
 		opts.Parallelism = rc.numericPar
-		opts.FastKernels = rc.fastKernels
 		fmt.Printf("numeric kernels: %s\n\n", micco.KernelFeatures())
 	}
 	if rc.metricsOut != "" || rc.decisionsOut != "" || rc.traceOut != "" || rc.serveAddr != "" {
@@ -225,11 +219,7 @@ func run(ctx context.Context, rc runConfig) error {
 		return err
 	}
 	if rc.numeric {
-		mode := "exact"
-		if rc.fastKernels {
-			mode = "fast"
-		}
-		fmt.Printf("numeric fingerprint (%s, seed %d): %x\n\n", mode, rc.numericSeed, res.NumericFingerprint)
+		fmt.Printf("numeric fingerprint (seed %d): %x\n\n", rc.numericSeed, res.NumericFingerprint)
 	}
 	if plan != nil {
 		rec := res.Recovery

@@ -237,8 +237,7 @@ func TestRunWithFaultPlan(t *testing.T) {
 	}
 }
 
-// TestRunNumericFlags: -numeric completes and -fast-kernels rides on it;
-// -fast-kernels without -numeric is rejected before any run starts.
+// TestRunNumericFlags: a -numeric run completes.
 func TestRunNumericFlags(t *testing.T) {
 	path := workloadFile(t)
 	cfg := base(path)
@@ -246,15 +245,6 @@ func TestRunNumericFlags(t *testing.T) {
 	cfg.numericSeed = 7
 	if err := silence(t, func() error { return run(context.Background(), cfg) }); err != nil {
 		t.Fatalf("numeric run: %v", err)
-	}
-	cfg.fastKernels = true
-	if err := silence(t, func() error { return run(context.Background(), cfg) }); err != nil {
-		t.Fatalf("fast-kernels run: %v", err)
-	}
-	bad := base(path)
-	bad.fastKernels = true
-	if err := silence(t, func() error { return run(context.Background(), bad) }); err == nil {
-		t.Error("-fast-kernels without -numeric accepted")
 	}
 }
 

@@ -3,7 +3,7 @@
 // scheduler, two numeric pool widths, and reclamation on and off. A "kill" simulates process death — every piece of in-memory state
 // (scheduler, cluster, engine, checkpoint handle) is dropped and the run
 // resumes from the durable checkpoint file alone. Each iteration must end
-// with the exact-mode numeric fingerprint of the fault-free baseline, bit
+// with the numeric fingerprint of the fault-free baseline, bit
 // for bit; each surviving checkpoint file is also probed with seeded
 // corruption (bit flips, truncation) that must be rejected with the typed
 // decode errors, never a panic.
@@ -175,7 +175,7 @@ func soakSeed(cfg Config, seed int64, res *Result) error {
 		return fmt.Errorf("chaos: seed %d: generated plan invalid: %w", seed, err)
 	}
 
-	// The fault-free exact-mode fingerprint is the invariant every chaotic
+	// The fault-free fingerprint is the invariant every chaotic
 	// run must land on: one baseline per seed, because the fingerprint is
 	// scheduler-, pool-, reclaim- and fault-independent by construction.
 	base, err := cleanRun(w, seed, cfg.Devices)

@@ -33,7 +33,7 @@ func soakSeeds(t *testing.T) []int64 {
 // numeric pool widths 1 and 4 (Parallelism), reclamation off and on, each
 // iteration killed up to twice at seeded-random pair boundaries and
 // resumed from the durable checkpoint file alone, landing on the
-// fault-free exact-mode fingerprint bit for bit. Each kill's checkpoint
+// fault-free fingerprint bit for bit. Each kill's checkpoint
 // image is additionally corruption-probed against the typed decode
 // errors.
 func TestChaosSoak(t *testing.T) {

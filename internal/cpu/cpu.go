@@ -36,11 +36,6 @@ var X86 = detect()
 // the CPU supports AVX2 and the OS preserves YMM state.
 func (f Features) HasAVX2() bool { return f.AVX2 && f.OSYMM }
 
-// HasFMA reports whether the FMA3 micro-kernels may be dispatched. The
-// fast-tier FMA kernel uses YMM registers, so AVX2 support is required
-// alongside the FMA capability bit.
-func (f Features) HasFMA() bool { return f.FMA && f.AVX2 && f.OSYMM }
-
 // HasAVX512 reports whether the AVX-512 micro-kernels may be
 // dispatched: the F+DQ+VL subset the kernels use, plus OS-preserved
 // opmask/ZMM state.
@@ -72,7 +67,7 @@ func (f Features) String() string {
 }
 
 // EnvKernel is the environment knob that caps kernel dispatch for tests
-// and CI: scalar, avx2, fma, or avx512. The value names the highest
+// and CI: scalar, avx2, or avx512. The value names the highest
 // tier dispatch may select; tiers the hardware lacks are skipped
 // regardless.
 const EnvKernel = "MICCO_KERNEL"
@@ -82,7 +77,7 @@ const EnvKernel = "MICCO_KERNEL"
 // silently forcing scalar).
 func Override() string {
 	switch v := strings.ToLower(strings.TrimSpace(os.Getenv(EnvKernel))); v {
-	case "scalar", "avx2", "fma", "avx512":
+	case "scalar", "avx2", "avx512":
 		return v
 	default:
 		return ""

@@ -13,9 +13,6 @@ func TestFeatureConsistency(t *testing.T) {
 	if f.HasAVX2() && (!f.AVX2 || !f.OSYMM) {
 		t.Error("HasAVX2 true without AVX2+OSYMM")
 	}
-	if f.HasFMA() && !f.HasAVX2() {
-		t.Error("HasFMA true without HasAVX2 (the FMA kernel uses YMM registers)")
-	}
 	if f.HasAVX512() && (!f.AVX512F || !f.AVX512DQ || !f.AVX512VL || !f.OSZMM) {
 		t.Error("HasAVX512 true without F+DQ+VL+OSZMM")
 	}
@@ -45,7 +42,7 @@ func TestOverride(t *testing.T) {
 		"":        "",
 		"scalar":  "scalar",
 		"avx2":    "avx2",
-		"fma":     "fma",
+		"fma":     "",
 		"avx512":  "avx512",
 		" AVX2 ":  "avx2",
 		"sse":     "",

@@ -139,16 +139,6 @@ func (c *Cluster) markHostOn(id uint64, n int) {
 	}
 }
 
-// HoldersOf returns the IDs of devices with tensor id resident. It
-// allocates a fresh slice per call.
-//
-// Deprecated: use HoldersMask (allocation-free DevSet view) or
-// AppendHoldersOf (caller-owned buffer); HoldersOf survives only for
-// callers that want a throwaway slice.
-func (c *Cluster) HoldersOf(id uint64) []int {
-	return c.AppendHoldersOf(nil, id)
-}
-
 // EnsureResident makes tensor desc resident on device dev, advancing the
 // device's transfer queue by the cost incurred: zero for a reuse hit, else
 // allocation (with any evictions) plus a P2P copy if a peer holds it,

@@ -13,7 +13,7 @@ const InlineDevices = 64
 // ABI limit: DevSet holder sets widen past 64 devices automatically.
 // (Before topology API v2 this constant was 64 and a hard residency-index
 // ceiling; the one-word representation survives as DevSet's inline fast
-// path and as the deprecated DeviceMask alias.)
+// path.)
 const MaxDevices = 1 << 16
 
 // DevSet is a set of device IDs: a variable-width bitset with bit i set
@@ -271,51 +271,3 @@ func (s DevSet) Word(i int) uint64 {
 	}
 	return 0
 }
-
-// InlineMask returns the one-word view of the set as a legacy DeviceMask
-// and whether that view is exact (no member at device 64 or above).
-func (s DevSet) InlineMask() (DeviceMask, bool) {
-	for _, w := range s.rest {
-		if w != 0 {
-			return DeviceMask(s.w0), false
-		}
-	}
-	return DeviceMask(s.w0), true
-}
-
-// DeviceMask is the legacy one-word device bitset, kept as a compatibility
-// alias over DevSet's inline fast path.
-//
-// Deprecated: use DevSet, which widens past 64 devices. DeviceMask remains
-// for callers that manipulated raw uint64 masks; convert with
-// DeviceMask.DevSet and DevSet.InlineMask.
-type DeviceMask uint64
-
-// Has reports whether device dev is in the set.
-func (m DeviceMask) Has(dev int) bool { return m&(1<<uint(dev)) != 0 }
-
-// Count returns the number of devices in the set.
-func (m DeviceMask) Count() int { return bits.OnesCount64(uint64(m)) }
-
-// First returns the lowest device ID in the set, or -1 when empty.
-func (m DeviceMask) First() int {
-	if m == 0 {
-		return -1
-	}
-	return bits.TrailingZeros64(uint64(m))
-}
-
-// DropFirst returns the set without its lowest device.
-func (m DeviceMask) DropFirst() DeviceMask { return m & (m - 1) }
-
-// AppendTo appends the set's device IDs to buf in ascending order and
-// returns the extended slice, allocating only when buf lacks capacity.
-func (m DeviceMask) AppendTo(buf []int) []int {
-	for ; m != 0; m &= m - 1 {
-		buf = append(buf, bits.TrailingZeros64(uint64(m)))
-	}
-	return buf
-}
-
-// DevSet returns the DevSet holding the same members.
-func (m DeviceMask) DevSet() DevSet { return DevSet{w0: uint64(m)} }

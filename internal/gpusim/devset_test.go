@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 )
@@ -145,7 +146,8 @@ func TestDevSetEqualIntersectsWidths(t *testing.T) {
 	}
 }
 
-// TestDevSetWordAndInlineMask covers the raw-word accessors at the seams.
+// TestDevSetWordAndInlineMask covers the raw-word accessor at the seams:
+// the inline word, the spill words, and past the backing storage.
 func TestDevSetWordAndInlineMask(t *testing.T) {
 	s := DevSetOf(0, 63, 64, 129)
 	if got := s.Word(0); got != 1|1<<63 {
@@ -160,16 +162,12 @@ func TestDevSetWordAndInlineMask(t *testing.T) {
 	if got := s.Word(9); got != 0 {
 		t.Errorf("Word(9) = %#x, want 0 beyond backing storage", got)
 	}
-	if m, exact := s.InlineMask(); exact || m != 1|1<<63 {
-		t.Errorf("InlineMask = %#x exact=%v, want inexact %#x", m, exact, uint64(1|1<<63))
-	}
 	inline := DevSetOf(2, 63)
-	if m, exact := inline.InlineMask(); !exact || m != 1<<2|1<<63 {
-		t.Errorf("InlineMask = %#x exact=%v, want exact %#x", m, exact, uint64(1<<2|1<<63))
+	if got := inline.Word(0); got != 1<<2|1<<63 {
+		t.Errorf("inline Word(0) = %#x, want %#x", got, uint64(1<<2|1<<63))
 	}
-	// Round trip through the legacy alias preserves membership.
-	if !DeviceMask(1<<2 | 1<<63).DevSet().Equal(inline) {
-		t.Error("DeviceMask.DevSet round trip lost members")
+	if got := inline.Word(1); got != 0 {
+		t.Errorf("inline Word(1) = %#x, want 0: the set has no spill", got)
 	}
 }
 
@@ -198,12 +196,39 @@ func TestDevSetInlineAllocFree(t *testing.T) {
 	}
 }
 
+// deviceMask is the one-word device bitset the residency index used
+// before DevSet, kept here as the reference DevSet's inline word is
+// cross-checked against.
+type deviceMask uint64
+
+func (m deviceMask) Has(dev int) bool { return m&(1<<uint(dev)) != 0 }
+
+func (m deviceMask) Count() int { return bits.OnesCount64(uint64(m)) }
+
+func (m deviceMask) First() int {
+	if m == 0 {
+		return -1
+	}
+	return bits.TrailingZeros64(uint64(m))
+}
+
+func (m deviceMask) DropFirst() deviceMask { return m & (m - 1) }
+
+func (m deviceMask) AppendTo(buf []int) []int {
+	for ; m != 0; m &= m - 1 {
+		buf = append(buf, bits.TrailingZeros64(uint64(m)))
+	}
+	return buf
+}
+
+func (m deviceMask) DevSet() DevSet { return DevSet{w0: uint64(m)} }
+
 // TestDevSetOneWordMatchesDeviceMask cross-checks every DevSet operation
-// against the legacy DeviceMask on exhaustive small universes and random
+// against the one-word reference on exhaustive small universes and random
 // one-word sets: on ≤64 devices the new representation must behave
 // identically to the old mask.
 func TestDevSetOneWordMatchesDeviceMask(t *testing.T) {
-	check := func(m DeviceMask) {
+	check := func(m deviceMask) {
 		t.Helper()
 		s := m.DevSet()
 		if s.Count() != m.Count() {
@@ -220,12 +245,12 @@ func TestDevSetOneWordMatchesDeviceMask(t *testing.T) {
 		if got, want := s.AppendTo(nil), m.AppendTo(nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("mask %#x: AppendTo %v != %v", uint64(m), got, want)
 		}
-		if got, exact := s.DropFirst().InlineMask(); !exact || got != m.DropFirst() {
-			t.Fatalf("mask %#x: DropFirst %#x != %#x", uint64(m), uint64(got), uint64(m.DropFirst()))
+		if got := s.DropFirst(); !got.Equal(m.DropFirst().DevSet()) {
+			t.Fatalf("mask %#x: DropFirst %#x != %#x", uint64(m), got.Word(0), uint64(m.DropFirst()))
 		}
 	}
 	// Exhaustive over a 6-device universe.
-	for m := DeviceMask(0); m < 1<<6; m++ {
+	for m := deviceMask(0); m < 1<<6; m++ {
 		check(m)
 	}
 	// Deterministic pseudo-random 64-bit masks (splitmix64 walk).
@@ -234,6 +259,6 @@ func TestDevSetOneWordMatchesDeviceMask(t *testing.T) {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		check(DeviceMask(x))
+		check(deviceMask(x))
 	}
 }

@@ -1,7 +1,7 @@
 // Package numeric executes a staged contraction stream with real
 // complex128 arithmetic. It is the one numeric executor of the repo: the
 // scheduling engine (sched.Options.Numeric) and the correlator front end
-// (redstar.Build.EvaluateNumericMode) both hand it one stage at a time,
+// (redstar.Build.EvaluateNumeric) both hand it one stage at a time,
 // and it runs the stage as dependency levels of fused batches on one
 // persistent worker pool. Nothing in here knows a scheduler or a device,
 // so no placement can change a number it produces.
@@ -29,8 +29,6 @@ type Config struct {
 	// included; <= 0 selects GOMAXPROCS. Results are bit-identical at any
 	// width.
 	Workers int
-	// Mode is the kernel tier every contraction runs under.
-	Mode tensor.KernelMode
 	// Reclaim frees each tensor after its last reader and recycles the
 	// storage into later outputs; the fingerprint does not move.
 	Reclaim bool
@@ -46,7 +44,6 @@ type Config struct {
 // also takes part in each batch as worker 0 of the pool.
 type Executor struct {
 	tensors map[uint64]*tensor.Tensor
-	mode    tensor.KernelMode
 	bp      *tensor.BatchPipeline
 
 	// Level-execution scratch, reused across stages.
@@ -73,7 +70,7 @@ type Executor struct {
 // caller must Close the executor on every path.
 func New(w *workload.Workload, cfg Config) (*Executor, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	x := &Executor{mode: cfg.Mode, tensors: make(map[uint64]*tensor.Tensor, len(w.Inputs))}
+	x := &Executor{tensors: make(map[uint64]*tensor.Tensor, len(w.Inputs))}
 	for _, d := range w.Inputs {
 		t, err := tensor.NewRandom(d, rng)
 		if err != nil {
@@ -191,7 +188,7 @@ func (x *Executor) execLevel(ctx context.Context, pairs []workload.Pair) error {
 				sub[i].Dst.Data = x.arena.get(int(p.Out.Elems()))
 			}
 		}
-		if err := x.bp.Run(sub, x.mode); err != nil {
+		if err := x.bp.Run(sub); err != nil {
 			return fmt.Errorf("numeric: contraction: %w", err)
 		}
 		for i, p := range subPairs {

@@ -218,34 +218,25 @@ func (c *Correlator) BuildPlan() (*Build, error) {
 // EvaluateNumeric executes the full plan with real complex128 arithmetic
 // (random hadron blocks from seed) and returns the correlator value per
 // sink time: the sum over that time's graphs of the traced final tensors.
-// Intended for examples and validation on small correlators. It is
-// EvaluateNumericMode in the exact kernel tier, whose results are pinned
-// bit for bit by the golden tests.
-func (b *Build) EvaluateNumeric(seed int64, workers int) (map[int]complex128, error) {
-	return b.EvaluateNumericMode(seed, workers, tensor.ModeExact)
-}
-
-// EvaluateNumericMode is EvaluateNumeric with an explicit kernel tier:
-// tensor.ModeExact reproduces the golden values bit for bit, while
-// tensor.ModeFast permits the FMA/AVX-512 fused kernels, accurate to the
-// ULP bound documented in DESIGN.md §12.
+// Intended for examples and validation on small correlators; its results
+// are pinned bit for bit by the golden tests.
 //
 // Evaluation hands b.Workload — the plan's own stream — stage by stage to
 // the numeric executor the scheduling engine uses (internal/numeric), on
 // a pool of workers goroutines (<= 0 selects GOMAXPROCS): each stage runs
 // as dependency levels of fused batches, every tensor's storage is
 // recycled once its last reader has run, and the finals are pinned until
-// their traces are taken. None of that perturbs numerics: in exact mode a
-// fused batch is bit-identical to op-at-a-time evaluation, and the kernel
-// overwrites every destination element.
-func (b *Build) EvaluateNumericMode(seed int64, workers int, mode tensor.KernelMode) (map[int]complex128, error) {
+// their traces are taken. None of that perturbs numerics: a fused batch
+// is bit-identical to op-at-a-time evaluation, and the kernel overwrites
+// every destination element.
+func (b *Build) EvaluateNumeric(seed int64, workers int) (map[int]complex128, error) {
 	var finals []uint64
 	for _, fds := range b.FinalsByTime {
 		for _, fd := range fds {
 			finals = append(finals, fd.ID)
 		}
 	}
-	x, err := numeric.New(b.Workload, numeric.Config{Seed: seed, Workers: workers, Mode: mode, Reclaim: true, Pin: finals})
+	x, err := numeric.New(b.Workload, numeric.Config{Seed: seed, Workers: workers, Reclaim: true, Pin: finals})
 	if err != nil {
 		return nil, fmt.Errorf("redstar: %w", err)
 	}
@@ -273,4 +264,13 @@ func (b *Build) EvaluateNumericMode(seed int64, workers int, mode tensor.KernelM
 		corr[t] = sum
 	}
 	return corr, nil
+}
+
+// EvaluateNumericMode is EvaluateNumeric; mode selects nothing. It is a
+// shim for bench/, which may not be edited outside a [benchmark] PR and
+// calls this name for its redstar.evaluate_numeric_ms probe; the change
+// that deletes tensor/bench_shim.go points the probe at EvaluateNumeric
+// and deletes this with it.
+func (b *Build) EvaluateNumericMode(seed int64, workers int, _ tensor.KernelMode) (map[int]complex128, error) {
+	return b.EvaluateNumeric(seed, workers)
 }

@@ -2,61 +2,12 @@ package redstar
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 
 	"micco/internal/tensor"
 	"micco/internal/workload"
 )
-
-// TestEvaluateNumericModeFast: the fast kernel tier must reproduce the
-// exact-tier correlator values to well within the accuracy contract —
-// the correlator is a trace over contraction chains whose per-element
-// error is ULP-bounded — and, like the exact tier, must be invariant
-// under the worker count.
-func TestEvaluateNumericModeFast(t *testing.T) {
-	c := tiny()
-	c.TimeSlices = 2
-	b, err := c.BuildPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := b.EvaluateNumericMode(7, 1, tensor.ModeExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := b.EvaluateNumericMode(7, 1, tensor.ModeFast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fast) != len(exact) {
-		t.Fatalf("fast returned %d times, exact %d", len(fast), len(exact))
-	}
-	for ts, e := range exact {
-		f := fast[ts]
-		if e == 0 {
-			t.Fatalf("t=%d: zero exact correlator", ts)
-		}
-		if rel := cmplx.Abs(f-e) / cmplx.Abs(e); rel > 1e-10 {
-			t.Errorf("t=%d: fast %v vs exact %v (rel %g)", ts, f, e, rel)
-		}
-	}
-	for _, workers := range []int{2, 8} {
-		again, err := b.EvaluateNumericMode(7, workers, tensor.ModeFast)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ts, want := range fast {
-			got := again[ts]
-			if math.Float64bits(real(got)) != math.Float64bits(real(want)) ||
-				math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
-				t.Errorf("workers=%d t=%d: fast correlator not deterministic: %v vs %v",
-					workers, ts, got, want)
-			}
-		}
-	}
-}
 
 // TestStageOpsIndependent: BuildPlan stages by dependency depth, so in
 // every stage it emits no pair reads or rewrites a tensor the same stage

@@ -250,7 +250,7 @@ func TestObsOnRunAllocsPerPair(t *testing.T) {
 // then each stage's dependency levels as fused batches on the worker pool
 // — on a chained operand-sharing deck of dim-24 tensors, small enough for
 // the pool's per-batch hand-off to show, at Parallelism 1 (GOMAXPROCS
-// wide), 2 (the engine plus one parked worker) and 8. Exact mode; every
+// wide), 2 (the engine plus one parked worker) and 8. Every
 // iteration's fingerprint is checked against the first run's, so the
 // smoke run in `make check` doubles as a correctness probe. Recorded into
 // BENCH_sched.json by `make bench`.

@@ -102,8 +102,8 @@ func refFilterMin(ids []int, key func(int) float64) []int {
 
 func (s *refMICCO) Assign(p workload.Pair, ctx *sched.Context) int {
 	s.candi = s.candi[:0]
-	h1 := ctx.Holders(p.A.ID)
-	h2 := ctx.Holders(p.B.ID)
+	h1 := ctx.AppendHolders(nil, p.A.ID)
+	h2 := ctx.AppendHolders(nil, p.B.ID)
 	s.patterns[refClassify(h1, h2)]++
 	limit := func(bound int) int { return s.bounds[bound] + ctx.BalanceNum }
 	boundIdx := -1

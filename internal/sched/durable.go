@@ -54,8 +54,9 @@ const maxCheckpointPayload = 1 << 30
 // a payload that does not decode to a valid snapshot.
 var ErrCheckpointCorrupt = errors.New("sched: checkpoint corrupt")
 
-// ErrCheckpointVersion marks a durable checkpoint written by a format
-// version this build does not understand.
+// ErrCheckpointVersion marks a durable checkpoint this build cannot
+// continue faithfully: a format version it does not understand, or a run
+// on a kernel tier it no longer has.
 var ErrCheckpointVersion = errors.New("sched: checkpoint version unsupported")
 
 // durableCheckpoint is the exported JSON mirror of Checkpoint.
@@ -70,8 +71,12 @@ type durableCheckpoint struct {
 	FaultsFired []bool             `json:"faults_fired,omitempty"`
 	Numeric     bool               `json:"numeric,omitempty"`
 	NumericSeed int64              `json:"numeric_seed,omitempty"`
-	FastKernels bool               `json:"fast_kernels,omitempty"`
 	Cluster     *gpusim.Checkpoint `json:"cluster"`
+	// RemovedTier is read, never written: builds that still had the FMA
+	// kernel tier set it on runs that used it. Resuming such a run on the
+	// one kernel family left would replay the prefix to different bits, so
+	// DecodeCheckpoint refuses the file.
+	RemovedTier bool `json:"fast_kernels,omitempty"`
 }
 
 // EncodeCheckpoint writes cp to w in the durable format, returning the
@@ -91,7 +96,6 @@ func EncodeCheckpoint(w io.Writer, cp *Checkpoint) (int, error) {
 		FaultsFired: cp.faultsFired,
 		Numeric:     cp.numeric,
 		NumericSeed: cp.numericSeed,
-		FastKernels: cp.fastKernels,
 		Cluster:     cp.cluster,
 	})
 	if err != nil {
@@ -113,8 +117,9 @@ func EncodeCheckpoint(w io.Writer, cp *Checkpoint) (int, error) {
 
 // DecodeCheckpoint reads one durable checkpoint from r. Corruption of any
 // kind — truncation, bit flips, garbage — returns an error wrapping
-// ErrCheckpointCorrupt; a newer format version returns one wrapping
-// ErrCheckpointVersion. It never panics on malformed input.
+// ErrCheckpointCorrupt; a newer format version, or a run on the removed
+// fast kernel tier, returns one wrapping ErrCheckpointVersion. It never
+// panics on malformed input.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var hdr [20]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -147,6 +152,9 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err := json.Unmarshal(payload, &d); err != nil {
 		return nil, fmt.Errorf("%w: payload not valid JSON: %v", ErrCheckpointCorrupt, err)
 	}
+	if d.RemovedTier {
+		return nil, fmt.Errorf("%w: written by a build with a fast kernel tier this build lacks; its numeric prefix cannot be replayed bit for bit", ErrCheckpointVersion)
+	}
 	if d.Workload == "" {
 		return nil, fmt.Errorf("%w: empty workload name", ErrCheckpointCorrupt)
 	}
@@ -172,7 +180,6 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		cluster:     d.Cluster,
 		numeric:     d.Numeric,
 		numericSeed: d.NumericSeed,
-		fastKernels: d.FastKernels,
 	}, nil
 }
 

@@ -158,6 +158,17 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	// Valid framing around a payload that is not a checkpoint.
 	check("garbage payload", frameCorrupt([]byte(`{"cluster":null}`)), sched.ErrCheckpointCorrupt)
 	check("json garbage", frameCorrupt([]byte(`{{{{`)), sched.ErrCheckpointCorrupt)
+
+	// An intact file from a build that still had the fast kernel tier,
+	// taken on a run that used it: resuming it on the one kernel family
+	// left would replay the prefix to different bits, so it is refused as
+	// a version this build cannot continue, not resumed.
+	removedTier := append([]byte(`{"fast_kernels":true,`), valid[21:]...)
+	check("fast_kernels: true", frameCorrupt(removedTier), sched.ErrCheckpointVersion)
+	sameTier := append([]byte(`{"fast_kernels":false,`), valid[21:]...)
+	if _, err := sched.DecodeCheckpoint(bytes.NewReader(frameCorrupt(sameTier))); err != nil {
+		t.Errorf("fast_kernels: false refused: %v", err)
+	}
 }
 
 // frameCorrupt wraps arbitrary payload bytes in a correct header (magic,
@@ -193,29 +204,37 @@ func crc32ieee(p []byte) uint32 {
 }
 
 // TestCheckpointResumeRejectsMismatch: a decoded checkpoint from workload
-// or shape X must not seed a run of Y, and numeric replay metadata
-// (seed, kernel tier) must match the resuming options.
+// or shape X must not seed a run of Y, the numeric seed must match the
+// resuming options, and a run refused for any of these — or for an
+// invalid fault plan — must not have created its CheckpointDir.
 func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 	cp := durableCheckpointT(t)
-	otherW := numericWorkload(t, 99)
-	opts := sched.Options{Numeric: true, NumericSeed: 7, ResumeFrom: cp}
-	if _, err := sched.Run(context.Background(), otherW, baseline.NewRoundRobin(), newClusterT(t, 4), opts); err == nil {
-		t.Fatal("checkpoint accepted for a different workload")
+	// Generated names carry the shape, not the seed: rename the other
+	// workload so it is the validation that refuses it, not a tensor the
+	// restored cluster turns out to lack three stages in.
+	otherW := *numericWorkload(t, 99)
+	otherW.Name += " seed 99"
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	opts := sched.Options{Numeric: true, NumericSeed: 7, ResumeFrom: cp, CheckpointDir: dir}
+	rejected := func(what string, w *workload.Workload, devices int, o sched.Options) {
+		t.Helper()
+		if _, err := sched.Run(context.Background(), w, baseline.NewRoundRobin(), newClusterT(t, devices), o); err == nil {
+			t.Fatalf("run accepted with %s", what)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("run rejected for %s left its checkpoint dir behind (stat: %v)", what, err)
+		}
 	}
+	rejected("a checkpoint for a different workload", &otherW, 4, opts)
 	w := numericWorkload(t, 7)
-	if _, err := sched.Run(context.Background(), w, baseline.NewRoundRobin(), newClusterT(t, 8), opts); err == nil {
-		t.Fatal("checkpoint accepted for a different cluster shape")
-	}
+	rejected("a checkpoint for a different cluster shape", w, 8, opts)
 	badSeed := opts
 	badSeed.NumericSeed = 8
-	if _, err := sched.Run(context.Background(), w, baseline.NewRoundRobin(), newClusterT(t, 4), badSeed); err == nil {
-		t.Fatal("checkpoint accepted with a different numeric seed")
-	}
-	badTier := opts
-	badTier.FastKernels = true
-	if _, err := sched.Run(context.Background(), w, baseline.NewRoundRobin(), newClusterT(t, 4), badTier); err == nil {
-		t.Fatal("checkpoint accepted with a different kernel tier")
-	}
+	rejected("a different numeric seed", w, 4, badSeed)
+	badPlan := opts
+	badPlan.ResumeFrom = nil
+	badPlan.FaultPlan = &fault.Plan{Events: []fault.Event{{Kind: fault.DeviceLoss, Device: 99}}}
+	rejected("a fault plan naming a device the cluster lacks", w, 4, badPlan)
 }
 
 // TestCheckpointPeriodicWrites: CheckpointDir persists at the configured
@@ -305,6 +324,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x10
 	f.Add(flipped)
+	f.Add(frameCorrupt(append([]byte(`{"fast_kernels":true,`), valid[21:]...)))
 	f.Add([]byte("MCCK"))
 	f.Add([]byte{})
 

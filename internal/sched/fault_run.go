@@ -64,12 +64,11 @@ type Checkpoint struct {
 	faultsFired []bool
 	cluster     *gpusim.Checkpoint
 	// Numeric replay metadata: a resumed numeric run re-executes the
-	// completed prefix from the seed, so the seed and kernel tier of the
-	// original run must match the resuming options or the fingerprint
-	// silently diverges. Recorded here so resume can reject the mismatch.
+	// completed prefix from the seed, so the seed of the original run must
+	// match the resuming options or the fingerprint silently diverges.
+	// Recorded here so resume can reject the mismatch.
 	numeric     bool
 	numericSeed int64
-	fastKernels bool
 }
 
 // NextStage returns the index of the first stage a resumed run will
@@ -101,18 +100,14 @@ func (cp *Checkpoint) validateFor(name string, stages, numDevices int) error {
 }
 
 // validateNumeric rejects a resume whose numeric options cannot reproduce
-// the checkpointed prefix: replaying from a different seed or kernel tier
-// would produce a fingerprint unrelated to the original run's.
+// the checkpointed prefix: replaying from a different seed would produce a
+// fingerprint unrelated to the original run's.
 func (cp *Checkpoint) validateNumeric(o Options) error {
 	if !cp.numeric || !o.Numeric {
 		return nil
 	}
 	if cp.numericSeed != o.NumericSeed {
 		return fmt.Errorf("sched: checkpoint numeric seed %d, resuming with %d", cp.numericSeed, o.NumericSeed)
-	}
-	if cp.fastKernels != o.FastKernels {
-		return fmt.Errorf("sched: checkpoint kernel tier (fast=%v) does not match resume options (fast=%v)",
-			cp.fastKernels, o.FastKernels)
 	}
 	return nil
 }
@@ -314,7 +309,6 @@ func (e *engine) snapshot(nextStage int) error {
 		cluster:     e.c.Checkpoint(),
 		numeric:     e.opts.Numeric,
 		numericSeed: e.opts.NumericSeed,
-		fastKernels: e.opts.FastKernels,
 	}
 	if e.assignAll != nil {
 		cp.assignments = append([]int(nil), e.assignAll...)

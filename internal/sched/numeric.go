@@ -6,7 +6,6 @@ import (
 
 	"micco/internal/numeric"
 	"micco/internal/obs"
-	"micco/internal/tensor"
 	"micco/internal/workload"
 )
 
@@ -21,14 +20,9 @@ import (
 
 // newNumeric draws the run's input tensors and parks its worker pool.
 func newNumeric(w *workload.Workload, opts Options) (*numeric.Executor, error) {
-	mode := tensor.ModeExact
-	if opts.FastKernels {
-		mode = tensor.ModeFast
-	}
 	return numeric.New(w, numeric.Config{
 		Seed:    opts.NumericSeed,
 		Workers: opts.PoolSize(),
-		Mode:    mode,
 		Reclaim: opts.NumericReclaim,
 		Timed:   opts.Obs != nil,
 	})

@@ -46,7 +46,7 @@ func propertyWorkload(t *testing.T) *workload.Workload {
 }
 
 // TestParallelFusedBitIdentical is the exactness property of fused level
-// execution across pool widths: in KernelExact mode the numeric
+// execution across pool widths: the numeric
 // fingerprint must be bit-identical to the default-width run at every
 // width, with and without dead-tensor reclamation, and across a mid-run
 // device loss whose recovery re-places already-executed pairs. Run under

@@ -110,11 +110,6 @@ func (c *Context) ResetLoad() {
 	}
 }
 
-// Holders returns the devices on which tensor id is currently resident.
-// It allocates a fresh slice per call; hot paths should use HoldersMask,
-// or AppendHolders with a reused buffer.
-func (c *Context) Holders(id uint64) []int { return c.Cluster.AppendHoldersOf(nil, id) }
-
 // AppendHolders appends the devices holding tensor id to buf in ascending
 // order and returns the extended slice; callers that reuse buf across
 // queries pay no allocation.
@@ -201,16 +196,6 @@ type Options struct {
 	Numeric bool
 	// NumericSeed seeds the random input data in numeric mode.
 	NumericSeed int64
-	// FastKernels runs numeric contractions in the fast kernel tier
-	// (tensor.ModeFast): FMA/AVX-512 fused micro-kernels selected by
-	// runtime CPU detection, accurate to the documented ULP bound of the
-	// exact tier rather than bit-identical to it (DESIGN.md §12). The
-	// fingerprint remains deterministic for a fixed machine and
-	// MICCO_KERNEL setting — scheduler choices, worker counts and
-	// reclamation still cannot change it — but it is not comparable to
-	// exact-mode goldens. Off by default: numeric mode stays bit-identical
-	// to the seed kernels.
-	FastKernels bool
 	// NumericReclaim frees each numeric tensor's storage after its last
 	// reader completes (liveness is exact, derived from the workload's
 	// read counts, mirroring the simulator's DiscardDeadInputs policy) and
@@ -624,9 +609,6 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 	n := c.NumDevices()
 	if opts.CheckpointDir != "" {
 		opts.Checkpoint = true
-		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
-			return nil, fmt.Errorf("sched: checkpoint dir: %w", err)
-		}
 	}
 	resume := opts.ResumeFrom
 	if resume != nil {
@@ -674,6 +656,11 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 	e := &engine{ctx: ctx, w: w, s: s, c: c, opts: opts, ob: ob, sctx: sctx, num: num, res: res, n: n, clock0: time.Now()}
 	e.prog = opts.Progress
 	if opts.CheckpointDir != "" {
+		// Only now, with every refusal behind it, does the run touch the
+		// file system: a rejected run leaves no directory behind.
+		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
+			return nil, fmt.Errorf("sched: checkpoint dir: %w", err)
+		}
 		e.ckptWrites = opts.Obs.Counter("micco_checkpoint_writes_total")
 		e.ckptBytes = opts.Obs.Counter("micco_checkpoint_bytes_written_total")
 	}

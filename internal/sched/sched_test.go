@@ -175,7 +175,7 @@ func TestDiscardDeadInputsReducesResidency(t *testing.T) {
 	// After the run every input marked dead must be gone from all devices.
 	for _, st := range w.Stages {
 		for _, p := range st.Pairs {
-			if p.LastUse[0] && len(c.HoldersOf(p.A.ID)) > 0 {
+			if p.LastUse[0] && len(c.AppendHoldersOf(nil, p.A.ID)) > 0 {
 				t.Fatalf("tensor %d should have been discarded", p.A.ID)
 			}
 		}

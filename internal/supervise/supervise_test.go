@@ -42,7 +42,7 @@ func newCluster(t testing.TB, n int) *gpusim.Cluster {
 	return c
 }
 
-// cleanFingerprint is the fault-free exact-mode fingerprint every
+// cleanFingerprint is the fault-free fingerprint every
 // supervised run must reproduce bit for bit.
 func cleanFingerprint(t *testing.T, w *workload.Workload, seed int64) float64 {
 	t.Helper()

@@ -25,9 +25,9 @@ import (
 // packing early start computing against ready panels while stragglers
 // still pack, instead of idling at a full barrier.
 //
-// In ModeExact the fused path is bit-identical to running ContractInto
-// per op by construction: packing is pure data movement, and both paths
-// hand the packed panels to the same routine, mulPackedExact.
+// The fused path is bit-identical to running ContractInto per op by
+// construction: packing is pure data movement, and both paths hand the
+// packed panels to the same routine, mulPackedExact.
 
 // BatchOp is one contraction of a stage batch: Dst = A x B with output
 // identity OutID. Dst follows ContractInto's destination contract and
@@ -53,8 +53,7 @@ var splitPool = sync.Pool{New: func() any { return new(splitPanel) }}
 // opPlan is the per-op execution plan of one batch.
 type opPlan struct {
 	n, groups int
-	fused     bool
-	aP, bP    *splitPanel // operand panels (fused ops only)
+	aP, bP    *splitPanel // operand panels
 }
 
 // fusedItem is one (op, group) compute work item.
@@ -67,12 +66,11 @@ type fusedItem struct{ op, g int32 }
 // steady-state batch stream allocates nothing.
 type batchState struct {
 	ops      []BatchOp
-	mode     KernelMode
 	plans    []opPlan
 	panels   map[*Tensor]*splitPanel
 	packList []*Tensor
 	items    []fusedItem
-	maxN     int // largest fused group dimension (sizes worker scratch)
+	maxN     int // largest group dimension (sizes worker scratch)
 	next     atomic.Int64
 	// poisoned flips to 1 when a participant panics mid-batch: workers
 	// spinning on an unpacked panel unblock, remaining work items are
@@ -145,14 +143,12 @@ var statePool = sync.Pool{New: func() any {
 	return &batchState{panels: make(map[*Tensor]*splitPanel)}
 }}
 
-// planBatch validates every op, sizes destinations, runs the unfused
-// (small-dimension) ops through the pairwise path, and builds the fused
-// work list. On error no destination has been sized and no op executed.
-// Returns (nil, nil) when nothing is left to fuse.
-func planBatch(ops []BatchOp, workers int, mode KernelMode) (*batchState, error) {
+// planBatch validates every op, sizes destinations and builds the
+// two-phase work list. On error no destination has been sized and no op
+// executed. ops must be non-empty.
+func planBatch(ops []BatchOp) (*batchState, error) {
 	st := statePool.Get().(*batchState)
 	st.ops = ops
-	st.mode = mode
 	st.plans = st.plans[:0]
 	for i, op := range ops {
 		if op.Dst == nil {
@@ -168,18 +164,10 @@ func planBatch(ops []BatchOp, workers int, mode KernelMode) (*batchState, error)
 		if od.Rank == RankBaryon {
 			groups = od.Batch * od.Dim
 		}
-		st.plans = append(st.plans, opPlan{
-			n:      od.Dim,
-			groups: groups,
-			fused:  od.Dim >= soaMinDim && !forceFallbackKernel,
-		})
+		st.plans = append(st.plans, opPlan{n: od.Dim, groups: groups})
 	}
 
-	// Size destinations and run the unfused ops through the pairwise
-	// path. Their inputs are plain tensor data, untouched by the fused
-	// phase (batch independence: no Dst aliases another op's operand), so
-	// ordering relative to the fused phase is free.
-	for i, op := range ops {
+	for _, op := range ops {
 		od, _ := ContractOut(op.A.Desc, op.B.Desc, op.OutID)
 		elems := int(od.Elems())
 		if cap(op.Dst.Data) >= elems {
@@ -188,23 +176,17 @@ func planBatch(ops []BatchOp, workers int, mode KernelMode) (*batchState, error)
 			op.Dst.Data = make([]complex128, elems)
 		}
 		op.Dst.Desc = od
-		if !st.plans[i].fused {
-			batchedMatMul(op.Dst.Data, op.A.Data, op.B.Data, st.plans[i].groups, st.plans[i].n, workers, mode)
-		}
 	}
 
-	// Collect each unique operand of the fused ops exactly once and give
-	// it a pooled panel. The panel map and pack list are reused across
-	// batches; panels are published unready and flip ready as packed.
+	// Collect each unique operand exactly once and give it a pooled
+	// panel. The panel map and pack list are reused across batches;
+	// panels are published unready and flip ready as packed.
 	st.packList = st.packList[:0]
 	st.maxN = 0
+	maxGroups := 0
 	for i, op := range ops {
-		if !st.plans[i].fused {
-			continue
-		}
-		if st.plans[i].n > st.maxN {
-			st.maxN = st.plans[i].n
-		}
+		st.maxN = max(st.maxN, st.plans[i].n)
+		maxGroups = max(maxGroups, st.plans[i].groups)
 		for _, t := range [2]*Tensor{op.A, op.B} {
 			if _, ok := st.panels[t]; !ok {
 				p := splitPool.Get().(*splitPanel)
@@ -215,32 +197,18 @@ func planBatch(ops []BatchOp, workers int, mode KernelMode) (*batchState, error)
 				st.packList = append(st.packList, t)
 			}
 		}
-	}
-	if len(st.packList) == 0 {
-		st.abort()
-		return nil, nil
-	}
-	for i := range ops {
-		if st.plans[i].fused {
-			st.plans[i].aP = st.panels[ops[i].A]
-			st.plans[i].bP = st.panels[ops[i].B]
-		}
+		st.plans[i].aP = st.panels[op.A]
+		st.plans[i].bP = st.panels[op.B]
 	}
 
 	// Compute items are ordered group-major — group g of every op before
 	// group g+1 of any — so consecutive items hit the same panel offsets
 	// of shared operands while they are still cache-hot; op-major order
 	// would evict a shared operand's group between its readers.
-	maxGroups := 0
-	for i := range ops {
-		if st.plans[i].fused && st.plans[i].groups > maxGroups {
-			maxGroups = st.plans[i].groups
-		}
-	}
 	st.items = st.items[:0]
 	for g := 0; g < maxGroups; g++ {
 		for i := range ops {
-			if st.plans[i].fused && g < st.plans[i].groups {
+			if g < st.plans[i].groups {
 				st.items = append(st.items, fusedItem{int32(i), int32(g)})
 			}
 		}
@@ -293,13 +261,6 @@ func (st *batchState) compute(it fusedItem, buf *packBuf) {
 	bRe := plan.bP.re[off : off+n*n]
 	bIm := plan.bP.im[off : off+n*n]
 	dst := op.Dst.Data[off : off+n*n]
-	if tier := fastTierFor(n); st.mode == ModeFast && tier != tierScalar {
-		buf.cRe = growf(buf.cRe, n*n)
-		buf.cIm = growf(buf.cIm, n*n)
-		mulPackedFast(buf.cRe, buf.cIm, aRe, aIm, bRe, bIm, n, panelKC(n, tier), tier)
-		unpackMerge(dst, buf.cRe, buf.cIm)
-		return
-	}
 	mulPackedExact(dst, aRe, aIm, bRe, bIm, n, buf)
 }
 
@@ -334,10 +295,8 @@ func (st *batchState) abort() {
 // tensor once: one BatchPipeline.Run on a pipeline of workers goroutines
 // (<=0 selects GOMAXPROCS) that lives for the call. Every op is validated
 // before any destination is sized, so on error no op has been executed.
-// Ops too small for the packed kernel (or forced to the fallback) run
-// through the pairwise path instead; they produce the same bits either
-// way. A caller with a stream of batches should hold a BatchPipeline.
-func ContractBatch(ops []BatchOp, workers int, mode KernelMode) error {
+// A caller with a stream of batches should hold a BatchPipeline.
+func ContractBatch(ops []BatchOp, workers int) error {
 	if len(ops) == 0 {
 		return nil
 	}
@@ -346,5 +305,5 @@ func ContractBatch(ops []BatchOp, workers int, mode KernelMode) error {
 	}
 	p := NewBatchPipeline(workers)
 	defer p.Close()
-	return p.Run(ops, mode)
+	return p.Run(ops)
 }

@@ -7,14 +7,14 @@ import (
 	"testing"
 )
 
-// pairwiseRef runs the ops one by one through ContractIntoMode into fresh
+// pairwiseRef runs the ops one by one through ContractInto into fresh
 // destinations, returning the outputs in op order.
-func pairwiseRef(t *testing.T, ops []BatchOp, mode KernelMode) []*Tensor {
+func pairwiseRef(t *testing.T, ops []BatchOp) []*Tensor {
 	t.Helper()
 	outs := make([]*Tensor, len(ops))
 	for i, op := range ops {
 		out := &Tensor{}
-		if err := ContractIntoMode(out, op.A, op.B, op.OutID, 1, mode); err != nil {
+		if err := ContractInto(out, op.A, op.B, op.OutID, 1); err != nil {
 			t.Fatalf("pairwise op %d: %v", i, err)
 		}
 		outs[i] = out
@@ -24,8 +24,9 @@ func pairwiseRef(t *testing.T, ops []BatchOp, mode KernelMode) []*Tensor {
 
 // stageOps builds a stage-shaped batch: one shared operand feeding
 // several pairs (the fan-out ContractBatch exists to fuse), plus an
-// independent pair and a small-dimension pair that exercises the
-// unfused route.
+// independent pair and dimensions 3, 4, 7 and 64 side by side: groups
+// narrower than the vector tile share the work list, and the worker
+// scratch sized for the widest op, with whole-tile ones.
 func stageOps(rng *rand.Rand) []BatchOp {
 	shared, _ := NewRandom(Desc{ID: 1, Rank: RankMeson, Dim: 24, Batch: 2}, rng)
 	b1, _ := NewRandom(Desc{ID: 2, Rank: RankMeson, Dim: 24, Batch: 2}, rng)
@@ -35,25 +36,32 @@ func stageOps(rng *rand.Rand) []BatchOp {
 	b4, _ := NewRandom(Desc{ID: 6, Rank: RankBaryon, Dim: 17, Batch: 2}, rng)
 	a3, _ := NewRandom(Desc{ID: 7, Rank: RankMeson, Dim: 4, Batch: 3}, rng)
 	b5, _ := NewRandom(Desc{ID: 8, Rank: RankMeson, Dim: 4, Batch: 3}, rng)
+	a4, _ := NewRandom(Desc{ID: 9, Rank: RankBaryon, Dim: 3, Batch: 2}, rng)
+	b6, _ := NewRandom(Desc{ID: 10, Rank: RankBaryon, Dim: 3, Batch: 2}, rng)
+	a5, _ := NewRandom(Desc{ID: 11, Rank: RankMeson, Dim: 7, Batch: 5}, rng)
+	a6, _ := NewRandom(Desc{ID: 12, Rank: RankMeson, Dim: 64, Batch: 1}, rng)
+	b7, _ := NewRandom(Desc{ID: 13, Rank: RankMeson, Dim: 64, Batch: 1}, rng)
 	return []BatchOp{
 		{Dst: &Tensor{}, A: shared, B: b1, OutID: 100},
 		{Dst: &Tensor{}, A: shared, B: b2, OutID: 101},
 		{Dst: &Tensor{}, A: b3, B: shared, OutID: 102}, // shared on the right
 		{Dst: &Tensor{}, A: a2, B: b4, OutID: 103},     // independent baryon pair
-		{Dst: &Tensor{}, A: a3, B: b5, OutID: 104},     // below soaMinDim: unfused
+		{Dst: &Tensor{}, A: a3, B: b5, OutID: 104},     // narrower than a vector tile
+		{Dst: &Tensor{}, A: a4, B: b6, OutID: 105},
+		{Dst: &Tensor{}, A: a5, B: a5, OutID: 106}, // one tensor on both sides
+		{Dst: &Tensor{}, A: a6, B: b7, OutID: 107},
 	}
 }
 
-// TestContractBatchExactBitIdentical: the fused stage path in ModeExact
-// must be bit-identical to running the same ops pairwise — shared
-// operands, both ranks, the unfused small-dim route, and any worker
-// count.
+// TestContractBatchExactBitIdentical: the fused stage path must be
+// bit-identical to running the same ops pairwise — shared operands, both
+// ranks, dimensions 3 to 64 in one batch, and any worker count.
 func TestContractBatchExactBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(801))
 	for _, workers := range []int{1, 2, 8} {
 		ops := stageOps(rng)
-		want := pairwiseRef(t, ops, ModeExact)
-		if err := ContractBatch(ops, workers, ModeExact); err != nil {
+		want := pairwiseRef(t, ops)
+		if err := ContractBatch(ops, workers); err != nil {
 			t.Fatal(err)
 		}
 		for i, op := range ops {
@@ -62,34 +70,19 @@ func TestContractBatchExactBitIdentical(t *testing.T) {
 	}
 }
 
-// TestContractBatchFastMatchesPairwiseFast: in ModeFast the fused path
-// runs the identical fused kernels on identically packed values, so it
-// is bit-identical to pairwise ModeFast as well.
-func TestContractBatchFastMatchesPairwiseFast(t *testing.T) {
-	rng := rand.New(rand.NewSource(802))
-	ops := stageOps(rng)
-	want := pairwiseRef(t, ops, ModeFast)
-	if err := ContractBatch(ops, 2, ModeFast); err != nil {
-		t.Fatal(err)
-	}
-	for i, op := range ops {
-		equalBits(t, op.Dst, want[i], "fused fast op "+itoa(i))
-	}
-}
-
 // TestContractBatchInPlace: an op whose destination is one of its own
 // operands is safe — the pack barrier completes before any output is
 // written.
 func TestContractBatchInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(803))
-	for _, mode := range []KernelMode{ModeExact, ModeFast} {
-		shared, _ := NewRandom(Desc{ID: 1, Rank: RankMeson, Dim: 16, Batch: 2}, rng)
-		other, _ := NewRandom(Desc{ID: 2, Rank: RankMeson, Dim: 16, Batch: 2}, rng)
+	for _, dim := range []int{5, 16} {
+		shared, _ := NewRandom(Desc{ID: 1, Rank: RankMeson, Dim: dim, Batch: 2}, rng)
+		other, _ := NewRandom(Desc{ID: 2, Rank: RankMeson, Dim: dim, Batch: 2}, rng)
 		ref := []BatchOp{
 			{Dst: &Tensor{}, A: shared, B: other, OutID: 100},
 			{Dst: &Tensor{}, A: other, B: shared, OutID: 101},
 		}
-		want := pairwiseRef(t, ref, mode)
+		want := pairwiseRef(t, ref)
 		// Now run with the first op writing over one of ITS OWN operands.
 		// The overwritten tensor (a distinct clone) is private to op 0, so
 		// stage independence still holds.
@@ -98,11 +91,11 @@ func TestContractBatchInPlace(t *testing.T) {
 			{Dst: sharedC, A: sharedC, B: other, OutID: 100},
 			{Dst: &Tensor{}, A: other, B: shared, OutID: 101},
 		}
-		if err := ContractBatch(ops, 2, mode); err != nil {
+		if err := ContractBatch(ops, 2); err != nil {
 			t.Fatal(err)
 		}
-		equalBits(t, ops[0].Dst, want[0], mode.String()+" in-place dst==a")
-		equalBits(t, ops[1].Dst, want[1], mode.String()+" neighbor of in-place op")
+		equalBits(t, ops[0].Dst, want[0], "dim="+itoa(dim)+" in-place dst==a")
+		equalBits(t, ops[1].Dst, want[1], "dim="+itoa(dim)+" neighbor of in-place op")
 	}
 }
 
@@ -115,16 +108,16 @@ func TestContractBatchValidation(t *testing.T) {
 	mismatch, _ := NewRandom(Desc{ID: 3, Rank: RankMeson, Dim: 9, Batch: 2}, rng)
 	good := BatchOp{Dst: &Tensor{}, A: a, B: b, OutID: 100}
 	bad := BatchOp{Dst: &Tensor{}, A: a, B: mismatch, OutID: 101}
-	if err := ContractBatch([]BatchOp{good, bad}, 1, ModeExact); err == nil {
+	if err := ContractBatch([]BatchOp{good, bad}, 1); err == nil {
 		t.Fatal("mismatched op accepted")
 	}
 	if len(good.Dst.Data) != 0 {
 		t.Fatal("destination written despite batch validation failure")
 	}
-	if err := ContractBatch([]BatchOp{{Dst: nil, A: a, B: b, OutID: 1}}, 1, ModeExact); err == nil {
+	if err := ContractBatch([]BatchOp{{Dst: nil, A: a, B: b, OutID: 1}}, 1); err == nil {
 		t.Fatal("nil destination accepted")
 	}
-	if err := ContractBatch(nil, 4, ModeFast); err != nil {
+	if err := ContractBatch(nil, 4); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 }
@@ -161,10 +154,10 @@ func TestOperandValidation(t *testing.T) {
 		}{
 			{"ContractInto", func(dst *Tensor) error { return ContractInto(dst, c.a, c.b, 9, 2) }},
 			{"ContractBatch", func(dst *Tensor) error {
-				return ContractBatch([]BatchOp{{Dst: &Tensor{}, A: a, B: b, OutID: 8}, {Dst: dst, A: c.a, B: c.b, OutID: 9}}, 2, ModeExact)
+				return ContractBatch([]BatchOp{{Dst: &Tensor{}, A: a, B: b, OutID: 8}, {Dst: dst, A: c.a, B: c.b, OutID: 9}}, 2)
 			}},
 			{"BatchPipeline.Run", func(dst *Tensor) error {
-				return p.Run([]BatchOp{{Dst: dst, A: c.a, B: c.b, OutID: 9}}, ModeFast)
+				return p.Run([]BatchOp{{Dst: dst, A: c.a, B: c.b, OutID: 9}})
 			}},
 		}
 		for _, e := range entries {
@@ -184,26 +177,18 @@ func TestOperandValidation(t *testing.T) {
 }
 
 // TestContractBatchAllTiers runs the fused stage under every forced
-// dispatch route, checking exact bit-identity and the fast ULP bound
-// hold on each.
+// dispatch tier, checking bit-identity with the pairwise path on each.
 func TestContractBatchAllTiers(t *testing.T) {
 	rng := rand.New(rand.NewSource(805))
 	for _, tier := range kernelTiers {
 		withKernelEnv(t, tier, func() {
 			ops := stageOps(rng)
-			want := pairwiseRef(t, ops, ModeExact)
-			if err := ContractBatch(ops, 2, ModeExact); err != nil {
+			want := pairwiseRef(t, ops)
+			if err := ContractBatch(ops, 2); err != nil {
 				t.Fatal(err)
 			}
 			for i, op := range ops {
 				equalBits(t, op.Dst, want[i], tier+" fused exact op "+itoa(i))
-			}
-			wantFast := pairwiseRef(t, ops, ModeFast)
-			if err := ContractBatch(ops, 2, ModeFast); err != nil {
-				t.Fatal(err)
-			}
-			for i, op := range ops {
-				equalBits(t, op.Dst, wantFast[i], tier+" fused fast op "+itoa(i))
 			}
 		})
 	}

@@ -1,14 +1,11 @@
 package tensor
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// blockDim is the cache-blocking factor of the interleaved-complex fallback
-// kernel. 48 complex128 rows/cols per block keeps three blocks well inside
-// a 256 KiB L2 slice.
-const blockDim = 48
 
 // Contract performs a hadron contraction of a with b, returning a new tensor
 // with identity outID. For rank 2 (mesons) this is a batched matrix product
@@ -30,16 +27,64 @@ func Contract(a, b *Tensor, outID uint64, workers int) (*Tensor, error) {
 // fully overwritten) and reallocated otherwise, and dst.Desc is set to the
 // output description with identity outID. A dst recycled from an arena may
 // arrive dirty or resliced; neither affects the result. dst may alias a or
-// b on every kernel route: the packed path unpacks each operand block into
-// split-complex panels before any output element of that block is written,
-// and the small-dimension fallback accumulates into pooled scratch storage
-// and copies into dst only after the block product is complete.
+// b: each operand block is unpacked into split-complex panels before any
+// output element of that block is written.
 //
 // Steady-state ContractInto calls with a right-sized dst allocate nothing:
 // pack panels come from an internal sync.Pool, and single-worker calls run
 // inline on the caller's goroutine.
 func ContractInto(dst *Tensor, a, b *Tensor, outID uint64, workers int) error {
-	return ContractIntoMode(dst, a, b, outID, workers, ModeExact)
+	if dst == nil {
+		return fmt.Errorf("tensor: ContractInto with nil destination")
+	}
+	od, err := contractOperands(a, b, outID)
+	if err != nil {
+		return err
+	}
+	elems := int(od.Elems())
+	if cap(dst.Data) >= elems {
+		dst.Data = dst.Data[:elems]
+	} else {
+		dst.Data = make([]complex128, elems)
+	}
+	dst.Desc = od
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	switch a.Rank {
+	case RankMeson:
+		batchedMatMul(dst.Data, a.Data, b.Data, a.Batch, a.Dim, workers)
+	case RankBaryon:
+		// A rank-3 contraction is Batch*Dim independent DxD products, so
+		// reuse the batched kernel with an expanded batch count.
+		batchedMatMul(dst.Data, a.Data, b.Data, a.Batch*a.Dim, a.Dim, workers)
+	default:
+		return fmt.Errorf("tensor: unsupported rank %d", a.Rank)
+	}
+	return nil
+}
+
+// contractOperands validates the operands of one contraction — present,
+// contractible, and each holding exactly the data its description
+// promises, since the kernels index Data by the description alone — and
+// returns the output description.
+func contractOperands(a, b *Tensor, outID uint64) (Desc, error) {
+	if a == nil || b == nil {
+		return Desc{}, fmt.Errorf("tensor: contract with nil operand")
+	}
+	od, err := ContractOut(a.Desc, b.Desc, outID)
+	if err != nil {
+		return Desc{}, err
+	}
+	for _, t := range [2]*Tensor{a, b} {
+		if len(t.Data) == 0 {
+			return Desc{}, fmt.Errorf("tensor: contract on metadata-only tensor %v", t.Desc)
+		}
+		if int64(len(t.Data)) != t.Elems() {
+			return Desc{}, fmt.Errorf("tensor: operand %v holds %d elements, want %d", t.Desc, len(t.Data), t.Elems())
+		}
+	}
+	return od, nil
 }
 
 // batchedMatMul computes dst[g] = a[g] * b[g] for g in [0, batch), where
@@ -47,7 +92,7 @@ func ContractInto(dst *Tensor, a, b *Tensor, outID uint64, workers int) error {
 // Group indices are handed out through a shared atomic counter so the
 // fan-out costs nothing per group; a single worker runs inline on the
 // caller's goroutine with no synchronization at all.
-func batchedMatMul(dst, a, b []complex128, batch, n, workers int, mode KernelMode) {
+func batchedMatMul(dst, a, b []complex128, batch, n, workers int) {
 	if workers > batch {
 		workers = batch
 	}
@@ -55,7 +100,7 @@ func batchedMatMul(dst, a, b []complex128, batch, n, workers int, mode KernelMod
 		buf := getPackBuf(n)
 		for g := 0; g < batch; g++ {
 			off := g * n * n
-			matMulGroup(dst[off:off+n*n], a[off:off+n*n], b[off:off+n*n], n, buf, mode)
+			contractGroupSoA(dst[off:off+n*n], a[off:off+n*n], b[off:off+n*n], n, buf)
 		}
 		putPackBuf(buf)
 		return
@@ -74,64 +119,9 @@ func batchedMatMul(dst, a, b []complex128, batch, n, workers int, mode KernelMod
 					return
 				}
 				off := g * n * n
-				matMulGroup(dst[off:off+n*n], a[off:off+n*n], b[off:off+n*n], n, buf, mode)
+				contractGroupSoA(dst[off:off+n*n], a[off:off+n*n], b[off:off+n*n], n, buf)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// matMulGroup multiplies one n x n group, routing to the split-complex
-// packed kernel for all but tiny dimensions (where packing overhead would
-// dominate the O(n^3) work). ModeFast additionally routes to the fused
-// FMA/AVX-512 kernel when the machine provides one for this dimension;
-// when it does not, Fast degrades to the exact path, which trivially
-// satisfies the ULP contract. All routes honor ContractInto's aliasing
-// contract: every kernel packs (or copies) its inputs before writing any
-// output element, so dst may overlap a or b on any path.
-func matMulGroup(dst, a, b []complex128, n int, buf *packBuf, mode KernelMode) {
-	if n < soaMinDim || forceFallbackKernel {
-		buf.tmp = growc(buf.tmp, n*n)
-		tmp := buf.tmp
-		for i := range tmp {
-			tmp[i] = 0
-		}
-		matMulBlocked(tmp, a, b, n)
-		copy(dst, tmp)
-		return
-	}
-	if mode == ModeFast && fastTierFor(n) != tierScalar {
-		contractGroupFast(dst, a, b, n, buf)
-		return
-	}
-	contractGroupSoA(dst, a, b, n, buf)
-}
-
-// matMulBlocked computes dst += a*b for n x n row-major complex matrices
-// using register-friendly ikj ordering with cache blocking: the
-// interleaved-complex fallback kernel for dimensions too small to amortize
-// packing. dst must be zero-filled on entry. The accumulation order for
-// each output element is k ascending, the same order the packed kernel
-// uses, so both paths produce bit-identical results.
-func matMulBlocked(dst, a, b []complex128, n int) {
-	for ii := 0; ii < n; ii += blockDim {
-		iMax := min(ii+blockDim, n)
-		for kk := 0; kk < n; kk += blockDim {
-			kMax := min(kk+blockDim, n)
-			for jj := 0; jj < n; jj += blockDim {
-				jMax := min(jj+blockDim, n)
-				for i := ii; i < iMax; i++ {
-					arow := a[i*n : i*n+n]
-					drow := dst[i*n : i*n+n]
-					for k := kk; k < kMax; k++ {
-						aik := arow[k]
-						brow := b[k*n : k*n+n]
-						for j := jj; j < jMax; j++ {
-							drow[j] += aik * brow[j]
-						}
-					}
-				}
-			}
-		}
-	}
 }

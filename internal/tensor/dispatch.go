@@ -1,41 +1,20 @@
 package tensor
 
-import "micco/internal/cpu"
+import (
+	"os"
+	"strings"
+
+	"micco/internal/cpu"
+)
 
 // Kernel dispatch.
 //
-// Two orthogonal axes select the micro-kernel that executes a group
-// product. The KernelMode is the caller's accuracy contract: Exact
-// reproduces the scalar kernel's arithmetic bit for bit on every tier
-// (non-FMA vector kernels on AVX2 and AVX-512), Fast permits
-// fused multiply-add tiers that round once per multiply-add and stay
-// within the ULP bound documented in DESIGN.md §12. The kernel tier is
-// what the machine (and the MICCO_KERNEL override) allows: the highest
-// usable instruction set. Dispatch takes the minimum of contract and
-// capability — Fast mode on a machine without FMA silently runs the
-// exact path, which trivially satisfies the bound.
-
-// KernelMode selects the accuracy contract for a contraction.
-type KernelMode int
-
-const (
-	// ModeExact is the default: results are bit-identical across worker
-	// counts, dispatch tiers, and architectures. Its vector kernels (the
-	// AVX-512 4x16 block kernel, the AVX2 1x8 row kernel) multiply, add
-	// and subtract separately — never FMA.
-	ModeExact KernelMode = iota
-	// ModeFast permits FMA3/AVX-512 fused kernels. Results are
-	// deterministic for a fixed machine and override setting, but differ
-	// from ModeExact within a documented ULP bound.
-	ModeFast
-)
-
-func (m KernelMode) String() string {
-	if m == ModeFast {
-		return "fast"
-	}
-	return "exact"
-}
+// There is one kernel family: every micro-kernel multiplies, adds and
+// subtracts separately (never FMA), so each output element's chain rounds
+// exactly like the scalar kernel's and results are bit-identical across
+// worker counts, tiers and architectures. The only selection left is the
+// one the code reads off the CPU — the widest instruction set the machine
+// provides, capped by the MICCO_KERNEL override.
 
 // kernelTier orders the instruction-set levels dispatch can choose from.
 type kernelTier int
@@ -43,7 +22,6 @@ type kernelTier int
 const (
 	tierScalar kernelTier = iota
 	tierAVX2
-	tierFMA
 	tierAVX512
 )
 
@@ -51,8 +29,6 @@ func (t kernelTier) String() string {
 	switch t {
 	case tierAVX2:
 		return "avx2"
-	case tierFMA:
-		return "fma"
 	case tierAVX512:
 		return "avx512"
 	default:
@@ -66,9 +42,8 @@ func (t kernelTier) String() string {
 // contraction.
 var (
 	kernelCap kernelTier // upper bound from MICCO_KERNEL, tierAVX512 if unset
-	useAVX2   bool       // exact tier: 1x8 row kernel on YMM
-	useFMA    bool       // fast tier: FMA3 on YMM
-	useAVX512 bool       // exact tier: 4x16 block kernel; fast tier: FMA on ZMM
+	useAVX2   bool       // 1x8 row kernel on YMM
+	useAVX512 bool       // 4x16 block kernel and pack/merge permutes on ZMM
 )
 
 func init() { resolveDispatch() }
@@ -84,32 +59,15 @@ func resolveDispatch() {
 		kernelCap = tierScalar
 	case "avx2":
 		kernelCap = tierAVX2
-	case "fma":
-		kernelCap = tierFMA
-	case "avx512":
-		kernelCap = tierAVX512
 	}
 	useAVX2 = hwAVX2 && kernelCap >= tierAVX2
-	useFMA = hwFMA && kernelCap >= tierFMA
 	useAVX512 = hwAVX512 && kernelCap >= tierAVX512
 }
 
-// fastTierFor picks the vector tier ModeFast uses for an n x n group, or
-// tierScalar when no fused kernel applies — in which case the caller runs
-// the exact path. AVX-512 needs a full 16-column tile to beat the YMM
-// kernel; FMA needs 8.
-func fastTierFor(n int) kernelTier {
-	if useAVX512 && n >= 16 {
-		return tierAVX512
-	}
-	if useFMA && n >= 8 {
-		return tierFMA
-	}
-	return tierScalar
-}
-
-// KernelInfo describes the probed CPU features and the kernel tier each
-// mode resolves to, for surfacing in benchmarks and CLIs.
+// KernelInfo describes the probed CPU features and the kernel tier
+// dispatch resolved to, for surfacing in benchmarks and CLIs. A
+// MICCO_KERNEL value that is set but not recognised caps nothing; it is
+// reported as ignored so a typo cannot pass for a pinned tier.
 func KernelInfo() string {
 	exact := tierScalar
 	if useAVX512 {
@@ -117,13 +75,11 @@ func KernelInfo() string {
 	} else if useAVX2 {
 		exact = tierAVX2
 	}
-	fast := fastTierFor(1 << 30)
-	if fast == tierScalar {
-		fast = exact
-	}
-	s := "cpu: " + cpu.X86.String() + "; exact: " + exact.String() + "; fast: " + fast.String()
+	s := "cpu: " + cpu.X86.String() + "; exact: " + exact.String()
 	if o := cpu.Override(); o != "" {
 		s += " (" + cpu.EnvKernel + "=" + o + ")"
+	} else if raw := strings.TrimSpace(os.Getenv(cpu.EnvKernel)); raw != "" {
+		s += " (" + cpu.EnvKernel + "=" + raw + " ignored)"
 	}
 	return s
 }

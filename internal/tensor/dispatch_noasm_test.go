@@ -9,40 +9,31 @@ import (
 
 // TestNoasmDispatchNeverSelectsStubs: off amd64 every hardware tier must
 // probe false, dispatch must resolve every route to the scalar kernels,
-// and a contraction in BOTH modes must complete without reaching the
-// panicking assembly stubs — even when MICCO_KERNEL asks for a vector
+// and a contraction, pairwise and batched, must complete without reaching
+// the panicking assembly stubs — even when MICCO_KERNEL asks for a vector
 // tier the build cannot provide.
 func TestNoasmDispatchNeverSelectsStubs(t *testing.T) {
-	if hwAVX2 || hwFMA || hwAVX512 {
+	if hwAVX2 || hwAVX512 {
 		t.Fatal("non-amd64 build reports x86 vector tiers")
 	}
 	rng := rand.New(rand.NewSource(1001))
 	for _, tier := range kernelTiers {
 		withKernelEnv(t, tier, func() {
-			if useAVX2 || useFMA || useAVX512 {
+			if useAVX2 || useAVX512 {
 				t.Fatalf("MICCO_KERNEL=%s enabled a vector tier without hardware", tier)
-			}
-			if ft := fastTierFor(1 << 20); ft != tierScalar {
-				t.Fatalf("MICCO_KERNEL=%s: fastTierFor = %v, want tierScalar", tier, ft)
 			}
 			d := Desc{ID: 1, Rank: RankMeson, Dim: 17, Batch: 2}
 			a, _ := NewRandom(d, rng)
 			b, _ := NewRandom(Desc{ID: 2, Rank: RankMeson, Dim: 17, Batch: 2}, rng)
-			exact, err := ContractMode(a, b, 3, 2, ModeExact) // panics here = stub dispatched
+			pairwise, err := Contract(a, b, 3, 2) // panics here = stub dispatched
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := ContractMode(a, b, 3, 2, ModeFast)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// With no fused tier, Fast runs the exact path verbatim.
-			equalBits(t, fast, exact, "noasm fast==exact")
 			ops := []BatchOp{{Dst: &Tensor{}, A: a, B: b, OutID: 3}}
-			if err := ContractBatch(ops, 2, ModeFast); err != nil {
+			if err := ContractBatch(ops, 2); err != nil {
 				t.Fatal(err)
 			}
-			equalBits(t, ops[0].Dst, exact, "noasm fused==exact")
+			equalBits(t, ops[0].Dst, pairwise, "noasm fused==pairwise")
 		})
 	}
 }

@@ -11,7 +11,7 @@ package tensor
 // complex128 output. Splitting re/im into separate panels turns every
 // complex multiply-add into four independent float64 multiply streams with
 // unit stride, which the vector micro-kernels execute 8 (ZMM) or 4 (YMM)
-// columns per instruction and the scalar fallback executes with no
+// columns per instruction and the scalar kernel executes with no
 // interleaved loads or shuffles.
 //
 // Determinism: for every output element (i,j) the products a[i,k]*b[k,j]
@@ -21,17 +21,15 @@ package tensor
 // rounding is identical to scalar IEEE arithmetic). Vectorization and row
 // blocking distribute output elements across lanes and registers without
 // reordering any element's accumulation chain, so results are
-// bit-identical to the interleaved fallback kernel and invariant under the
-// worker count and the chosen code path. Keep it that way: the numeric
-// engine's fingerprints rely on it.
-
-// soaMinDim is the smallest dimension routed to the packed kernel; below
-// it the O(n^2) packing cost is not amortized by the O(n^3) arithmetic.
-const soaMinDim = 8
-
-// forceFallbackKernel routes every group to the interleaved-complex
-// fallback kernel; tests use it to cross-check the two paths bit for bit.
-var forceFallbackKernel = false
+// bit-identical to the naive interleaved-complex triple loop and invariant
+// under the worker count and the chosen code path. Keep it that way: the
+// numeric engine's fingerprints rely on it.
+//
+// Every dimension takes this route. A group narrower than the 8-column
+// vector tile simply never reaches a vector kernel: its rows are all
+// scalar tail. There is no separate small-dimension kernel, because its
+// only argument was the O(n^2) packing cost at n < 8, where a whole group
+// product is a few hundred flops and no ladder workload spends its time.
 
 // forceScalarKernel disables the assembly micro-kernel within the packed
 // path; tests use it to cross-check vector and scalar lanes bit for bit.
@@ -47,8 +45,8 @@ func contractGroupSoA(dst, a, b []complex128, n int, buf *packBuf) {
 	mulPackedExact(dst, buf.aRe, buf.aIm, buf.bRe, buf.bIm, n, buf)
 }
 
-// mulPackedExact computes the exact-tier product of one n x n group from
-// split panels and merges it into interleaved dst: the one group-product
+// mulPackedExact computes the product of one n x n group from split
+// panels and merges it into interleaved dst: the one group-product
 // routine behind both ContractInto and ContractBatch, which is what makes
 // the two bit-identical. With AVX-512 and n >= 16, rows go four at a time
 // through the 4x16 block kernel (scalar tail for the n%16 columns); the

@@ -9,7 +9,6 @@ import "micco/internal/cpu"
 // (including the MICCO_KERNEL cap) lives in dispatch.go.
 var (
 	hwAVX2   = cpu.X86.HasAVX2()
-	hwFMA    = cpu.X86.HasFMA()
 	hwAVX512 = cpu.X86.HasAVX512()
 )
 
@@ -18,8 +17,8 @@ var (
 // accumulating k in ascending order per column tile held in YMM registers.
 // It uses VMULPD/VADDPD/VSUBPD only (no FMA), so every lane rounds exactly
 // like the scalar kernel. Columns >= n&^7 are left untouched for the
-// scalar tail. This is the Exact-tier vector kernel on machines without
-// AVX-512, and the row-remainder kernel on machines with it.
+// scalar tail. This is the vector kernel on machines without AVX-512, and
+// the row-remainder kernel on machines with it.
 //
 //go:noescape
 func rowKernelAVX2(cRe, cIm, aRe, aIm, bRe, bIm *float64, n int)
@@ -35,31 +34,9 @@ func rowKernelAVX2(cRe, cIm, aRe, aIm, bRe, bIm *float64, n int)
 //go:noescape
 func blockKernelAVX512(cRe, cIm, aRe, aIm, bRe, bIm *float64, n int)
 
-// rowKernelFMA accumulates kn rank-1 updates into output columns
-// [0, n&^7) of one C row using FMA3: per k, cRe = fnma(ai, bi,
-// fma(ar, br, cRe)) and cIm = fma(ai, br, fma(ar, bi, cIm)). Each fused
-// multiply-add rounds once instead of twice, so results differ from the
-// Exact tier within the documented ULP bound (DESIGN.md §12). Unlike the
-// exact kernel it accumulates into the C tiles: with acc=0 (the first k
-// panel) the accumulators start at zero and C's prior contents are
-// ignored; with acc=1 the C tiles are loaded and accumulated into. The
-// caller may therefore split the k range into cache-sized panels without
-// changing any element's accumulation chain. bRe/bIm point at the panel's
-// first k row; n is the B row stride.
-//
-//go:noescape
-func rowKernelFMA(cRe, cIm, aRe, aIm, bRe, bIm *float64, n, kn, acc int)
-
-// rowKernelAVX512 is rowKernelFMA on ZMM registers: 32 output columns per
-// main tile plus a 16-column cleanup tile, covering [0, n&^15), same fused
-// accumulation chain and same load/accumulate/store contract.
-//
-//go:noescape
-func rowKernelAVX512(cRe, cIm, aRe, aIm, bRe, bIm *float64, n, kn, acc int)
-
 // packSplitAVX512 deinterleaves n complex128 values (n a multiple of 8)
 // into separate re/im panels with ZMM permutes. Pure data movement, byte
-// for byte the scalar loop's result, so both kernel modes may use it.
+// for byte the scalar loop's result.
 //
 //go:noescape
 func packSplitAVX512(re, im *float64, src *complex128, n int)

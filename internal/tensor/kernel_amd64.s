@@ -10,8 +10,8 @@
 // a[k]*b[k][j] with VMULPD/VADDPD/VSUBPD only. FMA is deliberately not
 // used: fused multiply-adds round once instead of twice and would break
 // bit-identity with the scalar kernel. Every column's accumulation chain
-// is 0 + p_0 + p_1 + ... in ascending k, matching the scalar and fallback
-// kernels exactly.
+// is 0 + p_0 + p_1 + ... in ascending k, matching the scalar kernel
+// exactly.
 TEXT ·rowKernelAVX2(SB), NOSPLIT, $0-56
 	MOVQ cRe+0(FP), DI
 	MOVQ cIm+8(FP), SI

@@ -32,7 +32,7 @@
 
 // func blockKernelAVX512(cRe, cIm, aRe, aIm, bRe, bIm *float64, n int)
 //
-// The exact tier's register-blocked micro-kernel: a 4-row x 16-column
+// The register-blocked micro-kernel: a 4-row x 16-column
 // block of C lives in 16 ZMM accumulators (Z0-Z7 real, Z8-Z15 imaginary,
 // two per row each) across the whole k loop. Per k-step the 16-column B
 // strip is loaded once (4 ZMM loads) and serves all four rows; the A

@@ -96,7 +96,7 @@ func checkExactRoutes(t *testing.T, label string, a, b, want, wantSq *Tensor) {
 	for i, r := range rs {
 		ops[i] = BatchOp{Dst: r.dst, A: r.x, B: r.y, OutID: 7}
 	}
-	if err := ContractBatch(ops, 2, ModeExact); err != nil {
+	if err := ContractBatch(ops, 2); err != nil {
 		t.Fatalf("%s ContractBatch: %v", label, err)
 	}
 	for i, r := range rs {
@@ -104,9 +104,9 @@ func checkExactRoutes(t *testing.T, label string, a, b, want, wantSq *Tensor) {
 	}
 }
 
-// TestBlockKernelExact: under every MICCO_KERNEL tier, every exact route
-// must reproduce rowKernelScalar's bits — and so the interleaved
-// fallback's — across the block kernel's row and column seams, with the
+// TestBlockKernelExact: under every MICCO_KERNEL tier, every route must
+// reproduce rowKernelScalar's bits — and so the naive interleaved-complex
+// loop's — across the block kernel's row and column seams, with the
 // destination fresh or aliasing an operand. ContractInto and
 // ContractBatch share mulPackedExact, so they agree on every row.
 func TestBlockKernelExact(t *testing.T) {
@@ -117,13 +117,7 @@ func TestBlockKernelExact(t *testing.T) {
 			b, _ := NewRandom(Desc{ID: 2, Rank: RankMeson, Dim: n, Batch: batch}, rng)
 			want, wantSq := scalarRef(a, b), scalarRef(a, a)
 			label := "n=" + itoa(n) + " batch=" + itoa(batch)
-			withKernelPath(t, true, false, func() {
-				got, err := Contract(a, b, 7, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				equalBits(t, got, want, label+" interleaved fallback")
-			})
+			equalBits(t, naiveMatMul(a, b), want, label+" naive reference")
 			for _, tier := range kernelTiers {
 				withKernelEnv(t, tier, func() {
 					checkExactRoutes(t, label+" MICCO_KERNEL="+tier, a, b, want, wantSq)

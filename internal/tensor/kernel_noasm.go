@@ -9,7 +9,6 @@ package tensor
 // silent no-op would corrupt results instead of failing loudly).
 var (
 	hwAVX2   = false
-	hwFMA    = false
 	hwAVX512 = false
 )
 
@@ -21,16 +20,6 @@ func rowKernelAVX2(cRe, cIm, aRe, aIm, bRe, bIm *float64, n int) {
 // blockKernelAVX512 is never called when hwAVX512 is false.
 func blockKernelAVX512(cRe, cIm, aRe, aIm, bRe, bIm *float64, n int) {
 	panic("tensor: AVX-512 block micro-kernel dispatched on a non-amd64 build (kernel routing bug)")
-}
-
-// rowKernelFMA is never called when hwFMA is false.
-func rowKernelFMA(cRe, cIm, aRe, aIm, bRe, bIm *float64, n, kn, acc int) {
-	panic("tensor: FMA micro-kernel dispatched on a non-amd64 build (kernel routing bug)")
-}
-
-// rowKernelAVX512 is never called when hwAVX512 is false.
-func rowKernelAVX512(cRe, cIm, aRe, aIm, bRe, bIm *float64, n, kn, acc int) {
-	panic("tensor: AVX-512 micro-kernel dispatched on a non-amd64 build (kernel routing bug)")
 }
 
 // packSplitAVX512 is never called when hwAVX512 is false.

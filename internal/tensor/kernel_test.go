@@ -22,20 +22,34 @@ func equalBits(t *testing.T, got, want *Tensor, label string) {
 	}
 }
 
-// withKernelPath runs f with the kernel routing overrides set, restoring
-// the defaults afterwards. Tests using it must not run in parallel.
-func withKernelPath(t *testing.T, fallback, scalar bool, f func()) {
+// withScalarKernel runs f with the assembly micro-kernels disabled,
+// restoring the default afterwards. Tests using it must not run in
+// parallel.
+func withScalarKernel(t *testing.T, f func()) {
 	t.Helper()
-	forceFallbackKernel, forceScalarKernel = fallback, scalar
-	defer func() { forceFallbackKernel, forceScalarKernel = false, false }()
+	forceScalarKernel = true
+	defer func() { forceScalarKernel = false }()
 	f()
 }
+
+// mesonView presents a baryon tensor's Batch*Dim independent DxD groups
+// as a meson batch over the same data, which is what naiveMatMul takes.
+func mesonView(t *Tensor) *Tensor {
+	d := t.Desc
+	if d.Rank == RankBaryon {
+		d.Rank, d.Batch = RankMeson, d.Batch*d.Dim
+	}
+	return &Tensor{Desc: d, Data: t.Data}
+}
+
+// naiveRef is the interleaved-complex triple loop on either rank.
+func naiveRef(a, b *Tensor) *Tensor { return naiveMatMul(mesonView(a), mesonView(b)) }
 
 // TestPackedKernelMatchesNaiveExact pins the determinism contract: the
 // packed kernel accumulates each output element's products in ascending k
 // order with individually rounded multiplies, which is exactly what the
 // naive reference does, so results must be bit-identical — across awkward
-// dimensions (below soaMinDim, non-multiples of the 8-column vector tile,
+// dimensions (narrower than the 8-column vector tile, non-multiples of it,
 // primes, exact tile multiples) and batch sizes.
 func TestPackedKernelMatchesNaiveExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
@@ -67,12 +81,15 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// TestKernelPathsBitIdentical cross-checks the three kernel routes —
-// vector micro-kernel, scalar split-complex, and the interleaved-complex
-// fallback — element for element, on meson and baryon ranks.
+// TestKernelPathsBitIdentical cross-checks the vector micro-kernels, the
+// scalar split-complex kernel and the naive interleaved-complex reference
+// element for element, on meson and baryon ranks, from groups that are
+// all scalar tail (dims 1-7) to whole tiles.
 func TestKernelPathsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	cases := []Desc{
+		{ID: 1, Rank: RankMeson, Dim: 1, Batch: 3},
+		{ID: 1, Rank: RankMeson, Dim: 5, Batch: 2},
 		{ID: 1, Rank: RankMeson, Dim: 8, Batch: 2},
 		{ID: 1, Rank: RankMeson, Dim: 12, Batch: 1},
 		{ID: 1, Rank: RankMeson, Dim: 33, Batch: 3},
@@ -84,25 +101,19 @@ func TestKernelPathsBitIdentical(t *testing.T) {
 	for _, d := range cases {
 		a, _ := NewRandom(d, rng)
 		b, _ := NewRandom(Desc{ID: 2, Rank: d.Rank, Dim: d.Dim, Batch: d.Batch}, rng)
-		var vec, scalar, fallback *Tensor
+		var vec, scalar *Tensor
 		var err error
 		if vec, err = Contract(a, b, 3, 2); err != nil {
 			t.Fatal(err)
 		}
-		withKernelPath(t, false, true, func() {
+		withScalarKernel(t, func() {
 			scalar, err = Contract(a, b, 3, 2)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		withKernelPath(t, true, false, func() {
-			fallback, err = Contract(a, b, 3, 2)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		equalBits(t, scalar, vec, d.String()+" scalar vs vector")
-		equalBits(t, fallback, vec, d.String()+" fallback vs vector")
+		equalBits(t, mesonView(vec), naiveRef(a, b), d.String()+" vector vs naive")
 	}
 }
 
@@ -136,7 +147,7 @@ func TestPackedKernelWorkerInvarianceExact(t *testing.T) {
 // bit-identical to a fresh allocation.
 func TestContractIntoDirtyDst(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
-	for _, dim := range []int{4, 9, 32} { // fallback, packed+tail, tile-exact
+	for _, dim := range []int{4, 9, 32} { // all tail, tile+tail, tile-exact
 		d := Desc{ID: 1, Rank: RankMeson, Dim: dim, Batch: 2}
 		a, _ := NewRandom(d, rng)
 		b, _ := NewRandom(Desc{ID: 2, Rank: RankMeson, Dim: dim, Batch: 2}, rng)
@@ -167,18 +178,17 @@ func TestContractIntoDirtyDst(t *testing.T) {
 }
 
 // TestContractIntoAliasing: dst sharing storage with an operand is
-// documented as safe on every kernel route — the packed path packs each
-// operand block before storing any of that block's output, and the
-// fallback accumulates into scratch and copies into dst afterwards. The
-// cases span both routes (dims below and above soaMinDim) and the forced
-// fallback additionally exercises the scratch path at large dims.
+// documented as safe — each operand block is packed before any of that
+// block's output is stored. The cases span groups narrower than the
+// vector tile and wider, on the vector and the scalar lanes, and every
+// result must carry the naive reference's bits.
 func TestContractIntoAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	cases := []Desc{
-		{ID: 1, Rank: RankMeson, Dim: 4, Batch: 2},  // below soaMinDim: fallback
-		{ID: 1, Rank: RankMeson, Dim: 24, Batch: 3}, // packed
-		{ID: 1, Rank: RankBaryon, Dim: 3, Batch: 2}, // below soaMinDim: fallback
-		{ID: 1, Rank: RankBaryon, Dim: 9, Batch: 2}, // packed
+		{ID: 1, Rank: RankMeson, Dim: 4, Batch: 2},  // all scalar tail
+		{ID: 1, Rank: RankMeson, Dim: 24, Batch: 3}, // tiles
+		{ID: 1, Rank: RankBaryon, Dim: 3, Batch: 2}, // all scalar tail
+		{ID: 1, Rank: RankBaryon, Dim: 9, Batch: 2}, // tile + tail
 	}
 	check := func(path string) {
 		for _, d := range cases {
@@ -188,6 +198,7 @@ func TestContractIntoAliasing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			equalBits(t, mesonView(want), naiveRef(a, b), d.String()+" "+path+" vs naive")
 			overA := a.Clone(1)
 			if err := ContractInto(overA, overA, b, 3, 2); err != nil {
 				t.Fatal(err)
@@ -199,7 +210,8 @@ func TestContractIntoAliasing(t *testing.T) {
 			}
 			equalBits(t, overB, want, d.String()+" "+path+" dst==b")
 		}
-		// Fully self-referential squares: dst == a == b, one dim per route.
+		// Fully self-referential squares: dst == a == b, below and above
+		// the vector tile.
 		for _, dim := range []int{4, 16} {
 			d := Desc{ID: 7, Rank: RankMeson, Dim: dim, Batch: 2}
 			x, _ := NewRandom(d, rng)
@@ -214,7 +226,7 @@ func TestContractIntoAliasing(t *testing.T) {
 		}
 	}
 	check("auto")
-	withKernelPath(t, true, false, func() { check("fallback") })
+	withScalarKernel(t, func() { check("scalar") })
 }
 
 func TestContractIntoErrors(t *testing.T) {

@@ -4,14 +4,13 @@ import "sync"
 
 // packBuf holds the split-complex (structure-of-arrays) scratch panels of
 // one contraction worker: the full A and B panels of the current group
-// plus the C rows in flight (the kernels grow C on demand: four rows in
-// exact mode, the whole panel in fast mode). Buffers are recycled through
-// packPool so steady-state contractions allocate nothing.
+// plus the four C rows in flight (mulPackedExact grows them on demand).
+// Buffers are recycled through packPool so steady-state contractions
+// allocate nothing.
 type packBuf struct {
-	bRe, bIm []float64    // full n*n B panel, row-major: bRe[k*n+j]
-	aRe, aIm []float64    // full n*n A panel, row-major: aRe[i*n+k]
-	cRe, cIm []float64    // C accumulator rows: cRe[r*n+j]
-	tmp      []complex128 // fallback-kernel output block, so dst may alias a/b
+	bRe, bIm []float64 // full n*n B panel, row-major: bRe[k*n+j]
+	aRe, aIm []float64 // full n*n A panel, row-major: aRe[i*n+k]
+	cRe, cIm []float64 // C accumulator rows: cRe[r*n+j]
 }
 
 // packPool recycles pack buffers across contractions and workers.
@@ -38,21 +37,11 @@ func growf(s []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// growc is growf for complex slices. The fallback scratch block is grown
-// lazily here rather than in getPackBuf so the packed path never pays for
-// it; pooling still makes steady-state fallback contractions allocation-free.
-func growc(s []complex128, n int) []complex128 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]complex128, n)
-}
-
 // packSplit unpacks interleaved complex values into separate real and
 // imaginary panels. re and im must be at least len(src) long. The AVX-512
 // permute kernel moves the bulk when available; it is pure data movement
 // (bytes identical to the scalar loop), so the choice never affects
-// results in either kernel mode.
+// results.
 func packSplit(re, im []float64, src []complex128) {
 	re = re[:len(src)]
 	im = im[:len(src)]

@@ -56,7 +56,7 @@ GLOBL idxZipHi<>(SB), RODATA, $64
 // handles the tail) into separate re/im panels: two 64-byte loads cover
 // 8 complex values, two VPERMT2PD gathers split the even (real) and odd
 // (imaginary) lanes. Pure data movement — bytes are identical to the
-// scalar loop's, so both kernel modes may use it.
+// scalar loop's.
 TEXT ·packSplitAVX512(SB), NOSPLIT, $0-32
 	MOVQ re+0(FP), DI
 	MOVQ im+8(FP), SI

@@ -14,9 +14,9 @@ import (
 // (TestOperandValidation), so the fault is planted behind it.
 func runPoisoned(t *testing.T, p *BatchPipeline, rng *rand.Rand) error {
 	t.Helper()
-	st, err := planBatch(stageOps(rng), p.workers, ModeExact)
-	if err != nil || st == nil {
-		t.Fatalf("planBatch: state %v, err %v", st, err)
+	st, err := planBatch(stageOps(rng))
+	if err != nil {
+		t.Fatalf("planBatch: %v", err)
 	}
 	st.ops[1].Dst.Data = nil
 	return p.runPlanned(st)
@@ -48,8 +48,8 @@ func TestContractBatchPanicContained(t *testing.T) {
 	}
 	// The pooled state must come back clean: a healthy batch right after.
 	ops := stageOps(rng)
-	want := pairwiseRef(t, ops, ModeExact)
-	if err := ContractBatch(ops, 4, ModeExact); err != nil {
+	want := pairwiseRef(t, ops)
+	if err := ContractBatch(ops, 4); err != nil {
 		t.Fatalf("clean batch after poison: %v", err)
 	}
 	for i, op := range ops {
@@ -69,8 +69,8 @@ func TestBatchPipelinePanicContained(t *testing.T) {
 	}
 	// Same pool, clean batch: bit-identical to the pairwise reference.
 	ops := stageOps(rng)
-	want := pairwiseRef(t, ops, ModeExact)
-	if err := p.Run(ops, ModeExact); err != nil {
+	want := pairwiseRef(t, ops)
+	if err := p.Run(ops); err != nil {
 		t.Fatalf("clean pipeline batch after poison: %v", err)
 	}
 	for i, op := range ops {

@@ -17,8 +17,7 @@ import (
 // call; the pipeline owns workers-1 parked goroutines. Run and Do must
 // not be called concurrently with themselves or each other (the numeric
 // executor's level stream is strictly sequential, which is the point).
-// Exact-mode batches are bit-identical to the pairwise path at any worker
-// count.
+// Batches are bit-identical to the pairwise path at any worker count.
 //
 // Panic containment: a panic inside a batch op or a Do body never unwinds
 // past the pool. Workers recover per job (so jobWG.Done always runs and a
@@ -178,12 +177,12 @@ func (p *BatchPipeline) takeDoPanic() error {
 // destinations. Plans, panels and work lists are pooled: steady-state
 // batches allocate nothing. A panic inside any op surfaces as a
 // *WorkerPanicError (destinations then hold unspecified data).
-func (p *BatchPipeline) Run(ops []BatchOp, mode KernelMode) error {
+func (p *BatchPipeline) Run(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	st, err := planBatch(ops, p.workers, mode)
-	if st == nil || err != nil {
+	st, err := planBatch(ops)
+	if err != nil {
 		return err
 	}
 	return p.runPlanned(st)

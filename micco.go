@@ -96,13 +96,6 @@ type (
 	// ConfigError reports which ClusterConfig field failed validation and
 	// why; it unwraps to ErrInvalidClusterConfig.
 	ConfigError = gpusim.ConfigError
-	// DeviceMask is a single-word bitset of device IDs.
-	//
-	// Deprecated: DeviceMask caps the cluster at 64 devices. Use DevSet,
-	// which all residency APIs now return; DeviceMask remains for callers
-	// that persisted raw masks (convert via DeviceMask.DevSet and
-	// DevSet.InlineMask).
-	DeviceMask = gpusim.DeviceMask
 )
 
 // ErrInvalidClusterConfig marks a ClusterConfig rejected by validation;
@@ -477,42 +470,18 @@ func ContractInto(dst, a, b *Tensor, outID uint64, workers int) error {
 	return tensor.ContractInto(dst, a, b, outID, workers)
 }
 
-// Kernel-tier types (DESIGN.md §12): contraction kernels run in one of
-// two accuracy modes, selected per call or per run.
-type (
-	// KernelMode selects the contraction kernel accuracy tier.
-	KernelMode = tensor.KernelMode
-	// BatchOp is one contraction of a fused stage batch (ContractBatch).
-	BatchOp = tensor.BatchOp
-)
-
-// Kernel accuracy tiers.
-const (
-	// KernelExact is the default tier: bit-identical to the seed scalar
-	// kernels on every machine (vectorization never changes rounding).
-	KernelExact = tensor.ModeExact
-	// KernelFast permits FMA and AVX-512 fused micro-kernels selected by
-	// runtime CPU detection, accurate to a documented ULP bound of
-	// KernelExact rather than bit-identical. Deterministic for a fixed
-	// machine and MICCO_KERNEL setting. Opt in per run through
-	// RunOptions.FastKernels, or per call through ContractIntoMode.
-	KernelFast = tensor.ModeFast
-)
-
-// ContractIntoMode is ContractInto with an explicit kernel tier.
-func ContractIntoMode(dst, a, b *Tensor, outID uint64, workers int, mode KernelMode) error {
-	return tensor.ContractIntoMode(dst, a, b, outID, workers, mode)
-}
+// BatchOp is one contraction of a fused stage batch (ContractBatch).
+type BatchOp = tensor.BatchOp
 
 // ContractBatch executes all contractions of an independent stage as one
 // fused batch: each unique operand tensor is packed into split-complex
-// form exactly once, shared across every op that reads it. In KernelExact
-// mode the result is bit-identical to running ContractInto per op. Ops
-// must be mutually independent: no destination may alias another op's
-// operand or destination. It is one BatchPipeline.Run on a pipeline that
-// lives for the call; hold a BatchPipeline for a stream of batches.
-func ContractBatch(ops []BatchOp, workers int, mode KernelMode) error {
-	return tensor.ContractBatch(ops, workers, mode)
+// form exactly once, shared across every op that reads it. The result is
+// bit-identical to running ContractInto per op. Ops must be mutually
+// independent: no destination may alias another op's operand or
+// destination. It is one BatchPipeline.Run on a pipeline that lives for
+// the call; hold a BatchPipeline for a stream of batches.
+func ContractBatch(ops []BatchOp, workers int) error {
+	return tensor.ContractBatch(ops, workers)
 }
 
 // BatchPipeline is a persistent cooperative worker pool for running many
@@ -530,8 +499,9 @@ func NewBatchPipeline(workers int) *BatchPipeline {
 }
 
 // KernelFeatures describes the detected CPU vector features and the
-// kernel tiers dispatch resolved for this process, including any
-// MICCO_KERNEL override.
+// kernel tier dispatch resolved for this process, including any
+// MICCO_KERNEL override — reported as ignored when it names no tier
+// (scalar, avx2, avx512).
 func KernelFeatures() string { return tensor.KernelInfo() }
 
 // NewRandomTensor allocates a tensor with random complex entries.
