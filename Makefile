@@ -46,7 +46,14 @@ benchsmoke:
 # BenchmarkSchedulerAssign* entry in BENCH_sched.json (obs-on variants
 # excepted) must report 0 allocs/op and stay within 2x the _baseline/
 # ns/op merged into the same document — including the "/cold" rows, the
-# only ones in which MICCO's step III and its rng tie-break run. Kernels: every BenchmarkContraction*
+# only ones in which MICCO's step III and its rng tie-break run. The two
+# BenchmarkRunScheduleOnly/*/devs=4096 rows — one half each of a
+# sched_scale ladder job on a cluster that has run before — stay within 2x
+# their baseline ns/op (the commit before hier's level 1 left its node
+# scans and the simulator got its per-tensor record) and allocate at most
+# 2 MB (flat MICCO) and 1 MB (hier) per run, twice what the engine's own
+# per-run slices come to: the simulator's share is zero, and was 20 MB of
+# spill words. Kernels: every BenchmarkContraction*
 # entry in BENCH_kernel.json must stay within 2.5x its baseline ns/op
 # (allocation check off — kernel benchmarks legitimately allocate; the
 # wider tolerance absorbs machine throttling on shared runners). The
@@ -68,6 +75,10 @@ benchsmoke:
 # returns. Re-run `make bench` to refresh the recordings before the guard.
 benchguard:
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 2.0
+	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 2.0 \
+		-guard-prefix BenchmarkRunScheduleOnly/MICCO/devs=4096 -guard-max-allocs -1 -guard-max-bytes 2e6
+	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 2.0 \
+		-guard-prefix BenchmarkRunScheduleOnly/Hier/devs=4096 -guard-max-allocs -1 -guard-max-bytes 1e6
 	$(GO) run ./cmd/benchjson -guard BENCH_kernel.json -guard-tol 2.5 \
 		-guard-prefix BenchmarkContraction -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_kernel.json -guard-tol 0.8 \
@@ -100,7 +111,8 @@ soak:
 # tees the raw output through) — the kernel and job rows run on the commit
 # before the AVX-512 block kernel existed, the stage rows on
 # the commit before ContractBatch became one run of a pipeline — then the
-# scheduler-overhead suite — per-placement cost, obs on/off and whole
+# scheduler-overhead suite — per-placement cost, schedule-only runs with
+# obs on/off and at the ladder's 4096 devices, and whole
 # numeric runs at pool widths 1, 2 and 8 — as BENCH_sched.json with the
 # pre-change baseline numbers merged in for comparison (the numeric runs'
 # from the commit that still had the coordinator goroutine), then the

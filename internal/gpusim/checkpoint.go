@@ -153,13 +153,16 @@ func (c *Cluster) Checkpoint() *Checkpoint {
 		InterBytes:    c.interBytes,
 		LinkFactor:    c.bwFactor,
 		TransientLeft: c.transientLeft,
-		Host:          make([]HostState, 0, len(c.hostResident)),
+		Host:          make([]HostState, 0, len(c.index.recs)),
 		Devices:       make([]DeviceState, len(c.devices)),
 	}
-	for _, desc := range c.hostResident {
-		hs := HostState{Desc: desc}
-		if c.hostNodes != nil {
-			hs.Nodes = c.hostNodes[desc.ID].AppendTo(nil)
+	for _, r := range c.index.recs {
+		if !r.onHost {
+			continue
+		}
+		hs := HostState{Desc: r.host}
+		if c.numNodes > 1 {
+			hs.Nodes = r.hostNodes.AppendTo(nil)
 		}
 		cp.Host = append(cp.Host, hs)
 	}
@@ -204,10 +207,11 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 	c.bwFactor = cp.LinkFactor
 	c.transientLeft = cp.TransientLeft
 	for _, hs := range cp.Host {
-		c.hostResident[hs.Desc.ID] = hs.Desc
-		if c.hostNodes != nil {
+		r := c.index.add(hs.Desc.ID)
+		r.host, r.onHost = hs.Desc, true
+		if c.numNodes > 1 {
 			for _, n := range hs.Nodes {
-				c.markHostOn(hs.Desc.ID, n)
+				r.hostNodes = r.hostNodes.with(n, 0)
 			}
 		}
 	}
@@ -217,7 +221,7 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 		// the same order the original would have; install also rebuilds
 		// the residency index and memUsed as a side effect.
 		for _, bs := range ds.Resident {
-			b := d.install(bs.Desc, bs.Dirty)
+			b := d.install(bs.Desc, bs.Dirty, c.index.add(bs.Desc.ID))
 			b.readyAt = bs.ReadyAt
 		}
 		// Overwrite what install perturbed, then the rest of the state.
@@ -229,6 +233,9 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 		d.capOverride = ds.Capacity
 		d.failed = ds.Failed
 		d.stats = ds.Stats
+		c.moveBytes += ds.Stats.H2DBytes + ds.Stats.P2PBytes
+		c.d2hBytes += ds.Stats.D2HBytes
+		c.evictions += ds.Stats.Evictions
 	}
 	return nil
 }

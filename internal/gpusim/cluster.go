@@ -13,14 +13,8 @@ import (
 // nodes, each with its own host link and P2P fabric, joined by a shared
 // inter-node interconnect.
 type Cluster struct {
-	cfg          Config
-	devices      []*Device
-	hostResident map[uint64]tensor.Desc
-	// hostNodes tracks, per host-resident tensor, the set of nodes whose
-	// host partition has the copy (bit n = node n). nil on single-node
-	// clusters, where host memory is one pool and the map would be pure
-	// overhead; non-nil iff numNodes > 1.
-	hostNodes map[uint64]DevSet
+	cfg     Config
+	devices []*Device
 	// linkClocks[n] is node n's host-link (PCIe fabric) availability time.
 	// Every H2D and D2H transfer from node n's devices serializes on it: a
 	// transfer starts at max(device clock, link clock) and advances both.
@@ -39,9 +33,10 @@ type Cluster struct {
 	// interBytes counts total bytes moved over the inter-node fabric.
 	interBytes int64
 	numNodes   int
-	// nodeRestWords sizes the spill of node sets in hostNodes (clusters
-	// with more than 64 nodes).
-	nodeRestWords int
+	// moveBytes (H2D+P2P), d2hBytes and evictions are the cluster-wide sums
+	// of the device counters of those names, kept as the devices' are
+	// bumped so MoveStats reads three words on any cluster width.
+	moveBytes, d2hBytes, evictions int64
 	// tracing/traceEvents implement optional event recording (StartTrace).
 	tracing     bool
 	traceEvents []Event
@@ -49,9 +44,9 @@ type Cluster struct {
 	// metrics registry (SetObserver). Independent of tracing; survives
 	// Reset.
 	sink *obsSink
-	// index is the reverse residency map (tensor ID -> holder set),
-	// maintained by the devices at every install and drop so residency
-	// queries cost one map probe instead of a device scan.
+	// index holds the one record per tensor — holder set, host copy, host
+	// nodes — that every residency question is answered from, at one map
+	// probe instead of a device scan.
 	index *residencyIndex
 	// dirty collects the devices whose scheduler-visible keys changed
 	// since the last DrainDirty (see dirtySet).
@@ -73,19 +68,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	nn := cfg.NumNodes()
 	c := &Cluster{
-		cfg:          cfg,
-		hostResident: make(map[uint64]tensor.Desc),
-		index:        newResidencyIndex(cfg.NumDevices),
-		dirty:        newDirtySet(cfg.NumDevices),
-		linkClocks:   make([]float64, nn),
-		p2pClocks:    make([]float64, nn),
-		numNodes:     nn,
-	}
-	if nn > 1 {
-		c.hostNodes = make(map[uint64]DevSet)
-		if nn > InlineDevices {
-			c.nodeRestWords = (nn - InlineDevices + 63) >> 6
-		}
+		cfg:        cfg,
+		index:      newResidencyIndex(cfg.NumDevices, nn),
+		dirty:      newDirtySet(cfg.NumDevices),
+		linkClocks: make([]float64, nn),
+		p2pClocks:  make([]float64, nn),
+		numNodes:   nn,
 	}
 	for i := 0; i < cfg.NumDevices; i++ {
 		c.devices = append(c.devices, newDevice(i, &c.cfg, c.index, c.dirty))
@@ -119,24 +107,29 @@ func (c *Cluster) Device(i int) *Device { return c.devices[i] }
 // where upstream I/O arrives — and other nodes' first use pays one
 // inter-node shipment.
 func (c *Cluster) RegisterHostTensor(d tensor.Desc) {
-	c.hostResident[d.ID] = d
-	if c.hostNodes != nil {
-		c.hostNodes[d.ID] = c.hostNodes[d.ID].with(0, c.nodeRestWords)
-	}
+	c.hostCopy(c.index.add(d.ID), d, 0)
 }
 
 // HostHolds reports whether any host partition has a copy of tensor id.
 func (c *Cluster) HostHolds(id uint64) bool {
-	_, ok := c.hostResident[id]
-	return ok
+	r := c.index.recs[id]
+	return r != nil && r.onHost
 }
 
-// markHostOn records a host copy of id in node n's partition (no-op on
-// single-node clusters, where hostResident alone is the host state).
-func (c *Cluster) markHostOn(id uint64, n int) {
-	if c.hostNodes != nil {
-		c.hostNodes[id] = c.hostNodes[id].with(n, c.nodeRestWords)
+// hostCopy records a host copy of desc, r's tensor, in node n's partition.
+func (c *Cluster) hostCopy(r *tensorRec, desc tensor.Desc, n int) {
+	r.host, r.onHost = desc, true
+	if c.numNodes > 1 {
+		r.hostNodes = r.hostNodes.with(n, 0)
 	}
+}
+
+// dropHostCopy forgets the host copy of tensor id, whose record is r; r must
+// not be used afterwards.
+func (c *Cluster) dropHostCopy(id uint64, r *tensorRec) {
+	r.onHost, r.hostNodes.w0 = false, 0
+	clear(r.hostNodes.rest)
+	c.index.release(id, r)
 }
 
 // EnsureResident makes tensor desc resident on device dev, advancing the
@@ -156,30 +149,35 @@ func (c *Cluster) EnsureResident(dev int, desc tensor.Desc) error {
 }
 
 // ensureResident is EnsureResident on a resolved device, returning the
-// time at which the block's data is usable; when pin is true the block is
-// left pinned so a subsequent allocation cannot evict it.
-func (c *Cluster) ensureResident(d *Device, desc tensor.Desc, pin bool) (float64, error) {
+// tensor's block there (readyAt is when its data is usable); when pin is
+// true the block is left pinned so a subsequent allocation cannot evict it.
+func (c *Cluster) ensureResident(d *Device, desc tensor.Desc, pin bool) (*block, error) {
 	if b, ok := d.resident[desc.ID]; ok {
 		d.touch(b)
 		b.pinned = b.pinned || pin
 		d.stats.ReuseHits++
-		return b.readyAt, nil
+		return b, nil
 	}
 	// Injected transient failures strike cold fetches only (a reuse hit
 	// moves no data). The attempt itself charges nothing; the engine's
 	// retry policy charges backoff to simulated time.
 	if c.transientLeft > 0 {
 		c.transientLeft--
-		return 0, fmt.Errorf("gpusim: %w: device %d fetching tensor %d (%d bytes)",
+		return nil, fmt.Errorf("gpusim: %w: device %d fetching tensor %d (%d bytes)",
 			ErrTransientTransfer, d.id, desc.ID, desc.Bytes())
 	}
 	// Locate a source before spending anything. Peer sourcing is only
 	// used when the config enables it; the default data path stages
-	// through the host. One index probe answers both questions. A
-	// same-node peer is preferred (xGMI-class fabric); failing that, the
-	// lowest-numbered cross-node holder serves over the inter-node
-	// interconnect.
-	holders := c.index.of(desc.ID)
+	// through the host. The tensor's record answers both questions, and
+	// every later one about it. A same-node peer is preferred (xGMI-class
+	// fabric); failing that, the lowest-numbered cross-node holder serves
+	// over the inter-node interconnect.
+	r := c.index.recs[desc.ID]
+	if r == nil {
+		return nil, fmt.Errorf("gpusim: %w: tensor %d (%d bytes) resident on no device and absent from host (device %d requesting)",
+			ErrTensorUnavailable, desc.ID, desc.Bytes(), d.id)
+	}
+	holders := r.holders
 	var peer *Device
 	if c.cfg.PeerFetch {
 		var cross *Device
@@ -200,35 +198,33 @@ func (c *Cluster) ensureResident(d *Device, desc tensor.Desc, pin bool) (float64
 			peer = cross
 		}
 	}
-	if peer == nil && !c.HostHolds(desc.ID) {
-		if !holders.Empty() {
-			// Peer copies exist but peer fetch is disabled: stage through
-			// the host by paying one D2H write-back first.
-			src := c.devices[holders.First()]
-			dur := float64(desc.Bytes()) / c.d2hBandwidth(src)
-			c.hostTransfer(src, dur)
-			src.stats.D2HBytes += desc.Bytes()
-			if c.observing() {
-				c.trace(Event{Kind: EventD2H, Device: src.id, Tensor: desc.ID,
-					Start: src.CopyClock() - dur, End: src.CopyClock(), Bytes: desc.Bytes()})
-			}
-			c.hostResident[desc.ID] = desc
-			c.markHostOn(desc.ID, src.node)
-		} else {
-			return 0, fmt.Errorf("gpusim: %w: tensor %d (%d bytes) resident on no device and absent from host (device %d requesting)",
-				ErrTensorUnavailable, desc.ID, desc.Bytes(), d.id)
+	if peer == nil && !r.onHost {
+		// A record without a host copy has holders. Peer copies exist but
+		// peer fetch is disabled: stage through the host by paying one D2H
+		// write-back first.
+		src := c.devices[holders.First()]
+		dur := float64(desc.Bytes()) / c.d2hBandwidth(src)
+		c.hostTransfer(src, dur)
+		src.stats.D2HBytes += desc.Bytes()
+		c.d2hBytes += desc.Bytes()
+		if c.observing() {
+			c.trace(Event{Kind: EventD2H, Device: src.id, Tensor: desc.ID,
+				Start: src.CopyClock() - dur, End: src.CopyClock(), Bytes: desc.Bytes()})
 		}
+		c.hostCopy(r, desc, src.node)
 	}
-	if peer == nil && c.hostNodes != nil && !c.hostNodes[desc.ID].Has(d.node) {
+	if peer == nil && c.numNodes > 1 && !r.hostNodes.Has(d.node) {
 		// The host copy lives in another node's partition: ship it over
 		// the inter-node interconnect into this node's partition first,
 		// then fetch locally. The copy stays cached node-side, so repeat
 		// misses on this node pay only the local H2D.
 		c.interTransfer(d, desc)
-		c.markHostOn(desc.ID, d.node)
+		r.hostNodes = r.hostNodes.with(d.node, 0)
 	}
+	// Evictions below drop other tensors only: r keeps its holders or its
+	// host copy, so it stays valid across them.
 	if err := c.alloc(d, desc); err != nil {
-		return 0, err
+		return nil, err
 	}
 	if peer != nil {
 		if peer.node == d.node {
@@ -246,6 +242,7 @@ func (c *Cluster) ensureResident(d *Device, desc tensor.Desc, pin bool) (float64
 			d.advanceTransferQueue(end - queue)
 			d.stats.TransferTime += end - queue
 			d.stats.P2PBytes += desc.Bytes()
+			c.moveBytes += desc.Bytes()
 			if c.sink != nil {
 				c.sink.p2pBusy.Add(dur)
 				c.sink.p2pStall.Add(start - queue)
@@ -259,24 +256,26 @@ func (c *Cluster) ensureResident(d *Device, desc tensor.Desc, pin bool) (float64
 			// charged at its bandwidth plus fixed latency.
 			c.interTransfer(d, desc)
 			d.stats.P2PBytes += desc.Bytes()
+			c.moveBytes += desc.Bytes()
 		}
 	} else {
 		dur := float64(desc.Bytes()) / c.h2dBandwidth(d)
 		c.hostTransfer(d, dur)
 		d.stats.H2DBytes += desc.Bytes()
+		c.moveBytes += desc.Bytes()
 		if c.observing() {
 			c.trace(Event{Kind: EventH2D, Device: d.id, Tensor: desc.ID,
 				Start: d.CopyClock() - dur, End: d.CopyClock(), Bytes: desc.Bytes()})
 		}
 	}
 	d.stats.ColdMisses++
-	b := d.install(desc, false)
+	b := d.install(desc, false, r)
 	b.pinned = pin
 	b.readyAt = d.CopyClock()
 	if c.sink != nil {
 		c.sink.observeMem(d)
 	}
-	return b.readyAt, nil
+	return b, nil
 }
 
 // interTransfer charges one inter-node shipment of desc toward device d's
@@ -367,13 +366,13 @@ func (c *Cluster) ExecContraction(dev int, a, b, out tensor.Desc) (int64, error)
 	if err != nil {
 		return 0, err
 	}
-	readyA, err := c.ensureResident(d, a, true)
+	ba, err := c.ensureResident(d, a, true)
 	if err != nil {
 		return 0, err
 	}
-	readyB, err := c.ensureResident(d, b, true)
+	bb, err := c.ensureResident(d, b, true)
 	if err != nil {
-		c.unpin(d, a.ID)
+		ba.pinned = false
 		return 0, err
 	}
 	// Output allocation may evict, but never the pinned inputs.
@@ -385,11 +384,10 @@ func (c *Cluster) ExecContraction(dev int, a, b, out tensor.Desc) (int64, error)
 		outReady = ob.readyAt
 	} else {
 		if err := c.alloc(d, out); err != nil {
-			c.unpin(d, a.ID)
-			c.unpin(d, b.ID)
+			ba.pinned, bb.pinned = false, false
 			return 0, err
 		}
-		nb := d.install(out, true)
+		nb := d.install(out, true, c.index.add(out.ID))
 		nb.readyAt = d.CopyClock()
 		outReady = nb.readyAt
 		if c.sink != nil {
@@ -400,7 +398,7 @@ func (c *Cluster) ExecContraction(dev int, a, b, out tensor.Desc) (int64, error)
 		// The kernel waits for its operands' copies, then runs on the
 		// compute queue, overlapping with unrelated transfers.
 		start := d.clock
-		for _, r := range []float64{readyA, readyB, outReady} {
+		for _, r := range []float64{ba.readyAt, bb.readyAt, outReady} {
 			if r > start {
 				start = r
 			}
@@ -417,24 +415,19 @@ func (c *Cluster) ExecContraction(dev int, a, b, out tensor.Desc) (int64, error)
 		c.trace(Event{Kind: EventKernel, Device: d.id, Tensor: out.ID,
 			Start: d.clock - kt, End: d.clock, FLOPs: flops})
 	}
-	c.unpin(d, a.ID)
-	c.unpin(d, b.ID)
+	// Pinned blocks cannot have been dropped since ensureResident found them.
+	ba.pinned, bb.pinned = false, false
 	return flops, nil
-}
-
-func (c *Cluster) unpin(d *Device, id uint64) {
-	if b, ok := d.resident[id]; ok {
-		b.pinned = false
-	}
 }
 
 // Discard drops tensor id from every device without write-back and forgets
 // any host copy. Used when an intermediate's last consumer has run.
 func (c *Cluster) Discard(id uint64) {
 	c.DiscardDeviceCopies(id)
-	delete(c.hostResident, id)
-	if c.hostNodes != nil {
-		delete(c.hostNodes, id)
+	// Probed again: dropping the last device copy of a tensor the host does
+	// not hold has already recycled its record.
+	if r := c.index.recs[id]; r != nil {
+		c.dropHostCopy(id, r)
 	}
 }
 
@@ -470,16 +463,11 @@ func (c *Cluster) TotalStats() DeviceStats {
 }
 
 // MoveStats returns just the movement counters the placement decision
-// path charges per pair — H2D+P2P bytes, D2H bytes, evictions — so the
-// engine's before/after delta costs three additions per device instead
-// of summing the full thirteen-field stats struct twice.
+// path charges per pair — H2D+P2P bytes, D2H bytes, evictions, each summed
+// over all devices — from the cluster's running totals, so the engine's
+// before/after delta costs the same on 8 devices and on 4096.
 func (c *Cluster) MoveStats() (moveBytes, d2hBytes, evictions int64) {
-	for _, d := range c.devices {
-		moveBytes += d.stats.H2DBytes + d.stats.P2PBytes
-		d2hBytes += d.stats.D2HBytes
-		evictions += d.stats.Evictions
-	}
-	return
+	return c.moveBytes, c.d2hBytes, c.evictions
 }
 
 // GFLOPS returns achieved throughput: total kernel FLOPs divided by the
@@ -493,16 +481,16 @@ func (c *Cluster) GFLOPS() float64 {
 }
 
 // Reset returns every device to time zero with empty pools, frees the
-// links, and clears the host registry. Maps and device block pools keep
-// their capacity, so back-to-back runs on one cluster settle into a
-// steady state where the simulator allocates nothing.
+// links, and clears the host registry. Maps, device block pools and the
+// residency index's slabs keep their capacity, so back-to-back runs on one
+// cluster settle into a steady state where the simulator allocates nothing.
 func (c *Cluster) Reset() {
 	for _, d := range c.devices {
 		d.reset()
 	}
-	// Devices skip per-tensor index updates during reset; one bulk clear
-	// replaces what would be a map delete per resident tensor.
-	c.index.clearAll()
+	// Devices skip per-tensor index updates during reset; one bulk reset
+	// replaces what would be a release per resident tensor.
+	c.index.reset()
 	c.dirty.markAll()
 	for n := range c.linkClocks {
 		c.linkClocks[n] = 0
@@ -510,10 +498,7 @@ func (c *Cluster) Reset() {
 	}
 	c.interClock = 0
 	c.interBytes = 0
-	clear(c.hostResident)
-	if c.hostNodes != nil {
-		clear(c.hostNodes)
-	}
+	c.moveBytes, c.d2hBytes, c.evictions = 0, 0, 0
 	c.traceEvents = nil
 	c.bwFactor = 0
 	c.transientLeft = 0

@@ -99,8 +99,8 @@ type Device struct {
 	lruHead, lruTail *block
 	free             *block
 	stats            DeviceStats
-	// index is the cluster's shared reverse residency map; install and
-	// drop keep it exact so it can never drift from resident.
+	// index is the cluster's shared residency index; install and drop
+	// keep its holder sets exact so they can never drift from resident.
 	index *residencyIndex
 	// dirty is the cluster's shared dirty-device set; every write to clock,
 	// memUsed, capOverride or failed marks the device there.
@@ -234,8 +234,9 @@ func (d *Device) touch(b *block) {
 }
 
 // install records a new resident block (most-recently-used position),
-// reusing a recycled block when one is free.
-func (d *Device) install(desc tensor.Desc, dirty bool) *block {
+// reusing a recycled block when one is free. r is the tensor's residency
+// record, which the caller has in hand or has just added.
+func (d *Device) install(desc tensor.Desc, dirty bool, r *tensorRec) *block {
 	b := d.free
 	if b != nil {
 		d.free = b.next
@@ -245,7 +246,7 @@ func (d *Device) install(desc tensor.Desc, dirty bool) *block {
 	}
 	d.lruPushBack(b)
 	d.resident[desc.ID] = b
-	d.index.set(desc.ID, d.id)
+	r.hold(d.id)
 	d.markDirty()
 	d.memUsed += desc.Bytes()
 	if d.memUsed > d.memPeak {
@@ -256,11 +257,14 @@ func (d *Device) install(desc tensor.Desc, dirty bool) *block {
 
 // drop removes a resident block without any timing cost (used by eviction
 // and invalidation; callers account for cost) and recycles it onto the
-// free list. The block must not be used after drop returns.
-func (d *Device) drop(b *block) {
+// free list. The block must not be used after drop returns, nor r, the
+// tensor's residency record, once the tensor's last copy has been dropped.
+func (d *Device) drop(b *block, r *tensorRec) {
 	d.lruRemove(b)
 	delete(d.resident, b.desc.ID)
-	d.index.unset(b.desc.ID, d.id)
+	if r.unhold(d.id) {
+		d.index.release(b.desc.ID, r)
+	}
 	d.markDirty()
 	d.memUsed -= b.desc.Bytes()
 	b.next = d.free
@@ -285,19 +289,21 @@ func (d *Device) evictFor(size int64, c *Cluster) error {
 		d.advanceTransferQueue(cost)
 		c.trace(Event{Kind: EventEvict, Device: d.id, Tensor: victim.desc.ID,
 			Start: d.CopyClock() - cost, End: d.CopyClock(), Bytes: victim.desc.Bytes()})
+		r := c.index.recs[victim.desc.ID]
 		if victim.dirty {
 			// Dirty write-back occupies the node's shared host link.
 			dur := float64(victim.desc.Bytes()) / c.d2hBandwidth(d)
 			cost += c.hostLinkOccupy(d, dur)
 			d.stats.D2HBytes += victim.desc.Bytes()
-			c.hostResident[victim.desc.ID] = victim.desc
-			c.markHostOn(victim.desc.ID, d.node)
+			c.d2hBytes += victim.desc.Bytes()
+			c.hostCopy(r, victim.desc, d.node)
 			c.trace(Event{Kind: EventD2H, Device: d.id, Tensor: victim.desc.ID,
 				Start: d.CopyClock() - dur, End: d.CopyClock(), Bytes: victim.desc.Bytes()})
 		}
 		d.stats.EvictTime += cost
 		d.stats.Evictions++
-		d.drop(victim)
+		c.evictions++
+		d.drop(victim, r)
 	}
 	return nil
 }
@@ -326,15 +332,14 @@ func (d *Device) advanceTransferQueue(dur float64) {
 // pool. Maps keep their capacity and every block is recycled, so the next
 // run's installs allocate nothing.
 // The residency index and the dirty set are NOT touched here: reset is only
-// reachable from Cluster.Reset, which bulk-clears the index and marks the
-// whole cluster dirty once for all devices.
+// reachable from Cluster.Reset, which resets the index and marks the whole
+// cluster dirty once for all devices.
 func (d *Device) reset() {
-	for b := d.lruHead; b != nil; {
-		next := b.next
-		b.prev = nil
-		b.next = d.free
-		d.free = b
-		b = next
+	if d.lruTail != nil {
+		// The LRU list is already chained through next: splice it whole
+		// onto the free list (install overwrites every field on reuse).
+		d.lruTail.next = d.free
+		d.free = d.lruHead
 	}
 	d.lruHead, d.lruTail = nil, nil
 	clear(d.resident)

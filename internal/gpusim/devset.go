@@ -166,44 +166,6 @@ func (s DevSet) NextFrom(from int) int {
 	return -1
 }
 
-// FirstOther returns the lowest member different from dev, or -1.
-func (s DevSet) FirstOther(dev int) int {
-	f := s.First()
-	if f != dev {
-		return f
-	}
-	return s.NextFrom(dev + 1)
-}
-
-// DropFirst returns the set without its lowest device, the one-word
-// iteration step of the legacy idiom
-//
-//	for s := m; !s.Empty(); s = s.DropFirst() {
-//		dev := s.First()
-//		...
-//	}
-//
-// For sets with inline members it is allocation-free (the spill words are
-// shared, untouched); once iteration reaches spilled members each step
-// copies the spill. Hot paths on wide sets should iterate with
-// First/NextFrom instead.
-func (s DevSet) DropFirst() DevSet {
-	if s.w0 != 0 {
-		s.w0 &= s.w0 - 1
-		return s
-	}
-	for k, w := range s.rest {
-		if w != 0 {
-			rest := make([]uint64, len(s.rest))
-			copy(rest, s.rest)
-			rest[k] &= rest[k] - 1
-			s.rest = rest
-			return s
-		}
-	}
-	return s
-}
-
 // AppendTo appends the set's device IDs to buf in ascending order and
 // returns the extended slice, allocating only when buf lacks capacity.
 func (s DevSet) AppendTo(buf []int) []int {

@@ -60,14 +60,6 @@ func TestDevSetWordBoundaries(t *testing.T) {
 			if !reflect.DeepEqual(iter, tc.members) {
 				t.Errorf("First/NextFrom iteration = %v, want %v", iter, tc.members)
 			}
-			// DropFirst iteration (the legacy idiom) must match too.
-			iter = iter[:0]
-			for w := s; !w.Empty(); w = w.DropFirst() {
-				iter = append(iter, w.First())
-			}
-			if !reflect.DeepEqual(iter, tc.members) {
-				t.Errorf("DropFirst iteration = %v, want %v", iter, tc.members)
-			}
 			// Removing every member one at a time empties the set.
 			w := s
 			for _, m := range tc.members {
@@ -105,15 +97,6 @@ func TestDevSetNextFromSeams(t *testing.T) {
 		if got := s.NextFrom(tc.from); got != tc.want {
 			t.Errorf("NextFrom(%d) = %d, want %d", tc.from, got, tc.want)
 		}
-	}
-	if got := s.FirstOther(5); got != 63 {
-		t.Errorf("FirstOther(5) = %d, want 63", got)
-	}
-	if got := s.FirstOther(63); got != 5 {
-		t.Errorf("FirstOther(63) = %d, want 5", got)
-	}
-	if got := DevSetOf(65).FirstOther(65); got != -1 {
-		t.Errorf("FirstOther on a singleton spill set = %d, want -1", got)
 	}
 }
 
@@ -172,8 +155,7 @@ func TestDevSetWordAndInlineMask(t *testing.T) {
 }
 
 // TestDevSetInlineAllocFree pins the fast-path contract: operations on sets
-// confined to devices 0-63 must not allocate, including the DropFirst
-// iteration step and membership updates.
+// confined to devices 0-63 must not allocate, membership updates included.
 func TestDevSetInlineAllocFree(t *testing.T) {
 	s := DevSetOf(2, 40, 63)
 	o := DevSetOf(40, 50)
@@ -182,9 +164,6 @@ func TestDevSetInlineAllocFree(t *testing.T) {
 		w := s.with(17, 0).without(17)
 		for d := w.First(); d >= 0; d = w.NextFrom(d + 1) {
 			_ = d
-		}
-		for it := w; !it.Empty(); it = it.DropFirst() {
-			_ = it.First()
 		}
 		_ = w.Intersects(o)
 		_ = w.Equal(o)
@@ -244,9 +223,6 @@ func TestDevSetOneWordMatchesDeviceMask(t *testing.T) {
 		}
 		if got, want := s.AppendTo(nil), m.AppendTo(nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("mask %#x: AppendTo %v != %v", uint64(m), got, want)
-		}
-		if got := s.DropFirst(); !got.Equal(m.DropFirst().DevSet()) {
-			t.Fatalf("mask %#x: DropFirst %#x != %#x", uint64(m), got.Word(0), uint64(m.DropFirst()))
 		}
 	}
 	// Exhaustive over a 6-device universe.

@@ -24,7 +24,7 @@ func (c *Cluster) FailDevice(dev int) error {
 	}
 	for b := d.lruHead; b != nil; {
 		next := b.next
-		d.drop(b)
+		d.drop(b, c.index.recs[b.desc.ID])
 		b = next
 	}
 	d.markDirty()
@@ -175,13 +175,17 @@ func (c *Cluster) TransientFailuresLeft() int { return c.transientLeft }
 // is active: the host copy (when one exists) remains the recovery source
 // should a device loss destroy downstream results.
 //
-// Only the tensor's holders are visited — the residency index names them —
+// Only the tensor's holders are visited — its residency record names them —
 // through a scratch copy of the holder set, because each drop edits the
-// index entry being walked.
+// set being walked.
 func (c *Cluster) DiscardDeviceCopies(id uint64) {
-	c.holderScratch = c.index.of(id).AppendTo(c.holderScratch[:0])
+	r := c.index.recs[id]
+	if r == nil {
+		return
+	}
+	c.holderScratch = r.holders.AppendTo(c.holderScratch[:0])
 	for _, dev := range c.holderScratch {
 		d := c.devices[dev]
-		d.drop(d.resident[id])
+		d.drop(d.resident[id], r)
 	}
 }

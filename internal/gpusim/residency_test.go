@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"micco/internal/tensor"
+	"micco/internal/workload"
 )
 
 // TestDeviceMaskOps pins the one-word reference of devset_test.go to
@@ -107,10 +108,154 @@ func checkIndex(t *testing.T, c *Cluster, ids []uint64) {
 	// No stale entries: an indexed set may never name a device that does
 	// not actually hold the tensor (covered per-id above), and the index
 	// never keeps empty sets alive.
-	for id, m := range c.index.mask {
-		if m.Empty() {
-			t.Fatalf("index keeps empty set for tensor %d", id)
+	for id, r := range c.index.recs {
+		if r.holders.Empty() && !r.onHost {
+			t.Fatalf("index keeps a record for tensor %d, which is nowhere", id)
 		}
+		if r.holders.Empty() && r.holders.rest != nil {
+			t.Fatalf("tensor %d is on no device, yet its holder set keeps %d spill words", id, len(r.holders.rest))
+		}
+		if !r.onHost && !r.hostNodes.Empty() {
+			t.Fatalf("tensor %d has no host copy, yet host nodes %v", id, r.hostNodes.AppendTo(nil))
+		}
+	}
+	// A recycled record goes to its next tensor as it is: both sets must
+	// have come back empty, the holder set without its spill.
+	for _, r := range c.index.free {
+		if r.onHost || r.holders.w0 != 0 || r.holders.rest != nil || !r.hostNodes.Empty() {
+			t.Fatalf("recycled record not empty: %+v", *r)
+		}
+	}
+	checkMoveStats(t, c)
+}
+
+// checkMoveStats asserts the cluster's running movement totals equal the
+// sums of the device counters they shadow.
+func checkMoveStats(t *testing.T, c *Cluster) {
+	t.Helper()
+	var move, d2h, evict int64
+	for _, d := range c.devices {
+		move += d.stats.H2DBytes + d.stats.P2PBytes
+		d2h += d.stats.D2HBytes
+		evict += d.stats.Evictions
+	}
+	if m, h, e := c.MoveStats(); m != move || h != d2h || e != evict {
+		t.Fatalf("MoveStats = (%d, %d, %d), devices sum to (%d, %d, %d)", m, h, e, move, d2h, evict)
+	}
+}
+
+// TestMoveStatsTrackDeviceSums walks a two-node cluster short of memory
+// through everything that moves a movement counter or rewrites them all —
+// fetches from host, peers and across nodes, host staging, dirty
+// write-backs, evictions, discards, a memory shrink, a device loss, and a
+// checkpoint restored into a second cluster that then carries on — and
+// holds the running totals to the device sums throughout. Every branch must
+// have moved something, or the walk proved nothing.
+func TestMoveStatsTrackDeviceSums(t *testing.T) {
+	desc := func(id uint64) tensor.Desc {
+		return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 8, Batch: 1}
+	}
+	for _, peer := range []bool{false, true} {
+		cfg := MI100Nodes(2, 4)
+		cfg.PeerFetch = peer
+		cfg.MemoryBytes = 5 * desc(1).Bytes()
+		c, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(18))
+		var ids []uint64
+		for id := uint64(1); id <= 16; id++ {
+			ids = append(ids, id)
+			c.RegisterHostTensor(desc(id))
+		}
+		walk := func(c *Cluster, steps int) {
+			for step := 0; step < steps; step++ {
+				dev := rng.Intn(c.NumDevices())
+				if c.DeviceFailed(dev) {
+					continue
+				}
+				if rng.Intn(5) == 0 {
+					id := ids[rng.Intn(len(ids))]
+					c.Discard(id)
+					c.RegisterHostTensor(desc(id))
+				} else {
+					out := uint64(1000 + len(ids))
+					a, b := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+					// Outputs that lived only on the lost device are gone.
+					if _, err := c.ExecContraction(dev, desc(a), desc(b), desc(out)); err == nil {
+						ids = append(ids, out)
+					} else if !errors.Is(err, ErrTensorUnavailable) {
+						t.Fatalf("peer %v step %d: %v", peer, step, err)
+					}
+				}
+				checkMoveStats(t, c)
+			}
+		}
+		walk(c, 300)
+		if err := c.SetMemoryCapacity(1, 3*desc(1).Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		checkMoveStats(t, c)
+		if err := c.FailDevice(6); err != nil {
+			t.Fatal(err)
+		}
+		walk(c, 100)
+		resumed, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resumed.Restore(c.Checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+		checkMoveStats(t, resumed)
+		if m, _, _ := resumed.MoveStats(); m == 0 {
+			t.Fatal("restore zeroed the running totals")
+		}
+		walk(resumed, 100)
+		total := resumed.TotalStats()
+		if total.H2DBytes == 0 || total.D2HBytes == 0 || total.Evictions == 0 || (total.P2PBytes > 0) != peer {
+			t.Errorf("peer %v: walk left a counter untouched: %+v", peer, total)
+		}
+		resumed.Reset()
+		if m, h, e := resumed.MoveStats(); m != 0 || h != 0 || e != 0 {
+			t.Errorf("MoveStats after Reset = (%d, %d, %d), want zeros", m, h, e)
+		}
+	}
+}
+
+// TestSteadyStateRunAllocatesNothing replays one stage of the ladder's
+// sched_scale workload on its 512x8 cluster: once records, spill words,
+// device blocks and maps have been sized by a first pass, Reset, input
+// registration and every contraction of the stage run without the
+// simulator allocating. Placement is a fixed stride over the devices, wide
+// of the inline word, so nearly every holder set spills.
+func TestSteadyStateRunAllocatesNothing(t *testing.T) {
+	w, err := workload.Generate(workload.Config{
+		Seed: 2022, Stages: 1, VectorSize: 4096, TensorDim: 384, Batch: 8,
+		Rank: tensor.RankMeson, RepeatRate: 0.5, Dist: workload.Gaussian, ChainRate: 0.3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(MI100Nodes(512, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		c.Reset()
+		for _, d := range w.Inputs {
+			c.RegisterHostTensor(d)
+		}
+		for pi, p := range w.Stages[0].Pairs {
+			if _, err := c.ExecContraction(pi*509%c.NumDevices(), p.A, p.B, p.Out); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run()
+	if avg := testing.AllocsPerRun(3, run); avg != 0 {
+		t.Errorf("a repeat run allocates %g times in gpusim, want 0", avg)
 	}
 }
 
@@ -187,12 +332,11 @@ func TestResidencyIndexInvariant(t *testing.T) {
 func scanDiscard(c *Cluster, id uint64) {
 	for _, d := range c.devices {
 		if b, ok := d.resident[id]; ok {
-			d.drop(b)
+			d.drop(b, c.index.recs[id])
 		}
 	}
-	delete(c.hostResident, id)
-	if c.hostNodes != nil {
-		delete(c.hostNodes, id)
+	if r := c.index.recs[id]; r != nil {
+		c.dropHostCopy(id, r)
 	}
 }
 

@@ -15,10 +15,12 @@
 // bounds, picking the earliest-available candidate (projected memory, then
 // lowest ID, as tie-breaks — deterministic, no RNG).
 //
-// Complexity per pair is O(|holders| + numNodes + nodeSize), independent
-// of total device count, which is what keeps scheduler throughput
-// sub-linear in cluster size; like the flat MICCO scheduler, the placement
-// path performs zero allocations once its scratch reaches steady state.
+// Complexity per pair is O(holder nodes + log numNodes + nodeSize) on top
+// of reading the two holder sets: level 1 looks at the nodes that hold an
+// operand and, when none of them will do, at the root of a tournament tree
+// over all nodes, never at the node list. Like the flat MICCO scheduler,
+// the placement path performs zero allocations once its scratch reaches
+// steady state.
 // On single-node clusters level 1 degenerates to "node 0" and the
 // scheduler behaves like a deterministic-tie-break MICCO.
 package hier
@@ -47,11 +49,19 @@ type Scheduler struct {
 	nodeLoad []int
 	// aStamp/bStamp mark nodes holding operand A/B of the current pair;
 	// epoch stamping (compare against stamp) avoids an O(numNodes) clear
-	// per Assign.
+	// per Assign. holderN lists each such node once.
 	aStamp, bStamp []uint64
 	stamp          uint64
-	// candN/candi are the reusable node- and device-candidate queues.
-	candN []int
+	holderN        []int
+	// limitFull is a node's slot limit this stage — per-node balance plus
+	// the node bound — and limitLast that of the last node, which is lower
+	// when the node is partial.
+	limitFull, limitLast int
+	// tree is a min tournament over the nodes, keyed (at or over its limit,
+	// nodeLoad, index): tree[numNodes+n] is leaf n, tree[i] the winner of
+	// tree[2i] and tree[2i+1], tree[1] the node level 1 falls back to.
+	tree []int32
+	// candi is the reusable device-candidate queue.
 	candi []int
 }
 
@@ -84,7 +94,8 @@ func (s *Scheduler) BeginStage(ctx *sched.Context) {
 		s.nodeLoad = make([]int, s.numNodes)
 		s.aStamp = make([]uint64, s.numNodes)
 		s.bStamp = make([]uint64, s.numNodes)
-		s.candN = make([]int, 0, s.numNodes)
+		s.holderN = make([]int, 0, s.numNodes)
+		s.tree = make([]int32, 2*s.numNodes)
 	}
 	s.nodeLoad = s.nodeLoad[:s.numNodes]
 	for n := range s.nodeLoad {
@@ -92,6 +103,59 @@ func (s *Scheduler) BeginStage(ctx *sched.Context) {
 	}
 	if cap(s.candi) < s.nodeSize {
 		s.candi = make([]int, 0, s.nodeSize)
+	}
+	s.seed(ctx.BalanceNum)
+}
+
+// seed sets the stage's node limits from its balance point and plays the
+// tournament over the node loads as they stand.
+func (s *Scheduler) seed(balanceNum int) {
+	s.limitFull = balanceNum*s.nodeSize + 2*s.nodeBound
+	s.limitLast = balanceNum*s.sizeOf(s.numNodes-1) + 2*s.nodeBound
+	s.tree = s.tree[:2*s.numNodes]
+	for n := 0; n < s.numNodes; n++ {
+		s.tree[s.numNodes+n] = int32(n)
+	}
+	for i := s.numNodes - 1; i >= 1; i-- {
+		s.tree[i] = s.winner(s.tree[2*i], s.tree[2*i+1])
+	}
+}
+
+// underLimit reports whether node n can take another pair this stage.
+func (s *Scheduler) underLimit(n int) bool {
+	if n == s.numNodes-1 {
+		return s.nodeLoad[n] < s.limitLast
+	}
+	return s.nodeLoad[n] < s.limitFull
+}
+
+// lighter reports whether node a beats node b on (nodeLoad, index).
+func (s *Scheduler) lighter(a, b int) bool {
+	return s.nodeLoad[a] < s.nodeLoad[b] || (s.nodeLoad[a] == s.nodeLoad[b] && a < b)
+}
+
+// winner is the tournament's comparison: a node under its limit beats one
+// that is not, then the lighter node wins.
+func (s *Scheduler) winner(a, b int32) int32 {
+	ua, ub := s.underLimit(int(a)), s.underLimit(int(b))
+	if ua != ub {
+		if ua {
+			return a
+		}
+		return b
+	}
+	if s.lighter(int(a), int(b)) {
+		return a
+	}
+	return b
+}
+
+// addLoad charges one pair to node n and replays the matches on the path
+// from its leaf to the root.
+func (s *Scheduler) addLoad(n int) {
+	s.nodeLoad[n] += 2
+	for i := (s.numNodes + n) >> 1; i >= 1; i >>= 1 {
+		s.tree[i] = s.winner(s.tree[2*i], s.tree[2*i+1])
 	}
 }
 
@@ -109,17 +173,26 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 	ma := ctx.HoldersMask(p.A.ID)
 	mb := ctx.HoldersMask(p.B.ID)
 
-	// Mark the nodes holding each operand: O(|holders|), independent of
-	// node and device counts.
+	// Mark and list the nodes holding each operand, skipping from a node's
+	// first holder to the next node's devices: O(holder nodes) steps.
 	s.stamp++
-	for it := ma.First(); it >= 0; it = ma.NextFrom(it + 1) {
-		s.aStamp[it/s.nodeSize] = s.stamp
+	s.holderN = s.holderN[:0]
+	for it := ma.First(); it >= 0; {
+		n := it / s.nodeSize
+		s.aStamp[n] = s.stamp
+		s.holderN = append(s.holderN, n)
+		it = ma.NextFrom((n + 1) * s.nodeSize)
 	}
-	for it := mb.First(); it >= 0; it = mb.NextFrom(it + 1) {
-		s.bStamp[it/s.nodeSize] = s.stamp
+	for it := mb.First(); it >= 0; {
+		n := it / s.nodeSize
+		s.bStamp[n] = s.stamp
+		if s.aStamp[n] != s.stamp {
+			s.holderN = append(s.holderN, n)
+		}
+		it = mb.NextFrom((n + 1) * s.nodeSize)
 	}
 
-	node := s.pickNode(ctx)
+	node := s.pickNode()
 	dev := s.pickDevice(node, p, ctx, ma, mb)
 	if dev < 0 {
 		// The chosen node has no live device: global fallback to the
@@ -136,7 +209,7 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 			dev = 0 // no live device: unreachable, the engine errors first
 		}
 	}
-	s.nodeLoad[dev/s.nodeSize] += 2
+	s.addLoad(dev / s.nodeSize)
 	if rec := ctx.Decision; rec != nil {
 		rec.Policy = "two-level"
 	}
@@ -147,47 +220,30 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 // Candidate steps mirror Algorithm 1 — nodes holding both operands, then
 // either, then all — each gated by the node reuse bound against per-node
 // balance; among candidates the least-loaded (lowest index on ties) wins.
-func (s *Scheduler) pickNode(ctx *sched.Context) int {
-	s.candN = s.candN[:0]
-	// limit is per-node balanced slots plus the node bound (in slots).
-	limit := func(n int) int { return ctx.BalanceNum*s.sizeOf(n) + 2*s.nodeBound }
-	for n := 0; n < s.numNodes; n++ {
-		if s.aStamp[n] == s.stamp && s.bStamp[n] == s.stamp && s.nodeLoad[n] < limit(n) {
-			s.candN = append(s.candN, n)
+// Steps 1 and 2 can only pick a holder node, so they read holderN; step 3
+// and, with every node past its limit (pathological bounds or heavy
+// recovery re-placement), the least-loaded node outright are both the
+// tournament's root.
+func (s *Scheduler) pickNode() int {
+	both, either := -1, -1
+	for _, n := range s.holderN {
+		if !s.underLimit(n) {
+			continue
+		}
+		if either < 0 || s.lighter(n, either) {
+			either = n
+		}
+		if s.aStamp[n] == s.stamp && s.bStamp[n] == s.stamp && (both < 0 || s.lighter(n, both)) {
+			both = n
 		}
 	}
-	if len(s.candN) == 0 {
-		for n := 0; n < s.numNodes; n++ {
-			if (s.aStamp[n] == s.stamp || s.bStamp[n] == s.stamp) && s.nodeLoad[n] < limit(n) {
-				s.candN = append(s.candN, n)
-			}
-		}
+	if both >= 0 {
+		return both
 	}
-	if len(s.candN) == 0 {
-		for n := 0; n < s.numNodes; n++ {
-			if s.nodeLoad[n] < limit(n) {
-				s.candN = append(s.candN, n)
-			}
-		}
+	if either >= 0 {
+		return either
 	}
-	if len(s.candN) == 0 {
-		// Every node past its limit (pathological bounds or heavy
-		// recovery re-placement): least-loaded node outright.
-		best := 0
-		for n := 1; n < s.numNodes; n++ {
-			if s.nodeLoad[n] < s.nodeLoad[best] {
-				best = n
-			}
-		}
-		return best
-	}
-	best := s.candN[0]
-	for _, n := range s.candN[1:] {
-		if s.nodeLoad[n] < s.nodeLoad[best] {
-			best = n
-		}
-	}
-	return best
+	return int(s.tree[1])
 }
 
 // pickDevice is level 2: a MICCO-style candidate pass restricted to the
@@ -200,12 +256,15 @@ func (s *Scheduler) pickDevice(node int, p workload.Pair, ctx *sched.Context, ma
 	lo := node * s.nodeSize
 	hi := lo + s.sizeOf(node)
 	s.candi = s.candi[:0]
+	// Assign's stamps say whether the node holds each operand at all, which
+	// decides steps I and II without a pass over the cluster-wide sets.
+	hasA, hasB := s.aStamp[node] == s.stamp, s.bStamp[node] == s.stamp
 
 	// Step I: devices in the node holding both operands. Holder iteration
 	// starts at lo and stops at the node edge, so cost tracks the node's
 	// share of the holder set, not the cluster. Steps I-II need no down
 	// filter: a failed device's residency drops the moment it fails.
-	if ma.Intersects(mb) {
+	if hasA && hasB {
 		lim := ctx.BalanceNum + s.bounds[0]
 		for it := ma.NextFrom(lo); it >= 0 && it < hi; it = ma.NextFrom(it + 1) {
 			if mb.Has(it) && ctx.StageLoad[it] < lim {
@@ -216,16 +275,20 @@ func (s *Scheduler) pickDevice(node int, p workload.Pair, ctx *sched.Context, ma
 
 	// Step II: devices in the node holding either operand (A-holders first,
 	// then B-only, ascending — the flat scheduler's candidate order).
-	if len(s.candi) == 0 && !(ma.Empty() && mb.Empty()) {
+	if len(s.candi) == 0 {
 		lim := ctx.BalanceNum + s.bounds[1]
-		for it := ma.NextFrom(lo); it >= 0 && it < hi; it = ma.NextFrom(it + 1) {
-			if ctx.StageLoad[it] < lim {
-				s.candi = append(s.candi, it)
+		if hasA {
+			for it := ma.NextFrom(lo); it >= 0 && it < hi; it = ma.NextFrom(it + 1) {
+				if ctx.StageLoad[it] < lim {
+					s.candi = append(s.candi, it)
+				}
 			}
 		}
-		for it := mb.NextFrom(lo); it >= 0 && it < hi; it = mb.NextFrom(it + 1) {
-			if !ma.Has(it) && ctx.StageLoad[it] < lim {
-				s.candi = append(s.candi, it)
+		if hasB {
+			for it := mb.NextFrom(lo); it >= 0 && it < hi; it = mb.NextFrom(it + 1) {
+				if !ma.Has(it) && ctx.StageLoad[it] < lim {
+					s.candi = append(s.candi, it)
+				}
 			}
 		}
 	}

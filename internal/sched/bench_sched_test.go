@@ -296,9 +296,10 @@ func BenchmarkNumericPipeline(b *testing.B) {
 // simulated-cluster scales far past the old 64-device ceiling (256, 1024
 // and 4096 devices, 64 per node), for the flat MICCO scheduler and the
 // two-level hier scheduler. The interesting read is how ns/op grows with
-// device count: hier's placement is O(holders + nodes + nodeSize) per
-// pair, so its per-decision cost must degrade sub-linearly in cluster
-// size. These warm rows never reach step III — every pair finds holders —
+// device count: hier's placement is O(holder nodes + log nodes + nodeSize)
+// per pair on top of reading the two holder sets, so at a fixed 64 devices
+// per node its per-decision cost must stay near flat as nodes are added.
+// These warm rows never reach step III — every pair finds holders —
 // so for MICCO they price steps I/II only; the "/cold" rows run the
 // coldFixture loop, where every decision is a step-III pick with an rng
 // tie-break, and are the ones that show what a placement costs as the
@@ -337,29 +338,50 @@ func BenchmarkSchedulerAssignLarge(b *testing.B) {
 }
 
 // BenchmarkRunScheduleOnly measures the engine's schedule+simulate phases
-// (no numeric validation) over the full f0d4 correlator, reporting ns/pair
-// and allocs/pair so the per-placement constant factor is directly
-// comparable across changes. Sub-benchmarks cover observability off and
-// on, and the Groute baseline for scale.
+// (no numeric validation), reporting ns/pair and allocs/pair so the
+// per-placement constant factor is directly comparable across changes. The
+// f0d4 rows run the full correlator on 8 devices with observability off and
+// on, and the Groute baseline for scale. The devs=4096 rows are one half
+// each of a sched_scale ladder job — its synthetic workload on its 512x8
+// cluster — where B/op is what the simulator allocates per run on a cluster
+// it has run on before, and is gated in benchguard.
 func BenchmarkRunScheduleOnly(b *testing.B) {
-	w := f0d4Workload(b)
+	f0d4, small := f0d4Workload(b), gpusim.MI100(8)
+	wide, err := workload.Generate(workload.Config{
+		Seed: 2022, Stages: 4, VectorSize: 4096, TensorDim: 384, Batch: 8,
+		Rank: tensor.RankMeson, RepeatRate: 0.5, Dist: workload.Gaussian, ChainRate: 0.3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	micco := func() sched.Scheduler { return core.NewFixed(core.Bounds{0, 2, 0}) }
 	cases := []struct {
 		name  string
+		w     *workload.Workload
+		cfg   gpusim.Config
 		mk    func() sched.Scheduler
 		obsOn bool
 	}{
-		{"MICCO/obs=off", func() sched.Scheduler { return core.NewFixed(core.Bounds{0, 2, 0}) }, false},
-		{"MICCO/obs=on", func() sched.Scheduler { return core.NewFixed(core.Bounds{0, 2, 0}) }, true},
-		{"Groute/obs=off", func() sched.Scheduler { return baseline.NewGroute() }, false},
+		{"MICCO/obs=off", f0d4, small, micco, false},
+		{"MICCO/obs=on", f0d4, small, micco, true},
+		{"Groute/obs=off", f0d4, small, func() sched.Scheduler { return baseline.NewGroute() }, false},
+		{"MICCO/devs=4096", wide, gpusim.MI100Nodes(512, 8), micco, false},
+		{"Hier/devs=4096", wide, gpusim.MI100Nodes(512, 8),
+			func() sched.Scheduler { return hier.New(16, core.Bounds{0, 2, 0}) }, false},
 	}
 	for _, tc := range cases {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
-			c, err := gpusim.NewCluster(gpusim.MI100(8))
+			c, err := gpusim.NewCluster(tc.cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			s := tc.mk()
+			// One untimed run sizes the cluster's pools: the rows price a
+			// run on a cluster that has run before, as every ladder job is.
+			if _, err := sched.Run(context.Background(), tc.w, s, c, sched.Options{}); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
@@ -370,13 +392,13 @@ func BenchmarkRunScheduleOnly(b *testing.B) {
 				if tc.obsOn {
 					opts.Obs = obs.New()
 				}
-				if _, err := sched.Run(context.Background(), w, s, c, opts); err != nil {
+				if _, err := sched.Run(context.Background(), tc.w, s, c, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&ms)
-			pairs := float64(b.N * w.NumPairs())
+			pairs := float64(b.N * tc.w.NumPairs())
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pairs, "ns/pair")
 			b.ReportMetric(float64(ms.Mallocs-mallocs0)/pairs, "allocs/pair")
 		})

@@ -121,9 +121,6 @@ func (c *Context) AppendHolders(buf []int, id uint64) []int {
 // index probe, no allocation.
 func (c *Context) HoldersMask(id uint64) gpusim.DevSet { return c.Cluster.HoldersMask(id) }
 
-// HolderCount returns how many devices hold tensor id.
-func (c *Context) HolderCount(id uint64) int { return c.Cluster.HoldersMask(id).Count() }
-
 // ClassifyMasks maps a pair's holder sets to its local reuse pattern
 // (paper Fig. 4): both operands share a device, both are resident on
 // disjoint devices, exactly one is resident, or neither is. It is the one
