@@ -53,7 +53,18 @@ benchsmoke:
 # scans and the simulator got its per-tensor record) and allocate at most
 # 2 MB (flat MICCO) and 1 MB (hier) per run, twice what the engine's own
 # per-run slices come to: the simulator's share is zero, and was 20 MB of
-# spill words. Kernels: every BenchmarkContraction*
+# spill words. The three BenchmarkObservedRun rows are one observed_run
+# ladder job each — unwatched, with a registry, with the registry and the
+# simulator trace. Recorded: off 12.5 ms, obs 18.7 ms, obs+trace 20.6 ms
+# per job, i.e. obs/off 1.50x, both/off 1.65x and, by difference
+# ((obs+trace - obs + off) / off), trace/off 1.15x; the commit before the
+# event log was reused and the metrics sink batched (the baseline rows)
+# read 12.4 / 21.9 / 36.2 ms: 1.76x, 2.91x, 2.15x. obs+trace must not be
+# slower than that baseline (1.0x of it is about 1.8x today's row) nor
+# allocate over 10 MB per job (5.7 MB: decision records plus one
+# exact-size event log; 18.2 MB when every run re-grew the log from
+# nothing); off stays within 2x its baseline and under 0.1 MB per job, so
+# the watching path cannot leak cost into a run nobody watches. Kernels: every BenchmarkContraction*
 # entry in BENCH_kernel.json must stay within 2.5x its baseline ns/op
 # (allocation check off — kernel benchmarks legitimately allocate; the
 # wider tolerance absorbs machine throttling on shared runners). The
@@ -79,6 +90,10 @@ benchguard:
 		-guard-prefix BenchmarkRunScheduleOnly/MICCO/devs=4096 -guard-max-allocs -1 -guard-max-bytes 2e6
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 2.0 \
 		-guard-prefix BenchmarkRunScheduleOnly/Hier/devs=4096 -guard-max-allocs -1 -guard-max-bytes 1e6
+	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 1.0 \
+		-guard-prefix BenchmarkObservedRun/obs+trace -guard-max-allocs -1 -guard-max-bytes 10e6
+	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 2.0 \
+		-guard-prefix BenchmarkObservedRun/off -guard-max-allocs -1 -guard-max-bytes 0.1e6
 	$(GO) run ./cmd/benchjson -guard BENCH_kernel.json -guard-tol 2.5 \
 		-guard-prefix BenchmarkContraction -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_kernel.json -guard-tol 0.8 \
@@ -112,7 +127,8 @@ soak:
 # before the AVX-512 block kernel existed, the stage rows on
 # the commit before ContractBatch became one run of a pipeline — then the
 # scheduler-overhead suite — per-placement cost, schedule-only runs with
-# obs on/off and at the ladder's 4096 devices, and whole
+# obs on/off and at the ladder's 4096 devices, the ladder's observed_run
+# job unwatched, with a registry and with registry plus trace, and whole
 # numeric runs at pool widths 1, 2 and 8 — as BENCH_sched.json with the
 # pre-change baseline numbers merged in for comparison (the numeric runs'
 # from the commit that still had the coordinator goroutine), then the
@@ -126,7 +142,7 @@ soak:
 bench:
 	$(GO) test -run '^$$' -bench 'Contraction|NumericRun' -benchmem . \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_kernel_baseline.json -o BENCH_kernel.json
-	$(GO) test -run '^$$' -bench 'SchedulerAssign|RunScheduleOnly|NumericPipeline' -benchmem ./internal/sched \
+	$(GO) test -run '^$$' -bench 'SchedulerAssign|RunScheduleOnly|NumericPipeline|ObservedRun' -benchmem ./internal/sched \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_sched_baseline.json -o BENCH_sched.json
 	$(GO) test -run '^$$' -bench 'CriticalPath|ReportRenderJSON' -benchmem ./internal/report \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_report_baseline.json -o BENCH_report.json

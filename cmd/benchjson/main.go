@@ -83,10 +83,12 @@ const defaultGuardPrefix = "BenchmarkSchedulerAssign"
 // runGuard checks the recorded benchmarks matching prefix in the document
 // at path: at most maxAllocs allocations and maxBytes bytes per op (a
 // negative bound disables its check), and ns/op within tol times the
-// document's own "_baseline/" entry. Observability-on variants (names containing "/obs") are exempt
-// from the allocation check — a live DecisionRecord legitimately
-// allocates. Entries without a baseline are noted on w and skipped; zero
-// checkable entries is itself an error (the guard would be vacuous).
+// document's own "_baseline/" entry. Observability-on variants (names
+// containing "/obs" past the prefix) are exempt — a live DecisionRecord
+// legitimately allocates — unless the prefix itself names them, which is
+// how a watched run is gated on purpose. Entries without a baseline are
+// noted on w and skipped; zero checkable entries is itself an error (the
+// guard would be vacuous).
 func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs, maxBytes float64) error {
 	doc, err := loadBaseline(path) // same shape; baseline-prefix pruning is harmless here
 	if err != nil {
@@ -109,7 +111,7 @@ func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs, m
 	checked := 0
 	var failures []string
 	for name, m := range doc {
-		if !strings.HasPrefix(name, prefix) || strings.Contains(name, "/obs") {
+		if !strings.HasPrefix(name, prefix) || strings.Contains(name[len(prefix):], "/obs") {
 			continue
 		}
 		checked++

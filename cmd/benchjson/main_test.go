@@ -237,6 +237,29 @@ func TestGuardPasses(t *testing.T) {
 	}
 }
 
+// TestGuardPrefixNamingObsVariant: a prefix that itself names an "/obs"
+// variant gates it (time against baseline and B/op); its siblings stay out.
+func TestGuardPrefixNamingObsVariant(t *testing.T) {
+	path := writeGuardDoc(t, `{
+  "BenchmarkObservedRun/obs": {"ns/op": 9e9, "B/op": 9e9},
+  "BenchmarkObservedRun/obs+trace": {"ns/op": 13e6, "B/op": 5.7e6},
+  "_baseline/BenchmarkObservedRun/obs+trace": {"ns/op": 24e6}
+}`)
+	var w strings.Builder
+	if err := runGuard(&w, path, 1.0, "BenchmarkObservedRun/obs+trace", -1, 10e6); err != nil {
+		t.Fatalf("healthy watched run failed the guard: %v\n%s", err, w.String())
+	}
+	if !strings.Contains(w.String(), "1 BenchmarkObservedRun/obs+trace* entries") {
+		t.Errorf("guard summary = %q, want 1 entry checked", w.String())
+	}
+	if err := runGuard(&w, path, 1.0, "BenchmarkObservedRun/obs+trace", -1, 5e6); err == nil {
+		t.Error("5.7 MB/op passed a 5 MB bound")
+	}
+	if err := runGuard(&w, path, 0.5, "BenchmarkObservedRun/obs+trace", -1, -1); err == nil {
+		t.Error("0.54x of baseline passed a 0.5x guard")
+	}
+}
+
 func TestGuardFailsOnAllocs(t *testing.T) {
 	path := writeGuardDoc(t, `{
   "BenchmarkSchedulerAssign/MICCO(0,2,0)": {"ns/op": 150, "allocs/op": 1},

@@ -38,11 +38,14 @@ type Cluster struct {
 	// bumped so MoveStats reads three words on any cluster width.
 	moveBytes, d2hBytes, evictions int64
 	// tracing/traceEvents implement optional event recording (StartTrace).
+	// Only the cluster holds the buffer until StopTrace hands it over, so Reset
+	// truncates it in place; traceCap is the last finished trace's length.
 	tracing     bool
 	traceEvents []Event
+	traceCap    int
 	// sink, when non-nil, feeds every simulated event into an attached
-	// metrics registry (SetObserver). Independent of tracing; survives
-	// Reset.
+	// metrics registry (SetObserver), in batches. Independent of tracing;
+	// survives Reset.
 	sink *obsSink
 	// index holds the one record per tensor — holder set, host copy, host
 	// nodes — that every residency question is answered from, at one map
@@ -244,8 +247,8 @@ func (c *Cluster) ensureResident(d *Device, desc tensor.Desc, pin bool) (*block,
 			d.stats.P2PBytes += desc.Bytes()
 			c.moveBytes += desc.Bytes()
 			if c.sink != nil {
-				c.sink.p2pBusy.Add(dur)
-				c.sink.p2pStall.Add(start - queue)
+				c.sink.p2pBusy.v += dur
+				c.sink.p2pStall.v += start - queue
 			}
 			if c.observing() {
 				c.trace(Event{Kind: EventP2P, Device: d.id, Tensor: desc.ID,
@@ -272,9 +275,6 @@ func (c *Cluster) ensureResident(d *Device, desc tensor.Desc, pin bool) (*block,
 	b := d.install(desc, false, r)
 	b.pinned = pin
 	b.readyAt = d.CopyClock()
-	if c.sink != nil {
-		c.sink.observeMem(d)
-	}
 	return b, nil
 }
 
@@ -295,8 +295,8 @@ func (c *Cluster) interTransfer(d *Device, desc tensor.Desc) {
 	d.stats.TransferTime += end - queue
 	c.interBytes += desc.Bytes()
 	if c.sink != nil {
-		c.sink.interBusy.Add(dur)
-		c.sink.interStall.Add(start - queue)
+		c.sink.interBusy.v += dur
+		c.sink.interStall.v += start - queue
 	}
 	if c.observing() {
 		c.trace(Event{Kind: EventInter, Device: d.id, Tensor: desc.ID,
@@ -334,8 +334,8 @@ func (c *Cluster) hostLinkOccupy(d *Device, dur float64) float64 {
 	}
 	c.linkClocks[d.node] = end
 	if c.sink != nil {
-		c.sink.hostBusy.Add(dur)
-		c.sink.hostStall.Add(start - queue)
+		c.sink.hostBusy.v += dur
+		c.sink.hostStall.v += start - queue
 	}
 	return elapsed
 }
@@ -390,9 +390,6 @@ func (c *Cluster) ExecContraction(dev int, a, b, out tensor.Desc) (int64, error)
 		nb := d.install(out, true, c.index.add(out.ID))
 		nb.readyAt = d.CopyClock()
 		outReady = nb.readyAt
-		if c.sink != nil {
-			c.sink.observeMem(d)
-		}
 	}
 	if c.cfg.AsyncCopy {
 		// The kernel waits for its operands' copies, then runs on the
@@ -484,7 +481,9 @@ func (c *Cluster) GFLOPS() float64 {
 // links, and clears the host registry. Maps, device block pools and the
 // residency index's slabs keep their capacity, so back-to-back runs on one
 // cluster settle into a steady state where the simulator allocates nothing.
+// A trace being recorded is emptied in place; an observer publishes first.
 func (c *Cluster) Reset() {
+	c.FlushObserver() // while the device high-water marks it reads still stand
 	for _, d := range c.devices {
 		d.reset()
 	}
@@ -499,7 +498,7 @@ func (c *Cluster) Reset() {
 	c.interClock = 0
 	c.interBytes = 0
 	c.moveBytes, c.d2hBytes, c.evictions = 0, 0, 0
-	c.traceEvents = nil
+	c.traceEvents = c.traceEvents[:0]
 	c.bwFactor = 0
 	c.transientLeft = 0
 }

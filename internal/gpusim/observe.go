@@ -1,33 +1,57 @@
 package gpusim
 
 import (
+	"math"
 	"strconv"
 
 	"micco/internal/obs"
 )
 
-// obsSink pre-resolves the registry instruments the simulator feeds, so
-// observing one event costs a few atomic adds and no map lookups or
-// allocations on the simulation path.
+// acc is a counter series plus what has accrued to it since the last publish.
+type acc struct {
+	v   float64
+	ctr *obs.Counter
+}
+
+func (a *acc) flush() {
+	if a.v != 0 {
+		a.ctr.Add(a.v)
+		a.v = 0
+	}
+}
+
+// obsSink is the simulator's end of an attached registry. A cluster is
+// single-threaded, so observing an event is plain arithmetic on the sink's
+// own fields — no atomics, map lookups or allocations — and publish moves
+// the sums into the pre-resolved instruments, one Add per touched series.
+// Integer-valued sums stay exact in a float64; seconds add in batch order.
 type obsSink struct {
-	reg *obs.Registry
-	// Per event kind (indexed by EventKind): occurrence count, payload
-	// bytes, busy seconds, and a duration histogram.
-	count [numEventKinds]*obs.Counter
-	bytes [numEventKinds]*obs.Counter
-	busy  [numEventKinds]*obs.Counter
-	dur   [numEventKinds]*obs.Histogram
+	reg  *obs.Registry
+	devs []*Device
+	// Per event kind: occurrence count, payload bytes, busy seconds (also
+	// the histogram's sum) and the pending counts of dur's buckets.
+	kinds [numEventKinds]struct {
+		count, bytes, busy acc
+		dur                *obs.Histogram
+		buckets            []int64
+	}
 	// Shared-channel occupancy: the host links (all H2D/D2H traffic), the
 	// P2P fabrics, and the inter-node interconnect — busy seconds plus
 	// time transfers stalled waiting. Multi-node clusters aggregate all
 	// their per-node links into these counters.
-	hostBusy, hostStall   *obs.Counter
-	p2pBusy, p2pStall     *obs.Counter
-	interBusy, interStall *obs.Counter
-	flops                 *obs.Counter
-	// memPeak tracks each device's memory high-water mark live.
+	hostBusy, hostStall   acc
+	p2pBusy, p2pStall     acc
+	interBusy, interStall acc
+	flops                 acc
+	// memPeak[i] is device i's high-water gauge, raised to the device's
+	// own exact mark at every publish; pending counts events since then.
 	memPeak []*obs.Gauge
+	pending int
 }
+
+// sinkBatch is how many events the sink takes in before it publishes on its
+// own: the publish vanishes per event, and bounds how far a scrape lags.
+const sinkBatch = 1024
 
 // numEventKinds is the number of EventKind values (EventFault is last).
 const numEventKinds = int(EventFault) + 1
@@ -62,66 +86,88 @@ func memPeakName(i int) string {
 // attached, every simulated operation — kernels, transfers on each
 // H2D/D2H/P2P channel, evictions — feeds counters and duration histograms,
 // shared-link occupancy and stall time accumulate, and per-device memory
-// high-water marks update live. The observer survives Reset, so one
-// registry can watch a whole run. Series names come from pre-built label
-// tables: attaching allocates only the registry's own instruments.
+// high-water marks follow. The observer survives Reset, so one registry can
+// watch a whole run. Series names come from pre-built label tables.
+// The sink batches: it publishes every sinkBatch events, on FlushObserver
+// (sched.Run: every stage boundary, before its snapshot, on failure), on
+// Reset, and here, where the outgoing sink publishes before it is replaced.
+// Read the registry after one of those, not straight after a simulator call.
 func (c *Cluster) SetObserver(r *obs.Registry) {
+	c.FlushObserver()
 	if r == nil {
 		c.sink = nil
 		return
 	}
-	s := &obsSink{reg: r}
-	for k := 0; k < numEventKinds; k++ {
-		s.count[k] = r.Counter(kindSeries[k].count)
-		s.bytes[k] = r.Counter(kindSeries[k].bytes)
-		s.busy[k] = r.Counter(kindSeries[k].busy)
-		s.dur[k] = r.Histogram(kindSeries[k].dur, obs.DefSecondsBuckets)
+	s := &obsSink{reg: r, devs: c.devices, memPeak: make([]*obs.Gauge, len(c.devices))}
+	for k := range s.kinds {
+		sk := &s.kinds[k]
+		sk.count.ctr = r.Counter(kindSeries[k].count)
+		sk.bytes.ctr = r.Counter(kindSeries[k].bytes)
+		sk.busy.ctr = r.Counter(kindSeries[k].busy)
+		sk.dur = r.Histogram(kindSeries[k].dur, obs.DefSecondsBuckets)
+		sk.buckets = make([]int64, sk.dur.Bucket(math.Inf(1))+1)
 	}
-	s.hostBusy = r.Counter("micco_sim_hostlink_busy_seconds_total")
-	s.hostStall = r.Counter("micco_sim_hostlink_stall_seconds_total")
-	s.p2pBusy = r.Counter("micco_sim_p2plink_busy_seconds_total")
-	s.p2pStall = r.Counter("micco_sim_p2plink_stall_seconds_total")
-	s.interBusy = r.Counter("micco_sim_interlink_busy_seconds_total")
-	s.interStall = r.Counter("micco_sim_interlink_stall_seconds_total")
-	s.flops = r.Counter("micco_sim_flops_total")
+	s.hostBusy.ctr = r.Counter("micco_sim_hostlink_busy_seconds_total")
+	s.hostStall.ctr = r.Counter("micco_sim_hostlink_stall_seconds_total")
+	s.p2pBusy.ctr = r.Counter("micco_sim_p2plink_busy_seconds_total")
+	s.p2pStall.ctr = r.Counter("micco_sim_p2plink_stall_seconds_total")
+	s.interBusy.ctr = r.Counter("micco_sim_interlink_busy_seconds_total")
+	s.interStall.ctr = r.Counter("micco_sim_interlink_stall_seconds_total")
+	s.flops.ctr = r.Counter("micco_sim_flops_total")
 	for i := range c.devices {
-		var name string
 		if i < len(memPeakSeries) {
-			name = memPeakSeries[i]
+			s.memPeak[i] = r.Gauge(memPeakSeries[i])
 		} else {
-			name = memPeakName(i)
+			s.memPeak[i] = r.Gauge(memPeakName(i))
 		}
-		s.memPeak = append(s.memPeak, r.Gauge(name))
 	}
 	c.sink = s
 }
 
-// observe feeds one simulated event into the registry (simulated seconds,
-// not wall time) and, when a flight recorder is attached, into its event
-// ring. The recorder probe is one atomic load; with no recorder attached
-// the event path allocates nothing extra.
-func (s *obsSink) observe(e Event) {
-	k := int(e.Kind)
-	s.count[k].Inc()
-	if e.Bytes != 0 {
-		// Kernel and fault events carry no payload; skipping the add
-		// saves an atomic RMW on the most frequent event kind.
-		s.bytes[k].Add(float64(e.Bytes))
-	}
-	d := e.Duration()
-	s.busy[k].Add(d)
-	s.dur[k].Observe(d)
-	if e.Kind == EventKernel {
-		s.flops.Add(float64(e.FLOPs))
-	}
-	if fr := s.reg.FlightRecorder(); fr != nil {
-		fr.RecordEvent(e.Flight())
+// FlushObserver publishes what the attached observer has accumulated: a
+// registry read that follows sees every simulated operation so far.
+func (c *Cluster) FlushObserver() {
+	if c.sink != nil {
+		c.sink.publish()
 	}
 }
 
-// observeMem refreshes device d's memory high-water gauge.
-func (s *obsSink) observeMem(d *Device) {
-	if d.id < len(s.memPeak) {
-		s.memPeak[d.id].SetMax(float64(d.memUsed))
+// observe accumulates one simulated event (simulated seconds, not wall
+// time). An attached flight recorder is fed it unbatched — a post-mortem
+// wants the events right up to the failure — behind one atomic load.
+func (s *obsSink) observe(e Event) {
+	k, d := &s.kinds[e.Kind], e.Duration()
+	k.count.v++
+	k.bytes.v += float64(e.Bytes)
+	k.busy.v += d
+	k.buckets[k.dur.Bucket(d)]++
+	s.flops.v += float64(e.FLOPs) // zero on everything but kernels
+	if fr := s.reg.FlightRecorder(); fr != nil {
+		fr.RecordEvent(e.Flight())
 	}
+	if s.pending++; s.pending == sinkBatch {
+		s.publish()
+	}
+}
+
+// publish adds the accumulated deltas to the registry and zeroes them: Add,
+// not a store, as several clusters may feed one registry (experiment.Harness).
+func (s *obsSink) publish() {
+	for i := range s.kinds {
+		k := &s.kinds[i]
+		if k.count.v != 0 {
+			k.dur.AddBatch(k.buckets, k.busy.v)
+			clear(k.buckets)
+			k.count.flush()
+			k.bytes.flush()
+			k.busy.flush()
+		}
+	}
+	for _, a := range [...]*acc{&s.hostBusy, &s.hostStall, &s.p2pBusy, &s.p2pStall, &s.interBusy, &s.interStall, &s.flops} {
+		a.flush()
+	}
+	for i, d := range s.devs {
+		s.memPeak[i].SetMax(float64(d.memPeak))
+	}
+	s.pending = 0
 }

@@ -8,7 +8,8 @@ import (
 
 // TestObserverFeedsRegistry checks that an attached registry sees every
 // simulated operation: channel byte counters, event counts, link
-// occupancy, and live memory high-water gauges.
+// occupancy, and memory high-water gauges — once the sink has published,
+// and not before: the sink batches (SetObserver's contract).
 func TestObserverFeedsRegistry(t *testing.T) {
 	cfg := testConfig(2)
 	sz := desc(0, 64, 1).Bytes()
@@ -23,6 +24,7 @@ func TestObserverFeedsRegistry(t *testing.T) {
 	if _, err := c.ExecContraction(0, a, b, out); err != nil {
 		t.Fatal(err)
 	}
+	c.FlushObserver()
 	if got := reg.Counter(`micco_sim_bytes_total{kind="h2d"}`).Value(); got != float64(2*sz) {
 		t.Errorf("h2d bytes = %v, want %v", got, 2*sz)
 	}
@@ -48,6 +50,12 @@ func TestObserverFeedsRegistry(t *testing.T) {
 	if err := c.EnsureResident(1, a); err != nil {
 		t.Fatal(err)
 	}
+	// Fewer than sinkBatch events since the last publish and no flush: the
+	// registry still holds the previously published value.
+	if got := reg.Counter(`micco_sim_bytes_total{kind="h2d"}`).Value(); got != float64(2*sz) {
+		t.Errorf("unflushed h2d bytes = %v, want the published %v", got, 2*sz)
+	}
+	c.FlushObserver()
 	if got := reg.Counter(`micco_sim_bytes_total{kind="h2d"}`).Value(); got != float64(3*sz) {
 		t.Errorf("post-Reset h2d bytes = %v, want %v", got, 3*sz)
 	}

@@ -133,17 +133,23 @@ func EventsFromFlight(fes []obs.FlightEvent) []Event {
 }
 
 // StartTrace begins recording events; any previously recorded events are
-// dropped. Tracing survives Reset (events clear, recording continues).
+// dropped. Tracing survives Reset (events clear, recording continues). The
+// log is allocated at the length of the cluster's previous finished trace: a
+// repeat of a traced run never re-grows it, a first or longer one appends.
 func (c *Cluster) StartTrace() {
 	c.tracing = true
-	c.traceEvents = nil
+	c.traceEvents = make([]Event, 0, c.traceCap)
 }
 
-// StopTrace stops recording and returns the recorded events.
+// StopTrace stops recording and returns the recorded events. The slice is
+// the caller's: the cluster keeps only its length, for the next StartTrace.
 func (c *Cluster) StopTrace() []Event {
 	c.tracing = false
 	out := c.traceEvents
 	c.traceEvents = nil
+	if len(out) > 0 {
+		c.traceCap = len(out)
+	}
 	return out
 }
 

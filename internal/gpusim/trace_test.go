@@ -3,6 +3,7 @@ package gpusim
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -308,5 +309,67 @@ func TestEventKindStrings(t *testing.T) {
 	e := Event{Start: 1, End: 3}
 	if e.Duration() != 2 {
 		t.Error("duration")
+	}
+}
+
+// TestTraceBufferOwnership pins who owns the event log when: the slice
+// StopTrace returned is the caller's for good, a TraceEvents copy taken
+// mid-run is untouched by later events, Reset clears the log without
+// stopping the recording, and a cluster that has traced before replays a
+// traced stage on one allocation — the log, at the previous trace's length.
+func TestTraceBufferOwnership(t *testing.T) {
+	c, _ := NewCluster(testConfig(2))
+	// replay is one stage under memory pressure (1 MiB pools, 64 KiB
+	// tensors): 48 contractions across both devices, from time zero.
+	var mid []Event
+	replay := func(snapshotMid bool) {
+		c.Reset()
+		for i := uint64(0); i < 48; i++ {
+			a, b, out := desc(3*i+1, 64, 1), desc(3*i+2, 64, 1), desc(3*i+3, 64, 1)
+			c.RegisterHostTensor(a)
+			c.RegisterHostTensor(b)
+			if _, err := c.ExecContraction(int(i%2), a, b, out); err != nil {
+				t.Fatal(err)
+			}
+			if snapshotMid && i == 24 {
+				mid = c.TraceEvents()
+			}
+		}
+	}
+
+	c.StartTrace()
+	replay(true)
+	first := c.StopTrace()
+	if len(mid) == 0 || len(mid) >= len(first) || !slices.Equal(mid, first[:len(mid)]) {
+		t.Fatalf("mid-run copy (%d events) is not a proper prefix of the finished trace (%d)", len(mid), len(first))
+	}
+	want := slices.Clone(first)
+
+	c.StartTrace()
+	replay(false)
+	if got := c.TraceEvents(); !slices.Equal(got, want) {
+		t.Error("a second traced run of the same stage recorded different events")
+	}
+	c.Reset()
+	if len(c.TraceEvents()) != 0 {
+		t.Error("Reset should clear events")
+	}
+	if !slices.Equal(first, want) {
+		t.Error("the slice StopTrace returned changed under StartTrace + a second run + Reset")
+	}
+	replay(false)
+	if got := c.StopTrace(); !slices.Equal(got, want) {
+		t.Error("recording should continue after Reset")
+	}
+	if !slices.Equal(first, want) || !slices.Equal(mid, want[:len(mid)]) {
+		t.Error("earlier traces changed under a later one")
+	}
+
+	if allocs := testing.AllocsPerRun(5, func() {
+		c.StartTrace()
+		replay(false)
+		c.StopTrace()
+	}); allocs > 1 {
+		t.Errorf("traced replay on a cluster that has traced before: %v allocations, want at most 1 (the log)", allocs)
 	}
 }

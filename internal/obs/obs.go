@@ -201,6 +201,16 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
+	h.counts[h.Bucket(v)].Add(1)
+	h.sum.Add(v)
+}
+
+// Bucket returns the index of the bucket v falls in (Bucket(+Inf) is the
+// last), for a single writer that batches through AddBatch. 0 on nil.
+func (h *Histogram) Bucket(v float64) int {
+	if h == nil {
+		return 0
+	}
 	// Linear scan for the first upper bound >= v: bucket lists are short
 	// (DefSecondsBuckets has 7) and a sequential pass beats the call and
 	// branch structure of sort.SearchFloat64s at that size.
@@ -208,8 +218,21 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(u) && u[i] < v {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
+	return i
+}
+
+// AddBatch records counts[i] observations in bucket i (Bucket's indices)
+// whose values add up to sum, at one atomic add per non-empty bucket. Nil-safe.
+func (h *Histogram) AddBatch(counts []int64, sum float64) {
+	if h == nil {
+		return
+	}
+	for i, n := range counts {
+		if n != 0 {
+			h.counts[i].Add(n)
+		}
+	}
+	h.sum.Add(sum)
 }
 
 // Count returns the number of observations (0 on nil). Derived by summing

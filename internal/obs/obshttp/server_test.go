@@ -34,6 +34,7 @@ func populate(t *testing.T, reg *obs.Registry) {
 	if _, err := c.ExecContraction(0, a, b, out); err != nil {
 		t.Fatalf("ExecContraction: %v", err)
 	}
+	c.FlushObserver()
 	reg.RecordDecision(&obs.DecisionRecord{Stage: 0, Pair: 0, Out: 3, Device: 0, Policy: "test"})
 	sp := reg.StartSpan("run", nil)
 	reg.StartSpan("stage", sp).End()

@@ -404,3 +404,57 @@ func BenchmarkRunScheduleOnly(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkObservedRun prices watching a run on the ladder's observed_run
+// shape — 10 stages x 1024 pairs of dim-384 batch-8 tensors on eight
+// devices holding a sixteenth of the unique bytes, dead inputs kept, so
+// eviction and write-back run beside reuse hits (45k simulator events per
+// job): unwatched, with a fresh registry, and with the registry plus the
+// simulator trace, which is the ladder's job. ns/pair and B/op of the
+// three rows are the observer's whole cost; benchguard gates obs+trace's
+// time and bytes and off's bytes.
+func BenchmarkObservedRun(b *testing.B) {
+	w, err := workload.Generate(workload.Config{
+		Seed: 2022, Stages: 10, VectorSize: 1024, TensorDim: 384, Batch: 8,
+		Rank: tensor.RankMeson, RepeatRate: 0.6, Dist: workload.Gaussian, ChainRate: 0.3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := gpusim.MI100(8)
+	cfg.MemoryBytes = w.TotalUniqueBytes() / 16
+	for _, tc := range []struct {
+		name       string
+		obs, trace bool
+	}{{"off", false, false}, {"obs", true, false}, {"obs+trace", true, true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, err := gpusim.NewCluster(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			job := func() {
+				// A fresh scheduler per job, as the ladder's: its tie-break
+				// rng restarts, so every job replays the same 45 510 events.
+				s := core.NewFixed(core.Bounds{0, 2, 0})
+				var opts sched.Options
+				if tc.obs {
+					opts.Obs = obs.New()
+				}
+				if tc.trace {
+					c.StartTrace()
+				}
+				if _, err := sched.Run(context.Background(), w, s, c, opts); err != nil {
+					b.Fatal(err)
+				}
+				c.StopTrace()
+			}
+			job() // untimed: every ladder job runs on a cluster that has run before
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				job()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w.NumPairs()), "ns/pair")
+		})
+	}
+}

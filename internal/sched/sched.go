@@ -344,25 +344,28 @@ func newObsRun(reg *obs.Registry, s Scheduler, w *workload.Workload) *obsRun {
 	return o
 }
 
-// finish closes the run span and publishes the end-of-run gauges: run
-// aggregates, per-device busy time, utilization and memory high-water.
+// deviceSeries returns the per-device series `base{device="i"}`.
+func deviceSeries(base string, i int) string {
+	return base + `{device="` + strconv.Itoa(i) + `"}`
+}
+
+// finish flushes the simulator's sink (the snapshot needs its batch tail and
+// memory high-water), closes the run span and publishes the end-of-run gauges.
 func (o *obsRun) finish(res *Result, c *gpusim.Cluster) {
 	if o == nil {
 		return
 	}
+	c.FlushObserver()
 	o.reg.Gauge("micco_run_makespan_seconds").Set(res.Makespan)
 	o.reg.Gauge("micco_run_gflops").Set(res.GFLOPS)
 	o.reg.Counter("micco_sched_overhead_seconds_total").Add(res.SchedOverhead.Seconds())
 	for i := 0; i < c.NumDevices(); i++ {
-		d := c.Device(i)
-		st := d.Stats()
+		st := c.Device(i).Stats()
 		busy := st.KernelTime + st.TransferTime + st.EvictTime + st.AllocTime
-		id := strconv.Itoa(i)
-		o.reg.Gauge(fmt.Sprintf("micco_device_busy_seconds{device=%q}", id)).Set(busy)
+		o.reg.Gauge(deviceSeries("micco_device_busy_seconds", i)).Set(busy)
 		if res.Makespan > 0 {
-			o.reg.Gauge(fmt.Sprintf("micco_device_utilization{device=%q}", id)).Set(busy / res.Makespan)
+			o.reg.Gauge(deviceSeries("micco_device_utilization", i)).Set(busy / res.Makespan)
 		}
-		o.reg.Gauge(fmt.Sprintf("micco_device_mem_peak_bytes{device=%q}", id)).SetMax(float64(d.MemPeak()))
 	}
 	o.runSpan.End()
 	res.Metrics = o.reg.Snapshot()
@@ -426,13 +429,15 @@ func (e *engine) dumpFlight(reason string) {
 	}
 }
 
-// fail finishes an erroring run: with checkpointing on, the last
+// fail finishes an erroring run: the simulator's sink publishes every event
+// up to the failure; with checkpointing on, the last
 // stage-boundary snapshot (updated to the live fired-event mask, so the
 // fatal event does not re-fire on resume) is attached to the partial
 // result; otherwise the result is dropped as before. Losing the whole
 // cluster additionally dumps the flight recorder: the post-mortem of an
 // unrecoverable run is exactly what the recorder exists for.
 func (e *engine) fail(err error) (*Result, error) {
+	e.c.FlushObserver()
 	if errors.Is(err, ErrClusterLost) {
 		e.dumpFlight(err.Error())
 	}
@@ -747,6 +752,7 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 		}
 		c.Barrier()
 		if ob != nil {
+			c.FlushObserver()
 			// Simulate time is attributed as the stage-wall remainder:
 			// everything outside scheduler calls and numeric work is the
 			// timing simulation plus the engine's own (tiny) loop
