@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench benchsmoke benchguard soak benchtest ladder
+.PHONY: build test vet fmt race check bench benchsmoke benchguard soak benchtest ladder
 
 build:
 	$(GO) build ./...
@@ -11,12 +11,17 @@ test:
 vet:
 	$(GO) vet ./...
 
+# fmt fails when any file, bench/ included, is not gofmt-formatted, and
+# names the files.
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "not gofmt-formatted:"; gofmt -l .; exit 1; }
+
 # The concurrent engine, corpus builder and experiment harness all run
 # under the race detector; race is part of check and must stay clean.
 race:
 	$(GO) test -race ./...
 
-check: vet test race benchsmoke benchguard benchtest
+check: vet fmt test race benchsmoke benchguard benchtest
 
 # benchtest runs the tests of the end-to-end ladder's driver. bench/ is its
 # own Go module (it replaces micco with the checkout around it), so the
@@ -73,12 +78,20 @@ benchsmoke:
 # not what ran (re-recording on a machine without AVX-512 trips this).
 # BenchmarkNumericRun, one deck_numeric job, may allocate at most 100 MB
 # per job: 75 MB with levels recycling their own buffers, 162 MB when every
-# pair of a level drew a fresh destination. Report:
-# every BenchmarkCriticalPath* and BenchmarkReportRenderJSON entry in
-# BENCH_report.json must stay within 2x its baseline ns/op, the baseline
-# being the quadratic walk and the reflection encoder they replaced; that
-# the walk is linear is read off the recorded ns/event column, which stays
-# flat from events=5k to events=80k. Front end: every BenchmarkBuildPlan*
+# pair of a level drew a fresh destination. Report: the baseline rows of
+# BENCH_report.json are the same benchmarks run, in the recording session,
+# on the commit before the walk noted its steps and made its segments once,
+# the shares became indexed tallies, the segment encoder reused a boundary's
+# digits and the trace writer stopped going through fmt. Every
+# BenchmarkCriticalPath* entry must not be slower than that walk (1.0x of
+# it is about 2.5x today's row) and may make at most 64 allocations however
+# long the path (21 recorded; 17 753 at 20k events when every segment made
+# a key string); that the walk is linear is read off the recorded ns/event
+# column, which stays flat from events=5k to events=80k.
+# BenchmarkReportRenderJSON must not be slower than the encoder that
+# formatted every boundary twice. BenchmarkWriteChromeTrace, the trace
+# artifact of one observed_run job, must stay under half the fmt writer's
+# time (a seventh, recorded). Front end: every BenchmarkBuildPlan*
 # and BenchmarkExpand* entry in BENCH_frontend.json must stay within 2x its
 # baseline ns/op — the baseline being the per-call enumeration and string
 # signatures they replaced — and a warm Expand, which stamps a template it
@@ -100,8 +113,12 @@ benchguard:
 		-guard-prefix BenchmarkContractionKernelInto -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_kernel.json -guard-tol 2.5 \
 		-guard-prefix BenchmarkNumericRun -guard-max-allocs -1 -guard-max-bytes 100e6
-	$(GO) run ./cmd/benchjson -guard BENCH_report.json -guard-tol 2.0 \
-		-guard-prefix Benchmark -guard-max-allocs -1
+	$(GO) run ./cmd/benchjson -guard BENCH_report.json -guard-tol 1.0 \
+		-guard-prefix BenchmarkCriticalPath -guard-max-allocs 64
+	$(GO) run ./cmd/benchjson -guard BENCH_report.json -guard-tol 1.0 \
+		-guard-prefix BenchmarkReportRenderJSON -guard-max-allocs -1
+	$(GO) run ./cmd/benchjson -guard BENCH_report.json -guard-tol 0.5 \
+		-guard-prefix BenchmarkWriteChromeTrace -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_frontend.json -guard-tol 2.0 \
 		-guard-prefix Benchmark -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_frontend.json -guard-tol 2.0 \
@@ -133,9 +150,10 @@ soak:
 # pre-change baseline numbers merged in for comparison (the numeric runs'
 # from the commit that still had the coordinator goroutine), then the
 # report layer — the critical
-# path at 5k/20k/80k events and on the nested shape, and the JSON
-# rendering — as BENCH_report.json against the numbers of the walk and
-# the encoder they replaced, then the front end — BuildPlan on the three
+# path at 5k/20k/80k events and on the nested shape, the JSON rendering,
+# and the Chrome trace of one observed_run job — as BENCH_report.json
+# against the numbers of the walk, the encoder and the fmt trace writer
+# they replaced, then the front end — BuildPlan on the three
 # Table VI correlators (f0d4 at the ladder's 64 time slices) and one
 # Expand call cold and warm — as BENCH_frontend.json against the same
 # benchmark file run on the commit before expansion was templated.
@@ -144,7 +162,7 @@ bench:
 		| $(GO) run ./cmd/benchjson -baseline BENCH_kernel_baseline.json -o BENCH_kernel.json
 	$(GO) test -run '^$$' -bench 'SchedulerAssign|RunScheduleOnly|NumericPipeline|ObservedRun' -benchmem ./internal/sched \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_sched_baseline.json -o BENCH_sched.json
-	$(GO) test -run '^$$' -bench 'CriticalPath|ReportRenderJSON' -benchmem ./internal/report \
+	$(GO) test -run '^$$' -bench 'CriticalPath|ReportRenderJSON|WriteChromeTrace' -benchmem ./internal/report \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_report_baseline.json -o BENCH_report.json
 	$(GO) test -run '^$$' -bench 'BuildPlan|Expand' -benchmem ./internal/redstar ./internal/wick \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_frontend_baseline.json -o BENCH_frontend.json

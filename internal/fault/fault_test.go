@@ -62,16 +62,16 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
 	bad := []Plan{
-		{Events: []Event{{Kind: DeviceLoss, Device: 4}}},                 // device out of range
-		{Events: []Event{{Kind: MemShrink, Device: 0, Factor: 1.5}}},     // factor > 1
-		{Events: []Event{{Kind: LinkDegrade, Factor: 0}}},                // zero factor
-		{Events: []Event{{Kind: TransientTransfer}}},                     // no failures
-		{Events: []Event{{Kind: Kind(99)}}},                              // unknown kind
-		{Events: []Event{{Kind: DeviceLoss, Time: -1}}},                  // negative time
-		{Events: []Event{{Kind: DeviceLoss, Pair: -2}}},                  // pair below -1
-		{Retry: &Retry{Max: 1, BaseSeconds: 0, CapSeconds: 1}},           // zero base
-		{Retry: &Retry{Max: 1, BaseSeconds: 2e-3, CapSeconds: 1e-3}},     // cap < base
-		{Retry: &Retry{Max: -1, BaseSeconds: 1e-3, CapSeconds: 1e-3}},    // negative max
+		{Events: []Event{{Kind: DeviceLoss, Device: 4}}},              // device out of range
+		{Events: []Event{{Kind: MemShrink, Device: 0, Factor: 1.5}}},  // factor > 1
+		{Events: []Event{{Kind: LinkDegrade, Factor: 0}}},             // zero factor
+		{Events: []Event{{Kind: TransientTransfer}}},                  // no failures
+		{Events: []Event{{Kind: Kind(99)}}},                           // unknown kind
+		{Events: []Event{{Kind: DeviceLoss, Time: -1}}},               // negative time
+		{Events: []Event{{Kind: DeviceLoss, Pair: -2}}},               // pair below -1
+		{Retry: &Retry{Max: 1, BaseSeconds: 0, CapSeconds: 1}},        // zero base
+		{Retry: &Retry{Max: 1, BaseSeconds: 2e-3, CapSeconds: 1e-3}},  // cap < base
+		{Retry: &Retry{Max: -1, BaseSeconds: 1e-3, CapSeconds: 1e-3}}, // negative max
 	}
 	for i := range bad {
 		if err := bad[i].Validate(4); err == nil {

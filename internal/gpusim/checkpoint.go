@@ -83,6 +83,12 @@ func (cp *Checkpoint) Validate() error {
 		if !hs.Desc.Valid() {
 			return fmt.Errorf("gpusim: checkpoint host tensor %v invalid", hs.Desc)
 		}
+		// The upper end needs a cluster to compare with: Restore checks it.
+		for _, n := range hs.Nodes {
+			if n < 0 {
+				return fmt.Errorf("gpusim: %w: host tensor %d on node %d", ErrInvalidCheckpoint, hs.Desc.ID, n)
+			}
+		}
 	}
 	for i, ds := range cp.Devices {
 		if ds.Clock < 0 || ds.CopyClock < 0 {
@@ -187,7 +193,8 @@ func (c *Cluster) Checkpoint() *Checkpoint {
 
 // Restore replaces the cluster's simulation state with cp (taken from a
 // cluster of the same topology). The restored cluster continues with
-// bit-identical timing to the one that was checkpointed.
+// bit-identical timing to the one that was checkpointed. A checkpoint that
+// does not fit the cluster is refused before anything is changed.
 func (c *Cluster) Restore(cp *Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("gpusim: %w: checkpoint", ErrNilArgument)
@@ -198,6 +205,16 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 	if len(cp.LinkClocks) != c.numNodes || len(cp.P2PClocks) != c.numNodes {
 		return fmt.Errorf("gpusim: checkpoint has %d/%d node link clocks, cluster has %d nodes",
 			len(cp.LinkClocks), len(cp.P2PClocks), c.numNodes)
+	}
+	// A node set grows to hold whatever index it is given, so one from
+	// outside the cluster must not reach it.
+	for _, hs := range cp.Host {
+		for _, n := range hs.Nodes {
+			if n < 0 || n >= c.numNodes {
+				return fmt.Errorf("gpusim: %w: host tensor %d on node %d, cluster has %d nodes",
+					ErrInvalidCheckpoint, hs.Desc.ID, n, c.numNodes)
+			}
+		}
 	}
 	c.Reset()
 	copy(c.linkClocks, cp.LinkClocks)

@@ -1,9 +1,12 @@
 package gpusim
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 
 	"micco/internal/obs"
 )
@@ -195,65 +198,130 @@ func WriteChromeTraceMerged(w io.Writer, events []Event, decisions []obs.Decisio
 	return writeChromeTrace(w, events, decisions)
 }
 
+// writeChromeTrace appends each record into one reused buffer and hands it
+// to one buffered writer. The format is the one fmt used to produce, byte
+// for byte: a name as %q writes it (appendQuoted), a time in microseconds as
+// %.3f does (appendFixed3), a count as %d does (AppendInt, AppendUint).
 func writeChromeTrace(w io.Writer, events []Event, decisions []obs.DecisionRecord) error {
-	if _, err := io.WriteString(w, "[\n"); err != nil {
+	bw := bufio.NewWriter(w)
+	bw.WriteString("[\n")
+	last := len(events) + len(decisions) - 1
+	var buf, name []byte
+	// emit closes the record in buf; every record but the last is followed
+	// by a comma.
+	emit := func(i int) error {
+		if i != last {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '\n')
+		_, err := bw.Write(buf)
 		return err
 	}
-	total := len(events) + len(decisions)
-	n := 0
-	sep := func() string {
-		n++
-		if n == total {
-			return ""
-		}
-		return ","
-	}
-	for _, e := range events {
+	num := func(b []byte, key string, v int64) []byte { return strconv.AppendInt(append(b, key...), v, 10) }
+	for i := range events {
+		e := &events[i]
 		if e.Kind == EventFault {
 			// Faults render as process-scoped instants so Perfetto pins
 			// them to the moment of injection rather than a duration bar.
-			pid := e.Device
-			if pid < 0 {
-				pid = 0
+			name = append(append(name[:0], "fault "...), e.Note...)
+			buf = appendQuoted(append(buf[:0], `  {"name":`...), string(name))
+			buf = appendFixed3(append(buf, `,"ph":"i","ts":`...), e.Start*1e6)
+			buf = num(buf, `,"pid":`, int64(max(e.Device, 0)))
+			buf = num(buf, `,"tid":0,"s":"p","args":{"device":`, int64(e.Device))
+		} else {
+			tid := int64(0) // kernel queue
+			if e.Kind != EventKernel {
+				tid = 1 // copy/eviction queue
 			}
-			_, err := fmt.Fprintf(w,
-				"  {\"name\":%q,\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"s\":\"p\","+
-					"\"args\":{\"device\":%d}}%s\n",
-				fmt.Sprintf("fault %s", e.Note), e.Start*1e6, pid, e.Device, sep())
-			if err != nil {
-				return err
-			}
-			continue
+			name = strconv.AppendUint(append(append(name[:0], e.Kind.String()...), " t"...), e.Tensor, 10)
+			buf = appendQuoted(append(buf[:0], `  {"name":`...), string(name))
+			buf = appendFixed3(append(buf, `,"ph":"X","ts":`...), e.Start*1e6)
+			buf = appendFixed3(append(buf, `,"dur":`...), e.Duration()*1e6)
+			buf = num(buf, `,"pid":`, int64(e.Device))
+			buf = num(buf, `,"tid":`, tid)
+			buf = strconv.AppendUint(append(buf, `,"args":{"tensor":`...), e.Tensor, 10)
+			buf = num(buf, `,"bytes":`, e.Bytes)
+			buf = num(buf, `,"flops":`, e.FLOPs)
 		}
-		tid := 0 // kernel queue
-		if e.Kind != EventKernel {
-			tid = 1 // copy/eviction queue
-		}
-		_, err := fmt.Fprintf(w,
-			"  {\"name\":%q,\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d,"+
-				"\"args\":{\"tensor\":%d,\"bytes\":%d,\"flops\":%d}}%s\n",
-			fmt.Sprintf("%s t%d", e.Kind, e.Tensor),
-			e.Start*1e6, e.Duration()*1e6, e.Device, tid,
-			e.Tensor, e.Bytes, e.FLOPs, sep())
-		if err != nil {
+		buf = append(buf, "}}"...)
+		if err := emit(i); err != nil {
 			return err
 		}
 	}
-	for _, d := range decisions {
-		_, err := fmt.Fprintf(w,
-			"  {\"name\":%q,\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"s\":\"t\","+
-				"\"args\":{\"stage\":%d,\"pair\":%d,\"pattern\":%q,\"bound_index\":%d,\"bound\":%d,"+
-				"\"policy\":%q,\"candidates\":%d,\"predicted_bytes\":%d,\"actual_bytes\":%d,\"evictions\":%d}}%s\n",
-			fmt.Sprintf("decide t%d", d.Out),
-			d.SimTime*1e6, d.Device,
-			d.Stage, d.Pair, d.Pattern.String(), d.BoundIndex, d.Bound,
-			d.Policy, len(d.Candidates), d.PredictedBytes, d.ActualBytes, d.Evictions, sep())
-		if err != nil {
+	for i := range decisions {
+		d := &decisions[i]
+		name = strconv.AppendUint(append(name[:0], "decide t"...), d.Out, 10)
+		buf = appendQuoted(append(buf[:0], `  {"name":`...), string(name))
+		buf = appendFixed3(append(buf, `,"ph":"i","ts":`...), d.SimTime*1e6)
+		buf = num(buf, `,"pid":`, int64(d.Device))
+		buf = num(buf, `,"tid":0,"s":"t","args":{"stage":`, int64(d.Stage))
+		buf = num(buf, `,"pair":`, int64(d.Pair))
+		buf = appendQuoted(append(buf, `,"pattern":`...), d.Pattern.String())
+		buf = num(buf, `,"bound_index":`, int64(d.BoundIndex))
+		buf = num(buf, `,"bound":`, int64(d.Bound))
+		buf = appendQuoted(append(buf, `,"policy":`...), d.Policy)
+		buf = num(buf, `,"candidates":`, int64(len(d.Candidates)))
+		buf = num(buf, `,"predicted_bytes":`, d.PredictedBytes)
+		buf = num(buf, `,"actual_bytes":`, d.ActualBytes)
+		buf = num(buf, `,"evictions":`, d.Evictions)
+		buf = append(buf, "}}"...)
+		if err := emit(len(events) + i); err != nil {
 			return err
 		}
 	}
-	_, err := io.WriteString(w, "]\n")
-	return err
+	bw.WriteString("]\n")
+	return bw.Flush() // reports the first failed write, if any
+}
+
+// appendQuoted appends s as strconv.AppendQuote does. Printable ASCII
+// without a quote or a backslash is what the simulator's names are made of
+// and goes through as it is; anything else is left to strconv.
+func appendQuoted(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendFixed3 appends f as strconv.AppendFloat(b, f, 'f', 3, 64) does,
+// which for a fixed precision shifts a multi-word decimal per call. A
+// float64 is mant/2^shift exactly, so below 2^64 the whole part and the
+// thousandths are two integer divisions by a power of two, rounded half to
+// even on the exact remainder as strconv rounds.
+func appendFixed3(b []byte, f float64) []byte {
+	bits := math.Float64bits(f)
+	mant, exp := bits&(1<<52-1), int(bits>>52&0x7ff)
+	if exp == 0 {
+		exp = 1 // subnormal: no implicit bit
+	} else {
+		mant |= 1 << 52
+	}
+	shift := 1075 - exp
+	if shift < -11 {
+		return strconv.AppendFloat(b, f, 'f', 3, 64) // 2^64 and above, infinities, NaN
+	}
+	var whole, frac uint64
+	switch {
+	case shift <= 0:
+		whole = mant << -shift
+	case shift < 64:
+		// The remainder is below 2^53: a thousand of it is below 2^63.
+		whole = mant >> shift
+		scaled := (mant & (1<<shift - 1)) * 1000
+		frac = scaled >> shift
+		if rest, half := scaled&(1<<shift-1), uint64(1)<<(shift-1); rest > half || rest == half && frac&1 == 1 {
+			if frac++; frac == 1000 {
+				whole, frac = whole+1, 0
+			}
+		}
+	} // else f is below 2^-11: less than half a thousandth
+	if bits>>63 != 0 {
+		b = append(b, '-')
+	}
+	b = strconv.AppendUint(b, whole, 10)
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
 // TraceSummary aggregates events into per-device, per-kind busy time and

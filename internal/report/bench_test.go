@@ -15,12 +15,13 @@ import (
 
 // observedInput records the run the ladder's report_build workload reports
 // on (bench/workloads.go: eight devices holding a sixteenth of the unique
-// bytes, fixed-bounds MICCO, obs and trace on) at the given stage count.
-// The run leaves about 2 270 events per stage.
-func observedInput(tb testing.TB, stages int) Input {
+// bytes, fixed-bounds MICCO, obs and trace on) at the given stage count and
+// vector size. At report_build's 512 the run leaves about 2 270 events per
+// stage; ten stages of 1024 are an observed_run job.
+func observedInput(tb testing.TB, stages, vector int) Input {
 	tb.Helper()
 	w, err := workload.Generate(workload.Config{
-		Seed: 2022, Stages: stages, VectorSize: 512,
+		Seed: 2022, Stages: stages, VectorSize: vector,
 		TensorDim: 384, Batch: 8, Rank: tensor.RankMeson,
 		RepeatRate: 0.6, Dist: workload.Gaussian, ChainRate: 0.3,
 	})
@@ -88,7 +89,7 @@ func BenchmarkCriticalPath(b *testing.B) {
 		stages int
 	}{{"events=5k", 2}, {"events=20k", 9}, {"events=80k", 35}} {
 		run(size.name, func(b *testing.B) ([]gpusim.Event, float64) {
-			in := observedInput(b, size.stages)
+			in := observedInput(b, size.stages, 512)
 			return in.Events, in.Makespan
 		})
 	}
@@ -99,7 +100,7 @@ func BenchmarkCriticalPath(b *testing.B) {
 // 20k-event recording; the critical path's segments are nearly all of the
 // document.
 func BenchmarkReportRenderJSON(b *testing.B) {
-	rep := Build(observedInput(b, 9))
+	rep := Build(observedInput(b, 9, 512))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -108,4 +109,19 @@ func BenchmarkReportRenderJSON(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(rep.CriticalPath.Segments)), "segments")
+}
+
+// BenchmarkWriteChromeTrace measures the trace artifact of one observed_run
+// ladder job: its 45 510 events and 10 240 decision records, merged, to a
+// writer that keeps nothing.
+func BenchmarkWriteChromeTrace(b *testing.B) {
+	in := observedInput(b, 10, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := gpusim.WriteChromeTraceMerged(io.Discard, in.Events, in.Decisions); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(in.Events)+len(in.Decisions)), "records")
 }

@@ -100,6 +100,31 @@ func refCriticalPath(events []gpusim.Event, makespan float64) *CriticalPath {
 	return cp
 }
 
+// shares is the blame aggregation CriticalPathOf replaced, kept verbatim as
+// the oracle of its tallies: segment durations summed per key in a map,
+// sorted by descending seconds then key.
+func shares(segs []Segment, makespan float64, key func(Segment) string) []Share {
+	acc := map[string]float64{}
+	for _, s := range segs {
+		acc[key(s)] += s.Duration()
+	}
+	out := make([]Share, 0, len(acc))
+	for k, sec := range acc {
+		frac := 0.0
+		if makespan > 0 {
+			frac = sec / makespan
+		}
+		out = append(out, Share{Key: k, Seconds: sec, Fraction: frac})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Seconds != out[j].Seconds {
+			return out[i].Seconds > out[j].Seconds
+		}
+		return out[i].Key < out[j].Key
+	})
+	return out
+}
+
 // refLaterChain is laterChain as the replaced walk had it, on events and
 // kind names.
 func refLaterChain(a, b gpusim.Event) bool {
@@ -274,5 +299,92 @@ func TestCriticalPathNonFinite(t *testing.T) {
 		if len(cp.Segments) != 0 || len(cp.ByDevice) != 0 || len(cp.ByKind) != 0 || len(cp.ByResource) != 0 {
 			t.Errorf("makespan %v: path = %+v, want no segments and no shares", makespan, cp)
 		}
+	}
+}
+
+// checkTiling asserts that the segments tile [0, makespan]: the first
+// starts at +0, each starts at the very float — the same bits — the one
+// before ends at, none is empty, and the last ends at the makespan. A run
+// with no path has no segment list at all.
+func checkTiling(cp *CriticalPath) error {
+	if !(cp.Makespan > 0) || !finite(cp.Makespan) {
+		if cp.Segments != nil {
+			return fmt.Errorf("makespan %v has segments %+v", cp.Makespan, cp.Segments)
+		}
+		return nil
+	}
+	at := 0.0
+	for i, s := range cp.Segments {
+		if math.Float64bits(s.Start) != math.Float64bits(at) {
+			return fmt.Errorf("segment %d starts at %v (bits %#x), the one before ends at %v (bits %#x)",
+				i, s.Start, math.Float64bits(s.Start), at, math.Float64bits(at))
+		}
+		if !(s.End > s.Start) {
+			return fmt.Errorf("segment %d is empty or reversed: %+v", i, s)
+		}
+		at = s.End
+	}
+	if math.Float64bits(at) != math.Float64bits(cp.Makespan) {
+		return fmt.Errorf("the path ends at %v, makespan %v", at, cp.Makespan)
+	}
+	if len(cp.Segments) != cap(cp.Segments) {
+		return fmt.Errorf("%d segments in storage for %d", len(cp.Segments), cap(cp.Segments))
+	}
+	return nil
+}
+
+// TestCriticalPathTilesAndSharesMatchMap checks, on the random traces of
+// TestCriticalPathMatchesReference and on copies of them whose devices are
+// scattered past any table (more devices than events, the ends of int), the
+// two things the path promises of itself: its segments tile [0, makespan]
+// with bit-equal boundaries in storage of exactly their number, and each
+// share list — keys, order, seconds and fractions — is what summing the
+// path's own segments into a map by key name gives.
+func TestCriticalPathTilesAndSharesMatchMap(t *testing.T) {
+	scattered := []int{-1 << 63, -7, 40, 63, 64, 65, 4095, 1 << 40, 1<<63 - 1}
+	for seed := int64(0); seed < 3000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		events, makespan := randomEvents(rng)
+		if seed%3 == 0 {
+			for i := range events {
+				if rng.Intn(2) == 0 {
+					events[i].Device = scattered[rng.Intn(len(scattered))]
+				}
+			}
+		}
+		cp := CriticalPathOf(events, makespan)
+		if err := checkTiling(cp); err != nil {
+			t.Fatalf("seed %d (%d events, makespan %v): %v", seed, len(events), makespan, err)
+		}
+		want := &CriticalPath{
+			Makespan:   makespan,
+			Segments:   cp.Segments,
+			ByDevice:   shares(cp.Segments, makespan, func(s Segment) string { return deviceKey(s.Device) }),
+			ByKind:     shares(cp.Segments, makespan, func(s Segment) string { return s.Kind }),
+			ByResource: shares(cp.Segments, makespan, func(s Segment) string { return resourceOf(s.Kind) }),
+		}
+		if err := equalPaths(cp, want); err != nil {
+			t.Fatalf("seed %d (%d events, makespan %v): %v", seed, len(events), makespan, err)
+		}
+		if seed%3 == 0 {
+			if err := equalPaths(cp, refCriticalPath(events, makespan)); err != nil {
+				t.Fatalf("seed %d, devices scattered: %v", seed, err)
+			}
+		}
+	}
+}
+
+// TestCriticalPathAllocations pins what a path may allocate: the keys, the
+// walk's table, the segments, the three tallies and their lists, and one
+// key string per device on the path — not one per segment, and nothing
+// re-grown.
+func TestCriticalPathAllocations(t *testing.T) {
+	events, makespan := nestedEvents(4000)
+	for i := range events {
+		events[i].Device = i % 8
+	}
+	allocs := testing.AllocsPerRun(5, func() { sinkPath = CriticalPathOf(events, makespan) })
+	if len(sinkPath.Segments) < 4000 || allocs > 32 {
+		t.Errorf("%d segments cost %v allocations, want at most 32", len(sinkPath.Segments), allocs)
 	}
 }

@@ -42,9 +42,15 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // writeSegments writes the report's "segments" key and its non-empty value.
+// On a critical path every Start is the End before it, so a boundary is
+// formatted once and its digits are written twice. What decides is the bit
+// pattern, not ==: -0 and 0 are equal and print differently.
 func writeSegments(bw *bufio.Writer, segs []Segment) error {
 	bw.WriteString("\n    \"segments\": [")
-	var buf []byte
+	var (
+		buf, end []byte // the segment being written; the digits of the End before it
+		endBits  uint64
+	)
 	for i, s := range segs {
 		if !finite(s.Start) || !finite(s.End) {
 			return fmt.Errorf("report: segment %d: [%v, %v] has no JSON form", i, s.Start, s.End)
@@ -53,14 +59,21 @@ func writeSegments(bw *bufio.Writer, segs []Segment) error {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendFloat(append(buf, "\n      {\n        \"start\": "...), s.Start)
-		buf = appendFloat(append(buf, ",\n        \"end\": "...), s.End)
+		buf = append(buf, "\n      {\n        \"start\": "...)
+		if i > 0 && math.Float64bits(s.Start) == endBits {
+			buf = append(buf, end...)
+		} else {
+			buf = appendFloat(buf, s.Start)
+		}
+		end, endBits = appendFloat(end[:0], s.End), math.Float64bits(s.End)
+		buf = append(append(buf, ",\n        \"end\": "...), end...)
 		buf = appendString(append(buf, ",\n        \"kind\": "...), s.Kind)
 		buf = strconv.AppendInt(append(buf, ",\n        \"device\": "...), int64(s.Device), 10)
 		if s.Tensor != 0 {
 			buf = strconv.AppendUint(append(buf, ",\n        \"tensor\": "...), s.Tensor, 10)
 		}
-		bw.Write(append(buf, "\n      }"...))
+		buf = append(buf, "\n      }"...)
+		bw.Write(buf)
 	}
 	bw.WriteString("\n    ]")
 	return nil

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -49,14 +50,12 @@ func randomSegment(rng *rand.Rand) Segment {
 }
 
 // TestSegmentsEncodeAsEncodingJSON holds writeSegments to json.MarshalIndent
-// byte for byte.
+// byte for byte: on random segments, half of which begin where the one
+// before ends as a path's do, and on the neighbours the reuse of a
+// boundary's digits has to tell apart.
 func TestSegmentsEncodeAsEncodingJSON(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 400; round++ {
-		var segs []Segment
-		for n := 1 + rng.Intn(12); n > 0; n-- {
-			segs = append(segs, randomSegment(rng))
-		}
+	check := func(name string, segs []Segment) {
+		t.Helper()
 		want, err := json.MarshalIndent(segs, "    ", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -69,8 +68,51 @@ func TestSegmentsEncodeAsEncodingJSON(t *testing.T) {
 		}
 		bw.Flush()
 		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("round %d: segments %+v render as\n%s\nencoding/json renders\n%s", round, segs, got.Bytes(), want)
+			t.Fatalf("%s: segments %+v render as\n%s\nencoding/json renders\n%s", name, segs, got.Bytes(), want)
 		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 400; round++ {
+		var segs []Segment
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			s := randomSegment(rng)
+			if len(segs) > 0 && rng.Intn(2) == 0 {
+				s.Start = segs[len(segs)-1].End
+			}
+			segs = append(segs, s)
+		}
+		check(fmt.Sprintf("round %d", round), segs)
+	}
+
+	negZero := math.Copysign(0, -1)
+	kernel, unknown := gpusim.EventKernel.String(), gpusim.EventKind(99).String()
+	for name, segs := range map[string][]Segment{
+		// Equal as floats, different as text: the digits must not carry over.
+		"-0 then 0":  {{Start: -1, End: negZero, Kind: kernel}, {Start: 0, End: 1, Kind: kernel}},
+		"0 then -0":  {{Start: -1, End: 0, Kind: kernel}, {Start: negZero, End: 1, Kind: kernel}},
+		"-0 then -0": {{Start: -1, End: negZero, Kind: kernel}, {Start: negZero, End: 1, Kind: kernel}},
+		// A first segment has no boundary before it, whatever the zero value of the cache says.
+		"first starts at 0":  {{Start: 0, End: 0, Kind: "idle"}, {Start: 0, End: 0, Kind: "idle"}},
+		"first starts at -0": {{Start: negZero, End: 2, Kind: kernel}},
+		// Neighbours that do not tile: a gap, an overlap, the next float up.
+		"gap":        {{Start: 0, End: 1, Kind: kernel}, {Start: 1.5, End: 2, Kind: kernel}, {Start: 2, End: 3, Kind: kernel}},
+		"overlap":    {{Start: 0, End: 2, Kind: kernel}, {Start: 1, End: 3, Kind: kernel}},
+		"one ulp up": {{Start: 0, End: 1, Kind: kernel}, {Start: math.Nextafter(1, 2), End: 2, Kind: kernel}},
+		"backwards":  {{Start: 3, End: 2, Kind: kernel}, {Start: 2, End: 1, Kind: kernel}, {Start: 1, End: 3, Kind: kernel}},
+		// Exponent forms, whose e-07 is rewritten to e-7 in place: the reused digits are the rewritten ones.
+		"e-7 boundary":    {{Start: 0, End: 1.5e-7, Kind: kernel}, {Start: 1.5e-7, End: 3e-7, Kind: kernel}, {Start: 3e-7, End: 1e-6, Kind: "idle"}, {Start: 1e-6, End: 1, Kind: kernel}},
+		"e-10 boundary":   {{Start: 0, End: 3e-10, Kind: kernel}, {Start: 3e-10, End: 1e-100, Kind: kernel}, {Start: 1e-100, End: 5e-324, Kind: kernel}, {Start: 5e-324, End: 1, Kind: kernel}},
+		"e+21 boundary":   {{Start: 0, End: 1e21, Kind: kernel}, {Start: 1e21, End: 1.5e300, Kind: kernel}, {Start: 1.5e300, End: math.MaxFloat64, Kind: kernel}},
+		"long then short": {{Start: 0, End: 123456.78901234567, Kind: kernel}, {Start: 123456.78901234567, End: 2e5, Kind: kernel}, {Start: 2e5, End: 3e5, Kind: kernel}},
+		// Kinds: an unregistered one by its number, and names that need each sort of escape.
+		"unknown kind": {{Start: 0, End: 1, Kind: unknown, Device: 3, Tensor: 9}, {Start: 1, End: 2, Kind: unknown, Device: -1}},
+		"escaped kinds": {
+			{Start: 0, End: 1, Kind: `say "hi"`}, {Start: 1, End: 2, Kind: `back\slash`}, {Start: 2, End: 3, Kind: "a<b>&c"},
+			{Start: 3, End: 4, Kind: "tab\there"}, {Start: 4, End: 5, Kind: "nul\x00"}, {Start: 5, End: 6, Kind: "del\x7f"},
+			{Start: 6, End: 7, Kind: "snow☃"}, {Start: 7, End: 8, Kind: "line\u2028sep"}, {Start: 8, End: 9, Kind: "bad\xffutf8"}, {Start: 9, End: 10, Kind: ""},
+		},
+	} {
+		check(name, segs)
 	}
 }
 

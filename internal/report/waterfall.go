@@ -34,7 +34,9 @@ func (r StageRow) Window() float64 { return r.End - r.Start }
 // StageWaterfall builds the per-stage utilization waterfall: one row per
 // "stage" span carrying simulated-window attributes, with events clipped
 // to each stage's window. Rows are sorted by stage index. Spans without
-// the sim attributes (older artifacts) are skipped.
+// the sim attributes (older artifacts) are skipped. The events are read
+// once: each adds its clipped length to every window it overlaps, so a row
+// sums its events in the order of the trace.
 func StageWaterfall(spans []obs.Span, events []gpusim.Event, devices int) []StageRow {
 	var rows []StageRow
 	for _, sp := range spans {
@@ -48,19 +50,23 @@ func StageWaterfall(spans []obs.Span, events []gpusim.Event, devices int) []Stag
 		}
 		idx, _ := strconv.Atoi(sp.Attrs["index"])
 		pairs, _ := strconv.Atoi(sp.Attrs["pairs"])
-		row := StageRow{Index: idx, Pairs: pairs, Start: start, End: end}
-		for _, e := range events {
-			if e.Kind == gpusim.EventFault {
-				continue
-			}
+		rows = append(rows, StageRow{Index: idx, Pairs: pairs, Start: start, End: end})
+	}
+	for i := range events {
+		e := &events[i]
+		if e.Kind == gpusim.EventFault {
+			continue
+		}
+		for j := range rows {
+			row := &rows[j]
 			// Clip the event to the stage window; recovery re-runs can make
 			// an event span a boundary.
 			s, t := e.Start, e.End
-			if s < start {
-				s = start
+			if s < row.Start {
+				s = row.Start
 			}
-			if t > end {
-				t = end
+			if t > row.End {
+				t = row.End
 			}
 			if t <= s {
 				continue
@@ -76,10 +82,12 @@ func StageWaterfall(spans []obs.Span, events []gpusim.Event, devices int) []Stag
 			}
 			row.BusySeconds += d
 		}
+	}
+	for j := range rows {
+		row := &rows[j]
 		if w := row.Window(); w > 0 && devices > 0 {
 			row.Utilization = row.BusySeconds / (w * float64(devices))
 		}
-		rows = append(rows, row)
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Index != rows[j].Index {
