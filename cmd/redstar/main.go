@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"micco"
+	"micco/internal/obsfile"
 )
 
 func main() {
@@ -121,20 +122,9 @@ func run(ctx context.Context, function string, gpus int, numeric bool, seed int6
 			return err
 		}
 		if traceOut != "" && ci == 0 {
-			events := cluster.StopTrace()
-			f, err := os.Create(traceOut)
-			if err != nil {
+			if err := obsfile.WriteTrace(traceOut, os.Stderr, cluster.StopTrace(), nil); err != nil {
 				return err
 			}
-			if err := micco.WriteChromeTrace(f, events); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "trace of %s (%d events) written to %s\n",
-				c.Name, len(events), traceOut)
 		}
 		fmt.Printf("%-10s %7d %7d %8d %8.1fG %10.0f %10.0f %7.2fx   (wall %v)\n",
 			c.Name, b.NumGraphs, b.Blocks, len(b.Plan.Ops),

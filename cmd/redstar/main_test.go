@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -69,11 +70,29 @@ func TestRunWithTraceOutput(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	trace := filepath.Join(t.TempDir(), "trace.json")
-	err := silence(t, func() error {
-		return run(context.Background(), "al_rhopi", 4, false, 7, tinyModel(t), trace, "", "groute")
-	})
+	// The trace goes through obsfile like every other CLI's, which reports
+	// what it wrote on stderr.
+	logPath := filepath.Join(t.TempDir(), "stderr")
+	logFile, err := os.Create(logPath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	oldStderr := os.Stderr
+	os.Stderr = logFile
+	err = silence(t, func() error {
+		return run(context.Background(), "al_rhopi", 4, false, 7, tinyModel(t), trace, "", "groute")
+	})
+	os.Stderr = oldStderr
+	logFile.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "events) written to " + trace; !strings.Contains(string(logged), want) {
+		t.Errorf("stderr %q does not report %q", logged, want)
 	}
 	raw, err := os.ReadFile(trace)
 	if err != nil {

@@ -8,11 +8,13 @@ package autotune
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"micco/internal/core"
 	"micco/internal/gpusim"
@@ -91,14 +93,6 @@ type CorpusConfig struct {
 	// are collected by index, making the corpus bit-for-bit identical at
 	// any setting. 0 selects runtime.GOMAXPROCS(0); 1 labels serially.
 	Parallelism int
-}
-
-// poolSize resolves Parallelism to the effective worker count.
-func (c CorpusConfig) poolSize() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (c *CorpusConfig) fillDefaults() {
@@ -187,44 +181,15 @@ func BuildCorpusDetailed(ctx context.Context, cfg CorpusConfig) (*mlearn.Dataset
 		}
 	}
 	samples := make([]CorpusSample, cfg.Samples)
-	errs := make([]error, cfg.Samples)
-	poolCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	indices := make(chan int, cfg.Samples)
-	for i := 0; i < cfg.Samples; i++ {
-		indices <- i
-	}
-	close(indices)
-	pool := cfg.poolSize()
-	if pool > cfg.Samples {
-		pool = cfg.Samples
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < pool; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				if poolCtx.Err() != nil {
-					return
-				}
-				s, err := labelSample(poolCtx, cfg, draws[i])
-				if err != nil {
-					errs[i] = fmt.Errorf("autotune: sample %d: %w", i, err)
-					cancel()
-					return
-				}
-				samples[i] = s
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := ForEachPoint(ctx, cfg.Parallelism, cfg.Samples, func(ctx context.Context, i int) error {
+		s, err := labelSample(ctx, cfg, draws[i])
 		if err != nil {
-			return nil, nil, err
+			return fmt.Errorf("autotune: sample %d: %w", i, err)
 		}
-	}
-	if err := ctx.Err(); err != nil {
+		samples[i] = s
+		return nil
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 	ds := &mlearn.Dataset{}
@@ -249,20 +214,26 @@ func labelSample(ctx context.Context, cfg CorpusConfig, d corpusDraw) (CorpusSam
 		if err != nil {
 			return CorpusSample{}, err
 		}
-		gflops, err := sweepFixed(ctx, w, cfg.NumGPU, cfg.MemoryBytes, cands)
+		ccfg := gpusim.MI100(cfg.NumGPU)
+		ccfg.MemoryBytes = poolFloor(w, cfg.MemoryBytes)
+		cluster, err := gpusim.NewCluster(ccfg)
 		if err != nil {
 			return CorpusSample{}, err
+		}
+		res, err := SweepBounds(ctx, w, cluster, cands, sched.Options{})
+		if err != nil {
+			return CorpusSample{}, err
+		}
+		gflops := make([]float64, len(res))
+		for i, r := range res {
+			gflops[i] = r.GFLOPS
+			best = math.Max(best, r.GFLOPS)
 		}
 		soft := SoftLabel(cands, gflops, LabelTemperature)
 		for j := range label {
 			label[j] += soft[j] / float64(cfg.Replicas)
 		}
 		rate += w.MeasuredRepeatRate() / float64(cfg.Replicas)
-		for _, g := range gflops {
-			if g > best {
-				best = g
-			}
-		}
 	}
 	f := workload.Features{
 		VectorSize: float64(wcfg.VectorSize),
@@ -270,72 +241,91 @@ func labelSample(ctx context.Context, cfg CorpusConfig, d corpusDraw) (CorpusSam
 		DistBias:   boolToFloat(wcfg.Dist.Biased()),
 		RepeatRate: rate,
 	}
-	slack := float64(MaxSlack(2*wcfg.VectorSize, cfg.NumGPU))
 	sample := CorpusSample{Features: f, Bounds: label, BestGFLOPS: best}
-	for j := range label {
-		sample.BoundFracs[j] = label[j] / slack
+	// A one-device node has no slack to spend: its fractions stay zero, as
+	// PredictBounds assumes when it rescales by a zero slack.
+	if slack := float64(MaxSlack(2*wcfg.VectorSize, cfg.NumGPU)); slack > 0 {
+		for j := range label {
+			sample.BoundFracs[j] = label[j] / slack
+		}
 	}
 	return sample, nil
 }
 
-// SweepBounds measures the thirteen Fig. 8 candidate settings on workload w
-// over a pressure-sized cluster and returns the argmax setting with the
-// per-setting GFLOPS (indexed as CandidateBounds).
-func SweepBounds(ctx context.Context, w *workload.Workload, numGPU int, pressure float64) (core.Bounds, []float64, error) {
-	gflops, err := sweep(ctx, w, numGPU, pressure, CandidateBounds)
-	if err != nil {
-		return core.Bounds{}, nil, err
-	}
-	best, bestGF := core.Bounds{}, -1.0
-	for i, gf := range gflops {
-		if gf > bestGF {
-			best, bestGF = CandidateBounds[i], gf
-		}
-	}
-	return best, gflops, nil
-}
-
-// sweep measures each candidate setting's throughput on one shared
-// pressure-sized cluster.
-func sweep(ctx context.Context, w *workload.Workload, numGPU int, pressure float64, cands []core.Bounds) ([]float64, error) {
-	cluster, err := PressuredCluster(w, numGPU, pressure)
-	if err != nil {
-		return nil, err
-	}
-	return sweepOn(ctx, w, cluster, cands)
-}
-
-// sweepFixed is sweep on a cluster with a fixed per-device pool, floored so
-// a single contraction always fits.
-func sweepFixed(ctx context.Context, w *workload.Workload, numGPU int, memory int64, cands []core.Bounds) ([]float64, error) {
-	cfg := gpusim.MI100(numGPU)
-	cfg.MemoryBytes = memory
-	var maxTensor int64
-	for _, d := range w.Inputs {
-		if d.Bytes() > maxTensor {
-			maxTensor = d.Bytes()
-		}
-	}
-	if min := 3 * maxTensor; cfg.MemoryBytes < min {
-		cfg.MemoryBytes = min
-	}
-	cluster, err := gpusim.NewCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sweepOn(ctx, w, cluster, cands)
-}
-
-func sweepOn(ctx context.Context, w *workload.Workload, cluster *gpusim.Cluster, cands []core.Bounds) ([]float64, error) {
-	gflops := make([]float64, len(cands))
+// SweepBounds runs workload w under each fixed reuse-bound setting of cands
+// in turn on cluster c (sched.Run resets it before every run) and returns
+// one result per setting, in order. It is the one bound sweep: corpus
+// labeling, the Fig. 8 study and the tests all measure through it.
+func SweepBounds(ctx context.Context, w *workload.Workload, c *gpusim.Cluster, cands []core.Bounds, opts sched.Options) ([]*sched.Result, error) {
+	out := make([]*sched.Result, len(cands))
 	for i, b := range cands {
-		res, err := sched.Run(ctx, w, core.NewFixed(b), cluster, sched.Options{})
+		res, err := sched.Run(ctx, w, core.NewFixed(b), c, opts)
 		if err != nil {
 			return nil, err
 		}
-		gflops[i] = res.GFLOPS
+		out[i] = res
 	}
-	return gflops, nil
+	return out, nil
+}
+
+// poolFloor raises a per-device pool of bytes, if need be, to the smallest
+// one that holds a single contraction of w: two inputs plus one output of
+// its largest tensor.
+func poolFloor(w *workload.Workload, bytes int64) int64 {
+	for _, d := range w.Inputs {
+		bytes = max(bytes, 3*d.Bytes())
+	}
+	return bytes
+}
+
+// ForEachPoint runs fn(ctx, i) for every index of an n-point sweep on a pool
+// of parallelism workers (0 selects runtime.GOMAXPROCS(0), 1 runs the
+// points one at a time in order). It is the one worker pool: the corpus
+// builder labels its samples on it and the experiment harness measures its
+// sweep points on it. Each fn must be independent of the others (own
+// cluster, own scheduler) and write to index-addressed slots, so results
+// are identical at any parallelism. The first error stops the remaining
+// points and the lowest-index error is returned — except that a point
+// which merely observed the pool's cancellation never outranks the error
+// that caused it. Cancellation of ctx itself surfaces as ctx.Err().
+func ForEachPoint(ctx context.Context, parallelism, n int, fn func(ctx context.Context, i int) error) error {
+	if parallelism <= 0 {
+		parallelism = runtime.GOMAXPROCS(0)
+	}
+	poolCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for p := 0; p < min(parallelism, n); p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for poolCtx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if errs[i] = fn(poolCtx, i); errs[i] != nil {
+					cancel()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var cancelled error // lowest-index point that stopped on a cancellation
+	for _, err := range errs {
+		if err != nil && !errors.Is(err, context.Canceled) {
+			return err
+		}
+		if cancelled == nil {
+			cancelled = err
+		}
+	}
+	if cancelled != nil {
+		return cancelled // no point failed: the one that stopped says where
+	}
+	return ctx.Err()
 }
 
 // MaxSlack is the largest meaningful reuse bound for a stage of numTensor
@@ -351,10 +341,6 @@ func MaxSlack(numTensor, numGPU int) int {
 	}
 	return s
 }
-
-// LabelTolerance is the relative throughput slack within which a smaller
-// bound setting is preferred by RobustBest.
-const LabelTolerance = 0.01
 
 // LabelTemperature is the relative throughput scale of SoftLabel's
 // weighting: settings within about this fraction of the best throughput
@@ -398,51 +384,6 @@ func SoftLabel(cands []core.Bounds, gflops []float64, temp float64) [3]float64 {
 	return label
 }
 
-// RobustBest picks the corpus label from candidate settings cands with
-// measured throughputs gflops (parallel slices): the setting with the
-// smallest bound mass (then lexicographically smallest) whose throughput is
-// within tol of the maximum. Raw argmax labels are noisy when many settings
-// tie near the top; preferring minimal bounds under a tolerance makes the
-// feature-to-label mapping learnable, which is what the regression model
-// needs.
-func RobustBest(cands []core.Bounds, gflops []float64, tol float64) core.Bounds {
-	max := 0.0
-	for _, g := range gflops {
-		if g > max {
-			max = g
-		}
-	}
-	best := core.Bounds{}
-	bestOK := false
-	for i, g := range gflops {
-		if i >= len(cands) {
-			break
-		}
-		if g < max*(1-tol) {
-			continue
-		}
-		b := cands[i]
-		if !bestOK || lessBounds(b, best) {
-			best, bestOK = b, true
-		}
-	}
-	return best
-}
-
-// lessBounds orders bound settings by total mass, then lexicographically.
-func lessBounds(a, b core.Bounds) bool {
-	sa, sb := a[0]+a[1]+a[2], b[0]+b[1]+b[2]
-	if sa != sb {
-		return sa < sb
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
 // PressuredCluster builds an MI100 cluster whose per-device pools are sized
 // so that workload w's working set is pressure times aggregate memory
 // (pressure > 1 forces oversubscription). pressure <= 0 keeps the stock
@@ -454,18 +395,7 @@ func PressuredCluster(w *workload.Workload, numGPU int, pressure float64) (*gpus
 		if per < 1 {
 			per = 1
 		}
-		cfg.MemoryBytes = int64(math.Ceil(per))
-		// Never make the pool too small for a single contraction's
-		// working set (two inputs plus one output).
-		var maxTensor int64
-		for _, d := range w.Inputs {
-			if d.Bytes() > maxTensor {
-				maxTensor = d.Bytes()
-			}
-		}
-		if min := 3 * maxTensor; cfg.MemoryBytes < min {
-			cfg.MemoryBytes = min
-		}
+		cfg.MemoryBytes = poolFloor(w, int64(math.Ceil(per)))
 	}
 	return gpusim.NewCluster(cfg)
 }

@@ -86,25 +86,58 @@ func TestSweepBoundsFindsArgmax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, gflops, err := SweepBounds(context.Background(), w, 4, 0.85)
+	c, err := PressuredCluster(w, 4, 0.85)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gflops) != len(CandidateBounds) {
-		t.Fatalf("gflops entries = %d", len(gflops))
+	res, err := SweepBounds(context.Background(), w, c, CandidateBounds, sched.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	bestGF := -1.0
-	var want core.Bounds
-	for i, gf := range gflops {
-		if gf <= 0 {
-			t.Errorf("candidate %v yielded %v GFLOPS", CandidateBounds[i], gf)
+	if len(res) != len(CandidateBounds) {
+		t.Fatalf("results = %d, want one per candidate", len(res))
+	}
+	best := 0
+	for i, r := range res {
+		if r.GFLOPS <= 0 {
+			t.Errorf("candidate %v yielded %v GFLOPS", CandidateBounds[i], r.GFLOPS)
 		}
-		if gf > bestGF {
-			bestGF, want = gf, CandidateBounds[i]
+		if want := core.NewFixed(CandidateBounds[i]).Name(); r.Scheduler != want {
+			t.Errorf("result %d ran %q, want %q", i, r.Scheduler, want)
+		}
+		if r.GFLOPS > res[best].GFLOPS {
+			best = i
 		}
 	}
-	if best != want {
-		t.Errorf("SweepBounds best = %v, want argmax %v", best, want)
+	// The sweep shares one cluster across settings; the argmax setting run
+	// alone on a fresh cluster must reproduce its swept throughput.
+	fresh, err := PressuredCluster(w, 4, 0.85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := SweepBounds(context.Background(), w, fresh, CandidateBounds[best:best+1], sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone[0].GFLOPS != res[best].GFLOPS {
+		t.Errorf("argmax %v: %v GFLOPS alone, %v in the sweep", CandidateBounds[best], alone[0].GFLOPS, res[best].GFLOPS)
+	}
+}
+
+// TestOneGPUCorpusHasFiniteTargets: a one-device node has zero slack, which
+// used to divide every soft label into +Inf (miccotrain -gpus 1 trained on
+// garbage); zero slack means zero fractions.
+func TestOneGPUCorpusHasFiniteTargets(t *testing.T) {
+	ds, err := BuildCorpus(context.Background(), CorpusConfig{Samples: 3, Seed: 1, NumGPU: 1, Stages: 2, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, y := range ds.Y {
+		for j, v := range y {
+			if v != 0 {
+				t.Errorf("Y[%d][%d] = %v, want 0 on a node with no slack", i, j, v)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"micco/internal/sched"
 	"micco/internal/tensor"
 	"micco/internal/workload"
 )
@@ -68,7 +69,11 @@ func TestSweepBoundsCancelled(t *testing.T) {
 	w := tinyWorkload(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := SweepBounds(ctx, w, 2, 0.9); !errors.Is(err, context.Canceled) {
+	c, err := PressuredCluster(w, 2, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SweepBounds(ctx, w, c, CandidateBounds, sched.Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

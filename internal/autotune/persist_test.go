@@ -3,9 +3,11 @@ package autotune
 import (
 	"bytes"
 	"context"
+	"os"
 	"strings"
 	"testing"
 
+	"micco/internal/mlearn"
 	"micco/internal/workload"
 )
 
@@ -38,6 +40,59 @@ func TestPredictorSaveLoadRoundTrip(t *testing.T) {
 	for _, f := range probes {
 		if p.PredictBounds(f) != back.PredictBounds(f) {
 			t.Errorf("predictions differ after round-trip at %+v", f)
+		}
+	}
+}
+
+// TestPredictorFormatV1Pinned holds micco-predictor-v1 to the bytes the
+// format had while tree nodes were still copied into a mirror struct on
+// every save and load: testdata/predictor_v1.json was saved by that code
+// from this fixed predictor (two forests, one boosted ensemble, small
+// enough to read), so it must never be regenerated. Saving today must
+// reproduce it byte for byte, and loading it must predict as the in-memory
+// model does.
+func TestPredictorFormatV1Pinned(t *testing.T) {
+	ds := &mlearn.Dataset{}
+	for i := 0; i < 12; i++ {
+		x := float64(i)
+		ds.Add([]float64{x, float64(i % 3), x * x / 10, 0.25 * float64(i%4)},
+			[]float64{0.1 * x, float64(i%3) / 4, 1 / (1 + x)})
+	}
+	kinds := 0
+	m := mlearn.NewMulti(func() mlearn.Regressor {
+		if kinds++; kinds == 3 {
+			return mlearn.NewBoosting(mlearn.BoostingConfig{Stages: 3, LearningRate: 0.1, Seed: 5})
+		}
+		return mlearn.NewForest(mlearn.ForestConfig{NumTrees: 2, MinLeaf: 2, Seed: 5})
+	})
+	if err := m.Fit(ds); err != nil {
+		t.Fatal(err)
+	}
+	p := &Predictor{Kind: ForestModel, model: m, NumGPU: 4, TestR2: 0.75}
+	var saved bytes.Buffer
+	if err := p.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/predictor_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), want) {
+		t.Errorf("Save no longer writes the v1 bytes:\n-- got --\n%s-- want --\n%s", saved.Bytes(), want)
+	}
+	back, err := LoadPredictor(bytes.NewReader(want))
+	if err != nil {
+		t.Fatalf("v1 file no longer loads: %v", err)
+	}
+	if back.Kind != p.Kind || back.NumGPU != p.NumGPU || back.TestR2 != p.TestR2 {
+		t.Errorf("metadata changed: %+v vs %+v", back, p)
+	}
+	for _, x := range ds.X {
+		got, want := back.model.Predict(x), p.model.Predict(x)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Errorf("loaded model predicts %v at %v, want %v", got, x, want)
+			}
 		}
 	}
 }

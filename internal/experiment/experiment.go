@@ -6,7 +6,11 @@
 // comparison (Table IV), the scheduling-overhead measurement (Table V),
 // and the real-correlator case study (Table VI).
 //
-// Each driver emits a Table whose rows mirror the series the paper plots.
+// Fig. 7-11, Tables V-VI and Ext share one shape — a grid of workloads x a
+// roster of schedulers — so each is a sweep value (points, roster, row
+// formatter; see sweep.go) handed to the one driver, Harness.measure; the
+// corpus analyses (Fig. 5, Table IV) read the training corpus directly.
+// Each emits a Table whose rows mirror the series the paper plots.
 // Absolute GFLOPS differ from the authors' MI100 testbed (the substrate
 // here is a simulator); the comparisons the paper draws — who wins, by
 // what factor, in which direction each knob moves — are the reproduction
@@ -17,17 +21,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
 	"micco/internal/autotune"
-	"micco/internal/core"
-	"micco/internal/gpusim"
 	"micco/internal/mlearn"
 	"micco/internal/obs"
-	"micco/internal/sched"
 	"micco/internal/stats"
 	"micco/internal/tensor"
 	"micco/internal/workload"
@@ -77,14 +76,6 @@ type Options struct {
 	// it profiles the whole invocation, not one run. Rendered tables are
 	// unaffected (observability never changes scheduling).
 	Obs *obs.Registry
-}
-
-// poolSize resolves Parallelism to the effective worker count.
-func (o Options) poolSize() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (o *Options) fill() {
@@ -140,7 +131,7 @@ func (h *Harness) Corpus(ctx context.Context) (*mlearn.Dataset, error) {
 		return h.corpus, nil
 	}
 	cfg := h.corpusConfig()
-	cfg.Parallelism = h.opts.poolSize()
+	cfg.Parallelism = h.opts.Parallelism
 	ds, samples, err := autotune.BuildCorpusDetailed(ctx, cfg)
 	if err != nil {
 		return nil, err
@@ -164,28 +155,21 @@ func (h *Harness) CorpusSamples(ctx context.Context) ([]autotune.CorpusSample, e
 // Predictor lazily trains the Random Forest reuse-bound predictor
 // (MICCO-optimal's model).
 func (h *Harness) Predictor(ctx context.Context) (*autotune.Predictor, error) {
-	h.mu.Lock()
-	if h.predictor != nil {
-		defer h.mu.Unlock()
-		return h.predictor, nil
-	}
-	h.mu.Unlock()
 	corpus, err := h.Corpus(ctx)
 	if err != nil {
 		return nil, err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.predictor != nil {
-		return h.predictor, nil
+	if h.predictor == nil {
+		p, err := autotune.Train(corpus, autotune.ForestModel, 0.2, h.opts.Seed)
+		if err != nil {
+			return nil, err
+		}
+		p.NumGPU = h.opts.NumGPU
+		h.predictor = p
 	}
-	p, err := autotune.Train(corpus, autotune.ForestModel, 0.2, h.opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	p.NumGPU = h.opts.NumGPU
-	h.predictor = p
-	return p, nil
+	return h.predictor, nil
 }
 
 // synthConfig builds a synthetic workload configuration on the paper's
@@ -207,99 +191,28 @@ func (h *Harness) synthConfig(vectorSize, tensorDim int, rate float64, dist work
 	}
 }
 
-// fitCluster builds an n-GPU cluster whose per-device pools hold the whole
-// working set of w with FitHeadroom slack, as on the paper's testbed.
-func fitCluster(w *workload.Workload, n int) (*gpusim.Cluster, error) {
-	cfg := gpusim.MI100(n)
-	cfg.MemoryBytes = int64(FitHeadroom * float64(w.TotalUniqueBytes()))
-	return gpusim.NewCluster(cfg)
+// experiments lists every runnable experiment: the paper's, in paper
+// order, then "ext".
+var experiments = []struct {
+	id  string
+	run func(*Harness, context.Context) (*Table, error)
+}{
+	{"fig5", (*Harness).Fig5}, {"tab4", (*Harness).Tab4}, {"fig7", (*Harness).Fig7},
+	{"tab5", (*Harness).Tab5}, {"fig8", (*Harness).Fig8}, {"fig9", (*Harness).Fig9},
+	{"fig10", (*Harness).Fig10}, {"fig11", (*Harness).Fig11}, {"tab6", (*Harness).Tab6},
+	{"ext", (*Harness).Ext},
 }
 
-// smallCluster builds an n-GPU cluster with the corpus-sized pools, used
-// where the run must match the regression model's training regime.
-func smallCluster(n int) (*gpusim.Cluster, error) {
-	cfg := gpusim.MI100(n)
-	cfg.MemoryBytes = CorpusMemory
-	return gpusim.NewCluster(cfg)
-}
-
-// runOn executes workload w under scheduler s on cluster c with the
-// harness's observability registry (if any) attached.
-func (h *Harness) runOn(ctx context.Context, w *workload.Workload, s sched.Scheduler, c *gpusim.Cluster) (*sched.Result, error) {
-	return sched.Run(ctx, w, s, c, sched.Options{Obs: h.opts.Obs})
-}
-
-// micco returns a fresh MICCO-optimal scheduler bound to the harness's
-// trained predictor. Fresh per call: core schedulers carry per-run
-// tie-break state, so concurrent sweep points must not share one.
-func (h *Harness) micco(ctx context.Context) (*core.Scheduler, error) {
-	p, err := h.Predictor(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewOptimal(p), nil
-}
-
-// forEachPoint runs fn(i) for every index of an n-point sweep on a pool of
-// parallelism workers. Each fn must be independent of the others (own
-// cluster, own scheduler) and write its results to index-addressed slots;
-// the caller then assembles rows in point order, making output identical
-// at any parallelism. The first error in point order wins, cancelling the
-// remaining points; ctx cancellation surfaces as ctx.Err().
-func forEachPoint(ctx context.Context, parallelism, n int, fn func(ctx context.Context, i int) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if parallelism > n {
-		parallelism = n
-	}
-	if parallelism <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	poolCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	queue := make(chan int, n)
-	for i := 0; i < n; i++ {
-		queue <- i
-	}
-	close(queue)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range queue {
-				if poolCtx.Err() != nil {
-					return
-				}
-				if err := fn(poolCtx, i); err != nil {
-					errs[i] = err
-					cancel()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
-}
-
-// IDs lists the runnable experiment identifiers in paper order.
+// IDs lists the paper's experiment identifiers in paper order ("ext", the
+// extensions beyond the paper, runs by name only).
 func IDs() []string {
-	return []string{"fig5", "tab4", "fig7", "tab5", "fig8", "fig9", "fig10", "fig11", "tab6"}
+	var ids []string
+	for _, e := range experiments {
+		if e.id != "ext" {
+			ids = append(ids, e.id)
+		}
+	}
+	return ids
 }
 
 // RunExperiment dispatches one experiment by ID. ctx cancels the run
@@ -308,30 +221,12 @@ func (h *Harness) RunExperiment(ctx context.Context, id string) (*Table, error) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	switch strings.ToLower(id) {
-	case "fig5":
-		return h.Fig5(ctx)
-	case "tab4":
-		return h.Tab4(ctx)
-	case "fig7":
-		return h.Fig7(ctx)
-	case "tab5":
-		return h.Tab5(ctx)
-	case "fig8":
-		return h.Fig8(ctx)
-	case "fig9":
-		return h.Fig9(ctx)
-	case "fig10":
-		return h.Fig10(ctx)
-	case "fig11":
-		return h.Fig11(ctx)
-	case "tab6":
-		return h.Tab6(ctx)
-	case "ext":
-		return h.Ext(ctx)
-	default:
-		return nil, fmt.Errorf("experiment: unknown id %q (have %v plus \"ext\")", id, IDs())
+	for _, e := range experiments {
+		if e.id == strings.ToLower(id) {
+			return e.run(h, ctx)
+		}
 	}
+	return nil, fmt.Errorf("experiment: unknown id %q (have %v plus \"ext\")", id, IDs())
 }
 
 // RunAll runs every experiment in paper order.
@@ -361,9 +256,6 @@ func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
 // Render writes an aligned text table.
 func (t *Table) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title); err != nil {
-		return err
-	}
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)
@@ -386,56 +278,38 @@ func (t *Table) Render(w io.Writer) error {
 		}
 		return strings.TrimRight(strings.Join(parts, "  "), " ")
 	}
-	if _, err := fmt.Fprintln(w, line(t.Columns)); err != nil {
-		return err
-	}
 	total := len(widths) - 1
 	for _, wd := range widths {
 		total += wd + 1
 	}
-	if _, err := fmt.Fprintln(w, strings.Repeat("-", total)); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s: %s ==\n%s\n%s\n", t.ID, t.Title, line(t.Columns), strings.Repeat("-", total))
 	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, line(row)); err != nil {
-			return err
-		}
+		fmt.Fprintln(&b, line(row))
 	}
 	for _, n := range t.Notes {
-		if _, err := fmt.Fprintf(w, "note: %s\n", n); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "note: %s\n", n)
 	}
-	_, err := fmt.Fprintln(w)
+	_, err := fmt.Fprintln(w, b.String())
 	return err
 }
 
 // CSV writes the table as comma-separated values (quotes around cells
 // containing commas).
 func (t *Table) CSV(w io.Writer) error {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	write := func(cells []string) error {
+	var b strings.Builder
+	for _, cells := range append([][]string{t.Columns}, t.Rows...) {
 		out := make([]string, len(cells))
 		for i, c := range cells {
-			out[i] = esc(c)
+			if strings.ContainsAny(c, ",\"\n") {
+				c = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
+			}
+			out[i] = c
 		}
-		_, err := fmt.Fprintln(w, strings.Join(out, ","))
-		return err
+		fmt.Fprintln(&b, strings.Join(out, ","))
 	}
-	if err := write(t.Columns); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := write(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // geoMean computes the geometric mean of vs, ignoring non-positive values.
@@ -450,14 +324,4 @@ func geoMean(vs []float64) float64 {
 		return 0
 	}
 	return stats.GeoMean(pos)
-}
-
-// sortedKeys returns the sorted keys of an int-keyed map.
-func sortedKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

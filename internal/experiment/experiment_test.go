@@ -289,14 +289,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[int]string{3: "c", 1: "a", 2: "b"}
-	got := sortedKeys(m)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("sortedKeys = %v", got)
-	}
-}
-
 func TestExtExtensionsHelp(t *testing.T) {
 	tab := runQuick(t, "ext")
 	if len(tab.Rows) != 4 {

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 
 	"micco/internal/core"
 	"micco/internal/gpusim"
@@ -11,111 +10,95 @@ import (
 	"micco/internal/workload"
 )
 
+// variant is one side of an Ext comparison: a full run of workload w under
+// its own cluster configuration and engine options.
+type variant func(ctx context.Context, w *workload.Workload) (*sched.Result, error)
+
 // Ext measures the extensions this reproduction adds beyond the paper
 // (its "future work" section and DESIGN.md's ablations): the asynchronous
 // copy engine, peer-to-peer fetching, liveness-based dead-tensor discard,
 // and the hierarchical multi-node scheduler. Each row compares the
-// extension against the corresponding default on the same workload.
+// extension against the corresponding default on the same workload: the
+// points are the rows, the roster is the (default, extension) pair of
+// configurations each row names.
 func (h *Harness) Ext(ctx context.Context) (*Table, error) {
-	w, err := workload.Generate(h.synthConfig(64, 384, 0.5, workload.Uniform, 4000))
-	if err != nil {
-		return nil, err
+	// single runs MICCO at fixed bounds on an eight-GPU node that fits the
+	// workload, after tune (if any) has adjusted the configuration.
+	single := func(tune func(*gpusim.Config, *workload.Workload), opts sched.Options) variant {
+		opts.Obs = h.opts.Obs
+		return func(ctx context.Context, w *workload.Workload) (*sched.Result, error) {
+			cfg := gpusim.MI100(8)
+			cfg.MemoryBytes = fitBytes(w)
+			if tune != nil {
+				tune(&cfg, w)
+			}
+			cluster, err := gpusim.NewCluster(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return sched.Run(ctx, w, core.NewFixed(core.Bounds{0, 2, 0}), cluster, opts)
+		}
+	}
+	// multi runs 4 nodes x 2 GPUs: hierarchical reuse-aware placement, or
+	// the earliest-node baseline under groute.
+	multi := func(groute bool) variant {
+		return func(ctx context.Context, w *workload.Workload) (*sched.Result, error) {
+			cfg := multinode.DefaultConfig(4, 2)
+			cfg.Node.MemoryBytes = fitBytes(w)
+			cfg.GrouteNodes = groute
+			mc, err := multinode.NewCluster(cfg)
+			if err != nil {
+				return nil, err
+			}
+			r, err := multinode.Run(ctx, w, mc)
+			if err != nil {
+				return nil, err
+			}
+			return &sched.Result{GFLOPS: r.GFLOPS}, nil
+		}
+	}
+	base := single(nil, sched.Options{})
+	async := func(c *gpusim.Config, _ *workload.Workload) { c.AsyncCopy = true }
+	peer := func(c *gpusim.Config, _ *workload.Workload) { c.PeerFetch = true }
+	// Dead-tensor discard only matters under memory pressure.
+	tight := func(c *gpusim.Config, w *workload.Workload) { c.MemoryBytes = w.TotalUniqueBytes() / 8 }
+	common := h.synthConfig(64, 384, 0.5, workload.Uniform, 4000)
+	// The node dimension only matters when kernels are heavy enough that
+	// one node cannot absorb the whole stream, so the multi-node row uses
+	// a compute-heavy, reuse-rich variant (dim 768, 70% repeated).
+	heavy := h.synthConfig(32, 768, 0.7, workload.Uniform, 4100)
+	rows := []struct {
+		name string
+		cfg  workload.Config
+		pair [2]variant
+	}{
+		{"async copy engine", common, [2]variant{base, single(async, sched.Options{})}},
+		{"peer-to-peer fetch", common, [2]variant{base, single(peer, sched.Options{})}},
+		{"dead-tensor discard (oversubscribed)", common,
+			[2]variant{single(tight, sched.Options{}), single(tight, sched.Options{DiscardDeadInputs: true})}},
+		{"multi-node hierarchical scheduling (dim 768, r=70%)", heavy, [2]variant{multi(true), multi(false)}},
+	}
+	side := func(name string, j int) contender {
+		return contender{[]string{name}, func(ctx context.Context, i int, w *workload.Workload, _ *gpusim.Cluster) ([]*sched.Result, error) {
+			r, err := rows[i].pair[j](ctx, w)
+			return []*sched.Result{r}, err
+		}}
+	}
+	s := sweep{roster: []contender{side("baseline GF", 0), side("extended GF", 1)}, row: speedupRow}
+	for _, row := range rows {
+		s.points = append(s.points, point{
+			label: []string{row.name},
+			work:  func() (*workload.Workload, error) { return workload.Generate(row.cfg) },
+		})
 	}
 	t := &Table{
 		ID:      "ext",
 		Title:   "Extensions beyond the paper (same workload: vector 64, tensor 384, repeat 50%)",
-		Columns: []string{"extension", "baseline GF", "extended GF", "gain"},
+		Columns: s.columns([]string{"extension"}, "gain"),
 		Notes: []string{
 			"async copy and peer fetch are the paper's stated future work;",
 			"multi-node runs 4 nodes x 2 GPUs behind a 12 GB/s fabric vs earliest-node placement",
 		},
 	}
-	bounds := core.Bounds{0, 2, 0}
-	runWith := func(mut func(*gpusim.Config), opts sched.Options) (float64, error) {
-		cfg := gpusim.MI100(8)
-		cfg.MemoryBytes = int64(FitHeadroom * float64(w.TotalUniqueBytes()))
-		if mut != nil {
-			mut(&cfg)
-		}
-		cluster, err := gpusim.NewCluster(cfg)
-		if err != nil {
-			return 0, err
-		}
-		opts.Obs = h.opts.Obs
-		res, err := sched.Run(ctx, w, core.NewFixed(bounds), cluster, opts)
-		if err != nil {
-			return 0, err
-		}
-		return res.GFLOPS, nil
-	}
-
-	base, err := runWith(nil, sched.Options{})
-	if err != nil {
-		return nil, err
-	}
-	addRow := func(name string, baseline, extended float64) {
-		t.AddRow(name, fmt.Sprintf("%.0f", baseline), fmt.Sprintf("%.0f", extended),
-			fmt.Sprintf("%.2fx", extended/baseline))
-	}
-
-	async, err := runWith(func(c *gpusim.Config) { c.AsyncCopy = true }, sched.Options{})
-	if err != nil {
-		return nil, err
-	}
-	addRow("async copy engine", base, async)
-
-	peer, err := runWith(func(c *gpusim.Config) { c.PeerFetch = true }, sched.Options{})
-	if err != nil {
-		return nil, err
-	}
-	addRow("peer-to-peer fetch", base, peer)
-
-	// Dead-tensor discard only matters under memory pressure.
-	pressured := func(opts sched.Options) (float64, error) {
-		return runWith(func(c *gpusim.Config) {
-			c.MemoryBytes = w.TotalUniqueBytes() / 8
-		}, opts)
-	}
-	keep, err := pressured(sched.Options{})
-	if err != nil {
-		return nil, err
-	}
-	discard, err := pressured(sched.Options{DiscardDeadInputs: true})
-	if err != nil {
-		return nil, err
-	}
-	addRow("dead-tensor discard (oversubscribed)", keep, discard)
-
-	// Multi-node: hierarchical reuse-aware vs earliest-node baseline. The
-	// node dimension only matters when kernels are heavy enough that one
-	// node cannot absorb the whole stream, so this row uses a
-	// compute-heavy, reuse-rich variant (dim 768, 70% repeated).
-	mw, err := workload.Generate(h.synthConfig(32, 768, 0.7, workload.Uniform, 4100))
-	if err != nil {
-		return nil, err
-	}
-	mnRun := func(groute bool) (float64, error) {
-		cfg := multinode.DefaultConfig(4, 2)
-		cfg.Node.MemoryBytes = int64(FitHeadroom * float64(mw.TotalUniqueBytes()))
-		cfg.GrouteNodes = groute
-		mc, err := multinode.NewCluster(cfg)
-		if err != nil {
-			return 0, err
-		}
-		res, err := multinode.Run(ctx, mw, mc)
-		if err != nil {
-			return 0, err
-		}
-		return res.GFLOPS, nil
-	}
-	mnBase, err := mnRun(true)
-	if err != nil {
-		return nil, err
-	}
-	mnMicco, err := mnRun(false)
-	if err != nil {
-		return nil, err
-	}
-	addRow("multi-node hierarchical scheduling (dim 768, r=70%)", mnBase, mnMicco)
-	return t, nil
+	return h.measure(ctx, t, s)
 }

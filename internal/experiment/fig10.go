@@ -4,77 +4,36 @@ import (
 	"context"
 	"fmt"
 
-	"micco/internal/baseline"
 	"micco/internal/workload"
 )
 
 // Fig10 reproduces the tensor-size study (paper Fig. 10): Groute versus
 // MICCO-optimal at tensor sizes 128-768, with vector size 64 and 50%
-// repeated rate on eight GPUs. The (distribution, size) points fan across
-// the harness pool.
+// repeated rate on eight GPUs.
 func (h *Harness) Fig10(ctx context.Context) (*Table, error) {
 	dims := []int{128, 256, 384, 768}
 	if h.opts.Quick {
 		dims = []int{128, 768}
 	}
-	if _, err := h.Predictor(ctx); err != nil {
+	p, err := h.Predictor(ctx)
+	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		ID:      "fig10",
-		Title:   "Impact of tensor size (GFLOPS); vector 64, repeated rate 50%, 8 GPUs",
-		Columns: []string{"distribution", "tensor size", "Groute", "MICCO-optimal", "speedup"},
-		Notes: []string{
-			"paper shape: MICCO wins at every size, 1.35x to 1.92x; throughput grows with tensor size",
-		},
-	}
-	type point struct {
-		dist workload.Distribution
-		dim  int
-		seed int64
-	}
-	var points []point
+	s := sweep{roster: []contender{h.groute(), h.optimal(p)}, row: speedupRow}
 	seed := int64(1000)
 	for _, dist := range []workload.Distribution{workload.Uniform, workload.Gaussian} {
 		for _, dim := range dims {
 			seed++
-			points = append(points, point{dist, dim, seed})
+			s.points = append(s.points, fitPoint(h.synthConfig(64, dim, 0.5, dist, seed), 8, dist.String(), fmt.Sprintf("%d", dim)))
 		}
 	}
-	rows := make([][]string, len(points))
-	err := forEachPoint(ctx, h.opts.poolSize(), len(points), func(ctx context.Context, i int) error {
-		pt := points[i]
-		w, err := workload.Generate(h.synthConfig(64, pt.dim, 0.5, pt.dist, pt.seed))
-		if err != nil {
-			return err
-		}
-		cluster, err := fitCluster(w, 8)
-		if err != nil {
-			return err
-		}
-		gr, err := h.runOn(ctx, w, baseline.NewGroute(), cluster)
-		if err != nil {
-			return err
-		}
-		opt, err := h.micco(ctx)
-		if err != nil {
-			return err
-		}
-		optRes, err := h.runOn(ctx, w, opt, cluster)
-		if err != nil {
-			return err
-		}
-		rows[i] = []string{pt.dist.String(), fmt.Sprintf("%d", pt.dim),
-			fmt.Sprintf("%.0f", gr.GFLOPS),
-			fmt.Sprintf("%.0f", optRes.GFLOPS),
-			fmt.Sprintf("%.2fx", optRes.GFLOPS/gr.GFLOPS)}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	t := &Table{
+		ID:      "fig10",
+		Title:   "Impact of tensor size (GFLOPS); vector 64, repeated rate 50%, 8 GPUs",
+		Columns: s.columns([]string{"distribution", "tensor size"}, "speedup"),
+		Notes: []string{
+			"paper shape: MICCO wins at every size, 1.35x to 1.92x; throughput grows with tensor size",
+		},
 	}
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t, nil
+	return h.measure(ctx, t, s)
 }

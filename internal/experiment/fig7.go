@@ -3,9 +3,10 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
 
-	"micco/internal/baseline"
 	"micco/internal/core"
+	"micco/internal/sched"
 	"micco/internal/workload"
 )
 
@@ -14,10 +15,6 @@ import (
 // (panels a-d Uniform, e-h Gaussian), vector sizes 8-64 and repeated rates
 // 25-100%, with tensor size 384 on eight GPUs. The speedup column is the
 // paper's blue star: MICCO-optimal over Groute.
-//
-// The 32 (dist, vector, rate) points are independent measurements on
-// separate clusters; they fan across the harness pool with seeds drawn up
-// front and rows collected by point index.
 func (h *Harness) Fig7(ctx context.Context) (*Table, error) {
 	vectorSizes := []int{8, 16, 32, 64}
 	rates := []float64{0.25, 0.5, 0.75, 1.0}
@@ -25,92 +22,32 @@ func (h *Harness) Fig7(ctx context.Context) (*Table, error) {
 		vectorSizes = []int{16, 64}
 		rates = []float64{0.5, 1.0}
 	}
-	// Train before fanning out so the points share one predictor instead of
-	// serializing on the lazy init.
-	if _, err := h.Predictor(ctx); err != nil {
+	p, err := h.Predictor(ctx)
+	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		ID:    "fig7",
-		Title: "Overall performance (GFLOPS); tensor size 384, 8 GPUs",
-		Columns: []string{"distribution", "vector", "repeat%",
-			"Groute", "MICCO-naive", "MICCO-optimal", "speedup(opt/Groute)"},
-		Notes: []string{
-			"paper shape: MICCO wins everywhere; up to 2.25x; geomean 1.57x (Uniform) / 1.65x (Gaussian)",
-		},
-	}
-	type point struct {
-		dist workload.Distribution
-		v    int
-		rate float64
-		seed int64
-	}
-	var points []point
-	seed := int64(700)
+	naive := h.scheduled("MICCO-naive", func(int) sched.Scheduler { return core.NewNaive() })
 	dists := []workload.Distribution{workload.Uniform, workload.Gaussian}
+	s := sweep{roster: []contender{h.groute(), naive, h.optimal(p)}, row: speedupRow, summary: func(sp []float64) []string {
+		return append(distGeomeans(dists, sp), fmt.Sprintf("max speedup (measured): %.2fx", slices.Max(sp)))
+	}}
+	seed := int64(700)
 	for _, dist := range dists {
 		for _, v := range vectorSizes {
 			for _, rate := range rates {
 				seed++
-				points = append(points, point{dist, v, rate, seed})
+				s.points = append(s.points, fitPoint(h.synthConfig(v, 384, rate, dist, seed), 8,
+					dist.String(), fmt.Sprintf("%d", v), fmt.Sprintf("%.0f", rate*100)))
 			}
 		}
 	}
-	rows := make([][]string, len(points))
-	speedups := make([]float64, len(points))
-	err := forEachPoint(ctx, h.opts.poolSize(), len(points), func(ctx context.Context, i int) error {
-		pt := points[i]
-		w, err := workload.Generate(h.synthConfig(pt.v, 384, pt.rate, pt.dist, pt.seed))
-		if err != nil {
-			return err
-		}
-		cluster, err := fitCluster(w, 8)
-		if err != nil {
-			return err
-		}
-		gr, err := h.runOn(ctx, w, baseline.NewGroute(), cluster)
-		if err != nil {
-			return err
-		}
-		naive, err := h.runOn(ctx, w, core.NewNaive(), cluster)
-		if err != nil {
-			return err
-		}
-		opt, err := h.micco(ctx)
-		if err != nil {
-			return err
-		}
-		optRes, err := h.runOn(ctx, w, opt, cluster)
-		if err != nil {
-			return err
-		}
-		sp := optRes.GFLOPS / gr.GFLOPS
-		speedups[i] = sp
-		rows[i] = []string{pt.dist.String(), fmt.Sprintf("%d", pt.v), fmt.Sprintf("%.0f", pt.rate*100),
-			fmt.Sprintf("%.0f", gr.GFLOPS),
-			fmt.Sprintf("%.0f", naive.GFLOPS),
-			fmt.Sprintf("%.0f", optRes.GFLOPS),
-			fmt.Sprintf("%.2fx", sp)}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	t := &Table{
+		ID:      "fig7",
+		Title:   "Overall performance (GFLOPS); tensor size 384, 8 GPUs",
+		Columns: s.columns([]string{"distribution", "vector", "repeat%"}, "speedup(opt/Groute)"),
+		Notes: []string{
+			"paper shape: MICCO wins everywhere; up to 2.25x; geomean 1.57x (Uniform) / 1.65x (Gaussian)",
+		},
 	}
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	perDist := len(points) / len(dists)
-	for di, dist := range dists {
-		t.Notes = append(t.Notes,
-			fmt.Sprintf("%s geomean speedup (measured): %.2fx", dist,
-				geoMean(speedups[di*perDist:(di+1)*perDist])))
-	}
-	max := 0.0
-	for _, s := range speedups {
-		if s > max {
-			max = s
-		}
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("max speedup (measured): %.2fx", max))
-	return t, nil
+	return h.measure(ctx, t, s)
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"micco/internal/autotune"
-	"micco/internal/core"
+	"micco/internal/gpusim"
 	"micco/internal/sched"
 	"micco/internal/workload"
 )
@@ -13,10 +13,9 @@ import (
 // Fig8 reproduces the reuse-bound study (paper Fig. 8): GFLOPS of all
 // thirteen small reuse-bound settings on three cases — (1) vector 64 at
 // 50% repeated rate, (2) vector 16 at 25%, (3) vector 32 at 75% — at
-// tensor size 384 on eight GPUs, in both distributions.
-//
-// Each (distribution, case) point sweeps its thirteen settings in order on
-// its own clusters; the points fan across the harness pool.
+// tensor size 384 on eight GPUs, in both distributions. Its roster is one
+// contender filling thirteen columns: the bound sweep over the point's
+// cluster.
 func (h *Harness) Fig8(ctx context.Context) (*Table, error) {
 	cases := []struct {
 		name string
@@ -32,66 +31,36 @@ func (h *Harness) Fig8(ctx context.Context) (*Table, error) {
 		cases = cases[:2]
 		dists = dists[:1]
 	}
-	cols := []string{"distribution", "case"}
+	bounds := contender{run: func(ctx context.Context, _ int, w *workload.Workload, c *gpusim.Cluster) ([]*sched.Result, error) {
+		return autotune.SweepBounds(ctx, w, c, autotune.CandidateBounds, sched.Options{Obs: h.opts.Obs})
+	}}
 	for _, b := range autotune.CandidateBounds {
-		cols = append(cols, b.String())
+		bounds.cols = append(bounds.cols, b.String())
 	}
-	cols = append(cols, "best")
+	s := sweep{roster: []contender{bounds}, row: func(_ int, r []*sched.Result) []string {
+		best := 0
+		for j := range r {
+			if r[j].GFLOPS > r[best].GFLOPS {
+				best = j
+			}
+		}
+		return gflops(r, fmt.Sprintf("%s @ %.0f", autotune.CandidateBounds[best], r[best].GFLOPS))
+	}}
+	seed := int64(800)
+	for _, dist := range dists {
+		for _, c := range cases {
+			seed++
+			s.points = append(s.points, fitPoint(h.synthConfig(c.v, 384, c.rate, dist, seed), 8, dist.String(), c.name))
+		}
+	}
 	t := &Table{
 		ID:      "fig8",
 		Title:   "Impact of reuse bounds (GFLOPS per setting); tensor 384, 8 GPUs",
-		Columns: cols,
+		Columns: s.columns([]string{"distribution", "case"}, "best"),
 		Notes: []string{
 			"paper shape: the optimal setting shifts with vector size, repeated rate and distribution",
 			"paper best: 9753 GFLOPS at (0,2,0) in case 1 (a); 5869 GFLOPS at (0,2,2) in case 3 (b)",
 		},
 	}
-	type point struct {
-		dist workload.Distribution
-		name string
-		v    int
-		rate float64
-		seed int64
-	}
-	var points []point
-	seed := int64(800)
-	for _, dist := range dists {
-		for _, c := range cases {
-			seed++
-			points = append(points, point{dist, c.name, c.v, c.rate, seed})
-		}
-	}
-	rows := make([][]string, len(points))
-	err := forEachPoint(ctx, h.opts.poolSize(), len(points), func(ctx context.Context, i int) error {
-		pt := points[i]
-		w, err := workload.Generate(h.synthConfig(pt.v, 384, pt.rate, pt.dist, pt.seed))
-		if err != nil {
-			return err
-		}
-		row := []string{pt.dist.String(), pt.name}
-		best, bestGF := core.Bounds{}, -1.0
-		for _, b := range autotune.CandidateBounds {
-			cluster, err := fitCluster(w, 8)
-			if err != nil {
-				return err
-			}
-			res, err := sched.Run(ctx, w, core.NewFixed(b), cluster, sched.Options{Obs: h.opts.Obs})
-			if err != nil {
-				return err
-			}
-			row = append(row, fmt.Sprintf("%.0f", res.GFLOPS))
-			if res.GFLOPS > bestGF {
-				best, bestGF = b, res.GFLOPS
-			}
-		}
-		rows[i] = append(row, fmt.Sprintf("%s @ %.0f", best, bestGF))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t, nil
+	return h.measure(ctx, t, s)
 }

@@ -4,19 +4,16 @@ import (
 	"context"
 	"fmt"
 
-	"micco/internal/baseline"
 	"micco/internal/core"
+	"micco/internal/sched"
 	"micco/internal/workload"
 )
 
 // Fig9 reproduces the scalability study (paper Fig. 9): Groute versus
 // MICCO-optimal throughput as the device count grows from one to eight,
 // with vector size 64, tensor size 384, 50% repeated rate, in both
-// distributions.
-//
-// The (distribution, device-count) points fan across the harness pool;
-// each takes a Predictor.WithNumGPU copy rescaled to its node size instead
-// of mutating the shared predictor.
+// distributions. Each point's MICCO-optimal takes a Predictor.WithNumGPU
+// copy rescaled to its node size instead of mutating the shared predictor.
 func (h *Harness) Fig9(ctx context.Context) (*Table, error) {
 	gpuCounts := []int{1, 2, 4, 8}
 	if h.opts.Quick {
@@ -26,59 +23,25 @@ func (h *Harness) Fig9(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	var gpus []int // device count of each point
+	rescaled := h.scheduled("MICCO-optimal", func(i int) sched.Scheduler { return core.NewOptimal(p.WithNumGPU(gpus[i])) })
+	s := sweep{roster: []contender{h.groute(), rescaled}, row: speedupRow}
+	seed := int64(900)
+	for _, dist := range []workload.Distribution{workload.Uniform, workload.Gaussian} {
+		seed++
+		for _, n := range gpuCounts {
+			gpus = append(gpus, n)
+			s.points = append(s.points, fitPoint(h.synthConfig(64, 384, 0.5, dist, seed), n, dist.String(), fmt.Sprintf("%d", n)))
+		}
+	}
 	t := &Table{
 		ID:      "fig9",
 		Title:   "Scalability (GFLOPS); tensor 384, vector 64, repeated rate 50%",
-		Columns: []string{"distribution", "GPUs", "Groute", "MICCO-optimal", "speedup"},
+		Columns: s.columns([]string{"distribution", "GPUs"}, "speedup"),
 		Notes: []string{
 			"paper shape: sublinear scaling (7877 GFLOPS at 1 GPU to 13043 at 8 in (a));",
 			"speedup grows with GPU count (1.18x at 2 GPUs to 1.68x at 8), up to 1.96x",
 		},
 	}
-	type point struct {
-		dist workload.Distribution
-		seed int64
-		n    int
-	}
-	var points []point
-	seed := int64(900)
-	for _, dist := range []workload.Distribution{workload.Uniform, workload.Gaussian} {
-		seed++
-		for _, n := range gpuCounts {
-			points = append(points, point{dist, seed, n})
-		}
-	}
-	rows := make([][]string, len(points))
-	err = forEachPoint(ctx, h.opts.poolSize(), len(points), func(ctx context.Context, i int) error {
-		pt := points[i]
-		w, err := workload.Generate(h.synthConfig(64, 384, 0.5, pt.dist, pt.seed))
-		if err != nil {
-			return err
-		}
-		cluster, err := fitCluster(w, pt.n)
-		if err != nil {
-			return err
-		}
-		gr, err := h.runOn(ctx, w, baseline.NewGroute(), cluster)
-		if err != nil {
-			return err
-		}
-		// MICCO-optimal with the predictor rescaled to this node size.
-		optRes, err := h.runOn(ctx, w, core.NewOptimal(p.WithNumGPU(pt.n)), cluster)
-		if err != nil {
-			return err
-		}
-		rows[i] = []string{pt.dist.String(), fmt.Sprintf("%d", pt.n),
-			fmt.Sprintf("%.0f", gr.GFLOPS),
-			fmt.Sprintf("%.0f", optRes.GFLOPS),
-			fmt.Sprintf("%.2fx", optRes.GFLOPS/gr.GFLOPS)}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t, nil
+	return h.measure(ctx, t, s)
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"micco/internal/autotune"
 )
 
 // TestTablesByteIdenticalAcrossParallelism is the determinism contract of
@@ -49,10 +51,13 @@ func TestRunExperimentCancelled(t *testing.T) {
 	}
 }
 
+// TestForEachPointFirstErrorWins pins the error rule of the pool the
+// harness measures on (autotune.ForEachPoint, shared with the corpus
+// builder).
 func TestForEachPointFirstErrorWins(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	err := forEachPoint(context.Background(), 4, 8, func(_ context.Context, i int) error {
+	err := autotune.ForEachPoint(context.Background(), 4, 8, func(_ context.Context, i int) error {
 		switch i {
 		case 2:
 			return errB
@@ -63,5 +68,37 @@ func TestForEachPointFirstErrorWins(t *testing.T) {
 	})
 	if !errors.Is(err, errA) {
 		t.Errorf("err = %v, want the lowest-index error %v", err, errA)
+	}
+
+	// A point that stops because the pool cancelled it must not outrank
+	// the error that caused the cancellation: point 0 honours its context
+	// (as every sched.Run does, per pair) while point 3 fails for real.
+	root := errors.New("root cause")
+	started := make(chan struct{})
+	err = autotune.ForEachPoint(context.Background(), 4, 4, func(ctx context.Context, i int) error {
+		switch i {
+		case 0:
+			close(started)
+			<-ctx.Done()
+			return ctx.Err()
+		case 3:
+			<-started
+			return root
+		}
+		return nil
+	})
+	if !errors.Is(err, root) {
+		t.Errorf("err = %v, want the error that stopped the pool (%v)", err, root)
+	}
+
+	// Cancellation of the caller's context still surfaces as such.
+	ctx, cancel := context.WithCancel(context.Background())
+	err = autotune.ForEachPoint(ctx, 2, 4, func(ctx context.Context, i int) error {
+		cancel()
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled from the parent", err)
 	}
 }

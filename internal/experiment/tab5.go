@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"micco/internal/core"
+	"micco/internal/sched"
 	"micco/internal/workload"
 )
 
@@ -16,9 +18,28 @@ import (
 // on a host busy with sibling goroutines would not reproduce the paper's
 // quiet-machine numbers — so Options.Parallelism is ignored here.
 func (h *Harness) Tab5(ctx context.Context) (*Table, error) {
-	opt, err := h.micco(ctx)
+	p, err := h.Predictor(ctx)
 	if err != nil {
 		return nil, err
+	}
+	// One scheduler serves both rows (the points are serial, so sharing is
+	// safe): its tie-break stream runs on from the first row into the
+	// second, and the golden pins the totals that gives.
+	opt := core.NewOptimal(p)
+	shared := h.scheduled("MICCO-optimal", func(int) sched.Scheduler { return opt })
+	s := sweep{roster: []contender{shared}, serial: true, row: func(_ int, r []*sched.Result) []string {
+		overheadMS := float64(r[0].SchedOverhead.Microseconds()) / 1000
+		totalMS := r[0].Makespan * 1000
+		return []string{
+			fmt.Sprintf("%.2f", overheadMS),
+			fmt.Sprintf("%.2f", totalMS),
+			fmt.Sprintf("%.1f%%", overheadMS/totalMS*100),
+		}
+	}}
+	for _, dist := range []workload.Distribution{workload.Uniform, workload.Gaussian} {
+		cfg := h.synthConfig(64, 384, 0.5, dist, 550+int64(dist))
+		cfg.Stages = SynthStages // ten vectors even in quick mode
+		s.points = append(s.points, fitPoint(cfg, 8, dist.String()))
 	}
 	t := &Table{
 		ID:      "tab5",
@@ -29,27 +50,5 @@ func (h *Harness) Tab5(ctx context.Context) (*Table, error) {
 			"overhead is host wall time; total is simulated execution time",
 		},
 	}
-	for _, dist := range []workload.Distribution{workload.Uniform, workload.Gaussian} {
-		cfg := h.synthConfig(64, 384, 0.5, dist, 550+int64(dist))
-		cfg.Stages = SynthStages // ten vectors even in quick mode
-		w, err := workload.Generate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		cluster, err := fitCluster(w, 8)
-		if err != nil {
-			return nil, err
-		}
-		res, err := h.runOn(ctx, w, opt, cluster)
-		if err != nil {
-			return nil, err
-		}
-		overheadMS := float64(res.SchedOverhead.Microseconds()) / 1000
-		totalMS := res.Makespan * 1000
-		t.AddRow(dist.String(),
-			fmt.Sprintf("%.2f", overheadMS),
-			fmt.Sprintf("%.2f", totalMS),
-			fmt.Sprintf("%.1f%%", overheadMS/totalMS*100))
-	}
-	return t, nil
+	return h.measure(ctx, t, s)
 }

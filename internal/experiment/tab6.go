@@ -4,9 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"micco/internal/baseline"
 	"micco/internal/gpusim"
 	"micco/internal/redstar"
+	"micco/internal/sched"
+	"micco/internal/workload"
 )
 
 // Tab6DeviceMemory is the per-device pool for the real-correlator case
@@ -20,10 +21,38 @@ const Tab6DeviceMemory int64 = 4 << 30
 // Tab6 reproduces the real-world case study (paper Table VI): the three
 // correlation functions of the a1 and f0 systems run through the
 // Redstar-like front end on eight simulated GPUs, comparing MICCO-optimal
-// against Groute. The three correlators fan across the harness pool.
+// against Groute.
 func (h *Harness) Tab6(ctx context.Context) (*Table, error) {
-	if _, err := h.Predictor(ctx); err != nil {
+	p, err := h.Predictor(ctx)
+	if err != nil {
 		return nil, err
+	}
+	paper := map[string]string{"al_rhopi": "1.49x", "f0d2": "1.41x", "f0d4": "1.36x"}
+	correlators := redstar.Bundled()
+	s := sweep{roster: []contender{h.groute(), h.optimal(p)}, row: func(i int, r []*sched.Result) []string {
+		return append(speedupRow(i, r), paper[correlators[i].Name])
+	}}
+	for _, c := range correlators {
+		if h.opts.Quick {
+			c.TimeSlices = 4
+		}
+		b, err := c.BuildPlan()
+		if err != nil {
+			return nil, err
+		}
+		s.points = append(s.points, point{
+			label: []string{c.Name,
+				fmt.Sprintf("%d", c.TensorDim),
+				fmt.Sprintf("%d", b.NumGraphs),
+				fmt.Sprintf("%d", len(b.Plan.Ops)),
+				fmt.Sprintf("%.1fG", float64(b.Plan.TotalUniqueBytes())/(1<<30))},
+			work: func() (*workload.Workload, error) { return b.Workload, nil },
+			cluster: func(*workload.Workload) (*gpusim.Cluster, error) {
+				cfg := gpusim.MI100(8)
+				cfg.MemoryBytes = Tab6DeviceMemory
+				return gpusim.NewCluster(cfg)
+			},
+		})
 	}
 	t := &Table{
 		ID:    "tab6",
@@ -35,54 +64,5 @@ func (h *Harness) Tab6(ctx context.Context) (*Table, error) {
 			"the bundled operator bases are scaled-down stand-ins for the production decks",
 		},
 	}
-	paper := map[string]string{"al_rhopi": "1.49x", "f0d2": "1.41x", "f0d4": "1.36x"}
-	correlators := redstar.Bundled()
-	if h.opts.Quick {
-		for _, c := range correlators {
-			c.TimeSlices = 4
-		}
-	}
-	rows := make([][]string, len(correlators))
-	err := forEachPoint(ctx, h.opts.poolSize(), len(correlators), func(ctx context.Context, i int) error {
-		c := correlators[i]
-		b, err := c.BuildPlan()
-		if err != nil {
-			return err
-		}
-		cfg := gpusim.MI100(8)
-		cfg.MemoryBytes = Tab6DeviceMemory
-		cluster, err := gpusim.NewCluster(cfg)
-		if err != nil {
-			return err
-		}
-		gr, err := h.runOn(ctx, b.Workload, baseline.NewGroute(), cluster)
-		if err != nil {
-			return err
-		}
-		opt, err := h.micco(ctx)
-		if err != nil {
-			return err
-		}
-		optRes, err := h.runOn(ctx, b.Workload, opt, cluster)
-		if err != nil {
-			return err
-		}
-		rows[i] = []string{c.Name,
-			fmt.Sprintf("%d", c.TensorDim),
-			fmt.Sprintf("%d", b.NumGraphs),
-			fmt.Sprintf("%d", len(b.Plan.Ops)),
-			fmt.Sprintf("%.1fG", float64(b.Plan.TotalUniqueBytes())/(1<<30)),
-			fmt.Sprintf("%.0f", gr.GFLOPS),
-			fmt.Sprintf("%.0f", optRes.GFLOPS),
-			fmt.Sprintf("%.2fx", optRes.GFLOPS/gr.GFLOPS),
-			paper[c.Name]}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return t, nil
+	return h.measure(ctx, t, s)
 }

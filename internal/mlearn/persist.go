@@ -6,50 +6,16 @@ import (
 )
 
 // Serialization uses a tagged envelope so a Multi can round-trip models of
-// any family. Trees serialize as recursive node documents.
-
-type nodeDTO struct {
-	Feature int      `json:"f"`
-	Thresh  float64  `json:"t,omitempty"`
-	Value   float64  `json:"v,omitempty"`
-	Left    *nodeDTO `json:"l,omitempty"`
-	Right   *nodeDTO `json:"r,omitempty"`
-}
-
-func toDTO(n *node) *nodeDTO {
-	if n == nil {
-		return nil
-	}
-	return &nodeDTO{
-		Feature: n.feature,
-		Thresh:  n.thresh,
-		Value:   n.value,
-		Left:    toDTO(n.left),
-		Right:   toDTO(n.right),
-	}
-}
-
-func fromDTO(d *nodeDTO) *node {
-	if d == nil {
-		return nil
-	}
-	return &node{
-		feature: d.Feature,
-		thresh:  d.Thresh,
-		value:   d.Value,
-		left:    fromDTO(d.Left),
-		right:   fromDTO(d.Right),
-	}
-}
+// any family. Trees serialize as their recursive nodes.
 
 type treeDoc struct {
 	Cfg  TreeConfig `json:"cfg"`
-	Root *nodeDTO   `json:"root"`
+	Root *node      `json:"root"`
 }
 
 // MarshalJSON implements json.Marshaler.
 func (t *Tree) MarshalJSON() ([]byte, error) {
-	return json.Marshal(treeDoc{Cfg: t.Cfg, Root: toDTO(t.root)})
+	return json.Marshal(treeDoc{Cfg: t.Cfg, Root: t.root})
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -59,7 +25,7 @@ func (t *Tree) UnmarshalJSON(b []byte) error {
 		return err
 	}
 	*t = *NewTree(doc.Cfg)
-	t.root = fromDTO(doc.Root)
+	t.root = doc.Root
 	return nil
 }
 

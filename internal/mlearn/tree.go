@@ -26,12 +26,14 @@ type Tree struct {
 	rng  *rand.Rand
 }
 
+// node is also a tree's serialized form (see persist.go): the field tags
+// are the micco-predictor-v1 layout.
 type node struct {
-	feature int     // split feature; -1 for leaf
-	thresh  float64 // go left if x[feature] <= thresh
-	value   float64 // leaf prediction (mean of targets)
-	left    *node
-	right   *node
+	Feature int     `json:"f"`           // split feature; -1 for leaf
+	Thresh  float64 `json:"t,omitempty"` // go left if x[Feature] <= Thresh
+	Value   float64 `json:"v,omitempty"` // leaf prediction (mean of targets)
+	Left    *node   `json:"l,omitempty"`
+	Right   *node   `json:"r,omitempty"`
 }
 
 // NewTree returns a regression tree with the given configuration.
@@ -61,24 +63,24 @@ func (t *Tree) Predict(x []float64) float64 {
 	if n == nil {
 		return 0
 	}
-	for n.feature >= 0 {
-		if n.feature < len(x) && x[n.feature] <= n.thresh {
-			n = n.left
+	for n.Feature >= 0 {
+		if n.Feature < len(x) && x[n.Feature] <= n.Thresh {
+			n = n.Left
 		} else {
-			n = n.right
+			n = n.Right
 		}
 	}
-	return n.value
+	return n.Value
 }
 
 // Depth returns the height of the fitted tree (0 for a stump/leaf).
 func (t *Tree) Depth() int { return depth(t.root) }
 
 func depth(n *node) int {
-	if n == nil || n.feature < 0 {
+	if n == nil || n.Feature < 0 {
 		return 0
 	}
-	l, r := depth(n.left), depth(n.right)
+	l, r := depth(n.Left), depth(n.Right)
 	if l > r {
 		return l + 1
 	}
@@ -92,14 +94,14 @@ func leaves(n *node) int {
 	if n == nil {
 		return 0
 	}
-	if n.feature < 0 {
+	if n.Feature < 0 {
 		return 1
 	}
-	return leaves(n.left) + leaves(n.right)
+	return leaves(n.Left) + leaves(n.Right)
 }
 
 func (t *Tree) build(X [][]float64, y []float64, idx []int, d int) *node {
-	leaf := &node{feature: -1, value: meanAt(y, idx)}
+	leaf := &node{Feature: -1, Value: meanAt(y, idx)}
 	if len(idx) < 2*t.Cfg.MinLeaf {
 		return leaf
 	}
@@ -122,10 +124,10 @@ func (t *Tree) build(X [][]float64, y []float64, idx []int, d int) *node {
 		return leaf
 	}
 	return &node{
-		feature: feat,
-		thresh:  thresh,
-		left:    t.build(X, y, li, d+1),
-		right:   t.build(X, y, ri, d+1),
+		Feature: feat,
+		Thresh:  thresh,
+		Left:    t.build(X, y, li, d+1),
+		Right:   t.build(X, y, ri, d+1),
 	}
 }
 
