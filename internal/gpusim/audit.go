@@ -1,0 +1,76 @@
+package gpusim
+
+import "fmt"
+
+// Audit checks the simulator's residency structures against each other, from
+// those structures alone, between operations: every device's LRU list is
+// well linked and holds its own unpinned blocks, their bytes are memUsed and
+// fit the capacity, a failed device holds none; every block of the slab is
+// on one LRU list and its tensor's copy chain, or on the free list; a
+// record's holder set is the devices on its chain, and one that holds
+// nothing is the zero record; the id↔slot table is a bijection over the
+// records that hold anything; the running movement totals are the device
+// sums. It is the tests' structural oracle — this package's walk runs it
+// after every operation, internal/sched's tests after every run — and
+// costs a pass over everything, so nothing else calls it.
+func (c *Cluster) Audit() error {
+	ri := c.index
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("gpusim: audit: "+format, args...)
+	}
+	const listed, chained, freed = 1, 2, 3
+	state := make([]uint8, len(ri.blocks))
+	listedBlocks, freeBlocks := 0, 0
+	var move, d2h, evict int64
+	for _, d := range c.devices {
+		used, n, prev := int64(0), 0, int32(0)
+		for i := d.lruHead; i != 0; prev, i = i, ri.blocks[i].next {
+			b := &ri.blocks[i]
+			if state[i] != 0 || b.prev != prev || int(b.dev) != d.id || b.pinned {
+				return bad("device %d: LRU block %d misplaced: %+v", d.id, i, *b)
+			}
+			state[i], used, n = listed, used+b.desc.Bytes(), n+1
+		}
+		if prev != d.lruTail || n != d.resident || used != d.memUsed || used > d.Capacity() || d.failed && n > 0 {
+			return bad("device %d (failed %v): list of %d blocks, %d bytes, ends at %d; device says %d, %d of %d, %d",
+				d.id, d.failed, n, used, prev, d.resident, d.memUsed, d.Capacity(), d.lruTail)
+		}
+		listedBlocks += n
+		move, d2h, evict = move+d.stats.H2DBytes+d.stats.P2PBytes, d2h+d.stats.D2HBytes, evict+d.stats.Evictions
+	}
+	for i := ri.free; i != 0; i = ri.blocks[i].next {
+		if state[i] != 0 {
+			return bad("free list reaches block %d, which is listed or free already", i)
+		}
+		state[i], freeBlocks = freed, freeBlocks+1
+	}
+	if listedBlocks+freeBlocks != len(ri.blocks)-1 || len(c.ids) != len(ri.recs) {
+		return bad("%d listed + %d free blocks of %d; %d numbered tensors, %d records",
+			listedBlocks, freeBlocks, len(ri.blocks)-1, len(c.ids), len(ri.recs))
+	}
+	for s := range ri.recs {
+		r, id := &ri.recs[s], c.ids[s]
+		var chain DevSet
+		for i := r.head; i != 0; i = ri.blocks[i].chain {
+			b := &ri.blocks[i]
+			if state[i] != listed || int(b.slot) != s || b.desc.ID != id {
+				return bad("tensor %d (slot %d): chain block %d misplaced: %+v", id, s, i, *b)
+			}
+			state[i], chain, listedBlocks = chained, chain.with(int(b.dev), ri.restWords), listedBlocks-1
+		}
+		if !chain.Equal(r.holders) || r.holders.Empty() && r.holders.rest != nil || !r.onHost && !r.hostNodes.Empty() {
+			return bad("tensor %d (slot %d): copy chain on %v, record %+v", id, s, chain.AppendTo(nil), *r)
+		}
+		if r.head == 0 && !r.onHost {
+			continue
+		}
+		if back, ok := c.slots[id]; !ok || int(back) != s || r.onHost && r.host.ID != id {
+			return bad("tensor %d in slot %d: table says slot %d (%v), host copy is of %d", id, s, back, ok, r.host.ID)
+		}
+	}
+	if listedBlocks != 0 || move != c.moveBytes || d2h != c.d2hBytes || evict != c.evictions {
+		return bad("%d listed blocks on no copy chain; MoveStats (%d, %d, %d), devices sum to (%d, %d, %d)",
+			listedBlocks, c.moveBytes, c.d2hBytes, c.evictions, move, d2h, evict)
+	}
+	return nil
+}

@@ -97,6 +97,9 @@ func (cp *Checkpoint) Validate() error {
 		if ds.MemPeak < 0 || ds.Capacity < 0 {
 			return fmt.Errorf("gpusim: checkpoint device %d has negative memory fields", i)
 		}
+		if ds.Failed && len(ds.Resident) > 0 {
+			return fmt.Errorf("gpusim: %w: failed device %d holds %d tensors", ErrInvalidCheckpoint, i, len(ds.Resident))
+		}
 		seen := make(map[uint64]bool, len(ds.Resident))
 		for _, bs := range ds.Resident {
 			if !bs.Desc.Valid() {
@@ -162,7 +165,8 @@ func (c *Cluster) Checkpoint() *Checkpoint {
 		Host:          make([]HostState, 0, len(c.index.recs)),
 		Devices:       make([]DeviceState, len(c.devices)),
 	}
-	for _, r := range c.index.recs {
+	for s := range c.index.recs {
+		r := &c.index.recs[s]
 		if !r.onHost {
 			continue
 		}
@@ -181,9 +185,10 @@ func (c *Cluster) Checkpoint() *Checkpoint {
 			Capacity:  d.capOverride,
 			Failed:    d.failed,
 			Stats:     d.stats,
-			Resident:  make([]BlockState, 0, len(d.resident)),
+			Resident:  make([]BlockState, 0, d.resident),
 		}
-		for b := d.lruHead; b != nil; b = b.next {
+		for bi := d.lruHead; bi != 0; bi = c.index.blocks[bi].next {
+			b := &c.index.blocks[bi]
 			ds.Resident = append(ds.Resident, BlockState{Desc: b.desc, Dirty: b.dirty, ReadyAt: b.readyAt})
 		}
 		cp.Devices[i] = ds
@@ -206,6 +211,13 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 		return fmt.Errorf("gpusim: checkpoint has %d/%d node link clocks, cluster has %d nodes",
 			len(cp.LinkClocks), len(cp.P2PClocks), c.numNodes)
 	}
+	// No run leaves a failed device holding tensors (FailDevice drops them,
+	// ReviveDevices clears Resident): restoring one would name a dead holder.
+	for i, ds := range cp.Devices {
+		if ds.Failed && len(ds.Resident) > 0 {
+			return fmt.Errorf("gpusim: %w: failed device %d holds %d tensors", ErrInvalidCheckpoint, i, len(ds.Resident))
+		}
+	}
 	// A node set grows to hold whatever index it is given, so one from
 	// outside the cluster must not reach it.
 	for _, hs := range cp.Host {
@@ -224,11 +236,12 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 	c.bwFactor = cp.LinkFactor
 	c.transientLeft = cp.TransientLeft
 	for _, hs := range cp.Host {
-		r := c.index.add(hs.Desc.ID)
+		slot := c.slot(hs.Desc.ID)
+		r := &c.index.recs[slot]
 		r.host, r.onHost = hs.Desc, true
 		if c.numNodes > 1 {
 			for _, n := range hs.Nodes {
-				r.hostNodes = r.hostNodes.with(n, 0)
+				c.hostOn(r, slot, n)
 			}
 		}
 	}
@@ -237,9 +250,10 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 		// Install in checkpoint (LRU) order so the rebuilt list evicts in
 		// the same order the original would have; install also rebuilds
 		// the residency index and memUsed as a side effect.
-		for _, bs := range ds.Resident {
-			b := d.install(bs.Desc, bs.Dirty, c.index.add(bs.Desc.ID))
-			b.readyAt = bs.ReadyAt
+		for j := range ds.Resident {
+			bs := &ds.Resident[j]
+			bi := d.install(&bs.Desc, bs.Dirty, c.slot(bs.Desc.ID))
+			c.index.blocks[bi].readyAt = bs.ReadyAt
 		}
 		// Overwrite what install perturbed, then the rest of the state.
 		// (Reset above left the whole cluster marked dirty, which covers

@@ -47,15 +47,16 @@ type Cluster struct {
 	// metrics registry (SetObserver), in batches. Independent of tracing;
 	// survives Reset.
 	sink *obsSink
-	// index holds the one record per tensor — holder set, host copy, host
-	// nodes — that every residency question is answered from, at one map
-	// probe instead of a device scan.
+	// index holds the one record per tensor — holder set, copy chain, host
+	// copy, host nodes — that every residency question is answered from, and
+	// the blocks of every device, all by slot. ids names each slot's tensor
+	// (see BindTensors) and slots is its inverse.
 	index *residencyIndex
+	ids   []uint64
+	slots map[uint64]int32
 	// dirty collects the devices whose scheduler-visible keys changed
 	// since the last DrainDirty (see dirtySet).
 	dirty *dirtySet
-	// holderScratch is Discard's reusable copy of a holder set.
-	holderScratch []int
 	// bwFactor scales all transfer bandwidths under fault-injected link
 	// degradation; zero means no degradation (factor 1).
 	bwFactor float64
@@ -72,14 +73,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	nn := cfg.NumNodes()
 	c := &Cluster{
 		cfg:        cfg,
-		index:      newResidencyIndex(cfg.NumDevices, nn),
+		index:      &residencyIndex{restWords: spillWords(cfg.NumDevices), nodeWords: spillWords(nn), blocks: make([]block, 1)},
+		slots:      make(map[uint64]int32),
 		dirty:      newDirtySet(cfg.NumDevices),
 		linkClocks: make([]float64, nn),
 		p2pClocks:  make([]float64, nn),
 		numNodes:   nn,
 	}
 	for i := 0; i < cfg.NumDevices; i++ {
-		c.devices = append(c.devices, newDevice(i, &c.cfg, c.index, c.dirty))
+		c.devices = append(c.devices, newDevice(i, c))
 	}
 	return c, nil
 }
@@ -109,30 +111,41 @@ func (c *Cluster) Device(i int) *Device { return c.devices[i] }
 // clusters the copy lands in node 0's host partition — the gateway node
 // where upstream I/O arrives — and other nodes' first use pays one
 // inter-node shipment.
-func (c *Cluster) RegisterHostTensor(d tensor.Desc) {
-	c.hostCopy(c.index.add(d.ID), d, 0)
-}
+func (c *Cluster) RegisterHostTensor(d tensor.Desc) { c.hostCopy(c.slot(d.ID), &d, 0) }
+
+// RegisterHostAt is RegisterHostTensor for the tensor in slot (see
+// BindTensors), which d describes.
+func (c *Cluster) RegisterHostAt(slot int, d tensor.Desc) { c.hostCopy(int32(slot), &d, 0) }
 
 // HostHolds reports whether any host partition has a copy of tensor id.
 func (c *Cluster) HostHolds(id uint64) bool {
-	r := c.index.recs[id]
+	r := c.rec(id)
 	return r != nil && r.onHost
 }
 
-// hostCopy records a host copy of desc, r's tensor, in node n's partition.
-func (c *Cluster) hostCopy(r *tensorRec, desc tensor.Desc, n int) {
-	r.host, r.onHost = desc, true
+// hostCopy records a host copy of desc, slot's tensor, in node n's partition.
+func (c *Cluster) hostCopy(slot int32, desc *tensor.Desc, n int) {
+	r := &c.index.recs[slot]
+	r.host, r.onHost = *desc, true
 	if c.numNodes > 1 {
-		r.hostNodes = r.hostNodes.with(n, 0)
+		c.hostOn(r, slot, n)
 	}
 }
 
-// dropHostCopy forgets the host copy of tensor id, whose record is r; r must
-// not be used afterwards.
-func (c *Cluster) dropHostCopy(id uint64, r *tensorRec) {
-	r.onHost, r.hostNodes.w0 = false, 0
-	clear(r.hostNodes.rest)
-	c.index.release(id, r)
+// hostOn adds node n to the host nodes of slot's record r.
+func (c *Cluster) hostOn(r *tensorRec, slot int32, n int) {
+	c.index.join(&r.hostNodes, n, slot, c.index.restWords, c.index.nodeWords)
+}
+
+// discardCopies drops every block on the copy chain of id's record — only
+// the tensor's holders are visited — and returns the record, nil for an ID
+// the cluster has not met.
+func (c *Cluster) discardCopies(id uint64) *tensorRec {
+	r := c.rec(id)
+	for r != nil && r.head != 0 {
+		c.devices[c.index.blocks[r.head].dev].drop(r.head)
+	}
+	return r
 }
 
 // EnsureResident makes tensor desc resident on device dev, advancing the
@@ -140,47 +153,52 @@ func (c *Cluster) dropHostCopy(id uint64, r *tensorRec) {
 // allocation (with any evictions) plus a P2P copy if a peer holds it,
 // otherwise an H2D copy from the host.
 func (c *Cluster) EnsureResident(dev int, desc tensor.Desc) error {
-	d, err := c.device(dev)
-	if err != nil {
-		return err
+	d, err := c.liveDevice(dev, "staging", desc.ID)
+	if err == nil {
+		_, err = c.ensureResident(d, &desc, c.slot(desc.ID), false)
 	}
-	if d.failed {
-		return fmt.Errorf("gpusim: %w: device %d (staging tensor %d)", ErrDeviceLost, dev, desc.ID)
-	}
-	_, err = c.ensureResident(d, desc, false)
 	return err
 }
 
-// ensureResident is EnsureResident on a resolved device, returning the
-// tensor's block there (readyAt is when its data is usable); when pin is
-// true the block is left pinned so a subsequent allocation cannot evict it.
-func (c *Cluster) ensureResident(d *Device, desc tensor.Desc, pin bool) (*block, error) {
-	if b, ok := d.resident[desc.ID]; ok {
-		d.touch(b)
-		b.pinned = b.pinned || pin
+// liveDevice resolves dev for an operation on tensor id, refusing a lost one.
+func (c *Cluster) liveDevice(dev int, op string, id uint64) (*Device, error) {
+	d, err := c.device(dev)
+	if err == nil && d.failed {
+		err = fmt.Errorf("gpusim: %w: device %d (%s tensor %d)", ErrDeviceLost, dev, op, id)
+	}
+	return d, err
+}
+
+// ensureResident is EnsureResident on a resolved device and slot, returning
+// the index of the tensor's block there (readyAt is when its data is usable),
+// left pinned when pin is set so a subsequent allocation cannot evict it.
+func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin bool) (int32, error) {
+	r := &c.index.recs[slot]
+	if i := c.index.find(r, d.id); i != 0 {
+		d.touch(i)
+		if pin {
+			c.index.blocks[i].pinned = true
+		}
 		d.stats.ReuseHits++
-		return b, nil
+		return i, nil
 	}
 	// Injected transient failures strike cold fetches only (a reuse hit
 	// moves no data). The attempt itself charges nothing; the engine's
 	// retry policy charges backoff to simulated time.
 	if c.transientLeft > 0 {
 		c.transientLeft--
-		return nil, fmt.Errorf("gpusim: %w: device %d fetching tensor %d (%d bytes)",
+		return 0, fmt.Errorf("gpusim: %w: device %d fetching tensor %d (%d bytes)",
 			ErrTransientTransfer, d.id, desc.ID, desc.Bytes())
 	}
-	// Locate a source before spending anything. Peer sourcing is only
-	// used when the config enables it; the default data path stages
-	// through the host. The tensor's record answers both questions, and
-	// every later one about it. A same-node peer is preferred (xGMI-class
-	// fabric); failing that, the lowest-numbered cross-node holder serves
-	// over the inter-node interconnect.
-	r := c.index.recs[desc.ID]
-	if r == nil {
-		return nil, fmt.Errorf("gpusim: %w: tensor %d (%d bytes) resident on no device and absent from host (device %d requesting)",
+	// Locate a source before spending anything. Peer sourcing is only used
+	// when the config enables it; the default data path stages through the
+	// host. A same-node peer is preferred (xGMI-class fabric); failing that,
+	// the lowest-numbered cross-node holder serves over the interconnect.
+	holders := r.holders
+	if r.head == 0 && !r.onHost {
+		return 0, fmt.Errorf("gpusim: %w: tensor %d (%d bytes) resident on no device and absent from host (device %d requesting)",
 			ErrTensorUnavailable, desc.ID, desc.Bytes(), d.id)
 	}
-	holders := r.holders
 	var peer *Device
 	if c.cfg.PeerFetch {
 		var cross *Device
@@ -202,19 +220,19 @@ func (c *Cluster) ensureResident(d *Device, desc tensor.Desc, pin bool) (*block,
 		}
 	}
 	if peer == nil && !r.onHost {
-		// A record without a host copy has holders. Peer copies exist but
+		// A tensor without a host copy has holders. Peer copies exist but
 		// peer fetch is disabled: stage through the host by paying one D2H
 		// write-back first.
 		src := c.devices[holders.First()]
 		dur := float64(desc.Bytes()) / c.d2hBandwidth(src)
-		c.hostTransfer(src, dur)
+		src.stats.TransferTime += c.hostLinkOccupy(src, dur)
 		src.stats.D2HBytes += desc.Bytes()
 		c.d2hBytes += desc.Bytes()
 		if c.observing() {
 			c.trace(Event{Kind: EventD2H, Device: src.id, Tensor: desc.ID,
 				Start: src.CopyClock() - dur, End: src.CopyClock(), Bytes: desc.Bytes()})
 		}
-		c.hostCopy(r, desc, src.node)
+		c.hostCopy(slot, desc, src.node)
 	}
 	if peer == nil && c.numNodes > 1 && !r.hostNodes.Has(d.node) {
 		// The host copy lives in another node's partition: ship it over
@@ -222,48 +240,26 @@ func (c *Cluster) ensureResident(d *Device, desc tensor.Desc, pin bool) (*block,
 		// then fetch locally. The copy stays cached node-side, so repeat
 		// misses on this node pay only the local H2D.
 		c.interTransfer(d, desc)
-		r.hostNodes = r.hostNodes.with(d.node, 0)
+		c.hostOn(r, slot, d.node)
 	}
-	// Evictions below drop other tensors only: r keeps its holders or its
-	// host copy, so it stays valid across them.
 	if err := c.alloc(d, desc); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if peer != nil {
 		if peer.node == d.node {
 			// Intra-node P2P copies run on the node's inter-GPU fabric,
-			// shared by all of its pairs: the copy starts when both the
-			// destination's transfer queue and the fabric are free.
-			dur := float64(desc.Bytes()) / c.p2pBandwidth(d)
-			queue := d.CopyClock()
-			start := queue
-			if pc := c.p2pClocks[d.node]; pc > start {
-				start = pc
-			}
-			end := start + dur
-			c.p2pClocks[d.node] = end
-			d.advanceTransferQueue(end - queue)
-			d.stats.TransferTime += end - queue
-			d.stats.P2PBytes += desc.Bytes()
-			c.moveBytes += desc.Bytes()
-			if c.sink != nil {
-				c.sink.p2pBusy.v += dur
-				c.sink.p2pStall.v += start - queue
-			}
-			if c.observing() {
-				c.trace(Event{Kind: EventP2P, Device: d.id, Tensor: desc.ID,
-					Start: start, End: end, Bytes: desc.Bytes()})
-			}
+			// shared by all of its pairs.
+			c.fabricTransfer(d, desc, EventP2P, float64(desc.Bytes())/c.p2pBandwidth(d), &c.p2pClocks[d.node])
 		} else {
 			// Cross-node peer copy: serialized on the inter-node fabric,
 			// charged at its bandwidth plus fixed latency.
 			c.interTransfer(d, desc)
-			d.stats.P2PBytes += desc.Bytes()
-			c.moveBytes += desc.Bytes()
 		}
+		d.stats.P2PBytes += desc.Bytes()
+		c.moveBytes += desc.Bytes()
 	} else {
 		dur := float64(desc.Bytes()) / c.h2dBandwidth(d)
-		c.hostTransfer(d, dur)
+		d.stats.TransferTime += c.hostLinkOccupy(d, dur)
 		d.stats.H2DBytes += desc.Bytes()
 		c.moveBytes += desc.Bytes()
 		if c.observing() {
@@ -272,62 +268,54 @@ func (c *Cluster) ensureResident(d *Device, desc tensor.Desc, pin bool) (*block,
 		}
 	}
 	d.stats.ColdMisses++
-	b := d.install(desc, false, r)
+	i := d.install(desc, false, slot)
+	b := &c.index.blocks[i]
 	b.pinned = pin
 	b.readyAt = d.CopyClock()
-	return b, nil
+	return i, nil
 }
 
 // interTransfer charges one inter-node shipment of desc toward device d's
 // node: fixed interconnect latency plus bytes at the (degradable)
-// inter-node bandwidth, serialized on the single shared inter-node fabric
-// and on d's transfer queue.
-func (c *Cluster) interTransfer(d *Device, desc tensor.Desc) {
-	dur := c.cfg.InterNodeLatency + float64(desc.Bytes())/c.interBandwidth()
-	queue := d.CopyClock()
-	start := queue
-	if c.interClock > start {
-		start = c.interClock
-	}
-	end := start + dur
-	c.interClock = end
-	d.advanceTransferQueue(end - queue)
-	d.stats.TransferTime += end - queue
+// inter-node bandwidth, on the single shared inter-node fabric.
+func (c *Cluster) interTransfer(d *Device, desc *tensor.Desc) {
+	c.fabricTransfer(d, desc, EventInter, c.cfg.InterNodeLatency+float64(desc.Bytes())/c.interBandwidth(), &c.interClock)
 	c.interBytes += desc.Bytes()
-	if c.sink != nil {
-		c.sink.interBusy.v += dur
-		c.sink.interStall.v += start - queue
-	}
-	if c.observing() {
-		c.trace(Event{Kind: EventInter, Device: d.id, Tensor: desc.ID,
-			Start: start, End: end, Bytes: desc.Bytes()})
-	}
 }
 
-// hostTransfer charges a transfer of duration dur that occupies both the
-// device's transfer queue and its node's host link: it begins when both
-// are free and advances both to its completion, charging the
-// stall-inclusive elapsed time to the device's TransferTime.
-func (c *Cluster) hostTransfer(d *Device, dur float64) {
-	d.stats.TransferTime += c.hostLinkOccupy(d, dur)
+// fabricTransfer charges a copy of desc to device d that takes dur seconds
+// and serializes on a shared fabric, whose availability time is *clock: the
+// copy starts when both d's transfer queue and the fabric are free.
+func (c *Cluster) fabricTransfer(d *Device, desc *tensor.Desc, kind EventKind, dur float64, clock *float64) {
+	queue := d.CopyClock()
+	start := max(queue, *clock)
+	end := start + dur
+	*clock = end
+	d.advanceTransferQueue(end - queue)
+	d.stats.TransferTime += end - queue
+	if s := c.sink; s != nil {
+		busy, stall := &s.p2pBusy, &s.p2pStall
+		if kind == EventInter {
+			busy, stall = &s.interBusy, &s.interStall
+		}
+		busy.v += dur
+		stall.v += start - queue
+	}
+	if c.observing() {
+		c.trace(Event{Kind: kind, Device: d.id, Tensor: desc.ID, Start: start, End: end, Bytes: desc.Bytes()})
+	}
 }
 
 // hostLinkOccupy reserves device d's node's host link for dur seconds on
-// behalf of d's transfer queue and returns the elapsed queue time
-// including any stall waiting for the link.
+// behalf of d's transfer queue: the transfer begins when both are free and
+// advances both to its completion. It returns the elapsed queue time,
+// stall included, which callers charge to the device's TransferTime.
 func (c *Cluster) hostLinkOccupy(d *Device, dur float64) float64 {
 	d.markDirty()
-	queue := d.clock
-	if d.cfg.AsyncCopy {
-		queue = d.copyClock
-	}
-	start := queue
-	if lc := c.linkClocks[d.node]; lc > start {
-		start = lc
-	}
+	queue := d.CopyClock()
+	start := max(queue, c.linkClocks[d.node])
 	end := start + dur
-	elapsed := end - queue
-	if d.cfg.AsyncCopy {
+	if c.cfg.AsyncCopy {
 		d.copyClock = end
 	} else {
 		d.clock = end
@@ -337,13 +325,13 @@ func (c *Cluster) hostLinkOccupy(d *Device, dur float64) float64 {
 		c.sink.hostBusy.v += dur
 		c.sink.hostStall.v += start - queue
 	}
-	return elapsed
+	return end - queue
 }
 
 // alloc charges allocation latency (on the transfer queue: it is part of
 // the staging path) and evicts LRU blocks until desc fits.
-func (c *Cluster) alloc(d *Device, desc tensor.Desc) error {
-	if err := d.evictFor(desc.Bytes(), c); err != nil {
+func (c *Cluster) alloc(d *Device, desc *tensor.Desc) error {
+	if err := d.evictFor(desc.Bytes()); err != nil {
 		return fmt.Errorf("allocating tensor %d: %w", desc.ID, err)
 	}
 	d.advanceTransferQueue(d.prof.AllocLatency)
@@ -355,52 +343,52 @@ func (c *Cluster) alloc(d *Device, desc tensor.Desc) error {
 // dev, producing out (which becomes resident and dirty). Both inputs are
 // made resident first. Returns the FLOPs executed.
 func (c *Cluster) ExecContraction(dev int, a, b, out tensor.Desc) (int64, error) {
-	d, err := c.device(dev)
+	return c.ExecContractionAt(dev, &a, &b, &out, int(c.slot(a.ID)), int(c.slot(b.ID)), int(c.slot(out.ID)))
+}
+
+// ExecContractionAt is ExecContraction with the three tensors' slots (see
+// BindTensors) in hand: no tensor is looked up by ID.
+func (c *Cluster) ExecContractionAt(dev int, a, b, out *tensor.Desc, slotA, slotB, slotOut int) (int64, error) {
+	d, err := c.liveDevice(dev, "contraction for", out.ID)
 	if err != nil {
 		return 0, err
 	}
-	if d.failed {
-		return 0, fmt.Errorf("gpusim: %w: device %d (contraction for tensor %d)", ErrDeviceLost, dev, out.ID)
-	}
-	flops, err := tensor.ContractFLOPs(a, b)
+	flops, err := tensor.ContractFLOPs(*a, *b)
 	if err != nil {
 		return 0, err
 	}
-	ba, err := c.ensureResident(d, a, true)
+	// Blocks are held by index: an install below may move the slab.
+	ia, err := c.ensureResident(d, a, int32(slotA), true)
 	if err != nil {
 		return 0, err
 	}
-	bb, err := c.ensureResident(d, b, true)
+	ib, err := c.ensureResident(d, b, int32(slotB), true)
 	if err != nil {
-		ba.pinned = false
+		c.index.blocks[ia].pinned = false
 		return 0, err
 	}
 	// Output allocation may evict, but never the pinned inputs.
-	outReady := d.CopyClock()
-	if ob, ok := d.resident[out.ID]; ok {
+	var outReady float64
+	if io := c.index.find(&c.index.recs[slotOut], d.id); io != 0 {
 		// Re-execution into an existing buffer (e.g. accumulation).
-		d.touch(ob)
+		d.touch(io)
+		ob := &c.index.blocks[io]
 		ob.dirty = true
 		outReady = ob.readyAt
 	} else {
 		if err := c.alloc(d, out); err != nil {
-			ba.pinned, bb.pinned = false, false
+			c.index.blocks[ia].pinned, c.index.blocks[ib].pinned = false, false
 			return 0, err
 		}
-		nb := d.install(out, true, c.index.add(out.ID))
-		nb.readyAt = d.CopyClock()
-		outReady = nb.readyAt
+		io = d.install(out, true, int32(slotOut))
+		outReady = d.CopyClock()
+		c.index.blocks[io].readyAt = outReady
 	}
+	ba, bb := &c.index.blocks[ia], &c.index.blocks[ib]
 	if c.cfg.AsyncCopy {
 		// The kernel waits for its operands' copies, then runs on the
 		// compute queue, overlapping with unrelated transfers.
-		start := d.clock
-		for _, r := range []float64{ba.readyAt, bb.readyAt, outReady} {
-			if r > start {
-				start = r
-			}
-		}
-		d.clock = start
+		d.clock = max(d.clock, ba.readyAt, bb.readyAt, outReady)
 	}
 	kt := d.prof.KernelLaunch + float64(flops)/d.prof.FLOPS
 	d.markDirty()
@@ -420,11 +408,8 @@ func (c *Cluster) ExecContraction(dev int, a, b, out tensor.Desc) (int64, error)
 // Discard drops tensor id from every device without write-back and forgets
 // any host copy. Used when an intermediate's last consumer has run.
 func (c *Cluster) Discard(id uint64) {
-	c.DiscardDeviceCopies(id)
-	// Probed again: dropping the last device copy of a tensor the host does
-	// not hold has already recycled its record.
-	if r := c.index.recs[id]; r != nil {
-		c.dropHostCopy(id, r)
+	if r := c.discardCopies(id); r != nil {
+		r.onHost, r.hostNodes = false, DevSet{}
 	}
 }
 
@@ -454,7 +439,7 @@ func (c *Cluster) Makespan() float64 {
 func (c *Cluster) TotalStats() DeviceStats {
 	var s DeviceStats
 	for _, d := range c.devices {
-		s.add(d.stats)
+		s.Add(d.stats)
 	}
 	return s
 }
@@ -478,29 +463,27 @@ func (c *Cluster) GFLOPS() float64 {
 }
 
 // Reset returns every device to time zero with empty pools, frees the
-// links, and clears the host registry. Maps, device block pools and the
-// residency index's slabs keep their capacity, so back-to-back runs on one
-// cluster settle into a steady state where the simulator allocates nothing.
-// A trace being recorded is emptied in place; an observer publishes first.
+// links, and clears the host registry. The tensor numbering stays (see
+// BindTensors), and the residency index keeps its arrays, so back-to-back
+// runs on one cluster settle into a steady state where the simulator
+// allocates nothing. A trace being recorded is emptied in place; an observer
+// publishes first.
 func (c *Cluster) Reset() {
 	c.FlushObserver() // while the device high-water marks it reads still stand
 	for _, d := range c.devices {
 		d.reset()
 	}
-	// Devices skip per-tensor index updates during reset; one bulk reset
-	// replaces what would be a release per resident tensor.
-	c.index.reset()
+	// Devices skip per-tensor index updates during reset: clearing the
+	// records and rewinding the slab replaces a drop per resident block.
+	clear(c.index.recs)
+	c.index.blocks, c.index.free = c.index.blocks[:1], 0
 	c.dirty.markAll()
-	for n := range c.linkClocks {
-		c.linkClocks[n] = 0
-		c.p2pClocks[n] = 0
-	}
-	c.interClock = 0
-	c.interBytes = 0
+	clear(c.linkClocks)
+	clear(c.p2pClocks)
+	c.interClock, c.interBytes = 0, 0
 	c.moveBytes, c.d2hBytes, c.evictions = 0, 0, 0
 	c.traceEvents = c.traceEvents[:0]
-	c.bwFactor = 0
-	c.transientLeft = 0
+	c.bwFactor, c.transientLeft = 0, 0
 }
 
 func (c *Cluster) device(i int) (*Device, error) {

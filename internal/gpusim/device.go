@@ -6,22 +6,6 @@ import (
 	"micco/internal/tensor"
 )
 
-// block is a resident allocation on a device's memory pool. Blocks are
-// linked intrusively into the device's LRU list and recycled through a
-// per-device free list, so steady-state installs allocate nothing.
-type block struct {
-	desc   tensor.Desc
-	dirty  bool // produced on-device and not yet written back to host
-	pinned bool // in use by the op currently being scheduled; not evictable
-	// prev/next chain the device's LRU order (front = least recently
-	// used); next doubles as the free-list link for recycled blocks.
-	prev, next *block
-	// readyAt is when the block's data is usable: the completion time of
-	// the copy that installed it (only ahead of the compute queue when
-	// the copy engine is asynchronous).
-	readyAt float64
-}
-
 // DeviceStats accumulates per-device counters over a simulation run.
 type DeviceStats struct {
 	KernelTime   float64 // seconds spent in contraction kernels
@@ -58,11 +42,8 @@ func (s DeviceStats) Sub(o DeviceStats) DeviceStats {
 	}
 }
 
-// Add accumulates o into s (the exported form of the engine-internal add).
-func (s *DeviceStats) Add(o DeviceStats) { s.add(o) }
-
-// add accumulates o into s.
-func (s *DeviceStats) add(o DeviceStats) {
+// Add accumulates o into s.
+func (s *DeviceStats) Add(o DeviceStats) {
 	s.KernelTime += o.KernelTime
 	s.TransferTime += o.TransferTime
 	s.EvictTime += o.EvictTime
@@ -81,8 +62,8 @@ func (s *DeviceStats) add(o DeviceStats) {
 // copy-engine clock (Config.AsyncCopy), a memory pool with LRU
 // replacement, and the set of resident tensors.
 type Device struct {
-	id  int
-	cfg *Config
+	id int
+	c  *Cluster // for its config, residency index and dirty-device set
 	// prof is the device's resolved hardware profile: its class's
 	// DeviceProfile with zero fields replaced by the Config defaults.
 	// Homogeneous clusters resolve every device to the Config values.
@@ -93,18 +74,11 @@ type Device struct {
 	copyClock float64 // copy engine queue (used when cfg.AsyncCopy)
 	memUsed   int64
 	memPeak   int64 // high-water mark of memUsed over the run
-	resident  map[uint64]*block
-	// lruHead/lruTail bound the intrusive LRU list (head = least recently
-	// used); free chains recycled blocks awaiting reuse.
-	lruHead, lruTail *block
-	free             *block
+	// lruHead/lruTail bound the device's LRU list of blocks in the cluster's
+	// slab (head = least recently used, 0 = empty); resident is its length.
+	lruHead, lruTail int32
+	resident         int
 	stats            DeviceStats
-	// index is the cluster's shared residency index; install and drop
-	// keep its holder sets exact so they can never drift from resident.
-	index *residencyIndex
-	// dirty is the cluster's shared dirty-device set; every write to clock,
-	// memUsed, capOverride or failed marks the device there.
-	dirty *dirtySet
 	// failed marks the device as removed by fault injection
 	// (Cluster.FailDevice); operations issued to it return ErrDeviceLost.
 	failed bool
@@ -113,21 +87,13 @@ type Device struct {
 	capOverride int64
 }
 
-func newDevice(id int, cfg *Config, index *residencyIndex, dirty *dirtySet) *Device {
-	return &Device{
-		id:       id,
-		cfg:      cfg,
-		prof:     cfg.profileOf(id),
-		node:     cfg.NodeOf(id),
-		resident: make(map[uint64]*block),
-		index:    index,
-		dirty:    dirty,
-	}
+func newDevice(id int, c *Cluster) *Device {
+	return &Device{id: id, c: c, prof: c.cfg.profileOf(id), node: c.cfg.NodeOf(id)}
 }
 
 // markDirty records that one of the device's scheduler-visible keys (clock,
 // memUsed, capacity, failed) is about to change; see dirtySet.
-func (d *Device) markDirty() { d.dirty.mark(d.id) }
+func (d *Device) markDirty() { d.c.dirty.mark(d.id) }
 
 // ID returns the device index within its cluster.
 func (d *Device) ID() int { return d.id }
@@ -145,7 +111,7 @@ func (d *Device) Clock() float64 { return d.clock }
 // CopyClock returns the copy-engine queue time; it equals Clock() when the
 // copy engine is synchronous (Config.AsyncCopy off).
 func (d *Device) CopyClock() float64 {
-	if d.cfg.AsyncCopy {
+	if d.c.cfg.AsyncCopy {
 		return d.copyClock
 	}
 	return d.clock
@@ -153,7 +119,7 @@ func (d *Device) CopyClock() float64 {
 
 // busyUntil is the later of the device's queues.
 func (d *Device) busyUntil() float64 {
-	if d.cfg.AsyncCopy && d.copyClock > d.clock {
+	if d.c.cfg.AsyncCopy && d.copyClock > d.clock {
 		return d.copyClock
 	}
 	return d.clock
@@ -163,21 +129,17 @@ func (d *Device) busyUntil() float64 {
 func (d *Device) MemUsed() int64 { return d.memUsed }
 
 // MemFree returns the bytes still available on the device.
-func (d *Device) MemFree() int64 { return d.capacity() - d.memUsed }
+func (d *Device) MemFree() int64 { return d.Capacity() - d.memUsed }
 
-// capacity is the effective pool size: the fault-injected override when one
-// is active, the profile's (or configured) size otherwise.
-func (d *Device) capacity() int64 {
+// Capacity returns the device's effective memory-pool size in bytes: the
+// profile's (or configured) MemoryBytes, or the override below it while a
+// fault plan's mem-shrink is in effect.
+func (d *Device) Capacity() int64 {
 	if d.capOverride > 0 {
 		return d.capOverride
 	}
 	return d.prof.MemoryBytes
 }
-
-// Capacity returns the device's effective memory-pool size in bytes; it is
-// below the profile's MemoryBytes while a fault plan's mem-shrink is in
-// effect.
-func (d *Device) Capacity() int64 { return d.capacity() }
 
 // Failed reports whether the device has been removed by fault injection.
 func (d *Device) Failed() bool { return d.failed }
@@ -191,158 +153,170 @@ func (d *Device) Stats() DeviceStats { return d.stats }
 
 // Holds reports whether tensor id is resident on the device.
 func (d *Device) Holds(id uint64) bool {
-	_, ok := d.resident[id]
-	return ok
+	r := d.c.rec(id)
+	return r != nil && r.holders.Has(d.id)
 }
 
 // ResidentCount returns the number of tensors resident on the device.
-func (d *Device) ResidentCount() int { return len(d.resident) }
+func (d *Device) ResidentCount() int { return d.resident }
 
-// lruPushBack appends b at the most-recently-used end.
-func (d *Device) lruPushBack(b *block) {
-	b.prev = d.lruTail
-	b.next = nil
-	if d.lruTail != nil {
-		d.lruTail.next = b
+// lruPushBack appends block i at the most-recently-used end.
+func (d *Device) lruPushBack(i int32) {
+	blocks := d.c.index.blocks
+	blocks[i].prev, blocks[i].next = d.lruTail, 0
+	if d.lruTail != 0 {
+		blocks[d.lruTail].next = i
 	} else {
-		d.lruHead = b
+		d.lruHead = i
 	}
-	d.lruTail = b
+	d.lruTail = i
 }
 
-// lruRemove unlinks b from the LRU list.
-func (d *Device) lruRemove(b *block) {
-	if b.prev != nil {
-		b.prev.next = b.next
+// lruRemove unlinks block i from the LRU list.
+func (d *Device) lruRemove(i int32) {
+	blocks := d.c.index.blocks
+	prev, next := blocks[i].prev, blocks[i].next
+	if prev != 0 {
+		blocks[prev].next = next
 	} else {
-		d.lruHead = b.next
+		d.lruHead = next
 	}
-	if b.next != nil {
-		b.next.prev = b.prev
+	if next != 0 {
+		blocks[next].prev = prev
 	} else {
-		d.lruTail = b.prev
-	}
-	b.prev, b.next = nil, nil
-}
-
-// touch marks a resident tensor most-recently-used.
-func (d *Device) touch(b *block) {
-	if d.lruTail != b {
-		d.lruRemove(b)
-		d.lruPushBack(b)
+		d.lruTail = prev
 	}
 }
 
-// install records a new resident block (most-recently-used position),
-// reusing a recycled block when one is free. r is the tensor's residency
-// record, which the caller has in hand or has just added.
-func (d *Device) install(desc tensor.Desc, dirty bool, r *tensorRec) *block {
-	b := d.free
-	if b != nil {
-		d.free = b.next
-		*b = block{desc: desc, dirty: dirty}
-	} else {
-		b = &block{desc: desc, dirty: dirty}
+// touch marks a resident block most-recently-used.
+func (d *Device) touch(i int32) {
+	if d.lruTail != i {
+		d.lruRemove(i)
+		d.lruPushBack(i)
 	}
-	d.lruPushBack(b)
-	d.resident[desc.ID] = b
-	r.hold(d.id)
+}
+
+// install records a new resident block of slot's tensor (most recently
+// used, head of the copy chain) and returns its index: the block dropped
+// last, else the slab's next. The slab may move: no *block survives a call.
+func (d *Device) install(desc *tensor.Desc, dirty bool, slot int32) int32 {
+	ri := d.c.index
+	i := ri.free
+	if i != 0 {
+		ri.free = ri.blocks[i].next
+	} else {
+		i = int32(len(ri.blocks))
+		ri.blocks = append(ri.blocks, block{})
+	}
+	r := &ri.recs[slot]
+	ri.blocks[i] = block{desc: *desc, dirty: dirty, chain: r.head, slot: slot, dev: int32(d.id)}
+	r.head = i
+	ri.join(&r.holders, d.id, slot, 0, ri.restWords)
+	d.lruPushBack(i)
+	d.resident++
 	d.markDirty()
 	d.memUsed += desc.Bytes()
 	if d.memUsed > d.memPeak {
 		d.memPeak = d.memUsed
 	}
-	return b
+	return i
 }
 
-// drop removes a resident block without any timing cost (used by eviction
-// and invalidation; callers account for cost) and recycles it onto the
-// free list. The block must not be used after drop returns, nor r, the
-// tensor's residency record, once the tensor's last copy has been dropped.
-func (d *Device) drop(b *block, r *tensorRec) {
-	d.lruRemove(b)
-	delete(d.resident, b.desc.ID)
-	if r.unhold(d.id) {
-		d.index.release(b.desc.ID, r)
+// drop removes resident block i without any timing cost (used by eviction
+// and invalidation; callers account for cost) and puts it on the free
+// list. The block must not be used after drop returns.
+func (d *Device) drop(i int32) {
+	ri := d.c.index
+	b := &ri.blocks[i]
+	r := &ri.recs[b.slot]
+	d.lruRemove(i)
+	if r.head == i {
+		r.head = b.chain
+	} else {
+		p := r.head
+		for ri.blocks[p].chain != i {
+			p = ri.blocks[p].chain
+		}
+		ri.blocks[p].chain = b.chain
 	}
+	if r.holders = r.holders.without(d.id); r.holders.Empty() {
+		r.holders.rest = nil // an empty set lets go of its spill: the zero DevSet
+	}
+	d.resident--
 	d.markDirty()
 	d.memUsed -= b.desc.Bytes()
-	b.next = d.free
-	d.free = b
+	b.next = ri.free
+	ri.free = i
 }
 
 // evictFor frees space until size bytes fit, evicting least-recently-used
 // unpinned blocks. Dirty blocks are written back to host (the cluster marks
 // them host-resident). Returns an error if the request can never fit.
-func (d *Device) evictFor(size int64, c *Cluster) error {
-	if size > d.capacity() {
+func (d *Device) evictFor(size int64) error {
+	c := d.c
+	if size > d.Capacity() {
 		return fmt.Errorf("gpusim: %w: device %d: tensor of %d bytes exceeds capacity %d (used %d, free %d)",
-			ErrOutOfMemory, d.id, size, d.capacity(), d.memUsed, d.MemFree())
+			ErrOutOfMemory, d.id, size, d.Capacity(), d.memUsed, d.MemFree())
 	}
-	for d.memUsed+size > d.capacity() {
-		victim := d.oldestUnpinned()
-		if victim == nil {
+	for d.memUsed+size > d.Capacity() {
+		vi := d.oldestUnpinned()
+		if vi == 0 {
 			return fmt.Errorf("gpusim: %w: device %d cannot free %d bytes: all %d resident tensors pinned (capacity %d, used %d, free %d)",
-				ErrOutOfMemory, d.id, size, len(d.resident), d.capacity(), d.memUsed, d.MemFree())
+				ErrOutOfMemory, d.id, size, d.resident, d.Capacity(), d.memUsed, d.MemFree())
 		}
+		victim := &c.index.blocks[vi]
 		cost := d.prof.EvictLatency
 		d.advanceTransferQueue(cost)
-		c.trace(Event{Kind: EventEvict, Device: d.id, Tensor: victim.desc.ID,
-			Start: d.CopyClock() - cost, End: d.CopyClock(), Bytes: victim.desc.Bytes()})
-		r := c.index.recs[victim.desc.ID]
+		if c.observing() {
+			c.trace(Event{Kind: EventEvict, Device: d.id, Tensor: victim.desc.ID,
+				Start: d.CopyClock() - cost, End: d.CopyClock(), Bytes: victim.desc.Bytes()})
+		}
 		if victim.dirty {
 			// Dirty write-back occupies the node's shared host link.
 			dur := float64(victim.desc.Bytes()) / c.d2hBandwidth(d)
 			cost += c.hostLinkOccupy(d, dur)
 			d.stats.D2HBytes += victim.desc.Bytes()
 			c.d2hBytes += victim.desc.Bytes()
-			c.hostCopy(r, victim.desc, d.node)
-			c.trace(Event{Kind: EventD2H, Device: d.id, Tensor: victim.desc.ID,
-				Start: d.CopyClock() - dur, End: d.CopyClock(), Bytes: victim.desc.Bytes()})
+			c.hostCopy(victim.slot, &victim.desc, d.node)
+			if c.observing() {
+				c.trace(Event{Kind: EventD2H, Device: d.id, Tensor: victim.desc.ID,
+					Start: d.CopyClock() - dur, End: d.CopyClock(), Bytes: victim.desc.Bytes()})
+			}
 		}
 		d.stats.EvictTime += cost
 		d.stats.Evictions++
 		c.evictions++
-		d.drop(victim, r)
+		d.drop(vi)
 	}
 	return nil
 }
 
-func (d *Device) oldestUnpinned() *block {
-	for b := d.lruHead; b != nil; b = b.next {
-		if !b.pinned {
-			return b
+func (d *Device) oldestUnpinned() int32 {
+	blocks := d.c.index.blocks
+	for i := d.lruHead; i != 0; i = blocks[i].next {
+		if !blocks[i].pinned {
+			return i
 		}
 	}
-	return nil
+	return 0
 }
 
 // advanceTransferQueue adds dur to the queue transfers run on: the copy
 // engine when asynchronous, the compute queue otherwise.
 func (d *Device) advanceTransferQueue(dur float64) {
 	d.markDirty()
-	if d.cfg.AsyncCopy {
+	if d.c.cfg.AsyncCopy {
 		d.copyClock += dur
 	} else {
 		d.clock += dur
 	}
 }
 
-// reset clears all state, returning the device to time zero with an empty
-// pool. Maps keep their capacity and every block is recycled, so the next
-// run's installs allocate nothing.
-// The residency index and the dirty set are NOT touched here: reset is only
-// reachable from Cluster.Reset, which resets the index and marks the whole
-// cluster dirty once for all devices.
+// reset returns the device to time zero with an empty pool. The residency
+// index — the device's blocks with it — and the dirty set are NOT touched:
+// Cluster.Reset, the only caller, rewinds and marks them once for all.
 func (d *Device) reset() {
-	if d.lruTail != nil {
-		// The LRU list is already chained through next: splice it whole
-		// onto the free list (install overwrites every field on reuse).
-		d.lruTail.next = d.free
-		d.free = d.lruHead
-	}
-	d.lruHead, d.lruTail = nil, nil
-	clear(d.resident)
+	d.lruHead, d.lruTail, d.resident = 0, 0, 0
 	d.clock = 0
 	d.copyClock = 0
 	d.memUsed = 0

@@ -6,7 +6,7 @@ import "fmt"
 // restored, the transfer links can be degraded, memory pools can shrink
 // mid-run, and operand fetches can be made to fail transiently. All
 // mutations route residency changes through Device.install/drop, so the
-// cluster's DevSet residency index stays exact across every fault.
+// cluster's residency index stays exact across every fault.
 
 // FailDevice removes device dev from service: every resident block is
 // dropped (through the install/drop index, so HoldersMask can never show a
@@ -16,24 +16,24 @@ import "fmt"
 // an already-failed device is a no-op.
 func (c *Cluster) FailDevice(dev int) error {
 	d, err := c.device(dev)
-	if err != nil {
+	if err != nil || d.failed {
 		return err
 	}
-	if d.failed {
-		return nil
-	}
-	for b := d.lruHead; b != nil; {
-		next := b.next
-		d.drop(b, c.index.recs[b.desc.ID])
-		b = next
+	for d.lruHead != 0 {
+		d.drop(d.lruHead)
 	}
 	d.markDirty()
 	d.failed = true
+	c.traceFault(dev, "device-loss")
+	return nil
+}
+
+// traceFault records an injected fault at the current makespan.
+func (c *Cluster) traceFault(dev int, format string, args ...any) {
 	if c.observing() {
 		t := c.Makespan()
-		c.trace(Event{Kind: EventFault, Device: dev, Start: t, End: t, Note: "device-loss"})
+		c.trace(Event{Kind: EventFault, Device: dev, Start: t, End: t, Note: fmt.Sprintf(format, args...)})
 	}
-	return nil
 }
 
 // RestoreDevice returns a failed device to service with an empty memory
@@ -41,47 +41,32 @@ func (c *Cluster) FailDevice(dev int) error {
 // not in the past). Restoring a live device is a no-op.
 func (c *Cluster) RestoreDevice(dev int) error {
 	d, err := c.device(dev)
-	if err != nil {
+	if err != nil || !d.failed {
 		return err
-	}
-	if !d.failed {
-		return nil
 	}
 	d.markDirty()
 	d.failed = false
-	m := c.Makespan()
-	d.clock = m
-	d.copyClock = m
-	if c.observing() {
-		c.trace(Event{Kind: EventFault, Device: dev, Start: m, End: m, Note: "device-restore"})
-	}
+	d.clock = c.Makespan()
+	d.copyClock = d.clock
+	c.traceFault(dev, "device-restore")
 	return nil
 }
 
 // DeviceFailed reports whether device dev has been removed by FailDevice.
 func (c *Cluster) DeviceFailed(dev int) bool {
-	if dev < 0 || dev >= len(c.devices) {
-		return false
-	}
-	return c.devices[dev].failed
+	return dev >= 0 && dev < len(c.devices) && c.devices[dev].failed
 }
 
 // FailedMask returns the set of failed devices.
-func (c *Cluster) FailedMask() DevSet {
-	var m DevSet
-	for _, d := range c.devices {
-		if d.failed {
-			m = m.with(d.id, c.index.restWords)
-		}
-	}
-	return m
-}
+func (c *Cluster) FailedMask() DevSet { return c.devicesWhere(true) }
 
 // AliveMask returns the set of in-service devices.
-func (c *Cluster) AliveMask() DevSet {
+func (c *Cluster) AliveMask() DevSet { return c.devicesWhere(false) }
+
+func (c *Cluster) devicesWhere(failed bool) DevSet {
 	var m DevSet
 	for _, d := range c.devices {
-		if !d.failed {
+		if d.failed == failed {
 			m = m.with(d.id, c.index.restWords)
 		}
 	}
@@ -97,18 +82,12 @@ func (c *Cluster) DegradeLink(factor float64) error {
 		return fmt.Errorf("gpusim: link degrade factor %v must be positive", factor)
 	}
 	c.bwFactor = factor
-	if c.observing() {
-		t := c.Makespan()
-		c.trace(Event{Kind: EventFault, Device: -1, Start: t, End: t,
-			Note: fmt.Sprintf("link-degrade x%g", factor)})
-	}
+	c.traceFault(-1, "link-degrade x%g", factor)
 	return nil
 }
 
 // LinkFactor returns the current bandwidth multiplier (1 = full speed).
-func (c *Cluster) LinkFactor() float64 { return c.linkFactor() }
-
-func (c *Cluster) linkFactor() float64 {
+func (c *Cluster) LinkFactor() float64 {
 	if c.bwFactor == 0 {
 		return 1
 	}
@@ -117,10 +96,10 @@ func (c *Cluster) linkFactor() float64 {
 
 // Effective bandwidths — the device's profile rate (the Config rate on
 // homogeneous clusters) under the current link degradation factor.
-func (c *Cluster) h2dBandwidth(d *Device) float64 { return d.prof.H2DBandwidth * c.linkFactor() }
-func (c *Cluster) d2hBandwidth(d *Device) float64 { return d.prof.D2HBandwidth * c.linkFactor() }
-func (c *Cluster) p2pBandwidth(d *Device) float64 { return d.prof.P2PBandwidth * c.linkFactor() }
-func (c *Cluster) interBandwidth() float64        { return c.cfg.InterNodeBandwidth * c.linkFactor() }
+func (c *Cluster) h2dBandwidth(d *Device) float64 { return d.prof.H2DBandwidth * c.LinkFactor() }
+func (c *Cluster) d2hBandwidth(d *Device) float64 { return d.prof.D2HBandwidth * c.LinkFactor() }
+func (c *Cluster) p2pBandwidth(d *Device) float64 { return d.prof.P2PBandwidth * c.LinkFactor() }
+func (c *Cluster) interBandwidth() float64        { return c.cfg.InterNodeBandwidth * c.LinkFactor() }
 
 // SetMemoryCapacity caps device dev's memory pool at capacity bytes
 // (restoring the profile's MemoryBytes when capacity equals it). If the device
@@ -137,14 +116,10 @@ func (c *Cluster) SetMemoryCapacity(dev int, capacity int64) error {
 	}
 	d.markDirty()
 	d.capOverride = capacity
-	if c.observing() {
-		t := c.Makespan()
-		c.trace(Event{Kind: EventFault, Device: dev, Start: t, End: t,
-			Note: fmt.Sprintf("mem-capacity %d", capacity)})
-	}
+	c.traceFault(dev, "mem-capacity %d", capacity)
 	if d.memUsed > capacity {
 		// evictFor(0) loops until memUsed fits the (new) capacity.
-		if err := d.evictFor(0, c); err != nil {
+		if err := d.evictFor(0); err != nil {
 			return fmt.Errorf("gpusim: shrinking device %d to %d bytes: %w", dev, capacity, err)
 		}
 	}
@@ -159,11 +134,7 @@ func (c *Cluster) InjectTransientFailures(n int) {
 		return
 	}
 	c.transientLeft += n
-	if c.observing() {
-		t := c.Makespan()
-		c.trace(Event{Kind: EventFault, Device: -1, Start: t, End: t,
-			Note: fmt.Sprintf("transient-transfer x%d", n)})
-	}
+	c.traceFault(-1, "transient-transfer x%d", n)
 }
 
 // TransientFailuresLeft returns how many injected transfer failures have
@@ -174,18 +145,4 @@ func (c *Cluster) TransientFailuresLeft() int { return c.transientLeft }
 // any host copy. The engine uses it instead of Discard while a fault plan
 // is active: the host copy (when one exists) remains the recovery source
 // should a device loss destroy downstream results.
-//
-// Only the tensor's holders are visited — its residency record names them —
-// through a scratch copy of the holder set, because each drop edits the
-// set being walked.
-func (c *Cluster) DiscardDeviceCopies(id uint64) {
-	r := c.index.recs[id]
-	if r == nil {
-		return
-	}
-	c.holderScratch = r.holders.AppendTo(c.holderScratch[:0])
-	for _, dev := range c.holderScratch {
-		d := c.devices[dev]
-		d.drop(d.resident[id], r)
-	}
-}
+func (c *Cluster) DiscardDeviceCopies(id uint64) { c.discardCopies(id) }

@@ -43,7 +43,7 @@ func TestFailDeviceDropsResidencyAndRejectsWork(t *testing.T) {
 	if !c.DeviceFailed(0) || c.DeviceFailed(1) {
 		t.Error("DeviceFailed flags wrong")
 	}
-	if !c.AliveMask().Equal(maskOf(1)) || !c.FailedMask().Equal(maskOf(0)) {
+	if !c.AliveMask().Equal(DevSetOf(1)) || !c.FailedMask().Equal(DevSetOf(0)) {
 		t.Errorf("masks wrong: alive %v failed %v", c.AliveMask().AppendTo(nil), c.FailedMask().AppendTo(nil))
 	}
 	// Operations on a failed device return ErrDeviceLost with context.
@@ -82,7 +82,7 @@ func TestFailDeviceLosesDirtyDataNotWrittenBack(t *testing.T) {
 	if err := c.RestoreDevice(0); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.ensureResident(c.Device(0), out, false)
+	_, err := c.ensureResident(c.Device(0), &out, c.slot(out.ID), false)
 	if !errors.Is(err, ErrTensorUnavailable) {
 		t.Errorf("fetching lost tensor: %v, want ErrTensorUnavailable", err)
 	}
@@ -490,5 +490,43 @@ func TestClusterCheckpointRestoreBitIdentical(t *testing.T) {
 	}
 	if err := resumed.Restore(nil); !errors.Is(err, ErrNilArgument) {
 		t.Errorf("nil checkpoint: %v, want ErrNilArgument", err)
+	}
+}
+
+// TestCheckpointRejectsDeadHolder: a snapshot whose failed device still
+// lists resident tensors — no run produces one: FailDevice drops everything,
+// ReviveDevices clears Resident — is refused by Validate and by Restore,
+// which used to install the blocks and name a dead device as a holder.
+func TestCheckpointRejectsDeadHolder(t *testing.T) {
+	c, _ := NewCluster(testConfig(2))
+	d := desc(7, 16, 1)
+	c.RegisterHostTensor(d)
+	if err := c.EnsureResident(1, d); err != nil {
+		t.Fatal(err)
+	}
+	cp := c.Checkpoint()
+	cp.Devices[1].Failed = true
+	if err := cp.Validate(); !errors.Is(err, ErrInvalidCheckpoint) {
+		t.Errorf("Validate returned %v, want ErrInvalidCheckpoint", err)
+	}
+	fresh, _ := NewCluster(testConfig(2))
+	if err := fresh.Restore(cp); !errors.Is(err, ErrInvalidCheckpoint) {
+		t.Errorf("Restore returned %v, want ErrInvalidCheckpoint", err)
+	}
+	if fresh.HoldersMask(7).Has(1) {
+		t.Error("a refused Restore left failed device 1 holding tensor 7")
+	}
+	// What a real loss leaves behind restores fine.
+	if err := c.FailDevice(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Restore(c.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if !fresh.DeviceFailed(1) || !fresh.HoldersMask(7).Empty() {
+		t.Error("restored loss: device 1 should be failed and hold nothing")
+	}
+	if err := fresh.Audit(); err != nil {
+		t.Error(err)
 	}
 }

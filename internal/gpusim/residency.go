@@ -2,54 +2,64 @@ package gpusim
 
 import "micco/internal/tensor"
 
-// maskOf returns the singleton set {dev}. The result carries no spill
-// storage for dev < InlineDevices, so singleton probes stay allocation-free
-// on any cluster size.
-func maskOf(dev int) DevSet { return DevSet{}.with(dev, 0) }
-
-// tensorRec is everything the cluster knows about where one tensor lives:
-// the devices holding it, and its host copy. One map probe reaches all of
-// it, and the simulator then works through the pointer.
+// tensorRec is everything the cluster knows about where one tensor lives.
+// Records sit in one array indexed by the tensor's slot; a tensor that is
+// nowhere has the zero record.
 type tensorRec struct {
-	// holders is the set of devices with a resident copy. Devices update it
-	// inside install/drop (hold/unhold), so it is exact after every
-	// allocation, eviction, discard and device loss.
+	// holders is the set of devices with a resident copy; install and drop
+	// keep it exact. Its spill is the record's own run of words, taken when
+	// the first member past the inline word joins, let go when it empties.
 	holders DevSet
-	// spill is the record's own run of slab words for holders past the
-	// inline word, lent to the set while it has any (nil on clusters of up
-	// to InlineDevices devices).
-	spill []uint64
-	// hostNodes is the set of nodes whose host partition has the copy
-	// (bit n = node n). Maintained on multi-node clusters only: with one
-	// node, host memory is one pool and onHost says it all.
-	hostNodes DevSet
-	// host is the host copy's descriptor, meaningful while onHost.
-	host   tensor.Desc
+	// head is the first block of the tensor's copy chain (block.chain links
+	// the rest): one block per holder, in no particular order, 0 for none.
+	head   int32
 	onHost bool
+	// hostNodes is the set of nodes whose host partition has the copy.
+	// Maintained on multi-node clusters only: with one node, host memory is
+	// one pool and onHost says it all.
+	hostNodes DevSet
+	host      tensor.Desc // the host copy's descriptor, meaningful while onHost
 }
 
-// recChunk is how many records (and their spill words) one slab holds.
-const recChunk = 256
+// block is one resident copy: an allocation on a device's memory pool.
+// Blocks live in one cluster-wide slab and name each other by index, so the
+// slab may grow under them; index 0 is the nil block. A block is on its
+// device's LRU list and its tensor's copy chain, or on the free list.
+type block struct {
+	desc tensor.Desc
+	// readyAt is when the data is usable: the completion time of the copy
+	// that installed it (ahead of the compute queue only under AsyncCopy).
+	readyAt float64
+	// prev/next chain the device's LRU order (front = least recently
+	// used); next doubles as the free-list link.
+	prev, next int32
+	chain      int32 // the tensor's next copy, on another device
+	slot       int32 // the tensor
+	dev        int32 // the device
+	dirty      bool  // produced on-device and not yet written back to host
+	pinned     bool  // in use by the op being scheduled; not evictable
+}
 
-// residencyIndex maps a tensor ID to its record. A record exists exactly
-// while the tensor has a holder or a host copy.
+// residencyIndex is the simulator's per-tensor and per-copy state. Nothing
+// in it is keyed by tensor ID — the cluster turns an ID into a slot at its
+// boundary — and nothing is per device: the block of tensor t on device d
+// is found through t's record, where holders.Has(d) answers a miss at once
+// and a hit walks a chain as long as the holder set (six at most on the
+// ladder's 4096 devices, where a per-device table would be 4096 maps).
 //
-// Records are carved from slabs the index keeps for the cluster's life, and
-// so are the spill words of their two sets: on clusters wider than
-// InlineDevices (or with more than 64 nodes) every record owns a fixed run
-// of words, so no set operation on an indexed set allocates. A record that
-// goes away is recycled with its words, and reset puts every slab back in
-// play, so a cluster that has run once runs again without allocating here.
-// Clusters of up to 64 devices in one node carry no words at all: their
-// sets are bare inline words.
+// The arrays are kept for the cluster's life: Reset clears the records and
+// rewinds the slab, a set clears its words as it takes them, and a cluster
+// that has run once runs again without allocating here.
 type residencyIndex struct {
 	restWords int // holder-set spill words: ceil((NumDevices-64)/64), 0 for ≤64
 	nodeWords int // host-node-set spill words, likewise over the node count
-	recs      map[uint64]*tensorRec
-	chunks    [][]tensorRec
-	words     [][]uint64 // words[i] backs the sets of chunks[i]
-	carved    int        // records carved from the slabs since the last reset
-	free      []*tensorRec
+	recs      []tensorRec
+	// words backs the spilled sets: slot s owns words[s*per:(s+1)*per],
+	// holder words first. When the array grows, a set that has taken its run
+	// keeps the old one, which it alone reads and writes.
+	words  []uint64
+	blocks []block // the slab; blocks[0] is the nil block
+	free   int32   // most recently dropped block, chained through next
 }
 
 func spillWords(n int) int {
@@ -59,103 +69,89 @@ func spillWords(n int) int {
 	return (n - InlineDevices + 63) >> 6
 }
 
-func newResidencyIndex(numDevices, numNodes int) *residencyIndex {
-	return &residencyIndex{
-		restWords: spillWords(numDevices),
-		nodeWords: spillWords(numNodes),
-		recs:      make(map[uint64]*tensorRec),
+// join adds member m to set, one of slot's two, whose n spill words start
+// at word off of the slot's run: the set takes them, cleared, with its first
+// member past the inline word, and until then reads as the bare word it is.
+func (ri *residencyIndex) join(set *DevSet, m int, slot int32, off, n int) {
+	if m >= InlineDevices && set.rest == nil {
+		base := int(slot)*(ri.restWords+ri.nodeWords) + off
+		set.rest = ri.words[base : base+n : base+n]
+		clear(set.rest)
 	}
+	*set = set.with(m, 0)
 }
 
-// add returns tensor id's record, creating an empty one if there is none.
-// The caller gives it a holder or a host copy before anything else runs.
-func (ri *residencyIndex) add(id uint64) *tensorRec {
-	if r := ri.recs[id]; r != nil {
-		return r
+// find returns the block of r's tensor on device dev, 0 when dev holds none.
+func (ri *residencyIndex) find(r *tensorRec, dev int) int32 {
+	if !r.holders.Has(dev) {
+		return 0
 	}
-	var r *tensorRec
-	if k := len(ri.free); k > 0 {
-		r, ri.free = ri.free[k-1], ri.free[:k-1]
-	} else {
-		r = ri.carve()
+	i := r.head
+	for ri.blocks[i].dev != int32(dev) {
+		i = ri.blocks[i].chain
 	}
-	ri.recs[id] = r
-	return r
+	return i
 }
 
-// carve takes the next record off the slabs and gives it its words. No
-// pass clears a slab: the node words are cleared here, the holder words
-// when a set takes them (hold), each just ahead of the write that follows.
-func (ri *residencyIndex) carve() *tensorRec {
-	ci, j := ri.carved/recChunk, ri.carved%recChunk
-	per := ri.restWords + ri.nodeWords
-	if ci == len(ri.chunks) {
-		ri.chunks = append(ri.chunks, make([]tensorRec, recChunk))
-		ri.words = append(ri.words, make([]uint64, recChunk*per))
-	}
-	ri.carved++
-	r := &ri.chunks[ci][j]
-	*r = tensorRec{}
-	if per > 0 {
-		w := ri.words[ci][j*per : (j+1)*per : (j+1)*per]
-		r.spill = w[:ri.restWords:ri.restWords]
-		r.hostNodes.rest = w[ri.restWords:]
-		clear(r.hostNodes.rest)
-	}
-	return r
-}
-
-// hold adds device dev to the holder set. The set takes the record's spill
-// words when its first member past the inline word joins; until then it is
-// a bare word, and reads as cheaply as one on any cluster width.
-func (r *tensorRec) hold(dev int) {
-	if dev >= InlineDevices && r.holders.rest == nil {
-		clear(r.spill)
-		r.holders.rest = r.spill
-	}
-	r.holders = r.holders.with(dev, 0)
-}
-
-// unhold removes device dev from the holder set and reports whether that
-// emptied it. An empty set has let go of its spill: it is the zero DevSet.
-func (r *tensorRec) unhold(dev int) bool {
-	r.holders = r.holders.without(dev)
-	if !r.holders.Empty() {
-		return false
-	}
-	r.holders.rest = nil
-	return true
-}
-
-// release forgets tensor id if nothing holds it any more, and recycles its
-// record. r must not be used afterwards.
-func (ri *residencyIndex) release(id uint64, r *tensorRec) {
-	if r.onHost || !r.holders.Empty() {
+// BindTensors adopts a workload's tensor numbering (Workload.TensorIDs):
+// slot s is tensor ids[s] from here on, to the slot-keyed methods
+// (HoldersAt, RegisterHostAt, ExecContractionAt) and the ID-keyed ones
+// alike. Binding the table already bound changes and costs nothing; another
+// table empties the cluster as Reset does. ids is shared, not copied, and
+// must not change while bound. A cluster nobody binds numbers tensors
+// itself, in the order its ID-keyed methods meet them.
+func (c *Cluster) BindTensors(ids []uint64) {
+	n, ri := len(ids), c.index
+	if n == len(c.ids) && (n == 0 || &ids[0] == &c.ids[0]) {
 		return
 	}
-	delete(ri.recs, id)
-	ri.free = append(ri.free, r)
+	c.ids = ids[:n:n] // an ID met later is appended to a copy
+	clear(c.slots)
+	// Backwards: of two slots a hand-built table gives one ID, the first
+	// wins, as it does for the workload's pairs.
+	for s := n - 1; s >= 0; s-- {
+		c.slots[ids[s]] = int32(s)
+	}
+	ri.recs = append(ri.recs[:0], make([]tensorRec, n)...)
+	ri.words = append(ri.words[:0], make([]uint64, n*(ri.restWords+ri.nodeWords))...)
+	c.Reset()
 }
 
-// reset empties the index in one pass, keeping the map's capacity and
-// every slab. Used by Cluster.Reset instead of a release per tensor.
-func (ri *residencyIndex) reset() {
-	clear(ri.recs)
-	ri.carved = 0
-	ri.free = ri.free[:0]
+// slot returns id's slot in slots, the cluster's one id→slot table, which
+// only the ID-keyed methods read. An ID it has not met gets the next slot.
+func (c *Cluster) slot(id uint64) int32 {
+	s, ok := c.slots[id]
+	if !ok {
+		s = int32(len(c.ids))
+		c.ids = append(c.ids, id)
+		c.slots[id] = s
+		c.index.recs = append(c.index.recs, tensorRec{})
+		c.index.words = append(c.index.words, make([]uint64, c.index.restWords+c.index.nodeWords)...)
+	}
+	return s
 }
 
-// HoldersMask returns the set of devices holding tensor id. One O(1) map
-// probe; the set supports allocation-free intersection, counting and
-// iteration (see DevSet). The result is a read-only view into index
-// storage, valid until the next cluster mutation: once the tensor's last
-// copy is gone its words are handed to another tensor.
+// rec returns id's record, nil for an ID the cluster has not met.
+func (c *Cluster) rec(id uint64) *tensorRec {
+	if s, ok := c.slots[id]; ok {
+		return &c.index.recs[s]
+	}
+	return nil
+}
+
+// HoldersMask returns the set of devices holding tensor id: HoldersAt behind
+// one probe of the id→slot table.
 func (c *Cluster) HoldersMask(id uint64) DevSet {
-	if r := c.index.recs[id]; r != nil {
+	if r := c.rec(id); r != nil {
 		return r.holders
 	}
 	return DevSet{}
 }
+
+// HoldersAt returns the set of devices holding the tensor in slot (see
+// BindTensors): a read-only view into index storage, valid until the next
+// cluster mutation, that intersects, counts and iterates without allocating.
+func (c *Cluster) HoldersAt(slot int) DevSet { return c.index.recs[slot].holders }
 
 // AppendHoldersOf appends the IDs of devices holding tensor id to buf in
 // ascending order and returns the extended slice. Callers that reuse buf

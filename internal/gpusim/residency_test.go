@@ -75,72 +75,12 @@ func TestConfigRejectsOversizedCluster(t *testing.T) {
 	}
 }
 
-// scanHolders recomputes a tensor's holder set the pre-index way: a
-// residency probe on every device.
-func scanHolders(c *Cluster, id uint64) DevSet {
-	var m DevSet
-	for i := 0; i < c.NumDevices(); i++ {
-		if c.Device(i).Holds(id) {
-			m = m.with(i, 0)
-		}
-	}
-	return m
-}
-
-// checkIndex asserts the residency index agrees with a brute-force scan of
-// every device's residency map, in both directions: every indexed tensor's
-// set matches its scan, and every resident tensor is indexed.
-func checkIndex(t *testing.T, c *Cluster, ids []uint64) {
+// checkAudit fails the test unless the cluster's structures agree with
+// each other (Cluster.Audit).
+func checkAudit(t *testing.T, c *Cluster) {
 	t.Helper()
-	for _, id := range ids {
-		if got, want := c.HoldersMask(id), scanHolders(c, id); !got.Equal(want) {
-			t.Fatalf("index set for tensor %d = %v, scan says %v", id, got.AppendTo(nil), want.AppendTo(nil))
-		}
-	}
-	for i := 0; i < c.NumDevices(); i++ {
-		d := c.Device(i)
-		for id := range d.resident {
-			if !c.HoldersMask(id).Has(i) {
-				t.Fatalf("device %d holds tensor %d but index bit is clear", i, id)
-			}
-		}
-	}
-	// No stale entries: an indexed set may never name a device that does
-	// not actually hold the tensor (covered per-id above), and the index
-	// never keeps empty sets alive.
-	for id, r := range c.index.recs {
-		if r.holders.Empty() && !r.onHost {
-			t.Fatalf("index keeps a record for tensor %d, which is nowhere", id)
-		}
-		if r.holders.Empty() && r.holders.rest != nil {
-			t.Fatalf("tensor %d is on no device, yet its holder set keeps %d spill words", id, len(r.holders.rest))
-		}
-		if !r.onHost && !r.hostNodes.Empty() {
-			t.Fatalf("tensor %d has no host copy, yet host nodes %v", id, r.hostNodes.AppendTo(nil))
-		}
-	}
-	// A recycled record goes to its next tensor as it is: both sets must
-	// have come back empty, the holder set without its spill.
-	for _, r := range c.index.free {
-		if r.onHost || r.holders.w0 != 0 || r.holders.rest != nil || !r.hostNodes.Empty() {
-			t.Fatalf("recycled record not empty: %+v", *r)
-		}
-	}
-	checkMoveStats(t, c)
-}
-
-// checkMoveStats asserts the cluster's running movement totals equal the
-// sums of the device counters they shadow.
-func checkMoveStats(t *testing.T, c *Cluster) {
-	t.Helper()
-	var move, d2h, evict int64
-	for _, d := range c.devices {
-		move += d.stats.H2DBytes + d.stats.P2PBytes
-		d2h += d.stats.D2HBytes
-		evict += d.stats.Evictions
-	}
-	if m, h, e := c.MoveStats(); m != move || h != d2h || e != evict {
-		t.Fatalf("MoveStats = (%d, %d, %d), devices sum to (%d, %d, %d)", m, h, e, move, d2h, evict)
+	if err := c.Audit(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -189,14 +129,14 @@ func TestMoveStatsTrackDeviceSums(t *testing.T) {
 						t.Fatalf("peer %v step %d: %v", peer, step, err)
 					}
 				}
-				checkMoveStats(t, c)
+				checkAudit(t, c)
 			}
 		}
 		walk(c, 300)
 		if err := c.SetMemoryCapacity(1, 3*desc(1).Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		checkMoveStats(t, c)
+		checkAudit(t, c)
 		if err := c.FailDevice(6); err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +148,7 @@ func TestMoveStatsTrackDeviceSums(t *testing.T) {
 		if err := resumed.Restore(c.Checkpoint()); err != nil {
 			t.Fatal(err)
 		}
-		checkMoveStats(t, resumed)
+		checkAudit(t, resumed)
 		if m, _, _ := resumed.MoveStats(); m == 0 {
 			t.Fatal("restore zeroed the running totals")
 		}
@@ -225,11 +165,12 @@ func TestMoveStatsTrackDeviceSums(t *testing.T) {
 }
 
 // TestSteadyStateRunAllocatesNothing replays one stage of the ladder's
-// sched_scale workload on its 512x8 cluster: once records, spill words,
-// device blocks and maps have been sized by a first pass, Reset, input
-// registration and every contraction of the stage run without the
-// simulator allocating. Placement is a fixed stride over the devices, wide
-// of the inline word, so nearly every holder set spills.
+// sched_scale workload on its 512x8 cluster, through the ID-keyed boundary
+// of a cluster nobody bound: once the id→slot table, records, spill words
+// and block slab have been sized by a first pass, Reset, input registration
+// and every contraction of the stage run without the simulator allocating.
+// Placement is a fixed stride over the devices, wide of the inline word, so
+// nearly every holder set spills.
 func TestSteadyStateRunAllocatesNothing(t *testing.T) {
 	w, err := workload.Generate(workload.Config{
 		Seed: 2022, Stages: 1, VectorSize: 4096, TensorDim: 384, Batch: 8,
@@ -261,32 +202,49 @@ func TestSteadyStateRunAllocatesNothing(t *testing.T) {
 
 // TestResidencyIndexInvariant drives the simulator through a randomized
 // sequence of contractions (allocations, peer copies, host staging, dirty
-// write-backs and evictions under scarce memory), discards and resets, and
-// after every operation asserts HoldersMask agrees with a brute-force scan
-// of Device.Holds. The 96-device case exercises multi-word holder sets
-// (members on both sides of the 64-bit boundary). Run under -race via
-// `make race`/`make check`.
+// write-backs and evictions under scarce memory), discards, resets, device
+// losses and returns, memory shrinks, injected transfer failures and
+// checkpoints restored into a fresh cluster that then carries the walk on,
+// and audits the structures after every operation. The 96-device case
+// exercises multi-word holder sets (members on both sides of the 64-bit
+// boundary), the 4096-device one the ladder's width: 63 spill words a set,
+// host nodes past the inline word. Run under -race via `make race`/`make
+// check`.
 func TestResidencyIndexInvariant(t *testing.T) {
-	for _, devs := range []int{1, 3, 8, 96} {
+	desc := func(id uint64) tensor.Desc {
+		return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 8, Batch: 1}
+	}
+	for _, devs := range []int{1, 3, 8, 96, 4096} {
 		cfg := MI100(devs)
-		desc := func(id uint64) tensor.Desc {
-			return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 8, Batch: 1}
-		}
 		// Scarce memory: room for only a few tensors per device so the
 		// randomized walk constantly evicts and restages from host/peers.
 		cfg.MemoryBytes = 6 * desc(1).Bytes()
 		steps := 400
 		if devs > 8 {
-			// The wide case costs O(devs) per scan; trim the walk so the
-			// suite stays fast while still crossing the word boundary.
+			// An audit costs O(devs + tensors); trim the walk so the suite
+			// stays fast while still crossing the word boundary.
 			cfg.PeerFetch = true // spread copies across both words
 			steps = 200
+		}
+		if devs == 4096 {
+			cfg = MI100Nodes(512, 8)
+			cfg.PeerFetch = true
+			cfg.MemoryBytes = 6 * desc(1).Bytes()
+			steps = 120
 		}
 		c, err := NewCluster(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(100 + devs)))
+		// pick favours the low devices, so that copies meet and memory runs
+		// short on any width, and reaches every device now and then.
+		pick := func() int {
+			if rng.Intn(4) > 0 {
+				return rng.Intn(min(devs, 6))
+			}
+			return rng.Intn(devs)
+		}
 		const nTensors = 24
 		var ids []uint64
 		for id := uint64(1); id <= nTensors; id++ {
@@ -294,26 +252,70 @@ func TestResidencyIndexInvariant(t *testing.T) {
 			c.RegisterHostTensor(desc(id))
 		}
 		nextOut := uint64(nTensors + 1)
+		// Faults make operations fail in ways the walk expects: a lost
+		// device refuses work, a lost output is nowhere, an injected
+		// failure strikes a fetch. Anything else is a bug.
+		expected := func(err error) bool {
+			return err == nil || errors.Is(err, ErrDeviceLost) || errors.Is(err, ErrTensorUnavailable) || errors.Is(err, ErrTransientTransfer)
+		}
+		ran := map[string]int{}
 		for step := 0; step < steps; step++ {
-			switch op := rng.Intn(10); {
-			case op < 6: // contraction: allocs, transfers, maybe evictions
+			switch op := rng.Intn(20); {
+			case op < 10: // contraction: allocs, transfers, maybe evictions
 				a := ids[rng.Intn(len(ids))]
 				b := ids[rng.Intn(len(ids))]
-				out := nextOut
-				nextOut++
-				ids = append(ids, out)
-				if _, err := c.ExecContraction(rng.Intn(devs), desc(a), desc(b), desc(out)); err != nil {
+				_, err := c.ExecContraction(pick(), desc(a), desc(b), desc(nextOut))
+				if !expected(err) {
 					t.Fatalf("devs %d step %d: %v", devs, step, err)
 				}
-			case op < 7: // explicit staging
-				if err := c.EnsureResident(rng.Intn(devs), desc(ids[rng.Intn(len(ids))])); err != nil {
+				if err == nil {
+					ids = append(ids, nextOut)
+					nextOut++
+					ran["exec"]++
+				}
+			case op < 12: // explicit staging
+				if err := c.EnsureResident(pick(), desc(ids[rng.Intn(len(ids))])); !expected(err) {
 					t.Fatalf("devs %d step %d: %v", devs, step, err)
 				}
-			case op < 9: // discard from all memories, then re-register on
+			case op < 15: // discard from all memories, then re-register on
 				// host so a later op may restage it
 				id := ids[rng.Intn(len(ids))]
 				c.Discard(id)
 				c.RegisterHostTensor(desc(id))
+				ran["discard"]++
+			case op < 16: // device loss, or return of the lost
+				dev := pick()
+				if c.DeviceFailed(dev) {
+					err = c.RestoreDevice(dev)
+				} else {
+					err = c.FailDevice(dev)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				ran["fail"]++
+			case op < 17: // memory shrink (three tensors always fit) or return
+				if err := c.SetMemoryCapacity(pick(), int64(3+rng.Intn(4))*desc(1).Bytes()); err != nil {
+					t.Fatalf("devs %d step %d: %v", devs, step, err)
+				}
+				ran["shrink"]++
+			case op < 18:
+				c.InjectTransientFailures(1 + rng.Intn(2))
+			case op < 19: // checkpoint, restored into a fresh cluster that carries on
+				fresh, err := NewCluster(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fresh.Restore(c.Checkpoint()); err != nil {
+					t.Fatalf("devs %d step %d: %v", devs, step, err)
+				}
+				checkAudit(t, c)
+				if fresh.TotalStats() != c.TotalStats() || fresh.Makespan() != c.Makespan() {
+					t.Fatalf("devs %d step %d: restored cluster reports %+v at %g, the original %+v at %g",
+						devs, step, fresh.TotalStats(), fresh.Makespan(), c.TotalStats(), c.Makespan())
+				}
+				c = fresh
+				ran["restore"]++
 			default: // full reset
 				c.Reset()
 				ids = ids[:nTensors]
@@ -322,29 +324,35 @@ func TestResidencyIndexInvariant(t *testing.T) {
 					c.RegisterHostTensor(desc(id))
 				}
 			}
-			checkIndex(t, c, ids)
+			checkAudit(t, c)
+		}
+		for _, op := range []string{"exec", "discard", "fail", "shrink", "restore"} {
+			if ran[op] == 0 {
+				t.Errorf("devs %d: the walk never ran %q", devs, op)
+			}
 		}
 	}
 }
 
-// scanDiscard is Discard as it was before it consulted the residency
-// index: a residency-map probe on every device.
+// scanDiscard is Discard as it was before it followed the tensor's copy
+// chain: a residency probe on every device.
 func scanDiscard(c *Cluster, id uint64) {
+	r := c.rec(id)
+	if r == nil {
+		return
+	}
 	for _, d := range c.devices {
-		if b, ok := d.resident[id]; ok {
-			d.drop(b, c.index.recs[id])
+		if i := c.index.find(r, d.id); i != 0 {
+			d.drop(i)
 		}
 	}
-	if r := c.index.recs[id]; r != nil {
-		c.dropHostCopy(id, r)
-	}
+	r.onHost, r.hostNodes = false, DevSet{}
 }
 
 // TestDiscardWalksHoldersOnly runs the same seeded contraction-and-discard
-// stream on two 256-device clusters, one discarding through the holder set
-// the index names and one through the former every-device probe, and
-// requires identical per-device stats, memory and makespan — with the
-// residency invariant checked on the live cluster along the way.
+// stream on two 256-device clusters, one discarding along the copy chain
+// and one through an every-device probe, and requires identical per-device
+// stats, memory and makespan — with the live cluster audited along the way.
 // Peer fetch spreads copies so discarded tensors have several holders on
 // both sides of the DevSet word seam.
 func TestDiscardWalksHoldersOnly(t *testing.T) {
@@ -379,8 +387,8 @@ func TestDiscardWalksHoldersOnly(t *testing.T) {
 			id := ids[rng.Intn(len(ids))]
 			discard(c, id)
 			c.RegisterHostTensor(desc(id))
-			if check && step%16 == 0 { // the check is O(tensors × devices)
-				checkIndex(t, c, ids)
+			if check && step%16 == 0 { // an audit is O(tensors + devices)
+				checkAudit(t, c)
 			}
 		}
 		return c
@@ -396,4 +404,59 @@ func TestDiscardWalksHoldersOnly(t *testing.T) {
 			t.Fatalf("device %d diverges from reference:\n %+v mem %d\n %+v mem %d", i, l.Stats(), l.MemUsed(), r.Stats(), r.MemUsed())
 		}
 	}
+}
+
+// TestBindTensors: a bound cluster answers slot-keyed and ID-keyed calls
+// from one state; an ID the table does not list gets a slot past it;
+// binding the same table again changes nothing, a bare Reset keeps the
+// numbering, and another table empties the cluster.
+func TestBindTensors(t *testing.T) {
+	desc := func(id uint64) tensor.Desc {
+		return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 8, Batch: 1}
+	}
+	c, err := NewCluster(MI100(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []uint64{50, 20, 90}
+	c.BindTensors(ids)
+	a, b, out := desc(50), desc(20), desc(90)
+	c.RegisterHostAt(0, a)
+	c.RegisterHostTensor(b) // by ID: lands in slot 1
+	if _, err := c.ExecContractionAt(2, &a, &b, &out, 0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	for slot, id := range ids {
+		if got, want := c.HoldersAt(slot), c.HoldersMask(id); !got.Equal(DevSetOf(2)) || !got.Equal(want) {
+			t.Errorf("slot %d / tensor %d: HoldersAt %v, HoldersMask %v, want [2]", slot, id, got.AppendTo(nil), want.AppendTo(nil))
+		}
+	}
+	extra := desc(7)
+	c.RegisterHostTensor(extra)
+	if err := c.EnsureResident(3, extra); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.HoldersAt(3); !got.Equal(DevSetOf(3)) || !c.Device(3).Holds(7) {
+		t.Errorf("unlisted tensor 7 is not in slot 3: %v", got.AppendTo(nil))
+	}
+	if len(ids) != 3 || ids[0] != 50 {
+		t.Errorf("interning wrote through the bound table: %v", ids)
+	}
+	checkAudit(t, c)
+
+	c.BindTensors(ids[:3]) // tensor 7 was appended to a copy: this is another table now
+	if !c.HoldersMask(50).Empty() || c.HostHolds(7) {
+		t.Error("binding a different table did not empty the cluster")
+	}
+	c.RegisterHostAt(1, b)
+	c.BindTensors(ids)
+	c.Reset()
+	c.RegisterHostAt(1, b)
+	if !c.HostHolds(20) || c.HostHolds(50) {
+		t.Error("after re-binding the same table and a bare Reset, slot 1 is not tensor 20")
+	}
+	if c.BindTensors(ids); !c.HostHolds(20) {
+		t.Error("binding the bound table again emptied the cluster")
+	}
+	checkAudit(t, c)
 }

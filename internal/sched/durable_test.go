@@ -290,6 +290,34 @@ func TestCheckpointPeriodicWrites(t *testing.T) {
 	}
 }
 
+// deadHolderFrame re-frames a valid encoding with its first device marked
+// failed while it still lists resident tensors — a state no run produces.
+func deadHolderFrame(valid []byte) []byte {
+	return frameCorrupt(bytes.Replace(valid[20:], []byte(`"Failed":false`), []byte(`"Failed":true`), 1))
+}
+
+// TestDecodeRejectsDeadHolder: a well-framed checkpoint whose failed device
+// still holds tensors is refused as corrupt, not handed to a cluster that
+// would then name a dead device as a holder.
+func TestDecodeRejectsDeadHolder(t *testing.T) {
+	w := numericWorkload(t, 7)
+	res, err := sched.Run(context.Background(), w, baseline.NewRoundRobin(), newClusterT(t, 4), sched.Options{Checkpoint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := sched.EncodeCheckpoint(&buf, res.Checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	frame := deadHolderFrame(buf.Bytes())
+	if bytes.Equal(frame, buf.Bytes()) {
+		t.Fatal("the frame was not changed: no device to mark failed")
+	}
+	if _, err := sched.DecodeCheckpoint(bytes.NewReader(frame)); !errors.Is(err, sched.ErrCheckpointCorrupt) {
+		t.Fatalf("decode returned %v, want ErrCheckpointCorrupt", err)
+	}
+}
+
 // FuzzCheckpointDecode: the decoder must never panic and must return a
 // typed error on every non-round-trippable input.
 func FuzzCheckpointDecode(f *testing.F) {
@@ -325,6 +353,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	flipped[len(flipped)/3] ^= 0x10
 	f.Add(flipped)
 	f.Add(frameCorrupt(append([]byte(`{"fast_kernels":true,`), valid[21:]...)))
+	f.Add(deadHolderFrame(valid))
 	f.Add([]byte("MCCK"))
 	f.Add([]byte{})
 

@@ -279,7 +279,7 @@ func (e *engine) recoverFrom(si, pi, lost int) error {
 	// Re-execute in original stream order (selected is reverse-ordered).
 	for i := len(selected) - 1; i >= 0; i-- {
 		r := selected[i]
-		if err := e.placePair(r.si, r.pi, e.w.Stages[r.si].Pairs[r.pi], true); err != nil {
+		if err := e.placePair(r.si, r.pi, &e.w.Stages[r.si].Pairs[r.pi], true); err != nil {
 			return err
 		}
 	}

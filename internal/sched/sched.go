@@ -69,6 +69,16 @@ type Context struct {
 	// incrementally.
 	avail   *AvailIndex
 	tracked bool
+	// pair is the in-flight pair's operands, set by the engine around Assign.
+	pair pairHolders
+}
+
+// pairHolders is what the engine has already resolved about the pair it is
+// asking a scheduler to place: the operands' IDs and their holder sets.
+type pairHolders struct {
+	inFlight bool
+	a, b     uint64
+	ma, mb   gpusim.DevSet
 }
 
 // NewContext returns the scheduler context for a run on cluster c, with
@@ -114,12 +124,25 @@ func (c *Context) ResetLoad() {
 // order and returns the extended slice; callers that reuse buf across
 // queries pay no allocation.
 func (c *Context) AppendHolders(buf []int, id uint64) []int {
-	return c.Cluster.AppendHoldersOf(buf, id)
+	return c.HoldersMask(id).AppendTo(buf)
 }
 
-// HoldersMask returns the set of devices holding tensor id — one O(1)
-// index probe, no allocation.
-func (c *Context) HoldersMask(id uint64) gpusim.DevSet { return c.Cluster.HoldersMask(id) }
+// HoldersMask returns the set of devices holding tensor id, without
+// allocating. Inside Assign the pair's own operands cost two comparisons —
+// the engine resolved both sets before it called — and any other tensor, or
+// any tensor of a Context the engine did not make, one probe of the
+// cluster's id→slot table.
+func (c *Context) HoldersMask(id uint64) gpusim.DevSet {
+	if c.pair.inFlight {
+		if id == c.pair.a {
+			return c.pair.ma
+		}
+		if id == c.pair.b {
+			return c.pair.mb
+		}
+	}
+	return c.Cluster.HoldersMask(id)
+}
 
 // ClassifyMasks maps a pair's holder sets to its local reuse pattern
 // (paper Fig. 4): both operands share a device, both are resident on
@@ -420,6 +443,12 @@ type engine struct {
 	clock0 time.Time
 }
 
+// afterRun, when non-nil, is handed the cluster as every Run ends, whether
+// it finished or failed. Nothing but this package's tests sets it: they hang
+// the simulator's structural audit (gpusim.Cluster.Audit) on it, and leave
+// it off when benchmarks run.
+var afterRun func(*gpusim.Cluster)
+
 // dumpFlight freezes the flight recorder's current tail as the last dump
 // (no-op without observability or a recorder), so the activity leading up
 // to a failure survives for post-mortem analysis.
@@ -438,6 +467,9 @@ func (e *engine) dumpFlight(reason string) {
 // unrecoverable run is exactly what the recorder exists for.
 func (e *engine) fail(err error) (*Result, error) {
 	e.c.FlushObserver()
+	if afterRun != nil {
+		afterRun(e.c)
+	}
 	if errors.Is(err, ErrClusterLost) {
 		e.dumpFlight(err.Error())
 	}
@@ -467,8 +499,9 @@ func (e *engine) discard(id uint64) {
 // capped-exponential backoff policy, each retry charging its backoff to
 // the device's simulated transfer queue; the error surfaces as fatal once
 // the attempt budget is exhausted.
-func (e *engine) execSim(si, dev int, p workload.Pair) (int64, error) {
-	flops, err := e.c.ExecContraction(dev, p.A, p.B, p.Out)
+func (e *engine) execSim(si, dev int, p *workload.Pair) (int64, error) {
+	sa, sb, so := p.Slots()
+	flops, err := e.c.ExecContractionAt(dev, &p.A, &p.B, &p.Out, sa, sb, so)
 	if err != nil && e.fr != nil {
 		for attempt := 1; errors.Is(err, gpusim.ErrTransientTransfer); attempt++ {
 			if attempt > e.fr.retry.Max {
@@ -482,7 +515,7 @@ func (e *engine) execSim(si, dev int, p workload.Pair) (int64, error) {
 			e.res.Recovery.BackoffSimSeconds += backoff
 			e.fr.retries.Inc()
 			e.fr.backoff.Add(backoff)
-			flops, err = e.c.ExecContraction(dev, p.A, p.B, p.Out)
+			flops, err = e.c.ExecContractionAt(dev, &p.A, &p.B, &p.Out, sa, sb, so)
 		}
 	}
 	if err != nil {
@@ -499,31 +532,36 @@ func (e *engine) execSim(si, dev int, p workload.Pair) (int64, error) {
 // part of placement — the engine contracts each stage's pairs once, at its
 // boundary, however often recovery re-places them — which keeps
 // fingerprints bit-identical to a fault-free run.
-func (e *engine) placePair(si, pi int, p workload.Pair, recovery bool) error {
+func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 	sctx, c := e.sctx, e.c
 	var rec *obs.DecisionRecord
-	var ma, mb gpusim.DevSet
 	var beforeMove, beforeD2H, beforeEvict int64
+	// Both operands' holder sets, resolved once from the pair's slots: the
+	// scheduler reads them through the Context, the decision record below.
+	sa, sb, _ := p.Slots()
+	pr := &sctx.pair
+	pr.inFlight, pr.a, pr.b = true, p.A.ID, p.B.ID
+	pr.ma, pr.mb = c.HoldersAt(sa), c.HoldersAt(sb)
 	if e.ob != nil {
 		// One scratch record per run: the zero-value reset keeps the
 		// Candidates backing array, which RecordDecision deep-copies into
 		// its own arena, so the obs-on placement path allocates nothing.
-		ma, mb = c.HoldersMask(p.A.ID), c.HoldersMask(p.B.ID)
 		rec = &e.decRec
 		cands := rec.Candidates[:0]
 		*rec = obs.DecisionRecord{
 			Stage: si, Pair: pi,
 			Out: p.Out.ID, A: p.A.ID, B: p.B.ID,
 			BalanceNum: sctx.BalanceNum, BoundIndex: -1,
-			Pattern:    ClassifyMasks(ma, mb),
+			Pattern:    ClassifyMasks(pr.ma, pr.mb),
 			Recovery:   recovery,
 			Candidates: cands,
 		}
 		sctx.Decision = rec
 	}
 	tA := time.Since(e.clock0)
-	dev := e.s.Assign(p, sctx)
+	dev := e.s.Assign(*p, sctx)
 	tB := time.Since(e.clock0)
+	pr.inFlight = false // the sets are views: the simulator is about to move
 	d0 := tB - tA
 	e.overhead += d0
 	e.scheduleW += d0
@@ -539,10 +577,10 @@ func (e *engine) placePair(si, pi int, p workload.Pair, recovery bool) error {
 		rec.SimTime = c.Device(dev).Clock()
 		// Assign never moves data, so the pre-Assign masks still describe
 		// residency here.
-		if !ma.Has(dev) {
+		if !pr.ma.Has(dev) {
 			rec.PredictedBytes += p.A.Bytes()
 		}
-		if !mb.Has(dev) && p.B.ID != p.A.ID {
+		if !pr.mb.Has(dev) && p.B.ID != p.A.ID {
 			rec.PredictedBytes += p.B.Bytes()
 		}
 		beforeMove, beforeD2H, beforeEvict = c.MoveStats()
@@ -626,14 +664,18 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 			return nil, err
 		}
 	}
+	// The workload numbered its tensors when it was made; the cluster takes
+	// the numbering over (free when it already has it) and every per-pair
+	// residency question below is an array index.
+	c.BindTensors(w.TensorIDs())
 	if resume != nil {
 		if err := c.Restore(resume.cluster); err != nil {
 			return nil, err
 		}
 	} else {
 		c.Reset()
-		for _, d := range w.Inputs {
-			c.RegisterHostTensor(d)
+		for slot, d := range w.Inputs {
+			c.RegisterHostAt(slot, d)
 		}
 	}
 	ob := newObsRun(opts.Obs, s, w)
@@ -739,7 +781,7 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 					return e.fail(err)
 				}
 			}
-			if err := e.placePair(si, pi, st.Pairs[pi], false); err != nil {
+			if err := e.placePair(si, pi, &st.Pairs[pi], false); err != nil {
 				return e.fail(err)
 			}
 		}
@@ -805,6 +847,9 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 		res.Checkpoint = e.lastCP
 	}
 	ob.finish(res, c)
+	if afterRun != nil {
+		afterRun(c)
+	}
 	return res, nil
 }
 

@@ -24,9 +24,11 @@ func FromStages(name string, stages [][]Pair, inputs []tensor.Desc) (*Workload, 
 	for _, pairs := range stages {
 		numPairs += len(pairs)
 	}
-	// seen holds every tensor that exists so far — inputs and earlier
-	// outputs — and says whether it has appeared in the pair stream yet.
-	seen := make(map[uint64]bool, len(inputs)+numPairs)
+	// slots numbers every tensor that exists so far — inputs, then earlier
+	// outputs, by position — and appeared says, by slot, whether it has
+	// turned up in the pair stream yet.
+	slots := make(map[uint64]int32, len(inputs)+numPairs)
+	appeared := make([]bool, len(inputs)+numPairs)
 	w := &Workload{
 		Name:    name,
 		Stages:  make([]Stage, 0, len(stages)),
@@ -37,10 +39,10 @@ func FromStages(name string, stages [][]Pair, inputs []tensor.Desc) (*Workload, 
 		if !d.Valid() {
 			return nil, fmt.Errorf("workload: invalid input tensor %v", d)
 		}
-		if _, dup := seen[d.ID]; dup {
+		if _, dup := slots[d.ID]; dup {
 			return nil, fmt.Errorf("workload: duplicate input tensor %d", d.ID)
 		}
-		seen[d.ID] = false
+		slots[d.ID] = int32(len(w.Inputs))
 		w.Inputs = append(w.Inputs, d)
 	}
 	maxVec, dim := 0, 0
@@ -51,20 +53,21 @@ func FromStages(name string, stages [][]Pair, inputs []tensor.Desc) (*Workload, 
 		st := Stage{Index: si, Pairs: make([]Pair, 0, len(pairs))}
 		repeats := 0
 		for _, p := range pairs {
-			for _, id := range [2]uint64{p.A.ID, p.B.ID} {
-				repeated, known := seen[id]
+			for i, id := range [2]uint64{p.A.ID, p.B.ID} {
+				slot, known := slots[id]
 				if !known {
 					return nil, fmt.Errorf("workload: stage %d operand t%d unknown", si, id)
 				}
-				if repeated {
+				if appeared[slot] {
 					repeats++
 				}
-				seen[id] = true
+				appeared[slot], p.slot[i] = true, slot
 			}
-			if _, exists := seen[p.Out.ID]; exists {
+			if _, exists := slots[p.Out.ID]; exists {
 				return nil, fmt.Errorf("workload: stage %d output t%d already exists", si, p.Out.ID)
 			}
-			seen[p.Out.ID] = true
+			p.slot[2] = int32(len(inputs) + len(w.Outputs))
+			slots[p.Out.ID], appeared[p.slot[2]] = p.slot[2], true
 			w.Outputs = append(w.Outputs, p.Out)
 			st.Pairs = append(st.Pairs, p)
 			if p.A.Dim > dim {
@@ -88,7 +91,7 @@ func FromStages(name string, stages [][]Pair, inputs []tensor.Desc) (*Workload, 
 		Rank:       w.rankOf(),
 		Dist:       Gaussian,
 	}
-	markLastUses(w)
+	w.finish()
 	return w, nil
 }
 

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"micco/internal/tensor"
 )
@@ -57,9 +58,19 @@ func (d Distribution) Biased() bool { return d == Gaussian }
 type Pair struct {
 	A, B tensor.Desc
 	Out  tensor.Desc
+	// slot holds the dense slots of A, B and Out in the workload's tensor
+	// numbering (Workload.TensorIDs), valid once the workload is numbered.
+	slot [3]int32
 	// LastUse marks input tensors whose final consumer is this pair, so
-	// engines may discard them afterwards. Index 0 refers to A, 1 to B.
+	// engines may discard them afterwards. Index 0 refers to A, 1 to B. A
+	// pair contracting a tensor with itself marks the A side only.
 	LastUse [2]bool
+}
+
+// Slots returns the slots of A, B and Out in the numbering of the workload
+// the pair belongs to (Workload.TensorIDs, which must have been called).
+func (p *Pair) Slots() (a, b, out int) {
+	return int(p.slot[0]), int(p.slot[1]), int(p.slot[2])
 }
 
 // Stage is one dependency level: VectorSize independent pairs drawn from
@@ -87,6 +98,92 @@ type Workload struct {
 	Inputs []tensor.Desc
 	// Outputs lists every output tensor descriptor.
 	Outputs []tensor.Desc
+	// ids is the tensor numbering (see TensorIDs). Generate and FromStages
+	// make it in the pass that marks last uses; a hand-built or decoded
+	// workload is numbered once, under numbering, on first use.
+	ids       []uint64
+	numbering sync.Once
+}
+
+// TensorIDs returns the workload's tensor numbering: the tensor set of a
+// run is a closed world, so every tensor has a dense slot — its position in
+// Inputs ++ Outputs — and ids[slot] is its ID. Engines index per-tensor
+// state by slot instead of hashing IDs (Pair.Slots). The slice is made once
+// and shared by every caller: it must not be written, and the workload must
+// not change after the first call. A hand-built list that names an ID twice
+// leaves the later position's slot unused, and an ID that only the pair
+// stream names gets a slot past the two lists.
+func (w *Workload) TensorIDs() []uint64 {
+	w.numbering.Do(func() {
+		if w.ids == nil {
+			w.number()
+		}
+	})
+	return w.ids
+}
+
+// number numbers a workload that no constructor numbered.
+func (w *Workload) number() {
+	w.ids = w.listed()
+	slots := make(map[uint64]int32, len(w.ids))
+	for s := len(w.ids) - 1; s >= 0; s-- { // backwards: of two positions, the first wins
+		slots[w.ids[s]] = int32(s)
+	}
+	w.eachPair(func(p *Pair) {
+		for i, id := range [3]uint64{p.A.ID, p.B.ID, p.Out.ID} {
+			s, ok := slots[id]
+			if !ok {
+				s = int32(len(w.ids))
+				slots[id] = s
+				w.ids = append(w.ids, id)
+			}
+			p.slot[i] = s
+		}
+	})
+}
+
+// listed returns the IDs of Inputs ++ Outputs, by position.
+func (w *Workload) listed() []uint64 {
+	ids := make([]uint64, 0, len(w.Inputs)+len(w.Outputs))
+	for _, d := range w.Inputs {
+		ids = append(ids, d.ID)
+	}
+	for _, d := range w.Outputs {
+		ids = append(ids, d.ID)
+	}
+	return ids
+}
+
+// eachPair calls f on every pair in stream order.
+func (w *Workload) eachPair(f func(p *Pair)) {
+	for si := range w.Stages {
+		pairs := w.Stages[si].Pairs
+		for pi := range pairs {
+			f(&pairs[pi])
+		}
+	}
+}
+
+// finish completes a workload whose Inputs and Outputs are whole and
+// distinct and whose pairs carry their slots (positions in Inputs ++
+// Outputs): it records the numbering and marks the final consumer of every
+// tensor (Pair.LastUse), enabling engines to discard dead tensors.
+func (w *Workload) finish() {
+	w.ids = w.listed()
+	last := make([]*bool, len(w.ids))
+	w.eachPair(func(p *Pair) {
+		last[p.slot[0]] = &p.LastUse[0]
+		if p.slot[1] != p.slot[0] {
+			// A tensor contracted with itself has one last use, not two:
+			// the A side carries it.
+			last[p.slot[1]] = &p.LastUse[1]
+		}
+	})
+	for _, flag := range last {
+		if flag != nil {
+			*flag = true
+		}
+	}
 }
 
 // Config parameterizes synthetic generation.
@@ -192,7 +289,19 @@ func Generate(cfg Config) (*Workload, error) {
 		st.RepeatRate = float64(repeats) / float64(st.NumTensors())
 		w.Stages = append(w.Stages, st)
 	}
-	markLastUses(w)
+	// Generate hands out IDs 1, 2, ... to inputs and outputs alike, so a
+	// slice turns an ID into its slot.
+	slots := make([]int32, nextID)
+	for s, d := range w.Inputs {
+		slots[d.ID] = int32(s)
+	}
+	for s, d := range w.Outputs {
+		slots[d.ID] = int32(len(w.Inputs) + s)
+	}
+	w.eachPair(func(p *Pair) {
+		p.slot = [3]int32{slots[p.A.ID], slots[p.B.ID], slots[p.Out.ID]}
+	})
+	w.finish()
 	return w, nil
 }
 
@@ -209,22 +318,6 @@ func pickIndex(rng *rand.Rand, d Distribution, n int) int {
 		return idx
 	}
 	return rng.Intn(n)
-}
-
-// markLastUses sets Pair.LastUse on the final consumer of every input
-// tensor, enabling engines to discard dead tensors.
-func markLastUses(w *Workload) {
-	last := make(map[uint64]*bool, len(w.Inputs)+len(w.Outputs))
-	for si := range w.Stages {
-		for pi := range w.Stages[si].Pairs {
-			p := &w.Stages[si].Pairs[pi]
-			last[p.A.ID] = &p.LastUse[0]
-			last[p.B.ID] = &p.LastUse[1]
-		}
-	}
-	for _, flag := range last {
-		*flag = true
-	}
 }
 
 // NumPairs returns the total number of contractions in the workload.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -464,5 +465,106 @@ func TestChainedIntermediateReuse(t *testing.T) {
 	cfg.ChainRate = 1.5
 	if _, err := Generate(cfg); err == nil {
 		t.Error("ChainRate > 1: want error")
+	}
+}
+
+// checkNumbering asserts the workload's tensor table lists Inputs then
+// Outputs by position and that every pair's slots name its three tensors.
+func checkNumbering(t *testing.T, w *Workload) {
+	t.Helper()
+	ids := w.TensorIDs()
+	if len(ids) < len(w.Inputs)+len(w.Outputs) {
+		t.Fatalf("%d slots for %d inputs and %d outputs", len(ids), len(w.Inputs), len(w.Outputs))
+	}
+	for i, d := range w.Inputs {
+		if ids[i] != d.ID {
+			t.Fatalf("slot %d is tensor %d, want input %d", i, ids[i], d.ID)
+		}
+	}
+	for i, d := range w.Outputs {
+		if s := len(w.Inputs) + i; ids[s] != d.ID {
+			t.Fatalf("slot %d is tensor %d, want output %d", s, ids[s], d.ID)
+		}
+	}
+	for si := range w.Stages {
+		for pi := range w.Stages[si].Pairs {
+			p := &w.Stages[si].Pairs[pi]
+			a, b, out := p.Slots()
+			if ids[a] != p.A.ID || ids[b] != p.B.ID || ids[out] != p.Out.ID {
+				t.Fatalf("pair (%d,%d) of t%d, t%d -> t%d has slots %d, %d -> %d, which are t%d, t%d -> t%d",
+					si, pi, p.A.ID, p.B.ID, p.Out.ID, a, b, out, ids[a], ids[b], ids[out])
+			}
+		}
+	}
+	if again := w.TensorIDs(); len(ids) > 0 && &again[0] != &ids[0] {
+		t.Error("a second TensorIDs call re-made the numbering")
+	}
+}
+
+// TestTensorNumbering: Generate and FromStages number their tensors as they
+// build; a decoded workload — unexported slots do not travel — and a
+// hand-built literal that lists no outputs are numbered on first use, the
+// unlisted tensors past the two lists.
+func TestTensorNumbering(t *testing.T) {
+	cfg := baseCfg()
+	cfg.Stages, cfg.VectorSize, cfg.ChainRate = 4, 16, 0.4
+	w, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNumbering(t, w)
+
+	var stages [][]Pair
+	for _, st := range w.Stages {
+		stages = append(stages, st.Pairs)
+	}
+	staged, err := FromStages("staged", stages, w.Inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNumbering(t, staged)
+
+	raw, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Workload
+	if err := json.Unmarshal(raw, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	checkNumbering(t, &decoded)
+
+	d := func(id uint64) tensor.Desc { return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 4, Batch: 1} }
+	hand := &Workload{
+		Name:   "hand",
+		Inputs: []tensor.Desc{d(7), d(3)},
+		Stages: []Stage{{Pairs: []Pair{{A: d(7), B: d(3), Out: d(40)}, {A: d(40), B: d(3), Out: d(41)}}}},
+	}
+	checkNumbering(t, hand)
+	if got, want := hand.TensorIDs(), []uint64{7, 3, 40, 41}; !reflect.DeepEqual(got, want) {
+		t.Errorf("hand-built numbering %v, want %v", got, want)
+	}
+}
+
+// TestSelfPairMarksOneLastUse: a tensor contracted with itself at its last
+// use is marked once, on the A side — the side the engine discards — and a
+// self-pair that is not the last use is not marked at all.
+func TestSelfPairMarksOneLastUse(t *testing.T) {
+	d := func(id uint64) tensor.Desc { return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 4, Batch: 1} }
+	w, err := FromStages("self", [][]Pair{
+		{{A: d(1), B: d(1), Out: d(10)}},
+		{{A: d(1), B: d(1), Out: d(11)}, {A: d(10), B: d(11), Out: d(12)}},
+	}, []tensor.Desc{d(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Stages[0].Pairs[0].LastUse; got != [2]bool{false, false} {
+		t.Errorf("earlier self-pair LastUse = %v, want none", got)
+	}
+	if got := w.Stages[1].Pairs[0].LastUse; got != [2]bool{true, false} {
+		t.Errorf("last self-pair LastUse = %v, want the A side only", got)
+	}
+	if got := w.Stages[1].Pairs[1].LastUse; got != [2]bool{true, true} {
+		t.Errorf("ordinary last pair LastUse = %v, want both", got)
 	}
 }
