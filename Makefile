@@ -61,20 +61,22 @@ benchsmoke:
 # allocate at most 2 MB (flat MICCO) and 1 MB (hier) per run, twice what
 # the engine's own per-run slices come to: the simulator's share is zero,
 # and was 20 MB of
-# spill words. The three BenchmarkObservedRun rows are one observed_run
-# ladder job each — unwatched, with a registry, with the registry and the
-# simulator trace. Recorded: off 12.5 ms, obs 18.7 ms, obs+trace 20.6 ms
-# per job at the commit that reused the event log and batched the metrics
-# sink (12.4 / 21.9 / 36.2 ms before it). The baseline rows are now the
-# same-session run of the commit before the simulator went to slots
-# (medians of six, three before and three after the recording, on a box
-# that drifts): 9.1 / 13.5 / 16.0 ms against 5.5 / 9.4 / 10.3 ms recorded,
-# i.e. obs/off 1.71x, both/off 1.87x (the unwatched run gained most: it is
-# all simulator, so the ratio to it rose while every row fell). obs+trace
-# must not be slower than that baseline (1.0x) nor
-# allocate over 10 MB per job (5.7 MB: decision records plus one
-# exact-size event log; 18.2 MB when every run re-grew the log from
-# nothing); off stays within 2x its baseline and under 0.1 MB per job, so
+# spill words. The watched MICCO/devs=4096/obs=on row, one registry's
+# worth of decision records at that width, may allocate at most 32 MB per
+# run (14.2 MB recorded; 370 MB when every record listed every eligible
+# device) nor be slower than the same row on the commit before records kept
+# at most 64 candidates (43.2 against 213 ms). The three
+# BenchmarkObservedRun rows are one observed_run ladder job each —
+# unwatched, with a registry, with the registry and the simulator trace.
+# Recorded: off 5.64 ms, obs 8.36 ms, obs+trace 10.5 ms; the baseline rows
+# are the same-session runs of the commit before events were written in
+# place and pointer-free and the decision log was handed out (medians of
+# six, three before and three after the recording): 6.82 / 11.3 / 11.3 ms.
+# obs+trace must not be slower than its baseline (1.0x) nor
+# allocate over 10 MB per job (5.36 MB: decision records plus one
+# exact-size, pointer-free event log; 5.72 MB with a string in every
+# event, 18.2 MB when every run re-grew the log from nothing); off stays
+# within 2x its baseline and under 0.1 MB per job, so
 # the watching path cannot leak cost into a run nobody watches. Kernels: every BenchmarkContraction*
 # entry in BENCH_kernel.json must stay within 2.5x its baseline ns/op
 # (allocation check off — kernel benchmarks legitimately allocate; the
@@ -102,7 +104,14 @@ benchsmoke:
 # baseline ns/op — the baseline being the per-call enumeration and string
 # signatures they replaced — and a warm Expand, which stamps a template it
 # already holds, may allocate at most 8 objects however many graphs it
-# returns. Re-run `make bench` to refresh the recordings before the guard.
+# returns. Last, watching is held to the unwatched row of the same
+# recording: BenchmarkObservedRun obs at most 1.35x off and obs+trace at
+# most 1.5x (ROADMAP 4(a)'s bar is 1.25x). These two gates FAIL on the
+# recording above (1.48x and 1.87x; 1.65x and 1.65x for the baseline
+# medians); interleaved job by job, p10 of 60 rounds, the ratios are
+# 1.37-1.41x and 1.45-1.49x (the commit before: 1.52-1.67x, 1.62-1.66x).
+# They run after every other gate so that those are still checked.
+# Re-run `make bench` to refresh the recordings before the guard.
 benchguard:
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 2.0
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 1.0 \
@@ -113,6 +122,8 @@ benchguard:
 		-guard-prefix BenchmarkObservedRun/obs+trace -guard-max-allocs -1 -guard-max-bytes 10e6
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 2.0 \
 		-guard-prefix BenchmarkObservedRun/off -guard-max-allocs -1 -guard-max-bytes 0.1e6
+	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 1.0 \
+		-guard-prefix BenchmarkRunScheduleOnly/MICCO/devs=4096/obs=on -guard-max-allocs -1 -guard-max-bytes 32e6
 	$(GO) run ./cmd/benchjson -guard BENCH_kernel.json -guard-tol 2.5 \
 		-guard-prefix BenchmarkContraction -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_kernel.json -guard-tol 0.8 \
@@ -129,6 +140,10 @@ benchguard:
 		-guard-prefix Benchmark -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_frontend.json -guard-tol 2.0 \
 		-guard-prefix BenchmarkExpand/warm -guard-max-allocs 8
+	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 1.35 \
+		-guard-prefix 'BenchmarkObservedRun/obs$$' -guard-ratio-to BenchmarkObservedRun/off -guard-max-allocs -1
+	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 1.5 \
+		-guard-prefix BenchmarkObservedRun/obs+trace -guard-ratio-to BenchmarkObservedRun/off -guard-max-allocs -1
 
 # soak runs the chaos harness: seeded random fault plans × random
 # kill-points (process death simulated by dropping all in-memory state and

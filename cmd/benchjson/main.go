@@ -18,9 +18,13 @@
 // regressed — any entry matching -guard-prefix (observability-on "/obs"
 // variants excepted) reporting allocs/op above -guard-max-allocs, B/op
 // above -guard-max-bytes, or ns/op beyond -guard-tol times its
-// "_baseline/" entry in the same document:
+// "_baseline/" entry in the same document — or, with -guard-ratio-to NAME,
+// beyond -guard-tol times the entry NAME of the same recording, which is
+// how a cost one benchmark adds to another is held to a ratio:
 //
 //	benchjson -guard BENCH_sched.json -guard-tol 2.0
+//	benchjson -guard BENCH_sched.json -guard-prefix BenchmarkObservedRun/obs+trace \
+//	    -guard-ratio-to BenchmarkObservedRun/off -guard-tol 1.5 -guard-max-allocs -1
 //	benchjson -guard BENCH_kernel.json -guard-prefix BenchmarkContraction \
 //	    -guard-max-allocs -1 -guard-tol 2.5
 //	benchjson -guard BENCH_kernel.json -guard-prefix BenchmarkNumericRun \
@@ -33,7 +37,9 @@
 // throughput documents whose benchmarks legitimately allocate; a negative
 // -guard-max-bytes (the default) likewise disables the B/op check. Entries
 // without a baseline are reported and skipped (first recording of a new
-// benchmark); a guard run that finds no entries to check fails.
+// benchmark); a guard run that finds no entries to check fails. A
+// -guard-prefix ending in "$" selects the one entry of exactly that name
+// ("BenchmarkObservedRun/obs$" leaves out its obs+trace sibling).
 package main
 
 import (
@@ -58,13 +64,14 @@ func main() {
 	baseline := flag.String("baseline", "", "prior benchjson document to merge under the _baseline key")
 	guard := flag.String("guard", "", "benchjson document to check for benchmark regressions (no recording; stdin ignored)")
 	guardTol := flag.Float64("guard-tol", 2.0, "with -guard, the allowed ns/op growth factor over the document's _baseline entries")
-	guardPre := flag.String("guard-prefix", defaultGuardPrefix, "with -guard, the benchmark name prefix selecting the guarded entries")
+	guardPre := flag.String("guard-prefix", defaultGuardPrefix, "with -guard, the benchmark name prefix selecting the guarded entries (ending in $: the one entry of exactly that name)")
 	guardAllocs := flag.Float64("guard-max-allocs", 0, "with -guard, the allowed allocs/op per guarded entry (negative disables the allocation check)")
 	guardBytes := flag.Float64("guard-max-bytes", -1, "with -guard, the allowed B/op per guarded entry (negative disables the check)")
+	guardRatio := flag.String("guard-ratio-to", "", "with -guard, hold each guarded entry's ns/op to -guard-tol times this entry's of the same document instead of its _baseline")
 	flag.Parse()
 
 	if *guard != "" {
-		if err := runGuard(os.Stderr, *guard, *guardTol, *guardPre, *guardAllocs, *guardBytes); err != nil {
+		if err := runGuard(os.Stderr, *guard, *guardTol, *guardPre, *guardAllocs, *guardBytes, *guardRatio); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
@@ -83,13 +90,14 @@ const defaultGuardPrefix = "BenchmarkSchedulerAssign"
 // runGuard checks the recorded benchmarks matching prefix in the document
 // at path: at most maxAllocs allocations and maxBytes bytes per op (a
 // negative bound disables its check), and ns/op within tol times the
-// document's own "_baseline/" entry. Observability-on variants (names
+// document's own "_baseline/" entry — or, when ratioTo names another entry
+// of the document, within tol times that entry's. Observability-on variants (names
 // containing "/obs" past the prefix) are exempt — a live DecisionRecord
 // legitimately allocates — unless the prefix itself names them, which is
 // how a watched run is gated on purpose. Entries without a baseline are
 // noted on w and skipped; zero checkable entries is itself an error (the
 // guard would be vacuous).
-func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs, maxBytes float64) error {
+func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs, maxBytes float64, ratioTo string) error {
 	doc, err := loadBaseline(path) // same shape; baseline-prefix pruning is harmless here
 	if err != nil {
 		return err
@@ -108,10 +116,23 @@ func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs, m
 	if prefix == "" {
 		return fmt.Errorf("guard prefix must be non-empty")
 	}
+	var ref map[string]float64
+	if ratioTo != "" {
+		if ref = doc[ratioTo]; ref["ns/op"] <= 0 {
+			return fmt.Errorf("%s holds no %s entry with an ns/op to hold the guarded entries to", path, ratioTo)
+		}
+	}
+	// A prefix ending in "$" names one entry exactly: "…/obs$" guards the
+	// obs row and not its obs+trace sibling.
+	exact, found := strings.CutSuffix(prefix, "$")
+	what := prefix + "*"
+	if found {
+		what = exact
+	}
 	checked := 0
 	var failures []string
 	for name, m := range doc {
-		if !strings.HasPrefix(name, prefix) || strings.Contains(name[len(prefix):], "/obs") {
+		if !strings.HasPrefix(name, exact) || strings.Contains(name[len(exact):], "/obs") || found && name != exact {
 			continue
 		}
 		checked++
@@ -120,6 +141,12 @@ func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs, m
 		}
 		if b := m["B/op"]; maxBytes >= 0 && b > maxBytes {
 			failures = append(failures, fmt.Sprintf("%s: %g B/op, want <= %g", name, b, maxBytes))
+		}
+		if ref != nil {
+			if m["ns/op"] > tol*ref["ns/op"] {
+				failures = append(failures, fmt.Sprintf("%s: %g ns/op exceeds %gx %s's %g", name, m["ns/op"], tol, ratioTo, ref["ns/op"]))
+			}
+			continue
 		}
 		base, ok := full["_baseline/"+name]
 		if !ok {
@@ -131,7 +158,7 @@ func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs, m
 		}
 	}
 	if checked == 0 {
-		return fmt.Errorf("%s holds no %s* entries; the guard checked nothing", path, prefix)
+		return fmt.Errorf("%s holds no %s entries; the guard checked nothing", path, what)
 	}
 	if len(failures) > 0 {
 		for _, f := range failures {
@@ -139,7 +166,7 @@ func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs, m
 		}
 		return fmt.Errorf("%d regression(s) in %s", len(failures), path)
 	}
-	fmt.Fprintf(w, "benchjson: guard ok: %d %s* entries within bounds\n", checked, prefix)
+	fmt.Fprintf(w, "benchjson: guard ok: %d %s entries within bounds\n", checked, what)
 	return nil
 }
 

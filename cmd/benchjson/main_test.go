@@ -227,7 +227,7 @@ func TestGuardPasses(t *testing.T) {
   "_baseline/BenchmarkSchedulerAssignLarge/Hier/devs=4096": {"ns/op": 600}
 }`)
 	var w strings.Builder
-	if err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0, -1); err != nil {
+	if err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0, -1, ""); err != nil {
 		t.Fatalf("clean document failed the guard: %v\n%s", err, w.String())
 	}
 	// The /obs variant (allocates by design) and non-Assign benchmarks must
@@ -246,17 +246,52 @@ func TestGuardPrefixNamingObsVariant(t *testing.T) {
   "_baseline/BenchmarkObservedRun/obs+trace": {"ns/op": 24e6}
 }`)
 	var w strings.Builder
-	if err := runGuard(&w, path, 1.0, "BenchmarkObservedRun/obs+trace", -1, 10e6); err != nil {
+	if err := runGuard(&w, path, 1.0, "BenchmarkObservedRun/obs+trace", -1, 10e6, ""); err != nil {
 		t.Fatalf("healthy watched run failed the guard: %v\n%s", err, w.String())
 	}
 	if !strings.Contains(w.String(), "1 BenchmarkObservedRun/obs+trace* entries") {
 		t.Errorf("guard summary = %q, want 1 entry checked", w.String())
 	}
-	if err := runGuard(&w, path, 1.0, "BenchmarkObservedRun/obs+trace", -1, 5e6); err == nil {
+	if err := runGuard(&w, path, 1.0, "BenchmarkObservedRun/obs+trace", -1, 5e6, ""); err == nil {
 		t.Error("5.7 MB/op passed a 5 MB bound")
 	}
-	if err := runGuard(&w, path, 0.5, "BenchmarkObservedRun/obs+trace", -1, -1); err == nil {
+	if err := runGuard(&w, path, 0.5, "BenchmarkObservedRun/obs+trace", -1, -1, ""); err == nil {
 		t.Error("0.54x of baseline passed a 0.5x guard")
+	}
+}
+
+// TestGuardRatioTo: -guard-ratio-to holds each guarded entry's ns/op to
+// -guard-tol times another entry of the same recording instead of its
+// baseline, and names that entry when it fails; an absent reference entry
+// is an error, not a vacuous pass.
+func TestGuardRatioTo(t *testing.T) {
+	path := writeGuardDoc(t, `{
+  "BenchmarkObservedRun/off": {"ns/op": 10e6, "B/op": 5e4},
+  "BenchmarkObservedRun/obs": {"ns/op": 13e6, "B/op": 5e6},
+  "BenchmarkObservedRun/obs+trace": {"ns/op": 14.5e6, "B/op": 5.3e6},
+  "_baseline/BenchmarkObservedRun/obs+trace": {"ns/op": 1e6}
+}`)
+	var w strings.Builder
+	if err := runGuard(&w, path, 1.5, "BenchmarkObservedRun/obs+trace", -1, 10e6, "BenchmarkObservedRun/off"); err != nil {
+		t.Fatalf("1.45x of off failed a 1.5x ratio guard (the 14.5x baseline must not count): %v\n%s", err, w.String())
+	}
+	w.Reset()
+	if err := runGuard(&w, path, 1.35, "BenchmarkObservedRun/obs", -1, -1, "BenchmarkObservedRun/off"); err == nil {
+		t.Fatal("obs+trace at 1.45x of off passed a 1.35x ratio guard")
+	}
+	if !strings.Contains(w.String(), "BenchmarkObservedRun/off's") || strings.Contains(w.String(), "BenchmarkObservedRun/obs: ") {
+		t.Errorf("failure output = %q, want obs+trace alone, held to off", w.String())
+	}
+	// A prefix ending in $ guards the obs row alone.
+	w.Reset()
+	if err := runGuard(&w, path, 1.35, "BenchmarkObservedRun/obs$", -1, -1, "BenchmarkObservedRun/off"); err != nil {
+		t.Fatalf("obs at 1.3x of off failed a 1.35x guard of that row alone: %v\n%s", err, w.String())
+	}
+	if !strings.Contains(w.String(), "1 BenchmarkObservedRun/obs entries") {
+		t.Errorf("guard summary = %q, want 1 entry checked", w.String())
+	}
+	if err := runGuard(io.Discard, path, 1.5, "BenchmarkObservedRun/obs", -1, -1, "BenchmarkObservedRun/none"); err == nil {
+		t.Error("a missing reference entry passed the guard")
 	}
 }
 
@@ -266,7 +301,7 @@ func TestGuardFailsOnAllocs(t *testing.T) {
   "_baseline/BenchmarkSchedulerAssign/MICCO(0,2,0)": {"ns/op": 140}
 }`)
 	var w strings.Builder
-	err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0, -1)
+	err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0, -1, "")
 	if err == nil {
 		t.Fatal("allocating hot path passed the guard")
 	}
@@ -281,12 +316,12 @@ func TestGuardFailsOnSlowdown(t *testing.T) {
   "_baseline/BenchmarkSchedulerAssign/MICCO(0,2,0)": {"ns/op": 140}
 }`)
 	var w strings.Builder
-	if err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0, -1); err == nil {
+	if err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0, -1, ""); err == nil {
 		t.Fatal("3.6x slowdown passed a 2x guard")
 	}
 	// The same numbers under a forgiving tolerance must pass.
 	w.Reset()
-	if err := runGuard(&w, path, 4.0, defaultGuardPrefix, 0, -1); err != nil {
+	if err := runGuard(&w, path, 4.0, defaultGuardPrefix, 0, -1, ""); err != nil {
 		t.Fatalf("3.6x slowdown failed a 4x guard: %v", err)
 	}
 }
@@ -296,7 +331,7 @@ func TestGuardMissingBaselineWarnsAndSkips(t *testing.T) {
   "BenchmarkSchedulerAssign/NewScheduler": {"ns/op": 9e9, "allocs/op": 0}
 }`)
 	var w strings.Builder
-	if err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0, -1); err != nil {
+	if err := runGuard(&w, path, 2.0, defaultGuardPrefix, 0, -1, ""); err != nil {
 		t.Fatalf("entry without baseline must pass (first recording): %v", err)
 	}
 	if !strings.Contains(w.String(), "no _baseline entry") {
@@ -317,7 +352,7 @@ func TestGuardKernelPrefix(t *testing.T) {
   "_baseline/BenchmarkContractionKernelInto": {"ns/op": 1.5e6}
 }`)
 	var w strings.Builder
-	if err := runGuard(&w, path, 2.5, "BenchmarkContraction", -1, -1); err != nil {
+	if err := runGuard(&w, path, 2.5, "BenchmarkContraction", -1, -1, ""); err != nil {
 		t.Fatalf("healthy kernel document failed the guard: %v\n%s", err, w.String())
 	}
 	if !strings.Contains(w.String(), "2 BenchmarkContraction* entries") {
@@ -325,7 +360,7 @@ func TestGuardKernelPrefix(t *testing.T) {
 	}
 	// With the allocation check on, the same document must fail.
 	w.Reset()
-	if err := runGuard(&w, path, 2.5, "BenchmarkContraction", 0, -1); err == nil {
+	if err := runGuard(&w, path, 2.5, "BenchmarkContraction", 0, -1, ""); err == nil {
 		t.Fatal("allocating kernel entries passed a zero-alloc guard")
 	}
 	// A kernel slowdown beyond tolerance must fail even with allocs off.
@@ -333,7 +368,7 @@ func TestGuardKernelPrefix(t *testing.T) {
   "BenchmarkContractionKernel": {"ns/op": 9e6, "allocs/op": 2},
   "_baseline/BenchmarkContractionKernel": {"ns/op": 3.2e6}
 }`)
-	if err := runGuard(io.Discard, slow, 2.5, "BenchmarkContraction", -1, -1); err == nil {
+	if err := runGuard(io.Discard, slow, 2.5, "BenchmarkContraction", -1, -1, ""); err == nil {
 		t.Fatal("2.8x kernel slowdown passed a 2.5x guard")
 	}
 }
@@ -346,17 +381,17 @@ func TestGuardMaxBytes(t *testing.T) {
   "BenchmarkNumericRun/al_rhopi_t4": {"ns/op": 1.9e8, "B/op": 7.5e7, "allocs/op": 1100},
   "_baseline/BenchmarkNumericRun/al_rhopi_t4": {"ns/op": 2.6e8, "B/op": 1.6e8}
 }`)
-	if err := runGuard(io.Discard, path, 2.5, "BenchmarkNumericRun", -1, 100e6); err != nil {
+	if err := runGuard(io.Discard, path, 2.5, "BenchmarkNumericRun", -1, 100e6, ""); err != nil {
 		t.Fatalf("75 MB/op failed a 100 MB cap: %v", err)
 	}
 	var w strings.Builder
-	if err := runGuard(&w, path, 2.5, "BenchmarkNumericRun", -1, 50e6); err == nil {
+	if err := runGuard(&w, path, 2.5, "BenchmarkNumericRun", -1, 50e6, ""); err == nil {
 		t.Fatal("75 MB/op passed a 50 MB cap")
 	}
 	if !strings.Contains(w.String(), "B/op") {
 		t.Errorf("failure output = %q, want the B/op line", w.String())
 	}
-	if err := runGuard(io.Discard, path, 2.5, "BenchmarkNumericRun", -1, -1); err != nil {
+	if err := runGuard(io.Discard, path, 2.5, "BenchmarkNumericRun", -1, -1, ""); err != nil {
 		t.Fatalf("B/op check off: %v", err)
 	}
 }
@@ -364,24 +399,24 @@ func TestGuardMaxBytes(t *testing.T) {
 func TestGuardErrors(t *testing.T) {
 	t.Run("no-entries", func(t *testing.T) {
 		path := writeGuardDoc(t, `{"BenchmarkContractionKernel": {"ns/op": 1, "allocs/op": 0}}`)
-		if err := runGuard(io.Discard, path, 2.0, defaultGuardPrefix, 0, -1); err == nil {
+		if err := runGuard(io.Discard, path, 2.0, defaultGuardPrefix, 0, -1, ""); err == nil {
 			t.Error("document without scheduler entries passed a vacuous guard")
 		}
 	})
 	t.Run("missing-file", func(t *testing.T) {
-		if err := runGuard(io.Discard, filepath.Join(t.TempDir(), "missing.json"), 2.0, defaultGuardPrefix, 0, -1); err == nil {
+		if err := runGuard(io.Discard, filepath.Join(t.TempDir(), "missing.json"), 2.0, defaultGuardPrefix, 0, -1, ""); err == nil {
 			t.Error("missing document: want error")
 		}
 	})
 	t.Run("malformed", func(t *testing.T) {
 		path := writeGuardDoc(t, "not json")
-		if err := runGuard(io.Discard, path, 2.0, defaultGuardPrefix, 0, -1); err == nil {
+		if err := runGuard(io.Discard, path, 2.0, defaultGuardPrefix, 0, -1, ""); err == nil {
 			t.Error("malformed document: want error")
 		}
 	})
 	t.Run("bad-tolerance", func(t *testing.T) {
 		path := writeGuardDoc(t, `{"BenchmarkSchedulerAssign/X": {"ns/op": 1, "allocs/op": 0}}`)
-		if err := runGuard(io.Discard, path, 0, defaultGuardPrefix, 0, -1); err == nil {
+		if err := runGuard(io.Discard, path, 0, defaultGuardPrefix, 0, -1, ""); err == nil {
 			t.Error("zero tolerance: want error")
 		}
 	})

@@ -48,7 +48,7 @@ func (*Groute) Assign(_ workload.Pair, ctx *sched.Context) int {
 	}
 	if rec := ctx.Decision; rec != nil {
 		rec.Policy = "earliest-device"
-		for i := 0; i < ctx.NumGPU; i++ {
+		for i := 0; i < ctx.NumGPU && len(rec.Candidates) < obs.MaxCandidates; i++ {
 			if ctx.Down.Has(i) {
 				continue
 			}
@@ -130,7 +130,7 @@ func (*LocalityOnly) Assign(p workload.Pair, ctx *sched.Context) int {
 		if res > bestBytes || (res == bestBytes && d.Clock() < bestClock) {
 			best, bestBytes, bestClock = i, res, d.Clock()
 		}
-		if rec := ctx.Decision; rec != nil {
+		if rec := ctx.Decision; rec != nil && len(rec.Candidates) < obs.MaxCandidates {
 			// Score is negated resident bytes so lower wins, matching
 			// CandidateScore's convention.
 			rec.Candidates = append(rec.Candidates,

@@ -244,19 +244,11 @@ func (s *Scheduler) assignFromIndex(p workload.Pair, ctx *sched.Context, ix *sch
 	}
 	if rec := ctx.Decision; rec != nil {
 		// The one place step III enumerates its candidates: the decision
-		// record lists each with its primary score.
+		// record lists the first obs.MaxCandidates, in ascending ID, each
+		// with its primary score — read off the index's eligible leaves, so
+		// a watched placement stays sub-linear in the cluster's width.
 		rec.Policy = policy
-		lim := s.bounds[2] + ctx.BalanceNum
-		for it := 0; it < ctx.NumGPU; it++ {
-			if ctx.StageLoad[it] >= lim || ctx.Down.Has(it) {
-				continue
-			}
-			score := ctx.Cluster.Device(it).Clock()
-			if order == sched.ByMemory {
-				score = float64(ctx.ProjectedMemMasked(it, p, ma, mb))
-			}
-			rec.Candidates = append(rec.Candidates, obs.CandidateScore{Device: it, Score: score})
-		}
+		rec.Candidates = ix.AppendCandidates(rec.Candidates, order, need, obs.MaxCandidates-len(rec.Candidates))
 	}
 	k := 0
 	if ties := ix.Ties(order); ties > 1 {

@@ -45,8 +45,10 @@ type Cluster struct {
 	traceCap    int
 	// sink, when non-nil, feeds every simulated event into an attached
 	// metrics registry (SetObserver), in batches. Independent of tracing;
-	// survives Reset.
-	sink *obsSink
+	// survives Reset. scratch is where an event is written when the sink is
+	// its only reader (see put).
+	sink    *obsSink
+	scratch Event
 	// index holds the one record per tensor — holder set, copy chain, host
 	// copy, host nodes — that every residency question is answered from, and
 	// the blocks of every device, all by slot. ids names each slot's tensor
@@ -229,8 +231,7 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 		src.stats.D2HBytes += desc.Bytes()
 		c.d2hBytes += desc.Bytes()
 		if c.observing() {
-			c.trace(Event{Kind: EventD2H, Device: src.id, Tensor: desc.ID,
-				Start: src.CopyClock() - dur, End: src.CopyClock(), Bytes: desc.Bytes()})
+			c.emit(EventD2H, src.id, desc.ID, src.CopyClock()-dur, src.CopyClock(), desc.Bytes(), 0)
 		}
 		c.hostCopy(slot, desc, src.node)
 	}
@@ -263,8 +264,7 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 		d.stats.H2DBytes += desc.Bytes()
 		c.moveBytes += desc.Bytes()
 		if c.observing() {
-			c.trace(Event{Kind: EventH2D, Device: d.id, Tensor: desc.ID,
-				Start: d.CopyClock() - dur, End: d.CopyClock(), Bytes: desc.Bytes()})
+			c.emit(EventH2D, d.id, desc.ID, d.CopyClock()-dur, d.CopyClock(), desc.Bytes(), 0)
 		}
 	}
 	d.stats.ColdMisses++
@@ -302,7 +302,7 @@ func (c *Cluster) fabricTransfer(d *Device, desc *tensor.Desc, kind EventKind, d
 		stall.v += start - queue
 	}
 	if c.observing() {
-		c.trace(Event{Kind: kind, Device: d.id, Tensor: desc.ID, Start: start, End: end, Bytes: desc.Bytes()})
+		c.emit(kind, d.id, desc.ID, start, end, desc.Bytes(), 0)
 	}
 }
 
@@ -397,8 +397,7 @@ func (c *Cluster) ExecContractionAt(dev int, a, b, out *tensor.Desc, slotA, slot
 	d.stats.Kernels++
 	d.stats.FLOPs += flops
 	if c.observing() {
-		c.trace(Event{Kind: EventKernel, Device: d.id, Tensor: out.ID,
-			Start: d.clock - kt, End: d.clock, FLOPs: flops})
+		c.emit(EventKernel, d.id, out.ID, d.clock-kt, d.clock, 0, flops)
 	}
 	// Pinned blocks cannot have been dropped since ensureResident found them.
 	ba.pinned, bb.pinned = false, false

@@ -268,8 +268,7 @@ func (d *Device) evictFor(size int64) error {
 		cost := d.prof.EvictLatency
 		d.advanceTransferQueue(cost)
 		if c.observing() {
-			c.trace(Event{Kind: EventEvict, Device: d.id, Tensor: victim.desc.ID,
-				Start: d.CopyClock() - cost, End: d.CopyClock(), Bytes: victim.desc.Bytes()})
+			c.emit(EventEvict, d.id, victim.desc.ID, d.CopyClock()-cost, d.CopyClock(), victim.desc.Bytes(), 0)
 		}
 		if victim.dirty {
 			// Dirty write-back occupies the node's shared host link.
@@ -279,8 +278,7 @@ func (d *Device) evictFor(size int64) error {
 			c.d2hBytes += victim.desc.Bytes()
 			c.hostCopy(victim.slot, &victim.desc, d.node)
 			if c.observing() {
-				c.trace(Event{Kind: EventD2H, Device: d.id, Tensor: victim.desc.ID,
-					Start: d.CopyClock() - dur, End: d.CopyClock(), Bytes: victim.desc.Bytes()})
+				c.emit(EventD2H, d.id, victim.desc.ID, d.CopyClock()-dur, d.CopyClock(), victim.desc.Bytes(), 0)
 			}
 		}
 		d.stats.EvictTime += cost

@@ -1,6 +1,9 @@
 package gpusim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file is the simulator's fault surface: devices can be lost and
 // restored, the transfer links can be degraded, memory pools can shrink
@@ -24,15 +27,19 @@ func (c *Cluster) FailDevice(dev int) error {
 	}
 	d.markDirty()
 	d.failed = true
-	c.traceFault(dev, "device-loss")
+	c.traceFault(dev, FaultDeviceLoss, 0)
 	return nil
 }
 
 // traceFault records an injected fault at the current makespan.
-func (c *Cluster) traceFault(dev int, format string, args ...any) {
+func (c *Cluster) traceFault(dev int, code FaultCode, arg uint64) {
 	if c.observing() {
 		t := c.Makespan()
-		c.trace(Event{Kind: EventFault, Device: dev, Start: t, End: t, Note: fmt.Sprintf(format, args...)})
+		e := c.put(EventFault, dev, 0, t, t, 0, 0)
+		e.Fault, e.Arg = code, arg
+		if c.sink != nil {
+			c.sink.observe(e)
+		}
 	}
 }
 
@@ -48,7 +55,7 @@ func (c *Cluster) RestoreDevice(dev int) error {
 	d.failed = false
 	d.clock = c.Makespan()
 	d.copyClock = d.clock
-	c.traceFault(dev, "device-restore")
+	c.traceFault(dev, FaultDeviceRestore, 0)
 	return nil
 }
 
@@ -82,7 +89,7 @@ func (c *Cluster) DegradeLink(factor float64) error {
 		return fmt.Errorf("gpusim: link degrade factor %v must be positive", factor)
 	}
 	c.bwFactor = factor
-	c.traceFault(-1, "link-degrade x%g", factor)
+	c.traceFault(-1, FaultLinkDegrade, math.Float64bits(factor))
 	return nil
 }
 
@@ -116,7 +123,7 @@ func (c *Cluster) SetMemoryCapacity(dev int, capacity int64) error {
 	}
 	d.markDirty()
 	d.capOverride = capacity
-	c.traceFault(dev, "mem-capacity %d", capacity)
+	c.traceFault(dev, FaultMemCapacity, uint64(capacity))
 	if d.memUsed > capacity {
 		// evictFor(0) loops until memUsed fits the (new) capacity.
 		if err := d.evictFor(0); err != nil {
@@ -134,7 +141,7 @@ func (c *Cluster) InjectTransientFailures(n int) {
 		return
 	}
 	c.transientLeft += n
-	c.traceFault(-1, "transient-transfer x%d", n)
+	c.traceFault(-1, FaultTransientTransfer, uint64(n))
 }
 
 // TransientFailuresLeft returns how many injected transfer failures have

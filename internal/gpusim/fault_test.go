@@ -394,7 +394,7 @@ func TestFaultEventsTracedAndSummarized(t *testing.T) {
 	var notes []string
 	for _, e := range events {
 		if e.Kind == EventFault {
-			notes = append(notes, e.Note)
+			notes = append(notes, e.Note())
 		}
 	}
 	wantNotes := []string{"link-degrade x0.25", "device-loss", "device-restore", "mem-capacity 524288", "transient-transfer x3"}

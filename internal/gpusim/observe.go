@@ -29,11 +29,17 @@ type obsSink struct {
 	reg  *obs.Registry
 	devs []*Device
 	// Per event kind: occurrence count, payload bytes, busy seconds (also
-	// the histogram's sum) and the pending counts of dur's buckets.
+	// the histogram's sum), the pending counts of dur's buckets, and the
+	// last duration seen with its bucket. A kind's events mostly repeat its
+	// previous duration (one tensor size, one bandwidth: 99.9 % of them on
+	// observed_run, faulted or not, 97 % on the smallest deck), and a repeat
+	// costs one comparison instead of a bucket search.
 	kinds [numEventKinds]struct {
 		count, bytes, busy acc
 		dur                *obs.Histogram
 		buckets            []int64
+		lastDur            float64
+		lastBucket         int
 	}
 	// Shared-channel occupancy: the host links (all H2D/D2H traffic), the
 	// P2P fabrics, and the inter-node interconnect — busy seconds plus
@@ -106,6 +112,7 @@ func (c *Cluster) SetObserver(r *obs.Registry) {
 		sk.busy.ctr = r.Counter(kindSeries[k].busy)
 		sk.dur = r.Histogram(kindSeries[k].dur, obs.DefSecondsBuckets)
 		sk.buckets = make([]int64, sk.dur.Bucket(math.Inf(1))+1)
+		sk.lastBucket = sk.dur.Bucket(0) // lastDur's zero value
 	}
 	s.hostBusy.ctr = r.Counter("micco_sim_hostlink_busy_seconds_total")
 	s.hostStall.ctr = r.Counter("micco_sim_hostlink_stall_seconds_total")
@@ -133,15 +140,21 @@ func (c *Cluster) FlushObserver() {
 }
 
 // observe accumulates one simulated event (simulated seconds, not wall
-// time). An attached flight recorder is fed it unbatched — a post-mortem
-// wants the events right up to the failure — behind one atomic load.
-func (s *obsSink) observe(e Event) {
-	k, d := &s.kinds[e.Kind], e.Duration()
+// time), read where emit wrote it. An attached flight recorder is fed it
+// unbatched — a post-mortem wants the events right up to the failure —
+// behind one atomic load.
+func (s *obsSink) observe(e *Event) {
+	k, d := &s.kinds[e.Kind], e.End-e.Start
 	k.count.v++
 	k.bytes.v += float64(e.Bytes)
 	k.busy.v += d
-	k.buckets[k.dur.Bucket(d)]++
-	s.flops.v += float64(e.FLOPs) // zero on everything but kernels
+	if d != k.lastDur {
+		k.lastDur, k.lastBucket = d, k.dur.Bucket(d)
+	}
+	k.buckets[k.lastBucket]++
+	if e.FLOPs != 0 { // kernels only
+		s.flops.v += float64(e.FLOPs)
+	}
 	if fr := s.reg.FlightRecorder(); fr != nil {
 		fr.RecordEvent(e.Flight())
 	}

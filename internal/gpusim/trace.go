@@ -7,12 +7,14 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 
 	"micco/internal/obs"
 )
 
-// EventKind classifies a traced simulator event.
-type EventKind int
+// EventKind classifies a traced simulator event. One byte wide: with the
+// fault code beside it, an Event is eight words.
+type EventKind uint8
 
 const (
 	// EventKernel is a contraction kernel execution.
@@ -33,10 +35,40 @@ const (
 	EventInter
 	// EventFault is an injected fault (device loss/restore, link
 	// degradation, capacity shrink, transient-failure arming). Zero
-	// duration; Note carries the description. Device -1 marks
+	// duration; Fault and Arg say which, Note renders them. Device -1 marks
 	// cluster-wide faults.
 	EventFault
 )
+
+// FaultCode names the injected fault an EventFault records.
+type FaultCode uint8
+
+const (
+	// FaultNone marks every event that is not a fault.
+	FaultNone FaultCode = iota
+	// FaultDeviceLoss is FailDevice: "device-loss".
+	FaultDeviceLoss
+	// FaultDeviceRestore is RestoreDevice: "device-restore".
+	FaultDeviceRestore
+	// FaultLinkDegrade is DegradeLink; Arg holds the factor's
+	// math.Float64bits: "link-degrade x0.25".
+	FaultLinkDegrade
+	// FaultMemCapacity is SetMemoryCapacity; Arg holds the capacity in
+	// bytes: "mem-capacity 524288".
+	FaultMemCapacity
+	// FaultTransientTransfer is InjectTransientFailures; Arg holds the
+	// failure count: "transient-transfer x3".
+	FaultTransientTransfer
+)
+
+// faultNames are the fixed part of each fault's note, indexed by FaultCode.
+var faultNames = [...]string{
+	FaultDeviceLoss:        "device-loss",
+	FaultDeviceRestore:     "device-restore",
+	FaultLinkDegrade:       "link-degrade x",
+	FaultMemCapacity:       "mem-capacity ",
+	FaultTransientTransfer: "transient-transfer x",
+}
 
 // String implements fmt.Stringer.
 func (k EventKind) String() string {
@@ -60,9 +92,14 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one traced simulator operation on a device timeline.
+// Event is one traced simulator operation on a device timeline. It holds
+// no pointer — a fault's description is a code and one argument, rendered
+// by Note — so a trace log is memory the garbage collector never scans.
 type Event struct {
-	Kind   EventKind
+	Kind EventKind
+	// Fault is the injected fault of an EventFault (FaultNone on every
+	// other event) and Arg its one argument; see the FaultCode constants.
+	Fault  FaultCode
 	Device int
 	// Tensor is the subject tensor: the moved tensor for transfers and
 	// evictions, the output tensor for kernels.
@@ -72,17 +109,66 @@ type Event struct {
 	// Bytes is the payload for transfers/evictions; FLOPs for kernels.
 	Bytes int64
 	FLOPs int64
-	// Note describes fault events ("device-loss", "link-degrade x0.25",
-	// ...); empty for ordinary simulator events.
-	Note string
+	Arg   uint64
 }
 
 // Duration returns the event length in seconds.
 func (e Event) Duration() float64 { return e.End - e.Start }
 
+// Note describes a fault event ("device-loss", "link-degrade x0.25", ...);
+// empty for ordinary simulator events.
+func (e Event) Note() string { return string(appendNote(nil, e.Fault, e.Arg)) }
+
+// appendNote appends the note of fault code with argument arg, as fmt's %g
+// and %d wrote it when the note was a string: strconv's shortest 'g' form is
+// what %g prints for a float64. An unknown code appends nothing.
+func appendNote(b []byte, code FaultCode, arg uint64) []byte {
+	if int(code) >= len(faultNames) {
+		return b
+	}
+	b = append(b, faultNames[code]...)
+	switch code {
+	case FaultLinkDegrade:
+		b = strconv.AppendFloat(b, math.Float64frombits(arg), 'g', -1, 64)
+	case FaultMemCapacity, FaultTransientTransfer:
+		b = strconv.AppendInt(b, int64(arg), 10)
+	}
+	return b
+}
+
+// parseNote inverts appendNote: it accepts exactly the notes appendNote
+// writes ("" for FaultNone) and reports ok=false for anything else.
+func parseNote(s string) (FaultCode, uint64, bool) {
+	if s == "" {
+		return FaultNone, 0, true
+	}
+	for c := FaultDeviceLoss; int(c) < len(faultNames); c++ {
+		rest, found := strings.CutPrefix(s, faultNames[c])
+		if !found {
+			continue
+		}
+		// A parse error is caught below with every other non-canonical
+		// spelling ("x0.250", "+3"): none renders back as it was written.
+		var arg uint64
+		switch c {
+		case FaultLinkDegrade:
+			f, _ := strconv.ParseFloat(rest, 64)
+			arg = math.Float64bits(f)
+		case FaultMemCapacity, FaultTransientTransfer:
+			n, _ := strconv.ParseInt(rest, 10, 64)
+			arg = uint64(n)
+		}
+		if string(appendNote(nil, c, arg)) == s {
+			return c, arg, true
+		}
+	}
+	return FaultNone, 0, false
+}
+
 // Flight converts the event to the obs layer's flight-recorder mirror
 // type (obs sits below gpusim, so the conversion lives here). The struct
-// is built on the caller's stack — recording it allocates nothing.
+// is built on the caller's stack — recording an ordinary event allocates
+// nothing; a fault's note is rendered here.
 func (e Event) Flight() obs.FlightEvent {
 	return obs.FlightEvent{
 		Kind:   e.Kind.String(),
@@ -92,7 +178,7 @@ func (e Event) Flight() obs.FlightEvent {
 		End:    e.End,
 		Bytes:  e.Bytes,
 		FLOPs:  e.FLOPs,
-		Note:   e.Note,
+		Note:   e.Note(),
 	}
 }
 
@@ -107,23 +193,27 @@ func ParseEventKind(s string) (EventKind, bool) {
 }
 
 // EventFromFlight converts a flight-recorder event back to a simulator
-// event. Events with an unknown kind name report ok=false.
+// event, parsing a fault's note back into its code and argument. Events
+// with an unknown kind name, or a note Event.Note does not write, report
+// ok=false.
 func EventFromFlight(fe obs.FlightEvent) (Event, bool) {
-	k, ok := ParseEventKind(fe.Kind)
+	k, kindOK := ParseEventKind(fe.Kind)
+	code, arg, noteOK := parseNote(fe.Note)
 	return Event{
 		Kind:   k,
+		Fault:  code,
 		Device: fe.Device,
 		Tensor: fe.Tensor,
 		Start:  fe.Start,
 		End:    fe.End,
 		Bytes:  fe.Bytes,
 		FLOPs:  fe.FLOPs,
-		Note:   fe.Note,
-	}, ok
+		Arg:    arg,
+	}, kindOK && noteOK
 }
 
 // EventsFromFlight converts a flight-recorder snapshot's events back to
-// simulator events, dropping any with unknown kinds, so recorder contents
+// simulator events, dropping any EventFromFlight rejects, so recorder contents
 // feed the Chrome-trace writers and the report analyses directly.
 func EventsFromFlight(fes []obs.FlightEvent) []Event {
 	out := make([]Event, 0, len(fes))
@@ -169,17 +259,37 @@ func (c *Cluster) TraceEvents() []Event {
 }
 
 // observing reports whether anyone consumes simulator events. Call sites
-// guard Event construction on it, so the hot path with tracing and
-// metrics both off never materializes event structs.
+// guard emit on it, so the hot path with tracing and metrics both off never
+// writes an event.
 func (c *Cluster) observing() bool { return c.tracing || c.sink != nil }
 
-func (c *Cluster) trace(e Event) {
-	if c.tracing {
-		c.traceEvents = append(c.traceEvents, e)
-	}
+// emit records one simulator event where it will be read — and hands the
+// sink that one copy by pointer.
+func (c *Cluster) emit(kind EventKind, dev int, tensor uint64, start, end float64, bytes, flops int64) {
+	e := c.put(kind, dev, tensor, start, end, bytes, flops)
 	if c.sink != nil {
 		c.sink.observe(e)
 	}
+}
+
+// put writes an event field by field into the trace log's next slot, or
+// into the cluster's scratch event when only the sink listens, and returns
+// it. Nothing is built elsewhere and copied in: the sink's loads then read
+// what these stores wrote, word for word.
+func (c *Cluster) put(kind EventKind, dev int, tensor uint64, start, end float64, bytes, flops int64) *Event {
+	e := &c.scratch
+	if c.tracing {
+		n := len(c.traceEvents)
+		if n < cap(c.traceEvents) {
+			c.traceEvents = c.traceEvents[:n+1]
+		} else {
+			c.traceEvents = append(c.traceEvents, Event{})
+		}
+		e = &c.traceEvents[n]
+	}
+	e.Kind, e.Fault, e.Device, e.Tensor = kind, FaultNone, dev, tensor
+	e.Start, e.End, e.Bytes, e.FLOPs, e.Arg = start, end, bytes, flops, 0
+	return e
 }
 
 // WriteChromeTrace serializes events in the Chrome tracing (catapult) JSON
@@ -223,7 +333,7 @@ func writeChromeTrace(w io.Writer, events []Event, decisions []obs.DecisionRecor
 		if e.Kind == EventFault {
 			// Faults render as process-scoped instants so Perfetto pins
 			// them to the moment of injection rather than a duration bar.
-			name = append(append(name[:0], "fault "...), e.Note...)
+			name = appendNote(append(name[:0], "fault "...), e.Fault, e.Arg)
 			buf = appendQuoted(append(buf[:0], `  {"name":`...), string(name))
 			buf = appendFixed3(append(buf, `,"ph":"i","ts":`...), e.Start*1e6)
 			buf = num(buf, `,"pid":`, int64(max(e.Device, 0)))

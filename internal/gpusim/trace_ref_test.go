@@ -40,7 +40,7 @@ func refWriteChromeTrace(w io.Writer, events []Event, decisions []obs.DecisionRe
 			_, err := fmt.Fprintf(w,
 				"  {\"name\":%q,\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"s\":\"p\","+
 					"\"args\":{\"device\":%d}}%s\n",
-				fmt.Sprintf("fault %s", e.Note), e.Start*1e6, pid, e.Device, sep())
+				fmt.Sprintf("fault %s", e.Note()), e.Start*1e6, pid, e.Device, sep())
 			if err != nil {
 				return err
 			}
@@ -82,11 +82,11 @@ func refWriteChromeTrace(w io.Writer, events []Event, decisions []obs.DecisionRe
 var RefWriteChromeTrace = refWriteChromeTrace
 
 // TestChromeTraceMatchesFmtWriter holds the append-encoded writer to the
-// fmt one byte for byte on the records a run does not produce: notes and
-// policies that need every sort of escape, devices, counts and tensors at
-// the ends of their types, times that are zero, negative zero, below the
-// printed precision, huge, or not numbers, and every way a trace can lack
-// events, decisions or both.
+// fmt one byte for byte on the records a run does not produce: every fault
+// note at the ends of its argument's type, policies that need every sort of
+// escape, devices, counts and tensors at the ends of their types, times
+// that are zero, negative zero, below the printed precision, huge, or not
+// numbers, and every way a trace can lack events, decisions or both.
 func TestChromeTraceMatchesFmtWriter(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	times := []float64{0, math.Copysign(0, -1), 1e-12, 4.4e-10, 5e-10, 0.0015, 1.0 / 3, -2.5, 1e15, 1e300, math.MaxFloat64, nan, inf, -inf}
@@ -94,21 +94,33 @@ func TestChromeTraceMatchesFmtWriter(t *testing.T) {
 		"", "device-loss", "link-degrade x0.25", `say "hi"`, `back\slash`, "tab\there", "line\nbreak",
 		"nul\x00", "del\x7f", "snow☃", "sep\u2028", "bad\xffutf8", "<&>", "\U0001f600",
 	}
+	type fault struct {
+		code FaultCode
+		arg  uint64
+	}
+	faults := []fault{{FaultNone, 0}, {FaultDeviceLoss, 0}, {FaultDeviceRestore, 0}, {FaultCode(200), 7}}
+	for _, f := range []float64{0.25, 1e-05, 3, 1e21, math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.MaxFloat64, nan, inf, -inf} {
+		faults = append(faults, fault{FaultLinkDegrade, math.Float64bits(f)})
+	}
+	for _, n := range []int64{1, 1 << 62, -1, math.MaxInt64, math.MinInt64} {
+		faults = append(faults, fault{FaultMemCapacity, uint64(n)}, fault{FaultTransientTransfer, uint64(n)})
+	}
 	var events []Event
 	for i, at := range times {
 		end := times[(i+5)%len(times)]
+		f := faults[i%len(faults)]
 		events = append(events,
-			Event{Kind: EventKind(i % numEventKinds), Device: i - 2, Tensor: uint64(i), Start: at, End: end, Bytes: int64(i), FLOPs: int64(-i), Note: "ignored unless a fault"},
+			Event{Kind: EventKind(i % numEventKinds), Device: i - 2, Tensor: uint64(i), Start: at, End: end, Bytes: int64(i), FLOPs: int64(-i), Fault: FaultMemCapacity, Arg: 9},
 			Event{Kind: EventKernel, Device: 3, Tensor: math.MaxUint64, Start: at, End: at, Bytes: math.MaxInt64, FLOPs: math.MinInt64},
-			Event{Kind: EventFault, Device: -1, Start: at, End: at, Note: notes[i%len(notes)]},
+			Event{Kind: EventFault, Device: -1, Start: at, End: at, Fault: f.code, Arg: f.arg},
 		)
 	}
-	for i, note := range notes {
-		events = append(events, Event{Kind: EventFault, Device: i - 1, Start: 0.5, End: 0.5, Note: note})
+	for i, f := range faults {
+		events = append(events, Event{Kind: EventFault, Device: i - 1, Start: 0.5, End: 0.5, Fault: f.code, Arg: f.arg})
 	}
 	events = append(events,
 		Event{Kind: EventKind(99), Device: math.MaxInt, Tensor: 7, Start: 1, End: 2},
-		Event{Kind: EventKind(-3), Device: math.MinInt, Tensor: 8, Start: 2, End: 1},
+		Event{Kind: EventKind(253), Device: math.MinInt, Tensor: 8, Start: 2, End: 1},
 	)
 	var decisions []obs.DecisionRecord
 	for i, note := range notes {

@@ -3,9 +3,13 @@ package gpusim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"micco/internal/obs"
 )
@@ -371,5 +375,102 @@ func TestTraceBufferOwnership(t *testing.T) {
 		c.StopTrace()
 	}); allocs > 1 {
 		t.Errorf("traced replay on a cluster that has traced before: %v allocations, want at most 1 (the log)", allocs)
+	}
+}
+
+// TestEventIsPointerFree pins the layout the trace log relies on: no field
+// of an Event, at any depth, is something the garbage collector has to
+// follow, and the whole event is at most eight words.
+func TestEventIsPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s: the trace log would hold pointers", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	walk("Event", reflect.TypeOf(Event{}))
+	if size := unsafe.Sizeof(Event{}); size > 64 {
+		t.Errorf("an Event is %d bytes, want at most 64", size)
+	}
+}
+
+// TestFaultNotes holds Note to the fmt formats traceFault wrote when the
+// note was a string, for faults injected through the cluster's own API and
+// for arguments at the ends of their types, and EventFromFlight to parsing
+// each back into the same event. Only the canonical spelling parses.
+func TestFaultNotes(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	type tc struct {
+		inject func(c *Cluster) error
+		event  Event // built by hand when inject is nil
+		want   string
+	}
+	var cases []tc
+	for _, f := range []float64{0.25, 1e-05, 3} {
+		cases = append(cases, tc{inject: func(c *Cluster) error { return c.DegradeLink(f) }, want: fmt.Sprintf("link-degrade x%g", f)})
+	}
+	for _, f := range []float64{1e21, 1.0 / 3, math.SmallestNonzeroFloat64, math.MaxFloat64, math.Copysign(0, -1), -2, nan, inf, -inf} {
+		cases = append(cases, tc{event: Event{Kind: EventFault, Device: -1, Fault: FaultLinkDegrade, Arg: math.Float64bits(f)}, want: fmt.Sprintf("link-degrade x%g", f)})
+	}
+	for _, n := range []int64{1, 1 << 62} {
+		cases = append(cases, tc{inject: func(c *Cluster) error { return c.SetMemoryCapacity(1, n) }, want: fmt.Sprintf("mem-capacity %d", n)})
+	}
+	for _, n := range []int64{0, -1, math.MaxInt64, math.MinInt64} {
+		cases = append(cases,
+			tc{event: Event{Kind: EventFault, Fault: FaultMemCapacity, Arg: uint64(n)}, want: fmt.Sprintf("mem-capacity %d", n)},
+			tc{event: Event{Kind: EventFault, Device: -1, Fault: FaultTransientTransfer, Arg: uint64(n)}, want: fmt.Sprintf("transient-transfer x%d", n)})
+	}
+	cases = append(cases,
+		tc{inject: func(c *Cluster) error { c.InjectTransientFailures(3); return nil }, want: fmt.Sprintf("transient-transfer x%d", 3)},
+		tc{inject: func(c *Cluster) error { return c.FailDevice(1) }, want: "device-loss"},
+		tc{inject: func(c *Cluster) error {
+			if err := c.FailDevice(1); err != nil {
+				return err
+			}
+			return c.RestoreDevice(1)
+		}, want: "device-restore"},
+	)
+	for _, tc := range cases {
+		e := tc.event
+		if tc.inject != nil {
+			c, _ := NewCluster(testConfig(2))
+			c.StartTrace()
+			if err := tc.inject(c); err != nil {
+				t.Fatalf("%s: %v", tc.want, err)
+			}
+			events := c.StopTrace()
+			e = events[len(events)-1]
+			if e.Kind != EventFault {
+				t.Fatalf("%s: the last traced event is a %s", tc.want, e.Kind)
+			}
+		}
+		if got := e.Note(); got != tc.want {
+			t.Errorf("Note() = %q, fmt writes %q", got, tc.want)
+		}
+		fe := e.Flight()
+		if fe.Note != tc.want {
+			t.Errorf("Flight().Note = %q, want %q", fe.Note, tc.want)
+		}
+		back, ok := EventFromFlight(fe)
+		if !ok || back.Fault != e.Fault || back.Arg != e.Arg && !math.IsNaN(math.Float64frombits(e.Arg)) || back.Note() != tc.want {
+			t.Errorf("%q: EventFromFlight = %+v, %v; want %+v", tc.want, back, ok, e)
+		}
+	}
+	if e, ok := EventFromFlight(obs.FlightEvent{Kind: "h2d", Tensor: 4}); !ok || e.Fault != FaultNone || e.Note() != "" {
+		t.Errorf("an ordinary event came back as %+v, %v", e, ok)
+	}
+	for _, note := range []string{"bogus", "device-lossy", "link-degrade x", "link-degrade x0.250", "link-degrade 0.25",
+		"mem-capacity +3", "mem-capacity 03", "mem-capacity 1e3", "transient-transfer 3", "transient-transfer x99999999999999999999"} {
+		if _, ok := EventFromFlight(obs.FlightEvent{Kind: "fault", Note: note}); ok {
+			t.Errorf("note %q parsed; only what Note writes should", note)
+		}
 	}
 }

@@ -2,9 +2,12 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
+	"strconv"
 )
 
 // ReusePattern is the local reuse classification of a tensor pair against
@@ -127,6 +130,14 @@ type DecisionRecord struct {
 	Recovery bool `json:"recovery,omitempty"`
 }
 
+// MaxCandidates is how many candidates a decision record keeps: the first
+// 64 the scheduler listed, one DevSet word's worth of devices. Every
+// candidate set on a cluster of up to 64 devices is kept whole; past that,
+// listing all of them would cost each watched placement O(devices) and
+// undo the sub-linear step III of a wide cluster, to record scores nobody
+// reads past the first screenful.
+const MaxCandidates = 64
+
 // candChunk is the candidate-arena chunk size (in CandidateScores): big
 // enough that a steady decision stream allocates a fresh chunk only every
 // few hundred records, small enough to waste little on short runs.
@@ -136,12 +147,12 @@ const candChunk = 2048
 // only read: *d is copied into the store and d is never retained or
 // modified.
 //
-// The record's Candidates slice is deep-copied into a registry-owned
-// chunked arena before the record is retained (and before it is fed to
-// the flight recorder), so callers are free to reuse the backing array —
-// the engine recycles one scratch record per run, which (with the
-// by-pointer signature: one struct copy instead of three) keeps the
-// obs-on placement path allocation-free.
+// The first MaxCandidates entries of the record's Candidates slice are
+// deep-copied into a registry-owned chunked arena before the record is
+// retained (and before it is fed to the flight recorder), so callers are
+// free to reuse the backing array — the engine recycles one scratch record
+// per run, which (with the by-pointer signature: one struct copy instead
+// of three) keeps the obs-on placement path allocation-free.
 func (r *Registry) RecordDecision(d *DecisionRecord) {
 	if r == nil || d == nil {
 		return
@@ -149,12 +160,12 @@ func (r *Registry) RecordDecision(d *DecisionRecord) {
 	r.mu.Lock()
 	r.decisions = append(r.decisions, *d)
 	kept := &r.decisions[len(r.decisions)-1]
-	if n := len(kept.Candidates); n > 0 {
+	if n := min(len(kept.Candidates), MaxCandidates); n > 0 {
 		if cap(r.candArena)-len(r.candArena) < n {
-			r.candArena = make([]CandidateScore, 0, max(candChunk, n))
+			r.candArena = make([]CandidateScore, 0, candChunk)
 		}
 		off := len(r.candArena)
-		r.candArena = append(r.candArena, kept.Candidates...)
+		r.candArena = append(r.candArena, kept.Candidates[:n]...)
 		kept.Candidates = r.candArena[off : off+n : off+n]
 	}
 	fr := r.flight.Load()
@@ -183,45 +194,129 @@ func (r *Registry) ReserveDecisions(n int) {
 	r.decisions = grown
 }
 
-// Decisions returns a copy of the decision records in placement order.
+// Decisions returns the decision records in placement order, as a view of
+// the registry's own store: READ-ONLY. Nothing is copied — the records are
+// append-only, so the records a view shows never change under it, however
+// many are recorded or reserved after the call, and a later call returns a
+// longer view of the same records. A caller that wants to modify records
+// clones them first (slices.Clone, and a record's Candidates, which alias
+// the registry's arena, with it).
 func (r *Registry) Decisions() []DecisionRecord {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]DecisionRecord, len(r.decisions))
-	copy(out, r.decisions)
-	return out
+	n := len(r.decisions)
+	return r.decisions[:n:n]
 }
 
 // WriteDecisionsNDJSON writes one JSON object per line per decision record
-// (newline-delimited JSON, greppable and streamable).
+// (newline-delimited JSON, greppable and streamable), byte for byte as
+// encoding/json's Encoder writes each record, and failing on the same
+// records (a non-finite SimTime or score) with the same error, before any
+// byte of the failing record is written.
 func WriteDecisionsNDJSON(w io.Writer, recs []DecisionRecord) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, d := range recs {
-		if err := enc.Encode(d); err != nil {
+	// Records are encoded straight into one buffer that goes to w whenever
+	// it nears 64 KB: no second buffer to copy them through.
+	const flushAt = 60 << 10
+	buf := make([]byte, 0, 64<<10)
+	var err error
+	for i := range recs {
+		if buf, err = appendDecision(buf, &recs[i]); err != nil {
 			return err
 		}
+		if len(buf) >= flushAt {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
 	}
-	return bw.Flush()
+	if len(buf) > 0 {
+		_, err = w.Write(buf)
+	}
+	return err
+}
+
+// appendDecision appends d as one NDJSON line: its fields in declaration
+// order under their JSON names, omitempty fields left out when zero, the
+// pattern by name. A non-finite float fails the record where encoding/json
+// meets it: the first bad score, else SimTime.
+func appendDecision(b []byte, d *DecisionRecord) ([]byte, error) {
+	b = strconv.AppendInt(append(b, `{"stage":`...), int64(d.Stage), 10)
+	b = strconv.AppendInt(append(b, `,"pair":`...), int64(d.Pair), 10)
+	b = strconv.AppendUint(append(b, `,"out":`...), d.Out, 10)
+	b = strconv.AppendUint(append(b, `,"a":`...), d.A, 10)
+	b = strconv.AppendUint(append(b, `,"b":`...), d.B, 10)
+	b = strconv.AppendInt(append(b, `,"device":`...), int64(d.Device), 10)
+	b = AppendJSONString(append(b, `,"pattern":`...), d.Pattern.String())
+	b = strconv.AppendInt(append(b, `,"bound_index":`...), int64(d.BoundIndex), 10)
+	if d.Bound != 0 {
+		b = strconv.AppendInt(append(b, `,"bound":`...), int64(d.Bound), 10)
+	}
+	b = strconv.AppendInt(append(b, `,"balance_num":`...), int64(d.BalanceNum), 10)
+	if d.Policy != "" {
+		b = AppendJSONString(append(b, `,"policy":`...), d.Policy)
+	}
+	if len(d.Candidates) > 0 {
+		b = append(b, `,"candidates":[`...)
+		for i, c := range d.Candidates {
+			if !finite(c.Score) {
+				return b, unsupportedFloat(c.Score)
+			}
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(append(b, `{"device":`...), int64(c.Device), 10)
+			b = append(AppendJSONFloat(append(b, `,"score":`...), c.Score), '}')
+		}
+		b = append(b, ']')
+	}
+	b = strconv.AppendInt(append(b, `,"predicted_bytes":`...), d.PredictedBytes, 10)
+	b = strconv.AppendInt(append(b, `,"actual_bytes":`...), d.ActualBytes, 10)
+	if d.ActualD2HBytes != 0 {
+		b = strconv.AppendInt(append(b, `,"actual_d2h_bytes":`...), d.ActualD2HBytes, 10)
+	}
+	if d.Evictions != 0 {
+		b = strconv.AppendInt(append(b, `,"evictions":`...), d.Evictions, 10)
+	}
+	if !finite(d.SimTime) {
+		return b, unsupportedFloat(d.SimTime)
+	}
+	b = AppendJSONFloat(append(b, `,"sim_time":`...), d.SimTime)
+	if d.Recovery {
+		b = append(b, `,"recovery":true`...)
+	}
+	return append(b, "}\n"...), nil
+}
+
+// unsupportedFloat is the error encoding/json returns for a non-finite
+// float64.
+func unsupportedFloat(f float64) error {
+	return &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 }
 
 // ReadDecisionsNDJSON parses a WriteDecisionsNDJSON stream back into
 // decision records. Blank lines are skipped; a malformed line fails with
-// its 1-based line number.
+// its 1-based line number in the stream.
 func ReadDecisionsNDJSON(r io.Reader) ([]DecisionRecord, error) {
 	var recs []DecisionRecord
-	dec := json.NewDecoder(r)
+	br := bufio.NewReader(r)
 	for line := 1; ; line++ {
-		var d DecisionRecord
-		if err := dec.Decode(&d); err != nil {
-			if err == io.EOF {
-				return recs, nil
-			}
-			return nil, fmt.Errorf("obs: decisions record %d: %w", line, err)
+		text, err := br.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("obs: decisions line %d: %w", line, err)
 		}
-		recs = append(recs, d)
+		if t := bytes.TrimSpace(text); len(t) > 0 {
+			var d DecisionRecord
+			if err := json.Unmarshal(t, &d); err != nil {
+				return nil, fmt.Errorf("obs: decisions line %d: %w", line, err)
+			}
+			recs = append(recs, d)
+		}
+		if err == io.EOF {
+			return recs, nil
+		}
 	}
 }

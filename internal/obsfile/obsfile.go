@@ -8,41 +8,87 @@ package obsfile
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"math/rand/v2"
 	"os"
+	"strconv"
 
 	"micco/internal/gpusim"
 	"micco/internal/obs"
 )
 
-// Write creates path, hands it to write, and on success notes what landed
-// there on logw (stderr in the CLIs; io.Discard silences it). The file is
-// buffered: the Chrome trace writer emits one record at a time, which
-// would otherwise be one write(2) each. Once the records are cheap to
-// format, a 10 MB trace through the default 4 KB buffer spends a third of
-// its time in its 2 500 write calls; at 64 KB they no longer show.
+// Write hands write a file that becomes path only if write succeeds, and
+// on success notes what landed there on logw (stderr in the CLIs;
+// io.Discard silences it). The artifact is written to a temporary file
+// beside path, synced, and renamed over it at the end, so a failed write —
+// a full disk, a value the encoder refuses — leaves the previous artifact as
+// it was and no partial file behind, and a crash cannot leave the name on
+// data that never reached the disk. A rewrite keeps the artifact's
+// permission bits (a file restricted to its owner stays so); being a new
+// file, it does not keep the old one's owner or hard links. A destination
+// that exists and is not a regular file (/dev/stdout, a pipe, a symlink)
+// has nothing to replace and is written in place. The file is buffered:
+// the Chrome trace writer emits one record at a time, which would otherwise
+// be one write(2) each. Once the records are cheap to format, a 10 MB trace
+// through the default 4 KB buffer spends a third of its time in its 2 500
+// write calls; at 64 KB they no longer show.
 func Write(path, what string, logw io.Writer, write func(io.Writer) error) error {
-	f, err := os.Create(path)
+	var f *os.File
+	var err error
+	fi, serr := os.Lstat(path)
+	inPlace := serr == nil && !fi.Mode().IsRegular()
+	if inPlace {
+		f, err = os.Create(path)
+	} else {
+		f, err = createTemp(path)
+	}
 	if err != nil {
 		return err
 	}
+	if serr == nil && !inPlace {
+		err = f.Chmod(fi.Mode().Perm())
+	}
 	bw := bufio.NewWriterSize(f, 64<<10)
-	err = write(bw)
+	if err == nil {
+		err = write(bw)
+	}
 	if err == nil {
 		err = bw.Flush()
 	}
-	if err != nil {
-		f.Close()
-		return err
+	if err == nil && !inPlace {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && !inPlace {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		if !inPlace {
+			os.Remove(f.Name())
+		}
 		return err
 	}
 	if logw != nil {
 		fmt.Fprintf(logw, "%s written to %s\n", what, path)
 	}
 	return nil
+}
+
+// createTemp creates a new file beside path, with the permissions os.Create
+// gives (os.CreateTemp's are owner-only, which the artifact would keep).
+func createTemp(path string) (*os.File, error) {
+	for {
+		tmp := path + ".tmp-" + strconv.FormatUint(rand.Uint64(), 36)
+		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, err
+		}
+	}
 }
 
 // WriteMetrics writes a metrics snapshot as indented JSON (the format

@@ -134,3 +134,85 @@ func TestWriteReturnsErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteReplacesOnlyOnSuccess checks that an artifact changes only when
+// its writer succeeds: a writer that emits bytes and then fails — within the
+// buffer or past it — leaves the previous file byte for byte, a successful
+// one replaces it whole, and neither leaves a temporary file behind. A new
+// artifact gets the permissions os.Create would have given it; a rewritten
+// one keeps its own, even when they are narrower.
+func TestWriteReplacesOnlyOnSuccess(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.json")
+	put := func(content string) error {
+		return Write(path, "artifact", io.Discard, func(w io.Writer) error {
+			_, err := io.WriteString(w, content)
+			return err
+		})
+	}
+	check := func(when, want string) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Errorf("%s: the artifact holds %d bytes (%v), want %q", when, len(got), err, want)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil || len(entries) != 1 {
+			t.Errorf("%s: the directory holds %d entries (%v), want the artifact alone", when, len(entries), err)
+		}
+	}
+	if err := put("first"); err != nil {
+		t.Fatal(err)
+	}
+	check("first write", "first")
+
+	boom := errors.New("boom")
+	for _, size := range []int{7, 1 << 20} { // held in the buffer; flushed past it
+		err := Write(path, "artifact", io.Discard, func(w io.Writer) error {
+			w.Write(bytes.Repeat([]byte("x"), size))
+			return boom
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("failing writer after %d bytes: Write returned %v, want %v", size, err, boom)
+		}
+		check("failed write", "first")
+	}
+
+	if err := put("second"); err != nil {
+		t.Fatal(err)
+	}
+	check("second write", "second")
+
+	ref := filepath.Join(t.TempDir(), "ref")
+	f, err := os.Create(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	want, err := os.Stat(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mode := func() os.FileMode {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode()
+	}
+	if got := mode(); got != want.Mode() {
+		t.Errorf("artifact mode %v, os.Create gives %v", got, want.Mode())
+	}
+
+	if err := os.Chmod(path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := put("third"); err != nil {
+		t.Fatal(err)
+	}
+	check("rewrite of a 0600 artifact", "third")
+	if got := mode(); got != 0o600 {
+		t.Errorf("rewritten 0600 artifact has mode %v, want %v", got, os.FileMode(0o600))
+	}
+}

@@ -117,7 +117,7 @@ func TestCriticalPathNoEvents(t *testing.T) {
 func TestCriticalPathSkipsFaultsAndTrailingGap(t *testing.T) {
 	events := []gpusim.Event{
 		ev(gpusim.EventKernel, 2, 1, 0, 2),
-		{Kind: gpusim.EventFault, Device: 2, Start: 1, End: 1, Note: "device-loss"},
+		{Kind: gpusim.EventFault, Device: 2, Start: 1, End: 1, Fault: gpusim.FaultDeviceLoss},
 	}
 	// Makespan extends past the last event: trailing idle keeps the
 	// predecessor's device (no successor exists).

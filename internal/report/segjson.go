@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"strconv"
+
+	"micco/internal/obs"
 )
 
 // segmentsNull is how encoding/json renders a critical path without
@@ -63,11 +65,11 @@ func writeSegments(bw *bufio.Writer, segs []Segment) error {
 		if i > 0 && math.Float64bits(s.Start) == endBits {
 			buf = append(buf, end...)
 		} else {
-			buf = appendFloat(buf, s.Start)
+			buf = obs.AppendJSONFloat(buf, s.Start)
 		}
-		end, endBits = appendFloat(end[:0], s.End), math.Float64bits(s.End)
+		end, endBits = obs.AppendJSONFloat(end[:0], s.End), math.Float64bits(s.End)
 		buf = append(append(buf, ",\n        \"end\": "...), end...)
-		buf = appendString(append(buf, ",\n        \"kind\": "...), s.Kind)
+		buf = obs.AppendJSONString(append(buf, ",\n        \"kind\": "...), s.Kind)
 		buf = strconv.AppendInt(append(buf, ",\n        \"device\": "...), int64(s.Device), 10)
 		if s.Tensor != 0 {
 			buf = strconv.AppendUint(append(buf, ",\n        \"tensor\": "...), s.Tensor, 10)
@@ -77,31 +79,4 @@ func writeSegments(bw *bufio.Writer, segs []Segment) error {
 	}
 	bw.WriteString("\n    ]")
 	return nil
-}
-
-// appendFloat appends a finite f in encoding/json's number format.
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	// e-09 becomes e-9, as in encoding/json.
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
-}
-
-// appendString appends s as a JSON string. Event kind names are plain
-// ASCII; anything encoding/json would escape is left to encoding/json.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	return append(append(append(b, '"'), s...), '"')
 }

@@ -1,6 +1,10 @@
 package sched
 
-import "math"
+import (
+	"math"
+
+	"micco/internal/obs"
+)
 
 // AvailOrder names one of Algorithm 2's two lexicographic orders.
 type AvailOrder int
@@ -223,6 +227,50 @@ func (ix *AvailIndex) Select(o AvailOrder, k int) int {
 			k -= int(l.count)
 		}
 		i++
+	}
+	return i - ix.size
+}
+
+// AppendCandidates appends the first n eligible devices in ascending ID,
+// each scored by its key in order o — its Clock, or its projected memory:
+// the leaf's memory key plus need, the bytes the pair adds to a device
+// holding neither operand (a lifted leaf's key already allows for what it
+// holds) — and returns the extended slice. It visits only the leaves it
+// appends and the non-empty subtrees between them, so listing a wide step
+// III's candidates costs O(n log NumGPU), not a pass over the cluster.
+func (ix *AvailIndex) AppendCandidates(buf []obs.CandidateScore, o AvailOrder, need int64, n int) []obs.CandidateScore {
+	for dev := ix.nextEligible(0); dev >= 0 && n > 0; dev, n = ix.nextEligible(dev+1), n-1 {
+		leaf := &ix.nodes[ix.size+dev].by[o]
+		score := leaf.clock
+		if o == ByMemory {
+			score = float64(leaf.mem + need)
+		}
+		buf = append(buf, obs.CandidateScore{Device: dev, Score: score})
+	}
+	return buf
+}
+
+// nextEligible returns the least eligible device at or after dev, or -1
+// when there is none: climbing from dev's leaf to the first non-empty
+// subtree to its right and descending to that subtree's first eligible
+// leaf, O(log n).
+func (ix *AvailIndex) nextEligible(dev int) int {
+	if dev >= ix.size {
+		return -1
+	}
+	i := ix.size + dev
+	for ix.nodes[i].by[ByCompute].count == 0 {
+		for i&1 == 1 { // a right child (or the root): climb
+			if i >>= 1; i == 0 {
+				return -1
+			}
+		}
+		i++ // a left child's right sibling
+	}
+	for i < ix.size {
+		if i <<= 1; ix.nodes[i].by[ByCompute].count == 0 {
+			i++
+		}
 	}
 	return i - ix.size
 }

@@ -85,6 +85,17 @@ func checkAvail(t *testing.T, ix *AvailIndex, c *Context, lim int, step int, op 
 			t.Fatalf("step %d (%s): order %d has %d tied devices, Ties says %d", step, op, o, k, ix.Ties(o))
 		}
 	}
+	// nextEligible from every start, padding leaves and past the end
+	// included, is the scan's next device under the limit.
+	want := -1
+	for dev := ix.size; dev >= 0; dev-- {
+		if dev < c.NumGPU && c.StageLoad[dev] < lim && !c.Down.Has(dev) {
+			want = dev
+		}
+		if got := ix.nextEligible(dev); got != want {
+			t.Fatalf("step %d (%s): nextEligible(%d) = %d, scan says %d", step, op, dev, got, want)
+		}
+	}
 }
 
 // TestAvailIndexInvariant walks a tracked Context and its cluster through a

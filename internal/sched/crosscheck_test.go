@@ -27,14 +27,17 @@ import (
 // Its rng seeding matches core.NewFixed so tie-breaks draw identically.
 // It is also the oracle for the availability index (availcheck_test.go):
 // step III and Algorithm 2 here walk every device, every time. The one
-// addition since the port is the Down filter in step III and the fallback,
-// which fault-free runs never exercise (Down is then empty).
+// additions since the port are the Down filter in step III and the
+// fallback, which fault-free runs never exercise (Down is then empty), and
+// the decision record's cap at obs.MaxCandidates. wideStepIII counts the
+// step-III decisions whose candidate set had 128 devices or more.
 type refMICCO struct {
 	bounds             core.Bounds
 	rng                *rand.Rand
 	candi              []int
 	patterns           [4]int64
 	evictionPolicyUses int64
+	wideStepIII        int64
 }
 
 func newRefMICCO(b core.Bounds) *refMICCO {
@@ -150,6 +153,9 @@ func (s *refMICCO) Assign(p workload.Pair, ctx *sched.Context) int {
 		if len(s.candi) > 0 {
 			boundIdx = 2
 		}
+		if len(s.candi) >= 128 {
+			s.wideStepIII++
+		}
 	}
 
 	// Defensive fallback: least-loaded live GPU.
@@ -198,7 +204,7 @@ func (s *refMICCO) assignFromQueue(p workload.Pair, ctx *sched.Context) int {
 		} else {
 			rec.Policy = "compute-centric"
 		}
-		for _, id := range s.candi {
+		for _, id := range s.candi[:min(len(s.candi), obs.MaxCandidates)] {
 			rec.Candidates = append(rec.Candidates, obs.CandidateScore{Device: id, Score: primary(id)})
 		}
 	}

@@ -9,12 +9,14 @@ package sched_test
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"micco/internal/baseline"
 	"micco/internal/core"
 	"micco/internal/gpusim"
 	"micco/internal/hier"
+	"micco/internal/obs"
 	"micco/internal/sched"
 	"micco/internal/tensor"
 	"micco/internal/workload"
@@ -132,5 +134,58 @@ func TestWideMaskPathMatchesScanPathReference(t *testing.T) {
 		if lr.Total != rr.Total {
 			t.Errorf("%s: device stats diverge:\n %+v\n %+v", tc.name, lr.Total, rr.Total)
 		}
+	}
+}
+
+// TestWatchedWideRunCapsCandidates is a watched flat-MICCO run of the
+// sched_scale shape on 4096 devices, where a step-III candidate set runs to
+// thousands of devices: every decision record keeps at most
+// obs.MaxCandidates of them, in ascending device order, the cap is reached,
+// and the run allocates at most 32 MB (370 MB when every record listed every
+// eligible device).
+func TestWatchedWideRunCapsCandidates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 16k-pair run on 4096 devices")
+	}
+	w := wideWorkload(t)
+	c, err := gpusim.NewCluster(gpusim.MI100Nodes(512, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := core.NewFixed(core.Bounds{0, 2, 0})
+	if _, err := sched.Run(context.Background(), w, s, c, sched.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := sched.Run(context.Background(), w, s, c, sched.Options{Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	recs := reg.Decisions()
+	if len(recs) != w.NumPairs() {
+		t.Fatalf("%d decision records for %d pairs", len(recs), w.NumPairs())
+	}
+	full := 0
+	for i := range recs {
+		cands := recs[i].Candidates
+		if len(cands) > obs.MaxCandidates {
+			t.Fatalf("record %d keeps %d candidates, want at most %d", i, len(cands), obs.MaxCandidates)
+		}
+		for j := 1; j < len(cands); j++ {
+			if recs[i].BoundIndex == 2 && cands[j].Device <= cands[j-1].Device {
+				t.Fatalf("record %d: step-III candidates out of ascending order: %v", i, cands)
+			}
+		}
+		if len(cands) == obs.MaxCandidates {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Error("no record reached the cap: the run never had a wide candidate set")
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 32<<20 {
+		t.Errorf("the watched run allocated %.1f MB, want at most 32", float64(alloc)/(1<<20))
 	}
 }

@@ -129,10 +129,27 @@ func reconcileLinks(t *testing.T, snap, ref *obs.Snapshot, scale float64) {
 	}
 }
 
+// reconcilePatterns holds snap's reuse-pattern counters to the decision
+// records: one count per placement recorded, under its pattern.
+func reconcilePatterns(t *testing.T, snap *obs.Snapshot, recs []obs.DecisionRecord) {
+	t.Helper()
+	var want [obs.NumReusePatterns]float64
+	for i := range recs {
+		want[recs[i].Pattern]++
+	}
+	for p, n := range want {
+		name := `micco_sched_pattern_total{pattern="` + obs.ReusePattern(p).String() + `"}`
+		if got := snap.Counters[name]; got != n {
+			t.Errorf("%s = %v, the decision records hold %v", name, got, n)
+		}
+	}
+}
+
 // TestSnapshotReconcilesWithTrace pins the batching sink's contract from
 // the outside: whatever the trace recorded, the registry holds — in the
 // snapshot Run takes (the batch tail included), after a run that died
-// mid-stage, and when two clusters feed one registry at once.
+// mid-stage, and when two clusters feed one registry at once — and so do
+// the engine's batched pattern counters, whatever the decision log holds.
 func TestSnapshotReconcilesWithTrace(t *testing.T) {
 	w, cfg := reconcileFixture(t)
 	micco := func() sched.Scheduler { return core.NewFixed(core.Bounds{0, 2, 0}) }
@@ -156,12 +173,14 @@ func TestSnapshotReconcilesWithTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, events, err := traced(obs.New(), nil, false)
+		reg := obs.New()
+		res, events, err := traced(reg, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reconcileTrace(t, res.Metrics, events)
 		reconcileLinks(t, res.Metrics, ref.Metrics, 1)
+		reconcilePatterns(t, res.Metrics, reg.Decisions())
 		for i := range res.PerDevice {
 			name := `micco_device_mem_peak_bytes{device="` + strconv.Itoa(i) + `"}`
 			if got := res.Metrics.Gauges[name]; got <= 0 || got > float64(cfg.MemoryBytes) {
@@ -188,6 +207,19 @@ func TestSnapshotReconcilesWithTrace(t *testing.T) {
 		}
 		reconcileTrace(t, reg.Snapshot(), events)
 		reconcileLinks(t, reg.Snapshot(), refReg.Snapshot(), 1)
+		// The counts of what the dying stage placed — its first pairs and
+		// the recovery re-placements — were still pending when it died.
+		recs := reg.Decisions()
+		midStage := 0
+		for i := range recs {
+			if recs[i].Stage == 2 || recs[i].Recovery {
+				midStage++
+			}
+		}
+		if midStage == 0 {
+			t.Fatal("no placement was recorded in the stage the run died in")
+		}
+		reconcilePatterns(t, reg.Snapshot(), recs)
 	})
 
 	t.Run("two-clusters", func(t *testing.T) {
@@ -216,5 +248,6 @@ func TestSnapshotReconcilesWithTrace(t *testing.T) {
 		// what the shared registry is held to.
 		reconcileTrace(t, reg.Snapshot(), append(events[0], events[1]...))
 		reconcileLinks(t, reg.Snapshot(), ref.Metrics, 2)
+		reconcilePatterns(t, reg.Snapshot(), reg.Decisions())
 	})
 }

@@ -332,9 +332,13 @@ type Result struct {
 // feeds. A nil *obsRun disables everything at the cost of one pointer
 // comparison per use.
 type obsRun struct {
-	reg      *obs.Registry
-	runSpan  *obs.ActiveSpan
+	reg     *obs.Registry
+	runSpan *obs.ActiveSpan
+	// patterns are the reuse-pattern counters; patternN what the run has
+	// placed per pattern since flush last published it. The engine is their
+	// one writer, so a placement is an increment, not an atomic add.
 	patterns [obs.NumReusePatterns]*obs.Counter
+	patternN [obs.NumReusePatterns]int64
 	schedule *obs.Counter // wall seconds inside scheduler calls
 	simulate *obs.Counter // wall seconds inside the timing simulator
 	numeric  *obs.Counter // wall seconds in numeric contractions
@@ -372,13 +376,31 @@ func deviceSeries(base string, i int) string {
 	return base + `{device="` + strconv.Itoa(i) + `"}`
 }
 
-// finish flushes the simulator's sink (the snapshot needs its batch tail and
-// memory high-water), closes the run span and publishes the end-of-run gauges.
+// flush publishes what the run has accumulated but not yet published — the
+// simulator sink's batch and the pattern counts — where the sink always has:
+// at every stage boundary, when a run fails and when it finishes. Nil-safe:
+// without a registry of the run's own it flushes only the cluster's sink.
+func (o *obsRun) flush(c *gpusim.Cluster) {
+	c.FlushObserver()
+	if o == nil {
+		return
+	}
+	for p, n := range o.patternN {
+		if n != 0 {
+			o.patterns[p].Add(float64(n))
+			o.patternN[p] = 0
+		}
+	}
+}
+
+// finish flushes (the snapshot needs the sink's batch tail and memory
+// high-water, and the pending pattern counts), closes the run span and
+// publishes the end-of-run gauges.
 func (o *obsRun) finish(res *Result, c *gpusim.Cluster) {
 	if o == nil {
 		return
 	}
-	c.FlushObserver()
+	o.flush(c)
 	o.reg.Gauge("micco_run_makespan_seconds").Set(res.Makespan)
 	o.reg.Gauge("micco_run_gflops").Set(res.GFLOPS)
 	o.reg.Counter("micco_sched_overhead_seconds_total").Add(res.SchedOverhead.Seconds())
@@ -459,14 +481,14 @@ func (e *engine) dumpFlight(reason string) {
 }
 
 // fail finishes an erroring run: the simulator's sink publishes every event
-// up to the failure; with checkpointing on, the last
+// and the engine every placement up to the failure; with checkpointing on, the last
 // stage-boundary snapshot (updated to the live fired-event mask, so the
 // fatal event does not re-fire on resume) is attached to the partial
 // result; otherwise the result is dropped as before. Losing the whole
 // cluster additionally dumps the flight recorder: the post-mortem of an
 // unrecoverable run is exactly what the recorder exists for.
 func (e *engine) fail(err error) (*Result, error) {
-	e.c.FlushObserver()
+	e.ob.flush(e.c)
 	if afterRun != nil {
 		afterRun(e.c)
 	}
@@ -546,16 +568,14 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 		// One scratch record per run: the zero-value reset keeps the
 		// Candidates backing array, which RecordDecision deep-copies into
 		// its own arena, so the obs-on placement path allocates nothing.
+		// Field by field: a composite literal would be built aside and
+		// copied in, 168 bytes a pair.
 		rec = &e.decRec
 		cands := rec.Candidates[:0]
-		*rec = obs.DecisionRecord{
-			Stage: si, Pair: pi,
-			Out: p.Out.ID, A: p.A.ID, B: p.B.ID,
-			BalanceNum: sctx.BalanceNum, BoundIndex: -1,
-			Pattern:    ClassifyMasks(pr.ma, pr.mb),
-			Recovery:   recovery,
-			Candidates: cands,
-		}
+		*rec = obs.DecisionRecord{}
+		rec.Stage, rec.Pair, rec.Out, rec.A, rec.B = si, pi, p.Out.ID, p.A.ID, p.B.ID
+		rec.BalanceNum, rec.BoundIndex, rec.Pattern = sctx.BalanceNum, -1, ClassifyMasks(pr.ma, pr.mb)
+		rec.Recovery, rec.Candidates = recovery, cands
 		sctx.Decision = rec
 	}
 	tA := time.Since(e.clock0)
@@ -594,7 +614,7 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 		rec.ActualBytes = afterMove - beforeMove
 		rec.ActualD2HBytes = afterD2H - beforeD2H
 		rec.Evictions = afterEvict - beforeEvict
-		e.ob.patterns[rec.Pattern].Inc()
+		e.ob.patternN[rec.Pattern]++
 		e.ob.reg.RecordDecision(rec)
 	}
 	sctx.AddLoad(dev, 2)
@@ -794,7 +814,7 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 		}
 		c.Barrier()
 		if ob != nil {
-			c.FlushObserver()
+			ob.flush(c)
 			// Simulate time is attributed as the stage-wall remainder:
 			// everything outside scheduler calls and numeric work is the
 			// timing simulation plus the engine's own (tiny) loop
