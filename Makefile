@@ -156,10 +156,11 @@ benchguard:
 soak:
 	$(GO) test -count=1 -v -run TestChaosSoak ./internal/chaos
 
-# bench measures the contraction-kernel component benchmarks —
-# pairwise, stage-fused through a per-call pipeline and through a
-# persistent one — and one whole numeric job (the ladder's
-# deck_numeric) with allocation stats and records them as
+# bench measures the contraction-kernel component benchmarks — a stage
+# pairwise, and as one batch of (op, group) work items through a per-call
+# pipeline and through a persistent one (the rows named "fused", after the
+# shared-panel planner they once timed) — and one whole numeric job (the
+# ladder's deck_numeric) with allocation stats and records them as
 # BENCH_kernel.json with the baseline merged in (via cmd/benchjson, which
 # tees the raw output through) — the kernel and job rows run on the commit
 # before the AVX-512 block kernel existed, the stage rows on

@@ -235,9 +235,12 @@ func BenchmarkContractionKernelInto(b *testing.B) {
 }
 
 // BenchmarkContractionStage measures a stage-shaped fan-out — one shared
-// operand feeding several contractions — pairwise versus fused through
-// ContractBatch. Fusion packs the shared operand once per stage instead of
-// once per pair.
+// operand feeding several contractions — pairwise through ContractInto
+// versus as one batch: through ContractBatch, which builds a pipeline per
+// call, and through a held BatchPipeline, which is what the numeric
+// executor is. A batch runs the same group products as the pairwise path,
+// one (op, group) work item each on the pool's parallel-for, so the rows
+// differ only in how the work reaches the workers.
 func BenchmarkContractionStage(b *testing.B) {
 	const fanOut = 4
 	shared, err := micco.NewRandomTensor(micco.TensorDesc{ID: 1, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 1)
@@ -254,15 +257,15 @@ func BenchmarkContractionStage(b *testing.B) {
 	for i := range dsts {
 		dsts[i] = &micco.Tensor{}
 	}
-	// One ops slice reused across iterations: ContractBatch only reads
-	// it, and the batch planner pools its own plan/panel state, so the
-	// steady-state fused path performs zero allocations per stage.
+	// One ops slice reused across iterations: a batch only reads it, and a
+	// held pipeline keeps its work list and pack buffers, so the
+	// steady-state parallel row performs zero allocations per stage.
 	ops := make([]micco.BatchOp, fanOut)
 	for i := range ops {
 		ops[i] = micco.BatchOp{Dst: dsts[i], A: shared, B: rhs[i], OutID: uint64(100 + i)}
 	}
-	// The sub-benchmark names keep their "/exact" suffix: BENCH_kernel.json
-	// and its baseline record them under it.
+	// The sub-benchmark names keep their "fused" and "/exact" parts:
+	// BENCH_kernel.json and its baseline record them under those names.
 	b.Run("pairwise/exact", func(b *testing.B) {
 		for i := range dsts { // warm destinations + pools
 			if err := micco.ContractInto(dsts[i], shared, rhs[i], uint64(100+i), 0); err != nil {
@@ -293,9 +296,9 @@ func BenchmarkContractionStage(b *testing.B) {
 	})
 	b.Run("parallel/fused/exact", func(b *testing.B) {
 		// The cooperative pipeline at the paper's 8-worker pool width.
-		// On multi-core hosts the fan-out's pack and compute work
-		// spread across the pool; a single-CPU host (GOMAXPROCS=1)
-		// degenerates to the serial fused path plus handoff overhead.
+		// On multi-core hosts the fan-out's group products spread
+		// across the pool; a single-CPU host (GOMAXPROCS=1) degenerates
+		// to the serial path plus hand-off overhead.
 		p := micco.NewBatchPipeline(8)
 		defer p.Close()
 		if err := p.Run(ops); err != nil { // warm

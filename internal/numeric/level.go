@@ -8,10 +8,11 @@ import "micco/internal/workload"
 // p's output (write-after-write) and the previous readers of p's output
 // (write-after-read). Pairs within one level are mutually independent —
 // no output duplicated, no operand produced or overwritten by a peer —
-// so each level is safe to run as fused batches (tensor.BatchPipeline.Run);
-// levels execute in order. A stage both front ends emit is entirely level 0
-// and fuses whole; hand-built FromStages chains split into as many levels
-// as their longest chain.
+// so each level is safe to run as batches whose (pair, group) products
+// execute in any order on any worker (tensor.BatchPipeline.Run); levels
+// execute in order. A stage both front ends emit is entirely level 0 and
+// runs as one level; hand-built FromStages chains split into as many
+// levels as their longest chain.
 // All scratch (maps, buckets, the level-sorted order) is reused across
 // stages, so steady-state partitioning allocates nothing.
 type levelizer struct {

@@ -2,7 +2,7 @@
 // complex128 arithmetic. It is the one numeric executor of the repo: the
 // scheduling engine (sched.Options.Numeric) and the correlator front end
 // (redstar.Build.EvaluateNumeric) both hand it one stage at a time,
-// and it runs the stage as dependency levels of fused batches on one
+// and it runs the stage as dependency levels of batches on one
 // persistent worker pool. Nothing in here knows a scheduler or a device,
 // so no placement can change a number it produces.
 package numeric
@@ -119,10 +119,10 @@ func (x *Executor) Tensor(id uint64) (*tensor.Tensor, bool) {
 }
 
 // RunStage executes one stage of the stream: the pairs are partitioned
-// into dependency levels and the levels run in order, each as fused
-// batches on the pool. Fused exact batches are bit-identical to
-// contracting pair by pair and levels replay the stream order, so the
-// results are those of the stream executed one pair at a time. ctx is
+// into dependency levels and the levels run in order, each as batches on
+// the pool. Batches are bit-identical to contracting pair by pair and
+// levels replay the stream order, so the results are those of the stream
+// executed one pair at a time. ctx is
 // checked between batches. A panic in the level machinery (operand
 // resolution, arena bookkeeping, reclamation) is returned as a
 // *tensor.WorkerPanicError with worker -1; panics inside the batch kernels
@@ -142,17 +142,18 @@ func (x *Executor) RunStage(ctx context.Context, pairs []workload.Pair) (err err
 	return nil
 }
 
-// levelWidth is how many pairs of a dependency level run as one fused
-// batch. A level's pairs are independent, so cutting it into consecutive
+// levelWidth is how many pairs of a dependency level run as one batch. A
+// level's pairs are independent, so cutting it into consecutive
 // sub-batches changes no result; what it changes is when storage comes
 // back: reclamation settles after every sub-batch, so outputs that are
 // dead on production (every final of a correlator's last level) cycle
 // through levelWidth cache-warm buffers instead of one fresh zeroed
-// allocation per pair. Narrower loses shared-operand packing and pool
-// balance, wider loses the recycling; DESIGN.md §14 has the sweep.
+// allocation per pair. Narrower gives the pool fewer items to balance
+// and more hand-offs, wider loses the recycling; DESIGN.md §14 has the
+// sweep.
 const levelWidth = 16
 
-// execLevel runs one dependency level as consecutive fused batches of at
+// execLevel runs one dependency level as consecutive batches of at
 // most levelWidth pairs in stream order: resolve every operand up front
 // (so a missing one is reported before anything runs, whatever its
 // position), then per sub-batch draw destination buffers, contract on the

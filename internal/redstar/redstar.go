@@ -224,10 +224,10 @@ func (c *Correlator) BuildPlan() (*Build, error) {
 // Evaluation hands b.Workload — the plan's own stream — stage by stage to
 // the numeric executor the scheduling engine uses (internal/numeric), on
 // a pool of workers goroutines (<= 0 selects GOMAXPROCS): each stage runs
-// as dependency levels of fused batches, every tensor's storage is
-// recycled once its last reader has run, and the finals are pinned until
-// their traces are taken. None of that perturbs numerics: a fused batch
-// is bit-identical to op-at-a-time evaluation, and the kernel overwrites
+// as dependency levels of batches, every tensor's storage is recycled
+// once its last reader has run, and the finals are pinned until their
+// traces are taken. None of that perturbs numerics: a batch is
+// bit-identical to op-at-a-time evaluation, and the kernel overwrites
 // every destination element.
 func (b *Build) EvaluateNumeric(seed int64, workers int) (map[int]complex128, error) {
 	var finals []uint64

@@ -13,7 +13,7 @@ import (
 // arithmetic so tests and examples can validate that scheduling decisions
 // never change numerical results. The engine owns one numeric.Executor per
 // run and, at every stage boundary, runs the stage's pairs on it inline:
-// dependency levels of fused batches on the executor's worker pool, the
+// dependency levels of batches on the executor's worker pool, the
 // engine goroutine working as pool worker 0. The scheduling and simulation
 // a separate goroutine could overlap with that are about 0.1% of a numeric
 // job (DESIGN.md §6), so there is none.

@@ -238,9 +238,10 @@ type Options struct {
 	// Scheduler decisions and the timing simulation always replay
 	// sequentially (the paper's Algorithms 1-2 are order-dependent); at
 	// each stage boundary the engine goroutine runs the stage's real CPU
-	// contractions as dependency levels of fused batches, working alongside
-	// the pool's parked goroutines. N > 1 is a pool of N; 0 and 1 both
-	// select runtime.GOMAXPROCS(0). 1 is not one thread: there is a single
+	// contractions as dependency levels of batches, one work item per
+	// (pair, group) product, working alongside the pool's parked
+	// goroutines. N > 1 is a pool of N; 0 and 1 both select
+	// runtime.GOMAXPROCS(0). 1 is not one thread: there is a single
 	// numeric path, it always fans a batch over the machine, and the
 	// ladder's deck_numeric set-up runs a Parallelism 1 job whose cost is
 	// bounded on that basis. Results are bit-for-bit identical at any

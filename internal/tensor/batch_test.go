@@ -23,10 +23,10 @@ func pairwiseRef(t *testing.T, ops []BatchOp) []*Tensor {
 }
 
 // stageOps builds a stage-shaped batch: one shared operand feeding
-// several pairs (the fan-out ContractBatch exists to fuse), plus an
-// independent pair and dimensions 3, 4, 7 and 64 side by side: groups
-// narrower than the vector tile share the work list, and the worker
-// scratch sized for the widest op, with whole-tile ones.
+// several pairs (a stage's usual fan-out), plus an independent pair and
+// dimensions 3, 4, 7 and 64 side by side: groups narrower than the vector
+// tile share the work list, and the worker pack buffers sized for the
+// widest op, with whole-tile ones.
 func stageOps(rng *rand.Rand) []BatchOp {
 	shared, _ := NewRandom(Desc{ID: 1, Rank: RankMeson, Dim: 24, Batch: 2}, rng)
 	b1, _ := NewRandom(Desc{ID: 2, Rank: RankMeson, Dim: 24, Batch: 2}, rng)
@@ -53,7 +53,7 @@ func stageOps(rng *rand.Rand) []BatchOp {
 	}
 }
 
-// TestContractBatchExactBitIdentical: the fused stage path must be
+// TestContractBatchExactBitIdentical: the batch path must be
 // bit-identical to running the same ops pairwise — shared operands, both
 // ranks, dimensions 3 to 64 in one batch, and any worker count.
 func TestContractBatchExactBitIdentical(t *testing.T) {
@@ -65,14 +65,14 @@ func TestContractBatchExactBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, op := range ops {
-			equalBits(t, op.Dst, want[i], "fused exact op "+itoa(i)+" workers "+itoa(workers))
+			equalBits(t, op.Dst, want[i], "batch op "+itoa(i)+" workers "+itoa(workers))
 		}
 	}
 }
 
 // TestContractBatchInPlace: an op whose destination is one of its own
-// operands is safe — the pack barrier completes before any output is
-// written.
+// operands is safe — each work item packs its group of both operands
+// before it writes that group.
 func TestContractBatchInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(803))
 	for _, dim := range []int{5, 16} {
@@ -176,7 +176,7 @@ func TestOperandValidation(t *testing.T) {
 	}
 }
 
-// TestContractBatchAllTiers runs the fused stage under every forced
+// TestContractBatchAllTiers runs the stage batch under every forced
 // dispatch tier, checking bit-identity with the pairwise path on each.
 func TestContractBatchAllTiers(t *testing.T) {
 	rng := rand.New(rand.NewSource(805))
@@ -188,8 +188,29 @@ func TestContractBatchAllTiers(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, op := range ops {
-				equalBits(t, op.Dst, want[i], tier+" fused exact op "+itoa(i))
+				equalBits(t, op.Dst, want[i], tier+" batch op "+itoa(i))
 			}
 		})
+	}
+}
+
+// TestBatchPipelineSteadyStateAllocs: a held pipeline — what the numeric
+// executor is — runs a warm batch without allocating: the work list, the
+// item function and every worker's pack buffer live as long as the pool.
+func TestBatchPipelineSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(806))
+	ops := stageOps(rng)
+	p := NewBatchPipeline(4)
+	defer p.Close()
+	if err := p.Run(ops); err != nil { // warm destinations and buffers
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := p.Run(ops); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state BatchPipeline.Run allocates %.1f objects/op, want 0", allocs)
 	}
 }

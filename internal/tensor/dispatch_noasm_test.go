@@ -33,7 +33,7 @@ func TestNoasmDispatchNeverSelectsStubs(t *testing.T) {
 			if err := ContractBatch(ops, 2); err != nil {
 				t.Fatal(err)
 			}
-			equalBits(t, ops[0].Dst, pairwise, "noasm fused==pairwise")
+			equalBits(t, ops[0].Dst, pairwise, "noasm batch==pairwise")
 		})
 	}
 }

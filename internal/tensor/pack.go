@@ -6,7 +6,8 @@ import "sync"
 // one contraction worker: the full A and B panels of the current group
 // plus the four C rows in flight (mulPackedExact grows them on demand).
 // Buffers are recycled through packPool so steady-state contractions
-// allocate nothing.
+// allocate nothing; a BatchPipeline holds one per worker for its
+// lifetime.
 type packBuf struct {
 	bRe, bIm []float64 // full n*n B panel, row-major: bRe[k*n+j]
 	aRe, aIm []float64 // full n*n A panel, row-major: aRe[i*n+k]
@@ -19,11 +20,16 @@ var packPool = sync.Pool{New: func() any { return new(packBuf) }}
 // getPackBuf returns a pooled buffer sized for dimension-n groups.
 func getPackBuf(n int) *packBuf {
 	b := packPool.Get().(*packBuf)
+	b.size(n)
+	return b
+}
+
+// size makes b's A and B panels hold one dimension-n group.
+func (b *packBuf) size(n int) {
 	b.bRe = growf(b.bRe, n*n)
 	b.bIm = growf(b.bIm, n*n)
 	b.aRe = growf(b.aRe, n*n)
 	b.aIm = growf(b.aIm, n*n)
-	return b
 }
 
 // putPackBuf returns a buffer to the pool.

@@ -16,8 +16,8 @@ func stackTrace() []byte { return debug.Stack() }
 var ErrWorkerPanic = errors.New("tensor: worker panic")
 
 // WorkerPanicError is a contained worker panic: instead of killing the
-// process, a panicking batch worker poisons the in-flight batch (releasing
-// every peer spinning on an operand panel) and the batch call returns this
+// process, a panicking pool worker abandons the in-flight call's remaining
+// items (its peers drain and park) and the Run or Do call returns this
 // error. It unwraps to ErrWorkerPanic.
 type WorkerPanicError struct {
 	// Worker is the index of the panicking participant (0 is the caller).

@@ -1,17 +1,22 @@
 package tensor
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// BatchPipeline is a persistent cooperative worker pool for stage-batched
-// contractions, and the only code that hands fused work items to
-// goroutines: it parks its workers between batches and reuses each
-// worker's pack scratch across every batch it ever runs — the right shape
-// for a numeric executor that feeds one dependency level after another.
-// ContractBatch is one Run on a pipeline that lives for the call.
+// ErrPipelineClosed is returned by BatchPipeline.Run and Do after Close.
+var ErrPipelineClosed = errors.New("tensor: batch pipeline closed")
+
+// BatchPipeline is a persistent cooperative worker pool with one
+// parallel-for (Do), and the only code that hands contraction work to
+// goroutines: it parks its workers between calls and keeps one pack
+// buffer per worker for its whole lifetime — the right shape for a
+// numeric executor that feeds one dependency level after another. Run is
+// a batch of contractions drained through Do; ContractBatch is one Run on
+// a pipeline that lives for the call.
 //
 // The calling goroutine participates as worker 0 of every Run and Do
 // call; the pipeline owns workers-1 parked goroutines. Run and Do must
@@ -20,25 +25,30 @@ import (
 // Batches are bit-identical to the pairwise path at any worker count.
 //
 // Panic containment: a panic inside a batch op or a Do body never unwinds
-// past the pool. Workers recover per job (so jobWG.Done always runs and a
-// poisoned batch cannot deadlock the caller), the in-flight batch is
-// poisoned to unblock peers spinning on operand panels, and the Run/Do
-// call returns a *WorkerPanicError carrying the stack.
+// past the pool. Every participant recovers (so jobWG.Done always runs
+// and the caller cannot deadlock), burns the item counter so its peers
+// drain, and the Run/Do call returns a *WorkerPanicError carrying the
+// stack.
 type BatchPipeline struct {
 	workers int
-	jobs    chan pipeJob
+	jobs    chan int       // a parked worker's index for the current Do
 	wg      sync.WaitGroup // worker goroutine lifetime
 	jobWG   sync.WaitGroup // per-call completion
-	buf     *packBuf       // worker 0's persistent scratch
+	bufs    []*packBuf     // one per worker, for the pipeline's lifetime
 
-	// Generic parallel-for state (Do); written by the caller before the
-	// job is published, so workers read it race-free.
+	// The current batch (Run): its ops, its group-major work list and the
+	// Do body that runs one item, bound once so a Run allocates nothing.
+	ops    []BatchOp
+	items  []batchItem
+	itemFn func(w, i int)
+
+	// Parallel-for state (Do); written by the caller before the job is
+	// published, so workers read it race-free.
 	doItems int
 	doFn    func(w, i int)
 	doNext  atomic.Int64
 
-	// First contained panic of the current Do call (batch jobs store
-	// theirs on the batchState instead).
+	// First contained panic of the current Do call.
 	doPanicMu  sync.Mutex
 	doPanicErr *WorkerPanicError
 
@@ -50,13 +60,6 @@ type BatchPipeline struct {
 	closed bool
 }
 
-// pipeJob is one unit handed to a parked worker: a cooperative batch
-// (st != nil) or the pipeline's current generic parallel-for.
-type pipeJob struct {
-	st *batchState
-	w  int // worker index assigned to the recipient
-}
-
 // NewBatchPipeline starts a pipeline of the given total width (minimum
 // 1, i.e. fully inline). workers-1 goroutines are spawned and parked.
 func NewBatchPipeline(workers int) *BatchPipeline {
@@ -65,9 +68,14 @@ func NewBatchPipeline(workers int) *BatchPipeline {
 	}
 	p := &BatchPipeline{
 		workers: workers,
-		jobs:    make(chan pipeJob),
+		jobs:    make(chan int),
+		bufs:    make([]*packBuf, workers),
 		busyNS:  make([]atomic.Int64, workers),
 	}
+	for w := range p.bufs {
+		p.bufs[w] = packPool.Get().(*packBuf)
+	}
+	p.itemFn = p.contractItem
 	for w := 1; w < workers; w++ {
 		p.wg.Add(1)
 		go p.worker()
@@ -92,40 +100,32 @@ func (p *BatchPipeline) WorkerBusy() []time.Duration {
 	return out
 }
 
-// worker is one parked pipeline goroutine; it keeps its pack scratch
-// across every batch it ever touches.
+// worker is one parked pipeline goroutine.
 func (p *BatchPipeline) worker() {
 	defer p.wg.Done()
-	var buf *packBuf
-	for job := range p.jobs {
-		p.handle(job, &buf)
-	}
-	if buf != nil {
-		putPackBuf(buf)
+	for w := range p.jobs {
+		p.handle(w)
 	}
 }
 
-// handle runs one job with the per-job completion guaranteed: jobWG.Done
-// fires even if the job panics, so a poisoned batch can never deadlock
-// the caller's jobWG.Wait.
-func (p *BatchPipeline) handle(job pipeJob, buf **packBuf) {
+// handle runs worker w's share of the current Do with the per-job
+// completion guaranteed: guardGeneric contains any panic, so jobWG.Done
+// always fires.
+func (p *BatchPipeline) handle(w int) {
 	defer p.jobWG.Done()
-	var t0 time.Time
-	timed := p.timed.Load()
-	if timed {
-		t0 = time.Now()
+	p.timedGeneric(w)
+}
+
+// timedGeneric runs guardGeneric, charging its wall time to worker w
+// when timing is on.
+func (p *BatchPipeline) timedGeneric(w int) {
+	if !p.timed.Load() {
+		p.guardGeneric(w)
+		return
 	}
-	if job.st != nil {
-		if *buf == nil {
-			*buf = getPackBuf(job.st.maxN)
-		}
-		job.st.guardWork(job.w, *buf)
-	} else {
-		p.guardGeneric(job.w)
-	}
-	if timed {
-		p.busyNS[job.w].Add(int64(time.Since(t0)))
-	}
+	t0 := time.Now()
+	p.guardGeneric(w)
+	p.busyNS[w].Add(int64(time.Since(t0)))
 }
 
 // runGeneric drains the current Do job's atomic item counter.
@@ -169,97 +169,64 @@ func (p *BatchPipeline) takeDoPanic() error {
 	return e
 }
 
-// Run executes one batch of ops cooperatively across the pool, packing
-// each unique operand tensor once, with the pack and compute phases
-// overlapped. Every op is validated before any destination is sized, so
-// on error no op has been executed. The caller computes alongside the
-// parked workers and returns when the batch is fully unpacked into its
-// destinations. Plans, panels and work lists are pooled: steady-state
-// batches allocate nothing. A panic inside any op surfaces as a
-// *WorkerPanicError (destinations then hold unspecified data).
+// Run executes one batch of ops across the pool: every op is validated
+// before any destination is sized (so on error no op has been executed),
+// the destinations are sized, and the batch's (op, group) items are
+// drained through Do, the caller computing alongside the parked workers.
+// Steady-state batches allocate nothing. A panic inside any op surfaces
+// as a *WorkerPanicError (destinations then hold unspecified data).
 func (p *BatchPipeline) Run(ops []BatchOp) error {
+	if p.closed {
+		return ErrPipelineClosed
+	}
 	if len(ops) == 0 {
 		return nil
 	}
-	st, err := planBatch(ops)
-	if err != nil {
+	if err := p.plan(ops); err != nil {
 		return err
 	}
-	return p.runPlanned(st)
+	return p.drain()
 }
 
-// runPlanned drains a planned batch's work list across the pool and
-// releases the state.
-func (p *BatchPipeline) runPlanned(st *batchState) error {
-	nw := p.workers
-	if n := st.workItems(); nw > n {
-		nw = n
-	}
-	p.jobWG.Add(nw - 1)
-	for w := 1; w < nw; w++ {
-		p.jobs <- pipeJob{st: st, w: w}
-	}
-	var t0 time.Time
-	timed := p.timed.Load()
-	if timed {
-		t0 = time.Now()
-	}
-	if p.buf == nil {
-		p.buf = getPackBuf(st.maxN)
-	}
-	st.guardWork(0, p.buf)
-	if timed {
-		p.busyNS[0].Add(int64(time.Since(t0)))
-	}
-	p.jobWG.Wait()
-	err := st.takePanic()
-	st.release()
+// drain runs the planned batch through Do and lets go of its ops.
+func (p *BatchPipeline) drain() error {
+	err := p.Do(len(p.items), p.itemFn)
+	p.ops = nil
 	return err
 }
 
 // Do runs fn(worker, item) for every item in [0, items) across the pool
-// — the pipeline's generic parallel-for, used by the numeric executor to
-// fan out reclamation work (norms of dead tensors) onto the same workers
-// that just computed the batch. fn must be safe for concurrent calls
-// with distinct items; the worker index is stable within one Do and
-// suitable for per-worker arena handles. A panic inside fn abandons the
-// remaining items and surfaces as a *WorkerPanicError.
+// — the pipeline's one parallel-for: Run drains its batches through it,
+// and the numeric executor fans out reclamation work (norms of dead
+// tensors) onto the same workers that just computed the batch. fn must
+// be safe for concurrent calls with distinct items; the worker index is
+// stable within one Do and suitable for per-worker arena handles. A panic
+// inside fn abandons the remaining items and surfaces as a
+// *WorkerPanicError.
 func (p *BatchPipeline) Do(items int, fn func(w, i int)) error {
+	if p.closed {
+		return ErrPipelineClosed
+	}
 	if items <= 0 {
 		return nil
 	}
-	nw := p.workers
-	if nw > items {
-		nw = items
-	}
+	nw := min(p.workers, items)
 	p.doItems = items
 	p.doFn = fn
 	p.doNext.Store(0)
-	if nw > 1 {
-		p.jobWG.Add(nw - 1)
-		for w := 1; w < nw; w++ {
-			p.jobs <- pipeJob{w: w}
-		}
+	p.jobWG.Add(nw - 1)
+	for w := 1; w < nw; w++ {
+		p.jobs <- w
 	}
-	var t0 time.Time
-	timed := p.timed.Load()
-	if timed {
-		t0 = time.Now()
-	}
-	p.guardGeneric(0)
-	if timed {
-		p.busyNS[0].Add(int64(time.Since(t0)))
-	}
-	if nw > 1 {
-		p.jobWG.Wait()
-	}
+	p.timedGeneric(0)
+	p.jobWG.Wait()
 	p.doFn = nil
 	return p.takeDoPanic()
 }
 
-// Close parks the pipeline permanently: workers exit and return their
-// scratch to the pack pool. Idempotent; Run and Do must not be called
-// after Close.
+// Close parks the pipeline permanently: workers exit and the pack
+// buffers go back to their pool. Idempotent; Run and Do return
+// ErrPipelineClosed afterwards.
 func (p *BatchPipeline) Close() {
 	if p.closed {
 		return
@@ -267,8 +234,8 @@ func (p *BatchPipeline) Close() {
 	p.closed = true
 	close(p.jobs)
 	p.wg.Wait()
-	if p.buf != nil {
-		putPackBuf(p.buf)
-		p.buf = nil
+	for _, b := range p.bufs {
+		putPackBuf(b)
 	}
+	p.bufs = nil
 }

@@ -296,8 +296,8 @@ func ClassifyPair(p Pair, ctx *SchedContext) ReusePattern { return core.Classify
 
 // Run replays workload w through scheduler s on cluster c. Scheduler
 // decisions replay sequentially; in numeric mode the real contractions of
-// each stage then run as dependency levels of fused batches on a worker
-// pool sized by RunOptions.Parallelism, with bit-identical results at any
+// each stage then run as dependency levels of batches on a worker pool
+// sized by RunOptions.Parallelism, with bit-identical results at any
 // setting. ctx cancels the run promptly.
 func Run(ctx context.Context, w *Workload, s Scheduler, c *Cluster, opts RunOptions) (*Result, error) {
 	return sched.Run(ctx, w, s, c, opts)
@@ -388,6 +388,9 @@ var (
 	// ErrWorkerPanic marks a panic contained in a numeric pool worker or
 	// the level executor; the wrapped WorkerPanicError carries the stack.
 	ErrWorkerPanic = tensor.ErrWorkerPanic
+	// ErrPipelineClosed is returned by BatchPipeline.Run and Do after
+	// Close.
+	ErrPipelineClosed = tensor.ErrPipelineClosed
 	// ErrRunStalled marks a supervised run whose final attempt was
 	// cancelled by the progress watchdog.
 	ErrRunStalled = supervise.ErrStalled
@@ -470,26 +473,29 @@ func ContractInto(dst, a, b *Tensor, outID uint64, workers int) error {
 	return tensor.ContractInto(dst, a, b, outID, workers)
 }
 
-// BatchOp is one contraction of a fused stage batch (ContractBatch).
+// BatchOp is one contraction of a stage batch (ContractBatch).
 type BatchOp = tensor.BatchOp
 
 // ContractBatch executes all contractions of an independent stage as one
-// fused batch: each unique operand tensor is packed into split-complex
-// form exactly once, shared across every op that reads it. The result is
-// bit-identical to running ContractInto per op. Ops must be mutually
-// independent: no destination may alias another op's operand or
-// destination. It is one BatchPipeline.Run on a pipeline that lives for
-// the call; hold a BatchPipeline for a stream of batches.
+// batch: every (op, group) product is one work item on the pool, packed
+// and multiplied exactly as ContractInto does it, so the result is
+// bit-identical to running ContractInto per op. Every op is validated
+// before any destination is sized. Ops must be mutually independent: no
+// destination may alias another op's operand or destination (it may
+// alias its own). It is one BatchPipeline.Run on a pipeline that lives
+// for the call; hold a BatchPipeline for a stream of batches.
 func ContractBatch(ops []BatchOp, workers int) error {
 	return tensor.ContractBatch(ops, workers)
 }
 
-// BatchPipeline is a persistent cooperative worker pool for running many
-// fused batches without re-spawning goroutines per call: workers park on a
-// channel between batches and the caller's goroutine participates as a
-// worker. Every numeric contraction of a Run or a correlator evaluation
-// goes through one of these. Not safe for concurrent Run/Do calls; Close
-// releases the workers.
+// BatchPipeline is a persistent cooperative worker pool with one
+// parallel-for (Do): workers park on a channel between calls, keep their
+// pack buffers for the pool's lifetime, and the caller's goroutine
+// participates as a worker. Run drains a batch's (op, group) items
+// through Do. Every numeric contraction of a Run or a correlator
+// evaluation goes through one of these. Not safe for concurrent Run/Do
+// calls; Close releases the workers, after which Run and Do return
+// ErrPipelineClosed.
 type BatchPipeline = tensor.BatchPipeline
 
 // NewBatchPipeline returns a pipeline of the given width (minimum 1; the
