@@ -148,9 +148,9 @@ benchguard:
 # soak runs the chaos harness: seeded random fault plans × random
 # kill-points (process death simulated by dropping all in-memory state and
 # resuming from the durable checkpoint file alone) × every registered
-# scheduler × numeric pool widths 1 and 4 × reclaim on/off, each
-# iteration asserting the bit-identical fingerprint of the
-# fault-free run and probing the checkpoint file with seeded corruption.
+# scheduler × numeric pool widths 1 and 4, each iteration asserting the
+# bit-identical fingerprint of the fault-free run and probing the
+# checkpoint file with seeded corruption.
 # MICCO_SOAK_SEEDS scales the run (default 3 seeds, a few seconds;
 # CI uses 8).
 soak:

@@ -333,7 +333,7 @@ func BenchmarkNumericRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts := micco.RunOptions{Numeric: true, NumericSeed: 2022, NumericReclaim: true}
+		opts := micco.RunOptions{Numeric: true, NumericSeed: 2022}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

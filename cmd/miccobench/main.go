@@ -103,7 +103,7 @@ func run(ctx context.Context, runList string, quick bool, seed int64, parallel i
 	if metricsOut != "" || traceOut != "" {
 		reg = micco.NewMetricsRegistry()
 		if traceOut != "" {
-			reg.SetFlightRecorder(micco.NewFlightRecorder(micco.FlightConfig{}))
+			reg.SetFlightRecorder(micco.NewFlightRecorder())
 		}
 	}
 	h := micco.NewHarness(micco.HarnessOptions{Quick: quick, Seed: seed, Parallelism: parallel, Obs: reg})

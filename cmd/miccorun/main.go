@@ -160,7 +160,6 @@ func run(ctx context.Context, rc runConfig) error {
 	if rc.numeric {
 		opts.Numeric = true
 		opts.NumericSeed = rc.numericSeed
-		opts.NumericReclaim = true
 		opts.Parallelism = rc.numericPar
 		fmt.Printf("numeric kernels: %s\n\n", micco.KernelFeatures())
 	}
@@ -172,7 +171,7 @@ func run(ctx context.Context, rc runConfig) error {
 	if rc.serveAddr != "" {
 		// The flight recorder backs the server's /trace and /flight views
 		// with the most recent activity.
-		reg.SetFlightRecorder(micco.NewFlightRecorder(micco.FlightConfig{}))
+		reg.SetFlightRecorder(micco.NewFlightRecorder())
 		srv, err := micco.ServeObs(rc.serveAddr, reg)
 		if err != nil {
 			return err

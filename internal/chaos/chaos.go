@@ -1,12 +1,12 @@
 // Package chaos is the soak harness of the robustness layer: seeded
 // random fault plans crossed with random kill points, every registered
-// scheduler, two numeric pool widths, and reclamation on and off. A "kill" simulates process death — every piece of in-memory state
-// (scheduler, cluster, engine, checkpoint handle) is dropped and the run
-// resumes from the durable checkpoint file alone. Each iteration must end
-// with the numeric fingerprint of the fault-free baseline, bit
-// for bit; each surviving checkpoint file is also probed with seeded
-// corruption (bit flips, truncation) that must be rejected with the typed
-// decode errors, never a panic.
+// scheduler and two numeric pool widths. A "kill" simulates process death
+// — every piece of in-memory state (scheduler, cluster, engine, checkpoint
+// handle) is dropped and the run resumes from the durable checkpoint file
+// alone. Each iteration must end with the numeric fingerprint of the
+// fault-free baseline, bit for bit; each surviving checkpoint file is also
+// probed with seeded corruption (bit flips, truncation) that must be
+// rejected with the typed decode errors, never a panic.
 //
 // Everything is driven by explicit seeds: a soak that fails reproduces
 // from its config alone.
@@ -40,8 +40,6 @@ type Config struct {
 	// Pools are the numeric Parallelism settings to cross (default {1, 4}:
 	// a GOMAXPROCS-wide pool and a 4-wide one).
 	Pools []int
-	// Reclaim are the NumericReclaim settings to cross (default {false, true}).
-	Reclaim []bool
 	// Devices is the cluster size (default 4).
 	Devices int
 	// FaultEvents is the number of events per generated plan (default 3).
@@ -56,7 +54,7 @@ type Config struct {
 
 // Result counts what the soak exercised.
 type Result struct {
-	// Iterations is the number of scheduler×pool×reclaim runs completed.
+	// Iterations is the number of scheduler×pool runs completed.
 	Iterations int
 	// Kills is the number of simulated process deaths injected.
 	Kills int
@@ -74,9 +72,6 @@ func (c Config) fill() Config {
 	}
 	if len(c.Pools) == 0 {
 		c.Pools = []int{1, 4}
-	}
-	if len(c.Reclaim) == 0 {
-		c.Reclaim = []bool{false, true}
 	}
 	if c.Devices <= 0 {
 		c.Devices = 4
@@ -135,7 +130,7 @@ func (k *killScheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 }
 
 // Soak runs the full crossing and returns counts, or the first failure
-// with enough context (seed, scheduler, pool, reclaim) to reproduce it.
+// with enough context (seed, scheduler, pool) to reproduce it.
 func Soak(cfg Config) (Result, error) {
 	var res Result
 	cfg = cfg.fill()
@@ -177,7 +172,7 @@ func soakSeed(cfg Config, seed int64, res *Result) error {
 
 	// The fault-free fingerprint is the invariant every chaotic
 	// run must land on: one baseline per seed, because the fingerprint is
-	// scheduler-, pool-, reclaim- and fault-independent by construction.
+	// scheduler-, pool- and fault-independent by construction.
 	base, err := cleanRun(w, seed, cfg.Devices)
 	if err != nil {
 		return fmt.Errorf("chaos: seed %d: baseline run: %w", seed, err)
@@ -186,18 +181,15 @@ func soakSeed(cfg Config, seed int64, res *Result) error {
 	iter := 0
 	for _, name := range cfg.Schedulers {
 		for _, pool := range cfg.Pools {
-			for _, reclaim := range cfg.Reclaim {
-				iter++
-				// One private rng per iteration, derived from (seed,
-				// iteration index): kill points and corruption probes are
-				// reproducible without being shared across iterations.
-				rng := rand.New(rand.NewSource(seed<<16 ^ int64(iter)))
-				if err := soakIteration(cfg, w, plan, seed, name, pool, reclaim, base, rng, res); err != nil {
-					return fmt.Errorf("chaos: seed %d scheduler %q pool %d reclaim %v: %w",
-						seed, name, pool, reclaim, err)
-				}
-				res.Iterations++
+			iter++
+			// One private rng per iteration, derived from (seed, iteration
+			// index): kill points and corruption probes are reproducible
+			// without being shared across iterations.
+			rng := rand.New(rand.NewSource(seed<<16 ^ int64(iter)))
+			if err := soakIteration(cfg, w, plan, seed, name, pool, base, rng, res); err != nil {
+				return fmt.Errorf("chaos: seed %d scheduler %q pool %d: %w", seed, name, pool, err)
 			}
+			res.Iterations++
 		}
 	}
 	cfg.logf("chaos: seed %d: %d iterations, %d kills, %d resumes, %d corruption probes",
@@ -222,13 +214,13 @@ func cleanRun(w *workload.Workload, seed int64, devices int) (float64, error) {
 	return r.NumericFingerprint, nil
 }
 
-// soakIteration runs one scheduler×pool×reclaim cell: up to MaxKills
+// soakIteration runs one scheduler×pool cell: up to MaxKills
 // simulated process deaths, each followed by a corruption probe of the
 // on-disk checkpoint and a disk-only resume, then a run to completion and
 // the fingerprint assertion.
 func soakIteration(cfg Config, w *workload.Workload, plan *fault.Plan, seed int64,
-	name string, pool int, reclaim bool, base float64, rng *rand.Rand, res *Result) error {
-	dir := filepath.Join(cfg.Dir, fmt.Sprintf("s%d-%s-p%d-r%v", seed, name, pool, reclaim))
+	name string, pool int, base float64, rng *rand.Rand, res *Result) error {
+	dir := filepath.Join(cfg.Dir, fmt.Sprintf("s%d-%s-p%d", seed, name, pool))
 	var resume *sched.Checkpoint
 	kills := 0
 	for {
@@ -244,8 +236,7 @@ func soakIteration(cfg Config, w *workload.Workload, plan *fault.Plan, seed int6
 		}
 		opts := sched.Options{
 			Numeric: true, NumericSeed: seed, Parallelism: pool,
-			NumericReclaim: reclaim, FaultPlan: plan,
-			CheckpointDir: dir, ResumeFrom: resume,
+			FaultPlan: plan, CheckpointDir: dir, ResumeFrom: resume,
 		}
 		ctx := context.Background()
 		var killer *killScheduler

@@ -29,9 +29,8 @@ func soakSeeds(t *testing.T) []int64 {
 	return seeds
 }
 
-// TestChaosSoak is the acceptance soak: every registered scheduler,
-// numeric pool widths 1 and 4 (Parallelism), reclamation off and on, each
-// iteration killed up to twice at seeded-random pair boundaries and
+// TestChaosSoak is the acceptance soak: every registered scheduler and
+// numeric pool widths 1 and 4 (Parallelism), each iteration killed up to twice at seeded-random pair boundaries and
 // resumed from the durable checkpoint file alone, landing on the
 // fault-free fingerprint bit for bit. Each kill's checkpoint
 // image is additionally corruption-probed against the typed decode
@@ -49,9 +48,9 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("soak failed after %d iterations: %v", res.Iterations, err)
 	}
-	wantIters := len(seeds) * len(micco.SchedulerNames()) * 2 * 2
+	wantIters := len(seeds) * len(micco.SchedulerNames()) * 2
 	if res.Iterations != wantIters {
-		t.Errorf("iterations = %d, want %d (seeds × schedulers × pools × reclaim)", res.Iterations, wantIters)
+		t.Errorf("iterations = %d, want %d (seeds × schedulers × pools)", res.Iterations, wantIters)
 	}
 	if res.Kills == 0 || res.Resumes != res.Kills || res.CorruptionProbes != res.Kills {
 		t.Errorf("kills=%d resumes=%d probes=%d: every kill must be probed and resumed, and some must happen",

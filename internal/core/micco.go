@@ -37,26 +37,6 @@ type Scheduler struct {
 	rng       *rand.Rand
 	// candi is the reusable candidate queue (the paper's candiQueue).
 	candi []int
-	// patterns histograms the local reuse pattern of every assigned pair.
-	patterns [4]int64
-	// evictionPolicyUses counts assignments decided by the
-	// memory-eviction-sensitive policy.
-	evictionPolicyUses int64
-}
-
-// PatternCounts returns how many assigned pairs fell into each local reuse
-// pattern (indexed by ReusePattern), a diagnostic of how much deliberate
-// reuse the scheduler found.
-func (s *Scheduler) PatternCounts() [4]int64 { return s.patterns }
-
-// EvictionPolicyUses returns how many assignments were decided by the
-// memory-eviction-sensitive policy rather than the computation-centric one.
-func (s *Scheduler) EvictionPolicyUses() int64 { return s.evictionPolicyUses }
-
-// ResetStats clears the diagnostic counters.
-func (s *Scheduler) ResetStats() {
-	s.patterns = [4]int64{}
-	s.evictionPolicyUses = 0
 }
 
 // NewNaive returns MICCO with all reuse bounds fixed at zero.
@@ -86,9 +66,6 @@ func NewOptimal(p BoundsPredictor) *Scheduler {
 
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return s.name }
-
-// ActiveBounds returns the bounds in force for the current stage.
-func (s *Scheduler) ActiveBounds() Bounds { return s.bounds }
 
 // BeginStage implements sched.Scheduler: it refreshes the active reuse
 // bounds, invoking the predictor's online inference when configured
@@ -121,7 +98,6 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 	s.candi = s.candi[:0]
 	ma := ctx.HoldersMask(p.A.ID)
 	mb := ctx.HoldersMask(p.B.ID)
-	s.patterns[ClassifyMasks(ma, mb)]++
 	// boundIdx records which step's reuse bound gated the candidate set
 	// that survives to Algorithm 2; -1 means the defensive fallback fired.
 	boundIdx := -1
@@ -240,7 +216,6 @@ func (s *Scheduler) assignFromIndex(p workload.Pair, ctx *sched.Context, ix *sch
 	order, policy := sched.ByCompute, "compute-centric"
 	if ix.Oversubscribes(need) {
 		order, policy = sched.ByMemory, "memory-eviction"
-		s.evictionPolicyUses++
 	}
 	if rec := ctx.Decision; rec != nil {
 		// The one place step III enumerates its candidates: the decision
@@ -272,7 +247,6 @@ func (s *Scheduler) assignFromQueue(p workload.Pair, ctx *sched.Context, ma, mb 
 		// device's pool below the configured size.
 		if ctx.ProjectedMemMasked(id, p, ma, mb) > ctx.Cluster.Device(id).Capacity() {
 			evict = true
-			s.evictionPolicyUses++
 			break
 		}
 	}

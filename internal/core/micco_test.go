@@ -270,8 +270,8 @@ func TestOptimalUsesPredictor(t *testing.T) {
 	ctx := freshCtx(c)
 	s := NewOptimal(constPredictor{Bounds{0, 2, 1}})
 	s.BeginStage(ctx)
-	if s.ActiveBounds() != (Bounds{0, 2, 1}) {
-		t.Errorf("ActiveBounds = %v", s.ActiveBounds())
+	if s.bounds != (Bounds{0, 2, 1}) {
+		t.Errorf("active bounds = %v", s.bounds)
 	}
 }
 
@@ -385,19 +385,28 @@ func TestMICCOLoadBoundInvariant(t *testing.T) {
 	}
 }
 
+// TestPatternCountsAndEvictionPolicyStats reads what MICCO saw off the
+// decision records of a watched run: every pair's reuse pattern, and which
+// placements the memory-eviction-sensitive policy decided — none with
+// ample pools, some once they are oversubscribed.
 func TestPatternCountsAndEvictionPolicyStats(t *testing.T) {
 	w := mkWorkload(t, synthCfg())
-	c := mkCluster(t, 4)
-	s := NewNaive()
-	if _, err := sched.Run(context.Background(), w, s, c, sched.Options{}); err != nil {
-		t.Fatal(err)
+	watch := func(c *gpusim.Cluster) (patterns [obs.NumReusePatterns]int, evictionPolicy int) {
+		t.Helper()
+		reg := obs.New()
+		if _, err := sched.Run(context.Background(), w, NewNaive(), c, sched.Options{Obs: reg}); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range reg.Decisions() {
+			patterns[r.Pattern]++
+			if r.Policy == "memory-eviction" {
+				evictionPolicy++
+			}
+		}
+		return patterns, evictionPolicy
 	}
-	counts := s.PatternCounts()
-	var total int64
-	for _, n := range counts {
-		total += n
-	}
-	if total != int64(w.NumPairs()) {
+	counts, evictions := watch(mkCluster(t, 4))
+	if total := counts[0] + counts[1] + counts[2] + counts[3]; total != w.NumPairs() {
 		t.Errorf("pattern counts sum %d, want %d", total, w.NumPairs())
 	}
 	if counts[TwoNew] == 0 {
@@ -407,12 +416,8 @@ func TestPatternCountsAndEvictionPolicyStats(t *testing.T) {
 		t.Error("a 60%-repeat workload must see repeated patterns")
 	}
 	// With 32 GiB pools nothing oversubscribes.
-	if s.EvictionPolicyUses() != 0 {
-		t.Errorf("eviction policy used %d times without pressure", s.EvictionPolicyUses())
-	}
-	s.ResetStats()
-	if s.PatternCounts() != ([4]int64{}) {
-		t.Error("ResetStats should clear counters")
+	if evictions != 0 {
+		t.Errorf("eviction policy used %d times without pressure", evictions)
 	}
 
 	// Under oversubscription the eviction-sensitive policy must engage.
@@ -422,11 +427,7 @@ func TestPatternCountsAndEvictionPolicyStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := NewNaive()
-	if _, err := sched.Run(context.Background(), w, s2, small, sched.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if s2.EvictionPolicyUses() == 0 {
+	if _, evictions := watch(small); evictions == 0 {
 		t.Error("oversubscribed run never triggered the eviction-sensitive policy")
 	}
 }

@@ -226,7 +226,7 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 		// peer fetch is disabled: stage through the host by paying one D2H
 		// write-back first.
 		src := c.devices[holders.First()]
-		dur := float64(desc.Bytes()) / c.d2hBandwidth(src)
+		dur := float64(desc.Bytes()) / c.d2hBandwidth()
 		src.stats.TransferTime += c.hostLinkOccupy(src, dur)
 		src.stats.D2HBytes += desc.Bytes()
 		c.d2hBytes += desc.Bytes()
@@ -250,7 +250,7 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 		if peer.node == d.node {
 			// Intra-node P2P copies run on the node's inter-GPU fabric,
 			// shared by all of its pairs.
-			c.fabricTransfer(d, desc, EventP2P, float64(desc.Bytes())/c.p2pBandwidth(d), &c.p2pClocks[d.node])
+			c.fabricTransfer(d, desc, EventP2P, float64(desc.Bytes())/c.p2pBandwidth(), &c.p2pClocks[d.node])
 		} else {
 			// Cross-node peer copy: serialized on the inter-node fabric,
 			// charged at its bandwidth plus fixed latency.
@@ -259,7 +259,7 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 		d.stats.P2PBytes += desc.Bytes()
 		c.moveBytes += desc.Bytes()
 	} else {
-		dur := float64(desc.Bytes()) / c.h2dBandwidth(d)
+		dur := float64(desc.Bytes()) / c.h2dBandwidth()
 		d.stats.TransferTime += c.hostLinkOccupy(d, dur)
 		d.stats.H2DBytes += desc.Bytes()
 		c.moveBytes += desc.Bytes()
@@ -334,8 +334,8 @@ func (c *Cluster) alloc(d *Device, desc *tensor.Desc) error {
 	if err := d.evictFor(desc.Bytes()); err != nil {
 		return fmt.Errorf("allocating tensor %d: %w", desc.ID, err)
 	}
-	d.advanceTransferQueue(d.prof.AllocLatency)
-	d.stats.AllocTime += d.prof.AllocLatency
+	d.advanceTransferQueue(c.cfg.AllocLatency)
+	d.stats.AllocTime += c.cfg.AllocLatency
 	return nil
 }
 
@@ -390,7 +390,7 @@ func (c *Cluster) ExecContractionAt(dev int, a, b, out *tensor.Desc, slotA, slot
 		// compute queue, overlapping with unrelated transfers.
 		d.clock = max(d.clock, ba.readyAt, bb.readyAt, outReady)
 	}
-	kt := d.prof.KernelLaunch + float64(flops)/d.prof.FLOPS
+	kt := c.cfg.KernelLaunch + float64(flops)/c.cfg.FLOPS
 	d.markDirty()
 	d.clock += kt
 	d.stats.KernelTime += kt

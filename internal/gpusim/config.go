@@ -23,32 +23,6 @@ package gpusim
 
 import "fmt"
 
-// DeviceProfile describes one hardware class of device in a heterogeneous
-// cluster: its memory pool, sustained contraction rate, and link
-// bandwidths/latencies. A zero field inherits the corresponding top-level
-// Config value, so a profile only states what differs from the cluster
-// default (e.g. {Name: "MI100-HBM2e", MemoryBytes: 64 << 30}).
-type DeviceProfile struct {
-	// Name labels the class in errors and traces (e.g. "MI100", "H100").
-	Name string
-	// MemoryBytes is the usable memory pool of devices in this class.
-	MemoryBytes int64
-	// FLOPS is the sustained contraction rate of devices in this class.
-	FLOPS float64
-	// H2DBandwidth and D2HBandwidth are this class's host-link rates.
-	H2DBandwidth float64
-	D2HBandwidth float64
-	// P2PBandwidth is this class's intra-node peer-copy rate.
-	P2PBandwidth float64
-	// KernelLaunch, AllocLatency and EvictLatency are this class's fixed
-	// per-operation costs. Zero means "inherit", so a profile cannot
-	// express a literal zero latency distinct from the cluster default;
-	// none of the modeled hardware needs one.
-	KernelLaunch float64
-	AllocLatency float64
-	EvictLatency float64
-}
-
 // Config describes the simulated cluster hardware.
 type Config struct {
 	// NumDevices is the number of GPUs in the cluster (the paper uses 1-8;
@@ -110,16 +84,6 @@ type Config struct {
 	// InterNodeLatency is the fixed per-transfer latency of the
 	// inter-node interconnect, in seconds.
 	InterNodeLatency float64
-
-	// Profiles declares the hardware classes present in the cluster, for
-	// heterogeneous simulations. Empty means every device follows the
-	// top-level fields above. Profile fields left zero inherit the
-	// top-level value (see DeviceProfile).
-	Profiles []DeviceProfile
-	// DeviceClass maps each device ID to an index into Profiles. When
-	// Profiles is non-empty and DeviceClass is nil, every device uses
-	// Profiles[0]. Otherwise it must have exactly NumDevices entries.
-	DeviceClass []int
 }
 
 // MI100 returns a configuration calibrated to the paper's testbed: n AMD
@@ -174,45 +138,6 @@ func (c Config) NodeOf(dev int) int {
 	return dev / c.NodeSize
 }
 
-// profileOf resolves the effective hardware profile of device dev: its
-// class's profile with zero fields replaced by the top-level defaults. The
-// configuration must have passed Validate.
-func (c Config) profileOf(dev int) DeviceProfile {
-	p := DeviceProfile{}
-	if len(c.Profiles) > 0 {
-		if c.DeviceClass != nil {
-			p = c.Profiles[c.DeviceClass[dev]]
-		} else {
-			p = c.Profiles[0]
-		}
-	}
-	if p.MemoryBytes == 0 {
-		p.MemoryBytes = c.MemoryBytes
-	}
-	if p.FLOPS == 0 {
-		p.FLOPS = c.FLOPS
-	}
-	if p.H2DBandwidth == 0 {
-		p.H2DBandwidth = c.H2DBandwidth
-	}
-	if p.D2HBandwidth == 0 {
-		p.D2HBandwidth = c.D2HBandwidth
-	}
-	if p.P2PBandwidth == 0 {
-		p.P2PBandwidth = c.P2PBandwidth
-	}
-	if p.KernelLaunch == 0 {
-		p.KernelLaunch = c.KernelLaunch
-	}
-	if p.AllocLatency == 0 {
-		p.AllocLatency = c.AllocLatency
-	}
-	if p.EvictLatency == 0 {
-		p.EvictLatency = c.EvictLatency
-	}
-	return p
-}
-
 // Validate reports whether the configuration is usable. Failures are
 // *ConfigError values naming the offending field, wrapping
 // ErrInvalidConfig.
@@ -240,35 +165,6 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "InterNodeBandwidth", Reason: "must be non-negative"}
 	case c.InterNodeLatency < 0:
 		return &ConfigError{Field: "InterNodeLatency", Reason: "must be non-negative"}
-	}
-	if c.DeviceClass != nil {
-		if len(c.Profiles) == 0 {
-			return &ConfigError{Field: "DeviceClass", Reason: "set without Profiles"}
-		}
-		if len(c.DeviceClass) != c.NumDevices {
-			return &ConfigError{Field: "DeviceClass", Reason: fmt.Sprintf("has %d entries for %d devices", len(c.DeviceClass), c.NumDevices)}
-		}
-		for dev, class := range c.DeviceClass {
-			if class < 0 || class >= len(c.Profiles) {
-				return &ConfigError{Field: "DeviceClass", Reason: fmt.Sprintf("device %d names profile %d of %d", dev, class, len(c.Profiles))}
-			}
-		}
-	}
-	for i, p := range c.Profiles {
-		name := p.Name
-		if name == "" {
-			name = fmt.Sprintf("#%d", i)
-		}
-		switch {
-		case p.MemoryBytes < 0:
-			return &ConfigError{Field: "Profiles", Reason: fmt.Sprintf("profile %s: MemoryBytes must be non-negative", name)}
-		case p.FLOPS < 0:
-			return &ConfigError{Field: "Profiles", Reason: fmt.Sprintf("profile %s: FLOPS must be non-negative", name)}
-		case p.H2DBandwidth < 0 || p.D2HBandwidth < 0 || p.P2PBandwidth < 0:
-			return &ConfigError{Field: "Profiles", Reason: fmt.Sprintf("profile %s: bandwidths must be non-negative", name)}
-		case p.KernelLaunch < 0 || p.AllocLatency < 0 || p.EvictLatency < 0:
-			return &ConfigError{Field: "Profiles", Reason: fmt.Sprintf("profile %s: latencies must be non-negative", name)}
-		}
 	}
 	return nil
 }

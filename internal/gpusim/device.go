@@ -64,10 +64,6 @@ func (s *DeviceStats) Add(o DeviceStats) {
 type Device struct {
 	id int
 	c  *Cluster // for its config, residency index and dirty-device set
-	// prof is the device's resolved hardware profile: its class's
-	// DeviceProfile with zero fields replaced by the Config defaults.
-	// Homogeneous clusters resolve every device to the Config values.
-	prof DeviceProfile
 	// node is the node the device belongs to (Config.NodeSize grouping).
 	node      int
 	clock     float64 // compute queue
@@ -88,7 +84,7 @@ type Device struct {
 }
 
 func newDevice(id int, c *Cluster) *Device {
-	return &Device{id: id, c: c, prof: c.cfg.profileOf(id), node: c.cfg.NodeOf(id)}
+	return &Device{id: id, c: c, node: c.cfg.NodeOf(id)}
 }
 
 // markDirty records that one of the device's scheduler-visible keys (clock,
@@ -100,10 +96,6 @@ func (d *Device) ID() int { return d.id }
 
 // Node returns the node the device belongs to.
 func (d *Device) Node() int { return d.node }
-
-// Profile returns the device's resolved hardware profile (its class's
-// DeviceProfile with zero fields replaced by the Config defaults).
-func (d *Device) Profile() DeviceProfile { return d.prof }
 
 // Clock returns the device's compute-queue time in seconds.
 func (d *Device) Clock() float64 { return d.clock }
@@ -132,13 +124,13 @@ func (d *Device) MemUsed() int64 { return d.memUsed }
 func (d *Device) MemFree() int64 { return d.Capacity() - d.memUsed }
 
 // Capacity returns the device's effective memory-pool size in bytes: the
-// profile's (or configured) MemoryBytes, or the override below it while a
-// fault plan's mem-shrink is in effect.
+// configured MemoryBytes, or the override below it while a fault plan's
+// mem-shrink is in effect.
 func (d *Device) Capacity() int64 {
 	if d.capOverride > 0 {
 		return d.capOverride
 	}
-	return d.prof.MemoryBytes
+	return d.c.cfg.MemoryBytes
 }
 
 // Failed reports whether the device has been removed by fault injection.
@@ -265,14 +257,14 @@ func (d *Device) evictFor(size int64) error {
 				ErrOutOfMemory, d.id, size, d.resident, d.Capacity(), d.memUsed, d.MemFree())
 		}
 		victim := &c.index.blocks[vi]
-		cost := d.prof.EvictLatency
+		cost := c.cfg.EvictLatency
 		d.advanceTransferQueue(cost)
 		if c.observing() {
 			c.emit(EventEvict, d.id, victim.desc.ID, d.CopyClock()-cost, d.CopyClock(), victim.desc.Bytes(), 0)
 		}
 		if victim.dirty {
 			// Dirty write-back occupies the node's shared host link.
-			dur := float64(victim.desc.Bytes()) / c.d2hBandwidth(d)
+			dur := float64(victim.desc.Bytes()) / c.d2hBandwidth()
 			cost += c.hostLinkOccupy(d, dur)
 			d.stats.D2HBytes += victim.desc.Bytes()
 			c.d2hBytes += victim.desc.Bytes()

@@ -43,7 +43,7 @@ var (
 // instead of parsing a message. It wraps ErrInvalidConfig for errors.Is.
 type ConfigError struct {
 	// Field is the Config field (or field group, e.g. "Bandwidth",
-	// "Latency", "Profiles") that failed.
+	// "Latency") that failed.
 	Field string
 	// Reason states the constraint that was violated.
 	Reason string

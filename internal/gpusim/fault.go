@@ -101,15 +101,15 @@ func (c *Cluster) LinkFactor() float64 {
 	return c.bwFactor
 }
 
-// Effective bandwidths — the device's profile rate (the Config rate on
-// homogeneous clusters) under the current link degradation factor.
-func (c *Cluster) h2dBandwidth(d *Device) float64 { return d.prof.H2DBandwidth * c.LinkFactor() }
-func (c *Cluster) d2hBandwidth(d *Device) float64 { return d.prof.D2HBandwidth * c.LinkFactor() }
-func (c *Cluster) p2pBandwidth(d *Device) float64 { return d.prof.P2PBandwidth * c.LinkFactor() }
-func (c *Cluster) interBandwidth() float64        { return c.cfg.InterNodeBandwidth * c.LinkFactor() }
+// Effective bandwidths — the Config rate under the current link
+// degradation factor.
+func (c *Cluster) h2dBandwidth() float64   { return c.cfg.H2DBandwidth * c.LinkFactor() }
+func (c *Cluster) d2hBandwidth() float64   { return c.cfg.D2HBandwidth * c.LinkFactor() }
+func (c *Cluster) p2pBandwidth() float64   { return c.cfg.P2PBandwidth * c.LinkFactor() }
+func (c *Cluster) interBandwidth() float64 { return c.cfg.InterNodeBandwidth * c.LinkFactor() }
 
 // SetMemoryCapacity caps device dev's memory pool at capacity bytes
-// (restoring the profile's MemoryBytes when capacity equals it). If the device
+// (restoring the configured MemoryBytes when capacity equals it). If the device
 // currently holds more than the new capacity, LRU blocks are evicted —
 // dirty ones written back to host — until the pool fits, charging the
 // usual eviction and write-back costs to the device's queues.

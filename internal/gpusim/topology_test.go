@@ -61,20 +61,10 @@ func TestConfigErrorsAreTyped(t *testing.T) {
 		{"negative-node-size", func(c *Config) { c.NodeSize = -1 }, "NodeSize"},
 		{"multi-node-no-bandwidth", func(c *Config) { c.NodeSize = 2 }, "InterNodeBandwidth"},
 		{"negative-inter-latency", func(c *Config) { c.NodeSize = 2; c.InterNodeBandwidth = 1e9; c.InterNodeLatency = -1 }, "InterNodeLatency"},
-		{"class-without-profiles", func(c *Config) { c.DeviceClass = make([]int, c.NumDevices) }, "DeviceClass"},
-		{"class-wrong-length", func(c *Config) {
-			c.Profiles = []DeviceProfile{{}}
-			c.DeviceClass = []int{0}
-		}, "DeviceClass"},
-		{"class-out-of-range", func(c *Config) {
-			c.Profiles = []DeviceProfile{{}}
-			c.DeviceClass = make([]int, c.NumDevices)
-			c.DeviceClass[1] = 3
-		}, "DeviceClass"},
-		{"negative-profile-field", func(c *Config) {
-			c.Profiles = []DeviceProfile{{FLOPS: -1}}
-			c.DeviceClass = make([]int, c.NumDevices)
-		}, "Profiles"},
+		{"zero-memory", func(c *Config) { c.MemoryBytes = 0 }, "MemoryBytes"},
+		{"negative-flops", func(c *Config) { c.FLOPS = -1 }, "FLOPS"},
+		{"zero-bandwidth", func(c *Config) { c.P2PBandwidth = 0 }, "Bandwidth"},
+		{"negative-latency", func(c *Config) { c.EvictLatency = -1 }, "Latency"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -101,48 +91,38 @@ func TestConfigErrorsAreTyped(t *testing.T) {
 	}
 }
 
-// TestDeviceProfilesInherit checks per-class profiles resolve with
-// zero-field inheritance from the cluster-wide defaults and actually steer
-// the simulated kernel cost.
+// TestDeviceProfilesInherit checks every device inherits its hardware
+// profile from the cluster Config — there is one per cluster — and that
+// the Config's rate actually steers the simulated kernel cost: the same
+// contraction takes longer on a cluster configured at half the FLOPS.
 func TestDeviceProfilesInherit(t *testing.T) {
-	cfg := MI100(2)
-	half := cfg.FLOPS / 2
-	cfg.Profiles = []DeviceProfile{
-		{}, // class 0: pure inheritance
-		{Name: "half-rate", FLOPS: half, // class 1: slower compute,
-			MemoryBytes: cfg.MemoryBytes / 2}, // smaller memory
+	full := MI100(2)
+	half := full
+	half.FLOPS /= 2
+	half.MemoryBytes /= 2
+	var clusters [2]*Cluster
+	for i, cfg := range []Config{full, half} {
+		c, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for dev := 0; dev < c.NumDevices(); dev++ {
+			if got := c.Device(dev).Capacity(); got != cfg.MemoryBytes {
+				t.Errorf("device %d capacity = %d, want the Config's %d", dev, got, cfg.MemoryBytes)
+			}
+		}
+		clusters[i] = c
 	}
-	cfg.DeviceClass = []int{0, 1}
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
+	a, b, out := topoDesc(1), topoDesc(2), topoDesc(3)
+	for _, c := range clusters {
+		c.RegisterHostTensor(a)
+		c.RegisterHostTensor(b)
+		if _, err := c.ExecContraction(1, a, b, out); err != nil {
+			t.Fatal(err)
+		}
 	}
-	p0, p1 := c.Device(0).Profile(), c.Device(1).Profile()
-	if p0.FLOPS != cfg.FLOPS || p0.MemoryBytes != cfg.MemoryBytes {
-		t.Errorf("class 0 did not inherit defaults: %+v", p0)
-	}
-	if p1.FLOPS != half || p1.MemoryBytes != cfg.MemoryBytes/2 || p1.Name != "half-rate" {
-		t.Errorf("class 1 profile wrong: %+v", p1)
-	}
-	if p1.H2DBandwidth != cfg.H2DBandwidth {
-		t.Errorf("class 1 zero field did not inherit: H2D %g want %g", p1.H2DBandwidth, cfg.H2DBandwidth)
-	}
-	if got, want := c.Device(1).Capacity(), cfg.MemoryBytes/2; got != want {
-		t.Errorf("device 1 capacity = %d, want %d", got, want)
-	}
-	// The same contraction must take longer on the half-rate device.
-	a, b, o1, o2 := topoDesc(1), topoDesc(2), topoDesc(3), topoDesc(4)
-	c.RegisterHostTensor(a)
-	c.RegisterHostTensor(b)
-	if _, err := c.ExecContraction(0, a, b, o1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ExecContraction(1, a, b, o2); err != nil {
-		t.Fatal(err)
-	}
-	if c.Device(1).Clock() <= c.Device(0).Clock() {
-		t.Errorf("half-rate device finished at %g, full-rate at %g; want slower",
-			c.Device(1).Clock(), c.Device(0).Clock())
+	if fast, slow := clusters[0].Device(1).Clock(), clusters[1].Device(1).Clock(); slow <= fast {
+		t.Errorf("half-rate device finished at %g, full-rate at %g; want slower", slow, fast)
 	}
 }
 

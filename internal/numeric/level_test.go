@@ -61,13 +61,16 @@ type levelRun struct {
 	norms  map[uint64]float64 // every tensor of the run, resident or reclaimed
 	misses int                // arena draws served by a fresh allocation
 	err    error              // first error, nil on a clean run
+	// tensors is every tensor of the run; only the pairwise oracle, which
+	// keeps them all, fills it.
+	tensors map[uint64]*tensor.Tensor
 }
 
 // runLevels drives the executor the way its callers do: one RunStage per
 // stage, in order.
-func runLevels(t *testing.T, w *workload.Workload, pool int, reclaim bool) levelRun {
+func runLevels(t *testing.T, w *workload.Workload, pool int) levelRun {
 	t.Helper()
-	x, err := New(w, Config{Seed: 5, Workers: pool, Reclaim: reclaim})
+	x, err := New(w, Config{Seed: 5, Workers: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +89,7 @@ func runLevels(t *testing.T, w *workload.Workload, pool int, reclaim bool) level
 	for id, n := range x.norms {
 		r.norms[id] = n
 	}
-	if reclaim {
-		r.misses = x.arena.misses
-	}
+	r.misses = x.arena.misses
 	return r
 }
 
@@ -114,7 +115,7 @@ func pairwiseOracle(t *testing.T, w *workload.Workload) levelRun {
 			ts[p.Out.ID] = out
 		}
 	}
-	r := levelRun{norms: make(map[uint64]float64)}
+	r := levelRun{norms: make(map[uint64]float64), tensors: ts}
 	ids := make([]uint64, 0, len(ts))
 	for id, x := range ts {
 		ids = append(ids, id)
@@ -127,22 +128,18 @@ func pairwiseOracle(t *testing.T, w *workload.Workload) levelRun {
 	return r
 }
 
-var levelConfigs = []struct {
-	pool    int
-	reclaim bool
-}{{1, false}, {1, true}, {2, false}, {2, true}, {8, false}, {8, true}}
+var levelPools = []int{1, 2, 8}
 
 // TestLevelWidthInvisible: with both levels of the stream 1, W-1, W, W+1
 // and 10*W pairs wide, the fingerprint and every tensor's norm equal the
-// pairwise oracle's bit for bit at pool 1, 2 and 8 with reclamation off
-// and on.
+// pairwise oracle's bit for bit at pool 1, 2 and 8.
 func TestLevelWidthInvisible(t *testing.T) {
 	for _, width := range []int{1, levelWidth - 1, levelWidth, levelWidth + 1, 10 * levelWidth} {
 		w := levelStream(width, width)
 		want := pairwiseOracle(t, w)
-		for _, c := range levelConfigs {
-			label := fmt.Sprintf("width=%d pool=%d reclaim=%v", width, c.pool, c.reclaim)
-			got := runLevels(t, w, c.pool, c.reclaim)
+		for _, pool := range levelPools {
+			label := fmt.Sprintf("width=%d pool=%d", width, pool)
+			got := runLevels(t, w, pool)
 			if got.err != nil {
 				t.Fatalf("%s: %v", label, got.err)
 			}
@@ -164,8 +161,7 @@ func TestLevelWidthInvisible(t *testing.T) {
 // TestLevelFirstError: a level's operands are resolved before any of its
 // sub-batches runs, so a missing operand late in a wide level is reported
 // ahead of a shape mismatch early in it, and of two mismatches the one
-// earlier in the stream wins — the same error at every pool size, with
-// reclamation off and on.
+// earlier in the stream wins — the same error at every pool size.
 func TestLevelFirstError(t *testing.T) {
 	odd := tensor.Desc{ID: 6, Rank: tensor.RankMeson, Dim: levelDim / 2, Batch: 1}
 	for _, c := range []struct {
@@ -185,10 +181,10 @@ func TestLevelFirstError(t *testing.T) {
 		w := levelStream(10*levelWidth, 0)
 		w.Inputs = append(w.Inputs, odd)
 		c.plant(w.Stages[0].Pairs)
-		for _, cfg := range levelConfigs {
-			got := runLevels(t, w, cfg.pool, cfg.reclaim)
+		for _, pool := range levelPools {
+			got := runLevels(t, w, pool)
 			if got.err == nil || !strings.Contains(got.err.Error(), c.want) {
-				t.Errorf("%s pool=%d reclaim=%v: error %v, want one containing %q", c.name, cfg.pool, cfg.reclaim, got.err, c.want)
+				t.Errorf("%s pool=%d: error %v, want one containing %q", c.name, pool, got.err, c.want)
 			}
 		}
 	}
@@ -209,23 +205,23 @@ func (c *cancelAfter) Err() error {
 }
 
 // TestLevelCancelBetweenBatches: a cancel that lands while a wide level
-// runs is seen before the next sub-batch starts, at every pool width, with
-// reclamation off and on — the level's remaining pairs never run.
+// runs is seen before the next sub-batch starts, at every pool width — the
+// level's remaining pairs never run.
 func TestLevelCancelBetweenBatches(t *testing.T) {
 	w := levelStream(10*levelWidth, 0)
-	for _, c := range levelConfigs {
+	for _, pool := range levelPools {
 		for _, done := range []int{0, 3, 9} {
-			x, err := New(w, Config{Seed: 5, Workers: c.pool, Reclaim: c.reclaim})
+			x, err := New(w, Config{Seed: 5, Workers: pool})
 			if err != nil {
 				t.Fatal(err)
 			}
 			err = x.RunStage(&cancelAfter{context.Background(), done}, w.Stages[0].Pairs)
 			if !errors.Is(err, context.Canceled) {
-				t.Errorf("pool=%d reclaim=%v: err = %v after %d sub-batches, want context.Canceled", c.pool, c.reclaim, err, done)
+				t.Errorf("pool=%d: err = %v after %d sub-batches, want context.Canceled", pool, err, done)
 			}
 			produced := len(x.tensors) + len(x.norms) - len(w.Inputs)
 			if produced != done*levelWidth {
-				t.Errorf("pool=%d reclaim=%v: %d outputs produced, want %d (%d sub-batches)", c.pool, c.reclaim, produced, done*levelWidth, done)
+				t.Errorf("pool=%d: %d outputs produced, want %d (%d sub-batches)", pool, produced, done*levelWidth, done)
 			}
 			x.Close()
 		}
@@ -246,7 +242,7 @@ func TestLevelRecyclesOwnBuffers(t *testing.T) {
 			w = levelStream(c.live, c.finals)
 		}
 		for _, pool := range []int{1, 8} {
-			got := runLevels(t, w, pool, true)
+			got := runLevels(t, w, pool)
 			if got.err != nil {
 				t.Fatal(got.err)
 			}

@@ -29,11 +29,10 @@ type Config struct {
 	// included; <= 0 selects GOMAXPROCS. Results are bit-identical at any
 	// width.
 	Workers int
-	// Reclaim frees each tensor after its last reader and recycles the
-	// storage into later outputs; the fingerprint does not move.
-	Reclaim bool
-	// Pin lists tensors Reclaim must keep: the caller reads them through
-	// Tensor once the stream has run.
+	// Pin lists tensors the executor must keep: the caller reads them
+	// through Tensor once the stream has run. Every other tensor is freed
+	// after its last reader and its storage recycled into later outputs;
+	// the fingerprint does not move.
 	Pin []uint64
 	// Timed turns on per-worker busy accounting (WorkerBusy).
 	Timed bool
@@ -50,14 +49,13 @@ type Executor struct {
 	lv  levelizer
 	ops []tensor.BatchOp
 
-	// Dead-tensor reclamation state (Config.Reclaim). readsLeft counts, per
-	// tensor ID, the operand reads the stream has yet to perform; a tensor
-	// whose count hits zero is dead — no later contraction can observe it —
-	// so its Frobenius norm is cached for the fingerprint and its buffer is
+	// Dead-tensor reclamation state. readsLeft counts, per tensor ID, the
+	// operand reads the stream has yet to perform; a tensor whose count
+	// hits zero is dead — no later contraction can observe it — so its
+	// Frobenius norm is cached for the fingerprint and its buffer is
 	// recycled through the arena. IDs that are pinned or whose liveness is
 	// ambiguous (written more than once, or both input and output) are
 	// absent from the map and never reclaimed.
-	reclaim   bool
 	readsLeft map[uint64]int
 	arena     *bufArena
 	norms     map[uint64]float64 // final norms of reclaimed tensors
@@ -70,7 +68,12 @@ type Executor struct {
 // caller must Close the executor on every path.
 func New(w *workload.Workload, cfg Config) (*Executor, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	x := &Executor{tensors: make(map[uint64]*tensor.Tensor, len(w.Inputs))}
+	x := &Executor{
+		tensors:   make(map[uint64]*tensor.Tensor, len(w.Inputs)),
+		readsLeft: buildLiveness(w, cfg.Pin),
+		arena:     newBufArena(),
+		norms:     make(map[uint64]float64),
+	}
 	for _, d := range w.Inputs {
 		t, err := tensor.NewRandom(d, rng)
 		if err != nil {
@@ -78,19 +81,13 @@ func New(w *workload.Workload, cfg Config) (*Executor, error) {
 		}
 		x.tensors[d.ID] = t
 	}
-	if cfg.Reclaim {
-		x.reclaim = true
-		x.readsLeft = buildLiveness(w, cfg.Pin)
-		x.arena = newBufArena()
-		x.norms = make(map[uint64]float64)
-		// Inputs the stream never reads are dead on arrival.
-		for _, d := range w.Inputs {
-			if n, ok := x.readsLeft[d.ID]; ok && n == 0 {
-				t := x.tensors[d.ID]
-				delete(x.tensors, d.ID)
-				x.norms[d.ID] = t.Norm()
-				x.arena.put(t.Data)
-			}
+	// Inputs the stream never reads are dead on arrival.
+	for _, d := range w.Inputs {
+		if n, ok := x.readsLeft[d.ID]; ok && n == 0 {
+			t := x.tensors[d.ID]
+			delete(x.tensors, d.ID)
+			x.norms[d.ID] = t.Norm()
+			x.arena.put(t.Data)
 		}
 	}
 	workers := cfg.Workers
@@ -184,10 +181,7 @@ func (x *Executor) execLevel(ctx context.Context, pairs []workload.Pair) error {
 		hi := min(lo+levelWidth, len(ops))
 		sub, subPairs := ops[lo:hi], pairs[lo:hi]
 		for i, p := range subPairs {
-			sub[i].Dst = &tensor.Tensor{}
-			if x.reclaim {
-				sub[i].Dst.Data = x.arena.get(int(p.Out.Elems()))
-			}
+			sub[i].Dst = &tensor.Tensor{Data: x.arena.get(int(p.Out.Elems()))}
 		}
 		if err := x.bp.Run(sub); err != nil {
 			return fmt.Errorf("numeric: contraction: %w", err)
@@ -195,10 +189,8 @@ func (x *Executor) execLevel(ctx context.Context, pairs []workload.Pair) error {
 		for i, p := range subPairs {
 			x.tensors[p.Out.ID] = sub[i].Dst
 		}
-		if x.reclaim {
-			if err := x.settleReclaim(subPairs); err != nil {
-				return err
-			}
+		if err := x.settleReclaim(subPairs); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -263,7 +255,7 @@ func (x *Executor) settleReclaim(pairs []workload.Pair) error {
 // performs. IDs produced more than once or used both as workload input and
 // contraction output (only possible through hand-built streams) are
 // excluded: their per-version liveness is ambiguous, so they are kept
-// resident forever, exactly as without reclamation. So are the pinned IDs.
+// resident for the whole run. So are the pinned IDs.
 func buildLiveness(w *workload.Workload, pin []uint64) map[uint64]int {
 	reads := make(map[uint64]int)
 	produced := make(map[uint64]int)
@@ -304,7 +296,7 @@ func buildLiveness(w *workload.Workload, pin []uint64) map[uint64]int {
 // must be deterministic): a compact checksum of the run's numerics that no
 // scheduling decision can move. Reclaimed tensors contribute their cached
 // norm — computed over the same data at reclamation time — so the value is
-// bit-identical with reclamation on or off, at any pool width.
+// the one a store that kept every tensor would give, at any pool width.
 func (x *Executor) Fingerprint() float64 {
 	norms := make(map[uint64]float64, len(x.tensors)+len(x.norms))
 	ids := make([]uint64, 0, len(x.tensors)+len(x.norms))

@@ -9,8 +9,8 @@ import (
 )
 
 // TestNumericReclaimFreesDeadTensors asserts the arena actually reclaims:
-// after a chained run with reclamation, the executor must hold strictly
-// fewer resident tensors than the total the stream produced.
+// after a chained run, the executor must hold strictly fewer resident
+// tensors than the total the stream produced.
 func TestNumericReclaimFreesDeadTensors(t *testing.T) {
 	w, err := workload.Generate(workload.Config{
 		Seed: 3, Stages: 5, VectorSize: 8, TensorDim: 16,
@@ -19,7 +19,7 @@ func TestNumericReclaimFreesDeadTensors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := New(w, Config{Seed: 3, Workers: 1, Reclaim: true})
+	x, err := New(w, Config{Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,25 +77,20 @@ func TestBuildLivenessExclusions(t *testing.T) {
 
 // TestPinnedTensorsSurviveReclaim: a pinned output that nothing reads is
 // dead on production for the liveness count, and must still be resident —
-// with the bits a run without reclamation leaves — when the stream ends.
+// with the bits of the pairwise oracle, which keeps every tensor — when the
+// stream ends.
 func TestPinnedTensorsSurviveReclaim(t *testing.T) {
 	w := levelStream(3*levelWidth, 2*levelWidth)
 	pin := []uint64{100, 10000, 10000 + 2*levelWidth - 1} // a read intermediate and two finals
-	keep, err := New(w, Config{Seed: 5, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer keep.Close()
-	x, err := New(w, Config{Seed: 5, Workers: 2, Reclaim: true, Pin: pin})
+	keep := pairwiseOracle(t, w)
+	x, err := New(w, Config{Seed: 5, Workers: 2, Pin: pin})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer x.Close()
 	for _, st := range w.Stages {
-		for _, e := range []*Executor{keep, x} {
-			if err := e.RunStage(context.Background(), st.Pairs); err != nil {
-				t.Fatal(err)
-			}
+		if err := x.RunStage(context.Background(), st.Pairs); err != nil {
+			t.Fatal(err)
 		}
 	}
 	for _, id := range pin {
@@ -103,7 +98,7 @@ func TestPinnedTensorsSurviveReclaim(t *testing.T) {
 		if !ok {
 			t.Fatalf("pinned t%d was reclaimed", id)
 		}
-		want, _ := keep.Tensor(id)
+		want := keep.tensors[id]
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("pinned t%d element %d = %v, want %v", id, i, got.Data[i], want.Data[i])
@@ -111,9 +106,9 @@ func TestPinnedTensorsSurviveReclaim(t *testing.T) {
 		}
 	}
 	if _, ok := x.Tensor(10001); ok {
-		t.Error("unpinned final t10001 still resident under reclamation")
+		t.Error("unpinned final t10001 still resident")
 	}
-	if a, b := x.Fingerprint(), keep.Fingerprint(); a != b {
+	if a, b := x.Fingerprint(), keep.fp; a != b {
 		t.Errorf("fingerprint with pins %x, want %x", a, b)
 	}
 }

@@ -149,10 +149,10 @@ const candChunk = 2048
 //
 // The first MaxCandidates entries of the record's Candidates slice are
 // deep-copied into a registry-owned chunked arena before the record is
-// retained (and before it is fed to the flight recorder), so callers are
-// free to reuse the backing array — the engine recycles one scratch record
-// per run, which (with the by-pointer signature: one struct copy instead
-// of three) keeps the obs-on placement path allocation-free.
+// retained, so callers are free to reuse the backing array — the engine
+// recycles one scratch record per run, which (with the by-pointer
+// signature: one struct copy instead of two) keeps the obs-on placement
+// path allocation-free.
 func (r *Registry) RecordDecision(d *DecisionRecord) {
 	if r == nil || d == nil {
 		return
@@ -167,10 +167,6 @@ func (r *Registry) RecordDecision(d *DecisionRecord) {
 		off := len(r.candArena)
 		r.candArena = append(r.candArena, kept.Candidates[:n]...)
 		kept.Candidates = r.candArena[off : off+n : off+n]
-	}
-	fr := r.flight.Load()
-	if fr != nil {
-		fr.RecordDecision(*kept)
 	}
 	r.mu.Unlock()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // FlightEvent is one simulator operation as retained by the flight
@@ -24,68 +25,45 @@ type FlightEvent struct {
 	Note   string  `json:"note,omitempty"`
 }
 
-// FlightConfig sizes the flight recorder's rings: how many of the most
-// recent simulator events, decision records and completed spans are
-// retained. Zero or negative fields take the defaults.
-type FlightConfig struct {
-	Events    int
-	Decisions int
-	Spans     int
-}
-
-// Default ring capacities. Events dominate (one per kernel, transfer and
-// eviction); decisions are one per placement; spans one per stage.
+// Tail lengths of the flight recorder: how many of the most recent
+// simulator events it retains, and how many of the registry's most recent
+// decision records and completed spans a snapshot carries. Events dominate
+// (one per kernel, transfer and eviction); decisions are one per
+// placement; spans one per stage.
 const (
 	DefFlightEvents    = 8192
 	DefFlightDecisions = 2048
 	DefFlightSpans     = 512
 )
 
-func (c FlightConfig) fill() FlightConfig {
-	if c.Events <= 0 {
-		c.Events = DefFlightEvents
-	}
-	if c.Decisions <= 0 {
-		c.Decisions = DefFlightDecisions
-	}
-	if c.Spans <= 0 {
-		c.Spans = DefFlightSpans
-	}
-	return c
-}
-
-// ring is a bounded overwrite-oldest buffer of records. Each ring carries
-// its own mutex so event, decision and span traffic never contend with
-// each other; recording is a lock, an index increment and a value copy —
-// no allocation once the ring is built.
-type ring[T any] struct {
+// ring is a bounded overwrite-oldest buffer of simulator events, behind its
+// own mutex: recording is a lock, an index increment and a value copy — no
+// allocation once the ring is built.
+type ring struct {
 	mu  sync.Mutex
-	buf []T
-	// n is the total number of records ever offered; the ring holds the
+	buf []FlightEvent
+	// n is the total number of events ever offered; the ring holds the
 	// last min(n, len(buf)) of them.
 	n uint64
 }
 
-func newRing[T any](capacity int) ring[T] { return ring[T]{buf: make([]T, capacity)} }
+func newRing(capacity int) ring { return ring{buf: make([]FlightEvent, capacity)} }
 
-func (r *ring[T]) record(v T) {
+func (r *ring) record(v FlightEvent) {
 	r.mu.Lock()
 	r.buf[r.n%uint64(len(r.buf))] = v
 	r.n++
 	r.mu.Unlock()
 }
 
-// snapshot copies the retained records oldest-first and reports the total
+// snapshot copies the retained events oldest-first and reports the total
 // ever offered.
-func (r *ring[T]) snapshot() ([]T, uint64) {
+func (r *ring) snapshot() ([]FlightEvent, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	size := uint64(len(r.buf))
-	kept := r.n
-	if kept > size {
-		kept = size
-	}
-	out := make([]T, 0, kept)
+	kept := min(r.n, size)
+	out := make([]FlightEvent, 0, kept)
 	for i := r.n - kept; i < r.n; i++ {
 		out = append(out, r.buf[i%size])
 	}
@@ -93,34 +71,31 @@ func (r *ring[T]) snapshot() ([]T, uint64) {
 }
 
 // FlightRecorder is the always-on post-mortem buffer of a run: a bounded
-// ring of the most recent simulator events, scheduler decision records and
-// completed spans. Attach one to a Registry with SetFlightRecorder; the
-// registry and the simulator then feed it as a side effect of ordinary
-// observation. Recording is lock-cheap and allocation-free; when no
-// recorder is attached the cost is a single atomic load per record.
+// ring of the most recent simulator events, read together with the tail of
+// the decision records and completed spans its registry already keeps.
+// Attach one to a Registry with SetFlightRecorder; the simulator then feeds
+// it events as a side effect of ordinary observation. Recording is
+// lock-cheap and allocation-free; when no recorder is attached the cost is
+// a single atomic load per event.
 //
 // Snapshot captures the current tail on demand (the /trace and /flight
 // endpoints of the observability server are built on it), and the
 // execution engine calls Dump automatically on device-loss recovery and on
 // ErrClusterLost, so the moments leading up to a failure survive it.
 type FlightRecorder struct {
-	events    ring[FlightEvent]
-	decisions ring[DecisionRecord]
-	spans     ring[Span]
+	events ring
+	// reg is the registry the recorder was last attached to: its decision
+	// and span stores are the other two tails a snapshot copies.
+	reg atomic.Pointer[Registry]
 
 	dumpMu   sync.Mutex
 	lastDump *FlightSnapshot
 }
 
-// NewFlightRecorder builds a recorder with the given ring capacities
-// (zero-valued config takes the defaults).
-func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
-	cfg = cfg.fill()
-	return &FlightRecorder{
-		events:    newRing[FlightEvent](cfg.Events),
-		decisions: newRing[DecisionRecord](cfg.Decisions),
-		spans:     newRing[Span](cfg.Spans),
-	}
+// NewFlightRecorder builds a recorder retaining the last DefFlightEvents
+// simulator events.
+func NewFlightRecorder() *FlightRecorder {
+	return &FlightRecorder{events: newRing(DefFlightEvents)}
 }
 
 // RecordEvent retains one simulator event. Nil-safe.
@@ -131,25 +106,10 @@ func (fr *FlightRecorder) RecordEvent(e FlightEvent) {
 	fr.events.record(e)
 }
 
-// RecordDecision retains one decision record. Nil-safe.
-func (fr *FlightRecorder) RecordDecision(d DecisionRecord) {
-	if fr == nil {
-		return
-	}
-	fr.decisions.record(d)
-}
-
-// RecordSpan retains one completed span. Nil-safe.
-func (fr *FlightRecorder) RecordSpan(s Span) {
-	if fr == nil {
-		return
-	}
-	fr.spans.record(s)
-}
-
-// FlightSnapshot is a point-in-time copy of the recorder's retained tail.
-// The Total* fields count everything ever offered, so consumers can tell
-// how much history fell off the rings.
+// FlightSnapshot is a point-in-time copy of the recorder's tail: its
+// retained events and its registry's last decision records and spans. The
+// Total* fields count everything recorded, so consumers can tell how much
+// history the tails leave out.
 type FlightSnapshot struct {
 	// Reason is why the snapshot was taken: "" for on-demand snapshots, a
 	// description of the failure for automatic dumps.
@@ -162,17 +122,29 @@ type FlightSnapshot struct {
 	TotalSpans     uint64           `json:"total_spans"`
 }
 
-// Snapshot copies the retained tail, oldest records first. Nil-safe: a nil
-// recorder snapshots as nil.
+// Snapshot copies the tail, oldest records first: the retained events, and
+// the last DefFlightDecisions decision records and DefFlightSpans spans of
+// the registry the recorder is attached to (none before it is attached).
+// Nil-safe: a nil recorder snapshots as nil.
 func (fr *FlightRecorder) Snapshot() *FlightSnapshot {
 	if fr == nil {
 		return nil
 	}
-	s := &FlightSnapshot{}
+	s := &FlightSnapshot{Decisions: []DecisionRecord{}, Spans: []Span{}}
 	s.Events, s.TotalEvents = fr.events.snapshot()
-	s.Decisions, s.TotalDecisions = fr.decisions.snapshot()
-	s.Spans, s.TotalSpans = fr.spans.snapshot()
+	if r := fr.reg.Load(); r != nil {
+		r.mu.Lock()
+		s.Decisions, s.TotalDecisions = tail(r.decisions, DefFlightDecisions)
+		s.Spans, s.TotalSpans = tail(r.spans, DefFlightSpans)
+		r.mu.Unlock()
+	}
 	return s
+}
+
+// tail copies the last n elements of s and reports len(s).
+func tail[T any](s []T, n int) ([]T, uint64) {
+	k := min(len(s), n)
+	return append(make([]T, 0, k), s[len(s)-k:]...), uint64(len(s))
 }
 
 // Dump snapshots the recorder and retains the snapshot as the last dump
@@ -213,18 +185,22 @@ func (s *FlightSnapshot) WriteJSON(w io.Writer) error {
 }
 
 // SetFlightRecorder attaches (or, with nil, detaches) a flight recorder.
-// While attached, every decision record and completed span fed to the
-// registry — and every simulator event, via the cluster's observer — is
-// also retained in the recorder's rings. Nil-safe on a nil registry.
+// While attached, every simulator event the cluster's observer sees is
+// retained in the recorder's ring, and the recorder's snapshots read this
+// registry's decision records and spans (they still do after a detach).
+// Nil-safe on a nil registry.
 func (r *Registry) SetFlightRecorder(fr *FlightRecorder) {
 	if r == nil {
 		return
+	}
+	if fr != nil {
+		fr.reg.Store(r)
 	}
 	r.flight.Store(fr)
 }
 
 // FlightRecorder returns the attached recorder (nil when none, or on a nil
-// registry): one atomic load, so per-record feeding sites can guard on it
+// registry): one atomic load, so the simulator can guard each event on it
 // without cost.
 func (r *Registry) FlightRecorder() *FlightRecorder {
 	if r == nil {

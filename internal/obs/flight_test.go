@@ -7,19 +7,19 @@ import (
 )
 
 func TestFlightRingOverwritesOldest(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Events: 4, Decisions: 2, Spans: 2})
+	r := newRing(4)
 	for i := 0; i < 10; i++ {
-		fr.RecordEvent(FlightEvent{Kind: "kernel", Tensor: uint64(i)})
+		r.record(FlightEvent{Kind: "kernel", Tensor: uint64(i)})
 	}
-	s := fr.Snapshot()
-	if s.TotalEvents != 10 {
-		t.Errorf("TotalEvents = %d, want 10", s.TotalEvents)
+	events, total := r.snapshot()
+	if total != 10 {
+		t.Errorf("total = %d, want 10", total)
 	}
-	if len(s.Events) != 4 {
-		t.Fatalf("retained %d events, want 4", len(s.Events))
+	if len(events) != 4 {
+		t.Fatalf("retained %d events, want 4", len(events))
 	}
 	// Oldest-first tail: tensors 6,7,8,9.
-	for i, e := range s.Events {
+	for i, e := range events {
 		if want := uint64(6 + i); e.Tensor != want {
 			t.Errorf("events[%d].Tensor = %d, want %d", i, e.Tensor, want)
 		}
@@ -27,10 +27,11 @@ func TestFlightRingOverwritesOldest(t *testing.T) {
 }
 
 func TestFlightSnapshotBeforeWrap(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Events: 8, Decisions: 8, Spans: 8})
+	reg, fr := New(), NewFlightRecorder()
+	reg.SetFlightRecorder(fr)
 	fr.RecordEvent(FlightEvent{Kind: "h2d", Tensor: 1})
-	fr.RecordDecision(DecisionRecord{Out: 2})
-	fr.RecordSpan(Span{Name: "stage"})
+	reg.RecordDecision(&DecisionRecord{Out: 2})
+	reg.StartSpan("stage", nil).End()
 	s := fr.Snapshot()
 	if len(s.Events) != 1 || s.TotalEvents != 1 {
 		t.Errorf("events = %d/%d, want 1/1", len(s.Events), s.TotalEvents)
@@ -44,7 +45,7 @@ func TestFlightSnapshotBeforeWrap(t *testing.T) {
 }
 
 func TestFlightDump(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{})
+	fr := NewFlightRecorder()
 	if fr.LastDump() != nil {
 		t.Fatal("LastDump before any dump should be nil")
 	}
@@ -73,13 +74,16 @@ func TestFlightDump(t *testing.T) {
 	if back.Reason != d.Reason || len(back.Events) != 1 || back.Events[0].Tensor != 7 {
 		t.Errorf("round-tripped dump = %+v", back)
 	}
+	// A recorder attached to no registry has no decisions or spans to
+	// show, and says so with empty lists, not nulls.
+	if !bytes.Contains(buf.Bytes(), []byte(`"decisions": [],`)) || !bytes.Contains(buf.Bytes(), []byte(`"spans": [],`)) {
+		t.Errorf("unattached dump JSON lacks empty decision and span lists:\n%s", buf.Bytes())
+	}
 }
 
 func TestFlightNilSafety(t *testing.T) {
 	var fr *FlightRecorder
 	fr.RecordEvent(FlightEvent{})
-	fr.RecordDecision(DecisionRecord{})
-	fr.RecordSpan(Span{})
 	if fr.Snapshot() != nil || fr.Dump("x") != nil || fr.LastDump() != nil {
 		t.Error("nil recorder should snapshot/dump as nil")
 	}
@@ -95,7 +99,7 @@ func TestRegistryFeedsFlightRecorder(t *testing.T) {
 	if r.FlightRecorder() != nil {
 		t.Fatal("fresh registry should have no recorder")
 	}
-	fr := NewFlightRecorder(FlightConfig{})
+	fr := NewFlightRecorder()
 	r.SetFlightRecorder(fr)
 	if r.FlightRecorder() != fr {
 		t.Fatal("recorder not attached")
@@ -112,27 +116,27 @@ func TestRegistryFeedsFlightRecorder(t *testing.T) {
 	if len(s.Spans) != 2 || s.Spans[0].Name != "stage" || s.Spans[1].Name != "run" {
 		t.Errorf("recorder spans = %+v, want [stage run]", s.Spans)
 	}
-	// Detach: later records no longer feed the rings.
+	// Detach: the simulator's probe finds no recorder to feed events to,
+	// and the recorder still reads the registry it was attached to.
 	r.SetFlightRecorder(nil)
+	if r.FlightRecorder() != nil {
+		t.Error("recorder still attached after SetFlightRecorder(nil)")
+	}
 	r.RecordDecision(&DecisionRecord{Out: 12})
-	if s := fr.Snapshot(); s.TotalDecisions != 1 {
-		t.Errorf("detached recorder still fed: %d decisions", s.TotalDecisions)
+	if s := fr.Snapshot(); s.TotalDecisions != 2 || s.Decisions[1].Out != 12 {
+		t.Errorf("detached recorder snapshot = %+v, want the registry's two records", s.Decisions)
 	}
 }
 
-// TestFlightRecorderAllocs pins the recorder's per-record cost: recording
+// TestFlightRecorderAllocs pins the recorder's per-event cost: recording
 // into a built ring allocates nothing, and the disabled paths (no recorder
 // attached, nil recorder) allocate nothing either — the acceptance bar for
 // "always-on" observability.
 func TestFlightRecorderAllocs(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Events: 64, Decisions: 64, Spans: 64})
+	fr := NewFlightRecorder()
 	ev := FlightEvent{Kind: "kernel", Device: 1, Tensor: 42, Start: 1, End: 2, FLOPs: 100}
 	if n := testing.AllocsPerRun(200, func() { fr.RecordEvent(ev) }); n != 0 {
 		t.Errorf("RecordEvent allocs/op = %v, want 0", n)
-	}
-	d := DecisionRecord{Stage: 1, Pair: 2, Out: 3, Device: 0}
-	if n := testing.AllocsPerRun(200, func() { fr.RecordDecision(d) }); n != 0 {
-		t.Errorf("RecordDecision allocs/op = %v, want 0", n)
 	}
 	var nilFR *FlightRecorder
 	if n := testing.AllocsPerRun(200, func() { nilFR.RecordEvent(ev) }); n != 0 {
@@ -146,4 +150,39 @@ func TestFlightRecorderAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("unattached probe allocs/op = %v, want 0", n)
 	}
+}
+
+// TestFlightSnapshotUnderWriters snapshots while another goroutine records
+// decisions and spans past both tail lengths: every snapshot must be one
+// consistent tail — as long as its totals allow, ending on the record its
+// total names — and under -race this shows the registry's lock covers the
+// copy.
+func TestFlightSnapshotUnderWriters(t *testing.T) {
+	r, fr := New(), NewFlightRecorder()
+	r.SetFlightRecorder(fr)
+	const total = 3 * DefFlightDecisions
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range total {
+			r.RecordDecision(&DecisionRecord{Pair: i})
+			if i%4 == 0 {
+				r.StartSpan("stage", nil).End()
+			}
+		}
+	}()
+	for n := uint64(0); n < total; {
+		s := fr.Snapshot()
+		n = s.TotalDecisions
+		if len(s.Decisions) != int(min(n, DefFlightDecisions)) {
+			t.Fatalf("snapshot of %d records holds %d", n, len(s.Decisions))
+		}
+		if n > 0 && s.Decisions[len(s.Decisions)-1].Pair != int(n-1) {
+			t.Fatalf("snapshot of %d records ends on pair %d", n, s.Decisions[len(s.Decisions)-1].Pair)
+		}
+		if len(s.Spans) != int(min(s.TotalSpans, DefFlightSpans)) {
+			t.Fatalf("snapshot of %d spans holds %d", s.TotalSpans, len(s.Spans))
+		}
+	}
+	<-done
 }

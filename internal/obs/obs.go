@@ -44,10 +44,10 @@ type Registry struct {
 
 	nextSpanID atomic.Uint64
 
-	// flight is the optional always-on flight recorder (flight.go). The
-	// registry feeds it decision records and completed spans; the simulator
-	// feeds it events through the same pointer. Atomic so recording sites
-	// pay one load, no lock, when no recorder is attached.
+	// flight is the optional always-on flight recorder (flight.go): the
+	// simulator feeds it events through this pointer, and its snapshots
+	// read the decision and span stores above. Atomic so the simulator pays
+	// one load, no lock, per event when no recorder is attached.
 	flight atomic.Pointer[FlightRecorder]
 }
 

@@ -19,7 +19,7 @@ import (
 // decision records, spans, and flight-recorder contents.
 func populate(t *testing.T, reg *obs.Registry) {
 	t.Helper()
-	reg.SetFlightRecorder(obs.NewFlightRecorder(obs.FlightConfig{}))
+	reg.SetFlightRecorder(obs.NewFlightRecorder())
 	c, err := gpusim.NewCluster(gpusim.MI100(2))
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)

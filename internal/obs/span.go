@@ -70,7 +70,6 @@ func (s *ActiveSpan) End() {
 	s.r.mu.Lock()
 	s.r.spans = append(s.r.spans, s.span)
 	s.r.mu.Unlock()
-	s.r.flight.Load().RecordSpan(s.span)
 }
 
 // Spans returns a copy of the completed spans recorded so far.

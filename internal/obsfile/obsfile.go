@@ -2,7 +2,8 @@
 // the command-line tools (miccorun, miccobench, miccoreport): metrics
 // snapshots, Chrome traces, decision NDJSON and flight-recorder dumps all
 // land on disk through the same code path, so the artifact formats cannot
-// drift between tools.
+// drift between tools. Durable run checkpoints (sched.SaveCheckpointFile)
+// are written by the same Write.
 package obsfile
 
 import (
@@ -14,6 +15,7 @@ import (
 	"io/fs"
 	"math/rand/v2"
 	"os"
+	"path/filepath"
 	"strconv"
 
 	"micco/internal/gpusim"
@@ -23,14 +25,16 @@ import (
 // Write hands write a file that becomes path only if write succeeds, and
 // on success notes what landed there on logw (stderr in the CLIs;
 // io.Discard silences it). The artifact is written to a temporary file
-// beside path, synced, and renamed over it at the end, so a failed write —
-// a full disk, a value the encoder refuses — leaves the previous artifact as
-// it was and no partial file behind, and a crash cannot leave the name on
-// data that never reached the disk. A rewrite keeps the artifact's
-// permission bits (a file restricted to its owner stays so); being a new
-// file, it does not keep the old one's owner or hard links. A destination
-// that exists and is not a regular file (/dev/stdout, a pipe, a symlink)
-// has nothing to replace and is written in place. The file is buffered:
+// beside path, synced, and renamed over it at the end, and the directory is
+// synced after the rename, so a failed write — a full disk, a value the
+// encoder refuses — leaves the previous artifact as it was and no partial
+// file behind, a crash cannot leave the name on data that never reached the
+// disk, and once Write returns the name survives a crash. A rewrite keeps
+// the artifact's permission bits (a file restricted to its owner stays
+// so); a new file gets 0666 less the umask. Being a new file, a rewrite
+// does not keep the old one's owner or hard links. A destination that
+// exists and is not a regular file (/dev/stdout, a pipe, a symlink) has
+// nothing to replace and is written in place. The file is buffered:
 // the Chrome trace writer emits one record at a time, which would otherwise
 // be one write(2) each. Once the records are cheap to format, a 10 MB trace
 // through the default 4 KB buffer spends a third of its time in its 2 500
@@ -72,6 +76,14 @@ func Write(path, what string, logw io.Writer, write func(io.Writer) error) error
 			os.Remove(f.Name())
 		}
 		return err
+	}
+	if !inPlace {
+		// Best effort: some file systems refuse to sync a directory, and
+		// the rename has happened either way.
+		if d, err := os.Open(filepath.Dir(path)); err == nil {
+			d.Sync()
+			d.Close()
+		}
 	}
 	if logw != nil {
 		fmt.Fprintf(logw, "%s written to %s\n", what, path)

@@ -1,4 +1,4 @@
-package obsfile
+package obsfile_test
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"micco/internal/core"
 	"micco/internal/gpusim"
 	"micco/internal/obs"
+	"micco/internal/obsfile"
 	"micco/internal/sched"
 	"micco/internal/tensor"
 	"micco/internal/workload"
@@ -50,7 +51,7 @@ func TestArtifactsUnchangedByBuffering(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.New()
-	reg.SetFlightRecorder(obs.NewFlightRecorder(obs.FlightConfig{}))
+	reg.SetFlightRecorder(obs.NewFlightRecorder())
 	c.StartTrace()
 	res, err := sched.Run(context.Background(), w, core.NewFixed(core.Bounds{0, 2, 0}), c, sched.Options{Obs: reg})
 	if err != nil {
@@ -68,20 +69,20 @@ func TestArtifactsUnchangedByBuffering(t *testing.T) {
 		direct   func(io.Writer) error
 	}{
 		{"metrics.json",
-			func(p string) error { return WriteMetrics(p, io.Discard, res.Metrics) },
+			func(p string) error { return obsfile.WriteMetrics(p, io.Discard, res.Metrics) },
 			func(w io.Writer) error {
 				enc := json.NewEncoder(w)
 				enc.SetIndent("", "  ")
 				return enc.Encode(res.Metrics)
 			}},
 		{"trace.json",
-			func(p string) error { return WriteTrace(p, io.Discard, events, decisions) },
+			func(p string) error { return obsfile.WriteTrace(p, io.Discard, events, decisions) },
 			func(w io.Writer) error { return gpusim.WriteChromeTraceMerged(w, events, decisions) }},
 		{"decisions.ndjson",
-			func(p string) error { return WriteDecisions(p, io.Discard, decisions) },
+			func(p string) error { return obsfile.WriteDecisions(p, io.Discard, decisions) },
 			func(w io.Writer) error { return obs.WriteDecisionsNDJSON(w, decisions) }},
 		{"flight.json",
-			func(p string) error { return WriteFlight(p, io.Discard, flight) },
+			func(p string) error { return obsfile.WriteFlight(p, io.Discard, flight) },
 			flight.WriteJSON},
 	} {
 		buffered, direct := filepath.Join(dir, a.name), filepath.Join(dir, "direct-"+a.name)
@@ -112,7 +113,7 @@ func TestWriteReturnsErrors(t *testing.T) {
 	boom := errors.New("boom")
 	path := filepath.Join(t.TempDir(), "out")
 	var logged bytes.Buffer
-	err := Write(path, "artifact", &logged, func(w io.Writer) error {
+	err := obsfile.Write(path, "artifact", &logged, func(w io.Writer) error {
 		io.WriteString(w, "partial")
 		return boom
 	})
@@ -125,7 +126,7 @@ func TestWriteReturnsErrors(t *testing.T) {
 		t.Skip("no /dev/full here")
 	}
 	for _, size := range []int{10, 1 << 20} { // held in the buffer; larger than it
-		err := Write("/dev/full", "artifact", &logged, func(w io.Writer) error {
+		err := obsfile.Write("/dev/full", "artifact", &logged, func(w io.Writer) error {
 			_, err := w.Write(make([]byte, size))
 			return err
 		})
@@ -145,7 +146,7 @@ func TestWriteReplacesOnlyOnSuccess(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.json")
 	put := func(content string) error {
-		return Write(path, "artifact", io.Discard, func(w io.Writer) error {
+		return obsfile.Write(path, "artifact", io.Discard, func(w io.Writer) error {
 			_, err := io.WriteString(w, content)
 			return err
 		})
@@ -168,7 +169,7 @@ func TestWriteReplacesOnlyOnSuccess(t *testing.T) {
 
 	boom := errors.New("boom")
 	for _, size := range []int{7, 1 << 20} { // held in the buffer; flushed past it
-		err := Write(path, "artifact", io.Discard, func(w io.Writer) error {
+		err := obsfile.Write(path, "artifact", io.Discard, func(w io.Writer) error {
 			w.Write(bytes.Repeat([]byte("x"), size))
 			return boom
 		})

@@ -236,7 +236,7 @@ func (b *Build) EvaluateNumeric(seed int64, workers int) (map[int]complex128, er
 			finals = append(finals, fd.ID)
 		}
 	}
-	x, err := numeric.New(b.Workload, numeric.Config{Seed: seed, Workers: workers, Reclaim: true, Pin: finals})
+	x, err := numeric.New(b.Workload, numeric.Config{Seed: seed, Workers: workers, Pin: finals})
 	if err != nil {
 		return nil, fmt.Errorf("redstar: %w", err)
 	}

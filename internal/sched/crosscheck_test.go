@@ -30,14 +30,15 @@ import (
 // additions since the port are the Down filter in step III and the
 // fallback, which fault-free runs never exercise (Down is then empty), and
 // the decision record's cap at obs.MaxCandidates. wideStepIII counts the
-// step-III decisions whose candidate set had 128 devices or more.
+// step-III decisions whose candidate set had 128 devices or more;
+// misclassified counts the in-flight decision records whose reuse pattern
+// (the engine's sched.ClassifyMasks) disagrees with refClassify's.
 type refMICCO struct {
-	bounds             core.Bounds
-	rng                *rand.Rand
-	candi              []int
-	patterns           [4]int64
-	evictionPolicyUses int64
-	wideStepIII        int64
+	bounds        core.Bounds
+	rng           *rand.Rand
+	candi         []int
+	wideStepIII   int64
+	misclassified int64
 }
 
 func newRefMICCO(b core.Bounds) *refMICCO {
@@ -107,7 +108,9 @@ func (s *refMICCO) Assign(p workload.Pair, ctx *sched.Context) int {
 	s.candi = s.candi[:0]
 	h1 := ctx.AppendHolders(nil, p.A.ID)
 	h2 := ctx.AppendHolders(nil, p.B.ID)
-	s.patterns[refClassify(h1, h2)]++
+	if rec := ctx.Decision; rec != nil && rec.Pattern != obs.ReusePattern(refClassify(h1, h2)) {
+		s.misclassified++
+	}
 	limit := func(bound int) int { return s.bounds[bound] + ctx.BalanceNum }
 	boundIdx := -1
 
@@ -186,7 +189,6 @@ func (s *refMICCO) assignFromQueue(p workload.Pair, ctx *sched.Context) int {
 	for _, id := range s.candi {
 		if ctx.WouldOversubscribe(id, p) {
 			evict = true
-			s.evictionPolicyUses++
 			break
 		}
 	}
@@ -250,16 +252,6 @@ func (refLocalityOnly) Assign(p workload.Pair, ctx *sched.Context) int {
 	}
 	return best
 }
-
-// patternCounter lets the test compare reuse-pattern histograms without
-// caring whether the scheduler is the live one or the reference.
-type patternCounter interface {
-	PatternCounts() [4]int64
-}
-
-func (s *refMICCO) PatternCounts() [4]int64 { return s.patterns }
-
-func (s *refMICCO) EvictionPolicyUses() int64 { return s.evictionPolicyUses }
 
 // crossCase pairs a live scheduler with its scan-path reference. Groute
 // and RoundRobin never consulted residency, so their reference is a second
@@ -377,20 +369,13 @@ func TestMaskPathMatchesScanPathReference(t *testing.T) {
 							seed, mem, tc.name, i, ld[i], rd[i])
 						break
 					}
-				}
-				lp, lok := live.(patternCounter)
-				rp, rok := ref.(patternCounter)
-				if lok && rok && lp.PatternCounts() != rp.PatternCounts() {
-					t.Errorf("seed %d mem %d %s: pattern counts %v != reference %v",
-						seed, mem, tc.name, lp.PatternCounts(), rp.PatternCounts())
-				}
-				if lm, ok := live.(*core.Scheduler); ok {
-					rm := ref.(*refMICCO)
-					if lm.EvictionPolicyUses() != rm.EvictionPolicyUses() {
-						t.Errorf("seed %d mem %d %s: eviction-policy uses %d != reference %d",
-							seed, mem, tc.name, lm.EvictionPolicyUses(), rm.EvictionPolicyUses())
+					if ld[i].Policy == "memory-eviction" {
+						evictionRuns++
 					}
-					evictionRuns += lm.EvictionPolicyUses()
+				}
+				if rm, ok := ref.(*refMICCO); ok && rm.misclassified != 0 {
+					t.Errorf("seed %d mem %d %s: %d records' reuse pattern differs from the reference classification",
+						seed, mem, tc.name, rm.misclassified)
 				}
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"micco/internal/gpusim"
+	"micco/internal/obsfile"
 )
 
 // Durable checkpoint encoding.
@@ -35,8 +36,8 @@ import (
 // never trusts the input: a bad magic, length, CRC or payload yields
 // ErrCheckpointCorrupt, a future version yields ErrCheckpointVersion,
 // and the embedded cluster snapshot is structurally validated before it
-// can reach a cluster. Writes are atomic: temp file in the destination
-// directory, fsync, rename, directory fsync.
+// can reach a cluster. Writes are atomic, through obsfile.Write: temp file
+// in the destination directory, fsync, rename, directory fsync.
 
 // checkpointMagic opens every durable checkpoint file.
 var checkpointMagic = [4]byte{'M', 'C', 'C', 'K'}
@@ -206,35 +207,22 @@ func CheckpointPath(dir, workload string) string {
 	return filepath.Join(dir, string(name)+".mcck")
 }
 
-// SaveCheckpointFile atomically persists cp at path: the encoding is
-// written to a temp file in the same directory, fsynced, renamed over
-// path, and the directory is fsynced so the rename itself is durable. On
-// error the destination is untouched (a reader never observes a partial
-// file). Returns the encoded size in bytes.
+// SaveCheckpointFile atomically persists cp at path through obsfile.Write,
+// the writer of every other artifact: the encoding is written to a temp
+// file in the same directory, fsynced, renamed over path, and the
+// directory is fsynced so the rename itself is durable. On error the
+// destination is untouched (a reader never observes a partial file).
+// Returns the encoded size in bytes. A new checkpoint file gets
+// permission bits 0666 less the umask (a rewrite keeps the old file's),
+// and a path that exists and is not a regular file is written in place.
 func SaveCheckpointFile(path string, cp *Checkpoint) (int, error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	var n int
+	err := obsfile.Write(path, "checkpoint", nil, func(w io.Writer) (err error) {
+		n, err = EncodeCheckpoint(w, cp)
+		return err
+	})
 	if err != nil {
 		return 0, err
-	}
-	tmp := f.Name()
-	n, err := EncodeCheckpoint(f, cp)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
 	}
 	return n, nil
 }

@@ -95,12 +95,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointFileAtomicSave: SaveCheckpointFile leaves exactly the
-// final file (no temp litter), and LoadCheckpointFile reads it back.
+// final file (no temp litter) and reports its size, and LoadCheckpointFile
+// reads it back.
 func TestCheckpointFileAtomicSave(t *testing.T) {
 	cp := durableCheckpointT(t)
 	dir := t.TempDir()
 	path := sched.CheckpointPath(dir, cp.Workload())
-	if _, err := sched.SaveCheckpointFile(path, cp); err != nil {
+	n, err := sched.SaveCheckpointFile(path, cp)
+	if err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -109,6 +111,13 @@ func TestCheckpointFileAtomicSave(t *testing.T) {
 	}
 	if len(entries) != 1 || filepath.Join(dir, entries[0].Name()) != path {
 		t.Fatalf("directory not clean after save: %v", entries)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(n) {
+		t.Fatalf("SaveCheckpointFile reported %d bytes; the file holds %d", n, fi.Size())
 	}
 	got, err := sched.LoadCheckpointFile(path)
 	if err != nil {

@@ -244,6 +244,8 @@ func TestClusterLostCheckpointResume(t *testing.T) {
 	}{
 		{"serial", sched.Options{Numeric: true, NumericSeed: 9, Parallelism: 1}},
 		{"parallel", sched.Options{Numeric: true, NumericSeed: 9}},
+		// The deprecated NumericReclaim is ignored: this is "serial" again,
+		// and pins that setting the field still resumes bit for bit.
 		{"reclaim", sched.Options{Numeric: true, NumericSeed: 9, NumericReclaim: true, Parallelism: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

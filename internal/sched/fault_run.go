@@ -42,9 +42,10 @@ type RecoveryStats struct {
 // them.
 //
 // A resumed run re-executes the numeric stream of completed stages from
-// the same seed (numeric state is deterministic and cheap relative to
-// holding every tensor), so Result.NumericFingerprint is bit-identical to
-// an uninterrupted run under any Parallelism or NumericReclaim setting.
+// the same seed (numeric state is deterministic, and the executor keeps
+// only the live working set, so there is no tensor store to snapshot), so
+// Result.NumericFingerprint is bit-identical to an uninterrupted run under
+// any Parallelism setting.
 // Timing of the remaining stages is resumed exactly from the snapshot;
 // placements may differ from the uninterrupted run when the scheduler
 // carries internal state, which never affects the fingerprint.
@@ -204,7 +205,7 @@ func (e *engine) apply(ev fault.Event, si, pi int) error {
 		return e.c.DegradeLink(ev.Factor)
 	case fault.MemShrink:
 		before := e.c.TotalStats()
-		capacity := int64(ev.Factor * float64(e.c.Device(ev.Device).Profile().MemoryBytes))
+		capacity := int64(ev.Factor * float64(e.c.Config().MemoryBytes))
 		if err := e.c.SetMemoryCapacity(ev.Device, capacity); err != nil {
 			return err
 		}

@@ -37,8 +37,7 @@ func largeRoster() map[string]func() sched.Scheduler {
 
 // TestLargeClusterAllSchedulers schedules a workload on 256 devices across
 // 4 nodes under every scheduler family, and checks each run works and its
-// numeric fingerprint is bit-identical across pool widths and
-// reclaiming numeric modes.
+// numeric fingerprint is bit-identical across pool widths.
 func TestLargeClusterAllSchedulers(t *testing.T) {
 	w, err := workload.Generate(workload.Config{
 		Seed: 9, Stages: 3, VectorSize: 24, TensorDim: 6, Batch: 1,
@@ -61,7 +60,6 @@ func TestLargeClusterAllSchedulers(t *testing.T) {
 	}{
 		{"serial", sched.Options{Numeric: true, NumericSeed: 5, Parallelism: 1}},
 		{"parallel", sched.Options{Numeric: true, NumericSeed: 5, Parallelism: 4}},
-		{"reclaim", sched.Options{Numeric: true, NumericSeed: 5, Parallelism: 4, NumericReclaim: true}},
 	}
 	for name, mk := range largeRoster() {
 		t.Run(name, func(t *testing.T) {

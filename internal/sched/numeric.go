@@ -23,7 +23,6 @@ func newNumeric(w *workload.Workload, opts Options) (*numeric.Executor, error) {
 	return numeric.New(w, numeric.Config{
 		Seed:    opts.NumericSeed,
 		Workers: opts.PoolSize(),
-		Reclaim: opts.NumericReclaim,
 		Timed:   opts.Obs != nil,
 	})
 }

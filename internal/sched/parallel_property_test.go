@@ -45,14 +45,14 @@ func propertyWorkload(t *testing.T) *workload.Workload {
 	return w
 }
 
-// TestParallelFusedBitIdentical is the exactness property of fused level
-// execution across pool widths: the numeric
-// fingerprint must be bit-identical to the default-width run at every
-// width, with and without dead-tensor reclamation, and across a mid-run
-// device loss whose recovery re-places already-executed pairs. Run under
-// -race by `make check`, this also validates the pool's happens-before
-// edges (job hand-off to parked workers, two-phase pack/compute hand-over,
-// the reclamation fan-out).
+// TestParallelFusedBitIdentical is the exactness property of level
+// execution across pool widths: the numeric fingerprint must be
+// bit-identical to the default-width run at every width, and across a
+// mid-run device loss whose recovery re-places already-executed pairs.
+// The reclaim axis sets the deprecated, ignored Options.NumericReclaim
+// both ways and pins that it moves nothing. Run under -race by `make
+// check`, this also validates the pool's happens-before edges (job
+// hand-off to parked workers, the reclamation fan-out).
 func TestParallelFusedBitIdentical(t *testing.T) {
 	w := propertyWorkload(t)
 	base := Options{Numeric: true, NumericSeed: 17}
@@ -100,8 +100,8 @@ func TestParallelFusedBitIdentical(t *testing.T) {
 // numeric mode: a fatal cluster loss mid-run leaves a stage-boundary
 // checkpoint; resuming on a fresh cluster replays the completed numeric
 // prefix (stage by stage, exactly as the original run executed it) and
-// must land on the uninterrupted fingerprint at every pool width and
-// reclaim mode.
+// must land on the uninterrupted fingerprint at every pool width, with the
+// deprecated, ignored Options.NumericReclaim set either way.
 func TestParallelFusedResumeReplay(t *testing.T) {
 	w := propertyWorkload(t)
 	base := Options{Numeric: true, NumericSeed: 17}

@@ -212,18 +212,19 @@ type Options struct {
 	DiscardDeadInputs bool
 	// Numeric executes every contraction with real complex128 arithmetic
 	// on the CPU in addition to the timing simulation, enabling numeric
-	// validation. Expensive; use small workloads.
+	// validation. Expensive; use small workloads. Each tensor's storage is
+	// freed after its last reader completes (liveness is exact, derived
+	// from the workload's read counts, mirroring the simulator's
+	// DiscardDeadInputs policy) and recycled into later outputs, so memory
+	// is bounded by the live working set; Result.NumericFingerprint is the
+	// one a store keeping every tensor would give, at any pool size.
 	Numeric bool
 	// NumericSeed seeds the random input data in numeric mode.
 	NumericSeed int64
-	// NumericReclaim frees each numeric tensor's storage after its last
-	// reader completes (liveness is exact, derived from the workload's
-	// read counts, mirroring the simulator's DiscardDeadInputs policy) and
-	// recycles the buffers through an arena feeding tensor.ContractInto,
-	// so steady-state numeric execution is allocation-free and memory is
-	// bounded by the live working set. Result.NumericFingerprint is
-	// bit-identical with reclamation on or off, at any pool size. Off by
-	// default: the store then keeps every tensor resident.
+	// NumericReclaim is ignored: numeric mode always reclaims.
+	//
+	// Deprecated: kept only because the ladder benchmark under bench/ sets
+	// it; the next change to bench/ deletes it.
 	NumericReclaim bool
 	// Obs attaches a metrics registry to the run: the engine emits
 	// per-stage spans and wall-clock phase timings, a DecisionRecord per
@@ -619,7 +620,7 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 		e.ob.reg.RecordDecision(rec)
 	}
 	sctx.AddLoad(dev, 2)
-	sctx.Comp[dev] += float64(flops) / c.Device(dev).Profile().FLOPS
+	sctx.Comp[dev] += float64(flops) / c.Config().FLOPS
 	if e.opts.DiscardDeadInputs {
 		if p.LastUse[0] {
 			e.discard(p.A.ID)

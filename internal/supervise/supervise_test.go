@@ -125,7 +125,7 @@ func TestSupervisorWatchdogRecoversStall(t *testing.T) {
 	want := cleanFingerprint(t, w, 13)
 
 	reg := obs.New()
-	reg.SetFlightRecorder(obs.NewFlightRecorder(obs.FlightConfig{}))
+	reg.SetFlightRecorder(obs.NewFlightRecorder())
 	var armed, stalled atomic.Bool
 	armed.Store(true)
 	newSched := func(ctx context.Context) (sched.Scheduler, error) {

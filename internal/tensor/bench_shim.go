@@ -6,6 +6,10 @@ package tensor
 // change that drops that probe deletes this file with it.
 
 // KernelMode is accepted and ignored by ContractIntoMode.
+//
+// Deprecated: kept only because the ladder benchmark under bench/ names it,
+// like sched.Options.NumericReclaim; the next change to bench/ deletes
+// both.
 type KernelMode int
 
 const (

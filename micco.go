@@ -78,7 +78,9 @@ const (
 type (
 	// Cluster is the simulated multi-GPU node.
 	Cluster = gpusim.Cluster
-	// ClusterConfig describes the simulated hardware.
+	// ClusterConfig describes the simulated hardware: one hardware profile
+	// that every device of the cluster shares, as on the paper's eight
+	// identical MI100s.
 	ClusterConfig = gpusim.Config
 	// Device is one simulated GPU.
 	Device = gpusim.Device
@@ -89,10 +91,6 @@ type (
 	// confined to devices 0-63 live in one inline word and never touch the
 	// heap; wider clusters spill into extra words transparently.
 	DevSet = gpusim.DevSet
-	// DeviceProfile describes one device class of a heterogeneous cluster
-	// (ClusterConfig.Profiles/DeviceClass); zero fields inherit the
-	// cluster-wide defaults.
-	DeviceProfile = gpusim.DeviceProfile
 	// ConfigError reports which ClusterConfig field failed validation and
 	// why; it unwraps to ErrInvalidClusterConfig.
 	ConfigError = gpusim.ConfigError
@@ -420,8 +418,9 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return sched.DecodeCheckpoint(r)
 }
 
-// SaveCheckpointFile atomically persists cp at path (temp write, fsync,
-// rename, directory fsync): a reader never observes a partial file.
+// SaveCheckpointFile atomically persists cp at path through the artifact
+// writer every other file goes through (temp write, fsync, rename,
+// directory fsync): a reader never observes a partial file.
 func SaveCheckpointFile(path string, cp *Checkpoint) (int, error) {
 	return sched.SaveCheckpointFile(path, cp)
 }
@@ -602,16 +601,15 @@ func LoadMetricsSnapshot(r io.Reader) (*MetricsSnapshot, error) {
 }
 
 // Flight-recorder types (DESIGN.md §13). A FlightRecorder attached to a
-// MetricsRegistry retains the last-N simulator events, decision records
-// and completed spans in bounded lock-cheap rings; recording allocates
-// nothing, and with no recorder attached the cost is one atomic load per
-// record. The execution engine dumps the recorder automatically on
-// device-loss recovery and cluster loss.
+// MetricsRegistry retains the last 8192 simulator events in one bounded
+// lock-cheap ring, and its snapshots add the registry's own last 2048
+// decision records and 512 completed spans; recording allocates nothing, and
+// with no recorder attached the cost is one atomic load per event. The
+// execution engine dumps the recorder automatically on device-loss
+// recovery and cluster loss.
 type (
 	// FlightRecorder is the always-on bounded post-mortem buffer.
 	FlightRecorder = obs.FlightRecorder
-	// FlightConfig sizes the recorder's rings (zero = defaults).
-	FlightConfig = obs.FlightConfig
 	// FlightSnapshot is a point-in-time copy of the recorder's tail.
 	FlightSnapshot = obs.FlightSnapshot
 	// FlightEvent is one retained simulator event (kind by name).
@@ -620,7 +618,7 @@ type (
 
 // NewFlightRecorder builds a flight recorder; attach it with
 // MetricsRegistry.SetFlightRecorder.
-func NewFlightRecorder(cfg FlightConfig) *FlightRecorder { return obs.NewFlightRecorder(cfg) }
+func NewFlightRecorder() *FlightRecorder { return obs.NewFlightRecorder() }
 
 // TraceEventsFromFlight converts retained flight-recorder events back to
 // trace events (for WriteChromeTrace or report analyses), dropping any

@@ -112,7 +112,7 @@ func TestFlightRecorderRunsBitIdentical(t *testing.T) {
 	}
 	plain := runOnce(nil)
 	reg := micco.NewMetricsRegistry()
-	reg.SetFlightRecorder(micco.NewFlightRecorder(micco.FlightConfig{}))
+	reg.SetFlightRecorder(micco.NewFlightRecorder())
 	observed := runOnce(reg)
 
 	if plain.NumericFingerprint != observed.NumericFingerprint {
