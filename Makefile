@@ -63,19 +63,20 @@ benchsmoke:
 # and was 20 MB of
 # spill words. The watched MICCO/devs=4096/obs=on row, one registry's
 # worth of decision records at that width, may allocate at most 32 MB per
-# run (14.2 MB recorded; 370 MB when every record listed every eligible
-# device) nor be slower than the same row on the commit before records kept
-# at most 64 candidates (43.2 against 213 ms). The three
-# BenchmarkObservedRun rows are one observed_run ladder job each —
-# unwatched, with a registry, with the registry and the simulator trace.
-# Recorded: off 5.64 ms, obs 8.36 ms, obs+trace 10.5 ms; the baseline rows
-# are the same-session runs of the commit before events were written in
-# place and pointer-free and the decision log was handed out (medians of
-# six, three before and three after the recording): 6.82 / 11.3 / 11.3 ms.
-# obs+trace must not be slower than its baseline (1.0x) nor
-# allocate over 10 MB per job (5.36 MB: decision records plus one
-# exact-size, pointer-free event log; 5.72 MB with a string in every
-# event, 18.2 MB when every run re-grew the log from nothing); off stays
+# run (13.6 MB recorded with 128-byte records, 14.2 MB with 168-byte ones;
+# 370 MB when every record listed every eligible device) nor be slower
+# than the same row on the commit before records kept at most 64
+# candidates (31.9 against 213 ms). The three BenchmarkObservedRun rows
+# are one observed_run ladder job each — unwatched, with a registry, with
+# the registry and the simulator trace. Recorded: off 4.48 ms, obs
+# 6.63 ms, obs+trace 6.89 ms; the baseline rows are the runs of the
+# commit before events were written in place and pointer-free and the
+# decision log was handed out: 6.82 / 11.3 / 11.3 ms. obs+trace must not
+# be slower than its baseline (1.0x) nor allocate over 5 MB per job
+# (4.22 MB: 128-byte decision records plus one exact-size log of
+# pointer-free 48-byte events; 5.36 MB at 168 and 64 bytes, 5.72 MB with
+# a string in every event, 18.2 MB when every run re-grew the log from
+# nothing); off stays
 # within 2x its baseline and under 0.1 MB per job, so
 # the watching path cannot leak cost into a run nobody watches. Kernels: every BenchmarkContraction*
 # entry in BENCH_kernel.json must stay within 2.5x its baseline ns/op
@@ -104,13 +105,15 @@ benchsmoke:
 # baseline ns/op — the baseline being the per-call enumeration and string
 # signatures they replaced — and a warm Expand, which stamps a template it
 # already holds, may allocate at most 8 objects however many graphs it
-# returns. Last, watching is held to the unwatched row of the same
-# recording: BenchmarkObservedRun obs at most 1.35x off and obs+trace at
-# most 1.5x (ROADMAP 4(a)'s bar is 1.25x). These two gates FAIL on the
-# recording above (1.48x and 1.87x; 1.65x and 1.65x for the baseline
-# medians); interleaved job by job, p10 of 60 rounds, the ratios are
-# 1.37-1.41x and 1.45-1.49x (the commit before: 1.52-1.67x, 1.62-1.66x).
-# They run after every other gate so that those are still checked.
+# returns. Last, watching is held to the unwatched job:
+# BenchmarkObservedRun/interleaved runs the three jobs round-robin in one
+# process and reports the ratios of their p10 job times, which
+# -guard-max-metric holds to obs/off-p10 <= 1.35 and obs+trace/off-p10
+# <= 1.5 (ROADMAP 4(a)'s bar is 1.25x, not reached). Recorded: 1.336 and
+# 1.408. Separate rows drift apart by up to 30% on a shared machine, so
+# their ns/op ratio says little; side by side, one run's ratio moves by
+# about 0.03, so the obs gate sits close to what is measured. These gates
+# run after every other gate so that those are still checked.
 # Re-run `make bench` to refresh the recordings before the guard.
 benchguard:
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 2.0
@@ -119,7 +122,7 @@ benchguard:
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 1.0 \
 		-guard-prefix BenchmarkRunScheduleOnly/Hier/devs=4096 -guard-max-allocs -1 -guard-max-bytes 1e6
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 1.0 \
-		-guard-prefix BenchmarkObservedRun/obs+trace -guard-max-allocs -1 -guard-max-bytes 10e6
+		-guard-prefix BenchmarkObservedRun/obs+trace -guard-max-allocs -1 -guard-max-bytes 5e6
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 2.0 \
 		-guard-prefix BenchmarkObservedRun/off -guard-max-allocs -1 -guard-max-bytes 0.1e6
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 1.0 \
@@ -140,10 +143,10 @@ benchguard:
 		-guard-prefix Benchmark -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_frontend.json -guard-tol 2.0 \
 		-guard-prefix BenchmarkExpand/warm -guard-max-allocs 8
-	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 1.35 \
-		-guard-prefix 'BenchmarkObservedRun/obs$$' -guard-ratio-to BenchmarkObservedRun/off -guard-max-allocs -1
-	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 1.5 \
-		-guard-prefix BenchmarkObservedRun/obs+trace -guard-ratio-to BenchmarkObservedRun/off -guard-max-allocs -1
+	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-prefix 'BenchmarkObservedRun/interleaved$$' \
+		-guard-max-metric obs/off-p10=1.35 -guard-max-allocs -1
+	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-prefix 'BenchmarkObservedRun/interleaved$$' \
+		-guard-max-metric obs+trace/off-p10=1.5 -guard-max-allocs -1
 
 # soak runs the chaos harness: seeded random fault plans × random
 # kill-points (process death simulated by dropping all in-memory state and
@@ -167,7 +170,9 @@ soak:
 # the commit before ContractBatch became one run of a pipeline — then the
 # scheduler-overhead suite — per-placement cost, schedule-only runs with
 # obs on/off and at the ladder's 4096 devices, the ladder's observed_run
-# job unwatched, with a registry and with registry plus trace, and whole
+# job unwatched, with a registry and with registry plus trace — as three
+# rows, and once more interleaved round by round in one process for 60
+# rounds, which is what the watching ratios are read from — and whole
 # numeric runs at pool widths 1, 2 and 8 — as BENCH_sched.json with the
 # pre-change baseline numbers merged in for comparison (the numeric runs'
 # from the commit that still had the coordinator goroutine), then the
@@ -182,7 +187,8 @@ soak:
 bench:
 	$(GO) test -run '^$$' -bench 'Contraction|NumericRun' -benchmem . \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_kernel_baseline.json -o BENCH_kernel.json
-	$(GO) test -run '^$$' -bench 'SchedulerAssign|RunScheduleOnly|NumericPipeline|ObservedRun' -benchmem ./internal/sched \
+	{ $(GO) test -run '^$$' -bench 'SchedulerAssign|RunScheduleOnly|NumericPipeline|ObservedRun' -skip 'ObservedRun/interleaved' -benchmem ./internal/sched; \
+	  $(GO) test -run '^$$' -bench 'ObservedRun/interleaved' -benchtime 60x ./internal/sched; } \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_sched_baseline.json -o BENCH_sched.json
 	$(GO) test -run '^$$' -bench 'CriticalPath|ReportRenderJSON|WriteChromeTrace' -benchmem ./internal/report \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_report_baseline.json -o BENCH_report.json

@@ -18,13 +18,13 @@
 // regressed — any entry matching -guard-prefix (observability-on "/obs"
 // variants excepted) reporting allocs/op above -guard-max-allocs, B/op
 // above -guard-max-bytes, or ns/op beyond -guard-tol times its
-// "_baseline/" entry in the same document — or, with -guard-ratio-to NAME,
-// beyond -guard-tol times the entry NAME of the same recording, which is
-// how a cost one benchmark adds to another is held to a ratio:
+// "_baseline/" entry in the same document — or, with -guard-max-metric
+// UNIT=MAX, reporting no UNIT metric or one above MAX, which is how a ratio
+// a benchmark measures itself (b.ReportMetric) is held to a bound:
 //
 //	benchjson -guard BENCH_sched.json -guard-tol 2.0
-//	benchjson -guard BENCH_sched.json -guard-prefix BenchmarkObservedRun/obs+trace \
-//	    -guard-ratio-to BenchmarkObservedRun/off -guard-tol 1.5 -guard-max-allocs -1
+//	benchjson -guard BENCH_sched.json -guard-prefix 'BenchmarkObservedRun/interleaved$' \
+//	    -guard-max-metric obs/off-p10=1.35 -guard-max-allocs -1
 //	benchjson -guard BENCH_kernel.json -guard-prefix BenchmarkContraction \
 //	    -guard-max-allocs -1 -guard-tol 2.5
 //	benchjson -guard BENCH_kernel.json -guard-prefix BenchmarkNumericRun \
@@ -67,11 +67,11 @@ func main() {
 	guardPre := flag.String("guard-prefix", defaultGuardPrefix, "with -guard, the benchmark name prefix selecting the guarded entries (ending in $: the one entry of exactly that name)")
 	guardAllocs := flag.Float64("guard-max-allocs", 0, "with -guard, the allowed allocs/op per guarded entry (negative disables the allocation check)")
 	guardBytes := flag.Float64("guard-max-bytes", -1, "with -guard, the allowed B/op per guarded entry (negative disables the check)")
-	guardRatio := flag.String("guard-ratio-to", "", "with -guard, hold each guarded entry's ns/op to -guard-tol times this entry's of the same document instead of its _baseline")
+	guardMetric := flag.String("guard-max-metric", "", "with -guard, UNIT=MAX: each guarded entry must report the custom metric UNIT at or below MAX (checked instead of ns/op against _baseline)")
 	flag.Parse()
 
 	if *guard != "" {
-		if err := runGuard(os.Stderr, *guard, *guardTol, *guardPre, *guardAllocs, *guardBytes, *guardRatio); err != nil {
+		if err := runGuard(os.Stderr, *guard, *guardTol, *guardPre, *guardAllocs, *guardBytes, *guardMetric); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
@@ -90,14 +90,14 @@ const defaultGuardPrefix = "BenchmarkSchedulerAssign"
 // runGuard checks the recorded benchmarks matching prefix in the document
 // at path: at most maxAllocs allocations and maxBytes bytes per op (a
 // negative bound disables its check), and ns/op within tol times the
-// document's own "_baseline/" entry — or, when ratioTo names another entry
-// of the document, within tol times that entry's. Observability-on variants (names
+// document's own "_baseline/" entry — or, when maxMetric is "UNIT=MAX", a
+// reported UNIT metric of at most MAX instead. Observability-on variants (names
 // containing "/obs" past the prefix) are exempt — a live DecisionRecord
 // legitimately allocates — unless the prefix itself names them, which is
 // how a watched run is gated on purpose. Entries without a baseline are
 // noted on w and skipped; zero checkable entries is itself an error (the
 // guard would be vacuous).
-func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs, maxBytes float64, ratioTo string) error {
+func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs, maxBytes float64, maxMetric string) error {
 	doc, err := loadBaseline(path) // same shape; baseline-prefix pruning is harmless here
 	if err != nil {
 		return err
@@ -116,10 +116,16 @@ func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs, m
 	if prefix == "" {
 		return fmt.Errorf("guard prefix must be non-empty")
 	}
-	var ref map[string]float64
-	if ratioTo != "" {
-		if ref = doc[ratioTo]; ref["ns/op"] <= 0 {
-			return fmt.Errorf("%s holds no %s entry with an ns/op to hold the guarded entries to", path, ratioTo)
+	var unit string
+	var unitMax float64
+	if maxMetric != "" {
+		i := strings.LastIndexByte(maxMetric, '=')
+		if i > 0 {
+			unit = maxMetric[:i]
+			unitMax, err = strconv.ParseFloat(maxMetric[i+1:], 64)
+		}
+		if i <= 0 || err != nil {
+			return fmt.Errorf("guard metric bound %q is not UNIT=MAX", maxMetric)
 		}
 	}
 	// A prefix ending in "$" names one entry exactly: "…/obs$" guards the
@@ -142,9 +148,11 @@ func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs, m
 		if b := m["B/op"]; maxBytes >= 0 && b > maxBytes {
 			failures = append(failures, fmt.Sprintf("%s: %g B/op, want <= %g", name, b, maxBytes))
 		}
-		if ref != nil {
-			if m["ns/op"] > tol*ref["ns/op"] {
-				failures = append(failures, fmt.Sprintf("%s: %g ns/op exceeds %gx %s's %g", name, m["ns/op"], tol, ratioTo, ref["ns/op"]))
+		if unit != "" {
+			if v, ok := m[unit]; !ok {
+				failures = append(failures, fmt.Sprintf("%s: reports no %s", name, unit))
+			} else if v > unitMax {
+				failures = append(failures, fmt.Sprintf("%s: %g %s, want <= %g", name, v, unit, unitMax))
 			}
 			continue
 		}

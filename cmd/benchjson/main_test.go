@@ -260,38 +260,40 @@ func TestGuardPrefixNamingObsVariant(t *testing.T) {
 	}
 }
 
-// TestGuardRatioTo: -guard-ratio-to holds each guarded entry's ns/op to
-// -guard-tol times another entry of the same recording instead of its
-// baseline, and names that entry when it fails; an absent reference entry
-// is an error, not a vacuous pass.
-func TestGuardRatioTo(t *testing.T) {
+// TestGuardMaxMetric: -guard-max-metric holds a custom metric each guarded
+// entry reports to a maximum instead of checking ns/op against a baseline,
+// names the metric when it fails, and fails an entry that does not report
+// it; a prefix ending in $ guards one entry alone.
+func TestGuardMaxMetric(t *testing.T) {
 	path := writeGuardDoc(t, `{
-  "BenchmarkObservedRun/off": {"ns/op": 10e6, "B/op": 5e4},
-  "BenchmarkObservedRun/obs": {"ns/op": 13e6, "B/op": 5e6},
-  "BenchmarkObservedRun/obs+trace": {"ns/op": 14.5e6, "B/op": 5.3e6},
-  "_baseline/BenchmarkObservedRun/obs+trace": {"ns/op": 1e6}
+  "BenchmarkObservedRun/interleaved": {"ns/op": 25e6, "obs/off-p10": 1.3, "obs+trace/off-p10": 1.55},
+  "BenchmarkObservedRun/interleaved-other": {"ns/op": 25e6},
+  "_baseline/BenchmarkObservedRun/interleaved": {"ns/op": 1e6}
 }`)
+	const row = "BenchmarkObservedRun/interleaved$"
 	var w strings.Builder
-	if err := runGuard(&w, path, 1.5, "BenchmarkObservedRun/obs+trace", -1, 10e6, "BenchmarkObservedRun/off"); err != nil {
-		t.Fatalf("1.45x of off failed a 1.5x ratio guard (the 14.5x baseline must not count): %v\n%s", err, w.String())
+	if err := runGuard(&w, path, 1.0, row, -1, -1, "obs/off-p10=1.35"); err != nil {
+		t.Fatalf("1.3 failed a 1.35 bound (the 25x baseline must not count): %v\n%s", err, w.String())
 	}
-	w.Reset()
-	if err := runGuard(&w, path, 1.35, "BenchmarkObservedRun/obs", -1, -1, "BenchmarkObservedRun/off"); err == nil {
-		t.Fatal("obs+trace at 1.45x of off passed a 1.35x ratio guard")
-	}
-	if !strings.Contains(w.String(), "BenchmarkObservedRun/off's") || strings.Contains(w.String(), "BenchmarkObservedRun/obs: ") {
-		t.Errorf("failure output = %q, want obs+trace alone, held to off", w.String())
-	}
-	// A prefix ending in $ guards the obs row alone.
-	w.Reset()
-	if err := runGuard(&w, path, 1.35, "BenchmarkObservedRun/obs$", -1, -1, "BenchmarkObservedRun/off"); err != nil {
-		t.Fatalf("obs at 1.3x of off failed a 1.35x guard of that row alone: %v\n%s", err, w.String())
-	}
-	if !strings.Contains(w.String(), "1 BenchmarkObservedRun/obs entries") {
+	if !strings.Contains(w.String(), "1 BenchmarkObservedRun/interleaved entries") {
 		t.Errorf("guard summary = %q, want 1 entry checked", w.String())
 	}
-	if err := runGuard(io.Discard, path, 1.5, "BenchmarkObservedRun/obs", -1, -1, "BenchmarkObservedRun/none"); err == nil {
-		t.Error("a missing reference entry passed the guard")
+	w.Reset()
+	if err := runGuard(&w, path, 1.0, row, -1, -1, "obs+trace/off-p10=1.5"); err == nil {
+		t.Fatal("1.55 passed a 1.5 bound")
+	}
+	if !strings.Contains(w.String(), "1.55 obs+trace/off-p10, want <= 1.5") {
+		t.Errorf("failure output = %q, want the metric and its bound", w.String())
+	}
+	w.Reset()
+	if err := runGuard(&w, path, 1.0, "BenchmarkObservedRun/interleaved", -1, -1, "obs/off-p10=1.35"); err == nil ||
+		!strings.Contains(w.String(), "interleaved-other: reports no obs/off-p10") {
+		t.Errorf("an entry without the metric: %v, %q; want it to fail", err, w.String())
+	}
+	for _, bad := range []string{"obs/off-p10", "=1.35", "obs/off-p10=x"} {
+		if err := runGuard(io.Discard, path, 1.0, row, -1, -1, bad); err == nil {
+			t.Errorf("malformed bound %q passed", bad)
+		}
 	}
 }
 

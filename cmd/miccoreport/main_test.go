@@ -92,8 +92,8 @@ func TestDriftMode(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "d.ndjson")
 	recs := []micco.DecisionRecord{
-		{Stage: 0, Device: 1, Policy: "compute-centric", PredictedBytes: 100, ActualBytes: 150},
-		{Stage: 0, Device: 0, Policy: "memory-centric", PredictedBytes: 200, ActualBytes: 200},
+		{Stage: 0, Device: 1, Policy: micco.PolicyComputeCentric, PredictedBytes: 100, ActualBytes: 150},
+		{Stage: 0, Device: 0, Policy: micco.PolicyMemoryEviction, PredictedBytes: 200, ActualBytes: 200},
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -112,7 +112,7 @@ func TestDriftMode(t *testing.T) {
 	if !strings.Contains(out, "prediction drift") {
 		t.Errorf("drift report missing header:\n%s", out)
 	}
-	if !strings.Contains(out, "compute-centric") || !strings.Contains(out, "memory-centric") {
+	if !strings.Contains(out, "compute-centric") || !strings.Contains(out, "memory-eviction") {
 		t.Errorf("drift report missing policies:\n%s", out)
 	}
 	if strings.Contains(out, "critical path") {

@@ -150,7 +150,7 @@ func TestRunWritesMetricsAndDecisions(t *testing.T) {
 	if err := json.Unmarshal(lines[0], &rec); err != nil {
 		t.Fatalf("decision line not valid JSON: %v", err)
 	}
-	if rec.Policy == "" {
+	if rec.Policy == 0 {
 		t.Error("decision record has no policy")
 	}
 }

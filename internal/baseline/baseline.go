@@ -47,7 +47,7 @@ func (*Groute) Assign(_ workload.Pair, ctx *sched.Context) int {
 		best = 0 // no live device: unreachable, the engine errors first
 	}
 	if rec := ctx.Decision; rec != nil {
-		rec.Policy = "earliest-device"
+		rec.Policy = obs.PolicyEarliestDevice
 		for i := 0; i < ctx.NumGPU && len(rec.Candidates) < obs.MaxCandidates; i++ {
 			if ctx.Down.Has(i) {
 				continue
@@ -83,7 +83,7 @@ func (r *RoundRobin) Assign(_ workload.Pair, ctx *sched.Context) int {
 	}
 	r.next++
 	if rec := ctx.Decision; rec != nil {
-		rec.Policy = "round-robin"
+		rec.Policy = obs.PolicyRoundRobin
 		rec.Candidates = append(rec.Candidates, obs.CandidateScore{Device: d})
 	}
 	return d
@@ -138,7 +138,7 @@ func (*LocalityOnly) Assign(p workload.Pair, ctx *sched.Context) int {
 		}
 	}
 	if rec := ctx.Decision; rec != nil {
-		rec.Policy = "locality-only"
+		rec.Policy = obs.PolicyLocalityOnly
 	}
 	return best
 }

@@ -180,9 +180,9 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 // defensive fallback) into the in-flight decision record, if there is one.
 func (s *Scheduler) recordBound(ctx *sched.Context, boundIdx int) {
 	if rec := ctx.Decision; rec != nil {
-		rec.BoundIndex = boundIdx
+		rec.BoundIndex = int32(boundIdx)
 		if boundIdx >= 0 {
-			rec.Bound = s.bounds[boundIdx]
+			rec.Bound = int32(s.bounds[boundIdx])
 		}
 	}
 }
@@ -213,9 +213,9 @@ func (s *Scheduler) assignFromIndex(p workload.Pair, ctx *sched.Context, ix *sch
 			}
 		}
 	}
-	order, policy := sched.ByCompute, "compute-centric"
+	order, policy := sched.ByCompute, obs.PolicyComputeCentric
 	if ix.Oversubscribes(need) {
-		order, policy = sched.ByMemory, "memory-eviction"
+		order, policy = sched.ByMemory, obs.PolicyMemoryEviction
 	}
 	if rec := ctx.Decision; rec != nil {
 		// The one place step III enumerates its candidates: the decision
@@ -263,9 +263,9 @@ func (s *Scheduler) assignFromQueue(p workload.Pair, ctx *sched.Context, ma, mb 
 	}
 	if rec := ctx.Decision; rec != nil {
 		if evict {
-			rec.Policy = "memory-eviction"
+			rec.Policy = obs.PolicyMemoryEviction
 		} else {
-			rec.Policy = "compute-centric"
+			rec.Policy = obs.PolicyComputeCentric
 		}
 		for _, id := range s.candi {
 			rec.Candidates = append(rec.Candidates, obs.CandidateScore{Device: id, Score: primary(id)})

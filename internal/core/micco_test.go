@@ -399,7 +399,7 @@ func TestPatternCountsAndEvictionPolicyStats(t *testing.T) {
 		}
 		for _, r := range reg.Decisions() {
 			patterns[r.Pattern]++
-			if r.Policy == "memory-eviction" {
+			if r.Policy == obs.PolicyMemoryEviction {
 				evictionPolicy++
 			}
 		}
@@ -456,7 +456,7 @@ func TestAssignFillsDecisionRecord(t *testing.T) {
 	if rec.BoundIndex != 0 || rec.Bound != 3 {
 		t.Errorf("bound attribution = (%d, %d), want (0, 3)", rec.BoundIndex, rec.Bound)
 	}
-	if rec.Policy != "compute-centric" {
+	if rec.Policy != obs.PolicyComputeCentric {
 		t.Errorf("policy = %q, want compute-centric", rec.Policy)
 	}
 	if len(rec.Candidates) != 1 || rec.Candidates[0].Device != 0 {

@@ -35,8 +35,8 @@ func (c *Cluster) FailDevice(dev int) error {
 func (c *Cluster) traceFault(dev int, code FaultCode, arg uint64) {
 	if c.observing() {
 		t := c.Makespan()
-		e := c.put(EventFault, dev, 0, t, t, 0, 0)
-		e.Fault, e.Arg = code, arg
+		e := c.put(EventFault, dev, 0, t, t, int64(arg), 0)
+		e.Fault = code
 		if c.sink != nil {
 			c.sink.observe(e)
 		}

@@ -146,7 +146,9 @@ func (c *Cluster) FlushObserver() {
 func (s *obsSink) observe(e *Event) {
 	k, d := &s.kinds[e.Kind], e.End-e.Start
 	k.count.v++
-	k.bytes.v += float64(e.Bytes)
+	if e.Fault == FaultNone { // a fault's Bytes is its argument
+		k.bytes.v += float64(e.Bytes)
+	}
 	k.busy.v += d
 	if d != k.lastDur {
 		k.lastDur, k.lastBucket = d, k.dur.Bucket(d)

@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -55,19 +56,23 @@ func TestDeviceMaskOps(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsOversizedCluster checks the device cap, and with it
+// that no accepted count overflows the int32 an Event stores a device in.
 func TestConfigRejectsOversizedCluster(t *testing.T) {
-	cfg := MI100(MaxDevices + 1)
-	err := cfg.Validate()
-	if err == nil {
-		t.Fatalf("Validate accepted %d devices; the simulator caps at %d",
-			MaxDevices+1, MaxDevices)
-	}
-	if !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("oversize error = %v, want ErrInvalidConfig", err)
-	}
-	var ce *ConfigError
-	if !errors.As(err, &ce) || ce.Field != "NumDevices" {
-		t.Errorf("oversize error = %#v, want *ConfigError{Field: NumDevices}", err)
+	for _, n := range []int{MaxDevices + 1, math.MaxInt32, math.MaxInt32 + 1, math.MaxInt} {
+		cfg := MI100(8)
+		cfg.NumDevices = n
+		err := cfg.Validate()
+		if err == nil {
+			t.Fatalf("Validate accepted %d devices; the simulator caps at %d", n, MaxDevices)
+		}
+		if !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%d devices: error = %v, want ErrInvalidConfig", n, err)
+		}
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != "NumDevices" {
+			t.Errorf("%d devices: error = %#v, want *ConfigError{Field: NumDevices}", n, err)
+		}
 	}
 	// The cap itself is legal.
 	if err := MI100(MaxDevices).Validate(); err != nil {

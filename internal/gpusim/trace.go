@@ -13,7 +13,7 @@ import (
 )
 
 // EventKind classifies a traced simulator event. One byte wide: with the
-// fault code beside it, an Event is eight words.
+// fault code beside it and an int32 device, an Event is six words.
 type EventKind uint8
 
 const (
@@ -35,7 +35,7 @@ const (
 	EventInter
 	// EventFault is an injected fault (device loss/restore, link
 	// degradation, capacity shrink, transient-failure arming). Zero
-	// duration; Fault and Arg say which, Note renders them. Device -1 marks
+	// duration; Fault and its argument say which, Note renders them. Device -1 marks
 	// cluster-wide faults.
 	EventFault
 )
@@ -50,14 +50,14 @@ const (
 	FaultDeviceLoss
 	// FaultDeviceRestore is RestoreDevice: "device-restore".
 	FaultDeviceRestore
-	// FaultLinkDegrade is DegradeLink; Arg holds the factor's
+	// FaultLinkDegrade is DegradeLink; the argument is the factor's
 	// math.Float64bits: "link-degrade x0.25".
 	FaultLinkDegrade
-	// FaultMemCapacity is SetMemoryCapacity; Arg holds the capacity in
-	// bytes: "mem-capacity 524288".
+	// FaultMemCapacity is SetMemoryCapacity; the argument is the capacity
+	// in bytes: "mem-capacity 524288".
 	FaultMemCapacity
-	// FaultTransientTransfer is InjectTransientFailures; Arg holds the
-	// failure count: "transient-transfer x3".
+	// FaultTransientTransfer is InjectTransientFailures; the argument is
+	// the failure count: "transient-transfer x3".
 	FaultTransientTransfer
 )
 
@@ -92,24 +92,38 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one traced simulator operation on a device timeline. It holds
-// no pointer — a fault's description is a code and one argument, rendered
-// by Note — so a trace log is memory the garbage collector never scans.
+// Event is one traced simulator operation on a device timeline: 48 bytes
+// that hold no pointer — a fault's description is a code and one argument,
+// rendered by Note — so a trace log is memory the garbage collector never
+// scans.
 type Event struct {
 	Kind EventKind
 	// Fault is the injected fault of an EventFault (FaultNone on every
-	// other event) and Arg its one argument; see the FaultCode constants.
-	Fault  FaultCode
-	Device int
+	// other event); see the FaultCode constants for its argument.
+	Fault FaultCode
+	// Device is the device's index; Config.Validate caps the count well
+	// inside an int32.
+	Device int32
 	// Tensor is the subject tensor: the moved tensor for transfers and
 	// evictions, the output tensor for kernels.
 	Tensor uint64
 	// Start and End are simulated seconds.
 	Start, End float64
-	// Bytes is the payload for transfers/evictions; FLOPs for kernels.
+	// Bytes is the payload for transfers/evictions. A fault moves nothing,
+	// so an event with a fault code keeps the fault's argument here instead,
+	// its bits reinterpreted; read it through faultArg.
 	Bytes int64
+	// FLOPs is the work of a kernel.
 	FLOPs int64
-	Arg   uint64
+}
+
+// faultArg is the argument of the event's fault code, kept in its Bytes
+// field; 0 when the event records no fault.
+func (e *Event) faultArg() uint64 {
+	if e.Fault == FaultNone {
+		return 0
+	}
+	return uint64(e.Bytes)
 }
 
 // Duration returns the event length in seconds.
@@ -117,7 +131,7 @@ func (e Event) Duration() float64 { return e.End - e.Start }
 
 // Note describes a fault event ("device-loss", "link-degrade x0.25", ...);
 // empty for ordinary simulator events.
-func (e Event) Note() string { return string(appendNote(nil, e.Fault, e.Arg)) }
+func (e Event) Note() string { return string(appendNote(nil, e.Fault, e.faultArg())) }
 
 // appendNote appends the note of fault code with argument arg, as fmt's %g
 // and %d wrote it when the note was a string: strconv's shortest 'g' form is
@@ -168,18 +182,22 @@ func parseNote(s string) (FaultCode, uint64, bool) {
 // Flight converts the event to the obs layer's flight-recorder mirror
 // type (obs sits below gpusim, so the conversion lives here). The struct
 // is built on the caller's stack — recording an ordinary event allocates
-// nothing; a fault's note is rendered here.
+// nothing; a fault's note is rendered here, and its Bytes is 0: the
+// argument is in the note.
 func (e Event) Flight() obs.FlightEvent {
-	return obs.FlightEvent{
+	fe := obs.FlightEvent{
 		Kind:   e.Kind.String(),
-		Device: e.Device,
+		Device: int(e.Device),
 		Tensor: e.Tensor,
 		Start:  e.Start,
 		End:    e.End,
 		Bytes:  e.Bytes,
 		FLOPs:  e.FLOPs,
-		Note:   e.Note(),
 	}
+	if e.Fault != FaultNone {
+		fe.Bytes, fe.Note = 0, e.Note()
+	}
+	return fe
 }
 
 // ParseEventKind resolves an event-kind name produced by EventKind.String.
@@ -194,22 +212,25 @@ func ParseEventKind(s string) (EventKind, bool) {
 
 // EventFromFlight converts a flight-recorder event back to a simulator
 // event, parsing a fault's note back into its code and argument. Events
-// with an unknown kind name, or a note Event.Note does not write, report
-// ok=false.
+// with an unknown kind name, a note Event.Note does not write, or a device
+// outside an int32 report ok=false.
 func EventFromFlight(fe obs.FlightEvent) (Event, bool) {
 	k, kindOK := ParseEventKind(fe.Kind)
 	code, arg, noteOK := parseNote(fe.Note)
-	return Event{
+	e := Event{
 		Kind:   k,
 		Fault:  code,
-		Device: fe.Device,
+		Device: int32(fe.Device),
 		Tensor: fe.Tensor,
 		Start:  fe.Start,
 		End:    fe.End,
 		Bytes:  fe.Bytes,
 		FLOPs:  fe.FLOPs,
-		Arg:    arg,
-	}, kindOK && noteOK
+	}
+	if code != FaultNone {
+		e.Bytes = int64(arg)
+	}
+	return e, kindOK && noteOK && int(e.Device) == fe.Device
 }
 
 // EventsFromFlight converts a flight-recorder snapshot's events back to
@@ -287,8 +308,8 @@ func (c *Cluster) put(kind EventKind, dev int, tensor uint64, start, end float64
 		}
 		e = &c.traceEvents[n]
 	}
-	e.Kind, e.Fault, e.Device, e.Tensor = kind, FaultNone, dev, tensor
-	e.Start, e.End, e.Bytes, e.FLOPs, e.Arg = start, end, bytes, flops, 0
+	e.Kind, e.Fault, e.Device, e.Tensor = kind, FaultNone, int32(dev), tensor
+	e.Start, e.End, e.Bytes, e.FLOPs = start, end, bytes, flops
 	return e
 }
 
@@ -333,7 +354,7 @@ func writeChromeTrace(w io.Writer, events []Event, decisions []obs.DecisionRecor
 		if e.Kind == EventFault {
 			// Faults render as process-scoped instants so Perfetto pins
 			// them to the moment of injection rather than a duration bar.
-			name = appendNote(append(name[:0], "fault "...), e.Fault, e.Arg)
+			name = appendNote(append(name[:0], "fault "...), e.Fault, e.faultArg())
 			buf = appendQuoted(append(buf[:0], `  {"name":`...), string(name))
 			buf = appendFixed3(append(buf, `,"ph":"i","ts":`...), e.Start*1e6)
 			buf = num(buf, `,"pid":`, int64(max(e.Device, 0)))
@@ -369,11 +390,11 @@ func writeChromeTrace(w io.Writer, events []Event, decisions []obs.DecisionRecor
 		buf = appendQuoted(append(buf, `,"pattern":`...), d.Pattern.String())
 		buf = num(buf, `,"bound_index":`, int64(d.BoundIndex))
 		buf = num(buf, `,"bound":`, int64(d.Bound))
-		buf = appendQuoted(append(buf, `,"policy":`...), d.Policy)
+		buf = appendQuoted(append(buf, `,"policy":`...), d.Policy.String())
 		buf = num(buf, `,"candidates":`, int64(len(d.Candidates)))
 		buf = num(buf, `,"predicted_bytes":`, d.PredictedBytes)
 		buf = num(buf, `,"actual_bytes":`, d.ActualBytes)
-		buf = num(buf, `,"evictions":`, d.Evictions)
+		buf = num(buf, `,"evictions":`, int64(d.Evictions))
 		buf = append(buf, "}}"...)
 		if err := emit(len(events) + i); err != nil {
 			return err
@@ -453,11 +474,11 @@ func TraceSummary(w io.Writer, events []Event) error {
 			// Zero-duration annotations, not device busy time.
 			continue
 		}
-		k := key{e.Device, e.Kind}
+		k := key{int(e.Device), e.Kind}
 		busy[k] += e.Duration()
 		count[k]++
-		devBusy[e.Device] += e.Duration()
-		devs[e.Device] = true
+		devBusy[k.dev] += e.Duration()
+		devs[k.dev] = true
 		if e.End > makespan {
 			makespan = e.End
 		}

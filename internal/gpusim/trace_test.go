@@ -210,7 +210,7 @@ func TestWriteChromeTraceMerged(t *testing.T) {
 	}
 	decisions := []obs.DecisionRecord{{
 		Stage: 0, Pair: 3, Out: 2, Device: 1, Pattern: obs.OneRepeated,
-		BoundIndex: 1, Bound: 2, Policy: "compute-centric",
+		BoundIndex: 1, Bound: 2, Policy: obs.PolicyComputeCentric,
 		Candidates:     []obs.CandidateScore{{Device: 1, Score: 0.001}},
 		PredictedBytes: 100, ActualBytes: 100, SimTime: 0.001,
 	}}
@@ -378,34 +378,58 @@ func TestTraceBufferOwnership(t *testing.T) {
 	}
 }
 
-// TestEventIsPointerFree pins the layout the trace log relies on: no field
-// of an Event, at any depth, is something the garbage collector has to
-// follow, and the whole event is at most eight words.
-func TestEventIsPointerFree(t *testing.T) {
-	var walk func(path string, typ reflect.Type)
-	walk = func(path string, typ reflect.Type) {
+// TestRecordLayout pins the two records a watched run stores one of per
+// event and per placement: an Event is 48 bytes and no field of it, at any
+// depth, is something the garbage collector has to follow; a DecisionRecord
+// is 128 bytes and Candidates is its one pointer-bearing field. A field
+// added later fails here instead of silently regrowing either store.
+func TestRecordLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size != 48 {
+		t.Errorf("an Event is %d bytes, want 48", size)
+	}
+	if size := unsafe.Sizeof(obs.DecisionRecord{}); size != 128 {
+		t.Errorf("a DecisionRecord is %d bytes, want 128", size)
+	}
+	var hasPointer func(typ reflect.Type) bool
+	hasPointer = func(typ reflect.Type) bool {
 		switch typ.Kind() {
 		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
 			reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
-			t.Errorf("%s is a %s: the trace log would hold pointers", path, typ.Kind())
+			return true
 		case reflect.Array:
-			walk(path+"[]", typ.Elem())
+			return typ.Len() > 0 && hasPointer(typ.Elem())
 		case reflect.Struct:
 			for i := 0; i < typ.NumField(); i++ {
-				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+				if hasPointer(typ.Field(i).Type) {
+					return true
+				}
 			}
 		}
+		return false
 	}
-	walk("Event", reflect.TypeOf(Event{}))
-	if size := unsafe.Sizeof(Event{}); size > 64 {
-		t.Errorf("an Event is %d bytes, want at most 64", size)
+	pointerFields := func(typ reflect.Type) []string {
+		var names []string
+		for i := 0; i < typ.NumField(); i++ {
+			if hasPointer(typ.Field(i).Type) {
+				names = append(names, typ.Field(i).Name)
+			}
+		}
+		return names
+	}
+	if got := pointerFields(reflect.TypeOf(Event{})); len(got) != 0 {
+		t.Errorf("Event fields %v hold pointers: the trace log would be scanned", got)
+	}
+	if got := pointerFields(reflect.TypeOf(obs.DecisionRecord{})); !slices.Equal(got, []string{"Candidates"}) {
+		t.Errorf("DecisionRecord fields %v hold pointers, want only [Candidates]", got)
 	}
 }
 
 // TestFaultNotes holds Note to the fmt formats traceFault wrote when the
 // note was a string, for faults injected through the cluster's own API and
-// for arguments at the ends of their types, and EventFromFlight to parsing
-// each back into the same event. Only the canonical spelling parses.
+// for arguments at the ends of their types, and carries every fault code's
+// argument, kept in Bytes, through the Chrome trace (against the fmt
+// writer) and a flight round trip bit for bit — NaN factors, which print
+// as "NaN", excepted. Only the canonical spelling parses.
 func TestFaultNotes(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	type tc struct {
@@ -418,15 +442,15 @@ func TestFaultNotes(t *testing.T) {
 		cases = append(cases, tc{inject: func(c *Cluster) error { return c.DegradeLink(f) }, want: fmt.Sprintf("link-degrade x%g", f)})
 	}
 	for _, f := range []float64{1e21, 1.0 / 3, math.SmallestNonzeroFloat64, math.MaxFloat64, math.Copysign(0, -1), -2, nan, inf, -inf} {
-		cases = append(cases, tc{event: Event{Kind: EventFault, Device: -1, Fault: FaultLinkDegrade, Arg: math.Float64bits(f)}, want: fmt.Sprintf("link-degrade x%g", f)})
+		cases = append(cases, tc{event: Event{Kind: EventFault, Device: -1, Fault: FaultLinkDegrade, Bytes: int64(math.Float64bits(f))}, want: fmt.Sprintf("link-degrade x%g", f)})
 	}
-	for _, n := range []int64{1, 1 << 62} {
+	for _, n := range []int64{1, 1<<31 + 5, 3 << 31, 1 << 62} {
 		cases = append(cases, tc{inject: func(c *Cluster) error { return c.SetMemoryCapacity(1, n) }, want: fmt.Sprintf("mem-capacity %d", n)})
 	}
 	for _, n := range []int64{0, -1, math.MaxInt64, math.MinInt64} {
 		cases = append(cases,
-			tc{event: Event{Kind: EventFault, Fault: FaultMemCapacity, Arg: uint64(n)}, want: fmt.Sprintf("mem-capacity %d", n)},
-			tc{event: Event{Kind: EventFault, Device: -1, Fault: FaultTransientTransfer, Arg: uint64(n)}, want: fmt.Sprintf("transient-transfer x%d", n)})
+			tc{event: Event{Kind: EventFault, Fault: FaultMemCapacity, Bytes: n}, want: fmt.Sprintf("mem-capacity %d", n)},
+			tc{event: Event{Kind: EventFault, Device: -1, Fault: FaultTransientTransfer, Bytes: n}, want: fmt.Sprintf("transient-transfer x%d", n)})
 	}
 	cases = append(cases,
 		tc{inject: func(c *Cluster) error { c.InjectTransientFailures(3); return nil }, want: fmt.Sprintf("transient-transfer x%d", 3)},
@@ -437,7 +461,9 @@ func TestFaultNotes(t *testing.T) {
 			}
 			return c.RestoreDevice(1)
 		}, want: "device-restore"},
+		tc{event: Event{Kind: EventFault, Device: 3, Fault: FaultDeviceLoss}, want: "device-loss"},
 	)
+	seen := map[FaultCode]bool{}
 	for _, tc := range cases {
 		e := tc.event
 		if tc.inject != nil {
@@ -455,13 +481,30 @@ func TestFaultNotes(t *testing.T) {
 		if got := e.Note(); got != tc.want {
 			t.Errorf("Note() = %q, fmt writes %q", got, tc.want)
 		}
+		seen[e.Fault] = true
+		var got, want bytes.Buffer
+		if err := writeChromeTrace(&got, []Event{e}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := refWriteChromeTrace(&want, []Event{e}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) || !bytes.Contains(got.Bytes(), []byte(`"fault `+tc.want+`"`)) {
+			t.Errorf("%q: the trace writes %s, the fmt writer %s", tc.want, got.Bytes(), want.Bytes())
+		}
 		fe := e.Flight()
-		if fe.Note != tc.want {
-			t.Errorf("Flight().Note = %q, want %q", fe.Note, tc.want)
+		if fe.Note != tc.want || fe.Bytes != 0 {
+			t.Errorf("Flight() = note %q, bytes %d; want %q, 0", fe.Note, fe.Bytes, tc.want)
 		}
 		back, ok := EventFromFlight(fe)
-		if !ok || back.Fault != e.Fault || back.Arg != e.Arg && !math.IsNaN(math.Float64frombits(e.Arg)) || back.Note() != tc.want {
+		nanArg := e.Fault == FaultLinkDegrade && math.IsNaN(math.Float64frombits(uint64(e.Bytes)))
+		if !ok || back.Fault != e.Fault || back.Bytes != e.Bytes && !nanArg || back.Note() != tc.want {
 			t.Errorf("%q: EventFromFlight = %+v, %v; want %+v", tc.want, back, ok, e)
+		}
+	}
+	for code := FaultDeviceLoss; code <= FaultTransientTransfer; code++ {
+		if !seen[code] {
+			t.Errorf("no case covers %v", code)
 		}
 	}
 	if e, ok := EventFromFlight(obs.FlightEvent{Kind: "h2d", Tensor: 4}); !ok || e.Fault != FaultNone || e.Note() != "" {

@@ -30,6 +30,7 @@ import (
 
 	"micco/internal/core"
 	"micco/internal/gpusim"
+	"micco/internal/obs"
 	"micco/internal/sched"
 	"micco/internal/workload"
 )
@@ -211,7 +212,7 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 	}
 	s.addLoad(dev / s.nodeSize)
 	if rec := ctx.Decision; rec != nil {
-		rec.Policy = "two-level"
+		rec.Policy = obs.PolicyTwoLevel
 	}
 	return dev
 }

@@ -13,8 +13,9 @@ import (
 // ReusePattern is the local reuse classification of a tensor pair against
 // current GPU residency (paper Fig. 4). Values mirror internal/core's
 // enumeration so the two layers agree without an import cycle (core
-// depends on sched, which depends on this package).
-type ReusePattern int
+// depends on sched, which depends on this package). One byte, as a
+// DecisionRecord stores it.
+type ReusePattern uint8
 
 const (
 	// TwoRepeatedSame: both tensors resident on at least one common GPU.
@@ -62,12 +63,76 @@ func (r *ReusePattern) UnmarshalJSON(b []byte) error {
 		}
 		return fmt.Errorf("obs: unknown reuse pattern %q", s)
 	}
-	var n int
+	var n uint8
 	if err := json.Unmarshal(b, &n); err != nil {
 		return err
 	}
 	*r = ReusePattern(n)
 	return nil
+}
+
+// Policy is the final-selection rule a scheduler applied to a placement
+// (paper Algorithm 2 for MICCO's two), stored in a DecisionRecord as one
+// byte and written by name. The zero value is no policy: a scheduler that
+// names none, which the record's JSON leaves out.
+type Policy uint8
+
+const (
+	// PolicyNone is a placement whose scheduler names no policy.
+	PolicyNone Policy = iota
+	// PolicyComputeCentric is MICCO's least-computation choice among the
+	// candidates when none would be oversubscribed.
+	PolicyComputeCentric
+	// PolicyMemoryEviction is MICCO's most-free-memory choice when a
+	// candidate would be oversubscribed.
+	PolicyMemoryEviction
+	// PolicyTwoLevel is the hierarchical scheduler's node-then-device pick.
+	PolicyTwoLevel
+	// PolicyEarliestDevice is Groute's earliest-available device.
+	PolicyEarliestDevice
+	// PolicyRoundRobin is the round-robin baseline.
+	PolicyRoundRobin
+	// PolicyLocalityOnly is the locality baseline: residency, then load.
+	PolicyLocalityOnly
+	numPolicies
+)
+
+// policyNames are the policies' names, indexed by Policy.
+var policyNames = [numPolicies]string{
+	PolicyNone:           "",
+	PolicyComputeCentric: "compute-centric",
+	PolicyMemoryEviction: "memory-eviction",
+	PolicyTwoLevel:       "two-level",
+	PolicyEarliestDevice: "earliest-device",
+	PolicyRoundRobin:     "round-robin",
+	PolicyLocalityOnly:   "locality-only",
+}
+
+// String implements fmt.Stringer: the policy's name, "" for PolicyNone.
+func (p Policy) String() string {
+	if p < numPolicies {
+		return policyNames[p]
+	}
+	return fmt.Sprintf("Policy(%d)", int(p))
+}
+
+// MarshalJSON renders the policy as its name.
+func (p Policy) MarshalJSON() ([]byte, error) { return json.Marshal(p.String()) }
+
+// UnmarshalJSON accepts a policy's name ("" for PolicyNone) and rejects any
+// other, quoting it.
+func (p *Policy) UnmarshalJSON(b []byte) error {
+	var s string
+	if err := json.Unmarshal(b, &s); err != nil {
+		return fmt.Errorf("obs: policy %s is not a name: %w", b, err)
+	}
+	for q := PolicyNone; q < numPolicies; q++ {
+		if policyNames[q] == s {
+			*p = q
+			return nil
+		}
+	}
+	return fmt.Errorf("obs: unknown policy %q", s)
 }
 
 // CandidateScore is one device the scheduler considered for a placement,
@@ -85,30 +150,34 @@ type CandidateScore struct {
 // The execution engine fills the identity, pattern, predicted/actual and
 // timing fields; the scheduler fills the fields only it knows (bound,
 // policy, candidates) through sched.Context.Decision.
+//
+// A record is 128 bytes. Counts and indices are int32 and the pattern and
+// policy are one-byte codes; Candidates, a view into the registry's arena,
+// is its one pointer. Fields are in JSON key order.
 type DecisionRecord struct {
 	// Stage and Pair locate the placement in the workload (stage-major).
-	Stage int `json:"stage"`
-	Pair  int `json:"pair"`
+	Stage int32 `json:"stage"`
+	Pair  int32 `json:"pair"`
 	// Out identifies the pair by its output tensor; A and B are the
 	// operand tensor IDs.
 	Out uint64 `json:"out"`
 	A   uint64 `json:"a"`
 	B   uint64 `json:"b"`
 	// Device is the chosen GPU.
-	Device int `json:"device"`
+	Device int32 `json:"device"`
 	// Pattern is the pair's local reuse pattern at placement time.
 	Pattern ReusePattern `json:"pattern"`
 	// BoundIndex is which of the three reuse bounds gated the candidate
 	// set that produced the placement (-1 when the scheduler publishes no
 	// bound: baselines, or MICCO's defensive fallback); Bound is that
 	// bound's active value.
-	BoundIndex int `json:"bound_index"`
-	Bound      int `json:"bound,omitempty"`
+	BoundIndex int32 `json:"bound_index"`
+	Bound      int32 `json:"bound,omitempty"`
 	// BalanceNum is the stage's per-GPU balance point (ceil slots/GPUs).
-	BalanceNum int `json:"balance_num"`
-	// Policy names the final-selection rule: MICCO's "compute-centric" or
-	// "memory-eviction", or a baseline's fixed policy.
-	Policy string `json:"policy,omitempty"`
+	BalanceNum int32 `json:"balance_num"`
+	// Policy is the final-selection rule: MICCO's compute-centric or
+	// memory-eviction, or a baseline's fixed policy.
+	Policy Policy `json:"policy,omitempty"`
 	// Candidates are the devices that survived candidate selection, each
 	// with its primary-key score (lower wins).
 	Candidates []CandidateScore `json:"candidates,omitempty"`
@@ -120,7 +189,7 @@ type DecisionRecord struct {
 	ActualBytes    int64 `json:"actual_bytes"`
 	ActualD2HBytes int64 `json:"actual_d2h_bytes,omitempty"`
 	// Evictions is how many blocks this placement forced out.
-	Evictions int64 `json:"evictions,omitempty"`
+	Evictions int32 `json:"evictions,omitempty"`
 	// SimTime is the chosen device's simulated clock when the pair was
 	// placed (seconds), anchoring the record on the trace timeline.
 	SimTime float64 `json:"sim_time"`
@@ -174,7 +243,7 @@ func (r *Registry) RecordDecision(d *DecisionRecord) {
 // ReserveDecisions grows the decision store so at least n more records
 // append without reallocation. The engine calls it once per observed run
 // with the workload's pair count, so a steady decision stream never pays
-// append-growth copies (each record is ~200 bytes with pointer fields —
+// append-growth copies (each record is 128 bytes with a pointer field —
 // regrowth is the dominant obs-on allocation otherwise). Nil-safe.
 func (r *Registry) ReserveDecisions(n int) {
 	if r == nil || n <= 0 {
@@ -252,8 +321,8 @@ func appendDecision(b []byte, d *DecisionRecord) ([]byte, error) {
 		b = strconv.AppendInt(append(b, `,"bound":`...), int64(d.Bound), 10)
 	}
 	b = strconv.AppendInt(append(b, `,"balance_num":`...), int64(d.BalanceNum), 10)
-	if d.Policy != "" {
-		b = AppendJSONString(append(b, `,"policy":`...), d.Policy)
+	if d.Policy != PolicyNone {
+		b = AppendJSONString(append(b, `,"policy":`...), d.Policy.String())
 	}
 	if len(d.Candidates) > 0 {
 		b = append(b, `,"candidates":[`...)
@@ -275,7 +344,7 @@ func appendDecision(b []byte, d *DecisionRecord) ([]byte, error) {
 		b = strconv.AppendInt(append(b, `,"actual_d2h_bytes":`...), d.ActualD2HBytes, 10)
 	}
 	if d.Evictions != 0 {
-		b = strconv.AppendInt(append(b, `,"evictions":`...), d.Evictions, 10)
+		b = strconv.AppendInt(append(b, `,"evictions":`...), int64(d.Evictions), 10)
 	}
 	if !finite(d.SimTime) {
 		return b, unsupportedFloat(d.SimTime)

@@ -25,24 +25,21 @@ func refWriteDecisionsNDJSON(w io.Writer, recs []DecisionRecord) error {
 }
 
 // ndjsonRecords are records a run never produces: every field zero, every
-// field set, negative, at the ends of its type, and strings needing each
-// sort of escape encoding/json knows.
+// field set, negative, at the ends of its type, and each policy twice.
 func ndjsonRecords() []DecisionRecord {
-	strs := []string{"", "compute-centric", `say "hi"`, `back\slash`, "tab\there", "line\nbreak", "nul\x00",
-		"del\x7f", "snow☃", "sep ", "bad\xffutf8", "<&>", "\U0001f600"}
 	floats := []float64{0, math.Copysign(0, -1), 1e-7, 1e-6, 0.001, 1.0 / 3, -2.5, 1e20, 1e21, 123456789e30,
 		math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 5e-324,
 		11615404032, -5, 1e15, 1<<53 - 1, -(1<<53 - 1), 1 << 53, 1<<53 + 2, 1 << 62, -(1 << 63), 1 << 63, 4503599627370497}
-	recs := []DecisionRecord{{}, {Candidates: []CandidateScore{}}, {BoundIndex: -1, Pattern: ReusePattern(-1)}}
-	for i, s := range strs {
+	recs := []DecisionRecord{{}, {Candidates: []CandidateScore{}}, {BoundIndex: -1, Pattern: math.MaxUint8}}
+	for i := 0; i < 2*int(numPolicies); i++ {
 		f := floats[i%len(floats)]
 		recs = append(recs, DecisionRecord{
-			Stage: i, Pair: -i, Out: math.MaxUint64 >> i, A: uint64(i), B: 1 << 63,
-			Device: math.MinInt + i, Pattern: ReusePattern(i%6 - 1),
-			BoundIndex: i%4 - 1, Bound: -i, BalanceNum: math.MaxInt - i, Policy: s,
+			Stage: int32(i), Pair: int32(-i), Out: math.MaxUint64 >> i, A: uint64(i), B: 1 << 63,
+			Device: math.MinInt32 + int32(i), Pattern: ReusePattern(i%6 - 1),
+			BoundIndex: int32(i%4 - 1), Bound: int32(-i), BalanceNum: math.MaxInt32 - int32(i), Policy: Policy(i % int(numPolicies)),
 			Candidates:     []CandidateScore{{Device: i, Score: f}, {Device: -1, Score: -f}, {Score: floats[(i+3)%len(floats)]}}[:i%4],
 			PredictedBytes: math.MinInt64 + int64(i), ActualBytes: -int64(i), ActualD2HBytes: int64(i) << 40,
-			Evictions: int64(i % 2), SimTime: f, Recovery: i%2 == 1,
+			Evictions: int32(i % 2), SimTime: f, Recovery: i%2 == 1,
 		})
 	}
 	return recs
@@ -75,7 +72,7 @@ func TestDecisionsNDJSONMatchesEncodingJSON(t *testing.T) {
 			"score":                {Stage: 2, Candidates: []CandidateScore{{Score: 1}, {Score: bad}}},
 			"score, then sim_time": {Stage: 3, Candidates: []CandidateScore{{Score: bad}}, SimTime: -bad},
 		} {
-			good := DecisionRecord{Stage: 9, Policy: "ok"}
+			good := DecisionRecord{Stage: 9, Policy: PolicyTwoLevel}
 			var got, want bytes.Buffer
 			gerr := WriteDecisionsNDJSON(&got, []DecisionRecord{good, rec})
 			werr := refWriteDecisionsNDJSON(&want, []DecisionRecord{good, rec})
@@ -131,7 +128,7 @@ func TestDecisionsIsAView(t *testing.T) {
 	r := New()
 	r.ReserveDecisions(1000)
 	for i := range 1000 {
-		r.RecordDecision(&DecisionRecord{Pair: i, Candidates: []CandidateScore{{Device: i}}})
+		r.RecordDecision(&DecisionRecord{Pair: int32(i), Candidates: []CandidateScore{{Device: i}}})
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = r.Decisions() }); allocs != 0 {
 		t.Errorf("Decisions made %v allocations, want 0", allocs)
@@ -156,7 +153,7 @@ func TestDecisionsViewStableUnderWriters(t *testing.T) {
 			for j := range cands {
 				cands[j] = CandidateScore{Device: i, Score: float64(j)}
 			}
-			r.RecordDecision(&DecisionRecord{Pair: i, Candidates: cands})
+			r.RecordDecision(&DecisionRecord{Pair: int32(i), Candidates: cands})
 			if i%500 == 0 {
 				r.ReserveDecisions(700)
 			}
@@ -165,7 +162,7 @@ func TestDecisionsViewStableUnderWriters(t *testing.T) {
 	check := func(view []DecisionRecord) {
 		for i := range view {
 			d := &view[i]
-			if d.Pair != i || len(d.Candidates) != 3 || d.Candidates[2] != (CandidateScore{Device: i, Score: 2}) {
+			if int(d.Pair) != i || len(d.Candidates) != 3 || d.Candidates[2] != (CandidateScore{Device: i, Score: 2}) {
 				t.Fatalf("record %d of a %d-record view is %+v", i, len(view), *d)
 			}
 		}

@@ -104,7 +104,7 @@ func TestRegistryFeedsFlightRecorder(t *testing.T) {
 	if r.FlightRecorder() != fr {
 		t.Fatal("recorder not attached")
 	}
-	r.RecordDecision(&DecisionRecord{Out: 11, Policy: "p"})
+	r.RecordDecision(&DecisionRecord{Out: 11, Policy: PolicyRoundRobin})
 	sp := r.StartSpan("run", nil)
 	r.StartSpan("stage", sp).End()
 	sp.End()
@@ -165,7 +165,7 @@ func TestFlightSnapshotUnderWriters(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := range total {
-			r.RecordDecision(&DecisionRecord{Pair: i})
+			r.RecordDecision(&DecisionRecord{Pair: int32(i)})
 			if i%4 == 0 {
 				r.StartSpan("stage", nil).End()
 			}
@@ -177,7 +177,7 @@ func TestFlightSnapshotUnderWriters(t *testing.T) {
 		if len(s.Decisions) != int(min(n, DefFlightDecisions)) {
 			t.Fatalf("snapshot of %d records holds %d", n, len(s.Decisions))
 		}
-		if n > 0 && s.Decisions[len(s.Decisions)-1].Pair != int(n-1) {
+		if n > 0 && s.Decisions[len(s.Decisions)-1].Pair != int32(n-1) {
 			t.Fatalf("snapshot of %d records ends on pair %d", n, s.Decisions[len(s.Decisions)-1].Pair)
 		}
 		if len(s.Spans) != int(min(s.TotalSpans, DefFlightSpans)) {

@@ -182,7 +182,7 @@ func TestSnapshotJSONGolden(t *testing.T) {
 func TestWriteDecisionsNDJSON(t *testing.T) {
 	recs := []DecisionRecord{
 		{Stage: 0, Pair: 1, Out: 7, A: 1, B: 2, Device: 3, Pattern: TwoNew,
-			BoundIndex: 2, BalanceNum: 4, Policy: "compute-centric",
+			BoundIndex: 2, BalanceNum: 4, Policy: PolicyComputeCentric,
 			Candidates:     []CandidateScore{{Device: 3, Score: 0}},
 			PredictedBytes: 100, ActualBytes: 100},
 		{Stage: 1, Pair: 0, Out: 9, Pattern: TwoRepeatedSame, BoundIndex: -1},
@@ -226,5 +226,51 @@ func TestReusePatternStrings(t *testing.T) {
 	}
 	if ReusePattern(9).String() == "" {
 		t.Error("unknown pattern should still print")
+	}
+}
+
+// TestPolicyNames holds every policy code to the string the decision log
+// wrote when the policy was a string — a record's "policy" key, left out
+// for no policy — and parses each back; an unknown name is refused and
+// quoted, with its line when it comes from a log.
+func TestPolicyNames(t *testing.T) {
+	want := map[Policy]string{
+		PolicyNone: "", PolicyComputeCentric: "compute-centric", PolicyMemoryEviction: "memory-eviction",
+		PolicyTwoLevel: "two-level", PolicyEarliestDevice: "earliest-device", PolicyRoundRobin: "round-robin",
+		PolicyLocalityOnly: "locality-only",
+	}
+	if len(want) != int(numPolicies) {
+		t.Fatalf("%d policies named here, %d defined", len(want), numPolicies)
+	}
+	for p, name := range want {
+		if p.String() != name {
+			t.Errorf("%d.String() = %q, want %q", p, p.String(), name)
+		}
+		wantLine := `{"stage":0,"pair":0,"out":0,"a":0,"b":0,"device":0,"pattern":"twoRepeatedSame","bound_index":0,"balance_num":0,`
+		if name != "" {
+			wantLine += `"policy":"` + name + `",`
+		}
+		wantLine += `"predicted_bytes":0,"actual_bytes":0,"sim_time":0}` + "\n"
+		var buf bytes.Buffer
+		if err := WriteDecisionsNDJSON(&buf, []DecisionRecord{{Policy: p}}); err != nil || buf.String() != wantLine {
+			t.Errorf("%q: the log writes %s (%v), want %s", name, buf.String(), err, wantLine)
+		}
+		back, err := ReadDecisionsNDJSON(&buf)
+		if err != nil || len(back) != 1 || back[0].Policy != p {
+			t.Errorf("%q read back as %+v, %v", name, back, err)
+		}
+	}
+	if Policy(numPolicies).String() == "" {
+		t.Error("an unknown code should still print")
+	}
+	for _, in := range []string{`"memory-centric"`, `"Compute-Centric"`, `"compute-centric "`, `3`} {
+		var p Policy
+		if err := json.Unmarshal([]byte(in), &p); err == nil || !strings.Contains(err.Error(), strings.Trim(in, `"`)) {
+			t.Errorf("%s: parsed as %v, error %v; want an error quoting it", in, p, err)
+		}
+	}
+	_, err := ReadDecisionsNDJSON(strings.NewReader("{\"stage\":1}\n{\"policy\":\"memory-centric\"}\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), `"memory-centric"`) {
+		t.Errorf("an unknown policy in a log: %v, want its line and name", err)
 	}
 }

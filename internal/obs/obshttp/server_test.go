@@ -35,7 +35,7 @@ func populate(t *testing.T, reg *obs.Registry) {
 		t.Fatalf("ExecContraction: %v", err)
 	}
 	c.FlushObserver()
-	reg.RecordDecision(&obs.DecisionRecord{Stage: 0, Pair: 0, Out: 3, Device: 0, Policy: "test"})
+	reg.RecordDecision(&obs.DecisionRecord{Stage: 0, Pair: 0, Out: 3, Device: 0, Policy: obs.PolicyEarliestDevice})
 	sp := reg.StartSpan("run", nil)
 	reg.StartSpan("stage", sp).End()
 	sp.End()
@@ -107,7 +107,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/decisions not parseable NDJSON: %v", err)
 	}
-	if len(recs) != 1 || recs[0].Policy != "test" {
+	if len(recs) != 1 || recs[0].Policy != obs.PolicyEarliestDevice {
 		t.Errorf("/decisions = %+v, want 1 record with policy test", recs)
 	}
 

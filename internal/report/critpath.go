@@ -106,7 +106,7 @@ func CriticalPathOf(events []gpusim.Event, makespan float64) *CriticalPath {
 			continue
 		}
 		cs = append(cs, cand{e.Start, e.End, int32(i)})
-		maxDevice = max(maxDevice, e.Device)
+		maxDevice = max(maxDevice, int(e.Device))
 	}
 	// By start, and by end within a start, is all the order the steps rely
 	// on; laterChain separates the rest where a step has to choose. Every
@@ -209,7 +209,7 @@ func CriticalPathOf(events []gpusim.Event, makespan float64) *CriticalPath {
 		dev := -1
 		if len(notes) > 0 {
 			_, e := at(notes[0])
-			dev = e.Device
+			dev = int(e.Device)
 		}
 		b.add(Segment{Start: 0, End: head, Device: dev}, idleKind)
 	}
@@ -217,16 +217,16 @@ func CriticalPathOf(events []gpusim.Event, makespan float64) *CriticalPath {
 		c, e := at(note)
 		// The step moved the cursor from where the segment above begins. A
 		// gap delayed that segment's device, or before the makespan its own.
-		above, delayed := makespan, e.Device
+		above, delayed := makespan, int(e.Device)
 		if i+1 < len(notes) {
 			ac, ae := at(notes[i+1])
-			above, delayed = ac.start, ae.Device
+			above, delayed = ac.start, int(ae.Device)
 		}
 		if note >= 0 {
-			b.add(Segment{Start: c.start, End: above, Device: e.Device, Tensor: e.Tensor}, e.Kind)
+			b.add(Segment{Start: c.start, End: above, Device: int(e.Device), Tensor: e.Tensor}, e.Kind)
 			continue
 		}
-		b.add(Segment{Start: c.start, End: c.end, Device: e.Device, Tensor: e.Tensor}, e.Kind)
+		b.add(Segment{Start: c.start, End: c.end, Device: int(e.Device), Tensor: e.Tensor}, e.Kind)
 		b.add(Segment{Start: c.end, End: above, Device: delayed}, idleKind)
 	}
 	cp.Segments = b.segs

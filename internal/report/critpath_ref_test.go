@@ -74,7 +74,7 @@ func refCriticalPath(events []gpusim.Event, makespan float64) *CriticalPath {
 		if bestTop < cursor {
 			// Gap between this event's reach and the segment above it: the
 			// successor (the segment just emitted) was waiting.
-			dev := e.Device
+			dev := int(e.Device)
 			if len(segs) > 0 {
 				dev = segs[len(segs)-1].Device
 			}
@@ -84,7 +84,7 @@ func refCriticalPath(events []gpusim.Event, makespan float64) *CriticalPath {
 			Start:  e.Start,
 			End:    bestTop,
 			Kind:   e.Kind.String(),
-			Device: e.Device,
+			Device: int(e.Device),
 			Tensor: e.Tensor,
 		})
 		cursor = e.Start
@@ -217,7 +217,7 @@ func randomEvents(rng *rand.Rand) ([]gpusim.Event, float64) {
 	for len(events) < n {
 		e := gpusim.Event{
 			Kind:   kinds[rng.Intn(len(kinds))],
-			Device: rng.Intn(4) - 1,
+			Device: int32(rng.Intn(4) - 1),
 			Tensor: uint64(rng.Intn(3)),
 			Start:  head + at(),
 		}
@@ -335,13 +335,13 @@ func checkTiling(cp *CriticalPath) error {
 
 // TestCriticalPathTilesAndSharesMatchMap checks, on the random traces of
 // TestCriticalPathMatchesReference and on copies of them whose devices are
-// scattered past any table (more devices than events, the ends of int), the
+// scattered past any table (more devices than events, the ends of int32), the
 // two things the path promises of itself: its segments tile [0, makespan]
 // with bit-equal boundaries in storage of exactly their number, and each
 // share list — keys, order, seconds and fractions — is what summing the
 // path's own segments into a map by key name gives.
 func TestCriticalPathTilesAndSharesMatchMap(t *testing.T) {
-	scattered := []int{-1 << 63, -7, 40, 63, 64, 65, 4095, 1 << 40, 1<<63 - 1}
+	scattered := []int32{math.MinInt32, -7, 40, 63, 64, 65, 4095, 1 << 30, math.MaxInt32}
 	for seed := int64(0); seed < 3000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		events, makespan := randomEvents(rng)
@@ -381,7 +381,7 @@ func TestCriticalPathTilesAndSharesMatchMap(t *testing.T) {
 func TestCriticalPathAllocations(t *testing.T) {
 	events, makespan := nestedEvents(4000)
 	for i := range events {
-		events[i].Device = i % 8
+		events[i].Device = int32(i % 8)
 	}
 	allocs := testing.AllocsPerRun(5, func() { sinkPath = CriticalPathOf(events, makespan) })
 	if len(sinkPath.Segments) < 4000 || allocs > 32 {

@@ -47,7 +47,10 @@ type Drift struct {
 // SummarizeDrift aggregates decision records into the drift summary.
 // Groups are sorted by policy then pattern name.
 func SummarizeDrift(recs []obs.DecisionRecord) *Drift {
-	type key struct{ policy, pattern string }
+	type key struct {
+		policy  obs.Policy
+		pattern obs.ReusePattern
+	}
 	acc := map[key]*DriftGroup{}
 	d := &Drift{Total: DriftGroup{Policy: "total", Pattern: "all"}}
 	add := func(g *DriftGroup, r obs.DecisionRecord) {
@@ -68,10 +71,10 @@ func SummarizeDrift(recs []obs.DecisionRecord) *Drift {
 		}
 	}
 	for _, r := range recs {
-		k := key{r.Policy, r.Pattern.String()}
+		k := key{r.Policy, r.Pattern}
 		g := acc[k]
 		if g == nil {
-			g = &DriftGroup{Policy: k.policy, Pattern: k.pattern}
+			g = &DriftGroup{Policy: k.policy.String(), Pattern: k.pattern.String()}
 			acc[k] = g
 		}
 		add(g, r)

@@ -60,8 +60,8 @@ func Build(in Input) *Report {
 		if e.End > makespan {
 			makespan = e.End
 		}
-		if e.Device >= devices {
-			devices = e.Device + 1
+		if int(e.Device) >= devices {
+			devices = int(e.Device) + 1
 		}
 	}
 	r := &Report{

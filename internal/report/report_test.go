@@ -11,7 +11,7 @@ import (
 )
 
 func ev(kind gpusim.EventKind, dev int, tensor uint64, start, end float64) gpusim.Event {
-	return gpusim.Event{Kind: kind, Device: dev, Tensor: tensor, Start: start, End: end}
+	return gpusim.Event{Kind: kind, Device: int32(dev), Tensor: tensor, Start: start, End: end}
 }
 
 // checkPartition asserts the critical-path invariant: segments are
@@ -175,10 +175,10 @@ func TestStageWaterfall(t *testing.T) {
 
 func TestSummarizeDrift(t *testing.T) {
 	recs := []obs.DecisionRecord{
-		{Policy: "compute-centric", Pattern: obs.TwoNew, PredictedBytes: 100, ActualBytes: 100},
-		{Policy: "compute-centric", Pattern: obs.TwoNew, PredictedBytes: 100, ActualBytes: 160},
-		{Policy: "compute-centric", Pattern: obs.OneRepeated, PredictedBytes: 50, ActualBytes: 30},
-		{Policy: "memory-eviction", Pattern: obs.TwoNew, PredictedBytes: 10, ActualBytes: 10, Recovery: true},
+		{Policy: obs.PolicyComputeCentric, Pattern: obs.TwoNew, PredictedBytes: 100, ActualBytes: 100},
+		{Policy: obs.PolicyComputeCentric, Pattern: obs.TwoNew, PredictedBytes: 100, ActualBytes: 160},
+		{Policy: obs.PolicyComputeCentric, Pattern: obs.OneRepeated, PredictedBytes: 50, ActualBytes: 30},
+		{Policy: obs.PolicyMemoryEviction, Pattern: obs.TwoNew, PredictedBytes: 10, ActualBytes: 10, Recovery: true},
 	}
 	d := SummarizeDrift(recs)
 	if len(d.Groups) != 3 {
@@ -252,7 +252,7 @@ func TestReportRenderingDeterministic(t *testing.T) {
 			ev(gpusim.EventKernel, 1, 20, 2, 6),
 		},
 		Decisions: []obs.DecisionRecord{
-			{Policy: "p", Pattern: obs.TwoNew, PredictedBytes: 5, ActualBytes: 9},
+			{Policy: obs.PolicyRoundRobin, Pattern: obs.TwoNew, PredictedBytes: 5, ActualBytes: 9},
 		},
 		Snapshot: &obs.Snapshot{Spans: []obs.Span{
 			{Name: "stage", Attrs: map[string]string{"index": "0", "pairs": "1", "sim_start_s": "0", "sim_end_s": "6"}},

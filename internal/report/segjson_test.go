@@ -121,7 +121,7 @@ func TestSegmentsEncodeAsEncodingJSON(t *testing.T) {
 func TestReportJSONAsEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	events, makespan := randomEvents(rng)
-	decisions := []obs.DecisionRecord{{Policy: "p", Pattern: obs.TwoNew, PredictedBytes: 5, ActualBytes: 9}}
+	decisions := []obs.DecisionRecord{{Policy: obs.PolicyRoundRobin, Pattern: obs.TwoNew, PredictedBytes: 5, ActualBytes: 9}}
 	full := Build(Input{
 		Scheduler: segmentsNull, Workload: "w", Makespan: makespan, Events: events, Decisions: decisions,
 		Snapshot: &obs.Snapshot{Spans: []obs.Span{

@@ -185,7 +185,7 @@ func TestAvailIndexMatchesScanPathReference(t *testing.T) {
 			if ld[i].BoundIndex == 2 {
 				stepIII++
 			}
-			if ld[i].Policy == "memory-eviction" {
+			if ld[i].Policy == obs.PolicyMemoryEviction {
 				evictions++
 			}
 		}

@@ -10,8 +10,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"micco/internal/baseline"
 	"micco/internal/core"
@@ -423,7 +425,11 @@ func BenchmarkRunScheduleOnly(b *testing.B) {
 // job): unwatched, with a fresh registry, and with the registry plus the
 // simulator trace, which is the ladder's job. ns/pair and B/op of the
 // three rows are the observer's whole cost; benchguard gates obs+trace's
-// time and bytes and off's bytes.
+// time and bytes and off's bytes. The fourth row, interleaved, runs the
+// three jobs round-robin in one process — one round per op, each job on
+// its own warm cluster — and reports the ratios of their p10 job times,
+// obs/off-p10 and obs+trace/off-p10: measured side by side, machine drift
+// between separate rows cannot move them, and benchguard bounds them.
 func BenchmarkObservedRun(b *testing.B) {
 	w, err := workload.Generate(workload.Config{
 		Seed: 2022, Stages: 10, VectorSize: 1024, TensorDim: 384, Batch: 8,
@@ -434,32 +440,39 @@ func BenchmarkObservedRun(b *testing.B) {
 	}
 	cfg := gpusim.MI100(8)
 	cfg.MemoryBytes = w.TotalUniqueBytes() / 16
-	for _, tc := range []struct {
-		name       string
-		obs, trace bool
-	}{{"off", false, false}, {"obs", true, false}, {"obs+trace", true, true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			c, err := gpusim.NewCluster(cfg)
-			if err != nil {
+	// newJob returns one observed_run job on a cluster of its own, run once
+	// untimed: every ladder job runs on a cluster that has run before.
+	newJob := func(watch, trace bool) func() {
+		c, err := gpusim.NewCluster(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		job := func() {
+			// A fresh scheduler per job, as the ladder's: its tie-break
+			// rng restarts, so every job replays the same 45 510 events.
+			s := core.NewFixed(core.Bounds{0, 2, 0})
+			var opts sched.Options
+			if watch {
+				opts.Obs = obs.New()
+			}
+			if trace {
+				c.StartTrace()
+			}
+			if _, err := sched.Run(context.Background(), w, s, c, opts); err != nil {
 				b.Fatal(err)
 			}
-			job := func() {
-				// A fresh scheduler per job, as the ladder's: its tie-break
-				// rng restarts, so every job replays the same 45 510 events.
-				s := core.NewFixed(core.Bounds{0, 2, 0})
-				var opts sched.Options
-				if tc.obs {
-					opts.Obs = obs.New()
-				}
-				if tc.trace {
-					c.StartTrace()
-				}
-				if _, err := sched.Run(context.Background(), w, s, c, opts); err != nil {
-					b.Fatal(err)
-				}
-				c.StopTrace()
-			}
-			job() // untimed: every ladder job runs on a cluster that has run before
+			c.StopTrace()
+		}
+		job()
+		return job
+	}
+	modes := []struct {
+		name         string
+		watch, trace bool
+	}{{"off", false, false}, {"obs", true, false}, {"obs+trace", true, true}}
+	for _, m := range modes {
+		b.Run(m.name, func(b *testing.B) {
+			job := newJob(m.watch, m.trace)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -468,4 +481,31 @@ func BenchmarkObservedRun(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w.NumPairs()), "ns/pair")
 		})
 	}
+	b.Run("interleaved", func(b *testing.B) {
+		jobs := make([]func(), len(modes))
+		times := make([][]float64, len(modes))
+		for k, m := range modes {
+			jobs[k] = newJob(m.watch, m.trace)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k, job := range jobs {
+				t0 := time.Now()
+				job()
+				times[k] = append(times[k], float64(time.Since(t0)))
+			}
+		}
+		b.StopTimer()
+		off := p10(times[0])
+		b.ReportMetric(p10(times[1])/off, "obs/off-p10")
+		b.ReportMetric(p10(times[2])/off, "obs+trace/off-p10")
+	})
+}
+
+// p10 is the tenth percentile of xs: the value a tenth of the way up its
+// sorted order, rounding down.
+func p10(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[len(s)/10]
 }

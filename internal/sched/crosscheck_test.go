@@ -176,9 +176,9 @@ func (s *refMICCO) Assign(p workload.Pair, ctx *sched.Context) int {
 	}
 
 	if rec := ctx.Decision; rec != nil {
-		rec.BoundIndex = boundIdx
+		rec.BoundIndex = int32(boundIdx)
 		if boundIdx >= 0 {
-			rec.Bound = s.bounds[boundIdx]
+			rec.Bound = int32(s.bounds[boundIdx])
 		}
 	}
 	return s.assignFromQueue(p, ctx)
@@ -202,9 +202,9 @@ func (s *refMICCO) assignFromQueue(p workload.Pair, ctx *sched.Context) int {
 	}
 	if rec := ctx.Decision; rec != nil {
 		if evict {
-			rec.Policy = "memory-eviction"
+			rec.Policy = obs.PolicyMemoryEviction
 		} else {
-			rec.Policy = "compute-centric"
+			rec.Policy = obs.PolicyComputeCentric
 		}
 		for _, id := range s.candi[:min(len(s.candi), obs.MaxCandidates)] {
 			rec.Candidates = append(rec.Candidates, obs.CandidateScore{Device: id, Score: primary(id)})
@@ -248,7 +248,7 @@ func (refLocalityOnly) Assign(p workload.Pair, ctx *sched.Context) int {
 		}
 	}
 	if rec := ctx.Decision; rec != nil {
-		rec.Policy = "locality-only"
+		rec.Policy = obs.PolicyLocalityOnly
 	}
 	return best
 }
@@ -369,7 +369,7 @@ func TestMaskPathMatchesScanPathReference(t *testing.T) {
 							seed, mem, tc.name, i, ld[i], rd[i])
 						break
 					}
-					if ld[i].Policy == "memory-eviction" {
+					if ld[i].Policy == obs.PolicyMemoryEviction {
 						evictionRuns++
 					}
 				}

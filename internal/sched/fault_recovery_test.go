@@ -90,7 +90,7 @@ func reconcile(t *testing.T, reg *obs.Registry, res *sched.Result) {
 	for _, rec := range reg.Decisions() {
 		h2dp2p += rec.ActualBytes
 		d2h += rec.ActualD2HBytes
-		evictions += rec.Evictions
+		evictions += int64(rec.Evictions)
 	}
 	fc := res.Recovery.FaultCharges
 	if got, want := h2dp2p+fc.H2DBytes+fc.P2PBytes, res.Total.H2DBytes+res.Total.P2PBytes; got != want {

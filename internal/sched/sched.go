@@ -60,7 +60,9 @@ type Context struct {
 	// Decision, when non-nil, is the in-flight placement's decision
 	// record. The engine fills the identity, pattern and cost fields;
 	// schedulers fill the fields only they know (gating bound, policy,
-	// candidate scores) inside Assign. Schedulers MUST guard on
+	// candidate scores) inside Assign. The policy is an obs.Policy code, so
+	// a scheduler names one of the rules obs lists; it cannot invent a new
+	// policy string. Schedulers MUST guard on
 	// Decision != nil before touching it — the nil check is what keeps
 	// the placement hot path allocation-free when observability is off.
 	Decision *obs.DecisionRecord
@@ -571,12 +573,12 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 		// Candidates backing array, which RecordDecision deep-copies into
 		// its own arena, so the obs-on placement path allocates nothing.
 		// Field by field: a composite literal would be built aside and
-		// copied in, 168 bytes a pair.
+		// copied in, 128 bytes a pair.
 		rec = &e.decRec
 		cands := rec.Candidates[:0]
 		*rec = obs.DecisionRecord{}
-		rec.Stage, rec.Pair, rec.Out, rec.A, rec.B = si, pi, p.Out.ID, p.A.ID, p.B.ID
-		rec.BalanceNum, rec.BoundIndex, rec.Pattern = sctx.BalanceNum, -1, ClassifyMasks(pr.ma, pr.mb)
+		rec.Stage, rec.Pair, rec.Out, rec.A, rec.B = int32(si), int32(pi), p.Out.ID, p.A.ID, p.B.ID
+		rec.BalanceNum, rec.BoundIndex, rec.Pattern = int32(sctx.BalanceNum), -1, ClassifyMasks(pr.ma, pr.mb)
 		rec.Recovery, rec.Candidates = recovery, cands
 		sctx.Decision = rec
 	}
@@ -595,7 +597,7 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 	}
 	if rec != nil {
 		sctx.Decision = nil
-		rec.Device = dev
+		rec.Device = int32(dev)
 		rec.SimTime = c.Device(dev).Clock()
 		// Assign never moves data, so the pre-Assign masks still describe
 		// residency here.
@@ -615,7 +617,7 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 		afterMove, afterD2H, afterEvict := c.MoveStats()
 		rec.ActualBytes = afterMove - beforeMove
 		rec.ActualD2HBytes = afterD2H - beforeD2H
-		rec.Evictions = afterEvict - beforeEvict
+		rec.Evictions = int32(afterEvict - beforeEvict)
 		e.ob.patternN[rec.Pattern]++
 		e.ob.reg.RecordDecision(rec)
 	}

@@ -518,7 +518,9 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // Trace types (simulator event recording).
 type (
-	// TraceEvent is one recorded simulator operation.
+	// TraceEvent is one recorded simulator operation: 48 pointer-free
+	// bytes. Device is an int32; a fault event's argument (a link factor's
+	// bits, a capacity, a count) sits in Bytes, and Note renders it.
 	TraceEvent = gpusim.Event
 	// TraceEventKind classifies trace events.
 	TraceEventKind = gpusim.EventKind
@@ -569,12 +571,28 @@ type (
 	MetricsSnapshot = obs.Snapshot
 	// DecisionRecord explains one placement: pattern, gating bound,
 	// candidate scores, policy, and predicted vs actual transfer bytes.
+	// 128 bytes: counts and indices are int32, the pattern and the policy
+	// one-byte codes written by name.
 	DecisionRecord = obs.DecisionRecord
+	// DecisionPolicy is a DecisionRecord's final-selection rule, one of
+	// the Policy constants; the zero value names none.
+	DecisionPolicy = obs.Policy
 	// CandidateScore is one device the scheduler considered, with its
 	// primary selection score (lower wins).
 	CandidateScore = obs.CandidateScore
 	// Span is one finished timing span (run and stage phases).
 	Span = obs.Span
+)
+
+// Decision policies, as DecisionRecord.Policy stores them and the decision
+// log writes them ("compute-centric", "memory-eviction", ...).
+const (
+	PolicyComputeCentric = obs.PolicyComputeCentric
+	PolicyMemoryEviction = obs.PolicyMemoryEviction
+	PolicyTwoLevel       = obs.PolicyTwoLevel
+	PolicyEarliestDevice = obs.PolicyEarliestDevice
+	PolicyRoundRobin     = obs.PolicyRoundRobin
+	PolicyLocalityOnly   = obs.PolicyLocalityOnly
 )
 
 // NewMetricsRegistry returns an empty observability registry.

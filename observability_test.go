@@ -67,7 +67,7 @@ func TestDecisionRecordsReconcileWithDeviceStats(t *testing.T) {
 			for _, r := range recs {
 				actual += r.ActualBytes
 				d2h += r.ActualD2HBytes
-				evictions += r.Evictions
+				evictions += int64(r.Evictions)
 				predicted += r.PredictedBytes
 				patterns[int(r.Pattern)]++
 			}
@@ -110,7 +110,7 @@ func TestDecisionRecordsReconcileWithDeviceStats(t *testing.T) {
 
 			// Every record carries the fields only the scheduler knows.
 			for i, r := range recs {
-				if r.Policy == "" {
+				if r.Policy == 0 {
 					t.Fatalf("record %d has no policy: %+v", i, r)
 				}
 				if len(r.Candidates) == 0 {
@@ -143,7 +143,7 @@ func TestMICCOBoundAttribution(t *testing.T) {
 		cluster, micco.RunOptions{Obs: reg}); err != nil {
 		t.Fatal(err)
 	}
-	seen := map[int]int{}
+	seen := map[int32]int{}
 	for i, r := range reg.Decisions() {
 		if r.BoundIndex < -1 || r.BoundIndex > 2 {
 			t.Fatalf("record %d: bound index %d out of range", i, r.BoundIndex)
