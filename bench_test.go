@@ -210,8 +210,10 @@ func BenchmarkContractionKernel(b *testing.B) {
 
 // BenchmarkContractionKernelInto measures the pooled contraction path:
 // same workload as BenchmarkContractionKernel, but writing into a reused
-// destination, so steady state performs no allocation beyond the pack
-// pool's amortized buffers (expect allocs/op <= 2).
+// destination. A single-worker call allocates nothing
+// (TestContractIntoSteadyStateAllocs pins that); this one runs at
+// GOMAXPROCS workers, so every call spawns a goroutine per worker, and
+// their cost is what allocs/op shows.
 func BenchmarkContractionKernelInto(b *testing.B) {
 	x, err := micco.NewRandomTensor(micco.TensorDesc{ID: 1, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 1)
 	if err != nil {

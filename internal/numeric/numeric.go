@@ -1,8 +1,10 @@
-// Package numeric executes a staged contraction stream with real
-// complex128 arithmetic. It is the one numeric executor of the repo: the
-// scheduling engine (sched.Options.Numeric) and the correlator front end
-// (redstar.Build.EvaluateNumeric) both hand it one stage at a time,
-// and it runs the stage as dependency levels of batches on one
+// Package numeric executes a staged contraction stream with real complex
+// arithmetic on tensors stored as a real plane followed by an imaginary
+// plane of float64 values (tensor.Tensor), the layout the contraction
+// kernels read and write directly. It is the one numeric executor of the
+// repo: the scheduling engine (sched.Options.Numeric) and the correlator
+// front end (redstar.Build.EvaluateNumeric) both hand it one stage at a
+// time, and it runs the stage as dependency levels of batches on one
 // persistent worker pool. Nothing in here knows a scheduler or a device,
 // so no placement can change a number it produces.
 package numeric
@@ -59,9 +61,12 @@ type Executor struct {
 	readsLeft map[uint64]int
 	arena     *bufArena
 	norms     map[uint64]float64 // final norms of reclaimed tensors
-	deadT     []*tensor.Tensor
-	deadIDs   []uint64
-	deadNorm  []float64
+	// The tensors one settleReclaim reclaims, their IDs and norms, and the
+	// Do body that computes four of the norms, bound once.
+	deadT    []*tensor.Tensor
+	deadIDs  []uint64
+	deadNorm []float64
+	normFn   func(w, i int)
 }
 
 // New draws the stream's input tensors and parks the worker pool. The
@@ -74,6 +79,7 @@ func New(w *workload.Workload, cfg Config) (*Executor, error) {
 		arena:     newBufArena(),
 		norms:     make(map[uint64]float64),
 	}
+	x.normFn = x.normQuad
 	for _, d := range w.Inputs {
 		t, err := tensor.NewRandom(d, rng)
 		if err != nil {
@@ -181,7 +187,7 @@ func (x *Executor) execLevel(ctx context.Context, pairs []workload.Pair) error {
 		hi := min(lo+levelWidth, len(ops))
 		sub, subPairs := ops[lo:hi], pairs[lo:hi]
 		for i, p := range subPairs {
-			sub[i].Dst = &tensor.Tensor{Data: x.arena.get(int(p.Out.Elems()))}
+			sub[i].Dst = &tensor.Tensor{Data: x.arena.get(2 * int(p.Out.Elems()))}
 		}
 		if err := x.bp.Run(sub); err != nil {
 			return fmt.Errorf("numeric: contraction: %w", err)
@@ -198,9 +204,9 @@ func (x *Executor) execLevel(ctx context.Context, pairs []workload.Pair) error {
 
 // settleReclaim settles a sub-batch's operand reads and reclaims every
 // tensor that died: they leave the store, their norms fan out across the
-// pool, and their buffers go back to the arena. A norm is computed per
-// dead tensor over identical data whatever the fan-out, so the fingerprint
-// is unaffected.
+// pool four tensors per item, and their buffers go back to the arena.
+// tensor.Norms gives every tensor Norm's own chain over the same data, so
+// the fingerprint does not depend on how the norms were grouped or spread.
 func (x *Executor) settleReclaim(pairs []workload.Pair) error {
 	dead := x.deadT[:0]
 	ids := x.deadIDs[:0]
@@ -240,15 +246,23 @@ func (x *Executor) settleReclaim(pairs []workload.Pair) error {
 	if cap(x.deadNorm) < len(dead) {
 		x.deadNorm = make([]float64, len(dead))
 	}
-	norms := x.deadNorm[:len(dead)]
-	if err := x.bp.Do(len(dead), func(_, i int) { norms[i] = dead[i].Norm() }); err != nil {
+	x.deadT, x.deadNorm = dead, x.deadNorm[:len(dead)]
+	if err := x.bp.Do((len(dead)+3)/4, x.normFn); err != nil {
 		return err
 	}
 	for i, id := range ids {
-		x.norms[id] = norms[i]
+		x.norms[id] = x.deadNorm[i]
 		x.arena.put(dead[i].Data)
 	}
 	return nil
+}
+
+// normQuad is settleReclaim's Do body: the norms of dead tensors 4i to
+// 4i+3 (fewer in the last item).
+func (x *Executor) normQuad(_, i int) {
+	lo := 4 * i
+	hi := min(lo+4, len(x.deadT))
+	tensor.Norms(x.deadNorm[lo:hi], x.deadT[lo:hi])
 }
 
 // buildLiveness counts, per tensor ID, how many operand reads the stream

@@ -9,9 +9,10 @@ import (
 	"micco/internal/workload"
 )
 
-// Numeric mode executes the contraction stream with real complex128
-// arithmetic so tests and examples can validate that scheduling decisions
-// never change numerical results. The engine owns one numeric.Executor per
+// Numeric mode executes the contraction stream with real complex
+// arithmetic — on tensors held as a real and an imaginary float64 plane,
+// the layout the kernels read and write in place — so tests and examples
+// can validate that scheduling decisions never change numerical results. The engine owns one numeric.Executor per
 // run and, at every stage boundary, runs the stage's pairs on it inline:
 // dependency levels of batches on the executor's worker pool, the
 // engine goroutine working as pool worker 0. The scheduling and simulation
@@ -40,8 +41,9 @@ func (e *engine) runNumeric(pairs []workload.Pair) error {
 
 // publishWorkerGauges emits per-worker busy/wait/utilization gauges over
 // the run's numeric wall time (the sum of its runNumeric calls): worker 0
-// is the engine goroutine, busy while it packs and contracts alongside the
-// pool, waiting while it resolves operands, settles reclamation or sits at
+// is the engine goroutine, busy while it works alongside the pool —
+// allocating fresh destinations, contracting, taking dead tensors' norms —
+// waiting while it resolves operands, keeps reclamation's books or sits at
 // a batch's end for a straggler; workers 1..n-1 are the pool's parked
 // goroutines.
 func publishWorkerGauges(reg *obs.Registry, busy []time.Duration, total time.Duration) {

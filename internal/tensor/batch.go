@@ -10,17 +10,16 @@ import (
 // A scheduler stage fans out many independent pair contractions. A batch
 // (BatchPipeline.Run) runs them as one list of (op, group) work items on
 // the pool's parallel-for: each item is one n x n group product through
-// contractGroupSoA — the routine ContractInto runs per group — with the
+// contractGroup — the routine ContractInto runs per group — with the
 // worker's own pack buffer, so a batch is bit-identical to running
-// ContractInto per op by construction. A shared operand is packed once per
-// group it feeds rather than once per stage: packing is O(n^2) moves
-// against an O(n^3) product, under 1% of a group at dim 128, so sharing
-// panels across ops gains nothing measurable (DESIGN.md §12).
+// ContractInto per op by construction. Operands are read where they lie:
+// a tensor's groups are already the split panels the kernels take, so a
+// shared operand costs nothing to share.
 
 // BatchOp is one contraction of a stage batch: Dst = A x B with output
 // identity OutID. Dst follows ContractInto's destination contract and
-// may alias A or B of the SAME op (every item packs its group of both
-// operands before it writes that group); it must not alias another op's
+// may alias A or B of the SAME op (every item copies an aliased operand
+// group before it writes that group); it must not alias another op's
 // operand or destination (the numeric executor's level partitioning
 // enforces this before it hands a batch over).
 type BatchOp struct {
@@ -31,21 +30,11 @@ type BatchOp struct {
 // batchItem is one (op, group) work item of a batch.
 type batchItem struct{ op, g int32 }
 
-// groups is the number of independent n x n group products in a
-// contraction with output description d.
-func groups(d Desc) int {
-	if d.Rank == RankBaryon {
-		return d.Batch * d.Dim
-	}
-	return d.Batch
-}
-
 // plan validates every op, sizes every destination and builds the
-// batch's work list on the pipeline, sizing the pack buffers of the
-// workers that will drain it. On error no destination has been sized.
-// ops must be non-empty.
+// batch's work list on the pipeline. On error no destination has been
+// sized. ops must be non-empty.
 func (p *BatchPipeline) plan(ops []BatchOp) error {
-	maxN, maxGroups, total := 0, 0, 0
+	maxGroups, total := 0, 0
 	for i, op := range ops {
 		if op.Dst == nil {
 			return fmt.Errorf("tensor: ContractBatch op %d with nil destination", i)
@@ -54,19 +43,26 @@ func (p *BatchPipeline) plan(ops []BatchOp) error {
 		if err != nil {
 			return fmt.Errorf("tensor: ContractBatch op %d: %w", i, err)
 		}
-		maxN = max(maxN, od.Dim)
 		maxGroups = max(maxGroups, groups(od))
 		total += groups(od)
 	}
-	for _, op := range ops {
-		od, _ := ContractOut(op.A.Desc, op.B.Desc, op.OutID)
-		elems := int(od.Elems())
-		if cap(op.Dst.Data) >= elems {
-			op.Dst.Data = op.Dst.Data[:elems]
+	p.ops = ops
+	fresh := p.fresh[:0]
+	for i, op := range ops {
+		op.Dst.Desc, _ = ContractOut(op.A.Desc, op.B.Desc, op.OutID)
+		if vals := 2 * int(op.Dst.Elems()); cap(op.Dst.Data) >= vals {
+			op.Dst.Data = op.Dst.Data[:vals]
 		} else {
-			op.Dst.Data = make([]complex128, elems)
+			fresh = append(fresh, int32(i))
 		}
-		op.Dst.Desc = od
+	}
+	p.fresh = fresh
+	// The runtime zeroes fresh storage on the goroutine that allocates it,
+	// so the destinations a recycled buffer cannot serve are allocated on
+	// the pool, one per item, rather than by the caller alone.
+	if err := p.Do(len(fresh), p.allocFn); err != nil {
+		p.ops = nil
+		return err
 	}
 
 	// Items are ordered group-major — group g of every op before group
@@ -84,11 +80,14 @@ func (p *BatchPipeline) plan(ops []BatchOp) error {
 		}
 	}
 	p.items = items
-	p.ops = ops
-	for _, b := range p.bufs[:min(p.workers, len(items))] {
-		b.size(maxN)
-	}
 	return nil
+}
+
+// allocItem is the parallel-for body of plan's allocation: fresh
+// destination i gets zeroed storage for its two planes.
+func (p *BatchPipeline) allocItem(_, i int) {
+	dst := p.ops[p.fresh[i]].Dst
+	dst.Data = make([]float64, 2*dst.Elems())
 }
 
 // contractItem is the parallel-for body of a batch: item i's group
@@ -96,9 +95,7 @@ func (p *BatchPipeline) plan(ops []BatchOp) error {
 func (p *BatchPipeline) contractItem(w, i int) {
 	it := p.items[i]
 	op := p.ops[it.op]
-	n := op.Dst.Dim
-	lo, hi := int(it.g)*n*n, int(it.g+1)*n*n
-	contractGroupSoA(op.Dst.Data[lo:hi], op.A.Data[lo:hi], op.B.Data[lo:hi], n, p.bufs[w])
+	contractGroup(op.Dst.Data, op.A.Data, op.B.Data, int(it.g), op.Dst.Dim, p.bufs[w])
 }
 
 // ContractBatch executes all ops of a stage: one BatchPipeline.Run on a

@@ -23,10 +23,11 @@ func pairwiseRef(t *testing.T, ops []BatchOp) []*Tensor {
 }
 
 // stageOps builds a stage-shaped batch: one shared operand feeding
-// several pairs (a stage's usual fan-out), plus an independent pair and
-// dimensions 3, 4, 7 and 64 side by side: groups narrower than the vector
-// tile share the work list, and the worker pack buffers sized for the
-// widest op, with whole-tile ones.
+// several pairs (a stage's usual fan-out), plus an independent pair,
+// dimensions 3, 4, 7, 20 and 64 side by side — groups narrower than the
+// vector tile share the work list with whole-tile ones — and an op whose
+// destination is its own A, so every batch test runs the in-place store
+// path through the worker pack buffers.
 func stageOps(rng *rand.Rand) []BatchOp {
 	shared, _ := NewRandom(Desc{ID: 1, Rank: RankMeson, Dim: 24, Batch: 2}, rng)
 	b1, _ := NewRandom(Desc{ID: 2, Rank: RankMeson, Dim: 24, Batch: 2}, rng)
@@ -41,6 +42,8 @@ func stageOps(rng *rand.Rand) []BatchOp {
 	a5, _ := NewRandom(Desc{ID: 11, Rank: RankMeson, Dim: 7, Batch: 5}, rng)
 	a6, _ := NewRandom(Desc{ID: 12, Rank: RankMeson, Dim: 64, Batch: 1}, rng)
 	b7, _ := NewRandom(Desc{ID: 13, Rank: RankMeson, Dim: 64, Batch: 1}, rng)
+	a8, _ := NewRandom(Desc{ID: 14, Rank: RankMeson, Dim: 20, Batch: 3}, rng)
+	b8, _ := NewRandom(Desc{ID: 15, Rank: RankMeson, Dim: 20, Batch: 3}, rng)
 	return []BatchOp{
 		{Dst: &Tensor{}, A: shared, B: b1, OutID: 100},
 		{Dst: &Tensor{}, A: shared, B: b2, OutID: 101},
@@ -50,6 +53,7 @@ func stageOps(rng *rand.Rand) []BatchOp {
 		{Dst: &Tensor{}, A: a4, B: b6, OutID: 105},
 		{Dst: &Tensor{}, A: a5, B: a5, OutID: 106}, // one tensor on both sides
 		{Dst: &Tensor{}, A: a6, B: b7, OutID: 107},
+		{Dst: a8, A: a8, B: b8, OutID: 108}, // writes over its own A
 	}
 }
 
@@ -71,8 +75,8 @@ func TestContractBatchExactBitIdentical(t *testing.T) {
 }
 
 // TestContractBatchInPlace: an op whose destination is one of its own
-// operands is safe — each work item packs its group of both operands
-// before it writes that group.
+// operands is safe — each work item copies the group of the operand its
+// destination aliases before it writes that group.
 func TestContractBatchInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(803))
 	for _, dim := range []int{5, 16} {
@@ -133,7 +137,7 @@ func TestOperandValidation(t *testing.T) {
 	d := Desc{ID: 1, Rank: RankMeson, Dim: 16, Batch: 2}
 	a, _ := NewRandom(d, rng)
 	b, _ := NewRandom(Desc{ID: 2, Rank: RankMeson, Dim: 16, Batch: 2}, rng)
-	short := &Tensor{Desc: d, Data: a.Data[:len(a.Data)-1]} // the missing element sits in spare capacity
+	short := &Tensor{Desc: d, Data: a.Data[:len(a.Data)-1]} // the missing value sits in spare capacity
 	long := &Tensor{Desc: Desc{ID: 3, Rank: RankMeson, Dim: 16, Batch: 1}, Data: a.Data}
 	p := NewBatchPipeline(2)
 	defer p.Close()
@@ -144,9 +148,9 @@ func TestOperandValidation(t *testing.T) {
 	}{
 		{"nil A", nil, b, "nil operand"},
 		{"nil B", a, nil, "nil operand"},
-		{"short A", short, b, "holds 511 elements, want 512"},
-		{"short B", a, short, "holds 511 elements, want 512"},
-		{"long A", long, long, "holds 512 elements, want 256"},
+		{"short A", short, b, "holds 1023 values, want 1024"},
+		{"short B", a, short, "holds 1023 values, want 1024"},
+		{"long A", long, long, "holds 1024 values, want 512"},
 	} {
 		entries := []struct {
 			name string

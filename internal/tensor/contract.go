@@ -26,13 +26,15 @@ func Contract(a, b *Tensor, outID uint64, workers int) (*Tensor, error) {
 // reused when its capacity suffices (its previous contents are ignored and
 // fully overwritten) and reallocated otherwise, and dst.Desc is set to the
 // output description with identity outID. A dst recycled from an arena may
-// arrive dirty or resliced; neither affects the result. dst may alias a or
-// b: each operand block is unpacked into split-complex panels before any
-// output element of that block is written.
+// arrive dirty or resliced; neither affects the result. dst may be a, b or
+// both (or share their storage exactly): a group of an operand that dst
+// aliases is copied into the worker's pack buffer before any output of
+// that group is stored.
 //
-// Steady-state ContractInto calls with a right-sized dst allocate nothing:
-// pack panels come from an internal sync.Pool, and single-worker calls run
-// inline on the caller's goroutine.
+// A single-worker call with a right-sized dst allocates nothing: the pack
+// buffer comes from an internal sync.Pool and the groups run inline on the
+// caller's goroutine (TestContractIntoSteadyStateAllocs pins that). A
+// multi-worker call spawns a goroutine per worker, which allocates.
 func ContractInto(dst *Tensor, a, b *Tensor, outID uint64, workers int) error {
 	if dst == nil {
 		return fmt.Errorf("tensor: ContractInto with nil destination")
@@ -41,31 +43,21 @@ func ContractInto(dst *Tensor, a, b *Tensor, outID uint64, workers int) error {
 	if err != nil {
 		return err
 	}
-	elems := int(od.Elems())
-	if cap(dst.Data) >= elems {
-		dst.Data = dst.Data[:elems]
+	if vals := 2 * int(od.Elems()); cap(dst.Data) >= vals {
+		dst.Data = dst.Data[:vals]
 	} else {
-		dst.Data = make([]complex128, elems)
+		dst.Data = make([]float64, vals)
 	}
 	dst.Desc = od
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	switch a.Rank {
-	case RankMeson:
-		batchedMatMul(dst.Data, a.Data, b.Data, a.Batch, a.Dim, workers)
-	case RankBaryon:
-		// A rank-3 contraction is Batch*Dim independent DxD products, so
-		// reuse the batched kernel with an expanded batch count.
-		batchedMatMul(dst.Data, a.Data, b.Data, a.Batch*a.Dim, a.Dim, workers)
-	default:
-		return fmt.Errorf("tensor: unsupported rank %d", a.Rank)
-	}
+	batchedMatMul(dst.Data, a.Data, b.Data, groups(od), od.Dim, workers)
 	return nil
 }
 
 // contractOperands validates the operands of one contraction — present,
-// contractible, and each holding exactly the data its description
+// contractible, and each holding exactly the two planes its description
 // promises, since the kernels index Data by the description alone — and
 // returns the output description.
 func contractOperands(a, b *Tensor, outID uint64) (Desc, error) {
@@ -80,48 +72,55 @@ func contractOperands(a, b *Tensor, outID uint64) (Desc, error) {
 		if len(t.Data) == 0 {
 			return Desc{}, fmt.Errorf("tensor: contract on metadata-only tensor %v", t.Desc)
 		}
-		if int64(len(t.Data)) != t.Elems() {
-			return Desc{}, fmt.Errorf("tensor: operand %v holds %d elements, want %d", t.Desc, len(t.Data), t.Elems())
+		if int64(len(t.Data)) != 2*t.Elems() {
+			return Desc{}, fmt.Errorf("tensor: operand %v holds %d values, want %d (two planes of %d)", t.Desc, len(t.Data), 2*t.Elems(), t.Elems())
 		}
 	}
 	return od, nil
 }
 
-// batchedMatMul computes dst[g] = a[g] * b[g] for g in [0, batch), where
-// each slot is an n x n complex matrix. dst contents on entry are ignored.
-// Group indices are handed out through a shared atomic counter so the
-// fan-out costs nothing per group; a single worker runs inline on the
-// caller's goroutine with no synchronization at all.
-func batchedMatMul(dst, a, b []complex128, batch, n, workers int) {
-	if workers > batch {
-		workers = batch
+// groups is the number of independent n x n group products in a
+// contraction with output description d.
+func groups(d Desc) int {
+	if d.Rank == RankBaryon {
+		return d.Batch * d.Dim
 	}
-	if workers <= 1 {
-		buf := getPackBuf(n)
+	return d.Batch
+}
+
+// batchedMatMul computes group g of dst = a x b for g in [0, batch), where
+// each group is an n x n complex matrix. dst contents on entry are
+// ignored. A single worker runs inline on the caller's goroutine with no
+// synchronization at all; otherwise it spawns one goroutine per worker (at
+// most one per group), which draw group indices from a shared atomic
+// counter while the caller waits. (A caller that took a share itself made
+// two-group calls slower on two threads, DESIGN.md §7.)
+func batchedMatMul(dst, a, b []float64, batch, n, workers int) {
+	if workers = min(workers, batch); workers <= 1 {
+		buf := packPool.Get().(*packBuf)
 		for g := 0; g < batch; g++ {
-			off := g * n * n
-			contractGroupSoA(dst[off:off+n*n], a[off:off+n*n], b[off:off+n*n], n, buf)
+			contractGroup(dst, a, b, g, n, buf)
 		}
-		putPackBuf(buf)
+		packPool.Put(buf)
 		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := getPackBuf(n)
-			defer putPackBuf(buf)
-			for {
-				g := int(next.Add(1)) - 1
-				if g >= batch {
-					return
-				}
-				off := g * n * n
-				contractGroupSoA(dst[off:off+n*n], a[off:off+n*n], b[off:off+n*n], n, buf)
+	run := func() {
+		defer wg.Done()
+		buf := packPool.Get().(*packBuf)
+		for {
+			g := int(next.Add(1)) - 1
+			if g >= batch {
+				break
 			}
-		}()
+			contractGroup(dst, a, b, g, n, buf)
+		}
+		packPool.Put(buf)
+	}
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go run()
 	}
 	wg.Wait()
 }

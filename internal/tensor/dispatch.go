@@ -43,7 +43,7 @@ func (t kernelTier) String() string {
 var (
 	kernelCap kernelTier // upper bound from MICCO_KERNEL, tierAVX512 if unset
 	useAVX2   bool       // 1x8 row kernel on YMM
-	useAVX512 bool       // 4x16 block kernel and pack/merge permutes on ZMM
+	useAVX512 bool       // 4x16 block kernel on ZMM
 )
 
 func init() { resolveDispatch() }

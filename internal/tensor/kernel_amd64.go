@@ -26,23 +26,10 @@ func rowKernelAVX2(cRe, cIm, aRe, aIm, bRe, bIm *float64, n int)
 // blockKernelAVX512 computes output columns [0, n&^15) of four
 // consecutive C rows in split form, holding the 4x16 block in ZMM
 // accumulators across the whole k loop. aRe/aIm point at the first of
-// the four split A rows, cRe/cIm at a four-row scratch block; every row
-// has stride n. Like rowKernelAVX2 it uses VMULPD/VADDPD/VSUBPD only, so
+// the four split A rows, cRe/cIm at the first of the four split C rows
+// (the destination's own planes); every row has stride n. Like rowKernelAVX2 it uses VMULPD/VADDPD/VSUBPD only, so
 // each element's chain is the scalar kernel's. Requires n >= 16; columns
 // >= n&^15 are left untouched for the scalar tail.
 //
 //go:noescape
 func blockKernelAVX512(cRe, cIm, aRe, aIm, bRe, bIm *float64, n int)
-
-// packSplitAVX512 deinterleaves n complex128 values (n a multiple of 8)
-// into separate re/im panels with ZMM permutes. Pure data movement, byte
-// for byte the scalar loop's result.
-//
-//go:noescape
-func packSplitAVX512(re, im *float64, src *complex128, n int)
-
-// unpackMergeAVX512 zips n re/im pairs (n a multiple of 8) back into
-// interleaved complex128 values. Pure data movement.
-//
-//go:noescape
-func unpackMergeAVX512(dst *complex128, re, im *float64, n int)

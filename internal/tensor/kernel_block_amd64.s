@@ -46,8 +46,8 @@
 // rowKernelScalar. Blocking changes which elements share an instruction,
 // never an element's chain.
 //
-// aRe/aIm point at the block's first split A row, cRe/cIm at a 4-row
-// split C scratch block; all rows have stride n. Columns >= n&^15 are
+// aRe/aIm point at the block's first split A row, cRe/cIm at its first
+// split C row in the destination's planes; all rows have stride n. Columns >= n&^15 are
 // left untouched for the scalar tail. Requires n >= 16.
 TEXT ·blockKernelAVX512(SB), NOSPLIT, $0-56
 	MOVQ bRe+32(FP), R10

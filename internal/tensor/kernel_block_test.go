@@ -7,28 +7,19 @@ import (
 )
 
 // scalarRef multiplies a and b group by group with rowKernelScalar alone,
-// packing and merging with plain loops: the chain every exact route must
-// reproduce, computed without any of the code under test around it.
+// slicing the planes by hand: the chain every exact route must reproduce,
+// computed without any of the code under test around it.
 func scalarRef(a, b *Tensor) *Tensor {
 	n := a.Dim
 	out := MustNew(Desc{ID: 1000, Rank: RankMeson, Dim: n, Batch: a.Batch})
-	split := func(src []complex128) (re, im []float64) {
-		re, im = make([]float64, len(src)), make([]float64, len(src))
-		for i, v := range src {
-			re[i], im[i] = real(v), imag(v)
-		}
-		return re, im
-	}
-	cRe, cIm := make([]float64, n), make([]float64, n)
+	h := len(a.Data) / 2
 	for g := 0; g < a.Batch; g++ {
-		off := g * n * n
-		aRe, aIm := split(a.Data[off : off+n*n])
-		bRe, bIm := split(b.Data[off : off+n*n])
-		for i := 0; i < n; i++ {
-			rowKernelScalar(cRe, cIm, aRe[i*n:i*n+n], aIm[i*n:i*n+n], bRe, bIm, n, 0)
-			for j := 0; j < n; j++ {
-				out.Data[off+i*n+j] = complex(cRe[j], cIm[j])
-			}
+		lo, hi := g*n*n, (g+1)*n*n
+		aRe, aIm := a.Data[lo:hi], a.Data[h+lo:h+hi]
+		bRe, bIm := b.Data[lo:hi], b.Data[h+lo:h+hi]
+		cRe, cIm := out.Data[lo:hi], out.Data[h+lo:h+hi]
+		for r := 0; r < n*n; r += n {
+			rowKernelScalar(cRe[r:r+n], cIm[r:r+n], aRe[r:r+n], aIm[r:r+n], bRe, bIm, n, 0)
 		}
 	}
 	return out
@@ -36,7 +27,7 @@ func scalarRef(a, b *Tensor) *Tensor {
 
 // clone copies t so an aliased destination cannot disturb the original.
 func clone(t *Tensor) *Tensor {
-	return &Tensor{Desc: t.Desc, Data: append([]complex128(nil), t.Data...)}
+	return &Tensor{Desc: t.Desc, Data: append([]float64(nil), t.Data...)}
 }
 
 // blockDims brackets the block kernel's seams: the 16-column tile (16,
@@ -55,19 +46,19 @@ func equalBitsOrNaN(t *testing.T, got, want *Tensor, label string) {
 		return math.Float64bits(g) == math.Float64bits(w) || (math.IsNaN(g) && math.IsNaN(w))
 	}
 	if len(got.Data) != len(want.Data) {
-		t.Fatalf("%s: %d elements, want %d", label, len(got.Data), len(want.Data))
+		t.Fatalf("%s: %d values, want %d", label, len(got.Data), len(want.Data))
 	}
-	for i := range got.Data {
-		g, w := got.Data[i], want.Data[i]
-		if !same(real(g), real(w)) || !same(imag(g), imag(w)) {
-			t.Fatalf("%s: element %d = %v, want %v (bit-exact)", label, i, g, w)
+	for i, g := range got.Data {
+		if w := want.Data[i]; !same(g, w) {
+			t.Fatalf("%s: value %d = %v, want %v (bit-exact)", label, i, g, w)
 		}
 	}
 }
 
-// checkExactRoutes runs a x b through ContractInto and ContractBatch —
-// into a fresh destination, into a (dst aliases a), into b (dst aliases
-// b), and as a x a with one tensor on both sides — and demands the bits
+// checkExactRoutes runs a x b through ContractInto and ContractBatch, with
+// one worker and with several — into a fresh destination, into a (dst
+// aliases a), into b (dst aliases b), as a x a with one tensor on both
+// sides, and as a x a into a itself (dst == a == b) — and demands the bits
 // of want (resp. wantSq for a x a) from every one of them.
 func checkExactRoutes(t *testing.T, label string, a, b, want, wantSq *Tensor) {
 	t.Helper()
@@ -77,38 +68,42 @@ func checkExactRoutes(t *testing.T, label string, a, b, want, wantSq *Tensor) {
 		want      *Tensor
 	}
 	routes := func() []route {
-		a1, b1, a2 := clone(a), clone(b), clone(a)
+		a1, b1, a2, a3 := clone(a), clone(b), clone(a), clone(a)
 		return []route{
 			{"fresh", &Tensor{}, a, b, want},
 			{"dst=a", a1, a1, b, want},
 			{"dst=b", b1, a, b1, want},
 			{"a==b", &Tensor{}, a2, a2, wantSq},
+			{"dst=a=b", a3, a3, a3, wantSq},
 		}
 	}
-	for _, r := range routes() {
-		if err := ContractInto(r.dst, r.x, r.y, 7, 2); err != nil {
-			t.Fatalf("%s ContractInto %s: %v", label, r.name, err)
+	for _, workers := range []int{1, 3} {
+		w := " workers=" + itoa(workers)
+		for _, r := range routes() {
+			if err := ContractInto(r.dst, r.x, r.y, 7, workers); err != nil {
+				t.Fatalf("%s ContractInto %s%s: %v", label, r.name, w, err)
+			}
+			equalBitsOrNaN(t, r.dst, r.want, label+" ContractInto "+r.name+w)
 		}
-		equalBitsOrNaN(t, r.dst, r.want, label+" ContractInto "+r.name)
-	}
-	rs := routes()
-	ops := make([]BatchOp, len(rs))
-	for i, r := range rs {
-		ops[i] = BatchOp{Dst: r.dst, A: r.x, B: r.y, OutID: 7}
-	}
-	if err := ContractBatch(ops, 2); err != nil {
-		t.Fatalf("%s ContractBatch: %v", label, err)
-	}
-	for i, r := range rs {
-		equalBitsOrNaN(t, ops[i].Dst, r.want, label+" ContractBatch "+r.name)
+		rs := routes()
+		ops := make([]BatchOp, len(rs))
+		for i, r := range rs {
+			ops[i] = BatchOp{Dst: r.dst, A: r.x, B: r.y, OutID: 7}
+		}
+		if err := ContractBatch(ops, workers); err != nil {
+			t.Fatalf("%s ContractBatch%s: %v", label, w, err)
+		}
+		for i, r := range rs {
+			equalBitsOrNaN(t, ops[i].Dst, r.want, label+" ContractBatch "+r.name+w)
+		}
 	}
 }
 
 // TestBlockKernelExact: under every MICCO_KERNEL tier, every route must
-// reproduce rowKernelScalar's bits — and so the naive interleaved-complex
-// loop's — across the block kernel's row and column seams, with the
-// destination fresh or aliasing an operand. ContractInto and
-// ContractBatch share mulPackedExact, so they agree on every row.
+// reproduce rowKernelScalar's bits — and so the naive complex loop's —
+// across the block kernel's row and column seams, with the destination
+// fresh or aliasing an operand, at one worker and several. ContractInto
+// and ContractBatch share contractGroup, so they agree on every row.
 func TestBlockKernelExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1501))
 	for _, n := range blockDims {
@@ -138,12 +133,13 @@ func TestBlockKernelSpecialValues(t *testing.T) {
 		a, _ := NewRandom(Desc{ID: 1, Rank: RankMeson, Dim: n, Batch: 2}, rng)
 		b, _ := NewRandom(Desc{ID: 2, Rank: RankMeson, Dim: n, Batch: 2}, rng)
 		for _, x := range []*Tensor{a, b} {
-			for i := range x.Data {
+			re, im := x.planes()
+			for i := range re {
 				switch rng.Intn(8) {
 				case 0:
-					x.Data[i] = complex(math.Copysign(0, -1), imag(x.Data[i]))
+					re[i] = math.Copysign(0, -1)
 				case 1:
-					x.Data[i] = complex(real(x.Data[i]), 0)
+					im[i] = 0
 				}
 			}
 		}
@@ -159,21 +155,19 @@ func TestBlockKernelSpecialValues(t *testing.T) {
 		}
 		want, wantSq := scalarRef(a, b), scalarRef(a, a)
 		var nan, inf, denormal, normal int
-		for _, v := range want.Data {
-			for _, f := range [2]float64{real(v), imag(v)} {
-				switch {
-				case math.IsNaN(f):
-					nan++
-				case math.IsInf(f, 0):
-					inf++
-				case f != 0 && math.Abs(f) < 0x1p-1022:
-					denormal++
-				case f != 0:
-					normal++
-				}
+		for _, f := range want.Data {
+			switch {
+			case math.IsNaN(f):
+				nan++
+			case math.IsInf(f, 0):
+				inf++
+			case f != 0 && math.Abs(f) < 0x1p-1022:
+				denormal++
+			case f != 0:
+				normal++
 			}
 		}
-		if nan == 0 || inf == 0 || denormal == 0 || normal < len(want.Data) {
+		if nan == 0 || inf == 0 || denormal == 0 || normal < len(want.Data)/2 {
 			t.Fatalf("n=%d: reference has %d NaN, %d Inf, %d denormal, %d normal values: the case lost its point", n, nan, inf, denormal, normal)
 		}
 		for _, tier := range kernelTiers {

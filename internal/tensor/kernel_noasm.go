@@ -21,13 +21,3 @@ func rowKernelAVX2(cRe, cIm, aRe, aIm, bRe, bIm *float64, n int) {
 func blockKernelAVX512(cRe, cIm, aRe, aIm, bRe, bIm *float64, n int) {
 	panic("tensor: AVX-512 block micro-kernel dispatched on a non-amd64 build (kernel routing bug)")
 }
-
-// packSplitAVX512 is never called when hwAVX512 is false.
-func packSplitAVX512(re, im *float64, src *complex128, n int) {
-	panic("tensor: AVX-512 pack kernel dispatched on a non-amd64 build (kernel routing bug)")
-}
-
-// unpackMergeAVX512 is never called when hwAVX512 is false.
-func unpackMergeAVX512(dst *complex128, re, im *float64, n int) {
-	panic("tensor: AVX-512 merge kernel dispatched on a non-amd64 build (kernel routing bug)")
-}

@@ -2,22 +2,23 @@ package tensor
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 )
 
-// equalBits reports element-wise bitwise equality (including zero signs).
+// equalBits reports value-wise bitwise equality of both planes (including
+// zero signs).
 func equalBits(t *testing.T, got, want *Tensor, label string) {
 	t.Helper()
 	if got.Rank != want.Rank || got.Dim != want.Dim || got.Batch != want.Batch {
 		t.Fatalf("%s: shape %v vs %v", label, got.Desc, want.Desc)
 	}
-	for i := range got.Data {
-		g, w := got.Data[i], want.Data[i]
-		if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
-			math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
-			t.Fatalf("%s: element %d = %v, want %v (bit-exact)", label, i, g, w)
+	if len(got.Data) != len(want.Data) {
+		t.Fatalf("%s: %d values, want %d", label, len(got.Data), len(want.Data))
+	}
+	for i, g := range got.Data {
+		if w := want.Data[i]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: value %d = %v, want %v (bit-exact)", label, i, g, w)
 		}
 	}
 }
@@ -155,21 +156,21 @@ func TestContractIntoDirtyDst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		elems := int(d.Elems())
-		dirty := make([]complex128, elems+5) // extra capacity on purpose
+		vals := 2 * int(d.Elems())
+		dirty := make([]float64, vals+5) // extra capacity on purpose
 		for i := range dirty {
-			dirty[i] = complex(math.NaN(), math.Inf(1))
+			dirty[i] = math.NaN()
 		}
 		dst := &Tensor{Desc: Desc{ID: 99, Rank: RankMeson, Dim: 1, Batch: 1}, Data: dirty[:1]}
 		if err := ContractInto(dst, a, b, 3, 2); err != nil {
 			t.Fatalf("dim=%d: %v", dim, err)
 		}
-		if dst.ID != 3 || dst.Dim != dim || dst.Batch != 2 || len(dst.Data) != elems {
+		if dst.ID != 3 || dst.Dim != dim || dst.Batch != 2 || len(dst.Data) != vals {
 			t.Fatalf("dim=%d: dst desc/len not updated: %v len=%d", dim, dst.Desc, len(dst.Data))
 		}
 		equalBits(t, dst, want, "dirty dst dim="+itoa(dim))
 		// Undersized capacity must transparently reallocate.
-		small := &Tensor{Data: make([]complex128, 1)}
+		small := &Tensor{Data: make([]float64, 1)}
 		if err := ContractInto(small, a, b, 3, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -178,55 +179,48 @@ func TestContractIntoDirtyDst(t *testing.T) {
 }
 
 // TestContractIntoAliasing: dst sharing storage with an operand is
-// documented as safe — each operand block is packed before any of that
-// block's output is stored. The cases span groups narrower than the
-// vector tile and wider, on the vector and the scalar lanes, and every
-// result must carry the naive reference's bits.
+// documented as safe — the kernels store output rows straight into dst's
+// planes, so a group of an operand dst aliases is copied before any of
+// that group's output is stored. dst==a, dst==b and dst==a==b run under
+// every MICCO_KERNEL tier with one worker and with several, on groups
+// narrower than the vector tile and wider, through the block kernel's row
+// remainder, and every result must carry the naive reference's bits.
 func TestContractIntoAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	cases := []Desc{
 		{ID: 1, Rank: RankMeson, Dim: 4, Batch: 2},  // all scalar tail
 		{ID: 1, Rank: RankMeson, Dim: 24, Batch: 3}, // tiles
+		{ID: 1, Rank: RankMeson, Dim: 18, Batch: 2}, // block rows + row remainder
 		{ID: 1, Rank: RankBaryon, Dim: 3, Batch: 2}, // all scalar tail
 		{ID: 1, Rank: RankBaryon, Dim: 9, Batch: 2}, // tile + tail
 	}
-	check := func(path string) {
-		for _, d := range cases {
-			a, _ := NewRandom(d, rng)
-			b, _ := NewRandom(Desc{ID: 2, Rank: d.Rank, Dim: d.Dim, Batch: d.Batch}, rng)
-			want, err := Contract(a, b, 3, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalBits(t, mesonView(want), naiveRef(a, b), d.String()+" "+path+" vs naive")
-			overA := a.Clone(1)
-			if err := ContractInto(overA, overA, b, 3, 2); err != nil {
-				t.Fatal(err)
-			}
-			equalBits(t, overA, want, d.String()+" "+path+" dst==a")
-			overB := b.Clone(2)
-			if err := ContractInto(overB, a, overB, 3, 2); err != nil {
-				t.Fatal(err)
-			}
-			equalBits(t, overB, want, d.String()+" "+path+" dst==b")
-		}
-		// Fully self-referential squares: dst == a == b, below and above
-		// the vector tile.
-		for _, dim := range []int{4, 16} {
-			d := Desc{ID: 7, Rank: RankMeson, Dim: dim, Batch: 2}
-			x, _ := NewRandom(d, rng)
-			want, err := Contract(x, x, 8, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ContractInto(x, x, x, 8, 1); err != nil {
-				t.Fatal(err)
-			}
-			equalBits(t, x, want, "dim="+itoa(dim)+" "+path+" dst==a==b")
+	for _, d := range cases {
+		a, _ := NewRandom(d, rng)
+		b, _ := NewRandom(Desc{ID: 2, Rank: d.Rank, Dim: d.Dim, Batch: d.Batch}, rng)
+		want, wantSq := naiveRef(a, b), naiveRef(a, a)
+		for _, tier := range kernelTiers {
+			withKernelEnv(t, tier, func() {
+				for _, workers := range []int{1, 3} {
+					label := d.String() + " MICCO_KERNEL=" + tier + " workers=" + itoa(workers)
+					overA := a.Clone(1)
+					if err := ContractInto(overA, overA, b, 3, workers); err != nil {
+						t.Fatal(err)
+					}
+					equalBits(t, mesonView(overA), want, label+" dst==a")
+					overB := b.Clone(2)
+					if err := ContractInto(overB, a, overB, 3, workers); err != nil {
+						t.Fatal(err)
+					}
+					equalBits(t, mesonView(overB), want, label+" dst==b")
+					self := a.Clone(3)
+					if err := ContractInto(self, self, self, 3, workers); err != nil {
+						t.Fatal(err)
+					}
+					equalBits(t, mesonView(self), wantSq, label+" dst==a==b")
+				}
+			})
 		}
 	}
-	check("auto")
-	withScalarKernel(t, func() { check("scalar") })
 }
 
 func TestContractIntoErrors(t *testing.T) {
@@ -246,23 +240,29 @@ func TestContractIntoErrors(t *testing.T) {
 }
 
 // TestContractIntoSteadyStateAllocs: the pooled path with a right-sized
-// destination and a single worker must not allocate at all.
+// destination and a single worker must not allocate at all — also when
+// the destination is an operand and the pack buffer serves its copy.
 func TestContractIntoSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	d := Desc{ID: 1, Rank: RankMeson, Dim: 48, Batch: 2}
 	a, _ := NewRandom(d, rng)
 	b, _ := NewRandom(Desc{ID: 2, Rank: RankMeson, Dim: 48, Batch: 2}, rng)
-	dst := &Tensor{Data: make([]complex128, d.Elems())}
-	if err := ContractInto(dst, a, b, 3, 1); err != nil { // warm the pool
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := ContractInto(dst, a, b, 3, 1); err != nil {
+	dst := &Tensor{Data: make([]float64, 2*d.Elems())}
+	for _, c := range []struct {
+		name string
+		x    *Tensor
+	}{{"fresh", b}, {"dst==b", dst}} {
+		if err := ContractInto(dst, a, c.x, 3, 1); err != nil { // warm the pool
 			t.Fatal(err)
 		}
-	})
-	if allocs > 2 {
-		t.Errorf("steady-state ContractInto allocates %.1f objects/op, want <= 2", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := ContractInto(dst, a, c.x, 3, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state ContractInto allocates %.1f objects/op, want 0", c.name, allocs)
+		}
 	}
 }
 
@@ -281,9 +281,9 @@ func TestPackedKernelIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range got.Data {
-		if cmplx.Abs(got.Data[i]-a.Data[i]) != 0 {
-			t.Fatalf("A*I != A at %d: %v vs %v", i, got.Data[i], a.Data[i])
+	for i, v := range got.Data {
+		if v != a.Data[i] {
+			t.Fatalf("A*I != A at value %d: %v vs %v", i, v, a.Data[i])
 		}
 	}
 }

@@ -11,12 +11,12 @@ import (
 var ErrPipelineClosed = errors.New("tensor: batch pipeline closed")
 
 // BatchPipeline is a persistent cooperative worker pool with one
-// parallel-for (Do), and the only code that hands contraction work to
-// goroutines: it parks its workers between calls and keeps one pack
+// parallel-for (Do): it parks its workers between calls and keeps one pack
 // buffer per worker for its whole lifetime — the right shape for a
 // numeric executor that feeds one dependency level after another. Run is
 // a batch of contractions drained through Do; ContractBatch is one Run on
-// a pipeline that lives for the call.
+// a pipeline that lives for the call. (A multi-worker ContractInto does
+// not come here: it spawns a goroutine per worker on every call.)
 //
 // The calling goroutine participates as worker 0 of every Run and Do
 // call; the pipeline owns workers-1 parked goroutines. Run and Do must
@@ -36,11 +36,15 @@ type BatchPipeline struct {
 	jobWG   sync.WaitGroup // per-call completion
 	bufs    []*packBuf     // one per worker, for the pipeline's lifetime
 
-	// The current batch (Run): its ops, its group-major work list and the
-	// Do body that runs one item, bound once so a Run allocates nothing.
-	ops    []BatchOp
-	items  []batchItem
-	itemFn func(w, i int)
+	// The current batch (Run): its ops, the indices of the destinations it
+	// allocates, its group-major work list and the Do bodies that allocate
+	// one destination and run one item, bound once so a Run allocates
+	// nothing of its own.
+	ops     []BatchOp
+	fresh   []int32
+	items   []batchItem
+	allocFn func(w, i int)
+	itemFn  func(w, i int)
 
 	// Parallel-for state (Do); written by the caller before the job is
 	// published, so workers read it race-free.
@@ -75,6 +79,7 @@ func NewBatchPipeline(workers int) *BatchPipeline {
 	for w := range p.bufs {
 		p.bufs[w] = packPool.Get().(*packBuf)
 	}
+	p.allocFn = p.allocItem
 	p.itemFn = p.contractItem
 	for w := 1; w < workers; w++ {
 		p.wg.Add(1)
@@ -171,7 +176,8 @@ func (p *BatchPipeline) takeDoPanic() error {
 
 // Run executes one batch of ops across the pool: every op is validated
 // before any destination is sized (so on error no op has been executed),
-// the destinations are sized, and the batch's (op, group) items are
+// the destinations are sized — those whose capacity falls short get fresh
+// storage, allocated through Do — and the batch's (op, group) items are
 // drained through Do, the caller computing alongside the parked workers.
 // Steady-state batches allocate nothing. A panic inside any op surfaces
 // as a *WorkerPanicError (destinations then hold unspecified data).
@@ -235,7 +241,7 @@ func (p *BatchPipeline) Close() {
 	close(p.jobs)
 	p.wg.Wait()
 	for _, b := range p.bufs {
-		putPackBuf(b)
+		packPool.Put(b)
 	}
 	p.bufs = nil
 }

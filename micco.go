@@ -60,7 +60,11 @@ import (
 
 // Tensor and shape types.
 type (
-	// Tensor is a dense batched complex tensor with real data.
+	// Tensor is a dense batched complex tensor with real data, stored
+	// split-complex: Data is a []float64 holding the Elems() real parts
+	// and then the Elems() imaginary parts, each plane row-major and
+	// batch-outermost. At2/Set2 (rank 2) and At3/Set3 (rank 3) read and
+	// write one complex element across the two planes.
 	Tensor = tensor.Tensor
 	// TensorDesc is tensor identity and shape metadata.
 	TensorDesc = tensor.Desc
@@ -476,8 +480,8 @@ func ContractInto(dst, a, b *Tensor, outID uint64, workers int) error {
 type BatchOp = tensor.BatchOp
 
 // ContractBatch executes all contractions of an independent stage as one
-// batch: every (op, group) product is one work item on the pool, packed
-// and multiplied exactly as ContractInto does it, so the result is
+// batch: every (op, group) product is one work item on the pool,
+// multiplied exactly as ContractInto does it, so the result is
 // bit-identical to running ContractInto per op. Every op is validated
 // before any destination is sized. Ops must be mutually independent: no
 // destination may alias another op's operand or destination (it may
@@ -489,7 +493,8 @@ func ContractBatch(ops []BatchOp, workers int) error {
 
 // BatchPipeline is a persistent cooperative worker pool with one
 // parallel-for (Do): workers park on a channel between calls, keep their
-// pack buffers for the pool's lifetime, and the caller's goroutine
+// pack buffers (the copy of an operand group an in-place destination
+// aliases) for the pool's lifetime, and the caller's goroutine
 // participates as a worker. Run drains a batch's (op, group) items
 // through Do. Every numeric contraction of a Run or a correlator
 // evaluation goes through one of these. Not safe for concurrent Run/Do
