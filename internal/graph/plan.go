@@ -33,9 +33,11 @@ type Plan struct {
 // planner carries the cross-graph memoization state and the scratch
 // buffers reduce reuses from graph to graph.
 type planner struct {
-	plan   *Plan
-	memo   map[[2]uint64]int // ordered operand IDs -> index of the op
-	inputs map[uint64]struct{}
+	plan *Plan
+	memo map[[2]uint64]int // ordered operand IDs -> index of the op
+	// input[id] says leaf id is in Inputs already; leaf IDs are below
+	// firstID.
+	input []bool
 	// firstID is the ID of Ops[0].Out; intermediates are numbered from it
 	// in op order, so a tensor's stage is read off the op that made it.
 	firstID, nextID uint64
@@ -47,21 +49,22 @@ type planner struct {
 
 // BuildPlan compiles graphs into a staged plan. Fresh intermediate tensor
 // IDs are allocated starting at nextID (which must exceed every leaf
-// tensor ID). Every graph must be valid and connected.
+// tensor ID; the planner keeps one flag per ID below it, so it should sit
+// just past the leaves, as wick's BlockTable.NextID does). Every graph
+// must be valid and connected.
 func BuildPlan(graphs []*Graph, nextID uint64) (*Plan, error) {
-	p := &planner{
-		plan:    &Plan{Finals: make(map[int]tensor.Desc, len(graphs))},
-		memo:    make(map[[2]uint64]int, len(graphs)),
-		inputs:  make(map[uint64]struct{}),
-		firstID: nextID,
-		nextID:  nextID,
-	}
 	// A graph of n nodes adds at most n-1 ops; sharing only lowers that.
 	maxOps := 0
 	for _, g := range graphs {
 		maxOps += max(len(g.Nodes)-1, 0)
 	}
-	p.plan.Ops = make([]Op, 0, maxOps)
+	p := &planner{
+		plan:    &Plan{Finals: make(map[int]tensor.Desc, len(graphs)), Ops: make([]Op, 0, maxOps)},
+		memo:    make(map[[2]uint64]int, maxOps),
+		input:   make([]bool, nextID),
+		firstID: nextID,
+		nextID:  nextID,
+	}
 	for _, g := range graphs {
 		if err := g.Validate(); err != nil {
 			return nil, err
@@ -74,8 +77,8 @@ func BuildPlan(graphs []*Graph, nextID uint64) (*Plan, error) {
 				return nil, fmt.Errorf("graph %d: leaf tensor ID %d >= nextID %d",
 					g.ID, n.Tensor.ID, nextID)
 			}
-			if _, ok := p.inputs[n.Tensor.ID]; !ok {
-				p.inputs[n.Tensor.ID] = struct{}{}
+			if !p.input[n.Tensor.ID] {
+				p.input[n.Tensor.ID] = true
 				p.plan.Inputs = append(p.plan.Inputs, n.Tensor)
 			}
 		}

@@ -10,6 +10,7 @@ package redstar
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -67,8 +68,6 @@ type Build struct {
 	// FinalsByTime maps each sink time to the final tensors of the graphs
 	// evaluated at that time (one correlator term each).
 	FinalsByTime map[int][]tensor.Desc
-	// InputsByID resolves leaf tensors for numeric evaluation.
-	InputsByID map[uint64]tensor.Desc
 }
 
 // conjugate flips every quark to the antiquark of the same flavor and vice
@@ -164,8 +163,11 @@ func (c *Correlator) BuildPlan() (*Build, error) {
 		idEnd = append(idEnd, gid)
 	}
 	// Expand deduplicates within one spec and time; this pass catches a
-	// graph that two construction pairs both produce.
-	all = graph.Dedup(all)
+	// graph that two construction pairs both produce, which only specs
+	// with the same operator names on each side can.
+	if namesRepeat(specs) {
+		all = graph.Dedup(all)
+	}
 	plan, err := graph.BuildPlan(all, bt.NextID())
 	if err != nil {
 		return nil, err
@@ -176,7 +178,6 @@ func (c *Correlator) BuildPlan() (*Build, error) {
 		NumGraphs:    len(all),
 		Blocks:       bt.Len(),
 		FinalsByTime: make(map[int][]tensor.Desc, c.TimeSlices),
-		InputsByID:   make(map[uint64]tensor.Desc, len(plan.Inputs)),
 	}
 	// all is in ID order, so each sink time's finals are one run of it,
 	// carved from a single backing array.
@@ -194,18 +195,16 @@ func (c *Correlator) BuildPlan() (*Build, error) {
 		}
 		lo = hi
 	}
-	for _, d := range plan.Inputs {
-		b.InputsByID[d.ID] = d
-	}
-	// Convert plan stages to the scheduler workload format.
-	stages := make([][]workload.Pair, 0, plan.NumStages())
-	for _, ops := range plan.StageOps {
-		pairs := make([]workload.Pair, 0, len(ops))
-		for _, oi := range ops {
-			op := plan.Ops[oi]
-			pairs = append(pairs, workload.Pair{A: op.A, B: op.B, Out: op.Out})
+	// Convert plan stages to the scheduler workload format, every stage
+	// carved from one backing array that the workload adopts.
+	pairs := make([]workload.Pair, len(plan.Ops))
+	stages := make([][]workload.Pair, plan.NumStages())
+	for si, ops := range plan.StageOps {
+		stages[si], pairs = pairs[:len(ops):len(ops)], pairs[len(ops):]
+		for i, oi := range ops {
+			op := &plan.Ops[oi]
+			stages[si][i] = workload.Pair{A: op.A, B: op.B, Out: op.Out}
 		}
-		stages = append(stages, pairs)
 	}
 	w, err := workload.FromStages(c.Name, stages, plan.Inputs)
 	if err != nil {
@@ -213,6 +212,40 @@ func (c *Correlator) BuildPlan() (*Build, error) {
 	}
 	b.Workload = w
 	return b, nil
+}
+
+// namesRepeat reports whether two of specs have the same multiset of source
+// operator names and the same multiset of sink operator names. BuildPlan's
+// cross-spec Dedup can only remove something when they do. A graph's nodes
+// are the blocks (operator name, momentum, time) of its spec, sources at
+// time 0 and sinks at its sink time, which is never 0. So two graphs with
+// equal node multisets share a sink time, the same source names and the
+// same sink names, and Expand has already deduplicated each spec at each
+// time.
+func namesRepeat(specs []wick.Spec) bool {
+	seen := make(map[string]struct{}, len(specs))
+	var key []byte
+	var names []string
+	for _, s := range specs {
+		key = key[:0]
+		for _, side := range [2][]wick.Operator{s.Source, s.Sink} {
+			names = names[:0]
+			for _, op := range side {
+				names = append(names, op.Name)
+			}
+			slices.Sort(names)
+			key = binary.AppendUvarint(key, uint64(len(names)))
+			for _, n := range names {
+				key = binary.AppendUvarint(key, uint64(len(n)))
+				key = append(key, n...)
+			}
+		}
+		if _, dup := seen[string(key)]; dup {
+			return true
+		}
+		seen[string(key)] = struct{}{}
+	}
+	return false
 }
 
 // EvaluateNumeric executes the full plan with real complex128 arithmetic

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"micco/internal/graph"
 	"micco/internal/tensor"
@@ -70,14 +71,8 @@ type Spec struct {
 // Validate checks the spec is expandable: operators exist, and every
 // flavor has equally many quarks and antiquarks.
 func (s Spec) Validate() error {
-	if len(s.Source) == 0 || len(s.Sink) == 0 {
-		return errors.New("wick: spec needs source and sink operators")
-	}
-	if s.Momenta <= 0 {
-		return errors.New("wick: Momenta must be positive")
-	}
-	if s.TensorDim <= 0 || s.Batch <= 0 {
-		return errors.New("wick: TensorDim and Batch must be positive")
+	if err := s.validateShape(); err != nil {
+		return err
 	}
 	counts := map[string]int{}
 	for _, ops := range [2][]Operator{s.Source, s.Sink} {
@@ -105,6 +100,23 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// validateShape is Validate without the quark checks, which need a map.
+// Expand runs it alone on a template hit: the template key holds the
+// operators, their quarks and the momentum count, and a template is only
+// built for a spec that passed the whole of Validate.
+func (s Spec) validateShape() error {
+	if len(s.Source) == 0 || len(s.Sink) == 0 {
+		return errors.New("wick: spec needs source and sink operators")
+	}
+	if s.Momenta <= 0 {
+		return errors.New("wick: Momenta must be positive")
+	}
+	if s.TensorDim <= 0 || s.Batch <= 0 {
+		return errors.New("wick: TensorDim and Batch must be positive")
+	}
+	return nil
+}
+
 // BlockKey identifies a hadron block: an operator evaluated at a momentum
 // projection and a time slice.
 type BlockKey struct {
@@ -125,6 +137,11 @@ type BlockTable struct {
 
 	templates map[string]*template
 	specKey   []byte // reused buffer for the template lookup
+
+	// Scratch of requestBlocks: the sink blocks of one call by (sink
+	// operator, momentum), and the momentum-assignment counter.
+	sinkBlocks []tensor.Desc
+	momenta    []int
 }
 
 // NewBlockTable creates a table of rank-2 (meson) blocks issuing tensor
@@ -235,19 +252,26 @@ func appendSpecKey(key []byte, spec Spec, sameTime bool) []byte {
 // The pairings are enumerated once per block table and spec content
 // (operators, quarks, momenta — not the spec's Name) and per answer to
 // srcTime == snkTime; the result is kept on bt as a template. Every call,
-// the first included, then requests the blocks of each momentum
-// assignment from bt in enumeration order and stamps the template's
-// graphs onto them, so a repeated spec costs a few allocations however
-// many graphs it has. Graphs of one momentum assignment share their Nodes
-// backing array; no two graphs share Edges.
+// the first included, then requests the blocks of the momentum
+// assignments from bt, each once and in enumeration order (see
+// requestBlocks), and stamps the template's graphs onto them, so a
+// repeated spec costs a few allocations however many graphs it has.
+// Graphs of one momentum assignment share their Nodes backing array; no
+// two graphs share Edges. The spec is validated in full when its template
+// is built; a call that finds the template runs only Validate's shape
+// checks, since the key holds everything the quark checks read.
 func Expand(spec Spec, srcTime, snkTime int, bt *BlockTable, nextGraphID *int) ([]*graph.Graph, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	sameTime := srcTime == snkTime
 	bt.specKey = appendSpecKey(bt.specKey[:0], spec, sameTime)
 	tpl, ok := bt.templates[string(bt.specKey)]
-	if !ok {
+	if ok {
+		if err := spec.validateShape(); err != nil {
+			return nil, err
+		}
+	} else {
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
 		tpl = buildTemplate(spec, sameTime)
 		bt.templates[string(bt.specKey)] = tpl
 	}
@@ -275,12 +299,13 @@ func Expand(spec Spec, srcTime, snkTime int, bt *BlockTable, nextGraphID *int) (
 	return out, nil
 }
 
-// requestBlocks asks bt for the blocks of every momentum assignment of
-// spec's sink operators, in enumeration order (last sink fastest), and
-// returns them as rows of one node slab: row a holds assignment a's nodes,
-// sources (momentum 0, srcTime) first, then sinks (their momentum,
-// snkTime). The order of the requests is part of Expand's contract: a
-// first request issues a tensor ID.
+// requestBlocks lays out the blocks of every momentum assignment of spec's
+// sink operators, in enumeration order (last sink fastest), as rows of one
+// node slab: row a holds assignment a's nodes, sources (momentum 0,
+// srcTime) first, then sinks (their momentum, snkTime). The order of the
+// requests is part of Expand's contract, because a first request issues a
+// tensor ID: each source and each (sink, momentum) is requested from bt
+// once, where it first appears in that order, and later rows copy it.
 func requestBlocks(spec Spec, srcTime, snkTime int, bt *BlockTable) []graph.Node {
 	numSrc := len(spec.Source)
 	numOps := numSrc + len(spec.Sink)
@@ -289,14 +314,24 @@ func requestBlocks(spec Spec, srcTime, snkTime int, bt *BlockTable) []graph.Node
 		assignments *= spec.Momenta
 	}
 	nodes := make([]graph.Node, assignments*numOps)
-	momenta := make([]int, len(spec.Sink))
+	for i, op := range spec.Source {
+		nodes[i] = graph.Node{ID: i, Tensor: bt.Get(BlockKey{Op: op.Name, Time: srcTime})}
+	}
+	// sinks[i*Momenta+m] is sink i's block at momentum m; ID 0 (never
+	// issued) marks one not requested yet.
+	sinks := slices.Grow(bt.sinkBlocks[:0], len(spec.Sink)*spec.Momenta)[:len(spec.Sink)*spec.Momenta]
+	clear(sinks)
+	momenta := slices.Grow(bt.momenta[:0], len(spec.Sink))[:len(spec.Sink)]
+	clear(momenta)
+	bt.sinkBlocks, bt.momenta = sinks, momenta
 	for row := nodes; len(row) > 0; row = row[numOps:] {
-		for i, op := range spec.Source {
-			row[i] = graph.Node{ID: i, Tensor: bt.Get(BlockKey{Op: op.Name, Time: srcTime})}
-		}
+		copy(row, nodes[:numSrc])
 		for i, op := range spec.Sink {
-			row[numSrc+i] = graph.Node{ID: numSrc + i,
-				Tensor: bt.Get(BlockKey{Op: op.Name, Momentum: momenta[i], Time: snkTime})}
+			d := &sinks[i*spec.Momenta+momenta[i]]
+			if d.ID == 0 {
+				*d = bt.Get(BlockKey{Op: op.Name, Momentum: momenta[i], Time: snkTime})
+			}
+			row[numSrc+i] = graph.Node{ID: numSrc + i, Tensor: *d}
 		}
 		for pos := len(momenta) - 1; pos >= 0; pos-- {
 			if momenta[pos]++; momenta[pos] < spec.Momenta {

@@ -12,6 +12,12 @@ import (
 // generator). inputs lists the distinct host-resident leaf tensors; pair
 // operands must be either inputs or outputs of earlier pairs.
 //
+// The workload adopts the stages: stage i's Pairs is stages[i] itself, not
+// a copy. FromStages writes each pair's slots and recomputes its LastUse
+// flags in place, whatever flags the caller set (also on the way to an
+// error), so the caller must not change the pairs afterwards. Building a
+// second workload from the same stages rewrites them to the same values.
+//
 // The per-stage repeated rate counts an operand slot as repeated when its
 // tensor has already appeared in the workload — as an earlier operand or as
 // an earlier output — since both represent reuse opportunities for the
@@ -50,9 +56,10 @@ func FromStages(name string, stages [][]Pair, inputs []tensor.Desc) (*Workload, 
 		if len(pairs) == 0 {
 			return nil, fmt.Errorf("workload: stage %d is empty", si)
 		}
-		st := Stage{Index: si, Pairs: make([]Pair, 0, len(pairs))}
 		repeats := 0
-		for _, p := range pairs {
+		for pi := range pairs {
+			p := &pairs[pi]
+			p.LastUse = [2]bool{} // finish marks the true ones
 			for i, id := range [2]uint64{p.A.ID, p.B.ID} {
 				slot, known := slots[id]
 				if !known {
@@ -69,11 +76,11 @@ func FromStages(name string, stages [][]Pair, inputs []tensor.Desc) (*Workload, 
 			p.slot[2] = int32(len(inputs) + len(w.Outputs))
 			slots[p.Out.ID], appeared[p.slot[2]] = p.slot[2], true
 			w.Outputs = append(w.Outputs, p.Out)
-			st.Pairs = append(st.Pairs, p)
 			if p.A.Dim > dim {
 				dim = p.A.Dim
 			}
 		}
+		st := Stage{Index: si, Pairs: pairs}
 		st.RepeatRate = float64(repeats) / float64(st.NumTensors())
 		if len(pairs) > maxVec {
 			maxVec = len(pairs)

@@ -409,6 +409,46 @@ func TestFromStagesValidation(t *testing.T) {
 	}
 }
 
+// TestFromStagesRecomputesLastUse: FromStages adopts the caller's pairs and
+// derives their LastUse flags from the stream, whatever flags they carried,
+// and building twice from the same stages gives the same workload as
+// building once from a fresh copy.
+func TestFromStagesRecomputesLastUse(t *testing.T) {
+	d := func(id uint64) tensor.Desc { return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 4, Batch: 1} }
+	inputs := []tensor.Desc{d(1), d(2)}
+	stages := func(preset [2]bool) [][]Pair {
+		return [][]Pair{
+			{{A: d(1), B: d(2), Out: d(3), LastUse: preset}},
+			{{A: d(1), B: d(2), Out: d(4), LastUse: preset}, {A: d(3), B: d(3), Out: d(5), LastUse: preset}},
+		}
+	}
+	want := [][][2]bool{{{false, false}}, {{true, true}, {true, false}}}
+	shared := stages([2]bool{true, true})
+	var built []*Workload
+	for _, in := range [][][]Pair{shared, shared, stages([2]bool{false, true})} {
+		w, err := FromStages("flags", in, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built = append(built, w)
+	}
+	for i, w := range built {
+		for si, st := range w.Stages {
+			for pi, p := range st.Pairs {
+				if p.LastUse != want[si][pi] {
+					t.Errorf("build %d: pair (%d,%d) LastUse = %v, want %v", i, si, pi, p.LastUse, want[si][pi])
+				}
+			}
+		}
+		if !reflect.DeepEqual(w, built[2]) {
+			t.Errorf("build %d differs from a build of fresh stages", i)
+		}
+	}
+	if &built[0].Stages[0].Pairs[0] != &shared[0][0] {
+		t.Error("FromStages copied the caller's pairs instead of adopting them")
+	}
+}
+
 func TestChainedIntermediateReuse(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Stages = 8

@@ -263,6 +263,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) { return gpusim.NewCluster(
 func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) { return workload.Generate(cfg) }
 
 // WorkloadFromStages builds a workload from pre-staged pairs (front ends).
+// The workload adopts the stages rather than copying them: it writes each
+// pair's tensor slots and recomputes its LastUse flags in place, and the
+// caller must not change the pairs afterwards.
 func WorkloadFromStages(name string, stages [][]Pair, inputs []TensorDesc) (*Workload, error) {
 	return workload.FromStages(name, stages, inputs)
 }
