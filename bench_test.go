@@ -2,10 +2,12 @@ package micco_test
 
 import (
 	"context"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"micco"
+	"micco/internal/tensor"
 )
 
 // benchHarness is shared across benchmarks so the reuse-bound model is
@@ -189,20 +191,25 @@ func BenchmarkAblationDeadTensorDiscard(b *testing.B) {
 	}
 }
 
+// randomTensor allocates a tensor of shape d with seeded random entries.
+func randomTensor(d micco.TensorDesc, seed int64) (*micco.Tensor, error) {
+	return tensor.NewRandom(d, rand.New(rand.NewSource(seed)))
+}
+
 // BenchmarkContractionKernel measures the real complex batched matrix
 // multiply used in numeric mode.
 func BenchmarkContractionKernel(b *testing.B) {
-	x, err := micco.NewRandomTensor(micco.TensorDesc{ID: 1, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 1)
+	x, err := randomTensor(micco.TensorDesc{ID: 1, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	y, err := micco.NewRandomTensor(micco.TensorDesc{ID: 2, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 2)
+	y, err := randomTensor(micco.TensorDesc{ID: 2, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := micco.Contract(x, y, 3, 0); err != nil {
+		if _, err := tensor.Contract(x, y, 3, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -215,11 +222,11 @@ func BenchmarkContractionKernel(b *testing.B) {
 // GOMAXPROCS workers, so every call spawns a goroutine per worker, and
 // their cost is what allocs/op shows.
 func BenchmarkContractionKernelInto(b *testing.B) {
-	x, err := micco.NewRandomTensor(micco.TensorDesc{ID: 1, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 1)
+	x, err := randomTensor(micco.TensorDesc{ID: 1, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	y, err := micco.NewRandomTensor(micco.TensorDesc{ID: 2, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 2)
+	y, err := randomTensor(micco.TensorDesc{ID: 2, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -245,13 +252,13 @@ func BenchmarkContractionKernelInto(b *testing.B) {
 // differ only in how the work reaches the workers.
 func BenchmarkContractionStage(b *testing.B) {
 	const fanOut = 4
-	shared, err := micco.NewRandomTensor(micco.TensorDesc{ID: 1, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 1)
+	shared, err := randomTensor(micco.TensorDesc{ID: 1, Rank: micco.RankMeson, Dim: 128, Batch: 4}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rhs := make([]*micco.Tensor, fanOut)
 	for i := range rhs {
-		if rhs[i], err = micco.NewRandomTensor(micco.TensorDesc{ID: uint64(2 + i), Rank: micco.RankMeson, Dim: 128, Batch: 4}, int64(2+i)); err != nil {
+		if rhs[i], err = randomTensor(micco.TensorDesc{ID: uint64(2 + i), Rank: micco.RankMeson, Dim: 128, Batch: 4}, int64(2+i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -301,7 +308,7 @@ func BenchmarkContractionStage(b *testing.B) {
 		// On multi-core hosts the fan-out's group products spread
 		// across the pool; a single-CPU host (GOMAXPROCS=1) degenerates
 		// to the serial path plus hand-off overhead.
-		p := micco.NewBatchPipeline(8)
+		p := tensor.NewBatchPipeline(8)
 		defer p.Close()
 		if err := p.Run(ops); err != nil { // warm
 			b.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"micco"
+	"micco/internal/gpusim"
 )
 
 // TestFullPipelineIntegration drives the complete stack through the public
@@ -79,7 +80,7 @@ func TestFullPipelineIntegration(t *testing.T) {
 	}
 	kernels := 0
 	for _, e := range events {
-		if e.Kind == micco.TraceKernel {
+		if e.Kind == gpusim.EventKernel {
 			kernels++
 		}
 	}
@@ -87,15 +88,11 @@ func TestFullPipelineIntegration(t *testing.T) {
 		t.Errorf("traced %d kernels, want %d", kernels, build.Workload.NumPairs())
 	}
 	var chrome bytes.Buffer
-	if err := micco.WriteChromeTrace(&chrome, events); err != nil {
+	if err := gpusim.WriteChromeTraceMerged(&chrome, events, nil); err != nil {
 		t.Fatal(err)
 	}
-	var summary bytes.Buffer
-	if err := micco.WriteTraceSummary(&summary, events); err != nil {
-		t.Fatal(err)
-	}
-	if chrome.Len() == 0 || summary.Len() == 0 {
-		t.Error("trace exports empty")
+	if chrome.Len() == 0 {
+		t.Error("trace export empty")
 	}
 
 	// 5. Multi-node extension on the same workload.
@@ -161,7 +158,7 @@ func TestNumericSchedulingAgreement(t *testing.T) {
 	opts := micco.RunOptions{Numeric: true, NumericSeed: 4}
 	var prints []float64
 	for _, s := range []micco.Scheduler{
-		micco.NewGroute(), micco.NewMICCONaive(), micco.NewRoundRobin(),
+		micco.NewGroute(), micco.NewMICCONaive(), byName(t, "roundrobin"),
 	} {
 		res, err := micco.Run(context.Background(), w, s, cluster, opts)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"micco/internal/core"
 	"micco/internal/mlearn"
+	"micco/internal/sched"
 	"micco/internal/workload"
 )
 
@@ -68,11 +69,16 @@ type Predictor struct {
 }
 
 // Train fits a predictor of the given kind on corpus, holding out testFrac
-// (the paper uses 0.2) for the reported R-squared.
+// (the paper uses 0.2) for the reported R-squared. A nil corpus is an
+// error wrapping sched.ErrNilArgument, an empty training split one
+// wrapping mlearn.ErrEmpty.
 func Train(corpus *mlearn.Dataset, kind ModelKind, testFrac float64, seed int64) (*Predictor, error) {
+	if corpus == nil {
+		return nil, fmt.Errorf("autotune: %w: corpus", sched.ErrNilArgument)
+	}
 	train, test := corpus.Split(testFrac, seed)
 	if train.Len() == 0 {
-		return nil, fmt.Errorf("autotune: empty training split")
+		return nil, fmt.Errorf("autotune: empty training split: %w", mlearn.ErrEmpty)
 	}
 	m := newMulti(kind, seed)
 	if err := m.Fit(train); err != nil {

@@ -83,8 +83,8 @@ func TestPatternClassification(t *testing.T) {
 		{pair(4, 5, 104), TwoNew},
 	}
 	for _, cse := range cases {
-		if got := Classify(cse.p, ctx); got != cse.want {
-			t.Errorf("Classify(%d,%d) = %v, want %v", cse.p.A.ID, cse.p.B.ID, got, cse.want)
+		if got := ClassifyMasks(ctx.HoldersMask(cse.p.A.ID), ctx.HoldersMask(cse.p.B.ID)); got != cse.want {
+			t.Errorf("ClassifyMasks(%d,%d) = %v, want %v", cse.p.A.ID, cse.p.B.ID, got, cse.want)
 		}
 	}
 }

@@ -10,7 +10,6 @@ package core
 import (
 	"micco/internal/gpusim"
 	"micco/internal/sched"
-	"micco/internal/workload"
 )
 
 // ReusePattern is the local reuse classification of a tensor pair against
@@ -59,16 +58,11 @@ func (r ReusePattern) BoundIndex() int {
 	}
 }
 
-// Classify determines the local reuse pattern of pair p under the current
-// cluster residency in ctx. It delegates to sched.ClassifyMasks — the one
-// shared Table-II implementation the execution engine also uses to label
-// decision records — so the two layers cannot drift; the enumerations
-// correspond value for value (asserted in this package's tests).
-func Classify(p workload.Pair, ctx *sched.Context) ReusePattern {
-	return ClassifyMasks(ctx.HoldersMask(p.A.ID), ctx.HoldersMask(p.B.ID))
-}
-
-// ClassifyMasks classifies from pre-fetched holder sets.
+// ClassifyMasks classifies a pair from its operands' holder sets. It
+// delegates to sched.ClassifyMasks — the one shared Table-II implementation
+// the execution engine also uses to label decision records — so the two
+// layers cannot drift; the enumerations correspond value for value
+// (asserted in this package's tests).
 func ClassifyMasks(a, b gpusim.DevSet) ReusePattern {
 	return ReusePattern(sched.ClassifyMasks(a, b))
 }

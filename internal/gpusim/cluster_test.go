@@ -312,12 +312,12 @@ func TestHoldersOfAndReset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h := c.AppendHoldersOf(nil, 1)
+	h := c.HoldersMask(1).AppendTo(nil)
 	if len(h) != 2 || h[0] != 0 || h[1] != 2 {
-		t.Errorf("AppendHoldersOf = %v, want [0 2]", h)
+		t.Errorf("holders = %v, want [0 2]", h)
 	}
 	c.Reset()
-	if len(c.AppendHoldersOf(nil, 1)) != 0 || c.HostHolds(1) || c.Makespan() != 0 {
+	if !c.HoldersMask(1).Empty() || c.HostHolds(1) || c.Makespan() != 0 {
 		t.Error("Reset did not clear state")
 	}
 	if c.GFLOPS() != 0 {

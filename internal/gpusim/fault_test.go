@@ -403,19 +403,11 @@ func TestFaultEventsTracedAndSummarized(t *testing.T) {
 	}
 	// Chrome trace renders faults as instants and stays valid JSON.
 	var sb strings.Builder
-	if err := WriteChromeTrace(&sb, events); err != nil {
+	if err := WriteChromeTraceMerged(&sb, events, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `"fault device-loss"`) {
 		t.Errorf("chrome trace lacks fault instant:\n%s", sb.String())
-	}
-	// TraceSummary ignores zero-duration fault annotations.
-	var sum strings.Builder
-	if err := TraceSummary(&sum, events); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sum.String(), "fault") {
-		t.Errorf("summary mentions faults:\n%s", sum.String())
 	}
 }
 

@@ -152,10 +152,3 @@ func (c *Cluster) HoldersMask(id uint64) DevSet {
 // BindTensors): a read-only view into index storage, valid until the next
 // cluster mutation, that intersects, counts and iterates without allocating.
 func (c *Cluster) HoldersAt(slot int) DevSet { return c.index.recs[slot].holders }
-
-// AppendHoldersOf appends the IDs of devices holding tensor id to buf in
-// ascending order and returns the extended slice. Callers that reuse buf
-// across queries pay no allocation.
-func (c *Cluster) AppendHoldersOf(buf []int, id uint64) []int {
-	return c.HoldersMask(id).AppendTo(buf)
-}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -313,18 +312,14 @@ func (c *Cluster) put(kind EventKind, dev int, tensor uint64, start, end float64
 	return e
 }
 
-// WriteChromeTrace serializes events in the Chrome tracing (catapult) JSON
-// array format: open chrome://tracing or https://ui.perfetto.dev and load
-// the file. Devices map to process IDs; kernel and copy queues to threads.
-func WriteChromeTrace(w io.Writer, events []Event) error {
-	return writeChromeTrace(w, events, nil)
-}
-
-// WriteChromeTraceMerged serializes events like WriteChromeTrace and merges
-// scheduler decision records into the same timeline as instant events
-// ("ph":"i") on the chosen device's kernel thread, so Perfetto shows *why*
-// each pair landed where it did next to the kernels and transfers it
-// caused. Timestamps are the decision's simulated placement time.
+// WriteChromeTraceMerged serializes events in the Chrome tracing
+// (catapult) JSON array format — open chrome://tracing or
+// https://ui.perfetto.dev and load the file; devices map to process IDs,
+// kernel and copy queues to threads — and merges scheduler decision records
+// (nil for none) into the same timeline as instant events ("ph":"i") on the
+// chosen device's kernel thread, so Perfetto shows *why* each pair landed
+// where it did next to the kernels and transfers it caused. Timestamps are
+// the decision's simulated placement time.
 func WriteChromeTraceMerged(w io.Writer, events []Event, decisions []obs.DecisionRecord) error {
 	return writeChromeTrace(w, events, decisions)
 }
@@ -453,91 +448,4 @@ func appendFixed3(b []byte, f float64) []byte {
 	}
 	b = strconv.AppendUint(b, whole, 10)
 	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
-}
-
-// TraceSummary aggregates events into per-device, per-kind busy time and
-// writes a compact text report: one row per device, a totals row, and a
-// util% column (per-device busy time over the trace makespan) answering
-// the paper's Fig. 8 load-balance question directly from a trace.
-func TraceSummary(w io.Writer, events []Event) error {
-	type key struct {
-		dev  int
-		kind EventKind
-	}
-	busy := map[key]float64{}
-	count := map[key]int{}
-	devBusy := map[int]float64{}
-	devs := map[int]bool{}
-	var makespan float64
-	for _, e := range events {
-		if e.Kind == EventFault {
-			// Zero-duration annotations, not device busy time.
-			continue
-		}
-		k := key{int(e.Device), e.Kind}
-		busy[k] += e.Duration()
-		count[k]++
-		devBusy[k.dev] += e.Duration()
-		devs[k.dev] = true
-		if e.End > makespan {
-			makespan = e.End
-		}
-	}
-	var devices []int
-	for d := range devs {
-		devices = append(devices, d)
-	}
-	sort.Ints(devices)
-	kinds := []EventKind{EventKernel, EventH2D, EventD2H, EventP2P, EventEvict, EventInter}
-	if _, err := fmt.Fprintf(w, "%-7s", "device"); err != nil {
-		return err
-	}
-	for _, k := range kinds {
-		if _, err := fmt.Fprintf(w, " %14s", k.String()+" (n,s)"); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, " %9s %6s\n", "busy(s)", "util%"); err != nil {
-		return err
-	}
-	util := func(busy float64, span float64) float64 {
-		if span == 0 {
-			return 0
-		}
-		return 100 * busy / span
-	}
-	row := func(label string, kk func(EventKind) key, rowBusy, span float64) error {
-		if _, err := fmt.Fprintf(w, "%-7s", label); err != nil {
-			return err
-		}
-		for _, k := range kinds {
-			if _, err := fmt.Fprintf(w, " %5d %8.4fs", count[kk(k)], busy[kk(k)]); err != nil {
-				return err
-			}
-		}
-		_, err := fmt.Fprintf(w, " %8.4fs %6.1f\n", rowBusy, util(rowBusy, span))
-		return err
-	}
-	var totalCount = map[EventKind]int{}
-	var totalBusy = map[EventKind]float64{}
-	var allBusy float64
-	for _, d := range devices {
-		for _, k := range kinds {
-			totalCount[k] += count[key{d, k}]
-			totalBusy[k] += busy[key{d, k}]
-		}
-		allBusy += devBusy[d]
-		if err := row(fmt.Sprintf("%d", d), func(k EventKind) key { return key{d, k} }, devBusy[d], makespan); err != nil {
-			return err
-		}
-	}
-	// Totals row: util% is aggregate utilization, total busy time over
-	// device-count × makespan (100% = every device busy the whole run).
-	const totalDev = -1
-	for _, k := range kinds {
-		count[key{totalDev, k}] = totalCount[k]
-		busy[key{totalDev, k}] = totalBusy[k]
-	}
-	return row("total", func(k EventKind) key { return key{totalDev, k} },
-		allBusy, float64(len(devices))*makespan)
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -106,7 +105,7 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 		{Kind: EventP2P, Device: 1, Tensor: 1, Start: 0.002, End: 0.003, Bytes: 100},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events); err != nil {
+	if err := WriteChromeTraceMerged(&buf, events, nil); err != nil {
 		t.Fatal(err)
 	}
 	var parsed []map[string]any
@@ -125,53 +124,11 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 	}
 	// Empty event list is still valid JSON.
 	buf.Reset()
-	if err := WriteChromeTrace(&buf, nil); err != nil {
+	if err := WriteChromeTraceMerged(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("empty trace invalid: %v", err)
-	}
-}
-
-func TestTraceSummary(t *testing.T) {
-	events := []Event{
-		{Kind: EventKernel, Device: 0, Start: 0, End: 0.5},
-		{Kind: EventKernel, Device: 0, Start: 0.5, End: 1.5},
-		{Kind: EventH2D, Device: 1, Start: 0, End: 0.25},
-	}
-	var buf bytes.Buffer
-	if err := TraceSummary(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "kernel") || !strings.Contains(out, "1.5000s") {
-		t.Errorf("summary missing aggregates:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 { // header + 2 devices + totals
-		t.Errorf("summary lines = %d, want 4:\n%s", len(lines), out)
-	}
-	// util%: device 0 is busy the full 1.5s makespan (100%), device 1
-	// 0.25/1.5 (16.7%); the totals row reports aggregate utilization
-	// 1.75/(2*1.5) = 58.3% and sums the counts.
-	if !strings.Contains(lines[1], "100.0") {
-		t.Errorf("device 0 util missing:\n%s", out)
-	}
-	if !strings.Contains(lines[2], "16.7") {
-		t.Errorf("device 1 util missing:\n%s", out)
-	}
-	total := lines[3]
-	if !strings.HasPrefix(total, "total") || !strings.Contains(total, "58.3") ||
-		!strings.Contains(total, "1.7500s") {
-		t.Errorf("totals row wrong:\n%s", out)
-	}
-	// No events: header plus an all-zero totals row, no division by zero.
-	buf.Reset()
-	if err := TraceSummary(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "NaN") {
-		t.Errorf("empty summary has NaN:\n%s", buf.String())
 	}
 }
 
@@ -183,7 +140,7 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 		{Kind: EventKernel, Device: 0, Tensor: 2, Start: 0.001, End: 0.002, FLOPs: 5000},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events); err != nil {
+	if err := WriteChromeTraceMerged(&buf, events, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := "[\n" +
@@ -196,7 +153,7 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 		t.Errorf("chrome trace drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	buf.Reset()
-	if err := WriteChromeTrace(&buf, nil); err != nil {
+	if err := WriteChromeTraceMerged(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != "[\n]\n" {

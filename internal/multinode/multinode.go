@@ -15,7 +15,6 @@ package multinode
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"micco/internal/core"
@@ -55,16 +54,16 @@ type Config struct {
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	if c.Nodes <= 0 {
-		return errors.New("multinode: Nodes must be positive")
+		return fmt.Errorf("multinode: %w: Nodes must be positive", gpusim.ErrInvalidConfig)
 	}
 	if c.NetworkBandwidth <= 0 {
-		return errors.New("multinode: NetworkBandwidth must be positive")
+		return fmt.Errorf("multinode: %w: NetworkBandwidth must be positive", gpusim.ErrInvalidConfig)
 	}
 	if c.NetworkLatency < 0 {
-		return errors.New("multinode: NetworkLatency must be non-negative")
+		return fmt.Errorf("multinode: %w: NetworkLatency must be non-negative", gpusim.ErrInvalidConfig)
 	}
 	if c.NodeReuseBound < 0 {
-		return errors.New("multinode: NodeReuseBound must be non-negative")
+		return fmt.Errorf("multinode: %w: NodeReuseBound must be non-negative", gpusim.ErrInvalidConfig)
 	}
 	return c.Node.Validate()
 }

@@ -99,29 +99,3 @@ func (d Deck) Correlator() (*Correlator, error) {
 	}
 	return c, nil
 }
-
-// SaveDeck serializes a correlator back to the deck format.
-func SaveDeck(w io.Writer, c *Correlator) error {
-	d := Deck{
-		Name:       c.Name,
-		Momenta:    c.Momenta,
-		TimeSlices: c.TimeSlices,
-		TensorDim:  c.TensorDim,
-		Batch:      c.Batch,
-		Rank:       c.Rank,
-	}
-	for _, con := range c.Constructions {
-		dc := DeckConstruction{Name: con.Name}
-		for _, op := range con.Ops {
-			o := DeckOp{Name: op.Name}
-			for _, q := range op.Quarks {
-				o.Quarks = append(o.Quarks, DeckQuark{Flavor: q.Flavor, Bar: q.Bar})
-			}
-			dc.Ops = append(dc.Ops, o)
-		}
-		d.Constructions = append(d.Constructions, dc)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}

@@ -9,14 +9,14 @@ import (
 
 // FuzzParseDeck throws arbitrary bytes at the deck parser. Invariants: the
 // parser never panics, an accepted deck always validates, and an accepted
-// deck survives a Save/Load round trip unchanged (the serialized form is
+// deck survives a write/load round trip unchanged (the serialized form is
 // a faithful, reparseable description of the correlator).
 func FuzzParseDeck(f *testing.F) {
 	// Seed corpus: the bundled correlators' own deck forms plus hand-written
 	// valid, truncated and type-confused documents.
 	for _, c := range []*Correlator{A1RhoPi(), F0D2(), F0D4()} {
 		var buf bytes.Buffer
-		if err := SaveDeck(&buf, c); err != nil {
+		if err := writeDeck(&buf, c); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.String())
@@ -48,7 +48,7 @@ func FuzzParseDeck(f *testing.F) {
 			t.Fatalf("accepted deck fails validation: %v", err)
 		}
 		var buf bytes.Buffer
-		if err := SaveDeck(&buf, c); err != nil {
+		if err := writeDeck(&buf, c); err != nil {
 			t.Fatalf("accepted deck does not serialize: %v", err)
 		}
 		c2, err := LoadDeck(&buf)

@@ -277,13 +277,16 @@ func TestF0BasesGrow(t *testing.T) {
 	}
 }
 
+// nucleon is a proton-like three-quark (uud) operator.
+var nucleon = wick.Operator{Name: "N", Quarks: []wick.Quark{wick.Q("u"), wick.Q("u"), wick.Q("d")}}
+
 // nucleonCorrelator is a baryon-system correlator: a proton-like (uud)
 // operator against its conjugate, with rank-3 hadron blocks.
 func nucleonCorrelator() *Correlator {
 	return &Correlator{
 		Name: "nucleon2pt",
 		Constructions: []Construction{
-			{Name: "N", Ops: []wick.Operator{wick.Baryon("N", "u", "u", "d")}},
+			{Name: "N", Ops: []wick.Operator{nucleon}},
 		},
 		Momenta:    2,
 		TimeSlices: 3,
@@ -356,7 +359,7 @@ func TestMixedRankConstructionsRejected(t *testing.T) {
 	c := nucleonCorrelator()
 	c.Constructions = append(c.Constructions, Construction{
 		Name: "Npi", Ops: []wick.Operator{
-			wick.Baryon("N", "u", "u", "d"),
+			nucleon,
 			{Name: "pi0", Quarks: []wick.Quark{wick.Q("u"), wick.Qbar("u")}},
 		},
 	})

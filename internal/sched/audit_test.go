@@ -44,7 +44,7 @@ func TestSelfPairLastUseIsDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !c.HoldersMask(1).Empty() || c.HostHolds(1) {
-		t.Errorf("dead self-pair input survives: holders %v, host copy %v", c.AppendHoldersOf(nil, 1), c.HostHolds(1))
+		t.Errorf("dead self-pair input survives: holders %v, host copy %v", c.HoldersMask(1).AppendTo(nil), c.HostHolds(1))
 	}
 	if c.HoldersMask(2).Empty() {
 		t.Error("the pair's output is gone too")
@@ -135,8 +135,5 @@ func TestContextAnswersInFlightPairFromItsSets(t *testing.T) {
 	out := w.Stages[0].Pairs[0].Out.ID
 	if got, want := lit.HoldersMask(out), c.HoldersMask(out); got.Empty() || !got.Equal(want) {
 		t.Errorf("literal Context: HoldersMask(%d) = %v, cluster says %v", out, got.AppendTo(nil), want.AppendTo(nil))
-	}
-	if got := lit.AppendHolders(nil, out); len(got) != c.HoldersMask(out).Count() {
-		t.Errorf("literal Context: AppendHolders(%d) = %v", out, got)
 	}
 }

@@ -106,8 +106,8 @@ func refFilterMin(ids []int, key func(int) float64) []int {
 
 func (s *refMICCO) Assign(p workload.Pair, ctx *sched.Context) int {
 	s.candi = s.candi[:0]
-	h1 := ctx.AppendHolders(nil, p.A.ID)
-	h2 := ctx.AppendHolders(nil, p.B.ID)
+	h1 := ctx.HoldersMask(p.A.ID).AppendTo(nil)
+	h2 := ctx.HoldersMask(p.B.ID).AppendTo(nil)
 	if rec := ctx.Decision; rec != nil && rec.Pattern != obs.ReusePattern(refClassify(h1, h2)) {
 		s.misclassified++
 	}
@@ -187,7 +187,7 @@ func (s *refMICCO) Assign(p workload.Pair, ctx *sched.Context) int {
 func (s *refMICCO) assignFromQueue(p workload.Pair, ctx *sched.Context) int {
 	evict := false
 	for _, id := range s.candi {
-		if ctx.WouldOversubscribe(id, p) {
+		if ctx.ProjectedMem(id, p) > ctx.Cluster.Device(id).Capacity() {
 			evict = true
 			break
 		}
@@ -333,7 +333,7 @@ func TestMaskPathMatchesScanPathReference(t *testing.T) {
 	for _, seed := range seeds {
 		w := crossWorkload(t, seed)
 		// Scarce memory: a handful of operand-sized tensors per device, so
-		// placements run into WouldOversubscribe and evictions.
+		// placements run into oversubscription and evictions.
 		scarce := 5 * w.Inputs[0].Bytes()
 		for _, mem := range []int64{0, scarce} {
 			for _, tc := range crossCases() {

@@ -25,7 +25,7 @@ import (
 //
 //	offset  size  field
 //	0       4     magic "MCCK"
-//	4       4     format version (uint32, currently 1)
+//	4       4     format version (uint32, currently 2)
 //	8       4     CRC32 (IEEE) of the payload
 //	12      8     payload length in bytes (uint64)
 //	20      -     payload: JSON of durableCheckpoint
@@ -42,8 +42,10 @@ import (
 // checkpointMagic opens every durable checkpoint file.
 var checkpointMagic = [4]byte{'M', 'C', 'C', 'K'}
 
-// CheckpointVersion is the current durable format version.
-const CheckpointVersion = 1
+// CheckpointVersion is the current durable format version. Version 2 added
+// the pair-stream digest; a version-1 file cannot prove which stream it
+// belongs to, so it is refused rather than resumed unchecked.
+const CheckpointVersion = 2
 
 // maxCheckpointPayload bounds the declared payload length; anything
 // larger is corruption (a real snapshot of even a 4096-device cluster is
@@ -63,6 +65,7 @@ var ErrCheckpointVersion = errors.New("sched: checkpoint version unsupported")
 // durableCheckpoint is the exported JSON mirror of Checkpoint.
 type durableCheckpoint struct {
 	Workload    string             `json:"workload"`
+	Digest      uint64             `json:"stream_digest"`
 	Scheduler   string             `json:"scheduler"`
 	NumDevices  int                `json:"num_devices"`
 	NextStage   int                `json:"next_stage"`
@@ -88,6 +91,7 @@ func EncodeCheckpoint(w io.Writer, cp *Checkpoint) (int, error) {
 	}
 	payload, err := json.Marshal(durableCheckpoint{
 		Workload:    cp.workload,
+		Digest:      cp.digest,
 		Scheduler:   cp.scheduler,
 		NumDevices:  cp.numDevices,
 		NextStage:   cp.nextStage,
@@ -171,6 +175,7 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	return &Checkpoint{
 		workload:    d.Workload,
+		digest:      d.Digest,
 		scheduler:   d.Scheduler,
 		numDevices:  d.NumDevices,
 		nextStage:   d.NextStage,

@@ -185,7 +185,7 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 func frameCorrupt(payload []byte) []byte {
 	var buf bytes.Buffer
 	buf.WriteString("MCCK")
-	buf.Write([]byte{1, 0, 0, 0})
+	buf.Write([]byte{sched.CheckpointVersion, 0, 0, 0})
 	crc := crc32ieee(payload)
 	buf.Write([]byte{byte(crc), byte(crc >> 8), byte(crc >> 16), byte(crc >> 24)})
 	n := uint64(len(payload))
@@ -244,6 +244,56 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 	badPlan.ResumeFrom = nil
 	badPlan.FaultPlan = &fault.Plan{Events: []fault.Event{{Kind: fault.DeviceLoss, Device: 99}}}
 	rejected("a fault plan naming a device the cluster lacks", w, 4, badPlan)
+}
+
+// TestCheckpointRefusesSameNameOtherStream: synthetic workloads that differ
+// only in their seed share a name, and so a durable checkpoint's path. A
+// checkpoint of one, in memory or read back from its file, must not resume
+// the other: the stream digest it carries refuses it. It still resumes its
+// own stream, and a version-1 file, which has no digest, is refused as a
+// version this build does not read.
+func TestCheckpointRefusesSameNameOtherStream(t *testing.T) {
+	gen := func(seed int64) *workload.Workload {
+		w, err := workload.Generate(workload.Config{
+			Seed: seed, Stages: 4, VectorSize: 6, TensorDim: 16, Batch: 1,
+			Rank: tensor.RankMeson, RepeatRate: 0.5, Dist: workload.Uniform,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	w1, w2 := gen(1), gen(2)
+	if w1.Name != w2.Name {
+		t.Fatalf("names differ (%q, %q): the case under test is two streams under one name", w1.Name, w2.Name)
+	}
+	dir := t.TempDir()
+	res, err := sched.Run(context.Background(), w1, baseline.NewRoundRobin(), newClusterT(t, 4), sched.Options{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := sched.LoadCheckpointFile(sched.CheckpointPath(dir, w2.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cp := range map[string]*sched.Checkpoint{"in-memory": res.Checkpoint, "durable": disk} {
+		_, err := sched.Run(context.Background(), w2, baseline.NewRoundRobin(), newClusterT(t, 4), sched.Options{ResumeFrom: cp})
+		if !errors.Is(err, sched.ErrCheckpointMismatch) {
+			t.Errorf("%s checkpoint of seed 1 resuming seed 2: err = %v, want ErrCheckpointMismatch", name, err)
+		}
+		if _, err := sched.Run(context.Background(), w1, baseline.NewRoundRobin(), newClusterT(t, 4), sched.Options{ResumeFrom: cp}); err != nil {
+			t.Errorf("%s checkpoint refused on its own stream: %v", name, err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := sched.EncodeCheckpoint(&buf, res.Checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	v1 := buf.Bytes()
+	v1[4] = 1
+	if _, err := sched.DecodeCheckpoint(bytes.NewReader(v1)); !errors.Is(err, sched.ErrCheckpointVersion) {
+		t.Errorf("version-1 file: err = %v, want ErrCheckpointVersion", err)
+	}
 }
 
 // TestCheckpointPeriodicWrites: CheckpointDir persists at the configured

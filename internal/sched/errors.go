@@ -18,14 +18,12 @@ var (
 	// ErrOutOfMemory marks a simulated allocation that cannot fit even
 	// after evicting every unpinned block.
 	ErrOutOfMemory = gpusim.ErrOutOfMemory
-	// ErrDeviceLost marks an operation issued to a fault-injected failed
-	// device.
-	ErrDeviceLost = gpusim.ErrDeviceLost
-	// ErrTransientTransfer marks a retryable injected transfer failure.
-	ErrTransientTransfer = gpusim.ErrTransientTransfer
-	// ErrTensorUnavailable marks a tensor with no live copy anywhere.
-	ErrTensorUnavailable = gpusim.ErrTensorUnavailable
 )
+
+// ErrCheckpointMismatch marks a checkpoint that cannot seed the resumed
+// run: it was taken on another workload, pair stream, device count or
+// numeric seed.
+var ErrCheckpointMismatch = errors.New("checkpoint does not match the run")
 
 // ErrClusterLost is returned when a fault plan removes the last surviving
 // device: no recovery is possible within the run. With Options.Checkpoint

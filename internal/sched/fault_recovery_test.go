@@ -228,7 +228,7 @@ func TestTransientRetryAccounting(t *testing.T) {
 			{Kind: fault.TransientTransfer, Failures: 100, Stage: 0, Pair: 0},
 		},
 	}
-	if _, err := sched.Run(context.Background(), w, baseline.NewGroute(), c, sched.Options{FaultPlan: exhaust}); !errors.Is(err, sched.ErrTransientTransfer) {
+	if _, err := sched.Run(context.Background(), w, baseline.NewGroute(), c, sched.Options{FaultPlan: exhaust}); !errors.Is(err, gpusim.ErrTransientTransfer) {
 		t.Errorf("exhausted retries: got %v, want ErrTransientTransfer", err)
 	}
 }

@@ -1,13 +1,16 @@
 package sched
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"strconv"
 	"time"
 
 	"micco/internal/fault"
 	"micco/internal/gpusim"
 	"micco/internal/obs"
+	"micco/internal/workload"
 )
 
 // RecoveryStats summarizes the fault-injection and recovery activity of
@@ -50,7 +53,11 @@ type RecoveryStats struct {
 // placements may differ from the uninterrupted run when the scheduler
 // carries internal state, which never affects the fingerprint.
 type Checkpoint struct {
-	workload   string
+	workload string
+	// digest fingerprints the workload's pair stream (streamDigest): two
+	// workloads can share a name — a synthetic one's leaves out its seed —
+	// and a resume on the other one is refused.
+	digest     uint64
 	scheduler  string
 	numDevices int
 	nextStage  int
@@ -83,19 +90,24 @@ func (cp *Checkpoint) Workload() string { return cp.workload }
 // checkpointed prefix.
 func (cp *Checkpoint) Scheduler() string { return cp.scheduler }
 
-// validateFor checks that the checkpoint can seed a resumed run.
-func (cp *Checkpoint) validateFor(name string, stages, numDevices int) error {
+// validateFor checks that the checkpoint can seed a resumed run of w, whose
+// pair stream has the given digest, on numDevices devices.
+func (cp *Checkpoint) validateFor(w *workload.Workload, digest uint64, numDevices int) error {
 	if cp.cluster == nil {
 		return fmt.Errorf("sched: %w: checkpoint has no cluster snapshot", ErrNilArgument)
 	}
-	if cp.workload != name {
-		return fmt.Errorf("sched: checkpoint is for workload %q, resuming %q", cp.workload, name)
+	if cp.workload != w.Name {
+		return fmt.Errorf("sched: %w: it is for workload %q, resuming %q", ErrCheckpointMismatch, cp.workload, w.Name)
+	}
+	if cp.digest != digest {
+		return fmt.Errorf("sched: %w: it is for another pair stream of workload %q (digest %016x, resuming %016x)",
+			ErrCheckpointMismatch, w.Name, cp.digest, digest)
 	}
 	if cp.numDevices != numDevices {
-		return fmt.Errorf("sched: checkpoint is for %d devices, cluster has %d", cp.numDevices, numDevices)
+		return fmt.Errorf("sched: %w: it is for %d devices, cluster has %d", ErrCheckpointMismatch, cp.numDevices, numDevices)
 	}
-	if cp.nextStage < 0 || cp.nextStage > stages {
-		return fmt.Errorf("sched: checkpoint resumes at stage %d of %d", cp.nextStage, stages)
+	if cp.nextStage < 0 || cp.nextStage > len(w.Stages) {
+		return fmt.Errorf("sched: %w: it resumes at stage %d of %d", ErrCheckpointMismatch, cp.nextStage, len(w.Stages))
 	}
 	return nil
 }
@@ -108,9 +120,32 @@ func (cp *Checkpoint) validateNumeric(o Options) error {
 		return nil
 	}
 	if cp.numericSeed != o.NumericSeed {
-		return fmt.Errorf("sched: checkpoint numeric seed %d, resuming with %d", cp.numericSeed, o.NumericSeed)
+		return fmt.Errorf("sched: %w: numeric seed %d, resuming with %d", ErrCheckpointMismatch, cp.numericSeed, o.NumericSeed)
 	}
 	return nil
+}
+
+// streamDigest fingerprints w's pair stream with 64-bit FNV-1a over
+// little-endian words: the stage count, then per stage its pair count and
+// each pair's A, B and Out IDs in order. Run computes it once, and only
+// when it takes or resumes from a checkpoint.
+func streamDigest(w *workload.Workload) uint64 {
+	h := fnv.New64a()
+	var b [24]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(len(w.Stages)))
+	h.Write(b[:8])
+	for si := range w.Stages {
+		ps := w.Stages[si].Pairs
+		binary.LittleEndian.PutUint64(b[:], uint64(len(ps)))
+		h.Write(b[:8])
+		for pi := range ps {
+			binary.LittleEndian.PutUint64(b[0:], ps[pi].A.ID)
+			binary.LittleEndian.PutUint64(b[8:], ps[pi].B.ID)
+			binary.LittleEndian.PutUint64(b[16:], ps[pi].Out.ID)
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
 }
 
 // faultRun is the engine's live fault-injection state: the plan, which
@@ -302,6 +337,7 @@ func (e *engine) recoverFrom(si, pi, lost int) error {
 func (e *engine) snapshot(nextStage int) error {
 	cp := &Checkpoint{
 		workload:    e.w.Name,
+		digest:      e.digest,
 		scheduler:   e.s.Name(),
 		numDevices:  e.n,
 		nextStage:   nextStage,

@@ -122,13 +122,6 @@ func (c *Context) ResetLoad() {
 	}
 }
 
-// AppendHolders appends the devices holding tensor id to buf in ascending
-// order and returns the extended slice; callers that reuse buf across
-// queries pay no allocation.
-func (c *Context) AppendHolders(buf []int, id uint64) []int {
-	return c.HoldersMask(id).AppendTo(buf)
-}
-
 // HoldersMask returns the set of devices holding tensor id, without
 // allocating. Inside Assign the pair's own operands cost two comparisons —
 // the engine resolved both sets before it called — and any other tensor, or
@@ -184,14 +177,6 @@ func (c *Context) ProjectedMemMasked(dev int, p workload.Pair, ma, mb gpusim.Dev
 	}
 	m += p.Out.Bytes()
 	return m
-}
-
-// WouldOversubscribe reports whether executing p on dev would exceed the
-// device's memory pool (forcing evictions). It consults the device's
-// effective capacity, which a fault plan's mem-shrink can hold below the
-// configured pool size.
-func (c *Context) WouldOversubscribe(dev int, p workload.Pair) bool {
-	return c.ProjectedMem(dev, p) > c.Cluster.Device(dev).Capacity()
 }
 
 // Scheduler assigns tensor pairs to GPUs. Implementations must be
@@ -451,6 +436,9 @@ type engine struct {
 	assignAll    []int
 	stageOffsets []int
 	lastCP       *Checkpoint
+	// digest is the pair stream's streamDigest, stamped on every
+	// checkpoint (0 when the run neither takes nor resumes one).
+	digest uint64
 	// prog mirrors opts.Progress (nil when unset); ckptWrites/ckptBytes
 	// are the durable-checkpoint counters, resolved once per run (nil-safe
 	// no-ops without observability).
@@ -675,8 +663,12 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 		opts.Checkpoint = true
 	}
 	resume := opts.ResumeFrom
+	var digest uint64
+	if opts.Checkpoint || resume != nil {
+		digest = streamDigest(w)
+	}
 	if resume != nil {
-		if err := resume.validateFor(w.Name, len(w.Stages), n); err != nil {
+		if err := resume.validateFor(w, digest, n); err != nil {
 			return nil, err
 		}
 		if err := resume.validateNumeric(opts); err != nil {
@@ -721,7 +713,7 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 	sctx := NewContext(c)
 	sctx.Obs = opts.Obs
 	res := &Result{Scheduler: s.Name(), Workload: w.Name}
-	e := &engine{ctx: ctx, w: w, s: s, c: c, opts: opts, ob: ob, sctx: sctx, num: num, res: res, n: n, clock0: time.Now()}
+	e := &engine{ctx: ctx, w: w, s: s, c: c, opts: opts, ob: ob, sctx: sctx, num: num, res: res, n: n, digest: digest, clock0: time.Now()}
 	e.prog = opts.Progress
 	if opts.CheckpointDir != "" {
 		// Only now, with every refusal behind it, does the run touch the
@@ -882,9 +874,10 @@ func formatSeconds(d time.Duration) string {
 	return strconv.FormatFloat(d.Seconds(), 'g', 6, 64)
 }
 
-// Speedup returns how much faster r is than baseline in throughput terms.
+// Speedup returns how much faster r is than baseline in throughput terms:
+// 0 when either result is nil or baseline has no throughput.
 func Speedup(r, baseline *Result) float64 {
-	if baseline.GFLOPS == 0 {
+	if r == nil || baseline == nil || baseline.GFLOPS == 0 {
 		return 0
 	}
 	return r.GFLOPS / baseline.GFLOPS

@@ -37,7 +37,7 @@ func (p *BatchPipeline) plan(ops []BatchOp) error {
 	maxGroups, total := 0, 0
 	for i, op := range ops {
 		if op.Dst == nil {
-			return fmt.Errorf("tensor: ContractBatch op %d with nil destination", i)
+			return fmt.Errorf("tensor: %w: ContractBatch op %d with nil destination", ErrInvalidOperand, i)
 		}
 		od, err := contractOperands(op.A, op.B, op.OutID)
 		if err != nil {

@@ -37,7 +37,7 @@ func Contract(a, b *Tensor, outID uint64, workers int) (*Tensor, error) {
 // multi-worker call spawns a goroutine per worker, which allocates.
 func ContractInto(dst *Tensor, a, b *Tensor, outID uint64, workers int) error {
 	if dst == nil {
-		return fmt.Errorf("tensor: ContractInto with nil destination")
+		return fmt.Errorf("tensor: %w: ContractInto with nil destination", ErrInvalidOperand)
 	}
 	od, err := contractOperands(a, b, outID)
 	if err != nil {
@@ -62,7 +62,7 @@ func ContractInto(dst *Tensor, a, b *Tensor, outID uint64, workers int) error {
 // returns the output description.
 func contractOperands(a, b *Tensor, outID uint64) (Desc, error) {
 	if a == nil || b == nil {
-		return Desc{}, fmt.Errorf("tensor: contract with nil operand")
+		return Desc{}, fmt.Errorf("tensor: %w: contract with nil operand", ErrInvalidOperand)
 	}
 	od, err := ContractOut(a.Desc, b.Desc, outID)
 	if err != nil {
@@ -70,10 +70,10 @@ func contractOperands(a, b *Tensor, outID uint64) (Desc, error) {
 	}
 	for _, t := range [2]*Tensor{a, b} {
 		if len(t.Data) == 0 {
-			return Desc{}, fmt.Errorf("tensor: contract on metadata-only tensor %v", t.Desc)
+			return Desc{}, fmt.Errorf("tensor: %w: contract on metadata-only tensor %v", ErrInvalidOperand, t.Desc)
 		}
 		if int64(len(t.Data)) != 2*t.Elems() {
-			return Desc{}, fmt.Errorf("tensor: operand %v holds %d values, want %d (two planes of %d)", t.Desc, len(t.Data), 2*t.Elems(), t.Elems())
+			return Desc{}, fmt.Errorf("tensor: %w: %v holds %d values, want %d (two planes of %d)", ErrInvalidOperand, t.Desc, len(t.Data), 2*t.Elems(), t.Elems())
 		}
 	}
 	return od, nil

@@ -7,7 +7,10 @@
 // Desc plus actual complex128 data for numeric-mode execution and tests.
 package tensor
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // ComplexBytes is the storage size of one complex128 element.
 const ComplexBytes = 16
@@ -79,15 +82,19 @@ func ContractOut(a, b Desc, id uint64) (Desc, error) {
 	return Desc{ID: id, Rank: a.Rank, Dim: a.Dim, Batch: a.Batch}, nil
 }
 
+// ErrInvalidOperand marks a contraction whose destination or operands are
+// nil, malformed or of mismatched shapes.
+var ErrInvalidOperand = errors.New("invalid operand")
+
 func checkContractible(a, b Desc) error {
 	if !a.Valid() {
-		return fmt.Errorf("tensor: invalid operand %v", a)
+		return fmt.Errorf("tensor: %w %v", ErrInvalidOperand, a)
 	}
 	if !b.Valid() {
-		return fmt.Errorf("tensor: invalid operand %v", b)
+		return fmt.Errorf("tensor: %w %v", ErrInvalidOperand, b)
 	}
 	if a.Rank != b.Rank || a.Dim != b.Dim || a.Batch != b.Batch {
-		return fmt.Errorf("tensor: shape mismatch %v vs %v", a, b)
+		return fmt.Errorf("tensor: %w: shape mismatch %v vs %v", ErrInvalidOperand, a, b)
 	}
 	return nil
 }

@@ -261,7 +261,7 @@ func refSpecs() []Spec {
 		// Two unique graphs at distinct times, one when the times coincide.
 		{Name: "times decide dedup", Source: []Operator{Meson("b", "d", "d"), Meson("a", "u", "d")},
 			Sink: []Operator{Meson("b", "d", "d"), Meson("a", "d", "u")}},
-		{Name: "nucleon", Source: []Operator{Baryon("N", "u", "u", "d")},
+		{Name: "nucleon", Source: []Operator{{Name: "N", Quarks: []Quark{Q("u"), Q("u"), Q("d")}}},
 			Sink: []Operator{{Name: "N†", Quarks: []Quark{Qbar("u"), Qbar("u"), Qbar("d")}}}},
 	}
 	for i := range specs {

@@ -48,12 +48,6 @@ func Meson(name, quark, antiquark string) Operator {
 	return Operator{Name: name, Quarks: []Quark{Q(quark), Qbar(antiquark)}}
 }
 
-// Baryon builds a three-quark operator (its conjugate, with three
-// antiquarks, is produced by the correlator front end for the sink side).
-func Baryon(name, q1, q2, q3 string) Operator {
-	return Operator{Name: name, Quarks: []Quark{Q(q1), Q(q2), Q(q3)}}
-}
-
 // Spec is a correlation-function specification.
 type Spec struct {
 	Name string

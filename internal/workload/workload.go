@@ -204,25 +204,30 @@ type Config struct {
 	ChainRate float64
 }
 
-// Validate reports whether the configuration is generatable.
+// ErrInvalidConfig marks a Config that Validate rejects; the message names
+// the field.
+var ErrInvalidConfig = errors.New("invalid config")
+
+// Validate reports whether the configuration is generatable; a rejection
+// wraps ErrInvalidConfig.
 func (c Config) Validate() error {
 	switch {
 	case c.Stages <= 0:
-		return errors.New("workload: Stages must be positive")
+		return fmt.Errorf("workload: %w: Stages must be positive", ErrInvalidConfig)
 	case c.VectorSize <= 0:
-		return errors.New("workload: VectorSize must be positive")
+		return fmt.Errorf("workload: %w: VectorSize must be positive", ErrInvalidConfig)
 	case c.TensorDim <= 0:
-		return errors.New("workload: TensorDim must be positive")
+		return fmt.Errorf("workload: %w: TensorDim must be positive", ErrInvalidConfig)
 	case c.Batch <= 0:
-		return errors.New("workload: Batch must be positive")
+		return fmt.Errorf("workload: %w: Batch must be positive", ErrInvalidConfig)
 	case c.Rank != tensor.RankMeson && c.Rank != tensor.RankBaryon:
-		return errors.New("workload: Rank must be 2 or 3")
+		return fmt.Errorf("workload: %w: Rank must be 2 or 3", ErrInvalidConfig)
 	case c.RepeatRate < 0 || c.RepeatRate > 1:
-		return errors.New("workload: RepeatRate must be in [0,1]")
+		return fmt.Errorf("workload: %w: RepeatRate must be in [0,1]", ErrInvalidConfig)
 	case c.ChainRate < 0 || c.ChainRate > 1:
-		return errors.New("workload: ChainRate must be in [0,1]")
+		return fmt.Errorf("workload: %w: ChainRate must be in [0,1]", ErrInvalidConfig)
 	case c.Dist != Uniform && c.Dist != Gaussian:
-		return errors.New("workload: unknown distribution")
+		return fmt.Errorf("workload: %w: unknown distribution", ErrInvalidConfig)
 	}
 	return nil
 }

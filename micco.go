@@ -6,18 +6,21 @@
 // The package exposes five layers:
 //
 //   - A tensor substrate: batched complex hadron-node tensors with real
-//     contraction kernels and exact cost accounting (Tensor, TensorDesc).
+//     contraction kernels and exact cost accounting (Tensor, ContractInto).
 //   - A deterministic multi-GPU simulator standing in for the paper's
 //     eight-MI100 node: per-device memory pools with LRU eviction, a
 //     shared host link, and kernel/transfer timing (Cluster).
 //   - Workload front ends: the paper's synthetic dataset generator
 //     (GenerateWorkload) and a Redstar-like correlation-function pipeline
-//     (Wick contraction, graph staging — A1RhoPi, F0D2, F0D4).
+//     (Wick contraction, graph staging — BundledCorrelators, LoadDeck).
 //   - Schedulers: MICCO itself (local reuse patterns, reuse bounds,
 //     Algorithms 1-2) with naive/fixed/model-tuned bound settings, plus
-//     the Groute-like baseline and ablation schedulers.
+//     the Groute-like baseline and ablation schedulers (NewSchedulerByName).
 //   - The evaluation harness that regenerates every table and figure of
 //     the paper (NewHarness, RunExperiment).
+//
+// Every name here has a user in cmd/, examples/ or README.md's code, or is
+// the type of a field or signature that does (DESIGN.md §18).
 //
 // Quick start:
 //
@@ -34,8 +37,6 @@ package micco
 import (
 	"context"
 	"io"
-	"math/rand"
-	"net/http"
 
 	"micco/internal/autotune"
 	"micco/internal/baseline"
@@ -70,13 +71,9 @@ type (
 	TensorDesc = tensor.Desc
 )
 
-// Tensor ranks.
-const (
-	// RankMeson marks batched matrices (meson systems).
-	RankMeson = tensor.RankMeson
-	// RankBaryon marks batched rank-3 tensors (baryon systems).
-	RankBaryon = tensor.RankBaryon
-)
+// RankMeson marks batched matrices (meson systems); a deck's "rank": 3
+// selects rank-3 baryon blocks.
+const RankMeson = tensor.RankMeson
 
 // Simulated cluster types.
 type (
@@ -95,24 +92,7 @@ type (
 	// confined to devices 0-63 live in one inline word and never touch the
 	// heap; wider clusters spill into extra words transparently.
 	DevSet = gpusim.DevSet
-	// ConfigError reports which ClusterConfig field failed validation and
-	// why; it unwraps to ErrInvalidClusterConfig.
-	ConfigError = gpusim.ConfigError
 )
-
-// ErrInvalidClusterConfig marks a ClusterConfig rejected by validation;
-// errors.As against *ConfigError names the offending field.
-var ErrInvalidClusterConfig = gpusim.ErrInvalidConfig
-
-// MaxDevices is the largest simulated cluster the framework supports. The
-// bound is a simulator memory-footprint cap, not a mask width: DevSet
-// residency sets widen with the cluster.
-const MaxDevices = gpusim.MaxDevices
-
-// InlineDevices is the device count up to which a DevSet stays in its
-// single inline word — the allocation-free fast path of the residency
-// index and the scheduler hot paths.
-const InlineDevices = gpusim.InlineDevices
 
 // Workload types.
 type (
@@ -150,8 +130,6 @@ type (
 	Result = sched.Result
 	// Bounds are the three reuse bounds of Table II.
 	Bounds = core.Bounds
-	// ReusePattern is the local reuse classification of a pair (Fig. 4).
-	ReusePattern = core.ReusePattern
 	// BoundsPredictor produces per-stage reuse bounds.
 	BoundsPredictor = core.BoundsPredictor
 	// Predictor is a trained reuse-bound regression model.
@@ -164,7 +142,13 @@ type (
 	ModelKind = autotune.ModelKind
 	// ModelScore is one Table IV row.
 	ModelScore = autotune.ModelScore
+	// FeatureImportance is one feature's permutation importance.
+	FeatureImportance = autotune.Importance
 )
+
+// ForestModel is the Random Forest family (paper Table IV), the model
+// MICCO-optimal deploys.
+const ForestModel = autotune.ForestModel
 
 // Fault-injection and recovery types. A FaultPlan passed through
 // RunOptions.FaultPlan is replayed deterministically into the simulator;
@@ -182,44 +166,22 @@ type (
 	FaultKind = fault.Kind
 	// FaultRetry is the transient-failure retry/backoff policy.
 	FaultRetry = fault.Retry
-	// FaultGenConfig parameterizes GenerateFaultPlan.
-	FaultGenConfig = fault.GenConfig
-	// Checkpoint is a resumable stage-boundary snapshot of a run. Persist
-	// it with SaveCheckpoint / SaveCheckpointFile (or automatically via
-	// RunOptions.CheckpointDir) and bring it back with LoadCheckpoint /
-	// LoadCheckpointFile.
+	// Checkpoint is a resumable stage-boundary snapshot of a run. With
+	// RunOptions.CheckpointDir set the engine persists it at every stage
+	// boundary; LoadCheckpointFile brings it back.
 	Checkpoint = sched.Checkpoint
 	// RecoveryStats summarizes fault-recovery work done during a run.
 	RecoveryStats = sched.RecoveryStats
 )
 
-// Fault event kinds.
+// Fault event kinds (a JSON plan names these and the rest by string).
 const (
 	// FaultDeviceLoss permanently removes a device mid-run.
 	FaultDeviceLoss = fault.DeviceLoss
 	// FaultDeviceRestore returns a lost device to service, memory cold.
 	FaultDeviceRestore = fault.DeviceRestore
-	// FaultLinkDegrade scales all transfer bandwidth by Factor.
-	FaultLinkDegrade = fault.LinkDegrade
-	// FaultMemShrink caps a device's memory pool at Factor of capacity.
-	FaultMemShrink = fault.MemShrink
 	// FaultTransientTransfer makes the next Failures fetches retryable-fail.
 	FaultTransientTransfer = fault.TransientTransfer
-)
-
-// Local reuse patterns (paper Fig. 4).
-const (
-	TwoRepeatedSame = core.TwoRepeatedSame
-	TwoRepeatedDiff = core.TwoRepeatedDiff
-	OneRepeated     = core.OneRepeated
-	TwoNew          = core.TwoNew
-)
-
-// Regression model families (paper Table IV).
-const (
-	LinearModel   = autotune.LinearModel
-	BoostingModel = autotune.BoostingModel
-	ForestModel   = autotune.ForestModel
 )
 
 // Correlation-function front-end types.
@@ -262,14 +224,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) { return gpusim.NewCluster(
 // GenerateWorkload builds a deterministic synthetic workload.
 func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) { return workload.Generate(cfg) }
 
-// WorkloadFromStages builds a workload from pre-staged pairs (front ends).
-// The workload adopts the stages rather than copying them: it writes each
-// pair's tensor slots and recomputes its LastUse flags in place, and the
-// caller must not change the pairs afterwards.
-func WorkloadFromStages(name string, stages [][]Pair, inputs []TensorDesc) (*Workload, error) {
-	return workload.FromStages(name, stages, inputs)
-}
-
 // NewMICCONaive returns the MICCO scheduler with all reuse bounds zero.
 func NewMICCONaive() Scheduler { return core.NewNaive() }
 
@@ -277,17 +231,12 @@ func NewMICCONaive() Scheduler { return core.NewNaive() }
 func NewMICCOFixed(b Bounds) Scheduler { return core.NewFixed(b) }
 
 // NewMICCOOptimal returns the MICCO scheduler with per-stage bounds from a
-// trained predictor (the paper's MICCO-optimal).
+// trained predictor (the paper's MICCO-optimal). A nil p keeps every bound
+// at zero, as NewMICCONaive does.
 func NewMICCOOptimal(p BoundsPredictor) Scheduler { return core.NewOptimal(p) }
 
 // NewGroute returns the earliest-available-device baseline scheduler.
 func NewGroute() Scheduler { return baseline.NewGroute() }
-
-// NewRoundRobin returns the round-robin ablation scheduler.
-func NewRoundRobin() Scheduler { return baseline.NewRoundRobin() }
-
-// NewLocalityOnly returns the reuse-only ablation scheduler.
-func NewLocalityOnly() Scheduler { return baseline.NewLocalityOnly() }
 
 // NewHier returns the two-level node/device scheduler for multi-node
 // topologies (ClusterConfig.NodeSize): an inter-node placer shards the
@@ -295,9 +244,6 @@ func NewLocalityOnly() Scheduler { return baseline.NewLocalityOnly() }
 // places within the chosen node under bounds b. On single-node clusters it
 // degenerates to a deterministic-tie-break MICCO.
 func NewHier(nodeBound int, b Bounds) Scheduler { return hier.New(nodeBound, b) }
-
-// ClassifyPair returns the local reuse pattern of p under ctx's residency.
-func ClassifyPair(p Pair, ctx *SchedContext) ReusePattern { return core.Classify(p, ctx) }
 
 // Run replays workload w through scheduler s on cluster c. Scheduler
 // decisions replay sequentially; in numeric mode the real contractions of
@@ -308,7 +254,8 @@ func Run(ctx context.Context, w *Workload, s Scheduler, c *Cluster, opts RunOpti
 	return sched.Run(ctx, w, s, c, opts)
 }
 
-// Speedup returns r's throughput advantage over baseline.
+// Speedup returns r's throughput advantage over baseline, 0 when either
+// result is nil or baseline has no throughput.
 func Speedup(r, baseline *Result) float64 { return sched.Speedup(r, baseline) }
 
 // BuildCorpus sweeps reuse-bound settings over randomized workloads to
@@ -320,12 +267,14 @@ func BuildCorpus(ctx context.Context, cfg CorpusConfig) (*TrainingCorpus, error)
 }
 
 // TrainPredictor fits a reuse-bound model of the given kind on corpus,
-// holding out testFrac for the reported R-squared.
+// holding out testFrac for the reported R-squared. A nil corpus returns
+// an error wrapping ErrNilArgument.
 func TrainPredictor(corpus *TrainingCorpus, kind ModelKind, testFrac float64, seed int64) (*Predictor, error) {
 	return autotune.Train(corpus, kind, testFrac, seed)
 }
 
 // EvaluateModels scores all three regression families on corpus (Table IV).
+// A nil corpus returns an error wrapping ErrNilArgument.
 func EvaluateModels(corpus *TrainingCorpus, testFrac float64, seed int64) ([]ModelScore, error) {
 	return autotune.EvaluateModels(corpus, testFrac, seed)
 }
@@ -333,56 +282,32 @@ func EvaluateModels(corpus *TrainingCorpus, testFrac float64, seed int64) ([]Mod
 // A1RhoPi returns the bundled a1 -> rho pi correlator (Table VI row 1).
 func A1RhoPi() *Correlator { return redstar.A1RhoPi() }
 
-// F0D2 returns the bundled f0 (dimension-2 basis) correlator (row 2).
-func F0D2() *Correlator { return redstar.F0D2() }
-
-// F0D4 returns the bundled f0 (dimension-4 basis) correlator (row 3).
-func F0D4() *Correlator { return redstar.F0D4() }
-
 // BundledCorrelators returns the three Table VI correlators.
 func BundledCorrelators() []*Correlator { return redstar.Bundled() }
 
 // Meson builds a quark-antiquark interpolating operator.
 func Meson(name, quark, antiquark string) Operator { return wick.Meson(name, quark, antiquark) }
 
-// Baryon builds a three-quark interpolating operator. Baryon systems use
-// rank-3 hadron blocks: set Correlator.Rank = RankBaryon.
-func Baryon(name, q1, q2, q3 string) Operator { return wick.Baryon(name, q1, q2, q3) }
-
-// Q returns a quark field of the given flavor; Qbar an antiquark.
-func Q(flavor string) Quark    { return wick.Q(flavor) }
-func Qbar(flavor string) Quark { return wick.Qbar(flavor) }
-
 // NewHarness returns an experiment harness. Independent sweep points fan
 // across HarnessOptions.Parallelism workers; rendered tables are
 // byte-identical at any setting.
 func NewHarness(opts HarnessOptions) *Harness { return experiment.New(opts) }
 
-// Sentinel errors of the execution engine and simulator, for errors.Is.
+// Sentinel errors of the execution engine, the simulator and the durable
+// checkpoint codec, for errors.Is.
 var (
-	// ErrNilArgument marks a nil workload, scheduler or cluster.
+	// ErrNilArgument marks a nil workload, scheduler, cluster, corpus or
+	// other required argument.
 	ErrNilArgument = sched.ErrNilArgument
 	// ErrInvalidDevice marks a device index outside the cluster.
 	ErrInvalidDevice = sched.ErrInvalidDevice
 	// ErrOutOfMemory marks a tensor that cannot fit on a device even after
 	// evicting every unpinned block.
 	ErrOutOfMemory = sched.ErrOutOfMemory
-	// ErrDeviceLost marks an operation issued to a fault-injected failed
-	// device.
-	ErrDeviceLost = sched.ErrDeviceLost
-	// ErrTransientTransfer marks a retryable injected transfer failure; the
-	// engine surfaces it only after the FaultRetry budget is exhausted.
-	ErrTransientTransfer = sched.ErrTransientTransfer
-	// ErrTensorUnavailable marks a tensor with no live copy anywhere.
-	ErrTensorUnavailable = sched.ErrTensorUnavailable
 	// ErrClusterLost is returned when a fault plan removes the last
 	// surviving device; with RunOptions.Checkpoint the Result carries the
 	// last stage-boundary Checkpoint for resumption.
 	ErrClusterLost = sched.ErrClusterLost
-)
-
-// Durable-checkpoint sentinel errors, for errors.Is.
-var (
 	// ErrCheckpointCorrupt marks a durable checkpoint that failed
 	// structural validation: bad magic, truncation, CRC mismatch, or a
 	// payload that does not decode to a valid snapshot.
@@ -390,15 +315,6 @@ var (
 	// ErrCheckpointVersion marks a durable checkpoint written by a format
 	// version this build does not understand.
 	ErrCheckpointVersion = sched.ErrCheckpointVersion
-	// ErrWorkerPanic marks a panic contained in a numeric pool worker or
-	// the level executor; the wrapped WorkerPanicError carries the stack.
-	ErrWorkerPanic = tensor.ErrWorkerPanic
-	// ErrPipelineClosed is returned by BatchPipeline.Run and Do after
-	// Close.
-	ErrPipelineClosed = tensor.ErrPipelineClosed
-	// ErrRunStalled marks a supervised run whose final attempt was
-	// cancelled by the progress watchdog.
-	ErrRunStalled = supervise.ErrStalled
 )
 
 // Durability and supervision types (DESIGN.md §15).
@@ -412,35 +328,12 @@ type (
 	SuperviseStats = supervise.Stats
 )
 
-// SaveCheckpoint writes cp to w in the versioned durable format (CRC32
-// integrity header + JSON payload), returning the encoded size.
-func SaveCheckpoint(w io.Writer, cp *Checkpoint) (int, error) {
-	return sched.EncodeCheckpoint(w, cp)
-}
-
-// LoadCheckpoint reads one durable checkpoint. Corrupted or truncated
-// input returns an error wrapping ErrCheckpointCorrupt, an unknown format
-// version one wrapping ErrCheckpointVersion; it never panics.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	return sched.DecodeCheckpoint(r)
-}
-
-// SaveCheckpointFile atomically persists cp at path through the artifact
-// writer every other file goes through (temp write, fsync, rename,
-// directory fsync): a reader never observes a partial file.
-func SaveCheckpointFile(path string, cp *Checkpoint) (int, error) {
-	return sched.SaveCheckpointFile(path, cp)
-}
-
 // LoadCheckpointFile reads and validates a durable checkpoint from path.
+// Corrupted or truncated input returns an error wrapping
+// ErrCheckpointCorrupt, an unknown format version one wrapping
+// ErrCheckpointVersion; it never panics.
 func LoadCheckpointFile(path string) (*Checkpoint, error) {
 	return sched.LoadCheckpointFile(path)
-}
-
-// CheckpointFilePath returns the canonical durable-checkpoint path for a
-// workload inside dir — the same path RunOptions.CheckpointDir writes.
-func CheckpointFilePath(dir, workload string) string {
-	return sched.CheckpointPath(dir, workload)
 }
 
 // Supervise runs a workload under the self-healing supervisor: retries
@@ -457,58 +350,27 @@ func LoadFaultPlan(r io.Reader) (*FaultPlan, error) { return fault.Load(r) }
 // SaveFaultPlan serializes a fault plan as indented JSON.
 func SaveFaultPlan(w io.Writer, p *FaultPlan) error { return fault.Save(w, p) }
 
-// GenerateFaultPlan builds a randomized but deterministic fault plan that
-// never loses device 0, so generated plans always run to completion.
-func GenerateFaultPlan(cfg FaultGenConfig) *FaultPlan { return fault.Generate(cfg) }
-
-// DefaultFaultRetry is the retry policy used when a plan specifies none.
-func DefaultFaultRetry() FaultRetry { return fault.DefaultRetry() }
-
 // ExperimentIDs lists the runnable experiments in paper order.
 func ExperimentIDs() []string { return experiment.IDs() }
-
-// Contract performs one hadron contraction with real arithmetic.
-func Contract(a, b *Tensor, outID uint64, workers int) (*Tensor, error) {
-	return tensor.Contract(a, b, outID, workers)
-}
-
-// ContractInto performs one hadron contraction writing into dst, reusing
-// dst's storage when its capacity suffices. Results are bit-identical to
-// Contract; dst may alias either operand.
-func ContractInto(dst, a, b *Tensor, outID uint64, workers int) error {
-	return tensor.ContractInto(dst, a, b, outID, workers)
-}
 
 // BatchOp is one contraction of a stage batch (ContractBatch).
 type BatchOp = tensor.BatchOp
 
-// ContractBatch executes all contractions of an independent stage as one
-// batch: every (op, group) product is one work item on the pool,
-// multiplied exactly as ContractInto does it, so the result is
-// bit-identical to running ContractInto per op. Every op is validated
-// before any destination is sized. Ops must be mutually independent: no
-// destination may alias another op's operand or destination (it may
-// alias its own). It is one BatchPipeline.Run on a pipeline that lives
-// for the call; hold a BatchPipeline for a stream of batches.
-func ContractBatch(ops []BatchOp, workers int) error {
-	return tensor.ContractBatch(ops, workers)
+// ContractInto performs one hadron contraction writing into dst, reusing
+// dst's storage when its capacity suffices; dst may alias either operand.
+func ContractInto(dst, a, b *Tensor, outID uint64, workers int) error {
+	return tensor.ContractInto(dst, a, b, outID, workers)
 }
 
-// BatchPipeline is a persistent cooperative worker pool with one
-// parallel-for (Do): workers park on a channel between calls, keep their
-// pack buffers (the copy of an operand group an in-place destination
-// aliases) for the pool's lifetime, and the caller's goroutine
-// participates as a worker. Run drains a batch's (op, group) items
-// through Do. Every numeric contraction of a Run or a correlator
-// evaluation goes through one of these. Not safe for concurrent Run/Do
-// calls; Close releases the workers, after which Run and Do return
-// ErrPipelineClosed.
-type BatchPipeline = tensor.BatchPipeline
-
-// NewBatchPipeline returns a pipeline of the given width (minimum 1; the
-// caller's goroutine is worker 0).
-func NewBatchPipeline(workers int) *BatchPipeline {
-	return tensor.NewBatchPipeline(workers)
+// ContractBatch executes all contractions of an independent stage as one
+// batch: every (op, group) product is one work item on a worker pool that
+// lives for the call, multiplied exactly as ContractInto does it, so the
+// result is bit-identical to running ContractInto per op. Every op is
+// validated before any destination is sized. Ops must be mutually
+// independent: no destination may alias another op's operand or
+// destination (it may alias its own).
+func ContractBatch(ops []BatchOp, workers int) error {
+	return tensor.ContractBatch(ops, workers)
 }
 
 // KernelFeatures describes the detected CPU vector features and the
@@ -516,13 +378,6 @@ func NewBatchPipeline(workers int) *BatchPipeline {
 // MICCO_KERNEL override — reported as ignored when it names no tier
 // (scalar, avx2, avx512).
 func KernelFeatures() string { return tensor.KernelInfo() }
-
-// NewRandomTensor allocates a tensor with random complex entries.
-func NewRandomTensor(d TensorDesc, seed int64) (*Tensor, error) {
-	return tensor.NewRandom(d, newRand(seed))
-}
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // Trace types (simulator event recording).
 type (
@@ -532,40 +387,7 @@ type (
 	TraceEvent = gpusim.Event
 	// TraceEventKind classifies trace events.
 	TraceEventKind = gpusim.EventKind
-	// FeatureImportance is one feature's permutation importance.
-	FeatureImportance = autotune.Importance
 )
-
-// Trace event kinds.
-const (
-	TraceKernel = gpusim.EventKernel
-	TraceH2D    = gpusim.EventH2D
-	TraceD2H    = gpusim.EventD2H
-	TraceP2P    = gpusim.EventP2P
-	TraceEvict  = gpusim.EventEvict
-	// TraceInter marks an inter-node shipment over the shared interconnect.
-	TraceInter = gpusim.EventInter
-	// TraceFault marks an injected fault taking effect (instant event).
-	TraceFault = gpusim.EventFault
-)
-
-// WriteChromeTrace serializes trace events in the Chrome tracing JSON
-// format (load in chrome://tracing or ui.perfetto.dev).
-func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
-	return gpusim.WriteChromeTrace(w, events)
-}
-
-// WriteChromeTraceMerged serializes trace events like WriteChromeTrace and
-// merges scheduler decision records into the timeline as instant events,
-// so the trace viewer shows why each pair landed where it did.
-func WriteChromeTraceMerged(w io.Writer, events []TraceEvent, decisions []DecisionRecord) error {
-	return gpusim.WriteChromeTraceMerged(w, events, decisions)
-}
-
-// WriteTraceSummary writes per-device busy-time aggregates of a trace.
-func WriteTraceSummary(w io.Writer, events []TraceEvent) error {
-	return gpusim.TraceSummary(w, events)
-}
 
 // Observability types (metrics registry, spans, decision records). Attach a
 // registry through RunOptions.Obs; a nil registry costs nothing — every
@@ -582,8 +404,8 @@ type (
 	// 128 bytes: counts and indices are int32, the pattern and the policy
 	// one-byte codes written by name.
 	DecisionRecord = obs.DecisionRecord
-	// DecisionPolicy is a DecisionRecord's final-selection rule, one of
-	// the Policy constants; the zero value names none.
+	// DecisionPolicy is a DecisionRecord's final-selection rule; the zero
+	// value names none.
 	DecisionPolicy = obs.Policy
 	// CandidateScore is one device the scheduler considered, with its
 	// primary selection score (lower wins).
@@ -592,15 +414,11 @@ type (
 	Span = obs.Span
 )
 
-// Decision policies, as DecisionRecord.Policy stores them and the decision
-// log writes them ("compute-centric", "memory-eviction", ...).
+// MICCO's two decision policies, as DecisionRecord.Policy stores them and
+// the decision log writes them ("compute-centric", "memory-eviction").
 const (
 	PolicyComputeCentric = obs.PolicyComputeCentric
 	PolicyMemoryEviction = obs.PolicyMemoryEviction
-	PolicyTwoLevel       = obs.PolicyTwoLevel
-	PolicyEarliestDevice = obs.PolicyEarliestDevice
-	PolicyRoundRobin     = obs.PolicyRoundRobin
-	PolicyLocalityOnly   = obs.PolicyLocalityOnly
 )
 
 // NewMetricsRegistry returns an empty observability registry.
@@ -647,8 +465,8 @@ type (
 func NewFlightRecorder() *FlightRecorder { return obs.NewFlightRecorder() }
 
 // TraceEventsFromFlight converts retained flight-recorder events back to
-// trace events (for WriteChromeTrace or report analyses), dropping any
-// whose kind name is unknown.
+// trace events (for report analyses), dropping any whose kind name is
+// unknown.
 func TraceEventsFromFlight(fes []FlightEvent) []TraceEvent {
 	return gpusim.EventsFromFlight(fes)
 }
@@ -665,10 +483,6 @@ type ObsServer = obshttp.Server
 func ServeObs(addr string, reg *MetricsRegistry) (*ObsServer, error) {
 	return obshttp.Serve(addr, reg)
 }
-
-// ObsHandler returns the observability server's handler for embedding
-// into an existing mux.
-func ObsHandler(reg *MetricsRegistry) http.Handler { return obshttp.Handler(reg) }
 
 // Post-run analysis types (internal/report; DESIGN.md §13). BuildReport
 // turns a run's trace, decisions and metrics snapshot into the critical
@@ -693,13 +507,6 @@ type (
 
 // BuildReport assembles a post-run analysis from in.
 func BuildReport(in ReportInput) *RunReport { return report.Build(in) }
-
-// CriticalPathOf computes the critical path through events: a backward
-// chain whose segments exactly partition [0, makespan], with per-device,
-// per-kind and per-resource blame shares.
-func CriticalPathOf(events []TraceEvent, makespan float64) *CriticalPath {
-	return report.CriticalPathOf(events, makespan)
-}
 
 // DiffMetricsSnapshots compares two metrics snapshots series by series.
 func DiffMetricsSnapshots(old, new *MetricsSnapshot) *MetricsDiff {
@@ -736,11 +543,9 @@ func RunMultiNode(ctx context.Context, w *Workload, mc *MultiNodeCluster) (*Mult
 	return multinode.Run(ctx, w, mc)
 }
 
-// Spectroscopy analysis types (downstream physics observables).
-type (
-	// CorrelatorSeries is a correlator time series C(t).
-	CorrelatorSeries = spectro.Series
-)
+// CorrelatorSeries is a correlator time series C(t), the input of the
+// spectroscopy analyses below.
+type CorrelatorSeries = spectro.Series
 
 // EffectiveMass returns the effective-mass curve of a correlator series.
 func EffectiveMass(s CorrelatorSeries) map[int]float64 { return spectro.EffectiveMass(s) }
@@ -763,6 +568,3 @@ func SyntheticCorrelator(amp, mass float64, t0, t1 int) CorrelatorSeries {
 // LoadDeck parses a JSON correlator deck (the reproduction's analog of
 // Redstar's XML input decks) into a validated Correlator.
 func LoadDeck(r io.Reader) (*Correlator, error) { return redstar.LoadDeck(r) }
-
-// SaveDeck serializes a correlator to the JSON deck format.
-func SaveDeck(w io.Writer, c *Correlator) error { return redstar.SaveDeck(w, c) }

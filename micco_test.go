@@ -3,11 +3,24 @@ package micco_test
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"micco"
+	"micco/internal/fault"
+	"micco/internal/tensor"
 )
+
+// byName builds a fresh registry scheduler that needs no predictor.
+func byName(t *testing.T, name string) micco.Scheduler {
+	t.Helper()
+	s, err := micco.NewSchedulerByName(name, micco.Bounds{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func testWorkload(t *testing.T) *micco.Workload {
 	t.Helper()
@@ -49,7 +62,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if fixed.GFLOPS <= 0 {
 		t.Error("fixed-bounds run failed")
 	}
-	for _, s := range []micco.Scheduler{micco.NewRoundRobin(), micco.NewLocalityOnly()} {
+	for _, s := range []micco.Scheduler{byName(t, "roundrobin"), byName(t, "locality")} {
 		if _, err := micco.Run(context.Background(), w, s, cluster, micco.RunOptions{}); err != nil {
 			t.Errorf("%s: %v", s.Name(), err)
 		}
@@ -66,14 +79,14 @@ func TestPublicAPIFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := micco.Run(context.Background(), w, micco.NewRoundRobin(), cluster, micco.RunOptions{Numeric: true, NumericSeed: 7})
+	clean, err := micco.Run(context.Background(), w, byName(t, "roundrobin"), cluster, micco.RunOptions{Numeric: true, NumericSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	plan := &micco.FaultPlan{Events: []micco.FaultEvent{
 		{Kind: micco.FaultDeviceLoss, Stage: 1, Pair: 1, Device: 2},
-		{Kind: micco.FaultLinkDegrade, Stage: 2, Pair: -1, Factor: 0.5},
+		{Kind: fault.LinkDegrade, Stage: 2, Pair: -1, Factor: 0.5},
 		{Kind: micco.FaultTransientTransfer, Stage: 3, Pair: 0, Failures: 2},
 		{Kind: micco.FaultDeviceRestore, Stage: 4, Pair: -1, Device: 2},
 	}}
@@ -86,7 +99,7 @@ func TestPublicAPIFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	faulted, err := micco.Run(context.Background(), w, micco.NewRoundRobin(), cluster,
+	faulted, err := micco.Run(context.Background(), w, byName(t, "roundrobin"), cluster,
 		micco.RunOptions{Numeric: true, NumericSeed: 7, FaultPlan: plan2})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +122,7 @@ func TestPublicAPIFaultInjection(t *testing.T) {
 		{Kind: micco.FaultDeviceLoss, Stage: 2, Pair: 0, Device: 2},
 		{Kind: micco.FaultDeviceLoss, Stage: 2, Pair: 0, Device: 3},
 	}}
-	res, err := micco.Run(context.Background(), w, micco.NewRoundRobin(), cluster,
+	res, err := micco.Run(context.Background(), w, byName(t, "roundrobin"), cluster,
 		micco.RunOptions{Numeric: true, NumericSeed: 7, FaultPlan: fatal, Checkpoint: true})
 	if !errors.Is(err, micco.ErrClusterLost) {
 		t.Fatalf("got %v, want ErrClusterLost", err)
@@ -121,7 +134,7 @@ func TestPublicAPIFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := micco.Run(context.Background(), w, micco.NewRoundRobin(), fresh,
+	resumed, err := micco.Run(context.Background(), w, byName(t, "roundrobin"), fresh,
 		micco.RunOptions{Numeric: true, NumericSeed: 7, ResumeFrom: res.Checkpoint})
 	if err != nil {
 		t.Fatal(err)
@@ -198,16 +211,17 @@ func TestPublicAPICorrelators(t *testing.T) {
 }
 
 func TestPublicAPITensors(t *testing.T) {
-	a, err := micco.NewRandomTensor(micco.TensorDesc{ID: 1, Rank: micco.RankMeson, Dim: 8, Batch: 2}, 1)
+	rng := rand.New(rand.NewSource(1))
+	a, err := tensor.NewRandom(micco.TensorDesc{ID: 1, Rank: micco.RankMeson, Dim: 8, Batch: 2}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := micco.NewRandomTensor(micco.TensorDesc{ID: 2, Rank: micco.RankMeson, Dim: 8, Batch: 2}, 2)
+	b, err := tensor.NewRandom(micco.TensorDesc{ID: 2, Rank: micco.RankMeson, Dim: 8, Batch: 2}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := micco.Contract(a, b, 3, 2)
-	if err != nil {
+	out := &micco.Tensor{}
+	if err := micco.ContractInto(out, a, b, 3, 2); err != nil {
 		t.Fatal(err)
 	}
 	if out.ID != 3 || out.Dim != 8 {
@@ -220,8 +234,8 @@ func TestPublicAPICustomOperators(t *testing.T) {
 	if len(pi.Quarks) != 2 {
 		t.Error("Meson helper")
 	}
-	if micco.Q("u").Bar || !micco.Qbar("u").Bar {
-		t.Error("quark helpers")
+	if pi.Quarks[0].Bar || !pi.Quarks[1].Bar {
+		t.Error("Meson helper: want a quark then an antiquark")
 	}
 	custom := &micco.Correlator{
 		Name: "custom",

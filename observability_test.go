@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"micco"
+	"micco/internal/gpusim"
+	"micco/internal/obs"
 )
 
 func obsWorkload(t *testing.T) *micco.Workload {
@@ -102,7 +104,7 @@ func TestDecisionRecordsReconcileWithDeviceStats(t *testing.T) {
 
 			// Engine pattern counters reconcile with the records.
 			for p, n := range patterns {
-				name := fmt.Sprintf("micco_sched_pattern_total{pattern=%q}", micco.ReusePattern(p).String())
+				name := fmt.Sprintf("micco_sched_pattern_total{pattern=%q}", obs.ReusePattern(p).String())
 				if got := reg.Counter(name).Value(); got != float64(n) {
 					t.Errorf("%s = %v, want %d", name, got, n)
 				}
@@ -244,7 +246,7 @@ func TestObservabilityDoesNotChangeScheduling(t *testing.T) {
 	}
 }
 
-// TestPublicExportSurface exercises the re-exported writers end to end.
+// TestPublicExportSurface exercises the artifact writers end to end.
 func TestPublicExportSurface(t *testing.T) {
 	w := obsWorkload(t)
 	cluster := obsCluster(t, w, 2)
@@ -275,7 +277,7 @@ func TestPublicExportSurface(t *testing.T) {
 	}
 
 	var trace bytes.Buffer
-	if err := micco.WriteChromeTraceMerged(&trace, events, reg.Decisions()); err != nil {
+	if err := gpusim.WriteChromeTraceMerged(&trace, events, reg.Decisions()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(trace.String(), `"ph":"i"`) {

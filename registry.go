@@ -12,53 +12,47 @@ import (
 // ErrUnknownScheduler marks a scheduler name absent from the registry.
 var ErrUnknownScheduler = errors.New("unknown scheduler")
 
-// schedulerEntry is one registry row: how to build the scheduler and what
-// it needs.
+// schedulerEntry is one registry row: the scheduler's name, how to build it
+// and what it needs.
 type schedulerEntry struct {
+	name           string
 	needsPredictor bool
 	build          func(b Bounds, p BoundsPredictor) Scheduler
 }
 
-// schedulerRegistry maps every scheduler name to its constructor. The
-// command-line tools resolve their -scheduler flags here, so adding a row
-// makes a scheduler available everywhere at once.
-var schedulerRegistry = map[string]schedulerEntry{
-	"micco": {
-		build: func(b Bounds, _ BoundsPredictor) Scheduler { return core.NewFixed(b) },
-	},
-	"micco-naive": {
-		build: func(_ Bounds, _ BoundsPredictor) Scheduler { return core.NewNaive() },
-	},
-	"micco-optimal": {
-		needsPredictor: true,
-		build:          func(_ Bounds, p BoundsPredictor) Scheduler { return core.NewOptimal(p) },
-	},
-	"groute": {
-		build: func(_ Bounds, _ BoundsPredictor) Scheduler { return baseline.NewGroute() },
-	},
-	"roundrobin": {
-		build: func(_ Bounds, _ BoundsPredictor) Scheduler { return baseline.NewRoundRobin() },
-	},
-	"locality": {
-		build: func(_ Bounds, _ BoundsPredictor) Scheduler { return baseline.NewLocalityOnly() },
-	},
-	"hier": {
-		build: func(b Bounds, _ BoundsPredictor) Scheduler { return hier.New(16, b) },
-	},
+// schedulerRegistry lists every scheduler in presentation order: MICCO
+// variants first, then the two-level multi-node scheduler, then the
+// baselines and ablations. The command-line tools resolve their -scheduler
+// flags here, so adding a row makes a scheduler available everywhere at
+// once.
+var schedulerRegistry = []schedulerEntry{
+	{name: "micco", build: func(b Bounds, _ BoundsPredictor) Scheduler { return core.NewFixed(b) }},
+	{name: "micco-naive", build: func(Bounds, BoundsPredictor) Scheduler { return core.NewNaive() }},
+	{name: "micco-optimal", needsPredictor: true,
+		build: func(_ Bounds, p BoundsPredictor) Scheduler { return core.NewOptimal(p) }},
+	{name: "hier", build: func(b Bounds, _ BoundsPredictor) Scheduler { return hier.New(16, b) }},
+	{name: "groute", build: func(Bounds, BoundsPredictor) Scheduler { return baseline.NewGroute() }},
+	{name: "roundrobin", build: func(Bounds, BoundsPredictor) Scheduler { return baseline.NewRoundRobin() }},
+	{name: "locality", build: func(Bounds, BoundsPredictor) Scheduler { return baseline.NewLocalityOnly() }},
 }
 
-// schedulerOrder fixes the presentation order of SchedulerNames: MICCO
-// variants first, then the two-level multi-node scheduler, then the
-// baselines and ablations.
-var schedulerOrder = []string{
-	"micco", "micco-naive", "micco-optimal", "hier", "groute", "roundrobin", "locality",
+// lookupScheduler returns the registry row for name, or false.
+func lookupScheduler(name string) (schedulerEntry, bool) {
+	for _, e := range schedulerRegistry {
+		if e.name == name {
+			return e, true
+		}
+	}
+	return schedulerEntry{}, false
 }
 
 // SchedulerNames lists every registered scheduler name in presentation
 // order (MICCO variants, then baselines).
 func SchedulerNames() []string {
-	out := make([]string, len(schedulerOrder))
-	copy(out, schedulerOrder)
+	out := make([]string, len(schedulerRegistry))
+	for i, e := range schedulerRegistry {
+		out[i] = e.name
+	}
 	return out
 }
 
@@ -68,7 +62,7 @@ func SchedulerNames() []string {
 // SchedulerNeedsPredictor). Unknown names return ErrUnknownScheduler;
 // "micco-optimal" with a nil predictor returns ErrNilArgument.
 func NewSchedulerByName(name string, b Bounds, p BoundsPredictor) (Scheduler, error) {
-	e, ok := schedulerRegistry[name]
+	e, ok := lookupScheduler(name)
 	if !ok {
 		return nil, fmt.Errorf("micco: %w %q (have %v)", ErrUnknownScheduler, name, SchedulerNames())
 	}
@@ -81,5 +75,6 @@ func NewSchedulerByName(name string, b Bounds, p BoundsPredictor) (Scheduler, er
 // SchedulerNeedsPredictor reports whether the named scheduler requires a
 // trained bounds predictor (false for unknown names).
 func SchedulerNeedsPredictor(name string) bool {
-	return schedulerRegistry[name].needsPredictor
+	e, _ := lookupScheduler(name)
+	return e.needsPredictor
 }

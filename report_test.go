@@ -9,11 +9,12 @@ import (
 	"testing"
 
 	"micco"
+	"micco/internal/report"
 )
 
 // TestCriticalPathPartitionProperty is the critical-path invariant run as
 // a property test over every registered scheduler and two workload seeds:
-// the segments returned by CriticalPathOf must exactly partition
+// the segments returned by report.CriticalPathOf must exactly partition
 // [0, makespan] — first segment starts at 0, every boundary matches the
 // next start bit for bit, the last segment ends at the makespan — and the
 // blame tables must each account for the whole makespan.
@@ -47,7 +48,7 @@ func TestCriticalPathPartitionProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				events := cluster.StopTrace()
-				cp := micco.CriticalPathOf(events, res.Makespan)
+				cp := report.CriticalPathOf(events, res.Makespan)
 				if len(cp.Segments) == 0 {
 					t.Fatal("critical path is empty")
 				}
