@@ -13,6 +13,7 @@ package fault
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -174,48 +175,53 @@ func (p *Plan) RetryPolicy() Retry {
 	return *p.Retry
 }
 
-// Validate checks the plan against a cluster of numDevices devices.
+// ErrInvalidPlan marks a plan Validate refuses: nil, an unknown kind, a bad
+// position, device, factor or failure count, or a bad retry policy.
+var ErrInvalidPlan = errors.New("fault: invalid plan")
+
+// Validate checks the plan against a cluster of numDevices devices. Every
+// refusal wraps ErrInvalidPlan.
 func (p *Plan) Validate(numDevices int) error {
 	if p == nil {
-		return fmt.Errorf("fault: nil plan")
+		return fmt.Errorf("%w: nil", ErrInvalidPlan)
 	}
 	if r := p.Retry; r != nil {
 		if r.Max < 0 {
-			return fmt.Errorf("fault: retry max %d must be non-negative", r.Max)
+			return fmt.Errorf("%w: retry max %d must be non-negative", ErrInvalidPlan, r.Max)
 		}
 		if r.BaseSeconds <= 0 || r.CapSeconds < r.BaseSeconds {
-			return fmt.Errorf("fault: retry backoff (base %v, cap %v) must satisfy 0 < base <= cap",
-				r.BaseSeconds, r.CapSeconds)
+			return fmt.Errorf("%w: retry backoff (base %v, cap %v) must satisfy 0 < base <= cap",
+				ErrInvalidPlan, r.BaseSeconds, r.CapSeconds)
 		}
 	}
 	for i, e := range p.Events {
 		if _, ok := kindNames[e.Kind]; !ok {
-			return fmt.Errorf("fault: event %d: unknown kind %d", i, int(e.Kind))
+			return fmt.Errorf("%w: event %d: unknown kind %d", ErrInvalidPlan, i, int(e.Kind))
 		}
 		if e.Time < 0 {
-			return fmt.Errorf("fault: event %d: negative time %v", i, e.Time)
+			return fmt.Errorf("%w: event %d: negative time %v", ErrInvalidPlan, i, e.Time)
 		}
 		if e.Stage < 0 || e.Pair < -1 {
-			return fmt.Errorf("fault: event %d: position stage %d pair %d out of range", i, e.Stage, e.Pair)
+			return fmt.Errorf("%w: event %d: position stage %d pair %d out of range", ErrInvalidPlan, i, e.Stage, e.Pair)
 		}
 		switch e.Kind {
 		case DeviceLoss, DeviceRestore, MemShrink:
 			if e.Device < 0 || e.Device >= numDevices {
-				return fmt.Errorf("fault: event %d: device %d out of range [0,%d)", i, e.Device, numDevices)
+				return fmt.Errorf("%w: event %d: device %d out of range [0,%d)", ErrInvalidPlan, i, e.Device, numDevices)
 			}
 		}
 		switch e.Kind {
 		case LinkDegrade:
 			if e.Factor <= 0 {
-				return fmt.Errorf("fault: event %d: link-degrade factor %v must be positive", i, e.Factor)
+				return fmt.Errorf("%w: event %d: link-degrade factor %v must be positive", ErrInvalidPlan, i, e.Factor)
 			}
 		case MemShrink:
 			if e.Factor <= 0 || e.Factor > 1 {
-				return fmt.Errorf("fault: event %d: mem-shrink factor %v must be in (0,1]", i, e.Factor)
+				return fmt.Errorf("%w: event %d: mem-shrink factor %v must be in (0,1]", ErrInvalidPlan, i, e.Factor)
 			}
 		case TransientTransfer:
 			if e.Failures < 1 {
-				return fmt.Errorf("fault: event %d: transient-transfer needs failures >= 1, got %d", i, e.Failures)
+				return fmt.Errorf("%w: event %d: transient-transfer needs failures >= 1, got %d", ErrInvalidPlan, i, e.Failures)
 			}
 		}
 	}
@@ -294,11 +300,4 @@ func Generate(cfg GenConfig) *Plan {
 		}
 	}
 	return p
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

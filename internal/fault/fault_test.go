@@ -2,6 +2,7 @@ package fault
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -74,13 +75,13 @@ func TestValidate(t *testing.T) {
 		{Retry: &Retry{Max: -1, BaseSeconds: 1e-3, CapSeconds: 1e-3}}, // negative max
 	}
 	for i := range bad {
-		if err := bad[i].Validate(4); err == nil {
-			t.Errorf("bad plan %d accepted", i)
+		if err := bad[i].Validate(4); !errors.Is(err, ErrInvalidPlan) {
+			t.Errorf("bad plan %d: err = %v, want ErrInvalidPlan", i, err)
 		}
 	}
 	var nilPlan *Plan
-	if err := nilPlan.Validate(4); err == nil {
-		t.Error("nil plan accepted")
+	if err := nilPlan.Validate(4); !errors.Is(err, ErrInvalidPlan) {
+		t.Errorf("nil plan: err = %v, want ErrInvalidPlan", err)
 	}
 }
 

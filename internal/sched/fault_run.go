@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"os"
+	"slices"
 	"strconv"
 	"time"
 
@@ -90,41 +92,6 @@ func (cp *Checkpoint) Workload() string { return cp.workload }
 // checkpointed prefix.
 func (cp *Checkpoint) Scheduler() string { return cp.scheduler }
 
-// validateFor checks that the checkpoint can seed a resumed run of w, whose
-// pair stream has the given digest, on numDevices devices.
-func (cp *Checkpoint) validateFor(w *workload.Workload, digest uint64, numDevices int) error {
-	if cp.cluster == nil {
-		return fmt.Errorf("sched: %w: checkpoint has no cluster snapshot", ErrNilArgument)
-	}
-	if cp.workload != w.Name {
-		return fmt.Errorf("sched: %w: it is for workload %q, resuming %q", ErrCheckpointMismatch, cp.workload, w.Name)
-	}
-	if cp.digest != digest {
-		return fmt.Errorf("sched: %w: it is for another pair stream of workload %q (digest %016x, resuming %016x)",
-			ErrCheckpointMismatch, w.Name, cp.digest, digest)
-	}
-	if cp.numDevices != numDevices {
-		return fmt.Errorf("sched: %w: it is for %d devices, cluster has %d", ErrCheckpointMismatch, cp.numDevices, numDevices)
-	}
-	if cp.nextStage < 0 || cp.nextStage > len(w.Stages) {
-		return fmt.Errorf("sched: %w: it resumes at stage %d of %d", ErrCheckpointMismatch, cp.nextStage, len(w.Stages))
-	}
-	return nil
-}
-
-// validateNumeric rejects a resume whose numeric options cannot reproduce
-// the checkpointed prefix: replaying from a different seed would produce a
-// fingerprint unrelated to the original run's.
-func (cp *Checkpoint) validateNumeric(o Options) error {
-	if !cp.numeric || !o.Numeric {
-		return nil
-	}
-	if cp.numericSeed != o.NumericSeed {
-		return fmt.Errorf("sched: %w: numeric seed %d, resuming with %d", ErrCheckpointMismatch, cp.numericSeed, o.NumericSeed)
-	}
-	return nil
-}
-
 // streamDigest fingerprints w's pair stream with 64-bit FNV-1a over
 // little-endian words: the stage count, then per stage its pair count and
 // each pair's A, B and Out IDs in order. Run computes it once, and only
@@ -156,7 +123,7 @@ type faultRun struct {
 	fired []bool
 	retry fault.Retry
 
-	injected    map[fault.Kind]*obs.Counter
+	injected    [fault.TransientTransfer + 1]*obs.Counter // by kind
 	rescheduled *obs.Counter
 	retries     *obs.Counter
 	backoff     *obs.Counter
@@ -168,9 +135,8 @@ func newFaultRun(p *fault.Plan, resume *Checkpoint, reg *obs.Registry) *faultRun
 		copy(fr.fired, resume.faultsFired)
 	}
 	if reg != nil {
-		fr.injected = make(map[fault.Kind]*obs.Counter)
-		for _, k := range []fault.Kind{fault.DeviceLoss, fault.DeviceRestore, fault.LinkDegrade, fault.MemShrink, fault.TransientTransfer} {
-			fr.injected[k] = reg.Counter(fmt.Sprintf("micco_fault_injected_total{kind=%q}", k))
+		for k := range fr.injected {
+			fr.injected[k] = reg.Counter(fmt.Sprintf("micco_fault_injected_total{kind=%q}", fault.Kind(k)))
 		}
 	}
 	fr.rescheduled = reg.Counter("micco_fault_pairs_rescheduled_total")
@@ -202,9 +168,7 @@ func (e *engine) fire(si, pi int) error {
 		}
 		fr.fired[i] = true
 		e.res.Recovery.FaultsInjected++
-		if fr.injected != nil {
-			fr.injected[ev.Kind].Inc()
-		}
+		fr.injected[ev.Kind].Inc()
 		if err := e.apply(ev, si, pi); err != nil {
 			return err
 		}
@@ -270,7 +234,7 @@ func (e *engine) apply(ev fault.Event, si, pi int) error {
 func (e *engine) recoverFrom(si, pi, lost int) error {
 	// Freeze the flight recorder before repairs begin: the dump shows what
 	// the cluster was doing when the device died, not the recovery traffic.
-	e.dumpFlight(fmt.Sprintf("device-loss device=%d stage=%d pair=%d", lost, si, pi))
+	e.opts.Obs.FlightRecorder().Dump(fmt.Sprintf("device-loss device=%d stage=%d pair=%d", lost, si, pi))
 	var span *obs.ActiveSpan
 	if e.ob != nil {
 		span = e.ob.reg.StartSpan("recovery", e.ob.runSpan)
@@ -316,6 +280,8 @@ func (e *engine) recoverFrom(si, pi, lost int) error {
 	for i := len(selected) - 1; i >= 0; i-- {
 		r := selected[i]
 		if err := e.placePair(r.si, r.pi, &e.w.Stages[r.si].Pairs[r.pi], true); err != nil {
+			span.SetAttr("error", err.Error())
+			span.End()
 			return err
 		}
 	}
@@ -328,43 +294,118 @@ func (e *engine) recoverFrom(si, pi, lost int) error {
 	return nil
 }
 
+// ckptRun is the engine's checkpoint layer, nil when the run takes none:
+// the pair-stream digest, the latest checkpoint and, with
+// Options.CheckpointDir, the durable file, its cadence and write counters.
+type ckptRun struct {
+	digest        uint64
+	dir, path     string
+	every         int
+	last          *Checkpoint
+	writes, bytes *obs.Counter
+}
+
+// newCkptRun refuses an Options.ResumeFrom that cannot seed a run of w on n
+// devices — another workload, pair stream or device count, a stage past the
+// end, or a numeric seed whose replay would diverge — and returns the
+// checkpoint layer. The stream is digested only to take or resume one.
+func newCkptRun(w *workload.Workload, opts Options, n int) (*ckptRun, error) {
+	on, cp := opts.Checkpoint || opts.CheckpointDir != "", opts.ResumeFrom
+	if !on && cp == nil {
+		return nil, nil
+	}
+	digest := streamDigest(w)
+	switch {
+	case cp == nil:
+	case cp.cluster == nil:
+		return nil, fmt.Errorf("sched: %w: checkpoint has no cluster snapshot", ErrNilArgument)
+	case cp.workload != w.Name:
+		return nil, fmt.Errorf("sched: %w: it is for workload %q, resuming %q", ErrCheckpointMismatch, cp.workload, w.Name)
+	case cp.digest != digest:
+		return nil, fmt.Errorf("sched: %w: it is for another pair stream of workload %q (digest %016x, resuming %016x)",
+			ErrCheckpointMismatch, w.Name, cp.digest, digest)
+	case cp.numDevices != n:
+		return nil, fmt.Errorf("sched: %w: it is for %d devices, cluster has %d", ErrCheckpointMismatch, cp.numDevices, n)
+	case cp.nextStage < 0 || cp.nextStage > len(w.Stages):
+		return nil, fmt.Errorf("sched: %w: it resumes at stage %d of %d", ErrCheckpointMismatch, cp.nextStage, len(w.Stages))
+	case cp.numeric && opts.Numeric && cp.numericSeed != opts.NumericSeed:
+		return nil, fmt.Errorf("sched: %w: numeric seed %d, resuming with %d", ErrCheckpointMismatch, cp.numericSeed, opts.NumericSeed)
+	}
+	if !on {
+		return nil, nil
+	}
+	return &ckptRun{digest: digest, dir: opts.CheckpointDir, every: opts.CheckpointEvery}, nil
+}
+
+// open takes the run's first checkpoint, at stage start. A durable run makes
+// its directory first: only now, with every refusal behind it, does the run
+// touch the file system, so a rejected run leaves no directory behind.
+func (k *ckptRun) open(e *engine, start int) error {
+	if k == nil {
+		return nil
+	}
+	if k.dir != "" {
+		if err := os.MkdirAll(k.dir, 0o755); err != nil {
+			return fmt.Errorf("sched: checkpoint dir: %w", err)
+		}
+		k.path = CheckpointPath(k.dir, e.w.Name)
+		k.writes = e.opts.Obs.Counter("micco_checkpoint_writes_total")
+		k.bytes = e.opts.Obs.Counter("micco_checkpoint_bytes_written_total")
+	}
+	return k.snapshot(e, start)
+}
+
 // snapshot records a stage-boundary checkpoint (nextStage is the first
-// stage a resume would execute) and, with Options.CheckpointDir set,
-// persists it durably at the configured cadence: every boundary when
-// CheckpointEvery <= 1, otherwise every CheckpointEvery stages plus
-// always the final boundary. A durable-write failure is a run failure —
-// the caller asked for durability and did not get it.
-func (e *engine) snapshot(nextStage int) error {
+// stage a resume would execute) and, for a durable run, persists it at the
+// configured cadence: every boundary when CheckpointEvery <= 1, otherwise
+// every CheckpointEvery stages plus always the final boundary. A
+// durable-write failure is a run failure — the caller asked for durability
+// and did not get it.
+func (k *ckptRun) snapshot(e *engine, nextStage int) error {
+	if k == nil {
+		return nil
+	}
 	cp := &Checkpoint{
 		workload:    e.w.Name,
-		digest:      e.digest,
+		digest:      k.digest,
 		scheduler:   e.s.Name(),
 		numDevices:  e.n,
 		nextStage:   nextStage,
 		overhead:    e.overhead,
 		recovery:    e.res.Recovery,
+		assignments: slices.Concat(e.res.Assignments...),
 		cluster:     e.c.Checkpoint(),
 		numeric:     e.opts.Numeric,
 		numericSeed: e.opts.NumericSeed,
 	}
-	if e.assignAll != nil {
-		cp.assignments = append([]int(nil), e.assignAll...)
-	}
 	if e.fr != nil {
 		cp.faultsFired = append([]bool(nil), e.fr.fired...)
 	}
-	e.lastCP = cp
-	if e.opts.CheckpointDir == "" {
+	k.last = cp
+	if k.path == "" {
 		return nil
 	}
-	if every := e.opts.CheckpointEvery; every > 1 && nextStage%every != 0 && nextStage != len(e.w.Stages) {
+	if k.every > 1 && nextStage%k.every != 0 && nextStage != len(e.w.Stages) {
 		return nil
 	}
-	n, err := SaveCheckpointFile(CheckpointPath(e.opts.CheckpointDir, e.w.Name), cp)
+	n, err := SaveCheckpointFile(k.path, cp)
 	if err != nil {
 		return fmt.Errorf("sched: durable checkpoint at stage %d: %w", nextStage, err)
 	}
-	e.ckptWrites.Inc()
-	e.ckptBytes.Add(float64(n))
+	k.writes.Inc()
+	k.bytes.Add(float64(n))
 	return nil
+}
+
+// result is the latest checkpoint, nil if none was taken. On failure it is
+// the last boundary before it, with the live fired-event mask so that the
+// event that failed the run does not fire again on resume.
+func (k *ckptRun) result(e *engine, err error) *Checkpoint {
+	if k == nil || k.last == nil {
+		return nil
+	}
+	if err != nil && e.fr != nil {
+		k.last.faultsFired = append([]bool(nil), e.fr.fired...)
+	}
+	return k.last
 }

@@ -1,11 +1,11 @@
 package sched
 
 import (
+	"fmt"
 	"strconv"
 	"time"
 
 	"micco/internal/numeric"
-	"micco/internal/obs"
 	"micco/internal/workload"
 )
 
@@ -19,40 +19,69 @@ import (
 // a separate goroutine could overlap with that are about 0.1% of a numeric
 // job (DESIGN.md §6), so there is none.
 
-// newNumeric draws the run's input tensors and parks its worker pool.
-func newNumeric(w *workload.Workload, opts Options) (*numeric.Executor, error) {
-	return numeric.New(w, numeric.Config{
+// numericRun is the engine's numeric layer, nil unless Options.Numeric: the
+// run's executor and the wall time the run spends in it.
+type numericRun struct {
+	ex    *numeric.Executor
+	total time.Duration
+}
+
+// newNumericRun draws the run's input tensors and parks its worker pool.
+func newNumericRun(w *workload.Workload, opts Options) (*numericRun, error) {
+	if !opts.Numeric {
+		return nil, nil
+	}
+	ex, err := numeric.New(w, numeric.Config{
 		Seed:    opts.NumericSeed,
 		Workers: opts.PoolSize(),
 		Timed:   opts.Obs != nil,
 	})
+	if err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
+	}
+	return &numericRun{ex: ex}, nil
 }
 
-// runNumeric executes one stage's pairs on the numeric executor and
-// charges the wall time to the stage and to the run.
-func (e *engine) runNumeric(pairs []workload.Pair) error {
+// run executes stage si's pairs on the executor and charges the wall time
+// to the stage and to the run.
+func (n *numericRun) run(e *engine, si int) error {
+	if n == nil {
+		return nil
+	}
 	t0 := time.Now()
-	err := e.num.RunStage(e.ctx, pairs)
+	err := n.ex.RunStage(e.ctx, e.w.Stages[si].Pairs)
 	d := time.Since(t0)
 	e.numericW += d
-	e.numericTotal += d
-	return err
+	n.total += d
+	if err != nil {
+		return fmt.Errorf("sched: stage %d: %w", si, err)
+	}
+	return nil
 }
 
-// publishWorkerGauges emits per-worker busy/wait/utilization gauges over
-// the run's numeric wall time (the sum of its runNumeric calls): worker 0
-// is the engine goroutine, busy while it works alongside the pool —
-// allocating fresh destinations, contracting, taking dead tensors' norms —
-// waiting while it resolves operands, keeps reclamation's books or sits at
-// a batch's end for a straggler; workers 1..n-1 are the pool's parked
-// goroutines.
-func publishWorkerGauges(reg *obs.Registry, busy []time.Duration, total time.Duration) {
-	for w, b := range busy {
+// finish hands a finished run its fingerprint and, watched, per-worker
+// busy/wait/utilization gauges over the run's numeric wall time (worker 0 is
+// the engine goroutine, working alongside the pool; 1..n-1 its parked
+// goroutines), and on every exit stops the workers: no goroutine outlives
+// the run.
+func (n *numericRun) finish(e *engine, err error) {
+	if n == nil {
+		return
+	}
+	defer n.ex.Close()
+	if err != nil {
+		return
+	}
+	e.res.NumericFingerprint = n.ex.Fingerprint()
+	if e.ob == nil {
+		return
+	}
+	for w, b := range n.ex.WorkerBusy() {
 		label := `{worker="` + strconv.Itoa(w) + `"}`
-		reg.Gauge("micco_numeric_worker_busy_seconds" + label).Set(b.Seconds())
-		reg.Gauge("micco_numeric_worker_wait_seconds" + label).Set(max(total-b, 0).Seconds())
-		if total > 0 {
-			reg.Gauge("micco_numeric_worker_utilization" + label).Set(b.Seconds() / total.Seconds())
+		e.ob.reg.Gauge("micco_numeric_worker_busy_seconds" + label).Set(b.Seconds())
+		e.ob.reg.Gauge("micco_numeric_worker_wait_seconds" + label).Set(max(n.total-b, 0).Seconds())
+		if n.total > 0 {
+			e.ob.reg.Gauge("micco_numeric_worker_utilization" + label).Set(b.Seconds() / n.total.Seconds())
 		}
 	}
 }

@@ -10,14 +10,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"time"
 
 	"micco/internal/fault"
 	"micco/internal/gpusim"
-	"micco/internal/numeric"
 	"micco/internal/obs"
 	"micco/internal/workload"
 )
@@ -298,7 +296,8 @@ type Result struct {
 	Total     gpusim.DeviceStats
 	PerDevice []gpusim.DeviceStats
 	// Assignments holds the chosen device per pair, stage-major, when
-	// Options.RecordAssignments is set.
+	// Options.RecordAssignments is set; -1 marks a pair a failed run did
+	// not place.
 	Assignments [][]int
 	// NumericFingerprint is the sum of Frobenius norms of all outputs in
 	// numeric mode (0 otherwise). Scheduler choices must not change it.
@@ -316,13 +315,16 @@ type Result struct {
 	Checkpoint *Checkpoint
 }
 
-// obsRun bundles the engine's per-run observability state: the registry,
-// the run-level span, and the pre-resolved counters the per-pair loop
+// obsRun is the engine's watching layer: the registry, the run span and the
+// in-flight stage span, and the pre-resolved counters the per-pair loop
 // feeds. A nil *obsRun disables everything at the cost of one pointer
 // comparison per use.
 type obsRun struct {
-	reg     *obs.Registry
-	runSpan *obs.ActiveSpan
+	reg      *obs.Registry
+	runSpan  *obs.ActiveSpan
+	stage    *obs.ActiveSpan // the open stage span, nil between stages
+	simStart float64         // its simulated start
+	wall0    time.Duration   // its wall-clock start, since the engine's clock0
 	// patterns are the reuse-pattern counters; patternN what the run has
 	// placed per pattern since flush last published it. The engine is their
 	// one writer, so a placement is an increment, not an atomic add.
@@ -342,7 +344,9 @@ var patternSeries = func() (t [obs.NumReusePatterns]string) {
 	return
 }()
 
-func newObsRun(reg *obs.Registry, s Scheduler, w *workload.Workload) *obsRun {
+// newObsRun opens the run span and attaches the registry to the cluster's
+// simulator; finish detaches it.
+func newObsRun(reg *obs.Registry, s Scheduler, w *workload.Workload, c *gpusim.Cluster) *obsRun {
 	if reg == nil {
 		return nil
 	}
@@ -357,12 +361,8 @@ func newObsRun(reg *obs.Registry, s Scheduler, w *workload.Workload) *obsRun {
 	o.simulate = reg.Counter("micco_engine_simulate_seconds_total")
 	o.numeric = reg.Counter("micco_engine_numeric_seconds_total")
 	reg.ReserveDecisions(w.NumPairs())
+	c.SetObserver(reg)
 	return o
-}
-
-// deviceSeries returns the per-device series `base{device="i"}`.
-func deviceSeries(base string, i int) string {
-	return base + `{device="` + strconv.Itoa(i) + `"}`
 }
 
 // flush publishes what the run has accumulated but not yet published — the
@@ -382,31 +382,81 @@ func (o *obsRun) flush(c *gpusim.Cluster) {
 	}
 }
 
-// finish flushes (the snapshot needs the sink's batch tail and memory
-// high-water, and the pending pattern counts), closes the run span and
-// publishes the end-of-run gauges.
-func (o *obsRun) finish(res *Result, c *gpusim.Cluster) {
+// beginStage opens stage si's span and notes where it starts in simulated
+// and wall-clock time.
+func (o *obsRun) beginStage(e *engine, si int) {
 	if o == nil {
 		return
 	}
-	o.flush(c)
-	o.reg.Gauge("micco_run_makespan_seconds").Set(res.Makespan)
-	o.reg.Gauge("micco_run_gflops").Set(res.GFLOPS)
-	o.reg.Counter("micco_sched_overhead_seconds_total").Add(res.SchedOverhead.Seconds())
-	for i := 0; i < c.NumDevices(); i++ {
-		st := c.Device(i).Stats()
-		busy := st.KernelTime + st.TransferTime + st.EvictTime + st.AllocTime
-		o.reg.Gauge(deviceSeries("micco_device_busy_seconds", i)).Set(busy)
-		if res.Makespan > 0 {
-			o.reg.Gauge(deviceSeries("micco_device_utilization", i)).Set(busy / res.Makespan)
+	o.stage = o.reg.StartSpan("stage", o.runSpan)
+	o.stage.SetAttr("index", strconv.Itoa(si))
+	o.stage.SetAttr("pairs", strconv.Itoa(len(e.w.Stages[si].Pairs)))
+	o.simStart = e.c.Makespan()
+	o.wall0 = time.Since(e.clock0)
+}
+
+// endStage publishes the stage's batch and its wall-time attribution and
+// closes its span. Simulate time is the stage-wall remainder: everything
+// outside scheduler calls and numeric work is the timing simulation plus
+// the engine's own (tiny) loop bookkeeping. Deriving it this way keeps the
+// per-pair loop at two clock reads — the same as the obs-off path.
+func (o *obsRun) endStage(e *engine) {
+	if o == nil {
+		return
+	}
+	o.flush(e.c)
+	simulateW := max(time.Since(e.clock0)-o.wall0-e.scheduleW-e.numericW, 0)
+	o.schedule.Add(e.scheduleW.Seconds())
+	o.simulate.Add(simulateW.Seconds())
+	o.numeric.Add(e.numericW.Seconds())
+	secs := func(d time.Duration) string { return strconv.FormatFloat(d.Seconds(), 'g', 6, 64) }
+	o.stage.SetAttr("schedule_s", secs(e.scheduleW))
+	o.stage.SetAttr("simulate_s", secs(simulateW))
+	o.stage.SetAttr("numeric_s", secs(e.numericW))
+	// Simulated-time stage window (full precision, round-trippable): the
+	// report layer's per-stage utilization waterfall buckets trace events by
+	// these boundaries.
+	o.stage.SetAttr("sim_start_s", strconv.FormatFloat(o.simStart, 'g', -1, 64))
+	o.stage.SetAttr("sim_end_s", strconv.FormatFloat(e.c.Makespan(), 'g', -1, 64))
+	o.stage.End()
+	o.stage = nil
+}
+
+// finish flushes (the snapshot needs the sink's batch tail and memory
+// high-water, and the pending pattern counts), publishes a finished run's
+// gauges or marks a failed run's open stage span and run span with the
+// error, closes them, so every recorded span keeps its parent, snapshots
+// the registry into the result and detaches the simulator.
+func (o *obsRun) finish(e *engine, err error) {
+	if o == nil {
+		return
+	}
+	res := e.res
+	o.flush(e.c)
+	if err != nil {
+		o.stage.SetAttr("error", err.Error())
+		o.stage.End()
+		o.runSpan.SetAttr("error", err.Error())
+	} else {
+		o.reg.Gauge("micco_run_makespan_seconds").Set(res.Makespan)
+		o.reg.Gauge("micco_run_gflops").Set(res.GFLOPS)
+		o.reg.Counter("micco_sched_overhead_seconds_total").Add(res.SchedOverhead.Seconds())
+		for i, st := range res.PerDevice {
+			dev := `{device="` + strconv.Itoa(i) + `"}`
+			busy := st.KernelTime + st.TransferTime + st.EvictTime + st.AllocTime
+			o.reg.Gauge("micco_device_busy_seconds" + dev).Set(busy)
+			if res.Makespan > 0 {
+				o.reg.Gauge("micco_device_utilization" + dev).Set(busy / res.Makespan)
+			}
 		}
 	}
 	o.runSpan.End()
 	res.Metrics = o.reg.Snapshot()
+	e.c.SetObserver(nil)
 }
 
-// engine is the per-run execution state: everything the stage loop, the
-// placement path and the fault machinery share. One engine value lives per
+// engine is the per-run state of the place → simulate core plus one
+// pointer per layer, nil when its feature is off. One engine value lives per
 // Run call; its hot-path fields are read through one pointer, keeping the
 // fault-free per-pair loop free of allocations.
 type engine struct {
@@ -415,36 +465,19 @@ type engine struct {
 	s    Scheduler
 	c    *gpusim.Cluster
 	opts Options
-	ob   *obsRun
 	sctx *Context
-	// num is the run's numeric executor, nil unless Options.Numeric.
-	num *numeric.Executor
-	res *Result
+	res  *Result
+	ob   *obsRun
+	ck   *ckptRun
+	num  *numericRun
 	// fr is the live fault-injection state, nil without a fault plan (the
 	// per-pair cost of the feature is then a single nil check).
 	fr *faultRun
 	n  int
-	// overhead is cumulative scheduler wall time; scheduleW/simulateW/
-	// numericW are the current stage's wall-time attribution (zeroed at
-	// each stage start); numericTotal is the run's wall time in numerics.
-	overhead                       time.Duration
-	scheduleW, simulateW, numericW time.Duration
-	numericTotal                   time.Duration
-	// assignAll is the flat stage-major device-per-pair record, indexed
-	// through stageOffsets so recovery re-placements of earlier pairs
-	// update in place (nil unless RecordAssignments).
-	assignAll    []int
-	stageOffsets []int
-	lastCP       *Checkpoint
-	// digest is the pair stream's streamDigest, stamped on every
-	// checkpoint (0 when the run neither takes nor resumes one).
-	digest uint64
-	// prog mirrors opts.Progress (nil when unset); ckptWrites/ckptBytes
-	// are the durable-checkpoint counters, resolved once per run (nil-safe
-	// no-ops without observability).
-	prog       *Progress
-	ckptWrites *obs.Counter
-	ckptBytes  *obs.Counter
+	// overhead is cumulative scheduler wall time; scheduleW/numericW are the
+	// current stage's wall-time attribution (zeroed at each stage start).
+	overhead            time.Duration
+	scheduleW, numericW time.Duration
 	// decRec is the run's single decision-record scratch: placePair
 	// resets and refills it per pair, RecordDecision deep-copies what it
 	// keeps (including Candidates, into the registry's arena), so the
@@ -457,45 +490,11 @@ type engine struct {
 	clock0 time.Time
 }
 
-// afterRun, when non-nil, is handed the cluster as every Run ends, whether
-// it finished or failed. Nothing but this package's tests sets it: they hang
-// the simulator's structural audit (gpusim.Cluster.Audit) on it, and leave
-// it off when benchmarks run.
+// afterRun, when non-nil, is the one layer tests attach: handed the cluster
+// as every Run past validation ends, finished or failed. This package's
+// tests hang the simulator's structural audit (gpusim.Cluster.Audit) on it,
+// and leave it off when benchmarks run.
 var afterRun func(*gpusim.Cluster)
-
-// dumpFlight freezes the flight recorder's current tail as the last dump
-// (no-op without observability or a recorder), so the activity leading up
-// to a failure survives for post-mortem analysis.
-func (e *engine) dumpFlight(reason string) {
-	if e.ob != nil {
-		e.ob.reg.FlightRecorder().Dump(reason)
-	}
-}
-
-// fail finishes an erroring run: the simulator's sink publishes every event
-// and the engine every placement up to the failure; with checkpointing on, the last
-// stage-boundary snapshot (updated to the live fired-event mask, so the
-// fatal event does not re-fire on resume) is attached to the partial
-// result; otherwise the result is dropped as before. Losing the whole
-// cluster additionally dumps the flight recorder: the post-mortem of an
-// unrecoverable run is exactly what the recorder exists for.
-func (e *engine) fail(err error) (*Result, error) {
-	e.ob.flush(e.c)
-	if afterRun != nil {
-		afterRun(e.c)
-	}
-	if errors.Is(err, ErrClusterLost) {
-		e.dumpFlight(err.Error())
-	}
-	if e.opts.Checkpoint && e.lastCP != nil {
-		if e.fr != nil {
-			e.lastCP.faultsFired = append([]bool(nil), e.fr.fired...)
-		}
-		e.res.Checkpoint = e.lastCP
-		return e.res, err
-	}
-	return nil, err
-}
 
 // discard drops a dead input. Under a fault plan only device copies are
 // dropped: the host copy must survive as the recovery source if a later
@@ -619,11 +618,11 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 			e.discard(p.B.ID)
 		}
 	}
-	if e.assignAll != nil {
-		e.assignAll[e.stageOffsets[si]+pi] = dev
+	if a := e.res.Assignments; a != nil {
+		a[si][pi] = dev
 	}
-	if e.prog != nil {
-		e.prog.pairs.Add(1)
+	if pr := e.opts.Progress; pr != nil {
+		pr.pairs.Add(1)
 	}
 	return nil
 }
@@ -632,11 +631,11 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 // reset first (or restored, with Options.ResumeFrom), so each Run is
 // independent and deterministic.
 //
-// Scheduler decisions and the timing simulation replay sequentially; in
-// numeric mode the engine then runs each stage's real CPU contractions at
-// the stage boundary, on a worker pool sized by Options.Parallelism. ctx
-// cancels the run: Run returns ctx.Err() promptly, checked at every pair
-// and between numeric batches.
+// Scheduler decisions and the timing simulation replay sequentially; each
+// stage boundary then runs, in order, numeric mode's real CPU contractions
+// (on a worker pool sized by Options.Parallelism), the simulator's barrier,
+// the stage span and the checkpoint. ctx cancels the run: Run returns
+// ctx.Err() promptly, checked at every pair and between numeric batches.
 //
 // When Options.Obs is set the engine additionally records, into that
 // registry: one DecisionRecord per placement, per-stage spans with
@@ -659,21 +658,9 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 		return nil, err
 	}
 	n := c.NumDevices()
-	if opts.CheckpointDir != "" {
-		opts.Checkpoint = true
-	}
-	resume := opts.ResumeFrom
-	var digest uint64
-	if opts.Checkpoint || resume != nil {
-		digest = streamDigest(w)
-	}
-	if resume != nil {
-		if err := resume.validateFor(w, digest, n); err != nil {
-			return nil, err
-		}
-		if err := resume.validateNumeric(opts); err != nil {
-			return nil, err
-		}
+	ck, err := newCkptRun(w, opts, n)
+	if err != nil {
+		return nil, err
 	}
 	if opts.FaultPlan != nil {
 		if err := opts.FaultPlan.Validate(n); err != nil {
@@ -684,194 +671,133 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 	// the numbering over (free when it already has it) and every per-pair
 	// residency question below is an array index.
 	c.BindTensors(w.TensorIDs())
+	resume, start := opts.ResumeFrom, 0
 	if resume != nil {
 		if err := c.Restore(resume.cluster); err != nil {
 			return nil, err
 		}
+		start = resume.nextStage
 	} else {
 		c.Reset()
 		for slot, d := range w.Inputs {
 			c.RegisterHostAt(slot, d)
 		}
 	}
-	ob := newObsRun(opts.Obs, s, w)
-	if ob != nil {
-		c.SetObserver(opts.Obs)
-		defer c.SetObserver(nil)
-	}
-	var num *numeric.Executor
-	if opts.Numeric {
-		var err error
-		num, err = newNumeric(w, opts)
-		if err != nil {
-			return nil, fmt.Errorf("sched: %w", err)
-		}
-		// Every pool width owns parked workers: stop them on every exit
-		// path so no goroutine outlives the run.
-		defer num.Close()
-	}
-	sctx := NewContext(c)
-	sctx.Obs = opts.Obs
-	res := &Result{Scheduler: s.Name(), Workload: w.Name}
-	e := &engine{ctx: ctx, w: w, s: s, c: c, opts: opts, ob: ob, sctx: sctx, num: num, res: res, n: n, digest: digest, clock0: time.Now()}
-	e.prog = opts.Progress
-	if opts.CheckpointDir != "" {
-		// Only now, with every refusal behind it, does the run touch the
-		// file system: a rejected run leaves no directory behind.
-		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
-			return nil, fmt.Errorf("sched: checkpoint dir: %w", err)
-		}
-		e.ckptWrites = opts.Obs.Counter("micco_checkpoint_writes_total")
-		e.ckptBytes = opts.Obs.Counter("micco_checkpoint_bytes_written_total")
-	}
+	// From here on every exit is e.finish: the layers are attached.
+	e := &engine{ctx: ctx, w: w, s: s, c: c, opts: opts, sctx: NewContext(c), ck: ck, n: n, clock0: time.Now()}
+	e.res = &Result{Scheduler: s.Name(), Workload: w.Name}
+	e.ob = newObsRun(opts.Obs, s, w, c)
+	e.sctx.Obs = opts.Obs
 	if opts.FaultPlan != nil {
 		e.fr = newFaultRun(opts.FaultPlan, resume, opts.Obs)
 	}
 	if opts.RecordAssignments {
-		// One flat buffer backs every stage's assignment record, indexed
-		// through per-stage offsets so recovery re-placements of earlier
-		// pairs update their original slot in place.
-		e.stageOffsets = make([]int, len(w.Stages)+1)
-		for si := range w.Stages {
-			e.stageOffsets[si+1] = e.stageOffsets[si] + len(w.Stages[si].Pairs)
-		}
-		e.assignAll = make([]int, e.stageOffsets[len(w.Stages)])
-		for i := range e.assignAll {
-			e.assignAll[i] = -1
-		}
+		e.res.Assignments = newAssignments(w, resume)
 	}
-	startStage := 0
 	if resume != nil {
-		startStage = resume.nextStage
-		e.overhead = resume.overhead
-		res.Recovery = resume.recovery
-		if e.assignAll != nil && len(resume.assignments) == len(e.assignAll) {
-			copy(e.assignAll, resume.assignments)
+		e.overhead, e.res.Recovery = resume.overhead, resume.recovery
+	}
+	e.num, err = newNumericRun(w, opts)
+	// A resumed run replays its completed stages numerically, stage by stage
+	// as they ran: numeric state is a pure function of the seed and the stream
+	// order, so this is exactly equivalent to having checkpointed the tensors.
+	for si := 0; si < start && err == nil; si++ {
+		err = e.num.run(e, si)
+	}
+	if err == nil {
+		err = e.ck.open(e, start)
+	}
+	for si := start; si < len(w.Stages) && err == nil; si++ {
+		err = e.stage(si)
+	}
+	return e.finish(err)
+}
+
+// stage places and simulates stage si's pairs, then crosses its boundary:
+// numerics, the simulator's barrier, watching, checkpoint.
+func (e *engine) stage(si int) error {
+	st, sctx := &e.w.Stages[si], e.sctx
+	sctx.StageIndex = si
+	sctx.BalanceNum = (st.NumTensors() + e.n - 1) / e.n
+	sctx.ResetLoad()
+	sctx.Features = e.w.StageFeatures(si)
+	e.scheduleW, e.numericW = 0, 0
+	e.ob.beginStage(e, si)
+	t0 := time.Now()
+	e.s.BeginStage(sctx)
+	d0 := time.Since(t0)
+	e.overhead += d0
+	e.scheduleW += d0
+	for pi := range st.Pairs {
+		if err := e.ctx.Err(); err != nil {
+			return err
 		}
-		// Replay the completed prefix numerically: numeric state is a pure
-		// function of the seed and the stream order, so re-executing it is
-		// exactly equivalent to having checkpointed it, without snapshotting
-		// tensor storage. Stage by stage, as the original run executed it,
-		// so the replay is the identical batched stream.
-		if num != nil {
-			for si := 0; si < startStage; si++ {
-				if err := e.runNumeric(w.Stages[si].Pairs); err != nil {
-					return nil, fmt.Errorf("sched: stage %d: %w", si, err)
-				}
+		if e.fr != nil {
+			if err := e.fire(si, pi); err != nil {
+				return err
 			}
 		}
-	}
-	if opts.Checkpoint {
-		if err := e.snapshot(startStage); err != nil {
-			return nil, err
+		if err := e.placePair(si, pi, &st.Pairs[pi], false); err != nil {
+			return err
 		}
 	}
-	for si := startStage; si < len(w.Stages); si++ {
-		st := &w.Stages[si]
-		sctx.StageIndex = si
-		sctx.BalanceNum = (st.NumTensors() + n - 1) / n
-		sctx.ResetLoad()
-		sctx.Features = w.StageFeatures(si)
-		var stageSpan *obs.ActiveSpan
-		var simStart float64
-		var stageT0 time.Duration
-		e.scheduleW, e.simulateW, e.numericW = 0, 0, 0
-		if ob != nil {
-			stageSpan = ob.reg.StartSpan("stage", ob.runSpan)
-			stageSpan.SetAttr("index", strconv.Itoa(si))
-			stageSpan.SetAttr("pairs", strconv.Itoa(len(st.Pairs)))
-			simStart = c.Makespan()
-			stageT0 = time.Since(e.clock0)
-		}
-		t0 := time.Now()
-		s.BeginStage(sctx)
-		d0 := time.Since(t0)
-		e.overhead += d0
-		e.scheduleW += d0
-		for pi := range st.Pairs {
-			if err := ctx.Err(); err != nil {
-				return e.fail(err)
-			}
-			if e.fr != nil {
-				if err := e.fire(si, pi); err != nil {
-					return e.fail(err)
-				}
-			}
-			if err := e.placePair(si, pi, &st.Pairs[pi], false); err != nil {
-				return e.fail(err)
-			}
-		}
-		if num != nil {
-			// Every pair of the stage is placed: contract them, in stream
-			// order, before the next stage reads their outputs.
-			if err := e.runNumeric(st.Pairs); err != nil {
-				return e.fail(fmt.Errorf("sched: stage %d: %w", si, err))
-			}
-		}
-		c.Barrier()
-		if ob != nil {
-			ob.flush(c)
-			// Simulate time is attributed as the stage-wall remainder:
-			// everything outside scheduler calls and numeric work is the
-			// timing simulation plus the engine's own (tiny) loop
-			// bookkeeping. Deriving it this way keeps the per-pair loop at
-			// two clock reads — the same as the obs-off path.
-			e.simulateW = time.Since(e.clock0) - stageT0 - e.scheduleW - e.numericW
-			if e.simulateW < 0 {
-				e.simulateW = 0
-			}
-			ob.schedule.Add(e.scheduleW.Seconds())
-			ob.simulate.Add(e.simulateW.Seconds())
-			ob.numeric.Add(e.numericW.Seconds())
-			stageSpan.SetAttr("schedule_s", formatSeconds(e.scheduleW))
-			stageSpan.SetAttr("simulate_s", formatSeconds(e.simulateW))
-			stageSpan.SetAttr("numeric_s", formatSeconds(e.numericW))
-			// Simulated-time stage window (full precision, round-trippable):
-			// the report layer's per-stage utilization waterfall buckets
-			// trace events by these boundaries.
-			stageSpan.SetAttr("sim_start_s", strconv.FormatFloat(simStart, 'g', -1, 64))
-			stageSpan.SetAttr("sim_end_s", strconv.FormatFloat(c.Makespan(), 'g', -1, 64))
-			stageSpan.End()
-		}
-		if opts.Checkpoint {
-			if err := e.snapshot(si + 1); err != nil {
-				return e.fail(err)
-			}
+	// Every pair of the stage is placed: contract them, in stream order,
+	// before the next stage reads their outputs.
+	if err := e.num.run(e, si); err != nil {
+		return err
+	}
+	e.c.Barrier()
+	e.ob.endStage(e)
+	return e.ck.snapshot(e, si+1)
+}
+
+// finish is the one exit of every Run whose layers are attached. The layers
+// close, a lost cluster freezes the flight recorder's tail as its last dump
+// (a no-op without one; the post-mortem of an unrecoverable run is what it
+// exists for) and the audit hook runs; a failed run keeps its partial
+// result only when a checkpoint goes with it.
+func (e *engine) finish(err error) (*Result, error) {
+	res, c := e.res, e.c
+	if err == nil {
+		res.Makespan, res.GFLOPS, res.SchedOverhead, res.Total = c.Makespan(), c.GFLOPS(), e.overhead, c.TotalStats()
+		res.PerDevice = make([]gpusim.DeviceStats, e.n)
+		for i := range res.PerDevice {
+			res.PerDevice[i] = c.Device(i).Stats()
 		}
 	}
-	res.Makespan = c.Makespan()
-	res.GFLOPS = c.GFLOPS()
-	res.SchedOverhead = e.overhead
-	res.Total = c.TotalStats()
-	res.PerDevice = make([]gpusim.DeviceStats, n)
-	for i := 0; i < n; i++ {
-		res.PerDevice[i] = c.Device(i).Stats()
+	e.num.finish(e, err)
+	e.ob.finish(e, err)
+	if errors.Is(err, ErrClusterLost) {
+		e.opts.Obs.FlightRecorder().Dump(err.Error())
 	}
-	if e.assignAll != nil {
-		res.Assignments = make([][]int, len(w.Stages))
-		for si := range w.Stages {
-			res.Assignments[si] = e.assignAll[e.stageOffsets[si]:e.stageOffsets[si+1]:e.stageOffsets[si+1]]
-		}
-	}
-	if num != nil {
-		res.NumericFingerprint = num.Fingerprint()
-		if ob != nil {
-			publishWorkerGauges(ob.reg, num.WorkerBusy(), e.numericTotal)
-		}
-	}
-	if opts.Checkpoint {
-		res.Checkpoint = e.lastCP
-	}
-	ob.finish(res, c)
+	res.Checkpoint = e.ck.result(e, err)
 	if afterRun != nil {
 		afterRun(c)
 	}
-	return res, nil
+	if err != nil && res.Checkpoint == nil {
+		return nil, err
+	}
+	return res, err
 }
 
-// formatSeconds renders a wall duration as decimal seconds for span attrs.
-func formatSeconds(d time.Duration) string {
-	return strconv.FormatFloat(d.Seconds(), 'g', 6, 64)
+// newAssignments carves Result.Assignments out of one flat stage-major
+// record, every pair -1 or, on a resume, the checkpoint's: a recovery
+// re-placement of an earlier pair updates its original slot in place.
+func newAssignments(w *workload.Workload, resume *Checkpoint) [][]int {
+	flat := make([]int, w.NumPairs())
+	if resume != nil && len(resume.assignments) == len(flat) {
+		copy(flat, resume.assignments)
+	} else {
+		for i := range flat {
+			flat[i] = -1
+		}
+	}
+	out := make([][]int, len(w.Stages))
+	for si := range out {
+		k := len(w.Stages[si].Pairs)
+		out[si], flat = flat[:k:k], flat[k:]
+	}
+	return out
 }
 
 // Speedup returns how much faster r is than baseline in throughput terms:

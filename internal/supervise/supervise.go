@@ -23,7 +23,9 @@ import (
 	"micco/internal/workload"
 )
 
-// Default retry policy, used for zero-valued Config fields.
+// The retry policy: at most DefMaxRetries retries of a failed attempt, the
+// first after DefBackoff, each later one after twice the delay before it, up
+// to DefMaxBackoff.
 const (
 	DefMaxRetries = 3
 	DefBackoff    = 50 * time.Millisecond
@@ -53,13 +55,6 @@ type Config struct {
 	// Progress counter is attached if the caller did not provide one.
 	// Counters are resolved from Run.Obs (nil-safe).
 	Run sched.Options
-	// MaxRetries bounds how many times a failed attempt is retried
-	// (0 takes DefMaxRetries; negative disables retries).
-	MaxRetries int
-	// Backoff is the delay before the first retry, doubling per retry up
-	// to MaxBackoff (zero values take DefBackoff / DefMaxBackoff).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 	// StallBudget arms the progress watchdog: if no pair completes for
 	// this long, the attempt is declared stalled, the flight recorder is
 	// dumped, and the attempt is cancelled and retried from its last
@@ -97,15 +92,6 @@ type Stats struct {
 }
 
 func (c Config) fill() Config {
-	if c.MaxRetries == 0 {
-		c.MaxRetries = DefMaxRetries
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = DefBackoff
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = DefMaxBackoff
-	}
 	if c.Poll <= 0 {
 		c.Poll = c.StallBudget / 8
 	}
@@ -117,15 +103,12 @@ func (c Config) fill() Config {
 
 // backoff returns the capped exponential delay before retry number
 // retry (1-based).
-func (c Config) backoff(retry int) time.Duration {
-	d := c.Backoff
-	for i := 1; i < retry && d < c.MaxBackoff; i++ {
+func backoff(retry int) time.Duration {
+	d := DefBackoff
+	for i := 1; i < retry && d < DefMaxBackoff; i++ {
 		d *= 2
 	}
-	if d > c.MaxBackoff {
-		d = c.MaxBackoff
-	}
-	return d
+	return min(d, DefMaxBackoff)
 }
 
 func (c Config) sleep(ctx context.Context, d time.Duration) {
@@ -217,7 +200,7 @@ func Run(ctx context.Context, cfg Config) (*sched.Result, Stats, error) {
 		}
 
 		stalled := tripped.Load()
-		if !retryable(err, stalled, ctx) || retry >= cfg.MaxRetries {
+		if !retryable(err, stalled, ctx) || retry >= DefMaxRetries {
 			if stalled {
 				err = fmt.Errorf("%w: %w", ErrStalled, err)
 			}
@@ -243,7 +226,7 @@ func Run(ctx context.Context, cfg Config) (*sched.Result, Stats, error) {
 		resume = cp
 		st.Retries++
 		retriesC.Inc()
-		cfg.sleep(ctx, cfg.backoff(retry+1))
+		cfg.sleep(ctx, backoff(retry+1))
 		if ctx.Err() != nil {
 			return res, st, fmt.Errorf("supervise: giving up after %d attempt(s): %w", st.Attempts, ctx.Err())
 		}

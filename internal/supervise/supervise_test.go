@@ -288,3 +288,64 @@ func (f *funcScheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 	f.hook()
 	return f.inner.Assign(p, ctx)
 }
+
+// TestFailedRunsKeepTheirSpanTree: a run that dies closes its run span and
+// its open stage span, marked with the error, so the stage and recovery
+// spans it already recorded keep their parent. On one shared registry: a
+// run killed by losing every device, then a supervised run whose first
+// attempt dies the same way and whose retry finishes. Every recorded span's
+// parent must be 0 or a recorded span, and each of the three attempts must
+// have left one run span, the two that died marked with their error.
+func TestFailedRunsKeepTheirSpanTree(t *testing.T) {
+	w := numericWorkload(t, 11)
+	reg := obs.New()
+	lossAt := func(st int, devs ...int) []fault.Event {
+		var evs []fault.Event
+		for _, d := range devs {
+			evs = append(evs, fault.Event{Kind: fault.DeviceLoss, Device: d, Stage: st, Pair: 1})
+		}
+		return evs
+	}
+	check := func(what string, wantRuns, wantFailed int) {
+		t.Helper()
+		spans := reg.Spans()
+		ids := make(map[uint64]bool, len(spans))
+		for _, s := range spans {
+			ids[s.ID] = true
+		}
+		runs, failed := 0, 0
+		for _, s := range spans {
+			if s.Parent != 0 && !ids[s.Parent] {
+				t.Errorf("%s: %s span %d names parent %d, which was never recorded", what, s.Name, s.ID, s.Parent)
+			}
+			if s.Name == "run" {
+				runs++
+				if s.Attrs["error"] != "" {
+					failed++
+				}
+			}
+		}
+		if runs != wantRuns || failed != wantFailed {
+			t.Errorf("%s: %d run spans, %d marked failed; want %d and %d", what, runs, failed, wantRuns, wantFailed)
+		}
+	}
+
+	_, err := sched.Run(context.Background(), w, baseline.NewRoundRobin(), newCluster(t, 4), sched.Options{
+		Obs: reg, FaultPlan: &fault.Plan{Events: lossAt(2, 1, 2, 3, 0)},
+	})
+	if !errors.Is(err, sched.ErrClusterLost) {
+		t.Fatalf("err = %v, want ErrClusterLost", err)
+	}
+	check("fatal run", 1, 1)
+
+	newSched, newClus := factories(t)
+	_, st, err := supervise.Run(context.Background(), supervise.Config{
+		Workload: w, NewScheduler: newSched, NewCluster: newClus,
+		Run:   sched.Options{Obs: reg, FaultPlan: &fault.Plan{Events: append(lossAt(1, 3, 2, 1), lossAt(2, 0)...)}},
+		Sleep: func(time.Duration) {},
+	})
+	if err != nil || st.Retries != 1 {
+		t.Fatalf("supervised run: %v after %d retries, want success after one", err, st.Retries)
+	}
+	check("supervised run", 3, 2)
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"micco"
+	"micco/internal/fault"
 	"micco/internal/gpusim"
 	"micco/internal/mlearn"
 	"micco/internal/sched"
@@ -63,6 +64,10 @@ func TestMisuseReturnsTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := func() io.Reader { return strings.NewReader("") }
+	runPlan := func(p *micco.FaultPlan) error {
+		_, err := micco.Run(bg, w, micco.NewGroute(), cluster(), micco.RunOptions{FaultPlan: p})
+		return err
+	}
 
 	rows := []struct {
 		name string
@@ -163,6 +168,16 @@ func TestMisuseReturnsTypedErrors(t *testing.T) {
 		// Faults, checkpoints and supervision.
 		{"LoadFaultPlan(empty)", func(*testing.T) error { _, err := micco.LoadFaultPlan(empty()); return err }, io.EOF},
 		{"SaveFaultPlan(refusing writer)", func(*testing.T) error { return micco.SaveFaultPlan(failWriter{}, &micco.FaultPlan{}) }, errWrite},
+		{"FaultPlan.Validate(nil plan)", func(*testing.T) error { return (*micco.FaultPlan)(nil).Validate(2) }, fault.ErrInvalidPlan},
+		{"Run(fault plan losing device 2 of 2)", func(*testing.T) error {
+			return runPlan(&micco.FaultPlan{Events: []micco.FaultEvent{{Kind: micco.FaultDeviceLoss, Device: 2}}})
+		}, fault.ErrInvalidPlan},
+		{"Run(fault plan shrinking memory by 1.5)", func(*testing.T) error {
+			return runPlan(&micco.FaultPlan{Events: []micco.FaultEvent{{Kind: fault.MemShrink, Factor: 1.5}}})
+		}, fault.ErrInvalidPlan},
+		{"Run(fault plan with a negative retry budget)", func(*testing.T) error {
+			return runPlan(&micco.FaultPlan{Retry: &micco.FaultRetry{Max: -1, BaseSeconds: 1e-3, CapSeconds: 1e-3}})
+		}, fault.ErrInvalidPlan},
 		{"LoadCheckpointFile(\"\")", func(*testing.T) error { _, err := micco.LoadCheckpointFile(""); return err }, fs.ErrNotExist},
 		{"LoadCheckpointFile(a directory)", func(t *testing.T) error { _, err := micco.LoadCheckpointFile(t.TempDir()); return err }, micco.ErrCheckpointCorrupt},
 		{"Supervise(zero config)", func(*testing.T) error { _, _, err := micco.Supervise(bg, micco.SuperviseConfig{}); return err }, micco.ErrNilArgument},
