@@ -105,7 +105,11 @@ benchsmoke:
 # baseline ns/op — the baseline being the per-call enumeration and string
 # signatures they replaced — and a warm Expand, which stamps a template it
 # already holds, may allocate at most 8 objects however many graphs it
-# returns. Last, watching is held to the unwatched job:
+# returns. BenchmarkBuildPlan/f0d4_t64, the front end of one deck_plan
+# job, may allocate at most 5.0 MB per build: 4.99 MB recorded with one
+# tensor numbering from deck to device, 6.13 MB when the plan's finals,
+# the planner's memo key, the block table and FromStages' slots still went
+# through maps. Last, watching is held to the unwatched job:
 # BenchmarkObservedRun/interleaved runs the three jobs round-robin in one
 # process and reports the ratios of their p10 job times, which
 # -guard-max-metric holds to obs/off-p10 <= 1.35 and obs+trace/off-p10
@@ -143,6 +147,8 @@ benchguard:
 		-guard-prefix Benchmark -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_frontend.json -guard-tol 2.0 \
 		-guard-prefix BenchmarkExpand/warm -guard-max-allocs 8
+	$(GO) run ./cmd/benchjson -guard BENCH_frontend.json -guard-tol 2.0 \
+		-guard-prefix 'BenchmarkBuildPlan/f0d4_t64$$' -guard-max-allocs -1 -guard-max-bytes 5e6
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-prefix 'BenchmarkObservedRun/interleaved$$' \
 		-guard-max-metric obs/off-p10=1.35 -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-prefix 'BenchmarkObservedRun/interleaved$$' \

@@ -8,11 +8,13 @@ import "fmt"
 // fit the capacity, a failed device holds none; every block of the slab is
 // on one LRU list and its tensor's copy chain, or on the free list; a
 // record's holder set is the devices on its chain, and one that holds
-// nothing is the zero record; the id↔slot table is a bijection over the
-// records that hold anything; the running movement totals are the device
-// sums. It is the tests' structural oracle — this package's walk runs it
-// after every operation, internal/sched's tests after every run — and
-// costs a pass over everything, so nothing else calls it.
+// nothing is the zero record; a host copy is of its slot's tensor; the
+// id↔slot table, where an ID-keyed call has built it, is a bijection over
+// the records that hold anything (Audit does not build it); the running
+// movement totals are the device sums. It is the tests' structural oracle
+// — this package's walk runs it after every operation, internal/sched's
+// tests after every run — and costs a pass over everything, so nothing
+// else calls it.
 func (c *Cluster) Audit() error {
 	ri := c.index
 	bad := func(format string, args ...any) error {
@@ -64,8 +66,11 @@ func (c *Cluster) Audit() error {
 		if r.head == 0 && !r.onHost {
 			continue
 		}
-		if back, ok := c.slots[id]; !ok || int(back) != s || r.onHost && r.host.ID != id {
-			return bad("tensor %d in slot %d: table says slot %d (%v), host copy is of %d", id, s, back, ok, r.host.ID)
+		if r.onHost && r.host.ID != id {
+			return bad("tensor %d in slot %d: host copy is of %d", id, s, r.host.ID)
+		}
+		if back, ok := c.slots[id]; c.slotsBuilt && (!ok || int(back) != s) {
+			return bad("tensor %d in slot %d: table says slot %d (%v)", id, s, back, ok)
 		}
 	}
 	if listedBlocks != 0 || move != c.moveBytes || d2h != c.d2hBytes || evict != c.evictions {

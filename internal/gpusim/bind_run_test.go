@@ -1,0 +1,57 @@
+package gpusim_test
+
+import (
+	"context"
+	"testing"
+
+	"micco/internal/baseline"
+	"micco/internal/fault"
+	"micco/internal/gpusim"
+	"micco/internal/sched"
+	"micco/internal/tensor"
+	"micco/internal/workload"
+)
+
+// TestRunBuildsNoSlotTable: sched.Run goes by slots from bind to finish —
+// placement, dead-input discards with and without a fault plan, and the
+// recovery scan after a device loss — so it never builds the cluster's
+// id→slot table. Afterwards every ID-keyed answer is the slot-keyed one.
+func TestRunBuildsNoSlotTable(t *testing.T) {
+	w, err := workload.Generate(workload.Config{
+		Seed: 7, Stages: 4, VectorSize: 6, TensorDim: 16, Batch: 2,
+		Rank: tensor.RankMeson, RepeatRate: 0.6, ChainRate: 0.5, Dist: workload.Uniform,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recoverable := &fault.Plan{Events: []fault.Event{
+		{Kind: fault.TransientTransfer, Failures: 2, Stage: 0, Pair: 1},
+		{Kind: fault.DeviceLoss, Device: 1, Stage: 2, Pair: 0},
+		{Kind: fault.DeviceRestore, Device: 1, Stage: 3, Pair: 0},
+	}}
+	for _, plan := range []*fault.Plan{nil, recoverable} {
+		c, err := gpusim.NewCluster(gpusim.MI100(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sched.Run(context.Background(), w, baseline.NewRoundRobin(), c,
+			sched.Options{DiscardDeadInputs: true, FaultPlan: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan != nil && (res.Recovery.PairsRescheduled == 0 || res.Recovery.TransientRetries != 2) {
+			t.Fatalf("the fault plan did not exercise recovery: %+v", res.Recovery)
+		}
+		if err := c.Audit(); err != nil {
+			t.Fatal(err)
+		}
+		if c.SlotTableBuilt() {
+			t.Errorf("fault plan %v: the run built the id→slot table", plan != nil)
+		}
+		for slot, id := range w.TensorIDs() {
+			if !c.HoldersMask(id).Equal(c.HoldersAt(slot)) || c.HostHolds(id) != c.HostHoldsAt(slot) {
+				t.Errorf("fault plan %v: tensor %d (slot %d): ID-keyed and slot-keyed answers differ", plan != nil, id, slot)
+			}
+		}
+	}
+}

@@ -52,10 +52,13 @@ type Cluster struct {
 	// index holds the one record per tensor — holder set, copy chain, host
 	// copy, host nodes — that every residency question is answered from, and
 	// the blocks of every device, all by slot. ids names each slot's tensor
-	// (see BindTensors) and slots is its inverse.
-	index *residencyIndex
-	ids   []uint64
-	slots map[uint64]int32
+	// (see BindTensors) and slots is its inverse, which only the ID-keyed
+	// methods read: built by the first of them after a bind (slotsBuilt),
+	// then kept up to date, so a run that goes by slots never builds it.
+	index      *residencyIndex
+	ids        []uint64
+	slots      map[uint64]int32
+	slotsBuilt bool
 	// dirty collects the devices whose scheduler-visible keys changed
 	// since the last DrainDirty (see dirtySet).
 	dirty *dirtySet
@@ -76,7 +79,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:        cfg,
 		index:      &residencyIndex{restWords: spillWords(cfg.NumDevices), nodeWords: spillWords(nn), blocks: make([]block, 1)},
-		slots:      make(map[uint64]int32),
 		dirty:      newDirtySet(cfg.NumDevices),
 		linkClocks: make([]float64, nn),
 		p2pClocks:  make([]float64, nn),
@@ -125,6 +127,9 @@ func (c *Cluster) HostHolds(id uint64) bool {
 	return r != nil && r.onHost
 }
 
+// HostHoldsAt is HostHolds for the tensor in slot (see BindTensors).
+func (c *Cluster) HostHoldsAt(slot int) bool { return c.index.recs[slot].onHost }
+
 // hostCopy records a host copy of desc, slot's tensor, in node n's partition.
 func (c *Cluster) hostCopy(slot int32, desc *tensor.Desc, n int) {
 	r := &c.index.recs[slot]
@@ -139,15 +144,12 @@ func (c *Cluster) hostOn(r *tensorRec, slot int32, n int) {
 	c.index.join(&r.hostNodes, n, slot, c.index.restWords, c.index.nodeWords)
 }
 
-// discardCopies drops every block on the copy chain of id's record — only
-// the tensor's holders are visited — and returns the record, nil for an ID
-// the cluster has not met.
-func (c *Cluster) discardCopies(id uint64) *tensorRec {
-	r := c.rec(id)
-	for r != nil && r.head != 0 {
+// discardCopies drops every block on the copy chain of record r: only the
+// tensor's holders are visited.
+func (c *Cluster) discardCopies(r *tensorRec) {
+	for r.head != 0 {
 		c.devices[c.index.blocks[r.head].dev].drop(r.head)
 	}
-	return r
 }
 
 // EnsureResident makes tensor desc resident on device dev, advancing the
@@ -407,9 +409,17 @@ func (c *Cluster) ExecContractionAt(dev int, a, b, out *tensor.Desc, slotA, slot
 // Discard drops tensor id from every device without write-back and forgets
 // any host copy. Used when an intermediate's last consumer has run.
 func (c *Cluster) Discard(id uint64) {
-	if r := c.discardCopies(id); r != nil {
-		r.onHost, r.hostNodes = false, DevSet{}
+	if r := c.rec(id); r != nil {
+		c.discard(r)
 	}
+}
+
+// DiscardAt is Discard for the tensor in slot (see BindTensors).
+func (c *Cluster) DiscardAt(slot int) { c.discard(&c.index.recs[slot]) }
+
+func (c *Cluster) discard(r *tensorRec) {
+	c.discardCopies(r)
+	r.onHost, r.hostNodes = false, DevSet{}
 }
 
 // Barrier synchronizes all device queues to the maximum, modeling the

@@ -152,4 +152,12 @@ func (c *Cluster) TransientFailuresLeft() int { return c.transientLeft }
 // any host copy. The engine uses it instead of Discard while a fault plan
 // is active: the host copy (when one exists) remains the recovery source
 // should a device loss destroy downstream results.
-func (c *Cluster) DiscardDeviceCopies(id uint64) { c.discardCopies(id) }
+func (c *Cluster) DiscardDeviceCopies(id uint64) {
+	if r := c.rec(id); r != nil {
+		c.discardCopies(r)
+	}
+}
+
+// DiscardDeviceCopiesAt is DiscardDeviceCopies for the tensor in slot (see
+// BindTensors).
+func (c *Cluster) DiscardDeviceCopiesAt(slot int) { c.discardCopies(&c.index.recs[slot]) }

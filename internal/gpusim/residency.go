@@ -95,36 +95,50 @@ func (ri *residencyIndex) find(r *tensorRec, dev int) int32 {
 
 // BindTensors adopts a workload's tensor numbering (Workload.TensorIDs):
 // slot s is tensor ids[s] from here on, to the slot-keyed methods
-// (HoldersAt, RegisterHostAt, ExecContractionAt) and the ID-keyed ones
-// alike. Binding the table already bound changes and costs nothing; another
-// table empties the cluster as Reset does. ids is shared, not copied, and
-// must not change while bound. A cluster nobody binds numbers tensors
-// itself, in the order its ID-keyed methods meet them.
+// (HoldersAt, RegisterHostAt, ExecContractionAt, DiscardAt) and the
+// ID-keyed ones alike. Binding builds no id→slot table: the first ID-keyed
+// call after it does (slotTable). Binding the table already bound changes and
+// costs nothing; another table empties the cluster as Reset does. ids is
+// shared, not copied, and must not change while bound. A cluster nobody
+// binds numbers tensors itself, in the order its ID-keyed methods meet them.
 func (c *Cluster) BindTensors(ids []uint64) {
 	n, ri := len(ids), c.index
 	if n == len(c.ids) && (n == 0 || &ids[0] == &c.ids[0]) {
 		return
 	}
 	c.ids = ids[:n:n] // an ID met later is appended to a copy
-	clear(c.slots)
-	// Backwards: of two slots a hand-built table gives one ID, the first
-	// wins, as it does for the workload's pairs.
-	for s := n - 1; s >= 0; s-- {
-		c.slots[ids[s]] = int32(s)
-	}
+	c.slotsBuilt = false
 	ri.recs = append(ri.recs[:0], make([]tensorRec, n)...)
 	ri.words = append(ri.words[:0], make([]uint64, n*(ri.restWords+ri.nodeWords))...)
 	c.Reset()
 }
 
-// slot returns id's slot in slots, the cluster's one id→slot table, which
-// only the ID-keyed methods read. An ID it has not met gets the next slot.
+// slotTable returns the id→slot table, the inverse of ids, building it on the
+// first call after a bind. Of two slots a hand-built table gives one ID,
+// the first wins, as it does for the workload's pairs.
+func (c *Cluster) slotTable() map[uint64]int32 {
+	if !c.slotsBuilt {
+		if c.slots == nil {
+			c.slots = make(map[uint64]int32, len(c.ids))
+		}
+		clear(c.slots)
+		for s := len(c.ids) - 1; s >= 0; s-- {
+			c.slots[c.ids[s]] = int32(s)
+		}
+		c.slotsBuilt = true
+	}
+	return c.slots
+}
+
+// slot returns id's slot in the id→slot table, which only the ID-keyed
+// methods read. An ID it has not met gets the next slot.
 func (c *Cluster) slot(id uint64) int32 {
-	s, ok := c.slots[id]
+	slots := c.slotTable()
+	s, ok := slots[id]
 	if !ok {
 		s = int32(len(c.ids))
 		c.ids = append(c.ids, id)
-		c.slots[id] = s
+		slots[id] = s
 		c.index.recs = append(c.index.recs, tensorRec{})
 		c.index.words = append(c.index.words, make([]uint64, c.index.restWords+c.index.nodeWords)...)
 	}
@@ -133,7 +147,7 @@ func (c *Cluster) slot(id uint64) int32 {
 
 // rec returns id's record, nil for an ID the cluster has not met.
 func (c *Cluster) rec(id uint64) *tensorRec {
-	if s, ok := c.slots[id]; ok {
+	if s, ok := c.slotTable()[id]; ok {
 		return &c.index.recs[s]
 	}
 	return nil

@@ -412,9 +412,11 @@ func TestDiscardWalksHoldersOnly(t *testing.T) {
 }
 
 // TestBindTensors: a bound cluster answers slot-keyed and ID-keyed calls
-// from one state; an ID the table does not list gets a slot past it;
+// from one state, and builds its id→slot table only for the first ID-keyed
+// call after a bind; an ID the table does not list gets a slot past it;
 // binding the same table again changes nothing, a bare Reset keeps the
-// numbering, and another table empties the cluster.
+// numbering, and another table empties the cluster and drops the id→slot
+// table until the next ID-keyed call.
 func TestBindTensors(t *testing.T) {
 	desc := func(id uint64) tensor.Desc {
 		return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 8, Batch: 1}
@@ -423,33 +425,82 @@ func TestBindTensors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := []uint64{50, 20, 90}
+	unbuilt := func(when string) {
+		t.Helper()
+		if c.slotsBuilt {
+			t.Errorf("%s: the id→slot table is built", when)
+		}
+	}
+	ids := []uint64{50, 20, 90, 60}
 	c.BindTensors(ids)
-	a, b, out := desc(50), desc(20), desc(90)
+	unbuilt("after a bind")
+	a, b, out, dead := desc(50), desc(20), desc(90), desc(60)
 	c.RegisterHostAt(0, a)
-	c.RegisterHostTensor(b) // by ID: lands in slot 1
+	c.RegisterHostAt(1, b)
+	c.RegisterHostAt(3, dead)
 	if _, err := c.ExecContractionAt(2, &a, &b, &out, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	for slot, id := range ids {
-		if got, want := c.HoldersAt(slot), c.HoldersMask(id); !got.Equal(DevSetOf(2)) || !got.Equal(want) {
-			t.Errorf("slot %d / tensor %d: HoldersAt %v, HoldersMask %v, want [2]", slot, id, got.AppendTo(nil), want.AppendTo(nil))
+	if _, err := c.ExecContractionAt(1, &dead, &dead, &out, 3, 3, 2); err != nil {
+		t.Fatal(err)
+	}
+	c.DiscardDeviceCopiesAt(0) // a: host copy only
+	c.DiscardAt(3)             // dead: nowhere
+	if c.HoldersAt(1).Empty() || !c.HostHoldsAt(1) || !c.HostHoldsAt(0) || c.HostHoldsAt(3) {
+		t.Error("slot-keyed state after the discards is wrong")
+	}
+	checkAudit(t, c)
+	unbuilt("after slot-keyed calls and an audit")
+	// Every ID-keyed question gets the slot-keyed answer.
+	agree := func(when string) {
+		t.Helper()
+		for slot, id := range ids {
+			at, byID := c.HoldersAt(slot), c.HoldersMask(id)
+			if !at.Equal(byID) || c.HostHoldsAt(slot) != c.HostHolds(id) {
+				t.Errorf("%s: slot %d / tensor %d: HoldersAt %v host %v, HoldersMask %v host %v", when, slot, id,
+					at.AppendTo(nil), c.HostHoldsAt(slot), byID.AppendTo(nil), c.HostHolds(id))
+			}
+			for dev := 0; dev < c.NumDevices(); dev++ {
+				if c.Device(dev).Holds(id) != at.Has(dev) {
+					t.Errorf("%s: device %d: Holds(%d) and HoldersAt(%d).Has disagree", when, dev, id, slot)
+				}
+			}
 		}
+	}
+	agree("bound, run by slot")
+	if !c.slotsBuilt {
+		t.Error("an ID-keyed call did not build the id→slot table")
+	}
+	if !c.HoldersAt(2).Equal(DevSetOf(1, 2)) || !c.HoldersMask(60).Empty() || c.HostHolds(60) {
+		t.Errorf("out on %v, want [1 2]; tensor 60 should be nowhere", c.HoldersAt(2).AppendTo(nil))
+	}
+	// The ID-keyed discards are the slot-keyed ones.
+	c.Discard(90)
+	c.DiscardDeviceCopies(20)
+	if !c.HoldersAt(2).Empty() || c.HostHoldsAt(2) || !c.HoldersAt(1).Empty() || !c.HostHoldsAt(1) {
+		t.Error("Discard / DiscardDeviceCopies by ID missed their slots")
+	}
+	agree("after discards by ID")
+
+	c.RegisterHostTensor(b) // by ID: lands in slot 1
+	if _, err := c.ExecContractionAt(2, &a, &b, &out, 0, 1, 2); err != nil {
+		t.Fatal(err)
 	}
 	extra := desc(7)
 	c.RegisterHostTensor(extra)
 	if err := c.EnsureResident(3, extra); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.HoldersAt(3); !got.Equal(DevSetOf(3)) || !c.Device(3).Holds(7) {
-		t.Errorf("unlisted tensor 7 is not in slot 3: %v", got.AppendTo(nil))
+	if got := c.HoldersAt(4); !got.Equal(DevSetOf(3)) || !c.Device(3).Holds(7) {
+		t.Errorf("unlisted tensor 7 is not in slot 4: %v", got.AppendTo(nil))
 	}
-	if len(ids) != 3 || ids[0] != 50 {
+	if len(ids) != 4 || ids[0] != 50 {
 		t.Errorf("interning wrote through the bound table: %v", ids)
 	}
 	checkAudit(t, c)
 
-	c.BindTensors(ids[:3]) // tensor 7 was appended to a copy: this is another table now
+	c.BindTensors(ids[:4]) // tensor 7 was appended to a copy: this is another table now
+	unbuilt("after binding another table")
 	if !c.HoldersMask(50).Empty() || c.HostHolds(7) {
 		t.Error("binding a different table did not empty the cluster")
 	}
@@ -460,8 +511,8 @@ func TestBindTensors(t *testing.T) {
 	if !c.HostHolds(20) || c.HostHolds(50) {
 		t.Error("after re-binding the same table and a bare Reset, slot 1 is not tensor 20")
 	}
-	if c.BindTensors(ids); !c.HostHolds(20) {
-		t.Error("binding the bound table again emptied the cluster")
+	if c.BindTensors(ids); !c.HostHolds(20) || !c.slotsBuilt {
+		t.Error("binding the bound table again emptied the cluster or dropped its id→slot table")
 	}
 	checkAudit(t, c)
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -104,10 +105,10 @@ func TestBuildPlanChain(t *testing.T) {
 	if len(p.StageOps[0]) != 2 || len(p.StageOps[1]) != 1 {
 		t.Errorf("stage widths = %v", p.StageOps)
 	}
-	final, ok := p.Finals[0]
-	if !ok || !final.Valid() {
-		t.Fatal("missing final tensor")
+	if len(p.Finals) != 1 || !p.Finals[0].Valid() {
+		t.Fatalf("finals %v, want one valid tensor", p.Finals)
 	}
+	final := p.Finals[0]
 	if final.ID < 100 {
 		t.Errorf("final %v should be an intermediate", final)
 	}
@@ -193,20 +194,33 @@ func TestBuildPlanCycleAndMultiEdge(t *testing.T) {
 	}
 }
 
+// TestBuildPlanErrors: every graph set BuildPlan refuses — an invalid or
+// disconnected graph, a leaf at or past nextID, IDs that would overflow 32
+// bits — is refused with an error wrapping ErrInvalidPlan.
 func TestBuildPlanErrors(t *testing.T) {
 	disconnected := &Graph{ID: 0, Nodes: []Node{
 		{ID: 0, Tensor: td(1)}, {ID: 1, Tensor: td(2)},
 	}}
-	if _, err := BuildPlan([]*Graph{disconnected}, 100); err == nil {
-		t.Error("disconnected graph: want error")
+	cases := []struct {
+		name   string
+		graphs []*Graph
+		nextID uint64
+	}{
+		{"disconnected graph", []*Graph{disconnected}, 100},
+		{"invalid tensor", []*Graph{{ID: 1, Nodes: []Node{{ID: 0, Tensor: tensor.Desc{}}}}}, 100},
+		{"no nodes", []*Graph{{ID: 2}}, 100},
+		{"edge out of range", []*Graph{{ID: 3, Nodes: []Node{{ID: 0, Tensor: td(1)}}, Edges: []Edge{{U: 0, V: 1}}}}, 100},
+		{"leaf ID above nextID", []*Graph{chainGraph(0, 1, 200)}, 100},
+		{"leaf ID at nextID", []*Graph{chainGraph(0, 1, 100)}, 100},
+		{"valid graph after an invalid one", []*Graph{chainGraph(0, 1, 2), disconnected}, 100},
+		{"32-bit overflow", []*Graph{chainGraph(0, 1, 2, 3)}, 1<<32 - 2},
+		{"nextID past 32 bits", []*Graph{chainGraph(0, 1, 2)}, 1<<64 - 1},
 	}
-	bad := &Graph{ID: 1, Nodes: []Node{{ID: 0, Tensor: tensor.Desc{}}}}
-	if _, err := BuildPlan([]*Graph{bad}, 100); err == nil {
-		t.Error("invalid graph: want error")
-	}
-	clash := chainGraph(0, 1, 200)
-	if _, err := BuildPlan([]*Graph{clash}, 100); err == nil {
-		t.Error("leaf ID above nextID: want error")
+	for _, c := range cases {
+		p, err := BuildPlan(c.graphs, c.nextID)
+		if !errors.Is(err, ErrInvalidPlan) || p != nil {
+			t.Errorf("%s: plan %v, error %v; want an error wrapping ErrInvalidPlan", c.name, p, err)
+		}
 	}
 }
 
@@ -299,9 +313,11 @@ func TestBuildPlanPropertyRandomGraphs(t *testing.T) {
 			}
 			produced[op.Out.ID] = op.Stage
 		}
-		for _, g := range gs {
-			final, ok := p.Finals[g.ID]
-			if !ok || !final.Valid() {
+		if len(p.Finals) != len(gs) {
+			return false
+		}
+		for _, final := range p.Finals {
+			if !final.Valid() {
 				return false
 			}
 			if _, known := produced[final.ID]; !known {

@@ -1,10 +1,15 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 
 	"micco/internal/tensor"
 )
+
+// ErrInvalidPlan marks every graph set BuildPlan refuses; the message names
+// the graph and the reason.
+var ErrInvalidPlan = errors.New("invalid plan")
 
 // Op is one hadron contraction in an execution plan: Out = A contracted
 // with B, runnable in stage Stage (0-based) once both operands exist.
@@ -22,9 +27,9 @@ type Plan struct {
 	StageOps [][]int
 	// Inputs are the distinct leaf hadron-node tensors.
 	Inputs []tensor.Desc
-	// Finals maps each graph's ID to the tensor concluding its
-	// contraction (the correlator term before the trace).
-	Finals map[int]tensor.Desc
+	// Finals[i] is the tensor concluding the contraction of graphs[i] of
+	// the BuildPlan call (the correlator term before the trace).
+	Finals []tensor.Desc
 	// SharedOps counts how many per-graph contractions were satisfied by
 	// an already-planned op (the cross-graph reuse the paper highlights).
 	SharedOps int
@@ -34,7 +39,7 @@ type Plan struct {
 // buffers reduce reuses from graph to graph.
 type planner struct {
 	plan *Plan
-	memo map[[2]uint64]int // ordered operand IDs -> index of the op
+	memo map[uint64]int // ordered operand IDs, a.ID<<32 | b.ID -> index of the op
 	// input[id] says leaf id is in Inputs already; leaf IDs are below
 	// firstID.
 	input []bool
@@ -50,32 +55,37 @@ type planner struct {
 // BuildPlan compiles graphs into a staged plan. Fresh intermediate tensor
 // IDs are allocated starting at nextID (which must exceed every leaf
 // tensor ID; the planner keeps one flag per ID below it, so it should sit
-// just past the leaves, as wick's BlockTable.NextID does). Every graph
-// must be valid and connected.
+// just past the leaves, as wick's BlockTable.NextID does). Every tensor ID
+// of the plan, intermediates included, must fit in 32 bits. Every graph
+// must be valid and connected. Every refusal wraps ErrInvalidPlan.
 func BuildPlan(graphs []*Graph, nextID uint64) (*Plan, error) {
 	// A graph of n nodes adds at most n-1 ops; sharing only lowers that.
 	maxOps := 0
 	for _, g := range graphs {
 		maxOps += max(len(g.Nodes)-1, 0)
 	}
+	if uint64(maxOps) >= 1<<32 || nextID >= 1<<32-uint64(maxOps) {
+		return nil, fmt.Errorf("graph: %w: nextID %d and up to %d intermediates overflow 32-bit tensor IDs",
+			ErrInvalidPlan, nextID, maxOps)
+	}
 	p := &planner{
-		plan:    &Plan{Finals: make(map[int]tensor.Desc, len(graphs)), Ops: make([]Op, 0, maxOps)},
-		memo:    make(map[[2]uint64]int, maxOps),
+		plan:    &Plan{Finals: make([]tensor.Desc, len(graphs)), Ops: make([]Op, 0, maxOps)},
+		memo:    make(map[uint64]int, maxOps),
 		input:   make([]bool, nextID),
 		firstID: nextID,
 		nextID:  nextID,
 	}
-	for _, g := range graphs {
+	for gi, g := range graphs {
 		if err := g.Validate(); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("graph: %w: %w", ErrInvalidPlan, err)
 		}
 		if !g.Connected() {
-			return nil, fmt.Errorf("graph %d: not connected", g.ID)
+			return nil, fmt.Errorf("graph: %w: graph %d: not connected", ErrInvalidPlan, g.ID)
 		}
 		for _, n := range g.Nodes {
 			if n.Tensor.ID >= nextID {
-				return nil, fmt.Errorf("graph %d: leaf tensor ID %d >= nextID %d",
-					g.ID, n.Tensor.ID, nextID)
+				return nil, fmt.Errorf("graph: %w: graph %d: leaf tensor ID %d >= nextID %d",
+					ErrInvalidPlan, g.ID, n.Tensor.ID, nextID)
 			}
 			if !p.input[n.Tensor.ID] {
 				p.input[n.Tensor.ID] = true
@@ -84,9 +94,9 @@ func BuildPlan(graphs []*Graph, nextID uint64) (*Plan, error) {
 		}
 		final, err := p.reduce(g)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("graph: %w: %w", ErrInvalidPlan, err)
 		}
-		p.plan.Finals[g.ID] = final
+		p.plan.Finals[gi] = final
 	}
 	// Index ops by stage: count, carve one backing array, fill.
 	var perStage []int
@@ -207,7 +217,7 @@ func (p *planner) emit(a, b tensor.Desc) (tensor.Desc, error) {
 	if a.ID > b.ID {
 		a, b = b, a
 	}
-	key := [2]uint64{a.ID, b.ID}
+	key := a.ID<<32 | b.ID // BuildPlan holds every ID below 1<<32
 	if i, ok := p.memo[key]; ok {
 		p.plan.SharedOps++
 		return p.plan.Ops[i].Out, nil

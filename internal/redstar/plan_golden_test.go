@@ -10,14 +10,16 @@ import (
 	"sort"
 	"testing"
 
+	"micco/internal/graph"
 	"micco/internal/tensor"
 )
 
 // planDigests fingerprints everything the front end hands on: the plan's
-// ops, stage index, inputs and finals, the per-time finals and the
-// scheduler workload, each as its own SHA-256 so a drift names the part
-// that moved.
-func planDigests(b *Build) map[string]string {
+// ops, stage index, inputs and finals (each under the ID of the graph it
+// concludes, graphs being b's expanded graphs in ID order), the per-time
+// finals and the scheduler workload, each as its own SHA-256 so a drift
+// names the part that moved.
+func planDigests(b *Build, graphs []*graph.Graph) map[string]string {
 	desc := func(h hash.Hash, d tensor.Desc) { fmt.Fprintf(h, "%d/%d/%d/%d;", d.ID, d.Rank, d.Dim, d.Batch) }
 	part := func(fill func(h hash.Hash)) string {
 		h := sha256.New()
@@ -45,14 +47,9 @@ func planDigests(b *Build) map[string]string {
 			fmt.Fprintf(h, "shared%d blocks%d graphs%d", b.Plan.SharedOps, b.Blocks, b.NumGraphs)
 		}),
 		"finals": part(func(h hash.Hash) {
-			ids := make([]int, 0, len(b.Plan.Finals))
-			for id := range b.Plan.Finals {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
-			for _, id := range ids {
-				fmt.Fprintf(h, "g%d:", id)
-				desc(h, b.Plan.Finals[id])
+			for i, g := range graphs {
+				fmt.Fprintf(h, "g%d:", g.ID)
+				desc(h, b.Plan.Finals[i])
 			}
 		}),
 		"finalsByTime": part(func(h hash.Hash) {
@@ -123,8 +120,19 @@ func TestPlanGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		specs, err := tc.c.specs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, graphs, _, err := tc.c.expand(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(graphs) != len(b.Plan.Finals) {
+			t.Fatalf("%s: %d graphs, %d finals", tc.name, len(graphs), len(b.Plan.Finals))
+		}
 		want := goldenPlans[tc.name]
-		for part, sum := range planDigests(b) {
+		for part, sum := range planDigests(b, graphs) {
 			if want[part] != sum {
 				t.Errorf("%s: %s digest = %s, want %s", tc.name, part, sum, want[part])
 			}

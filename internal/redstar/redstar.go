@@ -146,27 +146,9 @@ func (c *Correlator) BuildPlan() (*Build, error) {
 	if err != nil {
 		return nil, err
 	}
-	bt := wick.NewBlockTableWithRank(c.TensorDim, c.Batch, c.blockRank())
-	var all []*graph.Graph
-	// idEnd[t-1] is the first graph ID past sink time t: IDs are issued in
-	// expansion order, so they rise with the sink time.
-	idEnd := make([]int, 0, c.TimeSlices)
-	var gid int
-	for t := 1; t <= c.TimeSlices; t++ {
-		for _, spec := range specs {
-			gs, err := wick.Expand(spec, 0, t, bt, &gid)
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, gs...)
-		}
-		idEnd = append(idEnd, gid)
-	}
-	// Expand deduplicates within one spec and time; this pass catches a
-	// graph that two construction pairs both produce, which only specs
-	// with the same operator names on each side can.
-	if namesRepeat(specs) {
-		all = graph.Dedup(all)
+	bt, all, idEnd, err := c.expand(specs)
+	if err != nil {
+		return nil, err
 	}
 	plan, err := graph.BuildPlan(all, bt.NextID())
 	if err != nil {
@@ -179,19 +161,15 @@ func (c *Correlator) BuildPlan() (*Build, error) {
 		Blocks:       bt.Len(),
 		FinalsByTime: make(map[int][]tensor.Desc, c.TimeSlices),
 	}
-	// all is in ID order, so each sink time's finals are one run of it,
-	// carved from a single backing array.
-	finals := make([]tensor.Desc, len(all))
-	for i, g := range all {
-		finals[i] = plan.Finals[g.ID]
-	}
+	// all is in ID order and plan.Finals[i] concludes all[i], so each sink
+	// time's finals are one run of plan.Finals.
 	for t, lo := 1, 0; t <= c.TimeSlices; t++ {
 		hi := lo
 		for hi < len(all) && all[hi].ID < idEnd[t-1] {
 			hi++
 		}
 		if hi > lo {
-			b.FinalsByTime[t] = finals[lo:hi:hi]
+			b.FinalsByTime[t] = plan.Finals[lo:hi:hi]
 		}
 		lo = hi
 	}
@@ -212,6 +190,33 @@ func (c *Correlator) BuildPlan() (*Build, error) {
 	}
 	b.Workload = w
 	return b, nil
+}
+
+// expand expands every spec at every sink time against one new block
+// table, in ID order, and drops cross-spec duplicates. idEnd[t-1] is the
+// first graph ID past sink time t: IDs are issued in expansion order, so
+// they rise with the sink time.
+func (c *Correlator) expand(specs []wick.Spec) (bt *wick.BlockTable, all []*graph.Graph, idEnd []int, err error) {
+	bt = wick.NewBlockTableWithRank(c.TensorDim, c.Batch, c.blockRank())
+	idEnd = make([]int, 0, c.TimeSlices)
+	var gid int
+	for t := 1; t <= c.TimeSlices; t++ {
+		for _, spec := range specs {
+			gs, err := wick.Expand(spec, 0, t, bt, &gid)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			all = append(all, gs...)
+		}
+		idEnd = append(idEnd, gid)
+	}
+	// Expand deduplicates within one spec and time; this pass catches a
+	// graph that two construction pairs both produce, which only specs
+	// with the same operator names on each side can.
+	if namesRepeat(specs) {
+		all = graph.Dedup(all)
+	}
+	return bt, all, idEnd, nil
 }
 
 // namesRepeat reports whether two of specs have the same multiset of source

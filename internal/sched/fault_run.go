@@ -242,17 +242,17 @@ func (e *engine) recoverFrom(si, pi, lost int) error {
 		span.SetAttr("stage", strconv.Itoa(si))
 		span.SetAttr("pair", strconv.Itoa(pi))
 	}
-	// Needed set: every operand of the not-yet-executed remainder.
-	needed := make(map[uint64]bool)
+	// Needed set, by slot: every operand of the not-yet-executed remainder.
+	needed := make([]bool, len(e.w.TensorIDs()))
 	for s2 := si; s2 < len(e.w.Stages); s2++ {
 		pairs := e.w.Stages[s2].Pairs
 		start := 0
 		if s2 == si {
 			start = pi
 		}
-		for _, p := range pairs[start:] {
-			needed[p.A.ID] = true
-			needed[p.B.ID] = true
+		for i := range pairs[start:] {
+			sa, sb, _ := pairs[start+i].Slots()
+			needed[sa], needed[sb] = true, true
 		}
 	}
 	// Reverse scan of the executed prefix: select pairs whose output is
@@ -268,11 +268,10 @@ func (e *engine) recoverFrom(si, pi, lost int) error {
 			end = pi
 		}
 		for p2 := end - 1; p2 >= 0; p2-- {
-			p := pairs[p2]
-			if needed[p.Out.ID] && e.c.HoldersMask(p.Out.ID).Empty() && !e.c.HostHolds(p.Out.ID) {
+			sa, sb, so := pairs[p2].Slots()
+			if needed[so] && e.c.HoldersAt(so).Empty() && !e.c.HostHoldsAt(so) {
 				selected = append(selected, ref{s2, p2})
-				needed[p.A.ID] = true
-				needed[p.B.ID] = true
+				needed[sa], needed[sb] = true, true
 			}
 		}
 	}

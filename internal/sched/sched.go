@@ -496,14 +496,14 @@ type engine struct {
 // and leave it off when benchmarks run.
 var afterRun func(*gpusim.Cluster)
 
-// discard drops a dead input. Under a fault plan only device copies are
-// dropped: the host copy must survive as the recovery source if a later
-// device loss destroys tensors the input's consumers produced.
-func (e *engine) discard(id uint64) {
+// discard drops the dead input in slot. Under a fault plan only device
+// copies are dropped: the host copy must survive as the recovery source if
+// a later device loss destroys tensors the input's consumers produced.
+func (e *engine) discard(slot int) {
 	if e.fr != nil {
-		e.c.DiscardDeviceCopies(id)
+		e.c.DiscardDeviceCopiesAt(slot)
 	} else {
-		e.c.Discard(id)
+		e.c.DiscardAt(slot)
 	}
 }
 
@@ -612,10 +612,10 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 	sctx.Comp[dev] += float64(flops) / c.Config().FLOPS
 	if e.opts.DiscardDeadInputs {
 		if p.LastUse[0] {
-			e.discard(p.A.ID)
+			e.discard(sa)
 		}
-		if p.LastUse[1] && p.B.ID != p.A.ID {
-			e.discard(p.B.ID)
+		if p.LastUse[1] && sb != sa {
+			e.discard(sb)
 		}
 	}
 	if a := e.res.Assignments; a != nil {

@@ -123,11 +123,19 @@ type BlockKey struct {
 // same block is the same tensor across graphs, momenta and time slices. It
 // also owns the expansion templates of the specs expanded against it (see
 // Expand), so they live exactly as long as the table.
+//
+// Blocks are issued IDs from 1 in creation order, and all share one shape,
+// so the IDs alone say which tensors exist. An operator name is interned
+// once, to a number, when a template is built (or when Get meets it); a
+// block is then found by its integer key (blockKey), never by name.
 type BlockTable struct {
 	dim, batch, rank int
-	blocks           map[BlockKey]tensor.Desc
-	order            []BlockKey
-	next             uint64
+	ops              map[string]uint32
+	// blocks maps a packed blockKey to its tensor ID; wide holds the keys
+	// that do not pack, made on first use.
+	blocks map[uint64]uint64
+	wide   map[blockKey]uint64
+	next   uint64
 
 	templates map[string]*template
 	specKey   []byte // reused buffer for the template lookup
@@ -136,6 +144,22 @@ type BlockTable struct {
 	// operator, momentum), and the momentum-assignment counter.
 	sinkBlocks []tensor.Desc
 	momenta    []int
+}
+
+// blockKey is a block's integer identity: its operator's interned number,
+// its momentum projection and its time slice.
+type blockKey struct {
+	op             uint32
+	momentum, time int
+}
+
+// packed returns k in one word — operator number, momentum and time in 16,
+// 16 and 32 bits — and whether it fits there.
+func (k blockKey) packed() (uint64, bool) {
+	if k.op >= 1<<16 || uint(k.momentum) >= 1<<16 || int(int32(k.time)) != k.time {
+		return 0, false
+	}
+	return uint64(k.op)<<48 | uint64(k.momentum)<<32 | uint64(uint32(k.time)), true
 }
 
 // NewBlockTable creates a table of rank-2 (meson) blocks issuing tensor
@@ -148,28 +172,69 @@ func NewBlockTable(dim, batch int) *BlockTable {
 // rank: tensor.RankMeson for meson systems, tensor.RankBaryon for baryon
 // systems (batched rank-3 hadron blocks).
 func NewBlockTableWithRank(dim, batch, rank int) *BlockTable {
-	return &BlockTable{dim: dim, batch: batch, rank: rank,
-		blocks: make(map[BlockKey]tensor.Desc), next: 1,
+	return &BlockTable{dim: dim, batch: batch, rank: rank, next: 1,
+		ops: make(map[string]uint32), blocks: make(map[uint64]uint64),
 		templates: make(map[string]*template)}
 }
 
 // Get returns the tensor for key, creating it on first use.
 func (bt *BlockTable) Get(key BlockKey) tensor.Desc {
-	if d, ok := bt.blocks[key]; ok {
-		return d
+	return bt.block(blockKey{bt.intern(key.Op), key.Momentum, key.Time})
+}
+
+// intern returns the number of operator name, issuing the next one on
+// first use.
+func (bt *BlockTable) intern(name string) uint32 {
+	op, ok := bt.ops[name]
+	if !ok {
+		op = uint32(len(bt.ops))
+		bt.ops[name] = op
 	}
-	d := tensor.Desc{ID: bt.next, Rank: bt.rank, Dim: bt.dim, Batch: bt.batch}
-	bt.next++
-	bt.blocks[key] = d
-	bt.order = append(bt.order, key)
-	return d
+	return op
+}
+
+// internOps returns the numbers of ops' names, in order.
+func (bt *BlockTable) internOps(ops []Operator) []uint32 {
+	out := make([]uint32, len(ops))
+	for i, op := range ops {
+		out[i] = bt.intern(op.Name)
+	}
+	return out
+}
+
+// block returns the tensor of block k, issuing the next ID on first use.
+func (bt *BlockTable) block(k blockKey) tensor.Desc {
+	w, packs := k.packed()
+	var id uint64
+	if packs {
+		id = bt.blocks[w]
+	} else {
+		id = bt.wide[k]
+	}
+	if id == 0 {
+		id = bt.next
+		bt.next++
+		if packs {
+			bt.blocks[w] = id
+		} else {
+			if bt.wide == nil {
+				bt.wide = make(map[blockKey]uint64)
+			}
+			bt.wide[k] = id
+		}
+	}
+	return bt.desc(id)
+}
+
+func (bt *BlockTable) desc(id uint64) tensor.Desc {
+	return tensor.Desc{ID: id, Rank: bt.rank, Dim: bt.dim, Batch: bt.batch}
 }
 
 // Tensors returns every issued block tensor in creation order.
 func (bt *BlockTable) Tensors() []tensor.Desc {
-	out := make([]tensor.Desc, 0, len(bt.order))
-	for _, k := range bt.order {
-		out = append(out, bt.blocks[k])
+	out := make([]tensor.Desc, 0, bt.Len())
+	for id := uint64(1); id < bt.next; id++ {
+		out = append(out, bt.desc(id))
 	}
 	return out
 }
@@ -178,7 +243,7 @@ func (bt *BlockTable) Tensors() []tensor.Desc {
 func (bt *BlockTable) NextID() uint64 { return bt.next }
 
 // Len returns the number of issued blocks.
-func (bt *BlockTable) Len() int { return len(bt.order) }
+func (bt *BlockTable) Len() int { return int(bt.next - 1) }
 
 // template is what Expand's result has in common over every pair of times
 // with the same srcTime == snkTime answer. Two nodes share a block exactly
@@ -187,6 +252,9 @@ func (bt *BlockTable) Len() int { return len(bt.order) }
 // rank among the connected ones follow from the spec's operators and
 // momenta alone; the times only choose which blocks the nodes are.
 type template struct {
+	// src and snk are the spec's source and sink operators, interned on
+	// the table that owns the template.
+	src, snk []uint32
 	// connected counts the connected pairings over all momentum
 	// assignments, deduplicated or not: each takes one graph ID.
 	connected int
@@ -267,11 +335,12 @@ func Expand(spec Spec, srcTime, snkTime int, bt *BlockTable, nextGraphID *int) (
 			return nil, err
 		}
 		tpl = buildTemplate(spec, sameTime)
+		tpl.src, tpl.snk = bt.internOps(spec.Source), bt.internOps(spec.Sink)
 		bt.templates[string(bt.specKey)] = tpl
 	}
 
 	numOps := len(spec.Source) + len(spec.Sink)
-	nodes := requestBlocks(spec, srcTime, snkTime, bt)
+	nodes := requestBlocks(bt, tpl.src, tpl.snk, spec.Momenta, srcTime, snkTime)
 
 	base := *nextGraphID
 	*nextGraphID += tpl.connected
@@ -293,45 +362,46 @@ func Expand(spec Spec, srcTime, snkTime int, bt *BlockTable, nextGraphID *int) (
 	return out, nil
 }
 
-// requestBlocks lays out the blocks of every momentum assignment of spec's
-// sink operators, in enumeration order (last sink fastest), as rows of one
-// node slab: row a holds assignment a's nodes, sources (momentum 0,
-// srcTime) first, then sinks (their momentum, snkTime). The order of the
-// requests is part of Expand's contract, because a first request issues a
-// tensor ID: each source and each (sink, momentum) is requested from bt
-// once, where it first appears in that order, and later rows copy it.
-func requestBlocks(spec Spec, srcTime, snkTime int, bt *BlockTable) []graph.Node {
-	numSrc := len(spec.Source)
-	numOps := numSrc + len(spec.Sink)
+// requestBlocks lays out the blocks of every momentum assignment of the
+// sink operators snk (interned on bt, each with momenta projections), in
+// enumeration order (last sink fastest), as rows of one node slab: row a
+// holds assignment a's nodes, sources src (momentum 0, srcTime) first, then
+// sinks (their momentum, snkTime). The order of the requests is part of
+// Expand's contract, because a first request issues a tensor ID: each
+// source and each (sink, momentum) is requested from bt once, where it
+// first appears in that order, and later rows copy it.
+func requestBlocks(bt *BlockTable, src, snk []uint32, momenta, srcTime, snkTime int) []graph.Node {
+	numSrc := len(src)
+	numOps := numSrc + len(snk)
 	assignments := 1
-	for range spec.Sink {
-		assignments *= spec.Momenta
+	for range snk {
+		assignments *= momenta
 	}
 	nodes := make([]graph.Node, assignments*numOps)
-	for i, op := range spec.Source {
-		nodes[i] = graph.Node{ID: i, Tensor: bt.Get(BlockKey{Op: op.Name, Time: srcTime})}
+	for i, op := range src {
+		nodes[i] = graph.Node{ID: i, Tensor: bt.block(blockKey{op, 0, srcTime})}
 	}
-	// sinks[i*Momenta+m] is sink i's block at momentum m; ID 0 (never
+	// sinks[i*momenta+m] is sink i's block at momentum m; ID 0 (never
 	// issued) marks one not requested yet.
-	sinks := slices.Grow(bt.sinkBlocks[:0], len(spec.Sink)*spec.Momenta)[:len(spec.Sink)*spec.Momenta]
+	sinks := slices.Grow(bt.sinkBlocks[:0], len(snk)*momenta)[:len(snk)*momenta]
 	clear(sinks)
-	momenta := slices.Grow(bt.momenta[:0], len(spec.Sink))[:len(spec.Sink)]
-	clear(momenta)
-	bt.sinkBlocks, bt.momenta = sinks, momenta
+	counter := slices.Grow(bt.momenta[:0], len(snk))[:len(snk)]
+	clear(counter)
+	bt.sinkBlocks, bt.momenta = sinks, counter
 	for row := nodes; len(row) > 0; row = row[numOps:] {
 		copy(row, nodes[:numSrc])
-		for i, op := range spec.Sink {
-			d := &sinks[i*spec.Momenta+momenta[i]]
+		for i, op := range snk {
+			d := &sinks[i*momenta+counter[i]]
 			if d.ID == 0 {
-				*d = bt.Get(BlockKey{Op: op.Name, Momentum: momenta[i], Time: snkTime})
+				*d = bt.block(blockKey{op, counter[i], snkTime})
 			}
 			row[numSrc+i] = graph.Node{ID: numSrc + i, Tensor: *d}
 		}
-		for pos := len(momenta) - 1; pos >= 0; pos-- {
-			if momenta[pos]++; momenta[pos] < spec.Momenta {
+		for pos := len(counter) - 1; pos >= 0; pos-- {
+			if counter[pos]++; counter[pos] < momenta {
 				break
 			}
-			momenta[pos] = 0
+			counter[pos] = 0
 		}
 	}
 	return nodes
@@ -369,7 +439,8 @@ func buildTemplate(spec Spec, sameTime bool) *template {
 	if sameTime {
 		snkTime = 0
 	}
-	nodes := requestBlocks(spec, 0, snkTime, NewBlockTable(1, 1))
+	scratch := NewBlockTable(1, 1)
+	nodes := requestBlocks(scratch, scratch.internOps(spec.Source), scratch.internOps(spec.Sink), spec.Momenta, 0, snkTime)
 	var all []*graph.Graph
 	for ; len(nodes) > 0; nodes = nodes[numOps:] {
 		for _, edges := range pairings {

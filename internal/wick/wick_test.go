@@ -3,6 +3,7 @@ package wick
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -220,6 +221,39 @@ func TestBlockTable(t *testing.T) {
 	}
 	if ts[0].Dim != 8 || ts[0].Batch != 2 {
 		t.Error("block shape wrong")
+	}
+}
+
+// TestBlockTableKeyRange: keys past what one word packs — a momentum or
+// time out of range, an operator numbered past 2^16 — are blocks like any
+// other: one ID per key, issued in request order, found again on repeat.
+func TestBlockTableKeyRange(t *testing.T) {
+	bt := NewBlockTable(8, 2)
+	// Fill the packable operator numbers, so "late" is numbered past them.
+	for i := 0; i < 1<<16; i++ {
+		bt.intern(fmt.Sprint("op", i))
+	}
+	keys := []BlockKey{
+		{Op: "pi", Momentum: 0, Time: 0},
+		{Op: "pi", Momentum: 0, Time: -1},
+		{Op: "pi", Momentum: -1, Time: 0},
+		{Op: "pi", Momentum: 1<<16 - 1, Time: 1<<31 - 1},
+		{Op: "pi", Momentum: 1 << 16, Time: 0},
+		{Op: "pi", Momentum: 0, Time: 1 << 31},
+		{Op: "pi", Momentum: 0, Time: -1<<31 - 1},
+		{Op: "pi", Momentum: 0, Time: -1 << 31},
+		{Op: "late", Momentum: 0, Time: 0},
+		{Op: "late", Momentum: 1, Time: 0},
+	}
+	for round := 0; round < 2; round++ {
+		for i, k := range keys {
+			if got := bt.Get(k).ID; got != uint64(i+1) {
+				t.Errorf("round %d: %+v has ID %d, want %d", round, k, got, i+1)
+			}
+		}
+	}
+	if got := issuedKeys(bt)[1:]; !reflect.DeepEqual(got, keys) {
+		t.Errorf("issued keys %+v, want %+v", got, keys)
 	}
 }
 

@@ -7,10 +7,24 @@ import (
 	"micco/internal/tensor"
 )
 
+// ErrInvalidStages marks every pair stream FromStages refuses; the message
+// names the stage and the tensor.
+var ErrInvalidStages = errors.New("invalid stages")
+
+// maxIDSpread bounds FromStages' ID table, one slot per ID up to the
+// largest: that ID may be at most this many times the stream's tensor
+// count. A front end numbers its tensors densely (redstar's leaves from 1,
+// intermediates from the plan's nextID on), so only a sparse hand-built
+// stream comes near it.
+const maxIDSpread = 8
+
 // FromStages builds a Workload from pre-staged pairs, as produced by the
 // Redstar front end's dependency analysis (rather than the synthetic
 // generator). inputs lists the distinct host-resident leaf tensors; pair
-// operands must be either inputs or outputs of earlier pairs.
+// operands must be either inputs or outputs of earlier pairs. Tensor IDs
+// index a table, so the largest may be at most maxIDSpread times the
+// number of tensors (inputs plus pairs). Every refusal wraps
+// ErrInvalidStages.
 //
 // The workload adopts the stages: stage i's Pairs is stages[i] itself, not
 // a copy. FromStages writes each pair's slots and recomputes its LastUse
@@ -24,17 +38,31 @@ import (
 // scheduler.
 func FromStages(name string, stages [][]Pair, inputs []tensor.Desc) (*Workload, error) {
 	if len(stages) == 0 {
-		return nil, errors.New("workload: no stages")
+		return nil, fmt.Errorf("workload: %w: no stages", ErrInvalidStages)
 	}
-	numPairs := 0
+	numPairs, maxID := 0, uint64(0)
+	for _, d := range inputs {
+		maxID = max(maxID, d.ID)
+	}
 	for _, pairs := range stages {
 		numPairs += len(pairs)
+		for i := range pairs {
+			maxID = max(maxID, pairs[i].A.ID, pairs[i].B.ID, pairs[i].Out.ID)
+		}
 	}
-	// slots numbers every tensor that exists so far — inputs, then earlier
-	// outputs, by position — and appeared says, by slot, whether it has
-	// turned up in the pair stream yet.
-	slots := make(map[uint64]int32, len(inputs)+numPairs)
-	appeared := make([]bool, len(inputs)+numPairs)
+	tensors := len(inputs) + numPairs
+	if maxID > maxIDSpread*uint64(tensors) {
+		return nil, fmt.Errorf("workload: %w: largest tensor ID %d is over %d times the %d tensors",
+			ErrInvalidStages, maxID, maxIDSpread, tensors)
+	}
+	// slots[id] is the slot of tensor id once it exists — inputs, then
+	// earlier outputs, by position — and -1 before; appeared says, by
+	// slot, whether it has turned up in the pair stream yet.
+	slots := make([]int32, maxID+1)
+	for i := range slots {
+		slots[i] = -1
+	}
+	appeared := make([]bool, tensors)
 	w := &Workload{
 		Name:    name,
 		Stages:  make([]Stage, 0, len(stages)),
@@ -43,10 +71,10 @@ func FromStages(name string, stages [][]Pair, inputs []tensor.Desc) (*Workload, 
 	}
 	for _, d := range inputs {
 		if !d.Valid() {
-			return nil, fmt.Errorf("workload: invalid input tensor %v", d)
+			return nil, fmt.Errorf("workload: %w: invalid input tensor %v", ErrInvalidStages, d)
 		}
-		if _, dup := slots[d.ID]; dup {
-			return nil, fmt.Errorf("workload: duplicate input tensor %d", d.ID)
+		if slots[d.ID] >= 0 {
+			return nil, fmt.Errorf("workload: %w: duplicate input tensor %d", ErrInvalidStages, d.ID)
 		}
 		slots[d.ID] = int32(len(w.Inputs))
 		w.Inputs = append(w.Inputs, d)
@@ -54,24 +82,24 @@ func FromStages(name string, stages [][]Pair, inputs []tensor.Desc) (*Workload, 
 	maxVec, dim := 0, 0
 	for si, pairs := range stages {
 		if len(pairs) == 0 {
-			return nil, fmt.Errorf("workload: stage %d is empty", si)
+			return nil, fmt.Errorf("workload: %w: stage %d is empty", ErrInvalidStages, si)
 		}
 		repeats := 0
 		for pi := range pairs {
 			p := &pairs[pi]
 			p.LastUse = [2]bool{} // finish marks the true ones
 			for i, id := range [2]uint64{p.A.ID, p.B.ID} {
-				slot, known := slots[id]
-				if !known {
-					return nil, fmt.Errorf("workload: stage %d operand t%d unknown", si, id)
+				slot := slots[id]
+				if slot < 0 {
+					return nil, fmt.Errorf("workload: %w: stage %d operand t%d unknown", ErrInvalidStages, si, id)
 				}
 				if appeared[slot] {
 					repeats++
 				}
 				appeared[slot], p.slot[i] = true, slot
 			}
-			if _, exists := slots[p.Out.ID]; exists {
-				return nil, fmt.Errorf("workload: stage %d output t%d already exists", si, p.Out.ID)
+			if slots[p.Out.ID] >= 0 {
+				return nil, fmt.Errorf("workload: %w: stage %d output t%d already exists", ErrInvalidStages, si, p.Out.ID)
 			}
 			p.slot[2] = int32(len(inputs) + len(w.Outputs))
 			slots[p.Out.ID], appeared[p.slot[2]] = p.slot[2], true

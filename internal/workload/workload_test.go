@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -390,6 +391,7 @@ func TestFromStagesValidation(t *testing.T) {
 		t.Error("stage 1 operands should be last uses")
 	}
 
+	d := func(id uint64) tensor.Desc { return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 4, Batch: 1} }
 	cases := []struct {
 		name   string
 		stages [][]Pair
@@ -398,14 +400,24 @@ func TestFromStagesValidation(t *testing.T) {
 		{"no stages", nil, []tensor.Desc{in1}},
 		{"empty stage", [][]Pair{{}}, []tensor.Desc{in1}},
 		{"unknown operand", [][]Pair{{{A: in1, B: in2, Out: out1}}}, []tensor.Desc{in1}},
+		{"operand produced later", [][]Pair{{{A: in1, B: out1, Out: out2}}, {{A: in1, B: in2, Out: out1}}}, []tensor.Desc{in1, in2}},
 		{"duplicate input", [][]Pair{{{A: in1, B: in1, Out: out1}}}, []tensor.Desc{in1, in1}},
 		{"invalid input", [][]Pair{{{A: in1, B: in1, Out: out1}}}, []tensor.Desc{{}}},
 		{"output collides", [][]Pair{{{A: in1, B: in2, Out: in1}}}, []tensor.Desc{in1, in2}},
+		{"output collides with an output", [][]Pair{{{A: in1, B: in2, Out: out1}, {A: in1, B: in1, Out: out1}}}, []tensor.Desc{in1, in2}},
+		// Three tensors: an ID past 8 x 3 would size the table from the ID.
+		{"sparse IDs", [][]Pair{{{A: in1, B: d(25), Out: out1}}}, []tensor.Desc{in1, d(25)}},
+		{"sparse output ID", [][]Pair{{{A: in1, B: in2, Out: d(1 << 40)}}}, []tensor.Desc{in1, in2}},
 	}
 	for _, c := range cases {
-		if _, err := FromStages(c.name, c.stages, c.inputs); err == nil {
-			t.Errorf("%s: want error", c.name)
+		w, err := FromStages(c.name, c.stages, c.inputs)
+		if !errors.Is(err, ErrInvalidStages) || w != nil {
+			t.Errorf("%s: workload %v, error %v; want an error wrapping ErrInvalidStages", c.name, w, err)
 		}
+	}
+	// The largest ID may be exactly maxIDSpread times the tensor count.
+	if _, err := FromStages("spread", [][]Pair{{{A: in1, B: d(24), Out: out1}}}, []tensor.Desc{in1, d(24)}); err != nil {
+		t.Errorf("largest ID 8 x 3 tensors: %v", err)
 	}
 }
 
