@@ -8,7 +8,8 @@ import "fmt"
 // fit the capacity, a failed device holds none; every block of the slab is
 // on one LRU list and its tensor's copy chain, or on the free list; a
 // record's holder set is the devices on its chain, and one that holds
-// nothing is the zero record; a host copy is of its slot's tensor; the
+// nothing is the zero record; a host copy is of its slot's tensor, on no
+// node set where there is one node; the
 // id↔slot table, where an ID-keyed call has built it, is a bijection over
 // the records that hold anything (Audit does not build it); the running
 // movement totals are the device sums. It is the tests' structural oracle
@@ -46,12 +47,14 @@ func (c *Cluster) Audit() error {
 		}
 		state[i], freeBlocks = freed, freeBlocks+1
 	}
-	if listedBlocks+freeBlocks != len(ri.blocks)-1 || len(c.ids) != len(ri.recs) {
-		return bad("%d listed + %d free blocks of %d; %d numbered tensors, %d records",
-			listedBlocks, freeBlocks, len(ri.blocks)-1, len(c.ids), len(ri.recs))
+	if listedBlocks+freeBlocks != len(ri.blocks)-1 || len(c.ids) != len(ri.recs) || len(ri.hosts) != len(ri.recs) ||
+		len(ri.words) != len(ri.recs)*ri.per {
+		return bad("%d listed + %d free blocks of %d; %d numbered tensors, %d records, %d host records, %d words",
+			listedBlocks, freeBlocks, len(ri.blocks)-1, len(c.ids), len(ri.recs), len(ri.hosts), len(ri.words))
 	}
 	for s := range ri.recs {
 		r, id := &ri.recs[s], c.ids[s]
+		holders := ri.holders(r, int32(s))
 		var chain DevSet
 		for i := r.head; i != 0; i = ri.blocks[i].chain {
 			b := &ri.blocks[i]
@@ -60,14 +63,15 @@ func (c *Cluster) Audit() error {
 			}
 			state[i], chain, listedBlocks = chained, chain.with(int(b.dev), ri.restWords), listedBlocks-1
 		}
-		if !chain.Equal(r.holders) || r.holders.Empty() && r.holders.rest != nil || !r.onHost && !r.hostNodes.Empty() {
-			return bad("tensor %d (slot %d): copy chain on %v, record %+v", id, s, chain.AppendTo(nil), *r)
+		if !chain.Equal(holders) || holders.Empty() && r.spilled {
+			return bad("tensor %d (slot %d): copy chain on %v, holders %v, record %+v",
+				id, s, chain.AppendTo(nil), holders.AppendTo(nil), *r)
 		}
 		if r.head == 0 && !r.onHost {
 			continue
 		}
-		if r.onHost && r.host.ID != id {
-			return bad("tensor %d in slot %d: host copy is of %d", id, s, r.host.ID)
+		if h := &ri.hosts[s]; r.onHost && (h.desc.ID != id || c.numNodes == 1 && !h.nodes.Empty()) {
+			return bad("tensor %d in slot %d: host copy is of %d on nodes %v", id, s, h.desc.ID, h.nodes.AppendTo(nil))
 		}
 		if back, ok := c.slots[id]; c.slotsBuilt && (!ok || int(back) != s) {
 			return bad("tensor %d in slot %d: table says slot %d (%v)", id, s, back, ok)

@@ -170,9 +170,10 @@ func (c *Cluster) Checkpoint() *Checkpoint {
 		if !r.onHost {
 			continue
 		}
-		hs := HostState{Desc: r.host}
+		h := &c.index.hosts[s]
+		hs := HostState{Desc: h.desc}
 		if c.numNodes > 1 {
-			hs.Nodes = r.hostNodes.AppendTo(nil)
+			hs.Nodes = h.nodes.AppendTo(nil)
 		}
 		cp.Host = append(cp.Host, hs)
 	}
@@ -237,11 +238,11 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 	c.transientLeft = cp.TransientLeft
 	for _, hs := range cp.Host {
 		slot := c.slot(hs.Desc.ID)
-		r := &c.index.recs[slot]
-		r.host, r.onHost = hs.Desc, true
+		r, h := &c.index.recs[slot], &c.index.hosts[slot]
+		r.onHost, h.desc, h.nodes = true, hs.Desc, DevSet{}
 		if c.numNodes > 1 {
 			for _, n := range hs.Nodes {
-				c.hostOn(r, slot, n)
+				c.index.hostOn(h, slot, n)
 			}
 		}
 	}

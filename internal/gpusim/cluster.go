@@ -78,7 +78,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	nn := cfg.NumNodes()
 	c := &Cluster{
 		cfg:        cfg,
-		index:      &residencyIndex{restWords: spillWords(cfg.NumDevices), nodeWords: spillWords(nn), blocks: make([]block, 1)},
+		index:      newResidencyIndex(cfg.NumDevices, nn),
 		dirty:      newDirtySet(cfg.NumDevices),
 		linkClocks: make([]float64, nn),
 		p2pClocks:  make([]float64, nn),
@@ -123,30 +123,30 @@ func (c *Cluster) RegisterHostAt(slot int, d tensor.Desc) { c.hostCopy(int32(slo
 
 // HostHolds reports whether any host partition has a copy of tensor id.
 func (c *Cluster) HostHolds(id uint64) bool {
-	r := c.rec(id)
-	return r != nil && r.onHost
+	s, ok := c.slotTable()[id]
+	return ok && c.index.recs[s].onHost
 }
 
 // HostHoldsAt is HostHolds for the tensor in slot (see BindTensors).
 func (c *Cluster) HostHoldsAt(slot int) bool { return c.index.recs[slot].onHost }
 
-// hostCopy records a host copy of desc, slot's tensor, in node n's partition.
+// hostCopy records a host copy of desc, slot's tensor, in node n's
+// partition. A copy that appears starts on no node.
 func (c *Cluster) hostCopy(slot int32, desc *tensor.Desc, n int) {
-	r := &c.index.recs[slot]
-	r.host, r.onHost = *desc, true
+	r, h := &c.index.recs[slot], &c.index.hosts[slot]
+	if !r.onHost {
+		r.onHost, h.nodes = true, DevSet{}
+	}
+	h.desc = *desc
 	if c.numNodes > 1 {
-		c.hostOn(r, slot, n)
+		c.index.hostOn(h, slot, n)
 	}
 }
 
-// hostOn adds node n to the host nodes of slot's record r.
-func (c *Cluster) hostOn(r *tensorRec, slot int32, n int) {
-	c.index.join(&r.hostNodes, n, slot, c.index.restWords, c.index.nodeWords)
-}
-
-// discardCopies drops every block on the copy chain of record r: only the
-// tensor's holders are visited.
-func (c *Cluster) discardCopies(r *tensorRec) {
+// discardCopies drops every block on the copy chain of slot's tensor: only
+// its holders are visited.
+func (c *Cluster) discardCopies(slot int32) {
+	r := &c.index.recs[slot]
 	for r.head != 0 {
 		c.devices[c.index.blocks[r.head].dev].drop(r.head)
 	}
@@ -177,8 +177,7 @@ func (c *Cluster) liveDevice(dev int, op string, id uint64) (*Device, error) {
 // the index of the tensor's block there (readyAt is when its data is usable),
 // left pinned when pin is set so a subsequent allocation cannot evict it.
 func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin bool) (int32, error) {
-	r := &c.index.recs[slot]
-	if i := c.index.find(r, d.id); i != 0 {
+	if i := c.index.find(slot, d.id); i != 0 {
 		d.touch(i)
 		if pin {
 			c.index.blocks[i].pinned = true
@@ -198,7 +197,7 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 	// when the config enables it; the default data path stages through the
 	// host. A same-node peer is preferred (xGMI-class fabric); failing that,
 	// the lowest-numbered cross-node holder serves over the interconnect.
-	holders := r.holders
+	r := &c.index.recs[slot]
 	if r.head == 0 && !r.onHost {
 		return 0, fmt.Errorf("gpusim: %w: tensor %d (%d bytes) resident on no device and absent from host (device %d requesting)",
 			ErrTensorUnavailable, desc.ID, desc.Bytes(), d.id)
@@ -206,6 +205,7 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 	var peer *Device
 	if c.cfg.PeerFetch {
 		var cross *Device
+		holders := c.index.holders(r, slot)
 		for it := holders.First(); it >= 0; it = holders.NextFrom(it + 1) {
 			if it == d.id {
 				continue
@@ -227,7 +227,7 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 		// A tensor without a host copy has holders. Peer copies exist but
 		// peer fetch is disabled: stage through the host by paying one D2H
 		// write-back first.
-		src := c.devices[holders.First()]
+		src := c.devices[c.index.holders(r, slot).First()]
 		dur := float64(desc.Bytes()) / c.d2hBandwidth()
 		src.stats.TransferTime += c.hostLinkOccupy(src, dur)
 		src.stats.D2HBytes += desc.Bytes()
@@ -237,13 +237,13 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 		}
 		c.hostCopy(slot, desc, src.node)
 	}
-	if peer == nil && c.numNodes > 1 && !r.hostNodes.Has(d.node) {
+	if peer == nil && c.numNodes > 1 && !c.index.hosts[slot].nodes.Has(d.node) {
 		// The host copy lives in another node's partition: ship it over
 		// the inter-node interconnect into this node's partition first,
 		// then fetch locally. The copy stays cached node-side, so repeat
 		// misses on this node pay only the local H2D.
 		c.interTransfer(d, desc)
-		c.hostOn(r, slot, d.node)
+		c.index.hostOn(&c.index.hosts[slot], slot, d.node)
 	}
 	if err := c.alloc(d, desc); err != nil {
 		return 0, err
@@ -371,7 +371,7 @@ func (c *Cluster) ExecContractionAt(dev int, a, b, out *tensor.Desc, slotA, slot
 	}
 	// Output allocation may evict, but never the pinned inputs.
 	var outReady float64
-	if io := c.index.find(&c.index.recs[slotOut], d.id); io != 0 {
+	if io := c.index.find(int32(slotOut), d.id); io != 0 {
 		// Re-execution into an existing buffer (e.g. accumulation).
 		d.touch(io)
 		ob := &c.index.blocks[io]
@@ -409,17 +409,15 @@ func (c *Cluster) ExecContractionAt(dev int, a, b, out *tensor.Desc, slotA, slot
 // Discard drops tensor id from every device without write-back and forgets
 // any host copy. Used when an intermediate's last consumer has run.
 func (c *Cluster) Discard(id uint64) {
-	if r := c.rec(id); r != nil {
-		c.discard(r)
+	if s, ok := c.slotTable()[id]; ok {
+		c.DiscardAt(int(s))
 	}
 }
 
 // DiscardAt is Discard for the tensor in slot (see BindTensors).
-func (c *Cluster) DiscardAt(slot int) { c.discard(&c.index.recs[slot]) }
-
-func (c *Cluster) discard(r *tensorRec) {
-	c.discardCopies(r)
-	r.onHost, r.hostNodes = false, DevSet{}
+func (c *Cluster) DiscardAt(slot int) {
+	c.discardCopies(int32(slot))
+	c.index.recs[slot].onHost = false
 }
 
 // Barrier synchronizes all device queues to the maximum, modeling the
@@ -484,6 +482,7 @@ func (c *Cluster) Reset() {
 	}
 	// Devices skip per-tensor index updates during reset: clearing the
 	// records and rewinding the slab replaces a drop per resident block.
+	// The host records go unread until hostCopy resets them.
 	clear(c.index.recs)
 	c.index.blocks, c.index.free = c.index.blocks[:1], 0
 	c.dirty.markAll()

@@ -145,8 +145,8 @@ func (d *Device) Stats() DeviceStats { return d.stats }
 
 // Holds reports whether tensor id is resident on the device.
 func (d *Device) Holds(id uint64) bool {
-	r := d.c.rec(id)
-	return r != nil && r.holders.Has(d.id)
+	s, ok := d.c.slotTable()[id]
+	return ok && d.c.HoldersAt(int(s)).Has(d.id)
 }
 
 // ResidentCount returns the number of tensors resident on the device.
@@ -203,7 +203,7 @@ func (d *Device) install(desc *tensor.Desc, dirty bool, slot int32) int32 {
 	r := &ri.recs[slot]
 	ri.blocks[i] = block{desc: *desc, dirty: dirty, chain: r.head, slot: slot, dev: int32(d.id)}
 	r.head = i
-	ri.join(&r.holders, d.id, slot, 0, ri.restWords)
+	ri.enter(r, slot, d.id)
 	d.lruPushBack(i)
 	d.resident++
 	d.markDirty()
@@ -231,9 +231,7 @@ func (d *Device) drop(i int32) {
 		}
 		ri.blocks[p].chain = b.chain
 	}
-	if r.holders = r.holders.without(d.id); r.holders.Empty() {
-		r.holders.rest = nil // an empty set lets go of its spill: the zero DevSet
-	}
+	ri.leave(r, b.slot, d.id)
 	d.resident--
 	d.markDirty()
 	d.memUsed -= b.desc.Bytes()

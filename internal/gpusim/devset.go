@@ -76,19 +76,6 @@ func (s DevSet) with(dev int, restWords int) DevSet {
 	return s
 }
 
-// without returns s with dev removed. The spill slice is modified in
-// place when present (the index owns its entries' storage).
-func (s DevSet) without(dev int) DevSet {
-	if dev < InlineDevices {
-		s.w0 &^= 1 << uint(dev)
-		return s
-	}
-	if w := (dev - InlineDevices) >> 6; w < len(s.rest) {
-		s.rest[w] &^= 1 << uint(dev&63)
-	}
-	return s
-}
-
 // Empty reports whether the set has no members.
 func (s DevSet) Empty() bool {
 	if s.w0 != 0 {

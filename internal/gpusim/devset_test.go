@@ -238,3 +238,17 @@ func TestDevSetOneWordMatchesDeviceMask(t *testing.T) {
 		check(deviceMask(x))
 	}
 }
+
+// without returns s with dev removed, modifying the spill slice in place
+// when present: with's inverse, which only the tests need (the index
+// removes a holder through residencyIndex.leave).
+func (s DevSet) without(dev int) DevSet {
+	if dev < InlineDevices {
+		s.w0 &^= 1 << uint(dev)
+		return s
+	}
+	if w := (dev - InlineDevices) >> 6; w < len(s.rest) {
+		s.rest[w] &^= 1 << uint(dev&63)
+	}
+	return s
+}

@@ -153,11 +153,11 @@ func (c *Cluster) TransientFailuresLeft() int { return c.transientLeft }
 // is active: the host copy (when one exists) remains the recovery source
 // should a device loss destroy downstream results.
 func (c *Cluster) DiscardDeviceCopies(id uint64) {
-	if r := c.rec(id); r != nil {
-		c.discardCopies(r)
+	if s, ok := c.slotTable()[id]; ok {
+		c.discardCopies(s)
 	}
 }
 
 // DiscardDeviceCopiesAt is DiscardDeviceCopies for the tensor in slot (see
 // BindTensors).
-func (c *Cluster) DiscardDeviceCopiesAt(slot int) { c.discardCopies(&c.index.recs[slot]) }
+func (c *Cluster) DiscardDeviceCopiesAt(slot int) { c.discardCopies(int32(slot)) }

@@ -2,23 +2,34 @@ package gpusim
 
 import "micco/internal/tensor"
 
-// tensorRec is everything the cluster knows about where one tensor lives.
-// Records sit in one array indexed by the tensor's slot; a tensor that is
-// nowhere has the zero record.
+// tensorRec is where one tensor lives, as placement asks it: the holder set
+// and the head of the copy chain, in 16 bytes, so that four records share a
+// cache line and install, drop and find touch one. Records sit in one array
+// indexed by the tensor's slot; a tensor that is nowhere has the zero
+// record. What only the host paths read is in the slot's hostRec.
 type tensorRec struct {
-	// holders is the set of devices with a resident copy; install and drop
-	// keep it exact. Its spill is the record's own run of words, taken when
-	// the first member past the inline word joins, let go when it empties.
-	holders DevSet
+	// w0 is the holder set's inline word, devices 0-63; the devices past it
+	// are in the slot's run of spill words while spilled is set (see
+	// residencyIndex.holders). install and drop keep the set exact: the run
+	// is taken, cleared, when the first member past the inline word joins,
+	// and let go when the set empties.
+	w0 uint64
 	// head is the first block of the tensor's copy chain (block.chain links
 	// the rest): one block per holder, in no particular order, 0 for none.
-	head   int32
-	onHost bool
-	// hostNodes is the set of nodes whose host partition has the copy.
+	head    int32
+	onHost  bool
+	spilled bool
+}
+
+// hostRec is the cold half of a slot's record: the host copy. Its fields
+// mean something only while the record's onHost is set; hostCopy resets
+// them when a copy appears, so nothing clears them when one goes.
+type hostRec struct {
+	// nodes is the set of nodes whose host partition has the copy.
 	// Maintained on multi-node clusters only: with one node, host memory is
 	// one pool and onHost says it all.
-	hostNodes DevSet
-	host      tensor.Desc // the host copy's descriptor, meaningful while onHost
+	nodes DevSet
+	desc  tensor.Desc
 }
 
 // block is one resident copy: an allocation on a device's memory pool.
@@ -53,13 +64,21 @@ type block struct {
 type residencyIndex struct {
 	restWords int // holder-set spill words: ceil((NumDevices-64)/64), 0 for ≤64
 	nodeWords int // host-node-set spill words, likewise over the node count
+	per       int // restWords + nodeWords
 	recs      []tensorRec
+	hosts     []hostRec // by slot, beside recs
 	// words backs the spilled sets: slot s owns words[s*per:(s+1)*per],
-	// holder words first. When the array grows, a set that has taken its run
-	// keeps the old one, which it alone reads and writes.
+	// holder words first. A holder set's run is found from its slot, so it
+	// follows the array when the array grows; a host-node set holds its run
+	// as a slice and keeps the old one, which it alone reads and writes.
 	words  []uint64
 	blocks []block // the slab; blocks[0] is the nil block
 	free   int32   // most recently dropped block, chained through next
+}
+
+func newResidencyIndex(devices, nodes int) *residencyIndex {
+	rest, node := spillWords(devices), spillWords(nodes)
+	return &residencyIndex{restWords: rest, nodeWords: node, per: rest + node, blocks: make([]block, 1)}
 }
 
 func spillWords(n int) int {
@@ -69,21 +88,74 @@ func spillWords(n int) int {
 	return (n - InlineDevices + 63) >> 6
 }
 
-// join adds member m to set, one of slot's two, whose n spill words start
-// at word off of the slot's run: the set takes them, cleared, with its first
-// member past the inline word, and until then reads as the bare word it is.
-func (ri *residencyIndex) join(set *DevSet, m int, slot int32, off, n int) {
-	if m >= InlineDevices && set.rest == nil {
-		base := int(slot)*(ri.restWords+ri.nodeWords) + off
-		set.rest = ri.words[base : base+n : base+n]
-		clear(set.rest)
-	}
-	*set = set.with(m, 0)
+// spill returns slot's run of holder words.
+func (ri *residencyIndex) spill(slot int32) []uint64 {
+	base := int(slot) * ri.per
+	return ri.words[base : base+ri.restWords : base+ri.restWords]
 }
 
-// find returns the block of r's tensor on device dev, 0 when dev holds none.
-func (ri *residencyIndex) find(r *tensorRec, dev int) int32 {
-	if !r.holders.Has(dev) {
+// holders returns the holder set of slot's record r: its inline word and,
+// once spilled, a view of the slot's run.
+func (ri *residencyIndex) holders(r *tensorRec, slot int32) DevSet {
+	s := DevSet{w0: r.w0}
+	if r.spilled {
+		s.rest = ri.spill(slot)
+	}
+	return s
+}
+
+// holds reports whether device dev is in the holder set of slot's record r.
+func (ri *residencyIndex) holds(r *tensorRec, slot int32, dev int) bool {
+	if dev < InlineDevices {
+		return r.w0&(1<<uint(dev)) != 0
+	}
+	return r.spilled && ri.words[int(slot)*ri.per+(dev-InlineDevices)>>6]&(1<<uint(dev&63)) != 0
+}
+
+// enter adds device dev to the holder set of slot's record r.
+func (ri *residencyIndex) enter(r *tensorRec, slot int32, dev int) {
+	if dev < InlineDevices {
+		r.w0 |= 1 << uint(dev)
+		return
+	}
+	run := ri.spill(slot)
+	if !r.spilled {
+		clear(run)
+		r.spilled = true
+	}
+	run[(dev-InlineDevices)>>6] |= 1 << uint(dev&63)
+}
+
+// leave removes device dev, a member, from the holder set of slot's record
+// r; a set that empties lets go of its run.
+func (ri *residencyIndex) leave(r *tensorRec, slot int32, dev int) {
+	if dev < InlineDevices {
+		r.w0 &^= 1 << uint(dev)
+	} else {
+		ri.words[int(slot)*ri.per+(dev-InlineDevices)>>6] &^= 1 << uint(dev&63)
+	}
+	if r.spilled && r.w0 == 0 && ri.holders(r, slot).Empty() {
+		r.spilled = false
+	}
+}
+
+// hostOn adds node n to the host nodes h of slot's record: the set takes
+// its run, cleared, with its first member past the inline word, and until
+// then reads as the bare word it is.
+func (ri *residencyIndex) hostOn(h *hostRec, slot int32, n int) {
+	if n >= InlineDevices && h.nodes.rest == nil {
+		base := int(slot)*ri.per + ri.restWords
+		h.nodes.rest = ri.words[base : base+ri.nodeWords : base+ri.nodeWords]
+		clear(h.nodes.rest)
+	}
+	h.nodes = h.nodes.with(n, 0)
+}
+
+// find returns the block of slot's tensor on device dev, 0 when dev holds
+// none.
+func (ri *residencyIndex) find(slot int32, dev int) int32 {
+	r := &ri.recs[slot]
+	if !ri.holds(r, slot, dev) {
 		return 0
 	}
 	i := r.head
@@ -109,7 +181,8 @@ func (c *Cluster) BindTensors(ids []uint64) {
 	c.ids = ids[:n:n] // an ID met later is appended to a copy
 	c.slotsBuilt = false
 	ri.recs = append(ri.recs[:0], make([]tensorRec, n)...)
-	ri.words = append(ri.words[:0], make([]uint64, n*(ri.restWords+ri.nodeWords))...)
+	ri.hosts = append(ri.hosts[:0], make([]hostRec, n)...)
+	ri.words = append(ri.words[:0], make([]uint64, n*ri.per)...)
 	c.Reset()
 }
 
@@ -139,25 +212,19 @@ func (c *Cluster) slot(id uint64) int32 {
 		s = int32(len(c.ids))
 		c.ids = append(c.ids, id)
 		slots[id] = s
-		c.index.recs = append(c.index.recs, tensorRec{})
-		c.index.words = append(c.index.words, make([]uint64, c.index.restWords+c.index.nodeWords)...)
+		ri := c.index
+		ri.recs = append(ri.recs, tensorRec{})
+		ri.hosts = append(ri.hosts, hostRec{})
+		ri.words = append(ri.words, make([]uint64, ri.per)...)
 	}
 	return s
-}
-
-// rec returns id's record, nil for an ID the cluster has not met.
-func (c *Cluster) rec(id uint64) *tensorRec {
-	if s, ok := c.slotTable()[id]; ok {
-		return &c.index.recs[s]
-	}
-	return nil
 }
 
 // HoldersMask returns the set of devices holding tensor id: HoldersAt behind
 // one probe of the id→slot table.
 func (c *Cluster) HoldersMask(id uint64) DevSet {
-	if r := c.rec(id); r != nil {
-		return r.holders
+	if s, ok := c.slotTable()[id]; ok {
+		return c.HoldersAt(int(s))
 	}
 	return DevSet{}
 }
@@ -165,4 +232,6 @@ func (c *Cluster) HoldersMask(id uint64) DevSet {
 // HoldersAt returns the set of devices holding the tensor in slot (see
 // BindTensors): a read-only view into index storage, valid until the next
 // cluster mutation, that intersects, counts and iterates without allocating.
-func (c *Cluster) HoldersAt(slot int) DevSet { return c.index.recs[slot].holders }
+func (c *Cluster) HoldersAt(slot int) DevSet {
+	return c.index.holders(&c.index.recs[slot], int32(slot))
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"micco/internal/tensor"
@@ -213,8 +214,12 @@ func TestSteadyStateRunAllocatesNothing(t *testing.T) {
 // and audits the structures after every operation. The 96-device case
 // exercises multi-word holder sets (members on both sides of the 64-bit
 // boundary), the 4096-device one the ladder's width: 63 spill words a set,
-// host nodes past the inline word. Run under -race via `make race`/`make
-// check`.
+// host nodes past the inline word. There the walk must also have seen a
+// holder set spill, empty (letting go of its words) and spill again, the
+// words array grow under an ID-keyed call while a set was spilled (every
+// spilled view must then read the new array), and a checkpoint with host
+// nodes restored into a cluster whose own checkpoint is the same. Run under
+// -race via `make race`/`make check`.
 func TestResidencyIndexInvariant(t *testing.T) {
 	desc := func(id uint64) tensor.Desc {
 		return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 8, Batch: 1}
@@ -235,7 +240,7 @@ func TestResidencyIndexInvariant(t *testing.T) {
 			cfg = MI100Nodes(512, 8)
 			cfg.PeerFetch = true
 			cfg.MemoryBytes = 6 * desc(1).Bytes()
-			steps = 120
+			steps = 240
 		}
 		c, err := NewCluster(cfg)
 		if err != nil {
@@ -264,7 +269,16 @@ func TestResidencyIndexInvariant(t *testing.T) {
 			return err == nil || errors.Is(err, ErrDeviceLost) || errors.Is(err, ErrTensorUnavailable) || errors.Is(err, ErrTransientTransfer)
 		}
 		ran := map[string]int{}
+		// spills[s] is how slot s's holder set has gone, in steps that
+		// neither reset nor replaced the cluster: 1 spilled, 2 emptied after
+		// that (spilling again counts a "respill").
+		spills := map[int]int{}
 		for step := 0; step < steps; step++ {
+			words, spilled := c.index.words, false
+			for s := range c.index.recs {
+				spilled = spilled || c.index.recs[s].spilled
+			}
+			before := c
 			switch op := rng.Intn(20); {
 			case op < 10: // contraction: allocs, transfers, maybe evictions
 				a := ids[rng.Intn(len(ids))]
@@ -311,7 +325,8 @@ func TestResidencyIndexInvariant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := fresh.Restore(c.Checkpoint()); err != nil {
+				cp := c.Checkpoint()
+				if err := fresh.Restore(cp); err != nil {
 					t.Fatalf("devs %d step %d: %v", devs, step, err)
 				}
 				checkAudit(t, c)
@@ -319,10 +334,21 @@ func TestResidencyIndexInvariant(t *testing.T) {
 					t.Fatalf("devs %d step %d: restored cluster reports %+v at %g, the original %+v at %g",
 						devs, step, fresh.TotalStats(), fresh.Makespan(), c.TotalStats(), c.Makespan())
 				}
+				if again := fresh.Checkpoint(); !reflect.DeepEqual(again, cp) {
+					t.Fatalf("devs %d step %d: a restored cluster's checkpoint differs from the one it restored", devs, step)
+				}
+				for _, hs := range cp.Host {
+					if len(hs.Nodes) > 0 {
+						ran["restore-nodes"]++
+						break
+					}
+				}
 				c = fresh
+				clear(spills)
 				ran["restore"]++
 			default: // full reset
 				c.Reset()
+				clear(spills)
 				ids = ids[:nTensors]
 				nextOut = nTensors + 1
 				for _, id := range ids {
@@ -330,8 +356,34 @@ func TestResidencyIndexInvariant(t *testing.T) {
 				}
 			}
 			checkAudit(t, c)
+			if c != before || devs <= InlineDevices {
+				continue
+			}
+			ri := c.index
+			if spilled && &ri.words[0] != &words[0] {
+				ran["grow-spilled"]++
+			}
+			for s := range ri.recs {
+				if !ri.recs[s].spilled {
+					if spills[s] == 1 {
+						spills[s] = 2
+					}
+					continue
+				}
+				if v := c.HoldersAt(s); &v.rest[0] != &ri.words[s*ri.per] {
+					t.Fatalf("devs %d step %d: slot %d's holder view reads words the index no longer has", devs, step, s)
+				}
+				if spills[s] == 2 {
+					ran["respill"]++
+				}
+				spills[s] = 1
+			}
 		}
-		for _, op := range []string{"exec", "discard", "fail", "shrink", "restore"} {
+		want := []string{"exec", "discard", "fail", "shrink", "restore"}
+		if devs == 4096 {
+			want = append(want, "respill", "grow-spilled", "restore-nodes")
+		}
+		for _, op := range want {
 			if ran[op] == 0 {
 				t.Errorf("devs %d: the walk never ran %q", devs, op)
 			}
@@ -342,16 +394,16 @@ func TestResidencyIndexInvariant(t *testing.T) {
 // scanDiscard is Discard as it was before it followed the tensor's copy
 // chain: a residency probe on every device.
 func scanDiscard(c *Cluster, id uint64) {
-	r := c.rec(id)
-	if r == nil {
+	s, ok := c.slotTable()[id]
+	if !ok {
 		return
 	}
 	for _, d := range c.devices {
-		if i := c.index.find(r, d.id); i != 0 {
+		if i := c.index.find(s, d.id); i != 0 {
 			d.drop(i)
 		}
 	}
-	r.onHost, r.hostNodes = false, DevSet{}
+	c.index.recs[s].onHost = false
 }
 
 // TestDiscardWalksHoldersOnly runs the same seeded contraction-and-discard

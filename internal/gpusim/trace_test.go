@@ -338,9 +338,14 @@ func TestTraceBufferOwnership(t *testing.T) {
 // TestRecordLayout pins the two records a watched run stores one of per
 // event and per placement: an Event is 48 bytes and no field of it, at any
 // depth, is something the garbage collector has to follow; a DecisionRecord
-// is 128 bytes and Candidates is its one pointer-bearing field. A field
-// added later fails here instead of silently regrowing either store.
+// is 128 bytes and Candidates is its one pointer-bearing field. Beside them
+// it pins the residency record every placement reads and writes, at 16
+// bytes: four to a cache line. A field added later fails here instead of
+// silently regrowing any of them.
 func TestRecordLayout(t *testing.T) {
+	if size := unsafe.Sizeof(tensorRec{}); size != 16 {
+		t.Errorf("a tensorRec is %d bytes, want 16", size)
+	}
 	if size := unsafe.Sizeof(Event{}); size != 48 {
 		t.Errorf("an Event is %d bytes, want 48", size)
 	}

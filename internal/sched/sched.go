@@ -290,7 +290,10 @@ type Result struct {
 	// GFLOPS is total kernel FLOPs divided by makespan.
 	GFLOPS float64
 	// SchedOverhead is the real (host) time spent inside scheduler calls,
-	// the paper's "scheduling overhead" (Table V).
+	// the paper's "scheduling overhead" (Table V): every BeginStage and
+	// recovery re-placement timed, and Assign timed on one pair in eight
+	// of a stage, each reading standing for the pairs up to the next one.
+	// A run that placed a pair reports more than zero.
 	SchedOverhead time.Duration
 	// Total aggregates device counters; PerDevice retains each device's.
 	Total     gpusim.DeviceStats
@@ -399,7 +402,7 @@ func (o *obsRun) beginStage(e *engine, si int) {
 // closes its span. Simulate time is the stage-wall remainder: everything
 // outside scheduler calls and numeric work is the timing simulation plus
 // the engine's own (tiny) loop bookkeeping. Deriving it this way keeps the
-// per-pair loop at two clock reads — the same as the obs-off path.
+// per-pair loop's clock reads those of the obs-off path.
 func (o *obsRun) endStage(e *engine) {
 	if o == nil {
 		return
@@ -486,7 +489,7 @@ type engine struct {
 	// clock0 anchors all per-pair wall-time attribution: reading the
 	// clock as a time.Since(clock0) delta costs one monotonic read,
 	// about half a full time.Now (which also fetches wall time), and the
-	// hot loop reads the clock up to three times per pair.
+	// hot loop reads it twice around one Assign in assignEvery.
 	clock0 time.Time
 }
 
@@ -537,8 +540,26 @@ func (e *engine) execSim(si, dev int, p *workload.Pair) (int64, error) {
 	return flops, nil
 }
 
+// assignEvery is the stride of the sampled Assign timing: a stage's pairs
+// pi%assignEvery == 0 are timed. Two clock reads cost more than a warm
+// flat MICCO Assign, so timing every pair spent more on the clock than on
+// what it measured; on Table V's workload one pair in eight reads within
+// the run-to-run spread of the per-pair sum (DESIGN §14).
+const assignEvery = 8
+
+// assignWeight is how many of a stage's n pairs the Assign of pair pi
+// stands for in SchedOverhead: min(assignEvery, n−pi) for a timed pair,
+// none for the others, so the samples cover every pair of the stage once.
+func assignWeight(pi, n int) int {
+	if pi%assignEvery != 0 {
+		return 0
+	}
+	return min(assignEvery, n-pi)
+}
+
 // placePair runs one pair through the full placement path: decision-record
-// setup, scheduler Assign (timed), device validation, simulated execution
+// setup, scheduler Assign (timed on a sample, see assignWeight, and every
+// recovery re-placement on its own), device validation, simulated execution
 // (with transient retry), decision actuals, per-stage load accounting,
 // and dead-input discard. recovery marks a re-placement by the
 // failure-recovery path: the decision record is tagged. Numerics are not
@@ -569,13 +590,21 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 		rec.Recovery, rec.Candidates = recovery, cands
 		sctx.Decision = rec
 	}
-	tA := time.Since(e.clock0)
+	weight := 1
+	if !recovery {
+		weight = assignWeight(pi, len(e.w.Stages[si].Pairs))
+	}
+	var tA time.Duration
+	if weight > 0 {
+		tA = time.Since(e.clock0)
+	}
 	dev := e.s.Assign(*p, sctx)
-	tB := time.Since(e.clock0)
+	if weight > 0 {
+		d0 := (time.Since(e.clock0) - tA) * time.Duration(weight)
+		e.overhead += d0
+		e.scheduleW += d0
+	}
 	pr.inFlight = false // the sets are views: the simulator is about to move
-	d0 := tB - tA
-	e.overhead += d0
-	e.scheduleW += d0
 	if dev < 0 || dev >= e.n {
 		return fmt.Errorf("sched: %w: %s assigned pair to device %d of %d", ErrInvalidDevice, e.s.Name(), dev, e.n)
 	}
