@@ -199,12 +199,9 @@ func loadWorkload(cfg reportConfig) (*micco.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	var w micco.Workload
+	var w micco.Workload // the decode validates and numbers the stream
 	if err := json.Unmarshal(raw, &w); err != nil {
-		return nil, fmt.Errorf("parse workload: %w", err)
-	}
-	if len(w.Stages) == 0 {
-		return nil, fmt.Errorf("workload %s has no stages", cfg.workload)
+		return nil, fmt.Errorf("parse workload %s: %w", cfg.workload, err)
 	}
 	return &w, nil
 }

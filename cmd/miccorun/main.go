@@ -106,12 +106,9 @@ func run(ctx context.Context, rc runConfig) error {
 	if err != nil {
 		return err
 	}
-	var w micco.Workload
+	var w micco.Workload // the decode validates and numbers the stream
 	if err := json.Unmarshal(raw, &w); err != nil {
-		return fmt.Errorf("parse workload: %w", err)
-	}
-	if len(w.Stages) == 0 {
-		return fmt.Errorf("workload %s has no stages", rc.workload)
+		return fmt.Errorf("parse workload %s: %w", rc.workload, err)
 	}
 	b, err := parseBounds(rc.bounds)
 	if err != nil {

@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"micco"
+	"micco/internal/workload"
 )
 
 func workloadFile(t *testing.T) string {
@@ -187,6 +190,73 @@ func TestRunErrors(t *testing.T) {
 	cfg.bounds = "x"
 	if err := run(ctx, cfg); err == nil {
 		t.Error("bad bounds: want error")
+	}
+}
+
+// TestRunRefusesMalformedWorkloadFiles: a workload file whose stream is
+// not one a constructor would build is refused at load, before the run
+// prints anything, with an error wrapping workload.ErrInvalidStages that
+// names the stage and the tensor.
+func TestRunRefusesMalformedWorkloadFiles(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(w *micco.Workload) string // makes the flaw, returns what the error must say
+	}{
+		{"unknown operand", func(w *micco.Workload) string {
+			id := w.Outputs[len(w.Outputs)-1].ID + 1
+			w.Stages[2].Pairs[0].A.ID = id
+			return fmt.Sprintf("stage 2 operand t%d unknown", id)
+		}},
+		{"duplicate output", func(w *micco.Workload) string {
+			w.Stages[1].Pairs[4].Out = w.Stages[0].Pairs[2].Out
+			return fmt.Sprintf("stage 1 output t%d already exists", w.Stages[0].Pairs[2].Out.ID)
+		}},
+		{"output equals an input", func(w *micco.Workload) string {
+			w.Stages[0].Pairs[0].Out = w.Stages[0].Pairs[0].A
+			return fmt.Sprintf("stage 0 output t%d already exists", w.Stages[0].Pairs[0].A.ID)
+		}},
+		{"false LastUse", func(w *micco.Workload) string {
+			p := &w.Stages[3].Pairs[1]
+			p.LastUse[0] = !p.LastUse[0]
+			return fmt.Sprintf("stage 3 marks LastUse %v of operand t%d", p.LastUse[0], p.A.ID)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w, err := micco.GenerateWorkload(micco.WorkloadConfig{
+				Seed: 3, Stages: 4, VectorSize: 8, TensorDim: 64, Batch: 2,
+				Rank: micco.RankMeson, RepeatRate: 0.5, Dist: micco.Uniform,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := c.edit(w)
+			raw, err := json.Marshal(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, "w.json")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			out, err := os.Create(filepath.Join(dir, "stdout"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer out.Close()
+			old := os.Stdout
+			os.Stdout = out
+			rc := base(path)
+			rc.numeric = true
+			err = run(context.Background(), rc)
+			os.Stdout = old
+			if !errors.Is(err, workload.ErrInvalidStages) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %v, want one wrapping ErrInvalidStages containing %q", err, want)
+			}
+			if printed, _ := os.ReadFile(out.Name()); len(printed) > 0 {
+				t.Errorf("the run printed %q before refusing the file", printed)
+			}
+		})
 	}
 }
 

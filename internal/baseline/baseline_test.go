@@ -31,7 +31,7 @@ func freshCtx(c *gpusim.Cluster) *sched.Context {
 	n := c.NumDevices()
 	return &sched.Context{
 		Cluster: c, NumGPU: n, BalanceNum: 4,
-		StageLoad: make([]int, n), Comp: make([]float64, n),
+		StageLoad: make([]int, n),
 	}
 }
 

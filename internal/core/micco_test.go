@@ -45,7 +45,6 @@ func freshCtx(c *gpusim.Cluster) *sched.Context {
 		NumGPU:     n,
 		BalanceNum: 4,
 		StageLoad:  make([]int, n),
-		Comp:       make([]float64, n),
 	}
 }
 
@@ -233,8 +232,6 @@ func TestAssignEvictionSensitivePolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := freshCtx(c)
-	// Bias compute so GPU 0 would win the computation-centric policy.
-	ctx.Comp = []float64{0, 10}
 	s := NewNaive()
 	s.BeginStage(ctx)
 	// A twoNew pair needs 3 new tensors on GPU 0 (over its pool) but only

@@ -80,7 +80,6 @@ func assignCtx(c *gpusim.Cluster) *sched.Context {
 		NumGPU:     n,
 		BalanceNum: 4,
 		StageLoad:  make([]int, n),
-		Comp:       make([]float64, n),
 		Down:       c.FailedMask(),
 	}
 }

@@ -331,7 +331,6 @@ func Run(ctx context.Context, w *workload.Workload, mc *Cluster) (*Result, error
 			}
 			totalFLOPs += flops
 			ctxs[node].AddLoad(dev, 2)
-			ctxs[node].Comp[dev] += float64(flops) / mc.cfg.Node.FLOPS
 		}
 		// Global stage barrier across all nodes.
 		m := mc.Makespan()

@@ -4,21 +4,20 @@ import "micco/internal/workload"
 
 // levelizer partitions one stage's contraction stream into dependency
 // levels: level(p) is one past the highest level among the in-stage
-// producers of p's operands (read-after-write), the previous producer of
-// p's output (write-after-write) and the previous readers of p's output
-// (write-after-read). Pairs within one level are mutually independent —
-// no output duplicated, no operand produced or overwritten by a peer —
-// so each level is safe to run as batches whose (pair, group) products
-// execute in any order on any worker (tensor.BatchPipeline.Run); levels
-// execute in order. A stage both front ends emit is entirely level 0 and
-// runs as one level; hand-built FromStages chains split into as many
-// levels as their longest chain.
-// All scratch (maps, buckets, the level-sorted order) is reused across
-// stages, so steady-state partitioning allocates nothing.
+// producers of p's operands (read-after-write). A constructed workload
+// makes every output a new tensor, produced after every read of it, so
+// read-after-write is the only hazard: pairs within one level are mutually
+// independent — no operand produced by a peer — so each level is safe to
+// run as batches whose (pair, group) products execute in any order on any
+// worker (tensor.BatchPipeline.Run); levels execute in order. A stage both
+// front ends emit is entirely level 0 and runs as one level; a FromStages
+// stage that reads its own outputs splits into as many levels as its
+// longest chain. All scratch (the slot array, buckets, the level-sorted
+// order) is reused across stages, so steady-state partitioning allocates
+// nothing.
 type levelizer struct {
-	prod   map[uint64]int // id -> producing pair's level + 1
-	read   map[uint64]int // id -> max reading level + 1 of current version
-	lvls   []int
+	prod   []int32 // by slot: the producing pair's level + 1 in this stage, else 0
+	lvls   []int32
 	order  []workload.Pair
 	starts []int
 	cur    []int
@@ -29,45 +28,21 @@ type levelizer struct {
 // within each level. The returned slices alias either the input (single
 // level) or the levelizer's scratch — valid only until the next call.
 func (l *levelizer) partition(pairs []workload.Pair) [][]workload.Pair {
-	if l.prod == nil {
-		l.prod = make(map[uint64]int)
-		l.read = make(map[uint64]int)
-	}
-	clear(l.prod)
-	clear(l.read)
 	if cap(l.lvls) < len(pairs) {
-		l.lvls = make([]int, len(pairs))
+		l.lvls = make([]int32, len(pairs))
 	}
 	lvls := l.lvls[:len(pairs)]
-	maxLvl := 0
-	for i, p := range pairs {
-		lvl := 0
-		if v := l.prod[p.A.ID]; v > lvl {
-			lvl = v
-		}
-		if v := l.prod[p.B.ID]; v > lvl {
-			lvl = v
-		}
-		if v := l.prod[p.Out.ID]; v > lvl {
-			lvl = v
-		}
-		if v := l.read[p.Out.ID]; v > lvl {
-			lvl = v
-		}
+	maxLvl := int32(0)
+	for i := range pairs {
+		a, b, out := pairs[i].Slots()
+		lvl := max(l.prod[a], l.prod[b])
 		lvls[i] = lvl
-		if lvl > maxLvl {
-			maxLvl = lvl
-		}
-		if lvl+1 > l.read[p.A.ID] {
-			l.read[p.A.ID] = lvl + 1
-		}
-		if lvl+1 > l.read[p.B.ID] {
-			l.read[p.B.ID] = lvl + 1
-		}
-		// The write opens a fresh version: readers of the old one are
-		// already fenced by the floors above.
-		l.prod[p.Out.ID] = lvl + 1
-		l.read[p.Out.ID] = 0
+		maxLvl = max(maxLvl, lvl)
+		l.prod[out] = lvl + 1
+	}
+	for i := range pairs {
+		_, _, out := pairs[i].Slots()
+		l.prod[out] = 0
 	}
 	l.levels = l.levels[:0]
 	if maxLvl == 0 {
@@ -75,7 +50,7 @@ func (l *levelizer) partition(pairs []workload.Pair) [][]workload.Pair {
 		return l.levels
 	}
 	// Stable counting sort by level into the reused order scratch.
-	n := maxLvl + 1
+	n := int(maxLvl) + 1
 	if cap(l.starts) < n+1 {
 		l.starts = make([]int, n+1)
 	}

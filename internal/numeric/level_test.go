@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -26,31 +27,41 @@ func levelDesc(id uint64) tensor.Desc {
 }
 
 // levelStream builds a stream of one or two stages, each a single
-// dependency level: stage 0 contracts pairs of the five inputs into first
-// intermediates (IDs 100+i), stage 1 — when second > 0 — contracts pairs
-// of intermediates into second finals (IDs 10000+j) that nothing reads.
-// Assembled by hand, like TestBuildLivenessExclusions' stream, so the
-// error cases can plant pairs FromStages would reject.
-func levelStream(first, second int) *workload.Workload {
-	w := &workload.Workload{Name: fmt.Sprintf("levels-%d-%d", first, second)}
+// dependency level: stage 0 contracts pairs of the five inputs (IDs 1-5)
+// into first intermediates, stage 1 — when second > 0 — contracts pairs of
+// intermediates into second finals that nothing reads. IDs follow the
+// slots, one past each: intermediate i is t(6+i), final j t(6+first+j).
+func levelStream(t *testing.T, first, second int) *workload.Workload {
+	t.Helper()
+	var inputs []tensor.Desc
 	for id := uint64(1); id <= 5; id++ {
-		w.Inputs = append(w.Inputs, levelDesc(id))
+		inputs = append(inputs, levelDesc(id))
 	}
-	st := workload.Stage{Index: 0}
+	stages := [][]workload.Pair{nil}
 	for i := 0; i < first; i++ {
-		st.Pairs = append(st.Pairs, workload.Pair{
-			A: levelDesc(uint64(1 + i%5)), B: levelDesc(uint64(1 + (3*i+1)%5)), Out: levelDesc(uint64(100 + i)),
+		stages[0] = append(stages[0], workload.Pair{
+			A: levelDesc(uint64(1 + i%5)), B: levelDesc(uint64(1 + (3*i+1)%5)), Out: levelDesc(uint64(6 + i)),
 		})
 	}
-	w.Stages = append(w.Stages, st)
 	if second > 0 {
-		st = workload.Stage{Index: 1}
+		var st []workload.Pair
 		for j := 0; j < second; j++ {
-			st.Pairs = append(st.Pairs, workload.Pair{
-				A: levelDesc(uint64(100 + j%first)), B: levelDesc(uint64(100 + (7*j+3)%first)), Out: levelDesc(uint64(10000 + j)),
+			st = append(st, workload.Pair{
+				A: levelDesc(uint64(6 + j%first)), B: levelDesc(uint64(6 + (7*j+3)%first)), Out: levelDesc(uint64(6 + first + j)),
 			})
 		}
-		w.Stages = append(w.Stages, st)
+		stages = append(stages, st)
+	}
+	return fromStages(t, fmt.Sprintf("levels-%d-%d", first, second), stages, inputs)
+}
+
+// fromStages is workload.FromStages for a stream the test means to be
+// valid.
+func fromStages(t *testing.T, name string, stages [][]workload.Pair, inputs []tensor.Desc) *workload.Workload {
+	t.Helper()
+	w, err := workload.FromStages(name, stages, inputs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return w
 }
@@ -83,11 +94,12 @@ func runLevels(t *testing.T, w *workload.Workload, pool int) levelRun {
 	}
 	r.fp = x.Fingerprint()
 	r.norms = make(map[uint64]float64)
-	for id, t := range x.tensors {
-		r.norms[id] = t.Norm()
-	}
-	for id, n := range x.norms {
-		r.norms[id] = n
+	for s, t := range x.tensors {
+		if t != nil {
+			r.norms[x.ids[s]] = t.Norm()
+		} else if x.dead[s] {
+			r.norms[x.ids[s]] = x.norms[s]
+		}
 	}
 	r.misses = x.arena.misses
 	return r
@@ -135,7 +147,7 @@ var levelPools = []int{1, 2, 8}
 // pairwise oracle's bit for bit at pool 1, 2 and 8.
 func TestLevelWidthInvisible(t *testing.T) {
 	for _, width := range []int{1, levelWidth - 1, levelWidth, levelWidth + 1, 10 * levelWidth} {
-		w := levelStream(width, width)
+		w := levelStream(t, width, width)
 		want := pairwiseOracle(t, w)
 		for _, pool := range levelPools {
 			label := fmt.Sprintf("width=%d pool=%d", width, pool)
@@ -161,31 +173,56 @@ func TestLevelWidthInvisible(t *testing.T) {
 // TestLevelFirstError: a level's operands are resolved before any of its
 // sub-batches runs, so a missing operand late in a wide level is reported
 // ahead of a shape mismatch early in it, and of two mismatches the one
-// earlier in the stream wins — the same error at every pool size.
+// earlier in the stream wins — the same error at every pool size. Inputs
+// t6 and t7 are drawn at half the dimension their readers name, so only
+// the executor objects to them; the missing operand is stage 0's output,
+// read by a stage 1 run first.
 func TestLevelFirstError(t *testing.T) {
-	odd := tensor.Desc{ID: 6, Rank: tensor.RankMeson, Dim: levelDim / 2, Batch: 1}
-	for _, c := range []struct {
-		name  string
-		plant func(pairs []workload.Pair)
-		want  string
-	}{
-		{"missing-beats-earlier-mismatch", func(pairs []workload.Pair) {
-			pairs[5].B = odd
-			pairs[levelWidth+3].A = levelDesc(999)
-		}, "numeric: operand t999 missing"},
-		{"first-mismatch-in-stream-order", func(pairs []workload.Pair) {
-			pairs[levelWidth+1].B = odd
-			pairs[2*levelWidth+5].A = odd
-		}, fmt.Sprintf("shape mismatch %v vs %v", levelDesc(uint64(1+(levelWidth+1)%5)), odd)},
-	} {
-		w := levelStream(10*levelWidth, 0)
-		w.Inputs = append(w.Inputs, odd)
-		c.plant(w.Stages[0].Pairs)
-		for _, pool := range levelPools {
-			got := runLevels(t, w, pool)
-			if got.err == nil || !strings.Contains(got.err.Error(), c.want) {
-				t.Errorf("%s pool=%d: error %v, want one containing %q", c.name, pool, got.err, c.want)
+	odd := func(id uint64) tensor.Desc {
+		return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: levelDim / 2, Batch: 1}
+	}
+	inputs := []tensor.Desc{levelDesc(1), levelDesc(2), levelDesc(3), levelDesc(4), levelDesc(5), odd(6), odd(7)}
+	wide := func(plant func(pairs []workload.Pair)) []workload.Pair {
+		pairs := make([]workload.Pair, 10*levelWidth)
+		for i := range pairs {
+			pairs[i] = workload.Pair{
+				A: levelDesc(uint64(1 + i%5)), B: levelDesc(uint64(1 + (3*i+1)%5)), Out: levelDesc(uint64(100 + i)),
 			}
+		}
+		plant(pairs)
+		return pairs
+	}
+	for _, c := range []struct {
+		name   string
+		stages [][]workload.Pair
+		want   string
+	}{
+		{"missing-beats-earlier-mismatch", [][]workload.Pair{
+			{{A: levelDesc(1), B: levelDesc(2), Out: levelDesc(99)}},
+			wide(func(pairs []workload.Pair) {
+				pairs[5].B = levelDesc(6)
+				pairs[levelWidth+3].A = levelDesc(99)
+			}),
+		}, "numeric: operand t99 missing"},
+		{"first-mismatch-in-stream-order", [][]workload.Pair{
+			wide(func(pairs []workload.Pair) {
+				pairs[levelWidth+1].B = levelDesc(6)
+				pairs[2*levelWidth+5].A = levelDesc(7)
+			}),
+		}, fmt.Sprintf("shape mismatch %v vs %v", levelDesc(uint64(1+(levelWidth+1)%5)), odd(6))},
+	} {
+		w := fromStages(t, c.name, c.stages, inputs)
+		last := w.Stages[len(w.Stages)-1].Pairs
+		for _, pool := range levelPools {
+			x, err := New(w, Config{Seed: 5, Workers: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = x.RunStage(context.Background(), last)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s pool=%d: error %v, want one containing %q", c.name, pool, err, c.want)
+			}
+			x.Close()
 		}
 	}
 }
@@ -208,7 +245,7 @@ func (c *cancelAfter) Err() error {
 // runs is seen before the next sub-batch starts, at every pool width — the
 // level's remaining pairs never run.
 func TestLevelCancelBetweenBatches(t *testing.T) {
-	w := levelStream(10*levelWidth, 0)
+	w := levelStream(t, 10*levelWidth, 0)
 	for _, pool := range levelPools {
 		for _, done := range []int{0, 3, 9} {
 			x, err := New(w, Config{Seed: 5, Workers: pool})
@@ -219,7 +256,7 @@ func TestLevelCancelBetweenBatches(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("pool=%d: err = %v after %d sub-batches, want context.Canceled", pool, err, done)
 			}
-			produced := len(x.tensors) + len(x.norms) - len(w.Inputs)
+			produced := held(x) - len(w.Inputs)
 			if produced != done*levelWidth {
 				t.Errorf("pool=%d: %d outputs produced, want %d (%d sub-batches)", pool, produced, done*levelWidth, done)
 			}
@@ -237,9 +274,9 @@ func TestLevelRecyclesOwnBuffers(t *testing.T) {
 		{0, 10 * levelWidth},              // finals straight from the inputs
 		{3 * levelWidth, 10 * levelWidth}, // a live level feeding a wide final one
 	} {
-		w := levelStream(c.finals, 0)
+		w := levelStream(t, c.finals, 0)
 		if c.live > 0 {
-			w = levelStream(c.live, c.finals)
+			w = levelStream(t, c.live, c.finals)
 		}
 		for _, pool := range []int{1, 8} {
 			got := runLevels(t, w, pool)
@@ -253,48 +290,73 @@ func TestLevelRecyclesOwnBuffers(t *testing.T) {
 	}
 }
 
+// held counts the tensors x has produced or drawn: resident or reclaimed.
+func held(x *Executor) int {
+	n := 0
+	for s, t := range x.tensors {
+		if t != nil || x.dead[s] {
+			n++
+		}
+	}
+	return n
+}
+
 // TestLevelPartition pins the level partitioner on the edge shapes it
-// guards: independent stages fuse whole, and RAW/WAW/WAR hazards each
-// force a level split that keeps every level internally independent.
+// guards: an independent stage fuses whole, and read-after-write chains
+// split into one level per link, each level internally independent and in
+// stream order. The write-after-write and write-after-read stages an
+// earlier partitioner also split are refused by FromStages.
 func TestLevelPartition(t *testing.T) {
 	d := func(id uint64) tensor.Desc { return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 8, Batch: 1} }
-	var lv levelizer
-	shared := []workload.Pair{
+	inputs := []tensor.Desc{d(1), d(2), d(3), d(4)}
+	lv := levelizer{prod: make([]int32, 16)}
+	shared := fromStages(t, "shared", [][]workload.Pair{{
 		{A: d(1), B: d(2), Out: d(10)},
 		{A: d(1), B: d(3), Out: d(11)}, // shared input is fine
-	}
+	}}, inputs).Stages[0].Pairs
 	if levels := lv.partition(shared); len(levels) != 1 || len(levels[0]) != 2 {
 		t.Errorf("shared-input stage split into %d levels, want one level of 2", len(levels))
 	}
-	raw := []workload.Pair{
+	chained := fromStages(t, "raw", [][]workload.Pair{{
 		{A: d(1), B: d(2), Out: d(10)},
+		{A: d(3), B: d(4), Out: d(13)},  // independent of the chain
 		{A: d(10), B: d(2), Out: d(11)}, // reads same-stage output 10
 		{A: d(1), B: d(11), Out: d(12)}, // chains further
+	}, {
+		{A: d(10), B: d(11), Out: d(20)}, // earlier stages' outputs are no floor
+		{A: d(12), B: d(13), Out: d(21)},
+	}}, inputs)
+	levels := lv.partition(chained.Stages[0].Pairs)
+	var got [][]uint64
+	for _, l := range levels {
+		var outs []uint64
+		for _, p := range l {
+			outs = append(outs, p.Out.ID)
+		}
+		got = append(got, outs)
 	}
-	if levels := lv.partition(raw); len(levels) != 3 {
-		t.Errorf("chained stage split into %d levels, want 3", len(levels))
+	if want := [][]uint64{{10, 13}, {11}, {12}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("chained stage levels %v, want %v", got, want)
 	}
-	waw := []workload.Pair{
-		{A: d(1), B: d(2), Out: d(10)},
-		{A: d(3), B: d(4), Out: d(10)}, // duplicate output
-	}
-	if levels := lv.partition(waw); len(levels) != 2 {
-		t.Errorf("duplicate-output stage split into %d levels, want 2", len(levels))
-	}
-	war := []workload.Pair{
-		{A: d(10), B: d(2), Out: d(11)}, // reads an ID a later pair overwrites
-		{A: d(1), B: d(2), Out: d(10)},
-	}
-	levels := lv.partition(war)
-	if len(levels) != 2 {
-		t.Fatalf("write-after-read stage split into %d levels, want 2", len(levels))
-	}
-	if levels[0][0].Out.ID != 11 || levels[1][0].Out.ID != 10 {
-		t.Errorf("write-after-read levels out of order: %d then %d, want 11 then 10",
-			levels[0][0].Out.ID, levels[1][0].Out.ID)
+	for _, c := range []struct {
+		name  string
+		pairs []workload.Pair
+	}{
+		{"write-after-write", []workload.Pair{
+			{A: d(1), B: d(2), Out: d(10)},
+			{A: d(3), B: d(4), Out: d(10)}, // duplicate output
+		}},
+		{"write-after-read", []workload.Pair{
+			{A: d(10), B: d(2), Out: d(11)}, // reads an ID a later pair writes
+			{A: d(1), B: d(2), Out: d(10)},
+		}},
+	} {
+		if _, err := workload.FromStages(c.name, [][]workload.Pair{c.pairs}, inputs); !errors.Is(err, workload.ErrInvalidStages) {
+			t.Errorf("%s stage: FromStages error %v, want ErrInvalidStages", c.name, err)
+		}
 	}
 	// Reuse across calls must not leak floors between stages.
-	if again := lv.partition(shared); len(again) != 1 {
-		t.Errorf("levelizer reuse split independent stage into %d levels", len(again))
+	if next := lv.partition(chained.Stages[1].Pairs); len(next) != 1 {
+		t.Errorf("a stage reading the previous stage's chain split into %d levels, want 1", len(next))
 	}
 }

@@ -10,12 +10,13 @@
 package numeric
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"time"
 
 	"micco/internal/tensor"
@@ -31,69 +32,80 @@ type Config struct {
 	// included; <= 0 selects GOMAXPROCS. Results are bit-identical at any
 	// width.
 	Workers int
-	// Pin lists tensors the executor must keep: the caller reads them
-	// through Tensor once the stream has run. Every other tensor is freed
-	// after its last reader and its storage recycled into later outputs;
-	// the fingerprint does not move.
-	Pin []uint64
+	// Pin lists the slots (Workload.TensorIDs) of tensors the executor must
+	// keep: the caller reads them through Tensor once the stream has run.
+	// Every other tensor is freed after its last reader and its storage
+	// recycled into later outputs; the fingerprint does not move.
+	Pin []int
 	// Timed turns on per-worker busy accounting (WorkerBusy).
 	Timed bool
 }
 
 // Executor holds the tensors of one run and executes its stages. It has a
 // single owner: every method runs on the goroutine that created it, which
-// also takes part in each batch as worker 0 of the pool.
+// also takes part in each batch as worker 0 of the pool. Per-tensor state
+// is indexed by slot in the workload's numbering (Pair.Slots).
 type Executor struct {
-	tensors map[uint64]*tensor.Tensor
+	ids     []uint64         // the numbering: ids[slot] is the tensor's ID
+	tensors []*tensor.Tensor // resident tensors; nil before production and after reclaim
 	bp      *tensor.BatchPipeline
 
 	// Level-execution scratch, reused across stages.
 	lv  levelizer
 	ops []tensor.BatchOp
 
-	// Dead-tensor reclamation state. readsLeft counts, per tensor ID, the
-	// operand reads the stream has yet to perform; a tensor whose count
-	// hits zero is dead — no later contraction can observe it — so its
-	// Frobenius norm is cached for the fingerprint and its buffer is
-	// recycled through the arena. IDs that are pinned or whose liveness is
-	// ambiguous (written more than once, or both input and output) are
-	// absent from the map and never reclaimed.
-	readsLeft map[uint64]int
-	arena     *bufArena
-	norms     map[uint64]float64 // final norms of reclaimed tensors
-	// The tensors one settleReclaim reclaims, their IDs and norms, and the
-	// Do body that computes four of the norms, bound once.
-	deadT    []*tensor.Tensor
-	deadIDs  []uint64
-	deadNorm []float64
-	normFn   func(w, i int)
+	// Dead-tensor reclamation state. reads counts, per slot, the operand
+	// reads the stream has yet to perform, or is pinned; a tensor whose
+	// count hits zero is dead — no later contraction can observe it — so
+	// its Frobenius norm is cached in norms for the fingerprint, dead is
+	// set, and its buffer is recycled through the arena.
+	reads []int32
+	norms []float64
+	dead  []bool
+	arena *bufArena
+	// The slots one settleReclaim reclaims, their tensors and norms, and
+	// the Do body that computes four of the norms, bound once.
+	deadT     []*tensor.Tensor
+	deadSlots []int32
+	deadNorm  []float64
+	normFn    func(w, i int)
 }
 
+// pinned is the read count of a pinned slot: reads never lowers it.
+const pinned = -1
+
 // New draws the stream's input tensors and parks the worker pool. The
-// caller must Close the executor on every path.
+// caller must Close the executor on every path. A workload no constructor
+// numbered is refused with workload.ErrUnnumbered.
 func New(w *workload.Workload, cfg Config) (*Executor, error) {
+	ids := w.TensorIDs()
+	if ids == nil {
+		return nil, fmt.Errorf("numeric: %w", workload.ErrUnnumbered)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	x := &Executor{
-		tensors:   make(map[uint64]*tensor.Tensor, len(w.Inputs)),
-		readsLeft: buildLiveness(w, cfg.Pin),
-		arena:     newBufArena(),
-		norms:     make(map[uint64]float64),
+		ids:     ids,
+		tensors: make([]*tensor.Tensor, len(ids)),
+		reads:   buildLiveness(w, cfg.Pin),
+		norms:   make([]float64, len(ids)),
+		dead:    make([]bool, len(ids)),
+		arena:   newBufArena(),
+		lv:      levelizer{prod: make([]int32, len(ids))},
 	}
 	x.normFn = x.normQuad
-	for _, d := range w.Inputs {
+	for s, d := range w.Inputs {
 		t, err := tensor.NewRandom(d, rng)
 		if err != nil {
 			return nil, fmt.Errorf("numeric: input %v: %w", d, err)
 		}
-		x.tensors[d.ID] = t
+		x.tensors[s] = t
 	}
 	// Inputs the stream never reads are dead on arrival.
-	for _, d := range w.Inputs {
-		if n, ok := x.readsLeft[d.ID]; ok && n == 0 {
-			t := x.tensors[d.ID]
-			delete(x.tensors, d.ID)
-			x.norms[d.ID] = t.Norm()
-			x.arena.put(t.Data)
+	for s := range w.Inputs {
+		if x.reads[s] == 0 {
+			x.norms[s], x.dead[s] = x.tensors[s].Norm(), true
+			x.arena.put(x.tensors[s].Data)
+			x.tensors[s] = nil
 		}
 	}
 	workers := cfg.Workers
@@ -114,11 +126,11 @@ func (x *Executor) Close() { x.bp.Close() }
 // being the calling goroutine (zeros unless Config.Timed).
 func (x *Executor) WorkerBusy() []time.Duration { return x.bp.WorkerBusy() }
 
-// Tensor returns a tensor the run holds: an input, or an output that was
-// pinned or never reclaimed.
-func (x *Executor) Tensor(id uint64) (*tensor.Tensor, bool) {
-	t, ok := x.tensors[id]
-	return t, ok
+// Tensor returns the tensor in slot s if the run holds it: an input, or
+// an output that was pinned or is still read later.
+func (x *Executor) Tensor(s int) (*tensor.Tensor, bool) {
+	t := x.tensors[s]
+	return t, t != nil
 }
 
 // RunStage executes one stage of the stream: the pairs are partitioned
@@ -169,13 +181,14 @@ func (x *Executor) execLevel(ctx context.Context, pairs []workload.Pair) error {
 		clear(ops) // drop tensor references
 		x.ops = ops[:0]
 	}()
-	for _, p := range pairs {
-		a, ok := x.tensors[p.A.ID]
-		if !ok {
+	for i := range pairs {
+		p := &pairs[i]
+		sa, sb, _ := p.Slots()
+		a, b := x.tensors[sa], x.tensors[sb]
+		if a == nil {
 			return fmt.Errorf("numeric: operand t%d missing", p.A.ID)
 		}
-		b, ok := x.tensors[p.B.ID]
-		if !ok {
+		if b == nil {
 			return fmt.Errorf("numeric: operand t%d missing", p.B.ID)
 		}
 		ops = append(ops, tensor.BatchOp{A: a, B: b, OutID: p.Out.ID})
@@ -186,14 +199,15 @@ func (x *Executor) execLevel(ctx context.Context, pairs []workload.Pair) error {
 		}
 		hi := min(lo+levelWidth, len(ops))
 		sub, subPairs := ops[lo:hi], pairs[lo:hi]
-		for i, p := range subPairs {
-			sub[i].Dst = &tensor.Tensor{Data: x.arena.get(2 * int(p.Out.Elems()))}
+		for i := range subPairs {
+			sub[i].Dst = &tensor.Tensor{Data: x.arena.get(2 * int(subPairs[i].Out.Elems()))}
 		}
 		if err := x.bp.Run(sub); err != nil {
 			return fmt.Errorf("numeric: contraction: %w", err)
 		}
-		for i, p := range subPairs {
-			x.tensors[p.Out.ID] = sub[i].Dst
+		for i := range subPairs {
+			_, _, so := subPairs[i].Slots()
+			x.tensors[so] = sub[i].Dst
 		}
 		if err := x.settleReclaim(subPairs); err != nil {
 			return err
@@ -209,39 +223,30 @@ func (x *Executor) execLevel(ctx context.Context, pairs []workload.Pair) error {
 // the fingerprint does not depend on how the norms were grouped or spread.
 func (x *Executor) settleReclaim(pairs []workload.Pair) error {
 	dead := x.deadT[:0]
-	ids := x.deadIDs[:0]
-	grab := func(id uint64) {
-		if t, ok := x.tensors[id]; ok {
-			delete(x.tensors, id)
-			dead = append(dead, t)
-			ids = append(ids, id)
+	slots := x.deadSlots[:0]
+	// drop takes slot s's tensor out of the store once no read of it is left.
+	drop := func(s int) {
+		if x.reads[s] == 0 && x.tensors[s] != nil {
+			dead = append(dead, x.tensors[s])
+			slots = append(slots, int32(s))
+			x.tensors[s] = nil
 		}
 	}
-	// readDone counts one operand read of id and reports whether it was the
-	// last the stream performs.
-	readDone := func(id uint64) bool {
-		n, ok := x.readsLeft[id]
-		if ok {
-			x.readsLeft[id] = n - 1
-		}
-		return ok && n == 1
-	}
-	for _, p := range pairs {
-		if readDone(p.A.ID) {
-			grab(p.A.ID)
-		}
-		if readDone(p.B.ID) {
-			grab(p.B.ID)
+	for i := range pairs {
+		sa, sb, so := pairs[i].Slots()
+		for _, s := range [2]int{sa, sb} {
+			if x.reads[s] > 0 { // a pinned slot is never counted down
+				x.reads[s]--
+				drop(s)
+			}
 		}
 		// An output no later pair reads is dead the moment it is produced.
-		if n, ok := x.readsLeft[p.Out.ID]; ok && n == 0 {
-			grab(p.Out.ID)
-		}
+		drop(so)
 	}
 	defer func() {
 		clear(dead)
 		x.deadT = dead[:0]
-		x.deadIDs = ids[:0]
+		x.deadSlots = slots[:0]
 	}()
 	if cap(x.deadNorm) < len(dead) {
 		x.deadNorm = make([]float64, len(dead))
@@ -250,9 +255,9 @@ func (x *Executor) settleReclaim(pairs []workload.Pair) error {
 	if err := x.bp.Do((len(dead)+3)/4, x.normFn); err != nil {
 		return err
 	}
-	for i, id := range ids {
-		x.norms[id] = x.deadNorm[i]
+	for i, s := range slots {
 		x.arena.put(dead[i].Data)
+		x.norms[s], x.dead[s] = x.deadNorm[i], true
 	}
 	return nil
 }
@@ -265,44 +270,21 @@ func (x *Executor) normQuad(_, i int) {
 	tensor.Norms(x.deadNorm[lo:hi], x.deadT[lo:hi])
 }
 
-// buildLiveness counts, per tensor ID, how many operand reads the stream
-// performs. IDs produced more than once or used both as workload input and
-// contraction output (only possible through hand-built streams) are
-// excluded: their per-version liveness is ambiguous, so they are kept
-// resident for the whole run. So are the pinned IDs.
-func buildLiveness(w *workload.Workload, pin []uint64) map[uint64]int {
-	reads := make(map[uint64]int)
-	produced := make(map[uint64]int)
-	isInput := make(map[uint64]bool, len(w.Inputs))
-	for _, d := range w.Inputs {
-		isInput[d.ID] = true
-	}
-	for _, st := range w.Stages {
-		for _, p := range st.Pairs {
-			reads[p.A.ID]++
-			reads[p.B.ID]++
-			produced[p.Out.ID]++
+// buildLiveness counts, per slot, how many operand reads the stream
+// performs; pinned slots are marked pinned instead.
+func buildLiveness(w *workload.Workload, pin []int) []int32 {
+	reads := make([]int32, len(w.TensorIDs()))
+	for si := range w.Stages {
+		for i := range w.Stages[si].Pairs {
+			sa, sb, _ := w.Stages[si].Pairs[i].Slots()
+			reads[sa]++
+			reads[sb]++
 		}
 	}
-	m := make(map[uint64]int, len(reads)+len(w.Inputs))
-	track := func(id uint64) {
-		if produced[id] > 1 || (produced[id] > 0 && isInput[id]) {
-			return
-		}
-		m[id] = reads[id]
+	for _, s := range pin {
+		reads[s] = pinned
 	}
-	for _, d := range w.Inputs {
-		track(d.ID)
-	}
-	for _, st := range w.Stages {
-		for _, p := range st.Pairs {
-			track(p.Out.ID)
-		}
-	}
-	for _, id := range pin {
-		delete(m, id)
-	}
-	return m
+	return reads
 }
 
 // Fingerprint sums the Frobenius norms of every tensor of the run, inputs
@@ -312,20 +294,18 @@ func buildLiveness(w *workload.Workload, pin []uint64) map[uint64]int {
 // norm — computed over the same data at reclamation time — so the value is
 // the one a store that kept every tensor would give, at any pool width.
 func (x *Executor) Fingerprint() float64 {
-	norms := make(map[uint64]float64, len(x.tensors)+len(x.norms))
-	ids := make([]uint64, 0, len(x.tensors)+len(x.norms))
-	for id, t := range x.tensors {
-		ids = append(ids, id)
-		norms[id] = t.Norm()
+	order := make([]int32, len(x.ids))
+	for s := range order {
+		order[s] = int32(s)
 	}
-	for id, n := range x.norms {
-		ids = append(ids, id)
-		norms[id] = n
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(x.ids[a], x.ids[b]) })
 	var sum float64
-	for _, id := range ids {
-		sum += norms[id]
+	for _, s := range order {
+		if t := x.tensors[s]; t != nil {
+			sum += t.Norm()
+		} else if x.dead[s] {
+			sum += x.norms[s]
+		}
 	}
 	return sum
 }

@@ -2,6 +2,7 @@ package numeric
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"micco/internal/tensor"
@@ -29,49 +30,35 @@ func TestNumericReclaimFreesDeadTensors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resident := len(x.tensors)
-	if len(x.norms) == 0 {
+	total := held(x)
+	resident := 0
+	for _, t := range x.tensors {
+		if t != nil {
+			resident++
+		}
+	}
+	if resident == total {
 		t.Fatal("reclamation never fired on a chained workload")
 	}
-	total := resident + len(x.norms)
-	if resident >= total {
-		t.Errorf("resident = %d of %d tensors; want strictly fewer", resident, total)
-	}
-	t.Logf("resident %d / produced+inputs %d (reclaimed %d)", resident, total, len(x.norms))
+	t.Logf("resident %d / produced+inputs %d (reclaimed %d)", resident, total, total-resident)
 }
 
-// TestBuildLivenessExclusions: IDs written twice, or used as both input
-// and output, must not be tracked for reclamation, and neither must a
-// pinned ID. FromStages rejects such streams outright, so the workload is
-// assembled by hand — the same defensive stance the level partitioner
-// takes for its write-after-write chains.
-func TestBuildLivenessExclusions(t *testing.T) {
+// TestBuildLiveness: every slot counts the operand reads the stream
+// performs — a self-pair reads twice — and a pinned slot is marked pinned
+// whatever its count. The streams an earlier, ID-keyed count had to
+// exclude — an ID written twice, an output that is also an input — no
+// constructor makes (workload.TestDecodeValidation).
+func TestBuildLiveness(t *testing.T) {
 	d := func(id uint64) tensor.Desc { return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 4, Batch: 1} }
-	w := &workload.Workload{
-		Name:   "waw",
-		Inputs: []tensor.Desc{d(1), d(2), d(3)},
-		Stages: []workload.Stage{
-			{Index: 0, Pairs: []workload.Pair{{A: d(1), B: d(2), Out: d(10)}}},
-			{Index: 1, Pairs: []workload.Pair{{A: d(10), B: d(2), Out: d(10)}}}, // rewrites 10
-			{Index: 2, Pairs: []workload.Pair{{A: d(10), B: d(1), Out: d(1)}}},  // output collides with input 1
-			{Index: 3, Pairs: []workload.Pair{{A: d(3), B: d(2), Out: d(11)}}},
-		},
-	}
-	m := buildLiveness(w, []uint64{3})
-	if _, ok := m[10]; ok {
-		t.Error("ID 10 written twice: must be excluded from reclamation")
-	}
-	if _, ok := m[1]; ok {
-		t.Error("ID 1 is both input and output: must be excluded from reclamation")
-	}
-	if _, ok := m[3]; ok {
-		t.Error("ID 3 is pinned: must be excluded from reclamation")
-	}
-	if n, ok := m[2]; !ok || n != 3 {
-		t.Errorf("ID 2: want tracked with 3 reads, got %d (tracked %v)", n, ok)
-	}
-	if n, ok := m[11]; !ok || n != 0 {
-		t.Errorf("ID 11: want tracked with 0 reads, got %d (tracked %v)", n, ok)
+	w := fromStages(t, "liveness", [][]workload.Pair{
+		{{A: d(1), B: d(2), Out: d(10)}},
+		{{A: d(10), B: d(2), Out: d(11)}},
+		{{A: d(11), B: d(11), Out: d(12)}, {A: d(3), B: d(2), Out: d(13)}},
+	}, []tensor.Desc{d(1), d(2), d(3)})
+	got := buildLiveness(w, []int{2})
+	// Slots: inputs t1 t2 t3, then outputs t10 t11 t12 t13.
+	if want := []int32{1, 3, pinned, 1, 2, 0, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("reads by slot %v, want %v", got, want)
 	}
 }
 
@@ -80,8 +67,9 @@ func TestBuildLivenessExclusions(t *testing.T) {
 // with the bits of the pairwise oracle, which keeps every tensor — when the
 // stream ends.
 func TestPinnedTensorsSurviveReclaim(t *testing.T) {
-	w := levelStream(3*levelWidth, 2*levelWidth)
-	pin := []uint64{100, 10000, 10000 + 2*levelWidth - 1} // a read intermediate and two finals
+	w := levelStream(t, 3*levelWidth, 2*levelWidth)
+	finals := 5 + 3*levelWidth                         // the slot of the first final
+	pin := []int{5, finals, finals + 2*levelWidth - 1} // a read intermediate and two finals
 	keep := pairwiseOracle(t, w)
 	x, err := New(w, Config{Seed: 5, Workers: 2, Pin: pin})
 	if err != nil {
@@ -93,8 +81,9 @@ func TestPinnedTensorsSurviveReclaim(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, id := range pin {
-		got, ok := x.Tensor(id)
+	for _, s := range pin {
+		id := w.TensorIDs()[s]
+		got, ok := x.Tensor(s)
 		if !ok {
 			t.Fatalf("pinned t%d was reclaimed", id)
 		}
@@ -105,8 +94,8 @@ func TestPinnedTensorsSurviveReclaim(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := x.Tensor(10001); ok {
-		t.Error("unpinned final t10001 still resident")
+	if _, ok := x.Tensor(finals + 1); ok {
+		t.Error("unpinned second final still resident")
 	}
 	if a, b := x.Fingerprint(), keep.fp; a != b {
 		t.Errorf("fingerprint with pins %x, want %x", a, b)

@@ -268,10 +268,20 @@ func namesRepeat(specs []wick.Spec) bool {
 // bit-identical to op-at-a-time evaluation, and the kernel overwrites
 // every destination element.
 func (b *Build) EvaluateNumeric(seed int64, workers int) (map[int]complex128, error) {
-	var finals []uint64
+	// The finals' slots, resolved once through a table by ID over the
+	// workload's numbering (FromStages bounds the largest ID).
+	ids := b.Workload.TensorIDs()
+	if ids == nil {
+		return nil, fmt.Errorf("redstar: %w", workload.ErrUnnumbered)
+	}
+	slot := make([]int32, slices.Max(ids)+1)
+	for s, id := range ids {
+		slot[id] = int32(s)
+	}
+	var finals []int
 	for _, fds := range b.FinalsByTime {
 		for _, fd := range fds {
-			finals = append(finals, fd.ID)
+			finals = append(finals, int(slot[fd.ID]))
 		}
 	}
 	x, err := numeric.New(b.Workload, numeric.Config{Seed: seed, Workers: workers, Pin: finals})
@@ -289,7 +299,7 @@ func (b *Build) EvaluateNumeric(seed int64, workers int) (map[int]complex128, er
 	for t, fds := range b.FinalsByTime {
 		var sum complex128
 		for _, fd := range fds {
-			ft, ok := x.Tensor(fd.ID)
+			ft, ok := x.Tensor(int(slot[fd.ID]))
 			if !ok {
 				return nil, fmt.Errorf("redstar: final t%d missing", fd.ID)
 			}

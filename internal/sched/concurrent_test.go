@@ -175,21 +175,20 @@ func TestPoolSizeResolution(t *testing.T) {
 // numeric executor ends the run like any other mid-run failure — at every
 // pool width, with Checkpoint set, Run returns the partial Result carrying
 // the last stage-boundary checkpoint next to the error, which names the
-// stage. The stream is hand-built so that only the numerics can object:
-// stage 1 describes input t3 with the shape the simulator expects of an
-// operand, while the tensor the executor drew for it is the smaller one
-// the input list declares.
+// stage. Only the numerics can object to the stream: stage 1 describes
+// input t3 with the shape the simulator expects of an operand, while the
+// tensor the executor drew for it is the smaller one the input list
+// declares.
 func TestNumericErrorCarriesCheckpoint(t *testing.T) {
 	d := func(id uint64, dim int) tensor.Desc {
 		return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: dim, Batch: 1}
 	}
-	w := &workload.Workload{
-		Name:   "numeric-error",
-		Inputs: []tensor.Desc{d(1, 16), d(2, 16), d(3, 8)},
-		Stages: []workload.Stage{
-			{Index: 0, Pairs: []workload.Pair{{A: d(1, 16), B: d(2, 16), Out: d(10, 16)}}},
-			{Index: 1, Pairs: []workload.Pair{{A: d(10, 16), B: d(3, 16), Out: d(11, 16)}}},
-		},
+	w, err := workload.FromStages("numeric-error", [][]workload.Pair{
+		{{A: d(1, 16), B: d(2, 16), Out: d(10, 16)}},
+		{{A: d(10, 16), B: d(3, 16), Out: d(11, 16)}},
+	}, []tensor.Desc{d(1, 16), d(2, 16), d(3, 8)})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, par := range []int{0, 1, 2, 8} {
 		res, err := Run(context.Background(), w, &spreadScheduler{}, cluster(t, 2), Options{

@@ -57,9 +57,8 @@ const maxCheckpointPayload = 1 << 30
 // a payload that does not decode to a valid snapshot.
 var ErrCheckpointCorrupt = errors.New("sched: checkpoint corrupt")
 
-// ErrCheckpointVersion marks a durable checkpoint this build cannot
-// continue faithfully: a format version it does not understand, or a run
-// on a kernel tier it no longer has.
+// ErrCheckpointVersion marks a durable checkpoint in a format version this
+// build does not read.
 var ErrCheckpointVersion = errors.New("sched: checkpoint version unsupported")
 
 // durableCheckpoint is the exported JSON mirror of Checkpoint.
@@ -76,11 +75,6 @@ type durableCheckpoint struct {
 	Numeric     bool               `json:"numeric,omitempty"`
 	NumericSeed int64              `json:"numeric_seed,omitempty"`
 	Cluster     *gpusim.Checkpoint `json:"cluster"`
-	// RemovedTier is read, never written: builds that still had the FMA
-	// kernel tier set it on runs that used it. Resuming such a run on the
-	// one kernel family left would replay the prefix to different bits, so
-	// DecodeCheckpoint refuses the file.
-	RemovedTier bool `json:"fast_kernels,omitempty"`
 }
 
 // EncodeCheckpoint writes cp to w in the durable format, returning the
@@ -122,9 +116,8 @@ func EncodeCheckpoint(w io.Writer, cp *Checkpoint) (int, error) {
 
 // DecodeCheckpoint reads one durable checkpoint from r. Corruption of any
 // kind — truncation, bit flips, garbage — returns an error wrapping
-// ErrCheckpointCorrupt; a newer format version, or a run on the removed
-// fast kernel tier, returns one wrapping ErrCheckpointVersion. It never
-// panics on malformed input.
+// ErrCheckpointCorrupt; another format version returns one wrapping
+// ErrCheckpointVersion. It never panics on malformed input.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var hdr [20]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -156,9 +149,6 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var d durableCheckpoint
 	if err := json.Unmarshal(payload, &d); err != nil {
 		return nil, fmt.Errorf("%w: payload not valid JSON: %v", ErrCheckpointCorrupt, err)
-	}
-	if d.RemovedTier {
-		return nil, fmt.Errorf("%w: written by a build with a fast kernel tier this build lacks; its numeric prefix cannot be replayed bit for bit", ErrCheckpointVersion)
 	}
 	if d.Workload == "" {
 		return nil, fmt.Errorf("%w: empty workload name", ErrCheckpointCorrupt)

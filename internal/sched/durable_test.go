@@ -167,17 +167,6 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	// Valid framing around a payload that is not a checkpoint.
 	check("garbage payload", frameCorrupt([]byte(`{"cluster":null}`)), sched.ErrCheckpointCorrupt)
 	check("json garbage", frameCorrupt([]byte(`{{{{`)), sched.ErrCheckpointCorrupt)
-
-	// An intact file from a build that still had the fast kernel tier,
-	// taken on a run that used it: resuming it on the one kernel family
-	// left would replay the prefix to different bits, so it is refused as
-	// a version this build cannot continue, not resumed.
-	removedTier := append([]byte(`{"fast_kernels":true,`), valid[21:]...)
-	check("fast_kernels: true", frameCorrupt(removedTier), sched.ErrCheckpointVersion)
-	sameTier := append([]byte(`{"fast_kernels":false,`), valid[21:]...)
-	if _, err := sched.DecodeCheckpoint(bytes.NewReader(frameCorrupt(sameTier))); err != nil {
-		t.Errorf("fast_kernels: false refused: %v", err)
-	}
 }
 
 // frameCorrupt wraps arbitrary payload bytes in a correct header (magic,
@@ -411,7 +400,6 @@ func FuzzCheckpointDecode(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x10
 	f.Add(flipped)
-	f.Add(frameCorrupt(append([]byte(`{"fast_kernels":true,`), valid[21:]...)))
 	f.Add(deadHolderFrame(valid))
 	f.Add([]byte("MCCK"))
 	f.Add([]byte{})

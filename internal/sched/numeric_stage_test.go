@@ -9,22 +9,19 @@ import (
 	"micco/internal/workload"
 )
 
-// TestFusedStageDependentFallback: a hand-built stage whose second pair
+// TestFusedStageDependentFallback: a FromStages stage whose second pair
 // reads the first pair's output is not independent; the executor splits
 // the chain into one level per link (numeric.TestLevelPartition), and the
 // engine must produce the same bits at every pool width.
 func TestFusedStageDependentFallback(t *testing.T) {
 	d := func(id uint64) tensor.Desc { return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 12, Batch: 2} }
-	w := &workload.Workload{
-		Name:   "dependent-stage",
-		Inputs: []tensor.Desc{d(1), d(2)},
-		Stages: []workload.Stage{
-			{Index: 0, Pairs: []workload.Pair{
-				{A: d(1), B: d(2), Out: d(10)},
-				{A: d(10), B: d(2), Out: d(11)}, // reads same-stage output 10
-				{A: d(1), B: d(11), Out: d(12)}, // chains further
-			}},
-		},
+	w, err := workload.FromStages("dependent-stage", [][]workload.Pair{{
+		{A: d(1), B: d(2), Out: d(10)},
+		{A: d(10), B: d(2), Out: d(11)}, // reads same-stage output 10
+		{A: d(1), B: d(11), Out: d(12)}, // chains further
+	}}, []tensor.Desc{d(1), d(2)})
+	if err != nil {
+		t.Fatal(err)
 	}
 	fp := func(par int) float64 {
 		t.Helper()

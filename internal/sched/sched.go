@@ -1,7 +1,7 @@
 // Package sched defines the multi-GPU scheduling framework of the MICCO
 // reproduction: the Scheduler interface, the per-stage bookkeeping state the
-// paper's algorithms read (mapGPUTensor load counts, mapGPUCom compute
-// costs, mapGPUMem memory projections), and the execution engine that
+// paper's algorithms read (mapGPUTensor load counts, mapGPUMem memory
+// projections), and the execution engine that
 // replays scheduler decisions onto the simulated cluster (and, optionally,
 // onto real CPU tensor kernels for numeric validation).
 package sched
@@ -36,11 +36,6 @@ type Context struct {
 	// StageLoad[i] is the number of tensor slots assigned to GPU i within
 	// the current stage (the size of the paper's mapGPUTensor entry).
 	StageLoad []int
-	// Comp[i] is the cumulative kernel time (seconds) assigned to GPU i
-	// (the paper's mapGPUCom). Schedulers that want the device's live
-	// queue position — kernel plus memory-operation cost, realigned at
-	// each stage barrier — should read Cluster.Device(i).Clock() instead.
-	Comp []float64
 	// Features are the current stage's data characteristics, for
 	// schedulers that consult a reuse-bound model.
 	Features workload.Features
@@ -95,7 +90,6 @@ func NewContext(c *gpusim.Cluster) *Context {
 		Cluster:   c,
 		NumGPU:    n,
 		StageLoad: make([]int, n),
-		Comp:      make([]float64, n),
 		Down:      c.FailedMask(),
 		tracked:   true,
 	}
@@ -515,29 +509,29 @@ func (e *engine) discard(slot int) {
 // capped-exponential backoff policy, each retry charging its backoff to
 // the device's simulated transfer queue; the error surfaces as fatal once
 // the attempt budget is exhausted.
-func (e *engine) execSim(si, dev int, p *workload.Pair) (int64, error) {
+func (e *engine) execSim(si, dev int, p *workload.Pair) error {
 	sa, sb, so := p.Slots()
-	flops, err := e.c.ExecContractionAt(dev, &p.A, &p.B, &p.Out, sa, sb, so)
+	_, err := e.c.ExecContractionAt(dev, &p.A, &p.B, &p.Out, sa, sb, so)
 	if err != nil && e.fr != nil {
 		for attempt := 1; errors.Is(err, gpusim.ErrTransientTransfer); attempt++ {
 			if attempt > e.fr.retry.Max {
-				return 0, fmt.Errorf("sched: stage %d: %d transfer retries exhausted: %w", si, e.fr.retry.Max, err)
+				return fmt.Errorf("sched: stage %d: %d transfer retries exhausted: %w", si, e.fr.retry.Max, err)
 			}
 			backoff := e.fr.retry.Backoff(attempt)
 			if cerr := e.c.ChargeExternalTransfer(dev, backoff); cerr != nil {
-				return 0, cerr
+				return cerr
 			}
 			e.res.Recovery.TransientRetries++
 			e.res.Recovery.BackoffSimSeconds += backoff
 			e.fr.retries.Inc()
 			e.fr.backoff.Add(backoff)
-			flops, err = e.c.ExecContractionAt(dev, &p.A, &p.B, &p.Out, sa, sb, so)
+			_, err = e.c.ExecContractionAt(dev, &p.A, &p.B, &p.Out, sa, sb, so)
 		}
 	}
 	if err != nil {
-		return 0, fmt.Errorf("sched: stage %d: %w", si, err)
+		return fmt.Errorf("sched: stage %d: %w", si, err)
 	}
-	return flops, nil
+	return nil
 }
 
 // assignEvery is the stride of the sampled Assign timing: a stage's pairs
@@ -625,8 +619,7 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 		}
 		beforeMove, beforeD2H, beforeEvict = c.MoveStats()
 	}
-	flops, err := e.execSim(si, dev, p)
-	if err != nil {
+	if err := e.execSim(si, dev, p); err != nil {
 		return err
 	}
 	if rec != nil {
@@ -638,7 +631,6 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 		e.ob.reg.RecordDecision(rec)
 	}
 	sctx.AddLoad(dev, 2)
-	sctx.Comp[dev] += float64(flops) / c.Config().FLOPS
 	if e.opts.DiscardDeadInputs {
 		if p.LastUse[0] {
 			e.discard(sa)
@@ -658,7 +650,8 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 
 // Run replays workload w through scheduler s on cluster c. The cluster is
 // reset first (or restored, with Options.ResumeFrom), so each Run is
-// independent and deterministic.
+// independent and deterministic. w must come from a workload constructor;
+// a struct literal is refused with workload.ErrUnnumbered.
 //
 // Scheduler decisions and the timing simulation replay sequentially; each
 // stage boundary then runs, in order, numeric mode's real CPU contractions
@@ -679,6 +672,9 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Cluster, opts Options) (*Result, error) {
 	if w == nil || s == nil || c == nil {
 		return nil, fmt.Errorf("sched: %w: workload, scheduler and cluster must be non-nil", ErrNilArgument)
+	}
+	if w.TensorIDs() == nil {
+		return nil, fmt.Errorf("sched: %w", workload.ErrUnnumbered)
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -189,7 +189,7 @@ func TestContextProjectedMem(t *testing.T) {
 	for _, d := range w.Inputs {
 		c.RegisterHostTensor(d)
 	}
-	ctx := &Context{Cluster: c, NumGPU: 2, StageLoad: make([]int, 2), Comp: make([]float64, 2)}
+	ctx := &Context{Cluster: c, NumGPU: 2, StageLoad: make([]int, 2)}
 	p := w.Stages[0].Pairs[0]
 	want := p.Out.Bytes() + p.A.Bytes()
 	if p.B.ID != p.A.ID {

@@ -254,13 +254,12 @@ func TestEarlyExitsEndTheRun(t *testing.T) {
 	}
 	// Only the numerics object to stage 1: the simulator takes t3 as the
 	// operand shape it names, the executor draws the smaller input.
-	bad := &workload.Workload{
-		Name:   "numeric-error",
-		Inputs: []tensor.Desc{d(1, 16), d(2, 16), d(3, 8)},
-		Stages: []workload.Stage{
-			{Index: 0, Pairs: []workload.Pair{{A: d(1, 16), B: d(2, 16), Out: d(10, 16)}}},
-			{Index: 1, Pairs: []workload.Pair{{A: d(10, 16), B: d(3, 16), Out: d(11, 16)}}},
-		},
+	bad, err := workload.FromStages("numeric-error", [][]workload.Pair{
+		{{A: d(1, 16), B: d(2, 16), Out: d(10, 16)}},
+		{{A: d(10, 16), B: d(3, 16), Out: d(11, 16)}},
+	}, []tensor.Desc{d(1, 16), d(2, 16), d(3, 8)})
+	if err != nil {
+		t.Fatal(err)
 	}
 	done, err := Run(context.Background(), bad, &spreadScheduler{}, cluster(t, 2), Options{Checkpoint: true})
 	if err != nil {

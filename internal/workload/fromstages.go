@@ -1,27 +1,49 @@
 package workload
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
 	"micco/internal/tensor"
 )
 
-// ErrInvalidStages marks every pair stream FromStages refuses; the message
-// names the stage and the tensor.
+// ErrInvalidStages marks every pair stream FromStages or the JSON decode
+// refuses; the message names the stage and the tensor.
 var ErrInvalidStages = errors.New("invalid stages")
+
+// ErrUnnumbered marks a workload that no constructor made — a struct
+// literal — and so carries no tensor numbering; the engines refuse it.
+var ErrUnnumbered = errors.New("workload not numbered: build it with Generate, FromStages or a JSON decode")
 
 // maxIDSpread bounds FromStages' ID table, one slot per ID up to the
 // largest: that ID may be at most this many times the stream's tensor
 // count. A front end numbers its tensors densely (redstar's leaves from 1,
-// intermediates from the plan's nextID on), so only a sparse hand-built
-// stream comes near it.
+// intermediates from the plan's nextID on), so only a sparse hand-written
+// stream or file comes near it.
 const maxIDSpread = 8
+
+// maxTensorBytes bounds one tensor of a workload: far past any device the
+// simulator models, and small enough that no sum over a stream's tensors
+// overflows an int64.
+const maxTensorBytes = 1 << 40
+
+// validDesc reports whether d is a valid descriptor (tensor.Desc.Valid) of
+// at most maxTensorBytes, sized in floating point so nothing overflows.
+func validDesc(d tensor.Desc) bool {
+	n := float64(d.Batch) * tensor.ComplexBytes
+	for range d.Rank {
+		n *= float64(d.Dim)
+	}
+	return d.Valid() && n <= maxTensorBytes
+}
 
 // FromStages builds a Workload from pre-staged pairs, as produced by the
 // Redstar front end's dependency analysis (rather than the synthetic
 // generator). inputs lists the distinct host-resident leaf tensors; pair
-// operands must be either inputs or outputs of earlier pairs. Tensor IDs
+// operands must be either inputs or outputs of earlier pairs, every output
+// a new tensor, and each pair's three descriptors those of a contraction
+// (tensor.ContractOut) of at most maxTensorBytes. Tensor IDs
 // index a table, so the largest may be at most maxIDSpread times the
 // number of tensors (inputs plus pairs). Every refusal wraps
 // ErrInvalidStages.
@@ -70,7 +92,7 @@ func FromStages(name string, stages [][]Pair, inputs []tensor.Desc) (*Workload, 
 		Outputs: make([]tensor.Desc, 0, numPairs),
 	}
 	for _, d := range inputs {
-		if !d.Valid() {
+		if !validDesc(d) {
 			return nil, fmt.Errorf("workload: %w: invalid input tensor %v", ErrInvalidStages, d)
 		}
 		if slots[d.ID] >= 0 {
@@ -101,6 +123,10 @@ func FromStages(name string, stages [][]Pair, inputs []tensor.Desc) (*Workload, 
 			if slots[p.Out.ID] >= 0 {
 				return nil, fmt.Errorf("workload: %w: stage %d output t%d already exists", ErrInvalidStages, si, p.Out.ID)
 			}
+			if out, err := tensor.ContractOut(p.A, p.B, p.Out.ID); err != nil || out != p.Out || !validDesc(out) {
+				return nil, fmt.Errorf("workload: %w: stage %d output t%d: %v x %v does not give %v",
+					ErrInvalidStages, si, p.Out.ID, p.A, p.B, p.Out)
+			}
 			p.slot[2] = int32(len(inputs) + len(w.Outputs))
 			slots[p.Out.ID], appeared[p.slot[2]] = p.slot[2], true
 			w.Outputs = append(w.Outputs, p.Out)
@@ -128,6 +154,56 @@ func FromStages(name string, stages [][]Pair, inputs []tensor.Desc) (*Workload, 
 	}
 	w.finish()
 	return w, nil
+}
+
+// UnmarshalJSON decodes a workload file — a Workload's JSON encoding, as
+// wgen writes it — through FromStages: the file's name, Cfg, stages and
+// inputs are kept, and its tensors numbered and its repeat rates, LastUse
+// flags and Outputs derived from the stream. A stream FromStages refuses,
+// an operand named with another descriptor than the one its tensor was
+// made with, or LastUse flags or an Outputs list other than the derived
+// ones, are refused with an error wrapping ErrInvalidStages that names the
+// stage and the tensor.
+func (w *Workload) UnmarshalJSON(b []byte) error {
+	type file Workload // the fields, without this method
+	var f file
+	if err := json.Unmarshal(b, &f); err != nil {
+		return err
+	}
+	stages := make([][]Pair, len(f.Stages))
+	var claimed []Pair // the pairs as the file has them; FromStages rewrites LastUse
+	for si, st := range f.Stages {
+		stages[si], claimed = st.Pairs, append(claimed, st.Pairs...)
+	}
+	d, err := FromStages(f.Name, stages, f.Inputs)
+	if err != nil {
+		return err
+	}
+	if len(f.Outputs) != len(d.Outputs) {
+		return fmt.Errorf("workload: %w: Outputs lists %d tensors, the stages produce %d", ErrInvalidStages, len(f.Outputs), len(d.Outputs))
+	}
+	made := append(d.Inputs[:len(d.Inputs):len(d.Inputs)], d.Outputs...) // by slot
+	k := 0
+	for si := range d.Stages {
+		for _, p := range d.Stages[si].Pairs {
+			for i, op := range [2]tensor.Desc{p.A, p.B} {
+				if op != made[p.slot[i]] {
+					return fmt.Errorf("workload: %w: stage %d names operand %v, made as %v", ErrInvalidStages, si, op, made[p.slot[i]])
+				}
+				if claim := claimed[k].LastUse[i]; claim != p.LastUse[i] {
+					return fmt.Errorf("workload: %w: stage %d marks LastUse %v of operand t%d, the stream implies %v",
+						ErrInvalidStages, si, claim, op.ID, p.LastUse[i])
+				}
+			}
+			if f.Outputs[k] != p.Out {
+				return fmt.Errorf("workload: %w: stage %d output t%d is not Outputs[%d]", ErrInvalidStages, si, p.Out.ID, k)
+			}
+			k++
+		}
+	}
+	d.Cfg = f.Cfg
+	*w = *d
+	return nil
 }
 
 func (w *Workload) batchOf() int {

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"micco/internal/tensor"
 )
@@ -59,7 +58,7 @@ type Pair struct {
 	A, B tensor.Desc
 	Out  tensor.Desc
 	// slot holds the dense slots of A, B and Out in the workload's tensor
-	// numbering (Workload.TensorIDs), valid once the workload is numbered.
+	// numbering (Workload.TensorIDs), written by the constructor.
 	slot [3]int32
 	// LastUse marks input tensors whose final consumer is this pair, so
 	// engines may discard them afterwards. Index 0 refers to A, 1 to B. A
@@ -68,7 +67,7 @@ type Pair struct {
 }
 
 // Slots returns the slots of A, B and Out in the numbering of the workload
-// the pair belongs to (Workload.TensorIDs, which must have been called).
+// the pair belongs to (Workload.TensorIDs).
 func (p *Pair) Slots() (a, b, out int) {
 	return int(p.slot[0]), int(p.slot[1]), int(p.slot[2])
 }
@@ -98,49 +97,20 @@ type Workload struct {
 	Inputs []tensor.Desc
 	// Outputs lists every output tensor descriptor.
 	Outputs []tensor.Desc
-	// ids is the tensor numbering (see TensorIDs). Generate and FromStages
-	// make it in the pass that marks last uses; a hand-built or decoded
-	// workload is numbered once, under numbering, on first use.
-	ids       []uint64
-	numbering sync.Once
+	// ids is the tensor numbering (see TensorIDs), made by the constructor
+	// in the pass that marks last uses.
+	ids []uint64
 }
 
 // TensorIDs returns the workload's tensor numbering: the tensor set of a
 // run is a closed world, so every tensor has a dense slot — its position in
 // Inputs ++ Outputs — and ids[slot] is its ID. Engines index per-tensor
-// state by slot instead of hashing IDs (Pair.Slots). The slice is made once
-// and shared by every caller: it must not be written, and the workload must
-// not change after the first call. A hand-built list that names an ID twice
-// leaves the later position's slot unused, and an ID that only the pair
-// stream names gets a slot past the two lists.
-func (w *Workload) TensorIDs() []uint64 {
-	w.numbering.Do(func() {
-		if w.ids == nil {
-			w.number()
-		}
-	})
-	return w.ids
-}
-
-// number numbers a workload that no constructor numbered.
-func (w *Workload) number() {
-	w.ids = w.listed()
-	slots := make(map[uint64]int32, len(w.ids))
-	for s := len(w.ids) - 1; s >= 0; s-- { // backwards: of two positions, the first wins
-		slots[w.ids[s]] = int32(s)
-	}
-	w.eachPair(func(p *Pair) {
-		for i, id := range [3]uint64{p.A.ID, p.B.ID, p.Out.ID} {
-			s, ok := slots[id]
-			if !ok {
-				s = int32(len(w.ids))
-				slots[id] = s
-				w.ids = append(w.ids, id)
-			}
-			p.slot[i] = s
-		}
-	})
-}
+// state by slot instead of hashing IDs (Pair.Slots). Generate, FromStages
+// and the JSON decode number a workload as they build it; a struct literal
+// has no numbering, and TensorIDs returns nil (engines refuse it with
+// ErrUnnumbered). The slice is shared by every caller: it must not be
+// written, and the workload must not change once built.
+func (w *Workload) TensorIDs() []uint64 { return w.ids }
 
 // listed returns the IDs of Inputs ++ Outputs, by position.
 func (w *Workload) listed() []uint64 {

@@ -3,9 +3,11 @@ package workload
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -330,36 +332,109 @@ func TestGenerateInvariants(t *testing.T) {
 	}
 }
 
+// TestWorkloadJSONRoundTrip: decoding a workload's JSON rebuilds it
+// exactly — numbering, LastUse flags, repeat rates, Outputs and Cfg — for a
+// generated workload with intermediate reuse and for a FromStages one.
 func TestWorkloadJSONRoundTrip(t *testing.T) {
 	cfg := baseCfg()
-	cfg.Stages = 3
-	cfg.VectorSize = 4
+	cfg.Stages, cfg.VectorSize, cfg.ChainRate = 5, 6, 0.5
 	w, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(w)
+	var stages [][]Pair
+	for _, st := range w.Stages {
+		stages = append(stages, append([]Pair(nil), st.Pairs...))
+	}
+	staged, err := FromStages("staged", stages, w.Inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Workload
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != w.Name || len(back.Stages) != len(w.Stages) ||
-		len(back.Inputs) != len(w.Inputs) || len(back.Outputs) != len(w.Outputs) {
-		t.Fatal("round-trip changed workload shape")
-	}
-	for si := range w.Stages {
-		for pi := range w.Stages[si].Pairs {
-			a, b := w.Stages[si].Pairs[pi], back.Stages[si].Pairs[pi]
-			if a.A != b.A || a.B != b.B || a.Out != b.Out || a.LastUse != b.LastUse {
-				t.Fatalf("pair (%d,%d) changed in round-trip", si, pi)
-			}
+	for _, w := range []*Workload{w, staged} {
+		raw, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Workload
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if !reflect.DeepEqual(&back, w) {
+			t.Errorf("%s: round trip changed the workload", w.Name)
 		}
 	}
-	if back.MeasuredRepeatRate() != w.MeasuredRepeatRate() {
-		t.Error("repeat rate changed in round-trip")
+}
+
+// TestDecodeValidation: a workload file is decoded through FromStages'
+// checks and must agree with the LastUse flags and Outputs its stream
+// implies; every refusal wraps ErrInvalidStages and names the stage and
+// the tensor. The duplicate and input-colliding outputs are the streams
+// whose liveness an ID-keyed executor could not count.
+func TestDecodeValidation(t *testing.T) {
+	cfg := baseCfg()
+	cfg.Stages, cfg.VectorSize, cfg.TensorDim = 3, 4, 8
+	// Each edit makes one flaw in a generated workload and returns what the
+	// refusal must say.
+	for _, c := range []struct {
+		name string
+		edit func(w *Workload) string
+	}{
+		{"no stages", func(w *Workload) string { w.Stages = nil; return "no stages" }},
+		{"empty stage", func(w *Workload) string { w.Stages[1].Pairs = nil; return "stage 1 is empty" }},
+		{"unknown operand", func(w *Workload) string {
+			id := w.Outputs[len(w.Outputs)-1].ID + 1
+			w.Stages[1].Pairs[2].B.ID = id
+			return fmt.Sprintf("stage 1 operand t%d unknown", id)
+		}},
+		{"duplicate output", func(w *Workload) string {
+			w.Stages[2].Pairs[1].Out = w.Stages[0].Pairs[3].Out
+			return fmt.Sprintf("stage 2 output t%d already exists", w.Stages[0].Pairs[3].Out.ID)
+		}},
+		{"output equals an input", func(w *Workload) string {
+			w.Stages[0].Pairs[1].Out = w.Inputs[0]
+			return fmt.Sprintf("stage 0 output t%d already exists", w.Inputs[0].ID)
+		}},
+		{"invalid input", func(w *Workload) string { w.Inputs[0].Dim = 0; return "invalid input tensor" }},
+		{"input past the size bound", func(w *Workload) string { w.Inputs[0].Dim = 1 << 32; return "invalid input tensor" }},
+		{"operand named with another shape", func(w *Workload) string {
+			w.Inputs[0].Batch++
+			return fmt.Sprintf("stage 0 names operand %v, made as %v", w.Stages[0].Pairs[0].A, w.Inputs[0])
+		}},
+		{"output shape", func(w *Workload) string {
+			w.Stages[1].Pairs[0].Out.Batch++
+			return fmt.Sprintf("stage 1 output t%d", w.Stages[1].Pairs[0].Out.ID)
+		}},
+		{"sparse ID", func(w *Workload) string { w.Stages[2].Pairs[0].Out.ID = 1 << 40; return "largest tensor ID" }},
+		{"false LastUse", func(w *Workload) string {
+			p := &w.Stages[2].Pairs[3]
+			p.LastUse[1] = !p.LastUse[1]
+			return fmt.Sprintf("stage 2 marks LastUse %v of operand t%d", p.LastUse[1], p.B.ID)
+		}},
+		{"missing output", func(w *Workload) string { w.Outputs = w.Outputs[:len(w.Outputs)-1]; return "Outputs lists" }},
+		{"outputs out of order", func(w *Workload) string {
+			o := w.Outputs
+			o[4], o[5] = o[5], o[4]
+			return fmt.Sprintf("stage 1 output t%d is not Outputs[4]", o[5].ID)
+		}},
+		{"extra output", func(w *Workload) string { w.Outputs = append(w.Outputs, w.Inputs[0]); return "Outputs lists" }},
+	} {
+		w, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := c.edit(w)
+		raw, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Workload
+		err = json.Unmarshal(raw, &back)
+		if !errors.Is(err, ErrInvalidStages) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one wrapping ErrInvalidStages containing %q", c.name, err, want)
+		}
+		if back.TensorIDs() != nil {
+			t.Errorf("%s: a refused decode left a numbered workload", c.name)
+		}
 	}
 }
 
@@ -413,6 +488,19 @@ func TestFromStagesValidation(t *testing.T) {
 		w, err := FromStages(c.name, c.stages, c.inputs)
 		if !errors.Is(err, ErrInvalidStages) || w != nil {
 			t.Errorf("%s: workload %v, error %v; want an error wrapping ErrInvalidStages", c.name, w, err)
+		}
+	}
+	// A tensor may hold exactly maxTensorBytes, not one element more.
+	for _, c := range []struct {
+		dim, batch int
+		ok         bool
+	}{{1 << 18, 1, true}, {1 << 18, 2, false}, {1 << 32, 1, false}} {
+		big := tensor.Desc{ID: 1, Rank: tensor.RankMeson, Dim: c.dim, Batch: c.batch}
+		out := big
+		out.ID = 2
+		_, err := FromStages("big", [][]Pair{{{A: big, B: big, Out: out}}}, []tensor.Desc{big})
+		if (err == nil) != c.ok {
+			t.Errorf("dim %d batch %d: error %v, want accepted %v", c.dim, c.batch, err, c.ok)
 		}
 	}
 	// The largest ID may be exactly maxIDSpread times the tensor count.
@@ -553,10 +641,8 @@ func checkNumbering(t *testing.T, w *Workload) {
 	}
 }
 
-// TestTensorNumbering: Generate and FromStages number their tensors as they
-// build; a decoded workload — unexported slots do not travel — and a
-// hand-built literal that lists no outputs are numbered on first use, the
-// unlisted tensors past the two lists.
+// TestTensorNumbering: Generate, FromStages and the JSON decode number
+// their tensors as they build; a struct literal has no numbering.
 func TestTensorNumbering(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Stages, cfg.VectorSize, cfg.ChainRate = 4, 16, 0.4
@@ -588,13 +674,13 @@ func TestTensorNumbering(t *testing.T) {
 
 	d := func(id uint64) tensor.Desc { return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 4, Batch: 1} }
 	hand := &Workload{
-		Name:   "hand",
-		Inputs: []tensor.Desc{d(7), d(3)},
-		Stages: []Stage{{Pairs: []Pair{{A: d(7), B: d(3), Out: d(40)}, {A: d(40), B: d(3), Out: d(41)}}}},
+		Name:    "hand",
+		Inputs:  []tensor.Desc{d(7), d(3)},
+		Outputs: []tensor.Desc{d(40)},
+		Stages:  []Stage{{Pairs: []Pair{{A: d(7), B: d(3), Out: d(40)}}}},
 	}
-	checkNumbering(t, hand)
-	if got, want := hand.TensorIDs(), []uint64{7, 3, 40, 41}; !reflect.DeepEqual(got, want) {
-		t.Errorf("hand-built numbering %v, want %v", got, want)
+	if ids := hand.TensorIDs(); ids != nil {
+		t.Errorf("struct literal numbered %v, want no numbering", ids)
 	}
 }
 

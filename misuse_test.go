@@ -87,6 +87,11 @@ func TestMisuseReturnsTypedErrors(t *testing.T) {
 			_, err := micco.Run(bg, nil, micco.NewGroute(), cluster(), micco.RunOptions{})
 			return err
 		}, micco.ErrNilArgument},
+		{"Run(struct-literal workload)", func(*testing.T) error {
+			lit := &micco.Workload{Name: "literal", Inputs: w.Inputs, Outputs: w.Outputs, Stages: w.Stages}
+			_, err := micco.Run(bg, lit, micco.NewGroute(), cluster(), micco.RunOptions{Numeric: true})
+			return err
+		}, workload.ErrUnnumbered},
 		{"Run(nil scheduler)", func(*testing.T) error {
 			_, err := micco.Run(bg, w, nil, cluster(), micco.RunOptions{})
 			return err
