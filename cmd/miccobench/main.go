@@ -142,8 +142,7 @@ func run(ctx context.Context, runList string, quick bool, seed int64, parallel i
 	}
 	if traceOut != "" {
 		snap := reg.FlightRecorder().Snapshot()
-		events := micco.TraceEventsFromFlight(snap.Events)
-		if err := obsfile.WriteTrace(traceOut, os.Stderr, events, snap.Decisions); err != nil {
+		if err := obsfile.WriteTrace(traceOut, os.Stderr, snap.Events, snap.Decisions); err != nil {
 			return err
 		}
 	}

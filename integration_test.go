@@ -8,6 +8,7 @@ import (
 
 	"micco"
 	"micco/internal/gpusim"
+	"micco/internal/obs"
 )
 
 // TestFullPipelineIntegration drives the complete stack through the public
@@ -80,7 +81,7 @@ func TestFullPipelineIntegration(t *testing.T) {
 	}
 	kernels := 0
 	for _, e := range events {
-		if e.Kind == gpusim.EventKernel {
+		if e.Kind == obs.EventKernel {
 			kernels++
 		}
 	}

@@ -29,28 +29,29 @@ import (
 	"micco/internal/workload"
 )
 
-// Config parameterizes one soak run. Zero-valued fields take defaults, so
-// Config{Seeds: []int64{1, 2, 3}, Dir: dir} is a complete short soak.
+// Config parameterizes one soak run: Config{Seeds: []int64{1, 2, 3}, Dir:
+// dir} is a complete short soak.
 type Config struct {
 	// Seeds are the chaos seeds; each generates its own workload, fault
 	// plan, kill points and corruption probes.
 	Seeds []int64
-	// Schedulers are registry names (default: every registered scheduler).
-	Schedulers []string
-	// Pools are the numeric Parallelism settings to cross (default {1, 4}:
-	// a GOMAXPROCS-wide pool and a 4-wide one).
-	Pools []int
-	// Devices is the cluster size (default 4).
-	Devices int
-	// FaultEvents is the number of events per generated plan (default 3).
-	FaultEvents int
-	// MaxKills bounds the process deaths injected per iteration (default 2).
-	MaxKills int
 	// Dir is the scratch directory for durable checkpoints. Required.
 	Dir string
 	// Logf, when non-nil, receives per-seed progress lines (t.Logf).
 	Logf func(format string, args ...any)
 }
+
+// The soak's fixed crossing: every registered scheduler runs at each of
+// pools' numeric Parallelism settings (a GOMAXPROCS-wide pool and a 4-wide
+// one) on a devices-wide cluster, under a plan of faultEvents generated
+// fault events and up to maxKills process deaths per iteration.
+const (
+	devices     = 4
+	faultEvents = 3
+	maxKills    = 2
+)
+
+var pools = [...]int{1, 4}
 
 // Result counts what the soak exercised.
 type Result struct {
@@ -64,25 +65,6 @@ type Result struct {
 	// CorruptionProbes is the number of corrupted checkpoint images fed to
 	// the decoder (all rejected with typed errors).
 	CorruptionProbes int
-}
-
-func (c Config) fill() Config {
-	if len(c.Schedulers) == 0 {
-		c.Schedulers = micco.SchedulerNames()
-	}
-	if len(c.Pools) == 0 {
-		c.Pools = []int{1, 4}
-	}
-	if c.Devices <= 0 {
-		c.Devices = 4
-	}
-	if c.FaultEvents <= 0 {
-		c.FaultEvents = 3
-	}
-	if c.MaxKills <= 0 {
-		c.MaxKills = 2
-	}
-	return c
 }
 
 func (c Config) logf(format string, args ...any) {
@@ -133,7 +115,6 @@ func (k *killScheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 // with enough context (seed, scheduler, pool) to reproduce it.
 func Soak(cfg Config) (Result, error) {
 	var res Result
-	cfg = cfg.fill()
 	if cfg.Dir == "" {
 		return res, fmt.Errorf("chaos: Config.Dir is required")
 	}
@@ -164,23 +145,23 @@ func soakSeed(cfg Config, seed int64, res *Result) error {
 	}
 	plan := fault.Generate(fault.GenConfig{
 		Seed: seed, Stages: len(w.Stages), PairsPerStage: minPairs,
-		Devices: cfg.Devices, Events: cfg.FaultEvents,
+		Devices: devices, Events: faultEvents,
 	})
-	if err := plan.Validate(cfg.Devices); err != nil {
+	if err := plan.Validate(devices); err != nil {
 		return fmt.Errorf("chaos: seed %d: generated plan invalid: %w", seed, err)
 	}
 
 	// The fault-free fingerprint is the invariant every chaotic
 	// run must land on: one baseline per seed, because the fingerprint is
 	// scheduler-, pool- and fault-independent by construction.
-	base, err := cleanRun(w, seed, cfg.Devices)
+	base, err := cleanRun(w, seed)
 	if err != nil {
 		return fmt.Errorf("chaos: seed %d: baseline run: %w", seed, err)
 	}
 
 	iter := 0
-	for _, name := range cfg.Schedulers {
-		for _, pool := range cfg.Pools {
+	for _, name := range micco.SchedulerNames() {
+		for _, pool := range pools {
 			iter++
 			// One private rng per iteration, derived from (seed, iteration
 			// index): kill points and corruption probes are reproducible
@@ -197,7 +178,7 @@ func soakSeed(cfg Config, seed int64, res *Result) error {
 	return nil
 }
 
-func cleanRun(w *workload.Workload, seed int64, devices int) (float64, error) {
+func cleanRun(w *workload.Workload, seed int64) (float64, error) {
 	s, err := buildScheduler("roundrobin")
 	if err != nil {
 		return 0, err
@@ -214,7 +195,7 @@ func cleanRun(w *workload.Workload, seed int64, devices int) (float64, error) {
 	return r.NumericFingerprint, nil
 }
 
-// soakIteration runs one scheduler×pool cell: up to MaxKills
+// soakIteration runs one scheduler×pool cell: up to maxKills
 // simulated process deaths, each followed by a corruption probe of the
 // on-disk checkpoint and a disk-only resume, then a run to completion and
 // the fingerprint assertion.
@@ -230,7 +211,7 @@ func soakIteration(cfg Config, w *workload.Workload, plan *fault.Plan, seed int6
 		if err != nil {
 			return err
 		}
-		c, err := gpusim.NewCluster(gpusim.MI100(cfg.Devices))
+		c, err := gpusim.NewCluster(gpusim.MI100(devices))
 		if err != nil {
 			return err
 		}
@@ -240,7 +221,7 @@ func soakIteration(cfg Config, w *workload.Workload, plan *fault.Plan, seed int6
 		}
 		ctx := context.Background()
 		var killer *killScheduler
-		if kills < cfg.MaxKills {
+		if kills < maxKills {
 			kctx, cancel := context.WithCancel(ctx)
 			defer cancel()
 			ctx = kctx

@@ -1,3 +1,11 @@
+// Package core implements the paper's primary contribution: the MICCO
+// multi-GPU scheduler. It places each incoming tensor pair by its local
+// reuse pattern (Fig. 4), read off the operands' holder sets, gates
+// reuse-seeking placements by three reuse bounds (Table II), and assigns
+// the pair via the heuristic of Algorithm 1 (candidate selection toggling
+// data-centric, computation-centric policies) and Algorithm 2 (final
+// choice, switching to the memory-eviction-sensitive policy under
+// projected oversubscription).
 package core
 
 import (
@@ -12,8 +20,9 @@ import (
 
 // Bounds are the three reuse bounds of Table II: the tensor-count slack
 // above perfect balance a GPU may absorb in exchange for reuse, indexed by
-// ReusePattern.BoundIndex. Larger values favour data reuse; zero forces
-// strict balance.
+// the mapping that gates a placement (DecisionRecord.BoundIndex): 0 for
+// twoRepeatedSame, 1 for twoRepeatedDiff and oneRepeated, 2 for twoNew.
+// Larger values favour data reuse; zero forces strict balance.
 type Bounds [3]int
 
 // String implements fmt.Stringer.

@@ -73,41 +73,18 @@ func TestPatternClassification(t *testing.T) {
 	ctx := freshCtx(c)
 	cases := []struct {
 		p    workload.Pair
-		want ReusePattern
+		want obs.ReusePattern
 	}{
-		{pair(1, 2, 100), TwoRepeatedSame},
-		{pair(1, 3, 101), TwoRepeatedDiff},
-		{pair(1, 4, 102), OneRepeated},
-		{pair(4, 1, 103), OneRepeated},
-		{pair(4, 5, 104), TwoNew},
+		{pair(1, 2, 100), obs.TwoRepeatedSame},
+		{pair(1, 3, 101), obs.TwoRepeatedDiff},
+		{pair(1, 4, 102), obs.OneRepeated},
+		{pair(4, 1, 103), obs.OneRepeated},
+		{pair(4, 5, 104), obs.TwoNew},
 	}
 	for _, cse := range cases {
-		if got := ClassifyMasks(ctx.HoldersMask(cse.p.A.ID), ctx.HoldersMask(cse.p.B.ID)); got != cse.want {
+		if got := sched.ClassifyMasks(ctx.HoldersMask(cse.p.A.ID), ctx.HoldersMask(cse.p.B.ID)); got != cse.want {
 			t.Errorf("ClassifyMasks(%d,%d) = %v, want %v", cse.p.A.ID, cse.p.B.ID, got, cse.want)
 		}
-	}
-}
-
-func TestPatternStringsAndBoundIndex(t *testing.T) {
-	wantStr := map[ReusePattern]string{
-		TwoRepeatedSame: "twoRepeatedSame",
-		TwoRepeatedDiff: "twoRepeatedDiff",
-		OneRepeated:     "oneRepeated",
-		TwoNew:          "twoNew",
-	}
-	wantIdx := map[ReusePattern]int{
-		TwoRepeatedSame: 0, TwoRepeatedDiff: 1, OneRepeated: 1, TwoNew: 2,
-	}
-	for p, s := range wantStr {
-		if p.String() != s {
-			t.Errorf("%d.String() = %q, want %q", p, p.String(), s)
-		}
-		if p.BoundIndex() != wantIdx[p] {
-			t.Errorf("%v.BoundIndex() = %d, want %d", p, p.BoundIndex(), wantIdx[p])
-		}
-	}
-	if ReusePattern(9).String() != "unknown" {
-		t.Error("unknown pattern string")
 	}
 }
 
@@ -406,10 +383,10 @@ func TestPatternCountsAndEvictionPolicyStats(t *testing.T) {
 	if total := counts[0] + counts[1] + counts[2] + counts[3]; total != w.NumPairs() {
 		t.Errorf("pattern counts sum %d, want %d", total, w.NumPairs())
 	}
-	if counts[TwoNew] == 0 {
+	if counts[obs.TwoNew] == 0 {
 		t.Error("a fresh run must see twoNew pairs")
 	}
-	if counts[TwoRepeatedSame]+counts[OneRepeated]+counts[TwoRepeatedDiff] == 0 {
+	if counts[obs.TwoRepeatedSame]+counts[obs.OneRepeated]+counts[obs.TwoRepeatedDiff] == 0 {
 		t.Error("a 60%-repeat workload must see repeated patterns")
 	}
 	// With 32 GiB pools nothing oversubscribes.

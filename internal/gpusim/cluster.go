@@ -3,6 +3,7 @@ package gpusim
 import (
 	"fmt"
 
+	"micco/internal/obs"
 	"micco/internal/tensor"
 )
 
@@ -41,14 +42,14 @@ type Cluster struct {
 	// Only the cluster holds the buffer until StopTrace hands it over, so Reset
 	// truncates it in place; traceCap is the last finished trace's length.
 	tracing     bool
-	traceEvents []Event
+	traceEvents []obs.Event
 	traceCap    int
 	// sink, when non-nil, feeds every simulated event into an attached
 	// metrics registry (SetObserver), in batches. Independent of tracing;
 	// survives Reset. scratch is where an event is written when the sink is
 	// its only reader (see put).
 	sink    *obsSink
-	scratch Event
+	scratch obs.Event
 	// index holds the one record per tensor — holder set, copy chain, host
 	// copy, host nodes — that every residency question is answered from, and
 	// the blocks of every device, all by slot. ids names each slot's tensor
@@ -233,7 +234,7 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 		src.stats.D2HBytes += desc.Bytes()
 		c.d2hBytes += desc.Bytes()
 		if c.observing() {
-			c.emit(EventD2H, src.id, desc.ID, src.CopyClock()-dur, src.CopyClock(), desc.Bytes(), 0)
+			c.emit(obs.EventD2H, src.id, desc.ID, src.CopyClock()-dur, src.CopyClock(), desc.Bytes(), 0)
 		}
 		c.hostCopy(slot, desc, src.node)
 	}
@@ -252,7 +253,7 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 		if peer.node == d.node {
 			// Intra-node P2P copies run on the node's inter-GPU fabric,
 			// shared by all of its pairs.
-			c.fabricTransfer(d, desc, EventP2P, float64(desc.Bytes())/c.p2pBandwidth(), &c.p2pClocks[d.node])
+			c.fabricTransfer(d, desc, obs.EventP2P, float64(desc.Bytes())/c.p2pBandwidth(), &c.p2pClocks[d.node])
 		} else {
 			// Cross-node peer copy: serialized on the inter-node fabric,
 			// charged at its bandwidth plus fixed latency.
@@ -266,7 +267,7 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 		d.stats.H2DBytes += desc.Bytes()
 		c.moveBytes += desc.Bytes()
 		if c.observing() {
-			c.emit(EventH2D, d.id, desc.ID, d.CopyClock()-dur, d.CopyClock(), desc.Bytes(), 0)
+			c.emit(obs.EventH2D, d.id, desc.ID, d.CopyClock()-dur, d.CopyClock(), desc.Bytes(), 0)
 		}
 	}
 	d.stats.ColdMisses++
@@ -281,14 +282,14 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 // node: fixed interconnect latency plus bytes at the (degradable)
 // inter-node bandwidth, on the single shared inter-node fabric.
 func (c *Cluster) interTransfer(d *Device, desc *tensor.Desc) {
-	c.fabricTransfer(d, desc, EventInter, c.cfg.InterNodeLatency+float64(desc.Bytes())/c.interBandwidth(), &c.interClock)
+	c.fabricTransfer(d, desc, obs.EventInter, c.cfg.InterNodeLatency+float64(desc.Bytes())/c.interBandwidth(), &c.interClock)
 	c.interBytes += desc.Bytes()
 }
 
 // fabricTransfer charges a copy of desc to device d that takes dur seconds
 // and serializes on a shared fabric, whose availability time is *clock: the
 // copy starts when both d's transfer queue and the fabric are free.
-func (c *Cluster) fabricTransfer(d *Device, desc *tensor.Desc, kind EventKind, dur float64, clock *float64) {
+func (c *Cluster) fabricTransfer(d *Device, desc *tensor.Desc, kind obs.EventKind, dur float64, clock *float64) {
 	queue := d.CopyClock()
 	start := max(queue, *clock)
 	end := start + dur
@@ -297,7 +298,7 @@ func (c *Cluster) fabricTransfer(d *Device, desc *tensor.Desc, kind EventKind, d
 	d.stats.TransferTime += end - queue
 	if s := c.sink; s != nil {
 		busy, stall := &s.p2pBusy, &s.p2pStall
-		if kind == EventInter {
+		if kind == obs.EventInter {
 			busy, stall = &s.interBusy, &s.interStall
 		}
 		busy.v += dur
@@ -399,7 +400,7 @@ func (c *Cluster) ExecContractionAt(dev int, a, b, out *tensor.Desc, slotA, slot
 	d.stats.Kernels++
 	d.stats.FLOPs += flops
 	if c.observing() {
-		c.emit(EventKernel, d.id, out.ID, d.clock-kt, d.clock, 0, flops)
+		c.emit(obs.EventKernel, d.id, out.ID, d.clock-kt, d.clock, 0, flops)
 	}
 	// Pinned blocks cannot have been dropped since ensureResident found them.
 	ba.pinned, bb.pinned = false, false

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"fmt"
 
+	"micco/internal/obs"
 	"micco/internal/tensor"
 )
 
@@ -258,7 +259,7 @@ func (d *Device) evictFor(size int64) error {
 		cost := c.cfg.EvictLatency
 		d.advanceTransferQueue(cost)
 		if c.observing() {
-			c.emit(EventEvict, d.id, victim.desc.ID, d.CopyClock()-cost, d.CopyClock(), victim.desc.Bytes(), 0)
+			c.emit(obs.EventEvict, d.id, victim.desc.ID, d.CopyClock()-cost, d.CopyClock(), victim.desc.Bytes(), 0)
 		}
 		if victim.dirty {
 			// Dirty write-back occupies the node's shared host link.
@@ -268,7 +269,7 @@ func (d *Device) evictFor(size int64) error {
 			c.d2hBytes += victim.desc.Bytes()
 			c.hostCopy(victim.slot, &victim.desc, d.node)
 			if c.observing() {
-				c.emit(EventD2H, d.id, victim.desc.ID, d.CopyClock()-dur, d.CopyClock(), victim.desc.Bytes(), 0)
+				c.emit(obs.EventD2H, d.id, victim.desc.ID, d.CopyClock()-dur, d.CopyClock(), victim.desc.Bytes(), 0)
 			}
 		}
 		d.stats.EvictTime += cost

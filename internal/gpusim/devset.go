@@ -13,11 +13,11 @@ const InlineDevices = 64
 // ABI limit: DevSet holder sets widen past 64 devices automatically.
 // (Before topology API v2 this constant was 64 and a hard residency-index
 // ceiling; the one-word representation survives as DevSet's inline fast
-// path.) It also keeps every device index inside the int32 an Event
+// path.) It also keeps every device index inside the int32 an obs.Event
 // stores: Validate rejects a larger count, so no index is truncated.
 const MaxDevices = 1 << 16
 
-// The conversion fails to compile if MaxDevices outgrows Event.Device.
+// The conversion fails to compile if MaxDevices outgrows obs.Event.Device.
 const _ int32 = MaxDevices
 
 // DevSet is a set of device IDs: a variable-width bitset with bit i set

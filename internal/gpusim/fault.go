@@ -3,6 +3,8 @@ package gpusim
 import (
 	"fmt"
 	"math"
+
+	"micco/internal/obs"
 )
 
 // This file is the simulator's fault surface: devices can be lost and
@@ -27,15 +29,15 @@ func (c *Cluster) FailDevice(dev int) error {
 	}
 	d.markDirty()
 	d.failed = true
-	c.traceFault(dev, FaultDeviceLoss, 0)
+	c.traceFault(dev, obs.FaultDeviceLoss, 0)
 	return nil
 }
 
 // traceFault records an injected fault at the current makespan.
-func (c *Cluster) traceFault(dev int, code FaultCode, arg uint64) {
+func (c *Cluster) traceFault(dev int, code obs.FaultCode, arg uint64) {
 	if c.observing() {
 		t := c.Makespan()
-		e := c.put(EventFault, dev, 0, t, t, int64(arg), 0)
+		e := c.put(obs.EventFault, dev, 0, t, t, int64(arg), 0)
 		e.Fault = code
 		if c.sink != nil {
 			c.sink.observe(e)
@@ -55,7 +57,7 @@ func (c *Cluster) RestoreDevice(dev int) error {
 	d.failed = false
 	d.clock = c.Makespan()
 	d.copyClock = d.clock
-	c.traceFault(dev, FaultDeviceRestore, 0)
+	c.traceFault(dev, obs.FaultDeviceRestore, 0)
 	return nil
 }
 
@@ -89,7 +91,7 @@ func (c *Cluster) DegradeLink(factor float64) error {
 		return fmt.Errorf("gpusim: link degrade factor %v must be positive", factor)
 	}
 	c.bwFactor = factor
-	c.traceFault(-1, FaultLinkDegrade, math.Float64bits(factor))
+	c.traceFault(-1, obs.FaultLinkDegrade, math.Float64bits(factor))
 	return nil
 }
 
@@ -123,7 +125,7 @@ func (c *Cluster) SetMemoryCapacity(dev int, capacity int64) error {
 	}
 	d.markDirty()
 	d.capOverride = capacity
-	c.traceFault(dev, FaultMemCapacity, uint64(capacity))
+	c.traceFault(dev, obs.FaultMemCapacity, uint64(capacity))
 	if d.memUsed > capacity {
 		// evictFor(0) loops until memUsed fits the (new) capacity.
 		if err := d.evictFor(0); err != nil {
@@ -141,7 +143,7 @@ func (c *Cluster) InjectTransientFailures(n int) {
 		return
 	}
 	c.transientLeft += n
-	c.traceFault(-1, FaultTransientTransfer, uint64(n))
+	c.traceFault(-1, obs.FaultTransientTransfer, uint64(n))
 }
 
 // TransientFailuresLeft returns how many injected transfer failures have

@@ -3,8 +3,11 @@ package gpusim
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"micco/internal/obs"
 )
 
 func TestFailDeviceDropsResidencyAndRejectsWork(t *testing.T) {
@@ -239,9 +242,9 @@ func TestShrinkEvictsLRUWithWriteBack(t *testing.T) {
 	var writebacks []uint64
 	for _, e := range c.StopTrace() {
 		switch e.Kind {
-		case EventEvict:
+		case obs.EventEvict:
 			evicted = append(evicted, e.Tensor)
-		case EventD2H:
+		case obs.EventD2H:
 			writebacks = append(writebacks, e.Tensor)
 		}
 	}
@@ -269,9 +272,9 @@ func TestShrinkEvictsLRUWithWriteBack(t *testing.T) {
 	evicted, writebacks = nil, nil
 	for _, e := range c.StopTrace() {
 		switch e.Kind {
-		case EventEvict:
+		case obs.EventEvict:
 			evicted = append(evicted, e.Tensor)
-		case EventD2H:
+		case obs.EventD2H:
 			writebacks = append(writebacks, e.Tensor)
 		}
 	}
@@ -369,31 +372,42 @@ func TestDiscardDeviceCopiesKeepsHostCopy(t *testing.T) {
 	}
 }
 
+// TestFaultEventsTracedAndSummarized injects every fault kind into a traced
+// cluster, watched by a registry with a flight recorder, late in a run long
+// enough to overrun the recorder's ring: the recorder holds the trace's last
+// events as the cluster emitted them, fault codes and arguments included,
+// its faults note what was injected, in order, and the Chrome trace renders
+// them as instants.
 func TestFaultEventsTracedAndSummarized(t *testing.T) {
 	c, _ := NewCluster(testConfig(2))
+	reg, fr := obs.New(), obs.NewFlightRecorder()
+	reg.SetFlightRecorder(fr)
+	c.SetObserver(reg)
 	c.StartTrace()
-	a := desc(1, 16, 1)
-	c.RegisterHostTensor(a)
-	if err := c.EnsureResident(0, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DegradeLink(0.25); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.FailDevice(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RestoreDevice(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetMemoryCapacity(0, 1<<19); err != nil {
-		t.Fatal(err)
+	for i := range uint64(3000) {
+		if i == 2000 {
+			for _, err := range []error{c.DegradeLink(0.25), c.FailDevice(1), c.RestoreDevice(1), c.SetMemoryCapacity(0, 1<<19)} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		a, b := desc(3*i+1, 64, 1), desc(3*i+2, 64, 1)
+		c.RegisterHostTensor(a)
+		c.RegisterHostTensor(b)
+		if _, err := c.ExecContraction(int(i&1), a, b, desc(3*i+3, 64, 1)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c.InjectTransientFailures(3)
-	events := c.TraceEvents()
+	events := c.StopTrace()
+	got, want := fr.Snapshot().Events, events[max(len(events)-obs.DefFlightEvents, 0):]
+	if len(events) <= obs.DefFlightEvents || !slices.Equal(got, want) {
+		t.Fatalf("the recorder's %d events are not the last %d of %d traced", len(got), len(want), len(events))
+	}
 	var notes []string
-	for _, e := range events {
-		if e.Kind == EventFault {
+	for _, e := range got {
+		if e.Kind == obs.EventFault {
 			notes = append(notes, e.Note())
 		}
 	}
@@ -403,7 +417,7 @@ func TestFaultEventsTracedAndSummarized(t *testing.T) {
 	}
 	// Chrome trace renders faults as instants and stays valid JSON.
 	var sb strings.Builder
-	if err := WriteChromeTraceMerged(&sb, events, nil); err != nil {
+	if err := WriteChromeTraceMerged(&sb, got, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `"fault device-loss"`) {

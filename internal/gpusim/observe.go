@@ -34,7 +34,7 @@ type obsSink struct {
 	// previous duration (one tensor size, one bandwidth: 99.9 % of them on
 	// observed_run, faulted or not, 97 % on the smallest deck), and a repeat
 	// costs one comparison instead of a bucket search.
-	kinds [numEventKinds]struct {
+	kinds [obs.NumEventKinds]struct {
 		count, bytes, busy acc
 		dur                *obs.Histogram
 		buckets            []int64
@@ -59,14 +59,11 @@ type obsSink struct {
 // own: the publish vanishes per event, and bounds how far a scrape lags.
 const sinkBatch = 1024
 
-// numEventKinds is the number of EventKind values (EventFault is last).
-const numEventKinds = int(EventFault) + 1
-
 // kindSeries holds the per-kind metric names, built once at package init
 // so SetObserver — which runs per engine Run — performs no formatting.
-var kindSeries = func() (t [numEventKinds]struct{ count, bytes, busy, dur string }) {
+var kindSeries = func() (t [obs.NumEventKinds]struct{ count, bytes, busy, dur string }) {
 	for k := range t {
-		kind := strconv.Quote(EventKind(k).String())
+		kind := strconv.Quote(obs.EventKind(k).String())
 		t[k].count = "micco_sim_events_total{kind=" + kind + "}"
 		t[k].bytes = "micco_sim_bytes_total{kind=" + kind + "}"
 		t[k].busy = "micco_sim_busy_seconds_total{kind=" + kind + "}"
@@ -143,10 +140,10 @@ func (c *Cluster) FlushObserver() {
 // time), read where emit wrote it. An attached flight recorder is fed it
 // unbatched — a post-mortem wants the events right up to the failure —
 // behind one atomic load.
-func (s *obsSink) observe(e *Event) {
+func (s *obsSink) observe(e *obs.Event) {
 	k, d := &s.kinds[e.Kind], e.End-e.Start
 	k.count.v++
-	if e.Fault == FaultNone { // a fault's Bytes is its argument
+	if e.Fault == obs.FaultNone { // a fault's Bytes is its argument
 		k.bytes.v += float64(e.Bytes)
 	}
 	k.busy.v += d
@@ -158,7 +155,7 @@ func (s *obsSink) observe(e *Event) {
 		s.flops.v += float64(e.FLOPs)
 	}
 	if fr := s.reg.FlightRecorder(); fr != nil {
-		fr.RecordEvent(e.Flight())
+		fr.RecordEvent(e)
 	}
 	if s.pending++; s.pending == sinkBatch {
 		s.publish()

@@ -58,7 +58,7 @@ func TestDeviceMaskOps(t *testing.T) {
 }
 
 // TestConfigRejectsOversizedCluster checks the device cap, and with it
-// that no accepted count overflows the int32 an Event stores a device in.
+// that no accepted count overflows the int32 an obs.Event stores a device in.
 func TestConfigRejectsOversizedCluster(t *testing.T) {
 	for _, n := range []int{MaxDevices + 1, math.MaxInt32, math.MaxInt32 + 1, math.MaxInt} {
 		cfg := MI100(8)

@@ -2,248 +2,17 @@ package gpusim
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
 
 	"micco/internal/obs"
 )
 
-// EventKind classifies a traced simulator event. One byte wide: with the
-// fault code beside it and an int32 device, an Event is six words.
-type EventKind uint8
-
-const (
-	// EventKernel is a contraction kernel execution.
-	EventKernel EventKind = iota
-	// EventH2D is a host-to-device transfer.
-	EventH2D
-	// EventD2H is a device-to-host transfer (write-back or staging).
-	EventD2H
-	// EventP2P is a device-to-device transfer.
-	EventP2P
-	// EventEvict is an eviction (excluding any write-back transfer, which
-	// is traced separately as EventD2H).
-	EventEvict
-	// EventInter is an inter-node transfer: a cross-node peer copy, or a
-	// host copy shipped between node partitions, serialized on the
-	// inter-node interconnect. Device is the requesting (destination)
-	// device.
-	EventInter
-	// EventFault is an injected fault (device loss/restore, link
-	// degradation, capacity shrink, transient-failure arming). Zero
-	// duration; Fault and its argument say which, Note renders them. Device -1 marks
-	// cluster-wide faults.
-	EventFault
-)
-
-// FaultCode names the injected fault an EventFault records.
-type FaultCode uint8
-
-const (
-	// FaultNone marks every event that is not a fault.
-	FaultNone FaultCode = iota
-	// FaultDeviceLoss is FailDevice: "device-loss".
-	FaultDeviceLoss
-	// FaultDeviceRestore is RestoreDevice: "device-restore".
-	FaultDeviceRestore
-	// FaultLinkDegrade is DegradeLink; the argument is the factor's
-	// math.Float64bits: "link-degrade x0.25".
-	FaultLinkDegrade
-	// FaultMemCapacity is SetMemoryCapacity; the argument is the capacity
-	// in bytes: "mem-capacity 524288".
-	FaultMemCapacity
-	// FaultTransientTransfer is InjectTransientFailures; the argument is
-	// the failure count: "transient-transfer x3".
-	FaultTransientTransfer
-)
-
-// faultNames are the fixed part of each fault's note, indexed by FaultCode.
-var faultNames = [...]string{
-	FaultDeviceLoss:        "device-loss",
-	FaultDeviceRestore:     "device-restore",
-	FaultLinkDegrade:       "link-degrade x",
-	FaultMemCapacity:       "mem-capacity ",
-	FaultTransientTransfer: "transient-transfer x",
-}
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EventKernel:
-		return "kernel"
-	case EventH2D:
-		return "h2d"
-	case EventD2H:
-		return "d2h"
-	case EventP2P:
-		return "p2p"
-	case EventEvict:
-		return "evict"
-	case EventInter:
-		return "inter"
-	case EventFault:
-		return "fault"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event is one traced simulator operation on a device timeline: 48 bytes
-// that hold no pointer — a fault's description is a code and one argument,
-// rendered by Note — so a trace log is memory the garbage collector never
-// scans.
-type Event struct {
-	Kind EventKind
-	// Fault is the injected fault of an EventFault (FaultNone on every
-	// other event); see the FaultCode constants for its argument.
-	Fault FaultCode
-	// Device is the device's index; Config.Validate caps the count well
-	// inside an int32.
-	Device int32
-	// Tensor is the subject tensor: the moved tensor for transfers and
-	// evictions, the output tensor for kernels.
-	Tensor uint64
-	// Start and End are simulated seconds.
-	Start, End float64
-	// Bytes is the payload for transfers/evictions. A fault moves nothing,
-	// so an event with a fault code keeps the fault's argument here instead,
-	// its bits reinterpreted; read it through faultArg.
-	Bytes int64
-	// FLOPs is the work of a kernel.
-	FLOPs int64
-}
-
-// faultArg is the argument of the event's fault code, kept in its Bytes
-// field; 0 when the event records no fault.
-func (e *Event) faultArg() uint64 {
-	if e.Fault == FaultNone {
-		return 0
-	}
-	return uint64(e.Bytes)
-}
-
-// Duration returns the event length in seconds.
-func (e Event) Duration() float64 { return e.End - e.Start }
-
-// Note describes a fault event ("device-loss", "link-degrade x0.25", ...);
-// empty for ordinary simulator events.
-func (e Event) Note() string { return string(appendNote(nil, e.Fault, e.faultArg())) }
-
-// appendNote appends the note of fault code with argument arg, as fmt's %g
-// and %d wrote it when the note was a string: strconv's shortest 'g' form is
-// what %g prints for a float64. An unknown code appends nothing.
-func appendNote(b []byte, code FaultCode, arg uint64) []byte {
-	if int(code) >= len(faultNames) {
-		return b
-	}
-	b = append(b, faultNames[code]...)
-	switch code {
-	case FaultLinkDegrade:
-		b = strconv.AppendFloat(b, math.Float64frombits(arg), 'g', -1, 64)
-	case FaultMemCapacity, FaultTransientTransfer:
-		b = strconv.AppendInt(b, int64(arg), 10)
-	}
-	return b
-}
-
-// parseNote inverts appendNote: it accepts exactly the notes appendNote
-// writes ("" for FaultNone) and reports ok=false for anything else.
-func parseNote(s string) (FaultCode, uint64, bool) {
-	if s == "" {
-		return FaultNone, 0, true
-	}
-	for c := FaultDeviceLoss; int(c) < len(faultNames); c++ {
-		rest, found := strings.CutPrefix(s, faultNames[c])
-		if !found {
-			continue
-		}
-		// A parse error is caught below with every other non-canonical
-		// spelling ("x0.250", "+3"): none renders back as it was written.
-		var arg uint64
-		switch c {
-		case FaultLinkDegrade:
-			f, _ := strconv.ParseFloat(rest, 64)
-			arg = math.Float64bits(f)
-		case FaultMemCapacity, FaultTransientTransfer:
-			n, _ := strconv.ParseInt(rest, 10, 64)
-			arg = uint64(n)
-		}
-		if string(appendNote(nil, c, arg)) == s {
-			return c, arg, true
-		}
-	}
-	return FaultNone, 0, false
-}
-
-// Flight converts the event to the obs layer's flight-recorder mirror
-// type (obs sits below gpusim, so the conversion lives here). The struct
-// is built on the caller's stack — recording an ordinary event allocates
-// nothing; a fault's note is rendered here, and its Bytes is 0: the
-// argument is in the note.
-func (e Event) Flight() obs.FlightEvent {
-	fe := obs.FlightEvent{
-		Kind:   e.Kind.String(),
-		Device: int(e.Device),
-		Tensor: e.Tensor,
-		Start:  e.Start,
-		End:    e.End,
-		Bytes:  e.Bytes,
-		FLOPs:  e.FLOPs,
-	}
-	if e.Fault != FaultNone {
-		fe.Bytes, fe.Note = 0, e.Note()
-	}
-	return fe
-}
-
-// ParseEventKind resolves an event-kind name produced by EventKind.String.
-func ParseEventKind(s string) (EventKind, bool) {
-	for k := EventKind(0); int(k) < numEventKinds; k++ {
-		if k.String() == s {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// EventFromFlight converts a flight-recorder event back to a simulator
-// event, parsing a fault's note back into its code and argument. Events
-// with an unknown kind name, a note Event.Note does not write, or a device
-// outside an int32 report ok=false.
-func EventFromFlight(fe obs.FlightEvent) (Event, bool) {
-	k, kindOK := ParseEventKind(fe.Kind)
-	code, arg, noteOK := parseNote(fe.Note)
-	e := Event{
-		Kind:   k,
-		Fault:  code,
-		Device: int32(fe.Device),
-		Tensor: fe.Tensor,
-		Start:  fe.Start,
-		End:    fe.End,
-		Bytes:  fe.Bytes,
-		FLOPs:  fe.FLOPs,
-	}
-	if code != FaultNone {
-		e.Bytes = int64(arg)
-	}
-	return e, kindOK && noteOK && int(e.Device) == fe.Device
-}
-
-// EventsFromFlight converts a flight-recorder snapshot's events back to
-// simulator events, dropping any EventFromFlight rejects, so recorder contents
-// feed the Chrome-trace writers and the report analyses directly.
-func EventsFromFlight(fes []obs.FlightEvent) []Event {
-	out := make([]Event, 0, len(fes))
-	for _, fe := range fes {
-		if e, ok := EventFromFlight(fe); ok {
-			out = append(out, e)
-		}
-	}
-	return out
-}
+// Event is the simulator's event record, declared with its kinds, fault
+// codes and note renderer in obs so the flight recorder keeps it as
+// written. The alias keeps the name the benchmark module uses.
+type Event = obs.Event
 
 // StartTrace begins recording events; any previously recorded events are
 // dropped. Tracing survives Reset (events clear, recording continues). The
@@ -251,12 +20,12 @@ func EventsFromFlight(fes []obs.FlightEvent) []Event {
 // repeat of a traced run never re-grows it, a first or longer one appends.
 func (c *Cluster) StartTrace() {
 	c.tracing = true
-	c.traceEvents = make([]Event, 0, c.traceCap)
+	c.traceEvents = make([]obs.Event, 0, c.traceCap)
 }
 
 // StopTrace stops recording and returns the recorded events. The slice is
 // the caller's: the cluster keeps only its length, for the next StartTrace.
-func (c *Cluster) StopTrace() []Event {
+func (c *Cluster) StopTrace() []obs.Event {
 	c.tracing = false
 	out := c.traceEvents
 	c.traceEvents = nil
@@ -269,11 +38,11 @@ func (c *Cluster) StopTrace() []Event {
 // TraceEvents returns a copy of the events recorded so far without
 // stopping, so callers cannot corrupt an in-progress trace by mutating or
 // re-slicing the returned slice. Nil when nothing has been recorded.
-func (c *Cluster) TraceEvents() []Event {
+func (c *Cluster) TraceEvents() []obs.Event {
 	if len(c.traceEvents) == 0 {
 		return nil
 	}
-	out := make([]Event, len(c.traceEvents))
+	out := make([]obs.Event, len(c.traceEvents))
 	copy(out, c.traceEvents)
 	return out
 }
@@ -285,7 +54,7 @@ func (c *Cluster) observing() bool { return c.tracing || c.sink != nil }
 
 // emit records one simulator event where it will be read — and hands the
 // sink that one copy by pointer.
-func (c *Cluster) emit(kind EventKind, dev int, tensor uint64, start, end float64, bytes, flops int64) {
+func (c *Cluster) emit(kind obs.EventKind, dev int, tensor uint64, start, end float64, bytes, flops int64) {
 	e := c.put(kind, dev, tensor, start, end, bytes, flops)
 	if c.sink != nil {
 		c.sink.observe(e)
@@ -296,18 +65,18 @@ func (c *Cluster) emit(kind EventKind, dev int, tensor uint64, start, end float6
 // into the cluster's scratch event when only the sink listens, and returns
 // it. Nothing is built elsewhere and copied in: the sink's loads then read
 // what these stores wrote, word for word.
-func (c *Cluster) put(kind EventKind, dev int, tensor uint64, start, end float64, bytes, flops int64) *Event {
+func (c *Cluster) put(kind obs.EventKind, dev int, tensor uint64, start, end float64, bytes, flops int64) *obs.Event {
 	e := &c.scratch
 	if c.tracing {
 		n := len(c.traceEvents)
 		if n < cap(c.traceEvents) {
 			c.traceEvents = c.traceEvents[:n+1]
 		} else {
-			c.traceEvents = append(c.traceEvents, Event{})
+			c.traceEvents = append(c.traceEvents, obs.Event{})
 		}
 		e = &c.traceEvents[n]
 	}
-	e.Kind, e.Fault, e.Device, e.Tensor = kind, FaultNone, int32(dev), tensor
+	e.Kind, e.Fault, e.Device, e.Tensor = kind, obs.FaultNone, int32(dev), tensor
 	e.Start, e.End, e.Bytes, e.FLOPs = start, end, bytes, flops
 	return e
 }
@@ -320,7 +89,7 @@ func (c *Cluster) put(kind EventKind, dev int, tensor uint64, start, end float64
 // chosen device's kernel thread, so Perfetto shows *why* each pair landed
 // where it did next to the kernels and transfers it caused. Timestamps are
 // the decision's simulated placement time.
-func WriteChromeTraceMerged(w io.Writer, events []Event, decisions []obs.DecisionRecord) error {
+func WriteChromeTraceMerged(w io.Writer, events []obs.Event, decisions []obs.DecisionRecord) error {
 	return writeChromeTrace(w, events, decisions)
 }
 
@@ -328,7 +97,7 @@ func WriteChromeTraceMerged(w io.Writer, events []Event, decisions []obs.Decisio
 // to one buffered writer. The format is the one fmt used to produce, byte
 // for byte: a name as %q writes it (appendQuoted), a time in microseconds as
 // %.3f does (appendFixed3), a count as %d does (AppendInt, AppendUint).
-func writeChromeTrace(w io.Writer, events []Event, decisions []obs.DecisionRecord) error {
+func writeChromeTrace(w io.Writer, events []obs.Event, decisions []obs.DecisionRecord) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("[\n")
 	last := len(events) + len(decisions) - 1
@@ -346,17 +115,17 @@ func writeChromeTrace(w io.Writer, events []Event, decisions []obs.DecisionRecor
 	num := func(b []byte, key string, v int64) []byte { return strconv.AppendInt(append(b, key...), v, 10) }
 	for i := range events {
 		e := &events[i]
-		if e.Kind == EventFault {
+		if e.Kind == obs.EventFault {
 			// Faults render as process-scoped instants so Perfetto pins
 			// them to the moment of injection rather than a duration bar.
-			name = appendNote(append(name[:0], "fault "...), e.Fault, e.faultArg())
+			name = e.AppendNote(append(name[:0], "fault "...))
 			buf = appendQuoted(append(buf[:0], `  {"name":`...), string(name))
 			buf = appendFixed3(append(buf, `,"ph":"i","ts":`...), e.Start*1e6)
 			buf = num(buf, `,"pid":`, int64(max(e.Device, 0)))
 			buf = num(buf, `,"tid":0,"s":"p","args":{"device":`, int64(e.Device))
 		} else {
 			tid := int64(0) // kernel queue
-			if e.Kind != EventKernel {
+			if e.Kind != obs.EventKernel {
 				tid = 1 // copy/eviction queue
 			}
 			name = strconv.AppendUint(append(append(name[:0], e.Kind.String()...), " t"...), e.Tensor, 10)

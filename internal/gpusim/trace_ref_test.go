@@ -16,7 +16,7 @@ import (
 // refWriteChromeTrace is the writer writeChromeTrace replaced, kept
 // verbatim as the oracle: fmt formats every record, so what %q, %.3f and %d
 // mean is not restated here.
-func refWriteChromeTrace(w io.Writer, events []Event, decisions []obs.DecisionRecord) error {
+func refWriteChromeTrace(w io.Writer, events []obs.Event, decisions []obs.DecisionRecord) error {
 	if _, err := io.WriteString(w, "[\n"); err != nil {
 		return err
 	}
@@ -30,7 +30,7 @@ func refWriteChromeTrace(w io.Writer, events []Event, decisions []obs.DecisionRe
 		return ","
 	}
 	for _, e := range events {
-		if e.Kind == EventFault {
+		if e.Kind == obs.EventFault {
 			// Faults render as process-scoped instants so Perfetto pins
 			// them to the moment of injection rather than a duration bar.
 			pid := e.Device
@@ -47,7 +47,7 @@ func refWriteChromeTrace(w io.Writer, events []Event, decisions []obs.DecisionRe
 			continue
 		}
 		tid := 0 // kernel queue
-		if e.Kind != EventKernel {
+		if e.Kind != obs.EventKernel {
 			tid = 1 // copy/eviction queue
 		}
 		_, err := fmt.Fprintf(w,
@@ -91,32 +91,32 @@ func TestChromeTraceMatchesFmtWriter(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	times := []float64{0, math.Copysign(0, -1), 1e-12, 4.4e-10, 5e-10, 0.0015, 1.0 / 3, -2.5, 1e15, 1e300, math.MaxFloat64, nan, inf, -inf}
 	type fault struct {
-		code FaultCode
+		code obs.FaultCode
 		arg  uint64
 	}
-	faults := []fault{{FaultNone, 0}, {FaultDeviceLoss, 0}, {FaultDeviceRestore, 0}, {FaultCode(200), 7}}
+	faults := []fault{{obs.FaultNone, 0}, {obs.FaultDeviceLoss, 0}, {obs.FaultDeviceRestore, 0}, {obs.FaultCode(200), 7}}
 	for _, f := range []float64{0.25, 1e-05, 3, 1e21, math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.MaxFloat64, nan, inf, -inf} {
-		faults = append(faults, fault{FaultLinkDegrade, math.Float64bits(f)})
+		faults = append(faults, fault{obs.FaultLinkDegrade, math.Float64bits(f)})
 	}
 	for _, n := range []int64{1, 1 << 62, -1, math.MaxInt64, math.MinInt64} {
-		faults = append(faults, fault{FaultMemCapacity, uint64(n)}, fault{FaultTransientTransfer, uint64(n)})
+		faults = append(faults, fault{obs.FaultMemCapacity, uint64(n)}, fault{obs.FaultTransientTransfer, uint64(n)})
 	}
-	var events []Event
+	var events []obs.Event
 	for i, at := range times {
 		end := times[(i+5)%len(times)]
 		f := faults[i%len(faults)]
 		events = append(events,
-			Event{Kind: EventKind(i % numEventKinds), Device: int32(i - 2), Tensor: uint64(i), Start: at, End: end, Bytes: int64(i), FLOPs: int64(-i)},
-			Event{Kind: EventKernel, Device: 3, Tensor: math.MaxUint64, Start: at, End: at, Bytes: math.MaxInt64, FLOPs: math.MinInt64},
-			Event{Kind: EventFault, Device: -1, Start: at, End: at, Fault: f.code, Bytes: int64(f.arg)},
+			obs.Event{Kind: obs.EventKind(i % obs.NumEventKinds), Device: int32(i - 2), Tensor: uint64(i), Start: at, End: end, Bytes: int64(i), FLOPs: int64(-i)},
+			obs.Event{Kind: obs.EventKernel, Device: 3, Tensor: math.MaxUint64, Start: at, End: at, Bytes: math.MaxInt64, FLOPs: math.MinInt64},
+			obs.Event{Kind: obs.EventFault, Device: -1, Start: at, End: at, Fault: f.code, Bytes: int64(f.arg)},
 		)
 	}
 	for i, f := range faults {
-		events = append(events, Event{Kind: EventFault, Device: int32(i - 1), Start: 0.5, End: 0.5, Fault: f.code, Bytes: int64(f.arg)})
+		events = append(events, obs.Event{Kind: obs.EventFault, Device: int32(i - 1), Start: 0.5, End: 0.5, Fault: f.code, Bytes: int64(f.arg)})
 	}
 	events = append(events,
-		Event{Kind: EventKind(99), Device: math.MaxInt32, Tensor: 7, Start: 1, End: 2},
-		Event{Kind: EventKind(253), Device: math.MinInt32, Tensor: 8, Start: 2, End: 1},
+		obs.Event{Kind: obs.EventKind(99), Device: math.MaxInt32, Tensor: 7, Start: 1, End: 2},
+		obs.Event{Kind: obs.EventKind(253), Device: math.MinInt32, Tensor: 8, Start: 2, End: 1},
 	)
 	var decisions []obs.DecisionRecord
 	for i := range 14 {
@@ -127,7 +127,7 @@ func TestChromeTraceMatchesFmtWriter(t *testing.T) {
 		})
 	}
 	for name, tc := range map[string]struct {
-		events    []Event
+		events    []obs.Event
 		decisions []obs.DecisionRecord
 	}{
 		"both":           {events, decisions},
@@ -138,7 +138,7 @@ func TestChromeTraceMatchesFmtWriter(t *testing.T) {
 		"one decision":   {nil, decisions[:1]},
 		"fault last":     {events[:3], nil},
 		"empty":          {nil, nil},
-		"empty slices":   {[]Event{}, []obs.DecisionRecord{}},
+		"empty slices":   {[]obs.Event{}, []obs.DecisionRecord{}},
 	} {
 		var got, want bytes.Buffer
 		if err := writeChromeTrace(&got, tc.events, tc.decisions); err != nil {
@@ -197,7 +197,7 @@ func TestAppendFixed3MatchesStrconv(t *testing.T) {
 // TestAppendQuotedMatchesStrconv holds the pass-through to AppendQuote on
 // every single byte, alone and inside a name, and on multi-byte runes.
 func TestAppendQuotedMatchesStrconv(t *testing.T) {
-	names := []string{"", "kernel t1", "EventKind(-3) t0", "snow☃", "bad\xffutf8", "sep\u2028", "\U0001f600"}
+	names := []string{"", "kernel t1", "obs.EventKind(-3) t0", "snow☃", "bad\xffutf8", "sep\u2028", "\U0001f600"}
 	for c := 0; c < 256; c++ {
 		names = append(names, string([]byte{byte(c)}), "fault x"+string([]byte{byte(c)})+"y")
 	}
@@ -221,7 +221,7 @@ func firstDiff(a, b []byte) int {
 // TestChromeTraceWriteError checks that a failing writer's error comes
 // back, wherever in the trace the write fails.
 func TestChromeTraceWriteError(t *testing.T) {
-	events := make([]Event, 500) // more than one buffer's worth
+	events := make([]obs.Event, 500) // more than one buffer's worth
 	decisions := make([]obs.DecisionRecord, 500)
 	var whole bytes.Buffer
 	if err := writeChromeTrace(&whole, events, decisions); err != nil {

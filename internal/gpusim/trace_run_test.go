@@ -16,7 +16,7 @@ import (
 // observedRun records the ladder's observed_run job at the given size:
 // eight devices holding a sixteenth of the unique bytes, fixed-bounds MICCO,
 // registry and simulator trace on.
-func observedRun(tb testing.TB, stages, vector int) ([]gpusim.Event, []obs.DecisionRecord) {
+func observedRun(tb testing.TB, stages, vector int) ([]obs.Event, []obs.DecisionRecord) {
 	tb.Helper()
 	w, err := workload.Generate(workload.Config{
 		Seed: 2022, Stages: stages, VectorSize: vector, TensorDim: 384, Batch: 8,
@@ -45,7 +45,7 @@ func observedRun(tb testing.TB, stages, vector int) ([]gpusim.Event, []obs.Decis
 // eviction kind, and one decision per pair.
 func TestChromeTraceMatchesFmtWriterOnRun(t *testing.T) {
 	events, decisions := observedRun(t, 10, 1024)
-	kinds := map[gpusim.EventKind]bool{}
+	kinds := map[obs.EventKind]bool{}
 	for _, e := range events {
 		kinds[e.Kind] = true
 	}

@@ -11,10 +11,8 @@ import (
 )
 
 // ReusePattern is the local reuse classification of a tensor pair against
-// current GPU residency (paper Fig. 4). Values mirror internal/core's
-// enumeration so the two layers agree without an import cycle (core
-// depends on sched, which depends on this package). One byte, as a
-// DecisionRecord stores it.
+// current GPU residency (paper Fig. 4), as sched.ClassifyMasks computes it
+// for every placement. One byte, as a DecisionRecord stores it.
 type ReusePattern uint8
 
 const (

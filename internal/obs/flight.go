@@ -8,23 +8,6 @@ import (
 	"sync/atomic"
 )
 
-// FlightEvent is one simulator operation as retained by the flight
-// recorder. It mirrors gpusim.Event field for field — obs sits below the
-// simulator in the dependency order, so the simulator converts on the way
-// in (Event.Flight) and back on the way out (gpusim.EventsFromFlight).
-// Kind is the event kind's name ("kernel", "h2d", ...), keeping recorder
-// dumps self-describing.
-type FlightEvent struct {
-	Kind   string  `json:"kind"`
-	Device int     `json:"device"`
-	Tensor uint64  `json:"tensor"`
-	Start  float64 `json:"start"`
-	End    float64 `json:"end"`
-	Bytes  int64   `json:"bytes,omitempty"`
-	FLOPs  int64   `json:"flops,omitempty"`
-	Note   string  `json:"note,omitempty"`
-}
-
 // Tail lengths of the flight recorder: how many of the most recent
 // simulator events it retains, and how many of the registry's most recent
 // decision records and completed spans a snapshot carries. Events dominate
@@ -41,29 +24,29 @@ const (
 // allocation once the ring is built.
 type ring struct {
 	mu  sync.Mutex
-	buf []FlightEvent
+	buf []Event
 	// n is the total number of events ever offered; the ring holds the
 	// last min(n, len(buf)) of them.
 	n uint64
 }
 
-func newRing(capacity int) ring { return ring{buf: make([]FlightEvent, capacity)} }
+func newRing(capacity int) ring { return ring{buf: make([]Event, capacity)} }
 
-func (r *ring) record(v FlightEvent) {
+func (r *ring) record(e *Event) {
 	r.mu.Lock()
-	r.buf[r.n%uint64(len(r.buf))] = v
+	r.buf[r.n%uint64(len(r.buf))] = *e
 	r.n++
 	r.mu.Unlock()
 }
 
 // snapshot copies the retained events oldest-first and reports the total
 // ever offered.
-func (r *ring) snapshot() ([]FlightEvent, uint64) {
+func (r *ring) snapshot() ([]Event, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	size := uint64(len(r.buf))
 	kept := min(r.n, size)
-	out := make([]FlightEvent, 0, kept)
+	out := make([]Event, 0, kept)
 	for i := r.n - kept; i < r.n; i++ {
 		out = append(out, r.buf[i%size])
 	}
@@ -98,8 +81,8 @@ func NewFlightRecorder() *FlightRecorder {
 	return &FlightRecorder{events: newRing(DefFlightEvents)}
 }
 
-// RecordEvent retains one simulator event. Nil-safe.
-func (fr *FlightRecorder) RecordEvent(e FlightEvent) {
+// RecordEvent retains a copy of one simulator event. Nil-safe.
+func (fr *FlightRecorder) RecordEvent(e *Event) {
 	if fr == nil {
 		return
 	}
@@ -114,7 +97,7 @@ type FlightSnapshot struct {
 	// Reason is why the snapshot was taken: "" for on-demand snapshots, a
 	// description of the failure for automatic dumps.
 	Reason         string           `json:"reason,omitempty"`
-	Events         []FlightEvent    `json:"events"`
+	Events         []Event          `json:"events"`
 	Decisions      []DecisionRecord `json:"decisions"`
 	Spans          []Span           `json:"spans"`
 	TotalEvents    uint64           `json:"total_events"`

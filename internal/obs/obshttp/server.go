@@ -78,14 +78,11 @@ func Handler(reg *obs.Registry) http.Handler {
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
 		snap := reg.FlightRecorder().Snapshot()
-		var events []gpusim.Event
-		var decisions []obs.DecisionRecord
-		if snap != nil {
-			events = gpusim.EventsFromFlight(snap.Events)
-			decisions = snap.Decisions
+		if snap == nil {
+			snap = &obs.FlightSnapshot{}
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if err := gpusim.WriteChromeTraceMerged(w, events, decisions); err != nil {
+		if err := gpusim.WriteChromeTraceMerged(w, snap.Events, snap.Decisions); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

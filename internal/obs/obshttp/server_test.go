@@ -138,9 +138,13 @@ func TestServerEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/flight = %d", code)
 	}
-	var fsnap obs.FlightSnapshot
+	var fsnap struct {
+		Reason      string
+		Events      []json.RawMessage
+		TotalEvents uint64 `json:"total_events"`
+	}
 	if err := json.Unmarshal([]byte(body), &fsnap); err != nil {
-		t.Fatalf("/flight not a FlightSnapshot: %v", err)
+		t.Fatalf("/flight not a flight snapshot: %v", err)
 	}
 	if fsnap.TotalEvents != 3 || len(fsnap.Events) != 3 {
 		t.Errorf("/flight events = %d (total %d), want 3", len(fsnap.Events), fsnap.TotalEvents)

@@ -115,7 +115,7 @@ func WriteMetrics(path string, logw io.Writer, snap *obs.Snapshot) error {
 
 // WriteTrace writes a Chrome trace of events with decision records merged
 // in as instant markers.
-func WriteTrace(path string, logw io.Writer, events []gpusim.Event, decisions []obs.DecisionRecord) error {
+func WriteTrace(path string, logw io.Writer, events []obs.Event, decisions []obs.DecisionRecord) error {
 	what := fmt.Sprintf("trace (%d events)", len(events))
 	return Write(path, what, logw, func(w io.Writer) error {
 		return gpusim.WriteChromeTraceMerged(w, events, decisions)

@@ -51,16 +51,16 @@ func observedInput(tb testing.TB, stages, vector int) Input {
 // over the later half of them. From the makespan the scan passes every
 // short event the long one covers before it reaches the long one; below it
 // every step finds a gap.
-func nestedEvents(n int) ([]gpusim.Event, float64) {
-	events := make([]gpusim.Event, 0, n+1)
+func nestedEvents(n int) ([]obs.Event, float64) {
+	events := make([]obs.Event, 0, n+1)
 	for i := 0; i < n; i++ {
-		events = append(events, gpusim.Event{
-			Kind: gpusim.EventKernel, Device: 1, Tensor: uint64(i),
+		events = append(events, obs.Event{
+			Kind: obs.EventKernel, Device: 1, Tensor: uint64(i),
 			Start: float64(i), End: float64(i) + 0.5,
 		})
 	}
 	makespan := float64(n)
-	events = append(events, gpusim.Event{Kind: gpusim.EventH2D, Start: makespan / 2, End: makespan})
+	events = append(events, obs.Event{Kind: obs.EventH2D, Start: makespan / 2, End: makespan})
 	return events, makespan
 }
 
@@ -71,7 +71,7 @@ var sinkPath *CriticalPath
 // number to read: the walk is one sort plus linear work, so it stays flat
 // where the walk it replaced grew with the event count.
 func BenchmarkCriticalPath(b *testing.B) {
-	run := func(name string, fixture func(*testing.B) ([]gpusim.Event, float64)) {
+	run := func(name string, fixture func(*testing.B) ([]obs.Event, float64)) {
 		b.Run(name, func(b *testing.B) {
 			events, makespan := fixture(b)
 			b.ReportAllocs()
@@ -88,12 +88,12 @@ func BenchmarkCriticalPath(b *testing.B) {
 		name   string
 		stages int
 	}{{"events=5k", 2}, {"events=20k", 9}, {"events=80k", 35}} {
-		run(size.name, func(b *testing.B) ([]gpusim.Event, float64) {
+		run(size.name, func(b *testing.B) ([]obs.Event, float64) {
 			in := observedInput(b, size.stages, 512)
 			return in.Events, in.Makespan
 		})
 	}
-	run("nested", func(*testing.B) ([]gpusim.Event, float64) { return nestedEvents(20000) })
+	run("nested", func(*testing.B) ([]obs.Event, float64) { return nestedEvents(20000) })
 }
 
 // BenchmarkReportRenderJSON measures Report.WriteJSON on the report of the

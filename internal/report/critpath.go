@@ -6,7 +6,7 @@ import (
 	"slices"
 	"strconv"
 
-	"micco/internal/gpusim"
+	"micco/internal/obs"
 )
 
 // Segment is one link of the critical path: a half-open interval of
@@ -95,14 +95,14 @@ type cand struct {
 // one sort of the keys and then O(events + segments); the keys, the walk's
 // table and the segments are one allocation each, and the shares cost one
 // per distinct key (DESIGN.md §13).
-func CriticalPathOf(events []gpusim.Event, makespan float64) *CriticalPath {
+func CriticalPathOf(events []obs.Event, makespan float64) *CriticalPath {
 	cp := &CriticalPath{Makespan: makespan}
 	cs := make([]cand, 0, len(events))
 	maxDevice := 0
 	for i := range events {
 		e := &events[i]
 		// A NaN bound would pass the ordered comparisons and poison the cursor.
-		if e.Kind == gpusim.EventFault || !finite(e.Start) || !finite(e.End) || e.End-e.Start <= 0 || e.Start >= makespan {
+		if e.Kind == obs.EventFault || !finite(e.Start) || !finite(e.End) || e.End-e.Start <= 0 || e.Start >= makespan {
 			continue
 		}
 		cs = append(cs, cand{e.Start, e.End, int32(i)})
@@ -201,7 +201,7 @@ func CriticalPathOf(events []gpusim.Event, makespan float64) *CriticalPath {
 	if n > 0 {
 		b.segs = make([]Segment, 0, n)
 	}
-	at := func(note int32) (cand, *gpusim.Event) {
+	at := func(note int32) (cand, *obs.Event) {
 		c := cs[max(note, ^note)]
 		return c, &events[c.event]
 	}
@@ -240,7 +240,7 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // laterChain orders tie-broken candidates: prefer the later-starting event
 // (shortest backward hop), then lower device, kind name, tensor.
-func laterChain(events []gpusim.Event, a, b cand) bool {
+func laterChain(events []obs.Event, a, b cand) bool {
 	if a.start != b.start {
 		return a.start > b.start
 	}
@@ -263,18 +263,18 @@ func deviceKey(d int) string {
 
 // idleKind stands for a gap where the path's shares are indexed by event
 // kind: no fault is ever on the path, so its number is free.
-const idleKind = gpusim.EventFault
+const idleKind = obs.EventFault
 
 // resourceSlot groups the event kinds, and idleKind, as resourceOf groups
 // their names.
 var resourceSlot = [idleKind + 1]int{
-	gpusim.EventKernel: 0,
-	gpusim.EventH2D:    1,
-	gpusim.EventD2H:    1,
-	gpusim.EventP2P:    2,
-	gpusim.EventInter:  3,
-	gpusim.EventEvict:  4,
-	idleKind:           5,
+	obs.EventKernel: 0,
+	obs.EventH2D:    1,
+	obs.EventD2H:    1,
+	obs.EventP2P:    2,
+	obs.EventInter:  3,
+	obs.EventEvict:  4,
+	idleKind:        5,
 }
 
 const numResources = 6
@@ -289,7 +289,7 @@ type blame struct {
 
 // add appends s, which is of kind (idleKind for a gap), under that kind's
 // name.
-func (b *blame) add(s Segment, kind gpusim.EventKind) {
+func (b *blame) add(s Segment, kind obs.EventKind) {
 	d := s.Duration()
 	k := b.kinds.at(int(kind))
 	if k.name == "" {

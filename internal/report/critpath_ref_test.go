@@ -7,19 +7,19 @@ import (
 	"sort"
 	"testing"
 
-	"micco/internal/gpusim"
+	"micco/internal/obs"
 )
 
 // refCriticalPath is the walk CriticalPathOf replaced, kept verbatim as the
 // oracle: every step rescans the whole prefix of candidates starting before
 // the cursor, which is quadratic but plainly the definition.
-func refCriticalPath(events []gpusim.Event, makespan float64) *CriticalPath {
+func refCriticalPath(events []obs.Event, makespan float64) *CriticalPath {
 	cp := &CriticalPath{Makespan: makespan}
 	// Candidates sorted by start so each step only scans events that can
 	// still be selected as the cursor walks toward 0.
-	cand := make([]gpusim.Event, 0, len(events))
+	cand := make([]obs.Event, 0, len(events))
 	for _, e := range events {
-		if e.Kind == gpusim.EventFault || e.Duration() <= 0 || e.Start >= makespan {
+		if e.Kind == obs.EventFault || e.Duration() <= 0 || e.Start >= makespan {
 			continue
 		}
 		cand = append(cand, e)
@@ -127,7 +127,7 @@ func shares(segs []Segment, makespan float64, key func(Segment) string) []Share 
 
 // refLaterChain is laterChain as the replaced walk had it, on events and
 // kind names.
-func refLaterChain(a, b gpusim.Event) bool {
+func refLaterChain(a, b obs.Event) bool {
 	if a.Start != b.Start {
 		return a.Start > b.Start
 	}
@@ -192,10 +192,10 @@ var EqualPaths = equalPaths
 // tie-break decides somewhere; some events are zero-length or reversed,
 // some are appended twice, and the makespan falls before, at or after the
 // last end, with or without an idle head.
-func randomEvents(rng *rand.Rand) ([]gpusim.Event, float64) {
-	kinds := []gpusim.EventKind{
-		gpusim.EventKernel, gpusim.EventH2D, gpusim.EventD2H, gpusim.EventP2P,
-		gpusim.EventEvict, gpusim.EventInter, gpusim.EventFault, gpusim.EventKind(99),
+func randomEvents(rng *rand.Rand) ([]obs.Event, float64) {
+	kinds := []obs.EventKind{
+		obs.EventKernel, obs.EventH2D, obs.EventD2H, obs.EventP2P,
+		obs.EventEvict, obs.EventInter, obs.EventFault, obs.EventKind(99),
 	}
 	grid := 1 + rng.Intn(12)
 	at := func() float64 {
@@ -213,9 +213,9 @@ func randomEvents(rng *rand.Rand) ([]gpusim.Event, float64) {
 	if rng.Intn(10) == 0 {
 		n = 0
 	}
-	events := make([]gpusim.Event, 0, n+n/4)
+	events := make([]obs.Event, 0, n+n/4)
 	for len(events) < n {
-		e := gpusim.Event{
+		e := obs.Event{
 			Kind:   kinds[rng.Intn(len(kinds))],
 			Device: int32(rng.Intn(4) - 1),
 			Tensor: uint64(rng.Intn(3)),
@@ -265,23 +265,23 @@ func TestCriticalPathMatchesReference(t *testing.T) {
 // is not a positive finite number has no path.
 func TestCriticalPathNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	good := []gpusim.Event{
-		ev(gpusim.EventH2D, 0, 1, 0, 2),
-		ev(gpusim.EventKernel, 1, 2, 1, 4),
-		ev(gpusim.EventKernel, 0, 3, 5, 6),
+	good := []obs.Event{
+		ev(obs.EventH2D, 0, 1, 0, 2),
+		ev(obs.EventKernel, 1, 2, 1, 4),
+		ev(obs.EventKernel, 0, 3, 5, 6),
 	}
-	bad := []gpusim.Event{
-		ev(gpusim.EventKernel, 0, 9, nan, 3),
-		ev(gpusim.EventKernel, 0, 9, 1, nan),
-		ev(gpusim.EventKernel, 0, 9, nan, nan),
-		ev(gpusim.EventKernel, 0, 9, math.Inf(-1), 3),
-		ev(gpusim.EventKernel, 0, 9, 1, inf),
-		ev(gpusim.EventKernel, 0, 9, math.Inf(-1), inf),
-		ev(gpusim.EventKernel, 0, 9, inf, inf),
+	bad := []obs.Event{
+		ev(obs.EventKernel, 0, 9, nan, 3),
+		ev(obs.EventKernel, 0, 9, 1, nan),
+		ev(obs.EventKernel, 0, 9, nan, nan),
+		ev(obs.EventKernel, 0, 9, math.Inf(-1), 3),
+		ev(obs.EventKernel, 0, 9, 1, inf),
+		ev(obs.EventKernel, 0, 9, math.Inf(-1), inf),
+		ev(obs.EventKernel, 0, 9, inf, inf),
 	}
 	for i, b := range bad {
 		for at := 0; at <= len(good); at++ {
-			events := append(append(append([]gpusim.Event{}, good[:at]...), b), good[at:]...)
+			events := append(append(append([]obs.Event{}, good[:at]...), b), good[at:]...)
 			cp := CriticalPathOf(events, 6)
 			checkPartition(t, cp)
 			if err := equalPaths(cp, refCriticalPath(good, 6)); err != nil {

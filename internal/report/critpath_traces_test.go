@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"micco"
-	"micco/internal/gpusim"
+	"micco/internal/obs"
 	"micco/internal/report"
 )
 
@@ -64,7 +64,7 @@ func TestCriticalPathMatchesReferenceOnTraces(t *testing.T) {
 							t.Fatal(err)
 						}
 						events := cluster.StopTrace()
-						lost := slices.ContainsFunc(events, func(e gpusim.Event) bool { return e.Kind == gpusim.EventFault })
+						lost := slices.ContainsFunc(events, func(e obs.Event) bool { return e.Kind == obs.EventFault })
 						if len(events) == 0 || lost != (fault.plan != nil) {
 							t.Fatalf("the run recorded %d events, a fault among them: %v", len(events), lost)
 						}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 
-	"micco/internal/gpusim"
 	"micco/internal/obs"
 )
 
@@ -34,7 +33,7 @@ type Input struct {
 	// Makespan is the run's simulated makespan in seconds; zero infers the
 	// latest event end.
 	Makespan  float64
-	Events    []gpusim.Event
+	Events    []obs.Event
 	Decisions []obs.DecisionRecord
 	Snapshot  *obs.Snapshot
 }

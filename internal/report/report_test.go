@@ -6,12 +6,11 @@ import (
 	"strings"
 	"testing"
 
-	"micco/internal/gpusim"
 	"micco/internal/obs"
 )
 
-func ev(kind gpusim.EventKind, dev int, tensor uint64, start, end float64) gpusim.Event {
-	return gpusim.Event{Kind: kind, Device: int32(dev), Tensor: tensor, Start: start, End: end}
+func ev(kind obs.EventKind, dev int, tensor uint64, start, end float64) obs.Event {
+	return obs.Event{Kind: kind, Device: int32(dev), Tensor: tensor, Start: start, End: end}
 }
 
 // checkPartition asserts the critical-path invariant: segments are
@@ -47,11 +46,11 @@ func TestCriticalPathChainsInProgressWork(t *testing.T) {
 	// Overlapping timelines: the chain always follows whatever was still
 	// running at the cursor, clipping segments so they tile exactly, and
 	// never emits idle while any device is busy.
-	events := []gpusim.Event{
-		ev(gpusim.EventH2D, 0, 10, 0, 2),
-		ev(gpusim.EventKernel, 0, 11, 2, 5),
-		ev(gpusim.EventKernel, 1, 20, 1, 3),
-		ev(gpusim.EventKernel, 1, 21, 4, 6),
+	events := []obs.Event{
+		ev(obs.EventH2D, 0, 10, 0, 2),
+		ev(obs.EventKernel, 0, 11, 2, 5),
+		ev(obs.EventKernel, 1, 20, 1, 3),
+		ev(obs.EventKernel, 1, 21, 4, 6),
 	}
 	cp := CriticalPathOf(events, 6)
 	checkPartition(t, cp)
@@ -85,9 +84,9 @@ func TestCriticalPathChainsInProgressWork(t *testing.T) {
 func TestCriticalPathBlamesIdleOnSuccessor(t *testing.T) {
 	// A gap where no device is busy: [1,2]. The idle segment takes the
 	// device of the work it delayed (the chronological successor, d1).
-	events := []gpusim.Event{
-		ev(gpusim.EventKernel, 0, 1, 0, 1),
-		ev(gpusim.EventKernel, 1, 2, 2, 4),
+	events := []obs.Event{
+		ev(obs.EventKernel, 0, 1, 0, 1),
+		ev(obs.EventKernel, 1, 2, 2, 4),
 	}
 	cp := CriticalPathOf(events, 4)
 	checkPartition(t, cp)
@@ -115,9 +114,9 @@ func TestCriticalPathNoEvents(t *testing.T) {
 }
 
 func TestCriticalPathSkipsFaultsAndTrailingGap(t *testing.T) {
-	events := []gpusim.Event{
-		ev(gpusim.EventKernel, 2, 1, 0, 2),
-		{Kind: gpusim.EventFault, Device: 2, Start: 1, End: 1, Fault: gpusim.FaultDeviceLoss},
+	events := []obs.Event{
+		ev(obs.EventKernel, 2, 1, 0, 2),
+		{Kind: obs.EventFault, Device: 2, Start: 1, End: 1, Fault: obs.FaultDeviceLoss},
 	}
 	// Makespan extends past the last event: trailing idle keeps the
 	// predecessor's device (no successor exists).
@@ -134,8 +133,8 @@ func TestCriticalPathSkipsFaultsAndTrailingGap(t *testing.T) {
 func TestCriticalPathDeterministicTieBreak(t *testing.T) {
 	// Two identical-interval kernels on different devices: the lower
 	// device must win, in any input order.
-	a := []gpusim.Event{ev(gpusim.EventKernel, 1, 5, 0, 2), ev(gpusim.EventKernel, 0, 9, 0, 2)}
-	b := []gpusim.Event{a[1], a[0]}
+	a := []obs.Event{ev(obs.EventKernel, 1, 5, 0, 2), ev(obs.EventKernel, 0, 9, 0, 2)}
+	b := []obs.Event{a[1], a[0]}
 	cpa, cpb := CriticalPathOf(a, 2), CriticalPathOf(b, 2)
 	if cpa.Segments[0] != cpb.Segments[0] {
 		t.Fatalf("order-dependent path: %+v vs %+v", cpa.Segments, cpb.Segments)
@@ -152,10 +151,10 @@ func TestStageWaterfall(t *testing.T) {
 		{Name: "stage", Attrs: map[string]string{"index": "0", "pairs": "3", "sim_start_s": "0", "sim_end_s": "2"}},
 		{Name: "stage", Attrs: map[string]string{"index": "9"}}, // no sim attrs: skipped
 	}
-	events := []gpusim.Event{
-		ev(gpusim.EventH2D, 0, 1, 0, 1),
-		ev(gpusim.EventKernel, 0, 2, 1, 3), // spans the stage boundary: split 1s/1s
-		ev(gpusim.EventEvict, 1, 3, 2.5, 3),
+	events := []obs.Event{
+		ev(obs.EventH2D, 0, 1, 0, 1),
+		ev(obs.EventKernel, 0, 2, 1, 3), // spans the stage boundary: split 1s/1s
+		ev(obs.EventEvict, 1, 3, 2.5, 3),
 	}
 	rows := StageWaterfall(spans, events, 2)
 	if len(rows) != 2 {
@@ -247,9 +246,9 @@ func TestReportRenderingDeterministic(t *testing.T) {
 		Workload:  "w",
 		Devices:   2,
 		Makespan:  6,
-		Events: []gpusim.Event{
-			ev(gpusim.EventH2D, 0, 10, 0, 2),
-			ev(gpusim.EventKernel, 1, 20, 2, 6),
+		Events: []obs.Event{
+			ev(obs.EventH2D, 0, 10, 0, 2),
+			ev(obs.EventKernel, 1, 20, 2, 6),
 		},
 		Decisions: []obs.DecisionRecord{
 			{Policy: obs.PolicyRoundRobin, Pattern: obs.TwoNew, PredictedBytes: 5, ActualBytes: 9},

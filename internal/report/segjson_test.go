@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"micco/internal/gpusim"
 	"micco/internal/obs"
 )
 
@@ -85,7 +84,7 @@ func TestSegmentsEncodeAsEncodingJSON(t *testing.T) {
 	}
 
 	negZero := math.Copysign(0, -1)
-	kernel, unknown := gpusim.EventKernel.String(), gpusim.EventKind(99).String()
+	kernel, unknown := obs.EventKernel.String(), obs.EventKind(99).String()
 	for name, segs := range map[string][]Segment{
 		// Equal as floats, different as text: the digits must not carry over.
 		"-0 then 0":  {{Start: -1, End: negZero, Kind: kernel}, {Start: 0, End: 1, Kind: kernel}},
@@ -166,7 +165,7 @@ func TestReportJSONErrors(t *testing.T) {
 	if err := (&Report{Makespan: math.NaN(), CriticalPath: &CriticalPath{}}).WriteJSON(new(bytes.Buffer)); err == nil {
 		t.Error("NaN makespan rendered without error")
 	}
-	r := Build(Input{Makespan: 2, Events: []gpusim.Event{ev(gpusim.EventKernel, 0, 1, 0, 2)}})
+	r := Build(Input{Makespan: 2, Events: []obs.Event{ev(obs.EventKernel, 0, 1, 0, 2)}})
 	boom := errors.New("boom")
 	if err := r.WriteJSON(failWriter{boom}); !errors.Is(err, boom) {
 		t.Errorf("WriteJSON on a failing writer returned %v, want %v", err, boom)

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"micco/internal/gpusim"
 	"micco/internal/obs"
 )
 
@@ -37,7 +36,7 @@ func (r StageRow) Window() float64 { return r.End - r.Start }
 // the sim attributes (older artifacts) are skipped. The events are read
 // once: each adds its clipped length to every window it overlaps, so a row
 // sums its events in the order of the trace.
-func StageWaterfall(spans []obs.Span, events []gpusim.Event, devices int) []StageRow {
+func StageWaterfall(spans []obs.Span, events []obs.Event, devices int) []StageRow {
 	var rows []StageRow
 	for _, sp := range spans {
 		if sp.Name != "stage" || sp.Attrs == nil {
@@ -54,7 +53,7 @@ func StageWaterfall(spans []obs.Span, events []gpusim.Event, devices int) []Stag
 	}
 	for i := range events {
 		e := &events[i]
-		if e.Kind == gpusim.EventFault {
+		if e.Kind == obs.EventFault {
 			continue
 		}
 		for j := range rows {
@@ -73,9 +72,9 @@ func StageWaterfall(spans []obs.Span, events []gpusim.Event, devices int) []Stag
 			}
 			d := t - s
 			switch e.Kind {
-			case gpusim.EventKernel:
+			case obs.EventKernel:
 				row.ComputeSeconds += d
-			case gpusim.EventEvict:
+			case obs.EventEvict:
 				row.EvictSeconds += d
 			default:
 				row.TransferSeconds += d

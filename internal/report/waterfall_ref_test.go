@@ -6,13 +6,12 @@ import (
 	"strconv"
 	"testing"
 
-	"micco/internal/gpusim"
 	"micco/internal/obs"
 )
 
 // refStageWaterfall is the waterfall StageWaterfall replaced, kept verbatim
 // as the oracle: every stage scans every event.
-func refStageWaterfall(spans []obs.Span, events []gpusim.Event, devices int) []StageRow {
+func refStageWaterfall(spans []obs.Span, events []obs.Event, devices int) []StageRow {
 	var rows []StageRow
 	for _, sp := range spans {
 		if sp.Name != "stage" || sp.Attrs == nil {
@@ -27,7 +26,7 @@ func refStageWaterfall(spans []obs.Span, events []gpusim.Event, devices int) []S
 		pairs, _ := strconv.Atoi(sp.Attrs["pairs"])
 		row := StageRow{Index: idx, Pairs: pairs, Start: start, End: end}
 		for _, e := range events {
-			if e.Kind == gpusim.EventFault {
+			if e.Kind == obs.EventFault {
 				continue
 			}
 			// Clip the event to the stage window; recovery re-runs can make
@@ -44,9 +43,9 @@ func refStageWaterfall(spans []obs.Span, events []gpusim.Event, devices int) []S
 			}
 			d := t - s
 			switch e.Kind {
-			case gpusim.EventKernel:
+			case obs.EventKernel:
 				row.ComputeSeconds += d
-			case gpusim.EventEvict:
+			case obs.EventEvict:
 				row.EvictSeconds += d
 			default:
 				row.TransferSeconds += d

@@ -49,17 +49,17 @@ func (s *refMICCO) Name() string { return "MICCO" + s.bounds.String() }
 
 func (s *refMICCO) BeginStage(*sched.Context) {}
 
-func refClassify(h1, h2 []int) core.ReusePattern {
+func refClassify(h1, h2 []int) obs.ReusePattern {
 	switch {
 	case len(h1) > 0 && len(h2) > 0:
 		if refIntersects(h1, h2) {
-			return core.TwoRepeatedSame
+			return obs.TwoRepeatedSame
 		}
-		return core.TwoRepeatedDiff
+		return obs.TwoRepeatedDiff
 	case len(h1) > 0 || len(h2) > 0:
-		return core.OneRepeated
+		return obs.OneRepeated
 	default:
-		return core.TwoNew
+		return obs.TwoNew
 	}
 }
 
@@ -108,7 +108,7 @@ func (s *refMICCO) Assign(p workload.Pair, ctx *sched.Context) int {
 	s.candi = s.candi[:0]
 	h1 := ctx.HoldersMask(p.A.ID).AppendTo(nil)
 	h2 := ctx.HoldersMask(p.B.ID).AppendTo(nil)
-	if rec := ctx.Decision; rec != nil && rec.Pattern != obs.ReusePattern(refClassify(h1, h2)) {
+	if rec := ctx.Decision; rec != nil && rec.Pattern != refClassify(h1, h2) {
 		s.misclassified++
 	}
 	limit := func(bound int) int { return s.bounds[bound] + ctx.BalanceNum }

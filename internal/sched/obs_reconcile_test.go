@@ -67,7 +67,7 @@ func near(got, want float64) bool {
 // reconcileTrace holds snap's simulator series to events: counts, bytes, flops
 // and histogram counts exactly, float-second sums to 1e-12 relative (a
 // batched sum may differ from the per-event order in the last ulp only).
-func reconcileTrace(t *testing.T, snap *obs.Snapshot, events []gpusim.Event) {
+func reconcileTrace(t *testing.T, snap *obs.Snapshot, events []obs.Event) {
 	t.Helper()
 	if len(events) < 2*simBatch || len(events)%simBatch == 0 {
 		t.Fatalf("%d events: want several batches and a tail", len(events))
@@ -76,7 +76,7 @@ func reconcileTrace(t *testing.T, snap *obs.Snapshot, events []gpusim.Event) {
 		n, bytes int64
 		sec      float64
 	}
-	per := map[gpusim.EventKind]*agg{}
+	per := map[obs.EventKind]*agg{}
 	var flops int64
 	for _, e := range events {
 		a := per[e.Kind]
@@ -87,11 +87,11 @@ func reconcileTrace(t *testing.T, snap *obs.Snapshot, events []gpusim.Event) {
 		a.n++
 		a.bytes += e.Bytes
 		a.sec += e.Duration()
-		if e.Kind == gpusim.EventKernel {
+		if e.Kind == obs.EventKernel {
 			flops += e.FLOPs
 		}
 	}
-	for k := gpusim.EventKernel; k <= gpusim.EventFault; k++ {
+	for k := obs.EventKernel; k <= obs.EventFault; k++ {
 		a := per[k]
 		if a == nil {
 			a = &agg{}
@@ -154,7 +154,7 @@ func TestSnapshotReconcilesWithTrace(t *testing.T) {
 	w, cfg := reconcileFixture(t)
 	micco := func() sched.Scheduler { return core.NewFixed(core.Bounds{0, 2, 0}) }
 	// traced runs the workload watched and traced on a new cluster.
-	traced := func(reg *obs.Registry, plan *fault.Plan, perPair bool) (*sched.Result, []gpusim.Event, error) {
+	traced := func(reg *obs.Registry, plan *fault.Plan, perPair bool) (*sched.Result, []obs.Event, error) {
 		c, err := gpusim.NewCluster(cfg)
 		if err != nil {
 			return nil, nil, err
@@ -229,7 +229,7 @@ func TestSnapshotReconcilesWithTrace(t *testing.T) {
 		}
 		reg := obs.New()
 		var wg sync.WaitGroup
-		var events [2][]gpusim.Event
+		var events [2][]obs.Event
 		var errs [2]error
 		for i := range events {
 			wg.Add(1)

@@ -58,11 +58,9 @@ type Config struct {
 	// StallBudget arms the progress watchdog: if no pair completes for
 	// this long, the attempt is declared stalled, the flight recorder is
 	// dumped, and the attempt is cancelled and retried from its last
-	// checkpoint. Zero disables the watchdog.
+	// checkpoint. The watchdog samples progress every StallBudget/8, and
+	// at most once a millisecond. Zero disables the watchdog.
 	StallBudget time.Duration
-	// Poll is the watchdog's sampling interval (default StallBudget/8,
-	// floor 1ms).
-	Poll time.Duration
 	// Sleep replaces the backoff sleep, for tests that must not wait in
 	// real time. Nil sleeps on a timer, returning early if ctx ends.
 	Sleep func(d time.Duration)
@@ -89,16 +87,6 @@ type Stats struct {
 	// ResumedFromDisk reports whether the first attempt was seeded from a
 	// durable checkpoint found on disk.
 	ResumedFromDisk bool
-}
-
-func (c Config) fill() Config {
-	if c.Poll <= 0 {
-		c.Poll = c.StallBudget / 8
-	}
-	if c.Poll < time.Millisecond {
-		c.Poll = time.Millisecond
-	}
-	return c
 }
 
 // backoff returns the capped exponential delay before retry number
@@ -155,7 +143,6 @@ func Run(ctx context.Context, cfg Config) (*sched.Result, Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg = cfg.fill()
 
 	opts := cfg.Run
 	opts.Checkpoint = true
@@ -253,7 +240,7 @@ func runOnce(ctx context.Context, cfg Config, opts sched.Options, resume *sched.
 // watchdog goroutine strictly before cancel, so by the time Run observes
 // the cancellation the post-mortem dump already exists.
 func watch(ctx context.Context, cancel context.CancelFunc, cfg Config, prog *sched.Progress, tripped *atomic.Bool, onTrip func()) {
-	t := time.NewTicker(cfg.Poll)
+	t := time.NewTicker(max(cfg.StallBudget/8, time.Millisecond))
 	defer t.Stop()
 	last := prog.Pairs()
 	lastMove := time.Now()

@@ -384,9 +384,9 @@ type (
 	// TraceEvent is one recorded simulator operation: 48 pointer-free
 	// bytes. Device is an int32; a fault event's argument (a link factor's
 	// bits, a capacity, a count) sits in Bytes, and Note renders it.
-	TraceEvent = gpusim.Event
+	TraceEvent = obs.Event
 	// TraceEventKind classifies trace events.
-	TraceEventKind = gpusim.EventKind
+	TraceEventKind = obs.EventKind
 )
 
 // Observability types (metrics registry, spans, decision records). Attach a
@@ -454,22 +454,14 @@ func LoadMetricsSnapshot(r io.Reader) (*MetricsSnapshot, error) {
 type (
 	// FlightRecorder is the always-on bounded post-mortem buffer.
 	FlightRecorder = obs.FlightRecorder
-	// FlightSnapshot is a point-in-time copy of the recorder's tail.
+	// FlightSnapshot is a point-in-time copy of the recorder's tail; its
+	// events are TraceEvents, as the simulator emitted them.
 	FlightSnapshot = obs.FlightSnapshot
-	// FlightEvent is one retained simulator event (kind by name).
-	FlightEvent = obs.FlightEvent
 )
 
 // NewFlightRecorder builds a flight recorder; attach it with
 // MetricsRegistry.SetFlightRecorder.
 func NewFlightRecorder() *FlightRecorder { return obs.NewFlightRecorder() }
-
-// TraceEventsFromFlight converts retained flight-recorder events back to
-// trace events (for report analyses), dropping any whose kind name is
-// unknown.
-func TraceEventsFromFlight(fes []FlightEvent) []TraceEvent {
-	return gpusim.EventsFromFlight(fes)
-}
 
 // ObsServer is a running observability HTTP server (ServeObs).
 type ObsServer = obshttp.Server

@@ -222,12 +222,6 @@ func TestMisuseReturnsTypedErrors(t *testing.T) {
 			return err
 		}, nil},
 		{"LoadMetricsSnapshot(empty)", func(*testing.T) error { _, err := micco.LoadMetricsSnapshot(empty()); return err }, io.EOF},
-		{"TraceEventsFromFlight(nil)", func(t *testing.T) error {
-			if evs := micco.TraceEventsFromFlight(nil); len(evs) != 0 {
-				t.Errorf("%d events from none", len(evs))
-			}
-			return nil
-		}, nil},
 		{"BuildReport(zero input)", func(t *testing.T) error {
 			if micco.BuildReport(micco.ReportInput{}) == nil {
 				t.Error("nil report")
