@@ -6,10 +6,7 @@
 //
 // The JSON document maps each benchmark name (GOMAXPROCS suffix stripped)
 // to its metrics: ns/op, and when present B/op, allocs/op, and any custom
-// b.ReportMetric units. With -extra, a metrics snapshot (as written by
-// miccorun -metrics) is flattened into the document under the "_metrics"
-// key, so one BENCH_*.json carries both benchmark timings and the run's
-// observability counters. With -baseline, a previously recorded benchjson
+// b.ReportMetric units. With -baseline, a previously recorded benchjson
 // document is merged under the "_baseline" key, so the file shows current
 // numbers next to the reference they are compared against.
 //
@@ -52,15 +49,12 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-
-	"micco"
 )
 
 func main() {
 	out := flag.String("o", "", "JSON output file (default stdout, after the teed text)")
 	procs := flag.Int("procs", runtime.GOMAXPROCS(0),
 		"GOMAXPROCS of the go test run; only the matching -N name suffix is stripped (at 1, go test emits no suffix and nothing is stripped)")
-	extra := flag.String("extra", "", "metrics snapshot JSON (from miccorun -metrics) to merge under the _metrics key")
 	baseline := flag.String("baseline", "", "prior benchjson document to merge under the _baseline key")
 	guard := flag.String("guard", "", "benchjson document to check for benchmark regressions (no recording; stdin ignored)")
 	guardTol := flag.Float64("guard-tol", 2.0, "with -guard, the allowed ns/op growth factor over the document's _baseline entries")
@@ -77,7 +71,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(os.Stdin, os.Stdout, os.Stderr, *out, *procs, *extra, *baseline); err != nil {
+	if err := run(os.Stdin, os.Stdout, os.Stderr, *out, *procs, *baseline); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -181,11 +175,10 @@ func runGuard(w io.Writer, path string, tol float64, prefix string, maxAllocs, m
 // run tees bench output from in to tee and writes the parsed metrics as
 // JSON to outPath (or to tee when outPath is empty). procs is the
 // GOMAXPROCS value the benchmarks ran under, used to recognize the name
-// suffix. extraPath optionally names a metrics snapshot to merge in;
-// baselinePath optionally names a prior document to keep alongside — a
+// suffix. baselinePath optionally names a prior document to keep alongside — a
 // missing or malformed baseline degrades to a warning on errw (recording
 // fresh numbers must not fail just because no reference exists yet).
-func run(in io.Reader, tee, errw io.Writer, outPath string, procs int, extraPath, baselinePath string) error {
+func run(in io.Reader, tee, errw io.Writer, outPath string, procs int, baselinePath string) error {
 	metrics := make(map[string]map[string]float64)
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
@@ -201,13 +194,6 @@ func run(in io.Reader, tee, errw io.Writer, outPath string, procs int, extraPath
 	}
 	if len(metrics) == 0 {
 		return fmt.Errorf("no benchmark result lines found")
-	}
-	if extraPath != "" {
-		flat, err := loadExtra(extraPath)
-		if err != nil {
-			return err
-		}
-		metrics["_metrics"] = flat
 	}
 	if baselinePath != "" {
 		base, err := loadBaseline(baselinePath)
@@ -229,32 +215,6 @@ func run(in io.Reader, tee, errw io.Writer, outPath string, procs int, extraPath
 		return err
 	}
 	return os.WriteFile(outPath, doc, 0o644)
-}
-
-// loadExtra reads a metrics snapshot and flattens it into one numeric map:
-// counters and gauges keep their series names, each histogram contributes
-// its <name>_sum and <name>_count.
-func loadExtra(path string) (map[string]float64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var snap micco.MetricsSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	flat := make(map[string]float64, len(snap.Counters)+len(snap.Gauges)+2*len(snap.Histograms))
-	for name, v := range snap.Counters {
-		flat[name] = v
-	}
-	for name, v := range snap.Gauges {
-		flat[name] = v
-	}
-	for name, h := range snap.Histograms {
-		flat[name+"_sum"] = h.Sum
-		flat[name+"_count"] = float64(h.Count)
-	}
-	return flat, nil
 }
 
 // loadBaseline reads a prior benchjson document. Entries that are already

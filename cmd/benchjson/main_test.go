@@ -23,7 +23,7 @@ ok  	micco	4.2s
 func TestRunParsesAndTees(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
 	var tee strings.Builder
-	if err := run(strings.NewReader(sample), &tee, io.Discard, out, 4, "", ""); err != nil {
+	if err := run(strings.NewReader(sample), &tee, io.Discard, out, 4, ""); err != nil {
 		t.Fatal(err)
 	}
 	if tee.String() != sample {
@@ -52,7 +52,7 @@ func TestRunParsesAndTees(t *testing.T) {
 
 func TestRunJSONToStdout(t *testing.T) {
 	var tee strings.Builder
-	if err := run(strings.NewReader(sample), &tee, io.Discard, "", 4, "", ""); err != nil {
+	if err := run(strings.NewReader(sample), &tee, io.Discard, "", 4, ""); err != nil {
 		t.Fatal(err)
 	}
 	// The JSON document follows the teed text.
@@ -63,62 +63,6 @@ func TestRunJSONToStdout(t *testing.T) {
 	}
 	if len(doc) != 3 {
 		t.Errorf("parsed %d benchmarks, want 3", len(doc))
-	}
-}
-
-func TestRunMergesExtraMetrics(t *testing.T) {
-	dir := t.TempDir()
-	extra := filepath.Join(dir, "metrics.json")
-	snapJSON := `{
-	  "counters": {"micco_sim_flops_total": 123, "micco_sched_overhead_seconds_total": 0.5},
-	  "gauges": {"micco_run_makespan_seconds": 1.75},
-	  "histograms": {"micco_sim_seconds{kind=\"h2d\"}": {
-	    "buckets": [{"le": "+Inf", "count": 2}], "sum": 0.25, "count": 2}}
-	}`
-	if err := os.WriteFile(extra, []byte(snapJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "bench.json")
-	var tee strings.Builder
-	if err := run(strings.NewReader(sample), &tee, io.Discard, out, 4, extra, ""); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]map[string]float64
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	m := doc["_metrics"]
-	if m == nil {
-		t.Fatalf("no _metrics key in %v", doc)
-	}
-	if m["micco_sim_flops_total"] != 123 || m["micco_run_makespan_seconds"] != 1.75 {
-		t.Errorf("_metrics = %v", m)
-	}
-	if m[`micco_sim_seconds{kind="h2d"}_sum`] != 0.25 || m[`micco_sim_seconds{kind="h2d"}_count`] != 2 {
-		t.Errorf("histogram flattening = %v", m)
-	}
-	// Benchmark entries survive alongside the merge.
-	if doc["BenchmarkContractionKernel"]["ns/op"] != 14204604 {
-		t.Errorf("benchmark entries lost: %v", doc)
-	}
-}
-
-func TestRunExtraErrors(t *testing.T) {
-	var tee strings.Builder
-	if err := run(strings.NewReader(sample), &tee, io.Discard, "", 4, "/nonexistent-metrics.json", ""); err == nil {
-		t.Error("missing extra file: want error")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tee.Reset()
-	if err := run(strings.NewReader(sample), &tee, io.Discard, "", 4, bad, ""); err == nil {
-		t.Error("unparsable extra file: want error")
 	}
 }
 
@@ -137,7 +81,7 @@ func TestRunMergesBaseline(t *testing.T) {
 	}
 	out := filepath.Join(dir, "bench.json")
 	var tee strings.Builder
-	if err := run(strings.NewReader(sample), &tee, io.Discard, out, 4, "", base); err != nil {
+	if err := run(strings.NewReader(sample), &tee, io.Discard, out, 4, base); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(out)
@@ -171,7 +115,7 @@ func TestRunBaselineDegradesGracefully(t *testing.T) {
 	check := func(t *testing.T, baseline, wantWarn string) {
 		out := filepath.Join(dir, "bench.json")
 		var tee, warn strings.Builder
-		if err := run(strings.NewReader(sample), &tee, &warn, out, 4, "", baseline); err != nil {
+		if err := run(strings.NewReader(sample), &tee, &warn, out, 4, baseline); err != nil {
 			t.Fatalf("unusable baseline should not fail the run: %v", err)
 		}
 		if !strings.Contains(warn.String(), "warning") || !strings.Contains(warn.String(), wantWarn) {
@@ -426,7 +370,7 @@ func TestGuardErrors(t *testing.T) {
 
 func TestRunRejectsEmptyInput(t *testing.T) {
 	var tee strings.Builder
-	if err := run(strings.NewReader("no benchmarks here\n"), &tee, io.Discard, "", 4, "", ""); err == nil {
+	if err := run(strings.NewReader("no benchmarks here\n"), &tee, io.Discard, "", 4, ""); err == nil {
 		t.Error("input without results: want error")
 	}
 }
@@ -474,7 +418,7 @@ func TestStripProcs(t *testing.T) {
 func TestRunGOMAXPROCS1NoCollision(t *testing.T) {
 	in := "BenchmarkX/dim-64 \t 10\t 100 ns/op\nBenchmarkX/dim-128 \t 10\t 200 ns/op\n"
 	var tee strings.Builder
-	if err := run(strings.NewReader(in), &tee, io.Discard, "", 1, "", ""); err != nil {
+	if err := run(strings.NewReader(in), &tee, io.Discard, "", 1, ""); err != nil {
 		t.Fatal(err)
 	}
 	rest := strings.TrimPrefix(tee.String(), in)

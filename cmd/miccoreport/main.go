@@ -40,7 +40,7 @@ type reportConfig struct {
 	workload  string
 	deck      string
 	scheduler string
-	bounds    string
+	bounds    micco.Bounds
 	gpus      int
 	memGiB    float64
 	decisions string
@@ -55,7 +55,7 @@ func main() {
 	flag.StringVar(&cfg.workload, "workload", "", "workload JSON file (from wgen) to run and report on")
 	flag.StringVar(&cfg.deck, "deck", "", "correlator deck JSON to compile, run and report on (alternative to -workload)")
 	flag.StringVar(&cfg.scheduler, "scheduler", "micco", "scheduler for run mode: "+strings.Join(micco.SchedulerNames(), ", "))
-	flag.StringVar(&cfg.bounds, "bounds", "0,2,0", "reuse bounds for the micco scheduler, e.g. 0,2,0")
+	flag.TextVar(&cfg.bounds, "bounds", micco.Bounds{0, 2, 0}, "reuse bounds for the micco scheduler, e.g. 0,2,0")
 	flag.IntVar(&cfg.gpus, "gpus", 8, "simulated device count for run mode")
 	flag.Float64Var(&cfg.memGiB, "mem", 0, "per-device pool in GiB (0 = fit the working set with 10% headroom)")
 	flag.StringVar(&cfg.decisions, "decisions", "", "decision NDJSON file (from miccorun -decisions): report drift only, no run")
@@ -213,14 +213,10 @@ func runReport(ctx context.Context, cfg reportConfig) (*micco.RunReport, error) 
 	if err != nil {
 		return nil, err
 	}
-	b, err := parseBounds(cfg.bounds)
-	if err != nil {
-		return nil, err
-	}
 	if micco.SchedulerNeedsPredictor(cfg.scheduler) {
 		return nil, fmt.Errorf("scheduler %q needs a trained predictor; use redstar or miccobench", cfg.scheduler)
 	}
-	s, err := micco.NewSchedulerByName(cfg.scheduler, b, nil)
+	s, err := micco.NewSchedulerByName(cfg.scheduler, cfg.bounds, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -249,21 +245,4 @@ func runReport(ctx context.Context, cfg reportConfig) (*micco.RunReport, error) 
 		Decisions: reg.Decisions(),
 		Snapshot:  res.Metrics,
 	}), nil
-}
-
-func parseBounds(s string) (micco.Bounds, error) {
-	parts := strings.Split(s, ",")
-	var b micco.Bounds
-	if len(parts) != 3 {
-		return b, fmt.Errorf("bounds %q: want three comma-separated integers", s)
-	}
-	for i, p := range parts {
-		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%d", &b[i]); err != nil {
-			return b, fmt.Errorf("bounds %q: %w", s, err)
-		}
-		if b[i] < 0 {
-			return b, fmt.Errorf("bounds %q: must be non-negative", s)
-		}
-	}
-	return b, nil
 }

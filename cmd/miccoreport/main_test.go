@@ -24,7 +24,7 @@ func TestGoldenDeckReport(t *testing.T) {
 	cfg := reportConfig{
 		deck:      filepath.Join("testdata", "f0d2.deck.json"),
 		scheduler: "micco",
-		bounds:    "0,2,0",
+		bounds:    micco.Bounds{0, 2, 0},
 		gpus:      4,
 	}
 	var got bytes.Buffer
@@ -44,7 +44,7 @@ func TestJSONReportParses(t *testing.T) {
 	cfg := reportConfig{
 		deck:      filepath.Join("testdata", "f0d2.deck.json"),
 		scheduler: "roundrobin",
-		bounds:    "0,2,0",
+		bounds:    micco.Bounds{0, 2, 0},
 		gpus:      2,
 		jsonOut:   true,
 	}
@@ -80,7 +80,7 @@ func TestStdoutErrorIsReturned(t *testing.T) {
 	for _, jsonOut := range []bool{false, true} {
 		cfg := reportConfig{
 			deck: filepath.Join("testdata", "f0d2.deck.json"), scheduler: "micco",
-			bounds: "0,2,0", gpus: 4, jsonOut: jsonOut,
+			bounds: micco.Bounds{0, 2, 0}, gpus: 4, jsonOut: jsonOut,
 		}
 		if err := run(context.Background(), cfg, failWriter{boom}); !errors.Is(err, boom) {
 			t.Errorf("json=%v: run returned %v, want %v", jsonOut, err, boom)
@@ -160,9 +160,8 @@ func TestModeValidation(t *testing.T) {
 		{workload: "w.json", decisions: "d.ndjson"},    // two modes
 		{workload: "w.json", deck: "deck.json"},        // both run inputs
 		{diffOld: "old.json"},                          // half a diff
-		{workload: "nosuch.json", bounds: "0,2,0"},     // missing file
+		{workload: "nosuch.json"},                      // missing file
 		{decisions: filepath.Join("testdata", "nope")}, // missing file
-		{workload: "w.json", bounds: "bad", gpus: 1},   // unparsable bounds
 	}
 	for i, cfg := range cases {
 		if err := run(ctx, cfg, &bytes.Buffer{}); err == nil {

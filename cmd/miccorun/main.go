@@ -33,7 +33,7 @@ import (
 type runConfig struct {
 	workload     string
 	scheduler    string
-	bounds       string
+	bounds       micco.Bounds
 	gpus         int
 	memGiB       float64
 	compare      bool
@@ -55,7 +55,7 @@ func main() {
 	var cfg runConfig
 	flag.StringVar(&cfg.workload, "workload", "", "workload JSON file (from wgen); required")
 	flag.StringVar(&cfg.scheduler, "scheduler", "micco", "scheduler: "+strings.Join(micco.SchedulerNames(), ", "))
-	flag.StringVar(&cfg.bounds, "bounds", "0,2,0", "reuse bounds for the micco scheduler, e.g. 0,2,0")
+	flag.TextVar(&cfg.bounds, "bounds", micco.Bounds{0, 2, 0}, "reuse bounds for the micco scheduler, e.g. 0,2,0")
 	flag.IntVar(&cfg.gpus, "gpus", 8, "simulated device count")
 	flag.Float64Var(&cfg.memGiB, "mem", 0, "per-device pool in GiB (0 = fit the working set with 10% headroom)")
 	flag.BoolVar(&cfg.compare, "compare", false, "also run every other scheduler and report speedups")
@@ -81,23 +81,6 @@ func main() {
 	}
 }
 
-func parseBounds(s string) (micco.Bounds, error) {
-	parts := strings.Split(s, ",")
-	var b micco.Bounds
-	if len(parts) != 3 {
-		return b, fmt.Errorf("bounds %q: want three comma-separated integers", s)
-	}
-	for i, p := range parts {
-		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%d", &b[i]); err != nil {
-			return b, fmt.Errorf("bounds %q: %w", s, err)
-		}
-		if b[i] < 0 {
-			return b, fmt.Errorf("bounds %q: must be non-negative", s)
-		}
-	}
-	return b, nil
-}
-
 func run(ctx context.Context, rc runConfig) error {
 	if rc.workload == "" {
 		return fmt.Errorf("-workload is required")
@@ -110,14 +93,10 @@ func run(ctx context.Context, rc runConfig) error {
 	if err := json.Unmarshal(raw, &w); err != nil {
 		return fmt.Errorf("parse workload %s: %w", rc.workload, err)
 	}
-	b, err := parseBounds(rc.bounds)
-	if err != nil {
-		return err
-	}
 	if micco.SchedulerNeedsPredictor(rc.scheduler) {
 		return fmt.Errorf("scheduler %q needs a trained predictor; use redstar or miccobench", rc.scheduler)
 	}
-	primary, err := micco.NewSchedulerByName(rc.scheduler, b, nil)
+	primary, err := micco.NewSchedulerByName(rc.scheduler, rc.bounds, nil)
 	if err != nil {
 		return err
 	}
@@ -197,7 +176,7 @@ func run(ctx context.Context, rc runConfig) error {
 		res, st, err = micco.Supervise(ctx, micco.SuperviseConfig{
 			Workload: &w,
 			NewScheduler: func(context.Context) (micco.Scheduler, error) {
-				return micco.NewSchedulerByName(rc.scheduler, b, nil)
+				return micco.NewSchedulerByName(rc.scheduler, rc.bounds, nil)
 			},
 			NewCluster:     func() (*micco.Cluster, error) { return cluster, nil },
 			Run:            opts,
@@ -249,7 +228,7 @@ func run(ctx context.Context, rc runConfig) error {
 			if name == rc.scheduler || micco.SchedulerNeedsPredictor(name) {
 				continue
 			}
-			s, err := micco.NewSchedulerByName(name, b, nil)
+			s, err := micco.NewSchedulerByName(name, rc.bounds, nil)
 			if err != nil {
 				return err
 			}

@@ -51,22 +51,6 @@ func silence(t *testing.T, f func() error) error {
 	return f()
 }
 
-func TestParseBounds(t *testing.T) {
-	b, err := parseBounds("0,2,0")
-	if err != nil || b != (micco.Bounds{0, 2, 0}) {
-		t.Errorf("parseBounds = %v, %v", b, err)
-	}
-	b, err = parseBounds(" 1 , 2 , 3 ")
-	if err != nil || b != (micco.Bounds{1, 2, 3}) {
-		t.Errorf("spaced bounds = %v, %v", b, err)
-	}
-	for _, bad := range []string{"", "1,2", "a,b,c", "-1,0,0", "1,2,3,4"} {
-		if _, err := parseBounds(bad); err == nil {
-			t.Errorf("parseBounds(%q): want error", bad)
-		}
-	}
-}
-
 func TestSchedulerRegistry(t *testing.T) {
 	for _, name := range micco.SchedulerNames() {
 		if micco.SchedulerNeedsPredictor(name) {
@@ -84,7 +68,7 @@ func TestSchedulerRegistry(t *testing.T) {
 
 // base returns a runnable config; tests override individual fields.
 func base(workload string) runConfig {
-	return runConfig{workload: workload, scheduler: "micco", bounds: "0,2,0", gpus: 4}
+	return runConfig{workload: workload, scheduler: "micco", bounds: micco.Bounds{0, 2, 0}, gpus: 4}
 }
 
 func TestRunWorkloadFileAndCompare(t *testing.T) {
@@ -185,11 +169,6 @@ func TestRunErrors(t *testing.T) {
 	cfg.scheduler = "heft"
 	if err := run(ctx, cfg); err == nil {
 		t.Error("bad scheduler: want error")
-	}
-	cfg = base(good)
-	cfg.bounds = "x"
-	if err := run(ctx, cfg); err == nil {
-		t.Error("bad bounds: want error")
 	}
 }
 
@@ -321,7 +300,7 @@ func TestRunNumericFlags(t *testing.T) {
 func TestRunWithExplicitMemory(t *testing.T) {
 	cfg := base(workloadFile(t))
 	cfg.scheduler = "groute"
-	cfg.bounds = "0,0,0"
+	cfg.bounds = micco.Bounds{}
 	cfg.gpus = 2
 	cfg.memGiB = 0.25
 	err := silence(t, func() error { return run(context.Background(), cfg) })

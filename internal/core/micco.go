@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"micco/internal/gpusim"
 	"micco/internal/obs"
@@ -27,6 +28,31 @@ type Bounds [3]int
 
 // String implements fmt.Stringer.
 func (b Bounds) String() string { return fmt.Sprintf("(%d,%d,%d)", b[0], b[1], b[2]) }
+
+// MarshalText writes b as String does.
+func (b Bounds) MarshalText() ([]byte, error) { return []byte(b.String()), nil }
+
+// UnmarshalText reads three comma-separated non-negative integers, spaces
+// allowed around each, bare or in the parentheses String writes: "0,2,0",
+// " 0 , 2 , 0 " and "(0,2,0)" are the same bounds. On error b is unchanged.
+func (b *Bounds) UnmarshalText(text []byte) error {
+	s := string(text)
+	parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(s, "("), ")"), ",")
+	if len(parts) != 3 {
+		return fmt.Errorf("bounds %q: want three comma-separated integers", s)
+	}
+	var nb Bounds
+	for i, p := range parts {
+		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%d", &nb[i]); err != nil {
+			return fmt.Errorf("bounds %q: %w", s, err)
+		}
+		if nb[i] < 0 {
+			return fmt.Errorf("bounds %q: must be non-negative", s)
+		}
+	}
+	*b = nb
+	return nil
+}
 
 // BoundsPredictor produces per-stage reuse bounds from the stage's data
 // characteristics. The autotune package provides the paper's pre-trained

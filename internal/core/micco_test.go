@@ -11,6 +11,28 @@ import (
 	"micco/internal/workload"
 )
 
+// TestBoundsText: the text form the commands' -bounds flag reads, spaces
+// and String's parentheses allowed, and the inputs it refuses.
+func TestBoundsText(t *testing.T) {
+	for in, want := range map[string]Bounds{"0,2,0": {0, 2, 0}, " 1 , 2 , 3 ": {1, 2, 3}, "(4,0,7)": {4, 0, 7}} {
+		var b Bounds
+		if err := b.UnmarshalText([]byte(in)); err != nil || b != want {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", in, b, err, want)
+		}
+		text, err := b.MarshalText()
+		var again Bounds
+		if err != nil || again.UnmarshalText(text) != nil || again != b {
+			t.Errorf("%v does not round-trip through %q", b, text)
+		}
+	}
+	for _, bad := range []string{"", "1,2", "a,b,c", "-1,0,0", "1,2,3,4"} {
+		b := Bounds{9, 9, 9}
+		if err := b.UnmarshalText([]byte(bad)); err == nil || b != (Bounds{9, 9, 9}) {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want an error and the bounds unchanged", bad, b, err)
+		}
+	}
+}
+
 func mkCluster(t *testing.T, n int) *gpusim.Cluster {
 	t.Helper()
 	c, err := gpusim.NewCluster(gpusim.MI100(n))

@@ -13,9 +13,10 @@ import (
 )
 
 // TestRunBuildsNoSlotTable: sched.Run goes by slots from bind to finish —
-// placement, dead-input discards with and without a fault plan, and the
-// recovery scan after a device loss — so it never builds the cluster's
-// id→slot table. Afterwards every ID-keyed answer is the slot-keyed one.
+// placement, dead-input discards with and without a fault plan, the
+// recovery scan after a device loss, and a resume's replay of its
+// checkpoint — so it never builds the cluster's id→slot table. Afterwards
+// every ID-keyed answer is the slot-keyed one.
 func TestRunBuildsNoSlotTable(t *testing.T) {
 	w, err := workload.Generate(workload.Config{
 		Seed: 7, Stages: 4, VectorSize: 6, TensorDim: 16, Batch: 2,
@@ -30,27 +31,33 @@ func TestRunBuildsNoSlotTable(t *testing.T) {
 		{Kind: fault.DeviceRestore, Device: 1, Stage: 3, Pair: 0},
 	}}
 	for _, plan := range []*fault.Plan{nil, recoverable} {
-		c, err := gpusim.NewCluster(gpusim.MI100(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sched.Run(context.Background(), w, baseline.NewRoundRobin(), c,
-			sched.Options{DiscardDeadInputs: true, FaultPlan: plan})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan != nil && (res.Recovery.PairsRescheduled == 0 || res.Recovery.TransientRetries != 2) {
-			t.Fatalf("the fault plan did not exercise recovery: %+v", res.Recovery)
-		}
-		if err := c.Audit(); err != nil {
-			t.Fatal(err)
-		}
-		if c.SlotTableBuilt() {
-			t.Errorf("fault plan %v: the run built the id→slot table", plan != nil)
-		}
-		for slot, id := range w.TensorIDs() {
-			if !c.HoldersMask(id).Equal(c.HoldersAt(slot)) || c.HostHolds(id) != c.HostHoldsAt(slot) {
-				t.Errorf("fault plan %v: tensor %d (slot %d): ID-keyed and slot-keyed answers differ", plan != nil, id, slot)
+		var done *sched.Checkpoint
+		// The second run resumes from the first one's final checkpoint: it
+		// replays every stage, recovery included, from the log.
+		for _, resumed := range []bool{false, true} {
+			c, err := gpusim.NewCluster(gpusim.MI100(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sched.Run(context.Background(), w, baseline.NewRoundRobin(), c,
+				sched.Options{DiscardDeadInputs: true, FaultPlan: plan, Checkpoint: true, ResumeFrom: done})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = res.Checkpoint
+			if plan != nil && (res.Recovery.PairsRescheduled == 0 || res.Recovery.TransientRetries != 2) {
+				t.Fatalf("the fault plan did not exercise recovery: %+v", res.Recovery)
+			}
+			if err := c.Audit(); err != nil {
+				t.Fatal(err)
+			}
+			if c.SlotTableBuilt() {
+				t.Errorf("fault plan %v, resumed %v: the run built the id→slot table", plan != nil, resumed)
+			}
+			for slot, id := range w.TensorIDs() {
+				if !c.HoldersMask(id).Equal(c.HoldersAt(slot)) || c.HostHolds(id) != c.HostHoldsAt(slot) {
+					t.Errorf("fault plan %v, resumed %v: tensor %d (slot %d): ID-keyed and slot-keyed answers differ", plan != nil, resumed, id, slot)
+				}
 			}
 		}
 	}

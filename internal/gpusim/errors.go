@@ -32,10 +32,6 @@ var (
 	// ErrInvalidConfig marks a Config that fails Validate. The concrete
 	// error is a *ConfigError naming the offending field.
 	ErrInvalidConfig = errors.New("invalid config")
-	// ErrInvalidCheckpoint marks a Checkpoint whose host tensors name a
-	// node that is negative (Validate) or that the restoring cluster does
-	// not have (Restore).
-	ErrInvalidCheckpoint = errors.New("invalid checkpoint")
 )
 
 // ConfigError reports which Config field failed validation and why, so

@@ -424,115 +424,3 @@ func TestFaultEventsTracedAndSummarized(t *testing.T) {
 		t.Errorf("chrome trace lacks fault instant:\n%s", sb.String())
 	}
 }
-
-func TestClusterCheckpointRestoreBitIdentical(t *testing.T) {
-	cfg := testConfig(2)
-	cfg.AsyncCopy = true
-	run := func(c *Cluster, from int) {
-		a, b := desc(1, 16, 2), desc(2, 16, 2)
-		if from == 0 {
-			c.RegisterHostTensor(a)
-			c.RegisterHostTensor(b)
-		}
-		for i := from; i < 6; i++ {
-			dev := i % 2
-			if _, err := c.ExecContraction(dev, a, b, desc(uint64(10+i), 16, 2)); err != nil {
-				t.Fatal(err)
-			}
-			if i == 2 {
-				if err := c.DegradeLink(0.5); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		c.Barrier()
-	}
-	// Uninterrupted reference run.
-	ref, _ := NewCluster(cfg)
-	run(ref, 0)
-	// Checkpointed run: execute the first half, snapshot, continue on a
-	// fresh cluster.
-	half, _ := NewCluster(cfg)
-	a, b := desc(1, 16, 2), desc(2, 16, 2)
-	half.RegisterHostTensor(a)
-	half.RegisterHostTensor(b)
-	for i := 0; i < 3; i++ {
-		if _, err := half.ExecContraction(i%2, a, b, desc(uint64(10+i), 16, 2)); err != nil {
-			t.Fatal(err)
-		}
-		if i == 2 {
-			if err := half.DegradeLink(0.5); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	cp := half.Checkpoint()
-	resumed, _ := NewCluster(cfg)
-	if err := resumed.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	run(resumed, 3)
-	if got, want := resumed.Makespan(), ref.Makespan(); got != want {
-		t.Errorf("resumed makespan %v != reference %v", got, want)
-	}
-	if got, want := resumed.TotalStats(), ref.TotalStats(); got != want {
-		t.Errorf("resumed stats %+v != reference %+v", got, want)
-	}
-	for i := 0; i < 2; i++ {
-		if got, want := resumed.Device(i).MemPeak(), ref.Device(i).MemPeak(); got != want {
-			t.Errorf("device %d MemPeak %d != %d", i, got, want)
-		}
-		if got, want := resumed.Device(i).ResidentCount(), ref.Device(i).ResidentCount(); got != want {
-			t.Errorf("device %d residents %d != %d", i, got, want)
-		}
-	}
-	if got, want := resumed.LinkFactor(), ref.LinkFactor(); got != want {
-		t.Errorf("link factor %v != %v", got, want)
-	}
-	// Restore validates shape and nil.
-	wrong, _ := NewCluster(testConfig(1))
-	if err := wrong.Restore(cp); err == nil {
-		t.Error("restore onto wrong device count accepted")
-	}
-	if err := resumed.Restore(nil); !errors.Is(err, ErrNilArgument) {
-		t.Errorf("nil checkpoint: %v, want ErrNilArgument", err)
-	}
-}
-
-// TestCheckpointRejectsDeadHolder: a snapshot whose failed device still
-// lists resident tensors — no run produces one: FailDevice drops everything,
-// ReviveDevices clears Resident — is refused by Validate and by Restore,
-// which used to install the blocks and name a dead device as a holder.
-func TestCheckpointRejectsDeadHolder(t *testing.T) {
-	c, _ := NewCluster(testConfig(2))
-	d := desc(7, 16, 1)
-	c.RegisterHostTensor(d)
-	if err := c.EnsureResident(1, d); err != nil {
-		t.Fatal(err)
-	}
-	cp := c.Checkpoint()
-	cp.Devices[1].Failed = true
-	if err := cp.Validate(); !errors.Is(err, ErrInvalidCheckpoint) {
-		t.Errorf("Validate returned %v, want ErrInvalidCheckpoint", err)
-	}
-	fresh, _ := NewCluster(testConfig(2))
-	if err := fresh.Restore(cp); !errors.Is(err, ErrInvalidCheckpoint) {
-		t.Errorf("Restore returned %v, want ErrInvalidCheckpoint", err)
-	}
-	if fresh.HoldersMask(7).Has(1) {
-		t.Error("a refused Restore left failed device 1 holding tensor 7")
-	}
-	// What a real loss leaves behind restores fine.
-	if err := c.FailDevice(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.Restore(c.Checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	if !fresh.DeviceFailed(1) || !fresh.HoldersMask(7).Empty() {
-		t.Error("restored loss: device 1 should be failed and hold nothing")
-	}
-	if err := fresh.Audit(); err != nil {
-		t.Error(err)
-	}
-}

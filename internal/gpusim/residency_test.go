@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"micco/internal/tensor"
@@ -93,8 +92,7 @@ func checkAudit(t *testing.T, c *Cluster) {
 // TestMoveStatsTrackDeviceSums walks a two-node cluster short of memory
 // through everything that moves a movement counter or rewrites them all —
 // fetches from host, peers and across nodes, host staging, dirty
-// write-backs, evictions, discards, a memory shrink, a device loss, and a
-// checkpoint restored into a second cluster that then carries on — and
+// write-backs, evictions, discards, a memory shrink and a device loss — and
 // holds the running totals to the device sums throughout. Every branch must
 // have moved something, or the walk proved nothing.
 func TestMoveStatsTrackDeviceSums(t *testing.T) {
@@ -146,25 +144,13 @@ func TestMoveStatsTrackDeviceSums(t *testing.T) {
 		if err := c.FailDevice(6); err != nil {
 			t.Fatal(err)
 		}
-		walk(c, 100)
-		resumed, err := NewCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := resumed.Restore(c.Checkpoint()); err != nil {
-			t.Fatal(err)
-		}
-		checkAudit(t, resumed)
-		if m, _, _ := resumed.MoveStats(); m == 0 {
-			t.Fatal("restore zeroed the running totals")
-		}
-		walk(resumed, 100)
-		total := resumed.TotalStats()
+		walk(c, 200)
+		total := c.TotalStats()
 		if total.H2DBytes == 0 || total.D2HBytes == 0 || total.Evictions == 0 || (total.P2PBytes > 0) != peer {
 			t.Errorf("peer %v: walk left a counter untouched: %+v", peer, total)
 		}
-		resumed.Reset()
-		if m, h, e := resumed.MoveStats(); m != 0 || h != 0 || e != 0 {
+		c.Reset()
+		if m, h, e := c.MoveStats(); m != 0 || h != 0 || e != 0 {
 			t.Errorf("MoveStats after Reset = (%d, %d, %d), want zeros", m, h, e)
 		}
 	}
@@ -210,16 +196,14 @@ func TestSteadyStateRunAllocatesNothing(t *testing.T) {
 // sequence of contractions (allocations, peer copies, host staging, dirty
 // write-backs and evictions under scarce memory), discards, resets, device
 // losses and returns, memory shrinks, injected transfer failures and
-// checkpoints restored into a fresh cluster that then carries the walk on,
-// and audits the structures after every operation. The 96-device case
-// exercises multi-word holder sets (members on both sides of the 64-bit
-// boundary), the 4096-device one the ladder's width: 63 spill words a set,
-// host nodes past the inline word. There the walk must also have seen a
-// holder set spill, empty (letting go of its words) and spill again, the
-// words array grow under an ID-keyed call while a set was spilled (every
-// spilled view must then read the new array), and a checkpoint with host
-// nodes restored into a cluster whose own checkpoint is the same. Run under
-// -race via `make race`/`make check`.
+// barriers, and audits the structures after every operation. The 96-device
+// case exercises multi-word holder sets (members on both sides of the
+// 64-bit boundary), the 4096-device one the ladder's width: 63 spill words
+// a set, host nodes past the inline word. There the walk must also have
+// seen a holder set spill, empty (letting go of its words) and spill again,
+// and the words array grow under an ID-keyed call while a set was spilled
+// (every spilled view must then read the new array). Run under -race via
+// `make race`/`make check`.
 func TestResidencyIndexInvariant(t *testing.T) {
 	desc := func(id uint64) tensor.Desc {
 		return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 8, Batch: 1}
@@ -320,32 +304,8 @@ func TestResidencyIndexInvariant(t *testing.T) {
 				ran["shrink"]++
 			case op < 18:
 				c.InjectTransientFailures(1 + rng.Intn(2))
-			case op < 19: // checkpoint, restored into a fresh cluster that carries on
-				fresh, err := NewCluster(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cp := c.Checkpoint()
-				if err := fresh.Restore(cp); err != nil {
-					t.Fatalf("devs %d step %d: %v", devs, step, err)
-				}
-				checkAudit(t, c)
-				if fresh.TotalStats() != c.TotalStats() || fresh.Makespan() != c.Makespan() {
-					t.Fatalf("devs %d step %d: restored cluster reports %+v at %g, the original %+v at %g",
-						devs, step, fresh.TotalStats(), fresh.Makespan(), c.TotalStats(), c.Makespan())
-				}
-				if again := fresh.Checkpoint(); !reflect.DeepEqual(again, cp) {
-					t.Fatalf("devs %d step %d: a restored cluster's checkpoint differs from the one it restored", devs, step)
-				}
-				for _, hs := range cp.Host {
-					if len(hs.Nodes) > 0 {
-						ran["restore-nodes"]++
-						break
-					}
-				}
-				c = fresh
-				clear(spills)
-				ran["restore"]++
+			case op < 19: // stage barrier: clocks align, residency stays
+				c.Barrier()
 			default: // full reset
 				c.Reset()
 				clear(spills)
@@ -379,9 +339,9 @@ func TestResidencyIndexInvariant(t *testing.T) {
 				spills[s] = 1
 			}
 		}
-		want := []string{"exec", "discard", "fail", "shrink", "restore"}
+		want := []string{"exec", "discard", "fail", "shrink"}
 		if devs == 4096 {
-			want = append(want, "respill", "grow-spilled", "restore-nodes")
+			want = append(want, "respill", "grow-spilled")
 		}
 		for _, op := range want {
 			if ran[op] == 0 {

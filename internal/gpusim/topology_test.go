@@ -3,8 +3,6 @@ package gpusim
 import (
 	"errors"
 	"math"
-	"reflect"
-	"runtime"
 	"testing"
 
 	"micco/internal/tensor"
@@ -239,120 +237,5 @@ func TestCrossNodePeerFetch(t *testing.T) {
 	}
 	if got := c.InterNodeBytes(); got != before {
 		t.Errorf("same-node peer fetch moved %d extra inter-node bytes", got-before)
-	}
-}
-
-// TestMultiNodeCheckpointRoundTrip checks checkpoint/restore preserves the
-// topology state: per-node link clocks, the interconnect clock, and the
-// host partition presence that gates repeat-shipment costs.
-func TestMultiNodeCheckpointRoundTrip(t *testing.T) {
-	cfg := MI100Nodes(2, 2)
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b, out := topoDesc(1), topoDesc(2), topoDesc(3)
-	c.RegisterHostTensor(a)
-	c.RegisterHostTensor(b)
-	if _, err := c.ExecContraction(2, a, b, out); err != nil {
-		t.Fatal(err)
-	}
-	cp := c.Checkpoint()
-	wantBytes := c.InterNodeBytes()
-	wantClock := c.Device(2).Clock()
-
-	// Disturb, then restore.
-	c.Reset()
-	if err := c.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.InterNodeBytes(); got != wantBytes {
-		t.Errorf("restored inter-node bytes = %d, want %d", got, wantBytes)
-	}
-	if got := c.Device(2).Clock(); got != wantClock {
-		t.Errorf("restored device-2 clock = %g, want %g", got, wantClock)
-	}
-	// Host presence must restore too: a's copy was shipped into node 1, so
-	// re-fetching it on device 3 must not pay the interconnect again.
-	if err := c.EnsureResident(3, a); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.InterNodeBytes(); got != wantBytes {
-		t.Errorf("post-restore fetch re-shipped: inter-node bytes %d, want %d", got, wantBytes)
-	}
-	// A checkpoint from a differently-shaped cluster must be rejected.
-	other, err := NewCluster(MI100(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.Restore(cp); err == nil {
-		t.Error("Restore accepted a checkpoint from a different topology")
-	}
-}
-
-// TestRestoreRejectsHostNodesOutOfRange feeds Restore and Validate host
-// tensors whose node indices no cluster of that shape has. Restore must
-// refuse each with ErrInvalidCheckpoint before it touches the cluster —
-// no panic, no node set grown to reach the index — and Validate, which has
-// no cluster to compare with, must refuse the negative ones.
-func TestRestoreRejectsHostNodesOutOfRange(t *testing.T) {
-	for _, tc := range []struct {
-		name          string
-		cfg           Config
-		nodes         []int
-		restoreOK     bool
-		validateFails bool
-	}{
-		{"two nodes, both", MI100Nodes(2, 2), []int{0, 1}, true, false},
-		{"two nodes, none", MI100Nodes(2, 2), nil, true, false},
-		{"two nodes, one past the end", MI100Nodes(2, 2), []int{0, 2}, false, false},
-		{"two nodes, beyond the inline word", MI100Nodes(2, 2), []int{64}, false, false},
-		{"two nodes, huge", MI100Nodes(2, 2), []int{1, 1 << 60}, false, false},
-		{"two nodes, negative", MI100Nodes(2, 2), []int{-1}, false, true},
-		{"two nodes, most negative", MI100Nodes(2, 2), []int{0, -1 << 63}, false, true},
-		{"one node, its own", MI100(2), []int{0}, true, false},
-		{"one node, another", MI100(2), []int{1}, false, false},
-		{"one node, huge", MI100(2), []int{1 << 60}, false, false},
-		{"one node, negative", MI100(2), []int{-1}, false, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewCluster(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kept := topoDesc(1)
-			c.RegisterHostTensor(kept)
-			if err := c.EnsureResident(0, kept); err != nil {
-				t.Fatal(err)
-			}
-			before := c.Checkpoint()
-			cp := c.Checkpoint()
-			cp.Host = append(cp.Host, HostState{Desc: topoDesc(2), Nodes: tc.nodes})
-
-			err = cp.Validate()
-			if tc.validateFails != (err != nil) || (err != nil && !errors.Is(err, ErrInvalidCheckpoint)) {
-				t.Errorf("Validate returned %v, want ErrInvalidCheckpoint: %v", err, tc.validateFails)
-			}
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			err = c.Restore(cp)
-			runtime.ReadMemStats(&m1)
-			if tc.restoreOK {
-				if err != nil {
-					t.Fatalf("Restore returned %v", err)
-				}
-				return
-			}
-			if !errors.Is(err, ErrInvalidCheckpoint) {
-				t.Fatalf("Restore returned %v, want ErrInvalidCheckpoint", err)
-			}
-			// The error is all a refusal may allocate: no set sized by the index.
-			if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 4096 {
-				t.Errorf("a refused Restore allocated %d bytes", grew)
-			}
-			if after := c.Checkpoint(); !reflect.DeepEqual(after, before) {
-				t.Errorf("a refused Restore changed the cluster:\n%+v\nwas\n%+v", after, before)
-			}
-		})
 	}
 }

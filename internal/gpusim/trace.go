@@ -35,6 +35,9 @@ func (c *Cluster) StopTrace() []obs.Event {
 	return out
 }
 
+// Tracing reports whether the cluster is recording events.
+func (c *Cluster) Tracing() bool { return c.tracing }
+
 // TraceEvents returns a copy of the events recorded so far without
 // stopping, so callers cannot corrupt an in-progress trace by mutating or
 // re-slicing the returned slice. Nil when nothing has been recorded.

@@ -102,7 +102,7 @@ func checkAvail(t *testing.T, ix *AvailIndex, c *Context, lim int, step int, op 
 // random sequence of everything that can move a device's keys —
 // contractions under scarce memory (evictions, write-backs, host staging
 // off a peer), discards, barriers, device loss and restore, pool shrinks,
-// reset, checkpoint restore, load changes and limit changes — and after
+// reset, load changes and limit changes — and after
 // every step checks two things: the cluster's dirty set named every device
 // whose Clock, MemUsed, Capacity or Failed changed, and the index, brought
 // up to date from that set alone, equals a brute-force scan at every node.
@@ -135,8 +135,6 @@ func TestAvailIndexInvariant(t *testing.T) {
 		lim := 4
 		ix := newAvailIndex(devs)
 		ctx.avail = ix
-		var saved *gpusim.Checkpoint
-		var savedLoad []int
 		alive := func() int {
 			for {
 				if dev := rng.Intn(devs); !c.DeviceFailed(dev) {
@@ -204,26 +202,11 @@ func TestAvailIndexInvariant(t *testing.T) {
 				if err := c.ChargeExternalTransfer(rng.Intn(devs), 1e-4); err != nil {
 					t.Fatal(err)
 				}
-			case r < 87:
-				op = "checkpoint"
-				saved = c.Checkpoint()
-				savedLoad = append(savedLoad[:0], ctx.StageLoad...)
-			case r < 90 && saved != nil:
-				op = "resume"
-				if err := c.Restore(saved); err != nil {
-					t.Fatal(err)
-				}
-				ctx.Down = c.FailedMask()
-				ctx.ResetLoad()
-				for dev, l := range savedLoad {
-					ctx.AddLoad(dev, l)
-				}
 			case r < 92:
 				op = "reset"
 				c.Reset()
 				register()
 				nextOut = nInputs + 1
-				saved = nil
 				ctx.Down = c.FailedMask()
 				ctx.ResetLoad()
 			case r < 96:

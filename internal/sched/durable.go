@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"micco/internal/fault"
 	"micco/internal/gpusim"
 	"micco/internal/obsfile"
 )
@@ -25,7 +26,7 @@ import (
 //
 //	offset  size  field
 //	0       4     magic "MCCK"
-//	4       4     format version (uint32, currently 2)
+//	4       4     format version (uint32, currently 3)
 //	8       4     CRC32 (IEEE) of the payload
 //	12      8     payload length in bytes (uint64)
 //	20      -     payload: JSON of durableCheckpoint
@@ -34,27 +35,31 @@ import (
 // any JSON parsing happens; the payload is JSON so the format stays
 // debuggable (dd skip=20 | jq) and versionable field-by-field. Decoding
 // never trusts the input: a bad magic, length, CRC or payload yields
-// ErrCheckpointCorrupt, a future version yields ErrCheckpointVersion,
-// and the embedded cluster snapshot is structurally validated before it
-// can reach a cluster. Writes are atomic, through obsfile.Write: temp file
-// in the destination directory, fsync, rename, directory fsync.
+// ErrCheckpointCorrupt, another version yields ErrCheckpointVersion, and
+// the cluster configuration and fault log are validated before they can
+// reach a run. The placement log needs no check of its own: the resume
+// replays it through the engine, which refuses a device outside the
+// cluster or down, and a log that does not fit the stream. Writes are
+// atomic, through obsfile.Write: temp file in the destination directory,
+// fsync, rename, directory fsync.
 
 // checkpointMagic opens every durable checkpoint file.
 var checkpointMagic = [4]byte{'M', 'C', 'C', 'K'}
 
 // CheckpointVersion is the current durable format version. Version 2 added
-// the pair-stream digest; a version-1 file cannot prove which stream it
-// belongs to, so it is refused rather than resumed unchecked.
-const CheckpointVersion = 2
+// the pair-stream digest; version 3 replaced the simulator's state image
+// with the run's placement and fault log. Files of another version are
+// refused, not resumed.
+const CheckpointVersion = 3
 
 // maxCheckpointPayload bounds the declared payload length; anything
-// larger is corruption (a real snapshot of even a 4096-device cluster is
-// far below this).
+// larger is corruption (the log of even a 4096-device run is far below
+// this).
 const maxCheckpointPayload = 1 << 30
 
 // ErrCheckpointCorrupt marks a durable checkpoint that failed structural
 // validation: bad magic, impossible length, CRC mismatch, truncation, or
-// a payload that does not decode to a valid snapshot.
+// a payload that does not decode to a valid checkpoint.
 var ErrCheckpointCorrupt = errors.New("sched: checkpoint corrupt")
 
 // ErrCheckpointVersion marks a durable checkpoint in a format version this
@@ -63,18 +68,20 @@ var ErrCheckpointVersion = errors.New("sched: checkpoint version unsupported")
 
 // durableCheckpoint is the exported JSON mirror of Checkpoint.
 type durableCheckpoint struct {
-	Workload    string             `json:"workload"`
-	Digest      uint64             `json:"stream_digest"`
-	Scheduler   string             `json:"scheduler"`
-	NumDevices  int                `json:"num_devices"`
-	NextStage   int                `json:"next_stage"`
-	OverheadNS  int64              `json:"overhead_ns"`
-	Recovery    RecoveryStats      `json:"recovery"`
-	Assignments []int              `json:"assignments,omitempty"`
-	FaultsFired []bool             `json:"faults_fired,omitempty"`
-	Numeric     bool               `json:"numeric,omitempty"`
-	NumericSeed int64              `json:"numeric_seed,omitempty"`
-	Cluster     *gpusim.Checkpoint `json:"cluster"`
+	Workload    string        `json:"workload"`
+	Digest      uint64        `json:"stream_digest"`
+	Scheduler   string        `json:"scheduler"`
+	Config      gpusim.Config `json:"config"`
+	DiscardDead bool          `json:"discard_dead_inputs,omitempty"`
+	Retry       *fault.Retry  `json:"retry,omitempty"`
+	NextStage   int           `json:"next_stage"`
+	OverheadNS  int64         `json:"overhead_ns"`
+	Recovery    RecoveryStats `json:"recovery"`
+	Placements  []int         `json:"placements"`
+	Faults      []faultRecord `json:"faults,omitempty"`
+	FaultsFired []bool        `json:"faults_fired,omitempty"`
+	Numeric     bool          `json:"numeric,omitempty"`
+	NumericSeed int64         `json:"numeric_seed,omitempty"`
 }
 
 // EncodeCheckpoint writes cp to w in the durable format, returning the
@@ -87,15 +94,17 @@ func EncodeCheckpoint(w io.Writer, cp *Checkpoint) (int, error) {
 		Workload:    cp.workload,
 		Digest:      cp.digest,
 		Scheduler:   cp.scheduler,
-		NumDevices:  cp.numDevices,
+		Config:      cp.config,
+		DiscardDead: cp.discardDead,
+		Retry:       cp.retry,
 		NextStage:   cp.nextStage,
 		OverheadNS:  int64(cp.overhead),
 		Recovery:    cp.recovery,
-		Assignments: cp.assignments,
+		Placements:  cp.placements,
+		Faults:      cp.faults,
 		FaultsFired: cp.faultsFired,
 		Numeric:     cp.numeric,
 		NumericSeed: cp.numericSeed,
-		Cluster:     cp.cluster,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("sched: encode checkpoint: %w", err)
@@ -156,32 +165,52 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if d.NextStage < 0 {
 		return nil, fmt.Errorf("%w: negative next stage %d", ErrCheckpointCorrupt, d.NextStage)
 	}
-	if err := d.Cluster.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-	}
-	if d.NumDevices != len(d.Cluster.Devices) {
-		return nil, fmt.Errorf("%w: header says %d devices, cluster snapshot has %d",
-			ErrCheckpointCorrupt, d.NumDevices, len(d.Cluster.Devices))
 	}
 	return &Checkpoint{
 		workload:    d.Workload,
 		digest:      d.Digest,
 		scheduler:   d.Scheduler,
-		numDevices:  d.NumDevices,
+		config:      d.Config,
+		discardDead: d.DiscardDead,
+		retry:       d.Retry,
 		nextStage:   d.NextStage,
 		overhead:    time.Duration(d.OverheadNS),
 		recovery:    d.Recovery,
-		assignments: d.Assignments,
+		placements:  d.Placements,
+		faults:      d.Faults,
 		faultsFired: d.FaultsFired,
-		cluster:     d.Cluster,
 		numeric:     d.Numeric,
 		numericSeed: d.NumericSeed,
 	}, nil
 }
 
-// Cluster returns the checkpoint's cluster snapshot, for supervisors that
-// repair it (ReviveDevices) before resuming.
-func (cp *Checkpoint) Cluster() *gpusim.Checkpoint { return cp.cluster }
+// validate refuses what the engine would not survive: a cluster
+// configuration NewCluster refuses, and a fault log an engine could not
+// have written — an event a plan could not hold, out of order, past the end
+// of the log, without a retry policy, or, at the very end, anything but the
+// device restores ReviveDevices appends.
+func (d *durableCheckpoint) validate() error {
+	if err := d.Config.Validate(); err != nil {
+		return err
+	}
+	if len(d.Faults) > 0 && d.Retry == nil {
+		return errors.New("fault events without a fault plan's retry policy")
+	}
+	p := fault.Plan{Retry: d.Retry, Events: make([]fault.Event, len(d.Faults))}
+	at := 0
+	for i, r := range d.Faults {
+		if r.At < at || r.At > len(d.Placements) {
+			return fmt.Errorf("fault event %d before placement %d, out of order or past the log's %d", i, r.At, len(d.Placements))
+		}
+		if r.At == len(d.Placements) && r.Kind != fault.DeviceRestore {
+			return fmt.Errorf("fault event %d at the end of the log is a %v", i, r.Kind)
+		}
+		p.Events[i], at = r.Event, r.At
+	}
+	return p.Validate(d.Config.NumDevices)
+}
 
 // CheckpointPath returns the canonical durable-checkpoint path for a
 // workload inside dir: the workload name with every byte outside

@@ -6,7 +6,9 @@ package sched_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -167,6 +169,43 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	// Valid framing around a payload that is not a checkpoint.
 	check("garbage payload", frameCorrupt([]byte(`{"cluster":null}`)), sched.ErrCheckpointCorrupt)
 	check("json garbage", frameCorrupt([]byte(`{{{{`)), sched.ErrCheckpointCorrupt)
+
+	// Well-framed logs no engine writes, edited into the valid one (which
+	// logs no fault event: every loss came after its boundary).
+	// UseNumber keeps the 64-bit stream digest exact through the map.
+	var payload map[string]any
+	dec := json.NewDecoder(bytes.NewReader(valid[20:]))
+	dec.UseNumber()
+	if err := dec.Decode(&payload); err != nil {
+		t.Fatal(err)
+	}
+	edited := func(edit func(p map[string]any)) []byte {
+		p := maps.Clone(payload)
+		edit(p)
+		raw, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frameCorrupt(raw)
+	}
+	check("the payload re-framed", edited(func(map[string]any) {}), nil)
+	event := func(at int, kind string, dev int) map[string]any {
+		return map[string]any{"at": at, "kind": kind, "device": dev}
+	}
+	for name, edit := range map[string]func(p map[string]any){
+		"no devices":            func(p map[string]any) { p["config"] = map[string]any{} },
+		"faults without a plan": func(p map[string]any) { delete(p, "retry"); p["faults"] = []any{event(0, "device-loss", 0)} },
+		"a bad retry policy":    func(p map[string]any) { p["retry"] = map[string]any{"max": 1} },
+		"a device past the end": func(p map[string]any) { p["faults"] = []any{event(0, "device-loss", 4)} },
+		"an unknown kind":       func(p map[string]any) { p["faults"] = []any{event(0, "meteor", 0)} },
+		"faults out of order":   func(p map[string]any) { p["faults"] = []any{event(5, "device-loss", 0), event(3, "device-loss", 1)} },
+		"a fault past the log":  func(p map[string]any) { p["faults"] = []any{event(1<<20, "device-restore", 0)} },
+		"a loss at the log's end": func(p map[string]any) {
+			p["faults"] = []any{event(len(p["placements"].([]any)), "device-loss", 0)}
+		},
+	} {
+		check(name, edited(edit), sched.ErrCheckpointCorrupt)
+	}
 }
 
 // frameCorrupt wraps arbitrary payload bytes in a correct header (magic,
@@ -278,10 +317,12 @@ func TestCheckpointRefusesSameNameOtherStream(t *testing.T) {
 	if _, err := sched.EncodeCheckpoint(&buf, res.Checkpoint); err != nil {
 		t.Fatal(err)
 	}
-	v1 := buf.Bytes()
-	v1[4] = 1
-	if _, err := sched.DecodeCheckpoint(bytes.NewReader(v1)); !errors.Is(err, sched.ErrCheckpointVersion) {
-		t.Errorf("version-1 file: err = %v, want ErrCheckpointVersion", err)
+	old := buf.Bytes()
+	for _, v := range []byte{1, 2} {
+		old[4] = v
+		if _, err := sched.DecodeCheckpoint(bytes.NewReader(old)); !errors.Is(err, sched.ErrCheckpointVersion) {
+			t.Errorf("version-%d file: err = %v, want ErrCheckpointVersion", v, err)
+		}
 	}
 }
 
@@ -311,8 +352,8 @@ func TestCheckpointPeriodicWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bytes counter counts cumulative encoded bytes; the last write is the
-	// file on disk, and all three snapshots of this fault-free run differ
-	// only in cursor/clock fields, so total ≈ 3 files — assert the exact
+	// file on disk, and the three logs of this run are prefixes of one
+	// another, so the total is less than 3 files — assert the exact
 	// invariant instead: counter ≥ final file size, and a full-run
 	// re-encode matches the file exactly.
 	bytesWritten := reg.Counter("micco_checkpoint_bytes_written_total").Value()
@@ -338,83 +379,120 @@ func TestCheckpointPeriodicWrites(t *testing.T) {
 	}
 }
 
-// deadHolderFrame re-frames a valid encoding with its first device marked
-// failed while it still lists resident tensors — a state no run produces.
-func deadHolderFrame(valid []byte) []byte {
-	return frameCorrupt(bytes.Replace(valid[20:], []byte(`"Failed":false`), []byte(`"Failed":true`), 1))
-}
-
-// TestDecodeRejectsDeadHolder: a well-framed checkpoint whose failed device
-// still holds tensors is refused as corrupt, not handed to a cluster that
-// would then name a dead device as a holder.
-func TestDecodeRejectsDeadHolder(t *testing.T) {
-	w := numericWorkload(t, 7)
-	res, err := sched.Run(context.Background(), w, baseline.NewRoundRobin(), newClusterT(t, 4), sched.Options{Checkpoint: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := sched.EncodeCheckpoint(&buf, res.Checkpoint); err != nil {
-		t.Fatal(err)
-	}
-	frame := deadHolderFrame(buf.Bytes())
-	if bytes.Equal(frame, buf.Bytes()) {
-		t.Fatal("the frame was not changed: no device to mark failed")
-	}
-	if _, err := sched.DecodeCheckpoint(bytes.NewReader(frame)); !errors.Is(err, sched.ErrCheckpointCorrupt) {
-		t.Fatalf("decode returned %v, want ErrCheckpointCorrupt", err)
-	}
-}
-
-// FuzzCheckpointDecode: the decoder must never panic and must return a
-// typed error on every non-round-trippable input.
+// FuzzCheckpointDecode: the decoder never panics and refuses what it
+// cannot read with a typed error. Every checkpoint it accepts resumes a run
+// on a cluster of the file's own configuration, under the options the file
+// names: the placement and fault log is the one input from outside the
+// program that reaches the engine, so the run must end in a Result or a
+// typed error, never a panic, and leave a cluster that passes Audit. Each
+// input is tried as a file and as the payload of a well-framed one, so
+// mutations reach the payload past the CRC.
 func FuzzCheckpointDecode(f *testing.F) {
-	// Seed corpus: one real encoding, plus its truncations and a bit flip,
-	// plus raw garbage.
-	cp := func() *sched.Checkpoint {
-		w, err := workload.Generate(workload.Config{
-			Seed: 7, Stages: 3, VectorSize: 4, TensorDim: 8, Batch: 2,
-			Rank: tensor.RankMeson, RepeatRate: 0.5, Dist: workload.Uniform,
-		})
-		if err != nil {
-			f.Fatal(err)
-		}
-		c, err := gpusim.NewCluster(gpusim.MI100(4))
-		if err != nil {
-			f.Fatal(err)
-		}
-		res, err := sched.Run(context.Background(), w, baseline.NewRoundRobin(), c, sched.Options{Checkpoint: true})
-		if err != nil {
-			f.Fatal(err)
-		}
-		return res.Checkpoint
-	}()
-	var buf bytes.Buffer
-	if _, err := sched.EncodeCheckpoint(&buf, cp); err != nil {
+	w, err := workload.Generate(workload.Config{
+		Seed: 7, Stages: 3, VectorSize: 4, TensorDim: 8, Batch: 2,
+		Rank: tensor.RankMeson, RepeatRate: 0.5, ChainRate: 0.5, Dist: workload.Uniform,
+	})
+	if err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:19])
-	flipped := append([]byte(nil), valid...)
+	cfg := gpusim.MI100(4)
+	plan := &fault.Plan{Events: []fault.Event{
+		{Kind: fault.TransientTransfer, Failures: 2, Stage: 0, Pair: 1},
+		{Kind: fault.DeviceLoss, Device: 1, Stage: 1, Pair: 0},
+		{Kind: fault.LinkDegrade, Factor: 0.5, Stage: 1, Pair: 2},
+		{Kind: fault.MemShrink, Device: 2, Factor: 0.5, Stage: 2, Pair: 0},
+	}}
+	opts := sched.Options{DiscardDeadInputs: true, Checkpoint: true, FaultPlan: plan}
+	encode := func(cp *sched.Checkpoint) []byte {
+		var buf bytes.Buffer
+		if _, err := sched.EncodeCheckpoint(&buf, cp); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// Seed corpus: the run's checkpoint at every boundary, one with its
+	// lost device revived, damaged copies, and the payloads on their own.
+	var files [][]byte
+	for stop := 0; stop <= len(w.Stages); stop++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		c, err := gpusim.NewCluster(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		res, err := sched.Run(ctx, w, &stopAtStage{Scheduler: baseline.NewRoundRobin(), stop: stop, cancel: cancel}, c, opts)
+		cancel()
+		if res == nil || res.Checkpoint == nil {
+			f.Fatalf("stop at stage %d: %v", stop, err)
+		}
+		files = append(files, encode(res.Checkpoint))
+		if stop == len(w.Stages) && res.Checkpoint.ReviveDevices() == 1 {
+			files = append(files, encode(res.Checkpoint))
+		}
+	}
+	for _, file := range files {
+		f.Add(file)
+	}
+	last := files[len(files)-1]
+	f.Add(last[:len(last)/2])
+	flipped := append([]byte(nil), last...)
 	flipped[len(flipped)/3] ^= 0x10
 	f.Add(flipped)
-	f.Add(deadHolderFrame(valid))
+	for _, file := range files {
+		f.Add(file[20:])
+	}
 	f.Add([]byte("MCCK"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := sched.DecodeCheckpoint(bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, sched.ErrCheckpointCorrupt) && !errors.Is(err, sched.ErrCheckpointVersion) {
-				t.Fatalf("untyped decode error: %v", err)
+		for _, file := range [][]byte{data, frameCorrupt(data)} {
+			cp, err := sched.DecodeCheckpoint(bytes.NewReader(file))
+			if err != nil {
+				if !errors.Is(err, sched.ErrCheckpointCorrupt) && !errors.Is(err, sched.ErrCheckpointVersion) {
+					t.Fatalf("untyped decode error: %v", err)
+				}
+				continue
 			}
-			return
-		}
-		// Anything the decoder accepts must re-encode cleanly.
-		if _, err := sched.EncodeCheckpoint(&bytes.Buffer{}, got); err != nil {
-			t.Fatalf("accepted checkpoint does not re-encode: %v", err)
+			if _, err := sched.EncodeCheckpoint(&bytes.Buffer{}, cp); err != nil {
+				t.Fatalf("accepted checkpoint does not re-encode: %v", err)
+			}
+			// The file's own cluster and options, so that the log, not a
+			// mismatch, decides how the resume ends.
+			var named struct {
+				Config      gpusim.Config `json:"config"`
+				DiscardDead bool          `json:"discard_dead_inputs"`
+				Retry       *fault.Retry  `json:"retry"`
+			}
+			if err := json.Unmarshal(file[20:], &named); err != nil {
+				t.Fatal(err)
+			}
+			c, err := gpusim.NewCluster(named.Config)
+			if err != nil {
+				t.Fatalf("accepted checkpoint's config: %v", err)
+			}
+			o := sched.Options{DiscardDeadInputs: named.DiscardDead, ResumeFrom: cp}
+			if named.Retry != nil {
+				o.FaultPlan = &fault.Plan{Retry: named.Retry}
+			}
+			if _, err := sched.Run(context.Background(), w, baseline.NewRoundRobin(), c, o); err != nil && !typedRunError(err) {
+				t.Fatalf("resume failed with an untyped error: %v", err)
+			}
+			if err := c.Audit(); err != nil {
+				t.Fatalf("resume left the cluster inconsistent: %v", err)
+			}
 		}
 	})
+}
+
+// typedRunError reports whether err carries one of the sentinels a run
+// fails with.
+func typedRunError(err error) bool {
+	for _, sentinel := range []error{
+		sched.ErrCheckpointMismatch, sched.ErrInvalidDevice, sched.ErrOutOfMemory, sched.ErrClusterLost,
+		gpusim.ErrDeviceLost, gpusim.ErrTensorUnavailable, gpusim.ErrTransientTransfer,
+	} {
+		if errors.Is(err, sentinel) {
+			return true
+		}
+	}
+	return false
 }

@@ -38,20 +38,22 @@ type RecoveryStats struct {
 	FaultCharges gpusim.DeviceStats
 }
 
-// Checkpoint is a stage-granular, in-memory snapshot of a run: the
-// cluster's full simulation state at a stage barrier plus the engine
-// bookkeeping needed to continue. Produce one with Options.Checkpoint
-// (Result.Checkpoint); feed it back through Options.ResumeFrom on a fresh
-// run over the same workload and cluster shape. Checkpoints are handles,
-// not serialized artifacts: they are valid within the process that took
-// them.
+// Checkpoint is a stage-granular record of a run: the inputs that
+// reproduce it up to a stage boundary, not the state they produced. It holds
+// the device every Assign call returned, in call order (recovery
+// re-placements included), and the fault events the run applied, each at its
+// position in that log. A resumed run replays the finished stages through the
+// engine with the log standing in for the scheduler and the fault plan; the
+// simulator and the numeric executor are deterministic (DESIGN §5), so the
+// cluster and Result.NumericFingerprint come out bit-identical to an
+// uninterrupted run under any Parallelism setting. What a replay cannot
+// recompute — scheduler wall time and recovery statistics — is carried, and
+// what the replay must match to be exact — the cluster configuration,
+// DiscardDeadInputs and the retry policy — is checked on resume.
 //
-// A resumed run re-executes the numeric stream of completed stages from
-// the same seed (numeric state is deterministic, and the executor keeps
-// only the live working set, so there is no tensor store to snapshot), so
-// Result.NumericFingerprint is bit-identical to an uninterrupted run under
-// any Parallelism setting.
-// Timing of the remaining stages is resumed exactly from the snapshot;
+// Produce one with Options.Checkpoint (Result.Checkpoint); feed it back
+// through Options.ResumeFrom on a fresh run over the same workload and
+// cluster. The remaining stages run under the caller's scheduler and plan:
 // placements may differ from the uninterrupted run when the scheduler
 // carries internal state, which never affects the fingerprint.
 type Checkpoint struct {
@@ -59,26 +61,35 @@ type Checkpoint struct {
 	// digest fingerprints the workload's pair stream (streamDigest): two
 	// workloads can share a name — a synthetic one's leaves out its seed —
 	// and a resume on the other one is refused.
-	digest     uint64
-	scheduler  string
-	numDevices int
-	nextStage  int
-	overhead   time.Duration
-	recovery   RecoveryStats
-	// assignments is the flat stage-major device-per-pair record (nil
-	// unless the checkpointed run set RecordAssignments).
-	assignments []int
+	digest      uint64
+	scheduler   string
+	config      gpusim.Config
+	discardDead bool
+	// retry is the fault plan's resolved retry policy, nil when no plan was
+	// ever attached: the replay retries transient failures, and keeps the
+	// host copies of dead inputs, exactly as the run did.
+	retry     *fault.Retry
+	nextStage int
+	overhead  time.Duration
+	recovery  RecoveryStats
+	// placements is the device of every Assign call, in call order.
+	placements []int
+	// faults are the events the run applied, in order.
+	faults []faultRecord
 	// faultsFired marks plan events that had already fired, so a resume
 	// with the same plan does not re-fire them (in particular not the
 	// loss that interrupted the run).
 	faultsFired []bool
-	cluster     *gpusim.Checkpoint
-	// Numeric replay metadata: a resumed numeric run re-executes the
-	// completed prefix from the seed, so the seed of the original run must
-	// match the resuming options or the fingerprint silently diverges.
-	// Recorded here so resume can reject the mismatch.
+	// The resuming options must give the numeric stream the same seed.
 	numeric     bool
 	numericSeed int64
+}
+
+// faultRecord is one fault event the run applied, before placement At of
+// its log: the replay applies it when that many placements are behind it.
+type faultRecord struct {
+	At int `json:"at"`
+	fault.Event
 }
 
 // NextStage returns the index of the first stage a resumed run will
@@ -91,6 +102,32 @@ func (cp *Checkpoint) Workload() string { return cp.workload }
 // Scheduler returns the name of the scheduler that produced the
 // checkpointed prefix.
 func (cp *Checkpoint) Scheduler() string { return cp.scheduler }
+
+// ReviveDevices returns every device that is down at the checkpoint's
+// boundary to service: it appends one DeviceRestore record per such device
+// at the end of the log, and the resume applies them as a plan's restore
+// events are applied — empty memory, clocks at the makespan. Supervisors use
+// it to turn an ErrClusterLost checkpoint back into a runnable one. Returns
+// how many devices it revived.
+func (cp *Checkpoint) ReviveDevices() int {
+	down := make([]bool, cp.config.NumDevices)
+	for _, r := range cp.faults {
+		switch r.Kind {
+		case fault.DeviceLoss:
+			down[r.Device] = true
+		case fault.DeviceRestore:
+			down[r.Device] = false
+		}
+	}
+	n := 0
+	for dev, d := range down {
+		if d {
+			cp.faults = append(cp.faults, faultRecord{At: len(cp.placements), Event: fault.Event{Kind: fault.DeviceRestore, Device: dev}})
+			n++
+		}
+	}
+	return n
+}
 
 // streamDigest fingerprints w's pair stream with 64-bit FNV-1a over
 // little-endian words: the stage count, then per stage its pair count and
@@ -158,8 +195,12 @@ func (fr *faultRun) due(ev fault.Event, si, pi int, c *gpusim.Cluster) bool {
 }
 
 // fire injects every unfired due event, in plan order, at the boundary
-// before pair pi of stage si. Only called when a fault plan is attached.
+// before pair pi of stage si — or, in a replay, the events the log recorded
+// there. Only called when a fault plan is attached.
 func (e *engine) fire(si, pi int) error {
+	if e.rp != nil {
+		return e.rp.fire(e, si, pi)
+	}
 	fr := e.fr
 	for i := range fr.plan.Events {
 		ev := fr.plan.Events[i]
@@ -169,6 +210,9 @@ func (e *engine) fire(si, pi int) error {
 		fr.fired[i] = true
 		e.res.Recovery.FaultsInjected++
 		fr.injected[ev.Kind].Inc()
+		if k := e.ck; k != nil {
+			k.faults = append(k.faults, faultRecord{At: len(k.log), Event: ev})
+		}
 		if err := e.apply(ev, si, pi); err != nil {
 			return err
 		}
@@ -294,37 +338,62 @@ func (e *engine) recoverFrom(si, pi, lost int) error {
 }
 
 // ckptRun is the engine's checkpoint layer, nil when the run takes none:
-// the pair-stream digest, the latest checkpoint and, with
-// Options.CheckpointDir, the durable file, its cadence and write counters.
+// the pair-stream digest, the run's placement and fault log, the latest
+// checkpoint and, with Options.CheckpointDir, the durable file, its cadence
+// and write counters.
 type ckptRun struct {
-	digest        uint64
+	digest uint64
+	// retry is the plan's resolved policy or, when a run resumed from a
+	// faulted checkpoint has no plan, the checkpoint's: the log it extends
+	// replays under one policy.
+	retry         *fault.Retry
+	log           []int
+	faults        []faultRecord
 	dir, path     string
 	every         int
 	last          *Checkpoint
 	writes, bytes *obs.Counter
 }
 
-// newCkptRun refuses an Options.ResumeFrom that cannot seed a run of w on n
-// devices — another workload, pair stream or device count, a stage past the
-// end, or a numeric seed whose replay would diverge — and returns the
-// checkpoint layer. The stream is digested only to take or resume one.
-func newCkptRun(w *workload.Workload, opts Options, n int) (*ckptRun, error) {
+// newCkptRun refuses an Options.ResumeFrom that cannot seed a run of w on a
+// cluster configured as cfg — another workload or pair stream, another
+// cluster configuration, DiscardDeadInputs setting or retry policy, a stage
+// past the end, or a numeric seed whose replay would diverge — and returns
+// the checkpoint layer, its log continuing the resumed one. The stream is
+// digested only to take or resume one.
+func newCkptRun(w *workload.Workload, opts Options, cfg gpusim.Config) (*ckptRun, error) {
 	on, cp := opts.Checkpoint || opts.CheckpointDir != "", opts.ResumeFrom
 	if !on && cp == nil {
 		return nil, nil
 	}
 	digest := streamDigest(w)
+	var retry *fault.Retry
+	if p := opts.FaultPlan; p != nil {
+		r := p.RetryPolicy()
+		retry = &r
+	}
 	switch {
 	case cp == nil:
-	case cp.cluster == nil:
-		return nil, fmt.Errorf("sched: %w: checkpoint has no cluster snapshot", ErrNilArgument)
+	case cp.config == gpusim.Config{}:
+		return nil, fmt.Errorf("sched: %w: checkpoint is the zero value", ErrNilArgument)
 	case cp.workload != w.Name:
 		return nil, fmt.Errorf("sched: %w: it is for workload %q, resuming %q", ErrCheckpointMismatch, cp.workload, w.Name)
 	case cp.digest != digest:
 		return nil, fmt.Errorf("sched: %w: it is for another pair stream of workload %q (digest %016x, resuming %016x)",
 			ErrCheckpointMismatch, w.Name, cp.digest, digest)
-	case cp.numDevices != n:
-		return nil, fmt.Errorf("sched: %w: it is for %d devices, cluster has %d", ErrCheckpointMismatch, cp.numDevices, n)
+	case cp.config.NumDevices != cfg.NumDevices:
+		return nil, fmt.Errorf("sched: %w: it is for %d devices, cluster has %d", ErrCheckpointMismatch, cp.config.NumDevices, cfg.NumDevices)
+	case cp.config != cfg:
+		return nil, fmt.Errorf("sched: %w: it is for cluster %+v, resuming on %+v", ErrCheckpointMismatch, cp.config, cfg)
+	case cp.discardDead != opts.DiscardDeadInputs:
+		return nil, fmt.Errorf("sched: %w: DiscardDeadInputs %v, resuming with %v", ErrCheckpointMismatch, cp.discardDead, opts.DiscardDeadInputs)
+	case cp.retry != nil && retry != nil && *cp.retry != *retry:
+		return nil, fmt.Errorf("sched: %w: retry policy %+v, resuming with %+v", ErrCheckpointMismatch, *cp.retry, *retry)
+	case opts.DiscardDeadInputs && (cp.retry != nil) != (retry != nil):
+		// A plan keeps a dead input's host copy for recovery; without one
+		// the copy goes. One log cannot replay both.
+		return nil, fmt.Errorf("sched: %w: with DiscardDeadInputs, a fault plan attached %v, resuming with %v",
+			ErrCheckpointMismatch, cp.retry != nil, retry != nil)
 	case cp.nextStage < 0 || cp.nextStage > len(w.Stages):
 		return nil, fmt.Errorf("sched: %w: it resumes at stage %d of %d", ErrCheckpointMismatch, cp.nextStage, len(w.Stages))
 	case cp.numeric && opts.Numeric && cp.numericSeed != opts.NumericSeed:
@@ -333,7 +402,14 @@ func newCkptRun(w *workload.Workload, opts Options, n int) (*ckptRun, error) {
 	if !on {
 		return nil, nil
 	}
-	return &ckptRun{digest: digest, dir: opts.CheckpointDir, every: opts.CheckpointEvery}, nil
+	k := &ckptRun{digest: digest, retry: retry, dir: opts.CheckpointDir, every: opts.CheckpointEvery}
+	if cp != nil {
+		k.log, k.faults = slices.Clone(cp.placements), slices.Clone(cp.faults)
+		if k.retry == nil {
+			k.retry = cp.retry
+		}
+	}
+	return k, nil
 }
 
 // open takes the run's first checkpoint, at stage start. A durable run makes
@@ -359,7 +435,9 @@ func (k *ckptRun) open(e *engine, start int) error {
 // configured cadence: every boundary when CheckpointEvery <= 1, otherwise
 // every CheckpointEvery stages plus always the final boundary. A
 // durable-write failure is a run failure — the caller asked for durability
-// and did not get it.
+// and did not get it. The checkpoint shares the log's prefix: the log only
+// grows, and the full slice expressions make an append to the checkpoint's
+// copy its own.
 func (k *ckptRun) snapshot(e *engine, nextStage int) error {
 	if k == nil {
 		return nil
@@ -368,12 +446,14 @@ func (k *ckptRun) snapshot(e *engine, nextStage int) error {
 		workload:    e.w.Name,
 		digest:      k.digest,
 		scheduler:   e.s.Name(),
-		numDevices:  e.n,
+		config:      e.c.Config(),
+		discardDead: e.opts.DiscardDeadInputs,
+		retry:       k.retry,
 		nextStage:   nextStage,
 		overhead:    e.overhead,
 		recovery:    e.res.Recovery,
-		assignments: slices.Concat(e.res.Assignments...),
-		cluster:     e.c.Checkpoint(),
+		placements:  k.log[:len(k.log):len(k.log)],
+		faults:      k.faults[:len(k.faults):len(k.faults)],
 		numeric:     e.opts.Numeric,
 		numericSeed: e.opts.NumericSeed,
 	}
@@ -407,4 +487,84 @@ func (k *ckptRun) result(e *engine, err error) *Checkpoint {
 		k.last.faultsFired = append([]bool(nil), e.fr.fired...)
 	}
 	return k.last
+}
+
+// replayLog stands in for the scheduler and the fault plan while a resumed
+// run replays its checkpoint's finished stages: Assign hands back the logged
+// devices in call order, and fire applies each logged fault event when as
+// many placements are behind it as were when the run applied it.
+type replayLog struct {
+	cp              *Checkpoint
+	next, nextFault int
+}
+
+func (r *replayLog) Name() string        { return r.cp.scheduler + " (replayed)" }
+func (r *replayLog) BeginStage(*Context) {}
+
+// Assign returns the next logged device, or -1 — which placePair refuses —
+// past the end of the log.
+func (r *replayLog) Assign(workload.Pair, *Context) int {
+	r.next++
+	if r.next > len(r.cp.placements) {
+		return -1
+	}
+	return r.cp.placements[r.next-1]
+}
+
+func (r *replayLog) fire(e *engine, si, pi int) error {
+	for r.nextFault < len(r.cp.faults) && r.cp.faults[r.nextFault].At == r.next {
+		ev := r.cp.faults[r.nextFault].Event
+		r.nextFault++
+		if err := e.apply(ev, si, pi); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replay rebuilds the state a resumed run starts from by running the
+// checkpointed run's finished stages, [0, cp.nextStage), through the
+// engine's own stage loop, the log standing in for the scheduler and the
+// fault plan; then it applies the events logged at the boundary itself
+// (ReviveDevices). The watching, checkpoint and progress layers are not yet
+// attached and a tracing cluster records nothing, so what they report covers
+// only the continuation. Scheduler wall time and recovery statistics, which
+// a replay cannot recompute, come from the checkpoint. A log that does not
+// fit the stream — it runs out, is left over, or places an event at no pair
+// boundary — is refused with ErrCheckpointMismatch.
+func (e *engine) replay(cp *Checkpoint) error {
+	s, opts, tracing := e.s, e.opts, e.c.Tracing()
+	r := &replayLog{cp: cp}
+	e.s, e.rp = r, r
+	e.opts.Obs, e.opts.Progress = nil, nil
+	if cp.retry != nil {
+		e.fr = &faultRun{retry: *cp.retry}
+	}
+	if tracing {
+		e.c.StopTrace()
+	}
+	var err error
+	for si := 0; si < cp.nextStage && err == nil; si++ {
+		err = e.stage(si)
+	}
+	if err == nil {
+		err = r.fire(e, cp.nextStage, 0)
+	}
+	switch {
+	case r.next > len(cp.placements): // placePair refused the -1 past the end
+		err = fmt.Errorf("sched: %w: its log ends after %d placements", ErrCheckpointMismatch, len(cp.placements))
+	case err != nil:
+	case r.next < len(cp.placements):
+		err = fmt.Errorf("sched: %w: its log holds %d placements, the stages before %d make %d",
+			ErrCheckpointMismatch, len(cp.placements), cp.nextStage, r.next)
+	case r.nextFault < len(cp.faults):
+		err = fmt.Errorf("sched: %w: fault event %d, before placement %d, is at no pair boundary",
+			ErrCheckpointMismatch, r.nextFault, cp.faults[r.nextFault].At)
+	}
+	if tracing {
+		e.c.StartTrace()
+	}
+	e.s, e.rp, e.fr, e.opts = s, nil, nil, opts
+	e.overhead, e.res.Recovery = cp.overhead, cp.recovery
+	return err
 }

@@ -237,17 +237,17 @@ type Options struct {
 	// injection entirely; the per-pair hot path then costs one extra nil
 	// check and no allocations.
 	FaultPlan *fault.Plan
-	// Checkpoint snapshots the run at every stage boundary;
-	// Result.Checkpoint carries the latest snapshot — the completed run's
+	// Checkpoint records the run at every stage boundary;
+	// Result.Checkpoint carries the latest checkpoint — the completed run's
 	// on success, the last boundary before failure when Run returns an
 	// error (alongside the partial Result) — for Options.ResumeFrom.
 	Checkpoint bool
-	// ResumeFrom restarts a run from a stage-boundary checkpoint instead
-	// of from scratch: the cluster is restored to the snapshot and
-	// execution continues at Checkpoint.NextStage. The workload, cluster
-	// shape and (for bit-identical fingerprints) numeric options must
-	// match the checkpointed run; events of an attached FaultPlan that had
-	// already fired do not re-fire.
+	// ResumeFrom restarts a run from a stage-boundary checkpoint: the
+	// stages before Checkpoint.NextStage are replayed from its log, unwatched,
+	// and execution continues there under this run's scheduler and plan.
+	// The workload, cluster configuration, DiscardDeadInputs, retry policy
+	// and numeric seed must match the checkpointed run; events of an
+	// attached FaultPlan that had already fired do not re-fire.
 	ResumeFrom *Checkpoint
 	// CheckpointDir, when non-empty, persists stage-boundary checkpoints
 	// durably (atomic write + fsync + rename) at
@@ -306,8 +306,8 @@ type Result struct {
 	// Recovery summarizes fault-injection and recovery activity; all
 	// fields are zero when no fault plan was attached.
 	Recovery RecoveryStats
-	// Checkpoint is the latest stage-boundary snapshot when
-	// Options.Checkpoint is set (nil otherwise): the final state on
+	// Checkpoint is the latest stage-boundary checkpoint when
+	// Options.Checkpoint is set (nil otherwise): the final boundary on
 	// success, the last completed boundary when the run failed mid-stage.
 	Checkpoint *Checkpoint
 }
@@ -467,6 +467,9 @@ type engine struct {
 	ob   *obsRun
 	ck   *ckptRun
 	num  *numericRun
+	// rp is the checkpoint's log while a resumed run replays its finished
+	// stages, nil otherwise.
+	rp *replayLog
 	// fr is the live fault-injection state, nil without a fault plan (the
 	// per-pair cost of the feature is then a single nil check).
 	fr *faultRun
@@ -642,6 +645,9 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 	if a := e.res.Assignments; a != nil {
 		a[si][pi] = dev
 	}
+	if k := e.ck; k != nil {
+		k.log = append(k.log, dev)
+	}
 	if pr := e.opts.Progress; pr != nil {
 		pr.pairs.Add(1)
 	}
@@ -649,8 +655,9 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 }
 
 // Run replays workload w through scheduler s on cluster c. The cluster is
-// reset first (or restored, with Options.ResumeFrom), so each Run is
-// independent and deterministic. w must come from a workload constructor;
+// reset first (and, with Options.ResumeFrom, brought to the checkpoint's
+// boundary by replaying its log), so each Run is independent and
+// deterministic. w must come from a workload constructor;
 // a struct literal is refused with workload.ErrUnnumbered.
 //
 // Scheduler decisions and the timing simulation replay sequentially; each
@@ -683,7 +690,7 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 		return nil, err
 	}
 	n := c.NumDevices()
-	ck, err := newCkptRun(w, opts, n)
+	ck, err := newCkptRun(w, opts, c.Config())
 	if err != nil {
 		return nil, err
 	}
@@ -696,38 +703,25 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 	// the numbering over (free when it already has it) and every per-pair
 	// residency question below is an array index.
 	c.BindTensors(w.TensorIDs())
-	resume, start := opts.ResumeFrom, 0
-	if resume != nil {
-		if err := c.Restore(resume.cluster); err != nil {
-			return nil, err
-		}
-		start = resume.nextStage
-	} else {
-		c.Reset()
-		for slot, d := range w.Inputs {
-			c.RegisterHostAt(slot, d)
-		}
+	c.Reset()
+	for slot, d := range w.Inputs {
+		c.RegisterHostAt(slot, d)
 	}
-	// From here on every exit is e.finish: the layers are attached.
-	e := &engine{ctx: ctx, w: w, s: s, c: c, opts: opts, sctx: NewContext(c), ck: ck, n: n, clock0: time.Now()}
+	// From here on every exit is e.finish.
+	e := &engine{ctx: ctx, w: w, s: s, c: c, opts: opts, sctx: NewContext(c), n: n, clock0: time.Now()}
 	e.res = &Result{Scheduler: s.Name(), Workload: w.Name}
-	e.ob = newObsRun(opts.Obs, s, w, c)
-	e.sctx.Obs = opts.Obs
-	if opts.FaultPlan != nil {
-		e.fr = newFaultRun(opts.FaultPlan, resume, opts.Obs)
-	}
 	if opts.RecordAssignments {
-		e.res.Assignments = newAssignments(w, resume)
-	}
-	if resume != nil {
-		e.overhead, e.res.Recovery = resume.overhead, resume.recovery
+		e.res.Assignments = newAssignments(w)
 	}
 	e.num, err = newNumericRun(w, opts)
-	// A resumed run replays its completed stages numerically, stage by stage
-	// as they ran: numeric state is a pure function of the seed and the stream
-	// order, so this is exactly equivalent to having checkpointed the tensors.
-	for si := 0; si < start && err == nil; si++ {
-		err = e.num.run(e, si)
+	start := 0
+	if cp := opts.ResumeFrom; cp != nil && err == nil {
+		start, err = cp.nextStage, e.replay(cp)
+	}
+	// The layers attach: they see the run from start on.
+	e.ck, e.ob, e.sctx.Obs = ck, newObsRun(opts.Obs, s, w, c), opts.Obs
+	if opts.FaultPlan != nil {
+		e.fr = newFaultRun(opts.FaultPlan, opts.ResumeFrom, opts.Obs)
 	}
 	if err == nil {
 		err = e.ck.open(e, start)
@@ -806,16 +800,12 @@ func (e *engine) finish(err error) (*Result, error) {
 }
 
 // newAssignments carves Result.Assignments out of one flat stage-major
-// record, every pair -1 or, on a resume, the checkpoint's: a recovery
-// re-placement of an earlier pair updates its original slot in place.
-func newAssignments(w *workload.Workload, resume *Checkpoint) [][]int {
+// record, every pair -1 until placed: a recovery re-placement of an earlier
+// pair updates its original slot in place.
+func newAssignments(w *workload.Workload) [][]int {
 	flat := make([]int, w.NumPairs())
-	if resume != nil && len(resume.assignments) == len(flat) {
-		copy(flat, resume.assignments)
-	} else {
-		for i := range flat {
-			flat[i] = -1
-		}
+	for i := range flat {
+		flat[i] = -1
 	}
 	out := make([][]int, len(w.Stages))
 	for si := range out {

@@ -48,7 +48,7 @@ type Config struct {
 	// per-pair cancellation checks can observe the abort. Required.
 	NewScheduler func(ctx context.Context) (sched.Scheduler, error)
 	// NewCluster builds a fresh cluster for each attempt; sched.Run then
-	// resets or restores it from the resume checkpoint. Required.
+	// resets it and replays the resume checkpoint onto it. Required.
 	NewCluster func() (*gpusim.Cluster, error)
 	// Run is the engine configuration. Options.Checkpoint is forced on
 	// (supervision without checkpoints cannot resume anything), and a
@@ -113,8 +113,8 @@ func (c Config) sleep(ctx context.Context, d time.Duration) {
 }
 
 // retryable reports whether err is a failure the supervisor can usefully
-// retry from a checkpoint: losing the whole cluster (devices are revived
-// in the snapshot before resuming), a contained worker panic in the
+// retry from a checkpoint: losing the whole cluster (the checkpoint revives
+// the devices down at its boundary before resuming), a contained worker panic in the
 // numeric pipeline, or a watchdog-tripped cancellation while the parent
 // context is still alive. Everything else — invalid configuration, a
 // scheduler bug, the caller's own cancellation — is surfaced immediately.
@@ -208,7 +208,7 @@ func Run(ctx context.Context, cfg Config) (*sched.Result, Stats, error) {
 			return res, st, fmt.Errorf("supervise: attempt %d failed with no checkpoint to resume from: %w", st.Attempts, err)
 		}
 		if errors.Is(err, sched.ErrClusterLost) {
-			st.DevicesRevived += cp.Cluster().ReviveDevices()
+			st.DevicesRevived += cp.ReviveDevices()
 		}
 		resume = cp
 		st.Retries++

@@ -154,7 +154,7 @@ const ForestModel = autotune.ForestModel
 // RunOptions.FaultPlan is replayed deterministically into the simulator;
 // the engine recovers from device loss by re-running lost intermediates
 // on the survivors, retries transient transfers under the plan's
-// FaultRetry policy, and (with RunOptions.Checkpoint) snapshots every
+// FaultRetry policy, and (with RunOptions.Checkpoint) checkpoints every
 // stage boundary so an interrupted run can resume via
 // RunOptions.ResumeFrom.
 type (
@@ -166,9 +166,12 @@ type (
 	FaultKind = fault.Kind
 	// FaultRetry is the transient-failure retry/backoff policy.
 	FaultRetry = fault.Retry
-	// Checkpoint is a resumable stage-boundary snapshot of a run. With
-	// RunOptions.CheckpointDir set the engine persists it at every stage
-	// boundary; LoadCheckpointFile brings it back.
+	// Checkpoint is a run's log up to a stage boundary: the device each
+	// placement went to and the fault events applied between them. A
+	// resume replays it through the engine on a cluster of the same
+	// configuration, so the simulator and the numeric state come back
+	// exactly. With RunOptions.CheckpointDir set the engine persists it at
+	// every stage boundary; LoadCheckpointFile brings it back.
 	Checkpoint = sched.Checkpoint
 	// RecoveryStats summarizes fault-recovery work done during a run.
 	RecoveryStats = sched.RecoveryStats
@@ -310,7 +313,7 @@ var (
 	ErrClusterLost = sched.ErrClusterLost
 	// ErrCheckpointCorrupt marks a durable checkpoint that failed
 	// structural validation: bad magic, truncation, CRC mismatch, or a
-	// payload that does not decode to a valid snapshot.
+	// payload that does not decode to a valid checkpoint.
 	ErrCheckpointCorrupt = sched.ErrCheckpointCorrupt
 	// ErrCheckpointVersion marks a durable checkpoint written by a format
 	// version this build does not understand.
