@@ -98,9 +98,15 @@ benchsmoke:
 # a key string); that the walk is linear is read off the recorded ns/event
 # column, which stays flat from events=5k to events=80k.
 # BenchmarkReportRenderJSON must not be slower than the encoder that
-# formatted every boundary twice. BenchmarkWriteChromeTrace, the trace
-# artifact of one observed_run job, must stay under half the fmt writer's
-# time (a seventh, recorded). Front end: every BenchmarkBuildPlan*
+# formatted every boundary twice. BenchmarkReportRenderJSONToBuffer renders
+# the same report into a fresh bytes.Buffer every op, as a caller that
+# keeps the document does, and may allocate at most 1.15x the document's
+# 2 745 717 bytes (its doc-B metric) per op: 1.03x recorded with the
+# destination grown once to a bound of the document, 3.07x when a 4 KB
+# bufio stream made the buffer regrow by doubling (a change to the report
+# fixture moves doc-B, and the bound with it). BenchmarkWriteChromeTrace,
+# the trace artifact of one observed_run job, must stay under half the fmt
+# writer's time (a seventh, recorded). Front end: every BenchmarkBuildPlan*
 # and BenchmarkExpand* entry in BENCH_frontend.json must stay within 2x its
 # baseline ns/op — the baseline being the per-call enumeration and string
 # signatures they replaced — and a warm Expand, which stamps a template it
@@ -141,6 +147,8 @@ benchguard:
 		-guard-prefix BenchmarkCriticalPath -guard-max-allocs 64
 	$(GO) run ./cmd/benchjson -guard BENCH_report.json -guard-tol 1.0 \
 		-guard-prefix BenchmarkReportRenderJSON -guard-max-allocs -1
+	$(GO) run ./cmd/benchjson -guard BENCH_report.json \
+		-guard-prefix 'BenchmarkReportRenderJSONToBuffer$$' -guard-max-allocs -1 -guard-max-bytes 3157574
 	$(GO) run ./cmd/benchjson -guard BENCH_report.json -guard-tol 0.5 \
 		-guard-prefix BenchmarkWriteChromeTrace -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_frontend.json -guard-tol 2.0 \
@@ -183,10 +191,11 @@ soak:
 # pre-change baseline numbers merged in for comparison (the numeric runs'
 # from the commit that still had the coordinator goroutine), then the
 # report layer — the critical
-# path at 5k/20k/80k events and on the nested shape, the JSON rendering,
-# and the Chrome trace of one observed_run job — as BENCH_report.json
-# against the numbers of the walk, the encoder and the fmt trace writer
-# they replaced, then the front end — BuildPlan on the three
+# path at 5k/20k/80k events and on the nested shape, the JSON rendering
+# to a writer that keeps nothing and into a fresh buffer, and the Chrome
+# trace of one observed_run job — as BENCH_report.json against the
+# numbers of the walk, the encoder and the fmt trace writer they replaced
+# (the fresh-buffer row has no baseline; its gate is its doc-B), then the front end — BuildPlan on the three
 # Table VI correlators (f0d4 at the ladder's 64 time slices) and one
 # Expand call cold and warm — as BENCH_frontend.json against the same
 # benchmark file run on the commit before expansion was templated.

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"testing"
@@ -108,6 +109,26 @@ func BenchmarkReportRenderJSON(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(rep.CriticalPath.Segments)), "segments")
+}
+
+// BenchmarkReportRenderJSONToBuffer renders the same report into a fresh
+// bytes.Buffer every op, as a caller that keeps the document does. Its B/op
+// against the doc-B metric, the document's length, is what rendering into
+// memory costs beyond the document itself.
+func BenchmarkReportRenderJSONToBuffer(b *testing.B) {
+	rep := Build(observedInput(b, 9, 512))
+	var n int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			b.Fatal(err)
+		}
+		n = buf.Len()
+	}
+	b.ReportMetric(float64(n), "doc-B")
 	b.ReportMetric(float64(len(rep.CriticalPath.Segments)), "segments")
 }
 

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"sort"
@@ -122,16 +121,17 @@ func (d *Diff) WriteText(w io.Writer) error {
 	return t.err
 }
 
-// writeJSON renders v as indented JSON (shared by the report and diff
-// writers; map keys are sorted by encoding/json, keeping output stable).
+// writeJSON renders v as indented JSON and a newline in one write, or
+// writes nothing when encoding/json refuses v (shared by the report and
+// diff writers; map keys are sorted by encoding/json, keeping output
+// stable).
 func writeJSON(w io.Writer, v any) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	doc, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
 		return err
 	}
-	return bw.Flush()
+	_, err = w.Write(append(doc, '\n'))
+	return err
 }
 
 // LoadSnapshot parses a metrics snapshot JSON file (miccorun -metrics).
