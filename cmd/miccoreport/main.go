@@ -22,27 +22,22 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"micco"
+	"micco/internal/manifest"
 	"micco/internal/obsfile"
 )
 
-// reportConfig gathers the command's flags.
+// reportConfig gathers the command's flags: the manifest of run mode, the
+// inputs of the other modes, and the output.
 type reportConfig struct {
-	workload  string
-	deck      string
-	scheduler string
-	bounds    micco.Bounds
-	gpus      int
-	memGiB    float64
+	manifest.Manifest
 	decisions string
 	diffOld   string
 	diffNew   string
@@ -52,12 +47,8 @@ type reportConfig struct {
 
 func main() {
 	var cfg reportConfig
-	flag.StringVar(&cfg.workload, "workload", "", "workload JSON file (from wgen) to run and report on")
-	flag.StringVar(&cfg.deck, "deck", "", "correlator deck JSON to compile, run and report on (alternative to -workload)")
-	flag.StringVar(&cfg.scheduler, "scheduler", "micco", "scheduler for run mode: "+strings.Join(micco.SchedulerNames(), ", "))
-	flag.TextVar(&cfg.bounds, "bounds", micco.Bounds{0, 2, 0}, "reuse bounds for the micco scheduler, e.g. 0,2,0")
-	flag.IntVar(&cfg.gpus, "gpus", 8, "simulated device count for run mode")
-	flag.Float64Var(&cfg.memGiB, "mem", 0, "per-device pool in GiB (0 = fit the working set with 10% headroom)")
+	cfg.Bind(flag.CommandLine)
+	flag.StringVar(&cfg.Deck, "deck", "", "correlator deck JSON to compile, run and report on (alternative to -workload)")
 	flag.StringVar(&cfg.decisions, "decisions", "", "decision NDJSON file (from miccorun -decisions): report drift only, no run")
 	flag.StringVar(&cfg.diffOld, "diff-old", "", "baseline metrics snapshot JSON for diff mode")
 	flag.StringVar(&cfg.diffNew, "diff-new", "", "candidate metrics snapshot JSON for diff mode")
@@ -93,7 +84,7 @@ func run(ctx context.Context, cfg reportConfig, out io.Writer) error {
 // for the selected mode.
 func pickMode(ctx context.Context, cfg reportConfig) (func(io.Writer) error, error) {
 	modes := 0
-	for _, on := range []bool{cfg.workload != "" || cfg.deck != "", cfg.decisions != "", cfg.diffOld != "" || cfg.diffNew != ""} {
+	for _, on := range []bool{cfg.Workload != "" || cfg.Deck != "", cfg.decisions != "", cfg.diffOld != "" || cfg.diffNew != ""} {
 		if on {
 			modes++
 		}
@@ -121,9 +112,6 @@ func pickMode(ctx context.Context, cfg reportConfig) (func(io.Writer) error, err
 		}
 		return renderer(rep, cfg.jsonOut), nil
 	default:
-		if cfg.workload != "" && cfg.deck != "" {
-			return nil, fmt.Errorf("pick one of -workload and -deck")
-		}
 		rep, err := runReport(ctx, cfg)
 		if err != nil {
 			return nil, err
@@ -177,56 +165,10 @@ func driftReport(path string) (*micco.RunReport, error) {
 	return micco.BuildReport(micco.ReportInput{Decisions: recs}), nil
 }
 
-// loadWorkload resolves -workload or -deck into a workload and its label.
-func loadWorkload(cfg reportConfig) (*micco.Workload, error) {
-	if cfg.deck != "" {
-		f, err := os.Open(cfg.deck)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		corr, err := micco.LoadDeck(f)
-		if err != nil {
-			return nil, err
-		}
-		build, err := corr.BuildPlan()
-		if err != nil {
-			return nil, err
-		}
-		return build.Workload, nil
-	}
-	raw, err := os.ReadFile(cfg.workload)
-	if err != nil {
-		return nil, err
-	}
-	var w micco.Workload // the decode validates and numbers the stream
-	if err := json.Unmarshal(raw, &w); err != nil {
-		return nil, fmt.Errorf("parse workload %s: %w", cfg.workload, err)
-	}
-	return &w, nil
-}
-
 // runReport executes the workload under full observability and assembles
 // the report from the resulting trace, decisions and metrics.
 func runReport(ctx context.Context, cfg reportConfig) (*micco.RunReport, error) {
-	w, err := loadWorkload(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if micco.SchedulerNeedsPredictor(cfg.scheduler) {
-		return nil, fmt.Errorf("scheduler %q needs a trained predictor; use redstar or miccobench", cfg.scheduler)
-	}
-	s, err := micco.NewSchedulerByName(cfg.scheduler, cfg.bounds, nil)
-	if err != nil {
-		return nil, err
-	}
-	gcfg := micco.MI100(cfg.gpus)
-	if cfg.memGiB > 0 {
-		gcfg.MemoryBytes = int64(cfg.memGiB * float64(1<<30))
-	} else {
-		gcfg.MemoryBytes = int64(1.1 * float64(w.TotalUniqueBytes()))
-	}
-	cluster, err := micco.NewCluster(gcfg)
+	w, s, cluster, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -237,9 +179,9 @@ func runReport(ctx context.Context, cfg reportConfig) (*micco.RunReport, error) 
 		return nil, err
 	}
 	return micco.BuildReport(micco.ReportInput{
-		Scheduler: cfg.scheduler,
+		Scheduler: cfg.Scheduler,
 		Workload:  w.Name,
-		Devices:   cfg.gpus,
+		Devices:   cfg.GPUs,
 		Makespan:  res.Makespan,
 		Events:    cluster.StopTrace(),
 		Decisions: reg.Decisions(),

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"micco"
+	"micco/internal/manifest"
 )
 
 // TestGoldenDeckReport pins the full text report for the bundled f0d2
@@ -21,12 +22,12 @@ import (
 //	go run ./cmd/miccoreport -deck cmd/miccoreport/testdata/f0d2.deck.json \
 //	    -scheduler micco -gpus 4 -o cmd/miccoreport/testdata/f0d2.report.golden.txt
 func TestGoldenDeckReport(t *testing.T) {
-	cfg := reportConfig{
-		deck:      filepath.Join("testdata", "f0d2.deck.json"),
-		scheduler: "micco",
-		bounds:    micco.Bounds{0, 2, 0},
-		gpus:      4,
-	}
+	cfg := reportConfig{Manifest: manifest.Manifest{
+		Deck:      filepath.Join("testdata", "f0d2.deck.json"),
+		Scheduler: "micco",
+		Bounds:    micco.Bounds{0, 2, 0},
+		GPUs:      4,
+	}}
 	var got bytes.Buffer
 	if err := run(context.Background(), cfg, &got); err != nil {
 		t.Fatal(err)
@@ -42,11 +43,13 @@ func TestGoldenDeckReport(t *testing.T) {
 
 func TestJSONReportParses(t *testing.T) {
 	cfg := reportConfig{
-		deck:      filepath.Join("testdata", "f0d2.deck.json"),
-		scheduler: "roundrobin",
-		bounds:    micco.Bounds{0, 2, 0},
-		gpus:      2,
-		jsonOut:   true,
+		Manifest: manifest.Manifest{
+			Deck:      filepath.Join("testdata", "f0d2.deck.json"),
+			Scheduler: "roundrobin",
+			Bounds:    micco.Bounds{0, 2, 0},
+			GPUs:      2,
+		},
+		jsonOut: true,
 	}
 	var got bytes.Buffer
 	if err := run(context.Background(), cfg, &got); err != nil {
@@ -79,8 +82,11 @@ func TestStdoutErrorIsReturned(t *testing.T) {
 	boom := errors.New("boom")
 	for _, jsonOut := range []bool{false, true} {
 		cfg := reportConfig{
-			deck: filepath.Join("testdata", "f0d2.deck.json"), scheduler: "micco",
-			bounds: micco.Bounds{0, 2, 0}, gpus: 4, jsonOut: jsonOut,
+			Manifest: manifest.Manifest{
+				Deck: filepath.Join("testdata", "f0d2.deck.json"), Scheduler: "micco",
+				Bounds: micco.Bounds{0, 2, 0}, GPUs: 4,
+			},
+			jsonOut: jsonOut,
 		}
 		if err := run(context.Background(), cfg, failWriter{boom}); !errors.Is(err, boom) {
 			t.Errorf("json=%v: run returned %v, want %v", jsonOut, err, boom)
@@ -155,12 +161,12 @@ func TestDiffMode(t *testing.T) {
 
 func TestModeValidation(t *testing.T) {
 	ctx := context.Background()
+	// Both run inputs and a missing workload file are the manifest's rules
+	// (internal/manifest's TestResolve).
 	cases := []reportConfig{
 		{}, // no mode at all
-		{workload: "w.json", decisions: "d.ndjson"},    // two modes
-		{workload: "w.json", deck: "deck.json"},        // both run inputs
+		{Manifest: manifest.Manifest{Workload: "w.json"}, decisions: "d.ndjson"}, // two modes
 		{diffOld: "old.json"},                          // half a diff
-		{workload: "nosuch.json"},                      // missing file
 		{decisions: filepath.Join("testdata", "nope")}, // missing file
 	}
 	for i, cfg := range cases {

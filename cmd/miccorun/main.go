@@ -16,26 +16,22 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"micco"
+	"micco/internal/manifest"
 	"micco/internal/obsfile"
 )
 
-// runConfig gathers the command's flags.
+// runConfig gathers the command's flags: the run's manifest, and what to
+// record and how to deploy it.
 type runConfig struct {
-	workload     string
-	scheduler    string
-	bounds       micco.Bounds
-	gpus         int
-	memGiB       float64
+	manifest.Manifest
 	compare      bool
 	traceOut     string
 	metricsOut   string
@@ -53,11 +49,7 @@ type runConfig struct {
 
 func main() {
 	var cfg runConfig
-	flag.StringVar(&cfg.workload, "workload", "", "workload JSON file (from wgen); required")
-	flag.StringVar(&cfg.scheduler, "scheduler", "micco", "scheduler: "+strings.Join(micco.SchedulerNames(), ", "))
-	flag.TextVar(&cfg.bounds, "bounds", micco.Bounds{0, 2, 0}, "reuse bounds for the micco scheduler, e.g. 0,2,0")
-	flag.IntVar(&cfg.gpus, "gpus", 8, "simulated device count")
-	flag.Float64Var(&cfg.memGiB, "mem", 0, "per-device pool in GiB (0 = fit the working set with 10% headroom)")
+	cfg.Bind(flag.CommandLine)
 	flag.BoolVar(&cfg.compare, "compare", false, "also run every other scheduler and report speedups")
 	flag.StringVar(&cfg.traceOut, "trace", "", "write a Chrome trace of the primary run")
 	flag.StringVar(&cfg.metricsOut, "metrics", "", "write a JSON metrics snapshot of the primary run")
@@ -82,37 +74,13 @@ func main() {
 }
 
 func run(ctx context.Context, rc runConfig) error {
-	if rc.workload == "" {
-		return fmt.Errorf("-workload is required")
-	}
-	raw, err := os.ReadFile(rc.workload)
-	if err != nil {
-		return err
-	}
-	var w micco.Workload // the decode validates and numbers the stream
-	if err := json.Unmarshal(raw, &w); err != nil {
-		return fmt.Errorf("parse workload %s: %w", rc.workload, err)
-	}
-	if micco.SchedulerNeedsPredictor(rc.scheduler) {
-		return fmt.Errorf("scheduler %q needs a trained predictor; use redstar or miccobench", rc.scheduler)
-	}
-	primary, err := micco.NewSchedulerByName(rc.scheduler, rc.bounds, nil)
-	if err != nil {
-		return err
-	}
-	cfg := micco.MI100(rc.gpus)
-	if rc.memGiB > 0 {
-		cfg.MemoryBytes = int64(rc.memGiB * float64(1<<30))
-	} else {
-		cfg.MemoryBytes = int64(1.1 * float64(w.TotalUniqueBytes()))
-	}
-	cluster, err := micco.NewCluster(cfg)
+	w, primary, cluster, err := rc.Resolve()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("workload %s: %d contractions, %d stages, %.1f GB working set\n",
 		w.Name, w.NumPairs(), len(w.Stages), float64(w.TotalUniqueBytes())/1e9)
-	fmt.Printf("cluster: %d GPUs, %.1f GiB pools\n\n", rc.gpus, float64(cfg.MemoryBytes)/(1<<30))
+	fmt.Printf("cluster: %d GPUs, %.1f GiB pools\n\n", rc.GPUs, float64(cluster.Config().MemoryBytes)/(1<<30))
 
 	var plan *micco.FaultPlan
 	if rc.faultsIn != "" {
@@ -125,7 +93,7 @@ func run(ctx context.Context, rc runConfig) error {
 		if err != nil {
 			return err
 		}
-		if err := plan.Validate(rc.gpus); err != nil {
+		if err := plan.Validate(rc.GPUs); err != nil {
 			return err
 		}
 		fmt.Printf("fault plan %s: %d events\n\n", rc.faultsIn, len(plan.Events))
@@ -174,10 +142,8 @@ func run(ctx context.Context, rc runConfig) error {
 		// engine resets or restores it from the resume checkpoint anyway.
 		var st micco.SuperviseStats
 		res, st, err = micco.Supervise(ctx, micco.SuperviseConfig{
-			Workload: &w,
-			NewScheduler: func(context.Context) (micco.Scheduler, error) {
-				return micco.NewSchedulerByName(rc.scheduler, rc.bounds, nil)
-			},
+			Workload:       w,
+			NewScheduler:   func(context.Context) (micco.Scheduler, error) { return rc.NewScheduler() },
 			NewCluster:     func() (*micco.Cluster, error) { return cluster, nil },
 			Run:            opts,
 			StallBudget:    rc.stallBudget,
@@ -188,7 +154,7 @@ func run(ctx context.Context, rc runConfig) error {
 				st.Attempts, st.Retries, st.WatchdogTrips, st.DevicesRevived, st.ResumedFromDisk)
 		}
 	} else {
-		res, err = micco.Run(ctx, &w, primary, cluster, opts)
+		res, err = micco.Run(ctx, w, primary, cluster, opts)
 	}
 	if err != nil {
 		return err
@@ -225,15 +191,15 @@ func run(ctx context.Context, rc runConfig) error {
 	report(res)
 	if rc.compare {
 		for _, name := range micco.SchedulerNames() {
-			if name == rc.scheduler || micco.SchedulerNeedsPredictor(name) {
+			if name == rc.Scheduler || micco.SchedulerNeedsPredictor(name) {
 				continue
 			}
-			s, err := micco.NewSchedulerByName(name, rc.bounds, nil)
+			s, err := micco.NewSchedulerByName(name, rc.Bounds, nil)
 			if err != nil {
 				return err
 			}
 			// Replay the same fault plan so speedups compare like with like.
-			other, err := micco.Run(ctx, &w, s, cluster, micco.RunOptions{FaultPlan: plan})
+			other, err := micco.Run(ctx, w, s, cluster, micco.RunOptions{FaultPlan: plan})
 			if err != nil {
 				return err
 			}

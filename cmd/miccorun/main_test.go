@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"micco"
+	"micco/internal/manifest"
 	"micco/internal/workload"
 )
 
@@ -68,7 +69,7 @@ func TestSchedulerRegistry(t *testing.T) {
 
 // base returns a runnable config; tests override individual fields.
 func base(workload string) runConfig {
-	return runConfig{workload: workload, scheduler: "micco", bounds: micco.Bounds{0, 2, 0}, gpus: 4}
+	return runConfig{Manifest: manifest.Manifest{Workload: workload, Scheduler: "micco", Bounds: micco.Bounds{0, 2, 0}, GPUs: 4}}
 }
 
 func TestRunWorkloadFileAndCompare(t *testing.T) {
@@ -142,33 +143,16 @@ func TestRunWritesMetricsAndDecisions(t *testing.T) {
 	}
 }
 
+// TestRunErrors: a workload file that is valid JSON but holds no stream is
+// refused. The manifest's rules — a missing, unreadable or malformed file,
+// an unknown scheduler — are internal/manifest's TestResolve.
 func TestRunErrors(t *testing.T) {
-	ctx := context.Background()
-	if err := run(ctx, base("")); err == nil {
-		t.Error("missing workload: want error")
-	}
-	if err := run(ctx, base("/nonexistent.json")); err == nil {
-		t.Error("missing file: want error")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(ctx, base(bad)); err == nil {
-		t.Error("bad JSON: want error")
-	}
 	empty := filepath.Join(t.TempDir(), "empty.json")
 	if err := os.WriteFile(empty, []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(ctx, base(empty)); err == nil {
+	if err := run(context.Background(), base(empty)); err == nil {
 		t.Error("empty workload: want error")
-	}
-	good := workloadFile(t)
-	cfg := base(good)
-	cfg.scheduler = "heft"
-	if err := run(ctx, cfg); err == nil {
-		t.Error("bad scheduler: want error")
 	}
 }
 
@@ -299,10 +283,10 @@ func TestRunNumericFlags(t *testing.T) {
 
 func TestRunWithExplicitMemory(t *testing.T) {
 	cfg := base(workloadFile(t))
-	cfg.scheduler = "groute"
-	cfg.bounds = micco.Bounds{}
-	cfg.gpus = 2
-	cfg.memGiB = 0.25
+	cfg.Scheduler = "groute"
+	cfg.Bounds = micco.Bounds{}
+	cfg.GPUs = 2
+	cfg.MemGiB = 0.25
 	err := silence(t, func() error { return run(context.Background(), cfg) })
 	if err != nil {
 		t.Fatal(err)

@@ -10,10 +10,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"micco/internal/fault"
-	"micco/internal/gpusim"
 	"micco/internal/obsfile"
 )
 
@@ -22,14 +20,15 @@ import (
 // A sched.Checkpoint is an in-process handle; this file gives it an
 // on-disk form so a run can survive the death of the process that took
 // it. The layout is a fixed little-endian header followed by a JSON
-// payload:
+// payload, which is the checkpoint's own content (checkpointData): its
+// fields are declared once, and the encoder and decoder copy none of them.
 //
 //	offset  size  field
 //	0       4     magic "MCCK"
 //	4       4     format version (uint32, currently 3)
 //	8       4     CRC32 (IEEE) of the payload
 //	12      8     payload length in bytes (uint64)
-//	20      -     payload: JSON of durableCheckpoint
+//	20      -     payload: JSON of checkpointData
 //
 // The header is binary so truncation and corruption are detected before
 // any JSON parsing happens; the payload is JSON so the format stays
@@ -66,46 +65,13 @@ var ErrCheckpointCorrupt = errors.New("sched: checkpoint corrupt")
 // build does not read.
 var ErrCheckpointVersion = errors.New("sched: checkpoint version unsupported")
 
-// durableCheckpoint is the exported JSON mirror of Checkpoint.
-type durableCheckpoint struct {
-	Workload    string        `json:"workload"`
-	Digest      uint64        `json:"stream_digest"`
-	Scheduler   string        `json:"scheduler"`
-	Config      gpusim.Config `json:"config"`
-	DiscardDead bool          `json:"discard_dead_inputs,omitempty"`
-	Retry       *fault.Retry  `json:"retry,omitempty"`
-	NextStage   int           `json:"next_stage"`
-	OverheadNS  int64         `json:"overhead_ns"`
-	Recovery    RecoveryStats `json:"recovery"`
-	Placements  []int         `json:"placements"`
-	Faults      []faultRecord `json:"faults,omitempty"`
-	FaultsFired []bool        `json:"faults_fired,omitempty"`
-	Numeric     bool          `json:"numeric,omitempty"`
-	NumericSeed int64         `json:"numeric_seed,omitempty"`
-}
-
 // EncodeCheckpoint writes cp to w in the durable format, returning the
 // number of bytes written.
 func EncodeCheckpoint(w io.Writer, cp *Checkpoint) (int, error) {
 	if cp == nil {
 		return 0, fmt.Errorf("sched: %w: checkpoint", ErrNilArgument)
 	}
-	payload, err := json.Marshal(durableCheckpoint{
-		Workload:    cp.workload,
-		Digest:      cp.digest,
-		Scheduler:   cp.scheduler,
-		Config:      cp.config,
-		DiscardDead: cp.discardDead,
-		Retry:       cp.retry,
-		NextStage:   cp.nextStage,
-		OverheadNS:  int64(cp.overhead),
-		Recovery:    cp.recovery,
-		Placements:  cp.placements,
-		Faults:      cp.faults,
-		FaultsFired: cp.faultsFired,
-		Numeric:     cp.numeric,
-		NumericSeed: cp.numericSeed,
-	})
+	payload, err := json.Marshal(&cp.d)
 	if err != nil {
 		return 0, fmt.Errorf("sched: encode checkpoint: %w", err)
 	}
@@ -155,43 +121,28 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
 		return nil, fmt.Errorf("%w: CRC mismatch (file %08x, computed %08x)", ErrCheckpointCorrupt, wantCRC, got)
 	}
-	var d durableCheckpoint
-	if err := json.Unmarshal(payload, &d); err != nil {
+	cp := &Checkpoint{}
+	if err := json.Unmarshal(payload, &cp.d); err != nil {
 		return nil, fmt.Errorf("%w: payload not valid JSON: %v", ErrCheckpointCorrupt, err)
 	}
-	if d.Workload == "" {
-		return nil, fmt.Errorf("%w: empty workload name", ErrCheckpointCorrupt)
-	}
-	if d.NextStage < 0 {
-		return nil, fmt.Errorf("%w: negative next stage %d", ErrCheckpointCorrupt, d.NextStage)
-	}
-	if err := d.validate(); err != nil {
+	if err := cp.d.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
 	}
-	return &Checkpoint{
-		workload:    d.Workload,
-		digest:      d.Digest,
-		scheduler:   d.Scheduler,
-		config:      d.Config,
-		discardDead: d.DiscardDead,
-		retry:       d.Retry,
-		nextStage:   d.NextStage,
-		overhead:    time.Duration(d.OverheadNS),
-		recovery:    d.Recovery,
-		placements:  d.Placements,
-		faults:      d.Faults,
-		faultsFired: d.FaultsFired,
-		numeric:     d.Numeric,
-		numericSeed: d.NumericSeed,
-	}, nil
+	return cp, nil
 }
 
-// validate refuses what the engine would not survive: a cluster
-// configuration NewCluster refuses, and a fault log an engine could not
-// have written — an event a plan could not hold, out of order, past the end
-// of the log, without a retry policy, or, at the very end, anything but the
-// device restores ReviveDevices appends.
-func (d *durableCheckpoint) validate() error {
+// validate refuses what the engine would not survive: an empty workload
+// name, a negative stage, a cluster configuration NewCluster refuses, and a
+// fault log an engine could not have written — an event a plan could not
+// hold, out of order, past the end of the log, without a retry policy, or,
+// at the very end, anything but the device restores ReviveDevices appends.
+func (d *checkpointData) validate() error {
+	if d.Workload == "" {
+		return errors.New("empty workload name")
+	}
+	if d.NextStage < 0 {
+		return fmt.Errorf("negative next stage %d", d.NextStage)
+	}
 	if err := d.Config.Validate(); err != nil {
 		return err
 	}

@@ -379,6 +379,57 @@ func TestCheckpointPeriodicWrites(t *testing.T) {
 	}
 }
 
+// TestCheckpointFormatV3File pins format version 3 with a file an earlier
+// build wrote: testdata/checkpoint_v3.mcck is the durable checkpoint of a
+// faulted, numeric run on four MI100s stopped as stage 2 began, written
+// before the checkpoint's fields were declared once. It must re-encode byte
+// for byte and resume to the uninterrupted run's Result.
+func TestCheckpointFormatV3File(t *testing.T) {
+	if sched.CheckpointVersion != 3 {
+		t.Fatalf("CheckpointVersion = %d: the pinned file is format 3", sched.CheckpointVersion)
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v3.mcck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := sched.DecodeCheckpoint(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := sched.EncodeCheckpoint(&buf, cp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), raw) {
+		t.Errorf("re-encoding changed the file:\n got %s\nwant %s", buf.Bytes()[20:], raw[20:])
+	}
+	if cp.NextStage() != 2 {
+		t.Fatalf("the file resumes at stage %d, want 2", cp.NextStage())
+	}
+	// The options of the run the file was taken from.
+	w := numericWorkload(t, 23)
+	opts := sched.Options{
+		DiscardDeadInputs: true, Numeric: true, NumericSeed: 23, RecordAssignments: true,
+		FaultPlan: &fault.Plan{Events: []fault.Event{
+			{Kind: fault.TransientTransfer, Failures: 2, Stage: 0, Pair: 1},
+			{Kind: fault.DeviceLoss, Device: 1, Stage: 1, Pair: 2},
+			{Kind: fault.LinkDegrade, Factor: 0.5, Stage: 1, Pair: 3},
+			{Kind: fault.MemShrink, Device: 2, Factor: 0.5, Stage: 2, Pair: 0},
+			{Kind: fault.DeviceRestore, Device: 1, Stage: 3, Pair: -1},
+		}},
+	}
+	ref, err := sched.Run(context.Background(), w, baseline.NewGroute(), newClusterT(t, 4), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.ResumeFrom = cp
+	got, err := sched.Run(context.Background(), w, baseline.NewGroute(), newClusterT(t, 4), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRun(t, "resume from the format-3 file", got, ref)
+}
+
 // FuzzCheckpointDecode: the decoder never panics and refuses what it
 // cannot read with a typed error. Every checkpoint it accepts resumes a run
 // on a cluster of the file's own configuration, under the options the file

@@ -56,33 +56,37 @@ type RecoveryStats struct {
 // cluster. The remaining stages run under the caller's scheduler and plan:
 // placements may differ from the uninterrupted run when the scheduler
 // carries internal state, which never affects the fingerprint.
-type Checkpoint struct {
-	workload string
-	// digest fingerprints the workload's pair stream (streamDigest): two
+type Checkpoint struct{ d checkpointData }
+
+// checkpointData is a checkpoint's content and, as JSON, its durable
+// payload (EncodeCheckpoint).
+type checkpointData struct {
+	Workload string `json:"workload"`
+	// Digest fingerprints the workload's pair stream (streamDigest): two
 	// workloads can share a name — a synthetic one's leaves out its seed —
 	// and a resume on the other one is refused.
-	digest      uint64
-	scheduler   string
-	config      gpusim.Config
-	discardDead bool
-	// retry is the fault plan's resolved retry policy, nil when no plan was
+	Digest      uint64        `json:"stream_digest"`
+	Scheduler   string        `json:"scheduler"`
+	Config      gpusim.Config `json:"config"`
+	DiscardDead bool          `json:"discard_dead_inputs,omitempty"`
+	// Retry is the fault plan's resolved retry policy, nil when no plan was
 	// ever attached: the replay retries transient failures, and keeps the
 	// host copies of dead inputs, exactly as the run did.
-	retry     *fault.Retry
-	nextStage int
-	overhead  time.Duration
-	recovery  RecoveryStats
-	// placements is the device of every Assign call, in call order.
-	placements []int
-	// faults are the events the run applied, in order.
-	faults []faultRecord
-	// faultsFired marks plan events that had already fired, so a resume
+	Retry     *fault.Retry  `json:"retry,omitempty"`
+	NextStage int           `json:"next_stage"`
+	Overhead  time.Duration `json:"overhead_ns"`
+	Recovery  RecoveryStats `json:"recovery"`
+	// Placements is the device of every Assign call, in call order.
+	Placements []int `json:"placements"`
+	// Faults are the events the run applied, in order.
+	Faults []faultRecord `json:"faults,omitempty"`
+	// FaultsFired marks plan events that had already fired, so a resume
 	// with the same plan does not re-fire them (in particular not the
 	// loss that interrupted the run).
-	faultsFired []bool
+	FaultsFired []bool `json:"faults_fired,omitempty"`
 	// The resuming options must give the numeric stream the same seed.
-	numeric     bool
-	numericSeed int64
+	Numeric     bool  `json:"numeric,omitempty"`
+	NumericSeed int64 `json:"numeric_seed,omitempty"`
 }
 
 // faultRecord is one fault event the run applied, before placement At of
@@ -94,14 +98,14 @@ type faultRecord struct {
 
 // NextStage returns the index of the first stage a resumed run will
 // execute; it equals the workload's stage count for a completed run.
-func (cp *Checkpoint) NextStage() int { return cp.nextStage }
+func (cp *Checkpoint) NextStage() int { return cp.d.NextStage }
 
 // Workload returns the name of the workload the checkpoint was taken from.
-func (cp *Checkpoint) Workload() string { return cp.workload }
+func (cp *Checkpoint) Workload() string { return cp.d.Workload }
 
 // Scheduler returns the name of the scheduler that produced the
 // checkpointed prefix.
-func (cp *Checkpoint) Scheduler() string { return cp.scheduler }
+func (cp *Checkpoint) Scheduler() string { return cp.d.Scheduler }
 
 // ReviveDevices returns every device that is down at the checkpoint's
 // boundary to service: it appends one DeviceRestore record per such device
@@ -110,8 +114,8 @@ func (cp *Checkpoint) Scheduler() string { return cp.scheduler }
 // it to turn an ErrClusterLost checkpoint back into a runnable one. Returns
 // how many devices it revived.
 func (cp *Checkpoint) ReviveDevices() int {
-	down := make([]bool, cp.config.NumDevices)
-	for _, r := range cp.faults {
+	down := make([]bool, cp.d.Config.NumDevices)
+	for _, r := range cp.d.Faults {
 		switch r.Kind {
 		case fault.DeviceLoss:
 			down[r.Device] = true
@@ -122,7 +126,7 @@ func (cp *Checkpoint) ReviveDevices() int {
 	n := 0
 	for dev, d := range down {
 		if d {
-			cp.faults = append(cp.faults, faultRecord{At: len(cp.placements), Event: fault.Event{Kind: fault.DeviceRestore, Device: dev}})
+			cp.d.Faults = append(cp.d.Faults, faultRecord{At: len(cp.d.Placements), Event: fault.Event{Kind: fault.DeviceRestore, Device: dev}})
 			n++
 		}
 	}
@@ -168,8 +172,8 @@ type faultRun struct {
 
 func newFaultRun(p *fault.Plan, resume *Checkpoint, reg *obs.Registry) *faultRun {
 	fr := &faultRun{plan: p, retry: p.RetryPolicy(), fired: make([]bool, len(p.Events))}
-	if resume != nil && len(resume.faultsFired) == len(fr.fired) {
-		copy(fr.fired, resume.faultsFired)
+	if resume != nil && len(resume.d.FaultsFired) == len(fr.fired) {
+		copy(fr.fired, resume.d.FaultsFired)
 	}
 	if reg != nil {
 		for k := range fr.injected {
@@ -374,39 +378,39 @@ func newCkptRun(w *workload.Workload, opts Options, cfg gpusim.Config) (*ckptRun
 	}
 	switch {
 	case cp == nil:
-	case cp.config == gpusim.Config{}:
+	case cp.d.Config == gpusim.Config{}:
 		return nil, fmt.Errorf("sched: %w: checkpoint is the zero value", ErrNilArgument)
-	case cp.workload != w.Name:
-		return nil, fmt.Errorf("sched: %w: it is for workload %q, resuming %q", ErrCheckpointMismatch, cp.workload, w.Name)
-	case cp.digest != digest:
+	case cp.d.Workload != w.Name:
+		return nil, fmt.Errorf("sched: %w: it is for workload %q, resuming %q", ErrCheckpointMismatch, cp.d.Workload, w.Name)
+	case cp.d.Digest != digest:
 		return nil, fmt.Errorf("sched: %w: it is for another pair stream of workload %q (digest %016x, resuming %016x)",
-			ErrCheckpointMismatch, w.Name, cp.digest, digest)
-	case cp.config.NumDevices != cfg.NumDevices:
-		return nil, fmt.Errorf("sched: %w: it is for %d devices, cluster has %d", ErrCheckpointMismatch, cp.config.NumDevices, cfg.NumDevices)
-	case cp.config != cfg:
-		return nil, fmt.Errorf("sched: %w: it is for cluster %+v, resuming on %+v", ErrCheckpointMismatch, cp.config, cfg)
-	case cp.discardDead != opts.DiscardDeadInputs:
-		return nil, fmt.Errorf("sched: %w: DiscardDeadInputs %v, resuming with %v", ErrCheckpointMismatch, cp.discardDead, opts.DiscardDeadInputs)
-	case cp.retry != nil && retry != nil && *cp.retry != *retry:
-		return nil, fmt.Errorf("sched: %w: retry policy %+v, resuming with %+v", ErrCheckpointMismatch, *cp.retry, *retry)
-	case opts.DiscardDeadInputs && (cp.retry != nil) != (retry != nil):
+			ErrCheckpointMismatch, w.Name, cp.d.Digest, digest)
+	case cp.d.Config.NumDevices != cfg.NumDevices:
+		return nil, fmt.Errorf("sched: %w: it is for %d devices, cluster has %d", ErrCheckpointMismatch, cp.d.Config.NumDevices, cfg.NumDevices)
+	case cp.d.Config != cfg:
+		return nil, fmt.Errorf("sched: %w: it is for cluster %+v, resuming on %+v", ErrCheckpointMismatch, cp.d.Config, cfg)
+	case cp.d.DiscardDead != opts.DiscardDeadInputs:
+		return nil, fmt.Errorf("sched: %w: DiscardDeadInputs %v, resuming with %v", ErrCheckpointMismatch, cp.d.DiscardDead, opts.DiscardDeadInputs)
+	case cp.d.Retry != nil && retry != nil && *cp.d.Retry != *retry:
+		return nil, fmt.Errorf("sched: %w: retry policy %+v, resuming with %+v", ErrCheckpointMismatch, *cp.d.Retry, *retry)
+	case opts.DiscardDeadInputs && (cp.d.Retry != nil) != (retry != nil):
 		// A plan keeps a dead input's host copy for recovery; without one
 		// the copy goes. One log cannot replay both.
 		return nil, fmt.Errorf("sched: %w: with DiscardDeadInputs, a fault plan attached %v, resuming with %v",
-			ErrCheckpointMismatch, cp.retry != nil, retry != nil)
-	case cp.nextStage < 0 || cp.nextStage > len(w.Stages):
-		return nil, fmt.Errorf("sched: %w: it resumes at stage %d of %d", ErrCheckpointMismatch, cp.nextStage, len(w.Stages))
-	case cp.numeric && opts.Numeric && cp.numericSeed != opts.NumericSeed:
-		return nil, fmt.Errorf("sched: %w: numeric seed %d, resuming with %d", ErrCheckpointMismatch, cp.numericSeed, opts.NumericSeed)
+			ErrCheckpointMismatch, cp.d.Retry != nil, retry != nil)
+	case cp.d.NextStage < 0 || cp.d.NextStage > len(w.Stages):
+		return nil, fmt.Errorf("sched: %w: it resumes at stage %d of %d", ErrCheckpointMismatch, cp.d.NextStage, len(w.Stages))
+	case cp.d.Numeric && opts.Numeric && cp.d.NumericSeed != opts.NumericSeed:
+		return nil, fmt.Errorf("sched: %w: numeric seed %d, resuming with %d", ErrCheckpointMismatch, cp.d.NumericSeed, opts.NumericSeed)
 	}
 	if !on {
 		return nil, nil
 	}
 	k := &ckptRun{digest: digest, retry: retry, dir: opts.CheckpointDir, every: opts.CheckpointEvery}
 	if cp != nil {
-		k.log, k.faults = slices.Clone(cp.placements), slices.Clone(cp.faults)
+		k.log, k.faults = slices.Clone(cp.d.Placements), slices.Clone(cp.d.Faults)
 		if k.retry == nil {
-			k.retry = cp.retry
+			k.retry = cp.d.Retry
 		}
 	}
 	return k, nil
@@ -442,23 +446,23 @@ func (k *ckptRun) snapshot(e *engine, nextStage int) error {
 	if k == nil {
 		return nil
 	}
-	cp := &Checkpoint{
-		workload:    e.w.Name,
-		digest:      k.digest,
-		scheduler:   e.s.Name(),
-		config:      e.c.Config(),
-		discardDead: e.opts.DiscardDeadInputs,
-		retry:       k.retry,
-		nextStage:   nextStage,
-		overhead:    e.overhead,
-		recovery:    e.res.Recovery,
-		placements:  k.log[:len(k.log):len(k.log)],
-		faults:      k.faults[:len(k.faults):len(k.faults)],
-		numeric:     e.opts.Numeric,
-		numericSeed: e.opts.NumericSeed,
-	}
+	cp := &Checkpoint{checkpointData{
+		Workload:    e.w.Name,
+		Digest:      k.digest,
+		Scheduler:   e.s.Name(),
+		Config:      e.c.Config(),
+		DiscardDead: e.opts.DiscardDeadInputs,
+		Retry:       k.retry,
+		NextStage:   nextStage,
+		Overhead:    e.overhead,
+		Recovery:    e.res.Recovery,
+		Placements:  k.log[:len(k.log):len(k.log)],
+		Faults:      k.faults[:len(k.faults):len(k.faults)],
+		Numeric:     e.opts.Numeric,
+		NumericSeed: e.opts.NumericSeed,
+	}}
 	if e.fr != nil {
-		cp.faultsFired = append([]bool(nil), e.fr.fired...)
+		cp.d.FaultsFired = append([]bool(nil), e.fr.fired...)
 	}
 	k.last = cp
 	if k.path == "" {
@@ -484,7 +488,7 @@ func (k *ckptRun) result(e *engine, err error) *Checkpoint {
 		return nil
 	}
 	if err != nil && e.fr != nil {
-		k.last.faultsFired = append([]bool(nil), e.fr.fired...)
+		k.last.d.FaultsFired = append([]bool(nil), e.fr.fired...)
 	}
 	return k.last
 }
@@ -494,26 +498,26 @@ func (k *ckptRun) result(e *engine, err error) *Checkpoint {
 // devices in call order, and fire applies each logged fault event when as
 // many placements are behind it as were when the run applied it.
 type replayLog struct {
-	cp              *Checkpoint
+	d               *checkpointData
 	next, nextFault int
 }
 
-func (r *replayLog) Name() string        { return r.cp.scheduler + " (replayed)" }
+func (r *replayLog) Name() string        { return r.d.Scheduler + " (replayed)" }
 func (r *replayLog) BeginStage(*Context) {}
 
 // Assign returns the next logged device, or -1 — which placePair refuses —
 // past the end of the log.
 func (r *replayLog) Assign(workload.Pair, *Context) int {
 	r.next++
-	if r.next > len(r.cp.placements) {
+	if r.next > len(r.d.Placements) {
 		return -1
 	}
-	return r.cp.placements[r.next-1]
+	return r.d.Placements[r.next-1]
 }
 
 func (r *replayLog) fire(e *engine, si, pi int) error {
-	for r.nextFault < len(r.cp.faults) && r.cp.faults[r.nextFault].At == r.next {
-		ev := r.cp.faults[r.nextFault].Event
+	for r.nextFault < len(r.d.Faults) && r.d.Faults[r.nextFault].At == r.next {
+		ev := r.d.Faults[r.nextFault].Event
 		r.nextFault++
 		if err := e.apply(ev, si, pi); err != nil {
 			return err
@@ -523,48 +527,50 @@ func (r *replayLog) fire(e *engine, si, pi int) error {
 }
 
 // replay rebuilds the state a resumed run starts from by running the
-// checkpointed run's finished stages, [0, cp.nextStage), through the
+// checkpointed run's finished stages, [0, cp.NextStage()), through the
 // engine's own stage loop, the log standing in for the scheduler and the
 // fault plan; then it applies the events logged at the boundary itself
-// (ReviveDevices). The watching, checkpoint and progress layers are not yet
-// attached and a tracing cluster records nothing, so what they report covers
-// only the continuation. Scheduler wall time and recovery statistics, which
+// (ReviveDevices). The watching and checkpoint layers are not yet attached
+// and a tracing cluster records nothing, so what they report covers only the
+// continuation; Options.Progress counts the replayed placements, so a
+// watchdog sees a long replay move. Scheduler wall time and recovery statistics, which
 // a replay cannot recompute, come from the checkpoint. A log that does not
 // fit the stream — it runs out, is left over, or places an event at no pair
 // boundary — is refused with ErrCheckpointMismatch.
 func (e *engine) replay(cp *Checkpoint) error {
+	d := &cp.d
 	s, opts, tracing := e.s, e.opts, e.c.Tracing()
-	r := &replayLog{cp: cp}
+	r := &replayLog{d: d}
 	e.s, e.rp = r, r
-	e.opts.Obs, e.opts.Progress = nil, nil
-	if cp.retry != nil {
-		e.fr = &faultRun{retry: *cp.retry}
+	e.opts.Obs = nil
+	if d.Retry != nil {
+		e.fr = &faultRun{retry: *d.Retry}
 	}
 	if tracing {
 		e.c.StopTrace()
 	}
 	var err error
-	for si := 0; si < cp.nextStage && err == nil; si++ {
+	for si := 0; si < d.NextStage && err == nil; si++ {
 		err = e.stage(si)
 	}
 	if err == nil {
-		err = r.fire(e, cp.nextStage, 0)
+		err = r.fire(e, d.NextStage, 0)
 	}
 	switch {
-	case r.next > len(cp.placements): // placePair refused the -1 past the end
-		err = fmt.Errorf("sched: %w: its log ends after %d placements", ErrCheckpointMismatch, len(cp.placements))
+	case r.next > len(d.Placements): // placePair refused the -1 past the end
+		err = fmt.Errorf("sched: %w: its log ends after %d placements", ErrCheckpointMismatch, len(d.Placements))
 	case err != nil:
-	case r.next < len(cp.placements):
+	case r.next < len(d.Placements):
 		err = fmt.Errorf("sched: %w: its log holds %d placements, the stages before %d make %d",
-			ErrCheckpointMismatch, len(cp.placements), cp.nextStage, r.next)
-	case r.nextFault < len(cp.faults):
+			ErrCheckpointMismatch, len(d.Placements), d.NextStage, r.next)
+	case r.nextFault < len(d.Faults):
 		err = fmt.Errorf("sched: %w: fault event %d, before placement %d, is at no pair boundary",
-			ErrCheckpointMismatch, r.nextFault, cp.faults[r.nextFault].At)
+			ErrCheckpointMismatch, r.nextFault, d.Faults[r.nextFault].At)
 	}
 	if tracing {
 		e.c.StartTrace()
 	}
 	e.s, e.rp, e.fr, e.opts = s, nil, nil, opts
-	e.overhead, e.res.Recovery = cp.overhead, cp.recovery
+	e.overhead, e.res.Recovery = d.Overhead, d.Recovery
 	return err
 }

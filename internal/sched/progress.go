@@ -7,7 +7,10 @@ import "sync/atomic"
 // goroutine polls Pairs(): if the count stops moving for longer than its
 // wall budget, the pipeline is stalled — a scheduler spinning in Assign,
 // a wedged numeric pool — and the run can be cancelled and resumed from
-// its last durable checkpoint. The zero value is ready to use; one
+// its last durable checkpoint. A resumed run bumps it for the pairs its
+// replay of the checkpoint places as well, so a watchdog sees a long replay
+// move, and a fault-free resume ends at the stream's pair count, as the
+// uninterrupted run does. The zero value is ready to use; one
 // Progress may be reused across resume attempts of the same logical run
 // (the count then spans attempts, which is what a liveness probe wants).
 type Progress struct {

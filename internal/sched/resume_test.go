@@ -243,3 +243,21 @@ func TestResumeRefusesALogThatDoesNotFit(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeProgressCountsReplay: a resume's replay places the checkpoint's
+// pairs through the engine, and Options.Progress counts them, so a watchdog
+// sees a long replay move and a fault-free resume ends where the
+// uninterrupted run does, at the stream's pair count.
+func TestResumeProgressCountsReplay(t *testing.T) {
+	w := numericWorkload(t, 7)
+	cp := stoppedAt(t, func(ctx context.Context, s sched.Scheduler) (*sched.Result, error) {
+		return sched.Run(ctx, w, s, newClusterT(t, 4), sched.Options{Checkpoint: true})
+	}, 2, len(w.Stages))
+	var prog sched.Progress
+	if _, err := sched.Run(context.Background(), w, baseline.NewGroute(), newClusterT(t, 4), sched.Options{ResumeFrom: cp, Progress: &prog}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := prog.Pairs(), int64(w.NumPairs()); got != want {
+		t.Errorf("Progress counted %d pairs, the stream has %d", got, want)
+	}
+}

@@ -261,8 +261,9 @@ type Options struct {
 	CheckpointEvery int
 	// Progress, when non-nil, is bumped once per successfully placed pair
 	// — a monotone liveness signal external watchdogs poll to detect a
-	// stalled run without touching the engine. One nil check on the hot
-	// path; no allocations either way.
+	// stalled run without touching the engine. A resume's replay of its
+	// checkpoint's stages places pairs too, and counts. One nil check on
+	// the hot path; no allocations either way.
 	Progress *Progress
 }
 
@@ -716,7 +717,7 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 	e.num, err = newNumericRun(w, opts)
 	start := 0
 	if cp := opts.ResumeFrom; cp != nil && err == nil {
-		start, err = cp.nextStage, e.replay(cp)
+		start, err = cp.d.NextStage, e.replay(cp)
 	}
 	// The layers attach: they see the run from start on.
 	e.ck, e.ob, e.sctx.Obs = ck, newObsRun(opts.Obs, s, w, c), opts.Obs

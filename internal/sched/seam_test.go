@@ -173,7 +173,7 @@ func TestRunLayerSeam(t *testing.T) {
 								if cp.NextStage() != end {
 									t.Errorf("checkpoint at stage %d, want %d", cp.NextStage(), end)
 								}
-								for i, fired := range cp.faultsFired {
+								for i, fired := range cp.d.FaultsFired {
 									if fatal && !fired {
 										t.Errorf("fatal event %d not marked fired: a resume would fire it again", i)
 									}
