@@ -8,8 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
+# vet covers the root module and bench/, the ladder driver's own module,
+# which the root ./... never reaches.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 # fmt fails when any file, bench/ included, is not gofmt-formatted, and
 # names the files.

@@ -60,7 +60,7 @@ func main() {
 	flag.IntVar(&cfg.numericPar, "numeric-parallel", 0, "with -numeric, width of the worker pool that runs each stage's dependency-level batches, the engine goroutine included: N > 1 = N workers, 0 and 1 = GOMAXPROCS; the exact-tier fingerprint is identical at every width")
 	flag.StringVar(&cfg.serveAddr, "serve", "", "serve live observability HTTP on this address (e.g. :9090): /metrics, /metrics.json, /decisions, /trace, /flight, /healthz, /debug/pprof; keeps serving after the run until interrupted")
 	flag.StringVar(&cfg.ckptDir, "checkpoint-dir", "", "persist durable stage-boundary checkpoints in this directory (atomic write + fsync); a run interrupted or killed resumes from the file on the next -supervise invocation")
-	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 0, "with -checkpoint-dir, write the durable file only at every Nth stage boundary plus the final one (<=1 = every boundary)")
+	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 0, "with -checkpoint-dir, write the durable file only at every Nth stage boundary plus the final one (0 or 1 = every boundary)")
 	flag.BoolVar(&cfg.supervise, "supervise", false, "run under the self-healing supervisor: retry cluster loss, contained worker panics and watchdog-detected stalls from the last checkpoint with capped exponential backoff; with -checkpoint-dir, resume a dead process's run from disk first")
 	flag.DurationVar(&cfg.stallBudget, "stall-budget", 0, "with -supervise, arm the progress watchdog: cancel and resume the run if no pair completes within this wall budget (e.g. 30s; 0 = watchdog off)")
 	flag.Parse()
@@ -73,7 +73,28 @@ func main() {
 	}
 }
 
+// checkFlags refuses the flag values and combinations no run honours, before
+// anything is resolved or printed.
+func (rc runConfig) checkFlags() error {
+	switch {
+	case rc.stallBudget < 0:
+		return fmt.Errorf("-stall-budget %v: must be non-negative (0 = watchdog off)", rc.stallBudget)
+	case rc.ckptEvery < 0:
+		return fmt.Errorf("-checkpoint-every %d: must be non-negative", rc.ckptEvery)
+	case rc.numericPar < 0:
+		return fmt.Errorf("-numeric-parallel %d: must be non-negative", rc.numericPar)
+	case rc.ckptEvery > 1 && rc.ckptDir == "":
+		return fmt.Errorf("-checkpoint-every requires -checkpoint-dir")
+	case rc.stallBudget > 0 && !rc.supervise:
+		return fmt.Errorf("-stall-budget requires -supervise")
+	}
+	return nil
+}
+
 func run(ctx context.Context, rc runConfig) error {
+	if err := rc.checkFlags(); err != nil {
+		return err
+	}
 	w, primary, cluster, err := rc.Resolve()
 	if err != nil {
 		return err
@@ -126,11 +147,6 @@ func run(ctx context.Context, rc runConfig) error {
 	if rc.ckptDir != "" {
 		opts.CheckpointDir = rc.ckptDir
 		opts.CheckpointEvery = rc.ckptEvery
-	} else if rc.ckptEvery > 1 {
-		return fmt.Errorf("-checkpoint-every requires -checkpoint-dir")
-	}
-	if rc.stallBudget > 0 && !rc.supervise {
-		return fmt.Errorf("-stall-budget requires -supervise")
 	}
 	if rc.traceOut != "" {
 		cluster.StartTrace()

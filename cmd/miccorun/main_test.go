@@ -154,6 +154,41 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), base(empty)); err == nil {
 		t.Error("empty workload: want error")
 	}
+
+	// A negative count or budget is refused with an error naming its flag
+	// before the run starts, even where it would otherwise pass silently
+	// (a negative -stall-budget with -supervise turned the watchdog off).
+	path := workloadFile(t)
+	for _, c := range []struct {
+		flag string
+		set  func(*runConfig)
+	}{
+		{"-stall-budget", func(rc *runConfig) { rc.stallBudget = -time.Second }},
+		{"-stall-budget", func(rc *runConfig) { rc.stallBudget = -time.Second; rc.supervise = true }},
+		{"-checkpoint-every", func(rc *runConfig) { rc.ckptEvery = -1 }},
+		{"-checkpoint-every", func(rc *runConfig) { rc.ckptEvery = -2; rc.ckptDir = t.TempDir() }},
+		{"-numeric-parallel", func(rc *runConfig) { rc.numericPar = -4; rc.numeric = true }},
+	} {
+		rc := base(path)
+		c.set(&rc)
+		what := fmt.Sprintf("%s (stall-budget %v, supervise %v, checkpoint-every %d, numeric-parallel %d)",
+			c.flag, rc.stallBudget, rc.supervise, rc.ckptEvery, rc.numericPar)
+		out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := os.Stdout
+		os.Stdout = out
+		err = run(context.Background(), rc)
+		os.Stdout = old
+		out.Close()
+		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("%s: err = %v, want an error naming the flag", what, err)
+		}
+		if printed, _ := os.ReadFile(out.Name()); len(printed) > 0 {
+			t.Errorf("%s: the run printed %q before refusing the flag", what, printed)
+		}
+	}
 }
 
 // TestRunRefusesMalformedWorkloadFiles: a workload file whose stream is

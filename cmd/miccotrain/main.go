@@ -24,7 +24,7 @@ func main() {
 	samples := flag.Int("samples", 300, "training corpus size (the paper uses 300)")
 	seed := flag.Int64("seed", 2022, "random seed")
 	gpus := flag.Int("gpus", 8, "simulated device count for corpus labeling")
-	testFrac := flag.Float64("test", 0.2, "held-out test fraction")
+	testFrac := flag.Float64("test", 0.2, "held-out test fraction, strictly between 0 and 1")
 	out := flag.String("o", "", "save the trained Random Forest predictor as JSON")
 	flag.Parse()
 
@@ -37,6 +37,13 @@ func main() {
 }
 
 func run(ctx context.Context, samples int, seed int64, gpus int, testFrac float64, out string) error {
+	// Refuse what cannot yield a measured Table IV before labeling a corpus.
+	if samples < 1 {
+		return fmt.Errorf("-samples %d: the corpus needs at least one sample", samples)
+	}
+	if !(testFrac > 0 && testFrac < 1) {
+		return fmt.Errorf("-test %v: the held-out fraction must lie strictly between 0 and 1", testFrac)
+	}
 	fmt.Printf("building corpus: %d samples on %d simulated GPUs...\n", samples, gpus)
 	start := time.Now()
 	corpus, err := micco.BuildCorpus(ctx, micco.CorpusConfig{

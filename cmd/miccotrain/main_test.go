@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"micco"
@@ -39,6 +41,41 @@ func TestTrainSaveAndReload(t *testing.T) {
 	for _, v := range b {
 		if v < 0 {
 			t.Errorf("negative bound %v", b)
+		}
+	}
+}
+
+// TestRunRefusesUnmeasurableFlags: a held-out fraction outside (0, 1) or a
+// corpus of no samples is refused before the corpus is labeled, not
+// reported as a Table IV of zeros or trained on the default size.
+func TestRunRefusesUnmeasurableFlags(t *testing.T) {
+	for _, c := range []struct {
+		flag     string
+		samples  int
+		testFrac float64
+	}{
+		{"-test", 24, 0},
+		{"-test", 24, 1},
+		{"-test", 24, 1.5},
+		{"-test", 24, -0.2},
+		{"-test", 24, math.NaN()},
+		{"-samples", 0, 0.2},
+		{"-samples", -5, 0.2},
+	} {
+		out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := os.Stdout
+		os.Stdout = out
+		err = run(context.Background(), c.samples, 7, 4, c.testFrac, "")
+		os.Stdout = old
+		out.Close()
+		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("samples %d, test %v: err %v, want an error naming %s", c.samples, c.testFrac, err, c.flag)
+		}
+		if printed, _ := os.ReadFile(out.Name()); len(printed) > 0 {
+			t.Errorf("samples %d, test %v: printed %q before refusing", c.samples, c.testFrac, printed)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"micco/internal/core"
@@ -291,5 +292,26 @@ func TestOptimalSchedulerWithTrainedPredictorRuns(t *testing.T) {
 func TestTrainErrors(t *testing.T) {
 	if _, err := Train(&mlearn.Dataset{}, ForestModel, 0.2, 1); err == nil {
 		t.Error("empty corpus: want error")
+	}
+}
+
+// TestEvaluateModelsRefusesEmptyHeldOutSet: a split that holds nothing
+// out is refused rather than scored R2 0 for every model.
+func TestEvaluateModelsRefusesEmptyHeldOutSet(t *testing.T) {
+	ds := &mlearn.Dataset{}
+	for i := 0; i < 10; i++ {
+		ds.Add([]float64{float64(i)}, []float64{float64(2 * i)})
+	}
+	for _, frac := range []float64{0, -0.5, 0.05} {
+		if scores, err := EvaluateModels(ds, frac, 1); !errors.Is(err, mlearn.ErrEmpty) {
+			t.Errorf("test fraction %v: scores %v, err %v; want an error wrapping mlearn.ErrEmpty", frac, scores, err)
+		}
+	}
+	if _, err := EvaluateModels(nil, 0.2, 1); !errors.Is(err, sched.ErrNilArgument) {
+		t.Errorf("nil corpus: err %v, want one wrapping sched.ErrNilArgument", err)
+	}
+	scores, err := EvaluateModels(ds, 0.2, 1)
+	if err != nil || len(scores) != 3 {
+		t.Errorf("two held out of ten: scores %v, err %v; want three scores", scores, err)
 	}
 }

@@ -156,8 +156,17 @@ type ModelScore struct {
 }
 
 // EvaluateModels trains all three model families on the corpus with the
-// same split and returns their held-out R-squared scores (Table IV).
+// same split and returns their held-out R-squared scores (Table IV). A split
+// that holds no sample out measures nothing, so it is an error wrapping
+// mlearn.ErrEmpty, as an empty training split is; a nil corpus is one
+// wrapping sched.ErrNilArgument.
 func EvaluateModels(corpus *mlearn.Dataset, testFrac float64, seed int64) ([]ModelScore, error) {
+	if corpus == nil {
+		return nil, fmt.Errorf("autotune: %w: corpus", sched.ErrNilArgument)
+	}
+	if _, test := corpus.Split(testFrac, seed); test.Len() == 0 {
+		return nil, fmt.Errorf("autotune: test fraction %v of %d samples holds none out: %w", testFrac, corpus.Len(), mlearn.ErrEmpty)
+	}
 	kinds := []ModelKind{LinearModel, BoostingModel, ForestModel}
 	out := make([]ModelScore, 0, len(kinds))
 	for _, k := range kinds {

@@ -117,9 +117,10 @@ func (s *Scheduler) BeginStage(ctx *sched.Context) {
 // local reuse pattern, find the available GPUs under the pattern's reuse
 // bound, then let Algorithm 2 pick the final device.
 //
-// No step looks at the whole cluster. Steps I and II read residency through
-// the cluster's constant-time index — two mask probes answer every holder
-// question — and fill candiQueue by iterating set bits, O(holders). Step III,
+// No step looks at the whole cluster. Steps I and II are the placers' shared
+// Context.HolderCandidates over every device: residency comes from the
+// cluster's constant-time index — two mask probes answer every holder
+// question — and candiQueue fills by iterating set bits, O(holders). Step III,
 // where any GPU under reuse bound 3 qualifies, keeps no queue at all: it
 // asks the context's availability index (sched.AvailIndex), which already
 // summarizes that set in both Algorithm 2 orders, so the step costs
@@ -130,77 +131,31 @@ func (s *Scheduler) BeginStage(ctx *sched.Context) {
 // holders), so random tie-breaks draw identically to the scan-path
 // reference kept in sched's crosscheck test.
 func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
-	s.candi = s.candi[:0]
 	ma := ctx.HoldersMask(p.A.ID)
 	mb := ctx.HoldersMask(p.B.ID)
-	// boundIdx records which step's reuse bound gated the candidate set
-	// that survives to Algorithm 2; -1 means the defensive fallback fired.
-	boundIdx := -1
 
-	// Step I (Alg. 1 lines 4-7): twoRepeatedSame — GPUs holding both
-	// tensors, if within reuse bound 1's allowed imbalance. Iterating ma
-	// and filtering on mb.Has enumerates the intersection in ascending
-	// device order without materializing it (DevSet intersection of wide
-	// sets would allocate).
-	if ma.Intersects(mb) {
-		lim := s.bounds[0] + ctx.BalanceNum
-		for it := ma.First(); it >= 0; it = ma.NextFrom(it + 1) {
-			if mb.Has(it) && ctx.StageLoad[it] < lim {
-				s.candi = append(s.candi, it)
-			}
-		}
-		if len(s.candi) > 0 {
-			boundIdx = 0
-		}
-	}
+	// Steps I and II (Alg. 1 lines 4-14): twoRepeatedSame — GPUs holding
+	// both tensors under reuse bound 1 — then twoRepeatedDiff / oneRepeated
+	// — GPUs holding either under reuse bound 2. boundIdx records which
+	// step's bound gated the candidate set that survives to Algorithm 2; -1
+	// means the defensive fallback fired.
+	var boundIdx int
+	s.candi, boundIdx = ctx.HolderCandidates(s.candi[:0], ma, mb, 0, ctx.NumGPU, s.bounds[0], s.bounds[1])
 
-	// Step II (lines 8-14): twoRepeatedDiff / oneRepeated — GPUs holding
-	// either tensor, under reuse bound 2. Also the fallback when every
-	// both-holder was unavailable.
-	if len(s.candi) == 0 && !(ma.Empty() && mb.Empty()) {
-		lim := s.bounds[1] + ctx.BalanceNum
-		for it := ma.First(); it >= 0; it = ma.NextFrom(it + 1) {
-			if ctx.StageLoad[it] < lim {
-				s.candi = append(s.candi, it)
-			}
-		}
-		for it := mb.First(); it >= 0; it = mb.NextFrom(it + 1) {
-			if !ma.Has(it) && ctx.StageLoad[it] < lim {
-				s.candi = append(s.candi, it)
-			}
-		}
-		if len(s.candi) > 0 {
-			boundIdx = 1
-		}
-	}
-
-	// Step III (lines 15-18): twoNew, or nothing available above — any live
-	// GPU under reuse bound 3, straight from the availability index. Steps
-	// I and II need no down-device filter: a failed device's residency is
-	// dropped the moment it fails, so it can never appear in a holder mask.
-	if len(s.candi) == 0 {
+	if boundIdx < 0 {
+		// Step III (lines 15-18): twoNew, or nothing available above — any
+		// live GPU under reuse bound 3, straight from the availability
+		// index.
 		ix := ctx.Avail(s.bounds[2] + ctx.BalanceNum)
 		if ix.Ties(sched.ByCompute) > 0 {
 			s.recordBound(ctx, 2)
 			return s.assignFromIndex(p, ctx, ix, ma, mb)
 		}
-	}
-
-	// Defensive fallback: with non-negative bounds and BalanceNum =
-	// ceil(numTensor/numGPU) at least one GPU is always below the step-III
-	// limit mid-stage, but guard against pathological bound settings (and
-	// stages whose recovery re-placements pushed every survivor past the
-	// limit). Pick the least-loaded live device.
-	if len(s.candi) == 0 {
-		best := -1
-		for it := 0; it < ctx.NumGPU; it++ {
-			if ctx.Down.Has(it) {
-				continue
-			}
-			if best < 0 || ctx.StageLoad[it] < ctx.StageLoad[best] {
-				best = it
-			}
-		}
+		// Defensive fallback: with non-negative bounds and BalanceNum =
+		// ceil(numTensor/numGPU) at least one GPU is always below the
+		// step-III limit mid-stage, but guard against pathological bound
+		// settings and heavy recovery re-placement.
+		best := ctx.LeastLoaded(0, ctx.NumGPU)
 		if best < 0 {
 			best = 0 // no live device: unreachable, the engine errors first
 		}
@@ -306,32 +261,9 @@ func (s *Scheduler) assignFromQueue(p workload.Pair, ctx *sched.Context, ma, mb 
 			rec.Candidates = append(rec.Candidates, obs.CandidateScore{Device: id, Score: primary(id)})
 		}
 	}
-	sel := filterMinInPlace(s.candi, primary)
-	if len(sel) > 1 {
-		sel = filterMinInPlace(sel, secondary)
-	}
+	sel := sched.FilterMin(sched.FilterMin(s.candi, primary), secondary)
 	if len(sel) == 1 {
 		return sel[0]
 	}
 	return sel[s.rng.Intn(len(sel))]
-}
-
-// filterMinInPlace compacts ids down to the ones attaining the minimum of
-// key, preserving order, writing into ids' own backing array (the write
-// index never passes the read index, so no element is read after being
-// overwritten). No allocation.
-func filterMinInPlace(ids []int, key func(int) float64) []int {
-	best := key(ids[0])
-	out := ids[:1]
-	for _, id := range ids[1:] {
-		v := key(id)
-		switch {
-		case v < best:
-			best = v
-			out = append(ids[:0], id)
-		case v == best:
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -10,10 +10,11 @@
 // Level 1 (node choice) is Algorithm 1 one level up: prefer nodes already
 // holding both operands, then either, then any node, each step gated by a
 // node reuse bound against per-node stage balance; ties break toward the
-// least-loaded, lowest-numbered node. Level 2 reruns the same candidate
-// steps restricted to the node's device range under the per-device reuse
-// bounds, picking the earliest-available candidate (projected memory, then
-// lowest ID, as tie-breaks — deterministic, no RNG).
+// least-loaded, lowest-numbered node. Level 2 runs flat MICCO's candidate
+// steps (sched.Context.HolderCandidates) restricted to the node's device
+// range under the per-device reuse bounds, picking the earliest-available candidate
+// (projected memory, then candidate order, as tie-breaks — deterministic,
+// no RNG).
 //
 // Complexity per pair is O(holder nodes + log numNodes + nodeSize) on top
 // of reading the two holder sets: level 1 looks at the nodes that hold an
@@ -21,8 +22,10 @@
 // over all nodes, never at the node list. Like the flat MICCO scheduler,
 // the placement path performs zero allocations once its scratch reaches
 // steady state.
-// On single-node clusters level 1 degenerates to "node 0" and the
-// scheduler behaves like a deterministic-tie-break MICCO.
+// On single-node clusters level 1 degenerates to "node 0", and level 2 is
+// MICCO's steps I-III with a deterministic earliest-clock choice — not flat
+// MICCO: it never switches to Algorithm 2's memory-eviction order, so under
+// projected oversubscription the two place differently.
 package hier
 
 import (
@@ -198,15 +201,7 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 	if dev < 0 {
 		// The chosen node has no live device: global fallback to the
 		// least-loaded live device anywhere.
-		for it := 0; it < s.numGPU; it++ {
-			if ctx.Down.Has(it) {
-				continue
-			}
-			if dev < 0 || ctx.StageLoad[it] < ctx.StageLoad[dev] {
-				dev = it
-			}
-		}
-		if dev < 0 {
+		if dev = ctx.LeastLoaded(0, s.numGPU); dev < 0 {
 			dev = 0 // no live device: unreachable, the engine errors first
 		}
 	}
@@ -247,52 +242,28 @@ func (s *Scheduler) pickNode() int {
 	return int(s.tree[1])
 }
 
-// pickDevice is level 2: a MICCO-style candidate pass restricted to the
-// chosen node's device range [lo, hi). Steps I-III of Algorithm 1 run
-// against the node's slice of the holder sets under the per-device reuse
-// bounds; the final choice is the earliest-available candidate, breaking
-// ties by projected memory and then lowest device ID (deterministic).
+// pickDevice is level 2: Algorithm 1 restricted to the chosen node's device
+// range [lo, hi). Steps I and II are the flat scheduler's own
+// (Context.HolderCandidates) under the per-device reuse bounds, step III takes
+// any live device in the node under the third bound, and the final choice is
+// the earliest-available candidate, breaking ties by projected memory and
+// then candidate order (deterministic, no RNG). Unlike Algorithm 2 it never
+// switches to the memory-eviction order under projected oversubscription.
 // Returns -1 when the node has no live device.
 func (s *Scheduler) pickDevice(node int, p workload.Pair, ctx *sched.Context, ma, mb gpusim.DevSet) int {
 	lo := node * s.nodeSize
 	hi := lo + s.sizeOf(node)
-	s.candi = s.candi[:0]
-	// Assign's stamps say whether the node holds each operand at all, which
-	// decides steps I and II without a pass over the cluster-wide sets.
-	hasA, hasB := s.aStamp[node] == s.stamp, s.bStamp[node] == s.stamp
-
-	// Step I: devices in the node holding both operands. Holder iteration
-	// starts at lo and stops at the node edge, so cost tracks the node's
-	// share of the holder set, not the cluster. Steps I-II need no down
-	// filter: a failed device's residency drops the moment it fails.
-	if hasA && hasB {
-		lim := ctx.BalanceNum + s.bounds[0]
-		for it := ma.NextFrom(lo); it >= 0 && it < hi; it = ma.NextFrom(it + 1) {
-			if mb.Has(it) && ctx.StageLoad[it] < lim {
-				s.candi = append(s.candi, it)
-			}
-		}
+	// Assign's stamps say whether the node holds each operand at all; an
+	// operand it does not hold enters steps I and II as the empty set, so a
+	// node holding neither pays no pass over the cluster-wide sets.
+	na, nb := ma, mb
+	if s.aStamp[node] != s.stamp {
+		na = gpusim.DevSet{}
 	}
-
-	// Step II: devices in the node holding either operand (A-holders first,
-	// then B-only, ascending — the flat scheduler's candidate order).
-	if len(s.candi) == 0 {
-		lim := ctx.BalanceNum + s.bounds[1]
-		if hasA {
-			for it := ma.NextFrom(lo); it >= 0 && it < hi; it = ma.NextFrom(it + 1) {
-				if ctx.StageLoad[it] < lim {
-					s.candi = append(s.candi, it)
-				}
-			}
-		}
-		if hasB {
-			for it := mb.NextFrom(lo); it >= 0 && it < hi; it = mb.NextFrom(it + 1) {
-				if !ma.Has(it) && ctx.StageLoad[it] < lim {
-					s.candi = append(s.candi, it)
-				}
-			}
-		}
+	if s.bStamp[node] != s.stamp {
+		nb = gpusim.DevSet{}
 	}
+	s.candi, _ = ctx.HolderCandidates(s.candi[:0], na, nb, lo, hi, s.bounds[0], s.bounds[1])
 
 	// Step III: any live device in the node under the third bound.
 	if len(s.candi) == 0 {
@@ -303,35 +274,13 @@ func (s *Scheduler) pickDevice(node int, p workload.Pair, ctx *sched.Context, ma
 			}
 		}
 	}
-
-	// Defensive fallback within the node: least-loaded live device.
 	if len(s.candi) == 0 {
-		best := -1
-		for it := lo; it < hi; it++ {
-			if ctx.Down.Has(it) {
-				continue
-			}
-			if best < 0 || ctx.StageLoad[it] < ctx.StageLoad[best] {
-				best = it
-			}
-		}
-		return best // -1 when the whole node is down
+		return ctx.LeastLoaded(lo, hi) // -1 when the whole node is down
 	}
 
-	// Final choice: minimum device clock; ties by projected memory, then by
-	// lowest ID (candidates are ascending and replacement is strict-less).
-	best := s.candi[0]
-	bestClock := ctx.Cluster.Device(best).Clock()
-	for _, id := range s.candi[1:] {
-		c := ctx.Cluster.Device(id).Clock()
-		switch {
-		case c < bestClock:
-			best, bestClock = id, c
-		case c == bestClock:
-			if ctx.ProjectedMemMasked(id, p, ma, mb) < ctx.ProjectedMemMasked(best, p, ma, mb) {
-				best = id
-			}
-		}
-	}
-	return best
+	// Final choice: minimum device clock, then minimum projected memory, then
+	// the first survivor in candidate order (ascending ID, except that step
+	// II lists A's holders before B's).
+	sel := sched.FilterMin(s.candi, func(id int) float64 { return ctx.Cluster.Device(id).Clock() })
+	return sched.FilterMin(sel, func(id int) float64 { return float64(ctx.ProjectedMemMasked(id, p, ma, mb)) })[0]
 }

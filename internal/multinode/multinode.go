@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 
+	"micco/internal/baseline"
 	"micco/internal/core"
 	"micco/internal/gpusim"
 	"micco/internal/sched"
@@ -232,22 +233,6 @@ func (mc *Cluster) pickNode(p workload.Pair, load []int, balance int) int {
 	return earliest(under)
 }
 
-// grouteDevices is the earliest-available device policy used within nodes
-// by the baseline configuration.
-type grouteDevices struct{}
-
-func (grouteDevices) Name() string              { return "Groute" }
-func (grouteDevices) BeginStage(*sched.Context) {}
-func (grouteDevices) Assign(_ workload.Pair, ctx *sched.Context) int {
-	best := 0
-	for i := 1; i < ctx.NumGPU; i++ {
-		if ctx.Cluster.Device(i).Clock() < ctx.Cluster.Device(best).Clock() {
-			best = i
-		}
-	}
-	return best
-}
-
 // Result summarizes a multi-node run.
 type Result struct {
 	Workload string
@@ -280,7 +265,7 @@ func Run(ctx context.Context, w *workload.Workload, mc *Cluster) (*Result, error
 	ctxs := make([]*sched.Context, nNodes)
 	for i := range devScheds {
 		if mc.cfg.GrouteNodes {
-			devScheds[i] = grouteDevices{}
+			devScheds[i] = baseline.NewGroute()
 		} else {
 			devScheds[i] = core.NewFixed(mc.cfg.DeviceBounds)
 		}

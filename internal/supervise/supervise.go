@@ -59,7 +59,8 @@ type Config struct {
 	// this long, the attempt is declared stalled, the flight recorder is
 	// dumped, and the attempt is cancelled and retried from its last
 	// checkpoint. The watchdog samples progress every StallBudget/8, and
-	// at most once a millisecond. Zero disables the watchdog.
+	// at most once a millisecond. Zero disables the watchdog; Run refuses a
+	// negative budget with an error wrapping gpusim.ErrInvalidConfig.
 	StallBudget time.Duration
 	// Sleep replaces the backoff sleep, for tests that must not wait in
 	// real time. Nil sleeps on a timer, returning early if ctx ends.
@@ -139,6 +140,9 @@ func Run(ctx context.Context, cfg Config) (*sched.Result, Stats, error) {
 	var st Stats
 	if cfg.Workload == nil || cfg.NewScheduler == nil || cfg.NewCluster == nil {
 		return nil, st, fmt.Errorf("supervise: %w: workload, scheduler factory and cluster factory must be non-nil", sched.ErrNilArgument)
+	}
+	if cfg.StallBudget < 0 {
+		return nil, st, fmt.Errorf("supervise: %w: StallBudget %v must be non-negative", gpusim.ErrInvalidConfig, cfg.StallBudget)
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -213,6 +213,23 @@ func TestSupervisorGivesUpOnNonRetryable(t *testing.T) {
 	}
 }
 
+// TestSupervisorRefusesNegativeStallBudget: a negative budget is a
+// configuration error, not a disabled watchdog, and no attempt runs.
+func TestSupervisorRefusesNegativeStallBudget(t *testing.T) {
+	newSched, newClus := factories(t)
+	res, st, err := supervise.Run(context.Background(), supervise.Config{
+		Workload: numericWorkload(t, 19), NewScheduler: newSched, NewCluster: newClus,
+		StallBudget: -time.Second,
+		Sleep:       func(time.Duration) {},
+	})
+	if !errors.Is(err, gpusim.ErrInvalidConfig) || !strings.Contains(err.Error(), "StallBudget") {
+		t.Fatalf("err = %v, want one wrapping gpusim.ErrInvalidConfig naming StallBudget", err)
+	}
+	if res != nil || st.Attempts != 0 {
+		t.Errorf("result %v, stats %+v: want no attempt", res, st)
+	}
+}
+
 // TestSupervisorParentCancelNotRetried: the caller's own cancellation is
 // honored, never treated as a stall.
 func TestSupervisorParentCancelNotRetried(t *testing.T) {

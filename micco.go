@@ -245,7 +245,9 @@ func NewGroute() Scheduler { return baseline.NewGroute() }
 // topologies (ClusterConfig.NodeSize): an inter-node placer shards the
 // correlation graph across nodes under nodeBound, and a MICCO-style pass
 // places within the chosen node under bounds b. On single-node clusters it
-// degenerates to a deterministic-tie-break MICCO.
+// runs MICCO's candidate steps with a deterministic earliest-clock choice,
+// but never Algorithm 2's memory-eviction order, so under projected
+// oversubscription it places differently from MICCO.
 func NewHier(nodeBound int, b Bounds) Scheduler { return hier.New(nodeBound, b) }
 
 // Run replays workload w through scheduler s on cluster c. Scheduler
@@ -277,7 +279,8 @@ func TrainPredictor(corpus *TrainingCorpus, kind ModelKind, testFrac float64, se
 }
 
 // EvaluateModels scores all three regression families on corpus (Table IV).
-// A nil corpus returns an error wrapping ErrNilArgument.
+// A nil corpus returns an error wrapping ErrNilArgument; a testFrac that
+// holds no sample out is refused rather than scored.
 func EvaluateModels(corpus *TrainingCorpus, testFrac float64, seed int64) ([]ModelScore, error) {
 	return autotune.EvaluateModels(corpus, testFrac, seed)
 }
