@@ -122,15 +122,7 @@ func run(ctx context.Context, runList string, quick bool, seed int64, parallel i
 		}
 		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 		if csvDir != "" {
-			f, err := os.Create(filepath.Join(csvDir, tab.ID+".csv"))
-			if err != nil {
-				return err
-			}
-			if err := tab.CSV(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := obsfile.Write(filepath.Join(csvDir, tab.ID+".csv"), "table", nil, tab.CSV); err != nil {
 				return err
 			}
 		}

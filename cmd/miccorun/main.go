@@ -158,12 +158,11 @@ func run(ctx context.Context, rc runConfig) error {
 		// engine resets or restores it from the resume checkpoint anyway.
 		var st micco.SuperviseStats
 		res, st, err = micco.Supervise(ctx, micco.SuperviseConfig{
-			Workload:       w,
-			NewScheduler:   func(context.Context) (micco.Scheduler, error) { return rc.NewScheduler() },
-			NewCluster:     func() (*micco.Cluster, error) { return cluster, nil },
-			Run:            opts,
-			StallBudget:    rc.stallBudget,
-			ResumeFromDisk: rc.ckptDir != "",
+			Workload:     w,
+			NewScheduler: func(context.Context) (micco.Scheduler, error) { return rc.NewScheduler() },
+			NewCluster:   func() (*micco.Cluster, error) { return cluster, nil },
+			Run:          opts,
+			StallBudget:  rc.stallBudget,
 		})
 		if st.Attempts > 1 || st.ResumedFromDisk {
 			fmt.Printf("supervisor: %d attempt(s), %d retries, %d watchdog trips, %d devices revived, resumed from disk: %v\n\n",

@@ -18,12 +18,13 @@ import (
 	"time"
 
 	"micco"
+	"micco/internal/obsfile"
 )
 
 func main() {
 	samples := flag.Int("samples", 300, "training corpus size (the paper uses 300)")
 	seed := flag.Int64("seed", 2022, "random seed")
-	gpus := flag.Int("gpus", 8, "simulated device count for corpus labeling")
+	gpus := flag.Int("gpus", 8, "simulated device count for corpus labeling, recorded in the saved model")
 	testFrac := flag.Float64("test", 0.2, "held-out test fraction, strictly between 0 and 1")
 	out := flag.String("o", "", "save the trained Random Forest predictor as JSON")
 	flag.Parse()
@@ -40,6 +41,9 @@ func run(ctx context.Context, samples int, seed int64, gpus int, testFrac float6
 	// Refuse what cannot yield a measured Table IV before labeling a corpus.
 	if samples < 1 {
 		return fmt.Errorf("-samples %d: the corpus needs at least one sample", samples)
+	}
+	if gpus < 1 {
+		return fmt.Errorf("-gpus %d: the corpus is labeled on at least one device", gpus)
 	}
 	if !(testFrac > 0 && testFrac < 1) {
 		return fmt.Errorf("-test %v: the held-out fraction must lie strictly between 0 and 1", testFrac)
@@ -81,15 +85,7 @@ func run(ctx context.Context, samples int, seed int64, gpus int, testFrac float6
 	}
 
 	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		if err := pred.Save(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := obsfile.Write(out, "predictor", nil, pred.Save); err != nil {
 			return err
 		}
 		fmt.Printf("\npredictor saved to %s\n", out)
@@ -103,7 +99,7 @@ func run(ctx context.Context, samples int, seed int64, gpus int, testFrac float6
 	}
 	for _, f := range probes {
 		fmt.Printf("  v=%3.0f t=%3.0f biased=%v rate=%.2f -> bounds %v\n",
-			f.VectorSize, f.TensorDim, f.DistBias == 1, f.RepeatRate, pred.PredictBounds(f))
+			f.VectorSize, f.TensorDim, f.DistBias == 1, f.RepeatRate, pred.PredictBounds(f, gpus))
 	}
 	return nil
 }

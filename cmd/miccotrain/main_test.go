@@ -37,7 +37,7 @@ func TestTrainSaveAndReload(t *testing.T) {
 	if pred.Kind != micco.ForestModel || pred.NumGPU != 4 {
 		t.Errorf("reloaded predictor metadata wrong: %+v", pred)
 	}
-	b := pred.PredictBounds(micco.Features{VectorSize: 32, TensorDim: 256, RepeatRate: 0.5})
+	b := pred.PredictBounds(micco.Features{VectorSize: 32, TensorDim: 256, RepeatRate: 0.5}, pred.NumGPU)
 	for _, v := range b {
 		if v < 0 {
 			t.Errorf("negative bound %v", b)
@@ -45,22 +45,26 @@ func TestTrainSaveAndReload(t *testing.T) {
 	}
 }
 
-// TestRunRefusesUnmeasurableFlags: a held-out fraction outside (0, 1) or a
-// corpus of no samples is refused before the corpus is labeled, not
-// reported as a Table IV of zeros or trained on the default size.
+// TestRunRefusesUnmeasurableFlags: a held-out fraction outside (0, 1), a
+// corpus of no samples or a node of no devices is refused before the corpus
+// is labeled, not reported as a Table IV of zeros, trained on the default
+// size or labeled on another node than the saved model records.
 func TestRunRefusesUnmeasurableFlags(t *testing.T) {
 	for _, c := range []struct {
 		flag     string
 		samples  int
+		gpus     int
 		testFrac float64
 	}{
-		{"-test", 24, 0},
-		{"-test", 24, 1},
-		{"-test", 24, 1.5},
-		{"-test", 24, -0.2},
-		{"-test", 24, math.NaN()},
-		{"-samples", 0, 0.2},
-		{"-samples", -5, 0.2},
+		{"-test", 24, 4, 0},
+		{"-test", 24, 4, 1},
+		{"-test", 24, 4, 1.5},
+		{"-test", 24, 4, -0.2},
+		{"-test", 24, 4, math.NaN()},
+		{"-samples", 0, 4, 0.2},
+		{"-samples", -5, 4, 0.2},
+		{"-gpus", 24, 0, 0.2},
+		{"-gpus", 24, -2, 0.2},
 	} {
 		out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
 		if err != nil {
@@ -68,14 +72,14 @@ func TestRunRefusesUnmeasurableFlags(t *testing.T) {
 		}
 		old := os.Stdout
 		os.Stdout = out
-		err = run(context.Background(), c.samples, 7, 4, c.testFrac, "")
+		err = run(context.Background(), c.samples, 7, c.gpus, c.testFrac, "")
 		os.Stdout = old
 		out.Close()
 		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
-			t.Errorf("samples %d, test %v: err %v, want an error naming %s", c.samples, c.testFrac, err, c.flag)
+			t.Errorf("samples %d, gpus %d, test %v: err %v, want an error naming %s", c.samples, c.gpus, c.testFrac, err, c.flag)
 		}
 		if printed, _ := os.ReadFile(out.Name()); len(printed) > 0 {
-			t.Errorf("samples %d, test %v: printed %q before refusing", c.samples, c.testFrac, printed)
+			t.Errorf("samples %d, gpus %d, test %v: printed %q before refusing", c.samples, c.gpus, c.testFrac, printed)
 		}
 	}
 }

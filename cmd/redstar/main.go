@@ -46,6 +46,9 @@ func main() {
 }
 
 func run(ctx context.Context, function string, gpus int, numeric bool, seed int64, model, traceOut, deck, baseline string) error {
+	if gpus < 1 {
+		return fmt.Errorf("-gpus %d: the cluster needs at least one device", gpus)
+	}
 	var correlators []*micco.Correlator
 	if deck != "" {
 		f, err := os.Open(deck)
@@ -81,14 +84,13 @@ func run(ctx context.Context, function string, gpus int, numeric bool, seed int6
 			return err
 		}
 	} else {
-		h := micco.NewHarness(micco.HarnessOptions{Seed: seed, NumGPU: gpus})
+		h := micco.NewHarness(micco.HarnessOptions{Seed: seed})
 		var err error
 		pred, err = h.Predictor(ctx)
 		if err != nil {
 			return err
 		}
 	}
-	pred.NumGPU = gpus
 
 	fmt.Printf("%-10s %7s %7s %8s %9s %10s %10s %8s\n",
 		"function", "graphs", "blocks", "contract", "memory", baseline+" GF", "MICCO GF", "speedup")

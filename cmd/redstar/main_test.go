@@ -65,6 +65,28 @@ func TestRunUnknownFunction(t *testing.T) {
 	}
 }
 
+// TestRunRefusesNoDevices: a node of no devices is refused before any
+// predictor is trained or any header printed.
+func TestRunRefusesNoDevices(t *testing.T) {
+	for _, gpus := range []int{0, -3} {
+		out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := os.Stdout
+		os.Stdout = out
+		err = run(context.Background(), "al_rhopi", gpus, false, 1, "", "", "", "groute")
+		os.Stdout = old
+		out.Close()
+		if err == nil || !strings.HasPrefix(err.Error(), "-gpus ") {
+			t.Errorf("-gpus %d: err %v, want an error naming -gpus", gpus, err)
+		}
+		if printed, _ := os.ReadFile(out.Name()); len(printed) > 0 {
+			t.Errorf("-gpus %d: printed %q before refusing", gpus, printed)
+		}
+	}
+}
+
 func TestRunWithTraceOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")

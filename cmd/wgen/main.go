@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"micco"
+	"micco/internal/obsfile"
 )
 
 func main() {
@@ -52,17 +53,7 @@ func run(stages, vector, dim, batch int, rate float64, dist string, seed int64, 
 	if err != nil {
 		return err
 	}
-	var sink io.Writer = os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sink = f
-	}
-	enc := json.NewEncoder(sink)
-	enc.SetIndent("", "  ")
+	var doc any = w
 	if summary {
 		type stageSummary struct {
 			Index      int
@@ -73,7 +64,7 @@ func run(stages, vector, dim, batch int, rate float64, dist string, seed int64, 
 		for _, st := range w.Stages {
 			ss = append(ss, stageSummary{st.Index, len(st.Pairs), st.RepeatRate})
 		}
-		return enc.Encode(map[string]any{
+		doc = map[string]any{
 			"name":               w.Name,
 			"pairs":              w.NumPairs(),
 			"uniqueInputs":       len(w.Inputs),
@@ -82,7 +73,15 @@ func run(stages, vector, dim, batch int, rate float64, dist string, seed int64, 
 			"totalUniqueBytes":   w.TotalUniqueBytes(),
 			"measuredRepeatRate": w.MeasuredRepeatRate(),
 			"stages":             ss,
-		})
+		}
 	}
-	return enc.Encode(w)
+	encode := func(sink io.Writer) error {
+		enc := json.NewEncoder(sink)
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
+	}
+	if out == "" {
+		return encode(os.Stdout)
+	}
+	return obsfile.Write(out, "workload", nil, encode)
 }

@@ -32,7 +32,6 @@ func TestFullPipelineIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred.NumGPU = 4
 
 	// 2. Persist and reload the model, as a deployment would.
 	var buf bytes.Buffer

@@ -188,7 +188,7 @@ func TestTrainAndPredictorClamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := workload.Features{VectorSize: 64, TensorDim: 384, DistBias: 1, RepeatRate: 0.5}
-	b := p.PredictBounds(probe)
+	b := p.PredictBounds(probe, 8)
 	for _, v := range b {
 		if v < 0 || v > 128 {
 			t.Errorf("predicted bound %v outside [0,128]", b)
@@ -197,7 +197,7 @@ func TestTrainAndPredictorClamps(t *testing.T) {
 	// Out-of-domain features clamp into the training hull, so the bounds
 	// stay within the smallest grid stage's slack.
 	wild := workload.Features{VectorSize: -3, TensorDim: -5, DistBias: 7, RepeatRate: 99}
-	b2 := p.PredictBounds(wild)
+	b2 := p.PredictBounds(wild, 8)
 	for _, v := range b2 {
 		if v < 0 || v > MaxSlack(16, 8) {
 			t.Errorf("wild prediction %v escaped the clamped range", b2)
@@ -205,7 +205,7 @@ func TestTrainAndPredictorClamps(t *testing.T) {
 	}
 	// Huge stage widths must not explode the rescale either.
 	huge := workload.Features{VectorSize: 1000, TensorDim: 256, DistBias: 1, RepeatRate: 0.9}
-	b3 := p.PredictBounds(huge)
+	b3 := p.PredictBounds(huge, 8)
 	for _, v := range b3 {
 		if v < 0 || v > MaxSlack(128, 8) {
 			t.Errorf("huge-stage prediction %v escaped the clamped range", b3)

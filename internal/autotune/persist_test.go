@@ -38,8 +38,10 @@ func TestPredictorSaveLoadRoundTrip(t *testing.T) {
 		{VectorSize: 32, TensorDim: 768, DistBias: 0, RepeatRate: 1.0},
 	}
 	for _, f := range probes {
-		if p.PredictBounds(f) != back.PredictBounds(f) {
-			t.Errorf("predictions differ after round-trip at %+v", f)
+		for _, n := range []int{1, 4, 8} {
+			if p.PredictBounds(f, n) != back.PredictBounds(f, n) {
+				t.Errorf("predictions on %d devices differ after round-trip at %+v", n, f)
+			}
 		}
 	}
 }

@@ -56,13 +56,13 @@ func newMulti(kind ModelKind, seed int64) *mlearn.Multi {
 // Predictor is a trained reuse-bound model implementing
 // core.BoundsPredictor for online per-stage inference. The model emits
 // scale-free bound fractions; PredictBounds rescales them by the stage's
-// slack, which depends on the device count.
+// slack on the cluster being placed on.
 type Predictor struct {
 	Kind  ModelKind
 	model *mlearn.Multi
-	// NumGPU is the device count assumed when rescaling predictions;
-	// Train sets it to 8 (the paper's node), and callers adjust it to
-	// match their cluster.
+	// NumGPU is the device count the training corpus was labeled on, kept
+	// in the saved file like TestR2. Train records 8 (the paper's node);
+	// predictions never read it.
 	NumGPU int
 	// TestR2 is the held-out R-squared measured at training time.
 	TestR2 float64
@@ -95,35 +95,22 @@ func Train(corpus *mlearn.Dataset, kind ModelKind, testFrac float64, seed int64)
 	return p, nil
 }
 
-// WithNumGPU returns a shallow copy of p that rescales predictions for an
-// n-device node. The trained model is shared and read-only, so the copy is
-// safe to use concurrently with the original — parallel harness points at
-// different device counts each take their own copy instead of mutating a
-// shared predictor.
-func (p *Predictor) WithNumGPU(n int) *Predictor {
-	q := *p
-	q.NumGPU = n
-	return &q
-}
-
 // PredictBounds implements core.BoundsPredictor: online inference on a
 // stage's data characteristics. Features are first clamped into the
 // training grid's hull — tree ensembles extrapolate as constants, and the
 // slack rescale would otherwise explode for stages far wider than any
 // training sample (real correlator stages reach thousands of pairs). The
 // model's scale-free outputs are then rescaled by the clamped stage's
-// maximum slack, rounded, and clamped to [0, maxSlack].
-func (p *Predictor) PredictBounds(f workload.Features) core.Bounds {
+// maximum slack on numGPU devices, rounded, and clamped to [0, maxSlack].
+// The trained model is read-only, so one predictor serves clusters of any
+// size concurrently.
+func (p *Predictor) PredictBounds(f workload.Features, numGPU int) core.Bounds {
 	f.VectorSize = clamp(f.VectorSize, float64(vectorSizes[0]), float64(vectorSizes[len(vectorSizes)-1]))
 	f.TensorDim = clamp(f.TensorDim, float64(tensorDims[0]), float64(tensorDims[len(tensorDims)-1]))
 	f.DistBias = clamp(f.DistBias, 0, 1)
 	f.RepeatRate = clamp(f.RepeatRate, 0, 1)
 	raw := p.model.Predict(f.AsSlice())
 	numTensor := int(math.Round(2 * f.VectorSize))
-	numGPU := p.NumGPU
-	if numGPU <= 0 {
-		numGPU = 8
-	}
 	hi := MaxSlack(numTensor, numGPU)
 	var b core.Bounds
 	for i := 0; i < 3 && i < len(raw); i++ {

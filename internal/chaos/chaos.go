@@ -78,7 +78,7 @@ func (c Config) logf(format string, args ...any) {
 // chaos harness is for; determinism is).
 type fixedBounds struct{ b micco.Bounds }
 
-func (f fixedBounds) PredictBounds(workload.Features) micco.Bounds { return f.b }
+func (f fixedBounds) PredictBounds(workload.Features, int) micco.Bounds { return f.b }
 
 // soakBounds are the reuse bounds used for the micco and micco-optimal
 // rows (the paper's default T=(0,2,0) working point).

@@ -55,10 +55,11 @@ func (b *Bounds) UnmarshalText(text []byte) error {
 }
 
 // BoundsPredictor produces per-stage reuse bounds from the stage's data
-// characteristics. The autotune package provides the paper's pre-trained
-// Random Forest predictor.
+// characteristics and the device count of the cluster being placed on.
+// The autotune package provides the paper's pre-trained Random Forest
+// predictor.
 type BoundsPredictor interface {
-	PredictBounds(f workload.Features) Bounds
+	PredictBounds(f workload.Features, numGPU int) Bounds
 }
 
 // Scheduler is the MICCO heuristic scheduler. Construct with NewNaive
@@ -103,11 +104,12 @@ func NewOptimal(p BoundsPredictor) *Scheduler {
 func (s *Scheduler) Name() string { return s.name }
 
 // BeginStage implements sched.Scheduler: it refreshes the active reuse
-// bounds, invoking the predictor's online inference when configured
-// (step 2 of the paper's workflow, Fig. 6).
+// bounds, invoking the predictor's online inference for the stage on the
+// context's device count when configured (step 2 of the paper's workflow,
+// Fig. 6).
 func (s *Scheduler) BeginStage(ctx *sched.Context) {
 	if s.predictor != nil {
-		s.bounds = s.predictor.PredictBounds(ctx.Features)
+		s.bounds = s.predictor.PredictBounds(ctx.Features, ctx.NumGPU)
 		return
 	}
 	s.bounds = s.fixed

@@ -259,7 +259,7 @@ func TestSchedulerNames(t *testing.T) {
 
 type constPredictor struct{ b Bounds }
 
-func (p constPredictor) PredictBounds(workload.Features) Bounds { return p.b }
+func (p constPredictor) PredictBounds(workload.Features, int) Bounds { return p.b }
 
 func TestOptimalUsesPredictor(t *testing.T) {
 	c := mkCluster(t, 2)

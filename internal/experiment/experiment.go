@@ -58,9 +58,6 @@ type Options struct {
 	Quick bool
 	// Seed drives every random choice in the harness.
 	Seed int64
-	// NumGPU is the device count for non-scalability experiments
-	// (default 8, the paper's node).
-	NumGPU int
 	// Parallelism bounds the worker pool that fans the independent points
 	// of a sweep (one scheduler x workload x device-count measurement)
 	// across goroutines. Each point runs on its own cluster and scheduler
@@ -79,9 +76,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.NumGPU <= 0 {
-		o.NumGPU = 8
-	}
 	if o.Seed == 0 {
 		o.Seed = 2022
 	}
@@ -166,7 +160,6 @@ func (h *Harness) Predictor(ctx context.Context) (*autotune.Predictor, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.NumGPU = h.opts.NumGPU
 		h.predictor = p
 	}
 	return h.predictor, nil

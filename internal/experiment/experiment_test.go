@@ -44,7 +44,7 @@ func cell(t *testing.T, s string) float64 {
 
 func TestOptionsDefaults(t *testing.T) {
 	h := New(Options{})
-	if h.Options().NumGPU != 8 || h.Options().Seed == 0 {
+	if h.Options().Seed == 0 {
 		t.Errorf("defaults not applied: %+v", h.Options())
 	}
 }

@@ -4,16 +4,14 @@ import (
 	"context"
 	"fmt"
 
-	"micco/internal/core"
-	"micco/internal/sched"
 	"micco/internal/workload"
 )
 
 // Fig9 reproduces the scalability study (paper Fig. 9): Groute versus
 // MICCO-optimal throughput as the device count grows from one to eight,
 // with vector size 64, tensor size 384, 50% repeated rate, in both
-// distributions. Each point's MICCO-optimal takes a Predictor.WithNumGPU
-// copy rescaled to its node size instead of mutating the shared predictor.
+// distributions. The one shared predictor rescales each point's bounds by
+// the device count of the cluster it places on.
 func (h *Harness) Fig9(ctx context.Context) (*Table, error) {
 	gpuCounts := []int{1, 2, 4, 8}
 	if h.opts.Quick {
@@ -23,14 +21,11 @@ func (h *Harness) Fig9(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var gpus []int // device count of each point
-	rescaled := h.scheduled("MICCO-optimal", func(i int) sched.Scheduler { return core.NewOptimal(p.WithNumGPU(gpus[i])) })
-	s := sweep{roster: []contender{h.groute(), rescaled}, row: speedupRow}
+	s := sweep{roster: []contender{h.groute(), h.optimal(p)}, row: speedupRow}
 	seed := int64(900)
 	for _, dist := range []workload.Distribution{workload.Uniform, workload.Gaussian} {
 		seed++
 		for _, n := range gpuCounts {
-			gpus = append(gpus, n)
 			s.points = append(s.points, fitPoint(h.synthConfig(64, 384, 0.5, dist, seed), n, dist.String(), fmt.Sprintf("%d", n)))
 		}
 	}

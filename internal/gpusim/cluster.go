@@ -423,14 +423,7 @@ func (c *Cluster) DiscardAt(slot int) {
 
 // Barrier synchronizes all device queues to the maximum, modeling the
 // stage boundary between dependency-partitioned vectors.
-func (c *Cluster) Barrier() {
-	m := c.Makespan()
-	c.dirty.markAll()
-	for _, d := range c.devices {
-		d.clock = m
-		d.copyClock = m
-	}
-}
+func (c *Cluster) Barrier() { c.BarrierAt(c.Makespan()) }
 
 // Makespan returns the latest queue time across all devices in seconds.
 func (c *Cluster) Makespan() float64 {
@@ -518,8 +511,10 @@ func (c *Cluster) ChargeExternalTransfer(dev int, seconds float64) error {
 	return nil
 }
 
-// BarrierAt raises every device queue (and the host links) to at least t,
-// implementing barriers that span multiple clusters.
+// BarrierAt raises every device queue to at least t, implementing barriers
+// that span multiple clusters. The host links need no raise: a host
+// transfer starts no earlier than its device's queue, which is now at
+// least t.
 func (c *Cluster) BarrierAt(t float64) {
 	c.dirty.markAll()
 	for _, d := range c.devices {
@@ -528,11 +523,6 @@ func (c *Cluster) BarrierAt(t float64) {
 		}
 		if d.copyClock < t {
 			d.copyClock = t
-		}
-	}
-	for n := range c.linkClocks {
-		if c.linkClocks[n] < t {
-			c.linkClocks[n] = t
 		}
 	}
 }

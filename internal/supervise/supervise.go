@@ -53,7 +53,11 @@ type Config struct {
 	// Run is the engine configuration. Options.Checkpoint is forced on
 	// (supervision without checkpoints cannot resume anything), and a
 	// Progress counter is attached if the caller did not provide one.
-	// Counters are resolved from Run.Obs (nil-safe).
+	// Counters are resolved from Run.Obs (nil-safe). With
+	// Run.CheckpointDir set, the durable checkpoint a dead process left
+	// there for the workload seeds the first attempt; an unreadable or
+	// corrupt file is ignored (the run starts from scratch — self-healing,
+	// not fail-stop).
 	Run sched.Options
 	// StallBudget arms the progress watchdog: if no pair completes for
 	// this long, the attempt is declared stalled, the flight recorder is
@@ -65,12 +69,6 @@ type Config struct {
 	// Sleep replaces the backoff sleep, for tests that must not wait in
 	// real time. Nil sleeps on a timer, returning early if ctx ends.
 	Sleep func(d time.Duration)
-	// ResumeFromDisk loads a pre-existing durable checkpoint from
-	// Run.CheckpointDir before the first attempt, picking up a run a dead
-	// process left behind. An unreadable or corrupt file is ignored (the
-	// run starts from scratch — self-healing, not fail-stop); a valid one
-	// seeds Options.ResumeFrom.
-	ResumeFromDisk bool
 }
 
 // Stats summarizes what the supervisor did across all attempts.
@@ -158,7 +156,7 @@ func Run(ctx context.Context, cfg Config) (*sched.Result, Stats, error) {
 	tripsC := reg.Counter("micco_watchdog_trips_total")
 
 	var resume *sched.Checkpoint
-	if cfg.ResumeFromDisk && opts.CheckpointDir != "" {
+	if opts.CheckpointDir != "" {
 		if cp, err := sched.LoadCheckpointFile(sched.CheckpointPath(opts.CheckpointDir, cfg.Workload.Name)); err == nil {
 			resume = cp
 			st.ResumedFromDisk = true

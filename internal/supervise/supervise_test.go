@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -257,29 +258,14 @@ func TestSupervisorParentCancelNotRetried(t *testing.T) {
 func TestSupervisorResumeFromDisk(t *testing.T) {
 	w := numericWorkload(t, 23)
 	want := cleanFingerprint(t, w, 23)
-	dir := t.TempDir()
-
-	// First process: cancel mid-run after a few placements.
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	killer := &funcScheduler{inner: baseline.NewRoundRobin(), hook: func() {
-		if calls++; calls == 2*len(w.Stages[0].Pairs)+3 {
-			cancel()
-		}
-	}}
-	_, err := sched.Run(ctx, w, killer, newCluster(t, 4),
-		sched.Options{Numeric: true, NumericSeed: 23, CheckpointDir: dir})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("first process: err = %v, want context.Canceled", err)
-	}
+	dir := killedMidRun(t, w, 23)
 
 	// Second process: nothing in memory, resume from the directory.
 	newSched, newClus := factories(t)
 	res, st, err := supervise.Run(context.Background(), supervise.Config{
 		Workload: w, NewScheduler: newSched, NewCluster: newClus,
-		Run:            sched.Options{Numeric: true, NumericSeed: 23, CheckpointDir: dir},
-		Sleep:          func(time.Duration) {},
-		ResumeFromDisk: true,
+		Run:   sched.Options{Numeric: true, NumericSeed: 23, CheckpointDir: dir},
+		Sleep: func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatalf("resume from disk: %v", err)
@@ -290,6 +276,75 @@ func TestSupervisorResumeFromDisk(t *testing.T) {
 	if res.NumericFingerprint != want {
 		t.Errorf("fingerprint %x after disk resume, want %x", res.NumericFingerprint, want)
 	}
+}
+
+// TestSupervisorStartsFreshWithoutUsableCheckpoint: with a checkpoint
+// directory that holds no file for the workload, or one that does not
+// load (garbage, or a real checkpoint cut short), the supervisor starts
+// from scratch in one attempt, reports no disk resume and reproduces the
+// fault-free fingerprint.
+func TestSupervisorStartsFreshWithoutUsableCheckpoint(t *testing.T) {
+	w := numericWorkload(t, 29)
+	want := cleanFingerprint(t, w, 29)
+	saved, err := os.ReadFile(sched.CheckpointPath(killedMidRun(t, w, 29), w.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		file []byte // nil: no file
+	}{
+		{"absent", nil},
+		{"garbage", []byte("not a checkpoint")},
+		{"truncated", saved[:len(saved)/2]},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if c.file != nil {
+				if err := os.WriteFile(sched.CheckpointPath(dir, w.Name), c.file, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			newSched, newClus := factories(t)
+			res, st, err := supervise.Run(context.Background(), supervise.Config{
+				Workload: w, NewScheduler: newSched, NewCluster: newClus,
+				Run:   sched.Options{Numeric: true, NumericSeed: 29, CheckpointDir: dir},
+				Sleep: func(time.Duration) {},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ResumedFromDisk || st.Attempts != 1 || st.Retries != 0 {
+				t.Errorf("stats = %+v, want one fresh attempt and no disk resume", st)
+			}
+			if res.NumericFingerprint != want {
+				t.Errorf("fingerprint %x, want %x", res.NumericFingerprint, want)
+			}
+		})
+	}
+}
+
+// killedMidRun runs w numerically with durable checkpoints in a fresh
+// directory and cancels it a few placements into its third stage, as a
+// process killed mid-run would stop; it returns the directory.
+func killedMidRun(t *testing.T, w *workload.Workload, seed int64) string {
+	t.Helper()
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	killer := &funcScheduler{inner: baseline.NewRoundRobin(), hook: func() {
+		if calls++; calls == 2*len(w.Stages[0].Pairs)+3 {
+			cancel()
+		}
+	}}
+	_, err := sched.Run(ctx, w, killer, newCluster(t, 4),
+		sched.Options{Numeric: true, NumericSeed: seed, CheckpointDir: dir})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run: err = %v, want context.Canceled", err)
+	}
+	return dir
 }
 
 // funcScheduler invokes hook before each delegated Assign.

@@ -130,7 +130,8 @@ type (
 	Result = sched.Result
 	// Bounds are the three reuse bounds of Table II.
 	Bounds = core.Bounds
-	// BoundsPredictor produces per-stage reuse bounds.
+	// BoundsPredictor produces per-stage reuse bounds from the stage's
+	// features and the device count of the cluster being placed on.
 	BoundsPredictor = core.BoundsPredictor
 	// Predictor is a trained reuse-bound regression model.
 	Predictor = autotune.Predictor
@@ -328,7 +329,9 @@ type (
 	// RunProgress is the monotone pair-completion counter external
 	// watchdogs poll (RunOptions.Progress).
 	RunProgress = sched.Progress
-	// SuperviseConfig parameterizes a supervised run.
+	// SuperviseConfig parameterizes a supervised run. With
+	// Run.CheckpointDir set, a checkpoint found there for the workload
+	// seeds the first attempt.
 	SuperviseConfig = supervise.Config
 	// SuperviseStats summarizes what the supervisor did.
 	SuperviseStats = supervise.Stats

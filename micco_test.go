@@ -1,6 +1,7 @@
 package micco_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -155,7 +156,6 @@ func TestPublicAPITrainAndOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred.NumGPU = 4
 	w := testWorkload(t)
 	cluster, err := micco.NewCluster(micco.MI100(4))
 	if err != nil {
@@ -174,6 +174,77 @@ func TestPublicAPITrainAndOptimal(t *testing.T) {
 	}
 	if len(scores) != 3 {
 		t.Errorf("EvaluateModels returned %d scores", len(scores))
+	}
+}
+
+// TestOptimalRescalesToTheCluster: a predictor trained on an 8-device
+// corpus, saved and reloaded, predicts for the cluster it places on.
+// MICCO-optimal on four devices publishes, in every bound-gated decision,
+// the bound PredictBounds gives the stage's features on four devices, and
+// on at least one stage that differs from what eight would give.
+func TestOptimalRescalesToTheCluster(t *testing.T) {
+	corpus, err := micco.BuildCorpus(context.Background(), micco.CorpusConfig{
+		Samples: 20, Seed: 3, Stages: 3, Batch: 2, Replicas: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained, err := micco.TrainPredictor(corpus, micco.ForestModel, 0.2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trained.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	pred, err := micco.LoadPredictor(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred.NumGPU != 8 {
+		t.Fatalf("loaded predictor records %d training devices, want 8", pred.NumGPU)
+	}
+
+	w, err := micco.GenerateWorkload(micco.WorkloadConfig{
+		Seed: 5, Stages: 6, VectorSize: 64, TensorDim: 384, Batch: 4,
+		Rank: micco.RankMeson, RepeatRate: 0.5, Dist: micco.Gaussian,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	differs := false
+	for s := range w.Stages {
+		f := w.StageFeatures(s)
+		if pred.PredictBounds(f, 4) != pred.PredictBounds(f, 8) {
+			differs = true
+		}
+	}
+	if !differs {
+		t.Fatal("no stage's bounds depend on the device count: the check below would be vacuous")
+	}
+
+	cluster, err := micco.NewCluster(micco.MI100(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := micco.NewMetricsRegistry()
+	if _, err := micco.Run(context.Background(), w, micco.NewMICCOOptimal(pred), cluster, micco.RunOptions{Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	gated := 0
+	for _, r := range reg.Decisions() {
+		if r.BoundIndex < 0 {
+			continue
+		}
+		gated++
+		want := pred.PredictBounds(w.StageFeatures(int(r.Stage)), 4)[r.BoundIndex]
+		if int(r.Bound) != want {
+			t.Fatalf("stage %d pair %d: bound[%d] = %d, want %d (the four-device rescale)",
+				r.Stage, r.Pair, r.BoundIndex, r.Bound, want)
+		}
+	}
+	if gated == 0 {
+		t.Fatal("no bound-gated decision recorded")
 	}
 }
 

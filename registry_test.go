@@ -11,7 +11,7 @@ import (
 // stubPredictor satisfies BoundsPredictor without training a model.
 type stubPredictor struct{}
 
-func (stubPredictor) PredictBounds(micco.Features) micco.Bounds { return micco.Bounds{0, 1, 0} }
+func (stubPredictor) PredictBounds(micco.Features, int) micco.Bounds { return micco.Bounds{0, 1, 0} }
 
 func TestSchedulerNamesStable(t *testing.T) {
 	want := []string{"micco", "micco-naive", "micco-optimal", "hier", "groute", "roundrobin", "locality"}
