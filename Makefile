@@ -115,10 +115,17 @@ benchsmoke:
 # signatures they replaced — and a warm Expand, which stamps a template it
 # already holds, may allocate at most 8 objects however many graphs it
 # returns. BenchmarkBuildPlan/f0d4_t64, the front end of one deck_plan
-# job, may allocate at most 5.0 MB per build: 4.99 MB recorded with one
-# tensor numbering from deck to device, 6.13 MB when the plan's finals,
-# the planner's memo key, the block table and FromStages' slots still went
-# through maps. Last, watching is held to the unwatched job:
+# job, may allocate at most 2.64 MB per build, its recording plus 10%:
+# 2.40 MB recorded with the deck streamed one sink time at a time into a
+# planner whose stage-major pairs are the workload, 4.99 MB when the whole
+# deck's graphs existed at once and the plan was copied into pairs,
+# 6.13 MB when the plan's finals, the planner's memo key, the block table
+# and FromStages' slots still went through maps.
+# BenchmarkBuildPlan/f0d4_m6_t256, the same deck at six momenta and 256
+# sink times (104 450 pairs), has no baseline row; its B/pair is held to
+# 1.1x f0d4_t64's recorded 305.1, so that the front end's bytes stay
+# linear in the deck (289.5 recorded; 678 before the stream, against 633
+# at 7 874 pairs). Last, watching is held to the unwatched job:
 # BenchmarkObservedRun/interleaved runs the three jobs round-robin in one
 # process and reports the ratios of their p10 job times, which
 # -guard-max-metric holds to obs/off-p10 <= 1.35 and obs+trace/off-p10
@@ -159,7 +166,9 @@ benchguard:
 	$(GO) run ./cmd/benchjson -guard BENCH_frontend.json -guard-tol 2.0 \
 		-guard-prefix BenchmarkExpand/warm -guard-max-allocs 8
 	$(GO) run ./cmd/benchjson -guard BENCH_frontend.json -guard-tol 2.0 \
-		-guard-prefix 'BenchmarkBuildPlan/f0d4_t64$$' -guard-max-allocs -1 -guard-max-bytes 5e6
+		-guard-prefix 'BenchmarkBuildPlan/f0d4_t64$$' -guard-max-allocs -1 -guard-max-bytes 2.64e6
+	$(GO) run ./cmd/benchjson -guard BENCH_frontend.json -guard-prefix 'BenchmarkBuildPlan/f0d4_m6_t256$$' \
+		-guard-max-metric B/pair=335.6 -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-prefix 'BenchmarkObservedRun/interleaved$$' \
 		-guard-max-metric obs/off-p10=1.35 -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-prefix 'BenchmarkObservedRun/interleaved$$' \
@@ -199,9 +208,11 @@ soak:
 # trace of one observed_run job — as BENCH_report.json against the
 # numbers of the walk, the encoder and the fmt trace writer they replaced
 # (the fresh-buffer row has no baseline; its gate is its doc-B), then the front end — BuildPlan on the three
-# Table VI correlators (f0d4 at the ladder's 64 time slices) and one
-# Expand call cold and warm — as BENCH_frontend.json against the same
-# benchmark file run on the commit before expansion was templated.
+# Table VI correlators, f0d4 at the ladder's 64 time slices and f0d4 at
+# six momenta and 256 time slices (104 450 pairs, no baseline row), every
+# BuildPlan row with its ns/pair and B/pair, and one Expand call cold and
+# warm — as BENCH_frontend.json against the same benchmark file run on the
+# commit before expansion was templated.
 bench:
 	$(GO) test -run '^$$' -bench 'Contraction|NumericRun' -benchmem . \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_kernel_baseline.json -o BENCH_kernel.json

@@ -7,11 +7,12 @@
 //
 // Usage:
 //
-//	redstar [-function al_rhopi|f0d2|f0d4|all] [-gpus N] [-baseline NAME] [-numeric]
+//	redstar [-function al_rhopi|f0d2|f0d4|all | -deck FILE] [-gpus N] [-baseline NAME] [-numeric]
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/cmplx"
@@ -27,7 +28,7 @@ import (
 )
 
 func main() {
-	function := flag.String("function", "all", "correlator to run: al_rhopi, f0d2, f0d4, or all")
+	function := flag.String("function", "", "correlator to run: al_rhopi, f0d2, f0d4, or all (the default; not with -deck)")
 	gpus := flag.Int("gpus", 8, "simulated device count")
 	numeric := flag.Bool("numeric", false, "also evaluate a scaled-down correlator numerically")
 	seed := flag.Int64("seed", 2022, "random seed for the reuse-bound model and numeric data")
@@ -45,9 +46,18 @@ func main() {
 	}
 }
 
+// run is the command; function is "" when -function was not given (all
+// bundled correlators). Every argument is checked before a predictor is
+// trained or anything printed.
 func run(ctx context.Context, function string, gpus int, numeric bool, seed int64, model, traceOut, deck, baseline string) error {
 	if gpus < 1 {
 		return fmt.Errorf("-gpus %d: the cluster needs at least one device", gpus)
+	}
+	if deck != "" && function != "" {
+		return fmt.Errorf("-function %q and -deck: pick one correlator source", function)
+	}
+	if _, err := micco.NewSchedulerByName(baseline, micco.Bounds{}, nil); errors.Is(err, micco.ErrUnknownScheduler) {
+		return fmt.Errorf("-baseline: %w", err)
 	}
 	var correlators []*micco.Correlator
 	if deck != "" {
@@ -63,7 +73,7 @@ func run(ctx context.Context, function string, gpus int, numeric bool, seed int6
 		correlators = append(correlators, c)
 	} else {
 		for _, c := range micco.BundledCorrelators() {
-			if function == "all" || c.Name == function {
+			if function == "" || function == "all" || c.Name == function {
 				correlators = append(correlators, c)
 			}
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,6 +84,38 @@ func TestRunRefusesNoDevices(t *testing.T) {
 		}
 		if printed, _ := os.ReadFile(out.Name()); len(printed) > 0 {
 			t.Errorf("-gpus %d: printed %q before refusing", gpus, printed)
+		}
+	}
+}
+
+// TestRunRefusesBadArguments: an unknown -baseline, and a -function given
+// with -deck, are refused before any predictor is trained, any deck read or
+// any header printed.
+func TestRunRefusesBadArguments(t *testing.T) {
+	for _, tc := range []struct {
+		name, function, deck, baseline, want string
+	}{
+		{"unknown baseline", "al_rhopi", "", "nosuch", "-baseline: "},
+		{"function with deck", "al_rhopi", "deck.json", "groute", "-function "},
+		{"default function named with deck", "all", "deck.json", "groute", "-function "},
+	} {
+		out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := os.Stdout
+		os.Stdout = out
+		err = run(context.Background(), tc.function, 2, false, 1, "", "", tc.deck, tc.baseline)
+		os.Stdout = old
+		out.Close()
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want an error starting %q", tc.name, err, tc.want)
+		}
+		if tc.baseline == "nosuch" && !errors.Is(err, micco.ErrUnknownScheduler) {
+			t.Errorf("%s: err %v does not wrap ErrUnknownScheduler", tc.name, err)
+		}
+		if printed, _ := os.ReadFile(out.Name()); len(printed) > 0 {
+			t.Errorf("%s: printed %q before refusing", tc.name, printed)
 		}
 	}
 }
@@ -169,7 +202,7 @@ func TestRunWithDeckFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := silence(t, func() error {
-		return run(context.Background(), "ignored", 2, false, 7, tinyModel(t), "", deck, "groute")
+		return run(context.Background(), "", 2, false, 7, tinyModel(t), "", deck, "groute")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +211,7 @@ func TestRunWithDeckFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bad deck path errors cleanly.
-	if err := run(context.Background(), "x", 2, false, 7, "", "", filepath.Join(t.TempDir(), "missing.json"), "groute"); err == nil {
+	if err := run(context.Background(), "", 2, false, 7, "", "", filepath.Join(t.TempDir(), "missing.json"), "groute"); err == nil {
 		t.Error("missing deck: want error")
 	}
 }

@@ -102,8 +102,8 @@ func TestBuildPlanChain(t *testing.T) {
 	if p.NumStages() != 2 {
 		t.Errorf("stages = %d, want 2", p.NumStages())
 	}
-	if len(p.StageOps[0]) != 2 || len(p.StageOps[1]) != 1 {
-		t.Errorf("stage widths = %v", p.StageOps)
+	if len(p.Stages[0]) != 2 || len(p.Stages[1]) != 1 {
+		t.Errorf("stage widths = %d, %d", len(p.Stages[0]), len(p.Stages[1]))
 	}
 	if len(p.Finals) != 1 || !p.Finals[0].Valid() {
 		t.Fatalf("finals %v, want one valid tensor", p.Finals)
@@ -155,17 +155,21 @@ func TestBuildPlanStagesRespectDependencies(t *testing.T) {
 	for _, in := range p.Inputs {
 		produced[in.ID] = -1
 	}
-	for _, op := range p.Ops {
-		produced[op.Out.ID] = op.Stage
+	for s, st := range p.Stages {
+		for _, op := range st {
+			produced[op.Out.ID] = s
+		}
 	}
-	for _, op := range p.Ops {
-		for _, operand := range []tensor.Desc{op.A, op.B} {
-			ps, ok := produced[operand.ID]
-			if !ok {
-				t.Fatalf("operand t%d never produced", operand.ID)
-			}
-			if ps >= op.Stage {
-				t.Errorf("op at stage %d uses t%d produced at stage %d", op.Stage, operand.ID, ps)
+	for s, st := range p.Stages {
+		for _, op := range st {
+			for _, operand := range []tensor.Desc{op.A, op.B} {
+				ps, ok := produced[operand.ID]
+				if !ok {
+					t.Fatalf("operand t%d never produced", operand.ID)
+				}
+				if ps >= s {
+					t.Errorf("op at stage %d uses t%d produced at stage %d", s, operand.ID, ps)
+				}
 			}
 		}
 	}
@@ -196,7 +200,8 @@ func TestBuildPlanCycleAndMultiEdge(t *testing.T) {
 
 // TestBuildPlanErrors: every graph set BuildPlan refuses — an invalid or
 // disconnected graph, a leaf at or past nextID, IDs that would overflow 32
-// bits — is refused with an error wrapping ErrInvalidPlan.
+// bits, a leaf ID naming two descriptors — is refused with an error wrapping
+// ErrInvalidPlan.
 func TestBuildPlanErrors(t *testing.T) {
 	disconnected := &Graph{ID: 0, Nodes: []Node{
 		{ID: 0, Tensor: td(1)}, {ID: 1, Tensor: td(2)},
@@ -215,6 +220,11 @@ func TestBuildPlanErrors(t *testing.T) {
 		{"valid graph after an invalid one", []*Graph{chainGraph(0, 1, 2), disconnected}, 100},
 		{"32-bit overflow", []*Graph{chainGraph(0, 1, 2, 3)}, 1<<32 - 2},
 		{"nextID past 32 bits", []*Graph{chainGraph(0, 1, 2)}, 1<<64 - 1},
+		{"leaf ID past 32 bits", []*Graph{chainGraph(0, 1, 1<<32)}, 100},
+		{"one leaf ID, two shapes", []*Graph{chainGraph(0, 1, 2), {ID: 1,
+			Nodes: []Node{{ID: 0, Tensor: tensor.Desc{ID: 2, Rank: tensor.RankMeson, Dim: 4, Batch: 1}},
+				{ID: 1, Tensor: tensor.Desc{ID: 3, Rank: tensor.RankMeson, Dim: 4, Batch: 1}}},
+			Edges: []Edge{{U: 0, V: 1}}}}, 100},
 	}
 	for _, c := range cases {
 		p, err := BuildPlan(c.graphs, c.nextID)
@@ -300,18 +310,29 @@ func TestBuildPlanPropertyRandomGraphs(t *testing.T) {
 			produced[in.ID] = -1
 		}
 		seen := map[uint64]bool{}
-		for _, op := range p.Ops {
-			if seen[op.Out.ID] {
-				return false // duplicate output
+		count := 0
+		for s, st := range p.Stages {
+			// Stage s is the next run of Ops, and StageOps indexes it.
+			if len(st) == 0 || &st[0] != &p.Ops[count] || len(p.StageOps[s]) != len(st) || p.StageOps[s][0] != count {
+				return false
 			}
-			seen[op.Out.ID] = true
-			for _, operand := range []struct{ id uint64 }{{op.A.ID}, {op.B.ID}} {
-				ps, ok := produced[operand.id]
-				if !ok || ps >= op.Stage {
-					return false
+			count += len(st)
+			for _, op := range st {
+				if seen[op.Out.ID] {
+					return false // duplicate output
 				}
+				seen[op.Out.ID] = true
+				for _, operand := range []struct{ id uint64 }{{op.A.ID}, {op.B.ID}} {
+					ps, ok := produced[operand.id]
+					if !ok || ps >= s {
+						return false
+					}
+				}
+				produced[op.Out.ID] = s
 			}
-			produced[op.Out.ID] = op.Stage
+		}
+		if count != len(p.Ops) {
+			return false // the stages do not cover every op
 		}
 		if len(p.Finals) != len(gs) {
 			return false
@@ -324,12 +345,7 @@ func TestBuildPlanPropertyRandomGraphs(t *testing.T) {
 				return false
 			}
 		}
-		// Stage index must cover every op exactly once.
-		count := 0
-		for _, ops := range p.StageOps {
-			count += len(ops)
-		}
-		return count == len(p.Ops)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(61))}); err != nil {
 		t.Error(err)

@@ -3,6 +3,7 @@ package redstar
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -85,6 +86,39 @@ func TestLoadDeckErrors(t *testing.T) {
 	}
 	if _, err := LoadDeck(strings.NewReader(rhoDeck + " \n\t\r\n")); err != nil {
 		t.Errorf("trailing whitespace must stay legal: %v", err)
+	}
+}
+
+// TestLoadDeckRefusesOversizeBlocks: a deck whose hadron blocks are over
+// the workload's bound on one tensor is refused when it loads, naming
+// tensorDim and batch, before anything is expanded; a block of exactly the
+// bound loads.
+func TestLoadDeckRefusesOversizeBlocks(t *testing.T) {
+	deck := func(dim, batch, rank int) string {
+		return fmt.Sprintf(`{"name": "big", "constructions": [{"name": "rho", "ops": [{"name": "rho", "quarks": [
+		  {"flavor": "u"}, {"flavor": "d", "bar": true}]}]}],
+		  "momenta": 1, "timeSlices": 1, "tensorDim": %d, "batch": %d, "rank": %d}`, dim, batch, rank)
+	}
+	for _, c := range []struct {
+		dim, batch, rank int
+		ok               bool
+	}{
+		{1e8, 1e6, 2, false},
+		{1 << 18, 1, 2, true}, // exactly workload.MaxTensorBytes
+		{1 << 18, 2, 2, false},
+		{1 << 12, 1, 3, true},
+		{1 << 12, 2, 3, false},
+	} {
+		_, err := LoadDeck(strings.NewReader(deck(c.dim, c.batch, c.rank)))
+		if c.ok {
+			if err != nil {
+				t.Errorf("dim %d batch %d rank %d: %v", c.dim, c.batch, c.rank, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "tensorDim") || !strings.Contains(err.Error(), "batch") {
+			t.Errorf("dim %d batch %d rank %d: error %v, want a refusal naming tensorDim and batch", c.dim, c.batch, c.rank, err)
+		}
 	}
 }
 

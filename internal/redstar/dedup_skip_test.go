@@ -11,9 +11,11 @@ import (
 	"micco/internal/workload"
 )
 
-// referenceBuild is BuildPlan with the cross-spec Dedup run always. It
-// returns the plan, the workload and how many graphs that pass removed.
-func referenceBuild(c *Correlator) (*graph.Plan, *workload.Workload, int, error) {
+// expandDeck expands the whole deck at once, as BuildPlan did before it
+// streamed: every spec at every sink time against one new block table, in
+// ID order, then the cross-spec Dedup. It returns the table, the unique
+// graphs and the number of graphs the Dedup removed.
+func expandDeck(c *Correlator) (*wick.BlockTable, []*graph.Graph, int, error) {
 	specs, err := c.specs()
 	if err != nil {
 		return nil, nil, 0, err
@@ -31,19 +33,50 @@ func referenceBuild(c *Correlator) (*graph.Plan, *workload.Workload, int, error)
 		}
 	}
 	unique := graph.Dedup(all)
+	return bt, unique, len(all) - len(unique), nil
+}
+
+// referenceBuild is BuildPlan over the whole deck expanded at once, with
+// the cross-spec Dedup run always: graph.BuildPlan of expandDeck's graphs,
+// whose stages FromStages adopts. It returns the plan, the workload and the
+// number of graphs the cross-spec pass removed.
+func referenceBuild(c *Correlator) (*graph.Plan, *workload.Workload, int, error) {
+	bt, unique, removed, err := expandDeck(c)
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	plan, err := graph.BuildPlan(unique, bt.NextID())
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	stages := make([][]workload.Pair, len(plan.StageOps))
-	for si, ops := range plan.StageOps {
-		for _, oi := range ops {
-			op := plan.Ops[oi]
-			stages[si] = append(stages[si], workload.Pair{A: op.A, B: op.B, Out: op.Out})
-		}
+	w, err := workload.FromStages(c.Name, plan.Stages, plan.Inputs)
+	return plan, w, removed, err
+}
+
+// repeatedNameBases are two bases in which two constructions share their
+// operator names, so the cross-spec Dedup removes graphs: one operator list
+// under two construction names, and one list permuted.
+func repeatedNameBases() []struct {
+	name string
+	c    *Correlator
+} {
+	pi0 := wick.Operator{Name: "pi0", Quarks: []wick.Quark{wick.Q("u"), wick.Qbar("u"), wick.Q("d"), wick.Qbar("d")}}
+	rho := wick.Meson("rho", "u", "d")
+	basis := func(cons ...Construction) *Correlator {
+		return &Correlator{Name: "basis", Constructions: cons, Momenta: 2, TimeSlices: 3, TensorDim: 4, Batch: 1}
 	}
-	w, err := workload.FromStages(c.Name, stages, plan.Inputs)
-	return plan, w, len(all) - len(unique), err
+	return []struct {
+		name string
+		c    *Correlator
+	}{
+		{"one operator list under two names", basis(
+			Construction{Name: "a1", Ops: []wick.Operator{wick.Meson("a1", "u", "d")}},
+			Construction{Name: "rhopi", Ops: []wick.Operator{rho, pi0}},
+			Construction{Name: "rhopi-again", Ops: []wick.Operator{rho, pi0}})},
+		{"permuted operator lists", basis(
+			Construction{Name: "rhopi", Ops: []wick.Operator{rho, pi0}},
+			Construction{Name: "pirho", Ops: []wick.Operator{pi0, rho}})},
+	}
 }
 
 // checkAgainstAlwaysDedup requires BuildPlan's error, or its plan and
@@ -78,23 +111,7 @@ func checkAgainstAlwaysDedup(t *testing.T, label string, c *Correlator) int {
 // removes graphs, on randomly drawn small bases, and on the bundled ones,
 // where it is skipped.
 func TestCrossSpecDedupSkip(t *testing.T) {
-	pi0 := wick.Operator{Name: "pi0", Quarks: []wick.Quark{wick.Q("u"), wick.Qbar("u"), wick.Q("d"), wick.Qbar("d")}}
-	rho := wick.Meson("rho", "u", "d")
-	basis := func(cons ...Construction) *Correlator {
-		return &Correlator{Name: "basis", Constructions: cons, Momenta: 2, TimeSlices: 3, TensorDim: 4, Batch: 1}
-	}
-	for _, tc := range []struct {
-		name string
-		c    *Correlator
-	}{
-		{"one operator list under two names", basis(
-			Construction{Name: "a1", Ops: []wick.Operator{wick.Meson("a1", "u", "d")}},
-			Construction{Name: "rhopi", Ops: []wick.Operator{rho, pi0}},
-			Construction{Name: "rhopi-again", Ops: []wick.Operator{rho, pi0}})},
-		{"permuted operator lists", basis(
-			Construction{Name: "rhopi", Ops: []wick.Operator{rho, pi0}},
-			Construction{Name: "pirho", Ops: []wick.Operator{pi0, rho}})},
-	} {
+	for _, tc := range repeatedNameBases() {
 		if removed := checkAgainstAlwaysDedup(t, tc.name, tc.c); removed == 0 {
 			t.Errorf("%s: the cross-spec pass removed nothing, so the case tests nothing", tc.name)
 		}

@@ -26,6 +26,7 @@ func FuzzParseDeck(f *testing.F) {
 	f.Add(`{"name":""}`)
 	f.Add(`{"name":"x","rank":7}`)
 	f.Add(`{"name":"x","momenta":-1}`)
+	f.Add(`{"name":"huge","constructions":[{"name":"rho","ops":[{"name":"rho","quarks":[{"flavor":"u"},{"flavor":"d","bar":true}]}]}],"momenta":1,"timeSlices":1,"tensorDim":100000000,"batch":1000000}`)
 	f.Add(`{"unknown":"field"}`)
 	f.Add(`{"name":"x","constructions":[{"ops":[{"quarks":[{}]}]}]`)
 	f.Add(`[]`)

@@ -12,13 +12,17 @@ import (
 
 	"micco/internal/graph"
 	"micco/internal/tensor"
+	"micco/internal/workload"
 )
 
 // planDigests fingerprints everything the front end hands on: the plan's
 // ops, stage index, inputs and finals (each under the ID of the graph it
 // concludes, graphs being b's expanded graphs in ID order), the per-time
 // finals and the scheduler workload, each as its own SHA-256 so a drift
-// names the part that moved.
+// names the part that moved. The digests were recorded when the plan kept
+// its ops in creation order, each with its stage, and indexed them by
+// stage; both are read back from the stage-major plan, an op's creation
+// index being its output's ID past the first intermediate's.
 func planDigests(b *Build, graphs []*graph.Graph) map[string]string {
 	desc := func(h hash.Hash, d tensor.Desc) { fmt.Fprintf(h, "%d/%d/%d/%d;", d.ID, d.Rank, d.Dim, d.Batch) }
 	part := func(fill func(h hash.Hash)) string {
@@ -26,17 +30,34 @@ func planDigests(b *Build, graphs []*graph.Graph) map[string]string {
 		fill(h)
 		return hex.EncodeToString(h.Sum(nil))
 	}
+	firstID := uint64(math.MaxUint64)
+	for _, op := range b.Plan.Ops {
+		firstID = min(firstID, op.Out.ID)
+	}
+	type made struct {
+		op    workload.Pair
+		stage int
+	}
+	created := make([]made, len(b.Plan.Ops))
+	stageOps := make([][]int, len(b.Plan.Stages))
+	for s, st := range b.Plan.Stages {
+		for _, op := range st {
+			i := int(op.Out.ID - firstID)
+			created[i] = made{op, s}
+			stageOps[s] = append(stageOps[s], i)
+		}
+	}
 	return map[string]string{
 		"ops": part(func(h hash.Hash) {
-			for _, op := range b.Plan.Ops {
-				desc(h, op.A)
-				desc(h, op.B)
-				desc(h, op.Out)
-				fmt.Fprintf(h, "s%d\n", op.Stage)
+			for _, m := range created {
+				desc(h, m.op.A)
+				desc(h, m.op.B)
+				desc(h, m.op.Out)
+				fmt.Fprintf(h, "s%d\n", m.stage)
 			}
 		}),
 		"stageOps": part(func(h hash.Hash) {
-			for _, ops := range b.Plan.StageOps {
+			for _, ops := range stageOps {
 				fmt.Fprintf(h, "%v\n", ops)
 			}
 		}),
@@ -87,24 +108,27 @@ func planDigests(b *Build, graphs []*graph.Graph) map[string]string {
 	}
 }
 
+// deckFromFile loads the deck at path.
+func deckFromFile(t *testing.T, path string) *Correlator {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c, err := LoadDeck(f)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return c
+}
+
 // TestPlanGolden pins the compiled form of the three bundled correlators
 // and of the two decks the end-to-end ladder runs, bit for bit. The
 // digests were recorded at the commit before Expand became a stamped
 // template and Dedup an integer key; graph IDs, tensor IDs, op order and
 // staging must never move under a front-end optimisation.
 func TestPlanGolden(t *testing.T) {
-	fromFile := func(path string) *Correlator {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		c, err := LoadDeck(f)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		return c
-	}
 	cases := []struct {
 		name string
 		c    *Correlator
@@ -112,19 +136,15 @@ func TestPlanGolden(t *testing.T) {
 		{"al_rhopi", A1RhoPi()},
 		{"f0d2", F0D2()},
 		{"f0d4", F0D4()},
-		{"bench/a1_rhopi_t4_b2", fromFile("../../bench/decks/a1_rhopi_t4_b2.json")},
-		{"bench/f0d4_t64_m3", fromFile("../../bench/decks/f0d4_t64_m3.json")},
+		{"bench/a1_rhopi_t4_b2", deckFromFile(t, "../../bench/decks/a1_rhopi_t4_b2.json")},
+		{"bench/f0d4_t64_m3", deckFromFile(t, "../../bench/decks/f0d4_t64_m3.json")},
 	}
 	for _, tc := range cases {
 		b, err := tc.c.BuildPlan()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		specs, err := tc.c.specs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, graphs, _, err := tc.c.expand(specs)
+		_, graphs, _, err := expandDeck(tc.c)
 		if err != nil {
 			t.Fatal(err)
 		}

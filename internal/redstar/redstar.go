@@ -137,91 +137,90 @@ func (c *Correlator) specs() ([]wick.Spec, error) {
 			specs = append(specs, spec)
 		}
 	}
+	// Every block of the deck has one shape; refuse it before expanding if
+	// the workload would refuse it after.
+	block := tensor.Desc{Rank: c.blockRank(), Dim: c.TensorDim, Batch: c.Batch}
+	if n := workload.TensorBytes(block); n > workload.MaxTensorBytes {
+		return nil, fmt.Errorf("redstar: %s: tensorDim %d and batch %d make rank-%d hadron blocks of %.4g bytes, over the %d-byte bound on one tensor",
+			c.Name, c.TensorDim, c.Batch, block.Rank, n, int64(workload.MaxTensorBytes))
+	}
 	return specs, nil
 }
 
-// BuildPlan expands, deduplicates and stages the correlator.
+// BuildPlan expands, deduplicates and stages the correlator. It streams:
+// each sink time's graphs are expanded into one reused buffer, cleared of
+// cross-spec duplicates, and added to the planner before the next time is
+// expanded, so graph memory follows one time slice and not the deck. The
+// planner numbers the intermediates once every block exists, from the block
+// table's NextID, and its stage array becomes the workload's.
 func (c *Correlator) BuildPlan() (*Build, error) {
 	specs, err := c.specs()
 	if err != nil {
 		return nil, err
 	}
-	bt, all, idEnd, err := c.expand(specs)
-	if err != nil {
-		return nil, err
+	bt := wick.NewBlockTableWithRank(c.TensorDim, c.Batch, c.blockRank())
+	// Expand deduplicates within one spec and time; the cross-spec pass
+	// catches a graph that two construction pairs both produce, which only
+	// specs with the same operator names on each side can. Such graphs share
+	// their sink time (see namesRepeat), so deduplicating each time slice
+	// alone removes exactly what a pass over the whole deck would.
+	dedup := namesRepeat(specs)
+	var (
+		planner graph.Planner
+		buf     wick.Buffer
+		gid     int
+	)
+	perTime := make([]int, c.TimeSlices) // graphs kept at each sink time
+	for t := 1; t <= c.TimeSlices; t++ {
+		buf.Reset()
+		for _, spec := range specs {
+			if err := wick.ExpandInto(&buf, spec, 0, t, bt, &gid); err != nil {
+				return nil, err
+			}
+		}
+		gs := buf.Graphs()
+		if dedup {
+			gs = graph.Dedup(gs)
+		}
+		if t == 1 {
+			// Every sink time stamps the same templates, so the first bounds
+			// the deck's ops.
+			planner.Reserve(graph.MaxOps(gs) * c.TimeSlices)
+		}
+		if err := planner.Add(gs); err != nil {
+			return nil, err
+		}
+		perTime[t-1] = len(gs)
 	}
-	plan, err := graph.BuildPlan(all, bt.NextID())
+	plan, err := planner.Finish(bt.NextID())
 	if err != nil {
 		return nil, err
 	}
 	b := &Build{
 		Correlator:   c,
 		Plan:         plan,
-		NumGraphs:    len(all),
+		NumGraphs:    len(plan.Finals),
 		Blocks:       bt.Len(),
 		FinalsByTime: make(map[int][]tensor.Desc, c.TimeSlices),
 	}
-	// all is in ID order and plan.Finals[i] concludes all[i], so each sink
-	// time's finals are one run of plan.Finals.
-	for t, lo := 1, 0; t <= c.TimeSlices; t++ {
-		hi := lo
-		for hi < len(all) && all[hi].ID < idEnd[t-1] {
-			hi++
+	// plan.Finals follows the graphs as they were added, time by time.
+	lo := 0
+	for t, n := range perTime {
+		if n > 0 {
+			b.FinalsByTime[t+1] = plan.Finals[lo : lo+n : lo+n]
 		}
-		if hi > lo {
-			b.FinalsByTime[t] = plan.Finals[lo:hi:hi]
-		}
-		lo = hi
+		lo += n
 	}
-	// Convert plan stages to the scheduler workload format, every stage
-	// carved from one backing array that the workload adopts.
-	pairs := make([]workload.Pair, len(plan.Ops))
-	stages := make([][]workload.Pair, plan.NumStages())
-	for si, ops := range plan.StageOps {
-		stages[si], pairs = pairs[:len(ops):len(ops)], pairs[len(ops):]
-		for i, oi := range ops {
-			op := &plan.Ops[oi]
-			stages[si][i] = workload.Pair{A: op.A, B: op.B, Out: op.Out}
-		}
-	}
-	w, err := workload.FromStages(c.Name, stages, plan.Inputs)
-	if err != nil {
+	if b.Workload, err = workload.FromStages(c.Name, plan.Stages, plan.Inputs); err != nil {
 		return nil, err
 	}
-	b.Workload = w
 	return b, nil
-}
-
-// expand expands every spec at every sink time against one new block
-// table, in ID order, and drops cross-spec duplicates. idEnd[t-1] is the
-// first graph ID past sink time t: IDs are issued in expansion order, so
-// they rise with the sink time.
-func (c *Correlator) expand(specs []wick.Spec) (bt *wick.BlockTable, all []*graph.Graph, idEnd []int, err error) {
-	bt = wick.NewBlockTableWithRank(c.TensorDim, c.Batch, c.blockRank())
-	idEnd = make([]int, 0, c.TimeSlices)
-	var gid int
-	for t := 1; t <= c.TimeSlices; t++ {
-		for _, spec := range specs {
-			gs, err := wick.Expand(spec, 0, t, bt, &gid)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			all = append(all, gs...)
-		}
-		idEnd = append(idEnd, gid)
-	}
-	// Expand deduplicates within one spec and time; this pass catches a
-	// graph that two construction pairs both produce, which only specs
-	// with the same operator names on each side can.
-	if namesRepeat(specs) {
-		all = graph.Dedup(all)
-	}
-	return bt, all, idEnd, nil
 }
 
 // namesRepeat reports whether two of specs have the same multiset of source
 // operator names and the same multiset of sink operator names. BuildPlan's
-// cross-spec Dedup can only remove something when they do. A graph's nodes
+// cross-spec Dedup can only remove something when they do, and only between
+// graphs of one sink time. A graph's nodes
 // are the blocks (operator name, momentum, time) of its spec, sources at
 // time 0 and sinks at its sink time, which is never 0. So two graphs with
 // equal node multisets share a sink time, the same source names and the

@@ -404,3 +404,63 @@ func TestExpandWarmAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestExpandIntoBuffer: a deck's expansion into one Buffer, reset at every
+// sink time, yields Expand's graphs call for call — IDs, nodes and edges,
+// and the same table afterwards — and once a time's blocks exist, a reset
+// and a re-expansion of that time allocate nothing.
+func TestExpandIntoBuffer(t *testing.T) {
+	for momenta := 1; momenta <= 3; momenta++ {
+		specs := refSpecs()
+		for i := range specs {
+			specs[i].Momenta = momenta
+		}
+		bt, bufBT := NewBlockTable(8, 2), NewBlockTable(8, 2)
+		var gid, bufGid int
+		var buf Buffer
+		expandTime := func(snk int) error {
+			buf.Reset()
+			for _, s := range specs {
+				if err := ExpandInto(&buf, s, 0, snk, bufBT, &bufGid); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for snk := 1; snk <= 3; snk++ {
+			var want []*graph.Graph
+			for _, s := range specs {
+				gs, err := Expand(s, 0, snk, bt, &gid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, gs...)
+			}
+			if err := expandTime(snk); err != nil {
+				t.Fatal(err)
+			}
+			got := buf.Graphs()
+			if len(got) != len(want) || gid != bufGid {
+				t.Fatalf("momenta %d, time %d: %d graphs to ID %d, Expand %d to ID %d", momenta, snk, len(got), bufGid, len(want), gid)
+			}
+			for j := range want {
+				if got[j].ID != want[j].ID || !reflect.DeepEqual(got[j].Nodes, want[j].Nodes) ||
+					!reflect.DeepEqual(got[j].Edges, want[j].Edges) {
+					t.Fatalf("momenta %d, time %d: graph %d = %+v, Expand %+v", momenta, snk, j, *got[j], *want[j])
+				}
+			}
+			if !reflect.DeepEqual(issuedKeys(bt), issuedKeys(bufBT)) {
+				t.Fatalf("momenta %d, time %d: block tables diverged", momenta, snk)
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := expandTime(3); err != nil {
+				t.Fatal(err)
+			}
+			buf.Graphs()
+		})
+		if allocs != 0 {
+			t.Errorf("momenta %d: %v allocations per warm reset and re-expansion, want 0", momenta, allocs)
+		}
+	}
+}

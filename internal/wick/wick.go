@@ -322,17 +322,62 @@ func appendSpecKey(key []byte, spec Spec, sameTime bool) []byte {
 // two graphs share Edges. The spec is validated in full when its template
 // is built; a call that finds the template runs only Validate's shape
 // checks, since the key holds everything the quark checks read.
+//
+// Expand is ExpandInto on a Buffer of its own, so the graphs it returns
+// share storage with nothing else.
 func Expand(spec Spec, srcTime, snkTime int, bt *BlockTable, nextGraphID *int) ([]*graph.Graph, error) {
+	var buf Buffer
+	if err := ExpandInto(&buf, spec, srcTime, snkTime, bt, nextGraphID); err != nil {
+		return nil, err
+	}
+	return buf.Graphs(), nil
+}
+
+// Buffer is caller-owned storage for expanded graphs: ExpandInto appends to
+// it, and Reset lets the next expansions reuse it, so a caller that
+// consumes one batch of graphs before expanding the next (redstar's one
+// sink time at a time) keeps one batch's worth of graph memory. The zero
+// Buffer is empty and ready to use.
+type Buffer struct {
+	nodes []graph.Node
+	edges []graph.Edge
+	slab  []graph.Graph
+	ptrs  []*graph.Graph
+}
+
+// Reset empties b, keeping its storage. Graphs returned before it are
+// overwritten by the expansions after it.
+func (b *Buffer) Reset() {
+	b.nodes, b.edges, b.slab = b.nodes[:0], b.edges[:0], b.slab[:0]
+}
+
+// Graphs returns the graphs expanded into b since its last Reset, in
+// expansion order (nil when there are none). They live in b and are valid
+// until the next Reset.
+func (b *Buffer) Graphs() []*graph.Graph {
+	if len(b.slab) == 0 {
+		return nil
+	}
+	b.ptrs = slices.Grow(b.ptrs[:0], len(b.slab))
+	for i := range b.slab {
+		b.ptrs = append(b.ptrs, &b.slab[i])
+	}
+	return b.ptrs
+}
+
+// ExpandInto is Expand appending the graphs to buf instead of returning
+// them; see Expand for what it issues from bt and *nextGraphID.
+func ExpandInto(buf *Buffer, spec Spec, srcTime, snkTime int, bt *BlockTable, nextGraphID *int) error {
 	sameTime := srcTime == snkTime
 	bt.specKey = appendSpecKey(bt.specKey[:0], spec, sameTime)
 	tpl, ok := bt.templates[string(bt.specKey)]
 	if ok {
 		if err := spec.validateShape(); err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		if err := spec.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 		tpl = buildTemplate(spec, sameTime)
 		tpl.src, tpl.snk = bt.internOps(spec.Source), bt.internOps(spec.Sink)
@@ -340,44 +385,45 @@ func Expand(spec Spec, srcTime, snkTime int, bt *BlockTable, nextGraphID *int) (
 	}
 
 	numOps := len(spec.Source) + len(spec.Sink)
-	nodes := requestBlocks(bt, tpl.src, tpl.snk, spec.Momenta, srcTime, snkTime)
+	first := len(buf.nodes)
+	buf.nodes = requestBlocks(bt, buf.nodes, tpl.src, tpl.snk, spec.Momenta, srcTime, snkTime)
+	nodes := buf.nodes[first:]
 
 	base := *nextGraphID
 	*nextGraphID += tpl.connected
-	if len(tpl.graphs) == 0 {
-		return nil, nil
-	}
-	edges := append([]graph.Edge(nil), tpl.edges...)
-	slab := make([]graph.Graph, len(tpl.graphs))
-	out := make([]*graph.Graph, len(tpl.graphs))
-	for i, tg := range tpl.graphs {
+	first = len(buf.edges)
+	buf.edges = append(buf.edges, tpl.edges...)
+	edges := buf.edges[first:]
+	buf.slab = slices.Grow(buf.slab, len(tpl.graphs))
+	for _, tg := range tpl.graphs {
 		lo, hi := tg.assignment*numOps, (tg.assignment+1)*numOps
-		slab[i] = graph.Graph{
+		buf.slab = append(buf.slab, graph.Graph{
 			ID:    base + tg.ordinal,
 			Nodes: nodes[lo:hi:hi],
 			Edges: edges[tg.edgeLo:tg.edgeHi:tg.edgeHi],
-		}
-		out[i] = &slab[i]
+		})
 	}
-	return out, nil
+	return nil
 }
 
-// requestBlocks lays out the blocks of every momentum assignment of the
-// sink operators snk (interned on bt, each with momenta projections), in
-// enumeration order (last sink fastest), as rows of one node slab: row a
+// requestBlocks appends to dst the blocks of every momentum assignment of
+// the sink operators snk (interned on bt, each with momenta projections),
+// in enumeration order (last sink fastest), one row per assignment: row a
 // holds assignment a's nodes, sources src (momentum 0, srcTime) first, then
 // sinks (their momentum, snkTime). The order of the requests is part of
 // Expand's contract, because a first request issues a tensor ID: each
 // source and each (sink, momentum) is requested from bt once, where it
 // first appears in that order, and later rows copy it.
-func requestBlocks(bt *BlockTable, src, snk []uint32, momenta, srcTime, snkTime int) []graph.Node {
+func requestBlocks(bt *BlockTable, dst []graph.Node, src, snk []uint32, momenta, srcTime, snkTime int) []graph.Node {
 	numSrc := len(src)
 	numOps := numSrc + len(snk)
 	assignments := 1
 	for range snk {
 		assignments *= momenta
 	}
-	nodes := make([]graph.Node, assignments*numOps)
+	first := len(dst)
+	dst = slices.Grow(dst, assignments*numOps)[:first+assignments*numOps]
+	nodes := dst[first:]
 	for i, op := range src {
 		nodes[i] = graph.Node{ID: i, Tensor: bt.block(blockKey{op, 0, srcTime})}
 	}
@@ -404,7 +450,7 @@ func requestBlocks(bt *BlockTable, src, snk []uint32, momenta, srcTime, snkTime 
 			counter[pos] = 0
 		}
 	}
-	return nodes
+	return dst
 }
 
 // buildTemplate enumerates the pairings of a valid spec — once: they do
@@ -440,7 +486,7 @@ func buildTemplate(spec Spec, sameTime bool) *template {
 		snkTime = 0
 	}
 	scratch := NewBlockTable(1, 1)
-	nodes := requestBlocks(scratch, scratch.internOps(spec.Source), scratch.internOps(spec.Sink), spec.Momenta, 0, snkTime)
+	nodes := requestBlocks(scratch, nil, scratch.internOps(spec.Source), scratch.internOps(spec.Sink), spec.Momenta, 0, snkTime)
 	var all []*graph.Graph
 	for ; len(nodes) > 0; nodes = nodes[numOps:] {
 		for _, edges := range pairings {

@@ -23,19 +23,26 @@ var ErrUnnumbered = errors.New("workload not numbered: build it with Generate, F
 // stream or file comes near it.
 const maxIDSpread = 8
 
-// maxTensorBytes bounds one tensor of a workload: far past any device the
+// MaxTensorBytes bounds one tensor of a workload: far past any device the
 // simulator models, and small enough that no sum over a stream's tensors
-// overflows an int64.
-const maxTensorBytes = 1 << 40
+// overflows an int64. A front end refuses a larger block before it expands
+// anything (redstar's Correlator).
+const MaxTensorBytes = 1 << 40
 
-// validDesc reports whether d is a valid descriptor (tensor.Desc.Valid) of
-// at most maxTensorBytes, sized in floating point so nothing overflows.
-func validDesc(d tensor.Desc) bool {
+// TensorBytes returns the size of d in bytes, the figure MaxTensorBytes
+// bounds, computed in floating point so that no shape overflows.
+func TensorBytes(d tensor.Desc) float64 {
 	n := float64(d.Batch) * tensor.ComplexBytes
 	for range d.Rank {
 		n *= float64(d.Dim)
 	}
-	return d.Valid() && n <= maxTensorBytes
+	return n
+}
+
+// validDesc reports whether d is a valid descriptor (tensor.Desc.Valid) of
+// at most MaxTensorBytes.
+func validDesc(d tensor.Desc) bool {
+	return d.Valid() && TensorBytes(d) <= MaxTensorBytes
 }
 
 // FromStages builds a Workload from pre-staged pairs, as produced by the
@@ -43,7 +50,7 @@ func validDesc(d tensor.Desc) bool {
 // generator). inputs lists the distinct host-resident leaf tensors; pair
 // operands must be either inputs or outputs of earlier pairs, every output
 // a new tensor, and each pair's three descriptors those of a contraction
-// (tensor.ContractOut) of at most maxTensorBytes. Tensor IDs
+// (tensor.ContractOut) of at most MaxTensorBytes. Tensor IDs
 // index a table, so the largest may be at most maxIDSpread times the
 // number of tensors (inputs plus pairs). Every refusal wraps
 // ErrInvalidStages.

@@ -490,7 +490,7 @@ func TestFromStagesValidation(t *testing.T) {
 			t.Errorf("%s: workload %v, error %v; want an error wrapping ErrInvalidStages", c.name, w, err)
 		}
 	}
-	// A tensor may hold exactly maxTensorBytes, not one element more.
+	// A tensor may hold exactly MaxTensorBytes, not one element more.
 	for _, c := range []struct {
 		dim, batch int
 		ok         bool
