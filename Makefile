@@ -88,9 +88,14 @@ benchsmoke:
 # baseline is the 1x8 AVX2 row kernel's run, so the pooled kernel is
 # held to 0.8x of it besides: under 1.25x faster, the 4x16 block kernel is
 # not what ran (re-recording on a machine without AVX-512 trips this).
-# BenchmarkNumericRun, one deck_numeric job, may allocate at most 100 MB
-# per job: 75 MB with levels recycling their own buffers, 162 MB when every
-# pair of a level drew a fresh destination. Report: the baseline rows of
+# BenchmarkNumericRun, one deck_numeric job, may allocate at most 0.1 MB
+# per job: 82 KB recorded with a closed run handing its dead buffers to
+# the next run, 72 MB when every run allocated its working set, 162 MB
+# when every pair of a level drew a fresh destination. The row is recorded
+# at -benchtime 20x and is a warm job: the testing package runs one
+# iteration before the timed twenty, in the same process, and that one
+# fills the pools (a cold iteration inside the twenty would add 3.6 MB to
+# B/op). Report: the baseline rows of
 # BENCH_report.json are the same benchmarks run, in the recording session,
 # on the commit before the walk noted its steps and made its segments once,
 # the shares became indexed tallies, the segment encoder reused a boundary's
@@ -152,7 +157,7 @@ benchguard:
 	$(GO) run ./cmd/benchjson -guard BENCH_kernel.json -guard-tol 0.8 \
 		-guard-prefix BenchmarkContractionKernelInto -guard-max-allocs -1
 	$(GO) run ./cmd/benchjson -guard BENCH_kernel.json -guard-tol 2.5 \
-		-guard-prefix BenchmarkNumericRun -guard-max-allocs -1 -guard-max-bytes 100e6
+		-guard-prefix BenchmarkNumericRun -guard-max-allocs -1 -guard-max-bytes 0.1e6
 	$(GO) run ./cmd/benchjson -guard BENCH_report.json -guard-tol 1.0 \
 		-guard-prefix BenchmarkCriticalPath -guard-max-allocs 64
 	$(GO) run ./cmd/benchjson -guard BENCH_report.json -guard-tol 1.0 \
@@ -189,7 +194,8 @@ soak:
 # pairwise, and as one batch of (op, group) work items through a per-call
 # pipeline and through a persistent one (the rows named "fused", after the
 # shared-panel planner they once timed) — and one whole numeric job (the
-# ladder's deck_numeric) with allocation stats and records them as
+# ladder's deck_numeric, at a fixed twenty iterations) with allocation
+# stats and records them as
 # BENCH_kernel.json with the baseline merged in (via cmd/benchjson, which
 # tees the raw output through) — the kernel and job rows run on the commit
 # before the AVX-512 block kernel existed, the stage rows on
@@ -214,7 +220,8 @@ soak:
 # warm — as BENCH_frontend.json against the same benchmark file run on the
 # commit before expansion was templated.
 bench:
-	$(GO) test -run '^$$' -bench 'Contraction|NumericRun' -benchmem . \
+	{ $(GO) test -run '^$$' -bench 'Contraction' -benchmem .; \
+	  $(GO) test -run '^$$' -bench 'NumericRun' -benchtime 20x -benchmem .; } \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_kernel_baseline.json -o BENCH_kernel.json
 	{ $(GO) test -run '^$$' -bench 'SchedulerAssign|RunScheduleOnly|NumericPipeline|ObservedRun' -skip 'ObservedRun/interleaved' -benchmem ./internal/sched; \
 	  $(GO) test -run '^$$' -bench 'ObservedRun/interleaved' -benchtime 60x ./internal/sched; } \

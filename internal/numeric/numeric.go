@@ -33,9 +33,11 @@ type Config struct {
 	// width.
 	Workers int
 	// Pin lists the slots (Workload.TensorIDs) of tensors the executor must
-	// keep: the caller reads them through Tensor once the stream has run.
-	// Every other tensor is freed after its last reader and its storage
-	// recycled into later outputs; the fingerprint does not move.
+	// keep: the caller reads them through Tensor once the stream has run,
+	// and they stay the caller's after Close — their storage never goes to
+	// another run. Every other tensor is freed after its last reader and
+	// its storage recycled into later outputs of this run and, once the
+	// executor is closed, of later runs; the fingerprint does not move.
 	Pin []int
 	// Timed turns on per-worker busy accounting (WorkerBusy).
 	Timed bool
@@ -74,9 +76,10 @@ type Executor struct {
 // pinned is the read count of a pinned slot: reads never lowers it.
 const pinned = -1
 
-// New draws the stream's input tensors and parks the worker pool. The
-// caller must Close the executor on every path. A workload no constructor
-// numbered is refused with workload.ErrUnnumbered.
+// New draws the stream's input tensors, into recycled storage where the
+// arena has some, and parks the worker pool. The caller must Close the
+// executor on every path. A workload no constructor numbered is refused
+// with workload.ErrUnnumbered.
 func New(w *workload.Workload, cfg Config) (*Executor, error) {
 	ids := w.TensorIDs()
 	if ids == nil {
@@ -94,7 +97,7 @@ func New(w *workload.Workload, cfg Config) (*Executor, error) {
 	}
 	x.normFn = x.normQuad
 	for s, d := range w.Inputs {
-		t, err := tensor.NewRandom(d, rng)
+		t, err := tensor.NewRandomIn(d, x.arena.get(2*int(d.Elems())), rng)
 		if err != nil {
 			return nil, fmt.Errorf("numeric: input %v: %w", d, err)
 		}
@@ -119,15 +122,22 @@ func New(w *workload.Workload, cfg Config) (*Executor, error) {
 	return x, nil
 }
 
-// Close stops the pool's workers. Idempotent.
-func (x *Executor) Close() { x.bp.Close() }
+// Close stops the pool's workers and hands the run's dead buffers to the
+// process-wide tier of the arena, for later runs to draw. Tensors the run
+// still holds — pinned, or live — are not recycled: Tensor and Fingerprint
+// read them as before. Idempotent.
+func (x *Executor) Close() {
+	x.bp.Close()
+	x.arena.release()
+}
 
 // WorkerBusy returns each pool worker's cumulative busy time, worker 0
 // being the calling goroutine (zeros unless Config.Timed).
 func (x *Executor) WorkerBusy() []time.Duration { return x.bp.WorkerBusy() }
 
 // Tensor returns the tensor in slot s if the run holds it: an input, or
-// an output that was pinned or is still read later.
+// an output that was pinned or is still read later. An unpinned tensor's
+// storage is recycled once its last reader has run.
 func (x *Executor) Tensor(s int) (*tensor.Tensor, bool) {
 	t := x.tensors[s]
 	return t, t != nil
@@ -141,8 +151,13 @@ func (x *Executor) Tensor(s int) (*tensor.Tensor, bool) {
 // checked between batches. A panic in the level machinery (operand
 // resolution, arena bookkeeping, reclamation) is returned as a
 // *tensor.WorkerPanicError with worker -1; panics inside the batch kernels
-// are contained by the pool and arrive as the same type.
+// are contained by the pool and arrive as the same type. After Close it
+// returns an error wrapping tensor.ErrPipelineClosed and touches no
+// storage: the run's buffers belong to other runs by then.
 func (x *Executor) RunStage(ctx context.Context, pairs []workload.Pair) (err error) {
+	if x.arena.released() {
+		return fmt.Errorf("numeric: %w", tensor.ErrPipelineClosed)
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("numeric: level executor: %w",

@@ -2,7 +2,9 @@ package numeric
 
 import (
 	"context"
+	"math"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"micco/internal/tensor"
@@ -99,5 +101,45 @@ func TestPinnedTensorsSurviveReclaim(t *testing.T) {
 	}
 	if a, b := x.Fingerprint(), keep.fp; a != b {
 		t.Errorf("fingerprint with pins %x, want %x", a, b)
+	}
+}
+
+// TestPooledStorageFullyOverwritten: every buffer a run hands back is
+// filled with NaN before the next run draws it, and each next run's
+// fingerprint and pinned tensors are bit-identical to the pairwise
+// oracle's, which contracts into fresh storage — at pool 1, 4 and 8.
+func TestPooledStorageFullyOverwritten(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // the pools keep what they are handed
+	w := levelStream(t, 3*levelWidth, 2*levelWidth)
+	finals := 5 + 3*levelWidth // the slot of the first final
+	pin := []int{5, finals, finals + 2*levelWidth - 1}
+	keep := pairwiseOracle(t, w)
+	for round, pool := range []int{1, 1, 4, 8} {
+		x, err := New(w, Config{Seed: 5, Workers: pool, Pin: pin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range w.Stages {
+			if err := x.RunStage(context.Background(), st.Pairs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round > 0 && x.arena.shared == 0 {
+			t.Errorf("round %d: drew no buffer from the process-wide tier", round)
+		}
+		if fp := x.Fingerprint(); math.Float64bits(fp) != math.Float64bits(keep.fp) {
+			t.Errorf("round %d pool=%d: fingerprint %x, oracle %x", round, pool, fp, keep.fp)
+		}
+		for _, s := range pin {
+			got, _ := x.Tensor(s)
+			want := keep.tensors[x.ids[s]]
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("round %d pool=%d: pinned t%d element %d = %v, oracle %v", round, pool, x.ids[s], i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+		PoisonFree(x, math.NaN())
+		x.Close()
 	}
 }

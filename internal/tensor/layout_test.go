@@ -20,6 +20,24 @@ func interleaved(d Desc, seed int64) []complex128 {
 	return ref
 }
 
+// mustRandom is NewRandom at the given seed, for a valid desc.
+func mustRandom(d Desc, seed int64) *Tensor {
+	x, err := NewRandom(d, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		panic(err)
+	}
+	return x
+}
+
+// nanBuf is a recycled buffer of n values that all read NaN.
+func nanBuf(n int) []float64 {
+	buf := make([]float64, n)
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+	return buf
+}
+
 // sameComplex is bitwise equality of both parts.
 func sameComplex(a, b complex128) bool {
 	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
@@ -45,16 +63,21 @@ func checkPlanes(t *testing.T, x *Tensor, ref []complex128, label string) {
 // every accessor against an interleaved []complex128 reference computed
 // here with complex128 arithmetic, bit for bit, on both ranks. It also
 // pins NewRandom's stream order: at seed 1 the first draws land as real,
-// imaginary, real, imaginary, ... of elements 0, 1, 2.
+// imaginary, real, imaginary, ... of elements 0, 1, 2. Every draw is made
+// twice, into fresh storage (NewRandom) and in place into a recycled
+// buffer filled with NaN (NewRandomIn), and both must give these bits.
 func TestSplitLayout(t *testing.T) {
-	first, _ := NewRandom(Desc{Rank: RankMeson, Dim: 2, Batch: 1}, rand.New(rand.NewSource(1)))
-	for i, want := range []complex128{
-		complex(0x1.acb04420ff9f8p-03, 0x1.c314d07af9f8cp-01),
-		complex(0x1.5104dc7669574p-02, -0x1.fe3ed1212ca1p-04),
-		complex(-0x1.34af4fd6c723cp-03, 0x1.7e9d1860d1d68p-02),
-	} {
-		if got := complex(first.Data[i], first.Data[4+i]); !sameComplex(got, want) {
-			t.Errorf("NewRandom seed 1 element %d = %x, want %x", i, got, want)
+	meson2 := Desc{Rank: RankMeson, Dim: 2, Batch: 1}
+	firstIn, _ := NewRandomIn(meson2, nanBuf(2*int(meson2.Elems())+3), rand.New(rand.NewSource(1)))
+	for label, first := range map[string]*Tensor{"NewRandom": mustRandom(meson2, 1), "NewRandomIn": firstIn} {
+		for i, want := range []complex128{
+			complex(0x1.acb04420ff9f8p-03, 0x1.c314d07af9f8cp-01),
+			complex(0x1.5104dc7669574p-02, -0x1.fe3ed1212ca1p-04),
+			complex(-0x1.34af4fd6c723cp-03, 0x1.7e9d1860d1d68p-02),
+		} {
+			if got := complex(first.Data[i], first.Data[4+i]); !sameComplex(got, want) {
+				t.Errorf("%s seed 1 element %d = %x, want %x", label, i, got, want)
+			}
 		}
 	}
 
@@ -63,9 +86,14 @@ func TestSplitLayout(t *testing.T) {
 		{ID: 1, Rank: RankBaryon, Dim: 3, Batch: 2},
 	} {
 		label := d.String()
-		x, _ := NewRandom(d, rand.New(rand.NewSource(2)))
+		x := mustRandom(d, 2)
 		ref := interleaved(d, 2)
 		checkPlanes(t, x, ref, label+" NewRandom")
+		in, err := NewRandomIn(d, nanBuf(len(x.Data)), rand.New(rand.NewSource(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPlanes(t, in, ref, label+" NewRandomIn")
 
 		// At and Set address the element ref indexes.
 		n := d.Dim
@@ -151,6 +179,33 @@ func TestSplitLayout(t *testing.T) {
 		if !AllClose(acc, far, 0.51) || AllClose(acc, far, 0.49) {
 			t.Errorf("%s: AllClose does not measure the imaginary plane", label)
 		}
+	}
+}
+
+// TestNewRandomInStorage: NewRandomIn draws into the buffer it is handed
+// when that holds the tensor — as a slice of exactly 2*Elems() values over
+// the same storage — allocates when it does not, and refuses an invalid
+// description as NewRandom does.
+func TestNewRandomInStorage(t *testing.T) {
+	d := Desc{Rank: RankBaryon, Dim: 3, Batch: 2}
+	vals := 2 * int(d.Elems())
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []struct {
+		buf   []float64
+		fresh bool
+	}{{nanBuf(vals + 5), false}, {nanBuf(vals), false}, {nanBuf(vals - 1), true}, {nil, true}} {
+		x, err := NewRandomIn(d, c.buf, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := len(c.buf) == 0 || &x.Data[0] != &c.buf[0]
+		if len(x.Data) != vals || fresh != c.fresh {
+			t.Errorf("a buffer of %d values: data of %d values, fresh storage %v; want %d values, fresh %v",
+				len(c.buf), len(x.Data), fresh, vals, c.fresh)
+		}
+	}
+	if _, err := NewRandomIn(Desc{Rank: RankMeson}, nanBuf(vals), rng); err == nil {
+		t.Error("invalid desc accepted")
 	}
 }
 

@@ -42,10 +42,22 @@ func MustNew(d Desc) *Tensor {
 // Each element draws its real part and then its imaginary part, element by
 // element in index order.
 func NewRandom(d Desc, rng *rand.Rand) (*Tensor, error) {
-	t, err := New(d)
-	if err != nil {
-		return nil, err
+	return NewRandomIn(d, nil, rng)
+}
+
+// NewRandomIn is NewRandom drawing into buf's storage when it can hold the
+// tensor's 2*Elems() values, and into fresh storage otherwise. It draws
+// the same stream in the same order and overwrites every value, so the
+// tensor is NewRandom's bit for bit whatever buf held.
+func NewRandomIn(d Desc, buf []float64, rng *rand.Rand) (*Tensor, error) {
+	if !d.Valid() {
+		return nil, fmt.Errorf("tensor: invalid desc %v", d)
 	}
+	vals := 2 * int(d.Elems())
+	if cap(buf) < vals {
+		buf = make([]float64, vals)
+	}
+	t := &Tensor{Desc: d, Data: buf[:vals]}
 	re, im := t.planes()
 	for i := range re {
 		re[i] = rng.Float64()*2 - 1

@@ -55,11 +55,12 @@ func validDesc(d tensor.Desc) bool {
 // number of tensors (inputs plus pairs). Every refusal wraps
 // ErrInvalidStages.
 //
-// The workload adopts the stages: stage i's Pairs is stages[i] itself, not
-// a copy. FromStages writes each pair's slots and recomputes its LastUse
-// flags in place, whatever flags the caller set (also on the way to an
-// error), so the caller must not change the pairs afterwards. Building a
-// second workload from the same stages rewrites them to the same values.
+// The workload adopts the stages and the inputs: stage i's Pairs is
+// stages[i] itself and Inputs is inputs, not copies. FromStages writes each
+// pair's slots and recomputes its LastUse flags in place, whatever flags
+// the caller set (also on the way to an error), so the caller must not
+// change the pairs or the inputs afterwards. Building a second workload
+// from the same stages rewrites them to the same values.
 //
 // The per-stage repeated rate counts an operand slot as repeated when its
 // tensor has already appeared in the workload — as an earlier operand or as
@@ -95,18 +96,17 @@ func FromStages(name string, stages [][]Pair, inputs []tensor.Desc) (*Workload, 
 	w := &Workload{
 		Name:    name,
 		Stages:  make([]Stage, 0, len(stages)),
-		Inputs:  make([]tensor.Desc, 0, len(inputs)),
+		Inputs:  inputs,
 		Outputs: make([]tensor.Desc, 0, numPairs),
 	}
-	for _, d := range inputs {
+	for i, d := range inputs {
 		if !validDesc(d) {
 			return nil, fmt.Errorf("workload: %w: invalid input tensor %v", ErrInvalidStages, d)
 		}
 		if slots[d.ID] >= 0 {
 			return nil, fmt.Errorf("workload: %w: duplicate input tensor %d", ErrInvalidStages, d.ID)
 		}
-		slots[d.ID] = int32(len(w.Inputs))
-		w.Inputs = append(w.Inputs, d)
+		slots[d.ID] = int32(i)
 	}
 	maxVec, dim := 0, 0
 	for si, pairs := range stages {

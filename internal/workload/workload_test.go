@@ -509,8 +509,8 @@ func TestFromStagesValidation(t *testing.T) {
 	}
 }
 
-// TestFromStagesRecomputesLastUse: FromStages adopts the caller's pairs and
-// derives their LastUse flags from the stream, whatever flags they carried,
+// TestFromStagesRecomputesLastUse: FromStages adopts the caller's pairs
+// and inputs and derives their LastUse flags from the stream, whatever flags they carried,
 // and building twice from the same stages gives the same workload as
 // building once from a fresh copy.
 func TestFromStagesRecomputesLastUse(t *testing.T) {
@@ -546,6 +546,9 @@ func TestFromStagesRecomputesLastUse(t *testing.T) {
 	}
 	if &built[0].Stages[0].Pairs[0] != &shared[0][0] {
 		t.Error("FromStages copied the caller's pairs instead of adopting them")
+	}
+	if &built[0].Inputs[0] != &inputs[0] {
+		t.Error("FromStages copied the caller's inputs instead of adopting them")
 	}
 }
 
