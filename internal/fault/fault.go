@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 )
 
@@ -189,8 +190,8 @@ func (p *Plan) Validate(numDevices int) error {
 		if r.Max < 0 {
 			return fmt.Errorf("%w: retry max %d must be non-negative", ErrInvalidPlan, r.Max)
 		}
-		if r.BaseSeconds <= 0 || r.CapSeconds < r.BaseSeconds {
-			return fmt.Errorf("%w: retry backoff (base %v, cap %v) must satisfy 0 < base <= cap",
+		if !(r.BaseSeconds > 0 && r.BaseSeconds <= r.CapSeconds && r.CapSeconds <= math.MaxFloat64) {
+			return fmt.Errorf("%w: retry backoff (base %v, cap %v) must satisfy 0 < base <= cap < +Inf",
 				ErrInvalidPlan, r.BaseSeconds, r.CapSeconds)
 		}
 	}
@@ -198,8 +199,8 @@ func (p *Plan) Validate(numDevices int) error {
 		if _, ok := kindNames[e.Kind]; !ok {
 			return fmt.Errorf("%w: event %d: unknown kind %d", ErrInvalidPlan, i, int(e.Kind))
 		}
-		if e.Time < 0 {
-			return fmt.Errorf("%w: event %d: negative time %v", ErrInvalidPlan, i, e.Time)
+		if !(e.Time >= 0 && e.Time <= math.MaxFloat64) {
+			return fmt.Errorf("%w: event %d: time %v must be non-negative and finite", ErrInvalidPlan, i, e.Time)
 		}
 		if e.Stage < 0 || e.Pair < -1 {
 			return fmt.Errorf("%w: event %d: position stage %d pair %d out of range", ErrInvalidPlan, i, e.Stage, e.Pair)
@@ -212,11 +213,11 @@ func (p *Plan) Validate(numDevices int) error {
 		}
 		switch e.Kind {
 		case LinkDegrade:
-			if e.Factor <= 0 {
-				return fmt.Errorf("%w: event %d: link-degrade factor %v must be positive", ErrInvalidPlan, i, e.Factor)
+			if !(e.Factor > 0 && e.Factor <= math.MaxFloat64) {
+				return fmt.Errorf("%w: event %d: link-degrade factor %v must be positive and finite", ErrInvalidPlan, i, e.Factor)
 			}
 		case MemShrink:
-			if e.Factor <= 0 || e.Factor > 1 {
+			if !(e.Factor > 0 && e.Factor <= 1) {
 				return fmt.Errorf("%w: event %d: mem-shrink factor %v must be in (0,1]", ErrInvalidPlan, i, e.Factor)
 			}
 		case TransientTransfer:

@@ -63,16 +63,23 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
 	bad := []Plan{
-		{Events: []Event{{Kind: DeviceLoss, Device: 4}}},              // device out of range
-		{Events: []Event{{Kind: MemShrink, Device: 0, Factor: 1.5}}},  // factor > 1
-		{Events: []Event{{Kind: LinkDegrade, Factor: 0}}},             // zero factor
-		{Events: []Event{{Kind: TransientTransfer}}},                  // no failures
-		{Events: []Event{{Kind: Kind(99)}}},                           // unknown kind
-		{Events: []Event{{Kind: DeviceLoss, Time: -1}}},               // negative time
-		{Events: []Event{{Kind: DeviceLoss, Pair: -2}}},               // pair below -1
-		{Retry: &Retry{Max: 1, BaseSeconds: 0, CapSeconds: 1}},        // zero base
-		{Retry: &Retry{Max: 1, BaseSeconds: 2e-3, CapSeconds: 1e-3}},  // cap < base
-		{Retry: &Retry{Max: -1, BaseSeconds: 1e-3, CapSeconds: 1e-3}}, // negative max
+		{Events: []Event{{Kind: DeviceLoss, Device: 4}}},                    // device out of range
+		{Events: []Event{{Kind: MemShrink, Device: 0, Factor: 1.5}}},        // factor > 1
+		{Events: []Event{{Kind: LinkDegrade, Factor: 0}}},                   // zero factor
+		{Events: []Event{{Kind: TransientTransfer}}},                        // no failures
+		{Events: []Event{{Kind: Kind(99)}}},                                 // unknown kind
+		{Events: []Event{{Kind: DeviceLoss, Time: -1}}},                     // negative time
+		{Events: []Event{{Kind: DeviceLoss, Pair: -2}}},                     // pair below -1
+		{Retry: &Retry{Max: 1, BaseSeconds: 0, CapSeconds: 1}},              // zero base
+		{Retry: &Retry{Max: 1, BaseSeconds: 2e-3, CapSeconds: 1e-3}},        // cap < base
+		{Retry: &Retry{Max: -1, BaseSeconds: 1e-3, CapSeconds: 1e-3}},       // negative max
+		{Events: []Event{{Kind: LinkDegrade, Factor: math.NaN()}}},          // NaN factor
+		{Events: []Event{{Kind: LinkDegrade, Factor: math.Inf(1)}}},         // infinite factor
+		{Events: []Event{{Kind: MemShrink, Factor: math.NaN()}}},            // NaN fraction
+		{Events: []Event{{Kind: DeviceLoss, Time: math.NaN()}}},             // NaN time
+		{Events: []Event{{Kind: DeviceLoss, Time: math.Inf(1)}}},            // infinite time
+		{Retry: &Retry{Max: 1, BaseSeconds: math.NaN(), CapSeconds: 1}},     // NaN base
+		{Retry: &Retry{Max: 1, BaseSeconds: 1e-3, CapSeconds: math.Inf(1)}}, // infinite cap
 	}
 	for i := range bad {
 		if err := bad[i].Validate(4); !errors.Is(err, ErrInvalidPlan) {

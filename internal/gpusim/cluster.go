@@ -16,21 +16,11 @@ import (
 type Cluster struct {
 	cfg     Config
 	devices []*Device
-	// linkClocks[n] is node n's host-link (PCIe fabric) availability time.
-	// Every H2D and D2H transfer from node n's devices serializes on it: a
-	// transfer starts at max(device clock, link clock) and advances both.
-	// This models the single-CPU testbed of the paper, where aggregate
-	// host traffic is the scaling bottleneck (its Fig. 9 shows only 1.65x
-	// throughput from 1 to 8 GPUs). P2P copies bypass the host link.
-	linkClocks []float64
-	// p2pClocks[n] is node n's inter-GPU fabric availability time;
-	// intra-node P2P copies (Config.PeerFetch) serialize on it the same
-	// way host traffic serializes on the host link.
-	p2pClocks []float64
-	// interClock is the inter-node interconnect availability time: every
-	// cross-node transfer — peer copies between nodes, and host-copy
-	// shipping between host partitions — serializes on this one fabric.
-	interClock float64
+	// links holds every shared copy channel (linkOf). A node's host link
+	// carries all of its devices' H2D and D2H traffic, modeling the paper's
+	// single-CPU testbed, where aggregate host traffic is the scaling
+	// bottleneck (its Fig. 9 shows only 1.65x throughput from 1 to 8 GPUs).
+	links []link
 	// interBytes counts total bytes moved over the inter-node fabric.
 	interBytes int64
 	numNodes   int
@@ -71,6 +61,31 @@ type Cluster struct {
 	transientLeft int
 }
 
+// The channel kinds, each with its own busy/stall series pair (linkSeries).
+const (
+	hostChannel = iota
+	p2pChannel
+	interChannel
+)
+
+// link is one shared copy channel — a node's host link (PCIe fabric) or
+// inter-GPU fabric, or the inter-node interconnect — on which copies
+// serialize in the order they are booked.
+type link struct {
+	free float64 // when the channel is next free
+	ch   int     // the channel kind
+}
+
+// occupy books the link for dur seconds for a copy queue free at queue.
+func (l *link) occupy(queue, dur float64) (start, end float64) {
+	start = max(queue, l.free)
+	l.free = start + dur
+	return start, l.free
+}
+
+// linkOf returns node n's link of kind ch; the interconnect is node 0's.
+func (c *Cluster) linkOf(ch, n int) *link { return &c.links[ch*c.numNodes+n] }
+
 // NewCluster builds a cluster from cfg.
 func NewCluster(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
@@ -78,12 +93,14 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	nn := cfg.NumNodes()
 	c := &Cluster{
-		cfg:        cfg,
-		index:      newResidencyIndex(cfg.NumDevices, nn),
-		dirty:      newDirtySet(cfg.NumDevices),
-		linkClocks: make([]float64, nn),
-		p2pClocks:  make([]float64, nn),
-		numNodes:   nn,
+		cfg:      cfg,
+		index:    newResidencyIndex(cfg.NumDevices, nn),
+		dirty:    newDirtySet(cfg.NumDevices),
+		links:    make([]link, interChannel*nn+1),
+		numNodes: nn,
+	}
+	for i := range c.links {
+		c.links[i].ch = i / nn
 	}
 	for i := 0; i < cfg.NumDevices; i++ {
 		c.devices = append(c.devices, newDevice(i, c))
@@ -229,14 +246,7 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 		// peer fetch is disabled: stage through the host by paying one D2H
 		// write-back first.
 		src := c.devices[c.index.holders(r, slot).First()]
-		dur := float64(desc.Bytes()) / c.d2hBandwidth()
-		src.stats.TransferTime += c.hostLinkOccupy(src, dur)
-		src.stats.D2HBytes += desc.Bytes()
-		c.d2hBytes += desc.Bytes()
-		if c.observing() {
-			c.emit(obs.EventD2H, src.id, desc.ID, src.CopyClock()-dur, src.CopyClock(), desc.Bytes(), 0)
-		}
-		c.hostCopy(slot, desc, src.node)
+		src.stats.TransferTime += c.writeBack(src, desc, slot)
 	}
 	if peer == nil && c.numNodes > 1 && !c.index.hosts[slot].nodes.Has(d.node) {
 		// The host copy lives in another node's partition: ship it over
@@ -249,27 +259,22 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 	if err := c.alloc(d, desc); err != nil {
 		return 0, err
 	}
-	if peer != nil {
-		if peer.node == d.node {
-			// Intra-node P2P copies run on the node's inter-GPU fabric,
-			// shared by all of its pairs.
-			c.fabricTransfer(d, desc, obs.EventP2P, float64(desc.Bytes())/c.p2pBandwidth(), &c.p2pClocks[d.node])
-		} else {
-			// Cross-node peer copy: serialized on the inter-node fabric,
-			// charged at its bandwidth plus fixed latency.
-			c.interTransfer(d, desc)
-		}
-		d.stats.P2PBytes += desc.Bytes()
-		c.moveBytes += desc.Bytes()
-	} else {
-		dur := float64(desc.Bytes()) / c.h2dBandwidth()
-		d.stats.TransferTime += c.hostLinkOccupy(d, dur)
+	switch {
+	case peer == nil:
+		d.stats.TransferTime += c.transfer(d, c.linkOf(hostChannel, d.node), obs.EventH2D, desc, float64(desc.Bytes())/c.h2dBandwidth())
 		d.stats.H2DBytes += desc.Bytes()
-		c.moveBytes += desc.Bytes()
-		if c.observing() {
-			c.emit(obs.EventH2D, d.id, desc.ID, d.CopyClock()-dur, d.CopyClock(), desc.Bytes(), 0)
-		}
+	case peer.node == d.node:
+		// Intra-node P2P copies run on the node's inter-GPU fabric, shared
+		// by all of its pairs.
+		d.stats.TransferTime += c.transfer(d, c.linkOf(p2pChannel, d.node), obs.EventP2P, desc, float64(desc.Bytes())/c.p2pBandwidth())
+		d.stats.P2PBytes += desc.Bytes()
+	default:
+		// Cross-node peer copy: serialized on the inter-node fabric,
+		// charged at its bandwidth plus fixed latency.
+		c.interTransfer(d, desc)
+		d.stats.P2PBytes += desc.Bytes()
 	}
+	c.moveBytes += desc.Bytes()
 	d.stats.ColdMisses++
 	i := d.install(desc, false, slot)
 	b := &c.index.blocks[i]
@@ -282,51 +287,41 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 // node: fixed interconnect latency plus bytes at the (degradable)
 // inter-node bandwidth, on the single shared inter-node fabric.
 func (c *Cluster) interTransfer(d *Device, desc *tensor.Desc) {
-	c.fabricTransfer(d, desc, obs.EventInter, c.cfg.InterNodeLatency+float64(desc.Bytes())/c.interBandwidth(), &c.interClock)
+	dur := c.cfg.InterNodeLatency + float64(desc.Bytes())/c.interBandwidth()
+	d.stats.TransferTime += c.transfer(d, c.linkOf(interChannel, 0), obs.EventInter, desc, dur)
 	c.interBytes += desc.Bytes()
 }
 
-// fabricTransfer charges a copy of desc to device d that takes dur seconds
-// and serializes on a shared fabric, whose availability time is *clock: the
-// copy starts when both d's transfer queue and the fabric are free.
-func (c *Cluster) fabricTransfer(d *Device, desc *tensor.Desc, kind obs.EventKind, dur float64, clock *float64) {
-	queue := d.CopyClock()
-	start := max(queue, *clock)
-	end := start + dur
-	*clock = end
-	d.advanceTransferQueue(end - queue)
-	d.stats.TransferTime += end - queue
-	if s := c.sink; s != nil {
-		busy, stall := &s.p2pBusy, &s.p2pStall
-		if kind == obs.EventInter {
-			busy, stall = &s.interBusy, &s.interStall
-		}
-		busy.v += dur
-		stall.v += start - queue
-	}
-	if c.observing() {
-		c.emit(kind, d.id, desc.ID, start, end, desc.Bytes(), 0)
-	}
+// writeBack copies desc, slot's tensor, from device d into its node's host
+// partition and returns the elapsed queue time for the caller to charge.
+func (c *Cluster) writeBack(d *Device, desc *tensor.Desc, slot int32) float64 {
+	elapsed := c.transfer(d, c.linkOf(hostChannel, d.node), obs.EventD2H, desc, float64(desc.Bytes())/c.d2hBandwidth())
+	d.stats.D2HBytes += desc.Bytes()
+	c.d2hBytes += desc.Bytes()
+	c.hostCopy(slot, desc, d.node)
+	return elapsed
 }
 
-// hostLinkOccupy reserves device d's node's host link for dur seconds on
-// behalf of d's transfer queue: the transfer begins when both are free and
-// advances both to its completion. It returns the elapsed queue time,
-// stall included, which callers charge to the device's TransferTime.
-func (c *Cluster) hostLinkOccupy(d *Device, dur float64) float64 {
+// transfer is the one place a link is booked: a copy of desc by device d
+// holding link l for dur seconds, which moves d's transfer queue to its end.
+// It returns the elapsed queue time, stall included, for the caller to charge.
+func (c *Cluster) transfer(d *Device, l *link, kind obs.EventKind, desc *tensor.Desc, dur float64) float64 {
 	d.markDirty()
 	queue := d.CopyClock()
-	start := max(queue, c.linkClocks[d.node])
-	end := start + dur
+	start, end := l.occupy(queue, dur)
 	if c.cfg.AsyncCopy {
 		d.copyClock = end
 	} else {
 		d.clock = end
 	}
-	c.linkClocks[d.node] = end
-	if c.sink != nil {
-		c.sink.hostBusy.v += dur
-		c.sink.hostStall.v += start - queue
+	if s := c.sink; s != nil {
+		s.links[l.ch].busy.v += dur
+		s.links[l.ch].stall.v += start - queue
+	}
+	if c.observing() {
+		// The traced start is end − dur, which can sit an ulp off the booked
+		// start; the golden traces and report hashes pin this one.
+		c.emit(kind, d.id, desc.ID, end-dur, end, desc.Bytes(), 0)
 	}
 	return end - queue
 }
@@ -480,9 +475,10 @@ func (c *Cluster) Reset() {
 	clear(c.index.recs)
 	c.index.blocks, c.index.free = c.index.blocks[:1], 0
 	c.dirty.markAll()
-	clear(c.linkClocks)
-	clear(c.p2pClocks)
-	c.interClock, c.interBytes = 0, 0
+	for i := range c.links {
+		c.links[i].free = 0
+	}
+	c.interBytes = 0
 	c.moveBytes, c.d2hBytes, c.evictions = 0, 0, 0
 	c.traceEvents = c.traceEvents[:0]
 	c.bwFactor, c.transientLeft = 0, 0
@@ -503,8 +499,8 @@ func (c *Cluster) ChargeExternalTransfer(dev int, seconds float64) error {
 	if err != nil {
 		return err
 	}
-	if seconds < 0 {
-		return fmt.Errorf("gpusim: negative external transfer %v", seconds)
+	if !nonNegative(seconds) {
+		return fmt.Errorf("gpusim: external transfer %v must be non-negative and finite", seconds)
 	}
 	d.advanceTransferQueue(seconds)
 	d.stats.TransferTime += seconds

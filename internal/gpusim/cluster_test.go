@@ -3,9 +3,11 @@ package gpusim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"micco/internal/obs"
 	"micco/internal/tensor"
 )
 
@@ -558,36 +560,85 @@ func TestAsyncCopyClockAccessors(t *testing.T) {
 	}
 }
 
-func TestP2PFabricContention(t *testing.T) {
-	cfg := testConfig(3)
-	cfg.PeerFetch = true
-	c, _ := NewCluster(cfg)
-	d1, d2 := desc(1, 64, 1), desc(2, 64, 1)
-	c.RegisterHostTensor(d1)
-	c.RegisterHostTensor(d2)
-	// Seed device 0 with both tensors.
-	if err := c.EnsureResident(0, d1); err != nil {
-		t.Fatal(err)
+// TestLinkContention books two copies on each kind of shared channel —
+// node 0's host link, node 1's host link, a node's P2P fabric and the
+// inter-node interconnect — after traffic on another channel. The two
+// copies must queue back to back on their own channel and wait on no other,
+// the second copy's stall must land in that channel's series only, and
+// Reset must free every link: a second pass on the reset cluster repeats the
+// first exactly.
+func TestLinkContention(t *testing.T) {
+	cfg := testConfig(6)
+	cfg.NodeSize, cfg.PeerFetch, cfg.AllocLatency = 3, true, 0
+	cfg.InterNodeBandwidth, cfg.InterNodeLatency = 12e9, 5e-6
+	bg, t1, t2 := desc(10, 64, 1), desc(1, 64, 1), desc(2, 64, 1)
+	bytes := float64(t1.Bytes())
+	cases := []struct {
+		name         string
+		kind         obs.EventKind
+		ch           int
+		dur          float64
+		bgNode, bgOn int // bg's host partition, and the device that fetches it first
+		node         int // t1's and t2's host partition
+		peer         int // the device that fetches t1 and t2 after bg, or -1
+		a, b         int // the devices whose fetches of t1 and t2 are measured
+	}{
+		{"node0-host", obs.EventH2D, hostChannel, bytes / cfg.H2DBandwidth, 1, 3, 0, -1, 0, 1},
+		{"node1-host", obs.EventH2D, hostChannel, bytes / cfg.H2DBandwidth, 0, 0, 1, -1, 3, 4},
+		{"p2p", obs.EventP2P, p2pChannel, bytes / cfg.P2PBandwidth, 0, 0, 0, 0, 1, 2},
+		{"inter", obs.EventInter, interChannel, cfg.InterNodeLatency + bytes/cfg.InterNodeBandwidth, 0, 0, 0, -1, 3, 4},
 	}
-	if err := c.EnsureResident(0, d2); err != nil {
-		t.Fatal(err)
-	}
-	// Devices 1 and 2 both fetch via P2P; the second must queue behind
-	// the first on the shared fabric.
-	if err := c.EnsureResident(1, d1); err != nil {
-		t.Fatal(err)
-	}
-	before := c.Device(2).Clock()
-	if err := c.EnsureResident(2, d2); err != nil {
-		t.Fatal(err)
-	}
-	p2pDur := float64(d2.Bytes()) / cfg.P2PBandwidth
-	got := c.Device(2).Clock() - before - cfg.AllocLatency
-	if got < 2*p2pDur-1e-12 {
-		t.Errorf("second P2P copy took %v, want >= %v (fabric contention)", got, 2*p2pDur)
-	}
-	c.Reset()
-	if c.p2pClocks[0] != 0 {
-		t.Error("Reset should clear the fabric clock")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetch := func(dev int, d tensor.Desc) {
+				if err := c.EnsureResident(dev, d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for pass := 0; pass < 2; pass++ {
+				reg := obs.New()
+				c.SetObserver(reg)
+				c.StartTrace()
+				c.hostCopy(c.slot(bg.ID), &bg, tc.bgNode)
+				c.hostCopy(c.slot(t1.ID), &t1, tc.node)
+				c.hostCopy(c.slot(t2.ID), &t2, tc.node)
+				fetch(tc.bgOn, bg)
+				if tc.peer >= 0 {
+					fetch(tc.peer, t1)
+					fetch(tc.peer, t2)
+				}
+				fetch(tc.a, t1)
+				fetch(tc.b, t2)
+				c.SetObserver(nil) // publishes
+				var got [][2]float64
+				for _, e := range c.StopTrace() {
+					if e.Kind == tc.kind && e.Tensor != bg.ID {
+						got = append(got, [2]float64{e.Start, e.End})
+					}
+				}
+				if want := [][2]float64{{0, tc.dur}, {tc.dur, 2 * tc.dur}}; !reflect.DeepEqual(got, want) {
+					t.Errorf("pass %d: %v copies = %v, want back to back from zero %v", pass, tc.kind, got, want)
+				}
+				for ch, series := range linkSeries {
+					want := 0.0
+					if ch == tc.ch {
+						want = tc.dur
+					}
+					if v := reg.Counter(series.stall).Value(); v != want {
+						t.Errorf("pass %d: %s = %v, want %v", pass, series.stall, v, want)
+					}
+				}
+				c.Reset()
+				for i, l := range c.links {
+					if l.free != 0 {
+						t.Errorf("pass %d: Reset left link %d booked until %v", pass, i, l.free)
+					}
+				}
+			}
+		})
 	}
 }

@@ -5,23 +5,23 @@
 // memory-pool pressure with LRU eviction (including dirty write-back), and
 // kernel execution time derived from exact contraction FLOP counts.
 //
-// Timing model. Each device owns a scalar clock (its command queue). Every
-// operation scheduled on a device — allocation, transfer, eviction
-// write-back, kernel — advances that device's clock by the operation's
-// cost. All host traffic (H2D fetches, D2H write-backs and staging) from
-// every device additionally serializes on its node's shared host-link
-// clock, modeling the single-CPU fabric of the paper's testbed; a transfer
-// begins when both the device queue and the link are free. P2P copies
-// (when enabled) use a dedicated per-node inter-GPU fabric and bypass the
-// link; peers on different nodes copy over the inter-node interconnect
-// instead (see Config.NodeSize). Stage barriers synchronize all device
-// clocks to the maximum, matching the sequential-stage execution of the
-// paper's dependency-partitioned contraction graphs. The makespan is the
-// maximum clock, and throughput is total useful kernel FLOPs divided by
-// makespan.
+// Timing model. Each device has a compute queue and a copy queue, one and
+// the same unless Config.AsyncCopy gives it a copy engine; every operation
+// on a device advances one of them by its cost. Every copy also books one
+// shared link: its node's host link for H2D fetches and D2H write-backs,
+// modeling the single-CPU fabric of the paper's testbed; its node's
+// inter-GPU fabric for P2P copies; the inter-node interconnect for anything
+// that crosses nodes (see Config.NodeSize). A copy begins when both its
+// device's copy queue and the link are free, and moves both to its end.
+// Stage barriers synchronize all device queues to the maximum, matching the
+// paper's dependency-staged execution. The makespan is the latest queue,
+// and throughput is total useful kernel FLOPs divided by makespan.
 package gpusim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config describes the simulated cluster hardware.
 type Config struct {
@@ -151,20 +151,24 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "NumDevices", Reason: fmt.Sprintf("%d exceeds the %d-device simulator cap", c.NumDevices, MaxDevices)}
 	case c.MemoryBytes <= 0:
 		return &ConfigError{Field: "MemoryBytes", Reason: "must be positive"}
-	case c.FLOPS <= 0:
-		return &ConfigError{Field: "FLOPS", Reason: "must be positive"}
-	case c.H2DBandwidth <= 0 || c.D2HBandwidth <= 0 || c.P2PBandwidth <= 0:
-		return &ConfigError{Field: "Bandwidth", Reason: "all bandwidths must be positive"}
-	case c.KernelLaunch < 0 || c.AllocLatency < 0 || c.EvictLatency < 0:
-		return &ConfigError{Field: "Latency", Reason: "latencies must be non-negative"}
+	case !positive(c.FLOPS):
+		return &ConfigError{Field: "FLOPS", Reason: "must be positive and finite"}
+	case !positive(c.H2DBandwidth) || !positive(c.D2HBandwidth) || !positive(c.P2PBandwidth):
+		return &ConfigError{Field: "Bandwidth", Reason: "all bandwidths must be positive and finite"}
+	case !nonNegative(c.KernelLaunch) || !nonNegative(c.AllocLatency) || !nonNegative(c.EvictLatency):
+		return &ConfigError{Field: "Latency", Reason: "latencies must be non-negative and finite"}
 	case c.NodeSize < 0:
 		return &ConfigError{Field: "NodeSize", Reason: "must be non-negative"}
-	case c.NumNodes() > 1 && c.InterNodeBandwidth <= 0:
-		return &ConfigError{Field: "InterNodeBandwidth", Reason: "must be positive when the cluster spans multiple nodes"}
-	case c.InterNodeBandwidth < 0:
-		return &ConfigError{Field: "InterNodeBandwidth", Reason: "must be non-negative"}
-	case c.InterNodeLatency < 0:
-		return &ConfigError{Field: "InterNodeLatency", Reason: "must be non-negative"}
+	case c.NumNodes() > 1 && !positive(c.InterNodeBandwidth):
+		return &ConfigError{Field: "InterNodeBandwidth", Reason: "must be positive and finite when the cluster spans multiple nodes"}
+	case !nonNegative(c.InterNodeBandwidth):
+		return &ConfigError{Field: "InterNodeBandwidth", Reason: "must be non-negative and finite"}
+	case !nonNegative(c.InterNodeLatency):
+		return &ConfigError{Field: "InterNodeLatency", Reason: "must be non-negative and finite"}
 	}
 	return nil
 }
+
+// positive and nonNegative refuse NaN and ±Inf too: they would reach a clock.
+func positive(x float64) bool    { return x > 0 && x <= math.MaxFloat64 }
+func nonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }

@@ -263,14 +263,7 @@ func (d *Device) evictFor(size int64) error {
 		}
 		if victim.dirty {
 			// Dirty write-back occupies the node's shared host link.
-			dur := float64(victim.desc.Bytes()) / c.d2hBandwidth()
-			cost += c.hostLinkOccupy(d, dur)
-			d.stats.D2HBytes += victim.desc.Bytes()
-			c.d2hBytes += victim.desc.Bytes()
-			c.hostCopy(victim.slot, &victim.desc, d.node)
-			if c.observing() {
-				c.emit(obs.EventD2H, d.id, victim.desc.ID, d.CopyClock()-dur, d.CopyClock(), victim.desc.Bytes(), 0)
-			}
+			cost += c.writeBack(d, &victim.desc, victim.slot)
 		}
 		d.stats.EvictTime += cost
 		d.stats.Evictions++

@@ -6,8 +6,9 @@ package gpusim
 // the devices that moved instead of rescanning the cluster per placement.
 //
 // Marks are fed at the few places the keys are written: the queue-advance
-// helpers (advanceTransferQueue, hostLinkOccupy — which also charge the
-// *source* holder of a host-staged operand, not just the target device),
+// helpers (advanceTransferQueue, and transfer, the one link booking — whose
+// D2H write-back for a host-staged operand moves the *source* holder, not
+// just the target device),
 // Device.install/drop (every allocation, eviction, discard and device
 // loss), the kernel charge in ExecContraction, and the fault surface;
 // Barrier, BarrierAt and Reset (hence Restore) touch every device and mark

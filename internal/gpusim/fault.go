@@ -87,8 +87,8 @@ func (c *Cluster) devicesWhere(failed bool) DevSet {
 // flight are unaffected; the factor applies to durations charged from now
 // on.
 func (c *Cluster) DegradeLink(factor float64) error {
-	if factor <= 0 {
-		return fmt.Errorf("gpusim: link degrade factor %v must be positive", factor)
+	if !positive(factor) {
+		return fmt.Errorf("gpusim: link degrade factor %v must be positive and finite", factor)
 	}
 	c.bwFactor = factor
 	c.traceFault(-1, obs.FaultLinkDegrade, math.Float64bits(factor))

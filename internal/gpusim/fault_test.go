@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -163,6 +164,33 @@ func TestDegradeLinkScalesAllTransferPaths(t *testing.T) {
 	}
 	if err := c.DegradeLink(0); err == nil {
 		t.Error("DegradeLink(0) accepted")
+	}
+}
+
+// TestFaultSurfaceRefusesNonFinite checks that a link factor or an external
+// charge that is not a finite number is refused and leaves the cluster as it
+// was: a NaN reaching a device clock would hide it from Makespan.
+func TestFaultSurfaceRefusesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		call func(c *Cluster) error
+	}{
+		{"degrade-nan", func(c *Cluster) error { return c.DegradeLink(nan) }},
+		{"degrade-inf", func(c *Cluster) error { return c.DegradeLink(inf) }},
+		{"charge-nan", func(c *Cluster) error { return c.ChargeExternalTransfer(0, nan) }},
+		{"charge-inf", func(c *Cluster) error { return c.ChargeExternalTransfer(0, inf) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := NewCluster(testConfig(1))
+			if err := tc.call(c); err == nil {
+				t.Error("accepted")
+			}
+			if f, d := c.LinkFactor(), c.Device(0); f != 1 || d.Clock() != 0 || d.Stats().TransferTime != 0 {
+				t.Errorf("refused call changed the cluster: factor %v, clock %v, transfer time %v", f, d.Clock(), d.Stats().TransferTime)
+			}
+		})
 	}
 }
 

@@ -41,14 +41,10 @@ type obsSink struct {
 		lastDur            float64
 		lastBucket         int
 	}
-	// Shared-channel occupancy: the host links (all H2D/D2H traffic), the
-	// P2P fabrics, and the inter-node interconnect — busy seconds plus
-	// time transfers stalled waiting. Multi-node clusters aggregate all
-	// their per-node links into these counters.
-	hostBusy, hostStall   acc
-	p2pBusy, p2pStall     acc
-	interBusy, interStall acc
-	flops                 acc
+	// Shared-link occupancy per channel kind, every node's links summed:
+	// busy seconds plus time transfers stalled waiting.
+	links [len(linkSeries)]struct{ busy, stall acc }
+	flops acc
 	// memPeak[i] is device i's high-water gauge, raised to the device's
 	// own exact mark at every publish; pending counts events since then.
 	memPeak []*obs.Gauge
@@ -81,6 +77,13 @@ var memPeakSeries = func() (t [64]string) {
 	return
 }()
 
+// linkSeries names each channel kind's busy and stall counters.
+var linkSeries = [...]struct{ busy, stall string }{
+	hostChannel:  {"micco_sim_hostlink_busy_seconds_total", "micco_sim_hostlink_stall_seconds_total"},
+	p2pChannel:   {"micco_sim_p2plink_busy_seconds_total", "micco_sim_p2plink_stall_seconds_total"},
+	interChannel: {"micco_sim_interlink_busy_seconds_total", "micco_sim_interlink_stall_seconds_total"},
+}
+
 func memPeakName(i int) string {
 	return `micco_device_mem_peak_bytes{device="` + strconv.Itoa(i) + `"}`
 }
@@ -111,12 +114,10 @@ func (c *Cluster) SetObserver(r *obs.Registry) {
 		sk.buckets = make([]int64, sk.dur.Bucket(math.Inf(1))+1)
 		sk.lastBucket = sk.dur.Bucket(0) // lastDur's zero value
 	}
-	s.hostBusy.ctr = r.Counter("micco_sim_hostlink_busy_seconds_total")
-	s.hostStall.ctr = r.Counter("micco_sim_hostlink_stall_seconds_total")
-	s.p2pBusy.ctr = r.Counter("micco_sim_p2plink_busy_seconds_total")
-	s.p2pStall.ctr = r.Counter("micco_sim_p2plink_stall_seconds_total")
-	s.interBusy.ctr = r.Counter("micco_sim_interlink_busy_seconds_total")
-	s.interStall.ctr = r.Counter("micco_sim_interlink_stall_seconds_total")
+	for ch := range s.links {
+		s.links[ch].busy.ctr = r.Counter(linkSeries[ch].busy)
+		s.links[ch].stall.ctr = r.Counter(linkSeries[ch].stall)
+	}
 	s.flops.ctr = r.Counter("micco_sim_flops_total")
 	for i := range c.devices {
 		if i < len(memPeakSeries) {
@@ -175,9 +176,11 @@ func (s *obsSink) publish() {
 			k.busy.flush()
 		}
 	}
-	for _, a := range [...]*acc{&s.hostBusy, &s.hostStall, &s.p2pBusy, &s.p2pStall, &s.interBusy, &s.interStall, &s.flops} {
-		a.flush()
+	for ch := range s.links {
+		s.links[ch].busy.flush()
+		s.links[ch].stall.flush()
 	}
+	s.flops.flush()
 	for i, d := range s.devs {
 		s.memPeak[i].SetMax(float64(d.memPeak))
 	}

@@ -63,6 +63,15 @@ func TestConfigErrorsAreTyped(t *testing.T) {
 		{"negative-flops", func(c *Config) { c.FLOPS = -1 }, "FLOPS"},
 		{"zero-bandwidth", func(c *Config) { c.P2PBandwidth = 0 }, "Bandwidth"},
 		{"negative-latency", func(c *Config) { c.EvictLatency = -1 }, "Latency"},
+		{"nan-flops", func(c *Config) { c.FLOPS = math.NaN() }, "FLOPS"},
+		{"inf-flops", func(c *Config) { c.FLOPS = math.Inf(1) }, "FLOPS"},
+		{"nan-h2d-bandwidth", func(c *Config) { c.H2DBandwidth = math.NaN() }, "Bandwidth"},
+		{"inf-d2h-bandwidth", func(c *Config) { c.D2HBandwidth = math.Inf(1) }, "Bandwidth"},
+		{"nan-kernel-launch", func(c *Config) { c.KernelLaunch = math.NaN() }, "Latency"},
+		{"inf-alloc-latency", func(c *Config) { c.AllocLatency = math.Inf(1) }, "Latency"},
+		{"nan-inter-bandwidth", func(c *Config) { c.NodeSize = 2; c.InterNodeBandwidth = math.NaN() }, "InterNodeBandwidth"},
+		{"inf-inter-bandwidth", func(c *Config) { c.NodeSize = 2; c.InterNodeBandwidth = math.Inf(1) }, "InterNodeBandwidth"},
+		{"nan-inter-latency", func(c *Config) { c.NodeSize = 2; c.InterNodeBandwidth = 1e9; c.InterNodeLatency = math.NaN() }, "InterNodeLatency"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
