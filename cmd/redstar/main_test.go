@@ -19,6 +19,14 @@ var (
 	tinyModelErr  error
 )
 
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if tinyModelPath != "" {
+		os.Remove(tinyModelPath)
+	}
+	os.Exit(code)
+}
+
 // tinyModel trains and saves a small predictor once for all CLI tests, so
 // each test skips the full-corpus training that run() would do by default.
 func tinyModel(t *testing.T) string {
@@ -29,13 +37,15 @@ func tinyModel(t *testing.T) string {
 			tinyModelErr = err
 			return
 		}
-		tinyModelPath = filepath.Join(os.TempDir(), "micco-test-model.json")
-		f, err := os.Create(tinyModelPath)
+		// A name of this process's own: test binaries of this package that
+		// run at once must not write and read one file.
+		f, err := os.CreateTemp("", "micco-test-model-*.json")
 		if err != nil {
 			tinyModelErr = err
 			return
 		}
 		defer f.Close()
+		tinyModelPath = f.Name()
 		tinyModelErr = pred.Save(f)
 	})
 	if tinyModelErr != nil {

@@ -156,12 +156,9 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 		// Defensive fallback: with non-negative bounds and BalanceNum =
 		// ceil(numTensor/numGPU) at least one GPU is always below the
 		// step-III limit mid-stage, but guard against pathological bound
-		// settings and heavy recovery re-placement.
-		best := ctx.LeastLoaded(0, ctx.NumGPU)
-		if best < 0 {
-			best = 0 // no live device: unreachable, the engine errors first
-		}
-		s.candi = append(s.candi, best)
+		// settings and heavy recovery re-placement. Some device is live:
+		// the engine ends the run when the last one is lost.
+		s.candi = append(s.candi, ctx.LeastLoaded(0, ctx.NumGPU))
 	}
 
 	s.recordBound(ctx, boundIdx)

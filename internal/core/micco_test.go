@@ -242,6 +242,61 @@ func TestAssignEvictionSensitivePolicy(t *testing.T) {
 	}
 }
 
+// TestAssignStepIIIOversubscriptionVerdict: in step III the pair's need
+// bytes decide Algorithm 2's oversubscription verdict, on four-tensor pools
+// where it picks between the shorter queue (computation-centric) and the
+// most free memory (memory-eviction). A self-pair adds its operand once;
+// a device already holding an operand is lifted to its own projection,
+// every A holder and every B-only holder, whatever the IDs next to it hold.
+// Counting B twice, or leaving a holder at MemUsed, tips the verdict and
+// the device.
+func TestAssignStepIIIOversubscriptionVerdict(t *testing.T) {
+	type load struct {
+		id  uint64
+		dev int
+	}
+	// GPU 0 holds tensor 10 but is past step III's limit; GPU 1 holds 10
+	// and 11 and has the shorter queue; GPU 2 holds one tensor, 13 and 14
+	// having been copied after GPU 1's and discarded.
+	holders := []load{{10, 0}, {10, 1}, {11, 1}, {12, 2}, {13, 2}, {14, 2}}
+	cases := []struct {
+		name      string
+		bounds    Bounds
+		loads     []load
+		balance   int
+		stageLoad []int
+		p         workload.Pair
+		want      int
+	}{
+		{"self-pair counts its operand once", Bounds{}, []load{{1, 0}, {2, 0}, {3, 1}, {13, 1}, {14, 1}}, 4, []int{0, 0}, pair(80, 80, 100), 0},
+		{"an A holder is lifted", Bounds{1, 0, 1}, holders, 1, []int{2, 1, 1}, pair(10, 50, 100), 1},
+		{"a B-only holder is lifted", Bounds{1, 0, 1}, holders, 1, []int{2, 1, 1}, pair(50, 10, 100), 1},
+	}
+	for _, tc := range cases {
+		cfg := gpusim.MI100(len(tc.stageLoad))
+		cfg.MemoryBytes = 4 * d(0).Bytes()
+		c, err := gpusim.NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range tc.loads {
+			c.RegisterHostTensor(d(l.id))
+			if err := c.EnsureResident(l.dev, d(l.id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.DiscardDeviceCopies(13)
+		c.DiscardDeviceCopies(14)
+		ctx := freshCtx(c)
+		ctx.BalanceNum, ctx.StageLoad = tc.balance, tc.stageLoad
+		s := NewFixed(tc.bounds)
+		s.BeginStage(ctx)
+		if got := s.Assign(tc.p, ctx); got != tc.want {
+			t.Errorf("%s: placed on %d, want %d (no oversubscription, shorter queue)", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestSchedulerNames(t *testing.T) {
 	if NewNaive().Name() != "MICCO-naive" {
 		t.Error("naive name")

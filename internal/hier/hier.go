@@ -200,10 +200,9 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 	dev := s.pickDevice(node, p, ctx, ma, mb)
 	if dev < 0 {
 		// The chosen node has no live device: global fallback to the
-		// least-loaded live device anywhere.
-		if dev = ctx.LeastLoaded(0, s.numGPU); dev < 0 {
-			dev = 0 // no live device: unreachable, the engine errors first
-		}
+		// least-loaded live device anywhere. Some device is live: the
+		// engine ends the run when the last one is lost.
+		dev = ctx.LeastLoaded(0, s.numGPU)
 	}
 	s.addLoad(dev / s.nodeSize)
 	if rec := ctx.Decision; rec != nil {

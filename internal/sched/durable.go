@@ -160,7 +160,7 @@ func (d *checkpointData) validate() error {
 		}
 		p.Events[i], at = r.Event, r.At
 	}
-	return p.Validate(d.Config.NumDevices)
+	return validatePlan(&p, d.Config)
 }
 
 // CheckpointPath returns the canonical durable-checkpoint path for a

@@ -203,6 +203,11 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 		"a loss at the log's end": func(p map[string]any) {
 			p["faults"] = []any{event(len(p["placements"].([]any)), "device-loss", 0)}
 		},
+		"a shrink to no byte": func(p map[string]any) {
+			shrink := event(0, "mem-shrink", 0)
+			shrink["factor"] = 1e-12
+			p["faults"] = []any{shrink}
+		},
 	} {
 		check(name, edited(edit), sched.ErrCheckpointCorrupt)
 	}

@@ -224,6 +224,26 @@ func (e *engine) fire(si, pi int) error {
 	return nil
 }
 
+// validatePlan checks p against a cluster of cfg's shape: p.Validate, and
+// no mem-shrink that would leave a device no whole byte. Run's plan and a
+// decoded checkpoint's fault log both go through it.
+func validatePlan(p *fault.Plan, cfg gpusim.Config) error {
+	if err := p.Validate(cfg.NumDevices); err != nil {
+		return err
+	}
+	for i, ev := range p.Events {
+		if ev.Kind == fault.MemShrink && shrunkBytes(ev.Factor, cfg) <= 0 {
+			return fmt.Errorf("%w: event %d: mem-shrink factor %v leaves none of %d bytes", fault.ErrInvalidPlan, i, ev.Factor, cfg.MemoryBytes)
+		}
+	}
+	return nil
+}
+
+// shrunkBytes is the capacity a mem-shrink by factor leaves a device of cfg.
+func shrunkBytes(factor float64, cfg gpusim.Config) int64 {
+	return int64(factor * float64(cfg.MemoryBytes))
+}
+
 // apply performs one fault event against the cluster and runs any recovery
 // it requires.
 func (e *engine) apply(ev fault.Event, si, pi int) error {
@@ -252,8 +272,7 @@ func (e *engine) apply(ev fault.Event, si, pi int) error {
 		return e.c.DegradeLink(ev.Factor)
 	case fault.MemShrink:
 		before := e.c.TotalStats()
-		capacity := int64(ev.Factor * float64(e.c.Config().MemoryBytes))
-		if err := e.c.SetMemoryCapacity(ev.Device, capacity); err != nil {
+		if err := e.c.SetMemoryCapacity(ev.Device, shrunkBytes(ev.Factor, e.c.Config())); err != nil {
 			return err
 		}
 		// Shrink-forced evictions and write-backs happen outside any

@@ -696,7 +696,7 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 		return nil, err
 	}
 	if opts.FaultPlan != nil {
-		if err := opts.FaultPlan.Validate(n); err != nil {
+		if err := validatePlan(opts.FaultPlan, c.Config()); err != nil {
 			return nil, err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"io/fs"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -126,8 +127,8 @@ func TestMisuseReturnsTypedErrors(t *testing.T) {
 				return err
 			}
 			naive, err := micco.Run(bg, w, micco.NewMICCONaive(), cluster(), micco.RunOptions{RecordAssignments: true})
-			if err == nil && got.Makespan != naive.Makespan {
-				t.Errorf("makespan %v, MICCO-naive's %v: a nil predictor must keep the bounds at zero", got.Makespan, naive.Makespan)
+			if err == nil && !reflect.DeepEqual(got.Assignments, naive.Assignments) {
+				t.Errorf("placements %v, MICCO-naive's %v: a nil predictor must keep the bounds at zero and draw the same ties", got.Assignments, naive.Assignments)
 			}
 			return err
 		}, nil},
@@ -179,6 +180,9 @@ func TestMisuseReturnsTypedErrors(t *testing.T) {
 		}, fault.ErrInvalidPlan},
 		{"Run(fault plan shrinking memory by 1.5)", func(*testing.T) error {
 			return runPlan(&micco.FaultPlan{Events: []micco.FaultEvent{{Kind: fault.MemShrink, Factor: 1.5}}})
+		}, fault.ErrInvalidPlan},
+		{"Run(fault plan shrinking memory to no whole byte)", func(*testing.T) error {
+			return runPlan(&micco.FaultPlan{Events: []micco.FaultEvent{{Kind: fault.MemShrink, Factor: 1e-12}}})
 		}, fault.ErrInvalidPlan},
 		{"Run(fault plan with a negative retry budget)", func(*testing.T) error {
 			return runPlan(&micco.FaultPlan{Retry: &micco.FaultRetry{Max: -1, BaseSeconds: 1e-3, CapSeconds: 1e-3}})
