@@ -9,7 +9,9 @@ import "fmt"
 // on one LRU list and its tensor's copy chain, or on the free list; a
 // record's holder set is the devices on its chain, and one that holds
 // nothing is the zero record; a host copy is of its slot's tensor, on no
-// node set where there is one node; the
+// node set where there is one node; every run of the run slab is freed or
+// one set's, its members past the inline word strictly ascending below the
+// device (or node) count, and the runs tile the slab without overlap; the
 // id↔slot table, where an ID-keyed call has built it, is a bijection over
 // the records that hold anything (Audit does not build it); the running
 // movement totals are the device sums. It is the tests' structural oracle
@@ -48,12 +50,55 @@ func (c *Cluster) Audit() error {
 		state[i], freeBlocks = freed, freeBlocks+1
 	}
 	if listedBlocks+freeBlocks != len(ri.blocks)-1 || len(c.ids) != len(ri.recs) || len(ri.hosts) != len(ri.recs) ||
-		len(ri.words) != len(ri.recs)*ri.per {
-		return bad("%d listed + %d free blocks of %d; %d numbered tensors, %d records, %d host records, %d words",
-			listedBlocks, freeBlocks, len(ri.blocks)-1, len(c.ids), len(ri.recs), len(ri.hosts), len(ri.words))
+		len(ri.held) != len(ri.recs) {
+		return bad("%d listed + %d free blocks of %d; %d numbered tensors, %d records, %d host records, %d run refs",
+			listedBlocks, freeBlocks, len(ri.blocks)-1, len(c.ids), len(ri.recs), len(ri.hosts), len(ri.held))
+	}
+	// owned marks the slab entries of the runs met so far, live or freed,
+	// claimed counts them: the runs must tile the slab.
+	owned, claimed := make([]bool, len(ri.slab)), 0
+	claim := func(off uint32, k int) bool {
+		end := int(off) + 1<<k
+		if end > len(owned) {
+			return false
+		}
+		for i := off; int(i) < end; i++ {
+			if owned[i] {
+				return false
+			}
+			owned[i] = true
+		}
+		claimed += 1 << k
+		return true
+	}
+	for k, offs := range ri.freed {
+		for _, off := range offs {
+			if !claim(off, k) {
+				return bad("freed run %d of class %d overlaps another or leaves the slab of %d", off, k, len(ri.slab))
+			}
+		}
+	}
+	// liveRun checks the run of a set with members past the inline word
+	// below limit: its own entries, ascending, in range.
+	liveRun := func(r runRef, limit int) bool {
+		if r.n == 0 || int(r.n) > 1<<r.class || !claim(r.off, int(r.class)) {
+			return false
+		}
+		m, prev := ri.run(r), InlineDevices-1
+		for _, d := range m {
+			if int(d) <= prev || int(d) >= limit {
+				return false
+			}
+			prev = int(d)
+		}
+		return true
 	}
 	for s := range ri.recs {
 		r, id := &ri.recs[s], c.ids[s]
+		if r.spilled && !liveRun(ri.held[s], len(c.devices)) {
+			return bad("tensor %d (slot %d): holder run %+v is not its own ascending list of devices in [%d, %d)",
+				id, s, ri.held[s], InlineDevices, len(c.devices))
+		}
 		holders := ri.holders(r, int32(s))
 		var chain DevSet
 		for i := r.head; i != 0; i = ri.blocks[i].chain {
@@ -61,21 +106,26 @@ func (c *Cluster) Audit() error {
 			if state[i] != listed || int(b.slot) != s || b.desc.ID != id {
 				return bad("tensor %d (slot %d): chain block %d misplaced: %+v", id, s, i, *b)
 			}
-			state[i], chain, listedBlocks = chained, chain.with(int(b.dev), ri.restWords), listedBlocks-1
+			state[i], chain, listedBlocks = chained, chain.with(int(b.dev)), listedBlocks-1
 		}
-		if !chain.Equal(holders) || holders.Empty() && r.spilled {
+		if !chain.Equal(holders) || r.spilled != (len(chain.far) > 0) {
 			return bad("tensor %d (slot %d): copy chain on %v, holders %v, record %+v",
 				id, s, chain.AppendTo(nil), holders.AppendTo(nil), *r)
 		}
 		if r.head == 0 && !r.onHost {
 			continue
 		}
-		if h := &ri.hosts[s]; r.onHost && (h.desc.ID != id || c.numNodes == 1 && !h.nodes.Empty()) {
-			return bad("tensor %d in slot %d: host copy is of %d on nodes %v", id, s, h.desc.ID, h.nodes.AppendTo(nil))
+		if h := &ri.hosts[s]; r.onHost && (h.desc.ID != id || c.numNodes == 1 && h.nodes != 0 ||
+			h.far.n > 0 && !liveRun(h.far, c.numNodes)) {
+			return bad("tensor %d in slot %d: host copy is of %d on nodes %#x and run %+v of %d nodes",
+				id, s, h.desc.ID, h.nodes, h.far, c.numNodes)
 		}
 		if back, ok := c.slots[id]; c.slotsBuilt && (!ok || int(back) != s) {
 			return bad("tensor %d in slot %d: table says slot %d (%v)", id, s, back, ok)
 		}
+	}
+	if claimed != len(ri.slab) {
+		return bad("%d of %d slab entries are in no live or freed run", len(ri.slab)-claimed, len(ri.slab))
 	}
 	if listedBlocks != 0 || move != c.moveBytes || d2h != c.d2hBytes || evict != c.evictions {
 		return bad("%d listed blocks on no copy chain; MoveStats (%d, %d, %d), devices sum to (%d, %d, %d)",

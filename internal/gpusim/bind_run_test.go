@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"micco/internal/baseline"
+	"micco/internal/core"
 	"micco/internal/fault"
 	"micco/internal/gpusim"
 	"micco/internal/sched"
@@ -60,5 +61,37 @@ func TestRunBuildsNoSlotTable(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestIndexFootprintPerSlot runs a workload of the ladder's sched_scale
+// shape — four stages of 4096 pairs, about 37 000 tensor slots — once under
+// MICCO on its 512×8 cluster, and bounds what the residency index keeps per
+// slot. Holder sets there never reach more than a handful of the 4096
+// devices; an index that reserved room for every device past the inline
+// word would keep 640 bytes a slot.
+func TestIndexFootprintPerSlot(t *testing.T) {
+	w, err := workload.Generate(workload.Config{
+		Seed: 2022, Stages: 4, VectorSize: 4096, TensorDim: 384, Batch: 8,
+		Rank: tensor.RankMeson, RepeatRate: 0.5, Dist: workload.Gaussian, ChainRate: 0.3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := gpusim.NewCluster(gpusim.MI100Nodes(512, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sched.Run(context.Background(), w, core.NewFixed(core.Bounds{0, 2, 0}), c, sched.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	slots := len(w.TensorIDs())
+	if got := c.IndexBytesPerSlot(); slots < 30000 || got > 128 {
+		t.Errorf("%d slots: the residency index keeps %.1f bytes a slot, want at most 128", slots, got)
+	} else {
+		t.Logf("%d slots: %.1f bytes a slot", slots, got)
 	}
 }

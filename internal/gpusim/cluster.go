@@ -94,7 +94,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	nn := cfg.NumNodes()
 	c := &Cluster{
 		cfg:      cfg,
-		index:    newResidencyIndex(cfg.NumDevices, nn),
+		index:    newResidencyIndex(),
 		dirty:    newDirtySet(cfg.NumDevices),
 		links:    make([]link, interChannel*nn+1),
 		numNodes: nn,
@@ -153,11 +153,11 @@ func (c *Cluster) HostHoldsAt(slot int) bool { return c.index.recs[slot].onHost 
 func (c *Cluster) hostCopy(slot int32, desc *tensor.Desc, n int) {
 	r, h := &c.index.recs[slot], &c.index.hosts[slot]
 	if !r.onHost {
-		r.onHost, h.nodes = true, DevSet{}
+		r.onHost, h.nodes, h.far = true, 0, runRef{}
 	}
 	h.desc = *desc
 	if c.numNodes > 1 {
-		c.index.hostOn(h, slot, n)
+		c.index.hostOn(h, n)
 	}
 }
 
@@ -248,13 +248,13 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 		src := c.devices[c.index.holders(r, slot).First()]
 		src.stats.TransferTime += c.writeBack(src, desc, slot)
 	}
-	if peer == nil && c.numNodes > 1 && !c.index.hosts[slot].nodes.Has(d.node) {
+	if h := &c.index.hosts[slot]; peer == nil && c.numNodes > 1 && !c.index.hostNodes(h).Has(d.node) {
 		// The host copy lives in another node's partition: ship it over
 		// the inter-node interconnect into this node's partition first,
 		// then fetch locally. The copy stays cached node-side, so repeat
 		// misses on this node pay only the local H2D.
 		c.interTransfer(d, desc)
-		c.index.hostOn(&c.index.hosts[slot], slot, d.node)
+		c.index.hostOn(h, d.node)
 	}
 	if err := c.alloc(d, desc); err != nil {
 		return 0, err
@@ -413,7 +413,13 @@ func (c *Cluster) Discard(id uint64) {
 // DiscardAt is Discard for the tensor in slot (see BindTensors).
 func (c *Cluster) DiscardAt(slot int) {
 	c.discardCopies(int32(slot))
-	c.index.recs[slot].onHost = false
+	ri := c.index
+	if r := &ri.recs[slot]; r.onHost {
+		if h := &ri.hosts[slot]; h.far.n > 0 {
+			ri.release(h.far)
+		}
+		r.onHost = false
+	}
 }
 
 // Barrier synchronizes all device queues to the maximum, modeling the
@@ -470,10 +476,8 @@ func (c *Cluster) Reset() {
 		d.reset()
 	}
 	// Devices skip per-tensor index updates during reset: clearing the
-	// records and rewinding the slab replaces a drop per resident block.
-	// The host records go unread until hostCopy resets them.
-	clear(c.index.recs)
-	c.index.blocks, c.index.free = c.index.blocks[:1], 0
+	// records and rewinding the slabs replaces a drop per resident block.
+	c.index.reset()
 	c.dirty.markAll()
 	for i := range c.links {
 		c.links[i].free = 0

@@ -1,6 +1,9 @@
 package gpusim
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // InlineDevices is the width of DevSet's inline fast path: sets whose
 // members are all below this bound live in a single machine word with no
@@ -14,101 +17,103 @@ const InlineDevices = 64
 // (Before topology API v2 this constant was 64 and a hard residency-index
 // ceiling; the one-word representation survives as DevSet's inline fast
 // path.) It also keeps every device index inside the int32 an obs.Event
-// stores: Validate rejects a larger count, so no index is truncated.
+// stores and the uint16 a DevSet lists a far member in: Validate rejects a
+// larger count, so no index is truncated.
 const MaxDevices = 1 << 16
 
-// The conversion fails to compile if MaxDevices outgrows obs.Event.Device.
-const _ int32 = MaxDevices
+// The conversions fail to compile if MaxDevices outgrows obs.Event.Device
+// or a far member.
+const (
+	_ int32  = MaxDevices
+	_ uint16 = MaxDevices - 1
+)
 
-// DevSet is a set of device IDs: a variable-width bitset with bit i set
-// when device i is a member. It is the unit of the cluster's constant-time
-// residency index — schedulers classify reuse patterns and probe holder
-// sets with word operations instead of scanning per-device residency maps.
+// DevSet is a set of device IDs. It is the unit of the cluster's residency
+// index — schedulers classify reuse patterns and probe holder sets with
+// word operations and short searches instead of scanning per-device
+// residency maps.
 //
-// Representation. Members below InlineDevices (64) live in an inline word;
-// members at 64 and above spill into a heap word slice sized for the
-// cluster. A set never touching device 64+ never allocates, regardless of
-// cluster size, so the ≤64-device hot path — and sparse holder sets of
-// low-numbered devices on huge clusters — stay allocation-free. The zero
-// value is the empty set.
+// Representation. Members below InlineDevices (64) are bits of an inline
+// word; members at 64 and above, the far members, are listed in ascending
+// order as uint16s. A set costs what it holds, not what the cluster could
+// hold: a holder set of six devices on 4 096 is a word and six entries. A
+// set never touching device 64+ has no list, so the ≤64-device hot path —
+// and sparse sets of low-numbered devices on huge clusters — never
+// allocate. The zero value is the empty set.
 //
-// Value semantics. DevSet values returned by query APIs (HoldersMask,
-// FailedMask, ...) are read-only views: the spill words may alias index
+// Value semantics. DevSet values returned by query APIs (HoldersAt,
+// FailedMask, ...) are read-only views: the far list may alias index
 // storage, so they are valid until the next cluster mutation and must not
-// be written through. All DevSet methods are pure.
+// be written through. Index views are capped at their length, so with
+// copies rather than writes into the index. All DevSet methods are pure.
 //
 // Comparison. DevSet is not ==-comparable (it carries a slice); use Equal.
 type DevSet struct {
-	w0   uint64
-	rest []uint64 // words 1..; bit j of rest[k] is device 64*(k+1)+j
+	w0  uint64
+	far []uint16 // members ≥ InlineDevices, strictly ascending
 }
 
-// DevSetOf returns the set of the given device IDs. Intended for tests and
-// configuration code; the spill slice, when needed, is sized to the
-// largest member.
+// DevSetOf returns the set of the given device IDs, which must be in
+// [0, MaxDevices). Intended for tests and configuration code.
 func DevSetOf(devs ...int) DevSet {
 	var s DevSet
 	for _, d := range devs {
-		s = s.with(d, 0)
+		s = s.with(d)
 	}
 	return s
 }
 
-// with returns s ∪ {dev}. restWords, when positive, sizes a fresh spill
-// allocation (clusters pass their word count so all spills share one
-// length); zero sizes it to fit dev.
-func (s DevSet) with(dev int, restWords int) DevSet {
+// with returns s ∪ {dev}. A member past the last is appended, so a set
+// built in ascending order grows as a slice does; one inside the list is
+// inserted into a copy, leaving s's list as it was.
+func (s DevSet) with(dev int) DevSet {
 	if dev < InlineDevices {
 		s.w0 |= 1 << uint(dev)
 		return s
 	}
-	w := (dev - InlineDevices) >> 6
-	if w >= len(s.rest) {
-		n := restWords
-		if n <= w {
-			n = w + 1
-		}
-		grown := make([]uint64, n)
-		copy(grown, s.rest)
-		s.rest = grown
+	i := search(s.far, dev)
+	switch {
+	case i == len(s.far):
+		s.far = append(s.far, uint16(dev))
+	case int(s.far[i]) != dev:
+		far := make([]uint16, len(s.far)+1)
+		copy(far, s.far[:i])
+		far[i] = uint16(dev)
+		copy(far[i+1:], s.far[i:])
+		s.far = far
 	}
-	s.rest[w] |= 1 << uint(dev&63)
 	return s
 }
 
-// Empty reports whether the set has no members.
-func (s DevSet) Empty() bool {
-	if s.w0 != 0 {
-		return false
-	}
-	for _, w := range s.rest {
-		if w != 0 {
-			return false
+// search returns the index of the first far member ≥ dev: len(far) when
+// there is none.
+func search(far []uint16, dev int) int {
+	lo, hi := 0, len(far)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(far[m]) < dev {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return true
+	return lo
 }
+
+// Empty reports whether the set has no members.
+func (s DevSet) Empty() bool { return s.w0 == 0 && len(s.far) == 0 }
 
 // Has reports whether device dev is in the set.
 func (s DevSet) Has(dev int) bool {
 	if uint(dev) < InlineDevices {
 		return s.w0&(1<<uint(dev)) != 0
 	}
-	if dev < 0 {
-		return false
-	}
-	w := (dev - InlineDevices) >> 6
-	return w < len(s.rest) && s.rest[w]&(1<<uint(dev&63)) != 0
+	i := search(s.far, dev)
+	return i < len(s.far) && int(s.far[i]) == dev
 }
 
 // Count returns the number of devices in the set.
-func (s DevSet) Count() int {
-	n := bits.OnesCount64(s.w0)
-	for _, w := range s.rest {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
+func (s DevSet) Count() int { return bits.OnesCount64(s.w0) + len(s.far) }
 
 // First returns the lowest device ID in the set, or -1 when empty. Holder
 // sets enumerate in ascending device order, matching the scan order of the
@@ -117,10 +122,8 @@ func (s DevSet) First() int {
 	if s.w0 != 0 {
 		return bits.TrailingZeros64(s.w0)
 	}
-	for k, w := range s.rest {
-		if w != 0 {
-			return InlineDevices + k<<6 + bits.TrailingZeros64(w)
-		}
+	if len(s.far) > 0 {
+		return int(s.far[0])
 	}
 	return -1
 }
@@ -140,19 +143,9 @@ func (s DevSet) NextFrom(from int) int {
 		if w := s.w0 >> uint(from); w != 0 {
 			return from + bits.TrailingZeros64(w)
 		}
-		from = InlineDevices
 	}
-	k := (from - InlineDevices) >> 6
-	if k >= len(s.rest) {
-		return -1
-	}
-	if w := s.rest[k] >> uint(from&63); w != 0 {
-		return from + bits.TrailingZeros64(w)
-	}
-	for k++; k < len(s.rest); k++ {
-		if w := s.rest[k]; w != 0 {
-			return InlineDevices + k<<6 + bits.TrailingZeros64(w)
-		}
+	if i := search(s.far, from); i < len(s.far) {
+		return int(s.far[i])
 	}
 	return -1
 }
@@ -163,64 +156,37 @@ func (s DevSet) AppendTo(buf []int) []int {
 	for w := s.w0; w != 0; w &= w - 1 {
 		buf = append(buf, bits.TrailingZeros64(w))
 	}
-	for k, rw := range s.rest {
-		base := InlineDevices + k<<6
-		for w := rw; w != 0; w &= w - 1 {
-			buf = append(buf, base+bits.TrailingZeros64(w))
-		}
+	for _, d := range s.far {
+		buf = append(buf, int(d))
 	}
 	return buf
 }
 
 // Intersects reports whether the sets share a member, without
-// materializing the intersection.
+// materializing the intersection: it walks the shorter far list and
+// searches the rest of the longer one for each member in turn.
 func (s DevSet) Intersects(o DevSet) bool {
 	if s.w0&o.w0 != 0 {
 		return true
 	}
-	n := len(s.rest)
-	if len(o.rest) < n {
-		n = len(o.rest)
+	short, long := s.far, o.far
+	if len(long) < len(short) {
+		short, long = long, short
 	}
-	for k := 0; k < n; k++ {
-		if s.rest[k]&o.rest[k] != 0 {
+	for _, d := range short {
+		i := search(long, int(d))
+		if i == len(long) {
+			return false
+		}
+		if long[i] == d {
 			return true
 		}
+		long = long[i:]
 	}
 	return false
 }
 
-// Equal reports whether the sets have identical membership (spill words
-// beyond the shorter set count as absent members, so differently sized
-// backing slices with equal content compare equal).
+// Equal reports whether the sets have identical membership.
 func (s DevSet) Equal(o DevSet) bool {
-	if s.w0 != o.w0 {
-		return false
-	}
-	long, short := s.rest, o.rest
-	if len(long) < len(short) {
-		long, short = short, long
-	}
-	for k, w := range long {
-		var ow uint64
-		if k < len(short) {
-			ow = short[k]
-		}
-		if w != ow {
-			return false
-		}
-	}
-	return true
-}
-
-// Word returns the i-th 64-bit word of the set (word 0 covers devices
-// 0-63); words beyond the backing storage are zero.
-func (s DevSet) Word(i int) uint64 {
-	if i == 0 {
-		return s.w0
-	}
-	if i-1 < len(s.rest) {
-		return s.rest[i-1]
-	}
-	return 0
+	return s.w0 == o.w0 && slices.Equal(s.far, o.far)
 }

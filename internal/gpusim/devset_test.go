@@ -1,14 +1,18 @@
 package gpusim
 
 import (
+	"maps"
 	"math/bits"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
 // TestDevSetWordBoundaries exercises every DevSet query at the seams of the
-// representation: the last inline bit (63), the first spill bit (64), the
-// first odd spill bit (65), and the seam between spill words (127/128).
+// representation: the last inline bit (63), the first far member (64), the
+// first odd one (65), and 127/128, once the seam between spill words.
 func TestDevSetWordBoundaries(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -76,8 +80,8 @@ func TestDevSetWordBoundaries(t *testing.T) {
 }
 
 // TestDevSetNextFromSeams probes NextFrom with from-values at and across
-// the word seams, including starting points inside gaps and beyond the
-// backing storage.
+// the inline seam, including starting points inside gaps and beyond the
+// last member.
 func TestDevSetNextFromSeams(t *testing.T) {
 	s := DevSetOf(5, 63, 65, 128)
 	cases := []struct{ from, want int }{
@@ -86,12 +90,12 @@ func TestDevSetNextFromSeams(t *testing.T) {
 		{5, 5},
 		{6, 63},
 		{63, 63},
-		{64, 65},  // crossing into the first spill word
-		{65, 65},  // exact hit on a spill member
-		{66, 128}, // crossing between spill words
+		{64, 65},  // crossing into the far list
+		{65, 65},  // exact hit on a far member
+		{66, 128}, // in the gap between far members
 		{128, 128},
 		{129, -1}, // past the last member
-		{512, -1}, // far beyond the backing storage
+		{512, -1}, // far beyond it
 	}
 	for _, tc := range cases {
 		if got := s.NextFrom(tc.from); got != tc.want {
@@ -101,7 +105,7 @@ func TestDevSetNextFromSeams(t *testing.T) {
 }
 
 // TestDevSetEqualIntersectsWidths checks Equal and Intersects across sets
-// whose backing storage differs in width: absent spill words count as zero.
+// whose far lists differ in backing: an emptied list is no list.
 func TestDevSetEqualIntersectsWidths(t *testing.T) {
 	narrow := DevSetOf(3, 63)
 	wide := DevSetOf(3, 63, 200).without(200) // same members, wider backing
@@ -129,28 +133,22 @@ func TestDevSetEqualIntersectsWidths(t *testing.T) {
 	}
 }
 
-// TestDevSetWordAndInlineMask covers the raw-word accessor at the seams:
-// the inline word, the spill words, and past the backing storage.
-func TestDevSetWordAndInlineMask(t *testing.T) {
-	s := DevSetOf(0, 63, 64, 129)
-	if got := s.Word(0); got != 1|1<<63 {
-		t.Errorf("Word(0) = %#x, want %#x", got, uint64(1|1<<63))
+// TestDevSetInlineWordAndFarList pins the representation at the seams:
+// members 0-63 are bits of the inline word, the rest an ascending list in
+// which each member appears once, and a set below 64 has no list at all.
+func TestDevSetInlineWordAndFarList(t *testing.T) {
+	s := DevSetOf(129, 0, 64, 63, 4095, 129)
+	if s.w0 != 1|1<<63 {
+		t.Errorf("inline word = %#x, want %#x", s.w0, uint64(1|1<<63))
 	}
-	if got := s.Word(1); got != 1 {
-		t.Errorf("Word(1) = %#x, want 1", got)
+	if want := []uint16{64, 129, 4095}; !reflect.DeepEqual(s.far, want) {
+		t.Errorf("far list = %v, want %v", s.far, want)
 	}
-	if got := s.Word(2); got != 2 {
-		t.Errorf("Word(2) = %#x, want 2", got)
+	if inline := DevSetOf(2, 63); inline.w0 != 1<<2|1<<63 || inline.far != nil {
+		t.Errorf("inline set = %#x, far %v; want %#x and no list", inline.w0, inline.far, uint64(1<<2|1<<63))
 	}
-	if got := s.Word(9); got != 0 {
-		t.Errorf("Word(9) = %#x, want 0 beyond backing storage", got)
-	}
-	inline := DevSetOf(2, 63)
-	if got := inline.Word(0); got != 1<<2|1<<63 {
-		t.Errorf("inline Word(0) = %#x, want %#x", got, uint64(1<<2|1<<63))
-	}
-	if got := inline.Word(1); got != 0 {
-		t.Errorf("inline Word(1) = %#x, want 0: the set has no spill", got)
+	if top := DevSetOf(MaxDevices - 1); !reflect.DeepEqual(top.far, []uint16{MaxDevices - 1}) || !top.Has(MaxDevices-1) || top.Has(MaxDevices) {
+		t.Errorf("the last device is listed as %v", top.far)
 	}
 }
 
@@ -161,7 +159,7 @@ func TestDevSetInlineAllocFree(t *testing.T) {
 	o := DevSetOf(40, 50)
 	buf := make([]int, 0, 8)
 	avg := testing.AllocsPerRun(1000, func() {
-		w := s.with(17, 0).without(17)
+		w := s.with(17).without(17)
 		for d := w.First(); d >= 0; d = w.NextFrom(d + 1) {
 			_ = d
 		}
@@ -239,16 +237,154 @@ func TestDevSetOneWordMatchesDeviceMask(t *testing.T) {
 	}
 }
 
-// without returns s with dev removed, modifying the spill slice in place
-// when present: with's inverse, which only the tests need (the index
-// removes a holder through residencyIndex.leave).
+// without returns s with dev removed, leaving s's list as it was: with's
+// inverse, which only the tests need (the index removes a holder through
+// residencyIndex.leave).
 func (s DevSet) without(dev int) DevSet {
 	if dev < InlineDevices {
 		s.w0 &^= 1 << uint(dev)
 		return s
 	}
-	if w := (dev - InlineDevices) >> 6; w < len(s.rest) {
-		s.rest[w] &^= 1 << uint(dev&63)
+	if i := search(s.far, dev); i < len(s.far) && int(s.far[i]) == dev {
+		s.far = append(s.far[:i:i], s.far[i+1:]...)
 	}
 	return s
+}
+
+// TestDevSetMatchesMapReference holds every DevSet query to a map of
+// members under random insertions and removals: at the inline width, just
+// past it, the ladder's width and the device cap; on owned sets built with
+// with and without and on views of a residency index whose records change
+// through enter and leave, which must stay Equal to them; and on pairs of
+// very unequal size, a few members against thousands.
+func TestDevSetMatchesMapReference(t *testing.T) {
+	for _, width := range []int{64, 96, 4096, MaxDevices} {
+		rng := rand.New(rand.NewSource(int64(width)))
+		// pick mixes the whole range with the inline seam, the top end and
+		// the first 200 devices, where sets meet.
+		pick := func() int {
+			switch rng.Intn(4) {
+			case 0:
+				return rng.Intn(width)
+			case 1:
+				return min(width-1, 60+rng.Intn(8))
+			case 2:
+				return width - 1 - rng.Intn(4)
+			}
+			return rng.Intn(min(width, 200))
+		}
+		check := func(what string, s DevSet, ref map[int]bool) {
+			t.Helper()
+			members := make([]int, 0, len(ref))
+			for d := range ref {
+				members = append(members, d)
+			}
+			sort.Ints(members)
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("width %d, %s %v: "+format, append([]any{width, what, members}, args...)...)
+			}
+			if s.Count() != len(members) || s.Empty() != (len(members) == 0) {
+				fail("Count %d, Empty %v", s.Count(), s.Empty())
+			}
+			if got := s.AppendTo(nil); !slices.Equal(got, members) {
+				fail("AppendTo = %v", got)
+			}
+			first := -1
+			if len(members) > 0 {
+				first = members[0]
+			}
+			if s.First() != first {
+				fail("First = %d", s.First())
+			}
+			if !s.Equal(DevSetOf(members...)) {
+				fail("not Equal to the set of its members")
+			}
+			for i := 0; i < 40; i++ {
+				d := pick()
+				if i%4 == 0 && len(members) > 0 {
+					d = members[rng.Intn(len(members))] + rng.Intn(3) - 1
+				}
+				if s.Has(d) != ref[d] {
+					fail("Has(%d) = %v", d, s.Has(d))
+				}
+				next := -1
+				if k := sort.SearchInts(members, d); k < len(members) {
+					next = members[k]
+				}
+				if s.NextFrom(d) != next {
+					fail("NextFrom(%d) = %d, want %d", d, s.NextFrom(d), next)
+				}
+			}
+			for _, d := range []int{-1, width, MaxDevices} {
+				if s.Has(d) || d >= 0 && s.NextFrom(d) != -1 {
+					fail("Has or NextFrom answers for device %d, outside the cluster", d)
+				}
+			}
+		}
+		intersects := func(a, b map[int]bool) bool {
+			for d := range a {
+				if b[d] {
+					return true
+				}
+			}
+			return false
+		}
+
+		const nSets = 6
+		ri := newResidencyIndex()
+		ri.recs = make([]tensorRec, nSets)
+		ri.held = make([]runRef, nSets)
+		owned := make([]DevSet, nSets)
+		refs := make([]map[int]bool, nSets)
+		for k := range refs {
+			refs[k] = map[int]bool{}
+		}
+		for step := 0; step < 2000; step++ {
+			k, d := rng.Intn(nSets), pick()
+			r := &ri.recs[k]
+			switch {
+			case !refs[k][d]:
+				owned[k] = owned[k].with(d)
+				ri.enter(r, int32(k), d)
+				refs[k][d] = true
+			case rng.Intn(3) > 0: // removals lag insertions: the sets grow
+				owned[k] = owned[k].without(d)
+				ri.leave(r, int32(k), d)
+				delete(refs[k], d)
+			}
+			view := ri.holders(r, int32(k))
+			check("owned set", owned[k], refs[k])
+			check("index view", view, refs[k])
+			if !view.Equal(owned[k]) || r.spilled != (len(view.far) > 0) {
+				t.Fatalf("width %d step %d: slot %d's view %v (spilled %v) is not the owned set %v",
+					width, step, k, view.AppendTo(nil), r.spilled, owned[k].AppendTo(nil))
+			}
+			j := rng.Intn(nSets)
+			if want := intersects(refs[k], refs[j]); view.Intersects(owned[j]) != want || owned[j].Intersects(view) != want {
+				t.Fatalf("width %d step %d: sets %d and %d: Intersects %v, want %v", width, step, k, j, !want, want)
+			}
+			if want := maps.Equal(refs[k], refs[j]); owned[k].Equal(ri.holders(&ri.recs[j], int32(j))) != want {
+				t.Fatalf("width %d step %d: sets %d and %d: Equal %v, want %v", width, step, k, j, !want, want)
+			}
+		}
+
+		// Very unequal sizes: every third device against a few members.
+		big, bigRef := DevSet{}, map[int]bool{}
+		for d := 0; d < width; d += 3 {
+			big, bigRef[d] = big.with(d), true
+		}
+		check("every third device", big, bigRef)
+		for i := 0; i < 200; i++ {
+			small, smallRef := DevSet{}, map[int]bool{}
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				d := pick()
+				small, smallRef[d] = small.with(d), true
+			}
+			want := intersects(smallRef, bigRef)
+			if big.Intersects(small) != want || small.Intersects(big) != want {
+				t.Fatalf("width %d: every third device against %v: Intersects %v, want %v", width, small.AppendTo(nil), !want, want)
+			}
+		}
+	}
 }

@@ -76,7 +76,7 @@ func (c *Cluster) devicesWhere(failed bool) DevSet {
 	var m DevSet
 	for _, d := range c.devices {
 		if d.failed == failed {
-			m = m.with(d.id, c.index.restWords)
+			m = m.with(d.id)
 		}
 	}
 	return m

@@ -1,6 +1,10 @@
 package gpusim
 
-import "micco/internal/tensor"
+import (
+	"slices"
+
+	"micco/internal/tensor"
+)
 
 // tensorRec is where one tensor lives, as placement asks it: the holder set
 // and the head of the copy chain, in 16 bytes, so that four records share a
@@ -9,10 +13,10 @@ import "micco/internal/tensor"
 // record. What only the host paths read is in the slot's hostRec.
 type tensorRec struct {
 	// w0 is the holder set's inline word, devices 0-63; the devices past it
-	// are in the slot's run of spill words while spilled is set (see
+	// are in the slot's run of the slab while spilled is set (see
 	// residencyIndex.holders). install and drop keep the set exact: the run
-	// is taken, cleared, when the first member past the inline word joins,
-	// and let go when the set empties.
+	// is taken when the first member past the inline word joins, and let go
+	// when the last one leaves.
 	w0 uint64
 	// head is the first block of the tensor's copy chain (block.chain links
 	// the rest): one block per holder, in no particular order, 0 for none.
@@ -23,14 +27,35 @@ type tensorRec struct {
 
 // hostRec is the cold half of a slot's record: the host copy. Its fields
 // mean something only while the record's onHost is set; hostCopy resets
-// them when a copy appears, so nothing clears them when one goes.
+// them when a copy appears, and DiscardAt lets the node run go when one
+// goes.
 type hostRec struct {
-	// nodes is the set of nodes whose host partition has the copy.
-	// Maintained on multi-node clusters only: with one node, host memory is
-	// one pool and onHost says it all.
-	nodes DevSet
+	// nodes and far are the set of nodes whose host partition has the copy:
+	// the inline word of nodes 0-63 and the run of those past it (none while
+	// far.n is 0). Maintained on multi-node clusters only: with one node,
+	// host memory is one pool and onHost says it all.
+	nodes uint64
+	far   runRef
 	desc  tensor.Desc
 }
+
+// runRef names a run of the index's slab: a set's far members, ascending,
+// in slab[off:off+n], with room for 1<<class. A run is taken with its
+// set's first far member, moves to the next class when a member finds it
+// full, and is let go when its last member leaves; n is 0 for a set with
+// no run.
+type runRef struct {
+	off   uint32
+	n     uint16
+	class uint8
+}
+
+// runClasses is the number of run sizes: the largest, 1<<16, fits every
+// device or node past the inline word.
+const runClasses = 17
+
+// The subtraction fails to compile if the largest run cannot hold a set.
+const _ uint = 1<<(runClasses-1) - (MaxDevices - InlineDevices)
 
 // block is one resident copy: an allocation on a device's memory pool.
 // Blocks live in one cluster-wide slab and name each other by index, so the
@@ -58,40 +83,96 @@ type block struct {
 // and a hit walks a chain as long as the holder set (six at most on the
 // ladder's 4096 devices, where a per-device table would be 4096 maps).
 //
+// A set's members past the inline word live in a run of one pointer-free
+// slab, sized by what the set holds: a tensor on six far devices keeps six
+// entries in a run of eight, whatever the cluster's width.
+//
 // The arrays are kept for the cluster's life: Reset clears the records and
-// rewinds the slab, a set clears its words as it takes them, and a cluster
-// that has run once runs again without allocating here.
+// rewinds both slabs, and a cluster that has run once runs again without
+// allocating here.
 type residencyIndex struct {
-	restWords int // holder-set spill words: ceil((NumDevices-64)/64), 0 for ≤64
-	nodeWords int // host-node-set spill words, likewise over the node count
-	per       int // restWords + nodeWords
-	recs      []tensorRec
-	hosts     []hostRec // by slot, beside recs
-	// words backs the spilled sets: slot s owns words[s*per:(s+1)*per],
-	// holder words first. A holder set's run is found from its slot, so it
-	// follows the array when the array grows; a host-node set holds its run
-	// as a slice and keeps the old one, which it alone reads and writes.
-	words  []uint64
-	blocks []block // the slab; blocks[0] is the nil block
-	free   int32   // most recently dropped block, chained through next
+	recs  []tensorRec
+	hosts []hostRec            // by slot, beside recs
+	held  []runRef             // by slot: the holder set's run, read only while spilled
+	slab  []uint16             // every run, back to back, live or freed
+	freed [runClasses][]uint32 // offsets of the freed runs, by class
+	// blocks is the block slab; blocks[0] is the nil block. free is the
+	// most recently dropped block, chained through next.
+	blocks []block
+	free   int32
 }
 
-func newResidencyIndex(devices, nodes int) *residencyIndex {
-	rest, node := spillWords(devices), spillWords(nodes)
-	return &residencyIndex{restWords: rest, nodeWords: node, per: rest + node, blocks: make([]block, 1)}
+func newResidencyIndex() *residencyIndex {
+	return &residencyIndex{blocks: make([]block, 1)}
 }
 
-func spillWords(n int) int {
-	if n <= InlineDevices {
-		return 0
+// reset empties the index: every record is the zero record and both slabs
+// are rewound, their capacity kept. Host records and run refs go unread
+// until a copy or a far member appears and resets them.
+func (ri *residencyIndex) reset() {
+	clear(ri.recs)
+	ri.blocks, ri.free = ri.blocks[:1], 0
+	ri.slab = ri.slab[:0]
+	for k := range ri.freed {
+		ri.freed[k] = ri.freed[k][:0]
 	}
-	return (n - InlineDevices + 63) >> 6
 }
 
-// spill returns slot's run of holder words.
-func (ri *residencyIndex) spill(slot int32) []uint64 {
-	base := int(slot) * ri.per
-	return ri.words[base : base+ri.restWords : base+ri.restWords]
+// run returns the members of run r, capped at their count so that an
+// append to the view copies instead of writing the slab.
+func (ri *residencyIndex) run(r runRef) []uint16 {
+	end := r.off + uint32(r.n)
+	return ri.slab[r.off:end:end]
+}
+
+// take returns the offset of a run of class k: the last one freed, else
+// room at the slab's end.
+func (ri *residencyIndex) take(k uint8) uint32 {
+	if f := ri.freed[k]; len(f) > 0 {
+		ri.freed[k] = f[:len(f)-1]
+		return f[len(f)-1]
+	}
+	off := len(ri.slab)
+	ri.slab = slices.Grow(ri.slab, 1<<k)[:off+1<<k]
+	return uint32(off)
+}
+
+// insert adds dev, past the inline word and not yet a member, to the set
+// whose run is r, taking a run for the first member and moving a full one
+// to the next class.
+func (ri *residencyIndex) insert(r *runRef, dev int) {
+	switch {
+	case r.n == 0:
+		*r = runRef{off: ri.take(0)}
+	case int(r.n) == 1<<r.class:
+		old := *r
+		*r = runRef{off: ri.take(old.class + 1), n: old.n, class: old.class + 1}
+		copy(ri.slab[r.off:], ri.run(old))
+		ri.release(old)
+	}
+	m := ri.slab[r.off : r.off+uint32(r.n)+1]
+	i := search(m[:r.n], dev)
+	copy(m[i+1:], m[i:])
+	m[i] = uint16(dev)
+	r.n++
+}
+
+// remove takes dev, a member past the inline word, out of the set whose run
+// is r; the run is let go with its last member.
+func (ri *residencyIndex) remove(r *runRef, dev int) {
+	m := ri.run(*r)
+	i := search(m, dev)
+	copy(m[i:], m[i+1:])
+	if r.n--; r.n == 0 {
+		ri.release(*r)
+	}
+}
+
+// release puts run r on its class's free stack. The ref that named it is
+// not read again: its count is 0, or the flag that makes it readable
+// (spilled, onHost) is cleared with it.
+func (ri *residencyIndex) release(r runRef) {
+	ri.freed[r.class] = append(ri.freed[r.class], r.off)
 }
 
 // holders returns the holder set of slot's record r: its inline word and,
@@ -99,7 +180,7 @@ func (ri *residencyIndex) spill(slot int32) []uint64 {
 func (ri *residencyIndex) holders(r *tensorRec, slot int32) DevSet {
 	s := DevSet{w0: r.w0}
 	if r.spilled {
-		s.rest = ri.spill(slot)
+		s.far = ri.run(ri.held[slot])
 	}
 	return s
 }
@@ -109,46 +190,50 @@ func (ri *residencyIndex) holds(r *tensorRec, slot int32, dev int) bool {
 	if dev < InlineDevices {
 		return r.w0&(1<<uint(dev)) != 0
 	}
-	return r.spilled && ri.words[int(slot)*ri.per+(dev-InlineDevices)>>6]&(1<<uint(dev&63)) != 0
+	return r.spilled && ri.holders(r, slot).Has(dev)
 }
 
-// enter adds device dev to the holder set of slot's record r.
+// enter adds device dev, not a member, to the holder set of slot's record r.
 func (ri *residencyIndex) enter(r *tensorRec, slot int32, dev int) {
 	if dev < InlineDevices {
 		r.w0 |= 1 << uint(dev)
 		return
 	}
-	run := ri.spill(slot)
 	if !r.spilled {
-		clear(run)
-		r.spilled = true
+		ri.held[slot], r.spilled = runRef{}, true
 	}
-	run[(dev-InlineDevices)>>6] |= 1 << uint(dev&63)
+	ri.insert(&ri.held[slot], dev)
 }
 
 // leave removes device dev, a member, from the holder set of slot's record
-// r; a set that empties lets go of its run.
+// r; the last member past the inline word lets go of the run.
 func (ri *residencyIndex) leave(r *tensorRec, slot int32, dev int) {
 	if dev < InlineDevices {
 		r.w0 &^= 1 << uint(dev)
-	} else {
-		ri.words[int(slot)*ri.per+(dev-InlineDevices)>>6] &^= 1 << uint(dev&63)
+		return
 	}
-	if r.spilled && r.w0 == 0 && ri.holders(r, slot).Empty() {
-		r.spilled = false
-	}
+	h := &ri.held[slot]
+	ri.remove(h, dev)
+	r.spilled = h.n > 0
 }
 
-// hostOn adds node n to the host nodes h of slot's record: the set takes
-// its run, cleared, with its first member past the inline word, and until
-// then reads as the bare word it is.
-func (ri *residencyIndex) hostOn(h *hostRec, slot int32, n int) {
-	if n >= InlineDevices && h.nodes.rest == nil {
-		base := int(slot)*ri.per + ri.restWords
-		h.nodes.rest = ri.words[base : base+ri.nodeWords : base+ri.nodeWords]
-		clear(h.nodes.rest)
+// hostNodes returns the set of nodes of host record h: a view, like
+// holders.
+func (ri *residencyIndex) hostNodes(h *hostRec) DevSet {
+	s := DevSet{w0: h.nodes}
+	if h.far.n > 0 {
+		s.far = ri.run(h.far)
 	}
-	h.nodes = h.nodes.with(n, 0)
+	return s
+}
+
+// hostOn adds node n to the host nodes of h.
+func (ri *residencyIndex) hostOn(h *hostRec, n int) {
+	if n < InlineDevices {
+		h.nodes |= 1 << uint(n)
+	} else if !ri.hostNodes(h).Has(n) {
+		ri.insert(&h.far, n)
+	}
 }
 
 // find returns the block of slot's tensor on device dev, 0 when dev holds
@@ -182,7 +267,7 @@ func (c *Cluster) BindTensors(ids []uint64) {
 	c.slotsBuilt = false
 	ri.recs = append(ri.recs[:0], make([]tensorRec, n)...)
 	ri.hosts = append(ri.hosts[:0], make([]hostRec, n)...)
-	ri.words = append(ri.words[:0], make([]uint64, n*ri.per)...)
+	ri.held = append(ri.held[:0], make([]runRef, n)...)
 	c.Reset()
 }
 
@@ -215,7 +300,7 @@ func (c *Cluster) slot(id uint64) int32 {
 		ri := c.index
 		ri.recs = append(ri.recs, tensorRec{})
 		ri.hosts = append(ri.hosts, hostRec{})
-		ri.words = append(ri.words, make([]uint64, ri.per)...)
+		ri.held = append(ri.held, runRef{})
 	}
 	return s
 }

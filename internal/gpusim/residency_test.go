@@ -51,8 +51,8 @@ func TestDeviceMaskOps(t *testing.T) {
 		t.Errorf("iteration = %v, want %v", iter, want)
 	}
 	// The conversion to a DevSet preserves membership.
-	if s := m.DevSet(); s.Word(0) != uint64(m) || !s.Equal(DevSetOf(2, 5, 63)) {
-		t.Errorf("DevSet conversion = %b, want %b", s.Word(0), m)
+	if s := m.DevSet(); s.w0 != uint64(m) || s.far != nil || !s.Equal(DevSetOf(2, 5, 63)) {
+		t.Errorf("DevSet conversion = %b, far %v, want %b", s.w0, s.far, m)
 	}
 }
 
@@ -197,13 +197,14 @@ func TestSteadyStateRunAllocatesNothing(t *testing.T) {
 // write-backs and evictions under scarce memory), discards, resets, device
 // losses and returns, memory shrinks, injected transfer failures and
 // barriers, and audits the structures after every operation. The 96-device
-// case exercises multi-word holder sets (members on both sides of the
-// 64-bit boundary), the 4096-device one the ladder's width: 63 spill words
-// a set, host nodes past the inline word. There the walk must also have
-// seen a holder set spill, empty (letting go of its words) and spill again,
-// and the words array grow under an ID-keyed call while a set was spilled
-// (every spilled view must then read the new array). Run under -race via
-// `make race`/`make check`.
+// case exercises holder sets with members on both sides of the inline
+// word, the 4096-device one the ladder's width: holder runs and host nodes
+// past the inline word. There the walk must also have seen a holder set
+// spill, empty (letting go of its run) and spill again, a full run move to
+// the next size, a freed run taken again, a host-node run, and the slab
+// grow under an ID-keyed call while a set was spilled (every spilled view
+// must then read the new slab). Run under -race via `make race`/`make
+// check`.
 func TestResidencyIndexInvariant(t *testing.T) {
 	desc := func(id uint64) tensor.Desc {
 		return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 8, Batch: 1}
@@ -257,10 +258,23 @@ func TestResidencyIndexInvariant(t *testing.T) {
 		// neither reset nor replaced the cluster: 1 spilled, 2 emptied after
 		// that (spilling again counts a "respill").
 		spills := map[int]int{}
+		// class[s] is the class of spilled slot s's run before the step;
+		// freed lists the runs free before it.
+		class := map[int]uint8{}
+		freed := map[runRef]bool{}
 		for step := 0; step < steps; step++ {
-			words, spilled := c.index.words, false
-			for s := range c.index.recs {
-				spilled = spilled || c.index.recs[s].spilled
+			slabCap := cap(c.index.slab)
+			clear(class)
+			clear(freed)
+			for s, r := range c.index.recs {
+				if r.spilled {
+					class[s] = c.index.held[s].class
+				}
+			}
+			for k, offs := range c.index.freed {
+				for _, off := range offs {
+					freed[runRef{off: off, class: uint8(k)}] = true
+				}
 			}
 			before := c
 			switch op := rng.Intn(20); {
@@ -320,18 +334,31 @@ func TestResidencyIndexInvariant(t *testing.T) {
 				continue
 			}
 			ri := c.index
-			if spilled && &ri.words[0] != &words[0] {
+			if len(class) > 0 && cap(ri.slab) > slabCap {
 				ran["grow-spilled"]++
 			}
-			for s := range ri.recs {
-				if !ri.recs[s].spilled {
+			for s, r := range ri.recs {
+				if h := ri.hosts[s].far; r.onHost && h.n > 0 {
+					ran["host-run"]++
+					if freed[runRef{off: h.off, class: h.class}] {
+						ran["reuse"]++
+					}
+				}
+				if !r.spilled {
 					if spills[s] == 1 {
 						spills[s] = 2
 					}
 					continue
 				}
-				if v := c.HoldersAt(s); &v.rest[0] != &ri.words[s*ri.per] {
-					t.Fatalf("devs %d step %d: slot %d's holder view reads words the index no longer has", devs, step, s)
+				h := ri.held[s]
+				if v := c.HoldersAt(s); &v.far[0] != &ri.slab[h.off] {
+					t.Fatalf("devs %d step %d: slot %d's holder view reads a slab the index no longer has", devs, step, s)
+				}
+				if k, ok := class[s]; ok && h.class > k {
+					ran["relocate"]++
+				}
+				if freed[runRef{off: h.off, class: h.class}] {
+					ran["reuse"]++
 				}
 				if spills[s] == 2 {
 					ran["respill"]++
@@ -341,7 +368,7 @@ func TestResidencyIndexInvariant(t *testing.T) {
 		}
 		want := []string{"exec", "discard", "fail", "shrink"}
 		if devs == 4096 {
-			want = append(want, "respill", "grow-spilled")
+			want = append(want, "respill", "grow-spilled", "relocate", "reuse", "host-run")
 		}
 		for _, op := range want {
 			if ran[op] == 0 {
@@ -526,5 +553,15 @@ func TestBindTensors(t *testing.T) {
 	if c.BindTensors(ids); !c.HostHolds(20) || !c.slotsBuilt {
 		t.Error("binding the bound table again emptied the cluster or dropped its id→slot table")
 	}
+	if c.BindTensors(append([]uint64(nil), ids...)); c.HostHoldsAt(1) {
+		t.Error("binding another table of the same length did not empty the cluster")
+	}
 	checkAudit(t, c)
+	// An empty table on a cluster that has numbered nothing is the bound one.
+	empty, err := NewCluster(MI100(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty.BindTensors(nil)
+	checkAudit(t, empty)
 }

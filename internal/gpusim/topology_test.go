@@ -133,6 +133,31 @@ func TestDeviceProfilesInherit(t *testing.T) {
 	}
 }
 
+// TestHostNodeCacheAcrossTheInlineSeam: a node's host partition keeps a
+// shipped copy whatever the node's number — below, at and past the 64 nodes
+// of the inline word, and out of order in the run past it — so a second
+// fetch from the node ships nothing.
+func TestHostNodeCacheAcrossTheInlineSeam(t *testing.T) {
+	c, err := NewCluster(MI100Nodes(130, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := topoDesc(1)
+	c.RegisterHostTensor(d)
+	for i, node := range []int{63, 64, 65, 129, 128} {
+		for fetch := 0; fetch < 2; fetch++ {
+			if err := c.EnsureResident(node, d); err != nil {
+				t.Fatal(err)
+			}
+			c.DiscardDeviceCopies(d.ID)
+		}
+		if got, want := c.InterNodeBytes(), int64(i+1)*d.Bytes(); got != want {
+			t.Errorf("node %d fetched twice: %d inter-node bytes, want %d", node, got, want)
+		}
+		checkAudit(t, c)
+	}
+}
+
 // TestInterNodeStagingCost pins the topology cost model: a fetch into a
 // node that has never seen the tensor pays one inter-node shipment
 // (latency + bytes at the interconnect rate) on top of the local H2D, a

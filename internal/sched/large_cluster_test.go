@@ -2,7 +2,7 @@ package sched_test
 
 // Large-cluster coverage for topology API v2: schedulers must work beyond
 // the former 64-device ceiling, the mask path must still match the
-// scan-path reference when holder sets spill past one word, and numeric
+// scan-path reference when holder sets spill past the inline word, and numeric
 // fingerprints must stay bit-identical across pool widths and
 // reclaiming execution modes on a multi-node cluster.
 
@@ -22,17 +22,18 @@ import (
 	"micco/internal/workload"
 )
 
-// largeRoster is every scheduler family in the repo, constructed fresh per
-// call (schedulers are stateful).
-func largeRoster() map[string]func() sched.Scheduler {
-	return map[string]func() sched.Scheduler{
-		"micco":       func() sched.Scheduler { return core.NewFixed(core.Bounds{0, 2, 0}) },
-		"micco-naive": func() sched.Scheduler { return core.NewNaive() },
-		"hier":        func() sched.Scheduler { return hier.New(16, core.Bounds{0, 2, 0}) },
-		"groute":      func() sched.Scheduler { return baseline.NewGroute() },
-		"roundrobin":  func() sched.Scheduler { return baseline.NewRoundRobin() },
-		"locality":    func() sched.Scheduler { return baseline.NewLocalityOnly() },
-	}
+// largeRoster is every scheduler family in the repo, in name order, each
+// constructed fresh per call (schedulers are stateful).
+var largeRoster = []struct {
+	name string
+	mk   func() sched.Scheduler
+}{
+	{"groute", func() sched.Scheduler { return baseline.NewGroute() }},
+	{"hier", func() sched.Scheduler { return hier.New(16, core.Bounds{0, 2, 0}) }},
+	{"locality", func() sched.Scheduler { return baseline.NewLocalityOnly() }},
+	{"micco", func() sched.Scheduler { return core.NewFixed(core.Bounds{0, 2, 0}) }},
+	{"micco-naive", func() sched.Scheduler { return core.NewNaive() }},
+	{"roundrobin", func() sched.Scheduler { return baseline.NewRoundRobin() }},
 }
 
 // TestLargeClusterAllSchedulers schedules a workload on 256 devices across
@@ -61,8 +62,11 @@ func TestLargeClusterAllSchedulers(t *testing.T) {
 		{"serial", sched.Options{Numeric: true, NumericSeed: 5, Parallelism: 1}},
 		{"parallel", sched.Options{Numeric: true, NumericSeed: 5, Parallelism: 4}},
 	}
-	for name, mk := range largeRoster() {
-		t.Run(name, func(t *testing.T) {
+	// The subtests share one cluster, so they run in one order: each meets
+	// the state the one before left, the same on every run.
+	for _, sc := range largeRoster {
+		mk := sc.mk
+		t.Run(sc.name, func(t *testing.T) {
 			var fp float64
 			var assignments [][]int
 			for i, mode := range modes {

@@ -90,7 +90,7 @@ type (
 	// DevSet is a variable-width set of device IDs, the unit of the
 	// cluster's constant-time residency index (Cluster.HoldersMask). Sets
 	// confined to devices 0-63 live in one inline word and never touch the
-	// heap; wider clusters spill into extra words transparently.
+	// heap; members past it are a sorted list of one entry each.
 	DevSet = gpusim.DevSet
 )
 
