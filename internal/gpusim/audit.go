@@ -3,21 +3,20 @@ package gpusim
 import "fmt"
 
 // Audit checks the simulator's residency structures against each other, from
-// those structures alone, between operations: every device's LRU list is
-// well linked and holds its own unpinned blocks, their bytes are memUsed and
-// fit the capacity, a failed device holds none; every block of the slab is
-// on one LRU list and its tensor's copy chain, or on the free list; a
-// record's holder set is the devices on its chain, and one that holds
-// nothing is the zero record; a host copy is of its slot's tensor, on no
-// node set where there is one node; every run of the run slab is freed or
-// one set's, its members past the inline word strictly ascending below the
+// those structures alone, between operations: every device's LRU list is well
+// linked and holds its own unpinned blocks, their bytes are memUsed and fit
+// the capacity, a failed device holds none; every block of the slab is on one
+// LRU list and its tensor's copy chain, or on the free list, and the copies
+// on one chain have one positive size; a record's holder set is the devices
+// on its chain, and one that holds nothing is the zero record; a host copy is
+// on no node set where there is one node; every run of the run slab is freed
+// or one set's, its members past the inline word strictly ascending below the
 // device (or node) count, and the runs tile the slab without overlap; the
-// id↔slot table, where an ID-keyed call has built it, is a bijection over
-// the records that hold anything (Audit does not build it); the running
-// movement totals are the device sums. It is the tests' structural oracle
-// — this package's walk runs it after every operation, internal/sched's
-// tests after every run — and costs a pass over everything, so nothing
-// else calls it.
+// id↔slot table, where an ID-keyed call has built it, is a bijection over the
+// records that hold anything (Audit does not build it); the running movement
+// totals are the device sums. It is the tests' structural oracle — this
+// package's walk runs it after every operation, internal/sched's tests after
+// every run — and costs a pass over everything, so nothing else calls it.
 func (c *Cluster) Audit() error {
 	ri := c.index
 	bad := func(format string, args ...any) error {
@@ -31,10 +30,10 @@ func (c *Cluster) Audit() error {
 		used, n, prev := int64(0), 0, int32(0)
 		for i := d.lruHead; i != 0; prev, i = i, ri.blocks[i].next {
 			b := &ri.blocks[i]
-			if state[i] != 0 || b.prev != prev || int(b.dev) != d.id || b.pinned {
-				return bad("device %d: LRU block %d misplaced: %+v", d.id, i, *b)
+			if state[i] != 0 || b.prev != prev || int(b.dev) != d.id || b.pinned || b.size <= 0 {
+				return bad("device %d: LRU block %d misplaced or empty: %+v", d.id, i, *b)
 			}
-			state[i], used, n = listed, used+b.desc.Bytes(), n+1
+			state[i], used, n = listed, used+b.size, n+1
 		}
 		if prev != d.lruTail || n != d.resident || used != d.memUsed || used > d.Capacity() || d.failed && n > 0 {
 			return bad("device %d (failed %v): list of %d blocks, %d bytes, ends at %d; device says %d, %d of %d, %d",
@@ -101,10 +100,11 @@ func (c *Cluster) Audit() error {
 		}
 		holders := ri.holders(r, int32(s))
 		var chain DevSet
+		size := ri.blocks[r.head].size
 		for i := r.head; i != 0; i = ri.blocks[i].chain {
 			b := &ri.blocks[i]
-			if state[i] != listed || int(b.slot) != s || b.desc.ID != id {
-				return bad("tensor %d (slot %d): chain block %d misplaced: %+v", id, s, i, *b)
+			if state[i] != listed || int(b.slot) != s || b.size != size {
+				return bad("tensor %d (slot %d): chain block %d misplaced or not %d bytes: %+v", id, s, i, size, *b)
 			}
 			state[i], chain, listedBlocks = chained, chain.with(int(b.dev)), listedBlocks-1
 		}
@@ -115,10 +115,10 @@ func (c *Cluster) Audit() error {
 		if r.head == 0 && !r.onHost {
 			continue
 		}
-		if h := &ri.hosts[s]; r.onHost && (h.desc.ID != id || c.numNodes == 1 && h.nodes != 0 ||
+		if h := &ri.hosts[s]; r.onHost && (c.numNodes == 1 && h.nodes != 0 ||
 			h.far.n > 0 && !liveRun(h.far, c.numNodes)) {
-			return bad("tensor %d in slot %d: host copy is of %d on nodes %#x and run %+v of %d nodes",
-				id, s, h.desc.ID, h.nodes, h.far, c.numNodes)
+			return bad("tensor %d in slot %d: host copy on nodes %#x and run %+v of %d nodes",
+				id, s, h.nodes, h.far, c.numNodes)
 		}
 		if back, ok := c.slots[id]; c.slotsBuilt && (!ok || int(back) != s) {
 			return bad("tensor %d in slot %d: table says slot %d (%v)", id, s, back, ok)

@@ -67,9 +67,11 @@ func TestRunBuildsNoSlotTable(t *testing.T) {
 // TestIndexFootprintPerSlot runs a workload of the ladder's sched_scale
 // shape — four stages of 4096 pairs, about 37 000 tensor slots — once under
 // MICCO on its 512×8 cluster, and bounds what the residency index keeps per
-// slot. Holder sets there never reach more than a handful of the 4096
-// devices; an index that reserved room for every device past the inline
-// word would keep 640 bytes a slot.
+// slot and the block slab per resident copy. Holder sets there never reach
+// more than a handful of the 4096 devices; an index that reserved room for
+// every device past the inline word would keep 640 bytes a slot, and one
+// whose host records kept the tensor's descriptor 75. A block that kept the
+// descriptor was 64 bytes a copy.
 func TestIndexFootprintPerSlot(t *testing.T) {
 	w, err := workload.Generate(workload.Config{
 		Seed: 2022, Stages: 4, VectorSize: 4096, TensorDim: 384, Batch: 8,
@@ -89,9 +91,14 @@ func TestIndexFootprintPerSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	slots := len(w.TensorIDs())
-	if got := c.IndexBytesPerSlot(); slots < 30000 || got > 128 {
-		t.Errorf("%d slots: the residency index keeps %.1f bytes a slot, want at most 128", slots, got)
+	if got := c.IndexBytesPerSlot(); slots < 30000 || got > 48 {
+		t.Errorf("%d slots: the residency index keeps %.1f bytes a slot, want at most 48", slots, got)
 	} else {
 		t.Logf("%d slots: %.1f bytes a slot", slots, got)
+	}
+	if got, copies := c.BlockBytesPerCopy(); copies < 1000 || got > 40 {
+		t.Errorf("%d copies: the block slab keeps %.1f bytes a copy, want at most 40", copies, got)
+	} else {
+		t.Logf("%d copies: %.1f bytes a copy", copies, got)
 	}
 }

@@ -133,11 +133,11 @@ func (c *Cluster) Device(i int) *Device { return c.devices[i] }
 // clusters the copy lands in node 0's host partition — the gateway node
 // where upstream I/O arrives — and other nodes' first use pays one
 // inter-node shipment.
-func (c *Cluster) RegisterHostTensor(d tensor.Desc) { c.hostCopy(c.slot(d.ID), &d, 0) }
+func (c *Cluster) RegisterHostTensor(d tensor.Desc) { c.hostCopy(c.slot(d.ID), 0) }
 
 // RegisterHostAt is RegisterHostTensor for the tensor in slot (see
-// BindTensors), which d describes.
-func (c *Cluster) RegisterHostAt(slot int, d tensor.Desc) { c.hostCopy(int32(slot), &d, 0) }
+// BindTensors).
+func (c *Cluster) RegisterHostAt(slot int) { c.hostCopy(int32(slot), 0) }
 
 // HostHolds reports whether any host partition has a copy of tensor id.
 func (c *Cluster) HostHolds(id uint64) bool {
@@ -148,14 +148,13 @@ func (c *Cluster) HostHolds(id uint64) bool {
 // HostHoldsAt is HostHolds for the tensor in slot (see BindTensors).
 func (c *Cluster) HostHoldsAt(slot int) bool { return c.index.recs[slot].onHost }
 
-// hostCopy records a host copy of desc, slot's tensor, in node n's
-// partition. A copy that appears starts on no node.
-func (c *Cluster) hostCopy(slot int32, desc *tensor.Desc, n int) {
+// hostCopy records a host copy of slot's tensor in node n's partition. A
+// copy that appears starts on no node.
+func (c *Cluster) hostCopy(slot int32, n int) {
 	r, h := &c.index.recs[slot], &c.index.hosts[slot]
 	if !r.onHost {
 		r.onHost, h.nodes, h.far = true, 0, runRef{}
 	}
-	h.desc = *desc
 	if c.numNodes > 1 {
 		c.index.hostOn(h, n)
 	}
@@ -203,13 +202,14 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 		d.stats.ReuseHits++
 		return i, nil
 	}
+	size := desc.Bytes()
 	// Injected transient failures strike cold fetches only (a reuse hit
 	// moves no data). The attempt itself charges nothing; the engine's
 	// retry policy charges backoff to simulated time.
 	if c.transientLeft > 0 {
 		c.transientLeft--
 		return 0, fmt.Errorf("gpusim: %w: device %d fetching tensor %d (%d bytes)",
-			ErrTransientTransfer, d.id, desc.ID, desc.Bytes())
+			ErrTransientTransfer, d.id, desc.ID, size)
 	}
 	// Locate a source before spending anything. Peer sourcing is only used
 	// when the config enables it; the default data path stages through the
@@ -218,7 +218,7 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 	r := &c.index.recs[slot]
 	if r.head == 0 && !r.onHost {
 		return 0, fmt.Errorf("gpusim: %w: tensor %d (%d bytes) resident on no device and absent from host (device %d requesting)",
-			ErrTensorUnavailable, desc.ID, desc.Bytes(), d.id)
+			ErrTensorUnavailable, desc.ID, size, d.id)
 	}
 	var peer *Device
 	if c.cfg.PeerFetch {
@@ -246,66 +246,67 @@ func (c *Cluster) ensureResident(d *Device, desc *tensor.Desc, slot int32, pin b
 		// peer fetch is disabled: stage through the host by paying one D2H
 		// write-back first.
 		src := c.devices[c.index.holders(r, slot).First()]
-		src.stats.TransferTime += c.writeBack(src, desc, slot)
+		src.stats.TransferTime += c.writeBack(src, slot, size)
 	}
 	if h := &c.index.hosts[slot]; peer == nil && c.numNodes > 1 && !c.index.hostNodes(h).Has(d.node) {
 		// The host copy lives in another node's partition: ship it over
 		// the inter-node interconnect into this node's partition first,
 		// then fetch locally. The copy stays cached node-side, so repeat
 		// misses on this node pay only the local H2D.
-		c.interTransfer(d, desc)
+		c.interTransfer(d, desc.ID, size)
 		c.index.hostOn(h, d.node)
 	}
-	if err := c.alloc(d, desc); err != nil {
+	if err := c.alloc(d, desc.ID, size); err != nil {
 		return 0, err
 	}
 	switch {
 	case peer == nil:
-		d.stats.TransferTime += c.transfer(d, c.linkOf(hostChannel, d.node), obs.EventH2D, desc, float64(desc.Bytes())/c.h2dBandwidth())
-		d.stats.H2DBytes += desc.Bytes()
+		d.stats.TransferTime += c.transfer(d, c.linkOf(hostChannel, d.node), obs.EventH2D, desc.ID, size, float64(size)/c.h2dBandwidth())
+		d.stats.H2DBytes += size
 	case peer.node == d.node:
 		// Intra-node P2P copies run on the node's inter-GPU fabric, shared
 		// by all of its pairs.
-		d.stats.TransferTime += c.transfer(d, c.linkOf(p2pChannel, d.node), obs.EventP2P, desc, float64(desc.Bytes())/c.p2pBandwidth())
-		d.stats.P2PBytes += desc.Bytes()
+		d.stats.TransferTime += c.transfer(d, c.linkOf(p2pChannel, d.node), obs.EventP2P, desc.ID, size, float64(size)/c.p2pBandwidth())
+		d.stats.P2PBytes += size
 	default:
 		// Cross-node peer copy: serialized on the inter-node fabric,
 		// charged at its bandwidth plus fixed latency.
-		c.interTransfer(d, desc)
-		d.stats.P2PBytes += desc.Bytes()
+		c.interTransfer(d, desc.ID, size)
+		d.stats.P2PBytes += size
 	}
-	c.moveBytes += desc.Bytes()
+	c.moveBytes += size
 	d.stats.ColdMisses++
-	i := d.install(desc, false, slot)
+	i := d.install(size, false, slot)
 	b := &c.index.blocks[i]
 	b.pinned = pin
 	b.readyAt = d.CopyClock()
 	return i, nil
 }
 
-// interTransfer charges one inter-node shipment of desc toward device d's
-// node: fixed interconnect latency plus bytes at the (degradable)
-// inter-node bandwidth, on the single shared inter-node fabric.
-func (c *Cluster) interTransfer(d *Device, desc *tensor.Desc) {
-	dur := c.cfg.InterNodeLatency + float64(desc.Bytes())/c.interBandwidth()
-	d.stats.TransferTime += c.transfer(d, c.linkOf(interChannel, 0), obs.EventInter, desc, dur)
-	c.interBytes += desc.Bytes()
+// interTransfer charges one inter-node shipment of tensor id, size bytes,
+// toward device d's node: fixed interconnect latency plus bytes at the
+// (degradable) inter-node bandwidth, on the single shared inter-node fabric.
+func (c *Cluster) interTransfer(d *Device, id uint64, size int64) {
+	dur := c.cfg.InterNodeLatency + float64(size)/c.interBandwidth()
+	d.stats.TransferTime += c.transfer(d, c.linkOf(interChannel, 0), obs.EventInter, id, size, dur)
+	c.interBytes += size
 }
 
-// writeBack copies desc, slot's tensor, from device d into its node's host
-// partition and returns the elapsed queue time for the caller to charge.
-func (c *Cluster) writeBack(d *Device, desc *tensor.Desc, slot int32) float64 {
-	elapsed := c.transfer(d, c.linkOf(hostChannel, d.node), obs.EventD2H, desc, float64(desc.Bytes())/c.d2hBandwidth())
-	d.stats.D2HBytes += desc.Bytes()
-	c.d2hBytes += desc.Bytes()
-	c.hostCopy(slot, desc, d.node)
+// writeBack copies slot's tensor, size bytes, from device d into its node's
+// host partition and returns the elapsed queue time for the caller to charge.
+func (c *Cluster) writeBack(d *Device, slot int32, size int64) float64 {
+	elapsed := c.transfer(d, c.linkOf(hostChannel, d.node), obs.EventD2H, c.ids[slot], size, float64(size)/c.d2hBandwidth())
+	d.stats.D2HBytes += size
+	c.d2hBytes += size
+	c.hostCopy(slot, d.node)
 	return elapsed
 }
 
-// transfer is the one place a link is booked: a copy of desc by device d
-// holding link l for dur seconds, which moves d's transfer queue to its end.
-// It returns the elapsed queue time, stall included, for the caller to charge.
-func (c *Cluster) transfer(d *Device, l *link, kind obs.EventKind, desc *tensor.Desc, dur float64) float64 {
+// transfer is the one place a link is booked: a copy of tensor id, size
+// bytes, by device d holding link l for dur seconds, which moves d's transfer
+// queue to its end. It returns the elapsed queue time, stall included, for
+// the caller to charge.
+func (c *Cluster) transfer(d *Device, l *link, kind obs.EventKind, id uint64, size int64, dur float64) float64 {
 	d.markDirty()
 	queue := d.CopyClock()
 	start, end := l.occupy(queue, dur)
@@ -321,16 +322,16 @@ func (c *Cluster) transfer(d *Device, l *link, kind obs.EventKind, desc *tensor.
 	if c.observing() {
 		// The traced start is end − dur, which can sit an ulp off the booked
 		// start; the golden traces and report hashes pin this one.
-		c.emit(kind, d.id, desc.ID, end-dur, end, desc.Bytes(), 0)
+		c.emit(kind, d.id, id, end-dur, end, size, 0)
 	}
 	return end - queue
 }
 
 // alloc charges allocation latency (on the transfer queue: it is part of
-// the staging path) and evicts LRU blocks until desc fits.
-func (c *Cluster) alloc(d *Device, desc *tensor.Desc) error {
-	if err := d.evictFor(desc.Bytes()); err != nil {
-		return fmt.Errorf("allocating tensor %d: %w", desc.ID, err)
+// the staging path) and evicts LRU blocks until size bytes of tensor id fit.
+func (c *Cluster) alloc(d *Device, id uint64, size int64) error {
+	if err := d.evictFor(size); err != nil {
+		return fmt.Errorf("allocating tensor %d: %w", id, err)
 	}
 	d.advanceTransferQueue(c.cfg.AllocLatency)
 	d.stats.AllocTime += c.cfg.AllocLatency
@@ -374,11 +375,12 @@ func (c *Cluster) ExecContractionAt(dev int, a, b, out *tensor.Desc, slotA, slot
 		ob.dirty = true
 		outReady = ob.readyAt
 	} else {
-		if err := c.alloc(d, out); err != nil {
+		size := out.Bytes()
+		if err := c.alloc(d, out.ID, size); err != nil {
 			c.index.blocks[ia].pinned, c.index.blocks[ib].pinned = false, false
 			return 0, err
 		}
-		io = d.install(out, true, int32(slotOut))
+		io = d.install(size, true, int32(slotOut))
 		outReady = d.CopyClock()
 		c.index.blocks[io].readyAt = outReady
 	}

@@ -462,8 +462,12 @@ func TestHostStagingWhenPeerFetchDisabled(t *testing.T) {
 	}
 	// out is dirty on device 0 only. Using it on device 1 must stage
 	// through the host: one D2H on device 0, one H2D on device 1.
+	busy := c.Device(0).Stats().TransferTime
 	if err := c.EnsureResident(1, out); err != nil {
 		t.Fatal(err)
+	}
+	if got, want := c.Device(0).Stats().TransferTime-busy, float64(out.Bytes())/cfg.D2HBandwidth; got < want*(1-1e-9) {
+		t.Errorf("staging charged device 0 %g s of transfer, want at least the write-back's %g", got, want)
 	}
 	if c.Device(0).Stats().D2HBytes != out.Bytes() {
 		t.Errorf("D2H staging bytes = %d, want %d", c.Device(0).Stats().D2HBytes, out.Bytes())
@@ -603,9 +607,9 @@ func TestLinkContention(t *testing.T) {
 				reg := obs.New()
 				c.SetObserver(reg)
 				c.StartTrace()
-				c.hostCopy(c.slot(bg.ID), &bg, tc.bgNode)
-				c.hostCopy(c.slot(t1.ID), &t1, tc.node)
-				c.hostCopy(c.slot(t2.ID), &t2, tc.node)
+				c.hostCopy(c.slot(bg.ID), tc.bgNode)
+				c.hostCopy(c.slot(t1.ID), tc.node)
+				c.hostCopy(c.slot(t2.ID), tc.node)
 				fetch(tc.bgOn, bg)
 				if tc.peer >= 0 {
 					fetch(tc.peer, t1)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"micco/internal/obs"
-	"micco/internal/tensor"
 )
 
 // DeviceStats accumulates per-device counters over a simulation run.
@@ -189,10 +188,11 @@ func (d *Device) touch(i int32) {
 	}
 }
 
-// install records a new resident block of slot's tensor (most recently
-// used, head of the copy chain) and returns its index: the block dropped
-// last, else the slab's next. The slab may move: no *block survives a call.
-func (d *Device) install(desc *tensor.Desc, dirty bool, slot int32) int32 {
+// install records a new resident block of slot's tensor, size bytes (most
+// recently used, head of the copy chain) and returns its index: the block
+// dropped last, else the slab's next. The slab may move: no *block survives
+// a call.
+func (d *Device) install(size int64, dirty bool, slot int32) int32 {
 	ri := d.c.index
 	i := ri.free
 	if i != 0 {
@@ -202,13 +202,13 @@ func (d *Device) install(desc *tensor.Desc, dirty bool, slot int32) int32 {
 		ri.blocks = append(ri.blocks, block{})
 	}
 	r := &ri.recs[slot]
-	ri.blocks[i] = block{desc: *desc, dirty: dirty, chain: r.head, slot: slot, dev: int32(d.id)}
+	ri.blocks[i] = block{size: size, dirty: dirty, chain: r.head, slot: slot, dev: int32(d.id)}
 	r.head = i
 	ri.enter(r, slot, d.id)
 	d.lruPushBack(i)
 	d.resident++
 	d.markDirty()
-	d.memUsed += desc.Bytes()
+	d.memUsed += size
 	if d.memUsed > d.memPeak {
 		d.memPeak = d.memUsed
 	}
@@ -235,7 +235,7 @@ func (d *Device) drop(i int32) {
 	ri.leave(r, b.slot, d.id)
 	d.resident--
 	d.markDirty()
-	d.memUsed -= b.desc.Bytes()
+	d.memUsed -= b.size
 	b.next = ri.free
 	ri.free = i
 }
@@ -259,11 +259,11 @@ func (d *Device) evictFor(size int64) error {
 		cost := c.cfg.EvictLatency
 		d.advanceTransferQueue(cost)
 		if c.observing() {
-			c.emit(obs.EventEvict, d.id, victim.desc.ID, d.CopyClock()-cost, d.CopyClock(), victim.desc.Bytes(), 0)
+			c.emit(obs.EventEvict, d.id, c.ids[victim.slot], d.CopyClock()-cost, d.CopyClock(), victim.size, 0)
 		}
 		if victim.dirty {
 			// Dirty write-back occupies the node's shared host link.
-			cost += c.writeBack(d, &victim.desc, victim.slot)
+			cost += c.writeBack(d, victim.slot, victim.size)
 		}
 		d.stats.EvictTime += cost
 		d.stats.Evictions++

@@ -18,3 +18,12 @@ func (c *Cluster) IndexBytesPerSlot() float64 {
 	}
 	return float64(n) / float64(len(ri.recs))
 }
+
+// BlockBytesPerCopy returns what the block slab keeps per copy, and how many
+// copies that is: its blocks past the nil one, each a copy resident at the
+// run's peak (a dropped block is reused before the slab grows), counted as
+// length × element size.
+func (c *Cluster) BlockBytesPerCopy() (float64, int) {
+	n := len(c.index.blocks) - 1
+	return float64(n*int(unsafe.Sizeof(block{}))) / float64(n), n
+}

@@ -1,10 +1,6 @@
 package gpusim
 
-import (
-	"slices"
-
-	"micco/internal/tensor"
-)
+import "slices"
 
 // tensorRec is where one tensor lives, as placement asks it: the holder set
 // and the head of the copy chain, in 16 bytes, so that four records share a
@@ -25,10 +21,10 @@ type tensorRec struct {
 	spilled bool
 }
 
-// hostRec is the cold half of a slot's record: the host copy. Its fields
-// mean something only while the record's onHost is set; hostCopy resets
-// them when a copy appears, and DiscardAt lets the node run go when one
-// goes.
+// hostRec is the cold half of a slot's record: where the host copy is. Its
+// fields mean something only while the record's onHost is set; hostCopy
+// resets them when a copy appears, and DiscardAt lets the node run go when
+// one goes. Which tensor it is, is the slot's (Cluster.ids).
 type hostRec struct {
 	// nodes and far are the set of nodes whose host partition has the copy:
 	// the inline word of nodes 0-63 and the run of those past it (none while
@@ -36,7 +32,6 @@ type hostRec struct {
 	// host memory is one pool and onHost says it all.
 	nodes uint64
 	far   runRef
-	desc  tensor.Desc
 }
 
 // runRef names a run of the index's slab: a set's far members, ascending,
@@ -60,9 +55,10 @@ const _ uint = 1<<(runClasses-1) - (MaxDevices - InlineDevices)
 // block is one resident copy: an allocation on a device's memory pool.
 // Blocks live in one cluster-wide slab and name each other by index, so the
 // slab may grow under them; index 0 is the nil block. A block is on its
-// device's LRU list and its tensor's copy chain, or on the free list.
+// device's LRU list and its tensor's copy chain, or on the free list. It
+// carries what is per copy; the tensor's ID is its slot's (Cluster.ids).
 type block struct {
-	desc tensor.Desc
+	size int64 // the allocation's bytes: the tensor's, the same on every copy
 	// readyAt is when the data is usable: the completion time of the copy
 	// that installed it (ahead of the compute queue only under AsyncCopy).
 	readyAt float64

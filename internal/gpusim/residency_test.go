@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"micco/internal/tensor"
@@ -474,9 +475,9 @@ func TestBindTensors(t *testing.T) {
 	c.BindTensors(ids)
 	unbuilt("after a bind")
 	a, b, out, dead := desc(50), desc(20), desc(90), desc(60)
-	c.RegisterHostAt(0, a)
-	c.RegisterHostAt(1, b)
-	c.RegisterHostAt(3, dead)
+	c.RegisterHostAt(0)
+	c.RegisterHostAt(1)
+	c.RegisterHostAt(3)
 	if _, err := c.ExecContractionAt(2, &a, &b, &out, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -543,10 +544,10 @@ func TestBindTensors(t *testing.T) {
 	if !c.HoldersMask(50).Empty() || c.HostHolds(7) {
 		t.Error("binding a different table did not empty the cluster")
 	}
-	c.RegisterHostAt(1, b)
+	c.RegisterHostAt(1)
 	c.BindTensors(ids)
 	c.Reset()
-	c.RegisterHostAt(1, b)
+	c.RegisterHostAt(1)
 	if !c.HostHolds(20) || c.HostHolds(50) {
 		t.Error("after re-binding the same table and a bare Reset, slot 1 is not tensor 20")
 	}
@@ -564,4 +565,51 @@ func TestBindTensors(t *testing.T) {
 	}
 	empty.BindTensors(nil)
 	checkAudit(t, empty)
+}
+
+// TestAuditChecksCopySizes: a block keeps its copy's size, not the tensor's
+// descriptor, so Audit holds the sizes to each other. Each row corrupts one
+// block and the device's memUsed with it, so the books still add up and
+// only the size rule can see the fault: a copy of no bytes, and two copies
+// of one tensor that differ in size.
+func TestAuditChecksCopySizes(t *testing.T) {
+	a := tensor.Desc{ID: 1, Rank: tensor.RankMeson, Dim: 8, Batch: 1}
+	b := tensor.Desc{ID: 2, Rank: tensor.RankMeson, Dim: 8, Batch: 2}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Cluster)
+		want    string // in the audit's error; "" for none
+	}{
+		{"intact", func(*Cluster) {}, ""},
+		{"empty copy", func(c *Cluster) {
+			i := c.index.find(c.slot(b.ID), 0)
+			c.devices[0].memUsed -= c.index.blocks[i].size
+			c.index.blocks[i].size = 0
+		}, "misplaced or empty"},
+		{"copies of two sizes", func(c *Cluster) {
+			i := c.index.find(c.slot(a.ID), 1)
+			c.index.blocks[i].size += 16
+			c.devices[1].memUsed += 16
+		}, "not"},
+	} {
+		c, err := NewCluster(MI100(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.RegisterHostTensor(a)
+		c.RegisterHostTensor(b)
+		for _, f := range []struct {
+			dev int
+			d   tensor.Desc
+		}{{0, a}, {1, a}, {0, b}} {
+			if err := c.EnsureResident(f.dev, f.d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tc.corrupt(c)
+		err = c.Audit()
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: audit says %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
 }

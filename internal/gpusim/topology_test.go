@@ -162,17 +162,35 @@ func TestHostNodeCacheAcrossTheInlineSeam(t *testing.T) {
 // node that has never seen the tensor pays one inter-node shipment
 // (latency + bytes at the interconnect rate) on top of the local H2D, a
 // second fetch in the same node pays local cost only, and the same fetch
-// inside the gateway node never touches the interconnect.
+// inside the gateway node never touches the interconnect. A host copy
+// registered by ID and one registered by slot on a bound cluster both land
+// in the gateway node.
 func TestInterNodeStagingCost(t *testing.T) {
 	cfg := MI100Nodes(2, 2)
 	cfg.AllocLatency = 0
 	cfg.KernelLaunch = 0
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	d := topoDesc(1)
-	c.RegisterHostTensor(d) // lands in node 0's partition
+	for _, bySlot := range []bool{false, true} {
+		t.Run(map[bool]string{false: "RegisterHostTensor", true: "RegisterHostAt"}[bySlot], func(t *testing.T) {
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bySlot {
+				c.BindTensors([]uint64{d.ID})
+				c.RegisterHostAt(0)
+			} else {
+				c.RegisterHostTensor(d) // lands in node 0's partition
+			}
+			checkStagingCost(t, c, cfg, d)
+		})
+	}
+}
+
+// checkStagingCost fetches d, whose host copy c has in node 0, on both
+// nodes of c, cfg's 2×2 cluster, and checks what each fetch costs.
+func checkStagingCost(t *testing.T, c *Cluster, cfg Config, d tensor.Desc) {
+	t.Helper()
 	localH2D := float64(d.Bytes()) / cfg.H2DBandwidth
 
 	// Gateway-node fetch: local H2D only, no interconnect traffic.

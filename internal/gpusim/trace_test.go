@@ -340,15 +340,20 @@ func TestTraceBufferOwnership(t *testing.T) {
 // depth, is something the garbage collector has to follow; a DecisionRecord
 // is 128 bytes and Candidates is its one pointer-bearing field. Beside them
 // it pins the residency record every placement reads and writes, at 16
-// bytes: four to a cache line; and the run reference and host record the
-// index keeps per slot beside it, at 8 and 48. A field added later fails
-// here instead of silently regrowing any of them.
+// bytes: four to a cache line; the run reference and host record the index
+// keeps per slot beside it, at 8 and 16 (where the host copy is, not which
+// tensor: that is the slot's); and the block every resident copy is, at 40
+// (its size, not the tensor's 32-byte descriptor). A field added later
+// fails here instead of silently regrowing any of them.
 func TestRecordLayout(t *testing.T) {
 	if size := unsafe.Sizeof(tensorRec{}); size != 16 {
 		t.Errorf("a tensorRec is %d bytes, want 16", size)
 	}
-	if run, host := unsafe.Sizeof(runRef{}), unsafe.Sizeof(hostRec{}); run != 8 || host != 48 {
-		t.Errorf("a runRef is %d bytes and a hostRec %d, want 8 and 48", run, host)
+	if run, host := unsafe.Sizeof(runRef{}), unsafe.Sizeof(hostRec{}); run != 8 || host != 16 {
+		t.Errorf("a runRef is %d bytes and a hostRec %d, want 8 and 16", run, host)
+	}
+	if size := unsafe.Sizeof(block{}); size != 40 {
+		t.Errorf("a block is %d bytes, want 40", size)
 	}
 	if size := unsafe.Sizeof(obs.Event{}); size != 48 {
 		t.Errorf("an obs.Event is %d bytes, want 48", size)

@@ -26,6 +26,15 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// WithoutAudit takes the audit off every Run for the rest of t, for a test
+// in either of this package's test packages that measures what a run
+// allocates: an audit allocates.
+func WithoutAudit(t testing.TB) {
+	hook := afterRun
+	afterRun = nil
+	t.Cleanup(func() { afterRun = hook })
+}
+
 // TestSelfPairLastUseIsDiscarded: a tensor contracted with itself at its
 // last use has one last use, carried by the A side, and DiscardDeadInputs
 // drops it from every memory. (Both sides used to write one flag slot, B

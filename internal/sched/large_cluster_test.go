@@ -143,8 +143,9 @@ func TestWideMaskPathMatchesScanPathReference(t *testing.T) {
 // sched_scale shape on 4096 devices, where a step-III candidate set runs to
 // thousands of devices: every decision record keeps at most
 // obs.MaxCandidates of them, in ascending device order, the cap is reached,
-// and the run allocates at most 32 MB (370 MB when every record listed every
-// eligible device).
+// and the run allocates at most 16 MB: 12.9 MB measured, the package's
+// after-run audit left out of the window (370 MB when every record listed
+// every eligible device).
 func TestWatchedWideRunCapsCandidates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 16k-pair run on 4096 devices")
@@ -159,6 +160,7 @@ func TestWatchedWideRunCapsCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.New()
+	sched.WithoutAudit(t)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	if _, err := sched.Run(context.Background(), w, s, c, sched.Options{Obs: reg}); err != nil {
@@ -187,7 +189,7 @@ func TestWatchedWideRunCapsCandidates(t *testing.T) {
 	if full == 0 {
 		t.Error("no record reached the cap: the run never had a wide candidate set")
 	}
-	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 32<<20 {
-		t.Errorf("the watched run allocated %.1f MB, want at most 32", float64(alloc)/(1<<20))
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 16<<20 {
+		t.Errorf("the watched run allocated %.1f MB, want at most 16", float64(alloc)/(1<<20))
 	}
 }

@@ -705,8 +705,8 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 	// residency question below is an array index.
 	c.BindTensors(w.TensorIDs())
 	c.Reset()
-	for slot, d := range w.Inputs {
-		c.RegisterHostAt(slot, d)
+	for slot := range w.Inputs {
+		c.RegisterHostAt(slot)
 	}
 	// From here on every exit is e.finish.
 	e := &engine{ctx: ctx, w: w, s: s, c: c, opts: opts, sctx: NewContext(c), n: n, clock0: time.Now()}

@@ -241,7 +241,9 @@ func TestContractIntoErrors(t *testing.T) {
 
 // TestContractIntoSteadyStateAllocs: the pooled path with a right-sized
 // destination and a single worker must not allocate at all — also when
-// the destination is an operand and the pack buffer serves its copy.
+// the destination is an operand and the pack buffer serves its copy. Under
+// -race a sync.Pool drops a random share of what it is handed, so there the
+// calls run and the count is only logged.
 func TestContractIntoSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	d := Desc{ID: 1, Rank: RankMeson, Dim: 48, Batch: 2}
@@ -260,7 +262,10 @@ func TestContractIntoSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs != 0 {
+		switch {
+		case raceEnabled:
+			t.Logf("%s: steady-state ContractInto allocates %.1f objects/op under -race", c.name, allocs)
+		case allocs != 0:
 			t.Errorf("%s: steady-state ContractInto allocates %.1f objects/op, want 0", c.name, allocs)
 		}
 	}
