@@ -395,33 +395,3 @@ func BenchmarkAblationAsyncCopy(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkMultiNode measures the hierarchical multi-node extension
-// against its node-Groute baseline on a 4x2-GPU system.
-func BenchmarkMultiNode(b *testing.B) {
-	w := benchWorkload(b)
-	for _, mode := range []struct {
-		name   string
-		groute bool
-	}{{"Hierarchical", false}, {"NodeGroute", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := micco.DefaultMultiNodeConfig(4, 2)
-			cfg.Node.MemoryBytes = int64(1.2 * float64(w.TotalUniqueBytes()))
-			cfg.GrouteNodes = mode.groute
-			mc, err := micco.NewMultiNodeCluster(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var gflops float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := micco.RunMultiNode(context.Background(), w, mc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				gflops = res.GFLOPS
-			}
-			b.ReportMetric(gflops, "simGFLOPS")
-		})
-	}
-}

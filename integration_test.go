@@ -14,7 +14,7 @@ import (
 // TestFullPipelineIntegration drives the complete stack through the public
 // API: train and persist a reuse-bound model, build a correlator through
 // the Wick front end, schedule it on a traced single-node cluster and on
-// the multi-node extension, and run the spectroscopy analysis on its
+// two nodes, and run the spectroscopy analysis on its
 // numeric evaluation.
 func TestFullPipelineIntegration(t *testing.T) {
 	if testing.Short() {
@@ -95,14 +95,14 @@ func TestFullPipelineIntegration(t *testing.T) {
 		t.Error("trace export empty")
 	}
 
-	// 5. Multi-node extension on the same workload.
-	mcfg := micco.DefaultMultiNodeConfig(2, 2)
-	mcfg.Node.MemoryBytes = cfg.MemoryBytes
-	mc, err := micco.NewMultiNodeCluster(mcfg)
+	// 5. Two nodes of two GPUs, placed by the two-level scheduler.
+	mcfg := micco.MI100Nodes(2, 2)
+	mcfg.MemoryBytes = cfg.MemoryBytes
+	mc, err := micco.NewCluster(mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := micco.RunMultiNode(context.Background(), build.Workload, mc)
+	mres, err := micco.Run(context.Background(), build.Workload, micco.NewHier(16, micco.Bounds{0, 2, 0}), mc, micco.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

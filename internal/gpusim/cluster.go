@@ -130,9 +130,10 @@ func (c *Cluster) Device(i int) *Device { return c.devices[i] }
 
 // RegisterHostTensor marks a tensor as available in host memory (an input
 // produced upstream, e.g. a perambulator loaded from disk). On multi-node
-// clusters the copy lands in node 0's host partition — the gateway node
-// where upstream I/O arrives — and other nodes' first use pays one
-// inter-node shipment.
+// clusters the copy lands in node 0's host partition, and other nodes'
+// first use pays one inter-node shipment. sched.Run registers by slot
+// (RegisterHostAt); the ID-keyed form serves callers that drive the
+// cluster without a run, such as the benchmark's replay.
 func (c *Cluster) RegisterHostTensor(d tensor.Desc) { c.hostCopy(c.slot(d.ID), 0) }
 
 // RegisterHostAt is RegisterHostTensor for the tensor in slot (see
@@ -425,8 +426,21 @@ func (c *Cluster) DiscardAt(slot int) {
 }
 
 // Barrier synchronizes all device queues to the maximum, modeling the
-// stage boundary between dependency-partitioned vectors.
-func (c *Cluster) Barrier() { c.BarrierAt(c.Makespan()) }
+// stage boundary between dependency-partitioned vectors. The host links
+// need no raise: a host transfer starts no earlier than its device's
+// queue, which is now at least the maximum.
+func (c *Cluster) Barrier() {
+	t := c.Makespan()
+	c.dirty.markAll()
+	for _, d := range c.devices {
+		if d.clock < t {
+			d.clock = t
+		}
+		if d.copyClock < t {
+			d.copyClock = t
+		}
+	}
+}
 
 // Makespan returns the latest queue time across all devices in seconds.
 func (c *Cluster) Makespan() float64 {
@@ -498,8 +512,8 @@ func (c *Cluster) device(i int) (*Device, error) {
 }
 
 // ChargeExternalTransfer advances device dev's transfer queue by seconds,
-// accounting it as transfer time. Multi-cluster compositions use this to
-// charge network time that this cluster's model knows nothing about.
+// accounting it as transfer time that no link booked. sched's engine
+// charges a fault plan's retry backoff with it.
 func (c *Cluster) ChargeExternalTransfer(dev int, seconds float64) error {
 	d, err := c.device(dev)
 	if err != nil {
@@ -511,20 +525,4 @@ func (c *Cluster) ChargeExternalTransfer(dev int, seconds float64) error {
 	d.advanceTransferQueue(seconds)
 	d.stats.TransferTime += seconds
 	return nil
-}
-
-// BarrierAt raises every device queue to at least t, implementing barriers
-// that span multiple clusters. The host links need no raise: a host
-// transfer starts no earlier than its device's queue, which is now at
-// least t.
-func (c *Cluster) BarrierAt(t float64) {
-	c.dirty.markAll()
-	for _, d := range c.devices {
-		if d.clock < t {
-			d.clock = t
-		}
-		if d.copyClock < t {
-			d.copyClock = t
-		}
-	}
 }

@@ -11,7 +11,7 @@ package gpusim
 // just the target device),
 // Device.install/drop (every allocation, eviction, discard and device
 // loss), the kernel charge in ExecContraction, and the fault surface;
-// Barrier, BarrierAt and Reset (hence Restore) touch every device and mark
+// Barrier and Reset (hence Restore) touch every device and mark
 // the whole cluster. Marking is conservative: a mark does not promise the
 // key differs, only that an unmarked device's keys are unchanged.
 type dirtySet struct {

@@ -46,7 +46,6 @@ import (
 	"micco/internal/gpusim"
 	"micco/internal/hier"
 	"micco/internal/mlearn"
-	"micco/internal/multinode"
 	"micco/internal/obs"
 	"micco/internal/obs/obshttp"
 	"micco/internal/redstar"
@@ -516,33 +515,6 @@ func DiffMetricsSnapshots(old, new *MetricsSnapshot) *MetricsDiff {
 
 // LoadPredictor deserializes a predictor saved with Predictor.Save.
 func LoadPredictor(r io.Reader) (*Predictor, error) { return autotune.LoadPredictor(r) }
-
-// Multi-node extension types (the paper's stated future work).
-type (
-	// MultiNodeConfig describes a simulated multi-node system.
-	MultiNodeConfig = multinode.Config
-	// MultiNodeCluster is a set of simulated nodes behind a shared fabric.
-	MultiNodeCluster = multinode.Cluster
-	// MultiNodeResult summarizes a multi-node run.
-	MultiNodeResult = multinode.Result
-)
-
-// DefaultMultiNodeConfig returns n nodes of g MI100-class GPUs behind an
-// InfiniBand-class fabric.
-func DefaultMultiNodeConfig(n, g int) MultiNodeConfig { return multinode.DefaultConfig(n, g) }
-
-// NewMultiNodeCluster builds a multi-node cluster.
-func NewMultiNodeCluster(cfg MultiNodeConfig) (*MultiNodeCluster, error) {
-	return multinode.NewCluster(cfg)
-}
-
-// RunMultiNode executes a workload hierarchically across nodes: a
-// node-level reuse-aware policy picks the node, a per-node MICCO instance
-// picks the device, and missing operands stage over the shared fabric.
-// ctx cancels the run promptly.
-func RunMultiNode(ctx context.Context, w *Workload, mc *MultiNodeCluster) (*MultiNodeResult, error) {
-	return multinode.Run(ctx, w, mc)
-}
 
 // CorrelatorSeries is a correlator time series C(t), the input of the
 // spectroscopy analyses below.

@@ -239,21 +239,6 @@ func TestMisuseReturnsTypedErrors(t *testing.T) {
 			return nil
 		}, nil},
 
-		// Multi-node extension.
-		{"NewMultiNodeCluster(zero config)", func(*testing.T) error {
-			_, err := micco.NewMultiNodeCluster(micco.MultiNodeConfig{})
-			return err
-		}, gpusim.ErrInvalidConfig},
-		{"RunMultiNode(nil workload)", func(*testing.T) error {
-			mc, err := micco.NewMultiNodeCluster(micco.DefaultMultiNodeConfig(2, 1))
-			if err != nil {
-				return err
-			}
-			_, err = micco.RunMultiNode(bg, nil, mc)
-			return err
-		}, micco.ErrNilArgument},
-		{"RunMultiNode(nil cluster)", func(*testing.T) error { _, err := micco.RunMultiNode(bg, w, nil); return err }, micco.ErrNilArgument},
-
 		// Spectroscopy.
 		{"EffectiveMass(nil)", func(t *testing.T) error {
 			if m := micco.EffectiveMass(nil); len(m) != 0 {

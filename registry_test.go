@@ -105,14 +105,6 @@ func TestPublicAPICancellation(t *testing.T) {
 		t.Errorf("Run: err = %v, want context.Canceled", err)
 	}
 
-	mc, err := micco.NewMultiNodeCluster(micco.DefaultMultiNodeConfig(2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := micco.RunMultiNode(ctx, w, mc); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunMultiNode: err = %v, want context.Canceled", err)
-	}
-
 	if _, err := micco.BuildCorpus(ctx, micco.CorpusConfig{Samples: 4, Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Errorf("BuildCorpus: err = %v, want context.Canceled", err)
 	}

@@ -67,7 +67,8 @@ func exportedNames(t *testing.T) []string {
 // testdata/api.golden, so every change to the public surface shows up as a
 // reviewed diff (regenerate with go test -run TestAPISurface -update). It
 // also fails when a micco.X token in README.md, cmd/ or examples/ names an
-// identifier the package does not export.
+// identifier the package does not export, or a ./cmd/<dir> or
+// ./examples/<dir> path there names a directory that does not exist.
 func TestAPISurface(t *testing.T) {
 	names := exportedNames(t)
 	golden := filepath.Join("testdata", "api.golden")
@@ -94,6 +95,7 @@ func TestAPISurface(t *testing.T) {
 	}
 
 	ref := regexp.MustCompile(`\bmicco\.([A-Z][A-Za-z0-9_]*)`)
+	dir := regexp.MustCompile(`\./(?:cmd|examples)/[A-Za-z0-9_-]+`)
 	check := func(path string) {
 		f, err := os.Open(path)
 		if err != nil {
@@ -105,6 +107,11 @@ func TestAPISurface(t *testing.T) {
 			for _, m := range ref.FindAllStringSubmatch(sc.Text(), -1) {
 				if !slices.Contains(names, m[1]) {
 					t.Errorf("%s:%d: micco.%s names no exported identifier", path, line, m[1])
+				}
+			}
+			for _, d := range dir.FindAllString(sc.Text(), -1) {
+				if fi, err := os.Stat(d); err != nil || !fi.IsDir() {
+					t.Errorf("%s:%d: %s names no directory", path, line, d)
 				}
 			}
 		}
