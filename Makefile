@@ -89,9 +89,12 @@ benchsmoke:
 # held to 0.8x of it besides: under 1.25x faster, the 4x16 block kernel is
 # not what ran (re-recording on a machine without AVX-512 trips this).
 # BenchmarkNumericRun, one deck_numeric job, may allocate at most 0.1 MB
-# per job: 82 KB recorded with a closed run handing its dead buffers to
-# the next run, 72 MB when every run allocated its working set, 162 MB
-# when every pair of a level drew a fresh destination. The row is recorded
+# per job: 62 KB recorded with the ready-list executor (the tree after
+# commit 6448194, which read 80 KB in the same session: the ready list is
+# built once per run and nothing copies the pair stream), 82 KB with a closed run
+# first handing its dead buffers to the next run, 72 MB when every run
+# allocated its working set, 162 MB when every pair of a level drew a
+# fresh destination. The row is recorded
 # at -benchtime 20x and is a warm job: the testing package runs one
 # iteration before the timed twenty, in the same process, and that one
 # fills the pools (a cold iteration inside the twenty would add 3.6 MB to

@@ -194,6 +194,45 @@ func TestFaultSurfaceRefusesNonFinite(t *testing.T) {
 	}
 }
 
+// TestChargeExternalTransferBooksTheDevice: a charge is transfer time on
+// the charged device alone — its stats gain exactly the seconds charged
+// and its transfer queue (the device clock, or the copy engine's with
+// AsyncCopy) moves by exactly as much — and repeated charges add up.
+func TestChargeExternalTransferBooksTheDevice(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		cfg := testConfig(3)
+		cfg.AsyncCopy = async
+		c, _ := NewCluster(cfg)
+		queue := func(i int) float64 {
+			if async {
+				return c.Device(i).copyClock
+			}
+			return c.Device(i).Clock()
+		}
+		for k, charge := range []float64{0.25, 0.5} {
+			before := queue(1)
+			if err := c.ChargeExternalTransfer(1, charge); err != nil {
+				t.Fatal(err)
+			}
+			if got := queue(1) - before; got != charge {
+				t.Errorf("async=%v charge %d: transfer queue moved %v, want %v", async, k, got, charge)
+			}
+		}
+		for i, want := range []float64{0, 0.75, 0} {
+			d := c.Device(i)
+			if got := d.Stats().TransferTime; got != want {
+				t.Errorf("async=%v device %d: transfer time %v, want %v", async, i, got, want)
+			}
+			if i != 1 && (d.Clock() != 0 || d.copyClock != 0) {
+				t.Errorf("async=%v device %d: clocks %v/%v after another device's charge", async, i, d.Clock(), d.copyClock)
+			}
+		}
+		if async && c.Device(1).Clock() != 0 {
+			t.Errorf("async: the charge moved the compute clock to %v", c.Device(1).Clock())
+		}
+	}
+}
+
 func TestTransientFailuresConsumeAndSurface(t *testing.T) {
 	c, _ := NewCluster(testConfig(1))
 	a := desc(7, 16, 1)

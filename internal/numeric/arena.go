@@ -26,6 +26,9 @@ type bufArena struct {
 	free   map[int][][]float64 // nil once the arena is released
 	shared int                 // this run's draws the process-wide tier served
 	misses int                 // this run's draws neither tier could serve
+	// held counts the values drawn and not yet put back, peak its
+	// high-water mark: the run's live set at its largest.
+	held, peak int
 }
 
 func newBufArena() *bufArena {
@@ -38,6 +41,8 @@ func newBufArena() *bufArena {
 // storage). Buffer identity never affects results: every value of a
 // drawn buffer is overwritten before it is read.
 func (a *bufArena) get(vals int) []float64 {
+	a.held += vals
+	a.peak = max(a.peak, a.held)
 	if l := a.free[vals]; len(l) > 0 {
 		buf := l[len(l)-1]
 		l[len(l)-1] = nil
@@ -55,6 +60,7 @@ func (a *bufArena) get(vals int) []float64 {
 // put recycles a dead tensor's storage.
 func (a *bufArena) put(buf []float64) {
 	if c := cap(buf); c > 0 {
+		a.held -= c
 		a.free[c] = append(a.free[c], buf)
 	}
 }

@@ -17,3 +17,7 @@ func PoisonFree(x *Executor, v float64) {
 		}
 	}
 }
+
+// PeakHeldBytes returns the high-water mark of the storage x's run drew
+// and had not yet put back: its live set at its largest, inputs included.
+func PeakHeldBytes(x *Executor) int { return 8 * x.arena.peak }

@@ -15,23 +15,13 @@ import (
 // that calls it after Close also checks that it drew nothing from the
 // process-wide tier and handed nothing to it.
 func TestExecutorMisuse(t *testing.T) {
-	w := levelStream(t, levelWidth, levelWidth)
+	w := wideStream(t, levelWidth, levelWidth)
 	open := func(t *testing.T) *Executor {
 		t.Helper()
 		x, err := New(w, Config{Seed: 5, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return x
-	}
-	// closed runs the stream's first stage and closes the executor.
-	closed := func(t *testing.T) *Executor {
-		t.Helper()
-		x := open(t)
-		if err := x.RunStage(context.Background(), w.Stages[0].Pairs); err != nil {
-			t.Fatal(err)
-		}
-		x.Close()
 		return x
 	}
 	for _, row := range []struct {
@@ -44,10 +34,11 @@ func TestExecutorMisuse(t *testing.T) {
 			_, err := New(lit, Config{})
 			return err
 		}, workload.ErrUnnumbered},
-		{"RunStage after Close", func(t *testing.T) error {
-			x := closed(t)
+		{"Run after Close", func(t *testing.T) error {
+			x := open(t)
+			x.Close()
 			shared, misses := x.arena.shared, x.arena.misses
-			err := x.RunStage(context.Background(), w.Stages[1].Pairs)
+			err := x.Run(context.Background())
 			if x.arena.shared != shared || x.arena.misses != misses {
 				t.Errorf("drew %d buffers from the process-wide tier and missed %d after Close",
 					x.arena.shared-shared, x.arena.misses-misses)
@@ -65,10 +56,14 @@ func TestExecutorMisuse(t *testing.T) {
 		}, nil},
 		{"Fingerprint and Tensor after Close", func(t *testing.T) error {
 			x := open(t)
-			if err := x.RunStage(context.Background(), w.Stages[0].Pairs); err != nil {
-				return err
+			// The first batch is stage 0, every output read by stage 1.
+			if err := x.Run(&cancelAfter{context.Background(), 1}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v after one batch, want context.Canceled", err)
 			}
-			live, _ := x.Tensor(5 + levelWidth - 1) // read by stage 1
+			live, ok := x.Tensor(5 + levelWidth - 1)
+			if !ok {
+				t.Fatal("the first batch left no live intermediate")
+			}
 			fp := x.Fingerprint()
 			x.Close()
 			if got, ok := x.Tensor(5 + levelWidth - 1); !ok || got != live {

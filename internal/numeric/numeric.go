@@ -3,10 +3,11 @@
 // plane of float64 values (tensor.Tensor), the layout the contraction
 // kernels read and write directly. It is the one numeric executor of the
 // repo: the scheduling engine (sched.Options.Numeric) and the correlator
-// front end (redstar.Build.EvaluateNumeric) both hand it one stage at a
-// time, and it runs the stage as dependency levels of batches on one
-// persistent worker pool. Nothing in here knows a scheduler or a device,
-// so no placement can change a number it produces.
+// front end (redstar.Build.EvaluateNumeric) both call its Run once, and it
+// runs the whole stream — across stage boundaries — as batches of ready
+// pairs in demand order on one persistent worker pool. Nothing in here
+// knows a scheduler or a device, so no placement can change a number it
+// produces.
 package numeric
 
 import (
@@ -43,7 +44,7 @@ type Config struct {
 	Timed bool
 }
 
-// Executor holds the tensors of one run and executes its stages. It has a
+// Executor holds the tensors of one run and executes its stream. It has a
 // single owner: every method runs on the goroutine that created it, which
 // also takes part in each batch as worker 0 of the pool. Per-tensor state
 // is indexed by slot in the workload's numbering (Pair.Slots).
@@ -52,9 +53,11 @@ type Executor struct {
 	tensors []*tensor.Tensor // resident tensors; nil before production and after reclaim
 	bp      *tensor.BatchPipeline
 
-	// Level-execution scratch, reused across stages.
-	lv  levelizer
-	ops []tensor.BatchOp
+	// The stream's ready list and one batch's scratch: its pairs, by
+	// number in the stream, and their contractions.
+	ready readyList
+	batch []int32
+	ops   []tensor.BatchOp
 
 	// Dead-tensor reclamation state. reads counts, per slot, the operand
 	// reads the stream has yet to perform, or is pinned; a tensor whose
@@ -89,12 +92,11 @@ func New(w *workload.Workload, cfg Config) (*Executor, error) {
 	x := &Executor{
 		ids:     ids,
 		tensors: make([]*tensor.Tensor, len(ids)),
-		reads:   buildLiveness(w, cfg.Pin),
 		norms:   make([]float64, len(ids)),
 		dead:    make([]bool, len(ids)),
 		arena:   newBufArena(),
-		lv:      levelizer{prod: make([]int32, len(ids))},
 	}
+	x.reads, x.ready = buildLiveness(w, cfg.Pin)
 	x.normFn = x.normQuad
 	for s, d := range w.Inputs {
 		t, err := tensor.NewRandomIn(d, x.arena.get(2*int(d.Elems())), rng)
@@ -143,100 +145,82 @@ func (x *Executor) Tensor(s int) (*tensor.Tensor, bool) {
 	return t, t != nil
 }
 
-// RunStage executes one stage of the stream: the pairs are partitioned
-// into dependency levels and the levels run in order, each as batches on
-// the pool. Batches are bit-identical to contracting pair by pair and
-// levels replay the stream order, so the results are those of the stream
-// executed one pair at a time. ctx is
-// checked between batches. A panic in the level machinery (operand
-// resolution, arena bookkeeping, reclamation) is returned as a
+// Run executes the stream: batches of at most levelWidth ready pairs,
+// lowest demand rank first (readyList), each drawing destination buffers,
+// contracting on the pool, installing its outputs, settling reclamation
+// and readying the pairs that waited for them. Every pair's operands are
+// the tensors the stream order would hand it and a batch is bit-identical
+// to contracting pair by pair, so the results are those of the stream
+// executed one pair at a time, in any order and at any pool width. ctx is
+// checked before every batch. A panic in the executor's own machinery
+// (ready list, arena bookkeeping, reclamation) is returned as a
 // *tensor.WorkerPanicError with worker -1; panics inside the batch kernels
-// are contained by the pool and arrive as the same type. After Close it
-// returns an error wrapping tensor.ErrPipelineClosed and touches no
-// storage: the run's buffers belong to other runs by then.
-func (x *Executor) RunStage(ctx context.Context, pairs []workload.Pair) (err error) {
+// are contained by the pool and arrive as the same type. After an error
+// the stream is part-run: Tensor, Fingerprint and Close still answer.
+// After Close it returns an error wrapping tensor.ErrPipelineClosed and
+// touches no storage: the run's buffers belong to other runs by then.
+func (x *Executor) Run(ctx context.Context) (err error) {
 	if x.arena.released() {
 		return fmt.Errorf("numeric: %w", tensor.ErrPipelineClosed)
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("numeric: level executor: %w",
+			err = fmt.Errorf("numeric: executor: %w",
 				&tensor.WorkerPanicError{Worker: -1, Value: r, Stack: debug.Stack()})
 		}
 	}()
-	for _, lvl := range x.lv.partition(pairs) {
-		if err := x.execLevel(ctx, lvl); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// levelWidth is how many pairs of a dependency level run as one batch. A
-// level's pairs are independent, so cutting it into consecutive
-// sub-batches changes no result; what it changes is when storage comes
-// back: reclamation settles after every sub-batch, so outputs that are
-// dead on production (every final of a correlator's last level) cycle
-// through levelWidth cache-warm buffers instead of one fresh zeroed
-// allocation per pair. Narrower gives the pool fewer items to balance
-// and more hand-offs, wider loses the recycling; DESIGN.md §14 has the
-// sweep.
-const levelWidth = 16
-
-// execLevel runs one dependency level as consecutive batches of at
-// most levelWidth pairs in stream order: resolve every operand up front
-// (so a missing one is reported before anything runs, whatever its
-// position), then per sub-batch draw destination buffers, contract on the
-// pool, install outputs and settle reclamation. An operand keeps
-// readsLeft > 0 — and so its storage — until the sub-batch of its last
-// reader has settled.
-func (x *Executor) execLevel(ctx context.Context, pairs []workload.Pair) error {
 	ops := x.ops[:0]
 	defer func() {
 		clear(ops) // drop tensor references
 		x.ops = ops[:0]
 	}()
-	for i := range pairs {
-		p := &pairs[i]
-		sa, sb, _ := p.Slots()
-		a, b := x.tensors[sa], x.tensors[sb]
-		if a == nil {
-			return fmt.Errorf("numeric: operand t%d missing", p.A.ID)
-		}
-		if b == nil {
-			return fmt.Errorf("numeric: operand t%d missing", p.B.ID)
-		}
-		ops = append(ops, tensor.BatchOp{A: a, B: b, OutID: p.Out.ID})
-	}
-	for lo := 0; lo < len(ops); lo += levelWidth {
+	for len(x.ready.heap) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		hi := min(lo+levelWidth, len(ops))
-		sub, subPairs := ops[lo:hi], pairs[lo:hi]
-		for i := range subPairs {
-			sub[i].Dst = &tensor.Tensor{Data: x.arena.get(2 * int(subPairs[i].Out.Elems()))}
+		ops, x.batch = ops[:0], x.batch[:0]
+		for len(x.batch) < levelWidth && len(x.ready.heap) > 0 {
+			i := x.ready.pop()
+			p := x.ready.pair(i)
+			sa, sb, _ := p.Slots()
+			x.batch = append(x.batch, i)
+			ops = append(ops, tensor.BatchOp{
+				A: x.tensors[sa], B: x.tensors[sb], OutID: p.Out.ID,
+				Dst: &tensor.Tensor{Data: x.arena.get(2 * int(p.Out.Elems()))},
+			})
 		}
-		if err := x.bp.Run(sub); err != nil {
+		if err := x.bp.Run(ops); err != nil {
 			return fmt.Errorf("numeric: contraction: %w", err)
 		}
-		for i := range subPairs {
-			_, _, so := subPairs[i].Slots()
-			x.tensors[so] = sub[i].Dst
+		for k, i := range x.batch {
+			_, _, so := x.ready.pair(i).Slots()
+			x.tensors[so] = ops[k].Dst
 		}
-		if err := x.settleReclaim(subPairs); err != nil {
+		if err := x.settleReclaim(x.batch); err != nil {
 			return err
+		}
+		for _, i := range x.batch {
+			x.ready.produced(i)
 		}
 	}
 	return nil
 }
 
-// settleReclaim settles a sub-batch's operand reads and reclaims every
+// levelWidth is how many ready pairs run as one batch. Ready pairs are
+// independent, so how many go together changes no result; what it changes
+// is when storage comes back: reclamation settles after every batch, so
+// outputs that are dead on production (every final of a correlator)
+// cycle through levelWidth cache-warm buffers instead of one fresh zeroed
+// allocation per pair. Narrower gives the pool fewer items to balance and
+// more hand-offs, wider loses the recycling; DESIGN.md §14 has the sweep.
+const levelWidth = 16
+
+// settleReclaim settles a batch's operand reads and reclaims every
 // tensor that died: they leave the store, their norms fan out across the
 // pool four tensors per item, and their buffers go back to the arena.
 // tensor.Norms gives every tensor Norm's own chain over the same data, so
 // the fingerprint does not depend on how the norms were grouped or spread.
-func (x *Executor) settleReclaim(pairs []workload.Pair) error {
+func (x *Executor) settleReclaim(batch []int32) error {
 	dead := x.deadT[:0]
 	slots := x.deadSlots[:0]
 	// drop takes slot s's tensor out of the store once no read of it is left.
@@ -247,8 +231,8 @@ func (x *Executor) settleReclaim(pairs []workload.Pair) error {
 			x.tensors[s] = nil
 		}
 	}
-	for i := range pairs {
-		sa, sb, so := pairs[i].Slots()
+	for _, i := range batch {
+		sa, sb, so := x.ready.pair(i).Slots()
 		for _, s := range [2]int{sa, sb} {
 			if x.reads[s] > 0 { // a pinned slot is never counted down
 				x.reads[s]--
@@ -283,23 +267,6 @@ func (x *Executor) normQuad(_, i int) {
 	lo := 4 * i
 	hi := min(lo+4, len(x.deadT))
 	tensor.Norms(x.deadNorm[lo:hi], x.deadT[lo:hi])
-}
-
-// buildLiveness counts, per slot, how many operand reads the stream
-// performs; pinned slots are marked pinned instead.
-func buildLiveness(w *workload.Workload, pin []int) []int32 {
-	reads := make([]int32, len(w.TensorIDs()))
-	for si := range w.Stages {
-		for i := range w.Stages[si].Pairs {
-			sa, sb, _ := w.Stages[si].Pairs[i].Slots()
-			reads[sa]++
-			reads[sb]++
-		}
-	}
-	for _, s := range pin {
-		reads[s] = pinned
-	}
-	return reads
 }
 
 // Fingerprint sums the Frobenius norms of every tensor of the run, inputs

@@ -46,19 +46,17 @@ func deck(t *testing.T, c *redstar.Correlator, times int) (*workload.Workload, [
 	return b.Workload, finals
 }
 
-// run executes every stage of w on a new executor and returns it open: the
-// caller closes it.
+// run executes w on a new executor and returns it open: the caller closes
+// it.
 func run(t *testing.T, w *workload.Workload, cfg numeric.Config) *numeric.Executor {
 	t.Helper()
 	x, err := numeric.New(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range w.Stages {
-		if err := x.RunStage(context.Background(), st.Pairs); err != nil {
-			x.Close()
-			t.Fatal(err)
-		}
+	if err := x.Run(context.Background()); err != nil {
+		x.Close()
+		t.Fatal(err)
 	}
 	return x
 }
@@ -232,11 +230,28 @@ func runOnce(w *workload.Workload, cfg numeric.Config) (fp float64, shared int, 
 		return 0, 0, err
 	}
 	defer x.Close()
-	for _, st := range w.Stages {
-		if err := x.RunStage(context.Background(), st.Pairs); err != nil {
-			return 0, 0, err
-		}
+	if err := x.Run(context.Background()); err != nil {
+		return 0, 0, err
 	}
 	shared, _ = numeric.ArenaDraws(x)
 	return x.Fingerprint(), shared, nil
+}
+
+// TestReadyFootprint: the deck_numeric job (al_rhopi, four sink times,
+// batch 2, 512 KiB tensors) holds at most 40 MB of storage at once, inputs
+// included. Stage by stage in stream order it holds 71.8 MB: every output
+// of the first stage waits at the stage barrier for the last of them.
+// The demand order produces each intermediate next to its readers and
+// holds 37.2 MB; the bound fails if the stream order comes back.
+func TestReadyFootprint(t *testing.T) {
+	w, _ := deck(t, redstar.A1RhoPi(), 4)
+	for _, pool := range []int{1, 8} {
+		x := run(t, w, numeric.Config{Seed: 2022, Workers: pool})
+		peak := numeric.PeakHeldBytes(x)
+		x.Close()
+		t.Logf("pool %d: %d inputs, %d pairs, peak %.1f MB", pool, len(w.Inputs), w.NumPairs(), float64(peak)/1e6)
+		if peak > 40e6 {
+			t.Errorf("pool %d: peak live storage %.1f MB, want <= 40 MB", pool, float64(peak)/1e6)
+		}
+	}
 }

@@ -27,10 +27,8 @@ func TestNumericReclaimFreesDeadTensors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer x.Close()
-	for _, st := range w.Stages {
-		if err := x.RunStage(context.Background(), st.Pairs); err != nil {
-			t.Fatal(err)
-		}
+	if err := x.Run(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	total := held(x)
 	resident := 0
@@ -49,7 +47,10 @@ func TestNumericReclaimFreesDeadTensors(t *testing.T) {
 // performs — a self-pair reads twice — and a pinned slot is marked pinned
 // whatever its count. The streams an earlier, ID-keyed count had to
 // exclude — an ID written twice, an output that is also an input — no
-// constructor makes (workload.TestDecodeValidation).
+// constructor makes (workload.TestDecodeValidation). The same pass builds
+// the ready list: each pair's pending operands and consumers (once per
+// operand read), the demand rank — the last stage's producers walked
+// first — and the pairs that read only inputs ready.
 func TestBuildLiveness(t *testing.T) {
 	d := func(id uint64) tensor.Desc { return tensor.Desc{ID: id, Rank: tensor.RankMeson, Dim: 4, Batch: 1} }
 	w := fromStages(t, "liveness", [][]workload.Pair{
@@ -57,10 +58,25 @@ func TestBuildLiveness(t *testing.T) {
 		{{A: d(10), B: d(2), Out: d(11)}},
 		{{A: d(11), B: d(11), Out: d(12)}, {A: d(3), B: d(2), Out: d(13)}},
 	}, []tensor.Desc{d(1), d(2), d(3)})
-	got := buildLiveness(w, []int{2})
+	got, r := buildLiveness(w, []int{2})
 	// Slots: inputs t1 t2 t3, then outputs t10 t11 t12 t13.
 	if want := []int32{1, 3, pinned, 1, 2, 0, 0}; !reflect.DeepEqual(got, want) {
 		t.Errorf("reads by slot %v, want %v", got, want)
+	}
+	// Pairs, in stream order: p0 makes t10, p1 t11, p2 t12, p3 t13.
+	for _, c := range []struct {
+		name      string
+		got, want []int32
+	}{
+		{"pending", r.pending, []int32{0, 1, 2, 0}},
+		{"cstart", r.cstart, []int32{0, 1, 3, 3, 3}},
+		{"cons", r.cons, []int32{1, 2, 2}},
+		{"rank", r.rank, []int32{0, 1, 2, 3}},
+		{"ready", r.heap, []int32{0, 3}},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -69,7 +85,7 @@ func TestBuildLiveness(t *testing.T) {
 // with the bits of the pairwise oracle, which keeps every tensor — when the
 // stream ends.
 func TestPinnedTensorsSurviveReclaim(t *testing.T) {
-	w := levelStream(t, 3*levelWidth, 2*levelWidth)
+	w := wideStream(t, 3*levelWidth, 2*levelWidth)
 	finals := 5 + 3*levelWidth                         // the slot of the first final
 	pin := []int{5, finals, finals + 2*levelWidth - 1} // a read intermediate and two finals
 	keep := pairwiseOracle(t, w)
@@ -78,10 +94,8 @@ func TestPinnedTensorsSurviveReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer x.Close()
-	for _, st := range w.Stages {
-		if err := x.RunStage(context.Background(), st.Pairs); err != nil {
-			t.Fatal(err)
-		}
+	if err := x.Run(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	for _, s := range pin {
 		id := w.TensorIDs()[s]
@@ -110,7 +124,7 @@ func TestPinnedTensorsSurviveReclaim(t *testing.T) {
 // oracle's, which contracts into fresh storage — at pool 1, 4 and 8.
 func TestPooledStorageFullyOverwritten(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // the pools keep what they are handed
-	w := levelStream(t, 3*levelWidth, 2*levelWidth)
+	w := wideStream(t, 3*levelWidth, 2*levelWidth)
 	finals := 5 + 3*levelWidth // the slot of the first final
 	pin := []int{5, finals, finals + 2*levelWidth - 1}
 	keep := pairwiseOracle(t, w)
@@ -119,10 +133,8 @@ func TestPooledStorageFullyOverwritten(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range w.Stages {
-			if err := x.RunStage(context.Background(), st.Pairs); err != nil {
-				t.Fatal(err)
-			}
+		if err := x.Run(context.Background()); err != nil {
+			t.Fatal(err)
 		}
 		if round > 0 && x.arena.shared == 0 {
 			t.Errorf("round %d: drew no buffer from the process-wide tier", round)

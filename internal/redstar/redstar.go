@@ -258,12 +258,12 @@ func namesRepeat(specs []wick.Spec) bool {
 // Intended for examples and validation on small correlators; its results
 // are pinned bit for bit by the golden tests.
 //
-// Evaluation hands b.Workload — the plan's own stream — stage by stage to
-// the numeric executor the scheduling engine uses (internal/numeric), on
-// a pool of workers goroutines (<= 0 selects GOMAXPROCS): each stage runs
-// as dependency levels of batches, every tensor's storage is recycled
-// once its last reader has run, and the finals are pinned until their
-// traces are taken. None of that perturbs numerics: a batch is
+// Evaluation hands b.Workload — the plan's own stream — whole to the
+// numeric executor the scheduling engine uses (internal/numeric), on a
+// pool of workers goroutines (<= 0 selects GOMAXPROCS): it runs as batches
+// of ready pairs in demand order across the stage boundaries, every
+// tensor's storage is recycled once its last reader has run, and the
+// finals are pinned until their traces are taken. None of that perturbs numerics: a batch is
 // bit-identical to op-at-a-time evaluation, and the kernel overwrites
 // every destination element.
 func (b *Build) EvaluateNumeric(seed int64, workers int) (map[int]complex128, error) {
@@ -288,11 +288,9 @@ func (b *Build) EvaluateNumeric(seed int64, workers int) (map[int]complex128, er
 		return nil, fmt.Errorf("redstar: %w", err)
 	}
 	defer x.Close()
-	for si, st := range b.Workload.Stages {
-		// The kept signature supplies no context.
-		if err := x.RunStage(context.TODO(), st.Pairs); err != nil {
-			return nil, fmt.Errorf("redstar: stage %d: %w", si, err)
-		}
+	// The kept signature supplies no context.
+	if err := x.Run(context.TODO()); err != nil {
+		return nil, fmt.Errorf("redstar: %w", err)
 	}
 	corr := make(map[int]complex128, len(b.FinalsByTime))
 	for t, fds := range b.FinalsByTime {

@@ -249,7 +249,7 @@ func TestObsOnRunAllocsPerPair(t *testing.T) {
 }
 
 // BenchmarkNumericPipeline measures a numeric run end to end — placement,
-// then each stage's dependency levels as batches on the worker pool
+// then the stream's ready pairs as batches on the worker pool
 // — on a chained operand-sharing deck of dim-24 tensors, small enough for
 // the pool's per-batch hand-off to show, at Parallelism 1 (GOMAXPROCS
 // wide), 2 (the engine plus one parked worker) and 8. Every

@@ -12,12 +12,16 @@ import (
 // Numeric mode executes the contraction stream with real complex
 // arithmetic — on tensors held as a real and an imaginary float64 plane,
 // the layout the kernels read and write in place — so tests and examples
-// can validate that scheduling decisions never change numerical results. The engine owns one numeric.Executor per
-// run and, at every stage boundary, runs the stage's pairs on it inline:
-// dependency levels of batches on the executor's worker pool, the
-// engine goroutine working as pool worker 0. The scheduling and simulation
-// a separate goroutine could overlap with that are about 0.1% of a numeric
-// job (DESIGN.md §6), so there is none.
+// can validate that scheduling decisions never change numerical results.
+// The engine owns one numeric.Executor per run and runs the whole stream
+// on it once, inline, at the last stage's boundary: batches of ready pairs
+// in demand order on the executor's worker pool, the engine goroutine
+// working as pool worker 0. Waiting for the last boundary lets the
+// executor cross the earlier ones, so intermediates die next to their
+// readers instead of piling up at every barrier (DESIGN.md §14). The
+// scheduling and simulation a separate goroutine could overlap with the
+// numerics are about 0.1% of a numeric job (DESIGN.md §6), so there is
+// none.
 
 // numericRun is the engine's numeric layer, nil unless Options.Numeric: the
 // run's executor and the wall time the run spends in it.
@@ -42,14 +46,17 @@ func newNumericRun(w *workload.Workload, opts Options) (*numericRun, error) {
 	return &numericRun{ex: ex}, nil
 }
 
-// run executes stage si's pairs on the executor and charges the wall time
-// to the stage and to the run.
+// run executes the stream on the executor at the last stage's boundary —
+// si is the stage whose pairs were just placed; every other boundary is
+// a no-op — and charges the wall time to that stage and to the run. A
+// resumed run replays its prefix through here too, so the stream runs
+// exactly once whichever boundary the run started from.
 func (n *numericRun) run(e *engine, si int) error {
-	if n == nil {
+	if n == nil || si != len(e.w.Stages)-1 {
 		return nil
 	}
 	t0 := time.Now()
-	err := n.ex.RunStage(e.ctx, e.w.Stages[si].Pairs)
+	err := n.ex.Run(e.ctx)
 	d := time.Since(t0)
 	e.numericW += d
 	n.total += d

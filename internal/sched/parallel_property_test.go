@@ -98,9 +98,8 @@ func TestParallelFusedBitIdentical(t *testing.T) {
 
 // TestParallelFusedResumeReplay drives the checkpoint/resume path through
 // numeric mode: a fatal cluster loss mid-run leaves a stage-boundary
-// checkpoint; resuming on a fresh cluster replays the completed numeric
-// prefix (stage by stage, exactly as the original run executed it) and
-// must land on the uninterrupted fingerprint at every pool width, with the
+// checkpoint; resuming on a fresh cluster replays the completed prefix,
+// runs the numeric stream once at the last boundary, and must land on the uninterrupted fingerprint at every pool width, with the
 // deprecated, ignored Options.NumericReclaim set either way.
 func TestParallelFusedResumeReplay(t *testing.T) {
 	w := propertyWorkload(t)

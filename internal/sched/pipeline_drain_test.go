@@ -35,9 +35,10 @@ func (c *cancelScheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 // TestPipelineCancelDrainsCleanly cancels numeric runs at randomized pair
 // positions at every pool width — Parallelism 1 included: every width
 // owns parked workers that Run must stop on every exit path. Each width
-// also gets one trial whose cancel lands on the last placement of a stage,
-// so the numeric executor, not the pair loop, is what notices it — which
-// is also why no trial can outrun its cancel. Every run must return
+// also gets one trial whose cancel lands on the last placement of the last
+// stage, whose boundary runs the numerics, so the numeric executor, not
+// the pair loop, is what notices it — which is also why no trial can
+// outrun its cancel. Every run must return
 // context.Canceled with its checkpoint, and after all trials the process
 // must settle back to its starting goroutine count — no parked worker or
 // watchdog goroutine may leak.
@@ -45,13 +46,13 @@ func TestPipelineCancelDrainsCleanly(t *testing.T) {
 	w := numericWorkload(t, 31)
 	rng := rand.New(rand.NewSource(31))
 	before := runtime.NumGoroutine()
-	stageEnd := len(w.Stages[0].Pairs) + len(w.Stages[1].Pairs)
+	last := len(w.Stages) - 1
 
 	for _, width := range []int{1, 2, 4, 8} {
 		for trial := 0; trial < 8; trial++ {
 			at := 1 + rng.Intn(w.NumPairs())
 			if trial == 0 {
-				at = stageEnd
+				at = w.NumPairs()
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			s := &cancelScheduler{Scheduler: baseline.NewRoundRobin(), at: at, cancel: cancel}
@@ -64,9 +65,9 @@ func TestPipelineCancelDrainsCleanly(t *testing.T) {
 			if res == nil || res.Checkpoint == nil {
 				t.Fatalf("width %d trial %d: cancelled run carried no checkpoint", width, trial)
 			}
-			if at == stageEnd && res.Checkpoint.NextStage() != 1 {
-				t.Errorf("width %d: cancel on the last placement of stage 1 left a checkpoint at stage %d, want 1: that stage's numerics must not have run",
-					width, res.Checkpoint.NextStage())
+			if at == w.NumPairs() && res.Checkpoint.NextStage() != last {
+				t.Errorf("width %d: cancel on the last placement left a checkpoint at stage %d, want %d: the numerics must not have run",
+					width, res.Checkpoint.NextStage(), last)
 			}
 		}
 	}

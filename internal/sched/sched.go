@@ -191,7 +191,9 @@ type Options struct {
 	DiscardDeadInputs bool
 	// Numeric executes every contraction with real complex128 arithmetic
 	// on the CPU in addition to the timing simulation, enabling numeric
-	// validation. Expensive; use small workloads. Each tensor's storage is
+	// validation. Expensive; use small workloads. The stream runs once, at
+	// the last stage's boundary, as batches of ready pairs in demand order
+	// across the stage boundaries. Each tensor's storage is
 	// freed after its last reader completes (liveness is exact, derived
 	// from the workload's read counts, mirroring the simulator's
 	// DiscardDeadInputs policy) and recycled into later outputs, so memory
@@ -217,8 +219,8 @@ type Options struct {
 	// Parallelism sets the width of numeric mode's worker pool (PoolSize).
 	// Scheduler decisions and the timing simulation always replay
 	// sequentially (the paper's Algorithms 1-2 are order-dependent); at
-	// each stage boundary the engine goroutine runs the stage's real CPU
-	// contractions as dependency levels of batches, one work item per
+	// the last stage's boundary the engine goroutine runs the stream's real
+	// CPU contractions as batches of ready pairs, one work item per
 	// (pair, group) product, working alongside the pool's parked
 	// goroutines. N > 1 is a pool of N; 0 and 1 both select
 	// runtime.GOMAXPROCS(0). 1 is not one thread: there is a single
@@ -663,8 +665,9 @@ func (e *engine) placePair(si, pi int, p *workload.Pair, recovery bool) error {
 //
 // Scheduler decisions and the timing simulation replay sequentially; each
 // stage boundary then runs, in order, numeric mode's real CPU contractions
-// (on a worker pool sized by Options.Parallelism), the simulator's barrier,
-// the stage span and the checkpoint. ctx cancels the run: Run returns
+// (the whole stream, at the last boundary only, on a worker pool sized by
+// Options.Parallelism), the simulator's barrier, the stage span and the
+// checkpoint. ctx cancels the run: Run returns
 // ctx.Err() promptly, checked at every pair and between numeric batches.
 //
 // When Options.Obs is set the engine additionally records, into that
@@ -761,8 +764,8 @@ func (e *engine) stage(si int) error {
 			return err
 		}
 	}
-	// Every pair of the stage is placed: contract them, in stream order,
-	// before the next stage reads their outputs.
+	// Every pair of the stage is placed; after the last stage, contract
+	// the stream.
 	if err := e.num.run(e, si); err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@ var ErrPipelineClosed = errors.New("tensor: batch pipeline closed")
 // BatchPipeline is a persistent cooperative worker pool with one
 // parallel-for (Do): it parks its workers between calls and keeps one pack
 // buffer per worker for its whole lifetime — the right shape for a
-// numeric executor that feeds one dependency level after another. Run is
+// numeric executor that feeds one batch of ready pairs after another. Run is
 // a batch of contractions drained through Do; ContractBatch is one Run on
 // a pipeline that lives for the call. (A multi-worker ContractInto does
 // not come here: it spawns a goroutine per worker on every call.)

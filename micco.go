@@ -251,10 +251,10 @@ func NewGroute() Scheduler { return baseline.NewGroute() }
 func NewHier(nodeBound int, b Bounds) Scheduler { return hier.New(nodeBound, b) }
 
 // Run replays workload w through scheduler s on cluster c. Scheduler
-// decisions replay sequentially; in numeric mode the real contractions of
-// each stage then run as dependency levels of batches on a worker pool
-// sized by RunOptions.Parallelism, with bit-identical results at any
-// setting. ctx cancels the run promptly.
+// decisions replay sequentially; in numeric mode the real contractions
+// then run at the last stage's boundary, as batches of ready pairs on a
+// worker pool sized by RunOptions.Parallelism, with bit-identical results
+// at any setting. ctx cancels the run promptly.
 func Run(ctx context.Context, w *Workload, s Scheduler, c *Cluster, opts RunOptions) (*Result, error) {
 	return sched.Run(ctx, w, s, c, opts)
 }
