@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -179,10 +180,25 @@ func TestSummarizeDrift(t *testing.T) {
 		{Policy: obs.PolicyComputeCentric, Pattern: obs.OneRepeated, PredictedBytes: 50, ActualBytes: 30},
 		{Policy: obs.PolicyMemoryEviction, Pattern: obs.TwoNew, PredictedBytes: 10, ActualBytes: 10, Recovery: true},
 	}
-	d := SummarizeDrift(recs)
-	if len(d.Groups) != 3 {
-		t.Fatalf("groups = %+v", d.Groups)
+	// The groups come out of a map, so one call can put two groups that tie
+	// on pattern in either order: check the order over many calls, with the
+	// records in both orders.
+	rev := slices.Clone(recs)
+	slices.Reverse(rev)
+	for i := range 64 {
+		in := recs
+		if i%2 == 1 {
+			in = rev
+		}
+		var order []string
+		for _, g := range SummarizeDrift(in).Groups {
+			order = append(order, g.Policy+"/"+g.Pattern)
+		}
+		if got, want := strings.Join(order, " "), "compute-centric/oneRepeated compute-centric/twoNew memory-eviction/twoNew"; got != want {
+			t.Fatalf("call %d: groups in order %s, want %s", i, got, want)
+		}
 	}
+	d := SummarizeDrift(recs)
 	// Sorted by policy then pattern: compute-centric/oneRepeated first.
 	g := d.Groups[0]
 	if g.Policy != "compute-centric" || g.Pattern != "oneRepeated" || g.BiasBytes != -20 || g.AbsErrBytes != 20 {

@@ -16,12 +16,19 @@
 //
 // A package's test set is its own tests, then (unless -own) the tests of
 // every in-module package whose tests depend on it, less slowSuites. Those
-// run only when its own tests kill a mutant with fewer than two tests, so
-// the score is the whole set's and a test that alone kills a mutant is
-// known. A mutant on which any test failed is killed, and its line lists
-// every stage's failures; one is timed-out only if a test binary ran past
-// its cap and no test failed. -sample k runs one mutant in k, from the
-// first. As many mutants run at once as GOMAXPROCS allows.
+// run only when its own tests finish on a mutant within their cap and fewer
+// than two of them fail, so the score is the whole set's and a test that
+// alone kills a mutant is known. Of each stage, a mutant runs only the tests
+// that execute its bytes: every test is run alone once under coverage of
+// the package, and a mutant takes the tests that cover a block it
+// overlaps. One in no block takes those that enter its function, one
+// outside every function the whole stage, and one that no test executes
+// is decided by its build. A mutant on which any test failed is killed,
+// and its line lists every stage's failures; a test that ends its binary
+// (a panic, a fatal error) is one, and the tests after it run again. One
+// is timed-out only if a test binary ran past its cap and no test failed.
+// -sample k runs one mutant in k, from the first. As many mutants run at
+// once as GOMAXPROCS allows.
 package main
 
 import (
@@ -36,10 +43,13 @@ import (
 	"go/token"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 )
@@ -53,10 +63,12 @@ var slowSuites = map[string]bool{
 
 var opNames = []string{"flip", "negate", "swap", "inc", "dec", "delete"}
 
-// A mutant is one edit of one file: bytes [off, end) become repl.
+// A mutant is one edit of one file: bytes [off, end) become repl. fn is
+// the byte range of the innermost function body around it, if any.
 type mutant struct {
 	file, desc, repl        string // file is a base name
 	line, col, off, end, op int    // op indexes opNames
+	fn                      [2]int
 }
 
 var flips = map[token.Token]token.Token{
@@ -89,9 +101,16 @@ func enumerate(fset *token.FileSet, name string, src []byte) ([]mutant, error) {
 	text := func(n ast.Node) string {
 		return string(src[fset.Position(n.Pos()).Offset:fset.Position(n.End()).Offset])
 	}
+	var fns [][2]int // function bodies
 	ast.Inspect(f, func(n ast.Node) bool {
 		var body []ast.Stmt
 		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Body != nil {
+				fns = append(fns, [2]int{fset.Position(n.Body.Pos()).Offset, fset.Position(n.Body.End()).Offset})
+			}
+		case *ast.FuncLit:
+			fns = append(fns, [2]int{fset.Position(n.Body.Pos()).Offset, fset.Position(n.Body.End()).Offset})
 		case *ast.BinaryExpr:
 			if to, ok := flips[n.Op]; ok {
 				tok(n.OpPos, n.Op, to, 0)
@@ -132,6 +151,13 @@ func enumerate(fset *token.FileSet, name string, src []byte) ([]mutant, error) {
 	sort.SliceStable(ms, func(i, j int) bool {
 		return ms[i].off < ms[j].off || ms[i].off == ms[j].off && ms[i].op < ms[j].op
 	})
+	for i, m := range ms {
+		for _, b := range fns { // the innermost body is the shortest around it
+			if b[0] <= m.off && m.end <= b[1] && (m.fn[1] == 0 || b[1]-b[0] < m.fn[1]-m.fn[0]) {
+				ms[i].fn = b
+			}
+		}
+	}
 	return ms, nil
 }
 
@@ -188,56 +214,271 @@ func short(pkg, module string) string {
 	return strings.TrimPrefix(strings.TrimPrefix(pkg, module+"/"), "internal/")
 }
 
-// goTest runs pkgs' tests with overlay (none if empty), each test binary
-// under limit, and returns the top-level tests that failed, plus each
-// package that failed outside any test and not by running out of time, and
-// whether a test binary ran out of time. limit bounds a binary's run, not
-// the build before it, so a loaded machine slows a verdict without moving
-// it; the whole command has a safety cap of twice that plus ten minutes.
-func goTest(overlay string, limit time.Duration, module string, pkgs []string) (failed []string, timedOut bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*limit+10*time.Minute)
-	defer cancel()
-	args := []string{"test", "-json", "-count=1", "-vet=off", "-timeout", limit.String()}
-	if overlay != "" {
-		args = append(args, "-overlay", overlay)
-	}
-	cmd := exec.CommandContext(ctx, "go", append(args, pkgs...)...)
-	cmd.WaitDelay = 10 * time.Second
-	out, _ := cmd.Output()
-	timedOut = ctx.Err() != nil
-	set := map[string]bool{}
-	bare := map[string]bool{}    // package -> failed with no test failing
-	expired := map[string]bool{} // package -> its binary ran past limit
-	for _, l := range bytes.Split(out, []byte("\n")) {
-		var ev struct{ Action, Package, Test, Output string }
+// parse reads the test2json events of one run of a test binary over tests
+// (top-level tests), which exited with an error if exitErr. It returns the
+// tests that failed, a test that was running when its binary died (a fatal
+// error, such as the data limit, is no panic and reports no failure)
+// counted among them; the tests that got no result, because a test before
+// them ended the binary; whether the binary failed outside any test and not
+// by running out of time; and whether it ran out of time. A binary that ran
+// out of time or failed outside any test has no tests to run again.
+func parse(events []byte, exitErr bool, tests []string) (failed, rest []string, bare, timedOut bool) {
+	done := map[string]bool{} // top-level test -> got a result
+	running := ""             // the last top-level test started
+	for _, l := range bytes.Split(events, []byte("\n")) {
+		var ev struct{ Action, Test, Output string }
 		if json.Unmarshal(l, &ev) != nil {
 			continue
 		}
-		if strings.Contains(ev.Output, "panic: test timed out") {
-			timedOut, expired[ev.Package] = true, true
-		}
-		if ev.Action != "fail" {
-			continue
-		}
-		if ev.Test == "" { // a package's result follows its tests'
-			_, testFailed := bare[ev.Package]
-			bare[ev.Package] = !testFailed
-			continue
-		}
-		top, _, _ := strings.Cut(ev.Test, "/")
-		set[short(ev.Package, module)+"."+top] = true
-		bare[ev.Package] = false
-	}
-	for p, b := range bare {
-		if b && !expired[p] {
-			set[short(p, module)] = true
+		timedOut = timedOut || strings.Contains(ev.Output, "panic: test timed out")
+		top, _, sub := strings.Cut(ev.Test, "/")
+		switch {
+		case ev.Test == "":
+		case ev.Action == "run" && !sub:
+			running = top
+		case ev.Action == "fail":
+			failed, done[top] = append(failed, top), true
+		case (ev.Action == "pass" || ev.Action == "skip") && !sub:
+			done[top] = true
 		}
 	}
-	for t := range set {
-		failed = append(failed, t)
+	if exitErr && !timedOut && running != "" && !done[running] {
+		failed, done[running] = append(failed, running), true
 	}
-	sort.Strings(failed)
+	slices.Sort(failed)
+	failed = slices.Compact(failed)
+	if bare = exitErr && !timedOut && len(failed) == 0; bare || timedOut {
+		return failed, nil, bare, timedOut
+	}
+	for _, t := range tests {
+		if !done[t] {
+			rest = append(rest, t)
+		}
+	}
+	return failed, rest, false, false
+}
+
+// test runs the tests of want (package -> top-level tests) with overlay
+// (none if empty) and returns the tests that failed, plus each package that
+// failed outside any test and not by running out of time, and whether a
+// test binary ran out of time. Each package's test binary is built once,
+// GOMAXPROCS at a time; a package whose tests do not build fails.
+func (j *job) test(overlay string, limit time.Duration, want map[string][]string) (failed []string, timedOut bool) {
+	dir, err := os.MkdirTemp(j.tmp, "b")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mutate:", err)
+		os.Exit(1)
+	}
+	defer os.RemoveAll(dir)
+	var pkgs []string
+	for p := range want {
+		pkgs = append(pkgs, p)
+	}
+	sort.Strings(pkgs)
+	fs, ts := make([][]string, len(pkgs)), make([]bool, len(pkgs))
+	parallel(len(pkgs), func(k int) error {
+		bin := filepath.Join(dir, fmt.Sprintf("%d.test", k))
+		args := []string{"test", "-c", "-vet=off", "-o", bin}
+		if overlay != "" {
+			args = append(args, "-overlay", overlay)
+		}
+		if exec.Command("go", append(args, pkgs[k])...).Run() != nil {
+			fs[k] = []string{short(pkgs[k], j.module)}
+		} else {
+			fs[k], ts[k] = j.testBinary(bin, limit, pkgs[k], want[pkgs[k]])
+		}
+		return nil
+	})
+	for k := range pkgs {
+		failed, timedOut = append(failed, fs[k]...), timedOut || ts[k]
+	}
+	slices.Sort(failed)
 	return failed, timedOut
+}
+
+// testBinary runs tests in pkg's test binary, under limit, until each has
+// a result or the binary ran past its cap or failed outside any test: a
+// test that ends the binary (a panic, a fatal error) fails, and the tests
+// after it run again. limit bounds a run, not the build before it, so a
+// loaded machine slows a verdict without moving it; each run has a safety
+// cap of twice that plus ten minutes.
+func (j *job) testBinary(bin string, limit time.Duration, pkg string, tests []string) (failed []string, timedOut bool) {
+	name := short(pkg, j.module)
+	for len(tests) > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*limit+10*time.Minute)
+		var out bytes.Buffer
+		cmd := exec.CommandContext(ctx, bin, "-test.v=test2json", "-test.paniconexit0", "-test.count=1",
+			"-test.timeout="+limit.String(), "-test.run=^("+strings.Join(tests, "|")+")$")
+		cmd.Dir, cmd.Stdout, cmd.Stderr, cmd.WaitDelay = j.dirs[pkg], &out, &out, 10*time.Second
+		exitErr := cmd.Run() != nil
+		capped := ctx.Err() != nil
+		cancel()
+		conv := exec.Command("go", "tool", "test2json")
+		conv.Stdin = &out
+		events, _ := conv.Output()
+		f, rest, bare, t := parse(events, exitErr, tests)
+		for _, test := range f {
+			failed = append(failed, name+"."+test)
+		}
+		if bare {
+			failed = append(failed, name)
+		}
+		timedOut = timedOut || t || capped
+		if capped || len(rest) == len(tests) { // no test got a result
+			break
+		}
+		tests = rest
+	}
+	return failed, timedOut
+}
+
+// A block is the byte range [off, end) of one coverage block of a file and
+// the tests, by index, that execute it.
+type block struct {
+	off, end int
+	tests    []int
+}
+
+// cover reads test's coverage profile into cov, which maps each block,
+// "file.go:line.col,line.col", to the tests that execute it. Every block
+// of the profile gets a key, executed or not.
+func cover(cov map[string][]int, test int, profile []byte) {
+	for _, l := range strings.Split(string(profile), "\n") {
+		f := strings.Fields(l)
+		if len(f) != 3 { // not the "mode: set" line
+			continue
+		}
+		key, ts := path.Base(f[0]), cov[path.Base(f[0])]
+		if f[2] != "0" && (len(ts) == 0 || ts[len(ts)-1] != test) {
+			ts = append(ts, test)
+		}
+		cov[key] = ts
+	}
+}
+
+// blocks resolves cov's keys to byte ranges of the files in srcs.
+func blocks(cov map[string][]int, srcs map[string][]byte) map[string][]block {
+	offset := func(src []byte, line, col int) int {
+		off := 0
+		for ; line > 1; line-- {
+			off += bytes.IndexByte(src[off:], '\n') + 1
+		}
+		return off + col - 1
+	}
+	bs := map[string][]block{}
+	for key, ts := range cov {
+		file, pos, _ := strings.Cut(key, ":")
+		var l0, c0, l1, c1 int
+		if _, err := fmt.Sscanf(pos, "%d.%d,%d.%d", &l0, &c0, &l1, &c1); err != nil || srcs[file] == nil {
+			continue
+		}
+		sort.Ints(ts)
+		bs[file] = append(bs[file], block{offset(srcs[file], l0, c0), offset(srcs[file], l1, c1), ts})
+	}
+	return bs
+}
+
+// selected returns the tests, by index, that execute mutant m's bytes: those
+// that execute a block it overlaps or, in no block (a case expression), any
+// block of its function, which they must enter to reach it. whole is true
+// for a mutant outside every function body, which takes every test.
+func selected(bs map[string][]block, m mutant) (tests []int, whole bool) {
+	var in, fn []int
+	overlaps := false
+	for _, b := range bs[m.file] {
+		if b.off < m.end && m.off < b.end {
+			overlaps, in = true, append(in, b.tests...)
+		}
+		if m.fn[0] <= b.off && b.end <= m.fn[1] {
+			fn = append(fn, b.tests...)
+		}
+	}
+	switch {
+	case overlaps:
+		tests = in
+	case m.fn[1] == 0:
+		return nil, true
+	default:
+		tests = fn
+	}
+	slices.Sort(tests)
+	return slices.Compact(tests), false
+}
+
+// parallel calls f(0), …, f(n-1), GOMAXPROCS at a time, and returns their
+// errors joined.
+func parallel(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := range n {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			errs[i] = f(i)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// profile builds each stage package's test binary once, covering the
+// target, runs each of its top-level tests alone in it, and records which
+// tests execute each block of the target's files.
+func (j *job) profile(srcs map[string][]byte) error {
+	pkgs := append(slices.Clone(j.stages[0]), j.stages[1]...)
+	dirs, err := goList(append([]string{"-f", "{{.ImportPath}}|{{.Dir}}"}, pkgs...)...)
+	if err != nil {
+		return err
+	}
+	j.names, j.dirs = map[string][]string{}, map[string]string{}
+	for _, l := range dirs {
+		p, dir, _ := strings.Cut(l, "|")
+		j.dirs[p] = dir
+	}
+	bins, names := make([]string, len(pkgs)), make([][]string, len(pkgs))
+	err = parallel(len(pkgs), func(i int) error {
+		bins[i] = filepath.Join(j.tmp, fmt.Sprintf("p%d.test", i))
+		if out, err := exec.Command("go", "test", "-c", "-vet=off", "-cover", "-coverpkg", j.target, "-o", bins[i], pkgs[i]).CombinedOutput(); err != nil {
+			return fmt.Errorf("go test -c %s: %v\n%s", pkgs[i], err, out)
+		}
+		out, err := exec.Command(bins[i], "-test.list", ".").Output()
+		for _, t := range strings.Fields(string(out)) {
+			if !strings.HasPrefix(t, "Benchmark") {
+				names[i] = append(names[i], t)
+			}
+		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	var tests []int // package index of each test
+	for i, p := range pkgs {
+		j.names[p] = names[i]
+		for _, t := range names[i] {
+			tests = append(tests, i)
+			j.tests = append(j.tests, [2]string{p, t})
+		}
+	}
+	cov := map[string][]int{}
+	var mu sync.Mutex
+	err = parallel(len(tests), func(t int) error {
+		prof := filepath.Join(j.tmp, fmt.Sprintf("t%d.cov", t))
+		cmd := exec.Command(bins[tests[t]], "-test.run", "^"+j.tests[t][1]+"$", "-test.timeout", "10m", "-test.coverprofile", prof)
+		cmd.Dir = j.dirs[j.tests[t][0]]
+		if out, err := cmd.CombinedOutput(); err != nil {
+			return fmt.Errorf("%s.%s alone: %v\n%s", j.tests[t][0], j.tests[t][1], err, out)
+		}
+		b, err := os.ReadFile(prof)
+		mu.Lock()
+		defer mu.Unlock()
+		cover(cov, t, b)
+		return errors.Join(err, os.Remove(prof))
+	})
+	j.blocks = blocks(cov, srcs)
+	return err
 }
 
 func main() {
@@ -266,6 +507,10 @@ type job struct {
 	tmp, pkgDir, target, module string
 	stages                      [2][]string // own tests; importers' tests
 	limits                      [2]time.Duration
+	names                       map[string][]string // package -> its tests
+	dirs                        map[string]string   // package -> its directory
+	tests                       [][2]string         // package and name, by index
+	blocks                      map[string][]block  // file -> its blocks
 }
 
 func run(dir string, own bool, sample int) error {
@@ -298,19 +543,30 @@ func run(dir string, own bool, sample int) error {
 	ms = ms[:(total+sample-1)/sample]
 	w := os.Stdout
 
+	if j.tmp, err = os.MkdirTemp("", "mutate"); err != nil {
+		return err
+	}
+	defer os.RemoveAll(j.tmp)
 	j.stages[0] = []string{j.target}
 	if !own {
 		if j.stages[1], err = importers(j.target); err != nil {
 			return err
 		}
 	}
+	if err := j.profile(srcs); err != nil {
+		return err
+	}
 	// The unmutated tests must pass; their time sets each stage's cap.
 	for i, pkgs := range j.stages {
 		if len(pkgs) == 0 {
 			continue
 		}
+		want := map[string][]string{}
+		for _, p := range pkgs {
+			want[p] = j.names[p]
+		}
 		start := time.Now()
-		if failed, timedOut := goTest("", 10*time.Minute, j.module, pkgs); len(failed) > 0 || timedOut {
+		if failed, timedOut := j.test("", 10*time.Minute, want); len(failed) > 0 || timedOut {
 			return fmt.Errorf("unmutated tests fail: %v", failed)
 		}
 		j.limits[i] = max(5*time.Since(start), time.Minute)
@@ -328,10 +584,6 @@ func run(dir string, own bool, sample int) error {
 	}
 	fmt.Fprintf(w, "\n# position\toperator\tmutation\tverdict\tfailed tests\n")
 
-	if j.tmp, err = os.MkdirTemp("", "mutate"); err != nil {
-		return err
-	}
-	defer os.RemoveAll(j.tmp)
 	// Up to GOMAXPROCS mutants run at once; their lines are written in order.
 	lines := make([]chan string, len(ms))
 	for i := range lines {
@@ -364,7 +616,8 @@ func run(dir string, own bool, sample int) error {
 }
 
 // verdict builds and tests mutant i, returning its verdict and the tests
-// that failed on it.
+// that failed on it. Each stage runs only the tests that execute the
+// mutant, so a mutant that none executes is decided by its build.
 func (j *job) verdict(i int, m mutant, src []byte) (string, []string) {
 	mutated := filepath.Join(j.tmp, fmt.Sprintf("m%d.go", i))
 	overlay := filepath.Join(j.tmp, fmt.Sprintf("m%d.json", i))
@@ -379,13 +632,25 @@ func (j *job) verdict(i int, m mutant, src []byte) (string, []string) {
 	if exec.Command("go", "build", "-overlay", overlay, j.target).Run() != nil {
 		return "does-not-compile", nil
 	}
+	tests, whole := selected(j.blocks, m)
 	var failed []string
 	timedOut := false
 	for s, pkgs := range j.stages {
-		if len(pkgs) == 0 || len(failed) >= 2 {
+		if len(failed) >= 2 || timedOut {
 			break
 		}
-		f, t := goTest(overlay, j.limits[s], j.module, pkgs)
+		want := map[string][]string{}
+		for _, p := range pkgs {
+			if whole {
+				want[p] = j.names[p]
+			}
+		}
+		for _, t := range tests {
+			if p := j.tests[t][0]; (p == j.target) == (s == 0) {
+				want[p] = append(want[p], j.tests[t][1])
+			}
+		}
+		f, t := j.test(overlay, j.limits[s], want)
 		failed, timedOut = append(failed, f...), timedOut || t
 	}
 	switch {
