@@ -107,7 +107,13 @@ benchsmoke:
 # it is about 2.5x today's row) and may make at most 64 allocations however
 # long the path (21 recorded; 17 753 at 20k events when every segment made
 # a key string); that the walk is linear is read off the recorded ns/event
-# column, which stays flat from events=5k to events=80k.
+# column, which stays flat from events=5k to events=80k: ordering a
+# recorded trace is an insertion pass over a permutation of its events
+# (the comparison sort of 24-byte keys it replaced was most of the walk),
+# and the walk after it is linear work.
+# The events=20k/procs=1 and /procs=2 rows are the same walk at
+# GOMAXPROCS 1 and 2: recorded, not gated, so that what a second core
+# gives a walk that runs on one (the collector's share) is on file.
 # BenchmarkReportRenderJSON must not be slower than the encoder that
 # formatted every boundary twice. BenchmarkReportRenderJSONToBuffer renders
 # the same report into a fresh bytes.Buffer every op, as a caller that
@@ -213,7 +219,8 @@ soak:
 # from the commit that still had the coordinator goroutine), then the
 # report layer — the critical
 # path at 5k/20k/80k events and on the nested shape, the JSON rendering
-# to a writer that keeps nothing and into a fresh buffer, and the Chrome
+# to a writer that keeps nothing and into a fresh buffer, the 20k walk
+# again at GOMAXPROCS 1 and 2, and the Chrome
 # trace of one observed_run job — as BENCH_report.json against the
 # numbers of the walk, the encoder and the fmt trace writer they replaced
 # (the fresh-buffer row has no baseline; its gate is its doc-B), then the front end — BuildPlan on the three

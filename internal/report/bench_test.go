@@ -3,7 +3,9 @@ package report
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"micco/internal/core"
@@ -69,11 +71,18 @@ var sinkPath *CriticalPath
 
 // BenchmarkCriticalPath measures CriticalPathOf on recorded traces of the
 // observed run at three sizes, and on the nested shape. ns/event is the
-// number to read: the walk is one sort plus linear work, so it stays flat
-// where the walk it replaced grew with the event count.
+// number to read: a recorded trace is nearly in start order, so ordering
+// it is an insertion pass and the walk is linear work after it; ns/event
+// stays flat where the walk it replaced grew with the event count. The
+// 20k trace is measured again at GOMAXPROCS 1 and 2 (procs=N), so that
+// what a second core does for a walk that runs on one, the collector's
+// share, is recorded.
 func BenchmarkCriticalPath(b *testing.B) {
-	run := func(name string, fixture func(*testing.B) ([]obs.Event, float64)) {
+	run := func(name string, procs int, fixture func(*testing.B) ([]obs.Event, float64)) {
 		b.Run(name, func(b *testing.B) {
+			if procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			}
 			events, makespan := fixture(b)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -89,12 +98,18 @@ func BenchmarkCriticalPath(b *testing.B) {
 		name   string
 		stages int
 	}{{"events=5k", 2}, {"events=20k", 9}, {"events=80k", 35}} {
-		run(size.name, func(b *testing.B) ([]obs.Event, float64) {
+		run(size.name, 0, func(b *testing.B) ([]obs.Event, float64) {
 			in := observedInput(b, size.stages, 512)
 			return in.Events, in.Makespan
 		})
 	}
-	run("nested", func(*testing.B) ([]obs.Event, float64) { return nestedEvents(20000) })
+	run("nested", 0, func(*testing.B) ([]obs.Event, float64) { return nestedEvents(20000) })
+	for _, procs := range []int{1, 2} {
+		run(fmt.Sprintf("events=20k/procs=%d", procs), procs, func(b *testing.B) ([]obs.Event, float64) {
+			in := observedInput(b, 9, 512)
+			return in.Events, in.Makespan
+		})
+	}
 }
 
 // BenchmarkReportRenderJSON measures Report.WriteJSON on the report of the

@@ -75,14 +75,6 @@ func resourceOf(kind string) string {
 	}
 }
 
-// cand is a sort key of the walk: an event's interval and where the event
-// is. Device, kind and tensor are read from the event, and only where two
-// candidates tie.
-type cand struct {
-	start, end float64
-	event      int32
-}
-
 // CriticalPathOf chains backward from makespan through events. At each
 // step it selects, among events beginning strictly before the cursor, the
 // one reaching closest to the cursor (clipped at it); a shortfall becomes
@@ -91,13 +83,15 @@ type cand struct {
 // produce the identical path. Fault events, zero-duration events and events
 // with a non-finite start or end are ignored, and a non-finite makespan has
 // no path. The returned segments exactly partition [0, makespan]:
-// consecutive boundaries are equal as floats, not merely close. The cost is
-// one sort of the keys and then O(events + segments); the keys, the walk's
-// table and the segments are one allocation each, and the shares cost one
-// per distinct key (DESIGN.md §13).
+// consecutive boundaries are equal as floats, not merely close. The kept
+// events' indices are put in the order of their starts (sortByStart), and
+// the walk is then O(events + segments); the order, the walk's table and
+// the segments are one allocation each, and the shares cost one per
+// distinct key (DESIGN.md §13).
 func CriticalPathOf(events []obs.Event, makespan float64) *CriticalPath {
 	cp := &CriticalPath{Makespan: makespan}
-	cs := make([]cand, 0, len(events))
+	// The candidates, the events a step may select, by index.
+	ord := make([]int32, 0, len(events))
 	maxDevice := 0
 	for i := range events {
 		e := &events[i]
@@ -105,33 +99,22 @@ func CriticalPathOf(events []obs.Event, makespan float64) *CriticalPath {
 		if e.Kind == obs.EventFault || !finite(e.Start) || !finite(e.End) || e.End-e.Start <= 0 || e.Start >= makespan {
 			continue
 		}
-		cs = append(cs, cand{e.Start, e.End, int32(i)})
+		ord = append(ord, int32(i))
 		maxDevice = max(maxDevice, int(e.Device))
 	}
 	// By start, and by end within a start, is all the order the steps rely
-	// on; laterChain separates the rest where a step has to choose. Every
-	// bound is finite, so the plain comparisons are a total order.
-	slices.SortFunc(cs, func(a, b cand) int {
-		switch {
-		case a.start < b.start:
-			return -1
-		case a.start > b.start:
-			return 1
-		case a.end < b.end:
-			return -1
-		case a.end > b.end:
-			return 1
-		}
-		return 0
-	})
-	// reach[i] is the candidate of cs[0..i] that ends latest, ties broken by
+	// on; laterChain separates the rest where a step has to choose.
+	sortByStart(events, ord)
+	// cand(i) is the i-th candidate in that order.
+	cand := func(i int32) *obs.Event { return &events[ord[i]] }
+	// reach[i] is the candidate of ord[0..i] that ends latest, ties broken by
 	// laterChain (what it cannot separate is one event twice): what a step
 	// selects when nothing before the cursor is still running at it.
-	reach := make([]int32, len(cs))
-	for i := 1; i < len(cs); i++ {
+	reach := make([]int32, len(ord))
+	for i := int32(1); i < int32(len(reach)); i++ {
 		reach[i] = reach[i-1]
-		if b := cs[reach[i]]; cs[i].end > b.end || (cs[i].end == b.end && laterChain(events, cs[i], b)) {
-			reach[i] = int32(i)
+		if c, b := cand(i), cand(reach[i]); c.End > b.End || (c.End == b.End && laterChain(c, b)) {
+			reach[i] = i
 		}
 	}
 
@@ -141,17 +124,17 @@ func CriticalPathOf(events []obs.Event, makespan float64) *CriticalPath {
 	}
 	// limit is the number of candidates with start < cursor; it only
 	// shrinks as the cursor walks backward.
-	limit := len(cs)
+	limit := int32(len(ord))
 	// The walk only notes what each step selects, so that the segments can be
 	// counted before the first is made. A step takes its candidate and all
 	// above it out of the prefix, so after step k (from 0) limit is at most
-	// len(cs)-1-k: the note of step k goes to reach[len(cs)-1-k], which no
+	// len(ord)-1-k: the note of step k goes to reach[len(ord)-1-k], which no
 	// later step reads. It is the candidate's index, complemented when a gap
 	// follows the candidate.
-	steps, gaps := len(cs), 0
+	steps, gaps := len(ord), 0
 	head := 0.0 // where the idle stretch from 0 ends, when the path opens with one
 	for cursor > 0 {
-		for limit > 0 && cs[limit-1].start >= cursor {
+		for limit > 0 && cand(limit-1).Start >= cursor {
 			limit--
 		}
 		if limit == 0 {
@@ -161,7 +144,7 @@ func CriticalPathOf(events []obs.Event, makespan float64) *CriticalPath {
 		}
 		best := reach[limit-1]
 		steps--
-		if cs[best].end < cursor {
+		if cand(best).End < cursor {
 			// Between this event's reach and the segment above it, the
 			// successor was waiting.
 			gaps++
@@ -173,18 +156,18 @@ func CriticalPathOf(events []obs.Event, makespan float64) *CriticalPath {
 			// directly below it. All that this scan passes over starts at or
 			// after the next cursor and leaves the prefix with it, so the
 			// scans of all steps together pass over each candidate once.
-			best = int32(limit - 1)
-			for cs[best].end < cursor {
+			best = limit - 1
+			for cand(best).End < cursor {
 				best--
 			}
-			for i := best - 1; i >= 0 && cs[i].start == cs[best].start && cs[i].end >= cursor; i-- {
-				if laterChain(events, cs[i], cs[best]) {
+			for i := best - 1; i >= 0 && cand(i).Start == cand(best).Start && cand(i).End >= cursor; i-- {
+				if laterChain(cand(i), cand(best)) {
 					best = i
 				}
 			}
 			reach[steps] = best
 		}
-		cursor = cs[best].start
+		cursor = cand(best).Start
 	}
 	// The last step is the earliest segment: read from here on, the notes
 	// are in the order of time.
@@ -194,40 +177,36 @@ func CriticalPathOf(events []obs.Event, makespan float64) *CriticalPath {
 		n++
 	}
 	b := blame{
-		devices:   tally{near: make([]bucket, 2+min(maxDevice, len(cs)))},
+		devices:   tally{near: make([]bucket, 2+min(maxDevice, len(ord)))},
 		kinds:     tally{near: make([]bucket, len(resourceSlot))},
 		resources: tally{near: make([]bucket, numResources)},
 	}
 	if n > 0 {
 		b.segs = make([]Segment, 0, n)
 	}
-	at := func(note int32) (cand, *obs.Event) {
-		c := cs[max(note, ^note)]
-		return c, &events[c.event]
-	}
+	at := func(note int32) *obs.Event { return cand(max(note, ^note)) }
 	if head > 0 {
 		dev := -1
 		if len(notes) > 0 {
-			_, e := at(notes[0])
-			dev = int(e.Device)
+			dev = int(at(notes[0]).Device)
 		}
 		b.add(Segment{Start: 0, End: head, Device: dev}, idleKind)
 	}
 	for i, note := range notes {
-		c, e := at(note)
+		e := at(note)
 		// The step moved the cursor from where the segment above begins. A
 		// gap delayed that segment's device, or before the makespan its own.
 		above, delayed := makespan, int(e.Device)
 		if i+1 < len(notes) {
-			ac, ae := at(notes[i+1])
-			above, delayed = ac.start, int(ae.Device)
+			ae := at(notes[i+1])
+			above, delayed = ae.Start, int(ae.Device)
 		}
 		if note >= 0 {
-			b.add(Segment{Start: c.start, End: above, Device: int(e.Device), Tensor: e.Tensor}, e.Kind)
+			b.add(Segment{Start: e.Start, End: above, Device: int(e.Device), Tensor: e.Tensor}, e.Kind)
 			continue
 		}
-		b.add(Segment{Start: c.start, End: c.end, Device: int(e.Device), Tensor: e.Tensor}, e.Kind)
-		b.add(Segment{Start: c.end, End: above, Device: delayed}, idleKind)
+		b.add(Segment{Start: e.Start, End: e.End, Device: int(e.Device), Tensor: e.Tensor}, e.Kind)
+		b.add(Segment{Start: e.End, End: above, Device: delayed}, idleKind)
 	}
 	cp.Segments = b.segs
 	cp.ByDevice = b.devices.shares(makespan)
@@ -238,20 +217,72 @@ func CriticalPathOf(events []obs.Event, makespan float64) *CriticalPath {
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
+// sortByStart orders cands, indices of events with finite bounds, by start
+// and within a start by end, in place. A recorded trace is nearly in the
+// order of its starts (on the ladder's report_build trace an insertion
+// pass moves 4.6 entries a candidate), so that pass orders the starts,
+// unless it has to move more than sortMoves entries a candidate; past
+// that budget a comparison sort by (start, end) bounds the cost of an
+// unordered, hand-made trace. After the insertion pass each run of equal
+// starts is sorted by end, a comparison sort of the run alone.
+func sortByStart(events []obs.Event, cands []int32) {
+	if !insertByStart(events, cands, sortMoves*len(cands)) {
+		slices.SortFunc(cands, func(a, b int32) int {
+			if c := cmp.Compare(events[a].Start, events[b].Start); c != 0 {
+				return c
+			}
+			return cmp.Compare(events[a].End, events[b].End)
+		})
+		return
+	}
+	byEnd := func(a, b int32) int { return cmp.Compare(events[a].End, events[b].End) }
+	for lo := 0; lo < len(cands); {
+		hi, start := lo+1, events[cands[lo]].Start
+		for hi < len(cands) && events[cands[hi]].Start == start {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(cands[lo:hi], byEnd)
+		}
+		lo = hi
+	}
+}
+
+// sortMoves is how many entries a candidate the insertion pass may move
+// before the comparison sort takes over.
+const sortMoves = 16
+
+// insertByStart sorts cands by start, stably and in place, and reports
+// whether that took at most budget moves. When it did not, cands is left
+// in some order of the same indices.
+func insertByStart(events []obs.Event, cands []int32, budget int) bool {
+	for i := 1; i < len(cands); i++ {
+		x := cands[i]
+		start, j := events[x].Start, i
+		for ; j > 0 && events[cands[j-1]].Start > start; j-- {
+			cands[j] = cands[j-1]
+		}
+		cands[j] = x
+		if budget -= i - j; budget < 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // laterChain orders tie-broken candidates: prefer the later-starting event
 // (shortest backward hop), then lower device, kind name, tensor.
-func laterChain(events []obs.Event, a, b cand) bool {
-	if a.start != b.start {
-		return a.start > b.start
+func laterChain(a, b *obs.Event) bool {
+	if a.Start != b.Start {
+		return a.Start > b.Start
 	}
-	ea, eb := &events[a.event], &events[b.event]
-	if ea.Device != eb.Device {
-		return ea.Device < eb.Device
+	if a.Device != b.Device {
+		return a.Device < b.Device
 	}
-	if ea.Kind != eb.Kind {
-		return ea.Kind.String() < eb.Kind.String()
+	if a.Kind != b.Kind {
+		return a.Kind.String() < b.Kind.String()
 	}
-	return ea.Tensor < eb.Tensor
+	return a.Tensor < b.Tensor
 }
 
 func deviceKey(d int) string {

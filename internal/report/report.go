@@ -51,7 +51,7 @@ type Report struct {
 	Drift        *Drift        `json:"drift,omitempty"`
 }
 
-// Build assembles the report from in.
+// Build assembles the report from in, its sections on two goroutines.
 func Build(in Input) *Report {
 	makespan := in.Makespan
 	devices := in.Devices
@@ -69,15 +69,22 @@ func Build(in Input) *Report {
 		Devices:   devices,
 		Makespan:  makespan,
 	}
+	// The sections only read in, so the waterfall and the drift run beside
+	// the critical path, which costs more than both.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if in.Snapshot != nil {
+			r.Stages = StageWaterfall(in.Snapshot.Spans, in.Events, devices)
+		}
+		if len(in.Decisions) > 0 {
+			r.Drift = SummarizeDrift(in.Decisions)
+		}
+	}()
 	if len(in.Events) > 0 || makespan > 0 {
 		r.CriticalPath = CriticalPathOf(in.Events, makespan)
 	}
-	if in.Snapshot != nil {
-		r.Stages = StageWaterfall(in.Snapshot.Spans, in.Events, devices)
-	}
-	if len(in.Decisions) > 0 {
-		r.Drift = SummarizeDrift(in.Decisions)
-	}
+	<-done
 	return r
 }
 

@@ -300,3 +300,84 @@ func TestReportRenderingDeterministic(t *testing.T) {
 		t.Errorf("round-tripped report = %+v", back)
 	}
 }
+
+// TestBuildInfersMakespanAndDevices builds from inputs whose Makespan and
+// Devices are zero, so both come from the events: the latest end, and one
+// past the highest device, device 0 included. Set, either one only widens.
+func TestBuildInfersMakespanAndDevices(t *testing.T) {
+	events := []obs.Event{ev(obs.EventKernel, 0, 1, 0, 2), ev(obs.EventH2D, 2, 2, 1, 7), ev(obs.EventKernel, 1, 3, 3, 5)}
+	for _, c := range []struct {
+		name     string
+		in       Input
+		makespan float64
+		devices  int
+		segments int
+		noPath   bool
+	}{
+		{name: "both inferred", in: Input{Events: events}, makespan: 7, devices: 3, segments: 2},
+		{name: "device 0 alone", in: Input{Events: events[:1]}, makespan: 2, devices: 1, segments: 1},
+		{name: "set above the events", in: Input{Events: events, Makespan: 9, Devices: 5}, makespan: 9, devices: 5, segments: 3},
+		{name: "set below the events", in: Input{Events: events, Makespan: 4, Devices: 2}, makespan: 7, devices: 3, segments: 2},
+		{name: "a makespan and no events", in: Input{Makespan: 0.5}, makespan: 0.5, segments: 1},
+		{name: "nothing", in: Input{}, noPath: true},
+	} {
+		r := Build(c.in)
+		if r.Makespan != c.makespan || r.Devices != c.devices {
+			t.Errorf("%s: makespan %v and %d devices, want %v and %d", c.name, r.Makespan, r.Devices, c.makespan, c.devices)
+		}
+		if c.noPath {
+			if r.CriticalPath != nil {
+				t.Errorf("%s: a path %+v", c.name, r.CriticalPath)
+			}
+			continue
+		}
+		if r.CriticalPath == nil || r.CriticalPath.Makespan != c.makespan || len(r.CriticalPath.Segments) != c.segments {
+			t.Errorf("%s: path %+v, want %d segments over %v", c.name, r.CriticalPath, c.segments, c.makespan)
+			continue
+		}
+		checkPartition(t, r.CriticalPath)
+	}
+}
+
+// TestDiffWriteText pins the text rendering of a diff: a section per
+// kind with its changed count, the added and removed marks, the
+// unchanged count, and the one line of a diff without changes.
+func TestDiffWriteText(t *testing.T) {
+	old := &obs.Snapshot{
+		Counters:   map[string]float64{"a_total": 1, "b_total": 2, "d_total": 4},
+		Gauges:     map[string]float64{"g": 5, "same": 1},
+		Histograms: map[string]obs.HistogramSnapshot{"h": {Sum: 1.5, Count: 3}},
+	}
+	new := &obs.Snapshot{
+		Counters:   map[string]float64{"a_total": 1, "c_total": 7, "d_total": 2.5},
+		Gauges:     map[string]float64{"g": 6, "same": 1},
+		Histograms: map[string]obs.HistogramSnapshot{"h": {Sum: 1.5, Count: 4}},
+	}
+	const want = `counters (3 changed)
+  b_total                                                                         2 ->                0  (-2)  [removed]
+  c_total                                                                         0 ->                7  (+7)  [added]
+  d_total                                                                         4 ->              2.5  (-1.5)
+gauges (1 changed)
+  g                                                                               5 ->                6  (+1)
+histograms (1 changed)
+  h count                                                                         3 ->                4  (+1)
+3 series unchanged
+`
+	for _, c := range []struct {
+		name string
+		d    *Diff
+		want string
+	}{
+		{"changed", DiffSnapshots(old, new), want},
+		{"gauges only", &Diff{Gauges: []DiffRow{{Series: "g", Old: 1, New: 2, Delta: 1}}}, "gauges (1 changed)\n  g" + strings.Repeat(" ", 63) + "                1 ->                2  (+1)\n0 series unchanged\n"},
+		{"none", DiffSnapshots(old, old), "no differences (7 series unchanged)\n"},
+	} {
+		var b bytes.Buffer
+		if err := c.d.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != c.want {
+			t.Errorf("%s: WriteText wrote\n%s\nwant\n%s", c.name, b.String(), c.want)
+		}
+	}
+}

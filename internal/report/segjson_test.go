@@ -283,3 +283,106 @@ func TestReportJSONErrors(t *testing.T) {
 type failWriter struct{ err error }
 
 func (f failWriter) Write([]byte) (int, error) { return 0, f.err }
+
+// tiledSegments draws n segments of every form randomSegment knows, seven
+// in eight beginning where the one before ends, as a path's do.
+func tiledSegments(rng *rand.Rand, n int) []Segment {
+	segs := make([]Segment, n)
+	for i := range segs {
+		segs[i] = randomSegment(rng)
+		if i > 0 && rng.Intn(8) > 0 {
+			segs[i].Start = segs[i-1].End
+		}
+	}
+	return segs
+}
+
+// TestReportJSONIntoEveryWriter holds WriteJSON to encoding/json byte for
+// byte on the ladder's report (19 557 segments) and on ladder-prefix and
+// random paths of lengths on both sides of a 32 KB chunk: into a
+// bytes.Buffer and a strings.Builder, which are grown once, and a writer
+// that cannot grow.
+func TestReportJSONIntoEveryWriter(t *testing.T) {
+	ladder := Build(observedInput(t, 10, 512))
+	if n := len(ladder.CriticalPath.Segments); n != 19557 {
+		t.Fatalf("the ladder's report has %d segments, want 19557", n)
+	}
+	rng := rand.New(rand.NewSource(9))
+	reports := map[string]*Report{"ladder": ladder}
+	for _, n := range []int{0, 1, 2, 200, 220, 240, 4099} {
+		for _, from := range []string{"ladder", "random"} {
+			r, cp := *ladder, *ladder.CriticalPath
+			cp.Segments = ladder.CriticalPath.Segments[:n]
+			if from == "random" {
+				cp.Segments = tiledSegments(rng, n)
+			}
+			r.CriticalPath = &cp
+			reports[fmt.Sprintf("%s %d", from, n)] = &r
+		}
+	}
+	for name, r := range reports {
+		want, err := json.MarshalIndent(r, "", "  ")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want = append(want, '\n')
+		var buf, plain bytes.Buffer
+		var sb strings.Builder
+		for w, got := range map[io.Writer]func() []byte{
+			&buf:                        buf.Bytes,
+			&sb:                         func() []byte { return []byte(sb.String()) },
+			struct{ io.Writer }{&plain}: plain.Bytes,
+		} {
+			if err := r.WriteJSON(w); err != nil {
+				t.Fatalf("%s, %T: %v", name, w, err)
+			}
+			if !bytes.Equal(got(), want) {
+				t.Errorf("%s, %T: WriteJSON differs from encoding/json", name, w)
+			}
+		}
+	}
+}
+
+// failAt fails its k-th write, counting from 1, with err, and keeps what
+// it was written before. It can grow; wrapped in struct{ io.Writer }, it
+// is a writer that cannot.
+type failAt struct {
+	bytes.Buffer
+	k, writes int
+	err       error
+}
+
+func (f *failAt) Write(p []byte) (int, error) {
+	if f.writes++; f.writes == f.k {
+		return 0, f.err
+	}
+	return f.Buffer.Write(p)
+}
+
+// TestReportJSONWriteErrors fails every write of a document of many
+// chunks in turn, into a writer that grows and one that cannot: the error
+// comes back, and failing a write past the last fails nothing.
+func TestReportJSONWriteErrors(t *testing.T) {
+	r := &Report{CriticalPath: &CriticalPath{Segments: tiledSegments(rand.New(rand.NewSource(11)), 4096)}}
+	boom := errors.New("boom")
+	var count failAt
+	if err := r.WriteJSON(&count); err != nil {
+		t.Fatal(err)
+	}
+	if count.writes < 4 {
+		t.Fatalf("the document took %d writes; the test wants several", count.writes)
+	}
+	for k := 1; k <= count.writes+1; k++ {
+		for _, grows := range []bool{false, true} {
+			f := &failAt{k: k, err: boom}
+			var w io.Writer = struct{ io.Writer }{f}
+			if grows {
+				w = f
+			}
+			err := r.WriteJSON(w)
+			if want := k <= count.writes; errors.Is(err, boom) != want || !want && err != nil {
+				t.Errorf("write %d of %d failing, grows %v: WriteJSON returned %v", k, count.writes, grows, err)
+			}
+		}
+	}
+}
