@@ -304,6 +304,8 @@ func TestReportRenderingDeterministic(t *testing.T) {
 // TestBuildInfersMakespanAndDevices builds from inputs whose Makespan and
 // Devices are zero, so both come from the events: the latest end, and one
 // past the highest device, device 0 included. Set, either one only widens.
+// No input has stages, so no text has a waterfall; only one with decisions
+// has a drift section.
 func TestBuildInfersMakespanAndDevices(t *testing.T) {
 	events := []obs.Event{ev(obs.EventKernel, 0, 1, 0, 2), ev(obs.EventH2D, 2, 2, 1, 7), ev(obs.EventKernel, 1, 3, 3, 5)}
 	for _, c := range []struct {
@@ -320,10 +322,18 @@ func TestBuildInfersMakespanAndDevices(t *testing.T) {
 		{name: "set below the events", in: Input{Events: events, Makespan: 4, Devices: 2}, makespan: 7, devices: 3, segments: 2},
 		{name: "a makespan and no events", in: Input{Makespan: 0.5}, makespan: 0.5, segments: 1},
 		{name: "nothing", in: Input{}, noPath: true},
+		{name: "decisions and no events", in: Input{Decisions: []obs.DecisionRecord{{Policy: obs.PolicyRoundRobin}}}, noPath: true},
 	} {
 		r := Build(c.in)
 		if r.Makespan != c.makespan || r.Devices != c.devices {
 			t.Errorf("%s: makespan %v and %d devices, want %v and %d", c.name, r.Makespan, r.Devices, c.makespan, c.devices)
+		}
+		var text bytes.Buffer
+		if err := r.WriteText(&text); err != nil {
+			t.Fatal(err)
+		}
+		if drift := len(c.in.Decisions) > 0; (r.Drift != nil) != drift || strings.Contains(text.String(), "prediction drift") != drift || strings.Contains(text.String(), "stage waterfall") {
+			t.Errorf("%s: drift %+v, want one only for decisions, and no waterfall, in\n%s", c.name, r.Drift, text.String())
 		}
 		if c.noPath {
 			if r.CriticalPath != nil {
@@ -370,14 +380,15 @@ histograms (1 changed)
 	}{
 		{"changed", DiffSnapshots(old, new), want},
 		{"gauges only", &Diff{Gauges: []DiffRow{{Series: "g", Old: 1, New: 2, Delta: 1}}}, "gauges (1 changed)\n  g" + strings.Repeat(" ", 63) + "                1 ->                2  (+1)\n0 series unchanged\n"},
+		{"one histogram series only", &Diff{Histograms: []DiffRow{{Series: "h count", Old: 3, New: 4, Delta: 1}}}, "histograms (1 changed)\n  h count" + strings.Repeat(" ", 57) + "                3 ->                4  (+1)\n0 series unchanged\n"},
 		{"none", DiffSnapshots(old, old), "no differences (7 series unchanged)\n"},
 	} {
 		var b bytes.Buffer
 		if err := c.d.WriteText(&b); err != nil {
 			t.Fatal(err)
 		}
-		if b.String() != c.want {
-			t.Errorf("%s: WriteText wrote\n%s\nwant\n%s", c.name, b.String(), c.want)
+		if b.String() != c.want || c.d.Changed() != (c.name != "none") {
+			t.Errorf("%s: WriteText wrote\n%s\nwant\n%s\n(changed %v)", c.name, b.String(), c.want, c.d.Changed())
 		}
 	}
 }

@@ -7,28 +7,30 @@
 //
 // Usage, from the module root:
 //
-//	go run ./tools/mutate [-own] [-sample k] ./internal/core > core.txt
+//	go run ./tools/mutate ./internal/core > core.txt
 //
 // The operators are: flip a comparison (< <=, > >=, == !=), negate an if
 // condition, swap + and - (binary, op-assign and ++/--), add or subtract 1
 // on an integer literal, and delete a statement (an expression, assignment,
 // ++/--, if, branch, defer, go or send statement).
 //
-// A package's test set is its own tests, then (unless -own) the tests of
-// every in-module package whose tests depend on it, less slowSuites. Those
-// run only when its own tests finish on a mutant within their cap and fewer
-// than two of them fail, so the score is the whole set's and a test that
-// alone kills a mutant is known. Of each stage, a mutant runs only the tests
+// A package's test set is its own tests, then the tests of every in-module
+// package whose tests depend on it, less slowSuites. Those run only when
+// its own tests finish on a mutant within their cap and fewer than two of
+// them fail, so the score is the whole set's and a test that alone kills a
+// mutant is known. Of each stage, a mutant runs only the tests
 // that execute its bytes: every test is run alone once under coverage of
 // the package, and a mutant takes the tests that cover a block it
 // overlaps. One in no block takes those that enter its function, one
 // outside every function the whole stage, and one that no test executes
 // is decided by its build. A mutant on which any test failed is killed,
-// and its line lists every stage's failures; a test that ends its binary
-// (a panic, a fatal error) is one, and the tests after it run again. One
+// and its line lists every stage's failures. A test that ends its binary
+// with a panic of its own is one; one that ends it without a result (a
+// fatal error, another goroutine's panic) is one only if it also fails run
+// alone in its binary, and otherwise a goroutine another test left running
+// ended it and the package is charged. The tests after it run again. One
 // is timed-out only if a test binary ran past its cap and no test failed.
-// -sample k runs one mutant in k, from the first. As many mutants run at
-// once as GOMAXPROCS allows.
+// As many mutants run at once as GOMAXPROCS allows.
 package main
 
 import (
@@ -36,7 +38,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -216,13 +217,14 @@ func short(pkg, module string) string {
 
 // parse reads the test2json events of one run of a test binary over tests
 // (top-level tests), which exited with an error if exitErr. It returns the
-// tests that failed, a test that was running when its binary died (a fatal
-// error, such as the data limit, is no panic and reports no failure)
-// counted among them; the tests that got no result, because a test before
-// them ended the binary; whether the binary failed outside any test and not
-// by running out of time; and whether it ran out of time. A binary that ran
-// out of time or failed outside any test has no tests to run again.
-func parse(events []byte, exitErr bool, tests []string) (failed, rest []string, bare, timedOut bool) {
+// tests that failed; the test that was running when its binary died without
+// a result (a panic on another goroutine, or a fatal error such as the data
+// limit, reports no failure), if any; the tests that got no result, because
+// a test before them ended the binary, less that one; whether the binary
+// failed outside any test and not by running out of time; and whether it
+// ran out of time. A binary that ran out of time or failed outside any test
+// has no tests to run again.
+func parse(events []byte, exitErr bool, tests []string) (failed, rest []string, died string, bare, timedOut bool) {
 	done := map[string]bool{} // top-level test -> got a result
 	running := ""             // the last top-level test started
 	for _, l := range bytes.Split(events, []byte("\n")) {
@@ -243,19 +245,19 @@ func parse(events []byte, exitErr bool, tests []string) (failed, rest []string, 
 		}
 	}
 	if exitErr && !timedOut && running != "" && !done[running] {
-		failed, done[running] = append(failed, running), true
+		died, done[running] = running, true
 	}
 	slices.Sort(failed)
 	failed = slices.Compact(failed)
-	if bare = exitErr && !timedOut && len(failed) == 0; bare || timedOut {
-		return failed, nil, bare, timedOut
+	if bare = exitErr && !timedOut && len(failed) == 0 && died == ""; bare || timedOut {
+		return failed, nil, "", bare, timedOut
 	}
 	for _, t := range tests {
 		if !done[t] {
 			rest = append(rest, t)
 		}
 	}
-	return failed, rest, false, false
+	return failed, rest, died, false, false
 }
 
 // test runs the tests of want (package -> top-level tests) with overlay
@@ -293,32 +295,49 @@ func (j *job) test(overlay string, limit time.Duration, want map[string][]string
 		failed, timedOut = append(failed, fs[k]...), timedOut || ts[k]
 	}
 	slices.Sort(failed)
-	return failed, timedOut
+	return slices.Compact(failed), timedOut
 }
 
-// testBinary runs tests in pkg's test binary, under limit, until each has
-// a result or the binary ran past its cap or failed outside any test: a
-// test that ends the binary (a panic, a fatal error) fails, and the tests
-// after it run again. limit bounds a run, not the build before it, so a
-// loaded machine slows a verdict without moving it; each run has a safety
-// cap of twice that plus ten minutes.
+// testBinary runs tests in pkg's test binary, under limit, through runAll.
+// limit bounds a run, not the build before it, so a loaded machine slows a
+// verdict without moving it; each run has a safety cap of twice that plus
+// ten minutes.
 func (j *job) testBinary(bin string, limit time.Duration, pkg string, tests []string) (failed []string, timedOut bool) {
-	name := short(pkg, j.module)
-	for len(tests) > 0 {
+	return runAll(short(pkg, j.module), tests, func(tests []string) ([]byte, bool, bool) {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*limit+10*time.Minute)
+		defer cancel()
 		var out bytes.Buffer
 		cmd := exec.CommandContext(ctx, bin, "-test.v=test2json", "-test.paniconexit0", "-test.count=1",
 			"-test.timeout="+limit.String(), "-test.run=^("+strings.Join(tests, "|")+")$")
 		cmd.Dir, cmd.Stdout, cmd.Stderr, cmd.WaitDelay = j.dirs[pkg], &out, &out, 10*time.Second
 		exitErr := cmd.Run() != nil
-		capped := ctx.Err() != nil
-		cancel()
 		conv := exec.Command("go", "tool", "test2json")
 		conv.Stdin = &out
 		events, _ := conv.Output()
-		f, rest, bare, t := parse(events, exitErr, tests)
+		return events, exitErr, ctx.Err() != nil
+	})
+}
+
+// runAll runs tests through run, one test binary run over the tests it is
+// given (their test2json events, whether it exited with an error and
+// whether it ran past its cap), until each has a result or a run went past
+// its cap or failed outside any test, and returns the failures as name.Test.
+// A test that ended the binary without a result fails only if it fails run
+// alone too; if not, a goroutine another test left running ended it, and
+// the package, name, fails. The tests after it run again.
+func runAll(name string, tests []string, run func(tests []string) (events []byte, exitErr, capped bool)) (failed []string, timedOut bool) {
+	for len(tests) > 0 {
+		events, exitErr, capped := run(tests)
+		f, rest, died, bare, t := parse(events, exitErr, tests)
 		for _, test := range f {
 			failed = append(failed, name+"."+test)
+		}
+		if died != "" {
+			if _, exitErr, _ := run([]string{died}); exitErr {
+				failed = append(failed, name+"."+died)
+			} else {
+				bare = true
+			}
 		}
 		if bare {
 			failed = append(failed, name)
@@ -482,11 +501,8 @@ func (j *job) profile(srcs map[string][]byte) error {
 }
 
 func main() {
-	own := flag.Bool("own", false, "run the package's own tests only")
-	sample := flag.Int("sample", 1, "run one mutant in n of the list, from the first")
-	flag.Parse()
-	if flag.NArg() != 1 || *sample < 1 {
-		fmt.Fprintln(os.Stderr, "usage: go run ./tools/mutate [-own] [-sample k] <package dir>")
+	if len(os.Args) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: go run ./tools/mutate <package dir>")
 		os.Exit(2)
 	}
 	// A mutant can turn a loop into one that allocates without end. A data
@@ -494,7 +510,7 @@ func main() {
 	// fail alone; the unmutated run checks that the tests fit in it.
 	err := syscall.Setrlimit(syscall.RLIMIT_DATA, &syscall.Rlimit{Cur: 1 << 30, Max: 1 << 30})
 	if err == nil {
-		err = run(flag.Arg(0), *own, *sample)
+		err = run(os.Args[1])
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mutate:", err)
@@ -513,7 +529,7 @@ type job struct {
 	blocks                      map[string][]block  // file -> its blocks
 }
 
-func run(dir string, own bool, sample int) error {
+func run(dir string) error {
 	info, err := goList("-f", "{{.ImportPath}}|{{.Module.Path}}|{{.Dir}}|{{join .GoFiles \" \"}}", dir)
 	if err != nil {
 		return err
@@ -536,11 +552,6 @@ func run(dir string, own bool, sample int) error {
 		}
 		ms = append(ms, fm...)
 	}
-	total := len(ms)
-	for i := 0; i*sample < total; i++ {
-		ms[i] = ms[i*sample]
-	}
-	ms = ms[:(total+sample-1)/sample]
 	w := os.Stdout
 
 	if j.tmp, err = os.MkdirTemp("", "mutate"); err != nil {
@@ -548,10 +559,8 @@ func run(dir string, own bool, sample int) error {
 	}
 	defer os.RemoveAll(j.tmp)
 	j.stages[0] = []string{j.target}
-	if !own {
-		if j.stages[1], err = importers(j.target); err != nil {
-			return err
-		}
+	if j.stages[1], err = importers(j.target); err != nil {
+		return err
 	}
 	if err := j.profile(srcs); err != nil {
 		return err
@@ -571,16 +580,13 @@ func run(dir string, own bool, sample int) error {
 		}
 		j.limits[i] = max(5*time.Since(start), time.Minute)
 	}
-	fmt.Fprintf(w, "# mutants of %s: go run ./tools/mutate%s %s\n", short(j.target, j.module), map[bool]string{true: " -own"}[own], dir)
+	fmt.Fprintf(w, "# mutants of %s: go run ./tools/mutate %s\n", short(j.target, j.module), dir)
 	fmt.Fprintf(w, "# operators: %s\n# test set: %s", strings.Join(opNames, ", "), short(j.target, j.module))
 	if len(j.stages[1]) > 0 {
 		fmt.Fprintf(w, "; when it kills with fewer than two tests, also:")
 		for _, p := range j.stages[1] {
 			fmt.Fprintf(w, " %s", short(p, j.module))
 		}
-	}
-	if sample > 1 {
-		fmt.Fprintf(w, "\n# sample: 1 in %d of %d mutants, from the first", sample, total)
 	}
 	fmt.Fprintf(w, "\n# position\toperator\tmutation\tverdict\tfailed tests\n")
 
@@ -608,11 +614,17 @@ func run(dir string, own bool, sample int) error {
 			return err
 		}
 	}
+	_, err = fmt.Fprintln(w, tally(counts))
+	return err
+}
+
+// tally is a recording's closing line: counts holds the number of mutants
+// of each verdict.
+func tally(counts map[string]int) string {
 	killed, survived := counts["killed"]+counts["timed-out"], counts["survived"]
-	fmt.Fprintf(w, "# %d mutants: %d killed, %d timed-out, %d survived, %d does-not-compile; score %d/%d = %.1f%%\n",
-		len(ms), counts["killed"], counts["timed-out"], survived, counts["does-not-compile"],
+	return fmt.Sprintf("# %d mutants: %d killed, %d timed-out, %d survived, %d does-not-compile; score %d/%d = %.1f%%",
+		killed+survived+counts["does-not-compile"], counts["killed"], counts["timed-out"], survived, counts["does-not-compile"],
 		killed, killed+survived, 100*float64(killed)/float64(max(killed+survived, 1)))
-	return nil
 }
 
 // verdict builds and tests mutant i, returning its verdict and the tests

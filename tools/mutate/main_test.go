@@ -3,6 +3,9 @@ package main
 import (
 	"fmt"
 	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -107,6 +110,7 @@ func TestParse(t *testing.T) {
 		events   []string
 		failed   []string
 		rest     []string
+		died     string
 		bare     bool
 		timedOut bool
 	}{
@@ -117,24 +121,24 @@ func TestParse(t *testing.T) {
 			event("run", "TestB", ""),
 			event("output", "TestB", "panic: index out of range [recovered]\n"),
 			event("fail", "TestB", ""),
-		}, []string{"TestB"}, []string{"TestC"}, false, false},
-		{"the second test dies of a fatal error, which reports no failure: it fails and the third runs again", true, []string{
+		}, []string{"TestB"}, []string{"TestC"}, "", false, false},
+		{"the second test dies of a fatal error, which reports no failure: it ended the binary and the third runs again", true, []string{
 			event("run", "TestA", ""),
 			event("pass", "TestA", ""),
 			event("run", "TestB", ""),
 			event("output", "TestB", "fatal error: runtime: out of memory\n"),
-		}, []string{"TestB"}, []string{"TestC"}, false, false},
+		}, nil, []string{"TestC"}, "TestB", false, false},
 		{"a cap hit: nothing runs again", true, []string{
 			event("run", "TestA", ""),
 			event("pass", "TestA", ""),
 			event("run", "TestB", ""),
 			event("output", "TestB", "panic: test timed out after 1m0s\n"),
-		}, nil, nil, false, true},
+		}, nil, nil, "", false, true},
 		{"a failure outside any test: the package fails, nothing runs again", true, []string{
 			event("run", "TestA", ""),
 			event("pass", "TestA", ""),
 			event("output", "", "audit: broken chain\n"),
-		}, nil, nil, true, false},
+		}, nil, nil, "", true, false},
 		{"a subtest fails: its top-level test fails, the rest pass", true, []string{
 			event("run", "TestA", ""),
 			event("run", "TestA/sub", ""),
@@ -144,12 +148,109 @@ func TestParse(t *testing.T) {
 			event("pass", "TestB", ""),
 			event("run", "TestC", ""),
 			event("skip", "TestC", ""),
-		}, []string{"TestA"}, nil, false, false},
+		}, []string{"TestA"}, nil, "", false, false},
 	} {
-		failed, rest, bare, timedOut := parse([]byte(strings.Join(c.events, "\n")), c.exitErr, three)
-		if !slices.Equal(failed, c.failed) || !slices.Equal(rest, c.rest) || bare != c.bare || timedOut != c.timedOut {
-			t.Errorf("%s: failed %v, rest %v, bare %v, timed out %v; want %v, %v, %v, %v",
-				c.why, failed, rest, bare, timedOut, c.failed, c.rest, c.bare, c.timedOut)
+		failed, rest, died, bare, timedOut := parse([]byte(strings.Join(c.events, "\n")), c.exitErr, three)
+		if !slices.Equal(failed, c.failed) || !slices.Equal(rest, c.rest) || died != c.died || bare != c.bare || timedOut != c.timedOut {
+			t.Errorf("%s: failed %v, rest %v, died %q, bare %v, timed out %v; want %v, %v, %q, %v, %v",
+				c.why, failed, rest, died, bare, timedOut, c.failed, c.rest, c.died, c.bare, c.timedOut)
+		}
+	}
+}
+
+// A goroutine that TestA leaves running panics while TestB runs: the
+// binary dies under TestB, which passes alone, so the package is charged,
+// not TestB. A death that TestB repeats alone is TestB's.
+func TestRunAllChargesDeathsThatRepeatAlone(t *testing.T) {
+	died := []string{
+		event("run", "TestA", ""),
+		event("pass", "TestA", ""),
+		event("run", "TestB", ""),
+		event("output", "TestB", "panic: send on closed channel\n"),
+	}
+	for _, c := range []struct {
+		why       string
+		aloneDies bool
+		want      []string
+	}{
+		{"TestB passes alone: the package", false, []string{"p"}},
+		{"TestB dies alone too: TestB", true, []string{"p.TestB"}},
+	} {
+		var runs []string
+		failed, timedOut := runAll("p", three, func(tests []string) ([]byte, bool, bool) {
+			runs = append(runs, strings.Join(tests, " "))
+			switch {
+			case len(runs) == 1:
+				return []byte(strings.Join(died, "\n")), true, false
+			case tests[0] == "TestB":
+				if c.aloneDies {
+					return []byte(strings.Join(died[2:], "\n")), true, false
+				}
+				return []byte(event("run", "TestB", "") + "\n" + event("pass", "TestB", "")), false, false
+			}
+			return []byte(event("run", "TestC", "") + "\n" + event("pass", "TestC", "")), false, false
+		})
+		wantRuns := []string{"TestA TestB TestC", "TestB", "TestC"}
+		if !slices.Equal(failed, c.want) || timedOut || !slices.Equal(runs, wantRuns) {
+			t.Errorf("%s: failed %v, timed out %v, runs %q; want %v, false, %q", c.why, failed, timedOut, runs, c.want, wantRuns)
+		}
+	}
+}
+
+// position is a verdict line's first field, file:line:col.
+var position = regexp.MustCompile(`^\w+\.go:\d+:\d+$`)
+
+// Every recorded file is a whole run of the committed harness over a
+// package's full test set: its header names the flag-free command, each
+// verdict line has its five fields (the failed tests, empty unless killed,
+// are trimmed), and the closing line is the tally of the verdicts above it.
+func TestRecordings(t *testing.T) {
+	files, err := filepath.Glob("testdata/*.txt")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no recordings: %v", err)
+	}
+	for _, file := range files {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+		pkg := strings.TrimSuffix(filepath.Base(file), ".txt")
+		if want := "# mutants of " + pkg + ": go run ./tools/mutate ./internal/" + pkg; lines[0] != want {
+			t.Errorf("%s: header %q, want %q", file, lines[0], want)
+		}
+		counts := map[string]int{}
+		for i, l := range lines[:len(lines)-1] {
+			if strings.HasPrefix(l, "# sample:") {
+				t.Errorf("%s:%d: a sampled run", file, i+1)
+			}
+			if strings.HasPrefix(l, "#") {
+				continue
+			}
+			f := strings.Split(l, "\t")
+			if len(f) == 4 {
+				f = append(f, "")
+			}
+			if len(f) != 5 {
+				t.Errorf("%s:%d: %d fields, want 5: %q", file, i+1, len(f), l)
+				continue
+			}
+			ok := position.MatchString(f[0]) && slices.Contains(opNames, f[1]) && f[2] != ""
+			switch f[3] {
+			case "killed":
+				ok = ok && f[4] != ""
+			case "survived", "timed-out", "does-not-compile":
+				ok = ok && f[4] == ""
+			default:
+				ok = false
+			}
+			if !ok {
+				t.Errorf("%s:%d: not a verdict line: %q", file, i+1, l)
+			}
+			counts[f[3]]++
+		}
+		if got, want := lines[len(lines)-1], tally(counts); got != want {
+			t.Errorf("%s: closing line %q, want the tally %q", file, got, want)
 		}
 	}
 }
