@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -292,7 +293,9 @@ func randomConnectedGraph(rng *rand.Rand, id, n, pool int) *Graph {
 }
 
 // Property: plans over random connected graphs always respect dependencies,
-// produce a valid final per graph, and never emit duplicate output IDs.
+// produce a valid final per graph, and never emit duplicate output IDs; and a
+// zero Planner fed the graphs in two batches, without Reserve, makes the
+// same plan.
 func TestBuildPlanPropertyRandomGraphs(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -303,6 +306,13 @@ func TestBuildPlanPropertyRandomGraphs(t *testing.T) {
 		}
 		p, err := BuildPlan(gs, 1000)
 		if err != nil {
+			return false
+		}
+		var streamed Planner
+		if streamed.Add(gs[:numGraphs/2]) != nil || streamed.Add(gs[numGraphs/2:]) != nil {
+			return false
+		}
+		if sp, err := streamed.Finish(1000); err != nil || !reflect.DeepEqual(sp, p) {
 			return false
 		}
 		produced := map[uint64]int{}

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"testing"
 
@@ -11,19 +12,29 @@ import (
 	"micco/internal/workload"
 )
 
-// TestMain hangs the simulator's structural audit on the end of every Run
-// this package's tests make, finished or failed. Benchmarks run without it:
-// an audit walks every record, block and device.
+// TestMain hangs the simulator's structural audit and the run checker
+// (runcheck_test.go) on the end of every Run this package's tests make,
+// finished or failed. Benchmarks run without them: an audit walks every
+// record, block and device. A registry left holding records that no run
+// accounts for fails the binary.
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if f := flag.Lookup("test.bench"); f == nil || f.Value.String() == "" {
-		afterRun = func(c *gpusim.Cluster) {
-			if err := c.Audit(); err != nil {
+		afterRun = func(e *engine, err error) {
+			if err := e.c.Audit(); err != nil {
+				panic(err)
+			}
+			if err := runs.check(e, err); err != nil {
 				panic(err)
 			}
 		}
 	}
-	os.Exit(m.Run())
+	code := m.Run()
+	if err := runs.unsettled(); err != nil && code == 0 {
+		fmt.Fprintln(os.Stderr, err)
+		code = 1
+	}
+	os.Exit(code)
 }
 
 // WithoutAudit takes the audit off every Run for the rest of t, for a test

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"micco/internal/fault"
 	"micco/internal/gpusim"
+	"micco/internal/obs"
 	"micco/internal/tensor"
 	"micco/internal/workload"
 )
@@ -89,13 +91,32 @@ func TestConcurrentEngineChainedWorkload(t *testing.T) {
 	}
 }
 
+// TestRunCancelledBeforeStart: a nil context runs as Background, and a
+// cancelled one is refused before the engine exists — its error, no Result,
+// no after-run hook.
 func TestRunCancelledBeforeStart(t *testing.T) {
 	w := smallWorkload(t, 2, 6)
-	c := cluster(t, 2)
-	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, w, &spreadScheduler{}, c, Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled ctx: err = %v, want context.Canceled", err)
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		err  error
+		ends int
+	}{
+		{"nil", nil, nil, 1},
+		{"cancelled", cancelled, context.Canceled, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ends := countRunEnds(t)
+			res, err := Run(tc.ctx, w, &spreadScheduler{}, cluster(t, 2), Options{})
+			if !errors.Is(err, tc.err) || (res == nil) != (tc.err != nil) {
+				t.Errorf("Run = %v, %v; want error %v", res, err, tc.err)
+			}
+			if *ends != tc.ends {
+				t.Errorf("the after-run hook ran %d times, want %d", *ends, tc.ends)
+			}
+		})
 	}
 }
 
@@ -136,11 +157,36 @@ func TestRunNilArgumentsTyped(t *testing.T) {
 	}
 }
 
+// TestRunInvalidDeviceTyped is the table of the engine's refusal of a
+// placement: a device below 0, one past the last, and one a fault took down.
+// Each run is watched and traced, so a device that slipped past the refusal
+// would reach the decision record and the simulator; Run must return
+// ErrInvalidDevice, and the audit and the run checker pass on what the
+// failed run left.
 func TestRunInvalidDeviceTyped(t *testing.T) {
-	w := smallWorkload(t, 1, 4)
-	c := cluster(t, 2)
-	if _, err := Run(context.Background(), w, badScheduler{}, c, Options{}); !errors.Is(err, ErrInvalidDevice) {
-		t.Errorf("err = %v, want ErrInvalidDevice", err)
+	w := smallWorkload(t, 2, 4)
+	lose1 := &fault.Plan{Events: []fault.Event{{Kind: fault.DeviceLoss, Stage: 1, Pair: 1, Device: 1}}}
+	for _, tc := range []struct {
+		name string
+		dev  int
+		plan *fault.Plan
+	}{
+		{"negative", -1, nil},
+		{"NumGPU", 2, nil},
+		{"lost", 1, lose1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ends := countRunEnds(t)
+			c := cluster(t, 2)
+			c.StartTrace()
+			_, err := Run(context.Background(), w, &fixedScheduler{dev: tc.dev}, c, Options{Obs: obs.New(), FaultPlan: tc.plan})
+			if !errors.Is(err, ErrInvalidDevice) {
+				t.Errorf("err = %v, want ErrInvalidDevice", err)
+			}
+			if *ends != 1 {
+				t.Errorf("the after-run hook ran %d times, want once", *ends)
+			}
+		})
 	}
 }
 
@@ -163,10 +209,19 @@ func TestRunOutOfMemoryTyped(t *testing.T) {
 // for 1. The ladder's deck_numeric set-up runs a Parallelism 1 cross-check
 // whose cost depends on it.
 func TestPoolSizeResolution(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	for _, c := range []struct{ parallelism, want int }{{0, procs}, {1, procs}, {3, 3}} {
-		if got := (Options{Parallelism: c.parallelism}).PoolSize(); got != c.want {
-			t.Errorf("Parallelism %d: PoolSize() = %d, want %d", c.parallelism, got, c.want)
+	// Four procs, a width that neither Parallelism 1 nor 2 is, for the
+	// table's length: N > 1 is then told from GOMAXPROCS on any machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, parallelism := range []int{0, 1, 2, 3} {
+		want, procs := parallelism, runtime.GOMAXPROCS(0)
+		if parallelism <= 1 {
+			want = procs
+		}
+		if got := (Options{Parallelism: parallelism}).PoolSize(); got != want {
+			t.Errorf("Parallelism %d: PoolSize() = %d, want %d", parallelism, got, want)
+		}
+		if now := runtime.GOMAXPROCS(0); now != procs {
+			t.Errorf("Parallelism %d: PoolSize() moved GOMAXPROCS from %d to %d", parallelism, procs, now)
 		}
 	}
 }

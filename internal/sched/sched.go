@@ -493,11 +493,12 @@ type engine struct {
 	clock0 time.Time
 }
 
-// afterRun, when non-nil, is the one layer tests attach: handed the cluster
-// as every Run past validation ends, finished or failed. This package's
-// tests hang the simulator's structural audit (gpusim.Cluster.Audit) on it,
+// afterRun, when non-nil, is the one layer tests attach: handed the engine
+// and its error as every Run past validation ends, finished or failed. This
+// package's tests hang the simulator's structural audit
+// (gpusim.Cluster.Audit) and a checker of the run's trace and records on it,
 // and leave it off when benchmarks run.
-var afterRun func(*gpusim.Cluster)
+var afterRun func(e *engine, err error)
 
 // discard drops the dead input in slot. Under a fault plan only device
 // copies are dropped: the host copy must survive as the recovery source if
@@ -795,7 +796,7 @@ func (e *engine) finish(err error) (*Result, error) {
 	}
 	res.Checkpoint = e.ck.result(e, err)
 	if afterRun != nil {
-		afterRun(c)
+		afterRun(e, err)
 	}
 	if err != nil && res.Checkpoint == nil {
 		return nil, err

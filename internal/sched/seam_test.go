@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"micco/internal/fault"
-	"micco/internal/gpusim"
 	"micco/internal/obs"
 	"micco/internal/tensor"
 	"micco/internal/workload"
@@ -35,10 +34,10 @@ func countRunEnds(t *testing.T) *int {
 	hook := afterRun
 	t.Cleanup(func() { afterRun = hook })
 	n := new(int)
-	afterRun = func(c *gpusim.Cluster) {
+	afterRun = func(e *engine, err error) {
 		*n++
 		if hook != nil {
-			hook(c)
+			hook(e, err)
 		}
 	}
 	return n

@@ -3,17 +3,17 @@ package wick
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"micco/internal/graph"
 )
 
-// The reference: Expand, graph.Connected, graph.Signature and graph.Dedup
-// as they stood before expansion became a stamped template and the
-// signature an integer key — the full enumeration on every call, a DFS
-// for connectivity and fmt-rendered string signatures. Kept verbatim
-// (names prefixed with ref) as the oracle the tests below compare with.
+// The reference: Expand as it stood before expansion became a stamped
+// template — the full enumeration on every call. Kept verbatim (names
+// prefixed with ref) as the oracle the test below compares with. It keeps
+// the connected, deduplicated graphs through graph.Connected and
+// graph.Dedup, which graph's own tests hold to a search and to the string
+// signature they replaced.
 
 // refQuarkSlot locates one quark field: which operator (global index over
 // source then sink) it belongs to.
@@ -76,7 +76,7 @@ func refExpand(spec Spec, srcTime, snkTime int, bt *BlockTable, nextGraphID *int
 	if err := emitMomentum(0); err != nil {
 		return nil, err
 	}
-	return refDedup(all), nil
+	return graph.Dedup(all), nil
 }
 
 // refExpandPairings enumerates flavor-preserving bijections and emits one
@@ -102,7 +102,7 @@ func refExpandPairings(spec Spec, ops []Operator, numSrc int, flavors []string,
 	var emit func()
 	emit = func() {
 		g := &graph.Graph{ID: *nextGraphID, Nodes: nodes, Edges: append([]graph.Edge(nil), edges...)}
-		if !refConnected(g) {
+		if !g.Connected() {
 			return
 		}
 		*nextGraphID++
@@ -155,139 +155,6 @@ func refExpandPairings(spec Spec, ops []Operator, numSrc int, flavors []string,
 	return out, nil
 }
 
-// refConnected reports whether the graph is a single connected component
-// (required for a contraction to reduce it to a single product chain).
-func refConnected(g *graph.Graph) bool {
-	if len(g.Nodes) == 0 {
-		return false
-	}
-	adj := make([][]int, len(g.Nodes))
-	for _, e := range g.Edges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-	}
-	seen := make([]bool, len(g.Nodes))
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				count++
-				stack = append(stack, v)
-			}
-		}
-	}
-	return count == len(g.Nodes)
-}
-
-// refSignature returns a canonical string identifying the graph up to node
-// relabeling by tensor identity: the sorted multiset of edge tensor-ID
-// pairs plus the sorted multiset of node tensor IDs. Two graphs with equal
-// signatures perform identical contractions, so the Wick front end uses it
-// to deduplicate ("unique contraction graphs").
-func refSignature(g *graph.Graph) string {
-	edges := make([]string, 0, len(g.Edges))
-	for _, e := range g.Edges {
-		a := g.Nodes[e.U].Tensor.ID
-		b := g.Nodes[e.V].Tensor.ID
-		if a > b {
-			a, b = b, a
-		}
-		edges = append(edges, fmt.Sprintf("%d-%d", a, b))
-	}
-	sort.Strings(edges)
-	nodes := make([]uint64, 0, len(g.Nodes))
-	for _, n := range g.Nodes {
-		nodes = append(nodes, n.Tensor.ID)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return fmt.Sprintf("n%v|e%v", nodes, edges)
-}
-
-// refDedup returns the unique graphs of gs by refSignature, preserving first-seen
-// order.
-func refDedup(gs []*graph.Graph) []*graph.Graph {
-	seen := make(map[string]bool, len(gs))
-	var out []*graph.Graph
-	for _, g := range gs {
-		sig := refSignature(g)
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		out = append(out, g)
-	}
-	return out
-}
-
-// refSpecs are the specs the bundled correlators expand (a1 and f0
-// systems, conjugated sinks spelled out), plus two-particle sinks with
-// identically named operators — whose momentum assignments (m1, m2) and
-// (m2, m1) duplicate each other — a sink operator that reuses a source
-// name (one block when the times coincide), a spec whose deduplication
-// depends on whether they do, and a baryon.
-func refSpecs() []Spec {
-	pi0 := func(name string) Operator {
-		return Operator{Name: name, Quarks: []Quark{Q("u"), Qbar("u"), Q("d"), Qbar("d")}}
-	}
-	pi0c := func(name string) Operator {
-		return Operator{Name: name, Quarks: []Quark{Qbar("u"), Q("u"), Qbar("d"), Q("d")}}
-	}
-	a1, a1c := []Operator{Meson("a1", "u", "d")}, []Operator{Meson("a1†", "d", "u")}
-	rhopi := []Operator{Meson("rho", "u", "d"), pi0("pi0")}
-	rhopic := []Operator{Meson("rho†", "d", "u"), pi0c("pi0†")}
-	f0, f0c := []Operator{Meson("f0", "u", "u")}, []Operator{Meson("f0†", "u", "u")}
-	pipi := []Operator{Meson("pi+", "u", "d"), Meson("pi-", "d", "u")}
-	pipic := []Operator{Meson("pi+†", "d", "u"), Meson("pi-†", "u", "d")}
-	kk := []Operator{Meson("K+", "u", "s"), Meson("K-", "s", "u")}
-	kkc := []Operator{Meson("K+†", "s", "u"), Meson("K-†", "u", "s")}
-	specs := []Spec{
-		{Name: "a1->a1", Source: a1, Sink: a1c},
-		{Name: "a1->rhopi", Source: a1, Sink: rhopic},
-		{Name: "rhopi->a1", Source: rhopi, Sink: a1c},
-		{Name: "rhopi->rhopi", Source: rhopi, Sink: rhopic},
-		{Name: "f0->f0", Source: f0, Sink: f0c},
-		{Name: "f0->pipi", Source: f0, Sink: pipic},
-		{Name: "pipi->f0", Source: pipi, Sink: f0c},
-		{Name: "pipi->pipi", Source: pipi, Sink: pipic},
-		{Name: "KK->pipi", Source: kk, Sink: pipic},
-		{Name: "KK->KK", Source: kk, Sink: kkc},
-		{Name: "twin sinks", Source: []Operator{pi0("pi0"), pi0("pi0")}, Sink: []Operator{pi0c("X"), pi0c("X")}},
-		{Name: "sink named as source", Source: pipi, Sink: []Operator{Meson("pi-", "d", "u"), Meson("pi+", "u", "d")}},
-		// Two unique graphs at distinct times, one when the times coincide.
-		{Name: "times decide dedup", Source: []Operator{Meson("b", "d", "d"), Meson("a", "u", "d")},
-			Sink: []Operator{Meson("b", "d", "d"), Meson("a", "d", "u")}},
-		{Name: "nucleon", Source: []Operator{{Name: "N", Quarks: []Quark{Q("u"), Q("u"), Q("d")}}},
-			Sink: []Operator{{Name: "N†", Quarks: []Quark{Qbar("u"), Qbar("u"), Qbar("d")}}}},
-	}
-	for i := range specs {
-		specs[i].TensorDim, specs[i].Batch = 8, 2
-	}
-	return specs
-}
-
-// issuedKeys returns the key of every block bt has issued, by tensor ID
-// (index 0, never issued, is the zero key): the creation order of the keys,
-// decoded from the integer keys and the interned names.
-func issuedKeys(bt *BlockTable) []BlockKey {
-	names := make([]string, len(bt.ops))
-	for name, op := range bt.ops {
-		names[op] = name
-	}
-	keys := make([]BlockKey, bt.NextID())
-	for w, id := range bt.blocks {
-		keys[id] = BlockKey{Op: names[w>>48], Momentum: int(w >> 32 & 0xffff), Time: int(int32(w))}
-	}
-	for k, id := range bt.wide {
-		keys[id] = BlockKey{Op: names[k.op], Momentum: k.momentum, Time: k.time}
-	}
-	return keys
-}
-
 // expandCall is one Expand call of a sequence run against one table.
 type expandCall struct {
 	spec             Spec
@@ -334,7 +201,7 @@ func checkAgainstReference(t *testing.T, label string, calls []expandCall) {
 // graph for graph, on a fresh table and on one that has seen the spec,
 // other specs and other times before.
 func TestExpandMatchesReference(t *testing.T) {
-	specs := refSpecs()
+	specs := specCorpus()
 	for momenta := 1; momenta <= 3; momenta++ {
 		// Each spec alone: first call builds the template, the others stamp
 		// it; (2, 2) and (0, 0) take the coinciding-times template.
@@ -376,91 +243,4 @@ func TestExpandMatchesReference(t *testing.T) {
 	noQuarks.Sink = []Operator{{Name: "empty"}}
 	checkAgainstReference(t, "errors", []expandCall{
 		{unbalanced, 0, 1}, {good, 0, 1}, {noMomenta, 0, 1}, {noQuarks, 0, 2}, {Spec{}, 0, 1}, {good, 0, 2}})
-}
-
-// TestExpandWarmAllocs: once a table holds a spec's template, Expand
-// allocates the result — node, edge and graph slabs, the pointer slice,
-// the momentum counter — and nothing per graph.
-func TestExpandWarmAllocs(t *testing.T) {
-	for _, s := range refSpecs() {
-		for _, momenta := range []int{1, 3} {
-			s.Momenta = momenta
-			bt := NewBlockTable(8, 2)
-			var gid int
-			gs, err := Expand(s, 0, 1, bt, &gid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Sink time 2 both times: the second round finds its blocks too.
-			allocs := testing.AllocsPerRun(20, func() {
-				if _, err := Expand(s, 0, 2, bt, &gid); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs > 8 {
-				t.Errorf("%s, momenta %d (%d graphs): %v allocations per warm Expand, want <= 8",
-					s.Name, momenta, len(gs), allocs)
-			}
-		}
-	}
-}
-
-// TestExpandIntoBuffer: a deck's expansion into one Buffer, reset at every
-// sink time, yields Expand's graphs call for call — IDs, nodes and edges,
-// and the same table afterwards — and once a time's blocks exist, a reset
-// and a re-expansion of that time allocate nothing.
-func TestExpandIntoBuffer(t *testing.T) {
-	for momenta := 1; momenta <= 3; momenta++ {
-		specs := refSpecs()
-		for i := range specs {
-			specs[i].Momenta = momenta
-		}
-		bt, bufBT := NewBlockTable(8, 2), NewBlockTable(8, 2)
-		var gid, bufGid int
-		var buf Buffer
-		expandTime := func(snk int) error {
-			buf.Reset()
-			for _, s := range specs {
-				if err := ExpandInto(&buf, s, 0, snk, bufBT, &bufGid); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for snk := 1; snk <= 3; snk++ {
-			var want []*graph.Graph
-			for _, s := range specs {
-				gs, err := Expand(s, 0, snk, bt, &gid)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, gs...)
-			}
-			if err := expandTime(snk); err != nil {
-				t.Fatal(err)
-			}
-			got := buf.Graphs()
-			if len(got) != len(want) || gid != bufGid {
-				t.Fatalf("momenta %d, time %d: %d graphs to ID %d, Expand %d to ID %d", momenta, snk, len(got), bufGid, len(want), gid)
-			}
-			for j := range want {
-				if got[j].ID != want[j].ID || !reflect.DeepEqual(got[j].Nodes, want[j].Nodes) ||
-					!reflect.DeepEqual(got[j].Edges, want[j].Edges) {
-					t.Fatalf("momenta %d, time %d: graph %d = %+v, Expand %+v", momenta, snk, j, *got[j], *want[j])
-				}
-			}
-			if !reflect.DeepEqual(issuedKeys(bt), issuedKeys(bufBT)) {
-				t.Fatalf("momenta %d, time %d: block tables diverged", momenta, snk)
-			}
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if err := expandTime(3); err != nil {
-				t.Fatal(err)
-			}
-			buf.Graphs()
-		})
-		if allocs != 0 {
-			t.Errorf("momenta %d: %v allocations per warm reset and re-expansion, want 0", momenta, allocs)
-		}
-	}
 }

@@ -334,3 +334,154 @@ func TestExpandBlockSharingProperty(t *testing.T) {
 		}
 	}
 }
+
+// specCorpus holds the specs the bundled correlators expand (a1 and f0
+// systems, conjugated sinks spelled out), plus two-particle sinks with
+// identically named operators — whose momentum assignments (m1, m2) and
+// (m2, m1) duplicate each other — a sink operator that reuses a source
+// name (one block when the times coincide), a spec whose deduplication
+// depends on whether they do, and a baryon.
+func specCorpus() []Spec {
+	pi0 := func(name string) Operator {
+		return Operator{Name: name, Quarks: []Quark{Q("u"), Qbar("u"), Q("d"), Qbar("d")}}
+	}
+	pi0c := func(name string) Operator {
+		return Operator{Name: name, Quarks: []Quark{Qbar("u"), Q("u"), Qbar("d"), Q("d")}}
+	}
+	a1, a1c := []Operator{Meson("a1", "u", "d")}, []Operator{Meson("a1†", "d", "u")}
+	rhopi := []Operator{Meson("rho", "u", "d"), pi0("pi0")}
+	rhopic := []Operator{Meson("rho†", "d", "u"), pi0c("pi0†")}
+	f0, f0c := []Operator{Meson("f0", "u", "u")}, []Operator{Meson("f0†", "u", "u")}
+	pipi := []Operator{Meson("pi+", "u", "d"), Meson("pi-", "d", "u")}
+	pipic := []Operator{Meson("pi+†", "d", "u"), Meson("pi-†", "u", "d")}
+	kk := []Operator{Meson("K+", "u", "s"), Meson("K-", "s", "u")}
+	kkc := []Operator{Meson("K+†", "s", "u"), Meson("K-†", "u", "s")}
+	specs := []Spec{
+		{Name: "a1->a1", Source: a1, Sink: a1c},
+		{Name: "a1->rhopi", Source: a1, Sink: rhopic},
+		{Name: "rhopi->a1", Source: rhopi, Sink: a1c},
+		{Name: "rhopi->rhopi", Source: rhopi, Sink: rhopic},
+		{Name: "f0->f0", Source: f0, Sink: f0c},
+		{Name: "f0->pipi", Source: f0, Sink: pipic},
+		{Name: "pipi->f0", Source: pipi, Sink: f0c},
+		{Name: "pipi->pipi", Source: pipi, Sink: pipic},
+		{Name: "KK->pipi", Source: kk, Sink: pipic},
+		{Name: "KK->KK", Source: kk, Sink: kkc},
+		{Name: "twin sinks", Source: []Operator{pi0("pi0"), pi0("pi0")}, Sink: []Operator{pi0c("X"), pi0c("X")}},
+		{Name: "sink named as source", Source: pipi, Sink: []Operator{Meson("pi-", "d", "u"), Meson("pi+", "u", "d")}},
+		// Two unique graphs at distinct times, one when the times coincide.
+		{Name: "times decide dedup", Source: []Operator{Meson("b", "d", "d"), Meson("a", "u", "d")},
+			Sink: []Operator{Meson("b", "d", "d"), Meson("a", "d", "u")}},
+		{Name: "nucleon", Source: []Operator{{Name: "N", Quarks: []Quark{Q("u"), Q("u"), Q("d")}}},
+			Sink: []Operator{{Name: "N†", Quarks: []Quark{Qbar("u"), Qbar("u"), Qbar("d")}}}},
+	}
+	for i := range specs {
+		specs[i].TensorDim, specs[i].Batch = 8, 2
+	}
+	return specs
+}
+
+// issuedKeys returns the key of every block bt has issued, by tensor ID
+// (index 0, never issued, is the zero key): the creation order of the keys,
+// decoded from the integer keys and the interned names.
+func issuedKeys(bt *BlockTable) []BlockKey {
+	names := make([]string, len(bt.ops))
+	for name, op := range bt.ops {
+		names[op] = name
+	}
+	keys := make([]BlockKey, bt.NextID())
+	for w, id := range bt.blocks {
+		keys[id] = BlockKey{Op: names[w>>48], Momentum: int(w >> 32 & 0xffff), Time: int(int32(w))}
+	}
+	for k, id := range bt.wide {
+		keys[id] = BlockKey{Op: names[k.op], Momentum: k.momentum, Time: k.time}
+	}
+	return keys
+}
+
+// TestExpandWarmAllocs: once a table holds a spec's template, Expand
+// allocates the result — node, edge and graph slabs, the pointer slice,
+// the momentum counter — and nothing per graph.
+func TestExpandWarmAllocs(t *testing.T) {
+	for _, s := range specCorpus() {
+		for _, momenta := range []int{1, 3} {
+			s.Momenta = momenta
+			bt := NewBlockTable(8, 2)
+			var gid int
+			gs, err := Expand(s, 0, 1, bt, &gid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Sink time 2 both times: the second round finds its blocks too.
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := Expand(s, 0, 2, bt, &gid); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 8 {
+				t.Errorf("%s, momenta %d (%d graphs): %v allocations per warm Expand, want <= 8",
+					s.Name, momenta, len(gs), allocs)
+			}
+		}
+	}
+}
+
+// TestExpandIntoBuffer: a deck's expansion into one Buffer, reset at every
+// sink time, yields Expand's graphs call for call — IDs, nodes and edges,
+// and the same table afterwards — and once a time's blocks exist, a reset
+// and a re-expansion of that time allocate nothing.
+func TestExpandIntoBuffer(t *testing.T) {
+	for momenta := 1; momenta <= 3; momenta++ {
+		specs := specCorpus()
+		for i := range specs {
+			specs[i].Momenta = momenta
+		}
+		bt, bufBT := NewBlockTable(8, 2), NewBlockTable(8, 2)
+		var gid, bufGid int
+		var buf Buffer
+		expandTime := func(snk int) error {
+			buf.Reset()
+			for _, s := range specs {
+				if err := ExpandInto(&buf, s, 0, snk, bufBT, &bufGid); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for snk := 1; snk <= 3; snk++ {
+			var want []*graph.Graph
+			for _, s := range specs {
+				gs, err := Expand(s, 0, snk, bt, &gid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, gs...)
+			}
+			if err := expandTime(snk); err != nil {
+				t.Fatal(err)
+			}
+			got := buf.Graphs()
+			if len(got) != len(want) || gid != bufGid {
+				t.Fatalf("momenta %d, time %d: %d graphs to ID %d, Expand %d to ID %d", momenta, snk, len(got), bufGid, len(want), gid)
+			}
+			for j := range want {
+				if got[j].ID != want[j].ID || !reflect.DeepEqual(got[j].Nodes, want[j].Nodes) ||
+					!reflect.DeepEqual(got[j].Edges, want[j].Edges) {
+					t.Fatalf("momenta %d, time %d: graph %d = %+v, Expand %+v", momenta, snk, j, *got[j], *want[j])
+				}
+			}
+			if !reflect.DeepEqual(issuedKeys(bt), issuedKeys(bufBT)) {
+				t.Fatalf("momenta %d, time %d: block tables diverged", momenta, snk)
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := expandTime(3); err != nil {
+				t.Fatal(err)
+			}
+			buf.Graphs()
+		})
+		if allocs != 0 {
+			t.Errorf("momenta %d: %v allocations per warm reset and re-expansion, want 0", momenta, allocs)
+		}
+	}
+}
