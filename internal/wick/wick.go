@@ -68,7 +68,7 @@ func (s Spec) Validate() error {
 	if err := s.validateShape(); err != nil {
 		return err
 	}
-	counts := map[string]int{}
+	counts, order := map[string]int{}, []string{} // order: first appearance
 	for _, ops := range [2][]Operator{s.Source, s.Sink} {
 		for _, op := range ops {
 			if len(op.Quarks) == 0 {
@@ -78,6 +78,9 @@ func (s Spec) Validate() error {
 				if q.Flavor == "" {
 					return fmt.Errorf("wick: operator %q has a quark with empty flavor", op.Name)
 				}
+				if _, seen := counts[q.Flavor]; !seen {
+					order = append(order, q.Flavor)
+				}
 				if q.Bar {
 					counts[q.Flavor]--
 				} else {
@@ -86,8 +89,8 @@ func (s Spec) Validate() error {
 			}
 		}
 	}
-	for f, c := range counts {
-		if c != 0 {
+	for _, f := range order {
+		if c := counts[f]; c != 0 {
 			return fmt.Errorf("wick: flavor %q unbalanced by %d", f, c)
 		}
 	}

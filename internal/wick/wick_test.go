@@ -48,6 +48,14 @@ func TestSpecValidate(t *testing.T) {
 			t.Errorf("Expand accepted bad spec %d", i)
 		}
 	}
+	// Two unbalanced flavors: the first to appear (Source, then Sink) is
+	// named, on every call.
+	two := Spec{Source: []Operator{Meson("a", "s", "c")}, Sink: []Operator{Meson("b", "u", "d")}, Momenta: 1, TensorDim: 4, Batch: 1}
+	for range 16 {
+		if err := two.Validate(); err == nil || err.Error() != `wick: flavor "s" unbalanced by 1` {
+			t.Fatalf("two unbalanced flavors: %v", err)
+		}
+	}
 }
 
 func TestQuarkHelpers(t *testing.T) {
