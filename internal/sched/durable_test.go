@@ -6,11 +6,14 @@ package sched_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"micco/internal/baseline"
@@ -130,8 +133,14 @@ func TestCheckpointFileAtomicSave(t *testing.T) {
 	}
 }
 
-// TestCheckpointDecodeRejectsCorruption: every class of file damage must
-// yield a typed error — never a panic, never a silently wrong checkpoint.
+// TestCheckpointDecodeRejectsCorruption is the checkpoint's misuse table,
+// modelled on the root's TestMisuseReturnsTypedErrors: every class of file
+// damage, the header's payload-length bounds, every branch of a decoded
+// checkpoint's validation, a nil checkpoint to encode and CheckpointPath's
+// character class. Each row names the error it must wrap (nil: the call
+// succeeds) and a fragment of its message, so a row refused for another
+// reason than its own fails — never a panic, never a silently wrong
+// checkpoint.
 func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	cp := durableCheckpointT(t)
 	var buf bytes.Buffer
@@ -139,36 +148,20 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-
-	check := func(name string, data []byte, want error) {
-		t.Helper()
-		_, err := sched.DecodeCheckpoint(bytes.NewReader(data))
-		if !errors.Is(err, want) {
-			t.Errorf("%s: err = %v, want %v", name, err, want)
+	decode := func(data []byte) func() error {
+		return func() error {
+			_, err := sched.DecodeCheckpoint(bytes.NewReader(data))
+			return err
 		}
 	}
-	check("empty", nil, sched.ErrCheckpointCorrupt)
-	check("short header", valid[:10], sched.ErrCheckpointCorrupt)
-	check("truncated payload", valid[:len(valid)-7], sched.ErrCheckpointCorrupt)
-
-	badMagic := append([]byte(nil), valid...)
-	badMagic[0] = 'X'
-	check("bad magic", badMagic, sched.ErrCheckpointCorrupt)
-
-	badVer := append([]byte(nil), valid...)
-	badVer[4] = 99
-	check("future version", badVer, sched.ErrCheckpointVersion)
-
-	// A bit flip anywhere in the payload must trip the CRC.
-	for _, off := range []int{20, len(valid) / 2, len(valid) - 1} {
-		flipped := append([]byte(nil), valid...)
-		flipped[off] ^= 0x40
-		check("bit flip", flipped, sched.ErrCheckpointCorrupt)
+	damaged := func(edit func(b []byte)) func() error {
+		b := append([]byte(nil), valid...)
+		edit(b)
+		return decode(b)
 	}
-
-	// Valid framing around a payload that is not a checkpoint.
-	check("garbage payload", frameCorrupt([]byte(`{"cluster":null}`)), sched.ErrCheckpointCorrupt)
-	check("json garbage", frameCorrupt([]byte(`{{{{`)), sched.ErrCheckpointCorrupt)
+	length := func(n uint64) func() error {
+		return damaged(func(b []byte) { binary.LittleEndian.PutUint64(b[12:20], n) })
+	}
 
 	// Well-framed logs no engine writes, edited into the valid one (which
 	// logs no fault event: every loss came after its boundary).
@@ -179,37 +172,92 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	if err := dec.Decode(&payload); err != nil {
 		t.Fatal(err)
 	}
-	edited := func(edit func(p map[string]any)) []byte {
+	placements := len(payload["placements"].([]any))
+	edited := func(edit func(p map[string]any)) func() error {
 		p := maps.Clone(payload)
 		edit(p)
 		raw, err := json.Marshal(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return frameCorrupt(raw)
+		return decode(frameCorrupt(raw))
 	}
-	check("the payload re-framed", edited(func(map[string]any) {}), nil)
 	event := func(at int, kind string, dev int) map[string]any {
 		return map[string]any{"at": at, "kind": kind, "device": dev}
 	}
-	for name, edit := range map[string]func(p map[string]any){
-		"no devices":            func(p map[string]any) { p["config"] = map[string]any{} },
-		"faults without a plan": func(p map[string]any) { delete(p, "retry"); p["faults"] = []any{event(0, "device-loss", 0)} },
-		"a bad retry policy":    func(p map[string]any) { p["retry"] = map[string]any{"max": 1} },
-		"a device past the end": func(p map[string]any) { p["faults"] = []any{event(0, "device-loss", 4)} },
-		"an unknown kind":       func(p map[string]any) { p["faults"] = []any{event(0, "meteor", 0)} },
-		"faults out of order":   func(p map[string]any) { p["faults"] = []any{event(5, "device-loss", 0), event(3, "device-loss", 1)} },
-		"a fault past the log":  func(p map[string]any) { p["faults"] = []any{event(1<<20, "device-restore", 0)} },
-		"a loss at the log's end": func(p map[string]any) {
-			p["faults"] = []any{event(len(p["placements"].([]any)), "device-loss", 0)}
-		},
-		"a shrink to no byte": func(p map[string]any) {
+	faults := func(events ...any) func(p map[string]any) {
+		return func(p map[string]any) { p["faults"] = events }
+	}
+	path := func(name, want string) func() error {
+		return func() error {
+			if got := sched.CheckpointPath("d", name); got != filepath.Join("d", want) {
+				return fmt.Errorf("CheckpointPath(%q) = %q, want %q", name, got, filepath.Join("d", want))
+			}
+			return nil
+		}
+	}
+
+	corrupt, version := sched.ErrCheckpointCorrupt, sched.ErrCheckpointVersion
+	rows := []struct {
+		name string
+		call func() error
+		want error  // nil: the call succeeds
+		msg  string // a fragment of the error's text, if any
+	}{
+		{"empty", decode(nil), corrupt, "short header"},
+		{"short header", decode(valid[:10]), corrupt, "short header"},
+		{"truncated payload", decode(valid[:len(valid)-7]), corrupt, "payload truncated"},
+		{"bad magic", damaged(func(b []byte) { b[0] = 'X' }), corrupt, "bad magic"},
+		{"future version", damaged(func(b []byte) { b[4] = 99 }), version, "file version 99"},
+		// A bit flip anywhere in the payload must trip the CRC.
+		{"bit flip at the payload's start", damaged(func(b []byte) { b[20] ^= 0x40 }), corrupt, "CRC mismatch"},
+		{"bit flip in the middle", damaged(func(b []byte) { b[len(b)/2] ^= 0x40 }), corrupt, "CRC mismatch"},
+		{"bit flip at the end", damaged(func(b []byte) { b[len(b)-1] ^= 0x40 }), corrupt, "CRC mismatch"},
+		// The declared length is refused outside (0, 1 GiB], before a read.
+		{"a zero payload length", length(0), corrupt, "payload length 0 out of range"},
+		{"a payload length past the bound", length(1<<30 + 1), corrupt, "out of range"},
+		{"a payload length at the bound", length(1 << 30), corrupt, "payload truncated"},
+		{"one byte short of the payload", length(uint64(len(valid)-20) + 1), corrupt, "payload truncated"},
+		// Valid framing around a payload that is not a checkpoint.
+		{"garbage payload", decode(frameCorrupt([]byte(`{"cluster":null}`))), corrupt, ""},
+		{"json garbage", decode(frameCorrupt([]byte(`{{{{`))), corrupt, "not valid JSON"},
+		{"the payload re-framed", edited(func(map[string]any) {}), nil, ""},
+		// Each branch of validate.
+		{"an empty workload name", edited(func(p map[string]any) { p["workload"] = "" }), corrupt, "empty workload name"},
+		{"a negative next stage", edited(func(p map[string]any) { p["next_stage"] = -1 }), corrupt, "negative next stage -1"},
+		{"next stage 0", edited(func(p map[string]any) { p["next_stage"] = 0 }), nil, ""},
+		{"no devices", edited(func(p map[string]any) { p["config"] = map[string]any{} }), corrupt, ""},
+		{"faults without a plan", edited(func(p map[string]any) { delete(p, "retry"); faults(event(0, "device-loss", 0))(p) }),
+			corrupt, "without a fault plan's retry policy"},
+		{"a bad retry policy", edited(func(p map[string]any) { p["retry"] = map[string]any{"max": 1} }), corrupt, ""},
+		{"a device past the end", edited(faults(event(0, "device-loss", 4))), corrupt, ""},
+		{"an unknown kind", edited(faults(event(0, "meteor", 0))), corrupt, ""},
+		{"a first fault at placement 0", edited(faults(event(0, "device-loss", 0))), nil, ""},
+		{"a fault before the log", edited(faults(event(-1, "device-loss", 0))), corrupt, "out of order"},
+		{"two faults at one placement", edited(faults(event(3, "device-loss", 0), event(3, "device-loss", 1))), nil, ""},
+		{"faults out of order", edited(faults(event(5, "device-loss", 0), event(3, "device-loss", 1))), corrupt, "out of order"},
+		{"a fault past the log", edited(faults(event(1<<20, "device-restore", 0))), corrupt, "past the log"},
+		{"a loss at the log's end", edited(faults(event(placements, "device-loss", 0))), corrupt, "at the end of the log is a"},
+		{"a restore at the log's end", edited(faults(event(0, "device-loss", 1), event(placements, "device-restore", 1))), nil, ""},
+		{"a shrink to no byte", edited(func(p map[string]any) {
 			shrink := event(0, "mem-shrink", 0)
 			shrink["factor"] = 1e-12
-			p["faults"] = []any{shrink}
-		},
-	} {
-		check(name, edited(edit), sched.ErrCheckpointCorrupt)
+			faults(shrink)(p)
+		}), corrupt, ""},
+		{"encode a nil checkpoint", func() error {
+			_, err := sched.EncodeCheckpoint(&bytes.Buffer{}, nil)
+			return err
+		}, sched.ErrNilArgument, "checkpoint"},
+		// CheckpointPath keeps [A-Za-z0-9._-] and replaces every other byte.
+		{"the character class's edges", path("azAZ09._-", "azAZ09._-.mcck"), nil, ""},
+		{"the bytes just outside them", path("`{@[/:", "______.mcck"), nil, ""},
+		{"an empty name", path("", "run.mcck"), nil, ""},
+	}
+	for _, r := range rows {
+		err := r.call()
+		if !errors.Is(err, r.want) || r.msg != "" && (err == nil || !strings.Contains(err.Error(), r.msg)) {
+			t.Errorf("%s: err = %v, want %v with %q", r.name, err, r.want, r.msg)
+		}
 	}
 }
 

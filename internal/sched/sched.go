@@ -441,14 +441,6 @@ func (o *obsRun) finish(e *engine, err error) {
 		o.reg.Gauge("micco_run_makespan_seconds").Set(res.Makespan)
 		o.reg.Gauge("micco_run_gflops").Set(res.GFLOPS)
 		o.reg.Counter("micco_sched_overhead_seconds_total").Add(res.SchedOverhead.Seconds())
-		for i, st := range res.PerDevice {
-			dev := `{device="` + strconv.Itoa(i) + `"}`
-			busy := st.KernelTime + st.TransferTime + st.EvictTime + st.AllocTime
-			o.reg.Gauge("micco_device_busy_seconds" + dev).Set(busy)
-			if res.Makespan > 0 {
-				o.reg.Gauge("micco_device_utilization" + dev).Set(busy / res.Makespan)
-			}
-		}
 	}
 	o.runSpan.End()
 	res.Metrics = o.reg.Snapshot()

@@ -1,9 +1,9 @@
 // Command mutate is a deterministic mutation tester for one package of this
 // module. It lists the package's mutants in a fixed order (file, then byte
-// position, then operator), runs each one through `go test -overlay`, so the
-// tree is never copied or written, and prints one verdict line per mutant:
-// killed (with the tests that failed on it), survived, timed-out or
-// does-not-compile.
+// position, then operator), runs each one against the tests that execute
+// it, and prints one verdict line per mutant: killed (with the tests that
+// failed on it), survived, timed-out or does-not-compile. The tree is never
+// copied or written.
 //
 // Usage, from the module root:
 //
@@ -14,6 +14,15 @@
 // on an integer literal, and delete a statement (an expression, assignment,
 // ++/--, if, branch, defer, go or send statement).
 //
+// Whether a mutant compiles is decided by type-checking the package with
+// it, in process. Every compiling mutant inside a function body is written
+// into one schema of the package (schema.go): each is guarded by its
+// number, which the test binary reads from its environment (guard.go), so
+// each test binary is built once a run and a mutant runs by setting its
+// number. A mutant the schema cannot hold (one outside every function
+// body, or one whose guard does not compile) is built into test binaries
+// of its own, through `go test -overlay`.
+//
 // A package's test set is its own tests, then the tests of every in-module
 // package whose tests depend on it, less slowSuites. Those run only when
 // its own tests finish on a mutant within their cap and fewer than two of
@@ -23,14 +32,14 @@
 // the package, and a mutant takes the tests that cover a block it
 // overlaps. One in no block takes those that enter its function, one
 // outside every function the whole stage, and one that no test executes
-// is decided by its build. A mutant on which any test failed is killed,
-// and its line lists every stage's failures. A test that ends its binary
-// with a panic of its own is one; one that ends it without a result (a
-// fatal error, another goroutine's panic) is one only if it also fails run
-// alone in its binary, and otherwise a goroutine another test left running
-// ended it and the package is charged. The tests after it run again. One
-// is timed-out only if a test binary ran past its cap and no test failed.
-// As many mutants run at once as GOMAXPROCS allows.
+// is decided by whether it compiles. A mutant on which any test failed is
+// killed, and its line lists every stage's failures. A test that ends its
+// binary with a panic of its own is one; one that ends it without a result
+// (a fatal error, another goroutine's panic) is one only if it also fails
+// run alone in its binary, and otherwise a goroutine another test left
+// running ended it and the package is charged. The tests after it run
+// again. One is timed-out only if a test binary ran past its cap and no
+// test failed. As many mutants run at once as GOMAXPROCS allows.
 package main
 
 import (
@@ -162,6 +171,11 @@ func enumerate(fset *token.FileSet, name string, src []byte) ([]mutant, error) {
 	return ms, nil
 }
 
+// apply returns src, m's file, with m's edit made.
+func (m mutant) apply(src []byte) []byte {
+	return append(append(append([]byte{}, src[:m.off]...), m.repl...), src[m.end:]...)
+}
+
 // oneLine is a statement's first line, its blanks collapsed, cut to 48 bytes.
 func oneLine(s string) string {
 	if i := strings.IndexByte(s, '\n'); i >= 0 {
@@ -260,49 +274,62 @@ func parse(events []byte, exitErr bool, tests []string) (failed, rest []string, 
 	return failed, rest, died, false, false
 }
 
-// test runs the tests of want (package -> top-level tests) with overlay
-// (none if empty) and returns the tests that failed, plus each package that
-// failed outside any test and not by running out of time, and whether a
-// test binary ran out of time. Each package's test binary is built once,
-// GOMAXPROCS at a time; a package whose tests do not build fails.
-func (j *job) test(overlay string, limit time.Duration, want map[string][]string) (failed []string, timedOut bool) {
-	dir, err := os.MkdirTemp(j.tmp, "b")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mutate:", err)
-		os.Exit(1)
-	}
-	defer os.RemoveAll(dir)
-	var pkgs []string
-	for p := range want {
-		pkgs = append(pkgs, p)
-	}
-	sort.Strings(pkgs)
-	fs, ts := make([][]string, len(pkgs)), make([]bool, len(pkgs))
+// build builds the test binary of each of pkgs into dir, under overlay
+// (none if empty), GOMAXPROCS at a time, and returns their paths by
+// package; a package whose tests do not build has none.
+func build(dir, overlay string, pkgs []string) map[string]string {
+	bins := make([]string, len(pkgs))
 	parallel(len(pkgs), func(k int) error {
 		bin := filepath.Join(dir, fmt.Sprintf("%d.test", k))
 		args := []string{"test", "-c", "-vet=off", "-o", bin}
 		if overlay != "" {
 			args = append(args, "-overlay", overlay)
 		}
-		if exec.Command("go", append(args, pkgs[k])...).Run() != nil {
-			fs[k] = []string{short(pkgs[k], j.module)}
-		} else {
-			fs[k], ts[k] = j.testBinary(bin, limit, pkgs[k], want[pkgs[k]])
+		if exec.Command("go", append(args, pkgs[k])...).Run() == nil {
+			bins[k] = bin
 		}
 		return nil
 	})
-	for k := range pkgs {
-		failed, timedOut = append(failed, fs[k]...), timedOut || ts[k]
+	out := map[string]string{}
+	for k, p := range pkgs {
+		if bins[k] != "" {
+			out[p] = bins[k]
+		}
+	}
+	return out
+}
+
+// test runs the tests of want (package -> top-level tests) in bins, the
+// test binaries by package, with mutant k on (0 for none), GOMAXPROCS
+// binaries at a time. It returns the tests that failed, plus each package
+// that has no binary or failed outside any test and not by running out of
+// time, and whether a test binary ran out of time.
+func (j *job) test(bins map[string]string, k int, limit time.Duration, want map[string][]string) (failed []string, timedOut bool) {
+	var pkgs []string
+	for p := range want {
+		pkgs = append(pkgs, p)
+	}
+	sort.Strings(pkgs)
+	fs, ts := make([][]string, len(pkgs)), make([]bool, len(pkgs))
+	parallel(len(pkgs), func(i int) error {
+		if bin := bins[pkgs[i]]; bin == "" {
+			fs[i] = []string{short(pkgs[i], j.module)}
+		} else {
+			fs[i], ts[i] = j.testBinary(bin, k, limit, pkgs[i], want[pkgs[i]])
+		}
+		return nil
+	})
+	for i := range pkgs {
+		failed, timedOut = append(failed, fs[i]...), timedOut || ts[i]
 	}
 	slices.Sort(failed)
 	return slices.Compact(failed), timedOut
 }
 
-// testBinary runs tests in pkg's test binary, under limit, through runAll.
-// limit bounds a run, not the build before it, so a loaded machine slows a
-// verdict without moving it; each run has a safety cap of twice that plus
-// ten minutes.
-func (j *job) testBinary(bin string, limit time.Duration, pkg string, tests []string) (failed []string, timedOut bool) {
+// testBinary runs tests in pkg's test binary, with mutant k on, under
+// limit, through runAll. Each run has a safety cap of twice the limit
+// plus ten minutes.
+func (j *job) testBinary(bin string, k int, limit time.Duration, pkg string, tests []string) (failed []string, timedOut bool) {
 	return runAll(short(pkg, j.module), tests, func(tests []string) ([]byte, bool, bool) {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*limit+10*time.Minute)
 		defer cancel()
@@ -310,8 +337,9 @@ func (j *job) testBinary(bin string, limit time.Duration, pkg string, tests []st
 		cmd := exec.CommandContext(ctx, bin, "-test.v=test2json", "-test.paniconexit0", "-test.count=1",
 			"-test.timeout="+limit.String(), "-test.run=^("+strings.Join(tests, "|")+")$")
 		cmd.Dir, cmd.Stdout, cmd.Stderr, cmd.WaitDelay = j.dirs[pkg], &out, &out, 10*time.Second
+		cmd.Env = append(os.Environ(), fmt.Sprintf("MUTANT=%d", k))
 		exitErr := cmd.Run() != nil
-		conv := exec.Command("go", "tool", "test2json")
+		conv := exec.Command(j.test2json)
 		conv.Stdin = &out
 		events, _ := conv.Output()
 		return events, exitErr, ctx.Err() != nil
@@ -520,33 +548,27 @@ func main() {
 
 // A job is what every mutant of one package is run against.
 type job struct {
-	tmp, pkgDir, target, module string
-	stages                      [2][]string // own tests; importers' tests
-	limits                      [2]time.Duration
-	names                       map[string][]string // package -> its tests
-	dirs                        map[string]string   // package -> its directory
-	tests                       [][2]string         // package and name, by index
-	blocks                      map[string][]block  // file -> its blocks
+	tmp, pkgDir, target, module, test2json string
+	stages                                 [2][]string // own tests; importers' tests
+	limits                                 [2]time.Duration
+	names                                  map[string][]string // package -> its tests
+	dirs                                   map[string]string   // package -> its directory
+	tests                                  [][2]string         // package and name, by index
+	blocks                                 map[string][]block  // file -> its blocks
+	compiles                               []bool              // by mutant
+	held                                   map[int]bool        // the mutants the schema holds
+	bins                                   map[string]string   // package -> its schema test binary
 }
 
 func run(dir string) error {
-	info, err := goList("-f", "{{.ImportPath}}|{{.Module.Path}}|{{.Dir}}|{{join .GoFiles \" \"}}", dir)
+	p, err := loadPkg(dir)
 	if err != nil {
 		return err
 	}
-	f := strings.Split(info[0], "|")
-	j := job{target: f[0], module: f[1], pkgDir: f[2]}
+	j := job{target: p.path, module: p.module, pkgDir: p.dir}
 	var ms []mutant
-	srcs := map[string][]byte{}
-	fset := token.NewFileSet()
-	for _, name := range strings.Fields(f[3]) { // go list sorts GoFiles
-		path := filepath.Join(j.pkgDir, name)
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		srcs[name] = src
-		fm, err := enumerate(fset, path, src)
+	for _, name := range p.names {
+		fm, err := enumerate(token.NewFileSet(), filepath.Join(j.pkgDir, name), p.srcs[name])
 		if err != nil {
 			return err
 		}
@@ -562,10 +584,38 @@ func run(dir string) error {
 	if j.stages[1], err = importers(j.target); err != nil {
 		return err
 	}
-	if err := j.profile(srcs); err != nil {
+	if err := j.profile(p.srcs); err != nil {
 		return err
 	}
-	// The unmutated tests must pass; their time sets each stage's cap.
+	tool, err := exec.Command("go", "tool", "-n", "test2json").Output()
+	if err != nil {
+		return fmt.Errorf("go tool -n test2json: %w", err)
+	}
+	j.test2json = strings.TrimSpace(string(tool))
+
+	// The schema holds every compiling mutant inside a function body whose
+	// guard compiles; its test binaries are built once.
+	j.compiles, j.held = make([]bool, len(ms)), map[int]bool{}
+	for i, m := range ms {
+		if j.compiles[i] = p.compiles(m); j.compiles[i] && m.fn[1] != 0 {
+			j.held[i] = true
+		}
+	}
+	srcs, added, err := p.schema(ms, j.held)
+	if err != nil {
+		return err
+	}
+	srcs["mutant_schema.go"] = []byte(added)
+	overlay, err := j.overlay(j.tmp, srcs)
+	if err != nil {
+		return err
+	}
+	all := append(slices.Clone(j.stages[0]), j.stages[1]...)
+	if j.bins = build(j.tmp, overlay, all); len(j.bins) < len(all) {
+		return fmt.Errorf("the schema's test binaries do not all build")
+	}
+	// The schema's tests with no mutant on must pass; their time sets each
+	// stage's cap.
 	for i, pkgs := range j.stages {
 		if len(pkgs) == 0 {
 			continue
@@ -575,7 +625,7 @@ func run(dir string) error {
 			want[p] = j.names[p]
 		}
 		start := time.Now()
-		if failed, timedOut := j.test("", 10*time.Minute, want); len(failed) > 0 || timedOut {
+		if failed, timedOut := j.test(j.bins, 0, 10*time.Minute, want); len(failed) > 0 || timedOut {
 			return fmt.Errorf("unmutated tests fail: %v", failed)
 		}
 		j.limits[i] = max(5*time.Since(start), time.Minute)
@@ -601,7 +651,7 @@ func run(dir string) error {
 			sem <- struct{}{}
 			go func() {
 				defer func() { <-sem }()
-				v, tests := j.verdict(i, m, srcs[m.file])
+				v, tests := j.verdict(i, m, p.srcs[m.file])
 				lines[i] <- strings.TrimSpace(fmt.Sprintf("%s:%d:%d\t%s\t%s\t%s\t%s", m.file, m.line, m.col, opNames[m.op], m.desc, v, strings.Join(tests, " ")))
 			}()
 		}
@@ -618,6 +668,20 @@ func run(dir string) error {
 	return err
 }
 
+// overlay writes files (base name -> content) to dir, and beside them an
+// overlay that puts them in the package's directory, and returns its path.
+func (j *job) overlay(dir string, files map[string][]byte) (string, error) {
+	replace := map[string]string{}
+	var err error
+	for name, src := range files {
+		replace[filepath.Join(j.pkgDir, name)] = filepath.Join(dir, name)
+		err = errors.Join(err, os.WriteFile(filepath.Join(dir, name), src, 0o644))
+	}
+	ov, _ := json.Marshal(map[string]map[string]string{"Replace": replace})
+	path := filepath.Join(dir, "overlay.json")
+	return path, errors.Join(err, os.WriteFile(path, ov, 0o644))
+}
+
 // tally is a recording's closing line: counts holds the number of mutants
 // of each verdict.
 func tally(counts map[string]int) string {
@@ -627,22 +691,26 @@ func tally(counts map[string]int) string {
 		killed, killed+survived, 100*float64(killed)/float64(max(killed+survived, 1)))
 }
 
-// verdict builds and tests mutant i, returning its verdict and the tests
-// that failed on it. Each stage runs only the tests that execute the
-// mutant, so a mutant that none executes is decided by its build.
+// verdict tests mutant i, returning its verdict and the tests that failed
+// on it. Each stage runs only the tests that execute the mutant, so a
+// mutant that none executes is decided by whether it compiles. A mutant
+// the schema holds runs in its binaries; any other is built into its own,
+// from an overlay of its file, for the packages each stage runs.
 func (j *job) verdict(i int, m mutant, src []byte) (string, []string) {
-	mutated := filepath.Join(j.tmp, fmt.Sprintf("m%d.go", i))
-	overlay := filepath.Join(j.tmp, fmt.Sprintf("m%d.json", i))
-	defer os.Remove(mutated)
-	defer os.Remove(overlay)
-	body := append(append(append([]byte{}, src[:m.off]...), m.repl...), src[m.end:]...)
-	ov, _ := json.Marshal(map[string]map[string]string{"Replace": {filepath.Join(j.pkgDir, m.file): mutated}})
-	if err := errors.Join(os.WriteFile(mutated, body, 0o644), os.WriteFile(overlay, ov, 0o644)); err != nil {
-		fmt.Fprintln(os.Stderr, "mutate:", err)
-		os.Exit(1)
-	}
-	if exec.Command("go", "build", "-overlay", overlay, j.target).Run() != nil {
+	if !j.compiles[i] {
 		return "does-not-compile", nil
+	}
+	bins, overlay := j.bins, ""
+	if !j.held[i] {
+		dir, err := os.MkdirTemp(j.tmp, "m")
+		if err == nil {
+			defer os.RemoveAll(dir)
+			overlay, err = j.overlay(dir, map[string][]byte{m.file: m.apply(src)})
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "mutate:", err)
+			os.Exit(1)
+		}
 	}
 	tests, whole := selected(j.blocks, m)
 	var failed []string
@@ -662,7 +730,14 @@ func (j *job) verdict(i int, m mutant, src []byte) (string, []string) {
 				want[p] = append(want[p], j.tests[t][1])
 			}
 		}
-		f, t := j.test(overlay, j.limits[s], want)
+		if overlay != "" {
+			var pkgs []string
+			for p := range want {
+				pkgs = append(pkgs, p)
+			}
+			bins = build(filepath.Dir(overlay), overlay, pkgs)
+		}
+		f, t := j.test(bins, i+1, j.limits[s], want)
 		failed, timedOut = append(failed, f...), timedOut || t
 	}
 	switch {
